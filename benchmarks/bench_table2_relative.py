@@ -2,9 +2,9 @@
 metadata workloads at 48 threads, plus the §5.2 geomean headline (97.23 %).
 """
 
-from repro.perf.runner import run_workload
+from repro.perf.runner import table2_sweep
 from repro.perf.stats import geomean
-from repro.workloads.fxmark import FXMARK, METADATA_WORKLOADS
+from repro.workloads.fxmark import METADATA_WORKLOADS
 
 from conftest import save_and_print
 
@@ -18,12 +18,7 @@ PAPER_GEOMEAN = 97.23
 
 def test_table2_relative_at_48_threads(benchmark):
     def run():
-        out = {}
-        for name in METADATA_WORKLOADS:
-            a = run_workload("arckfs", FXMARK[name], 48).mops
-            p = run_workload("arckfs+", FXMARK[name], 48).mops
-            out[name] = (a, p, p / a * 100.0)
-        return out
+        return {name: (a, p, p / a * 100.0) for name, a, p in table2_sweep()}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -93,16 +93,12 @@ def cmd_fig3(args) -> None:
 
 
 def cmd_table2(args) -> None:
-    from repro.perf.runner import run_workload
+    from repro.perf.runner import table2_sweep
     from repro.perf.stats import geomean
-    from repro.workloads.fxmark import FXMARK, METADATA_WORKLOADS
 
-    rows = []
-    for name in METADATA_WORKLOADS:
-        a = run_workload("arckfs", FXMARK[name], 48).mops
-        p = run_workload("arckfs+", FXMARK[name], 48).mops
-        rows.append({"workload": name, "arckfs_mops": a,
-                     "arckfs_plus_mops": p, "ratio_pct": p / a * 100.0})
+    rows = [{"workload": name, "arckfs_mops": a,
+             "arckfs_plus_mops": p, "ratio_pct": p / a * 100.0}
+            for name, a, p in table2_sweep()]
     data = {"rows": rows,
             "geomean_pct": geomean(r["ratio_pct"] / 100.0 for r in rows) * 100.0,
             "paper_geomean_pct": 97.23}

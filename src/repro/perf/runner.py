@@ -10,9 +10,10 @@ horizon of virtual time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.perf.costmodel import COST, CostModel
@@ -146,3 +147,19 @@ def sweep(
                 fs, workload, n, cost=cost, horizon_ns=horizon_ns
             ).mops
     return out
+
+
+@functools.cache
+def table2_sweep() -> Tuple[Tuple[str, float, float], ...]:
+    """Table 2's sweep: ``(workload, ArckFS Mops/s, ArckFS+ Mops/s)`` for
+    every FxMark metadata workload at 48 threads under the default cost
+    model.  Virtual time makes the result a constant of the code, so the ~20 s
+    of simulation is paid once per process however many consumers (the CLI
+    verb, the paper-target tests, the table bench) read it."""
+    from repro.workloads.fxmark import FXMARK, METADATA_WORKLOADS
+
+    return tuple(
+        (name,
+         run_workload("arckfs", FXMARK[name], 48).mops,
+         run_workload("arckfs+", FXMARK[name], 48).mops)
+        for name in METADATA_WORKLOADS)

@@ -30,12 +30,13 @@ rest.
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import PersistOrderError
 from repro.pm.delegation import DelegationPool
-from repro.pm.device import CACHE_LINE, PMDevice, PMStats
+from repro.pm.device import (CACHE_LINE, PMDevice, PMStats, draw_crash_images,
+                             iter_crash_images)
 from repro.pm.layout import Superblock
 
 
@@ -124,6 +125,8 @@ class PMArray:
     def _split(self, addr: int, size: int) -> List[Tuple[int, int, int]]:
         """``(member, local_addr, nbytes)`` pieces covering the flat range."""
         self._check_range(addr, size)
+        if addr == self.size:  # zero bytes at the very end: the last member's
+            return [(len(self.members) - 1, self.dev_size, 0)]
         pieces = []
         while True:
             d, local = divmod(addr, self.dev_size)
@@ -298,38 +301,8 @@ class PMArray:
         return b"".join(m.crash_image(per_member[d])
                         for d, m in enumerate(self.members))
 
-    def enumerate_crash_images(self, limit: int = 4096) -> Iterator[bytes]:
-        choices = self.line_choices()
-        total = 1
-        for n in choices.values():
-            total *= n
-        if total > limit:
-            raise PersistOrderError(
-                f"{total} crash states exceed limit {limit}; "
-                f"dirty lines: {list(choices)[:16]}")
-        lines = sorted(choices)
-        counts = [choices[ln] for ln in lines]
-
-        def rec(i: int, picked: Dict[int, int]) -> Iterator[bytes]:
-            if i == len(lines):
-                yield self.crash_image(picked)
-                return
-            for v in range(counts[i]):
-                picked[lines[i]] = v
-                yield from rec(i + 1, picked)
-            del picked[lines[i]]
-
-        yield from rec(0, {})
-
-    def sample_crash_images(self, n: int, seed: int = 0) -> Iterator[bytes]:
-        import random
-
-        rng = random.Random(seed)
-        choices = self.line_choices()
-        lines = sorted(choices)
-        for _ in range(n):
-            picked = {ln: rng.randrange(choices[ln]) for ln in lines}
-            yield self.crash_image(picked)
+    enumerate_crash_images = iter_crash_images
+    sample_crash_images = draw_crash_images
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -362,8 +335,9 @@ class PMArray:
                   delegation_workers=delegation_workers)
         if arr.size != len(image):
             raise ValueError("image size is not cache-line aligned per member")
+        view = memoryview(image)
         for d, m in enumerate(arr.members):
-            m.media[:] = image[d * arr.dev_size:(d + 1) * arr.dev_size]
+            m.load_image(view[d * arr.dev_size:(d + 1) * arr.dev_size])
         return arr
 
 

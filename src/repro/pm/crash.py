@@ -17,6 +17,7 @@ not; the ArckFS+ fence patch is validated by proving no such image exists.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.pm.array import reboot_device
@@ -95,7 +96,4 @@ class CrashSim:
 
     def state_count(self) -> int:
         """Number of reachable crash states right now."""
-        total = 1
-        for n in self.device.line_choices().values():
-            total *= n
-        return total
+        return math.prod(self.device.line_choices().values())

@@ -1,29 +1,45 @@
 """The simulated persistent-memory device.
 
-The device keeps two views of every cache line:
+The device keeps two flat byte views of itself:
 
-* the *volatile* view — what a running CPU observes (``load``), updated by
-  every ``store``;
-* the *media* view — what survives a crash for sure, advanced only by
-  flush + fence (or, nondeterministically, by simulated cache eviction when a
-  crash image is built).
+* ``volatile`` — what a running CPU observes (``load``), updated in place
+  by every ``store``;
+* ``media`` — what survives a crash for sure, advanced only by flush +
+  fence (or, nondeterministically, by simulated cache eviction when a crash
+  image is built).
 
-For crash-state exploration the device records, per line, the list of
-*versions* the line has held since its durability floor.  A crash may persist,
-for each line independently, any version at or after the floor (hardware may
-have evicted the line at any intermediate point).  ``sfence`` raises the floor
-of every line whose write-back was queued by a prior ``clwb``.
+Between them sits an ordered log of the store *runs* not yet fenced — one
+entry per ``store`` call: sequence number, address, payload and the
+cache-line intervals of it still pending — plus the ``clwb`` ranges queued
+since the last fence, each stamped with the sequence number it was issued
+at.  ``sfence`` takes the queued ranges in order and copies the overlapping
+part of every *earlier* pending run to ``media``, trimming or dropping the
+run; a store issued after the ``clwb`` is newer than the stamp and stays
+pending.  This is BilbyFs's "ordered list of pending updates applied at
+``sync()``" with ``sfence`` as the sync: a tracked store, load, flush or
+fence costs a few slice operations, not a Python loop over 64-byte lines.
 
-Thread safety: a single coarse lock protects version bookkeeping.  The
+Crash states are still per cache line: a crash may persist, for each line
+independently, any content it has held since its durability floor (hardware
+may have evicted it at any point).  A line's floor is its ``media`` content
+and each pending run covering it adds one version — the previous one patched
+with that run's bytes, equal or not — so the version lists are a pure
+function of ``media`` and the log.  They are split out only when a crash
+image is asked for and cached until the next store or fence, which gives
+exactly the state space a per-line history kept on every store would.
+
+Thread safety: a single coarse lock protects the log bookkeeping.  The
 *logical* races the paper studies (§4.3–§4.6) live above this layer, in the
 file-system code, so serialising the device itself hides nothing relevant.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import threading
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.errors import PersistOrderError
@@ -56,26 +72,60 @@ class PMStats:
             for f in fields(self)
         })
 
-    #: historical name for :meth:`diff`.
-    delta = diff
-
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
 
-@dataclass
-class _Line:
-    """Crash-tracking state of one dirty cache line.
+class _Run(NamedTuple):
+    """One unfenced ``store`` call: ``data`` landed at ``addr`` as the
+    ``seq``-th store.  The run leaves the log when ``pending`` empties."""
 
-    ``versions`` holds the successive contents of the line since its
-    durability floor; ``versions[0]`` is the floor (guaranteed durable once
-    ``floor_durable`` is True — i.e. the media copy).  ``queued`` is the index
-    of the newest version whose write-back has been initiated by ``clwb`` and
-    will be made durable by the next ``sfence``.
+    seq: int
+    addr: int
+    data: bytes
+    #: half-open cache-line intervals no fence has written back yet.
+    pending: List[Tuple[int, int]]
+
+
+def iter_crash_images(device, limit: int = 4096) -> Iterator[bytes]:
+    """Yield every reachable crash image (product over dirty lines, lowest
+    line outermost) of ``device`` — a :class:`PMDevice` or anything else with
+    ``line_choices()``/``crash_image()`` over one line numbering.
+
+    Raises :class:`PersistOrderError` if the state space exceeds
+    ``limit`` — a nudge to place the crash point more precisely.
     """
+    choices = device.line_choices()
+    total = math.prod(choices.values())
+    if total > limit:
+        raise PersistOrderError(
+            f"{total} crash states exceed limit {limit}; "
+            f"dirty lines: {list(choices)[:16]}"
+        )
+    lines = sorted(choices)
+    counts = [choices[ln] for ln in lines]
 
-    versions: List[bytes] = field(default_factory=list)
-    queued: Optional[int] = None
+    def rec(i: int, picked: Dict[int, int]) -> Iterator[bytes]:
+        if i == len(lines):
+            yield device.crash_image(picked)
+            return
+        for v in range(counts[i]):
+            picked[lines[i]] = v
+            yield from rec(i + 1, picked)
+        del picked[lines[i]]
+
+    yield from rec(0, {})
+
+
+def draw_crash_images(device, n: int, seed: int = 0) -> Iterator[bytes]:
+    """Yield ``n`` pseudo-random crash images (for large dirty sets): every
+    dirty line's version drawn from ``random.Random(seed)``, lines ascending."""
+    rng = random.Random(seed)
+    choices = device.line_choices()
+    lines = sorted(choices)
+    for _ in range(n):
+        picked = {ln: rng.randrange(choices[ln]) for ln in lines}
+        yield device.crash_image(picked)
 
 
 class PMDevice:
@@ -86,8 +136,8 @@ class PMDevice:
     size:
         Device capacity in bytes (rounded up to a cache line).
     crash_tracking:
-        When True (default), per-line version history is recorded so that
-        reachable crash states can be enumerated.  Benchmarks that never
+        When True (default), unfenced stores are logged so that reachable
+        crash states can be enumerated.  Benchmarks that never
         crash can disable it; stores then hit media directly (functional
         behaviour is identical, crash states are unavailable).
     device_id:
@@ -103,10 +153,20 @@ class PMDevice:
         # Round up to a whole number of lines.
         self.size = (size + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
         self.media = bytearray(self.size)
+        #: the CPU's view: media itself until the first tracked store forks
+        #: it (a device booted to be read, or untracked, never pays the copy).
+        self.volatile = self.media
         self.crash_tracking = crash_tracking
         self.device_id = device_id
         self.stats = PMStats()
-        self._lines: Dict[int, _Line] = {}
+        #: unfenced stores, oldest first.
+        self._runs: List[_Run] = []
+        self._seq = 0
+        #: ``(first_line, end_line, seq at issue)`` per ``clwb`` since the
+        #: last fence.
+        self._queued: List[Tuple[int, int, int]] = []
+        #: lazily split per-line versions; None = stale.
+        self._versions: Optional[Dict[int, List[bytes]]] = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -127,24 +187,12 @@ class PMDevice:
         if not self.crash_tracking:
             return bytes(self.media[addr : addr + size])
         with self._lock:
-            out = bytearray(self.media[addr : addr + size])
-            first = addr // CACHE_LINE
-            last = (addr + size - 1) // CACHE_LINE if size else first
-            for lineno in range(first, last + 1):
-                line = self._lines.get(lineno)
-                if line is None or not line.versions:
-                    continue
-                cur = line.versions[-1]
-                base = lineno * CACHE_LINE
-                lo = max(addr, base)
-                hi = min(addr + size, base + CACHE_LINE)
-                out[lo - addr : hi - addr] = cur[lo - base : hi - base]
-            return bytes(out)
+            return bytes(self.volatile[addr : addr + size])
 
     def store(self, addr: int, data: bytes) -> None:
         """CPU store: updates the volatile view only.
 
-        A store spanning multiple cache lines creates one new version per
+        A store spanning multiple cache lines adds one new version to each
         affected line (so a crash may tear it at line granularity, as real
         hardware can).  A store within a single line is recorded as one
         version: we model stores up to 64 B as single-line atomic, which is
@@ -162,19 +210,13 @@ class PMDevice:
             self.media[addr : addr + len(data)] = data
             return
         with self._lock:
-            first = addr // CACHE_LINE
-            last = (addr + len(data) - 1) // CACHE_LINE
-            for lineno in range(first, last + 1):
-                base = lineno * CACHE_LINE
-                line = self._lines.get(lineno)
-                if line is None:
-                    line = _Line(versions=[bytes(self.media[base : base + CACHE_LINE])])
-                    self._lines[lineno] = line
-                cur = bytearray(line.versions[-1])
-                lo = max(addr, base)
-                hi = min(addr + len(data), base + CACHE_LINE)
-                cur[lo - base : hi - base] = data[lo - addr : hi - addr]
-                line.versions.append(bytes(cur))
+            if self.volatile is self.media:
+                self.volatile = bytearray(self.media)
+            self.volatile[addr : addr + len(data)] = data
+            lines = (addr // CACHE_LINE, (addr + len(data) - 1) // CACHE_LINE + 1)
+            self._runs.append(_Run(self._seq, addr, data, [lines]))
+            self._seq += 1
+            self._versions = None
 
     def atomic_store(self, addr: int, data: bytes) -> None:
         """A hardware-atomic store: 1/2/4/8/16 bytes, naturally aligned.
@@ -206,10 +248,8 @@ class PMDevice:
         if not self.crash_tracking:
             return
         with self._lock:
-            for lineno in range(first, last + 1):
-                line = self._lines.get(lineno)
-                if line is not None and line.versions:
-                    line.queued = len(line.versions) - 1
+            if self._runs:
+                self._queued.append((first, last + 1, self._seq))
 
     # ``clflushopt`` has identical persistency semantics for our purposes.
     clflushopt = clwb
@@ -224,21 +264,41 @@ class PMDevice:
         if not self.crash_tracking:
             return
         with self._lock:
-            dead = []
-            for lineno, line in self._lines.items():
-                if line.queued is None:
+            if not self._queued:
+                return
+            for lo, hi, seq in self._queued:
+                self._write_back(lo, hi, seq)
+            self._queued = []
+            self._versions = None
+
+    def _write_back(self, lo: int, hi: int, seq: int) -> None:
+        """Copy lines ``[lo, hi)`` of every pending run older than ``seq`` to
+        media, oldest first, and take them off the run (lock held).
+        Everything written can no longer be undone by a crash; a run with
+        nothing left pending is dropped, which bounds memory use."""
+        runs, kept = self._runs, []
+        for i, run in enumerate(runs):
+            if run.seq >= seq:  # stored after the clwb, as is every later run
+                kept += runs[i:]
+                break
+            base, data = run.addr, memoryview(run.data)
+            rest = []
+            for a, b in run.pending:
+                s, e = max(a, lo), min(b, hi)
+                if s >= e:
+                    rest.append((a, b))
                     continue
-                base = lineno * CACHE_LINE
-                durable = line.versions[line.queued]
-                self.media[base : base + CACHE_LINE] = durable
-                # Everything below the floor can no longer appear in a crash
-                # image; drop it to bound memory use.
-                line.versions = line.versions[line.queued :]
-                line.queued = None
-                if len(line.versions) == 1:
-                    dead.append(lineno)
-            for lineno in dead:
-                del self._lines[lineno]
+                start = max(base, s * CACHE_LINE)
+                end = min(base + len(data), e * CACHE_LINE)
+                self.media[start:end] = data[start - base : end - base]
+                if a < s:
+                    rest.append((a, s))
+                if e < b:
+                    rest.append((e, b))
+            if rest:
+                run.pending[:] = rest
+                kept.append(run)
+        self._runs = kept
 
     def ntstore(self, addr: int, data: bytes) -> None:
         """Non-temporal store: a store whose write-back is already queued.
@@ -261,30 +321,49 @@ class PMDevice:
         if not self.crash_tracking:
             return
         with self._lock:
-            for lineno, line in self._lines.items():
-                if line.versions:
-                    line.queued = len(line.versions) - 1
+            if self._runs:
+                self._queued = [(0, self.size // CACHE_LINE, self._seq)]
         self.sfence()
 
     # ------------------------------------------------------------------ #
     # Crash-state exploration
     # ------------------------------------------------------------------ #
 
+    def _line_versions(self) -> Dict[int, List[bytes]]:
+        """The successive contents of every dirty line since its durability
+        floor (lock held): ``[0]`` is the floor — the media copy — and each
+        pending run covering the line appends the previous version patched
+        with its bytes.  Split out of the run log on demand and kept until
+        the next store or fence."""
+        if self._versions is None:
+            versions: Dict[int, List[bytes]] = {}
+            for run in self._runs:
+                addr, data = run.addr, run.data
+                for a, b in run.pending:
+                    for lineno in range(a, b):
+                        base = lineno * CACHE_LINE
+                        line = versions.get(lineno)
+                        if line is None:
+                            line = versions[lineno] = [
+                                bytes(self.media[base : base + CACHE_LINE])]
+                        cur = bytearray(line[-1])
+                        lo = max(addr, base)
+                        hi = min(addr + len(data), base + CACHE_LINE)
+                        cur[lo - base : hi - base] = data[lo - addr : hi - addr]
+                        line.append(bytes(cur))
+            self._versions = versions
+        return self._versions
+
     def dirty_lines(self) -> List[int]:
         """Line numbers that currently have non-durable content."""
         with self._lock:
-            return sorted(
-                lineno for lineno, line in self._lines.items() if len(line.versions) > 1
-            )
+            return sorted(self._line_versions())
 
     def line_choices(self) -> Dict[int, int]:
         """For each dirty line, how many distinct crash outcomes it has."""
         with self._lock:
-            return {
-                lineno: len(line.versions)
-                for lineno, line in self._lines.items()
-                if len(line.versions) > 1
-            }
+            return {lineno: len(line)
+                    for lineno, line in self._line_versions().items()}
 
     def durable_image(self) -> bytes:
         """The guaranteed-durable image (only fenced content; media copy)."""
@@ -304,57 +383,21 @@ class PMDevice:
         """
         with self._lock:
             img = bytearray(self.media)
+            versions = self._line_versions()
             for lineno, idx in choices.items():
-                line = self._lines.get(lineno)
+                line = versions.get(lineno)
                 if line is None:
                     continue
-                if not 0 <= idx < len(line.versions):
+                if not 0 <= idx < len(line):
                     raise PersistOrderError(
-                        f"line {lineno} has {len(line.versions)} versions; {idx} invalid"
+                        f"line {lineno} has {len(line)} versions; {idx} invalid"
                     )
                 base = lineno * CACHE_LINE
-                img[base : base + CACHE_LINE] = line.versions[idx]
+                img[base : base + CACHE_LINE] = line[idx]
             return bytes(img)
 
-    def enumerate_crash_images(self, limit: int = 4096) -> Iterator[bytes]:
-        """Yield every reachable crash image (product over dirty lines).
-
-        Raises :class:`PersistOrderError` if the state space exceeds
-        ``limit`` — a nudge to place the crash point more precisely.
-        """
-        choices = self.line_choices()
-        total = 1
-        for n in choices.values():
-            total *= n
-        if total > limit:
-            raise PersistOrderError(
-                f"{total} crash states exceed limit {limit}; "
-                f"dirty lines: {list(choices)[:16]}"
-            )
-        lines = sorted(choices)
-        counts = [choices[ln] for ln in lines]
-
-        def rec(i: int, picked: Dict[int, int]) -> Iterator[bytes]:
-            if i == len(lines):
-                yield self.crash_image(picked)
-                return
-            for v in range(counts[i]):
-                picked[lines[i]] = v
-                yield from rec(i + 1, picked)
-            del picked[lines[i]]
-
-        yield from rec(0, {})
-
-    def sample_crash_images(self, n: int, seed: int = 0) -> Iterator[bytes]:
-        """Yield ``n`` pseudo-random crash images (for large dirty sets)."""
-        import random
-
-        rng = random.Random(seed)
-        choices = self.line_choices()
-        lines = sorted(choices)
-        for _ in range(n):
-            picked = {ln: rng.randrange(choices[ln]) for ln in lines}
-            yield self.crash_image(picked)
+    enumerate_crash_images = iter_crash_images
+    sample_crash_images = draw_crash_images
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -366,8 +409,18 @@ class PMDevice:
         """Boot a device from a crash (or durable) image — i.e. 'reboot'."""
         dev = cls(len(image), crash_tracking=crash_tracking,
                   device_id=device_id)
-        dev.media[:] = image
+        dev.load_image(image)
         return dev
+
+    def load_image(self, image: bytes) -> None:
+        """Reboot in place: both views hold ``image`` (zero-padded to the
+        device size) and nothing is pending."""
+        self._check_range(0, len(image))
+        with self._lock:
+            self.media[: len(image)] = image
+            self.media[len(image) :] = bytes(self.size - len(image))
+            self.volatile = self.media
+            self._runs, self._queued, self._versions = [], [], None
 
     def __len__(self) -> int:
         return self.size

@@ -8,9 +8,9 @@ breaks a paper-reported shape, these tests catch it.
 
 import pytest
 
-from repro.perf.runner import run_workload, sweep
+from repro.perf.runner import run_workload, sweep, table2_sweep
 from repro.perf.stats import geomean
-from repro.workloads.fxmark import FXMARK, METADATA_WORKLOADS
+from repro.workloads.fxmark import FXMARK
 from repro.workloads.fio import FIO_WORKLOADS
 from repro.workloads.microbench import METADATA_OPS
 
@@ -29,6 +29,12 @@ def ratio_at(workload, threads):
     a = run_workload("arckfs", workload, threads).mops
     p = run_workload("arckfs+", workload, threads).mops
     return p / a * 100.0
+
+
+def table2_ratios():
+    """Percent ArckFS+/ArckFS per metadata workload at 48 threads; the sweep
+    is simulated once per process and shared with ``repro table2``."""
+    return {name: p / a * 100.0 for name, a, p in table2_sweep()}
 
 
 class TestFig3SingleThread:
@@ -55,27 +61,26 @@ class TestFig3SingleThread:
 class TestTable2:
     @pytest.mark.parametrize("name,paper", sorted(TABLE2.items()))
     def test_48_thread_ratio(self, name, paper):
-        r = ratio_at(FXMARK[name], 48)
+        r = table2_ratios()[name]
         # Tolerance: the multi-thread points are emergent, not calibrated.
         assert r == pytest.approx(paper, abs=4.0), f"{name}: {r:.2f} vs {paper}"
 
     def test_geomean_headline(self):
         """'ArckFS+ delivers a geometric mean of 97.23 % of ArckFS's
         throughput in metadata workloads under 48 threads.'"""
-        ratios = [ratio_at(FXMARK[n], 48) / 100 for n in METADATA_WORKLOADS]
-        g = geomean(ratios) * 100
+        g = geomean(r / 100 for r in table2_ratios().values()) * 100
         assert g == pytest.approx(97.23, abs=1.5), f"geomean {g:.2f}"
 
     def test_worst_case_is_mrdl(self):
         """'The largest throughput drop occurs in MRDL.'"""
-        ratios = {n: ratio_at(FXMARK[n], 48) for n in METADATA_WORKLOADS}
+        ratios = table2_ratios()
         assert min(ratios, key=ratios.get) == "MRDL"
 
     def test_unlink_workloads_exceed_100(self):
         """'The throughput increase in MWUM is caused by a change in cache
         line alignment...' — MWUL and MWUM are above 100 %."""
-        assert ratio_at(FXMARK["MWUL"], 48) > 100
-        assert ratio_at(FXMARK["MWUM"], 48) > 100
+        assert table2_ratios()["MWUL"] > 100
+        assert table2_ratios()["MWUM"] > 100
 
 
 class TestScalabilityShape:

@@ -528,5 +528,3 @@ def test_pmstats_snapshot_and_diff():
     delta = s.diff(snap)
     assert delta.stores == 3 and delta.fences == 0
     assert s.as_dict()["stores"] == 8
-    # Historical alias kept.
-    assert s.delta(snap) == delta
