@@ -16,21 +16,19 @@ Two views:
 
 from dataclasses import replace
 
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS, ARCKFS_PLUS
-from repro.kernel.controller import KernelController
-from repro.libfs.libfs import LibFS
 from repro.perf.costmodel import COST
 from repro.perf.runner import run_workload
-from repro.pm.device import PMDevice
 from repro.workloads.microbench import METADATA_OPS
 
 from conftest import save_and_print
 
 
 def _fs(config):
-    device = PMDevice(64 * 1024 * 1024)
-    kernel = KernelController.fresh(device, inode_count=2048, config=config)
-    return device, kernel, LibFS(kernel, "abl", uid=0, config=config)
+    vol = Volume.create(64 * 1024 * 1024,
+                        VolumeConfig(config=config, inode_count=2048))
+    return vol.device, vol.kernel, vol.session("abl", uid=0).fs
 
 
 def mechanism_counts():

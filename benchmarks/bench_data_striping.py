@@ -31,8 +31,6 @@ import sys
 
 from repro import obs
 from repro.api import Volume, VolumeConfig
-from repro.kernel.controller import KernelController
-from repro.libfs.libfs import LibFS
 from repro.perf.costmodel import COST
 from repro.pm.array import PMArray
 from repro.pm.device import PMDevice
@@ -79,7 +77,7 @@ def functional_fanout():
     """A real 4 MiB pwrite on a 4-device array; per-member counters."""
     vc = VolumeConfig(devices=4, stripe_pages=STRIPE_PAGES,
                       delegation_workers=DELEGATION_WORKERS, inode_count=128)
-    vol = Volume.create(32 << 20, config=vc)
+    vol = Volume.create(32 << 20, vc)
     payload = bytes(range(256)) * (WRITE_BYTES // 256)
     with vol.session("bench-striping") as sess:
         fd = sess.open("/big.dat", create=True)
@@ -104,14 +102,15 @@ def functional_fanout():
 
 def _drive(device):
     """A fixed operation stream against a fresh volume on ``device``."""
-    kernel = KernelController.fresh(device, inode_count=64)
-    fs = LibFS(kernel, "bench-identity", uid=0)
+    vol = Volume.create(device.size, VolumeConfig(inode_count=64),
+                        device=device)
+    fs = vol.session("bench-identity", uid=0).fs
     fs.mkdir("/d")
     fd = fs.open("/d/f.dat", create=True)
     fs.pwrite(fd, b"\x5a" * (1 << 20), 0)
     fs.pwrite(fd, b"\xa5" * 4096, 1 << 19)  # overwrite in the middle
     fs.release_all()
-    kernel.alloc.drain_pools()
+    vol.kernel.alloc.drain_pools()
     return device.durable_image(), device.stats.snapshot()
 
 

@@ -6,12 +6,10 @@ counts (the paper: "ArckFS+ and ArckFS exhibit similar performance").
 Simulation part: feed the measured mix to the DES across all systems.
 """
 
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS, ARCKFS_PLUS
-from repro.kernel.controller import KernelController
-from repro.libfs.libfs import LibFS
 from repro.perf.runner import run_workload
 from repro.perf.stats import format_table
-from repro.pm.device import PMDevice
 from repro.workloads.leveldb_bench import DBBENCH_SIMS, run_dbbench
 
 from conftest import save_and_print
@@ -21,9 +19,9 @@ SYSTEMS = ["arckfs+", "arckfs", "ext4", "pmfs", "nova", "odinfs", "winefs",
 
 
 def _fresh(config):
-    device = PMDevice(64 * 1024 * 1024, crash_tracking=False)
-    kernel = KernelController.fresh(device, inode_count=4096, config=config)
-    return LibFS(kernel, "db", uid=0, config=config)
+    vol = Volume.create(64 * 1024 * 1024,
+                        VolumeConfig(config=config, inode_count=4096))
+    return vol.session("db", uid=0).fs
 
 
 def test_leveldb_dbbench(benchmark):

@@ -32,12 +32,10 @@ import os
 import sys
 
 from repro import obs
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS, ARCKFS_PLUS_ZC
-from repro.kernel.controller import KernelController
-from repro.libfs.libfs import LibFS
 from repro.perf.costmodel import COST
 from repro.perf.simulator import Experiment
-from repro.pm.device import PMDevice
 from repro.workloads.fxmark import DATA_WORKLOADS
 
 THREADS = (1, 2, 4, 8)
@@ -117,9 +115,9 @@ def functional_drbh():
     w = DATA_WORKLOADS["DRBH"]
     for variant, config in (("arckfs+", ARCKFS_PLUS),
                             ("arckfs+zc", ARCKFS_PLUS_ZC)):
-        device = PMDevice(16 * 1024 * 1024, crash_tracking=False)
-        kernel = KernelController.fresh(device, inode_count=256, config=config)
-        fs = LibFS(kernel, "bench-read", uid=0, config=config)
+        vol = Volume.create(16 * 1024 * 1024,
+                            VolumeConfig(config=config, inode_count=256))
+        fs = vol.session("bench-read", uid=0).fs
         w.prepare(fs, 1)
         mi = fs._inodes[fs.stat("/shared/blk").ino]
         locks0 = mi.rwlock.read_acquisitions
@@ -143,10 +141,11 @@ def functional_drbh():
 def readcache_counts():
     """Steady-state cross-app reads of a published file: zero crossings."""
     config = ARCKFS_PLUS_ZC
-    device = PMDevice(16 * 1024 * 1024, crash_tracking=False)
-    kernel = KernelController.fresh(device, inode_count=128, config=config)
-    writer = LibFS(kernel, "writer", uid=0, config=config)
-    reader = LibFS(kernel, "reader", uid=0, config=config)
+    vol = Volume.create(16 * 1024 * 1024,
+                        VolumeConfig(config=config, inode_count=128))
+    kernel = vol.kernel
+    writer = vol.session("writer", uid=0).fs
+    reader = vol.session("reader", uid=0).fs
     payload = b"published" * 400
     writer.write_file("/hot", payload)
     writer.release_all()  # verified release publishes /hot

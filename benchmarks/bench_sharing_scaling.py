@@ -28,7 +28,8 @@ import os
 import sys
 
 from repro import obs
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
+from repro.core.config import ARCKFS_PLUS
 from repro.workloads.sharing import run_functional_sharing, verification_scaling
 
 WORKERS = (1, 2, 4, 8)
@@ -86,9 +87,10 @@ def functional_pipeline():
 
 def delegation_counts():
     """A hot reopen loop under read delegation, then a cross-app revoke."""
-    with Volume.create(32 * 1024 * 1024, inode_count=128,
-                       verify_delegation=True, delegation_window=30.0,
-                       name="delegation") as vol:
+    with Volume.create(32 * 1024 * 1024, VolumeConfig(
+            config=ARCKFS_PLUS.with_patch(verify_delegation=True,
+                                          delegation_window=30.0),
+            inode_count=128, name="delegation")) as vol:
         a = vol.session("app1", uid=1000)
         b = vol.session("app2", uid=1000)
         a.write_file("/hot", b"\xa5" * 65536)

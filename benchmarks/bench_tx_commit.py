@@ -49,7 +49,7 @@ SMOKE_RTOL = 0.02
 
 
 def _fresh_session():
-    vol = Volume.create(32 * 1024 * 1024, config=VolumeConfig(inode_count=256))
+    vol = Volume.create(32 * 1024 * 1024, VolumeConfig(inode_count=256))
     return vol, vol.session("bench-tx")
 
 

@@ -56,18 +56,14 @@ def metrics_sidecar(request):
 
 @pytest.fixture
 def arckfs_plus_fs():
-    from repro.core.config import ARCKFS_PLUS
-    from repro.kernel.controller import KernelController
-    from repro.libfs.libfs import LibFS
-    from repro.pm.device import PMDevice
+    from repro.api import Volume, VolumeConfig
 
-    device = PMDevice(64 * 1024 * 1024, crash_tracking=False)
-    kernel = KernelController.fresh(device, inode_count=4096, config=ARCKFS_PLUS)
-    fs = LibFS(kernel, "bench", uid=0, config=ARCKFS_PLUS)
+    vol = Volume.create(64 * 1024 * 1024, VolumeConfig(inode_count=4096))
+    fs = vol.session("bench", uid=0).fs
     yield fs
     # Republish the functional-path device/kernel/libfs counters so the
     # sidecar records them alongside whatever the bench itself counted.
-    obs.publish_stats("pm", device.stats)
-    obs.publish_stats("kernel", kernel.stats)
+    obs.publish_stats("pm", vol.device.stats)
+    obs.publish_stats("kernel", vol.kernel.stats)
     obs.publish_stats("libfs", fs.stats)
-    obs.publish_stats("alloc", kernel.alloc.stats)
+    obs.publish_stats("alloc", vol.kernel.alloc.stats)

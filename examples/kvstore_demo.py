@@ -8,13 +8,13 @@ simulated PM volume underneath the session.
 Run:  python examples/kvstore_demo.py
 """
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.kv.db import DB
 from repro.kv.options import Options
 
 
 def main() -> None:
-    vol = Volume.create(96 * 1024 * 1024, inode_count=4096)
+    vol = Volume.create(96 * 1024 * 1024, VolumeConfig(inode_count=4096))
     fs = vol.session("kvapp", uid=1000).fs
     options = Options(memtable_bytes=8 * 1024, tables_per_level=3)
     db = DB(fs, "/mydb", options)

@@ -7,13 +7,13 @@ application through the POSIX-like API, crashes the machine, and recovers.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 
 
 def main() -> None:
     # A 64 MiB simulated persistent-memory volume: device + trusted kernel
     # formatted and mounted in one call.
-    with Volume.create(64 * 1024 * 1024, inode_count=1024) as vol:
+    with Volume.create(64 * 1024 * 1024, VolumeConfig(inode_count=1024)) as vol:
         # One application's session: direct userspace access, no syscalls on
         # the hot path, synchronous persistence.
         with vol.session("app1", uid=1000) as fs:

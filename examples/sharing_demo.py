@@ -15,14 +15,15 @@ Four acts:
 Run:  python examples/sharing_demo.py
 """
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import CorruptionDetected
 
 
 def ping_pong(group, verify_workers: int = 1):
-    with Volume.create(64 * 1024 * 1024, inode_count=256,
-                       verify_workers=verify_workers) as vol:
+    config = ARCKFS_PLUS.with_patch(verify_workers=verify_workers)
+    with Volume.create(64 * 1024 * 1024,
+                       VolumeConfig(config=config, inode_count=256)) as vol:
         kernel = vol.kernel
         a = vol.session("writer-a", uid=1000, group=group)
         b = vol.session("writer-b", uid=1000, group=group)
@@ -55,7 +56,7 @@ def ping_pong(group, verify_workers: int = 1):
 def attack():
     # No context manager here: mallory's session is left dirty on purpose
     # (a clean close would re-verify the corrupted directory and raise).
-    vol = Volume.create(32 * 1024 * 1024, inode_count=256)
+    vol = Volume.create(32 * 1024 * 1024, VolumeConfig(inode_count=256))
     kernel = vol.kernel
     owner = vol.session("owner", uid=2000)
     owner.mkdir("/dir1", mode=0o777)

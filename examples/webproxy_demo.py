@@ -11,12 +11,12 @@ Run:  python examples/webproxy_demo.py
 
 import time
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.workloads.filebench import PERSONALITIES, FilebenchEngine
 
 
 def run(personality_name: str, shared: bool, nthreads: int = 4) -> None:
-    with Volume.create(96 * 1024 * 1024, inode_count=4096) as vol:
+    with Volume.create(96 * 1024 * 1024, VolumeConfig(inode_count=4096)) as vol:
         fs = vol.session("filebench", uid=1000).fs
         engine = FilebenchEngine(fs, PERSONALITIES[personality_name],
                                  nthreads=nthreads, shared=shared)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from repro import obs
@@ -45,40 +45,19 @@ from repro.pm.array import PMArray, reboot_device
 from repro.pm.device import PMDevice
 
 
-def _tune(
-    config: ArckConfig,
-    verify_workers: Optional[int],
-    verify_delegation: Optional[bool],
-    delegation_window: Optional[float],
-) -> ArckConfig:
-    """Apply the facade's verification knobs on top of a base config."""
-    overrides = {}
-    if verify_workers is not None:
-        overrides["verify_workers"] = verify_workers
-    if verify_delegation is not None:
-        overrides["verify_delegation"] = verify_delegation
-    if delegation_window is not None:
-        overrides["delegation_window"] = delegation_window
-    return replace(config, **overrides) if overrides else config
-
-
 @dataclass(frozen=True)
 class VolumeConfig:
     """Everything that shapes a volume, in one typed value.
 
-    :meth:`Volume.create` and :meth:`Volume.mount` grew the same sprawl of
-    keyword knobs (config, policy, crash_tracking, the three verification
-    overrides, name, inode_count) in two slightly different subsets; this
-    dataclass is the single source of truth for all of them.  Pass it as
-    the ``config=`` argument — both constructors accept either a bare
-    :class:`ArckConfig` (the historical meaning) or a ``VolumeConfig``:
+    The one way to configure :meth:`Volume.create` and
+    :meth:`Volume.mount`:
 
         vc = VolumeConfig(crash_tracking=True, inode_count=256)
-        vol = Volume.create(8 << 20, config=vc)
+        vol = Volume.create(8 << 20, vc)
 
-    The legacy per-knob keywords keep working as compat shims and, when
-    given, override the corresponding field (see the README deprecation
-    note); new code should build a ``VolumeConfig``.
+    Verification tuning lives on the :class:`ArckConfig` the kernel and
+    verifier read:
+    ``VolumeConfig(config=ARCKFS_PLUS.with_patch(verify_workers=4))``.
     """
 
     #: The kernel/LibFS feature configuration (bug toggles, verification).
@@ -89,9 +68,6 @@ class VolumeConfig:
     inode_count: int = 1024
     #: Enable the device's crash-state enumeration (shadows every store).
     crash_tracking: bool = False
-    verify_workers: Optional[int] = None
-    verify_delegation: Optional[bool] = None
-    delegation_window: Optional[float] = None
     #: Member devices; >1 creates a striped :class:`~repro.pm.array.PMArray`.
     devices: int = 1
     #: Pages per stripe unit on a multi-device volume (create only).
@@ -101,24 +77,16 @@ class VolumeConfig:
     #: Metrics label for the volume (auto ``vol<N>`` when omitted).
     name: Optional[str] = None
 
-    @classmethod
-    def coerce(cls, config: Union["VolumeConfig", ArckConfig, None]) -> "VolumeConfig":
-        """Normalize the polymorphic ``config=`` argument."""
-        if config is None:
-            return cls()
-        if isinstance(config, VolumeConfig):
-            return config
-        return cls(config=config)
 
-    def override(self, **kwargs) -> "VolumeConfig":
-        """A copy with every non-None keyword applied (the compat shims)."""
-        live = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **live) if live else self
-
-    def tuned(self) -> ArckConfig:
-        """The effective :class:`ArckConfig`, verification knobs applied."""
-        return _tune(self.config, self.verify_workers,
-                     self.verify_delegation, self.delegation_window)
+def _volume_config(config: Optional[VolumeConfig]) -> VolumeConfig:
+    """``config`` or the defaults; anything but a ``VolumeConfig`` (a bare
+    ``ArckConfig``, say) is a ``TypeError`` rather than a silent fallback."""
+    if config is None:
+        return VolumeConfig()
+    if not isinstance(config, VolumeConfig):
+        raise TypeError(
+            f"config must be a VolumeConfig, not {type(config).__name__}")
+    return config
 
 
 class Session:
@@ -268,40 +236,21 @@ class Volume:
     def create(
         cls,
         size: int = 64 * 1024 * 1024,
+        config: Optional[VolumeConfig] = None,
         *,
-        config: Union[VolumeConfig, ArckConfig, None] = None,
         device: Optional[PMDevice] = None,
-        inode_count: Optional[int] = None,
-        policy: Optional[ResolutionPolicy] = None,
-        crash_tracking: Optional[bool] = None,
-        verify_workers: Optional[int] = None,
-        verify_delegation: Optional[bool] = None,
-        delegation_window: Optional[float] = None,
-        devices: Optional[int] = None,
-        stripe_pages: Optional[int] = None,
-        delegation_workers: Optional[int] = None,
-        name: Optional[str] = None,
     ) -> "Volume":
         """mkfs + mount a fresh volume of ``size`` bytes.
 
-        ``config`` takes a :class:`VolumeConfig` (the full set of knobs in
-        one value) or a bare :class:`ArckConfig` (the historical meaning).
-        The remaining keywords are compat shims: each one, when given,
-        overrides the corresponding ``VolumeConfig`` field.
-        ``crash_tracking=True`` enables the device's crash-state
+        ``config.crash_tracking`` enables the device's crash-state
         enumeration (needed by the §4.2 bug demos and the transaction
         crash tests, off by default because it shadows every store).
-        ``devices>1`` backs the volume with a striped
+        ``config.devices > 1`` backs the volume with a striped
         :class:`~repro.pm.array.PMArray` (``stripe_pages`` per unit,
-        ``delegation_workers`` threads per member I/O queue).
+        ``delegation_workers`` threads per member I/O queue).  ``device``
+        formats a caller-built device instead.
         """
-        opts = VolumeConfig.coerce(config).override(
-            inode_count=inode_count, policy=policy,
-            crash_tracking=crash_tracking, verify_workers=verify_workers,
-            verify_delegation=verify_delegation,
-            delegation_window=delegation_window, devices=devices,
-            stripe_pages=stripe_pages,
-            delegation_workers=delegation_workers, name=name)
+        opts = _volume_config(config)
         if device is None:
             if opts.devices > 1:
                 device = PMArray(
@@ -312,7 +261,7 @@ class Volume:
             else:
                 device = PMDevice(size, crash_tracking=opts.crash_tracking)
         kernel = KernelController.fresh(
-            device, inode_count=opts.inode_count, config=opts.tuned(),
+            device, inode_count=opts.inode_count, config=opts.config,
             policy=opts.policy)
         return cls(device, kernel, name=opts.name)
 
@@ -320,29 +269,18 @@ class Volume:
     def mount(
         cls,
         source: Union[PMDevice, bytes, bytearray],
-        *,
-        config: Union[VolumeConfig, ArckConfig, None] = None,
-        policy: Optional[ResolutionPolicy] = None,
-        crash_tracking: Optional[bool] = None,
-        verify_workers: Optional[int] = None,
-        verify_delegation: Optional[bool] = None,
-        delegation_window: Optional[float] = None,
-        name: Optional[str] = None,
+        config: Optional[VolumeConfig] = None,
     ) -> "Volume":
         """Mount an existing device, or a raw image (``bytes``) of one.
 
-        Accepts the same ``config`` polymorphism (and compat shims) as
-        :meth:`create`; ``inode_count`` has no mount-side meaning — the
-        superblock is authoritative.  Runs full crash recovery, including
+        The create-only ``config`` fields (``inode_count``, ``devices``,
+        ``stripe_pages``) have no mount-side meaning — the superblock is
+        authoritative.  Runs full crash recovery, including
         pending-transaction replay; the resulting
         :class:`~repro.kernel.controller.RecoveryReport` is available as
         :attr:`recovery`.
         """
-        opts = VolumeConfig.coerce(config).override(
-            policy=policy, crash_tracking=crash_tracking,
-            verify_workers=verify_workers,
-            verify_delegation=verify_delegation,
-            delegation_window=delegation_window, name=name)
+        opts = _volume_config(config)
         if isinstance(source, (bytes, bytearray)):
             # The image's superblock names the device shape: a recorded
             # member count > 1 reboots into a PMArray of that shape.
@@ -351,7 +289,7 @@ class Volume:
         else:
             device = source
         kernel = KernelController.mount(
-            device, config=opts.tuned(), policy=opts.policy)
+            device, config=opts.config, policy=opts.policy)
         return cls(device, kernel, name=opts.name)
 
     # ------------------------------------------------------------------ #

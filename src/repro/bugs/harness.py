@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ArckConfig
 from repro.kernel.controller import KernelController
@@ -47,8 +47,8 @@ def make_fs(
     Crash tracking stays on: the §4.2 demonstrations enumerate the
     device's reachable crash states.
     """
-    vol = Volume.create(size, inode_count=inode_count, config=config,
-                        crash_tracking=True)
+    vol = Volume.create(size, VolumeConfig(
+        config=config, inode_count=inode_count, crash_tracking=True))
     fs = vol.session("app1", uid=uid).fs
     return vol.device, vol.kernel, fs
 

@@ -16,7 +16,6 @@ global rename lease), some both (the directory-relocation protocol).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -85,18 +84,6 @@ class ArckConfig:
 
     #: Log tails per directory (the multi-tailed log of §2.2).
     dir_tails: int = 4
-
-    #: Per-thread page-pool size for the PM allocator.  ``None`` defers to
-    #: the allocator's default (``REPRO_ALLOC_POOL_PAGES`` or 64); ``0``
-    #: selects the legacy global-lock per-page path — the benchmark
-    #: baseline and escape hatch.
-    alloc_pool_pages: Optional[int] = None
-
-    #: Extent-batched data path: ``pwrite`` coalesces stores into one
-    #: non-temporal stream per contiguous page run and skips the durable
-    #: pre-zero of pages it fully overwrites.  ``False`` restores the seed
-    #: per-page store/zero behaviour.
-    extent_batched_io: bool = True
 
     #: Verifier worker threads per ownership transfer: page and dentry
     #: checks are stride-sharded across this many threads

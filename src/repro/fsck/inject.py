@@ -78,7 +78,7 @@ def _append(core: CoreState, geom, dir_ino: int, name: bytes, child_ino: int,
     rec = core.read_inode(dir_ino)
     cursor, _ = core.scan_tail(rec.tails[0])
     core.append_dentry(dir_ino, rec, 0, cursor, name, child_ino, child_gen,
-                       itype, seq, PageAllocator(core.mem, geom, pool_pages=0),
+                       itype, seq, PageAllocator(core.mem, geom, pool_pages=1),
                        fence_before_marker=True)
 
 
@@ -151,7 +151,7 @@ def inject_dir_cycle(device: PMDevice) -> None:
 def inject_page_leak(device: PMDevice) -> None:
     """An allocated bit with no owner (a crashed mid-creat allocation)."""
     core, geom = _env(device)
-    PageAllocator(device, geom, pool_pages=0).alloc()
+    PageAllocator(device, geom, pool_pages=1).alloc()
 
 
 def inject_page_reserved(device: PMDevice) -> None:

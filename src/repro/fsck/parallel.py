@@ -1,7 +1,6 @@
-"""The fsck worker pool and its deterministic cost accounting.
+"""Modeled cost (virtual ns) of the three fsck phases.
 
-Shards run on real threads (the checker is functionally parallel and any
-ordering bug would surface under the shared-nothing shard structure), but
+Shards run on real threads via :mod:`repro.concurrency.parallel`, but
 *throughput* is reported in deterministic virtual nanoseconds from the
 calibrated cost model — the same convention every performance figure in
 this repository uses (see ``repro.perf``).  A parallel phase costs what its
@@ -13,17 +12,8 @@ the algorithm.
 
 from __future__ import annotations
 
-from repro.concurrency.parallel import (  # noqa: F401  (re-exported API)
-    run_parallel,
-    stride_shards,
-)
 from repro.perf.costmodel import COST
 from repro.pm.layout import PAGE_SIZE, InodeRecord
-
-
-# --------------------------------------------------------------------------- #
-# Modeled phase costs (virtual ns)
-# --------------------------------------------------------------------------- #
 
 
 def scan_shard_cost(records_read: int, pages_read: int, dentries: int) -> float:

@@ -166,9 +166,10 @@ class Repairer:
 
     def _allocator(self) -> PageAllocator:
         if self._alloc is None:
-            # pool_pages=0: the repairer must not strand its own tagged
-            # reservations on the volume it is cleaning.
-            self._alloc = PageAllocator(self.device, self.geom, pool_pages=0)
+            # pool_pages=1: a one-page refill hands out everything it
+            # reserves, so the repairer strands no tagged reservation on
+            # the volume it is cleaning.
+            self._alloc = PageAllocator(self.device, self.geom, pool_pages=1)
         return self._alloc
 
     def _free_inode_slot(self) -> int:

@@ -18,6 +18,7 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro import obs
+from repro.concurrency.parallel import run_parallel, stride_shards
 from repro.core.corestate import CoreState
 from repro.core.mkfs import load_geometry
 from repro.fsck import auxcheck, check, parallel, scan
@@ -63,8 +64,8 @@ def _check_once(
 
     # -- phase 1: sharded scan ------------------------------------------- #
     with obs.span("fsck.scan", category="fsck", workers=workers):
-        shard_inos = parallel.stride_shards(range(geom.inode_count), workers)
-        shards = parallel.run_parallel([
+        shard_inos = stride_shards(range(geom.inode_count), workers)
+        shards = run_parallel([
             (lambda inos=inos: scan.scan_shard(core, geom, inos))
             for inos in shard_inos
         ])
@@ -91,8 +92,8 @@ def _check_once(
 
     # -- phase 2a: sharded per-inode cross-check -------------------------- #
     with obs.span("fsck.check", category="fsck", workers=workers):
-        per_shard_inos = parallel.stride_shards(sorted(scans), workers)
-        finding_lists = parallel.run_parallel([
+        per_shard_inos = stride_shards(sorted(scans), workers)
+        finding_lists = run_parallel([
             (lambda inos=inos: check.check_inodes(scans, inos, geom))
             for inos in per_shard_inos
         ])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
@@ -31,9 +31,10 @@ def build_volume(
     bench see identical trees.  ``devices > 1`` builds the same tree on a
     striped :class:`~repro.pm.array.PMArray`.
     """
-    vol = Volume.create(size, inode_count=inode_count, config=config,
-                        crash_tracking=crash_tracking, devices=devices,
-                        stripe_pages=stripe_pages)
+    vol = Volume.create(size, VolumeConfig(
+        config=config, inode_count=inode_count,
+        crash_tracking=crash_tracking, devices=devices,
+        stripe_pages=stripe_pages))
     device, kernel = vol.device, vol.kernel
     fs = vol.session("fsck-vol", uid=uid).fs
     dirnames = [f"/d{i}" for i in range(dirs)]

@@ -118,8 +118,7 @@ class KernelController:
         self.policy = policy or RollbackPolicy()
         self.geom = load_geometry(device)
         self.core = CoreState(device, self.geom)
-        self.alloc = PageAllocator(device, self.geom,
-                                   pool_pages=config.alloc_pool_pages)
+        self.alloc = PageAllocator(device, self.geom)
         # workers=1 degenerates to the serial path (no threads spawned).
         self.verifier = PipelinedVerifier(self, workers=config.verify_workers)
         self.rename_lease = Lease("global-rename", duration=1.0)

@@ -530,13 +530,12 @@ class LibFS:
             end = offset + len(data)
             existing = len(mi.pages)
             needed = (end + PAGE_SIZE - 1) // PAGE_SIZE
-            extent_io = self.config.extent_batched_io
             new_pages = (
-                self.alloc.alloc_many(needed - existing, zero=not extent_io)
+                self.alloc.alloc_many(needed - existing, zero=False)
                 if needed > existing else []
             )
             all_pages = mi.pages + new_pages
-            if extent_io and new_pages:
+            if new_pages:
                 # Fresh pages the write fully overwrites skip the durable
                 # pre-zero; hole pages and partial head/tail pages are
                 # zeroed here with ntstores riding the data fence below.
@@ -552,22 +551,17 @@ class LibFS:
             while di < len(data):
                 page_idx = pos // PAGE_SIZE
                 in_page = pos % PAGE_SIZE
-                if extent_io:
-                    # Coalesce consecutive page numbers into one extent:
-                    # one non-temporal stream, one queued write-back.
-                    run_end = page_idx
-                    while run_end < last_idx and \
-                            all_pages[run_end + 1] == all_pages[run_end] + 1:
-                        run_end += 1
-                    run_bytes = (run_end + 1 - page_idx) * PAGE_SIZE - in_page
-                    chunk = min(len(data) - di, run_bytes)
-                    cs.write_extent_data(all_pages[page_idx], in_page,
-                                         data[di : di + chunk])
-                    extents += 1
-                else:
-                    chunk = min(len(data) - di, PAGE_SIZE - in_page)
-                    cs.write_page_data(all_pages[page_idx], in_page,
-                                       data[di : di + chunk])
+                # Coalesce consecutive page numbers into one extent:
+                # one non-temporal stream, one queued write-back.
+                run_end = page_idx
+                while run_end < last_idx and \
+                        all_pages[run_end + 1] == all_pages[run_end] + 1:
+                    run_end += 1
+                run_bytes = (run_end + 1 - page_idx) * PAGE_SIZE - in_page
+                chunk = min(len(data) - di, run_bytes)
+                cs.write_extent_data(all_pages[page_idx], in_page,
+                                     data[di : di + chunk])
+                extents += 1
                 pos += chunk
                 di += chunk
             mi.mapping.sfence()  # data durable before metadata commits it

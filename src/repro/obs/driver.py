@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS, ARCKFS_PLUS, ARCKFS_PLUS_ZC, ArckConfig
 from repro.errors import InvalidArgument
 from repro.libfs.libfs import LibFS
@@ -129,9 +129,8 @@ def run_observed(
     total_ops = threads * ops_per_thread
     vol = Volume.create(
         64 * 1024 * 1024 + total_ops * 8192,
-        inode_count=max(4096, 2 * total_ops + 512),
-        config=config,
-        name="obs",
+        VolumeConfig(config=config, name="obs",
+                     inode_count=max(4096, 2 * total_ops + 512)),
     )
     device, kernel = vol.device, vol.kernel
     libfs = vol.session("obs", uid=0).fs

@@ -21,14 +21,16 @@ the seed allocator.  ``rebuild`` (mount) reclaims them; ``drain_pools``
 (quiesce/shutdown) returns them with one batched persist; fsck classifies
 them as advisory ``page-reserved`` findings and ``--repair`` clears them.
 
-``pool_pages=0`` selects the legacy global-lock path (one lock acquisition,
-one bitmap persist and one durable zero *per page*) — kept as the benchmark
-baseline and for single-shot consumers such as the fsck injectors.
+``pool_pages`` is the refill size.  The kernel controller runs with
+:data:`DEFAULT_POOL_PAGES`; the fsck repairer and injectors pass ``1``, so a
+refill hands out everything it reserves and nothing tagged is left behind
+on the volume they are cleaning or corrupting.  The seed allocator (global
+lock, one bitmap persist and one durable zero *per page*) survives only as
+the frozen rows of ``benchmarks/baselines/alloc_scaling.json``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
@@ -40,9 +42,6 @@ from repro.pm.layout import PAGE_SIZE, Geometry
 
 #: Pages reserved per pool refill when the caller does not choose.
 DEFAULT_POOL_PAGES = 64
-
-#: Environment override for the default pool size (0 disables pooling).
-POOL_PAGES_ENV = "REPRO_ALLOC_POOL_PAGES"
 
 #: Stamp written into the first 8 bytes of every pool-reserved page, under
 #: the refill's fence.  Hand-out always overwrites it (durable zeroing, page
@@ -88,16 +87,13 @@ class PageAllocator:
     """Bitmap allocator over the device's page area, with per-thread pools."""
 
     def __init__(self, device: PMDevice, geom: Geometry, *,
-                 pool_pages: Optional[int] = None):
+                 pool_pages: int = DEFAULT_POOL_PAGES):
         self._device = device
         self._geom = geom
         self._lock = threading.Lock()  # shared bitmap + free-count
-        self._hint = 0        # legacy per-page probe cursor
-        self._hint_byte = 0   # pooled byte-granularity scan cursor
-        if pool_pages is None:
-            pool_pages = int(os.environ.get(POOL_PAGES_ENV, DEFAULT_POOL_PAGES))
-        if pool_pages < 0:
-            raise ValueError("pool_pages must be >= 0")
+        self._hint_byte = 0   # byte-granularity scan cursor
+        if pool_pages < 1:
+            raise ValueError("pool_pages must be >= 1")
         self._pool_pages = pool_pages
         # DRAM shadow of the bitmap for O(1) scanning; PM stays authoritative.
         self._bits = bytearray(device.load(geom.bitmap_off, self._bitmap_bytes()))
@@ -339,8 +335,6 @@ class PageAllocator:
 
     def alloc(self, zero: bool = True) -> int:
         """Allocate one page; returns its 1-based page number."""
-        if self._pool_pages == 0:
-            return self._alloc_legacy(zero)
         pool = self._pool()
         with pool.lock:
             page = pool.pages.pop(0) if pool.pages else None
@@ -369,30 +363,6 @@ class PageAllocator:
             self._zero_pages([page])
         return page
 
-    def _alloc_legacy(self, zero: bool) -> int:
-        """The seed allocator: global lock, per-page probe and persists."""
-        with self._lock:
-            n = self._geom.page_count
-            for probe in range(n):
-                page_no = (self._hint + probe) % n + 1
-                if not self._test(page_no):
-                    self._set_bit_locked(page_no, True)
-                    self._free_count -= 1
-                    self._hint = page_no % n
-                    if zero:
-                        off = self._geom.page_off(page_no)
-                        self._device.store(off, _ZERO_PAGE)
-                        self._device.persist(off, PAGE_SIZE)
-                    break
-            else:
-                raise NoSpace("no free pages")
-        with self._acct_lock:
-            self._handed_out.add(page_no)
-            self.stats.allocs += 1
-            self.stats.lock_acquires += 1
-        obs.count("alloc.lock_acquires")
-        return page_no
-
     def alloc_many(self, count: int, zero: bool = True) -> List[int]:
         """Allocate ``count`` pages, contiguous when the bitmap allows.
 
@@ -403,8 +373,6 @@ class PageAllocator:
         """
         if count <= 0:
             return []
-        if self._pool_pages == 0:
-            return self._alloc_many_legacy(count, zero)
         pool = self._pool()
         with pool.lock:
             got = pool.pages[:count]
@@ -431,17 +399,6 @@ class PageAllocator:
             obs.count("alloc.pool_hits", hits)
         if zero:
             self._zero_pages(got)
-        return got
-
-    def _alloc_many_legacy(self, count: int, zero: bool) -> List[int]:
-        got: List[int] = []
-        try:
-            for _ in range(count):
-                got.append(self._alloc_legacy(zero))
-        except NoSpace:
-            for page_no in got:  # roll back the partial batch
-                self.free(page_no)
-            raise
         return got
 
     def free(self, page_no: int) -> None:
@@ -534,7 +491,6 @@ class PageAllocator:
             self._device.persist(self._geom.bitmap_off, len(self._bits))
             after = len(keep)
             self._free_count = self._geom.page_count - after
-            self._hint = 0
             self._hint_byte = 0
         with self._acct_lock:
             self._handed_out = set(keep)

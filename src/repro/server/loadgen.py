@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.server import protocol
 from repro.server.client import ServerClient, SessionHandle
 
@@ -238,10 +238,9 @@ async def run_load(host: str, port: int,
 
 
 def make_volumes(tenants: Sequence[str], *, size: int = 64 * 1024 * 1024,
-                 inode_count: int = 4096, **volume_kwargs) -> Dict[str, Volume]:
+                 inode_count: int = 4096) -> Dict[str, Volume]:
     """One fresh volume per tenant, named after it (metrics label)."""
     return {
-        t: Volume.create(size, inode_count=inode_count, name=t,
-                         **volume_kwargs)
+        t: Volume.create(size, VolumeConfig(inode_count=inode_count, name=t))
         for t in tenants
     }

@@ -143,15 +143,17 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
     so every bounce still revokes and verifies, but the delegation counters
     expose the grant/revoke traffic.
     """
-    from repro.api import Volume
+    from repro.api import Volume, VolumeConfig
+    from repro.core.config import ARCKFS_PLUS
 
     vol = Volume.create(
         max(64, 4 * file_kib // 1024 + 16) * 1024 * 1024,
-        inode_count=256,
-        verify_workers=verify_workers,
-        verify_delegation=delegation,
-        delegation_window=delegation_window,
-        name="sharing",
+        VolumeConfig(
+            config=ARCKFS_PLUS.with_patch(
+                verify_workers=verify_workers,
+                verify_delegation=delegation,
+                delegation_window=delegation_window),
+            inode_count=256, name="sharing"),
     )
     kernel = vol.kernel
     group = "g" if trust_group else None

@@ -10,13 +10,16 @@ import time
 
 import pytest
 
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
+from repro.core.config import ARCKFS_PLUS
 from repro.errors import CorruptionDetected
 
 
 def make_volume(window=30.0):
-    return Volume.create(32 * 1024 * 1024, inode_count=128,
-                         verify_delegation=True, delegation_window=window)
+    return Volume.create(32 * 1024 * 1024, VolumeConfig(
+        config=ARCKFS_PLUS.with_patch(verify_delegation=True,
+                                      delegation_window=window),
+        inode_count=128))
 
 
 def hot_ino(kernel):

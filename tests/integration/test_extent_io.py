@@ -1,15 +1,18 @@
 """The extent-batched data path: correctness and persist-cost.
 
-``pwrite`` under ``extent_batched_io`` coalesces stores into one
-non-temporal stream per contiguous page run and skips the durable pre-zero
-of pages it fully overwrites.  These tests pin the equivalence with the
-legacy per-page path and the >= 4x persist-call reduction the batching is
-for.
+``pwrite`` coalesces stores into one non-temporal stream per contiguous
+page run and skips the durable pre-zero of pages it fully overwrites.
+These tests pin the file contents against a ``bytearray`` model and the
+>= 4x persist-call reduction over the seed per-page path, whose cost is
+the frozen ``persist.legacy`` row of ``baselines/alloc_scaling.json``.
 """
+
+import json
+import pathlib
 
 import pytest
 
-from repro.core.config import ARCKFS_PLUS, ArckConfig
+from repro.core.config import ARCKFS_PLUS
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.array import PMArray
@@ -17,15 +20,8 @@ from repro.pm.crash import CrashSim
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
 
-LEGACY = ArckConfig(
-    name="arckfs+legacy-io",
-    **{k: getattr(ARCKFS_PLUS, k) for k in (
-        "rename_commit_protocol", "shadow_parent_pointer",
-        "fence_before_marker", "locked_release", "extended_bucket_lock",
-        "rcu_buckets", "global_rename_lock", "descendant_check")},
-    alloc_pool_pages=0,
-    extent_batched_io=False,
-)
+BASELINE = pathlib.Path(__file__).resolve().parents[2] / \
+    "benchmarks" / "baselines" / "alloc_scaling.json"
 
 
 def build(config, size=8 * 1024 * 1024):
@@ -34,7 +30,7 @@ def build(config, size=8 * 1024 * 1024):
     return device, LibFS(kernel, "extent-io", uid=0, config=config)
 
 
-@pytest.fixture(params=[ARCKFS_PLUS, LEGACY], ids=["extent", "legacy"])
+@pytest.fixture(params=[ARCKFS_PLUS], ids=["extent"])
 def anyfs(request):
     return build(request.param)[1]
 
@@ -72,40 +68,39 @@ class TestCorrectness:
         assert anyfs.pread(fd, 2 * PAGE_SIZE, 0) == expect
 
     def test_extent_and_legacy_media_agree(self):
-        """Same op stream, byte-identical file contents either way."""
+        """The file is byte-identical to a ``bytearray`` replaying the
+        same ``(data, offset)`` list (holes read as zeros)."""
         ops = [
             (b"x" * (64 * 1024), 0),
             (b"y" * 5000, 3 * PAGE_SIZE + 17),
             (b"z" * PAGE_SIZE, 100 * PAGE_SIZE),
             (b"w" * 10, 5),
         ]
-        images = []
-        for config in (ARCKFS_PLUS, LEGACY):
-            _device, fs = build(config)
-            fd = fs.creat("/f")
-            for data, off in ops:
-                fs.pwrite(fd, data, off)
-            size = fs.stat("/f").size
-            images.append((size, fs.pread(fd, size, 0)))
-        assert images[0] == images[1]
+        model = bytearray()
+        _device, fs = build(ARCKFS_PLUS)
+        fd = fs.creat("/f")
+        for data, off in ops:
+            fs.pwrite(fd, data, off)
+            if len(model) < off + len(data):
+                model.extend(b"\0" * (off + len(data) - len(model)))
+            model[off : off + len(data)] = data
+        size = fs.stat("/f").size
+        assert size == len(model)
+        assert fs.pread(fd, size, 0) == bytes(model)
 
 
 class TestPersistCost:
     def test_persist_calls_drop_4x_per_mib(self):
-        payload = b"\x5a" * MiB
-        fences = {}
-        extents = {}
-        for name, config in (("legacy", LEGACY), ("extent", ARCKFS_PLUS)):
-            device, fs = build(config)
-            fd = fs.creat("/big")
-            before = device.stats.fences
-            fs.pwrite(fd, payload, 0)
-            fences[name] = device.stats.fences - before
-            extents[name] = fs.stats.write_extents
-        assert fences["legacy"] / fences["extent"] >= 4.0, fences
+        # The seed per-page path's cost for the same write (519).
+        seed = json.loads(BASELINE.read_text())["persist"]["legacy"]
+        device, fs = build(ARCKFS_PLUS)
+        fd = fs.creat("/big")
+        before = device.stats.fences
+        fs.pwrite(fd, b"\x5a" * MiB, 0)
+        fences = device.stats.fences - before
+        assert seed["persist_calls"] / fences >= 4.0, fences
         # 256 physically contiguous fresh pages coalesce into one extent.
-        assert extents["extent"] == 1
-        assert extents["legacy"] == 0
+        assert fs.stats.write_extents == 1
 
     def test_fresh_full_pages_skip_prezero(self):
         """A fully-overwritten fresh page costs no durable pre-zero: the

@@ -52,7 +52,7 @@ def test_crash_image_reserved_pages_repaired():
     assert repaired.findings == []  # not even advisory ones remain
 
     # The reclaimed pages are genuinely free again.
-    alloc = PageAllocator(dev2, _kernel.geom, pool_pages=0)
+    alloc = PageAllocator(dev2, _kernel.geom)
     for page_no in reserved:
         assert not alloc.is_allocated(page_no)
 

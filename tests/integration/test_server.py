@@ -21,6 +21,8 @@ import json
 import pytest
 
 from repro import errors
+from repro.api import Volume, VolumeConfig
+from repro.core.config import ARCKFS_PLUS
 from repro.server import (
     ServerClient,
     ServerConfig,
@@ -38,14 +40,13 @@ def run(coro):
 
 
 @contextlib.asynccontextmanager
-async def serving(tenants=("acme",), config=None, *, verify_delegation=None,
+async def serving(tenants=("acme",), config=None, *, volumes=None,
                   policies=None):
-    """A started server over fresh volumes; closes both on exit."""
-    kwargs = {}
-    if verify_delegation is not None:
-        kwargs["verify_delegation"] = verify_delegation
-    volumes = make_volumes(tenants, size=16 * 1024 * 1024,
-                           inode_count=512, **kwargs)
+    """A started server over fresh volumes (or the caller's ``volumes``);
+    closes both on exit."""
+    if volumes is None:
+        volumes = make_volumes(tenants, size=16 * 1024 * 1024,
+                               inode_count=512)
     server = VolumeServer(volumes, config or ServerConfig(),
                           policies=policies)
     try:
@@ -220,8 +221,13 @@ class TestEviction:
             # lease (and its deferred verification) parked at eviction
             # time; teardown must settle it, not leak it.
             cfg = ServerConfig(lease_seconds=0.05, evict_interval=0.01)
-            async with serving(verify_delegation=True,
-                               config=cfg) as (server, volumes):
+            delegating = VolumeConfig(
+                config=ARCKFS_PLUS.with_patch(verify_delegation=True),
+                inode_count=512, name="acme")
+            async with serving(
+                    volumes={"acme": Volume.create(16 * 1024 * 1024,
+                                                   delegating)},
+                    config=cfg) as (server, volumes):
                 vol = volumes["acme"]
                 async with await ServerClient.connect(
                         "127.0.0.1", server.port) as cli:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
+from repro.core.config import ARCKFS_PLUS
 from repro.errors import CrashPoint, TryAgain, TxAborted, TxCommitPending
 from repro.fsck import F_TX_TORN, TX_CLASSES, fsck_checker, run_fsck
 from repro.pm.device import PMDevice
@@ -25,9 +26,9 @@ SIZE = 4 * 1024 * 1024
 ENUM_LIMIT = 2048
 
 
-def make_volume(**kw):
+def make_volume():
     return Volume.create(SIZE, config=VolumeConfig(
-        inode_count=64, crash_tracking=True), **kw)
+        inode_count=64, crash_tracking=True))
 
 
 def stage_tx(s):
@@ -271,8 +272,9 @@ class TestApplyFailure:
         pre-dirty snapshot (the one the delegation contract keeps), not
         the post-dirty state the failing apply left behind."""
         vol = Volume.create(SIZE, config=VolumeConfig(
-            inode_count=64, verify_delegation=True,
-            delegation_window=30.0))
+            config=ARCKFS_PLUS.with_patch(verify_delegation=True,
+                                          delegation_window=30.0),
+            inode_count=64))
         s = vol.session("app")
         s.write_file("/hot", b"clean" * 1024)
         s.release_all()

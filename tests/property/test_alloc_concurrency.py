@@ -11,14 +11,14 @@ import threading
 
 from repro.core.mkfs import load_geometry, mkfs
 from repro.errors import NoSpace
-from repro.pm.allocator import PageAllocator
+from repro.pm.allocator import DEFAULT_POOL_PAGES, PageAllocator
 from repro.pm.device import PMDevice
 
 THREADS = 8
 OPS_PER_THREAD = 300
 
 
-def make_world(*, size=8 * 1024 * 1024, pool_pages=None):
+def make_world(*, size=8 * 1024 * 1024, pool_pages=DEFAULT_POOL_PAGES):
     device = PMDevice(size, crash_tracking=False)
     geom = mkfs(device, inode_count=64)
     return device, geom, PageAllocator(device, geom, pool_pages=pool_pages)

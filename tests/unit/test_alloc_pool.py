@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.mkfs import mkfs
 from repro.errors import NoSpace
-from repro.pm.allocator import RESERVATION_TAG, PageAllocator
+from repro.pm.allocator import DEFAULT_POOL_PAGES, RESERVATION_TAG, PageAllocator
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
 
 
-def make_world(*, size=4 * 1024 * 1024, pool_pages=None):
+def make_world(*, size=4 * 1024 * 1024, pool_pages=DEFAULT_POOL_PAGES):
     device = PMDevice(size, crash_tracking=False)
     geom = mkfs(device, inode_count=64)
     return device, geom, PageAllocator(device, geom, pool_pages=pool_pages)
@@ -52,15 +52,9 @@ class TestPoolMechanics:
         page = alloc.alloc(zero=True)
         assert device.load(geom.page_off(page), PAGE_SIZE) == b"\0" * PAGE_SIZE
 
-    def test_pool_size_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOC_POOL_PAGES", "7")
-        _device, _geom, alloc = make_world()
-        assert alloc.pool_pages == 7
-
-    def test_explicit_pool_size_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOC_POOL_PAGES", "7")
-        _device, _geom, alloc = make_world(pool_pages=3)
-        assert alloc.pool_pages == 3
+    def test_pool_size_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            make_world(pool_pages=0)
 
     def test_alloc_many_is_contiguous_on_fresh_volume(self):
         _device, _geom, alloc = make_world()
@@ -78,7 +72,8 @@ class TestPoolMechanics:
 class TestRollback:
     """Satellite 1: ``alloc_many`` must not leak pages on mid-batch NoSpace."""
 
-    @pytest.mark.parametrize("pool_pages", [None, 0], ids=["pooled", "legacy"])
+    @pytest.mark.parametrize("pool_pages", [DEFAULT_POOL_PAGES, 1],
+                             ids=["pooled", "one-page"])
     def test_alloc_many_rolls_back_on_nospace(self, pool_pages):
         _device, geom, alloc = make_world(
             size=1024 * 1024, pool_pages=pool_pages)
@@ -88,7 +83,8 @@ class TestRollback:
         assert alloc.free_pages() == free0
         assert alloc.allocated_set() == set()
 
-    @pytest.mark.parametrize("pool_pages", [None, 0], ids=["pooled", "legacy"])
+    @pytest.mark.parametrize("pool_pages", [DEFAULT_POOL_PAGES, 1],
+                             ids=["pooled", "one-page"])
     def test_rollback_after_partial_volume(self, pool_pages):
         _device, _geom, alloc = make_world(
             size=1024 * 1024, pool_pages=pool_pages)
@@ -103,7 +99,8 @@ class TestRollback:
 class TestCaches:
     """Satellite 2: O(1) free count / allocated set stay exact."""
 
-    @pytest.mark.parametrize("pool_pages", [None, 0], ids=["pooled", "legacy"])
+    @pytest.mark.parametrize("pool_pages", [DEFAULT_POOL_PAGES, 1],
+                             ids=["pooled", "one-page"])
     def test_free_pages_matches_ground_truth(self, pool_pages):
         device, geom, alloc = make_world(pool_pages=pool_pages)
         assert alloc.free_pages() == geom.page_count
@@ -172,26 +169,32 @@ class TestDrainAndRebuild:
 
 
 class TestLegacyParity:
-    """``pool_pages=0`` is the seed allocator: per-page locks and persists."""
+    """``pool_pages=1`` (the fsck repairer and injectors) keeps what those
+    callers had from the seed allocator: one lock and one fence per
+    allocation, nothing left reserved, and the same first-fit order as
+    the kernel's pooled allocator."""
 
     def test_legacy_lock_per_alloc(self):
-        device, _geom, alloc = make_world(pool_pages=0)
+        device, _geom, alloc = make_world(pool_pages=1)
         fences0 = device.stats.fences
         for _ in range(8):
             alloc.alloc(zero=False)
         assert alloc.stats.lock_acquires == 8
-        assert alloc.stats.pool_refills == 0
+        assert alloc.stats.pool_hits == 0
         assert device.stats.fences - fences0 == 8
 
     def test_legacy_never_reserves(self):
-        _device, _geom, alloc = make_world(pool_pages=0)
+        _device, _geom, alloc = make_world(pool_pages=1)
         alloc.alloc(zero=False)
+        assert alloc.pooled_pages() == set()
+        assert alloc.drain_pools() == 0
+        alloc.alloc_many(5, zero=False)
         assert alloc.pooled_pages() == set()
         assert alloc.drain_pools() == 0
 
     def test_same_first_fit_order(self):
         _d1, _g1, pooled = make_world()
-        _d2, _g2, legacy = make_world(pool_pages=0)
+        _d2, _g2, single = make_world(pool_pages=1)
         a = [pooled.alloc(zero=False) for _ in range(16)]
-        b = [legacy.alloc(zero=False) for _ in range(16)]
+        b = [single.alloc(zero=False) for _ in range(16)]
         assert a == b

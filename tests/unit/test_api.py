@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.api import Session, Volume
+from repro.api import Session, Volume, VolumeConfig
 from repro.core.config import ARCKFS, ARCKFS_PLUS
 from repro.errors import NoEntry
 
 
 class TestVolume:
     def test_create_wires_the_stack(self):
-        with Volume.create(16 * 1024 * 1024, inode_count=64) as vol:
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(inode_count=64)) as vol:
             assert vol.kernel.device is vol.device
             assert vol.config.name == ARCKFS_PLUS.name
             assert repr(vol)
@@ -32,7 +32,7 @@ class TestVolume:
             assert vol.kernel.stats.verifications >= 1
 
     def test_mount_from_image(self):
-        vol = Volume.create(16 * 1024 * 1024, inode_count=64)
+        vol = Volume.create(16 * 1024 * 1024, VolumeConfig(inode_count=64))
         with vol.session("writer") as fs:
             fs.write_file("/persisted", b"survives")
         image = vol.device.durable_image()
@@ -48,9 +48,10 @@ class TestVolume:
             Volume.mount(b"\0" * 4096)
 
     def test_config_and_tuning_overrides(self):
-        with Volume.create(16 * 1024 * 1024, config=ARCKFS,
-                           verify_workers=4, verify_delegation=True,
-                           delegation_window=1.5) as vol:
+        tuned = ARCKFS.with_patch(verify_workers=4, verify_delegation=True,
+                                  delegation_window=1.5)
+        with Volume.create(16 * 1024 * 1024,
+                           VolumeConfig(config=tuned)) as vol:
             cfg = vol.config
             assert cfg.verify_workers == 4
             assert cfg.verify_delegation
@@ -58,8 +59,10 @@ class TestVolume:
             assert vol.kernel.verifier.workers == 4
 
     def test_fsck_through_facade(self):
-        with Volume.create(16 * 1024 * 1024, verify_workers=4,
-                           verify_delegation=True) as vol:
+        tuned = ARCKFS_PLUS.with_patch(verify_workers=4,
+                                       verify_delegation=True)
+        with Volume.create(16 * 1024 * 1024,
+                           VolumeConfig(config=tuned)) as vol:
             with vol.session("app1") as fs:
                 fs.mkdir("/d")
                 for i in range(8):
@@ -178,7 +181,7 @@ class TestIdempotentClose:
 
 class TestDimensionalIdentity:
     def test_volume_names_explicit_and_auto(self):
-        with Volume.create(16 * 1024 * 1024, name="scratch") as vol:
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(name="scratch")) as vol:
             assert vol.name == "scratch"
         with Volume.create(16 * 1024 * 1024) as a, \
                 Volume.create(16 * 1024 * 1024) as b:
@@ -186,14 +189,14 @@ class TestDimensionalIdentity:
             assert a.name != b.name
 
     def test_session_labels_identify_app_and_volume(self):
-        with Volume.create(16 * 1024 * 1024, name="v") as vol:
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(name="v")) as vol:
             with vol.session("app1") as fs:
                 assert fs.labels == {"app_id": "app1", "volume": "v"}
 
     def test_facade_calls_carry_ambient_labels_into_metrics(self):
         from repro import obs
 
-        with Volume.create(16 * 1024 * 1024, name="metricsvol") as vol:
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(name="metricsvol")) as vol:
             with vol.session("worker") as fs:
                 obs.enable()
                 fd = fs.creat("/labelled.bin")

@@ -7,18 +7,20 @@ runs at op time, the handle's state machine, the ``VolumeConfig``
 unification on the facade, and the server dispatch adapters.
 """
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from repro import errors as E
 from repro.api import Volume, VolumeConfig
-from repro.core.config import ARCKFS_PLUS
+from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.server import dispatch
 from repro.server.protocol import error_body, pack_bytes
 
 
-def make_volume(**kw):
-    kw.setdefault("inode_count", 128)
-    return Volume.create(16 * 1024 * 1024, **kw)
+def make_volume():
+    return Volume.create(16 * 1024 * 1024, VolumeConfig(inode_count=128))
 
 
 class TestStagedValidation:
@@ -181,29 +183,29 @@ class TestExitCodes:
 
 
 class TestVolumeConfig:
-    def test_legacy_kwargs_and_volumeconfig_are_equivalent(self):
-        legacy = Volume.create(8 * 1024 * 1024, inode_count=64,
-                               crash_tracking=True, verify_workers=2,
-                               name="lv")
-        unified = Volume.create(8 * 1024 * 1024, config=VolumeConfig(
-            inode_count=64, crash_tracking=True, verify_workers=2,
-            name="uv"))
-        assert legacy.kernel.geom.inode_count == \
-            unified.kernel.geom.inode_count == 64
-        assert legacy.device.crash_tracking and unified.device.crash_tracking
-        assert legacy.config == unified.config
-        assert (legacy.name, unified.name) == ("lv", "uv")
+    def test_one_home_per_knob_and_no_keyword_shims(self):
+        """Structural: no knob lives on both config types, and the two
+        constructors take nothing but ``config`` (and ``device``)."""
+        shared = {f.name for f in fields(VolumeConfig)} & \
+            {f.name for f in fields(ArckConfig)}
+        # ``name`` is two different labels (the volume's metrics label and
+        # the variant's name), not one knob with two homes.
+        assert shared == {"name"}
+        assert list(inspect.signature(Volume.create).parameters) == \
+            ["size", "config", "device"]
+        assert list(inspect.signature(Volume.mount).parameters) == \
+            ["source", "config"]
 
-    def test_legacy_kwargs_override_volumeconfig_fields(self):
-        vc = VolumeConfig(inode_count=64, name="from-vc")
-        vol = Volume.create(8 * 1024 * 1024, config=vc, inode_count=32,
-                            name="shim-wins")
-        assert vol.kernel.geom.inode_count == 32
-        assert vol.name == "shim-wins"
-
-    def test_bare_arckconfig_still_accepted(self):
-        vol = Volume.create(8 * 1024 * 1024, config=ARCKFS_PLUS)
-        assert vol.config.name == ARCKFS_PLUS.name
+    def test_bare_arckconfig_and_old_keywords_are_type_errors(self):
+        with pytest.raises(TypeError):
+            Volume.create(8 * 1024 * 1024, config=ARCKFS_PLUS)
+        with pytest.raises(TypeError):
+            Volume.create(8 * 1024 * 1024, inode_count=64)
+        image = Volume.create(8 * 1024 * 1024).device.durable_image()
+        with pytest.raises(TypeError):
+            Volume.mount(image, config=ARCKFS_PLUS)
+        with pytest.raises(TypeError):
+            Volume.mount(image, verify_workers=2)
 
     def test_mount_accepts_volumeconfig(self):
         src = Volume.create(8 * 1024 * 1024)
@@ -214,15 +216,6 @@ class TestVolumeConfig:
         assert vol.name == "mounted"
         with vol.session("r") as s:
             assert s.read_file("/f") == b"x"
-
-    def test_coerce_and_override(self):
-        assert VolumeConfig.coerce(None) == VolumeConfig()
-        vc = VolumeConfig(inode_count=99)
-        assert VolumeConfig.coerce(vc) is vc
-        assert VolumeConfig.coerce(ARCKFS_PLUS).config is ARCKFS_PLUS
-        assert vc.override() is vc
-        assert vc.override(inode_count=None) is vc
-        assert vc.override(inode_count=7).inode_count == 7
 
 
 class TestDispatch:
