@@ -11,8 +11,8 @@ Three deterministic measurements, no wall clocks:
    bandwidth at 4 devices vs 1.
 2. **Functional fan-out** — a real 4 MiB pwrite through the whole stack
    (LibFS -> extent batch -> ``PMArray.ntstore_scatter``) on a 4-device
-   array with live delegation workers; per-member ``PMStats`` prove every
-   device stored ~1/4 of the bytes and took its own persist calls.
+   array; per-member ``PMStats`` prove every device stored ~1/4 of the
+   bytes and took its own persist calls.
 3. **Single-device identity** — the same operation stream against a
    1-member array and a flat :class:`~repro.pm.device.PMDevice` must
    produce byte-identical durable images and identical store/fence
@@ -39,7 +39,7 @@ DEVICES = (1, 2, 4, 8)
 EXTENT_BYTES = 4 << 20     # one 4 MiB delegated extent
 WRITE_BYTES = 4 << 20      # functional pwrite size
 STRIPE_PAGES = 4
-DELEGATION_WORKERS = 2
+DELEGATION_WORKERS = 2     # modeled workers per device (cost model only)
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "baselines", "data_striping.json")
@@ -75,8 +75,7 @@ def modeled_sweep():
 
 def functional_fanout():
     """A real 4 MiB pwrite on a 4-device array; per-member counters."""
-    vc = VolumeConfig(devices=4, stripe_pages=STRIPE_PAGES,
-                      delegation_workers=DELEGATION_WORKERS, inode_count=128)
+    vc = VolumeConfig(devices=4, stripe_pages=STRIPE_PAGES, inode_count=128)
     vol = Volume.create(32 << 20, vc)
     payload = bytes(range(256)) * (WRITE_BYTES // 256)
     with vol.session("bench-striping") as sess:

@@ -72,8 +72,6 @@ class VolumeConfig:
     devices: int = 1
     #: Pages per stripe unit on a multi-device volume (create only).
     stripe_pages: int = 1
-    #: I/O delegation worker threads per member queue (0 = inline).
-    delegation_workers: int = 0
     #: Metrics label for the volume (auto ``vol<N>`` when omitted).
     name: Optional[str] = None
 
@@ -246,9 +244,8 @@ class Volume:
         enumeration (needed by the §4.2 bug demos and the transaction
         crash tests, off by default because it shadows every store).
         ``config.devices > 1`` backs the volume with a striped
-        :class:`~repro.pm.array.PMArray` (``stripe_pages`` per unit,
-        ``delegation_workers`` threads per member I/O queue).  ``device``
-        formats a caller-built device instead.
+        :class:`~repro.pm.array.PMArray` (``stripe_pages`` per unit).
+        ``device`` formats a caller-built device instead.
         """
         opts = _volume_config(config)
         if device is None:
@@ -256,8 +253,7 @@ class Volume:
                 device = PMArray(
                     size, devices=opts.devices,
                     stripe_pages=opts.stripe_pages,
-                    crash_tracking=opts.crash_tracking,
-                    delegation_workers=opts.delegation_workers)
+                    crash_tracking=opts.crash_tracking)
             else:
                 device = PMDevice(size, crash_tracking=opts.crash_tracking)
         kernel = KernelController.fresh(
@@ -362,9 +358,6 @@ class Volume:
         for sess in reversed(self.live_sessions):
             sess.shutdown()
         self.quiesce()
-        stop = getattr(self.device, "close", None)
-        if stop is not None:
-            stop()  # retire a PMArray's delegation workers
 
     def __enter__(self) -> "Volume":
         return self

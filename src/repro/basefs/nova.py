@@ -114,7 +114,7 @@ class NovaFS(VFSKernelFS):
         return n
 
 
-class _DelegationPool:
+class _SocketDelegates:
     """Per-socket delegation threads performing PM copies NUMA-locally."""
 
     def __init__(self, device: PMDevice, sockets: int = 2, per_socket: int = 2):
@@ -159,7 +159,7 @@ class OdinFS(NovaFS):
     def __init__(self, device: PMDevice, inode_count: int = 4096,
                  sockets: int = 2, per_socket: int = 2):
         super().__init__(device, inode_count=inode_count)
-        self.pool = _DelegationPool(device, sockets=sockets, per_socket=per_socket)
+        self.pool = _SocketDelegates(device, sockets=sockets, per_socket=per_socket)
         self._socket_rr = 0
 
     def _data_write(self, addr: int, data: bytes) -> None:

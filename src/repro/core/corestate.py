@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import InvalidArgument, NameTooLong
+from repro.errors import ChainCorrupt, InvalidArgument, NameTooLong
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import CACHE_LINE
 from repro.pm.layout import (
@@ -139,80 +139,85 @@ class CoreState:
     # Directory logs (multi-tailed)
     # ------------------------------------------------------------------ #
 
-    def scan_tail(self, head_page: int) -> Tuple[TailCursor, List[Tuple[DentryLoc, Dentry]]]:
-        """Walk one tail chain; return its cursor and every parseable record.
+    def walk_chain(
+        self, head: int, *, limit: Optional[int] = None
+    ) -> Iterator[Tuple[int, PageHeader]]:
+        """Follow ``next_page`` links from ``head``: the one chain reader.
 
-        Scanning stops within a page at the first record whose header is
-        unparseable (zero or bogus ``rec_len``) — that is the uncommitted
-        tail left by a crash.  Records with a zero marker or a set tombstone
-        are still yielded (the verifier wants to see them); callers filter
-        with :attr:`Dentry.live`.
+        Directory-log tails, file index chains and the tx redo log are all
+        such chains.  Yields ``(page_no, header)`` for the good prefix (at
+        most ``limit`` pages), then raises :class:`ChainCorrupt` if the
+        next link leaves the page range or revisits a page of this chain.
+        """
+        seen: Set[int] = set()
+        last_good = 0
+        page_no = head
+        while page_no and (limit is None or len(seen) < limit):
+            if page_no in seen or not 1 <= page_no <= self.geom.page_count:
+                raise ChainCorrupt(page_no, last_good)
+            seen.add(page_no)
+            hdr = self.read_page_header(page_no)
+            yield page_no, hdr
+            last_good = page_no
+            page_no = hdr.next_page
+
+    def page_dentries(
+        self, page_no: int, tail: int = -1
+    ) -> Tuple[List[Tuple[DentryLoc, Dentry]], int]:
+        """Every parseable record of one log page, and the payload bytes
+        they use.
+
+        Parsing stops at the first record whose header is unparseable
+        (zero or bogus ``rec_len``) — that is the uncommitted tail left by
+        a crash.  Records with a zero marker or a set tombstone are still
+        returned (the verifier wants to see them); callers filter with
+        :attr:`Dentry.live`.
         """
         records: List[Tuple[DentryLoc, Dentry]] = []
+        base = self.geom.page_off(page_no)
+        off = PAGEHDR_SIZE
+        while off + DENTRY_HEADER <= PAGE_SIZE:
+            raw = self.mem.load(base + off, min(DENTRY_HEADER + MAX_NAME, PAGE_SIZE - off))
+            d = Dentry.unpack(raw)
+            if d.rec_len == 0:
+                break
+            if d.rec_len % 8 != 0 or off + d.rec_len > PAGE_SIZE:
+                break  # torn header: treat as end of log
+            records.append((DentryLoc(tail, page_no, off), d))
+            off += d.rec_len
+        return records, off - PAGEHDR_SIZE
+
+    def scan_tail(
+        self, head_page: int, tail: int = -1
+    ) -> Tuple[TailCursor, List[Tuple[DentryLoc, Dentry]]]:
+        """Walk one tail chain; return its cursor and every parseable
+        record (see :meth:`page_dentries`), located under tail ``tail``."""
+        records: List[Tuple[DentryLoc, Dentry]] = []
         cursor = TailCursor(head_page=head_page)
-        page_no = head_page
-        visited = set()
-        while page_no:
-            if page_no in visited or not 1 <= page_no <= self.geom.page_count:
-                raise ValueError(f"directory log chain corrupt at page {page_no}")
-            visited.add(page_no)
-            base = self.geom.page_off(page_no)
-            hdr = PageHeader.unpack(self.mem.load(base, PAGEHDR_SIZE))
-            off = PAGEHDR_SIZE
-            while off + DENTRY_HEADER <= PAGE_SIZE:
-                raw = self.mem.load(base + off, min(DENTRY_HEADER + MAX_NAME, PAGE_SIZE - off))
-                d = Dentry.unpack(raw)
-                if d.rec_len == 0:
-                    break
-                if d.rec_len % 8 != 0 or off + d.rec_len > PAGE_SIZE:
-                    break  # torn header: treat as end of log
-                records.append((DentryLoc(-1, page_no, off), d))
-                off += d.rec_len
+        for page_no, _hdr in self.walk_chain(head_page):
+            found, cursor.used = self.page_dentries(page_no, tail)
+            records += found
             cursor.last_page = page_no
-            cursor.used = off - PAGEHDR_SIZE
-            page_no = hdr.next_page
-        if not head_page:
-            cursor.last_page = 0
-            cursor.used = 0
         return cursor, records
 
     def iter_dir_records(self, rec: InodeRecord) -> Iterator[Tuple[DentryLoc, Dentry]]:
         """Every parseable dentry record of a directory, across all tails."""
         for tail_idx, head in enumerate(rec.tails):
-            if not head:
-                continue
-            _cursor, records = self.scan_tail(head)
-            for loc, d in records:
-                yield DentryLoc(tail_idx, loc.page_no, loc.offset), d
+            yield from self.scan_tail(head, tail_idx)[1]
 
     def live_dentries(self, rec: InodeRecord) -> Dict[bytes, Dentry]:
-        """The directory's current contents: committed, not tombstoned,
-        duplicate (ino, gen) resolved in favour of the highest ``seq``
-        (a crashed rename can leave both the old and the new dentry)."""
-        best: Dict[bytes, Dentry] = {}
-        by_child: Dict[Tuple[int, int], Dentry] = {}
-        for _loc, d in self.iter_dir_records(rec):
-            if not d.live:
-                continue
-            key = (d.ino, d.gen)
-            prev = by_child.get(key)
-            if prev is not None and d.seq <= prev.seq:
-                continue  # stale duplicate from a crashed rename
-            if prev is not None and best.get(prev.name) is prev:
-                del best[prev.name]
-            by_child[key] = d
-            holder = best.get(d.name)
-            if holder is None or d.seq >= holder.seq:
-                # Same-name conflict (crashed overwriting rename): the
-                # higher-seq record wins, deterministically.
-                best[d.name] = d
-        return best
+        """The directory's current contents, by name (see
+        :meth:`live_dentries_with_loc`)."""
+        return {name: d for name, (d, _loc) in self.live_dentries_with_loc(rec).items()}
 
     def live_dentries_with_loc(
         self, rec: InodeRecord
     ) -> Dict[bytes, Tuple[Dentry, DentryLoc]]:
-        """Like :meth:`live_dentries` but keeping each record's location
-        (the LibFS auxiliary index needs it for in-place tombstoning)."""
+        """The directory's current contents: committed, not tombstoned,
+        duplicate (ino, gen) resolved in favour of the highest ``seq``
+        (a crashed rename can leave both the old and the new dentry).
+        Each record keeps its location (the LibFS auxiliary index needs it
+        for in-place tombstoning)."""
         best: Dict[bytes, Tuple[Dentry, DentryLoc]] = {}
         by_child: Dict[Tuple[int, int], Dentry] = {}
         for loc, d in self.iter_dir_records(rec):
@@ -221,28 +226,28 @@ class CoreState:
             key = (d.ino, d.gen)
             prev = by_child.get(key)
             if prev is not None and d.seq <= prev.seq:
-                continue
+                continue  # stale duplicate from a crashed rename
             if prev is not None and prev.name in best and best[prev.name][0] is prev:
                 del best[prev.name]
             by_child[key] = d
             holder = best.get(d.name)
             if holder is None or d.seq >= holder[0].seq:
+                # Same-name conflict (crashed overwriting rename): the
+                # higher-seq record wins, deterministically.
                 best[d.name] = (d, loc)
         return best
 
     def dir_pages(self, rec: InodeRecord) -> List[int]:
-        """All log pages owned by a directory inode."""
-        pages = []
-        seen = set()
-        for head in rec.tails:
-            page_no = head
-            while page_no:
-                if page_no in seen or not 1 <= page_no <= self.geom.page_count:
-                    raise ValueError(f"directory log chain corrupt at page {page_no}")
-                seen.add(page_no)
-                pages.append(page_no)
-                page_no = self.read_page_header(page_no).next_page
-        return pages
+        """All log pages owned by a directory inode, tail by tail."""
+        return [p for head in rec.tails for p, _hdr in self.walk_chain(head)]
+
+    def owned_pages(self, rec: InodeRecord) -> List[int]:
+        """Every page hanging off an inode: a directory's log pages, or a
+        file's index chain (walked once) followed by its data pages."""
+        if rec.is_dir:
+            return self.dir_pages(rec)
+        index = self.index_pages(rec)
+        return index + list(self.data_pages(index))
 
     # -- appends --------------------------------------------------------- #
 
@@ -353,35 +358,38 @@ class CoreState:
     # File page indexes and data
     # ------------------------------------------------------------------ #
 
+    def index_pages(self, rec: InodeRecord) -> List[int]:
+        """The pages of a regular file's index chain, in order."""
+        return [p for p, _hdr in self.walk_chain(rec.index_root)]
+
+    def data_pages(self, index_pages: List[int]) -> Iterator[int]:
+        """The data page numbers an index chain maps, in file order, up to
+        the first empty slot; raises :class:`ChainCorrupt` at a slot that
+        points outside the page range."""
+        for idx_page in index_pages:
+            raw = self.mem.load(self.geom.page_off(idx_page) + PAGEHDR_SIZE, INDEX_SLOTS * 8)
+            for (page_no,) in struct.iter_unpack("<Q", raw):
+                if page_no == 0:
+                    return
+                if not 1 <= page_no <= self.geom.page_count:
+                    raise ChainCorrupt(page_no, idx_page)
+                yield page_no
+
     def file_pages(self, rec: InodeRecord) -> List[int]:
         """All data page numbers of a regular file, in order."""
-        pages: List[int] = []
-        idx_page = rec.index_root
-        visited = set()
-        while idx_page:
-            if idx_page in visited or not 1 <= idx_page <= self.geom.page_count:
-                raise ValueError(f"file index chain corrupt at page {idx_page}")
-            visited.add(idx_page)
-            base = self.geom.page_off(idx_page)
-            hdr = PageHeader.unpack(self.mem.load(base, PAGEHDR_SIZE))
-            raw = self.mem.load(base + PAGEHDR_SIZE, INDEX_SLOTS * 8)
-            for slot in range(INDEX_SLOTS):
-                (page_no,) = struct.unpack_from("<Q", raw, slot * 8)
-                if page_no == 0:
-                    return pages
-                pages.append(page_no)
-            idx_page = hdr.next_page
-        return pages
+        return list(self.data_pages(self.index_pages(rec)))
 
-    def index_pages(self, rec: InodeRecord) -> List[int]:
-        pages = []
-        idx_page = rec.index_root
-        while idx_page:
-            if idx_page in pages or not 1 <= idx_page <= self.geom.page_count:
-                raise ValueError(f"file index chain corrupt at page {idx_page}")
-            pages.append(idx_page)
-            idx_page = self.read_page_header(idx_page).next_page
-        return pages
+    def index_slot_addr(self, index_pages: List[int], pos: int) -> int:
+        """Device address of the slot mapping a file's ``pos``-th page."""
+        return (self.geom.page_off(index_pages[pos // INDEX_SLOTS])
+                + PAGEHDR_SIZE + pos % INDEX_SLOTS * 8)
+
+    def store_index_slot(self, index_pages: List[int], pos: int, page_no: int) -> None:
+        """Atomically map a file's ``pos``-th page to ``page_no`` (0 unmaps
+        it) and queue the write-back; the caller fences."""
+        addr = self.index_slot_addr(index_pages, pos)
+        self.mem.atomic_store(addr, struct.pack("<Q", page_no))
+        self.mem.clwb(addr, 8)
 
     def append_file_pages(
         self,
@@ -411,16 +419,8 @@ class CoreState:
                 rec.index_root = new_idx
                 self.write_inode(ino, rec)
             chain.append(new_idx)
-        pos = existing_count
-        touched = set()
-        for page_no in new_pages:
-            idx_page = chain[pos // INDEX_SLOTS]
-            slot = pos % INDEX_SLOTS
-            addr = self.geom.page_off(idx_page) + PAGEHDR_SIZE + slot * 8
-            self.mem.atomic_store(addr, struct.pack("<Q", page_no))
-            self.mem.clwb(addr, 8)
-            touched.add(idx_page)
-            pos += 1
+        for pos, page_no in enumerate(new_pages, existing_count):
+            self.store_index_slot(chain, pos, page_no)
         self.mem.sfence()
 
     def read_file_data(self, pages: List[int], size: int, off: int, n: int) -> bytes:

@@ -13,8 +13,8 @@ Three families live here:
   POSIX errno values a real file system would return.
 
 * Protection-domain errors: the verifier's :class:`VerifyFailure`, the
-  controller's :class:`CorruptionDetected` and the lease layer's
-  :class:`LeaseExpired`.
+  controller's :class:`CorruptionDetected`, the core-state walker's
+  :class:`ChainCorrupt` and the lease layer's :class:`LeaseExpired`.
 
 Everything a caller of the public API can catch derives from
 :class:`ReproError` and carries a stable ``.code`` — POSIX errno values for
@@ -110,6 +110,25 @@ class CorruptionDetected(ReproError):
         super().__init__(f"inode {ino}: {reason}")
         self.ino = ino
         self.reason = reason
+
+
+class ChainCorrupt(ReproError, ValueError):
+    """An on-media page chain links to a page it cannot contain.
+
+    Raised by :meth:`repro.core.corestate.CoreState.walk_chain`, the one
+    reader of ``next_page`` links: ``bad`` is the out-of-range or revisited
+    page number the chain points at, ``last_good`` the page holding that
+    link (0 when the chain's head itself is bad).  A ``ValueError`` too,
+    so callers that treat any unparseable core state alike keep working.
+    """
+
+    CODE = 203
+
+    def __init__(self, bad: int, last_good: int = 0):
+        super().__init__(
+            f"page chain corrupt at page {bad} (last good page {last_good})")
+        self.bad = bad
+        self.last_good = last_good
 
 
 class LeaseExpired(ReproError):
@@ -291,7 +310,7 @@ class TxCommitPending(TxError):
 #: error classes start at 2.
 EXIT_USAGE = 2          # bad arguments / unknown workload (InvalidArgument)
 EXIT_FS_ERROR = 3       # any other FSError (ENOENT, EEXIST, ...)
-EXIT_CORRUPTION = 4     # VerifyFailure / CorruptionDetected
+EXIT_CORRUPTION = 4     # VerifyFailure / CorruptionDetected / ChainCorrupt
 EXIT_LEASE = 5          # LeaseExpired
 EXIT_NO_SPACE = 6       # NoSpace (ENOSPC)
 EXIT_OTHER = 7          # any other ReproError (the documented fallback)
@@ -307,6 +326,7 @@ _EXIT_TABLE = (
     (FSError, EXIT_FS_ERROR),
     (VerifyFailure, EXIT_CORRUPTION),
     (CorruptionDetected, EXIT_CORRUPTION),
+    (ChainCorrupt, EXIT_CORRUPTION),
     (LeaseExpired, EXIT_LEASE),
     (ServerError, EXIT_SERVER),
     (TxError, EXIT_TX),
@@ -326,6 +346,7 @@ def exit_code_for(exc: BaseException) -> int:
     ``NoSpace``                                 6
     other ``FSError``                           3
     ``VerifyFailure`` / ``CorruptionDetected``  4
+    ``ChainCorrupt``                            4
     ``LeaseExpired``                            5
     ``ServerError`` family                      8
     ``TxError`` family                          9

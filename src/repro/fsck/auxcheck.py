@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.corestate import CoreState
+from repro.errors import ChainCorrupt
 from repro.fsck.findings import F_AUX_MISMATCH, Finding
 from repro.pm.layout import Geometry
 
@@ -54,7 +55,7 @@ def check_libfs_aux(device, geom: Geometry, fs) -> List[Finding]:
             continue
         try:
             committed = core.live_dentries(rec)
-        except ValueError:
+        except ChainCorrupt:
             continue  # chain corruption is the structural passes' job
         aux = {}
         for node in _bucket_nodes(mi.dir):

@@ -10,7 +10,6 @@ that ``--repair`` restores a clean volume.
 
 from __future__ import annotations
 
-import struct
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.corestate import CoreState
@@ -184,9 +183,8 @@ def inject_page_double_use(device: PMDevice) -> None:
     rec_a = core.read_inode(a)
     rec_b = core.read_inode(b)
     page_of_a = core.file_pages(rec_a)[0]
-    slot_addr = geom.page_off(rec_b.index_root) + PAGEHDR_SIZE
-    device.store(slot_addr, struct.pack("<Q", page_of_a))
-    device.persist(slot_addr, 8)
+    core.store_index_slot([rec_b.index_root], 0, page_of_a)
+    device.sfence()
 
 
 def inject_chain_corrupt(device: PMDevice) -> None:
@@ -194,14 +192,8 @@ def inject_chain_corrupt(device: PMDevice) -> None:
     core, geom = _env(device)
     root = core.read_inode(ROOT_INO)
     head = next(h for h in root.tails if h)
-    pages = []
-    page_no = head
-    while page_no:
-        pages.append(page_no)
-        page_no = core.read_page_header(page_no).next_page
-    off = geom.page_off(pages[-1])
-    device.store(off, struct.pack("<Q", geom.page_count + 5))
-    device.persist(off, 8)
+    last_page = [p for p, _hdr in core.walk_chain(head)][-1]
+    core.link_page(last_page, geom.page_count + 5)
 
 
 def inject_bad_page_kind(device: PMDevice) -> None:

@@ -45,6 +45,7 @@ from repro.fsck.findings import (
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import PMDevice
 from repro.pm.layout import (
+    INDEX_SLOTS,
     INODE_MAGIC,
     ITYPE_DIR,
     NTAILS,
@@ -258,16 +259,11 @@ class Repairer:
     def _zero_data_slot(self, f: Finding) -> bool:
         rec = self.core.read_inode(f.meta["loser"])
         slot = f.meta["slot"]
-        pos = 0
-        idx_page = rec.index_root
-        while idx_page and pos + (PAGE_SIZE - PAGEHDR_SIZE) // 8 <= slot:
-            pos += (PAGE_SIZE - PAGEHDR_SIZE) // 8
-            idx_page = self.core.read_page_header(idx_page).next_page
-        if not idx_page:
+        chain = self.core.index_pages(rec)
+        if slot >= len(chain) * INDEX_SLOTS:
             return False
-        addr = self.geom.page_off(idx_page) + PAGEHDR_SIZE + (slot - pos) * 8
-        self.device.store(addr, b"\0" * 8)
-        self.device.persist(addr, 8)
+        self.core.store_index_slot(chain, slot, 0)
+        self.device.sfence()
         if rec.size > slot * PAGE_SIZE:
             self.core.set_file_size(f.meta["loser"], slot * PAGE_SIZE)
         return True

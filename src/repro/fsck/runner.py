@@ -66,7 +66,7 @@ def _check_once(
     with obs.span("fsck.scan", category="fsck", workers=workers):
         shard_inos = stride_shards(range(geom.inode_count), workers)
         shards = run_parallel([
-            (lambda inos=inos: scan.scan_shard(core, geom, inos))
+            (lambda inos=inos: scan.scan_shard(core, inos))
             for inos in shard_inos
         ])
     scans: Dict[int, scan.InodeScan] = {}

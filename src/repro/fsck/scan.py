@@ -3,10 +3,11 @@
 Each worker walks a contiguous shard of the shadow inode table and, for
 every valid record, every on-PM structure hanging off it: directory-log
 tail chains (with every parseable dentry record), the file page-index
-chain, and the data-page slots.  Chain walks never raise: a corrupt link
-(out of range, or revisiting a page) is recorded as an error dict carrying
-the last good page — exactly what truncate-to-consistent-prefix repair
-needs.
+chain, and the data-page slots, all read through
+:meth:`~repro.core.corestate.CoreState.walk_chain`.  The scan never raises:
+the walker's :class:`~repro.errors.ChainCorrupt` (a link out of range, or
+revisiting a page) is recorded as an error dict carrying the last good
+page — exactly what truncate-to-consistent-prefix repair needs.
 
 The scan is read-only and self-contained per shard, so shards run in
 parallel with no shared mutable state; the cross-check phase consumes the
@@ -15,21 +16,12 @@ merged results.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.corestate import CoreState, DentryLoc
-from repro.pm.layout import (
-    DENTRY_HEADER,
-    INDEX_SLOTS,
-    MAX_NAME,
-    PAGE_SIZE,
-    PAGEHDR_SIZE,
-    Dentry,
-    Geometry,
-    InodeRecord,
-)
+from repro.errors import ChainCorrupt
+from repro.pm.layout import PAGE_SIZE, Dentry, InodeRecord
 
 
 @dataclass
@@ -54,8 +46,8 @@ class InodeScan:
     index_pages: List[int] = field(default_factory=list)
     index_error: Optional[Dict[str, int]] = None
     data_pages: List[int] = field(default_factory=list)
-    #: set when a data slot is out of range:
-    #: {"slot": n, "page": bad_page, "slot_addr": device_addr}
+    #: set when a data slot is out of range: {"slot": n, "page": bad_page,
+    #: "last_good": index_page, "slot_addr": device_addr}
     data_error: Optional[Dict[str, int]] = None
     #: header kind per chain (dirlog/index) page, for the kind cross-check.
     kinds: Dict[int, int] = field(default_factory=dict)
@@ -84,74 +76,42 @@ class ShardScan:
     bytes_scanned: int = 0
 
 
-def _walk_tail(
-    core: CoreState, geom: Geometry, tail_idx: int, head: int, kinds: Dict[int, int]
-) -> TailScan:
+def _walk_tail(core: CoreState, tail_idx: int, head: int, kinds: Dict[int, int]) -> TailScan:
     ts = TailScan(tail_idx=tail_idx, head=head)
-    page_no = head
-    prev = 0
-    seen = set()
-    while page_no:
-        if page_no in seen or not 1 <= page_no <= geom.page_count:
-            ts.error = {"bad": page_no, "last_good": prev}
-            break
-        seen.add(page_no)
-        ts.pages.append(page_no)
-        hdr = core.read_page_header(page_no)
-        kinds[page_no] = hdr.kind
-        base = geom.page_off(page_no)
-        off = PAGEHDR_SIZE
-        while off + DENTRY_HEADER <= PAGE_SIZE:
-            raw = core.mem.load(base + off, min(DENTRY_HEADER + MAX_NAME, PAGE_SIZE - off))
-            d = Dentry.unpack(raw)
-            if d.rec_len == 0:
-                break
-            if d.rec_len % 8 != 0 or off + d.rec_len > PAGE_SIZE:
-                break  # torn header — the uncommitted suffix of the log
-            ts.records.append((DentryLoc(tail_idx, page_no, off), d))
-            off += d.rec_len
-        prev = page_no
-        page_no = hdr.next_page
+    try:
+        for page_no, hdr in core.walk_chain(head):
+            ts.pages.append(page_no)
+            kinds[page_no] = hdr.kind
+            ts.records += core.page_dentries(page_no, tail_idx)[0]
+    except ChainCorrupt as exc:
+        ts.error = {"bad": exc.bad, "last_good": exc.last_good}
     return ts
 
 
-def _walk_index(core: CoreState, geom: Geometry, scan: InodeScan) -> None:
-    page_no = scan.rec.index_root
-    prev = 0
-    seen = set()
-    while page_no:
-        if page_no in seen or not 1 <= page_no <= geom.page_count:
-            scan.index_error = {"bad": page_no, "last_good": prev}
-            return
-        seen.add(page_no)
-        scan.index_pages.append(page_no)
-        hdr = core.read_page_header(page_no)
-        scan.kinds[page_no] = hdr.kind
-        prev = page_no
-        page_no = hdr.next_page
+def _walk_index(core: CoreState, scan: InodeScan) -> None:
+    try:
+        for page_no, hdr in core.walk_chain(scan.rec.index_root):
+            scan.index_pages.append(page_no)
+            scan.kinds[page_no] = hdr.kind
+    except ChainCorrupt as exc:
+        scan.index_error = {"bad": exc.bad, "last_good": exc.last_good}
 
 
-def _walk_data_slots(core: CoreState, geom: Geometry, scan: InodeScan) -> None:
-    pos = 0
-    for idx_page in scan.index_pages:
-        base = geom.page_off(idx_page) + PAGEHDR_SIZE
-        raw = core.mem.load(base, INDEX_SLOTS * 8)
-        for slot in range(INDEX_SLOTS):
-            (page_no,) = struct.unpack_from("<Q", raw, slot * 8)
-            if page_no == 0:
-                return
-            if not 1 <= page_no <= geom.page_count:
-                scan.data_error = {
-                    "slot": pos,
-                    "page": page_no,
-                    "slot_addr": base + slot * 8,
-                }
-                return
+def _walk_data_slots(core: CoreState, scan: InodeScan) -> None:
+    try:
+        for page_no in core.data_pages(scan.index_pages):
             scan.data_pages.append(page_no)
-            pos += 1
+    except ChainCorrupt as exc:
+        slot = len(scan.data_pages)
+        scan.data_error = {
+            "slot": slot,
+            "page": exc.bad,
+            "last_good": exc.last_good,
+            "slot_addr": core.index_slot_addr(scan.index_pages, slot),
+        }
 
 
-def scan_shard(core: CoreState, geom: Geometry, inos: Sequence[int]) -> ShardScan:
+def scan_shard(core: CoreState, inos: Sequence[int]) -> ShardScan:
     """Scan the given inode slots; never raises on corrupt structures."""
     shard = ShardScan(inos=inos)
     for ino in inos:
@@ -165,13 +125,13 @@ def scan_shard(core: CoreState, geom: Geometry, inos: Sequence[int]) -> ShardSca
             for tail_idx, head in enumerate(rec.tails):
                 if not head:
                     continue
-                ts = _walk_tail(core, geom, tail_idx, head, scan.kinds)
+                ts = _walk_tail(core, tail_idx, head, scan.kinds)
                 scan.tails.append(ts)
                 shard.dentries_parsed += len(ts.records)
         else:
-            _walk_index(core, geom, scan)
+            _walk_index(core, scan)
             if scan.index_error is None:
-                _walk_data_slots(core, geom, scan)
+                _walk_data_slots(core, scan)
         npages = len(scan.chain_pages())
         shard.pages_read += npages
         shard.bytes_scanned += npages * PAGE_SIZE

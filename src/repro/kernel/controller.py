@@ -26,6 +26,7 @@ from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.core.corestate import CoreState
 from repro.core.mkfs import ROOT_INO, load_geometry, mkfs
 from repro.errors import (
+    ChainCorrupt,
     CorruptionDetected,
     InvalidArgument,
     NoEntry,
@@ -225,7 +226,7 @@ class KernelController:
                 continue
             try:
                 entries = core.live_dentries(dir_rec)
-            except ValueError:
+            except ChainCorrupt:
                 report.torn_dentries.append((dir_ino, b"<corrupt log>"))
                 continue
             for name, d in entries.items():
@@ -283,12 +284,8 @@ class KernelController:
         for ino, sh in self.shadow.items():
             rec = core.read_inode(ino)
             try:
-                pages = (
-                    core.dir_pages(rec)
-                    if rec.is_dir
-                    else core.index_pages(rec) + core.file_pages(rec)
-                )
-            except ValueError:
+                pages = core.owned_pages(rec)
+            except ChainCorrupt:
                 report.torn_dentries.append((ino, b"<corrupt page chain>"))
                 continue
             for page_no in pages:
@@ -580,12 +577,8 @@ class KernelController:
             current_pages: Set[int] = set()
             if rec.valid:
                 try:
-                    current_pages = set(
-                        self.core.dir_pages(rec)
-                        if rec.is_dir
-                        else self.core.index_pages(rec) + self.core.file_pages(rec)
-                    )
-                except ValueError:
+                    current_pages = set(self.core.owned_pages(rec))
+                except ChainCorrupt:
                     current_pages = set()
             RollbackPolicy().resolve(self, ino, acq.snapshot, "transaction abort")
             for page_no in current_pages - set(acq.snapshot.pages):
@@ -812,12 +805,8 @@ class KernelController:
         pages: Dict[int, bytes] = {}
         if rec.valid:
             try:
-                page_list = (
-                    self.core.dir_pages(rec)
-                    if rec.is_dir
-                    else self.core.index_pages(rec) + self.core.file_pages(rec)
-                )
-            except ValueError:
+                page_list = self.core.owned_pages(rec)
+            except ChainCorrupt:
                 page_list = []  # unparseable (it will fail verification)
             for page_no in page_list:
                 pages[page_no] = self.device.load(self.geom.page_off(page_no), 4096)

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
-from repro.errors import VerifyFailure  # noqa: F401  (canonical home; re-exported)
+from repro.errors import ChainCorrupt, VerifyFailure  # noqa: F401  (canonical home; re-exported)
 from repro.pm.layout import (
     ITYPE_DIR,
     PAGE_KIND_DIRLOG,
@@ -43,6 +43,10 @@ from repro.pm.layout import (
     PAGE_SIZE,
     InodeRecord,
 )
+
+
+#: One page check: ``(page_no, header kind found, kind wanted)``.
+PageJob = Tuple[int, Optional[int], Optional[int]]
 
 
 @dataclass
@@ -151,8 +155,8 @@ class Verifier:
                 self._verify_directory(ino, rec, sh, app_id, staged, trusted)
             else:
                 self._verify_file(ino, rec, sh, staged, trusted)
-        except ValueError as exc:
-            # Chain walkers refuse cyclic/out-of-range page pointers; an
+        except ChainCorrupt as exc:
+            # The chain walker refuses cyclic/out-of-range page pointers; an
             # unparseable core state is corruption by definition.
             raise VerifyFailure(ino, f"unparseable core state: {exc}") from exc
         return staged
@@ -167,7 +171,11 @@ class Verifier:
         if rec.mode != sh.mode or rec.uid != sh.uid:
             raise VerifyFailure(ino, "permission bits or owner changed")
 
-    def _check_page(self, ino: int, page_no: int, kind: Optional[int]) -> None:
+    def _check_page(self, ino: int, page_no: int, kind: Optional[int],
+                    want: Optional[int]) -> None:
+        """Check one page; ``kind`` is its header kind as the chain walk
+        read it and ``want`` the kind its role requires (both None for
+        data pages, which carry no header)."""
         kc = self.kc
         geom = kc.geom
         if not 1 <= page_no <= geom.page_count:
@@ -177,10 +185,8 @@ class Verifier:
         owner = kc.page_owner.get(page_no)
         if owner is not None and owner != ino:
             raise VerifyFailure(ino, f"page {page_no} owned by inode {owner}")
-        if kind is not None:
-            hdr = self.core.read_page_header(page_no)
-            if hdr.kind != kind:
-                raise VerifyFailure(ino, f"page {page_no} has kind {hdr.kind}, want {kind}")
+        if kind != want:
+            raise VerifyFailure(ino, f"page {page_no} has kind {kind}, want {want}")
 
     # ------------------------------------------------------------------ #
     # Directories
@@ -189,11 +195,13 @@ class Verifier:
     def _verify_directory(self, ino: int, rec, sh, app_id, staged: StagedUpdate,
                           trusted: bool = False) -> None:
         # Enumerate: walk the log page chain and parse the live dentries.
-        pages = self.core.dir_pages(rec)
+        chain = [(p, hdr.kind) for head in rec.tails
+                 for p, hdr in self.core.walk_chain(head)]
+        pages = [p for p, _kind in chain]
         if len(set(pages)) != len(pages):
             raise VerifyFailure(ino, "directory log page chain repeats a page")
         if not trusted:
-            self._check_pages(ino, [(p, PAGE_KIND_DIRLOG) for p in pages])
+            self._check_pages(ino, [(p, kind, PAGE_KIND_DIRLOG) for p, kind in chain])
         staged.pages.update(pages)
         staged.bytes_verified += len(pages) * PAGE_SIZE
 
@@ -207,10 +215,10 @@ class Verifier:
 
     # -- per-item batches (the pipelined verifier shards these) ------------ #
 
-    def _check_pages(self, ino: int, jobs: Sequence[Tuple[int, Optional[int]]]) -> None:
-        """Run :meth:`_check_page` for every ``(page_no, kind)`` job."""
-        for page_no, kind in jobs:
-            self._check_page(ino, page_no, kind)
+    def _check_pages(self, ino: int, jobs: Sequence[PageJob]) -> None:
+        """Run :meth:`_check_page` for every ``(page_no, kind, want)`` job."""
+        for job in jobs:
+            self._check_page(ino, *job)
 
     def _check_dentries(self, ino: int, sh, app_id, entries, staged: StagedUpdate,
                         trusted: bool) -> Dict[bytes, int]:
@@ -406,21 +414,21 @@ class Verifier:
                      trusted: bool = False) -> None:
         if trusted:
             staged.size = rec.size
-            staged.pages.update(self.core.index_pages(rec))
-            staged.pages.update(self.core.file_pages(rec))
+            staged.pages.update(self.core.owned_pages(rec))
             return
         # Enumerate both chains first, then hand all page checks to one
         # batch — that is the unit the pipelined verifier shards.
-        index_pages = self.core.index_pages(rec)
+        index = [(p, hdr.kind) for p, hdr in self.core.walk_chain(rec.index_root)]
+        index_pages = [p for p, _kind in index]
         if len(set(index_pages)) != len(index_pages):
             raise VerifyFailure(ino, "file index chain repeats a page")
-        data_pages = self.core.file_pages(rec)
+        data_pages = list(self.core.data_pages(index_pages))
         if len(set(data_pages)) != len(data_pages):
             raise VerifyFailure(ino, "file maps a data page twice")
         self._check_pages(
             ino,
-            [(p, PAGE_KIND_INDEX) for p in index_pages]
-            + [(p, None) for p in data_pages],
+            [(p, kind, PAGE_KIND_INDEX) for p, kind in index]
+            + [(p, None, None) for p in data_pages],
         )
         if rec.size > len(data_pages) * PAGE_SIZE:
             raise VerifyFailure(

@@ -36,11 +36,11 @@ worker executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro import obs
 from repro.concurrency.parallel import run_parallel, stride_shards
-from repro.kernel.verifier import StagedUpdate, Verifier
+from repro.kernel.verifier import PageJob, StagedUpdate, Verifier
 
 
 @dataclass
@@ -130,7 +130,7 @@ class PipelinedVerifier(Verifier):
         self.pstats.total_units += units
         self.pstats.critical_units += max(len(s) for s in shards)
 
-    def _check_pages(self, ino: int, jobs: Sequence[Tuple[int, Optional[int]]]) -> None:
+    def _check_pages(self, ino: int, jobs: Sequence[PageJob]) -> None:
         n = len(jobs)
         if not n:
             return
@@ -156,8 +156,8 @@ class PipelinedVerifier(Verifier):
 
         def make(shard):
             def job() -> None:
-                for page_no, kind in shard:
-                    self._check_page(ino, page_no, kind)
+                for page_job in shard:
+                    self._check_page(ino, *page_job)
             return job
 
         with obs.span("verify.pages", category="kernel", ino=ino, n=n):

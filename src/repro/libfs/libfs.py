@@ -153,13 +153,7 @@ class LibFS:
         mi.nlink = rec.nlink
         if mi.is_dir:
             for tail_idx, head in enumerate(rec.tails):
-                cursor, _records = cs.scan_tail(head) if head else (None, None)
-                if cursor is None:
-                    mi.cursors[tail_idx].head_page = 0
-                    mi.cursors[tail_idx].last_page = 0
-                    mi.cursors[tail_idx].used = 0
-                else:
-                    mi.cursors[tail_idx] = cursor
+                mi.cursors[tail_idx], _records = cs.scan_tail(head)
             entries = {}
             for name, (d, loc) in cs.live_dentries_with_loc(rec).items():
                 entries[name] = (d.ino, d.gen, d.itype, d.seq, loc)
@@ -694,18 +688,10 @@ class LibFS:
 
     def _drop_trailing_pages(self, mi: MemInode, cs: CoreState, keep: int) -> None:
         """Zero index slots past ``keep`` and free the data pages."""
-        import struct as _struct
-
-        from repro.pm.layout import INDEX_SLOTS, PAGEHDR_SIZE
-
         chain = cs.index_pages(mi.record)
         dropped = mi.pages[keep:]
         for pos in range(keep, len(mi.pages)):
-            idx_page = chain[pos // INDEX_SLOTS]
-            slot = pos % INDEX_SLOTS
-            addr = self.geom.page_off(idx_page) + PAGEHDR_SIZE + slot * 8
-            mi.mapping.atomic_store(addr, _struct.pack("<Q", 0))
-            mi.mapping.clwb(addr, 8)
+            cs.store_index_slot(chain, pos, 0)
         mi.mapping.sfence()
         for page_no in dropped:
             self.alloc.free(page_no)

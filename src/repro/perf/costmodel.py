@@ -133,7 +133,7 @@ class CostModel:
     #: [struct] OdinFS delegation threads per socket.
     odinfs_delegates_per_socket: int = 4
 
-    # -- striped PM array / I/O delegation (pm/array.py, pm/delegation.py) -- #
+    # -- striped PM array / I/O delegation (pm/array.py; modeled only) -- #
     #: [struct] handing one extent to a member's delegation queue: the
     #: enqueue, the latch bookkeeping and the completion wake-up.
     delegate_enqueue: float = 350.0

@@ -309,10 +309,10 @@ def _kernel(fs: str, op: str, ctx: Dict, cost: CostModel,
         size = ctx.get("size", 4096)
         out = [("syscall",), ("cpu", 200.0)]
         if fs == "odinfs" and size >= 4096:
-            # Delegation, grounded in the striped-array mechanism
-            # (pm/array.py + pm/delegation.py): the extent is enqueued and
-            # fans out across per-device delegation queues — one queue per
-            # NUMA-local PM device, each with a bounded worker pool.  The
+            # Delegation, modeled over the striped-array split
+            # (pm/array.py): the extent is enqueued and fans out across
+            # per-device delegation queues — one queue per NUMA-local PM
+            # device, each with a bounded worker pool.  The
             # service time is the per-device share at one stream's
             # bandwidth (costmodel.delegate_service_time); queueing behind
             # a saturated device is emergent from the DES `use` resource.

@@ -22,7 +22,6 @@ demonstrate the §4.2 bug and to prove the ArckFS+ fence closes it.
 
 from repro.pm.device import CACHE_LINE, PMDevice, PMStats
 from repro.pm.array import PMArray, reboot_device
-from repro.pm.delegation import DelegationPool
 from repro.pm.mapping import Mapping
 from repro.pm.crash import CrashSim
 from repro.pm.allocator import PageAllocator
@@ -33,7 +32,6 @@ __all__ = [
     "PMDevice",
     "PMArray",
     "PMStats",
-    "DelegationPool",
     "Mapping",
     "CrashSim",
     "PageAllocator",

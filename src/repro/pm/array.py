@@ -9,9 +9,10 @@ logical address space (member ``d`` owns bytes
 the allocator, fsck, crash enumeration, the transaction log — keeps
 working through geometry-derived addresses, while
 
-* :meth:`ntstore_scatter` / :meth:`load_gather` fan extent batches out
-  across the per-device delegation queues
-  (:class:`~repro.pm.delegation.DelegationPool`);
+* :meth:`ntstore_scatter` / :meth:`load_gather` split extent batches
+  across the members (the time OdinFS-style per-device delegation threads
+  would save is modeled only, by
+  :meth:`repro.perf.costmodel.CostModel.delegate_io_time`);
 * ``sfence`` drains only the members actually dirtied since the last
   fence, so per-member persist-call counters show the fan-out and a
   single-member array stays counter-identical to a flat device;
@@ -30,11 +31,10 @@ rest.
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import PersistOrderError
-from repro.pm.delegation import DelegationPool
 from repro.pm.device import (CACHE_LINE, PMDevice, PMStats, draw_crash_images,
                              iter_crash_images)
 from repro.pm.layout import Superblock
@@ -55,12 +55,10 @@ class PMArray:
         Pages per stripe unit — recorded here for mkfs to pick up (the
         array itself is striping-agnostic; placement lives in
         :class:`~repro.pm.layout.Geometry`).
-    delegation_workers:
-        Worker threads per member queue; 0 = inline synchronous execution.
     """
 
     def __init__(self, size: int, *, devices: int = 2, stripe_pages: int = 1,
-                 crash_tracking: bool = True, delegation_workers: int = 0):
+                 crash_tracking: bool = True):
         if devices < 1:
             raise ValueError("an array needs at least one member device")
         if size < devices:
@@ -75,8 +73,6 @@ class PMArray:
         self.size = self.dev_size * devices
         self.stripe_pages = max(1, stripe_pages)
         self.crash_tracking = crash_tracking
-        self.delegation_workers = delegation_workers
-        self._pool = DelegationPool(devices, workers=delegation_workers)
         #: members touched by a store/clwb since their last fence.
         self._dirty = [False] * devices
 
@@ -211,58 +207,39 @@ class PMArray:
     # ------------------------------------------------------------------ #
 
     def ntstore_scatter(self, ops: List[Tuple[int, bytes]]) -> None:
-        """Non-temporal-store a batch of ``(addr, data)`` extents, fanned
-        out across the per-device delegation queues.
+        """Non-temporal-store a batch of ``(addr, data)`` extents, each
+        member taking its own share.
 
         Semantically identical to looping ``ntstore`` (durability still
-        requires the caller's following ``sfence``); the fan-out means
-        each member's share is driven by its own queue — in parallel once
-        ``delegation_workers > 0``.
+        requires the caller's following ``sfence``), plus the per-member
+        ``pm.delegated_*`` counters.
         """
-        jobs: List[Tuple[int, Callable[[], None]]] = []
         for addr, data in ops:
             data = bytes(data)
             pos = 0
             for d, local, n in self._split(addr, len(data)):
                 self._dirty[d] = True
-                jobs.append((d, _bind_ntstore(self.members[d], local,
-                                              data[pos:pos + n])))
-                if obs.enabled:
-                    obs.count("pm.delegated_ops", device=d)
-                    obs.count("pm.delegated_bytes", n, device=d)
+                self.members[d].ntstore(local, data[pos:pos + n])
+                self._count_delegated(d, n)
                 pos += n
-        self._pool.run(jobs)
 
     def load_gather(self, ops: List[Tuple[int, int]]) -> List[bytes]:
-        """Read a batch of ``(addr, nbytes)`` extents via the delegation
-        queues; returns the chunks in submission order."""
-        results: List[Optional[bytes]] = [None] * len(ops)
-        spans: List[Tuple[int, List[Optional[bytes]]]] = []
-        jobs: List[Tuple[int, Callable[[], None]]] = []
-        for i, (addr, nbytes) in enumerate(ops):
-            pieces = self._split(addr, nbytes)
-            if obs.enabled:
-                for d, _local, n in pieces:
-                    obs.count("pm.delegated_ops", device=d)
-                    obs.count("pm.delegated_bytes", n, device=d)
-            if len(pieces) == 1:
-                d, local, n = pieces[0]
-                jobs.append((d, _bind_load(self.members[d], local, n,
-                                           results, i)))
-            else:
-                parts: List[Optional[bytes]] = [None] * len(pieces)
-                spans.append((i, parts))
-                for j, (d, local, n) in enumerate(pieces):
-                    jobs.append((d, _bind_load(self.members[d], local, n,
-                                               parts, j)))
-        self._pool.run(jobs)
-        for i, parts in spans:
-            results[i] = b"".join(parts)  # type: ignore[arg-type]
-        return results  # type: ignore[return-value]
+        """Read a batch of ``(addr, nbytes)`` extents from the members;
+        returns the chunks in submission order."""
+        results: List[bytes] = []
+        for addr, nbytes in ops:
+            parts = []
+            for d, local, n in self._split(addr, nbytes):
+                self._count_delegated(d, n)
+                parts.append(self.members[d].load(local, n))
+            results.append(parts[0] if len(parts) == 1 else b"".join(parts))
+        return results
 
-    def close(self) -> None:
-        """Stop the delegation workers (the array stays usable inline)."""
-        self._pool.shutdown()
+    @staticmethod
+    def _count_delegated(d: int, n: int) -> None:
+        if obs.enabled:
+            obs.count("pm.delegated_ops", device=d)
+            obs.count("pm.delegated_bytes", n, device=d)
 
     # ------------------------------------------------------------------ #
     # Crash-state exploration (flat line numbering over all members)
@@ -311,8 +288,7 @@ class PMArray:
     @classmethod
     def from_image(cls, image: bytes, *, crash_tracking: bool = True,
                    devices: Optional[int] = None,
-                   stripe_pages: Optional[int] = None,
-                   delegation_workers: int = 0) -> "PMArray":
+                   stripe_pages: Optional[int] = None) -> "PMArray":
         """Boot an array from a flat crash (or durable) image.
 
         Member count and stripe width default to what the image's
@@ -331,27 +307,13 @@ class PMArray:
                 f"{len(image)}-byte image does not split into {devices} "
                 f"equal members")
         arr = cls(len(image), devices=devices, stripe_pages=stripe_pages,
-                  crash_tracking=crash_tracking,
-                  delegation_workers=delegation_workers)
+                  crash_tracking=crash_tracking)
         if arr.size != len(image):
             raise ValueError("image size is not cache-line aligned per member")
         view = memoryview(image)
         for d, m in enumerate(arr.members):
             m.load_image(view[d * arr.dev_size:(d + 1) * arr.dev_size])
         return arr
-
-
-def _bind_ntstore(member: PMDevice, local: int, data: bytes) -> Callable[[], None]:
-    def job() -> None:
-        member.ntstore(local, data)
-    return job
-
-
-def _bind_load(member: PMDevice, local: int, n: int,
-               out: List[Optional[bytes]], slot: int) -> Callable[[], None]:
-    def job() -> None:
-        out[slot] = member.load(local, n)
-    return job
 
 
 def _peek_superblock(image: bytes) -> Optional[Superblock]:

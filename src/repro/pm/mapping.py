@@ -74,8 +74,8 @@ class Mapping:
         self._device.persist(addr, size)
 
     def ntstore_scatter(self, ops) -> None:
-        """Batch ntstore — fans out across a PMArray's delegation queues;
-        degenerates to an ntstore loop on a flat device."""
+        """Batch ntstore — split across a PMArray's members; an ntstore
+        loop on a flat device."""
         self._check()
         scatter = getattr(self._device, "ntstore_scatter", None)
         if scatter is not None:

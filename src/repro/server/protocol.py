@@ -57,7 +57,7 @@ _ERROR_TYPES = {
         errors.InvalidArgument, errors.BadFileDescriptor,
         errors.NameTooLong, errors.CrossDevice, errors.WouldLoop,
         errors.TryAgain, errors.VerifyFailure, errors.CorruptionDetected,
-        errors.LeaseExpired,
+        errors.ChainCorrupt, errors.LeaseExpired,
     )
 }
 
@@ -158,6 +158,9 @@ def exception_for(body: Dict) -> errors.ReproError:
         exc: errors.ReproError = errors.ServerError(message)
     elif issubclass(cls, (errors.VerifyFailure, errors.CorruptionDetected)):
         exc = cls(-1, message)
+    elif cls is errors.ChainCorrupt:
+        exc = cls(-1, -1)  # page numbers stay server-side; keep its text
+        exc.args = (message,)
     else:
         exc = cls(message)
     exc.remote = True  # it happened on the server; local state is fine

@@ -21,8 +21,9 @@ page number into the superblock's ``tx_log_head`` field:
 
 Checkpoint (after apply) clears the head the same way and frees the
 pages.  This module is dependency-light on purpose — device + layout +
-the WAL framing only — so ``repro.fsck`` and the kernel's recovery can
-parse logs without importing the transaction manager above them.
+the core-state chain walker + the WAL framing only — so ``repro.fsck`` and
+the kernel's recovery can parse logs without importing the transaction
+manager above them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.corestate import CoreState
+from repro.errors import ChainCorrupt
 from repro.kv.wal import frame_record, parse_record
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import PMDevice
@@ -157,17 +160,13 @@ def chain_pages(device: PMDevice, geom: Geometry, head: int) -> List[int]:
     possibly-corrupt chain (to claim its pages / bound the damage).
     """
     pages: List[int] = []
-    seen = set()
-    page_no = head
-    while page_no and len(pages) < MAX_LOG_PAGES:
-        if page_no in seen or not 1 <= page_no <= geom.page_count:
-            break
-        seen.add(page_no)
-        pages.append(page_no)
-        hdr = PageHeader.unpack(device.load(geom.page_off(page_no), PAGEHDR_SIZE))
-        if hdr.kind != PAGE_KIND_TXLOG:
-            break
-        page_no = hdr.next_page
+    try:
+        for page_no, hdr in CoreState(device, geom).walk_chain(head, limit=MAX_LOG_PAGES):
+            pages.append(page_no)
+            if hdr.kind != PAGE_KIND_TXLOG:
+                break
+    except ChainCorrupt:
+        pass
     return pages
 
 

@@ -25,6 +25,10 @@ class TestTaxonomy:
         assert E.VerifyFailure(1, "r").code == 200
         assert E.CorruptionDetected(1, "r").code == 201
         assert E.LeaseExpired().code == 202
+        exc = E.ChainCorrupt(2050, 114)
+        assert (exc.code, exc.bad, exc.last_good) == (203, 2050, 114)
+        # Still a ValueError: pre-existing ``except ValueError`` sites hold.
+        assert isinstance(exc, E.ReproError) and isinstance(exc, ValueError)
 
     def test_server_family_codes_and_retryability(self):
         assert E.ServerError("x").code == 210
@@ -66,6 +70,7 @@ class TestExitCodes:
         (E.TxError("misuse"), E.EXIT_TX),
         (E.TxAborted("rolled back"), E.EXIT_TX),
         (E.TxCommitPending("remount"), E.EXIT_TX),
+        (E.ChainCorrupt(9, 3), E.EXIT_CORRUPTION),
     ])
     def test_mapping(self, exc, want):
         assert E.exit_code_for(exc) == want

@@ -12,7 +12,6 @@ import pytest
 from repro import obs
 from repro.errors import PersistOrderError
 from repro.pm.array import PMArray, reboot_device
-from repro.pm.delegation import DelegationPool
 from repro.pm.device import CACHE_LINE, PMDevice
 
 SIZE = 1 << 20  # 1 MiB arrays keep crash enumeration cheap
@@ -103,10 +102,8 @@ class TestDelegation:
         return [(d * arr.dev_size + 128, bytes([d]) * 4096)
                 for d in range(arr.device_count)]
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_scatter_gather_roundtrip(self, workers):
-        arr = PMArray(SIZE, devices=4, crash_tracking=False,
-                      delegation_workers=workers)
+    def test_scatter_gather_roundtrip(self):
+        arr = PMArray(SIZE, devices=4, crash_tracking=False)
         ops = self._ops(arr)
         arr.ntstore_scatter(ops)
         arr.sfence()
@@ -115,18 +112,6 @@ class TestDelegation:
         # Every member did its own I/O and its own fence.
         assert all(s.ntstores == 1 for s in arr.device_stats)
         assert all(s.fences == 1 for s in arr.device_stats)
-        arr.close()
-
-    def test_workers_match_inline_results(self):
-        inline = PMArray(SIZE, devices=4, crash_tracking=False)
-        pooled = PMArray(SIZE, devices=4, crash_tracking=False,
-                         delegation_workers=2)
-        for arr in (inline, pooled):
-            arr.ntstore_scatter(self._ops(arr))
-            arr.sfence()
-        assert inline.media == pooled.media
-        assert inline.stats == pooled.stats
-        pooled.close()
 
     def test_spanning_gather_reassembles(self):
         arr = PMArray(SIZE, devices=2, crash_tracking=False)
@@ -135,19 +120,6 @@ class TestDelegation:
         arr.sfence()
         (got,) = arr.load_gather([(addr, 128)])
         assert got == b"L" * 64 + b"R" * 64
-
-    def test_worker_exception_reraises_in_submitter(self):
-        pool = DelegationPool(2, workers=1)
-        with pytest.raises(RuntimeError, match="boom"):
-            pool.run([(0, lambda: (_ for _ in ()).throw(RuntimeError("boom")))])
-        pool.shutdown()
-
-    def test_run_after_shutdown_is_inline(self):
-        pool = DelegationPool(2, workers=1)
-        pool.shutdown()
-        hits = []
-        pool.run([(0, lambda: hits.append(1)), (1, lambda: hits.append(2))])
-        assert hits == [1, 2]
 
 
 class TestCrashImages:
