@@ -16,8 +16,10 @@ reclaims leaked pages and inode slots.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
@@ -135,9 +137,17 @@ class KernelController:
         self.shadow: Dict[int, ShadowInode] = {}
         self.pending: Dict[int, PendingInode] = {}
         self.acquisitions: Dict[int, Acquisition] = {}
-        self.page_owner: Dict[int, int] = {}
+        #: page -> owning inode, and its inversion ino -> pages.  Written
+        #: only by :meth:`set_page_owner` / :meth:`clear_page_owner`;
+        #: ``page_owner`` is the read-only view everyone else gets.
+        self._page_owner: Dict[int, int] = {}
+        self.inode_pages: Dict[int, Set[int]] = {}
+        self.page_owner = MappingProxyType(self._page_owner)
         self.slot_gen: List[int] = [0] * self.geom.inode_count
+        #: free inode slots: membership set plus a min-heap holding exactly
+        #: the same numbers (:meth:`_free_slot` / :meth:`alloc_inode`).
         self.free_inodes: Set[int] = set()
+        self._free_heap: List[int] = []
         #: rollback target for inodes dirtied inside a trust group.
         self._group_snapshots: Dict[int, Snapshot] = {}
         #: inodes with an outstanding deferred verification under a read
@@ -289,7 +299,7 @@ class KernelController:
                 report.torn_dentries.append((ino, b"<corrupt page chain>"))
                 continue
             for page_no in pages:
-                self.page_owner[page_no] = ino
+                self.set_page_owner(page_no, ino)
                 reachable.add(page_no)
         # A sealed transaction log's chain is reachable state: its pages
         # must survive the rebuild so mount-time replay can read them.  An
@@ -311,7 +321,7 @@ class KernelController:
                     report.orphan_inodes.append(ino)
                     # Wipe it so the slot is reusable.
                     core.free_inode(ino)
-                self.free_inodes.add(ino)
+                self._free_slot(ino)
         report.inodes = len(self.shadow)
         return report
 
@@ -344,7 +354,7 @@ class KernelController:
                     pass
             for ino in [i for i, p in self.pending.items() if p.owner == app_id]:
                 del self.pending[ino]
-                self.free_inodes.add(ino)
+                self._free_slot(ino)
 
     # ------------------------------------------------------------------ #
     # Inode number allocation
@@ -357,8 +367,8 @@ class KernelController:
             self._require_app(app_id)
             if not self.free_inodes:
                 raise NoSpace("no free inode slots")
-            ino = min(self.free_inodes)
-            self.free_inodes.discard(ino)
+            ino = heapq.heappop(self._free_heap)  # lowest free slot
+            self.free_inodes.remove(ino)
             gen = self.slot_gen[ino] + 1
             self.slot_gen[ino] = gen
             self.pending[ino] = PendingInode(ino=ino, gen=gen, owner=app_id)
@@ -375,7 +385,13 @@ class KernelController:
             if acq is not None:
                 acq.mapping.unmap()
             del self.pending[ino]
+            self._free_slot(ino)
+
+    def _free_slot(self, ino: int) -> None:
+        """Return an inode slot to the free pool (idempotent)."""
+        if ino not in self.free_inodes:
             self.free_inodes.add(ino)
+            heapq.heappush(self._free_heap, ino)
 
     # ------------------------------------------------------------------ #
     # Ownership transfer: acquire / commit / release / revoke
@@ -584,7 +600,7 @@ class KernelController:
             for page_no in current_pages - set(acq.snapshot.pages):
                 if self.alloc.is_allocated(page_no):
                     self.alloc.free(page_no)
-                self.page_owner.pop(page_no, None)
+                self.clear_page_owner(page_no)
             self.readcache.invalidate(ino)
             # The restored state is the last verified one; re-arm the
             # acquisition's rollback point at it.
@@ -736,7 +752,7 @@ class KernelController:
         self.stats.bytes_verified += staged.bytes_verified
         if staged.drop_pending:
             self.pending.pop(staged.ino, None)
-            self.free_inodes.add(staged.ino)
+            self._free_slot(staged.ino)
             return
         if staged.mark_deleted_pending:
             if sh is not None:
@@ -778,11 +794,11 @@ class KernelController:
         if staged.size is not None and sh is not None:
             sh.size = staged.size
         # Page ownership: this inode now owns exactly staged.pages.
-        old_pages = {p for p, owner in self.page_owner.items() if owner == staged.ino}
+        old_pages = self.inode_pages.get(staged.ino, frozenset())
         for page_no in old_pages - staged.pages:
-            del self.page_owner[page_no]
-        for page_no in staged.pages:
-            self.page_owner[page_no] = staged.ino
+            self.clear_page_owner(page_no)
+        for page_no in staged.pages - old_pages:
+            self.set_page_owner(page_no, staged.ino)
         if sh is not None:
             sh.deleted_pending = False
             sh.trusted_dirty_group = None
@@ -792,11 +808,31 @@ class KernelController:
         if csh is None:
             return
         self.readcache.invalidate(ino)
-        for page_no in [p for p, owner in self.page_owner.items() if owner == ino]:
-            del self.page_owner[page_no]
-        self.free_inodes.add(ino)
+        for page_no in list(self.inode_pages.get(ino, ())):
+            self.clear_page_owner(page_no)
+        self._free_slot(ino)
         self._group_snapshots.pop(ino, None)
         self._clear_delegation(ino)
+
+    def set_page_owner(self, page_no: int, ino: int) -> None:
+        """Record ``ino`` as the owner of ``page_no`` (moving it if owned)."""
+        prev = self._page_owner.get(page_no)
+        if prev == ino:
+            return
+        if prev is not None:
+            self.clear_page_owner(page_no)
+        self._page_owner[page_no] = ino
+        self.inode_pages.setdefault(ino, set()).add(page_no)
+
+    def clear_page_owner(self, page_no: int) -> None:
+        """Forget who owns ``page_no`` (no-op when nobody does)."""
+        prev = self._page_owner.pop(page_no, None)
+        if prev is None:
+            return
+        pages = self.inode_pages[prev]
+        pages.discard(page_no)
+        if not pages:
+            del self.inode_pages[prev]
 
     def _snapshot(self, ino: int) -> Snapshot:
         """Capture the inode's full verified core state (rollback point)."""

@@ -47,7 +47,7 @@ class RollbackPolicy(ResolutionPolicy):
             # Pages the LibFS freed in the meantime must be live again.
             if not controller.alloc.is_allocated(page_no):
                 controller.alloc._set_bit(page_no, True)  # kernel-privileged
-            controller.page_owner[page_no] = ino
+            controller.set_page_owner(page_no, ino)
         dev.sfence()
         controller.stats.rollbacks += 1
         controller.stats.rollback_bytes += snapshot.nbytes

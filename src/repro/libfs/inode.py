@@ -40,6 +40,9 @@ class MemInode:
         #: parent inode as last observed by path resolution (aux knowledge,
         #: used to order release_all parents-before-children, Rule (1)).
         self.parent_ino: Optional[int] = None
+        #: position in the owning LibFS's inode table (stamped on entry;
+        #: breaks depth ties in release_all).
+        self.order = 0
         #: serialises attach/detach transitions for this inode.
         self.attach_lock = threading.RLock()
         #: read-mapping-cache version this attach rode, or None for a real

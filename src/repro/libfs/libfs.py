@@ -24,6 +24,7 @@ failpoints (see :mod:`repro.concurrency.failpoints`):
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -126,6 +127,12 @@ class LibFS:
         #: cell, never a shared cacheline (read via the ``stats`` property).
         self._stats = ShardedStats(LibFSStats)
         self._inodes: Dict[int, MemInode] = {}
+        #: the members of ``_inodes`` that may hold a live mapping — every
+        #: attached one, plus ones released or revoked since the last
+        #: ``release_all`` pruned it.  Written under ``_inodes_lock`` by
+        #: ``_remember`` / ``_note_mapped`` / ``_invalidate_aux`` only.
+        self._mapped: Dict[int, MemInode] = {}
+        self._inode_order = itertools.count()
         self._inodes_lock = threading.RLock()
 
     @property
@@ -139,6 +146,21 @@ class LibFS:
 
     def _cs(self, mi: MemInode) -> CoreState:
         return CoreState(mi.mapping, self.geom)
+
+    def _remember(self, mi: MemInode) -> None:
+        """Enter a freshly mapped MemInode into ``_inodes`` (lock held)."""
+        old = self._inodes.get(mi.ino)
+        # ``order`` is the position in ``_inodes``: overwriting a key keeps
+        # the dict slot, so it keeps the stamp too.
+        mi.order = old.order if old is not None else next(self._inode_order)
+        self._inodes[mi.ino] = mi
+        self._mapped[mi.ino] = mi
+
+    def _note_mapped(self, mi: MemInode) -> None:
+        """A known MemInode was handed a new mapping: index it again."""
+        with self._inodes_lock:
+            if self._inodes.get(mi.ino) is mi:
+                self._mapped[mi.ino] = mi
 
     def _rebuild_aux(self, mi: MemInode) -> None:
         """(Re)build the DRAM auxiliary state from the mapped core state."""
@@ -183,7 +205,7 @@ class LibFS:
                 if existing is not None:
                     mi = existing  # lost the build race; kernel grant is shared
                 else:
-                    self._inodes[ino] = mi
+                    self._remember(mi)
             if write and not mi.writable:
                 mi.writable = True
             return mi
@@ -209,6 +231,7 @@ class LibFS:
                 self.app_id, ino, write=write or mi.writable
             )
             mi.mapping = mapping
+            self._note_mapped(mi)
             mi.writable = mi.writable or write
             if stale or was_cached:
                 # Another application owned it meanwhile: the retained aux
@@ -238,7 +261,7 @@ class LibFS:
         with self._inodes_lock:
             existing = self._inodes.get(ino)
             if existing is None:
-                self._inodes[ino] = mi
+                self._remember(mi)
         if existing is not None:
             self.kernel.readcache.detach(ino, mapping)
             return existing  # lost the build race
@@ -255,6 +278,7 @@ class LibFS:
         old_mapping, old_version = mi.mapping, mi.cache_version
         mi.mapping = mapping
         mi.cache_version = version
+        self._note_mapped(mi)
         try:
             self._rebuild_aux(mi)
         except SimulatedBusError:
@@ -424,7 +448,7 @@ class LibFS:
         child.writable = True
         child.parent_ino = parent.ino
         with self._inodes_lock:
-            self._inodes[ino] = child
+            self._remember(child)
         return child
 
     @traced_syscall("creat")
@@ -750,8 +774,7 @@ class LibFS:
             mi.seq.write_end()
             mi.rwlock.release_write()
         self.kernel.release(self.app_id, ino)
-        with self._inodes_lock:
-            self._inodes.pop(ino, None)
+        self._invalidate_aux(ino)
 
     @traced_syscall("rmdir")
     def rmdir(self, path: str) -> None:
@@ -788,8 +811,7 @@ class LibFS:
                 child.dir.unlock_all()
             bucket.lock.release()
         self.kernel.release(self.app_id, child.ino)
-        with self._inodes_lock:
-            self._inodes.pop(child.ino, None)
+        self._invalidate_aux(child.ino)
         self._stats.inc("rmdirs")
 
     # ================================================================== #
@@ -1009,30 +1031,43 @@ class LibFS:
             try:
                 self.kernel.release(self.app_id, ino)
             finally:
-                with self._inodes_lock:
-                    self._inodes.pop(ino, None)
+                self._invalidate_aux(ino)
                 if mi.is_dir:
                     mi.dir.clear_and_free()
 
     def _invalidate_aux(self, ino: int) -> None:
-        """After a verification failure the core state may have been rolled
-        back; the retained aux state is garbage either way."""
+        """Drop an inode's auxiliary state and its index entry together:
+        the inode is gone, or a verification failure may have rolled the
+        core state back and the retained aux state is garbage either way."""
         with self._inodes_lock:
             self._inodes.pop(ino, None)
+            self._mapped.pop(ino, None)
 
     def release_all(self) -> None:
-        """Release everything, parents before children (LibFS Rule (1))."""
+        """Release everything, parents before children (LibFS Rule (1)).
+
+        Visits only the indexed MemInodes, so the cost follows what is
+        attached, not what the session has ever seen.  ``attached`` is
+        still consulted: the kernel may have revoked behind our back.
+        """
         with self._inodes_lock:
-            owned = [mi for mi in self._inodes.values() if mi.attached]
-        for mi in sorted(owned, key=lambda m: self._depth(m)):
-            if mi.attached:
-                try:
-                    self.release_ino(mi.ino)
-                except FSError:
-                    pass
-        # Ownership handed back: return pool-reserved pages to the bitmap
-        # so nothing stays reserved on behalf of this application.
-        self.alloc.drain_pools()
+            owned = [mi for mi in self._mapped.values() if mi.attached]
+        try:
+            # Ties release in ``_inodes`` insertion order.
+            for mi in sorted(owned, key=lambda m: (self._depth(m), m.order)):
+                if mi.attached:
+                    try:
+                        self.release_ino(mi.ino)
+                    except FSError:
+                        pass
+        finally:
+            with self._inodes_lock:
+                self._mapped = {ino: mi for ino, mi in self._mapped.items()
+                                if mi.attached}
+            # Ownership handed back: return pool-reserved pages to the
+            # bitmap so nothing stays reserved on behalf of this application
+            # (also when a verification failure cut the loop short).
+            self.alloc.drain_pools()
 
     def _depth(self, mi: MemInode) -> int:
         depth = 0
