@@ -1,7 +1,7 @@
 """Generic shard-and-join helpers shared by the parallel subsystems.
 
-Both the whole-volume checker (``repro.fsck``) and the pipelined
-ownership-transfer verifier (``repro.kernel.vpipeline``) split their work
+Both the whole-volume checker (``repro.fsck``) and the ownership-transfer
+verifier's batch scheduler (``repro.kernel.verifier``) split their work
 into shared-nothing shards, run every shard on its own thread, and join.
 The helpers live here — below both users in the layer diagram — so neither
 has to import the other.

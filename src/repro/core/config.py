@@ -87,7 +87,7 @@ class ArckConfig:
 
     #: Verifier worker threads per ownership transfer: page and dentry
     #: checks are stride-sharded across this many threads
-    #: (``repro.kernel.vpipeline``).  ``1`` keeps the serial seed path.
+    #: (``repro.kernel.verifier``).  ``1`` checks on the calling thread.
     verify_workers: int = 1
 
     #: Lease-based read delegation: a release defers verification under a

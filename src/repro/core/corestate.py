@@ -424,42 +424,32 @@ class CoreState:
         self.mem.sfence()
 
     def read_file_data(self, pages: List[int], size: int, off: int, n: int) -> bytes:
+        # A file has no holes (``size <= len(pages) * PAGE_SIZE`` is verified
+        # on every ownership transfer); a forged size past the mapped pages
+        # reads as a short file instead of being trusted.
+        size = min(size, len(pages) * PAGE_SIZE)
         if off >= size:
             return b""
         n = min(n, size - off)
-        # Plan the read as (addr, nbytes) chunks — None addr for holes —
-        # merging physically contiguous pieces, then fetch the lot in one
-        # batched gather (fanned across a striped array's device queues).
-        plan: List[Tuple[Optional[int], int]] = []
+        # Plan the read as (addr, nbytes) chunks, merging physically
+        # contiguous pieces, then fetch the lot in one batched gather
+        # (fanned across a striped array's device queues).
+        plan: List[Tuple[int, int]] = []
         while n > 0:
-            page_idx = off // PAGE_SIZE
             in_page = off % PAGE_SIZE
             chunk = min(n, PAGE_SIZE - in_page)
-            if page_idx >= len(pages):
-                addr = None  # hole
-            else:
-                addr = self.geom.page_off(pages[page_idx]) + in_page
-            prev = plan[-1] if plan else None
-            if (prev is not None and prev[0] is not None and addr is not None
-                    and prev[0] + prev[1] == addr):
-                plan[-1] = (prev[0], prev[1] + chunk)
-            elif prev is not None and prev[0] is None and addr is None:
-                plan[-1] = (None, prev[1] + chunk)
+            addr = self.geom.page_off(pages[off // PAGE_SIZE]) + in_page
+            if plan and plan[-1][0] + plan[-1][1] == addr:
+                plan[-1] = (plan[-1][0], plan[-1][1] + chunk)
             else:
                 plan.append((addr, chunk))
             off += chunk
             n -= chunk
-        reads = [(addr, nb) for addr, nb in plan if addr is not None]
-        if len(reads) > 1:
+        if len(plan) > 1:
             gather = getattr(self.mem, "load_gather", None)
             if gather is not None:
-                fetched = iter(gather(reads))
-                return b"".join(
-                    b"\0" * nb if addr is None else next(fetched)
-                    for addr, nb in plan)
-        return b"".join(
-            b"\0" * nb if addr is None else self.mem.load(addr, nb)
-            for addr, nb in plan)
+                return b"".join(gather(plan))
+        return b"".join(self.mem.load(addr, nb) for addr, nb in plan)
 
     def write_page_data(self, page_no: int, in_page_off: int, data: bytes) -> None:
         """Store data into one page and queue its write-back (no fence)."""

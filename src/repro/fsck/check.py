@@ -51,6 +51,7 @@ from repro.pm.layout import (
     PAGE_SIZE,
     ArrayLabel,
     Geometry,
+    legal_name,
 )
 
 
@@ -68,7 +69,7 @@ def _torn_body_reason(loc: DentryLoc, d) -> Optional[str]:
         return f"name_len {d.name_len} overruns record of {d.rec_len} bytes"
     if b"\x00" in d.name:
         return "name contains NUL bytes (body never persisted)"
-    if b"/" in d.name or d.name in (b".", b".."):
+    if not legal_name(d.name):
         return f"illegal name {d.name!r}"
     if d.itype not in (1, 2):
         return f"invalid itype {d.itype}"

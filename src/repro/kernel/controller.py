@@ -40,11 +40,10 @@ from repro.kernel.permissions import READ, WRITE, check_access
 from repro.kernel.policy import ResolutionPolicy, RollbackPolicy
 from repro.kernel.readcache import ReadMappingCache
 from repro.kernel.shadow import Acquisition, PendingInode, ShadowInode, Snapshot
-from repro.kernel.verifier import VerifyFailure
-from repro.kernel.vpipeline import PipelinedVerifier
+from repro.kernel.verifier import Verifier, VerifyFailure
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import PMDevice
-from repro.pm.layout import ITYPE_DIR, InodeRecord
+from repro.pm.layout import ITYPE_DIR, InodeRecord, legal_name
 from repro.pm.mapping import Mapping
 
 
@@ -122,8 +121,7 @@ class KernelController:
         self.geom = load_geometry(device)
         self.core = CoreState(device, self.geom)
         self.alloc = PageAllocator(device, self.geom)
-        # workers=1 degenerates to the serial path (no threads spawned).
-        self.verifier = PipelinedVerifier(self, workers=config.verify_workers)
+        self.verifier = Verifier(self, workers=config.verify_workers)
         self.rename_lease = Lease("global-rename", duration=1.0)
         self.delegations = DelegationTable("read-delegation",
                                            duration=config.delegation_window)
@@ -240,9 +238,12 @@ class KernelController:
                 report.torn_dentries.append((dir_ino, b"<corrupt log>"))
                 continue
             for name, d in entries.items():
-                child_rec = core.read_inode(d.ino)
+                child_rec = (core.read_inode(d.ino)
+                             if d.ino < self.geom.inode_count else None)
                 if (
-                    not child_rec.valid
+                    child_rec is None
+                    or not legal_name(name)
+                    or not child_rec.valid
                     or child_rec.gen != d.gen
                     or child_rec.itype != d.itype
                 ):
@@ -381,9 +382,9 @@ class KernelController:
             pend = self.pending.get(ino)
             if pend is None or pend.owner != app_id:
                 raise InvalidArgument(f"inode {ino} not pending for {app_id}")
-            acq = self.acquisitions.pop(ino, None)
+            acq = self.acquisitions.get(ino)
             if acq is not None:
-                acq.mapping.unmap()
+                self._drop(acq)
             del self.pending[ino]
             self._free_slot(ino)
 
@@ -425,25 +426,20 @@ class KernelController:
                 )
                 # Trust-group exit: verify deferred modifications now.
                 if sh.trusted_dirty_group is not None and sh.trusted_dirty_group != app.group:
-                    self._group_exit_verify(ino)
+                    try:
+                        self._verify_or_resolve(
+                            ino, None, self._group_snapshots.pop(ino, None))
+                    finally:
+                        sh.trusted_dirty_group = None
                 if ino in self._deferred:
                     if app.group is None and self.delegations.valid(ino, app_id):
                         # Delegation hit: the holder re-acquires inside the
                         # lease window.  The deferred verification keeps
                         # riding and the original rollback snapshot is
                         # reused — no verify, no fresh snapshot.
-                        mapping = Mapping(self.device, ino, tag=app_id)
-                        self.acquisitions[ino] = Acquisition(
-                            ino=ino, app_id=app_id, mapping=mapping,
-                            snapshot=self._deferred[ino][1], writable=write,
-                        )
-                        self._last_owner[ino] = app_id
-                        self.stats.acquires += 1
                         self.stats.delegation_hits += 1
                         obs.count("verify.delegation_hits")
-                        if write:
-                            self.readcache.invalidate(ino)
-                        return mapping
+                        return self._grant(app_id, ino, self._deferred[ino][1], write)
                     # Cross-app acquisition (the revoke-on-write of the
                     # delegation contract — reads too: nothing unverified
                     # may be observed by another app), a lapsed window, or
@@ -459,18 +455,28 @@ class KernelController:
                     snapshot = self._group_snapshots.get(ino)
                 else:
                     snapshot = self._snapshot(ino)
-            mapping = Mapping(self.device, ino, tag=app_id)
-            self.acquisitions[ino] = Acquisition(
-                ino=ino, app_id=app_id, mapping=mapping, snapshot=snapshot, writable=write
-            )
-            self._last_owner[ino] = app_id
-            self.stats.acquires += 1
-            if write:
-                # Writers must never coexist with zero-crossing readers:
-                # retract the published version and revoke every cached
-                # mapping before the writer sees its own mapping.
-                self.readcache.invalidate(ino)
-            return mapping
+            return self._grant(app_id, ino, snapshot, write)
+
+    def _grant(self, app_id: str, ino: int, snapshot: Optional[Snapshot],
+               write: bool) -> Mapping:
+        """Map ``ino`` for ``app_id`` and record the acquisition."""
+        mapping = Mapping(self.device, ino, tag=app_id)
+        self.acquisitions[ino] = Acquisition(
+            ino=ino, app_id=app_id, mapping=mapping, snapshot=snapshot, writable=write
+        )
+        self._last_owner[ino] = app_id
+        self.stats.acquires += 1
+        if write:
+            # Writers must never coexist with zero-crossing readers:
+            # retract the published version and revoke every cached
+            # mapping before the writer sees its own mapping.
+            self.readcache.invalidate(ino)
+        return mapping
+
+    def _drop(self, acq: Acquisition) -> None:
+        """Unmap an acquisition and forget it (the inverse of :meth:`_grant`)."""
+        acq.mapping.unmap()
+        del self.acquisitions[acq.ino]
 
     def acquire_ex(self, app_id: str, ino: int, write: bool = True):
         """Like :meth:`acquire`, also reporting auxiliary-state staleness.
@@ -497,7 +503,7 @@ class KernelController:
         obs.kernel_crossing("verification")
         with self._lock:
             acq = self._require_acquisition(app_id, ino)
-            self._verify_and_apply(acq, app_id)
+            self._verify_or_resolve(ino, app_id, acq.snapshot)
             acq.snapshot = self._snapshot(ino)
             self.stats.commits += 1
 
@@ -522,8 +528,7 @@ class KernelController:
                 except VerifyFailure:
                     pass  # unparseable now; the group-exit verification pays
                 sh.trusted_dirty_group = app.group
-                acq.mapping.unmap()
-                del self.acquisitions[ino]
+                self._drop(acq)
                 self.stats.group_skips += 1
                 self.stats.releases += 1
                 return
@@ -548,17 +553,15 @@ class KernelController:
                 if snap is not None:
                     self._deferred[ino] = (app_id, snap)
                     self.delegations.grant(ino, app_id)
-                    acq.mapping.unmap()
-                    del self.acquisitions[ino]
+                    self._drop(acq)
                     self.stats.delegated_releases += 1
                     self.stats.releases += 1
                     obs.count("verify.delegated_releases")
                     return
             try:
-                self._verify_and_apply(acq, app_id)
+                self._verify_or_resolve(ino, app_id, acq.snapshot)
             finally:
-                acq.mapping.unmap()
-                del self.acquisitions[ino]
+                self._drop(acq)
             self.stats.releases += 1
             if self.config.read_mapping_cache:
                 # The inode is verified as of this instant: publish it so
@@ -620,12 +623,11 @@ class KernelController:
             if acq is None:
                 return
             try:
-                self._verify_and_apply(acq, acq.app_id)
+                self._verify_or_resolve(ino, acq.app_id, acq.snapshot)
             except CorruptionDetected:
                 pass  # policy already resolved it
             finally:
-                acq.mapping.unmap()
-                del self.acquisitions[ino]
+                self._drop(acq)
             self.stats.revokes += 1
 
     # ------------------------------------------------------------------ #
@@ -670,44 +672,39 @@ class KernelController:
             raise InvalidArgument(f"inode {ino} not acquired by {app_id!r}")
         return acq
 
-    def _verify_and_apply(self, acq: Acquisition, app_id: Optional[str]) -> None:
+    def _verify_or_resolve(self, ino: int, app_id: Optional[str],
+                           snapshot: Optional[Snapshot]) -> None:
+        """The verdict path: verify ``ino`` and install the result, or run
+        the resolution policy against ``snapshot`` and raise
+        ``CorruptionDetected``.  Every verification the kernel acts on —
+        commit, release, revoke, delegation end, trust-group exit — ends
+        here (``app_id`` is None on group exit)."""
         self.stats.verifications += 1
         try:
-            staged = self.verifier.verify(acq.ino, app_id)
+            staged = self.verifier.verify(ino, app_id)
         except VerifyFailure as vf:
-            if acq.ino in self.pending and acq.ino not in self.shadow:
-                # A Rule (1) ordering violation on a never-registered inode:
-                # nothing verified exists to protect, and no other app can
-                # reference it — refuse without resolution so the app can
-                # retry in the right order (cf. Figure 2).
-                raise CorruptionDetected(vf.ino, vf.reason) from vf
-            obs.kernel_crossing("corruption_resolution")
-            self.policy.resolve(self, acq.ino, acq.snapshot, vf.reason)
+            # A Rule (1) ordering violation on a never-registered inode is
+            # refused *without* resolution: nothing verified exists to
+            # protect and no other app can reference it, so the app can
+            # retry in the right order (cf. Figure 2).
+            if not (ino in self.pending and ino not in self.shadow):
+                obs.kernel_crossing("corruption_resolution")
+                self.policy.resolve(self, ino, snapshot, vf.reason)
             raise CorruptionDetected(vf.ino, vf.reason) from vf
         self._apply(staged)
         # The inode is verified as of now; any deferred verification (a
         # commit during a delegation-hit period) is satisfied by this one.
-        self._clear_delegation(acq.ino)
+        self._clear_delegation(ino)
 
     def _delegation_exit_verify(self, ino: int) -> None:
-        """Run the deferred verification when a delegation ends.
-
-        Mirrors :meth:`_group_exit_verify`: verify against the retained
-        rollback snapshot; on failure the resolution policy runs and
-        ``CorruptionDetected`` propagates to whoever forced the revoke.
-        """
+        """Run the deferred verification when a delegation ends, against
+        the rollback snapshot the delegation retained; ``CorruptionDetected``
+        propagates to whoever forced the revoke."""
         holder, snapshot = self._deferred.pop(ino)
         self.delegations.revoke(ino)
-        self.stats.verifications += 1
         self.stats.deferred_verifications += 1
         obs.count("verify.deferred")
-        try:
-            staged = self.verifier.verify(ino, holder)
-        except VerifyFailure as vf:
-            obs.kernel_crossing("corruption_resolution")
-            self.policy.resolve(self, ino, snapshot, vf.reason)
-            raise CorruptionDetected(vf.ino, vf.reason) from vf
-        self._apply(staged)
+        self._verify_or_resolve(ino, holder, snapshot)
 
     def drain_delegations(self) -> int:
         """Run every outstanding deferred verification now.
@@ -730,21 +727,6 @@ class KernelController:
     def _clear_delegation(self, ino: int) -> None:
         if self._deferred.pop(ino, None) is not None:
             self.delegations.revoke(ino)
-
-    def _group_exit_verify(self, ino: int) -> None:
-        """Deferred verification when an inode leaves its trust group."""
-        self.stats.verifications += 1
-        snapshot = self._group_snapshots.pop(ino, None)
-        sh = self.shadow[ino]
-        try:
-            staged = self.verifier.verify(ino, None)
-        except VerifyFailure as vf:
-            obs.kernel_crossing("corruption_resolution")
-            self.policy.resolve(self, ino, snapshot, vf.reason)
-            sh.trusted_dirty_group = None
-            raise CorruptionDetected(vf.ino, vf.reason) from vf
-        self._apply(staged)
-        sh.trusted_dirty_group = None
 
     def _apply(self, staged) -> None:
         """Install a successful verification's staged shadow updates."""

@@ -26,13 +26,43 @@ Under the unpatched ArckFS flags the verifier reproduces the §4.1 behaviour
 faithfully: a legitimate relocation of a non-empty directory fails
 verification of the old parent, "regardless of whether the new parent inode
 has been released".
+
+``Verifier.verify`` decomposes into **enumerate → check pages → check
+dentries → check absent children → commit**.  Enumerate (chain walks over
+the core state) and commit (the controller applying the
+:class:`StagedUpdate` under its lock) are inherently serial; the per-item
+checks in between are independent of each other, and that is where all the
+Table 4 bytes go — a 256 KiB shared file is 65 page checks per transfer
+against a fixed cost of one record read.  One batch scheduler
+(:meth:`Verifier._run_batch`) stride-shards each of those batches over
+``workers`` shards (round-robin, mirroring ``repro.fsck``).  A one-shard
+batch is a plain loop on the calling thread; more shards run one thread
+each and join before commit.  That needs no extra locking because the
+controller's re-entrant lock is held by the *orchestrating* thread for the
+whole verification: no mutator can run, so the workers' reads of the shadow
+table, pending set, page-owner map and allocator bitmap see a frozen kernel
+state, and each shard stages into its own partial :class:`StagedUpdate`,
+merged after the join.  Accept/reject behaviour does not depend on the
+shard count (``tests/property/test_verify_pipeline.py``); the one visible
+difference is that when several shards find *different* corruptions, which
+shard's ``VerifyFailure`` propagates is scheduling-dependent.
+
+As everywhere in this repository, wall-clock speedup on GIL-bound Python
+threads is meaningless; the speedup claim is carried by (a) the calibrated
+cost model (``CostModel.verify_pipeline_time``) and (b) the functional
+critical-path counters in :class:`PipelineStats` — ``total_units`` checked
+versus ``critical_units``, the largest shard per batch, which is what the
+slowest worker executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
+from repro.concurrency.parallel import run_parallel, stride_shards
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
 from repro.errors import ChainCorrupt, VerifyFailure  # noqa: F401  (canonical home; re-exported)
@@ -42,6 +72,7 @@ from repro.pm.layout import (
     PAGE_KIND_INDEX,
     PAGE_SIZE,
     InodeRecord,
+    legal_name,
 )
 
 
@@ -76,25 +107,49 @@ class StagedUpdate:
     drop_pending: bool = False
 
 
+@dataclass
+class PipelineStats:
+    """Deterministic work accounting for the verifier's batch scheduler."""
+
+    verifications: int = 0
+    #: individual page checks / dentry checks / absent-child checks issued.
+    page_checks: int = 0
+    dentry_checks: int = 0
+    absent_checks: int = 0
+    #: shard jobs actually dispatched to worker threads.
+    shard_jobs: int = 0
+    #: total checkable units vs the per-batch maximum shard size summed —
+    #: ``total_units / critical_units`` is the functional speedup (the
+    #: slowest shard bounds each batch, exactly the fsck convention).
+    total_units: int = 0
+    critical_units: int = 0
+
+
+#: batch stage -> (its PipelineStats field, whether ``verify.<stage>`` is an
+#: obs counter, the CostModel attribute holding one item's check cost).
+_STAGES = {
+    "pages": ("page_checks", True, "verify_page_check"),
+    "dentries": ("dentry_checks", True, "verify_dentry_check"),
+    "absent": ("absent_checks", False, "verify_dentry_check"),
+}
+
+
 class Verifier:
     """Checks one inode's core state against the shadow table.
 
-    Verification decomposes into *enumerate* (serial chain walks over the
-    core state), per-item *checks* (pages, dentries, absent children — each
-    independent of the others), and *commit* (the returned
-    :class:`StagedUpdate`, applied by the controller under its lock).  The
-    per-item batches go through the ``_check_pages`` / ``_check_dentries``
-    / ``_check_absent_children`` hooks so that
-    :class:`~repro.kernel.vpipeline.PipelinedVerifier` can shard them
-    across worker threads while running *exactly* the same per-item code —
-    the serial/pipelined equivalence is by construction, and a property
-    test (``tests/property/test_verify_pipeline.py``) checks it anyway.
+    The three per-item check batches (pages, dentries, absent children)
+    all go through :meth:`_run_batch`, which runs them on ``workers``
+    shards — ``ArckConfig.verify_workers``; 1 spawns no thread — and
+    records :class:`PipelineStats` either way.
     """
 
-    def __init__(self, controller):
+    def __init__(self, controller, workers: int = 1):
         # The controller owns shadow/pending/acquisitions/page_owner; we
         # only read them here and return staged updates.
         self.kc = controller
+        self.workers = max(1, int(workers))
+        self.pstats = PipelineStats()
+        self._profile = f"verify.w{self.workers}"  # looked up per batch
 
     # ------------------------------------------------------------------ #
 
@@ -121,6 +176,23 @@ class Verifier:
         waived.  Full verification is deferred until the inode leaves the
         group.
         """
+        self.pstats.verifications += 1
+        with obs.span("verify.pipeline", category="kernel", ino=ino,
+                      workers=self.workers):
+            staged = self._verify(ino, app_id, trusted)
+            pipe = self._pipe()
+            if pipe is not None:
+                from repro.perf.costmodel import COST
+
+                entries = (len(staged.created) + len(staged.reparented)
+                           + len(staged.deleted) + len(staged.detached))
+                commit_ns = (COST.verify_commit_fixed
+                             + entries * COST.verify_commit_per_entry)
+                pipe.charge_serial("commit", commit_ns)
+                obs.charge(commit_ns, "commit")
+            return staged
+
+    def _verify(self, ino: int, app_id: Optional[str], trusted: bool) -> StagedUpdate:
         kc = self.kc
         sh = kc.shadow.get(ino)
         pending = kc.pending.get(ino)
@@ -201,49 +273,117 @@ class Verifier:
         if len(set(pages)) != len(pages):
             raise VerifyFailure(ino, "directory log page chain repeats a page")
         if not trusted:
-            self._check_pages(ino, [(p, kind, PAGE_KIND_DIRLOG) for p, kind in chain])
+            self._check_pages(
+                ino, [(p, kind, PAGE_KIND_DIRLOG) for p, kind in chain], staged)
         staged.pages.update(pages)
         staged.bytes_verified += len(pages) * PAGE_SIZE
 
-        entries = self.core.live_dentries(rec)
+        entries = list(self.core.live_dentries(rec).items())
         # Check every present dentry, then every shadow child the log no
         # longer shows; the absent pass needs the complete new-children map
         # (an in-directory rename looks absent under its old name).
-        new_children = self._check_dentries(ino, sh, app_id, entries, staged, trusted)
-        self._check_absent_children(ino, sh, new_children, staged, trusted)
+
+        def check_dentries(shard, part: StagedUpdate) -> Dict[bytes, int]:
+            return {name: d.ino for name, d in shard
+                    if self._check_dentry(ino, sh, app_id, name, d, part, trusted)}
+
+        new_children: Dict[bytes, int] = {}
+        for included in self._run_batch(ino, "dentries", entries, check_dentries, staged):
+            new_children.update(included)
+        linked = set(new_children.values())
+
+        def check_absent(shard, part: StagedUpdate) -> None:
+            for name, child_ino in shard:
+                self._check_absent_child(
+                    ino, name, child_ino, new_children, linked, part, trusted)
+
+        self._run_batch(ino, "absent", list(sh.children.items()), check_absent, staged)
         staged.new_children = new_children
 
-    # -- per-item batches (the pipelined verifier shards these) ------------ #
+    # -- the batch scheduler ---------------------------------------------- #
 
-    def _check_pages(self, ino: int, jobs: Sequence[PageJob]) -> None:
+    def _pipe(self):
+        """The pipeline profile collecting this verifier's simulated-time
+        stage charges (None unless profiling is on)."""
+        return obs.pipeline_profile(self._profile)
+
+    def _check_pages(self, ino: int, jobs: Sequence[PageJob],
+                     staged: StagedUpdate) -> None:
         """Run :meth:`_check_page` for every ``(page_no, kind, want)`` job."""
-        for job in jobs:
-            self._check_page(ino, *job)
+        pipe = self._pipe()
+        if jobs and pipe is not None:
+            from repro.perf.costmodel import COST
 
-    def _check_dentries(self, ino: int, sh, app_id, entries, staged: StagedUpdate,
-                        trusted: bool) -> Dict[bytes, int]:
-        """Check every live dentry; returns the directory's new children."""
-        new_children: Dict[bytes, int] = {}
-        for name, d in entries.items():
-            if self._check_dentry(ino, sh, app_id, name, d, staged, trusted):
-                new_children[name] = d.ino
-        return new_children
+            enum_ns = (COST.verify_enumerate_fixed
+                       + len(jobs) * COST.verify_enumerate_per_page)
+            pipe.charge_serial("enumerate", enum_ns)
+            obs.charge(enum_ns, "enumerate")
 
-    def _check_absent_children(self, ino: int, sh, new_children: Dict[bytes, int],
-                               staged: StagedUpdate, trusted: bool) -> None:
-        """Check every shadow child whose dentry is gone from the log."""
-        linked = set(new_children.values())
-        for name, child_ino in sh.children.items():
-            self._check_absent_child(
-                ino, name, child_ino, new_children, linked, staged, trusted)
+        def check(shard, _part: StagedUpdate) -> None:
+            for job in shard:
+                self._check_page(ino, *job)
 
-    # -- per-item checks (shared verbatim by serial and pipelined paths) --- #
+        self._run_batch(ino, "pages", jobs, check, staged)
+
+    def _run_batch(self, ino: int, stage: str, items: Sequence,
+                   check: Callable[[Sequence, StagedUpdate], object],
+                   staged: StagedUpdate) -> List:
+        """Run ``check(shard, staging)`` over stride shards of ``items``.
+
+        Returns each shard's result, in shard order.  One shard is a plain
+        call on this thread staging straight into ``staged``; several run
+        one thread each, every shard staging into its own partial
+        :class:`StagedUpdate` that is merged into ``staged`` after the join
+        (every child appears in exactly one shard, so concatenation cannot
+        duplicate; only the semantically irrelevant list order differs).
+        """
+        n = len(items)
+        if not n:
+            return []
+        stat, counted, unit_cost = _STAGES[stage]
+        setattr(self.pstats, stat, getattr(self.pstats, stat) + n)
+        if counted:
+            obs.count(f"verify.{stage}", n)
+        shards = stride_shards(items, self.workers)
+        self.pstats.total_units += n
+        self.pstats.critical_units += len(shards[0])  # stride-dealt: none is larger
+        pipe = self._pipe()
+        if pipe is not None:
+            # Charge each shard's modeled cost to its worker slot.  Worker
+            # totals additionally carry ``op_cpu`` dispatch overhead per
+            # shard job, so critical-path attribution is measured against an
+            # honest busy time rather than trivially summing to 100 %.
+            from repro.perf.costmodel import COST
+
+            per_unit = getattr(COST, unit_cost)
+            for i, shard in enumerate(shards):
+                pipe.charge(i, f"check_{stage}", len(shard) * per_unit)
+                pipe.add_worker_total(i, len(shard) * per_unit + COST.op_cpu)
+            obs.charge(len(shards[0]) * per_unit, f"check_{stage}")
+        if len(shards) == 1:
+            return [check(items, staged)]
+        self.pstats.shard_jobs += len(shards)
+        obs.count("verify.shards", len(shards))
+        partials = [StagedUpdate(ino=ino) for _ in shards]
+        with obs.span(f"verify.{stage}", category="kernel", ino=ino, n=n):
+            results = run_parallel(
+                [partial(check, shard, part) for shard, part in zip(shards, partials)],
+                name="verify")
+        for part in partials:
+            staged.bytes_verified += part.bytes_verified
+            staged.created.extend(part.created)
+            staged.reparented.extend(part.reparented)
+            staged.deleted.extend(part.deleted)
+            staged.detached.extend(part.detached)
+        return results
+
+    # -- per-item checks ------------------------------------------------- #
 
     def _check_dentry(self, ino: int, sh, app_id, name: bytes, d,
                       staged: StagedUpdate, trusted: bool) -> bool:
         """Check one live dentry; True iff it belongs in the children map."""
         kc = self.kc
-        if name in (b".", b"..") or b"/" in name or not name:
+        if not legal_name(name):
             raise VerifyFailure(ino, f"illegal dentry name {name!r}")
         known_child = sh.children.get(name)
         child_sh = kc.shadow.get(d.ino)
@@ -325,11 +465,7 @@ class Verifier:
         if child_ino in linked:
             return  # in-directory rename handled by the dentry pass
         if trusted:
-            child_rec = self.core.read_inode(child_ino)
-            if child_rec.valid:
-                staged.detached.append(child_ino)
-            else:
-                staged.deleted.append(child_ino)
+            self._detach_or_delete(child_ino, staged, counted=False)
             return
         self._missing_child(ino, name, child_ino, child_sh, staged)
 
@@ -380,12 +516,7 @@ class Verifier:
                 raise VerifyFailure(
                     ino, f"I3: dentry {name!r} removed but directory {child_ino} is non-empty"
                 )
-            child_rec = self.core.read_inode(child_ino)
-            staged.bytes_verified += InodeRecord.SIZE
-            if child_rec.valid:
-                staged.detached.append(child_ino)
-            else:
-                staged.deleted.append(child_ino)
+            self._detach_or_delete(child_ino, staged)
             return
         # --- unpatched ArckFS: no parent pointer, deletion is the only
         # interpretation the verifier can check (§4.1). ------------------- #
@@ -397,14 +528,17 @@ class Verifier:
                 f"I3: dentry {name!r} removed but directory {child_ino} is non-empty "
                 "(cannot distinguish deletion from rename)",
             )
+        self._detach_or_delete(child_ino, staged)
+
+    def _detach_or_delete(self, child_ino: int, staged: StagedUpdate,
+                          counted: bool = True) -> None:
+        """Stage a vanished child by what its record says: still valid, the
+        file (or empty dir) moved — keep the shadow entry, detached, until
+        it shows up under a new parent; freed, the deletion is confirmed."""
         child_rec = self.core.read_inode(child_ino)
-        staged.bytes_verified += InodeRecord.SIZE
-        if child_rec.valid:
-            # File (or empty dir) still live: assume it moved; keep the
-            # shadow entry detached until it shows up under a new parent.
-            staged.detached.append(child_ino)
-        else:
-            staged.deleted.append(child_ino)
+        if counted:  # the trusting pass has never counted this read
+            staged.bytes_verified += InodeRecord.SIZE
+        (staged.detached if child_rec.valid else staged.deleted).append(child_ino)
 
     # ------------------------------------------------------------------ #
     # Regular files
@@ -417,7 +551,7 @@ class Verifier:
             staged.pages.update(self.core.owned_pages(rec))
             return
         # Enumerate both chains first, then hand all page checks to one
-        # batch — that is the unit the pipelined verifier shards.
+        # batch — that is the unit the scheduler shards.
         index = [(p, hdr.kind) for p, hdr in self.core.walk_chain(rec.index_root)]
         index_pages = [p for p, _kind in index]
         if len(set(index_pages)) != len(index_pages):
@@ -429,6 +563,7 @@ class Verifier:
             ino,
             [(p, kind, PAGE_KIND_INDEX) for p, kind in index]
             + [(p, None, None) for p in data_pages],
+            staged,
         )
         if rec.size > len(data_pages) * PAGE_SIZE:
             raise VerifyFailure(

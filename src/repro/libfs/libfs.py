@@ -63,6 +63,7 @@ from repro.pm.layout import (
     PAGE_SIZE,
     Dentry,
     InodeRecord,
+    legal_name,
 )
 
 #: optimistic (seqlock) pread attempts before falling back to the read lock.
@@ -178,7 +179,8 @@ class LibFS:
                 mi.cursors[tail_idx], _records = cs.scan_tail(head)
             entries = {}
             for name, (d, loc) in cs.live_dentries_with_loc(rec).items():
-                entries[name] = (d.ino, d.gen, d.itype, d.seq, loc)
+                if legal_name(name):  # no path can address any other name
+                    entries[name] = (d.ino, d.gen, d.itype, d.seq, loc)
             mi.dir.rebuild(entries)
         else:
             mi.pages = cs.file_pages(rec)
@@ -681,7 +683,8 @@ class LibFS:
 
     @traced_syscall("truncate")
     def truncate(self, path: str, size: int) -> None:
-        """Shrink (or logically extend) a file to ``size`` bytes."""
+        """Set a file's length: a shrink unmaps the trailing pages, an
+        extension reads as zeros."""
         path = paths.normalize(path)
         parent, name = self._resolve_parent(path)
         node = self._lookup_node(parent, name)
@@ -694,16 +697,24 @@ class LibFS:
         mi.seq.write_begin()
         try:
             cs = self._cs(mi)
-            if size >= mi.size:
-                cs.set_file_size(mi.ino, size)
-                mi.size = size
-                mi.record.size = size
-                return
-            # Shrink: commit the new size first, then unmap trailing pages.
+            keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
+            if keep > len(mi.pages):
+                # Back the new length with zeroed pages *before* the size
+                # commits: ``size <= mapped capacity`` is what the verifier,
+                # fsck and mount all hold a file to.
+                new_pages = self.alloc.alloc_many(keep - len(mi.pages), zero=True)
+                cs.append_file_pages(mi.ino, mi.record, len(mi.pages), new_pages, self.alloc)
+                mi.pages = mi.pages + new_pages
+            tail = size % PAGE_SIZE if size < mi.size else 0
             cs.set_file_size(mi.ino, size)
             mi.size = size
             mi.record.size = size
-            keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
+            if tail:
+                # A cut inside a page: the kept last page still holds the
+                # cut-off bytes, and a later extension or write past EOF
+                # must read them as zeros.
+                cs.write_page_data(mi.pages[keep - 1], tail, b"\0" * (PAGE_SIZE - tail))
+                mi.mapping.sfence()
             if keep < len(mi.pages):
                 self._drop_trailing_pages(mi, cs, keep)
         finally:

@@ -163,7 +163,7 @@ class CostModel:
     #: [calib] aux-state rebuild per dentry on re-acquire.
     rebuild_per_entry: float = 55.0
 
-    # -- pipelined deferred verification (kernel/vpipeline.py) ------------- #
+    # -- sharded verification (kernel/verifier.py's batch scheduler) ------- #
     #: [struct] serial enumerate stage: record read + staging setup.
     verify_enumerate_fixed: float = 1200.0
     #: [struct] per-page cost of the serial chain walk (index-slot reads).

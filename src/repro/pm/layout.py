@@ -271,6 +271,18 @@ class Dentry:
         return self.name_len > 0 and self.deleted == 0
 
 
+def legal_name(name: bytes) -> bool:
+    """May a committed dentry carry ``name``?  The one rule the verifier,
+    mount and fsck share: a path component a ``str`` path can address."""
+    if not name or name in (b".", b"..") or b"/" in name:
+        return False
+    try:
+        name.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 # --------------------------------------------------------------------------- #
 # Page headers (directory-log pages and file page-index pages)
 # --------------------------------------------------------------------------- #

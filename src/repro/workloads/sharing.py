@@ -137,8 +137,8 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
     functional stack rather than the analytic model.
 
     ``verify_workers`` shards each transfer's verification across that many
-    threads (``repro.kernel.vpipeline``); the returned ``verify_*_units``
-    counters carry the pipeline's critical-path accounting.  ``delegation``
+    threads (``Verifier(workers=N)``); the returned ``verify_*_units``
+    counters carry the scheduler's critical-path accounting.  ``delegation``
     turns on lease-based deferred verification — the ping-pong is cross-app,
     so every bounce still revokes and verifies, but the delegation counters
     expose the grant/revoke traffic.

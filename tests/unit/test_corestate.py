@@ -177,10 +177,17 @@ class TestFileIndex:
         assert cs.file_pages(rec) == fake_pages
         assert len(cs.index_pages(rec)) == 2
 
-    def test_read_hole(self, world):
-        _dev, _geom, cs, _alloc = world
-        out = cs.read_file_data([], 100, 0, 50)
-        assert out == b"\0" * 50
+    def test_read_bounded_by_mapped_pages(self, world):
+        """A size beyond the mapped pages is a forgery (truncate backs every
+        extension with pages, so no verified file has a hole): reads stop at
+        the last mapped byte instead of planning zeros up to ``size``."""
+        _dev, _geom, cs, alloc = world
+        assert cs.read_file_data([], 100, 0, 50) == b""
+        page = alloc.alloc()
+        cs.write_page_data(page, 0, b"Z" * PAGE_SIZE)
+        out = cs.read_file_data([page], 1 << 60, PAGE_SIZE - 10, 1 << 59)
+        assert out == b"Z" * 10
+        assert cs.read_file_data([page], 1 << 60, PAGE_SIZE, 50) == b""
 
     def test_free_inode_invalidates(self, world):
         _dev, _geom, cs, _alloc = world

@@ -1,6 +1,7 @@
-"""Who may know the on-media format: an AST scan of ``src/repro``.
+"""Who may know the on-media format, and who may reach a verdict: an AST
+scan of ``src/repro``.
 
-Two rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
+Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
 ``libfs/`` and ``fsck/``):
 
 * raw byte packing (``struct``) belongs to the format owners only — a
@@ -8,7 +9,11 @@ Two rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   ``pm.layout`` instead of re-deriving offsets;
 * page chains are followed in exactly one place.  Every reader of
   ``PageHeader.next_page`` is a second cycle/range policy waiting to
-  disagree with the verifier's, which is the shape of the paper's bugs.
+  disagree with the verifier's, which is the shape of the paper's bugs;
+* "verify on ownership transfer" is one rule, so it has one engine (one
+  class with a ``verify(self, ino, ...)``) and, in the controller, one
+  verdict path (one caller of the resolution policy) and one place that
+  unmaps an acquisition.
 """
 
 import ast
@@ -63,3 +68,42 @@ def test_next_page_is_read_in_exactly_one_function():
                    and isinstance(n.ctx, ast.Load) for n in ast.walk(fn)):
                 readers.append(f"{rel}::{fn.name}")
     assert readers == ["core/corestate.py::walk_chain"], readers
+
+
+def _functions_calling(tree, matches):
+    """Names of the functions in ``tree`` containing a call ``matches``."""
+    return [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and matches(n.func) for n in ast.walk(fn))]
+
+
+def test_controller_has_one_verdict_path_and_one_unmap():
+    tree = dict(_modules())["kernel/controller.py"]
+
+    def is_policy_resolve(func):  # self.policy.resolve(...)
+        return (func.attr == "resolve" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "policy"
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id == "self")
+
+    def is_mapping_unmap(func):  # <acquisition>.mapping.unmap()
+        return (func.attr == "unmap" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "mapping")
+
+    assert _functions_calling(tree, is_policy_resolve) == ["_verify_or_resolve"]
+    unmappers = _functions_calling(tree, is_mapping_unmap)
+    assert [fn for fn in unmappers if fn != "abort_inode"] == ["_drop"]
+
+
+def test_one_class_defines_verify_of_an_inode():
+    engines = []
+    for rel, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef) and fn.name == "verify"
+                        and [a.arg for a in fn.args.args[:2]] == ["self", "ino"]):
+                    engines.append(f"{rel}::{cls.name}")
+    assert engines == ["kernel/verifier.py::Verifier"], engines
