@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import errno
 import sys
+from typing import Optional
 
 
 class ReproError(Exception):
@@ -207,10 +208,22 @@ class TryAgain(FSError):
     """Transient failure (e.g. the global rename lease is held elsewhere,
     or another app currently owns an inode on the acquire path).  EAGAIN
     semantics: marked ``retryable`` so the server's wire protocol tells
-    clients to back off and re-issue rather than fail the op."""
+    clients to back off and re-issue rather than fail the op.
+
+    An ownership conflict names who is in the way: ``owner`` is the app id
+    holding inode ``ino`` (both ``None`` for the rename lease, which has no
+    inode).  They stay on the raising side — the wire body is unchanged —
+    and are what lets a coordinator recall the holder instead of making
+    the caller poll."""
 
     ERRNO = errno.EAGAIN
     retryable = True
+
+    def __init__(self, msg: str = "", *, owner: Optional[str] = None,
+                 ino: Optional[int] = None):
+        super().__init__(msg)
+        self.owner = owner
+        self.ino = ino
 
 
 # --------------------------------------------------------------------------- #

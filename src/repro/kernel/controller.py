@@ -417,7 +417,8 @@ class KernelController:
                         acq.writable = True
                         self.readcache.invalidate(ino)
                     return acq.mapping  # idempotent re-acquire
-                raise TryAgain(f"inode {ino} owned by {acq.app_id}")
+                raise TryAgain(f"inode {ino} owned by {acq.app_id}",
+                               owner=acq.app_id, ino=ino)
             if sh is not None:
                 if sh.inaccessible:
                     raise PermissionDenied(f"inode {ino} marked inaccessible")

@@ -48,6 +48,7 @@ from repro.errors import (
     NotEmpty,
     SimulatedBusError,
     SimulatedSegfault,
+    TryAgain,
     WouldLoop,
 )
 from repro.kernel.controller import KernelController
@@ -522,6 +523,8 @@ class LibFS:
         try:
             self.stat(path)
             return True
+        except TryAgain:
+            raise  # held by someone else is not "absent": retry, or recall
         except FSError:
             return False
 
@@ -965,7 +968,11 @@ class LibFS:
     @traced_syscall("commit_path")
     def commit_path(self, path: str) -> None:
         """Verify the inode in place, retaining ownership ([21, §4.3])."""
-        ino = self._path_ino(path)
+        self.commit_ino(self._path_ino(path))
+
+    def commit_ino(self, ino: int) -> None:
+        """:meth:`commit_path` for a caller that already resolved the path;
+        on success the acquisition's rollback snapshot is the state now."""
         self._attach(ino, write=True)
         try:
             self.kernel.commit(self.app_id, ino)

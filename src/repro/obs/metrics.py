@@ -282,9 +282,12 @@ class MetricsRegistry:
 
     # -- views -------------------------------------------------------------- #
 
-    def counter_total(self, name: str) -> int:
-        """Sum of a counter over all of its label sets (0 if never created)."""
-        return sum(c.value for (n, _), c in self._counters.items() if n == name)
+    def counter_total(self, name: str, /, **labels: object) -> int:
+        """Sum of a counter over all of its label sets — those carrying
+        every one of ``labels``, when given (0 if never created)."""
+        want = set(_labels_key(labels))
+        return sum(c.value for (n, key), c in self._counters.items()
+                   if n == name and want.issubset(key))
 
     def counters(self) -> List[Counter]:
         """A consistent list of every live counter (for exporters)."""

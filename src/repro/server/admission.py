@@ -46,6 +46,9 @@ class TenantState:
         self.policy = policy
         self.sessions = 0
         self.executing = 0
+        #: Times a session of this tenant had to recall an inode from
+        #: another (the sharing the tenant's own sessions cause).
+        self.recalls = 0
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=policy.queue_depth)
 
     @property

@@ -13,7 +13,7 @@ the release/commit/ownership internals the coordinator manages.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.api import Session
 from repro.errors import InvalidArgument, TxError
@@ -28,26 +28,52 @@ def _need(params: Dict, key: str):
 
 def _path(params: Dict, key: str = "path") -> str:
     p = _need(params, key)
-    if not isinstance(p, str) or not p.startswith("/"):
-        raise InvalidArgument(f"{key} must be an absolute path string")
+    # A NUL can never be part of a name: fsck reads a committed dentry
+    # carrying one as torn ("body never persisted").
+    if not isinstance(p, str) or not p.startswith("/") or "\x00" in p:
+        raise InvalidArgument(
+            f"{key} must be an absolute path string without NUL bytes")
     return p
 
 
-def _int(params: Dict, key: str, minimum: int = 0) -> int:
-    v = _need(params, key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise InvalidArgument(f"{key} must be an integer >= {minimum}")
+def _int(params: Dict, key: str, minimum: int = 0,
+         maximum: Optional[int] = None, default: Optional[int] = None) -> int:
+    """``params[key]`` as a bounds-checked int (bools are not ints here);
+    an absent key is an error unless ``default`` is given."""
+    v = _need(params, key) if default is None else params.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum \
+            or (maximum is not None and v > maximum):
+        bound = f">= {minimum}" if maximum is None \
+            else f"in [{minimum}, {maximum}]"
+        raise InvalidArgument(f"{key} must be an integer {bound}")
     return v
+
+
+def _off(params: Dict, key: str) -> int:
+    """A file offset or length: a POSIX ``off_t`` (the transaction log
+    packs it into 64 bits at commit, long after staging accepted it)."""
+    return _int(params, key, maximum=(1 << 63) - 1)
+
+
+def _mode(params: Dict, default: int) -> int:
+    """Permission bits.  Checked here because LibFS packs them into the
+    inode record's 16-bit field mid-create, after the slot is taken."""
+    return _int(params, "mode", maximum=0o7777, default=default)
+
+
+def uid_param(params: Dict) -> int:
+    """``session.open``'s uid: the inode record stores 32 bits."""
+    return _int(params, "uid", maximum=(1 << 32) - 1, default=1000)
 
 
 def op_open(fs: Session, p: Dict):
     fd = fs.open(_path(p), create=bool(p.get("create", False)),
-                 mode=p.get("mode", 0o664))
+                 mode=_mode(p, 0o664))
     return {"fd": fd}
 
 
 def op_creat(fs: Session, p: Dict):
-    return {"fd": fs.creat(_path(p), mode=p.get("mode", 0o664))}
+    return {"fd": fs.creat(_path(p), mode=_mode(p, 0o664))}
 
 
 def op_close(fs: Session, p: Dict):
@@ -56,7 +82,7 @@ def op_close(fs: Session, p: Dict):
 
 
 def op_mkdir(fs: Session, p: Dict):
-    fs.mkdir(_path(p), mode=p.get("mode", 0o775))
+    fs.mkdir(_path(p), mode=_mode(p, 0o775))
     return {}
 
 
@@ -66,13 +92,13 @@ def op_makedirs(fs: Session, p: Dict):
 
 
 def op_pread(fs: Session, p: Dict):
-    data = fs.pread(_int(p, "fd"), _int(p, "n"), _int(p, "offset"))
+    data = fs.pread(_int(p, "fd"), _off(p, "n"), _off(p, "offset"))
     return {"data": pack_bytes(data), "n": len(data)}
 
 
 def op_pwrite(fs: Session, p: Dict):
     data = unpack_bytes(_need(p, "data"))
-    return {"written": fs.pwrite(_int(p, "fd"), data, _int(p, "offset"))}
+    return {"written": fs.pwrite(_int(p, "fd"), data, _off(p, "offset"))}
 
 
 def op_read_file(fs: Session, p: Dict):
@@ -114,7 +140,7 @@ def op_rmdir(fs: Session, p: Dict):
 
 
 def op_truncate(fs: Session, p: Dict):
-    fs.truncate(_path(p), _int(p, "size"))
+    fs.truncate(_path(p), _off(p, "size"))
     return {}
 
 
@@ -163,16 +189,16 @@ def op_tx_op(fs: Session, p: Dict):
     tx = _pending_tx(fs)
     op = _need(p, "op")
     if op == "create":
-        tx.create(_path(p), mode=p.get("mode", 0o664))
+        tx.create(_path(p), mode=_mode(p, 0o664))
     elif op == "mkdir":
-        tx.mkdir(_path(p), mode=p.get("mode", 0o775))
+        tx.mkdir(_path(p), mode=_mode(p, 0o775))
     elif op == "pwrite":
         tx.pwrite(_path(p), unpack_bytes(_need(p, "data")),
-                  _int(p, "offset"))
+                  _off(p, "offset"))
     elif op == "write_file":
         tx.write_file(_path(p), unpack_bytes(_need(p, "data")))
     elif op == "truncate":
-        tx.truncate(_path(p), _int(p, "size"))
+        tx.truncate(_path(p), _off(p, "size"))
     elif op == "rename":
         tx.rename(_path(p, "old"), _path(p, "new"))
     elif op == "unlink":
@@ -183,10 +209,17 @@ def op_tx_op(fs: Session, p: Dict):
 
 
 def op_tx_commit(fs: Session, p: Dict):
-    # The handle is single-shot: whatever commit does (success, rollback,
-    # roll-forward-pending) it leaves the open state, so drop it first —
-    # a client retrying after TxAborted begins a fresh transaction.
     tx = _pending_tx(fs)
+    # Wire sessions share the volume and keep what they own between
+    # requests, so conflicts are met first, while the op can still be
+    # re-run: a TryAgain out of prepare() leaves the transaction open
+    # (nothing has touched PM), the server recalls the holder and calls
+    # this again (DESIGN §10).  It is also what makes an abort restore the
+    # state *this commit* found, not the one the session first acquired.
+    tx.prepare()
+    # From here the handle is single-shot: whatever commit does (success,
+    # rollback, roll-forward-pending) it leaves the open state, so drop it
+    # first — a client retrying after TxAborted begins a fresh transaction.
     fs.__dict__[_TX_ATTR] = None
     return tx.commit()
 

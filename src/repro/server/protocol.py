@@ -183,6 +183,9 @@ def pack_bytes(data: bytes) -> str:
 def unpack_bytes(field: Optional[str]) -> bytes:
     if field is None:
         return b""
+    if not isinstance(field, str):
+        raise errors.ProtocolError(
+            f"payload must be a base64 string, got {type(field).__name__}")
     try:
         return base64.b64decode(field.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:

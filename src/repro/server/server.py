@@ -19,6 +19,15 @@ Shape (all on one asyncio loop)::
                                              │
                                   Session op + response write
 
+Ownership follows the paper's rule — verification on *transfer*, not on
+every request.  A wire session keeps the inodes it acquired between
+requests, exactly as an in-process ``Session`` does; they move (and are
+verified against the acquisition's own rollback snapshot) only when
+another session needs one — the coordinator *recalls* the holder inside
+:meth:`VolumeServer._run_op` and re-runs the op, no client round trip —
+when the holder has been quiet for one reaper tick, or when its session
+ends.  DESIGN §10 has the contract.
+
 Backpressure is explicit: a full tenant queue rejects the op with a typed,
 retryable :class:`~repro.errors.Overloaded` *at admission time* — requests
 are never silently dropped and queues never grow past their bound.  Idle
@@ -38,10 +47,15 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.api import Volume
-from repro.errors import InvalidArgument, ProtocolError, ReproError
+from repro.errors import (
+    InvalidArgument,
+    ProtocolError,
+    ReproError,
+    TryAgain,
+)
 from repro.server import protocol
 from repro.server.admission import AdmissionController, TenantPolicy, TenantState
-from repro.server.dispatch import SESSION_OPS
+from repro.server.dispatch import SESSION_OPS, uid_param
 from repro.server.sessions import ServerSession, SessionTable
 
 
@@ -57,21 +71,14 @@ class ServerConfig:
     policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: Idle lease: a session untouched this long is evicted.
     lease_seconds: float = 30.0
-    #: How often the reaper looks for lapsed leases.
+    #: How often the reaper looks for lapsed leases.  Also how long a
+    #: quiet session keeps the inodes it holds: one tick, then they are
+    #: released (and verified) while the session itself lives on.
     evict_interval: float = 1.0
     #: Largest accepted wire frame.
     max_frame: int = protocol.MAX_FRAME_BYTES
     #: How long drain() waits for admitted work to finish.
     drain_timeout: float = 30.0
-    #: Release the session's inode ownership after every executed op.
-    #: ArckFS apps *retain* ownership until voluntary release — correct for
-    #: one process, starvation for a server where thousands of sessions
-    #: share a volume's directory spine.  Releasing per-op returns the
-    #: inodes to the coordinator between requests (a concurrent acquire
-    #: then sees a clean transfer instead of camping on ``TryAgain``), and
-    #: PR 4's read-delegation lease keeps the common same-app re-acquire
-    #: free.  Off restores pure ArckFS retention semantics.
-    release_after_op: bool = True
     #: Enable test-only methods (``debug.sleep`` parks a tenant worker) —
     #: used by the drain/backpressure tests and the load bench's probe.
     debug_ops: bool = False
@@ -117,6 +124,7 @@ class VolumeServer:
             {t: pol.get(t, self.config.policy) for t in self.volumes})
         self.sessions = SessionTable(
             lease_seconds=self.config.lease_seconds,
+            idle_seconds=self.config.evict_interval,
             on_release=self.admission.release_session)
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers: List[asyncio.Task] = []
@@ -255,12 +263,12 @@ class VolumeServer:
     # ------------------------------------------------------------------ #
 
     async def _open_session(self, conn: _Connection, req: Dict) -> None:
+        uid = uid_param(req["params"])  # before the slot is taken
         tenant = self.admission.admit_session(req["tenant"])
         try:
             volume = self.volumes[tenant.name]
             app_id = f"{tenant.name}#{next(self._app_ids)}"
-            api_session = volume.session(app_id, uid=req["params"].get(
-                "uid", 1000))
+            api_session = volume.session(app_id, uid=uid)
         except BaseException:
             self.admission.release_session(tenant)
             raise
@@ -291,6 +299,7 @@ class VolumeServer:
                     "sessions": t.sessions,
                     "queued": t.queue.qsize(),
                     "executing": t.executing,
+                    "recalls": t.recalls,
                     "policy": {
                         "max_sessions": t.policy.max_sessions,
                         "max_inflight": t.policy.max_inflight,
@@ -335,10 +344,8 @@ class VolumeServer:
                 await asyncio.sleep(float(req["params"].get("seconds", 0.01)))
                 resp = protocol.ok_response(req["id"], {"slept": True})
             else:
-                result = SESSION_OPS[method](ss.session, req["params"])
-                if self.config.release_after_op and method != "release":
-                    ss.session.release_all()
-                resp = protocol.ok_response(req["id"], result)
+                resp = protocol.ok_response(
+                    req["id"], self._run_op(ss, method, req["params"]))
             obs.count("server.ops_completed", tenant=ss.tenant.name)
         except Exception as exc:  # simulated faults and FS errors alike
             obs.count("server.op_errors", tenant=ss.tenant.name,
@@ -352,6 +359,47 @@ class VolumeServer:
                 "server.op_latency_ns",
                 tenant=ss.tenant.name).observe(time.perf_counter_ns() - t0)
         await conn.send(resp)
+
+    def _run_op(self, ss: ServerSession, method: str, params: Dict) -> Dict:
+        """Run one session op under the ownership policy, retain + recall.
+
+        Nothing is released here: the session keeps what the op acquired,
+        so a sole owner is verified once per transfer, not once per
+        request.  When the op trips over an inode that another session of
+        this server holds, the coordinator recalls the holder — its
+        ``release_all()`` verifies each inode against the acquisition's
+        own snapshot — and re-runs the op: no round trip, no back-off.
+        Ops are synchronous on the one loop, so a holder is never mid-op
+        and cannot re-acquire before we return; every recall therefore
+        removes a conflict for good and the loop ends.  A conflict a
+        recall cannot clear (a holder outside this server, the ownerless
+        rename lease, an inode still owned afterwards) reaches the client
+        as the retryable ``TryAgain`` it always was.  ``tx_commit`` cannot
+        be re-run once it has sealed, so its adapter first takes everything
+        the apply will need (``Tx.prepare``); a conflict surfaces there,
+        through this same loop, and never mid-apply.
+        """
+        if ss.deferred_error is not None:
+            exc, ss.deferred_error = ss.deferred_error, None
+            raise exc
+        ss.holding = True
+        op = SESSION_OPS[method]
+        while True:
+            try:
+                return op(ss.session, params)
+            except TryAgain as busy:
+                holder = self.sessions.by_app(busy.owner)
+                if holder is None:
+                    raise
+                tenant = ss.tenant
+                holder.release_holdings()
+                tenant.recalls += 1
+                obs.count("server.recalls", tenant=tenant.name)
+                acq = self.volumes[tenant.name].kernel.acquisitions.get(
+                    busy.ino)
+                if acq is not None and acq.app_id == busy.owner:
+                    obs.count("server.recall_failures", tenant=tenant.name)
+                    raise
 
     # ------------------------------------------------------------------ #
     # Eviction

@@ -9,6 +9,10 @@ Eviction is lease-based: every executed op refreshes ``last_used``; a
 session idle past ``lease_seconds`` is closed by the reaper and its slot
 returned to the tenant.  A later request naming the token gets
 :class:`~repro.errors.SessionGone` (retryable: open a fresh session).
+The same reaper tick bounds how long *unverified* state outlives traffic:
+a session keeps the inodes it acquired between requests (DESIGN §10), and
+one that has been quiet for ``idle_seconds`` hands them back — verified —
+while its token stays good.
 Sessions are never torn down mid-op — the reaper skips sessions with
 inflight work and marks them ``closing`` instead; the worker that finishes
 the last op completes the close.  The underlying
@@ -23,7 +27,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.api import Session
-from repro.errors import SessionGone
+from repro.errors import CorruptionDetected, SessionGone
 from repro.server.admission import TenantState
 
 
@@ -31,7 +35,8 @@ class ServerSession:
     """One app session as the server tracks it."""
 
     __slots__ = ("token", "tenant", "session", "conn_id", "last_used",
-                 "inflight", "closing", "closed")
+                 "inflight", "closing", "closed", "holding",
+                 "deferred_error")
 
     def __init__(self, token: str, tenant: TenantState, session: Session,
                  conn_id: int, now: float):
@@ -43,6 +48,41 @@ class ServerSession:
         self.inflight = 0
         self.closing = False
         self.closed = False
+        #: An op ran since the last :meth:`release_holdings`, so the
+        #: session may own inodes (and the kernel their rollback snapshots).
+        self.holding = False
+        #: What went wrong while the coordinator released this session's
+        #: holdings behind its back — in practice a verification failure;
+        #: raised once, on its next request (errseq-style: the tenant whose
+        #: acknowledged changes were rolled back is the one told).
+        self.deferred_error: Optional[Exception] = None
+
+    @property
+    def app_id(self) -> str:
+        return self.session.fs.app_id
+
+    def release_holdings(self) -> None:
+        """Hand everything the session owns back to the kernel, verified
+        like any voluntary release.  Called between the session's ops
+        (recall, idle tick, teardown): nobody is waiting for the verdict
+        and the resolution policy has already run, so a failure is parked
+        for the holder instead of raised.  ``release_all`` stops at the
+        inode that failed verification, having dropped it, so each pass
+        holds fewer.  Anything else (a simulated fault mid-release) proves
+        no such progress: it is parked too, but what is left stays held
+        and ``holding`` stays set, so the next tick tries again — the
+        caller, often the reaper, never sees an exception."""
+        while True:
+            try:
+                self.session.release_all()
+                self.holding = False
+                return
+            except Exception as exc:
+                if self.deferred_error is None:
+                    self.deferred_error = exc
+                obs.count("server.deferred_errors", tenant=self.tenant.name)
+                if not isinstance(exc, CorruptionDetected):
+                    return
 
     def touch(self, now: float) -> None:
         self.last_used = now
@@ -54,11 +94,13 @@ class ServerSession:
 class SessionTable:
     """Token → :class:`ServerSession`, plus the eviction policy."""
 
-    def __init__(self, *, lease_seconds: float,
+    def __init__(self, *, lease_seconds: float, idle_seconds: float,
                  on_release: Callable[[TenantState], None]):
         self.lease_seconds = lease_seconds
+        self.idle_seconds = idle_seconds
         self._on_release = on_release
         self._by_token: Dict[str, ServerSession] = {}
+        self._by_app: Dict[str, ServerSession] = {}
         self._tokens = itertools.count(1)
 
     def __len__(self) -> int:
@@ -74,7 +116,12 @@ class SessionTable:
         token = f"{tenant.name}-{next(self._tokens):x}"
         ss = ServerSession(token, tenant, session, conn_id, now)
         self._by_token[token] = ss
+        self._by_app[ss.app_id] = ss
         return ss
+
+    def by_app(self, app_id: Optional[str]) -> Optional[ServerSession]:
+        """The live session registered with the kernel as ``app_id``."""
+        return self._by_app.get(app_id)
 
     def lookup(self, token: Optional[str]) -> ServerSession:
         if not token:
@@ -105,13 +152,20 @@ class SessionTable:
             self._teardown(ss, "deferred")
 
     def evict_idle(self, now: float) -> int:
-        """Close every session whose idle lease lapsed; returns the count."""
+        """One reaper tick: close every session whose idle lease lapsed
+        (returns the count); a session merely quiet for ``idle_seconds``
+        keeps its token but releases what it holds."""
         evicted = 0
         for ss in list(self._by_token.values()):
-            if ss.inflight == 0 and not ss.closing \
-                    and ss.idle_for(now) >= self.lease_seconds:
+            if ss.inflight or ss.closing:
+                continue
+            idle = ss.idle_for(now)
+            if idle >= self.lease_seconds:
                 self._teardown(ss, "idle_lease")
                 evicted += 1
+            elif ss.holding and idle >= self.idle_seconds:
+                ss.release_holdings()
+                obs.count("server.idle_releases", tenant=ss.tenant.name)
         return evicted
 
     def close_connection(self, conn_id: int) -> int:
@@ -136,7 +190,12 @@ class SessionTable:
             return True
         ss.closed = True
         self._by_token.pop(ss.token, None)
+        self._by_app.pop(ss.app_id, None)
         try:
+            # Whatever the session still holds goes first, so a failed
+            # verification cannot cut the shutdown below short and leave
+            # inodes owned by an app that no longer exists.
+            ss.release_holdings()
             # Idempotent; also settles any read-delegation lease the app
             # still holds (kernel.app_shutdown runs the deferred
             # verifications), so an evicted tenant leaves nothing parked.

@@ -25,6 +25,12 @@ commit.  Nothing touches PM until :meth:`Tx.commit`:
 Commits are serialized volume-wide (one ``tx_log_head``), so exactly one
 transaction is ever pending on a device.
 
+:meth:`Tx.prepare` is the optional step 0 for a session that shares its
+volume and keeps ownership between operations (the server's wire sessions):
+it takes every inode the apply will need and re-arms the rollback point of
+every file it will dirty *before* the seal, where a conflict still costs
+nothing.
+
 Abort before commit discards the buffer — nothing reached PM.  A hard
 failure *during* apply rolls the transaction back: namespace ops are
 undone in reverse (created entries unlinked, renames reversed) and
@@ -82,6 +88,14 @@ _ABORTED = "aborted"
 _PENDING = "pending-replay"
 
 
+def _before_renames(path: str, renames: List[Tuple[str, str]]) -> str:
+    """The name ``path`` had before ``renames`` (oldest first) were staged."""
+    for old, new in reversed(renames):
+        if path == new or path.startswith(new + "/"):
+            path = old + path[len(new):]
+    return path
+
+
 class Tx:
     """One crash-atomic unit of work across many files.
 
@@ -107,10 +121,7 @@ class Tx:
 
     def _live_path(self, path: str) -> str:
         """Translate a staged path back to its current on-volume name."""
-        for old, new in reversed(self._dir_renames):
-            if path == new or path.startswith(new + "/"):
-                path = old + path[len(new):]
-        return path
+        return _before_renames(path, self._dir_renames)
 
     def _node_type(self, path: str) -> Optional[str]:
         if path == "/":
@@ -248,6 +259,81 @@ class Tx:
     # ------------------------------------------------------------------ #
     # Commit / abort
     # ------------------------------------------------------------------ #
+
+    def prepare(self) -> None:
+        """Meet every ownership conflict *before* the commit point.
+
+        :meth:`commit` applies through the owning LibFS after the seal,
+        where ``TryAgain`` (another application holds an inode the apply
+        needs) can only be answered by rolling back — or, after an applied
+        unlink, by leaving the log pending.  Walking the staged ops in
+        order, this takes for write what the apply will take: the parents
+        that namespace ops edit, the files that data ops dirty or unlink,
+        the destination chain a directory relocation commits.  A conflict
+        therefore surfaces here, with nothing on PM and the transaction
+        still open: clear it and call again.
+
+        It also verifies in place every existing file the transaction
+        dirties, which moves that file's rollback snapshot from "when this
+        session acquired it" up to now — a failed apply then restores the
+        state just before the commit, not one that predates writes the
+        session made (and had acknowledged) since.
+        """
+        self._require_open()
+        fs = self._mgr.fs
+        renames: List[Tuple[str, str]] = []  # staged before this record
+        rearmed = set()
+
+        def take(path: str) -> Optional[int]:
+            """Own for write the inode ``path`` names now; None when nothing
+            does (an earlier record of this transaction creates it)."""
+            try:
+                ino = fs._path_ino(path)
+            except NoEntry:
+                return None
+            fs._attach(ino, write=True)
+            return ino
+
+        for rec in self.ops:
+            path = _before_renames(rec.path, renames)
+            parent = paths.split(path)[0]
+            if rec.op in (TX_PWRITE, TX_TRUNCATE):
+                ino = take(path)
+                if ino is None:
+                    take(parent)  # the apply creates what is missing
+                elif ino not in rearmed:
+                    self._rearm(ino, path)
+                    rearmed.add(ino)
+            elif rec.op == TX_RENAME:
+                new = rec.data.decode()
+                new_parent = paths.split(_before_renames(new, renames))[0]
+                take(parent)
+                take(new_parent)
+                if (rec.path, new) in self._dir_renames \
+                        and paths.split(rec.path)[0] != paths.split(new)[0]:
+                    # A directory relocation commits the destination chain
+                    # top-down from the root (LibFS Rules (1)+(3)).
+                    comps = paths.components(new_parent)
+                    for depth in range(len(comps)):
+                        take("/" + "/".join(comps[:depth]))
+                renames.append((rec.path, new))
+            else:
+                take(parent)
+                if rec.op == TX_UNLINK:
+                    take(path)
+
+    def _rearm(self, ino: int, path: str) -> None:
+        """Verify file ``ino`` (at ``path``) in place: ownership kept, fresh
+        snapshot.  A file never verified yet has no snapshot to restore
+        and cannot be verified before the directory that registers it
+        (Rule (1)), so its unverified lineage goes first."""
+        fs, pending = self._mgr.fs, self._mgr.kernel.pending
+        chain = [ino]
+        while chain[-1] in pending:
+            path = paths.split(path)[0]
+            chain.append(fs._path_ino(path))
+        for owned in reversed(chain):
+            fs.commit_ino(owned)
 
     def commit(self) -> Dict[str, int]:
         """Make every staged op durable as one crash-atomic unit.

@@ -42,6 +42,18 @@ class TestOwnershipTransfer:
         app1.release_all()
         kernel.acquire("app2", ino)  # now fine
 
+    def test_held_elsewhere_is_not_absent(self):
+        """``exists`` answers "no" for what is not there, not for what
+        somebody else holds right now."""
+        _dev, _kernel, app1, app2 = two_apps()
+        app1.close(app1.creat("/shared", mode=0o666))
+        app1.release_ino(app1.stat("/").ino)   # app2 can walk, app1 keeps the file
+        with pytest.raises(TryAgain):
+            app2.exists("/shared")
+        assert not app2.exists("/nothing")
+        app1.release_all()
+        assert app2.exists("/shared")
+
     def test_each_transfer_verifies(self):
         _dev, kernel, app1, app2 = two_apps()
         fd = app1.creat("/shared", mode=0o666)

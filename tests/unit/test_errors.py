@@ -44,6 +44,26 @@ class TestTaxonomy:
         assert E.SessionGone("x").retryable
         assert E.TryAgain("x").retryable
 
+    def test_try_again_names_the_conflict_off_the_wire(self):
+        from repro.server import protocol
+
+        plain = E.TryAgain("global rename lease unavailable")
+        assert (plain.owner, plain.ino) == (None, None)
+        busy = E.TryAgain("inode 7 owned by acme#1", owner="acme#1", ino=7)
+        assert (busy.owner, busy.ino) == ("acme#1", 7)
+        with pytest.raises(TypeError):
+            E.TryAgain("x", "acme#1", 7)  # keyword-only
+        for exc in (plain, busy):
+            assert exc.errno == exc.code == errno.EAGAIN and exc.retryable
+        # Message, errno and wire body are what they were: the typed
+        # fields stay on the raising side.
+        assert str(busy) == "[Errno 11] inode 7 owned by acme#1"
+        assert protocol.error_body(busy) == {
+            "type": "TryAgain", "code": errno.EAGAIN,
+            "message": "inode 7 owned by acme#1", "retryable": True}
+        back = protocol.exception_for(protocol.error_body(busy))
+        assert type(back) is E.TryAgain and back.owner is None
+
     def test_canonical_reexports(self):
         from repro.concurrency.lease import LeaseExpired as L2
         from repro.kernel.verifier import VerifyFailure as V2

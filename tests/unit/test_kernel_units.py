@@ -11,6 +11,7 @@ from repro.errors import (
     NoSpace,
     PermissionDenied,
     SimulatedBusError,
+    TryAgain,
 )
 from repro.kernel.controller import KernelController
 from repro.kernel.permissions import READ, WRITE, check_access, may_read, may_write
@@ -93,6 +94,23 @@ class TestControllerSyscalls:
         _dev, kernel, _fs = build_fs()
         with pytest.raises(InvalidArgument):
             kernel.release("app1", 0)
+
+    def test_cross_app_acquire_names_owner_and_inode(self):
+        _dev, kernel, fs = build_fs()
+        fs.mkdir("/d")
+        fs.release_all()
+        ino = fs.stat("/d").ino
+        kernel.register_app("other", uid=1000)
+        kernel.acquire("other", ino, write=False)
+        with pytest.raises(TryAgain) as ei:
+            kernel.acquire("app1", ino)
+        assert (ei.value.owner, ei.value.ino) == ("other", ino)
+        assert ei.value.retryable and str(ino) in str(ei.value)
+        # The rename lease has no inode and nobody to recall.
+        kernel.rename_lock_acquire("other")
+        with pytest.raises(TryAgain) as ei:
+            kernel.rename_lock_acquire("app1", timeout=0.01)
+        assert (ei.value.owner, ei.value.ino) == (None, None)
 
     def test_generation_bumps_per_allocation(self):
         _dev, kernel, _fs = build_fs()

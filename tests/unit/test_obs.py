@@ -253,6 +253,8 @@ def test_counter_labels_and_rollup():
     assert snap["kernel.crossings{reason=verification}"] == 2
     assert snap["kernel.crossings"] == 5
     assert reg.counter_total("kernel.crossings") == 5
+    assert reg.counter_total("kernel.crossings", reason="mmap") == 3
+    assert reg.counter_total("kernel.crossings", reason="nope") == 0
 
 
 def test_counter_label_named_name_is_allowed():

@@ -14,9 +14,11 @@ import pytest
 
 from repro import errors as E
 from repro.api import Volume, VolumeConfig
+from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.server import dispatch
 from repro.server.protocol import error_body, pack_bytes
+from repro.tx.log import read_head
 
 
 def make_volume():
@@ -164,6 +166,92 @@ class TestHandleLifecycle:
                 tx.write_file("/g", b"fresh")    # missing: create+pwrite
             assert s.read_file("/f") == b"new"
             assert s.read_file("/g") == b"fresh"
+
+
+class TestPrepare:
+    """The optional step before commit for a session that shares its
+    volume and keeps what it owns (the server calls it for every wire
+    commit): conflicts surface before the seal, and every file the
+    transaction dirties gets a rollback point of *now*."""
+
+    def test_conflict_surfaces_before_anything_is_sealed(self):
+        with make_volume() as vol, vol.session("a") as a, \
+                vol.session("b") as b:
+            a.mkdir("/d")
+            a.write_file("/d/doomed", b"x")
+            a.write_file("/g", b"....")
+            a.release_all()
+            fd = b.open("/g")
+            b.pwrite(fd, b"B", 0)           # b owns /g ...
+            b.release_path("/")             # ... and nothing on the way
+            tx = a.transaction()
+            tx.unlink("/d/doomed")
+            tx.pwrite("/g", b"A", 0)
+            with pytest.raises(E.TryAgain) as ei:
+                tx.prepare()
+            assert (ei.value.owner, ei.value.ino) == ("b", b.stat("/g").ino)
+            assert tx.state == "open" and read_head(vol.device) == 0
+            assert a.exists("/d/doomed")
+            b.release_all()
+            tx.prepare()
+            assert tx.commit()["ops"] == 2
+            assert a.read_file("/g") == b"A..." and not a.exists("/d/doomed")
+        assert vol.fsck().clean
+
+    def test_staged_names_resolve_through_earlier_renames(self):
+        """``/b/sub/f`` is ``/a/sub/f`` until the first record applies;
+        ``/b`` was something else before the second one."""
+        with make_volume() as vol, vol.session("a") as a, \
+                vol.session("b") as b:
+            a.makedirs("/a/sub")
+            a.mkdir("/b")
+            a.write_file("/a/sub/f", b"0000")
+            a.write_file("/b/decoy", b"----")
+            a.release_all()
+            tx = a.transaction()
+            tx.rename("/b", "/c")
+            tx.rename("/a", "/b")
+            tx.pwrite("/b/sub/f", b"11", 0)
+            fd = b.open("/a/sub/f")
+            b.pwrite(fd, b"B", 3)
+            for path in ("/", "/a", "/a/sub"):
+                b.release_path(path)
+            with pytest.raises(E.TryAgain) as ei:
+                tx.prepare()
+            assert ei.value.ino == b.stat("/a/sub/f").ino
+            b.release_all()
+            tx.prepare()
+            tx.commit()
+            assert a.read_file("/b/sub/f") == b"110B"
+            assert a.read_file("/c/decoy") == b"----"
+        assert vol.fsck().clean
+
+    @pytest.mark.parametrize("prepared, survives", [(True, b"v1v0"),
+                                                    (False, b"v0v0")])
+    def test_failed_apply_rolls_back_to_the_prepared_state(self, prepared,
+                                                           survives):
+        def fail_second_record(ctx):
+            if ctx[1] == 1:
+                raise E.NoSpace("injected at apply")
+
+        with make_volume() as vol, vol.session("a") as s:
+            s.write_file("/f", b"v0v0")
+            s.release_all()
+            s.write_file("/f", b"v1")       # dirty since the acquisition
+            tx = s.transaction()
+            tx.pwrite("/f", b"v2v2", 0)
+            tx.create("/new")
+            if prepared:
+                tx.prepare()
+            failpoints.install("tx.apply_op", fail_second_record)
+            try:
+                with pytest.raises(E.TxAborted):
+                    tx.commit()
+            finally:
+                failpoints.remove("tx.apply_op")
+            assert s.read_file("/f") == survives
+            assert not s.exists("/new")
+        assert vol.fsck().clean
 
 
 class TestExitCodes:
