@@ -1,6 +1,6 @@
 """Verification scaling — the pipelined verifier on the Table 4 round-trip.
 
-Three deterministic measurements, no wall clocks:
+Two deterministic measurements, no wall clocks:
 
 1. **Modeled worker sweep** — per-transfer verification time of the 256 KiB
    shared-file ping-pong under the calibrated cost model's pipeline helper
@@ -11,10 +11,6 @@ Three deterministic measurements, no wall clocks:
    kernel's verified-byte counters must be identical (the pipeline changes
    *scheduling*, never the checks) while the pipeline's unit accounting
    shows the critical path shrinking by the shard factor.
-3. **Delegation counters** — a hot single-app reopen loop under lease-based
-   read delegation: releases defer verification, re-acquires inside the
-   window hit the lease, and the first cross-app acquire revokes and runs
-   the deferred verification.
 
 Run as a script for the CI smoke check:
 
@@ -28,8 +24,6 @@ import os
 import sys
 
 from repro import obs
-from repro.api import Volume, VolumeConfig
-from repro.core.config import ARCKFS_PLUS
 from repro.workloads.sharing import run_functional_sharing, verification_scaling
 
 WORKERS = (1, 2, 4, 8)
@@ -81,41 +75,6 @@ def functional_pipeline():
 
 
 # --------------------------------------------------------------------------- #
-# 3. Delegation counters
-# --------------------------------------------------------------------------- #
-
-
-def delegation_counts():
-    """A hot reopen loop under read delegation, then a cross-app revoke."""
-    with Volume.create(32 * 1024 * 1024, VolumeConfig(
-            config=ARCKFS_PLUS.with_patch(verify_delegation=True,
-                                          delegation_window=30.0),
-            inode_count=128, name="delegation")) as vol:
-        a = vol.session("app1", uid=1000)
-        b = vol.session("app2", uid=1000)
-        a.write_file("/hot", b"\xa5" * 65536)
-        a.release_all()
-        for _ in range(4):
-            fd = a.open("/hot")
-            assert a.pread(fd, 16, 0) == b"\xa5" * 16
-            a.close(fd)
-            a.release_all()
-        # The first cross-app acquire revokes the lease and runs the
-        # deferred verification before app2 may observe the inode.
-        fd = b.open("/hot")
-        assert b.pread(fd, 16, 0) == b"\xa5" * 16
-        b.close(fd)
-        b.release_all()
-        k = vol.kernel.stats
-        return {
-            "delegated_releases": k.delegated_releases,
-            "delegation_hits": k.delegation_hits,
-            "deferred_verifications": k.deferred_verifications,
-            "verifications": k.verifications,
-        }
-
-
-# --------------------------------------------------------------------------- #
 # Reporting / smoke plumbing
 # --------------------------------------------------------------------------- #
 
@@ -134,7 +93,6 @@ def collect():
     return {
         "modeled": modeled_sweep(),
         "functional": functional_pipeline(),
-        "delegation": delegation_counts(),
         "critical_path": critical_path(),
     }
 
@@ -142,7 +100,6 @@ def collect():
 def render(results) -> str:
     mo = results["modeled"]
     fn = results["functional"]
-    dg = results["delegation"]
     lines = [
         "== verification scaling: pipelined ownership-transfer verifier ==",
         "",
@@ -167,11 +124,6 @@ def render(results) -> str:
         f"{w8['bytes_verified_per_transfer']:,.0f} B verified/transfer, "
         f"{w8['shard_jobs']} shard jobs, "
         f"critical path {ratio:.1f}x shorter",
-        "",
-        "read delegation (hot reopen loop + cross-app revoke):",
-        f"  {dg['delegated_releases']} delegated releases, "
-        f"{dg['delegation_hits']} lease hits, "
-        f"{dg['deferred_verifications']} deferred verification(s)",
     ]
     cp = results.get("critical_path")
     if cp:
@@ -219,13 +171,6 @@ def smoke_compare(results, baseline) -> list:
         problems.append(
             f"functional critical-path ratio below target: "
             f"{ratio:.2f}x < {TARGET_SPEEDUP}x")
-    dg = results["delegation"]
-    for key in ("delegated_releases", "delegation_hits",
-                "deferred_verifications"):
-        if dg[key] < baseline["delegation"][key]:
-            problems.append(
-                f"delegation {key} regressed: "
-                f"{dg[key]} < baseline {baseline['delegation'][key]}")
     cp = results.get("critical_path")
     if not cp:
         problems.append("no verify-pipeline critical path recorded "
@@ -307,12 +252,6 @@ def test_sharing_scaling(benchmark):
     assert w1["shard_jobs"] == 0  # 1 worker degenerates to the serial path
     assert w8["shard_jobs"] > 0
     assert w8["total_units"] / w8["critical_units"] >= TARGET_SPEEDUP, fn
-
-    # Delegation: releases defer, reopens hit, the cross-app acquire revokes.
-    dg = results["delegation"]
-    assert dg["delegated_releases"] >= 4, dg
-    assert dg["delegation_hits"] >= 3, dg
-    assert dg["deferred_verifications"] >= 1, dg
 
     # Critical-path attribution: the profiler must explain >= 90% of the
     # slowest verify worker's simulated time by named pipeline stages.

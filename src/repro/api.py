@@ -23,9 +23,8 @@ A :class:`Volume` owns the device and the kernel controller; a
 whole surface (``open``/``pwrite``/``mkdir``/...).  Both are context
 managers: leaving a session closes descriptors, releases ownership
 (parents first), quiesces RCU and drains the allocator pools; closing a
-volume shuts down its live sessions and runs any deferred verifications
-still riding a read-delegation lease, so a closed volume is always fully
-verified.
+volume shuts down its live sessions.  Every release verifies, so a closed
+volume is always fully verified.
 """
 
 from __future__ import annotations
@@ -345,13 +344,9 @@ class Volume:
         """Whole-volume check of the underlying device (``repro.fsck``)."""
         return self.kernel.fsck(repair=repair, workers=workers)
 
-    def quiesce(self) -> int:
-        """Settle all background state: run every deferred verification
-        still riding a read-delegation lease and drain the allocator's
-        page pools.  Returns the number of deferred verifications run."""
-        drained = self.kernel.drain_delegations()
+    def quiesce(self) -> None:
+        """Drain the allocator's page pools (nothing else is deferred)."""
         self.kernel.alloc.drain_pools()
-        return drained
 
     def close(self) -> None:
         """Shut down every live session, then quiesce; idempotent."""

@@ -17,7 +17,7 @@ from repro.concurrency.failpoints import FailpointRegistry, failpoints
 from repro.concurrency.spinlock import SpinLock
 from repro.concurrency.rwlock import RWLock
 from repro.concurrency.rcu import RCU
-from repro.concurrency.lease import DelegationTable, Lease
+from repro.concurrency.lease import Lease
 from repro.concurrency.parallel import run_parallel, stride_shards
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "RWLock",
     "RCU",
     "Lease",
-    "DelegationTable",
     "run_parallel",
     "stride_shards",
 ]

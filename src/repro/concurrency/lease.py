@@ -1,4 +1,4 @@
-"""Leases with timeout: the global rename lock and read delegation.
+"""Leases with timeout: the global rename lock.
 
 The §4.6 patch adds a kernel-side **global rename lock** for cross-directory
 renames of directories (the analogue of Linux VFS's ``s_vfs_rename_mutex``).
@@ -6,14 +6,8 @@ Because a *malicious* LibFS could acquire it and never return, the lock is a
 lease: it expires after a timeout, after which the kernel may grant it to
 another application (and the stale holder's subsequent operations fail).
 
-:class:`DelegationTable` applies the same expiry discipline to **deferred
-verification**: when an application releases an inode, the kernel may grant
-it a short read-delegation lease instead of verifying immediately — the
-KucoFS-style observation that the common own-release/re-acquire pattern
-pays full verification for state nobody else ever observed.  Within the
-window the holder re-acquires without re-verification; any cross-app
-acquisition (in particular a write) revokes the lease and runs the deferred
-verification first.
+The rename lease is the only lease the kernel holds: no verification
+verdict depends on a clock.
 
 Time is injectable so tests can expire leases deterministically.
 """
@@ -22,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.errors import LeaseExpired  # noqa: F401  (canonical home; re-exported)
 
@@ -98,84 +92,3 @@ class Lease:
             if self._holder is None or self._expired_locked():
                 return None
             return self._holder
-
-
-class DelegationTable:
-    """Per-inode read-delegation leases for deferred verification.
-
-    One entry per inode whose verification the kernel has deferred: the
-    releasing application holds a lease of ``duration`` seconds during
-    which it alone may re-acquire the inode without re-verification.  The
-    table only tracks lease validity; the kernel controller owns the
-    deferred snapshots and runs the verification on revoke.
-    """
-
-    def __init__(
-        self,
-        name: str = "delegation",
-        duration: float = 0.05,
-        now_fn: Optional[Callable[[], float]] = None,
-    ):
-        self.name = name
-        self.duration = duration
-        self._now = now_fn or time.monotonic
-        self._lock = threading.Lock()
-        self._entries: Dict[int, Tuple[str, float]] = {}
-        self.grants = 0
-        self.hits = 0
-        self.revocations = 0
-        self.expirations = 0
-
-    def grant(self, ino: int, holder: str) -> None:
-        """(Re-)grant the delegation on ``ino`` to ``holder``."""
-        with self._lock:
-            self._entries[ino] = (holder, self._now() + self.duration)
-            self.grants += 1
-
-    def valid(self, ino: int, holder: str) -> bool:
-        """True iff ``holder`` holds a live delegation on ``ino``."""
-        with self._lock:
-            entry = self._entries.get(ino)
-            if entry is None:
-                return False
-            who, expires_at = entry
-            if self._now() >= expires_at:
-                del self._entries[ino]
-                self.expirations += 1
-                return False
-            if who != holder:
-                return False
-            self.hits += 1
-            return True
-
-    def holder(self, ino: int) -> Optional[str]:
-        """Who holds a live delegation on ``ino`` (None if lapsed/absent)."""
-        with self._lock:
-            entry = self._entries.get(ino)
-            if entry is None:
-                return None
-            who, expires_at = entry
-            if self._now() >= expires_at:
-                del self._entries[ino]
-                self.expirations += 1
-                return None
-            return who
-
-    def revoke(self, ino: int) -> Optional[str]:
-        """Drop the delegation on ``ino``; returns the (possibly lapsed)
-        holder if one was recorded."""
-        with self._lock:
-            entry = self._entries.pop(ino, None)
-            if entry is None:
-                return None
-            self.revocations += 1
-            return entry[0]
-
-    def live(self) -> List[int]:
-        """Inodes with a recorded (not necessarily still live) delegation."""
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

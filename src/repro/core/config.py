@@ -11,6 +11,10 @@ The flags are consumed by both the LibFS (``repro.libfs``) and the kernel
 controller/verifier (``repro.kernel``), matching the paper: some patches are
 LibFS-side (fence, locking, RCU), some kernel-side (shadow parent pointer,
 global rename lease), some both (the directory-relocation protocol).
+
+*When* the kernel verifies is not configurable: at every commit, release
+and revoke, and on trust-group exit (§5.4).  ``verify_workers`` only sets
+how many threads share that work.
 """
 
 from __future__ import annotations
@@ -89,16 +93,6 @@ class ArckConfig:
     #: checks are stride-sharded across this many threads
     #: (``repro.kernel.verifier``).  ``1`` checks on the calling thread.
     verify_workers: int = 1
-
-    #: Lease-based read delegation: a release defers verification under a
-    #: short lease so the releasing app can re-acquire without re-verifying;
-    #: any cross-app acquisition revokes the lease and verifies first.
-    #: Off by default — every transfer verifies, as the paper's Table 4
-    #: measurements assume.
-    verify_delegation: bool = False
-
-    #: Read-delegation lease duration in seconds.
-    delegation_window: float = 0.05
 
     def with_patch(self, **flags: bool) -> "ArckConfig":
         """A copy with some patches toggled (for single-bug tests)."""

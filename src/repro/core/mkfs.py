@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.errors import SuperblockCorrupt
 from repro.pm.device import PMDevice
 from repro.pm.layout import (
     INODE_MAGIC,
@@ -19,6 +20,10 @@ ROOT_INO = 0
 
 #: Default mode bits for the root directory (rwxrwxrwx, scratch-mount style).
 ROOT_MODE = 0o777
+
+#: Fewest data pages a volume may have: mkfs refuses to format less, so a
+#: superblock describing less was not written by mkfs.
+MIN_PAGES = 4
 
 
 def mkfs(device: PMDevice, inode_count: int = 1024, root_uid: int = 0,
@@ -38,7 +43,7 @@ def mkfs(device: PMDevice, inode_count: int = 1024, root_uid: int = 0,
         stripe_pages = getattr(device, "stripe_pages", 1)
     geom = Geometry.compute(device.size, inode_count,
                             devices=devices, stripe_pages=stripe_pages)
-    if geom.page_count < 4:
+    if geom.page_count < MIN_PAGES:
         raise ValueError("device too small for this inode count")
 
     sb = Superblock(
@@ -90,11 +95,37 @@ def mkfs(device: PMDevice, inode_count: int = 1024, root_uid: int = 0,
 
 
 def load_geometry(device: PMDevice) -> Geometry:
-    """Read the superblock and derive the geometry; raises if unformatted."""
+    """Read the superblock and derive the geometry.
+
+    The one place a superblock is checked against the device it was read
+    from: every offset the geometry hands out afterwards lies inside the
+    device.  Raises :class:`SuperblockCorrupt` (a ``ValueError``) for an
+    unformatted device or a superblock this device cannot hold.
+    """
     sb = Superblock.unpack(device.load(0, Superblock.SIZE))
     if not sb.valid:
-        raise ValueError("device has no valid superblock (run mkfs)")
-    geom = Geometry.compute(sb.device_size, sb.inode_count,
-                            devices=max(1, sb.devices),
-                            stripe_pages=max(1, sb.stripe_pages))
+        raise SuperblockCorrupt("device has no valid superblock (run mkfs)")
+    devices, members = max(1, sb.devices), getattr(device, "device_count", 1)
+    if sb.device_size != device.size:
+        raise SuperblockCorrupt(
+            f"superblock records {sb.device_size} bytes, the device has "
+            f"{device.size}")
+    if devices != members:
+        raise SuperblockCorrupt(
+            f"superblock records {devices} member device(s), the device has "
+            f"{members}")
+    if sb.root_ino >= sb.inode_count:
+        raise SuperblockCorrupt(
+            f"root inode {sb.root_ino} outside the {sb.inode_count}-slot "
+            f"inode table")
+    try:
+        geom = Geometry.compute(sb.device_size, sb.inode_count,
+                                devices=devices,
+                                stripe_pages=max(1, sb.stripe_pages))
+    except ValueError as exc:  # members smaller than the metadata region
+        raise SuperblockCorrupt(str(exc)) from None
+    if geom.page_count < MIN_PAGES:
+        raise SuperblockCorrupt(
+            f"{sb.inode_count} inodes and {geom.stripe_pages}-page stripes "
+            f"leave {geom.page_count} data page(s) on this device")
     return geom

@@ -14,7 +14,8 @@ Three families live here:
 
 * Protection-domain errors: the verifier's :class:`VerifyFailure`, the
   controller's :class:`CorruptionDetected`, the core-state walker's
-  :class:`ChainCorrupt` and the lease layer's :class:`LeaseExpired`.
+  :class:`ChainCorrupt`, mount's :class:`SuperblockCorrupt` and the lease
+  layer's :class:`LeaseExpired`.
 
 Everything a caller of the public API can catch derives from
 :class:`ReproError` and carries a stable ``.code`` — POSIX errno values for
@@ -130,6 +131,16 @@ class ChainCorrupt(ReproError, ValueError):
             f"page chain corrupt at page {bad} (last good page {last_good})")
         self.bad = bad
         self.last_good = last_good
+
+
+class SuperblockCorrupt(ReproError, ValueError):
+    """The superblock is missing or describes a volume its device cannot
+    hold (wrong size, an inode table past the end, a member count the image
+    does not split into).  Raised by :func:`repro.core.mkfs.load_geometry`
+    and by the image reboot path before anything trusts the geometry; a
+    ``ValueError`` too, like :class:`ChainCorrupt`."""
+
+    CODE = 204
 
 
 class LeaseExpired(ReproError):
@@ -324,6 +335,7 @@ class TxCommitPending(TxError):
 EXIT_USAGE = 2          # bad arguments / unknown workload (InvalidArgument)
 EXIT_FS_ERROR = 3       # any other FSError (ENOENT, EEXIST, ...)
 EXIT_CORRUPTION = 4     # VerifyFailure / CorruptionDetected / ChainCorrupt
+                        # / SuperblockCorrupt
 EXIT_LEASE = 5          # LeaseExpired
 EXIT_NO_SPACE = 6       # NoSpace (ENOSPC)
 EXIT_OTHER = 7          # any other ReproError (the documented fallback)
@@ -340,6 +352,7 @@ _EXIT_TABLE = (
     (VerifyFailure, EXIT_CORRUPTION),
     (CorruptionDetected, EXIT_CORRUPTION),
     (ChainCorrupt, EXIT_CORRUPTION),
+    (SuperblockCorrupt, EXIT_CORRUPTION),
     (LeaseExpired, EXIT_LEASE),
     (ServerError, EXIT_SERVER),
     (TxError, EXIT_TX),
@@ -359,7 +372,7 @@ def exit_code_for(exc: BaseException) -> int:
     ``NoSpace``                                 6
     other ``FSError``                           3
     ``VerifyFailure`` / ``CorruptionDetected``  4
-    ``ChainCorrupt``                            4
+    ``ChainCorrupt`` / ``SuperblockCorrupt``    4
     ``LeaseExpired``                            5
     ``ServerError`` family                      8
     ``TxError`` family                          9

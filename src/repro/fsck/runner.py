@@ -33,22 +33,17 @@ MAX_PASSES = 8
 
 
 def _check_superblock(device: PMDevice, geom: Geometry) -> List[Finding]:
+    """The recorded offsets nothing reads (``load_geometry``, which already
+    accepted this superblock, re-derives them) must still match."""
     sb = Superblock.unpack(device.load(0, Superblock.SIZE))
-    findings: List[Finding] = []
-    computed = Geometry.compute(sb.device_size, sb.inode_count)
     if (sb.itable_off, sb.bitmap_off, sb.data_off) != (
-        computed.itable_off, computed.bitmap_off, computed.data_off
+        geom.itable_off, geom.bitmap_off, geom.data_off
     ):
-        findings.append(Finding(
+        return [Finding(
             F_SUPERBLOCK, "superblock offsets disagree with computed geometry",
             repairable=False, meta={"kind": "geometry"},
-        ))
-    if not 0 <= sb.root_ino < geom.inode_count:
-        findings.append(Finding(
-            F_SUPERBLOCK, f"root inode {sb.root_ino} out of range",
-            repairable=False, meta={"kind": "root-range"},
-        ))
-    return findings
+        )]
+    return []
 
 
 def _check_once(

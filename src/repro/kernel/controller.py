@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.concurrency.lease import DelegationTable, Lease
+from repro.concurrency.lease import Lease
 from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.core.corestate import CoreState
 from repro.core.mkfs import ROOT_INO, load_geometry, mkfs
@@ -62,12 +62,6 @@ class KernelStats:
     revokes: int = 0
     verifications: int = 0
     bytes_verified: int = 0
-    #: releases whose verification was deferred under a read delegation.
-    delegated_releases: int = 0
-    #: re-acquires that rode a live delegation (no verify, no snapshot).
-    delegation_hits: int = 0
-    #: deferred verifications executed (revocation, expiry-miss, or drain).
-    deferred_verifications: int = 0
     snapshots: int = 0
     snapshot_bytes: int = 0
     rollbacks: int = 0
@@ -123,8 +117,6 @@ class KernelController:
         self.alloc = PageAllocator(device, self.geom)
         self.verifier = Verifier(self, workers=config.verify_workers)
         self.rename_lease = Lease("global-rename", duration=1.0)
-        self.delegations = DelegationTable("read-delegation",
-                                           duration=config.delegation_window)
         #: cross-app shared read-only mapping table (zero-crossing reads).
         #: Always constructed; only populated when the config opts in.
         self.readcache = ReadMappingCache(device)
@@ -148,9 +140,6 @@ class KernelController:
         self._free_heap: List[int] = []
         #: rollback target for inodes dirtied inside a trust group.
         self._group_snapshots: Dict[int, Snapshot] = {}
-        #: inodes with an outstanding deferred verification under a read
-        #: delegation: ino -> (holder app, rollback snapshot).
-        self._deferred: Dict[int, Tuple[str, Optional[Snapshot]]] = {}
         #: which app last owned each inode (auxiliary-state staleness hint).
         self._last_owner: Dict[int, str] = {}
         self.last_recovery: Optional[RecoveryReport] = None
@@ -345,14 +334,6 @@ class KernelController:
                     self.release(app_id, ino)
                 except CorruptionDetected:
                     pass
-            # A dead app cannot re-acquire: settle its deferred
-            # verifications instead of waiting for the lease to lapse.
-            for ino in [i for i, (h, _s) in self._deferred.items()
-                        if h == app_id and i not in self.acquisitions]:
-                try:
-                    self._delegation_exit_verify(ino)
-                except CorruptionDetected:
-                    pass
             for ino in [i for i, p in self.pending.items() if p.owner == app_id]:
                 del self.pending[ino]
                 self._free_slot(ino)
@@ -432,20 +413,6 @@ class KernelController:
                             ino, None, self._group_snapshots.pop(ino, None))
                     finally:
                         sh.trusted_dirty_group = None
-                if ino in self._deferred:
-                    if app.group is None and self.delegations.valid(ino, app_id):
-                        # Delegation hit: the holder re-acquires inside the
-                        # lease window.  The deferred verification keeps
-                        # riding and the original rollback snapshot is
-                        # reused — no verify, no fresh snapshot.
-                        self.stats.delegation_hits += 1
-                        obs.count("verify.delegation_hits")
-                        return self._grant(app_id, ino, self._deferred[ino][1], write)
-                    # Cross-app acquisition (the revoke-on-write of the
-                    # delegation contract — reads too: nothing unverified
-                    # may be observed by another app), a lapsed window, or
-                    # a grouped app: run the deferred verification first.
-                    self._delegation_exit_verify(ino)
             else:
                 if pend.owner != app_id:
                     raise PermissionDenied(f"inode {ino} pending for {pend.owner}")
@@ -533,32 +500,6 @@ class KernelController:
                 self.stats.group_skips += 1
                 self.stats.releases += 1
                 return
-            if (
-                self.config.verify_delegation
-                and app.group is None
-                and sh is not None
-                and not sh.is_dir
-                and not sh.inaccessible
-                and not sh.deleted_pending
-            ):
-                # Only regular files are delegable: a directory's staged
-                # dentries gate the I3 check of any child released after it,
-                # so deferring a directory would re-order verification.
-                # Defer verification under a read-delegation lease: keep the
-                # pre-dirty rollback snapshot (the one already deferred if
-                # this is a re-release within the window), grant the lease,
-                # and return without walking the inode.  Any cross-app
-                # acquisition — or the drain on shutdown — verifies later.
-                snap = (self._deferred[ino][1] if ino in self._deferred
-                        else acq.snapshot)
-                if snap is not None:
-                    self._deferred[ino] = (app_id, snap)
-                    self.delegations.grant(ino, app_id)
-                    self._drop(acq)
-                    self.stats.delegated_releases += 1
-                    self.stats.releases += 1
-                    obs.count("verify.delegated_releases")
-                    return
             try:
                 self._verify_or_resolve(ino, app_id, acq.snapshot)
             finally:
@@ -568,7 +509,7 @@ class KernelController:
                 # The inode is verified as of this instant: publish it so
                 # other apps can read-attach with zero kernel crossings.
                 # Directories stay unpublished (their staged dentries gate
-                # children's verification ordering, as with delegation).
+                # children's verification ordering).
                 sh = self.shadow.get(ino)
                 if (sh is not None and not sh.is_dir
                         and not sh.inaccessible and not sh.deleted_pending):
@@ -577,11 +518,8 @@ class KernelController:
     def rollback_to_snapshot(self, app_id: str, ino: int) -> bool:
         """Restore an owned inode to its acquisition snapshot (tx abort).
 
-        The snapshot is the one the acquisition carries: for a file
-        re-acquired under a live read-delegation lease that is the *parked
-        pre-dirty* snapshot the deferred verification kept — rolling back
-        a transaction therefore restores exactly the state the delegation
-        contract guarantees.  Pages the dirtying writes allocated beyond
+        The snapshot is the one the acquisition carries — the inode's last
+        verified state.  Pages the dirtying writes allocated beyond
         the snapshot are freed (they would otherwise leak until the next
         mount).  Returns False when no snapshot exists (a pending inode —
         rollback of creations happens by unlinking them instead).
@@ -678,7 +616,7 @@ class KernelController:
         """The verdict path: verify ``ino`` and install the result, or run
         the resolution policy against ``snapshot`` and raise
         ``CorruptionDetected``.  Every verification the kernel acts on —
-        commit, release, revoke, delegation end, trust-group exit — ends
+        commit, release, revoke, trust-group exit — ends
         here (``app_id`` is None on group exit)."""
         self.stats.verifications += 1
         try:
@@ -693,41 +631,6 @@ class KernelController:
                 self.policy.resolve(self, ino, snapshot, vf.reason)
             raise CorruptionDetected(vf.ino, vf.reason) from vf
         self._apply(staged)
-        # The inode is verified as of now; any deferred verification (a
-        # commit during a delegation-hit period) is satisfied by this one.
-        self._clear_delegation(ino)
-
-    def _delegation_exit_verify(self, ino: int) -> None:
-        """Run the deferred verification when a delegation ends, against
-        the rollback snapshot the delegation retained; ``CorruptionDetected``
-        propagates to whoever forced the revoke."""
-        holder, snapshot = self._deferred.pop(ino)
-        self.delegations.revoke(ino)
-        self.stats.deferred_verifications += 1
-        obs.count("verify.deferred")
-        self._verify_or_resolve(ino, holder, snapshot)
-
-    def drain_delegations(self) -> int:
-        """Run every outstanding deferred verification now.
-
-        Called on volume close/quiesce so a drained volume is fully
-        verified (``repro fsck`` clean implies nothing is riding a lease).
-        Inodes currently re-acquired under a delegation hit are skipped —
-        their release (or :meth:`app_shutdown`) settles them.  Returns the
-        number of deferred verifications executed; corruption propagates.
-        """
-        with self._lock:
-            drained = 0
-            for ino in list(self._deferred):
-                if ino in self.acquisitions:
-                    continue
-                self._delegation_exit_verify(ino)
-                drained += 1
-            return drained
-
-    def _clear_delegation(self, ino: int) -> None:
-        if self._deferred.pop(ino, None) is not None:
-            self.delegations.revoke(ino)
 
     def _apply(self, staged) -> None:
         """Install a successful verification's staged shadow updates."""
@@ -795,7 +698,6 @@ class KernelController:
             self.clear_page_owner(page_no)
         self._free_slot(ino)
         self._group_snapshots.pop(ino, None)
-        self._clear_delegation(ino)
 
     def set_page_owner(self, page_no: int, ino: int) -> None:
         """Record ``ino`` as the owner of ``page_no`` (moving it if owned)."""

@@ -1,7 +1,6 @@
 """Cross-app shared read-only mapping table (the zero-crossing read path).
 
-PR 4's read delegation made *own* re-acquire free; this extends the idea
-across applications, KucoFS-style: when the kernel finishes a **verified**
+KucoFS-style: when the kernel finishes a **verified**
 release of a regular file, it publishes the inode into a shared read-only
 table with a monotonically increasing version.  Any registered application
 may then attach the file for read straight from the table — a version
@@ -10,9 +9,9 @@ serving reads as long as :meth:`valid` holds.
 
 The invalidation contract keeps the trust story intact:
 
-* only *verified* state is ever published — a delegated (unverified)
-  release does not publish, and a commit does not either (the owner may
-  keep writing through its retained mapping);
+* only *verified* state is ever published — a trust-group release
+  (unverified, §5.4) does not publish, and a commit does not either (the
+  owner may keep writing through its retained mapping);
 * any write acquisition invalidates the entry *before* the writer gets
   the mapping, and unmaps every handed-out cached mapping (the TLB-
   shootdown analogue) — a reader mid-access faults with

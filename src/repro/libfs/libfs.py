@@ -984,9 +984,8 @@ class LibFS:
     def rollback_ino(self, ino: int) -> bool:
         """Restore an owned inode to its acquisition snapshot (tx abort).
 
-        Attaches for write if needed, asks the kernel to apply the PR 4
-        rollback path (the acquisition snapshot — the parked pre-dirty
-        one when the file was re-acquired under a delegation lease), and
+        Attaches for write if needed, asks the kernel to restore the
+        acquisition snapshot (the inode's last verified state), and
         drops the retained auxiliary state so the next access rebuilds it
         from the restored core state.
         """

@@ -3,8 +3,11 @@
 The LibFS API is path-based; paths are absolute, ``/``-separated, with no
 ``.``/``..`` components (rejected — the LibFS resolves names against its
 own auxiliary state and the paper's scenarios never need dot-relative
-resolution).  The descendant check backs the §4.6 case-(2) patch: a
-directory must not be renamed into its own subtree.
+resolution) and no NUL byte — together, exactly the components
+:func:`repro.pm.layout.legal_name` refuses, checked on the ``str`` because
+every metadata op normalises its path several times.  The descendant check
+backs the §4.6 case-(2) patch: a directory must not be renamed into its own
+subtree.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ def normalize(path: str) -> str:
     """Canonical form: absolute, single slashes, no trailing slash."""
     if not path or not path.startswith("/"):
         raise InvalidArgument(f"path must be absolute: {path!r}")
+    if "\0" in path:
+        raise InvalidArgument(f"NUL byte in path: {path!r}")
     parts = [p for p in path.split("/") if p]
     for p in parts:
         if p in (".", ".."):

@@ -34,10 +34,10 @@ from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import PersistOrderError
+from repro.errors import PersistOrderError, SuperblockCorrupt
 from repro.pm.device import (CACHE_LINE, PMDevice, PMStats, draw_crash_images,
                              iter_crash_images)
-from repro.pm.layout import Superblock
+from repro.pm.layout import PAGE_SIZE, Superblock
 
 
 class PMArray:
@@ -302,14 +302,15 @@ class PMArray:
                 stripe_pages = stripe_pages or max(1, sb.stripe_pages)
         devices = devices or 1
         stripe_pages = stripe_pages or 1
-        if len(image) % devices:
-            raise ValueError(
+        if len(image) % devices or len(image) // devices < PAGE_SIZE:
+            raise SuperblockCorrupt(
                 f"{len(image)}-byte image does not split into {devices} "
-                f"equal members")
+                f"equal members of at least one page")
         arr = cls(len(image), devices=devices, stripe_pages=stripe_pages,
                   crash_tracking=crash_tracking)
         if arr.size != len(image):
-            raise ValueError("image size is not cache-line aligned per member")
+            raise SuperblockCorrupt(
+                "image size is not cache-line aligned per member")
         view = memoryview(image)
         for d, m in enumerate(arr.members):
             m.load_image(view[d * arr.dev_size:(d + 1) * arr.dev_size])

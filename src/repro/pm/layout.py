@@ -272,9 +272,11 @@ class Dentry:
 
 
 def legal_name(name: bytes) -> bool:
-    """May a committed dentry carry ``name``?  The one rule the verifier,
-    mount and fsck share: a path component a ``str`` path can address."""
-    if not name or name in (b".", b"..") or b"/" in name:
+    """May a committed dentry carry ``name``?  The one rule path
+    normalisation, the verifier, mount and fsck share: a path component a
+    ``str`` path can address, without the NUL that fsck reads as a dentry
+    whose body never persisted."""
+    if not name or name in (b".", b"..") or b"/" in name or b"\0" in name:
         return False
     try:
         name.decode()

@@ -21,7 +21,8 @@ import itertools
 from typing import Dict, Optional
 
 from repro import obs
-from repro.errors import ProtocolError, ReproError, ServerError, SessionGone
+from repro.errors import (ProtocolError, ReproError, ServerError, SessionGone,
+                          TxAborted)
 from repro.server import protocol
 
 
@@ -121,13 +122,19 @@ class ServerClient:
                          **kw):
         """:meth:`call`, retrying retryable rejections with exponential
         backoff.  The closed-loop client contract: backpressure slows the
-        caller down instead of losing its op."""
+        caller down instead of losing its op.
+
+        :class:`~repro.errors.TxAborted` goes straight to the caller: what
+        can be retried is the transaction, which only the caller can stage
+        again — the server already dropped it, so re-sending ``tx_commit``
+        alone would answer "no transaction open" and hide the abort."""
         delay = backoff
         for attempt in range(retries + 1):
             try:
                 return await self.call(method, **kw)
             except ReproError as exc:
-                if not getattr(exc, "retryable", False) or attempt == retries:
+                if (not getattr(exc, "retryable", False)
+                        or isinstance(exc, TxAborted) or attempt == retries):
                     raise
                 obs.count("client.retries", method=method,
                           type=type(exc).__name__)

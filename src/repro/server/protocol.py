@@ -44,21 +44,12 @@ from repro import errors
 #: it also bounds the server's per-connection read buffer.
 MAX_FRAME_BYTES = 1 << 20  # 1 MiB
 
-#: Wire error types the client can reconstruct, by class name.  Anything
-#: not listed deserializes as the family base :class:`errors.ServerError`
-#: (for 2xx codes) or :class:`errors.FSError` (for errno codes).
+#: Wire error types the client can reconstruct, by class name: every
+#: :class:`~repro.errors.ReproError` the package defines.  A name this side
+#: does not know (a newer server) deserializes as :class:`errors.ServerError`.
 _ERROR_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        errors.ServerError, errors.Overloaded, errors.TenantLimit,
-        errors.ProtocolError, errors.SessionGone,
-        errors.NoEntry, errors.Exists, errors.NotADir, errors.IsADir,
-        errors.NotEmpty, errors.PermissionDenied, errors.NoSpace,
-        errors.InvalidArgument, errors.BadFileDescriptor,
-        errors.NameTooLong, errors.CrossDevice, errors.WouldLoop,
-        errors.TryAgain, errors.VerifyFailure, errors.CorruptionDetected,
-        errors.ChainCorrupt, errors.LeaseExpired,
-    )
+    name: cls for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.ReproError)
 }
 
 

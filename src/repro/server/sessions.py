@@ -196,10 +196,7 @@ class SessionTable:
             # verification cannot cut the shutdown below short and leave
             # inodes owned by an app that no longer exists.
             ss.release_holdings()
-            # Idempotent; also settles any read-delegation lease the app
-            # still holds (kernel.app_shutdown runs the deferred
-            # verifications), so an evicted tenant leaves nothing parked.
-            ss.session.close()
+            ss.session.close()  # idempotent
         finally:
             self._on_release(ss.tenant)
         obs.count("server.sessions_closed", tenant=ss.tenant.name,

@@ -35,8 +35,7 @@ Abort before commit discards the buffer — nothing reached PM.  A hard
 failure *during* apply rolls the transaction back: namespace ops are
 undone in reverse (created entries unlinked, renames reversed) and
 dirtied pre-existing files are restored from their kernel acquisition
-snapshots — for a lease-delegated file that is the parked pre-dirty
-snapshot, the same rollback point the delegation contract keeps.  If an
+snapshots, each file's last verified state.  If an
 applied ``unlink`` makes logical rollback impossible, the sealed log is
 left pending instead (:class:`~repro.errors.TxCommitPending`) and the
 next mount rolls the transaction forward.

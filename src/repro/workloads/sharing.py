@@ -126,9 +126,7 @@ def table4() -> List[SharingResult]:
 
 def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
                            trust_group: bool = False,
-                           verify_workers: int = 1,
-                           delegation: bool = False,
-                           delegation_window: float = 5.0) -> Dict[str, float]:
+                           verify_workers: int = 1) -> Dict[str, float]:
     """Two real LibFS apps ping-pong writes to one shared file.
 
     Returns the kernel counters that embody the sharing cost: bytes
@@ -138,10 +136,7 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
 
     ``verify_workers`` shards each transfer's verification across that many
     threads (``Verifier(workers=N)``); the returned ``verify_*_units``
-    counters carry the scheduler's critical-path accounting.  ``delegation``
-    turns on lease-based deferred verification — the ping-pong is cross-app,
-    so every bounce still revokes and verifies, but the delegation counters
-    expose the grant/revoke traffic.
+    counters carry the scheduler's critical-path accounting.
     """
     from repro.api import Volume, VolumeConfig
     from repro.core.config import ARCKFS_PLUS
@@ -149,10 +144,7 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
     vol = Volume.create(
         max(64, 4 * file_kib // 1024 + 16) * 1024 * 1024,
         VolumeConfig(
-            config=ARCKFS_PLUS.with_patch(
-                verify_workers=verify_workers,
-                verify_delegation=delegation,
-                delegation_window=delegation_window),
+            config=ARCKFS_PLUS.with_patch(verify_workers=verify_workers),
             inode_count=256, name="sharing"),
     )
     kernel = vol.kernel
@@ -179,9 +171,6 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
             "verify_total_units": pstats.total_units,
             "verify_critical_units": pstats.critical_units,
             "verify_shard_jobs": pstats.shard_jobs,
-            "delegated_releases": kernel.stats.delegated_releases,
-            "delegation_hits": kernel.stats.delegation_hits,
-            "deferred_verifications": kernel.stats.deferred_verifications,
         }
     return out
 

@@ -3,14 +3,10 @@
 ROADMAP aim 3: a torn or forged image may end in a typed
 :class:`~repro.errors.ReproError` (or a :class:`SimulatedFault`), an fsck /
 mount finding, or success — never a bare Python exception or a hang.  The
-seeded sweep flips one byte of the metadata region per image and drives
-mount → walk + read every file → create + rename → fsck with a deadline on
-each stage; the three one-store reproducers below are what a 1 500-image
-sweep found before the fixes.
-
-The superblock is left out on purpose: flipping ``inode_count``,
-``devices`` or the magic still ends in a bare ``ValueError`` /
-``PersistOrderError`` at mount (recorded in ROADMAP).
+seeded sweep flips one byte of the metadata region (superblock included)
+per image and drives mount → walk + read every file → create + rename →
+fsck with a deadline on each stage; the three one-store reproducers below
+are what a 1 500-image sweep found before the fixes.
 """
 
 import random
@@ -24,7 +20,7 @@ from repro.api import Volume, VolumeConfig
 from repro.core.mkfs import ROOT_INO
 from repro.errors import CorruptionDetected, ReproError, SimulatedFault
 from repro.fsck.findings import F_DANGLING_DENTRY, F_SIZE_MISMATCH, F_TORN_DENTRY
-from repro.pm.layout import DENTRY_HEADER, INODE_SIZE, PAGE_SIZE
+from repro.pm.layout import DENTRY_HEADER, INODE_SIZE, PAGE_SIZE, Superblock
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -68,11 +64,11 @@ def build_volume() -> Volume:
 
 
 def metadata_offsets(vol: Volume):
-    """Every byte the sweep may flip: the used inode records, the bitmap
-    bytes covering allocated pages, and the used part of every directory
-    log and file index page."""
+    """Every byte the sweep may flip: the superblock, the used inode
+    records, the bitmap bytes covering allocated pages, and the used part of
+    every directory log and file index page."""
     geom, core = vol.kernel.geom, vol.kernel.core
-    offsets = []
+    offsets = list(range(Superblock.SIZE))
     for ino in sorted(vol.kernel.shadow):
         offsets.extend(range(geom.inode_off(ino), geom.inode_off(ino) + INODE_SIZE))
         rec = core.read_inode(ino)
@@ -137,32 +133,64 @@ def drive(image: bytes) -> str:
     return ending
 
 
-def test_byte_flip_sweep_ends_typed_found_or_fine():
-    vol = build_volume()
-    image = vol.device.durable_image()
-    offsets = metadata_offsets(vol)
-    rng = random.Random(17)
+def sweep(image: bytes, flips) -> dict:
+    """Drive one forged image per ``(offset, value)``; returns how many
+    ended each way and fails on any that ended some other way."""
     endings, bad = {}, []
-    for i in range(200):
-        off = rng.choice(offsets)
-        value = rng.choice([0x00, 0x01, 0xBE, 0xFF, rng.randrange(256),
-                            image[off] ^ (1 << rng.randrange(8))])
-        if value == image[off]:
-            value ^= 0x80
+    for off, value in flips:
         forged = bytearray(image)
         forged[off] = value
         try:
             ending = drive(bytes(forged))
         except (Exception, StageTimeout) as exc:
-            bad.append(f"image {i}: byte {off} <- {value:#04x}: "
+            bad.append(f"byte {off} <- {value:#04x}: "
                        f"{type(exc).__name__}: {exc}")
             continue
         endings[ending] = endings.get(ending, 0) + 1
     assert not bad, "\n".join(bad)
+    return endings
+
+
+def test_byte_flip_sweep_ends_typed_found_or_fine():
+    vol = build_volume()
+    image = vol.device.durable_image()
+    offsets = metadata_offsets(vol)
+    rng = random.Random(17)
+
+    def flips():
+        for _ in range(200):
+            off = rng.choice(offsets)
+            value = rng.choice([0x00, 0x01, 0xBE, 0xFF, rng.randrange(256),
+                                image[off] ^ (1 << rng.randrange(8))])
+            if value == image[off]:
+                value ^= 0x80
+            yield off, value
+
+    endings = sweep(image, flips())
     # Not vacuous: the flips reach mount, the verifier and fsck.
     assert endings.get("ok", 0) < 150, endings
     assert "mount finding" in endings and "fsck finding" in endings, endings
     assert any("CorruptionDetected" in e for e in endings), endings
+
+
+@pytest.mark.parametrize("devices", [1, 4], ids=["flat", "striped"])
+def test_every_superblock_byte_flip_ends_typed_found_or_fine(devices):
+    """The superblock decides every offset mount computes, so it gets every
+    byte, not a sample: a forged ``inode_count`` or ``device_size`` used to
+    end in a bare ``PersistOrderError`` past the end of the device, a forged
+    magic or ``devices`` in a bare ``ValueError``."""
+    vol = Volume.create(devices << 21, VolumeConfig(
+        inode_count=32, devices=devices, stripe_pages=2))
+    with vol.session("builder", uid=0) as s:
+        s.mkdir("/a")
+        s.write_file("/small", b"s" * 100)
+        s.write_file("/a/big", b"B" * (3 * PAGE_SIZE + 17))
+    image = vol.device.durable_image()
+    endings = sweep(image, ((off, image[off] ^ mask)
+                            for off in range(Superblock.SIZE)
+                            for mask in (0x01, 0x80, 0xFF)))
+    assert endings.get("mount: SuperblockCorrupt", 0) >= 50, endings
+    assert "ok" in endings and "fsck finding" in endings, endings
 
 
 # -- the three one-store reproducers ------------------------------------------ #
@@ -204,25 +232,27 @@ def test_forged_file_size_reads_what_is_mapped():
 
 
 def test_undecodable_dentry_name_is_torn_at_mount_and_hidden():
-    vol = build_volume()
-    vol.device.store(dentry_addr(vol, b"small") + DENTRY_HEADER, b"\xbe")
-    mounted = Volume.mount(vol.device.durable_image())
-    assert (ROOT_INO, b"\xbemall") in mounted.recovery.torn_dentries
-    assert mounted.fsck().by_class(F_TORN_DENTRY)
-    s = mounted.session("reader")
-    assert s.readdir("/") == ["a", "empty"]  # was a bare UnicodeDecodeError
-    with pytest.raises(CorruptionDetected, match="illegal dentry name"):
-        s.release_all()
+    for byte in (b"\xbe", b"\0"):  # not UTF-8; what fsck reads as torn
+        vol = build_volume()
+        vol.device.store(dentry_addr(vol, b"small") + DENTRY_HEADER, byte)
+        mounted = Volume.mount(vol.device.durable_image())
+        assert (ROOT_INO, byte + b"mall") in mounted.recovery.torn_dentries
+        assert mounted.fsck().by_class(F_TORN_DENTRY)
+        s = mounted.session("reader")
+        assert s.readdir("/") == ["a", "empty"]  # was a bare UnicodeDecodeError
+        with pytest.raises(CorruptionDetected, match="illegal dentry name"):
+            s.release_all()
 
 
 def test_verifier_refuses_an_undecodable_name():
     """A LibFS must not be able to plant such a name in a shared directory:
     every other tenant's ``readdir`` would choke on it."""
-    vol = build_volume()
-    with vol.session("victim") as victim:
-        attacker = vol.session("attacker", uid=0)
-        attacker.close(attacker.creat("/evil"))  # holds the root, unreleased
-        vol.device.store(dentry_addr(vol, b"evil") + DENTRY_HEADER, b"\xbe")
-        with pytest.raises(CorruptionDetected, match="illegal dentry name"):
-            attacker.release_all()
-        assert victim.readdir("/") == ["a", "empty", "small"]
+    for byte in (b"\xbe", b"\0"):  # the kernel used to verify the NUL
+        vol = build_volume()
+        with vol.session("victim") as victim:
+            attacker = vol.session("attacker", uid=0)
+            attacker.close(attacker.creat("/evil"))  # holds the root, unreleased
+            vol.device.store(dentry_addr(vol, b"evil") + DENTRY_HEADER, byte)
+            with pytest.raises(CorruptionDetected, match="illegal dentry name"):
+                attacker.release_all()
+            assert victim.readdir("/") == ["a", "empty", "small"]

@@ -8,7 +8,7 @@ Covered failure modes, per the serving contract:
 
 * malformed and oversized JSON-RPC frames;
 * a client disconnecting with an op still inflight;
-* eviction of a session that holds a read-delegation lease;
+* eviction of an idle session that still holds its inodes;
 * drain with a non-empty queue (everything admitted is answered);
 * backpressure: a full tenant queue rejects with typed, retryable
   :class:`~repro.errors.Overloaded`.
@@ -21,8 +21,6 @@ import json
 import pytest
 
 from repro import errors
-from repro.api import Volume, VolumeConfig
-from repro.core.config import ARCKFS_PLUS
 from repro.server import (
     ServerClient,
     ServerConfig,
@@ -40,13 +38,9 @@ def run(coro):
 
 
 @contextlib.asynccontextmanager
-async def serving(tenants=("acme",), config=None, *, volumes=None,
-                  policies=None):
-    """A started server over fresh volumes (or the caller's ``volumes``);
-    closes both on exit."""
-    if volumes is None:
-        volumes = make_volumes(tenants, size=16 * 1024 * 1024,
-                               inode_count=512)
+async def serving(tenants=("acme",), config=None, *, policies=None):
+    """A started server over fresh volumes; closes both on exit."""
+    volumes = make_volumes(tenants, size=16 * 1024 * 1024, inode_count=512)
     server = VolumeServer(volumes, config or ServerConfig(),
                           policies=policies)
     try:
@@ -215,19 +209,12 @@ class TestDisconnectMidOp:
 
 
 class TestEviction:
-    def test_idle_lease_eviction_with_delegation_lease(self):
+    def test_idle_lease_eviction(self):
         async def main():
-            # A long delegation window keeps the session's read-delegation
-            # lease (and its deferred verification) parked at eviction
-            # time; teardown must settle it, not leak it.
+            # The session still holds what it wrote (retention) when the
+            # reaper evicts it; teardown must release it, not leak it.
             cfg = ServerConfig(lease_seconds=0.05, evict_interval=0.01)
-            delegating = VolumeConfig(
-                config=ARCKFS_PLUS.with_patch(verify_delegation=True),
-                inode_count=512, name="acme")
-            async with serving(
-                    volumes={"acme": Volume.create(16 * 1024 * 1024,
-                                                   delegating)},
-                    config=cfg) as (server, volumes):
+            async with serving(config=cfg) as (server, volumes):
                 vol = volumes["acme"]
                 async with await ServerClient.connect(
                         "127.0.0.1", server.port) as cli:

@@ -182,7 +182,7 @@ def test_hostile_params_end_typed(method):
                     assert obs.metrics.counter_total("client.retries") == 0
                 await server.drain()
             kernel = volumes["acme"].kernel
-            assert not kernel.acquisitions and not kernel._deferred
+            assert not kernel.acquisitions
             report = volumes["acme"].fsck()
             assert report.clean, report.summary()
         finally:

@@ -39,7 +39,6 @@ def assert_settled(volume) -> None:
     """What every drained volume must look like."""
     kernel = volume.kernel
     assert not kernel.acquisitions
-    assert not kernel._deferred
     assert kernel.audit_tree() == []
     report = volume.fsck()
     assert report.clean, report.summary()
@@ -431,9 +430,12 @@ class TestTransactions:
                                      ("create", "/d/new", None))
                     failpoints.install("tx.apply_op", fail_second_record)
                     try:
-                        with pytest.raises(errors.ServerError,
-                                           match="rolled back.*injected"):
-                            await cli.call("tx_commit", session=tok)
+                        with pytest.raises(errors.TxAborted,
+                                           match="rolled back.*injected") as ei:
+                            await cli.call_retry("tx_commit", session=tok)
+                        # Typed on the wire, and handed to the caller: the
+                        # transaction is what can be retried, not the frame.
+                        assert ei.value.retryable and ei.value.code == 221
                     finally:
                         failpoints.remove("tx.apply_op")
                     assert await cli.read_file(tok, "/d/f") == b"v1v0v0"

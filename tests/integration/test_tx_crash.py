@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
-from repro.core.config import ARCKFS_PLUS
 from repro.errors import CrashPoint, TryAgain, TxAborted, TxCommitPending
 from repro.fsck import F_TX_TORN, TX_CLASSES, fsck_checker, run_fsck
 from repro.pm.device import PMDevice
@@ -266,26 +265,20 @@ class TestApplyFailure:
             assert c.exists("/t1")
         assert run_fsck(mounted.device).clean
 
-    def test_abort_restores_parked_delegation_snapshot(self):
-        """Regression for the lease-delegation rollback path: a tx aborting
-        after dirtying a lease-delegated file must restore the *parked*
-        pre-dirty snapshot (the one the delegation contract keeps), not
-        the post-dirty state the failing apply left behind."""
-        vol = Volume.create(SIZE, config=VolumeConfig(
-            config=ARCKFS_PLUS.with_patch(verify_delegation=True,
-                                          delegation_window=30.0),
-            inode_count=64))
+    def test_abort_restores_acquisition_snapshot_after_read_release(self):
+        """A tx aborting after dirtying a file that was released after a
+        read and re-acquired must restore the acquisition's snapshot (the
+        last verified state), not the post-dirty state the failing apply
+        left behind."""
+        vol = Volume.create(SIZE, config=VolumeConfig(inode_count=64))
         s = vol.session("app")
         s.write_file("/hot", b"clean" * 1024)
         s.release_all()
-        # A read release is what the lease delegates: this parks the
-        # pre-dirty snapshot that the abort must restore.
         fd = s.open("/hot")
         assert s.pread(fd, 5, 0) == b"clean"
         s.close(fd)
         s.release_all()
         kernel = vol.kernel
-        assert kernel.stats.delegated_releases >= 1
         rollbacks0 = kernel.stats.rollbacks
 
         tx = s.transaction()

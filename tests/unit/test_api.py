@@ -4,7 +4,9 @@ import pytest
 
 from repro.api import Session, Volume, VolumeConfig
 from repro.core.config import ARCKFS, ARCKFS_PLUS
-from repro.errors import NoEntry
+from repro.errors import InvalidArgument, NoEntry
+from repro.libfs import paths
+from repro.pm.layout import legal_name
 
 
 class TestVolume:
@@ -48,19 +50,15 @@ class TestVolume:
             Volume.mount(b"\0" * 4096)
 
     def test_config_and_tuning_overrides(self):
-        tuned = ARCKFS.with_patch(verify_workers=4, verify_delegation=True,
-                                  delegation_window=1.5)
+        tuned = ARCKFS.with_patch(verify_workers=4)
         with Volume.create(16 * 1024 * 1024,
                            VolumeConfig(config=tuned)) as vol:
             cfg = vol.config
             assert cfg.verify_workers == 4
-            assert cfg.verify_delegation
-            assert cfg.delegation_window == 1.5
             assert vol.kernel.verifier.workers == 4
 
     def test_fsck_through_facade(self):
-        tuned = ARCKFS_PLUS.with_patch(verify_workers=4,
-                                       verify_delegation=True)
+        tuned = ARCKFS_PLUS.with_patch(verify_workers=4)
         with Volume.create(16 * 1024 * 1024,
                            VolumeConfig(config=tuned)) as vol:
             with vol.session("app1") as fs:
@@ -88,6 +86,37 @@ class TestVolume:
             with vol.session("app1") as fs:
                 with pytest.raises(NoEntry):
                     fs.open("/does-not-exist")
+
+    def test_nul_in_a_name_is_refused_before_anything_is_taken(self):
+        """A NUL is what fsck reads as a dentry whose body never persisted:
+        the kernel used to verify ``/a\\0b`` and fsck then called the volume
+        corrupt (torn-dentry + orphan-inode).  Refused where ``.``/``..``
+        are, before an inode slot is handed out."""
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(inode_count=64)) as vol:
+            with vol.session("app1") as fs:
+                fs.write_file("/ok", b"x")
+                fs.release_all()
+                tx = fs.transaction()
+                for attempt in (lambda: fs.creat("/a\0b"),
+                                lambda: fs.mkdir("/d\0"),
+                                lambda: fs.write_file("/\0", b"x"),
+                                lambda: fs.rename("/ok", "/a\0b"),
+                                lambda: tx.create("/t\0x")):
+                    with pytest.raises(InvalidArgument):
+                        attempt()
+                tx.abort()
+                assert not vol.kernel.pending
+                # The str-level check agrees with the on-media rule.
+                for name in ("a\0b", "\0", ".", "..", "ok", "\u00e9t\u00e9"):
+                    try:
+                        paths.normalize("/" + name)
+                        accepted = True
+                    except InvalidArgument:
+                        accepted = False
+                    assert accepted == legal_name(name.encode()), name
+                fs.release_all()
+                assert fs.readdir("/") == ["ok"]
+            assert vol.fsck().clean
 
     def test_old_constructors_still_work(self):
         # The facade wraps — it does not replace — the layered API.

@@ -383,42 +383,3 @@ class TestLeaseBackoff:
         t.join(3)
         assert got == [True]
 
-
-class TestDelegationTable:
-    def make(self, duration=5.0):
-        from repro.concurrency import DelegationTable
-
-        self.clock = {"t": 0.0}
-        return DelegationTable("deleg", duration=duration,
-                               now_fn=lambda: self.clock["t"])
-
-    def test_grant_hit_and_holder(self):
-        table = self.make()
-        table.grant(7, "app1")
-        assert table.valid(7, "app1")
-        assert not table.valid(7, "app2")  # wrong holder, no hit
-        assert table.holder(7) == "app1"
-        assert table.hits == 1
-        assert len(table) == 1
-
-    def test_expiry_invalidates_and_drops(self):
-        table = self.make(duration=5.0)
-        table.grant(7, "app1")
-        self.clock["t"] = 6.0
-        assert not table.valid(7, "app1")
-        assert table.expirations == 1
-        assert len(table) == 0
-
-    def test_revoke_returns_holder(self):
-        table = self.make()
-        table.grant(7, "app1")
-        assert table.revoke(7) == "app1"
-        assert table.revoke(7) is None
-        assert table.revocations == 1
-        assert not table.valid(7, "app1")
-
-    def test_live_lists_entries(self):
-        table = self.make()
-        table.grant(1, "a")
-        table.grant(2, "b")
-        assert sorted(table.live()) == [1, 2]

@@ -1,11 +1,15 @@
 """Unit tests for the kernel components: mapping, permissions, policies,
 shadow bookkeeping, verifier rejection cases, controller syscalls."""
 
+import random
+
 import pytest
 
+from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import (
     CorruptionDetected,
+    Exists,
     InvalidArgument,
     NoEntry,
     NoSpace,
@@ -19,6 +23,7 @@ from repro.kernel.policy import MarkInaccessiblePolicy
 from repro.pm.device import PMDevice
 from repro.pm.mapping import Mapping
 from tests.conftest import build_fs
+from tests.integration.test_hostile_images import walk
 
 
 class TestMapping:
@@ -227,6 +232,124 @@ class TestVerifierRejections:
             fence_before_marker=True)
         with pytest.raises(CorruptionDetected, match="unknown inode"):
             kernel.release("app1", mi.ino)
+
+
+class TestVerifyOnTransfer:
+    """The one rule for *when* the kernel verifies: every transfer out of an
+    application runs the verdict path, so a released inode is a verified
+    one and the releaser is the one who hears about it."""
+
+    @staticmethod
+    def stream(vol, sessions, seed, turns=40):
+        """Seeded turns: one session works alone — namespace ops in its own
+        directory, data ops there and on the shared files — then hands back
+        everything it holds, some files by kernel revoke, the rest by
+        ``release_all``."""
+        rng = random.Random(seed)
+        kernel = vol.kernel
+        first = sessions[0]
+        first.mkdir("/shared")
+        for i in range(4):
+            first.write_file(f"/shared/s{i}", b"0" * 3000)
+        for s in sessions:
+            first.mkdir(f"/{s.app_id}")
+        first.release_all()
+        for turn in range(turns):
+            s = sessions[turn % len(sessions)]
+            for _ in range(rng.randrange(1, 8)):
+                op = rng.choice(["create", "write", "read", "rename",
+                                 "unlink", "commit"])
+                own = f"/{s.app_id}/f{rng.randrange(4)}"
+                path = rng.choice([own, f"/shared/s{rng.randrange(4)}"])
+                try:
+                    if op == "create":
+                        s.write_file(own, b"c" * rng.randrange(1, 9000))
+                    elif op == "write":
+                        fd = s.open(path)
+                        s.pwrite(fd, b"w" * rng.randrange(1, 5000),
+                                 rng.randrange(8192))
+                        s.close(fd)
+                    elif op == "read":
+                        s.read_file(path)
+                    elif op == "rename":
+                        s.rename(own, f"/{s.app_id}/f{rng.randrange(4)}")
+                    elif op == "unlink":
+                        s.unlink(own)
+                    else:
+                        s.commit_path(path.rsplit("/", 1)[0])
+                        s.commit_path(path)
+                except (NoEntry, Exists):
+                    pass  # the stream is random; the volume stays clean
+            for ino in sorted(kernel.acquisitions):
+                sh = kernel.shadow.get(ino)
+                if sh is not None and not sh.is_dir and rng.random() < 0.3:
+                    kernel.revoke(ino)
+            s.release_all()
+            assert not kernel.acquisitions
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_every_transfer_is_one_verification(self, seed):
+        with Volume.create(16 << 20, VolumeConfig(inode_count=128)) as vol:
+            self.stream(vol, [vol.session("a", uid=0),
+                              vol.session("b", uid=0)], seed)
+            st = vol.kernel.stats
+            assert min(st.commits, st.releases, st.revokes) > 0
+            assert st.verifications == st.commits + st.releases + st.revokes
+            assert st.group_skips == 0 and st.rollbacks == 0
+            assert vol.fsck().clean
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_a_trust_group_defers_to_its_exit_and_nowhere_else(self, seed):
+        """§5.4 is the only deferral left: inside the group a release skips
+        (unless the inode was never registered — nothing to defer against),
+        and each inode the group dirtied is verified once, when an outsider
+        first takes it."""
+        with Volume.create(16 << 20, VolumeConfig(inode_count=128)) as vol:
+            kernel, st = vol.kernel, vol.kernel.stats
+            self.stream(vol, [vol.session("a", uid=0, group="g"),
+                              vol.session("b", uid=0, group="g")], seed)
+            assert st.group_skips > 0
+            assert st.verifications == (st.commits + st.revokes
+                                        + st.releases - st.group_skips)
+
+            def dirty():
+                return {ino for ino, sh in kernel.shadow.items()
+                        if sh.trusted_dirty_group is not None}
+
+            pending_exits = dirty()
+            assert pending_exits
+            verified, released = st.verifications, st.releases
+            with vol.session("outsider", uid=0) as outsider:
+                walk(outsider)
+            assert not dirty()
+            assert st.verifications - verified == (
+                len(pending_exits) + st.releases - released)
+            assert st.rollbacks == 0 and vol.fsck().clean
+
+    def test_the_releaser_is_told_and_the_next_owner_is_not(self):
+        """A's unverified write and A's forgery are A's problem: its own
+        release raises, the file rolls back to what A acquired, and B opens
+        it without hearing about any of it."""
+        with Volume.create(16 << 20, VolumeConfig(inode_count=64)) as vol:
+            kernel = vol.kernel
+            a = vol.session("a", uid=1000)
+            b = vol.session("b", uid=1000)
+            a.write_file("/hot", b"good" * 1024)
+            a.release_all()
+            fd = a.open("/hot")
+            a.pwrite(fd, b"dirty-write", 0)
+            a.close(fd)
+            ino = a.stat("/hot").ino
+            rec = kernel.core.read_inode(ino)
+            rec.uid = 4242  # a LibFS may never change ownership (§4)
+            kernel.core.write_inode(ino, rec)
+            with pytest.raises(CorruptionDetected, match="owner changed"):
+                a.release_all()
+            assert kernel.stats.rollbacks == 1
+            assert ino not in kernel.acquisitions
+            assert b.read_file("/hot") == b"good" * 1024
+            b.release_all()
+            assert vol.fsck().clean
 
 
 class TestMarkInaccessiblePolicy:

@@ -13,10 +13,14 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
 * "verify on ownership transfer" is one rule, so it has one engine (one
   class with a ``verify(self, ino, ...)``) and, in the controller, one
   verdict path (one caller of the resolution policy) and one place that
-  unmaps an acquisition.
+  unmaps an acquisition; no verdict waits on a clock — the rename lease is
+  the only lease the kernel imports;
+* every option is a field of one of five dataclasses, so the census below
+  makes the next one a visible diff.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -107,3 +111,46 @@ def test_one_class_defines_verify_of_an_inode():
                         and [a.arg for a in fn.args.args[:2]] == ["self", "ino"]):
                     engines.append(f"{rel}::{cls.name}")
     assert engines == ["kernel/verifier.py::Verifier"], engines
+
+
+def test_the_rename_lease_is_the_only_lease_in_the_kernel():
+    imported = set()
+    for rel, tree in _modules():
+        if rel.startswith("kernel/"):
+            imported |= {alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)
+                         and node.module == "repro.concurrency.lease"
+                         for alias in node.names}
+    assert imported == {"Lease"}
+
+
+def test_option_census():
+    """Every independently settable value and every kernel counter, by
+    name.  Adding one means editing this test — and saying, in the same
+    diff, which two callers need different values (ROADMAP aim 2)."""
+    from repro.api import VolumeConfig
+    from repro.core.config import ArckConfig
+    from repro.kernel.controller import KernelStats
+    from repro.server import ServerConfig, TenantPolicy
+
+    census = {
+        ArckConfig: {
+            "name", "rename_commit_protocol", "shadow_parent_pointer",
+            "fence_before_marker", "locked_release", "extended_bucket_lock",
+            "rcu_buckets", "global_rename_lock", "descendant_check",
+            "seqcount_buckets", "seqlock_files", "read_mapping_cache",
+            "dir_buckets", "dir_tails", "verify_workers"},
+        VolumeConfig: {
+            "config", "policy", "inode_count", "crash_tracking", "devices",
+            "stripe_pages", "name"},
+        ServerConfig: {
+            "host", "port", "policy", "lease_seconds", "evict_interval",
+            "max_frame", "drain_timeout", "debug_ops"},
+        TenantPolicy: {"max_sessions", "max_inflight", "queue_depth"},
+        KernelStats: {
+            "acquires", "releases", "commits", "revokes", "verifications",
+            "bytes_verified", "snapshots", "snapshot_bytes", "rollbacks",
+            "rollback_bytes", "marked_inaccessible", "group_skips"},
+    }
+    for cls, expected in census.items():
+        assert {f.name for f in dataclasses.fields(cls)} == expected, cls

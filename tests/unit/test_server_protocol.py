@@ -89,6 +89,35 @@ class TestErrorBodies:
             assert getattr(back, "retryable", False) == \
                 getattr(exc, "retryable", False)
 
+    def test_every_repro_error_crosses_the_wire_as_itself(self):
+        """Nobody keeps the wire's type table by hand: every ``ReproError``
+        class the package defines, bases included, survives ``error_body`` →
+        ``exception_for`` with its class, code, retryable flag and CLI exit
+        status.  (``TxAborted`` used to arrive as a non-retryable
+        ``ServerError`` with code 210 and exit 8.)"""
+        args = {errors.VerifyFailure: (7, "why"),
+                errors.CorruptionDetected: (7, "why"),
+                errors.ChainCorrupt: (9, 3)}
+
+        def family(cls):
+            yield cls
+            for sub in cls.__subclasses__():
+                if sub.__module__.startswith("repro."):
+                    yield from family(sub)
+
+        classes = set(family(errors.ReproError))
+        assert len(classes) > 20, classes  # the walk is not vacuous
+        for cls in classes:
+            exc = cls(*args.get(cls, ("boom",)))
+            body = protocol.error_body(exc)
+            back = protocol.exception_for(body)
+            assert type(back) is cls, (cls, type(back))
+            assert back.code == exc.code == body["code"], cls
+            assert getattr(back, "retryable", False) == getattr(
+                exc, "retryable", False) == body["retryable"], cls
+            assert errors.exit_code_for(back) == errors.exit_code_for(exc), cls
+            assert body["message"] in str(back), cls
+
     def test_unknown_type_becomes_server_error(self):
         exc = protocol.exception_for({"type": "Mystery", "message": "?"})
         assert isinstance(exc, errors.ServerError)
