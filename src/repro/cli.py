@@ -687,8 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.set_defaults(fn=cmd_fsck)
 
     serve = subs.add_parser(
-        "serve", help="run the multi-tenant volume server (line-delimited "
-                      "JSON-RPC; Ctrl-C drains and fscks every volume)")
+        "serve", help="run the multi-tenant volume server (length-prefixed "
+                      "JSON-RPC frames, payloads raw; Ctrl-C drains and "
+                      "fscks every volume)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7999,
                        help="listen port (default 7999; 0 = ephemeral)")
@@ -702,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-sessions", type=int, default=1024,
                        help="per-tenant concurrent session cap (default 1024)")
     serve.add_argument("--max-inflight", type=int, default=4,
-                       help="per-tenant worker pool size (default 4)")
+                       help="per-tenant ops executing at once (default 4)")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="per-tenant bounded queue depth (default 64)")
     serve.add_argument("--lease", type=float, default=30.0,

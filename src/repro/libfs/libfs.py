@@ -414,11 +414,12 @@ class LibFS:
     def _create_common(self, path: str, mode: int, itype: int) -> MemInode:
         parent, name = self._resolve_parent(path)
         ino, gen = self.kernel.alloc_inode(self.app_id)
-        child_mapping, _ = self.kernel.acquire_ex(self.app_id, ino, write=True)
-        bucket = self._lock_bucket_attached(parent, name)
+        bucket = None  # taking it can fail: the parent may be held elsewhere
         inserted = False
         extended = self.config.extended_bucket_lock
         try:
+            child_mapping, _ = self.kernel.acquire_ex(self.app_id, ino, write=True)
+            bucket = self._lock_bucket_attached(parent, name)
             if parent.dir.lookup_locked(name) is not None:
                 raise Exists(path)
             node = self.freelist.alloc(name, ino, gen, itype, seq=1, loc=None)
@@ -438,7 +439,7 @@ class LibFS:
                     parent.dir.remove_locked(name)
                 finally:
                     bucket.lock.release()
-            else:
+            elif bucket is not None:
                 bucket.lock.release()
             self.kernel.abort_inode(self.app_id, ino)
             raise

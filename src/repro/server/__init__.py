@@ -2,18 +2,18 @@
 
 The long-running service front-end over the :mod:`repro.api`
 Volume/Session facade: one process mounts many volumes and serves
-thousands of concurrent app sessions over a line-delimited JSON-RPC wire
-protocol on asyncio, with per-tenant admission control, bounded request
-queues with explicit (typed, retryable) backpressure, per-tenant worker
-pools, lease-based idle eviction and graceful drain/quiesce.
+thousands of concurrent app sessions over length-prefixed JSON-RPC frames
+(file contents raw) on asyncio, with per-tenant admission control, bounded
+request queues with explicit (typed, retryable) backpressure, per-tenant
+execution slots, lease-based idle eviction and graceful drain/quiesce.
 
 Modules:
 
-* :mod:`.protocol` — wire framing, typed error bodies, payload encoding;
+* :mod:`.protocol` — the frame format, typed error bodies;
 * :mod:`.admission` — per-tenant policies, session caps, bounded queues;
 * :mod:`.sessions` — the session table: tokens, idle leases, eviction;
 * :mod:`.dispatch` — the wire method table onto the Session surface;
-* :mod:`.server` — acceptor, router, worker pools, drain (the coordinator);
+* :mod:`.server` — connections, router, slots, drain (the coordinator);
 * :mod:`.client` — asyncio client with typed errors and retry/backoff;
 * :mod:`.loadgen` — the closed-loop mixed-workload load generator.
 

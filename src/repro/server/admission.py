@@ -10,10 +10,10 @@ unbounded queue.
 
 Everything runs on the server's single asyncio loop, so the state needs no
 locks; the per-tenant queue is an :class:`asyncio.Queue` whose ``maxsize``
-is the queue-depth limit.  "Max inflight ops" is the size of the tenant's
-worker pool (:mod:`repro.server.server` spawns ``max_inflight`` worker
-tasks per tenant), so at any instant a tenant holds at most
-``queue_depth + max_inflight`` admitted requests.
+is the queue-depth limit.  "Max inflight ops" is a count, not a pool: the
+server takes an op off the queue only while ``executing < max_inflight``,
+so at any instant a tenant holds at most ``queue_depth + max_inflight``
+admitted requests.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class TenantPolicy:
 
     #: Concurrent open sessions (``session.open`` beyond this → TenantLimit).
     max_sessions: int = 1024
-    #: Worker tasks executing this tenant's ops concurrently.
+    #: Slots: this tenant's ops executing at once.
     max_inflight: int = 4
-    #: Requests parked waiting for a worker (beyond this → Overloaded).
+    #: Requests parked waiting for a slot (beyond this → Overloaded).
     queue_depth: int = 64
 
 

@@ -2,9 +2,12 @@
 
 One :class:`ServerClient` owns one TCP connection and multiplexes any
 number of logical sessions over it: every request carries a fresh ``id``,
-a background reader task resolves the matching future when the response
-frame arrives (responses may come back in any order — the server's worker
-pools complete independently).
+and ``data_received`` — the client is the connection's
+:class:`asyncio.Protocol`, there is no reader task — resolves the matching
+future when the response frame arrives (responses may come back in any
+order — the server's tenants complete independently).  Each caller waits
+for its own reply, which is all the flow control a request/response client
+needs: what is in flight is bounded by who is calling.
 
 Errors come back *typed*: a rejected op raises the same
 :class:`~repro.errors.Overloaded` / :class:`~repro.errors.TenantLimit` /
@@ -26,27 +29,27 @@ from repro.errors import (ProtocolError, ReproError, ServerError, SessionGone,
 from repro.server import protocol
 
 
-class ServerClient:
+class ServerClient(asyncio.Protocol):
     """One connection to a :class:`~repro.server.server.VolumeServer`."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._frames = protocol.FrameSplitter()
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
         #: End-to-end accounting (the load generator's lost/dup audit).
         self.sent = 0
         self.received = 0
         self.unmatched = 0
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
-        self._closed = False
+        #: Why no further call can be answered (closed, hung up on, or sent
+        #: something that cannot be framed); None while the connection works.
+        self._lost: Optional[ReproError] = None
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServerClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port)
+        return client
 
     async def __aenter__(self) -> "ServerClient":
         return self
@@ -55,45 +58,43 @@ class ServerClient:
         await self.close()
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._writer.close()
-        self._fail_pending(ServerError("connection closed"))
+        self._fail(ServerError("client is closed"))
+        self._transport.close()
 
     # ------------------------------------------------------------------ #
     # Wire plumbing
     # ------------------------------------------------------------------ #
 
-    async def _read_loop(self) -> None:
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    raise ServerError("server closed the connection")
-                frame = protocol.decode_frame(line)
+            for raw in self._frames.feed(data):
+                frame = protocol.decode_frame(raw)
                 self.received += 1
                 fut = self._pending.pop(frame.get("id"), None)
                 if fut is None or fut.done():
                     self.unmatched += 1  # duplicate or unknown id
-                    continue
-                if "error" in frame:
+                elif "error" in frame:
                     fut.set_exception(
                         protocol.exception_for(frame["error"]))
                 else:
                     fut.set_result(frame.get("result"))
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:
-            self._fail_pending(exc if isinstance(exc, ReproError)
-                               else ServerError(str(exc)))
+            # Past a frame that cannot be read no reply can be matched.
+            self._fail(exc if isinstance(exc, ReproError)
+                       else ServerError(str(exc)))
+            self._transport.close()
 
-    def _fail_pending(self, exc: ReproError) -> None:
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(ServerError("server closed the connection"))
+
+    def _fail(self, exc: ReproError) -> None:
+        """The connection is finished: the first reason is kept for later
+        callers, everyone waiting is told now."""
+        if self._lost is None:
+            self._lost = exc
         for fut in self._pending.values():
             if not fut.done():
                 fut.set_exception(exc)
@@ -102,19 +103,25 @@ class ServerClient:
     async def call(self, method: str, *, tenant: Optional[str] = None,
                    session: Optional[str] = None, **params):
         """Issue one request and await its (typed) response."""
-        if self._closed:
-            raise ServerError("client is closed")
+        if self._lost is not None:
+            raise ServerError(f"connection lost: {self._lost}")
         req_id = next(self._ids)
-        fut = asyncio.get_running_loop().create_future()
-        self._pending[req_id] = fut
-        self.sent += 1
         frame: Dict = {"id": req_id, "method": method, "params": params}
         if tenant is not None:
             frame["tenant"] = tenant
         if session is not None:
             frame["session"] = session
-        self._writer.write(protocol.encode_frame(frame))
-        await self._writer.drain()
+        wire = protocol.encode_frame(frame)
+        if len(wire) > protocol.MAX_FRAME_BYTES:
+            # Refused here, with nothing sent: the server would answer once
+            # and hang up on every session this connection carries.
+            raise ProtocolError(
+                f"{method} frame of {len(wire)} bytes exceeds the "
+                f"{protocol.MAX_FRAME_BYTES}-byte limit")
+        fut = asyncio.get_running_loop().create_future()
+        self._pending[req_id] = fut
+        self.sent += 1
+        self._transport.write(wire)
         return await fut
 
     async def call_retry(self, method: str, *, retries: int = 8,

@@ -1,8 +1,8 @@
 """Op dispatch: wire method names onto :class:`repro.api.Session` calls.
 
 The data-path methods a client may invoke on a session, each a thin
-adapter from JSON params to the LibFS surface and back to JSON-able
-results.  Binary payloads are base64 on the wire (:mod:`.protocol`).
+adapter from frame params to the LibFS surface and back to a frame result.
+File contents stay ``bytes``: frames carry them raw (:mod:`.protocol`).
 
 The table is deliberately explicit — the server exposes exactly these
 methods, not ``getattr`` over the whole LibFS — because the wire surface
@@ -160,8 +160,8 @@ def op_release(fs: Session, p: Dict):
 # Transactions: one pending Tx per wire session
 # --------------------------------------------------------------------------- #
 #
-# The handle lives on the Session object between requests (a tenant's ops
-# for one session run on one worker, so there is no request-level race).
+# The handle lives on the Session object between requests (ops run one at
+# a time on the server's loop, so there is no request-level race).
 # Error typing rides the existing wire contract: ``TxAborted`` serializes
 # with ``retryable=True`` (the volume is as if the tx never ran — rebuild
 # and re-issue), ``TxCommitPending`` with ``retryable=False`` (the volume
@@ -231,8 +231,8 @@ def op_tx_abort(fs: Session, p: Dict):
     return {}
 
 
-#: method name → adapter.  Every entry runs inside a tenant worker against
-#: an admitted, lease-refreshed session.
+#: method name → adapter.  Every entry runs in one of its tenant's slots
+#: against an admitted, lease-refreshed session.
 SESSION_OPS: Dict[str, Callable[[Session, Dict], Dict]] = {
     "open": op_open,
     "creat": op_creat,

@@ -1,13 +1,15 @@
-"""Line-delimited JSON-RPC framing for the volume server.
+"""Length-prefixed framing for the volume server.
 
-One frame per line, one JSON object per frame, UTF-8, ``\\n`` terminated —
-trivially debuggable with ``nc`` and resynchronizable after a bad frame
-(skip to the next newline).  Shapes:
+One frame is an 8-byte prefix, a compact JSON header and a raw payload::
+
+    | header bytes (u32le) | payload bytes (u32le) | header | payload |
+
+The header is one JSON object, UTF-8.  Shapes:
 
 request::
 
-    {"id": 7, "method": "pwrite", "tenant": "acme",
-     "session": "acme-1f", "params": {"fd": 3, "data": "...", "offset": 0}}
+    {"id": 7, "method": "pwrite", "tenant": "acme", "session": "acme-1f",
+     "params": {"fd": 3, "data": null, "offset": 0}, "bin": "params"}
 
 success response::
 
@@ -20,10 +22,22 @@ error response::
 
 ``id`` is caller-chosen and echoed verbatim — clients multiplex many
 logical sessions over one connection and match responses by it.  Responses
-may arrive in any order (per-tenant worker pools complete independently).
+may arrive in any order (tenants complete independently).
 
-Binary file payloads cross the wire base64-encoded (JSON has no bytes);
-:func:`pack_bytes` / :func:`unpack_bytes` are the two ends of that.
+File contents never pass through JSON: a ``bytes`` ``params["data"]`` or
+``result["data"]`` is the frame's payload, byte for byte, and ``"bin"``
+names which of the two it belongs to.  :func:`encode_frame` moves it out,
+:func:`decode_frame` puts it back, so both ends only ever hold ``bytes``
+(:func:`pack_bytes` / :func:`unpack_bytes` are the type check).
+
+The prefix makes the stream cuttable (:class:`FrameSplitter`).  A frame
+whose *header* is bad — not JSON, not an object, a payload nobody owns —
+still says where the next frame starts: it costs one error reply and the
+connection lives.  A bad *prefix* leaves nothing to resynchronise on, every
+later byte would be read as lengths; so one announcing more than the frame
+limit is refused from its eight bytes alone, before the rest is buffered:
+one error reply, then a hang-up.  ``nc`` cannot read this; to eyeball a
+capture, ``[decode_frame(raw) for raw in FrameSplitter().feed(capture)]``.
 
 ``error`` bodies are generated from the exception taxonomy by
 :func:`error_body` and turned back into typed exceptions by
@@ -33,16 +47,23 @@ with ``retryable=True``, not a stringly-typed status.
 
 from __future__ import annotations
 
-import base64
 import json
-from typing import Dict, Optional
+import struct
+from typing import Dict, Iterator, Optional
 
 from repro import errors
 
-#: Hard ceiling on one frame's encoded size.  Requests above it are
-#: rejected with :class:`~repro.errors.ProtocolError` *before* parsing;
-#: it also bounds the server's per-connection read buffer.
+#: Hard ceiling on one frame's encoded size, prefix included.  A prefix
+#: announcing more is refused with :class:`~repro.errors.ProtocolError`
+#: *before* the frame is buffered, so it also bounds each end's
+#: per-connection read buffer; a client refuses to send one.
 MAX_FRAME_BYTES = 1 << 20  # 1 MiB
+
+#: The frame prefix: header length, payload length.
+_PREFIX = struct.Struct("<II")
+#: The two objects a frame's payload can be the ``data`` of.
+_PAYLOAD_OWNERS = ("params", "result")
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Wire error types the client can reconstruct, by class name: every
 #: :class:`~repro.errors.ReproError` the package defines.  A name this side
@@ -54,27 +75,85 @@ _ERROR_TYPES = {
 
 
 def encode_frame(obj: Dict) -> bytes:
-    """One wire frame: compact JSON + newline."""
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One wire frame: prefix, compact JSON header, raw payload."""
+    payload = b""
+    for owner in _PAYLOAD_OWNERS:
+        body = obj.get(owner)
+        if isinstance(body, dict) and isinstance(body.get("data"), bytes):
+            payload = body["data"]
+            obj = {**obj, owner: {**body, "data": None}, "bin": owner}
+            break
+    header = _ENCODE(obj).encode("ascii")
+    return b"".join((_PREFIX.pack(len(header), len(payload)), header, payload))
 
 
-def decode_frame(line: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> Dict:
-    """Parse one received line into a frame dict.
+def decode_frame(frame: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> Dict:
+    """Parse one whole received frame into a frame dict.
 
     Raises :class:`~repro.errors.ProtocolError` for anything that is not a
-    single JSON object within the size limit.
+    prefix, the single JSON object and the payload it announces, within the
+    size limit.
     """
-    if len(line) > max_bytes:
+    if len(frame) > max_bytes:
         raise errors.ProtocolError(
-            f"frame of {len(line)} bytes exceeds the {max_bytes}-byte limit")
+            f"frame of {len(frame)} bytes exceeds the {max_bytes}-byte limit")
+    if len(frame) < _PREFIX.size:
+        raise errors.ProtocolError(f"frame of {len(frame)} bytes has no prefix")
+    header_len, payload_len = _PREFIX.unpack_from(frame)
+    payload_at = _PREFIX.size + header_len
+    if payload_at + payload_len != len(frame):
+        raise errors.ProtocolError(
+            f"frame of {len(frame)} bytes, prefix announces "
+            f"{payload_at + payload_len}")
     try:
-        obj = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise errors.ProtocolError(f"malformed JSON frame: {exc}") from None
+        obj = json.loads(str(frame[_PREFIX.size:payload_at], "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise errors.ProtocolError(f"malformed JSON header: {exc}") from None
     if not isinstance(obj, dict):
         raise errors.ProtocolError(
-            f"frame must be a JSON object, got {type(obj).__name__}")
+            f"header must be a JSON object, got {type(obj).__name__}")
+    owner = obj.pop("bin", None)
+    if owner is None:
+        if payload_len:
+            raise errors.ProtocolError("payload without a \"bin\" owner")
+        return obj
+    body = obj.get(owner) if owner in _PAYLOAD_OWNERS else None
+    if not isinstance(body, dict):
+        raise errors.ProtocolError(f"payload owner {owner!r} is not an object")
+    body["data"] = bytes(frame[payload_at:])
     return obj
+
+
+class FrameSplitter:
+    """Cuts a byte stream back into whole frames, whatever chunks it
+    arrives in.  ``buffer`` holds, between calls, less than one frame whose
+    prefix passed the limit: never ``max_bytes``."""
+
+    def __init__(self, max_bytes: int = MAX_FRAME_BYTES):
+        self.max_bytes = max_bytes
+        self.buffer = bytearray()
+
+    def feed(self, data: bytes) -> Iterator[bytes]:
+        """Yield each frame ``data`` completes, in order.  A prefix over the
+        limit raises :class:`~repro.errors.ProtocolError` once the frames
+        before it are out, and drops what is buffered: the stream is over."""
+        buf = self.buffer
+        buf += data
+        pos = 0
+        try:
+            while len(buf) - pos >= _PREFIX.size:
+                size = _PREFIX.size + sum(_PREFIX.unpack_from(buf, pos))
+                if size > self.max_bytes:
+                    pos = len(buf)
+                    raise errors.ProtocolError(
+                        f"frame of {size} bytes exceeds the "
+                        f"{self.max_bytes}-byte limit")
+                if len(buf) - pos < size:
+                    break
+                pos += size
+                yield bytes(buf[pos - size:pos])
+        finally:
+            del buf[:pos]
 
 
 def parse_request(frame: Dict) -> Dict:
@@ -167,17 +246,13 @@ def raise_error_body(body: Dict) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def pack_bytes(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def unpack_bytes(field: Optional[str]) -> bytes:
-    if field is None:
-        return b""
-    if not isinstance(field, str):
+def pack_bytes(data: bytes) -> bytes:
+    """The payload as it goes into a frame dict: itself, if it is bytes."""
+    if not isinstance(data, bytes):
         raise errors.ProtocolError(
-            f"payload must be a base64 string, got {type(field).__name__}")
-    try:
-        return base64.b64decode(field.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError) as exc:
-        raise errors.ProtocolError(f"bad base64 payload: {exc}") from None
+            f"payload must be bytes, got {type(data).__name__}")
+    return data
+
+
+def unpack_bytes(field: Optional[bytes]) -> bytes:
+    return b"" if field is None else pack_bytes(field)

@@ -7,17 +7,21 @@ queues and drain — while each admitted op executes against an untrusted
 per-app :class:`repro.api.Session`, exactly the LibFS state a real ArckFS
 process would mmap.
 
-Shape (all on one asyncio loop)::
+Shape (all on one asyncio loop; nothing is parked between a request and its
+reply, a slot is a count and whoever finishes an op starts the next)::
 
-    acceptor ──> per-connection reader ──> router
-                                             │  control ops inline
-                                             │  data ops: admission check
-                                             ▼
-                                  per-tenant bounded queue
-                                             │
-                              per-tenant worker pool (max_inflight tasks)
-                                             │
-                                  Session op + response write
+    connection.data_received ──> frames ──> router
+                                              │  control ops inline
+                                              │  data ops: admission
+                                              ▼
+                                   per-tenant bounded queue
+                                              │  before the read returns,
+                                              ▼  while executing < max_inflight
+                               Session op + transport.write(reply)
+
+Nothing that runs an op waits on a peer: a connection that stops reading
+its replies has its own *reads* paused (``pause_writing``), so it stops
+being served and nobody else does.
 
 Ownership follows the paper's rule — verification on *transfer*, not on
 every request.  A wire session keeps the inodes it acquired between
@@ -43,7 +47,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Set
 
 from repro import obs
 from repro.api import Volume
@@ -79,38 +83,68 @@ class ServerConfig:
     max_frame: int = protocol.MAX_FRAME_BYTES
     #: How long drain() waits for admitted work to finish.
     drain_timeout: float = 30.0
-    #: Enable test-only methods (``debug.sleep`` parks a tenant worker) —
+    #: Enable test-only methods (``debug.sleep`` holds a tenant slot) —
     #: used by the drain/backpressure tests and the load bench's probe.
     debug_ops: bool = False
 
 
-class _Connection:
+class _Connection(asyncio.Protocol):
     """One accepted client connection (possibly multiplexing many
-    sessions); owns the write side."""
+    sessions): reassembles request frames, writes reply frames."""
 
     _ids = itertools.count(1)
 
-    def __init__(self, server: "VolumeServer", writer: asyncio.StreamWriter):
+    def __init__(self, server: "VolumeServer"):
         self.id = next(_Connection._ids)
         self.server = server
-        self.writer = writer
+        self.transport: Optional[asyncio.Transport] = None
+        self.frames = protocol.FrameSplitter(server.config.max_frame)
 
-    async def send(self, frame: Dict) -> None:
-        if self.writer.is_closing():
-            obs.count("server.responses_dropped")
-            return
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conns[self.id] = self
+        obs.count("server.connections")
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
         try:
-            self.writer.write(protocol.encode_frame(frame))
-            await self.writer.drain()
-        except (ConnectionError, RuntimeError):
+            for raw in self.frames.feed(data):
+                server._route(self, raw)
+        except ProtocolError as exc:
+            # From the splitter (``_route`` answers its own): a prefix over
+            # the frame limit is unrecoverable — answer once, hang up.
+            obs.count("server.protocol_errors")
+            self.send(protocol.error_response(None, exc))
+            self.transport.close()
+        finally:
+            # What this read admitted starts before it returns.  One read
+            # admits at most a queue's worth per tenant however much a peer
+            # pipelines, so that is also how long a burst keeps the loop.
+            while server._admitted:
+                server._start_waiting(server._admitted.pop())
+
+    def send(self, frame: Dict) -> None:
+        if self.transport.is_closing():
             # The client went away mid-op; the op itself completed (or
             # failed) against the volume — only the response is undeliverable.
             obs.count("server.responses_dropped")
+        else:
+            self.transport.write(protocol.encode_frame(frame))
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._conns.pop(self.id, None)
+        self.server.sessions.close_connection(self.id)
 
 
 class VolumeServer:
     """Serve ``volumes`` (tenant name → :class:`~repro.api.Volume`) over
-    line-delimited JSON-RPC on asyncio."""
+    length-prefixed JSON-RPC frames on asyncio."""
 
     def __init__(self, volumes: Dict[str, Volume],
                  config: Optional[ServerConfig] = None,
@@ -127,9 +161,11 @@ class VolumeServer:
             idle_seconds=self.config.evict_interval,
             on_release=self.admission.release_session)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._workers: List[asyncio.Task] = []
         self._evictor: Optional[asyncio.Task] = None
+        self._sleepers: Set[asyncio.Task] = set()
         self._conns: Dict[int, _Connection] = {}
+        #: Tenants with work admitted by the read in progress.
+        self._admitted: Set[TenantState] = set()
         self._app_ids = itertools.count(1)
         self._drained = False
         self._closed = False
@@ -149,12 +185,8 @@ class VolumeServer:
 
     async def start(self) -> "VolumeServer":
         loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._on_connect, self.config.host, self.config.port,
-            limit=self.config.max_frame + 2)
-        for t in self.admission.tenants.values():
-            for _ in range(t.policy.max_inflight):
-                self._workers.append(loop.create_task(self._worker(t)))
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         self._evictor = loop.create_task(self._evict_loop())
         return self
 
@@ -191,78 +223,51 @@ class VolumeServer:
             return
         await self.drain()
         self._closed = True
-        if self._evictor is not None:
-            self._evictor.cancel()
-        for w in self._workers:
-            w.cancel()
-        await asyncio.gather(self._evictor, *self._workers,
-                             return_exceptions=True)
+        tasks = [t for t in (self._evictor, *self._sleepers) if t is not None]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         for conn in list(self._conns.values()):
-            conn.writer.close()
+            conn.transport.close()
 
     # ------------------------------------------------------------------ #
-    # Accept / read loop
+    # Routing
     # ------------------------------------------------------------------ #
 
-    async def _on_connect(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(self, writer)
-        self._conns[conn.id] = conn
-        obs.count("server.connections")
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # readline overran the frame limit: the framing is
-                    # unrecoverable on this connection — answer once, hang up.
-                    await conn.send(protocol.error_response(
-                        None, ProtocolError(
-                            f"frame exceeds {self.config.max_frame} bytes")))
-                    break
-                if not line:
-                    break  # EOF
-                if line.strip() == b"":
-                    continue
-                await self._route(conn, line)
-        finally:
-            self._conns.pop(conn.id, None)
-            self.sessions.close_connection(conn.id)
-            writer.close()
-
-    async def _route(self, conn: _Connection, line: bytes) -> None:
+    def _route(self, conn: _Connection, raw: bytes) -> None:
         req_id = None
         try:
-            frame = protocol.decode_frame(line, max_bytes=self.config.max_frame)
+            frame = protocol.decode_frame(raw, max_bytes=self.config.max_frame)
             req_id = frame.get("id")
             req = protocol.parse_request(frame)
         except ProtocolError as exc:
+            # The prefix was good, so the next frame starts where it said.
             obs.count("server.protocol_errors")
-            await conn.send(protocol.error_response(req_id, exc))
+            conn.send(protocol.error_response(req_id, exc))
             return
         method = req["method"]
         try:
-            if method == "ping":
-                await conn.send(protocol.ok_response(req_id, {"pong": True}))
-            elif method == "session.open":
-                await self._open_session(conn, req)
-            elif method == "session.close":
-                await self._close_session(conn, req)
-            elif method == "stats":
-                await conn.send(protocol.ok_response(req_id, self.stats()))
-            elif method in SESSION_OPS or (
+            if method in SESSION_OPS or (
                     self.config.debug_ops and method == "debug.sleep"):
                 self._admit_op(conn, req)
+            elif method == "ping":
+                conn.send(protocol.ok_response(req_id, {"pong": True}))
+            elif method == "session.open":
+                self._open_session(conn, req)
+            elif method == "session.close":
+                self._close_session(conn, req)
+            elif method == "stats":
+                conn.send(protocol.ok_response(req_id, self.stats()))
             else:
                 raise ProtocolError(f"unknown method {method!r}")
         except ReproError as exc:
-            await conn.send(protocol.error_response(req_id, exc))
+            conn.send(protocol.error_response(req_id, exc))
 
     # ------------------------------------------------------------------ #
     # Control ops (coordinator work, run inline)
     # ------------------------------------------------------------------ #
 
-    async def _open_session(self, conn: _Connection, req: Dict) -> None:
+    def _open_session(self, conn: _Connection, req: Dict) -> None:
         uid = uid_param(req["params"])  # before the slot is taken
         tenant = self.admission.admit_session(req["tenant"])
         try:
@@ -274,20 +279,20 @@ class VolumeServer:
             raise
         now = asyncio.get_running_loop().time()
         ss = self.sessions.register(tenant, api_session, conn.id, now)
-        await conn.send(protocol.ok_response(
+        conn.send(protocol.ok_response(
             req["id"], {"session": ss.token, "app_id": app_id,
                         "lease_seconds": self.config.lease_seconds}))
 
-    async def _close_session(self, conn: _Connection, req: Dict) -> None:
+    def _close_session(self, conn: _Connection, req: Dict) -> None:
         # Idempotent by contract: closing an already-gone token succeeds —
         # eviction, drain and client close race freely.
         try:
             ss = self.sessions.lookup(req["session"])
         except ReproError:
-            await conn.send(protocol.ok_response(req["id"], {"closed": False}))
+            conn.send(protocol.ok_response(req["id"], {"closed": False}))
             return
         done = self.sessions.close_session(ss, reason="close")
-        await conn.send(protocol.ok_response(req["id"], {"closed": done}))
+        conn.send(protocol.ok_response(req["id"], {"closed": done}))
 
     def stats(self) -> Dict:
         return {
@@ -314,51 +319,63 @@ class VolumeServer:
     # ------------------------------------------------------------------ #
 
     def _admit_op(self, conn: _Connection, req: Dict) -> None:
+        """Reject (typed, retryable) or let the op wait in its tenant's
+        bounded queue, to be started when the read that brought it ends."""
         ss = self.sessions.lookup(req["session"])
         if req["tenant"] is not None and req["tenant"] != ss.tenant.name:
             raise ProtocolError(
                 f"session {ss.token!r} belongs to tenant "
                 f"{ss.tenant.name!r}, not {req['tenant']!r}")
-        item = (req, ss, conn)
-        self.admission.admit_request(ss.tenant.name, item)
-        # No await between admit and this line: the inflight count is up
-        # before any worker can observe the queued item.
+        self.admission.admit_request(ss.tenant.name, (req, ss, conn))
         ss.inflight += 1
+        self._admitted.add(ss.tenant)
 
-    async def _worker(self, tenant: TenantState) -> None:
-        while True:
-            item = await tenant.queue.get()
+    def _start_waiting(self, tenant: TenantState) -> None:
+        """Run what ``tenant`` has waiting while it has a free slot.  Ops
+        are synchronous: each has given its slot back when it returns."""
+        queue, slots = tenant.queue, tenant.policy.max_inflight
+        while tenant.executing < slots and not queue.empty():
+            item = queue.get_nowait()
             self.admission.start_execute(tenant)
-            try:
-                await self._execute(*item)
-            finally:
-                self.admission.finish_execute(tenant)
-                tenant.queue.task_done()
+            if item[0]["method"] == "debug.sleep":
+                task = asyncio.ensure_future(self._sleep_op(*item))
+                self._sleepers.add(task)
+                task.add_done_callback(self._sleepers.discard)
+            else:
+                self._execute(*item)
 
-    async def _execute(self, req: Dict, ss: ServerSession,
-                       conn: _Connection) -> None:
-        method = req["method"]
+    async def _sleep_op(self, req: Dict, ss: ServerSession,
+                        conn: _Connection) -> None:
+        """``debug.sleep`` (test-only, gated at routing) is the one op that
+        waits, so the one that is a task; it holds its slot meanwhile and
+        starts the tenant's next waiting op when it is done."""
+        seconds = req["params"].get("seconds", 0.01)
+        await asyncio.sleep(seconds if isinstance(seconds, (int, float)) else 0)
+        self._execute(req, ss, conn)
+        self._start_waiting(ss.tenant)
+
+    def _execute(self, req: Dict, ss: ServerSession, conn: _Connection) -> None:
+        """Run one started op to its reply and give its slot back."""
+        method, tenant = req["method"], ss.tenant
         t0 = time.perf_counter_ns()
         try:
-            if method == "debug.sleep":  # test-only; gated at routing
-                await asyncio.sleep(float(req["params"].get("seconds", 0.01)))
-                resp = protocol.ok_response(req["id"], {"slept": True})
-            else:
-                resp = protocol.ok_response(
-                    req["id"], self._run_op(ss, method, req["params"]))
-            obs.count("server.ops_completed", tenant=ss.tenant.name)
+            resp = protocol.ok_response(
+                req["id"], {"slept": True} if method == "debug.sleep"
+                else self._run_op(ss, method, req["params"]))
+            obs.count("server.ops_completed", tenant=tenant.name)
         except Exception as exc:  # simulated faults and FS errors alike
-            obs.count("server.op_errors", tenant=ss.tenant.name,
+            obs.count("server.op_errors", tenant=tenant.name,
                       type=type(exc).__name__)
             resp = protocol.error_response(req["id"], exc)
         finally:
-            now = asyncio.get_running_loop().time()
-            self.sessions.finish_op(ss, now)
+            self.sessions.finish_op(ss, asyncio.get_running_loop().time())
+            self.admission.finish_execute(tenant)
+            tenant.queue.task_done()
         if obs.enabled:
             obs.metrics.histogram(
                 "server.op_latency_ns",
-                tenant=ss.tenant.name).observe(time.perf_counter_ns() - t0)
-        await conn.send(resp)
+                tenant=tenant.name).observe(time.perf_counter_ns() - t0)
+        conn.send(resp)
 
     def _run_op(self, ss: ServerSession, method: str, params: Dict) -> Dict:
         """Run one session op under the ownership policy, retain + recall.

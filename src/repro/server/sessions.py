@@ -14,7 +14,7 @@ a session keeps the inodes it acquired between requests (DESIGN §10), and
 one that has been quiet for ``idle_seconds`` hands them back — verified —
 while its token stays good.
 Sessions are never torn down mid-op — the reaper skips sessions with
-inflight work and marks them ``closing`` instead; the worker that finishes
+inflight work and marks them ``closing`` instead; whoever finishes
 the last op completes the close.  The underlying
 :meth:`repro.api.Session.shutdown` is idempotent, so the unavoidable
 races (evict vs drain vs connection teardown) collapse to one winner.
@@ -136,7 +136,7 @@ class SessionTable:
     # -- close / eviction --------------------------------------------------- #
 
     def close_session(self, ss: ServerSession, reason: str = "close") -> bool:
-        """Close now if idle, else mark ``closing`` for the worker that
+        """Close now if idle, else mark ``closing`` for whoever
         finishes the last inflight op.  Returns True when torn down."""
         ss.closing = True
         if ss.inflight > 0:

@@ -50,3 +50,20 @@ def fs(fsx):
 def buggy_fsx():
     """(device, kernel, fs) triple under unpatched ArckFS."""
     return build_fs(ARCKFS)
+
+
+@pytest.fixture
+def server_reads(monkeypatch):
+    """Every ``data_received`` of every server connection, in order: how many
+    bytes it was given and how many the connection was left buffering."""
+    from repro.server import server as server_mod
+
+    seen = []
+    real = server_mod._Connection.data_received
+
+    def recorded(conn, data):
+        real(conn, data)
+        seen.append((len(data), len(conn.frames.buffer)))
+
+    monkeypatch.setattr(server_mod._Connection, "data_received", recorded)
+    return seen

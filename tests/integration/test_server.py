@@ -6,7 +6,8 @@ event loop — no pytest-asyncio dependency) and talks to it over TCP.
 
 Covered failure modes, per the serving contract:
 
-* malformed and oversized JSON-RPC frames;
+* malformed and oversized frames, at either end of the connection;
+* a peer that pipelines without reading its replies;
 * a client disconnecting with an op still inflight;
 * eviction of an idle session that still holds its inodes;
 * drain with a non-empty queue (everything admitted is answered);
@@ -15,8 +16,9 @@ Covered failure modes, per the serving contract:
 """
 
 import asyncio
+import collections
 import contextlib
-import json
+import struct
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.server import (
     make_volumes,
 )
 from repro.server import protocol
+from tests.unit.test_server_protocol import framed
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -51,17 +54,42 @@ async def serving(tenants=("acme",), config=None, *, policies=None):
             vol.close()
 
 
-async def raw_connection(server):
-    return await asyncio.open_connection("127.0.0.1", server.port)
+class RawConnection:
+    """A socket with no ``ServerClient`` behind it: the test writes whatever
+    bytes it likes and reads whole reply frames."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+        self._splitter = protocol.FrameSplitter()
+        self._frames = collections.deque()
+
+    async def send(self, payload: bytes) -> None:
+        self.writer.write(payload)
+        await self.writer.drain()
+
+    async def recv(self):
+        """The next reply, decoded; None once the server has hung up."""
+        while not self._frames:
+            chunk = await self.reader.read(1 << 16)
+            if not chunk:
+                return None
+            self._frames.extend(self._splitter.feed(chunk))
+        return protocol.decode_frame(self._frames.popleft())
+
+    async def ask(self, payload: bytes):
+        await self.send(payload)
+        resp = await self.recv()
+        assert resp is not None, "server hung up without answering"
+        return resp
+
+    async def close(self) -> None:
+        self.writer.close()
+        await self.writer.wait_closed()
 
 
-async def send_raw(writer, reader, payload: bytes):
-    """Write raw bytes, read one response line, parse it."""
-    writer.write(payload)
-    await writer.drain()
-    line = await reader.readline()
-    assert line, "server hung up without answering"
-    return json.loads(line)
+async def raw_connection(server) -> RawConnection:
+    return RawConnection(
+        *await asyncio.open_connection("127.0.0.1", server.port))
 
 
 class TestBasicServing:
@@ -132,42 +160,232 @@ class TestProtocolRobustness:
     def test_malformed_frame_answered_and_connection_survives(self):
         async def main():
             async with serving() as (server, _):
-                reader, writer = await raw_connection(server)
+                raw = await raw_connection(server)
                 try:
-                    resp = await send_raw(writer, reader, b"{broken json\n")
+                    resp = await raw.ask(framed(b"{broken json"))
                     assert resp["id"] is None
                     assert resp["error"]["type"] == "ProtocolError"
-                    # Framing resyncs on the newline: the connection works.
-                    resp = await send_raw(
-                        writer, reader,
+                    # The prefix was good, so the server knows where the
+                    # next frame starts: the connection works.
+                    resp = await raw.ask(
                         protocol.encode_frame({"id": 2, "method": "ping"}))
                     assert resp == {"id": 2, "result": {"pong": True}}
-                    # Non-object frames and missing methods answer too.
-                    resp = await send_raw(writer, reader, b"[1,2,3]\n")
+                    # Non-object headers and missing methods answer too,
+                    # and so does a payload no object in the header owns.
+                    resp = await raw.ask(framed(b"[1,2,3]"))
                     assert resp["error"]["type"] == "ProtocolError"
-                    resp = await send_raw(writer, reader, b'{"id": 9}\n')
+                    resp = await raw.ask(framed(b'{"id": 9}'))
                     assert resp["id"] == 9
                     assert resp["error"]["type"] == "ProtocolError"
+                    resp = await raw.ask(
+                        framed(b'{"id": 10, "method": "ping"}', b"stray"))
+                    assert resp["error"]["type"] == "ProtocolError"
+                    assert await raw.ask(protocol.encode_frame(
+                        {"id": 11, "method": "ping"})) \
+                        == {"id": 11, "result": {"pong": True}}
                 finally:
-                    writer.close()
+                    await raw.close()
         run(main())
 
     def test_oversized_frame_rejected_then_disconnected(self):
         async def main():
             cfg = ServerConfig(max_frame=512)
             async with serving(config=cfg) as (server, _):
-                reader, writer = await raw_connection(server)
-                try:
-                    big = json.dumps(
-                        {"id": 1, "method": "ping",
-                         "params": {"pad": "x" * 2048}}).encode() + b"\n"
-                    resp = await send_raw(writer, reader, big)
-                    assert resp["error"]["type"] == "ProtocolError"
-                    assert "exceeds" in resp["error"]["message"]
-                    # Unrecoverable framing: the server hangs up after.
-                    assert await reader.readline() == b""
-                finally:
-                    writer.close()
+                big = protocol.encode_frame(
+                    {"id": 1, "method": "ping",
+                     "params": {"pad": "x" * 2048}})
+                # The second peer sends the eight bytes of a prefix and
+                # nothing else: the refusal needs no more than that.
+                for hostile in (big, struct.pack("<II", 1 << 30, 1 << 30)):
+                    raw = await raw_connection(server)
+                    try:
+                        resp = await raw.ask(hostile)
+                        assert resp["id"] is None
+                        assert resp["error"]["type"] == "ProtocolError"
+                        assert "exceeds" in resp["error"]["message"]
+                        # Unrecoverable framing: the server hangs up after.
+                        assert await raw.recv() is None
+                    finally:
+                        await raw.close()
+                assert not server._conns
+        run(main())
+
+
+class TestClientFrameBound:
+    """The client's frame bound is the server's: ``MAX_FRAME_BYTES``."""
+
+    def test_half_megabyte_file_roundtrips(self):
+        # The client's stream reader used to stop at 64 KiB lines: the
+        # read failed, its reader task died and the next call never
+        # returned.
+        async def main():
+            blob = bytes(range(256)) * 2048
+            async with serving() as (server, _):
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    tok = await cli.open_session("acme")
+                    assert await cli.write_file(tok, "/big", blob) == len(blob)
+                    got = await asyncio.wait_for(
+                        cli.read_file(tok, "/big"), timeout=10)
+                    assert got == blob
+                    st = await asyncio.wait_for(
+                        cli.call("stat", session=tok, path="/big"), timeout=10)
+                    assert st["size"] == len(blob)
+        run(main())
+
+    def test_reply_over_the_bound_fails_every_caller_typed(self):
+        async def forge(reader, writer):
+            await reader.read(64)  # a request arrived; answer with a lie
+            writer.write(struct.pack("<II", 1 << 30, 0) + b"{}")
+            await writer.drain()
+            await reader.read()  # until the client hangs up on us
+            writer.close()
+
+        async def main():
+            liar = await asyncio.start_server(forge, "127.0.0.1", 0)
+            port = liar.sockets[0].getsockname()[1]
+            async with liar:
+                cli = await ServerClient.connect("127.0.0.1", port)
+                calls = [asyncio.ensure_future(cli.call("ping"))
+                         for _ in range(3)]
+                done = await asyncio.wait_for(
+                    asyncio.gather(*calls, return_exceptions=True), timeout=5)
+                assert [type(exc) for exc in done] \
+                    == [errors.ProtocolError] * 3, done
+                assert not cli._pending
+                for _ in range(2):  # at once, every time: never a hang
+                    with pytest.raises(errors.ServerError):
+                        await asyncio.wait_for(cli.call("ping"), timeout=1)
+                await cli.close()
+        run(main())
+
+    def test_oversized_request_is_refused_locally_siblings_untouched(self):
+        # It used to go out: the server answered once and hung up, which
+        # failed every other session's pending call on the connection and
+        # left the next call a bare ConnectionResetError.
+        async def main():
+            async with serving() as (server, _):
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    big, sibling = [await cli.open_session("acme")
+                                    for _ in range(2)]
+                    sent = cli.sent
+                    stat = asyncio.ensure_future(
+                        cli.call("stat", session=sibling, path="/"))
+                    with pytest.raises(errors.ProtocolError, match="exceeds"):
+                        await cli.call(
+                            "write_file", session=big, path="/huge",
+                            data=bytes(protocol.MAX_FRAME_BYTES))
+                    assert (await asyncio.wait_for(stat, 5))["ino"] == 0
+                    assert cli.sent == sent + 1 and not cli._pending
+                    # The connection, and the refused session, still work.
+                    assert await cli.write_file(big, "/fits", b"x" * 4096) \
+                        == 4096
+                    assert len(server._conns) == 1
+        run(main())
+
+    def test_call_on_a_lost_connection_is_typed(self):
+        async def main():
+            async with serving() as (server, _):
+                cli = await ServerClient.connect("127.0.0.1", server.port)
+                assert await cli.ping()
+                for conn in list(server._conns.values()):
+                    conn.transport.abort()
+                for _ in range(100):
+                    if cli._lost is not None:
+                        break
+                    await asyncio.sleep(0.01)
+                with pytest.raises(errors.ServerError):
+                    await asyncio.wait_for(cli.ping(), timeout=1)
+                await cli.close()
+        run(main())
+
+
+class TestSlowReader:
+    """Nothing that runs an op waits on a peer."""
+
+    FILE = 512 * 1024
+
+    def test_peer_that_never_reads_stops_only_itself(self):
+        # Four workers used to park in ``writer.drain()`` behind this peer
+        # (``executing: 4, queued: 33``) and starve its whole tenant.
+        async def main():
+            async with serving() as (server, _):
+                policy = server.config.policy
+                burst = policy.queue_depth + policy.max_inflight
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    tok = await cli.open_session("acme")
+                    await cli.write_file(tok, "/big", b"\xa5" * self.FILE)
+                    slow = await raw_connection(server)
+                    opened = await slow.ask(protocol.encode_frame(
+                        {"id": 0, "method": "session.open",
+                         "tenant": "acme"}))
+                    mine = opened["result"]["session"]
+                    conn = max(server._conns.values(), key=lambda c: c.id)
+
+                    def reads(ids):
+                        return b"".join(protocol.encode_frame(
+                            {"id": i, "method": "read_file", "session": mine,
+                             "params": {"path": "/big"}}) for i in ids)
+
+                    await slow.send(reads(range(1, 61)))
+                    for _ in range(500):
+                        if conn.transport.get_write_buffer_size() > self.FILE:
+                            break
+                        await asyncio.sleep(0.01)
+                    # It is no longer being read from, however much more
+                    # it pipelines ...
+                    assert not conn.transport.is_reading()
+                    await slow.send(reads(range(61, 81)))
+                    await asyncio.sleep(0.05)
+                    # ... everybody else is served ...
+                    st = await asyncio.wait_for(
+                        cli.call("stat", session=tok, path="/big"), timeout=2)
+                    assert st["size"] == self.FILE
+                    tenant = (await cli.stats())["tenants"]["acme"]
+                    assert tenant["executing"] == 0 and tenant["queued"] == 0
+                    # ... what is buffered for it is one admitted burst ...
+                    limit = conn.transport.get_write_buffer_limits()[1]
+                    assert conn.transport.get_write_buffer_size() \
+                        <= limit + burst * (self.FILE + 256)
+                    # ... and once it reads, every reply is there, once.
+                    got = [await asyncio.wait_for(slow.recv(), timeout=10)
+                           for _ in range(80)]
+                    assert sorted(r["id"] for r in got) == list(range(1, 81))
+                    assert all(r["result"]["n"] == self.FILE for r in got)
+                    await slow.close()
+        run(main())
+
+    def test_one_burst_is_answered_once_per_frame(self, server_reads):
+        reads = server_reads
+
+        async def main():
+            async with serving() as (server, _):
+                policy = server.config.policy
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    tok = await cli.open_session("acme")
+                    reads.clear()
+                    # 1 000 calls started in one loop iteration: the server
+                    # finds them in as few reads as the socket allows.
+                    done = await asyncio.gather(*(
+                        cli.call("stat", session=tok, path="/")
+                        for _ in range(1000)), return_exceptions=True)
+                    assert cli.sent == cli.received and cli.unmatched == 0
+                    assert not cli._pending
+                    answered = [r for r in done if isinstance(r, dict)]
+                    refused = [r for r in done if not isinstance(r, dict)]
+                    assert all(r["ino"] == 0 for r in answered)
+                    assert all(isinstance(r, errors.Overloaded)
+                               and r.retryable for r in refused), refused[:3]
+                    # A read starts at most one admitted burst before the
+                    # loop runs again; the rest of it is refused, typed.
+                    assert 0 < len(answered) <= len(reads) * (
+                        policy.queue_depth + policy.max_inflight)
+                    assert len(reads) < 10 and refused
+                    tenant = server.stats()["tenants"]["acme"]
+                    assert tenant["executing"] == 0 and tenant["queued"] == 0
         run(main())
 
 
@@ -176,18 +394,15 @@ class TestDisconnectMidOp:
         async def main():
             cfg = ServerConfig(debug_ops=True, lease_seconds=60)
             async with serving(config=cfg) as (server, volumes):
-                reader, writer = await raw_connection(server)
-                open_req = protocol.encode_frame(
-                    {"id": 1, "method": "session.open", "tenant": "acme"})
-                resp = await send_raw(writer, reader, open_req)
+                raw = await raw_connection(server)
+                resp = await raw.ask(protocol.encode_frame(
+                    {"id": 1, "method": "session.open", "tenant": "acme"}))
                 token = resp["result"]["session"]
-                # Park a worker in the op, then vanish mid-flight.
-                writer.write(protocol.encode_frame(
+                # Park the op in its slot, then vanish mid-flight.
+                await raw.send(protocol.encode_frame(
                     {"id": 2, "method": "debug.sleep", "session": token,
                      "params": {"seconds": 0.1}}))
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
+                await raw.close()
                 # The op completes server-side; the undeliverable response
                 # is dropped, the dead connection's session is reaped once
                 # its inflight op finishes, and the server stays up.

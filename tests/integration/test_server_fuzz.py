@@ -1,4 +1,5 @@
-"""Hostile wire parameters end typed, never in the ``internal error`` fallback.
+"""Hostile wire parameters and hostile bytes end typed, never in the
+``internal error`` fallback, a bare exception or a hang.
 
 A table-driven fuzz over the whole wire surface: every ``SESSION_OPS``
 entry and ``session.open``, every parameter each one reads, a fixed list of
@@ -12,15 +13,25 @@ Before the boundary validated them, ``mode`` reached ``struct.pack``
 mid-create (after the inode slot was taken), a bad ``uid`` surfaced on the
 first create after ``session.open``, and a non-string ``data`` died inside
 ``unpack_bytes`` — each as ``ServerError: internal error: …``.
+
+The second half is the same question asked of the *frames*: a valid request
+sequence answers the same however the stream is cut, and arbitrary bytes on
+a live connection cost error replies or a hang-up — never more buffered
+than one frame, never the server.
 """
 
 import asyncio
+import random
+import struct
 
 import pytest
 
 from repro import errors, obs
-from repro.server import ServerClient, VolumeServer, make_volumes, protocol
+from repro.server import (ServerClient, ServerConfig, VolumeServer,
+                          make_volumes, protocol)
 from repro.server.dispatch import SESSION_OPS
+from tests.integration.test_server import raw_connection
+from tests.unit.test_server_protocol import framed
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -183,6 +194,172 @@ def test_hostile_params_end_typed(method):
                 await server.drain()
             kernel = volumes["acme"].kernel
             assert not kernel.acquisitions
+            report = volumes["acme"].fsck()
+            assert report.clean, report.summary()
+        finally:
+            for vol in volumes.values():
+                vol.close()
+
+    asyncio.run(asyncio.wait_for(main(), timeout=50))
+
+
+# --------------------------------------------------------------------------- #
+# Frames: chunking invariance and arbitrary bytes
+# --------------------------------------------------------------------------- #
+
+
+def request_stream() -> bytes:
+    """A session's worth of valid requests (the first session a fresh
+    server opens for ``acme`` is ``acme-1``), with a payload no line format
+    survives, one header that is not JSON and one unknown method."""
+    blob = b"cut\nme\x00anywhere\xff" * 40
+
+    def op(i, method, **params):
+        return protocol.encode_frame({"id": i, "method": method,
+                                      "session": "acme-1", "params": params})
+
+    return b"".join([
+        protocol.encode_frame({"id": 1, "method": "ping"}),
+        protocol.encode_frame({"id": 2, "method": "session.open",
+                               "tenant": "acme"}),
+        op(3, "mkdir", path="/d"),
+        op(4, "write_file", path="/d/f", data=blob),
+        framed(b"{not json", b"\x00" * 9),
+        op(5, "read_file", path="/d/f"),
+        op(6, "stat", path="/d/f"),
+        op(7, "open", path="/d/f"),
+        op(8, "pwrite", fd=3, offset=5, data=b""),
+        op(9, "pread", fd=3, n=64, offset=0),
+        op(10, "tx_begin"),
+        op(11, "tx_op", op="pwrite", path="/d/f", offset=1, data=b"\n\n"),
+        op(12, "tx_commit"),
+        op(13, "stat", path="/missing"),
+        op(14, "fs.format"),
+        op(15, "readdir", path="/d"),
+        op(16, "release"),
+    ])
+
+
+async def replies_to(chunks, reads) -> dict:
+    """Feed ``chunks`` to a fresh server, each only once the one before it
+    has been read, and collect the 17 replies by id."""
+    volumes = make_volumes(["acme"], size=16 << 20, inode_count=256)
+    try:
+        async with VolumeServer(volumes) as server:
+            raw = await raw_connection(server)
+            start, sent = len(reads), 0
+            for chunk in chunks:
+                await raw.send(chunk)
+                sent += len(chunk)
+                while sum(n for n, _ in reads[start:]) < sent:
+                    await asyncio.sleep(0)
+            got = [await asyncio.wait_for(raw.recv(), 5) for _ in range(17)]
+            await raw.close()
+            await server.drain()
+        assert not volumes["acme"].kernel.acquisitions
+        assert volumes["acme"].fsck().clean
+    finally:
+        for vol in volumes.values():
+            vol.close()
+    by_id = {r["id"]: r for r in got}
+    assert len(by_id) == 17, got
+    assert by_id[10]["result"].pop("txid") > 0  # a process-wide counter
+    return by_id
+
+
+def test_replies_do_not_depend_on_how_the_stream_is_cut(server_reads):
+    reads = server_reads
+    stream = request_stream()
+
+    async def main():
+        whole = await replies_to([stream], reads)
+        assert whole[None]["error"]["type"] == "ProtocolError"
+        assert whole[5]["result"]["data"][:4] == b"cut\n"
+        assert whole[12]["result"]["ops"] == 1
+        assert whole[13]["error"]["type"] == "NoEntry"
+        rng = random.Random(20)
+        cuts = [[stream[i:i + 1] for i in range(len(stream))]]  # every byte
+        for _ in range(3):
+            at = sorted(rng.sample(range(1, len(stream)), 12))
+            cuts.append([stream[a:b] for a, b in
+                         zip([0] + at, at + [len(stream)])])
+        for chunks in cuts:
+            start = len(reads)
+            assert await replies_to(chunks, reads) == whole
+            assert len(reads) - start >= len(chunks)  # the cuts were seen
+
+    asyncio.run(asyncio.wait_for(main(), timeout=50))
+
+
+def hostile_streams(rng, max_frame):
+    ping = protocol.encode_frame({"id": 1, "method": "ping"})
+    stat = protocol.encode_frame({"id": 2, "method": "stat", "session": "acme-1",
+                                  "params": {"path": "/"}})
+    yield rng.randbytes(64)
+    yield struct.pack("<II", max_frame, max_frame)
+    yield struct.pack("<II", 0, 0) * 50                 # fifty empty headers
+    yield struct.pack("<II", 3, 1 << 31) + b"{}"
+    yield ping + stat[:-3]                              # then silence
+    yield ping + framed(b"\xff" * 40, b"\n" * 40) + ping
+    yield framed(b'{"id":5,"method":"ping","bin":"params"}', b"x")
+    yield framed(b'{"id":6,"bin":"result","result":{}}', b"reply?")
+    yield framed(b"[" * (max_frame - 64))                # deepest legal header
+    for _ in range(40):
+        good = bytearray(ping + stat + ping)
+        for _ in range(rng.randrange(1, 4)):
+            good[rng.randrange(len(good))] = rng.randrange(256)
+        yield bytes(good)
+    for _ in range(20):
+        yield rng.randbytes(rng.randrange(1, 400))
+
+
+def test_arbitrary_bytes_cost_replies_or_a_hangup(server_reads):
+    max_frame = 4096
+
+    async def converse(server, blob):
+        """Everything the server says to ``blob`` until it hangs up or has
+        been silent for a moment (a frame cut short: it is waiting)."""
+        raw = await raw_connection(server)
+        await raw.send(blob)
+        try:
+            while True:
+                reply = await asyncio.wait_for(raw.recv(), timeout=0.05)
+                if reply is None:
+                    return
+                assert set(reply) == {"id", "result"} or (
+                    set(reply) == {"id", "error"}
+                    and reply["error"]["type"] in protocol._ERROR_TYPES
+                    and "internal error" not in reply["error"]["message"]), \
+                    (blob, reply)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            await raw.close()
+
+    async def main():
+        volumes = make_volumes(["acme"], size=16 << 20, inode_count=256)
+        try:
+            config = ServerConfig(max_frame=max_frame)
+            async with VolumeServer(volumes, config) as server:
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    assert await cli.open_session("acme") == "acme-1"
+                    for blob in hostile_streams(random.Random(20), max_frame):
+                        await converse(server, blob)
+                    assert await cli.ping()
+                fresh = await raw_connection(server)
+                assert await fresh.ask(protocol.encode_frame(
+                    {"id": 9, "method": "ping"})) \
+                    == {"id": 9, "result": {"pong": True}}
+                await fresh.close()
+                for _ in range(100):
+                    if not server._conns:
+                        break
+                    await asyncio.sleep(0.01)
+                assert not server._conns
+                await server.drain()
+            assert max(left for _, left in server_reads) < max_frame
+            assert not volumes["acme"].kernel.acquisitions
             report = volumes["acme"].fsck()
             assert report.clean, report.summary()
         finally:

@@ -246,6 +246,33 @@ class TestSharedSpine:
                 assert tree == model
         run(main())
 
+    def test_contended_creates_strand_no_inode(self):
+        """Two sessions fill one directory: every create by the one that
+        does not hold it is recalled and re-run, and each re-run used to
+        leave the slot its first attempt took pending, owned by the loser,
+        until the session closed.  ``release`` must hand back everything."""
+        async def main():
+            async with serving() as (server, volumes):
+                kernel = volumes["acme"].kernel
+                async with await connect(server) as cli:
+                    a, b = [await cli.open_session("acme") for _ in "ab"]
+                    await cli.call("mkdir", session=a, path="/d")
+                    for i in range(50):
+                        for tok, who in ((a, "a"), (b, "b")):
+                            fd = await cli.call("creat", session=tok,
+                                                path=f"/d/{who}{i}")
+                            await cli.call("close", session=tok, fd=fd["fd"])
+                    assert server.stats()["tenants"]["acme"]["recalls"] >= 50
+                    for tok in (a, b):
+                        await cli.call("release", session=tok)
+                    assert not kernel.acquisitions
+                    assert not kernel.pending
+                await server.drain()
+                assert_settled(volumes["acme"])
+                with volumes["acme"].session("reader") as fs:
+                    assert len(fs.readdir("/d")) == 100
+        run(main())
+
 
 class TestAttribution:
     async def forge(self, server, cli, tok):

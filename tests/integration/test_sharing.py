@@ -54,6 +54,27 @@ class TestOwnershipTransfer:
         app1.release_all()
         assert app2.exists("/shared")
 
+    @pytest.mark.parametrize("create", ["creat", "mkdir"])
+    def test_contended_create_strands_no_inode(self, create):
+        """The slot a create takes before it reaches for the parent goes
+        back when the parent turns out to be held: it used to stay pending,
+        acquired by the loser, one more per retry, until the loser shut
+        down (the wire re-runs exactly this op after every recall)."""
+        _dev, kernel, app1, app2 = two_apps()
+        app1.mkdir("/d", mode=0o777)
+        app1.release_all()
+        app2.readdir("/d")                      # app2 caches /d ...
+        app2.release_all()
+        app1.close(app1.creat("/d/x"))          # ... app1 holds it for write
+        owned, pending = set(kernel.acquisitions), set(kernel.pending)
+        for i in range(3):
+            with pytest.raises(TryAgain):
+                getattr(app2, create)(f"/d/y{i}")
+            assert set(kernel.acquisitions) == owned
+            assert set(kernel.pending) == pending
+        app1.release_all()
+        getattr(app2, create)("/d/y0")          # and nothing is in its way
+
     def test_each_transfer_verifies(self):
         _dev, kernel, app1, app2 = two_apps()
         fd = app1.creat("/shared", mode=0o666)

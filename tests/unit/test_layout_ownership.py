@@ -16,7 +16,10 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   unmaps an acquisition; no verdict waits on a clock — the rename lease is
   the only lease the kernel imports;
 * every option is a field of one of five dataclasses, so the census below
-  makes the next one a visible diff.
+  makes the next one a visible diff;
+* the wire has one frame format and ``server/protocol.py`` is the one place
+  that knows it: nothing else under ``server/`` packs a prefix, and nothing
+  there reads lines or encodes payloads as text.
 """
 
 import ast
@@ -30,6 +33,7 @@ STRUCT_OWNERS = (
     "pm/layout.py",       # superblock, inode, dentry, page header
     "core/corestate.py",  # 8-byte atomic fields of the above
     "tx/log.py",          # its own redo-log header
+    "server/protocol.py",  # the wire's frame prefix
     "kv/",                # the KV store's WAL and SSTable files
     "basefs/",            # the baseline file systems' private formats
 )
@@ -122,6 +126,35 @@ def test_the_rename_lease_is_the_only_lease_in_the_kernel():
                          and node.module == "repro.concurrency.lease"
                          for alias in node.names}
     assert imported == {"Lease"}
+
+
+def test_the_wire_format_lives_in_protocol_only():
+    """Length-prefixed frames with raw payloads replaced JSON lines with
+    base64; a second reader of either kind is a second format.  (Who may
+    import ``struct`` at all is ``STRUCT_OWNERS``, above.)"""
+    text_codecs = {"base64", "binascii"}
+    line_readers = {"readline", "readuntil", "StreamReader", "start_server",
+                    "open_connection"}
+    offenders = []
+    for rel, tree in _modules():
+        if not rel.startswith("server/"):
+            continue
+        private = set() if rel == "server/protocol.py" else {"_PREFIX"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                used = {a.name.split(".")[0] for a in node.names} & text_codecs
+            elif isinstance(node, ast.ImportFrom):
+                used = {(node.module or "").split(".")[0]} & text_codecs
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                name = node.attr if isinstance(node, ast.Attribute) else node.id
+                used = {name} & (line_readers | private)
+            else:
+                continue
+            offenders += [f"{rel}:{node.lineno}: {name}" for name in used]
+    assert not offenders, offenders
+    coders = [fn.name for fn in ast.walk(dict(_modules())["server/protocol.py"])
+              if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_frame")]
+    assert sorted(coders) == ["decode_frame", "encode_frame"]
 
 
 def test_option_census():
