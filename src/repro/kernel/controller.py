@@ -117,9 +117,17 @@ class KernelController:
         self.alloc = PageAllocator(device, self.geom)
         self.verifier = Verifier(self, workers=config.verify_workers)
         self.rename_lease = Lease("global-rename", duration=1.0)
-        #: cross-app shared read-only mapping table (zero-crossing reads).
-        #: Always constructed; only populated when the config opts in.
-        self.readcache = ReadMappingCache(device)
+        #: one monotonic version per inode slot — the only thing retained
+        #: auxiliary state is validated against.  It moves when a writable
+        #: acquisition begins (:meth:`_open_for_write`), when the kernel
+        #: itself rewrites the core state (the resolution in
+        #: :meth:`_verify_or_resolve`) and when the inode is deleted
+        #: (:meth:`_drop_shadow`) — nowhere else; applications read it
+        #: through ``readcache`` without crossing into the kernel.
+        self.inode_version: List[int] = [0] * self.geom.inode_count
+        #: the published side: the version table above plus shared read-only
+        #: mappings of verified files (populated when the config opts in).
+        self.readcache = ReadMappingCache(device, self.inode_version)
         self.stats = KernelStats()
         self._lock = threading.RLock()
 
@@ -140,8 +148,6 @@ class KernelController:
         self._free_heap: List[int] = []
         #: rollback target for inodes dirtied inside a trust group.
         self._group_snapshots: Dict[int, Snapshot] = {}
-        #: which app last owned each inode (auxiliary-state staleness hint).
-        self._last_owner: Dict[int, str] = {}
         self.last_recovery: Optional[RecoveryReport] = None
         #: serializes transaction commits volume-wide: the superblock holds
         #: exactly one pending redo log (``repro.tx``).
@@ -379,8 +385,17 @@ class KernelController:
     # Ownership transfer: acquire / commit / release / revoke
     # ------------------------------------------------------------------ #
 
-    def acquire(self, app_id: str, ino: int, write: bool = True) -> Mapping:
-        """Grant ``app_id`` ownership of ``ino`` and map its core state."""
+    def acquire(self, app_id: str, ino: int,
+                write: bool = True) -> Tuple[Mapping, int]:
+        """Grant ``app_id`` ownership of ``ino`` and map its core state.
+
+        Returns ``(mapping, version)``: the inode's version when the grant
+        was made.  Auxiliary state the LibFS built (or was left with, at
+        its own release) at that version is still the core state's image;
+        at any other it must be rebuilt (§4.3 keeps it around after release
+        precisely so the common own-release/re-acquire path is cheap *and*
+        safe).
+        """
         obs.kernel_crossing("mmap")
         with self._lock:
             app = self._require_app(app_id)
@@ -396,8 +411,8 @@ class KernelController:
                         if sh is not None:
                             check_access(sh.mode, sh.uid, app.uid, WRITE, f"inode {ino}")
                         acq.writable = True
-                        self.readcache.invalidate(ino)
-                    return acq.mapping  # idempotent re-acquire
+                        self._open_for_write(ino)
+                    return acq.mapping, acq.version  # idempotent re-acquire
                 raise TryAgain(f"inode {ino} owned by {acq.app_id}",
                                owner=acq.app_id, ino=ino)
             if sh is not None:
@@ -426,40 +441,38 @@ class KernelController:
             return self._grant(app_id, ino, snapshot, write)
 
     def _grant(self, app_id: str, ino: int, snapshot: Optional[Snapshot],
-               write: bool) -> Mapping:
+               write: bool) -> Tuple[Mapping, int]:
         """Map ``ino`` for ``app_id`` and record the acquisition."""
         mapping = Mapping(self.device, ino, tag=app_id)
+        version = self.inode_version[ino]
         self.acquisitions[ino] = Acquisition(
-            ino=ino, app_id=app_id, mapping=mapping, snapshot=snapshot, writable=write
+            ino=ino, app_id=app_id, mapping=mapping, snapshot=snapshot,
+            writable=write, version=version
         )
-        self._last_owner[ino] = app_id
         self.stats.acquires += 1
         if write:
-            # Writers must never coexist with zero-crossing readers:
-            # retract the published version and revoke every cached
-            # mapping before the writer sees its own mapping.
-            self.readcache.invalidate(ino)
-        return mapping
+            self._open_for_write(ino)
+        return mapping, version
 
-    def _drop(self, acq: Acquisition) -> None:
-        """Unmap an acquisition and forget it (the inverse of :meth:`_grant`)."""
+    def _open_for_write(self, ino: int) -> None:
+        """A writable acquisition begins.  Nothing anybody retained may
+        answer for the inode from here on (the version moves; the grant
+        reported the number before, so the writer's own state is behind
+        too until its release tells it the new one), and writers never
+        coexist with zero-crossing readers: unpublish it and revoke every
+        cached mapping before the writer sees its own."""
+        self.inode_version[ino] += 1
+        self.readcache.invalidate(ino)
+
+    def _drop(self, acq: Acquisition) -> int:
+        """Unmap an acquisition and forget it (the inverse of :meth:`_grant`).
+
+        Returns the inode's current version: nobody else can have built an
+        image at it while the acquisition stood, so it is the number the
+        releaser's own — the one that followed the writes — is at."""
         acq.mapping.unmap()
         del self.acquisitions[acq.ino]
-
-    def acquire_ex(self, app_id: str, ino: int, write: bool = True):
-        """Like :meth:`acquire`, also reporting auxiliary-state staleness.
-
-        Returns ``(mapping, stale)``: ``stale`` is True when another
-        application owned the inode since this one last built its auxiliary
-        state, i.e. the LibFS must rebuild its DRAM index from the core
-        state instead of reusing the retained one (§4.3 keeps aux state
-        around after release precisely so the common own-release/re-acquire
-        path is cheap and safe).
-        """
-        with self._lock:
-            stale = self._last_owner.get(ino) != app_id
-            mapping = self.acquire(app_id, ino, write=write)
-            return mapping, stale
+        return self.inode_version[acq.ino]
 
     def commit(self, app_id: str, ino: int) -> None:
         """Verify in place; ownership and mapping are retained ([21, §4.3]).
@@ -475,8 +488,10 @@ class KernelController:
             acq.snapshot = self._snapshot(ino)
             self.stats.commits += 1
 
-    def release(self, app_id: str, ino: int) -> None:
-        """Voluntary release: verify, update shadow, unmap."""
+    def release(self, app_id: str, ino: int) -> int:
+        """Voluntary release: verify, update shadow, unmap.  Returns the
+        inode's version after it, so the releaser's retained auxiliary
+        state stays current (a failed release raises: nothing stays)."""
         obs.kernel_crossing("ownership_transfer")
         with self._lock:
             acq = self._require_acquisition(app_id, ino)
@@ -496,14 +511,13 @@ class KernelController:
                 except VerifyFailure:
                     pass  # unparseable now; the group-exit verification pays
                 sh.trusted_dirty_group = app.group
-                self._drop(acq)
                 self.stats.group_skips += 1
                 self.stats.releases += 1
-                return
+                return self._drop(acq)
             try:
                 self._verify_or_resolve(ino, app_id, acq.snapshot)
             finally:
-                self._drop(acq)
+                version = self._drop(acq)
             self.stats.releases += 1
             if self.config.read_mapping_cache:
                 # The inode is verified as of this instant: publish it so
@@ -514,6 +528,7 @@ class KernelController:
                 if (sh is not None and not sh.is_dir
                         and not sh.inaccessible and not sh.deleted_pending):
                     self.readcache.publish(ino)
+            return version
 
     def rollback_to_snapshot(self, app_id: str, ino: int) -> bool:
         """Restore an owned inode to its acquisition snapshot (tx abort).
@@ -629,6 +644,9 @@ class KernelController:
             if not (ino in self.pending and ino not in self.shadow):
                 obs.kernel_crossing("corruption_resolution")
                 self.policy.resolve(self, ino, snapshot, vf.reason)
+                # The kernel rewrote the core state: no image of it built
+                # before — the owner's, a trust-group member's — is current.
+                self.inode_version[ino] += 1
             raise CorruptionDetected(vf.ino, vf.reason) from vf
         self._apply(staged)
 
@@ -693,6 +711,7 @@ class KernelController:
         csh = self.shadow.pop(ino, None)
         if csh is None:
             return
+        self.inode_version[ino] += 1  # whatever reuses the slot is not this
         self.readcache.invalidate(ino)
         for page_no in list(self.inode_pages.get(ino, ())):
             self.clear_page_owner(page_no)

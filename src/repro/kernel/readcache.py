@@ -1,18 +1,27 @@
-"""Cross-app shared read-only mapping table (the zero-crossing read path).
+"""What the kernel publishes to applications: the per-inode version table
+and shared read-only mappings (the zero-crossing read path).
 
-KucoFS-style: when the kernel finishes a **verified**
-release of a regular file, it publishes the inode into a shared read-only
-table with a monotonically increasing version.  Any registered application
-may then attach the file for read straight from the table — a version
-load and a map construction, with **no kernel crossing** — and keep
-serving reads as long as :meth:`valid` holds.
+KucoFS-style, one device: a version the trusted side moves and the reader
+compares.  The controller keeps **one monotonic version per inode**,
+advanced when a writable acquisition begins, when the kernel rolls the core
+state back and when the inode is deleted (``KernelController.
+_open_for_write`` / ``_verify_or_resolve`` / ``_drop_shadow``); this table
+only *reads* it.
+A LibFS stamps the auxiliary state it builds with the version its mapping
+came with, and :meth:`valid` — a load from a shared read-only page, **no
+kernel crossing** — is the one question "is what I kept still the core
+state's image?" is answered by, for directories and files, retained or
+cache-attached alike.
 
-The invalidation contract keeps the trust story intact:
+On top of that, when the kernel finishes a **verified** release of a
+regular file under ``read_mapping_cache`` it publishes the inode: any
+registered application may then map it for read straight from here.  The
+invalidation contract keeps the trust story intact:
 
 * only *verified* state is ever published — a trust-group release
   (unverified, §5.4) does not publish, and a commit does not either (the
   owner may keep writing through its retained mapping);
-* any write acquisition invalidates the entry *before* the writer gets
+* any write acquisition unpublishes the inode *before* the writer gets
   the mapping, and unmaps every handed-out cached mapping (the TLB-
   shootdown analogue) — a reader mid-access faults with
   ``SimulatedBusError``, revalidates and re-attaches;
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.pm.device import PMDevice
@@ -39,65 +48,67 @@ class ReadCacheStats:
     invalidations: int = 0
     hits: int = 0
     misses: int = 0
-    #: per-operation revalidations of an already-attached cached mapping.
+    #: checks of a kept image (retained, or a borrowed mapping's) against
+    #: the kernel's version — one per read that is not through ownership.
     validations: int = 0
 
 
 class ReadMappingCache:
-    """The kernel's published {ino: version} table plus handed-out maps."""
+    """The kernel's published inode versions plus handed-out read maps."""
 
-    def __init__(self, device: PMDevice, tag: str = "readcache"):
+    def __init__(self, device: PMDevice, versions: Sequence[int],
+                 tag: str = "readcache"):
         self.device = device
         self.tag = tag
         self._lock = threading.Lock()
-        #: published inodes: ino -> current version.
-        self._versions: Dict[int, int] = {}
+        #: the controller's per-inode version table (read here, never written).
+        self._versions = versions
+        #: inodes attachable for read straight from this table.
+        self._published: Set[int] = set()
         #: cached mappings handed out per inode (revoked on invalidate).
         self._handouts: Dict[int, List[Mapping]] = {}
-        self._next_version = 1
         self.stats = ReadCacheStats()
 
     # -- kernel side ----------------------------------------------------- #
 
-    def publish(self, ino: int) -> int:
-        """Make ``ino`` attachable for read; returns the new version."""
+    def publish(self, ino: int) -> None:
+        """Make ``ino`` attachable for read, at the version it has now."""
         with self._lock:
-            version = self._next_version
-            self._next_version += 1
-            self._versions[ino] = version
+            self._published.add(ino)
             self.stats.publishes += 1
         obs.count("readcache.publishes")
-        return version
 
     def invalidate(self, ino: int) -> None:
         """Retract ``ino`` and revoke every cached mapping of it."""
         with self._lock:
-            published = self._versions.pop(ino, None)
+            published = ino in self._published
+            self._published.discard(ino)
             handouts = self._handouts.pop(ino, [])
-            if published is not None:
+            if published:
                 self.stats.invalidations += 1
         for mapping in handouts:
             if mapping.valid:
                 mapping.unmap()
-        if published is not None:
+        if published:
             obs.count("readcache.invalidations")
 
     # -- application side ------------------------------------------------- #
 
     def attach(self, app_id: str, ino: int) -> Optional[Tuple[Mapping, int]]:
-        """A read-only mapping of a published inode, or None on a miss.
+        """A read-only mapping of a published inode and the version it
+        shows, or None on a miss.
 
         Deliberately *no* ``obs.kernel_crossing``: the table is modeled as
         a shared read-only page (vDSO-like), so a hit never enters the
         kernel.
         """
         with self._lock:
-            version = self._versions.get(ino)
-            if version is None:
+            if ino not in self._published:
                 self.stats.misses += 1
                 miss = True
             else:
                 mapping = Mapping(self.device, ino, tag=f"{app_id}/ro")
+                version = self._versions[ino]
                 self._handouts.setdefault(ino, []).append(mapping)
                 self.stats.hits += 1
                 miss = False
@@ -107,12 +118,12 @@ class ReadMappingCache:
         obs.count("readcache.hits")
         return mapping, version
 
-    def valid(self, ino: int, version: int) -> bool:
-        """Is ``version`` still the published version of ``ino``?"""
+    def valid(self, ino: int, version: Optional[int]) -> bool:
+        """Is ``version`` still the kernel's version of ``ino``?  One load
+        from the published page: no crossing (the lock is the counter's)."""
         with self._lock:
-            ok = self._versions.get(ino) == version
             self.stats.validations += 1
-        return ok
+        return self._versions[ino] == version
 
     def detach(self, ino: int, mapping: Mapping) -> None:
         """Return a cached mapping (local release — no kernel involvement)."""
@@ -129,5 +140,6 @@ class ReadMappingCache:
             mapping.unmap()
 
     def published(self, ino: int) -> Optional[int]:
+        """The version ``ino`` is attachable at, or None when it is not."""
         with self._lock:
-            return self._versions.get(ino)
+            return self._versions[ino] if ino in self._published else None

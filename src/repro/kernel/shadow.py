@@ -95,3 +95,6 @@ class Acquisition:
     mapping: object  # repro.pm.Mapping
     snapshot: Optional[Snapshot]
     writable: bool = True
+    #: the inode's version when this grant was made: auxiliary state built
+    #: at it is the image of what the mapping showed then.
+    version: int = 0

@@ -45,10 +45,15 @@ class MemInode:
         self.order = 0
         #: serialises attach/detach transitions for this inode.
         self.attach_lock = threading.RLock()
-        #: read-mapping-cache version this attach rode, or None for a real
-        #: kernel acquisition.  A cache-attached inode is read-only and is
-        #: revalidated against the kernel's published version before use.
-        self.cache_version: Optional[int] = None
+        #: the kernel's version of the inode when the auxiliary state below
+        #: was last (re)built from core state — or, for the releaser, as of
+        #: its own release.  None: never built.  Detached, the state may
+        #: answer reads only while this is still the kernel's number.
+        self.aux_version: Optional[int] = None
+        #: the mapping came from the kernel's published read-only table, not
+        #: from an acquisition: nothing is owned, the kernel may revoke it
+        #: at any time, and releasing it is local.
+        self.borrowed = False
 
         # Cached shadow fields (§4.3): readers use these, never the mapping.
         self.gen = record.gen
@@ -88,6 +93,12 @@ class MemInode:
     @property
     def attached(self) -> bool:
         return self.mapping is not None and self.mapping.valid
+
+    @property
+    def owned(self) -> bool:
+        """Attached through a kernel acquisition: nobody else can have
+        changed the inode, so nothing needs checking."""
+        return not self.borrowed and self.attached
 
     def pick_tail(self) -> int:
         """Spread appends across log tails by thread (multi-tailed log)."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -39,6 +40,7 @@ from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState, DentryLoc
 from repro.core.mkfs import ROOT_INO
 from repro.errors import (
+    BadFileDescriptor,
     Exists,
     FSError,
     InvalidArgument,
@@ -132,7 +134,7 @@ class LibFS:
         #: the members of ``_inodes`` that may hold a live mapping — every
         #: attached one, plus ones released or revoked since the last
         #: ``release_all`` pruned it.  Written under ``_inodes_lock`` by
-        #: ``_remember`` / ``_note_mapped`` / ``_invalidate_aux`` only.
+        #: ``_remember`` / ``_invalidate_aux`` only.
         self._mapped: Dict[int, MemInode] = {}
         self._inode_order = itertools.count()
         self._inodes_lock = threading.RLock()
@@ -150,7 +152,8 @@ class LibFS:
         return CoreState(mi.mapping, self.geom)
 
     def _remember(self, mi: MemInode) -> None:
-        """Enter a freshly mapped MemInode into ``_inodes`` (lock held)."""
+        """Enter a just-mapped MemInode into ``_inodes`` (lock held); for
+        one already there this only indexes it as mapped again."""
         old = self._inodes.get(mi.ino)
         # ``order`` is the position in ``_inodes``: overwriting a key keeps
         # the dict slot, so it keeps the stamp too.
@@ -158,16 +161,8 @@ class LibFS:
         self._inodes[mi.ino] = mi
         self._mapped[mi.ino] = mi
 
-    def _note_mapped(self, mi: MemInode) -> None:
-        """A known MemInode was handed a new mapping: index it again."""
-        with self._inodes_lock:
-            if self._inodes.get(mi.ino) is mi:
-                self._mapped[mi.ino] = mi
-
-    def _rebuild_aux(self, mi: MemInode) -> None:
+    def _rebuild_aux(self, mi: MemInode, cs: CoreState, rec: InodeRecord) -> None:
         """(Re)build the DRAM auxiliary state from the mapped core state."""
-        cs = self._cs(mi)
-        rec = cs.read_inode(mi.ino)
         mi.record = rec
         mi.gen = rec.gen
         mi.itype = rec.itype
@@ -188,127 +183,86 @@ class LibFS:
 
     def _attach(self, ino: int, write: bool = False,
                 parent_ino: Optional[int] = None) -> MemInode:
-        """Ensure the inode is acquired and its auxiliary state usable."""
+        """Ensure the inode is mapped (for write if asked) and its auxiliary
+        state is the image of the core state the mapping shows.
+
+        First attach, re-attach of a retained inode and read-to-write
+        upgrade alike: take a mapping — from the kernel's published table
+        when reading under ``read_mapping_cache`` (no crossing), else by
+        acquiring — and rebuild iff the version the state was built at is
+        not the one the mapping came with.
+        """
         with self._inodes_lock:
-            mi = self._inodes.get(ino)
-        if mi is None:
-            if not write and self.config.read_mapping_cache:
-                mi = self._cache_attach_new(ino, parent_ino)
-                if mi is not None:
-                    return mi
-            mapping, _stale = self.kernel.acquire_ex(self.app_id, ino, write=write)
-            rec = CoreState(mapping, self.geom).read_inode(ino)
-            mi = MemInode(ino, rec, self.config, self.rcu, self.freelist)
-            mi.mapping = mapping
-            mi.writable = write
-            mi.parent_ino = parent_ino
-            self._rebuild_aux(mi)
+            known = self._inodes.get(ino)
+        if known is not None and known.attached and (known.writable or not write):
+            return known
+        with known.attach_lock if known is not None else nullcontext():
+            if known is not None:
+                if known.attached and (known.writable or not write):
+                    return known
+                write = write or known.writable
+            borrow = not write and self.config.read_mapping_cache
+            while True:
+                cached = (self.kernel.readcache.attach(self.app_id, ino)
+                          if borrow else None)
+                mapping, version = cached or self.kernel.acquire(
+                    self.app_id, ino, write=write)
+                mi = known
+                try:
+                    if mi is None or mi.aux_version != version:
+                        # Somebody else wrote it since (or we never saw it):
+                        # what we kept is no longer the core state's image.
+                        cs = CoreState(mapping, self.geom)
+                        rec = cs.read_inode(ino)
+                        if mi is None or (mi.gen, mi.itype) != (rec.gen, rec.itype):
+                            # First sight — or the slot holds another inode
+                            # now, which is not this one's to become.
+                            mi = MemInode(ino, rec, self.config, self.rcu,
+                                          self.freelist)
+                            mi.parent_ino = parent_ino
+                        self._rebuild_aux(mi, cs, rec)
+                        mi.aux_version = version
+                    break
+                except SimulatedBusError:
+                    if cached is None:
+                        raise
+                    # Revoked between the table and the rebuild: a writer
+                    # has it — fall back to a real (crossing) acquisition.
+                    self.kernel.readcache.detach(ino, mapping)
+                    borrow = False
+            mi.mapping, mi.borrowed, mi.writable = mapping, cached is not None, write
             with self._inodes_lock:
-                existing = self._inodes.get(ino)
-                if existing is not None:
-                    mi = existing  # lost the build race; kernel grant is shared
-                else:
+                rival = self._inodes.get(ino)
+                if rival is None or rival is known:
                     self._remember(mi)
-            if write and not mi.writable:
-                mi.writable = True
-            return mi
-        if mi.attached and (mi.writable or not write):
-            return mi
-        with mi.attach_lock:
-            if mi.attached and (mi.writable or not write):
-                return mi
-            if (not write and not mi.writable
-                    and self.config.read_mapping_cache
-                    and self._try_cache_attach(mi)):
-                return mi
-            was_cached = mi.cache_version is not None
-            if was_cached:
-                # Promote (or revalidate) a cache attach via a real kernel
-                # acquisition: hand the cached mapping back first.  A write
-                # acquisition invalidates the published entry anyway.
-                old = mi.mapping
-                mi.cache_version = None
-                if old is not None and old.valid:
-                    self.kernel.readcache.detach(ino, old)
-            mapping, stale = self.kernel.acquire_ex(
-                self.app_id, ino, write=write or mi.writable
-            )
-            mi.mapping = mapping
-            self._note_mapped(mi)
-            mi.writable = mi.writable or write
-            if stale or was_cached:
-                # Another application owned it meanwhile: the retained aux
-                # state is no longer the core state's image — rebuild.
-                self._rebuild_aux(mi)
+                    rival = None
+            if rival is not None:
+                # Lost the build race: a kernel grant is shared, a borrowed
+                # mapping goes back.
+                if cached is not None:
+                    self.kernel.readcache.detach(ino, mapping)
+                rival.writable = rival.writable or write
+                return rival
+            if cached is not None:
+                obs.count("readpath.crossings_avoided")
         return mi
-
-    def _cache_attach_new(self, ino: int,
-                          parent_ino: Optional[int]) -> Optional[MemInode]:
-        """First attach of an inode via the zero-crossing mapping table."""
-        cached = self.kernel.readcache.attach(self.app_id, ino)
-        if cached is None:
-            return None
-        mapping, version = cached
-        try:
-            rec = CoreState(mapping, self.geom).read_inode(ino)
-            mi = MemInode(ino, rec, self.config, self.rcu, self.freelist)
-            mi.mapping = mapping
-            mi.cache_version = version
-            mi.parent_ino = parent_ino
-            self._rebuild_aux(mi)
-        except SimulatedBusError:
-            # Revoked between attach and rebuild — caller falls back to a
-            # real (crossing, verifying) acquisition.
-            self.kernel.readcache.detach(ino, mapping)
-            return None
-        with self._inodes_lock:
-            existing = self._inodes.get(ino)
-            if existing is None:
-                self._remember(mi)
-        if existing is not None:
-            self.kernel.readcache.detach(ino, mapping)
-            return existing  # lost the build race
-        obs.count("readpath.crossings_avoided")
-        return mi
-
-    def _try_cache_attach(self, mi: MemInode) -> bool:
-        """Re-attach a known (retained or stale-cached) inode read-only via
-        the published mapping table; no kernel crossing on success."""
-        cached = self.kernel.readcache.attach(self.app_id, mi.ino)
-        if cached is None:
-            return False
-        mapping, version = cached
-        old_mapping, old_version = mi.mapping, mi.cache_version
-        mi.mapping = mapping
-        mi.cache_version = version
-        self._note_mapped(mi)
-        try:
-            self._rebuild_aux(mi)
-        except SimulatedBusError:
-            self.kernel.readcache.detach(mi.ino, mapping)
-            mi.mapping, mi.cache_version = old_mapping, old_version
-            return False
-        obs.count("readpath.crossings_avoided")
-        return True
 
     def _get_for_read(self, ino: int) -> MemInode:
-        """An inode usable for read operations.
+        """An inode usable for read operations: owned, or kept at the
+        kernel's current version.
 
-        Under the §4.3 patch, a retained (released) MemInode serves reads
-        from cached state without a kernel round trip; otherwise attach.
-        A cache-attached inode is revalidated against the published version
-        every time — stale means the cached attach is dropped and a real
-        acquisition (with rebuild) happens.
+        Under the §4.3 patch a released MemInode is retained and serves
+        reads from cached state without a kernel round trip — for as long
+        as nobody has written the inode since, which is one load from the
+        kernel's published version table (no crossing).  A mapping borrowed
+        from that table is not ownership, so it is asked the same question;
+        anything else re-attaches, rebuilding from core state.
         """
         with self._inodes_lock:
             mi = self._inodes.get(ino)
-        if mi is not None:
-            if mi.cache_version is not None:
-                if mi.attached and self.kernel.readcache.valid(
-                        ino, mi.cache_version):
-                    return mi
-            elif mi.attached or self.config.locked_release:
-                return mi
+        if mi is not None and (
+                mi.owned or self.kernel.readcache.valid(ino, mi.aux_version)):
+            return mi
         return self._attach(ino, write=False)
 
     def _lock_bucket_attached(self, mi: MemInode, name: bytes):
@@ -418,7 +372,7 @@ class LibFS:
         inserted = False
         extended = self.config.extended_bucket_lock
         try:
-            child_mapping, _ = self.kernel.acquire_ex(self.app_id, ino, write=True)
+            child_mapping, version = self.kernel.acquire(self.app_id, ino, write=True)
             bucket = self._lock_bucket_attached(parent, name)
             if parent.dir.lookup_locked(name) is not None:
                 raise Exists(path)
@@ -449,6 +403,7 @@ class LibFS:
 
         child = MemInode(ino, rec, self.config, self.rcu, self.freelist)
         child.mapping = child_mapping
+        child.aux_version = version  # the empty image just constructed
         child.writable = True
         child.parent_ino = parent.ino
         with self._inodes_lock:
@@ -539,6 +494,13 @@ class LibFS:
             raise IsADir(entry.path)
         return mi
 
+    def _attach_open(self, mi: MemInode, write: bool) -> None:
+        """Attach the inode a descriptor was opened on.  Another MemInode
+        coming back means the slot is another inode's by now (unlinked
+        and reused by another session): the descriptor names nothing."""
+        if self._attach(mi.ino, write=write) is not mi:
+            raise BadFileDescriptor(f"inode {mi.ino} is not the file opened any more")
+
     @traced_syscall("pwrite")
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         entry = self.fdtable.get(fd)
@@ -549,7 +511,7 @@ class LibFS:
         mi.rwlock.acquire_write()
         mi.seq.write_begin()  # readers see the write in flight and retry
         try:
-            self._attach(mi.ino, write=True)
+            self._attach_open(mi, write=True)
             cs = self._cs(mi)
             end = offset + len(data)
             existing = len(mi.pages)
@@ -619,7 +581,7 @@ class LibFS:
             attempts = 0
             while True:
                 try:
-                    self._attach(mi.ino, write=False)
+                    self._attach_open(mi, write=False)
                     out = self._cs(mi).read_file_data(mi.pages, mi.size,
                                                       offset, n)
                 except SimulatedBusError:
@@ -651,7 +613,7 @@ class LibFS:
         for _attempt in range(PREAD_RETRY_LIMIT):
             start = mi.seq.read_begin()
             try:
-                self._attach(mi.ino, write=False)
+                self._attach_open(mi, write=False)
                 out = self._cs(mi).read_file_data(mi.pages, mi.size, offset, n)
             except (SimulatedBusError, IndexError):
                 # Mapping revoked underneath us, or a torn pages/size pair
@@ -1007,17 +969,13 @@ class LibFS:
             mi = self._inodes.get(ino)
         if mi is None:
             return
-        if mi.cache_version is not None:
-            # Cache-attached: no kernel acquisition exists — hand the
-            # mapping back to the shared table locally, no crossing.  The
-            # MemInode (and the now-unmapped mapping object) is retained
-            # like any §4.3 release, so open fds re-attach on demand.
-            mapping = mi.mapping
-            if mapping is not None:
-                self.kernel.readcache.detach(ino, mapping)
-            # Cleared only after the unmap: a reader that faults mid-read
-            # still sees the cache marker and retries instead of raising.
-            mi.cache_version = None
+        if mi.borrowed:
+            # No kernel acquisition exists — hand the mapping back to the
+            # shared table locally, no crossing.  The MemInode (and the
+            # now-unmapped mapping object) is retained like any §4.3
+            # release, so open fds re-attach on demand.
+            self.kernel.readcache.detach(ino, mi.mapping)
+            mi.borrowed = False
             return
         if not mi.attached:
             return
@@ -1032,7 +990,8 @@ class LibFS:
             try:
                 failpoints.hit("release.pre_unmap", ino)
                 try:
-                    self.kernel.release(self.app_id, ino)
+                    # Told the new version, what we retain stays current.
+                    mi.aux_version = self.kernel.release(self.app_id, ino)
                 except Exception:
                     self._invalidate_aux(ino)
                     raise
@@ -1094,11 +1053,10 @@ class LibFS:
         while node is not None and node.ino != ROOT_INO and node.ino not in seen:
             seen.add(node.ino)
             depth += 1
-            parent_ino = getattr(node, "parent_ino", None)
-            if parent_ino is None:
+            if node.parent_ino is None:
                 return depth + 100  # unknown lineage: release late
             with self._inodes_lock:
-                node = self._inodes.get(parent_ino)
+                node = self._inodes.get(node.parent_ino)
         return depth
 
     # ================================================================== #

@@ -65,7 +65,10 @@ def test_failed_op_leaves_nobody_wedged():
                 assert (await cli.call("stat", session=b, path="/"))["ino"] == 0
                 assert obs.metrics.counter_total(
                     "client.retries", type="TryAgain") == 0
-                assert (await cli.stats())["tenants"]["acme"]["recalls"] == 2
+                # One recall per hand-over of "/": a -> b, b -> a, and a -> b
+                # again — a holds "/" for write by then, so what b kept of
+                # it may no longer answer (it used to, stale: 2 recalls).
+                assert (await cli.stats())["tenants"]["acme"]["recalls"] == 3
             await server.drain()
             assert_settled(volumes["acme"])
     run(main())
@@ -90,6 +93,43 @@ def test_held_by_another_session_is_not_absent():
                 await cli.call("makedirs", session=b, path="/d/e")
                 assert (await cli.call("readdir", session=b,
                                        path="/d"))["names"] == ["e", "f", "g"]
+            await server.drain()
+            assert_settled(volumes["acme"])
+    run(main())
+
+
+def test_reused_inode_slot_over_the_wire():
+    """The in-process reproducer (``test_sharing.py``), two sessions of one
+    tenant: what B kept of ``/d`` and of the file may not answer once A
+    has written them, so B is told ``NoEntry`` — typed, and without ever
+    seeing the ``TryAgain`` the hand-overs raise on the way."""
+    async def main():
+        obs.enable()
+        async with serving() as (server, volumes):
+            async with await connect(server) as cli:
+                a = await cli.open_session("acme")
+                b = await cli.open_session("acme")
+                await cli.call("mkdir", session=a, path="/d")
+                await cli.write_file(a, "/d/f", b"first file, long gone soon")
+                ino = (await cli.call("stat", session=b, path="/d/f"))["ino"]
+                assert await cli.read_file(b, "/d/f") \
+                    == b"first file, long gone soon"
+                recalls = (await cli.stats())["tenants"]["acme"]["recalls"]
+                await cli.call("unlink", session=a, path="/d/f")
+                await cli.call("release", session=a)  # verified: slot free
+                await cli.write_file(a, "/g", b"another file in the same slot")
+                assert (await cli.call("stat", session=a,
+                                       path="/g"))["ino"] == ino
+                with pytest.raises(errors.NoEntry):
+                    await cli.read_file(b, "/d/f")
+                assert await cli.read_file(b, "/g") \
+                    == b"another file in the same slot"
+                stats = (await cli.stats())["tenants"]["acme"]
+                assert stats["recalls"] >= recalls + 2   # B -> A -> B
+                assert obs.metrics.counter_total(
+                    "client.retries", type="TryAgain") == 0
+                assert obs.metrics.counter_total(
+                    "server.op_errors", type="TryAgain") == 0
             await server.drain()
             assert_settled(volumes["acme"])
     run(main())
@@ -391,8 +431,10 @@ class TestTransactions:
 
     def test_directory_relocation_takes_the_destination_chain(self):
         """A cross-directory rename of a directory commits every directory
-        from the root down to the new parent — all of them somebody
-        else's here, none on a walk A cannot serve from what it cached."""
+        from the root down to the new parent — the upper two held by two
+        other sessions here, neither on a walk A cannot serve from what it
+        kept: the commit's ``prepare`` is where it meets them, one recall
+        each."""
         async def main():
             async with serving() as (server, volumes):
                 async with await connect(server) as cli:
@@ -400,18 +442,28 @@ class TestTransactions:
                                for _ in range(3)]
                     await cli.call("makedirs", session=a, path="/src/sub")
                     await cli.call("makedirs", session=a, path="/dst/deep")
+                    await cli.call("mkdir", session=a, path="/side")
                     await cli.write_file(a, "/src/sub/f", b"moved along")
                     await cli.write_file(a, "/src/junk", b"doomed")
-                    # B learns the spine, C takes the root from it, then B
-                    # comes back for the leaf directory alone: a recall is
-                    # per session, so the chain needs two holders to matter.
-                    await cli.write_file(b, "/dst/deep/b", b"B was here")
-                    await cli.call("mkdir", session=c, path="/other")
-                    await cli.write_file(b, "/dst/deep/b2", b"B again")
-                    owner = {ino: acq.app_id for ino, acq in
-                             volumes["acme"].kernel.acquisitions.items()}
-                    assert owner[0] == "acme#3"
+                    # C learns the root; B takes it from C — for read, on
+                    # its way to a write beside the chain that stays
+                    # unverified until B is recalled; C, whose root B's
+                    # read hold leaves current, comes back for /dst alone.
+                    # A recall is per session, so the chain needs two
+                    # holders to matter; and a read hold moves no version,
+                    # so no walk of A's meets either of them.
+                    await cli.call("readdir", session=c, path="/")
+                    await cli.write_file(b, "/side/b", b"B was here")
+                    assert (await cli.call("readdir", session=c,
+                                           path="/dst"))["names"] == ["deep"]
+                    kernel = volumes["acme"].kernel
+                    owner = {ino: acq.app_id
+                             for ino, acq in kernel.acquisitions.items()}
+                    dst = kernel.core.live_dentries(
+                        kernel.core.read_inode(0))[b"dst"].ino
+                    assert (owner[0], owner[dst]) == ("acme#2", "acme#3")
                     assert set(owner.values()) == {"acme#2", "acme#3"}
+                    recalls = (await cli.stats())["tenants"]["acme"]["recalls"]
                     await cli.call("tx_begin", session=a)
                     await cli.call("tx_op", session=a, op="unlink",
                                    path="/src/junk")
@@ -420,14 +472,17 @@ class TestTransactions:
                     await cli.call("tx_op", session=a, op="pwrite",
                                    path="/dst/deep/sub/f", offset=0,
                                    data=protocol.pack_bytes(b"MOVED"))
+                    stats = (await cli.stats())["tenants"]["acme"]
+                    assert stats["recalls"] == recalls      # staged from cache
                     assert (await cli.call("tx_commit", session=a))["ops"] == 3
+                    stats = (await cli.stats())["tenants"]["acme"]
+                    assert stats["recalls"] == recalls + 2  # met at prepare
                     d = await cli.open_session("acme")  # nothing cached
                     assert (await cli.call("readdir", session=d,
                                            path="/src"))["names"] == []
                     assert await cli.read_file(d, "/dst/deep/sub/f") \
                         == b"MOVED along"
-                    assert await cli.read_file(d, "/dst/deep/b") \
-                        == b"B was here"
+                    assert await cli.read_file(d, "/side/b") == b"B was here"
                 await server.drain()
                 assert_settled(volumes["acme"])
         run(main())

@@ -148,7 +148,7 @@ def test_consumers_agree_with_the_walker(geometry, site, kind):
 
     # The verifier, on an ordinary write acquisition and release.
     vol.session("probe")
-    vol.kernel.acquire_ex("probe", ino, write=True)
+    vol.kernel.acquire("probe", ino, write=True)
     with pytest.raises(CorruptionDetected) as rejected:
         vol.kernel.release("probe", ino)
     assert rejected.value.ino == ino

@@ -36,16 +36,32 @@ def fresh():
 
 
 class Model:
-    """Reference: path -> bytes content."""
+    """Reference: path -> bytes content, and which directories exist."""
 
-    def __init__(self):
+    def __init__(self, dirs=DIRS):
         self.files = {}
+        self.dirs = set(dirs)
+
+    def _creatable(self, path):
+        return (path not in self.files and path not in self.dirs
+                and path.rsplit("/", 1)[0] in self.dirs)
 
     def create(self, path, data):
-        if path in self.files:
+        if not self._creatable(path):
             return False
         self.files[path] = data
         return True
+
+    def mkdir(self, path):
+        if not self._creatable(path):
+            return False
+        self.dirs.add(path)
+        return True
+
+    def listing(self, d):
+        """What ``readdir(d)`` must return."""
+        return sorted(p.rsplit("/", 1)[1] for p in [*self.files, *self.dirs]
+                      if p.rsplit("/", 1)[0] == d)
 
     def unlink(self, path):
         return self.files.pop(path, None) is not None
@@ -61,7 +77,7 @@ class Model:
         return True
 
     def rename(self, old, new):
-        if old not in self.files or new in self.files or old == new:
+        if old not in self.files or not self._creatable(new):
             return False
         self.files[new] = self.files.pop(old)
         return True
@@ -123,13 +139,7 @@ def test_random_ops_match_reference_model(ops):
     for path, data in model.files.items():
         assert fs.read_file(path) == data, path
     for d in DIRS:
-        expected = sorted(
-            p.rsplit("/", 1)[1]
-            for p in model.files
-            if p.rsplit("/", 1)[0] == d
-        )
-        listed = [n for n in fs.readdir(d) if n != "sub"]
-        assert listed == expected
+        assert fs.readdir(d) == model.listing(d)
 
     # ...including after a full release + verification of everything...
     fs.release_all()

@@ -122,7 +122,7 @@ def step(rng, vol, fs):
             # Registered inodes only: revoking a never-verified creation
             # verifies it out of Rule (1) order, which strands its children.
             attached = [mi.ino for mi in fs._inodes.values() if mi.attached
-                        and mi.cache_version is None
+                        and not mi.borrowed
                         and mi.ino in vol.kernel.shadow]
             if attached:
                 vol.kernel.revoke(rng.choice(attached))

@@ -15,6 +15,11 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   verdict path (one caller of the resolution policy) and one place that
   unmaps an acquisition; no verdict waits on a clock — the rename lease is
   the only lease the kernel imports;
+* "may retained auxiliary state answer?" is one rule too: one per-inode
+  version, moved by the kernel where a writable acquisition begins or
+  ends or the inode is deleted and nowhere else; one LibFS routine that builds a
+  ``MemInode`` from a mapping; one predicate in front of every read, which
+  no configuration flag can switch off;
 * every option is a field of one of five dataclasses, so the census below
   makes the next one a visible diff;
 * the wire has one frame format and ``server/protocol.py`` is the one place
@@ -102,6 +107,60 @@ def test_controller_has_one_verdict_path_and_one_unmap():
     assert _functions_calling(tree, is_policy_resolve) == ["_verify_or_resolve"]
     unmappers = _functions_calling(tree, is_mapping_unmap)
     assert [fn for fn in unmappers if fn != "abort_inode"] == ["_drop"]
+
+
+def _functions(tree):
+    return [fn for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _stores_to(fn, attr):
+    """Does ``fn`` assign to ``<x>.attr`` or to an element of it?"""
+    targets = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+        elif isinstance(node, ast.Delete):
+            targets += node.targets
+    return any(isinstance(t, ast.Attribute) and t.attr == attr
+               for target in targets
+               for t in (target, getattr(target, "value", None)))
+
+
+def test_the_inode_version_moves_where_core_state_may_change_only():
+    writers = {f"{rel}::{fn.name}" for rel, tree in _modules()
+               for fn in _functions(tree) if _stores_to(fn, "inode_version")}
+    assert writers == {
+        "kernel/controller.py::__init__",  # the table is created, all zero
+        "kernel/controller.py::_open_for_write",     # an application may write
+        "kernel/controller.py::_verify_or_resolve",  # the kernel rolled back
+        "kernel/controller.py::_drop_shadow"}, writers  # the inode is gone
+    # ... and the published side holds it read-only: no element store.
+    readcache = dict(_modules())["kernel/readcache.py"]
+    assert [fn.name for fn in _functions(readcache)
+            if any(isinstance(n, ast.Subscript)
+                   and isinstance(n.ctx, (ast.Store, ast.Del))
+                   and isinstance(n.value, ast.Attribute)
+                   and n.value.attr == "_versions"
+                   for n in ast.walk(fn))] == []
+
+
+def test_one_routine_builds_a_meminode_from_a_mapping():
+    tree = dict(_modules())["libfs/libfs.py"]
+    builders = [fn.name for fn in _functions(tree)
+                if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "MemInode" for n in ast.walk(fn))]
+    assert sorted(builders) == ["_attach", "_create_common"], builders
+
+
+def test_no_flag_decides_whether_retained_state_is_checked():
+    tree = dict(_modules())["libfs/libfs.py"]
+    (fn,) = [fn for fn in _functions(tree) if fn.name == "_get_for_read"]
+    body = ast.Module(body=fn.body[1:], type_ignores=[])  # minus the docstring
+    mentioned = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    assert not mentioned & {"locked_release", "read_mapping_cache", "config"}
 
 
 def test_one_class_defines_verify_of_an_inode():

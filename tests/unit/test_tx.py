@@ -181,18 +181,45 @@ class TestPrepare:
             a.write_file("/d/doomed", b"x")
             a.write_file("/g", b"....")
             a.release_all()
-            fd = b.open("/g")
-            b.pwrite(fd, b"B", 0)           # b owns /g ...
-            b.release_path("/")             # ... and nothing on the way
             tx = a.transaction()
             tx.unlink("/d/doomed")
             tx.pwrite("/g", b"A", 0)
+            fd = b.open("/g")               # staged first (the next test
+            b.pwrite(fd, b"B", 0)           # is the other order): b owns /g
+            b.release_path("/")             # ... and nothing on the way
             with pytest.raises(E.TryAgain) as ei:
                 tx.prepare()
             assert (ei.value.owner, ei.value.ino) == ("b", b.stat("/g").ino)
             assert tx.state == "open" and read_head(vol.device) == 0
             assert a.exists("/d/doomed")
             b.release_all()
+            tx.prepare()
+            assert tx.commit()["ops"] == 2
+            assert a.read_file("/g") == b"A..." and not a.exists("/d/doomed")
+        assert vol.fsck().clean
+
+    def test_conflict_met_while_staging_leaves_the_transaction_open(self):
+        """The same conflict one step earlier: staging a ``pwrite`` stats
+        the file, and what ``a`` kept of it may not answer while ``b``
+        holds it for write."""
+        with make_volume() as vol, vol.session("a") as a, \
+                vol.session("b") as b:
+            a.mkdir("/d")
+            a.write_file("/d/doomed", b"x")
+            a.write_file("/g", b"....")
+            a.release_all()
+            fd = b.open("/g")
+            b.pwrite(fd, b"B", 0)           # b owns /g ...
+            b.release_path("/")             # ... and nothing on the way
+            tx = a.transaction()
+            tx.unlink("/d/doomed")
+            with pytest.raises(E.TryAgain) as ei:
+                tx.pwrite("/g", b"A", 0)
+            assert (ei.value.owner, ei.value.ino) == ("b", b.stat("/g").ino)
+            assert tx.state == "open" and len(tx.ops) == 1
+            assert read_head(vol.device) == 0
+            b.release_all()
+            tx.pwrite("/g", b"A", 0)
             tx.prepare()
             assert tx.commit()["ops"] == 2
             assert a.read_file("/g") == b"A..." and not a.exists("/d/doomed")
@@ -216,9 +243,13 @@ class TestPrepare:
             b.pwrite(fd, b"B", 3)
             for path in ("/", "/a", "/a/sub"):
                 b.release_path(path)
+            held = b.stat("/a/sub/f").ino   # asked now: prepare takes "/"
             with pytest.raises(E.TryAgain) as ei:
                 tx.prepare()
-            assert ei.value.ino == b.stat("/a/sub/f").ino
+            assert ei.value.ino == held
+            with pytest.raises(E.TryAgain) as ei:
+                b.stat("/a/sub/f")          # a holds "/" for write by now
+            assert ei.value.owner == "a"
             b.release_all()
             tx.prepare()
             tx.commit()
