@@ -45,7 +45,8 @@ def mechanism_counts():
         rows.append((f"{config.name:<12} fences/create",
                      (device.stats.fences - f0) / 16))
 
-    # §4.5 — RCU read-side sections per open (5-deep path).
+    # §4.5 — RCU read-side sections per open (5-deep path: the walk is
+    # remembered, so a repeated open enters one section, for the leaf).
     for config in (ARCKFS, ARCKFS.with_patch(rcu_buckets=True, name="+rcu")):
         _device, _kernel, fs = _fs(config)
         fs.makedirs("/a/b/c/d")
@@ -63,11 +64,11 @@ def mechanism_counts():
         fs.mkdir("/d")
         fs.close(fs.creat("/d/f"))
         fs.commit_path("/")
-        mi = fs._resolve_dir("/d")
-        a0 = sum(b.lock.acquisitions for b in mi.dir.buckets)
+        mi = fs._resolve_dir(("d",))
+        a0 = sum(b.lock.acquisitions for b in mi.dir.buckets.values())
         fs.release_path("/d")
         rows.append((f"{config.name:<12} bucket-locks/release",
-                     sum(b.lock.acquisitions for b in mi.dir.buckets) - a0))
+                     sum(b.lock.acquisitions for b in mi.dir.buckets.values()) - a0))
 
     # §4.6 — rename-lease grants per directory relocation.
     for config in (ARCKFS, ARCKFS_PLUS):
@@ -134,9 +135,10 @@ def test_ablation(benchmark):
     assert d["+fence       fences/create"] == d["arckfs       fences/create"] + 1
     # The §4.5 patch turns 0 read-side sections into >0 per open.
     assert d["arckfs       rcu-sections/open"] == 0
-    assert d["+rcu         rcu-sections/open"] >= 5
-    # The §4.3 patch takes every bucket lock on release.
-    assert d["+lockrel     bucket-locks/release"] >= 64
+    assert d["+rcu         rcu-sections/open"] >= 1
+    # The §4.3 patch takes every bucket lock on release (of the buckets
+    # the directory has: they are born on first insert).
+    assert d["+lockrel     bucket-locks/release"] >= 1
     assert d["arckfs       bucket-locks/release"] == 0
     # §4.6/§4.1: the lease and the per-op verification appear only in +.
     assert d["arckfs+      lease-grants/dir-rename"] >= 1

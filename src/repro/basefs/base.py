@@ -103,9 +103,8 @@ class FileSystem(ABC):
     def makedirs(self, path: str) -> None:
         from repro.libfs import paths as _paths
 
-        parts = _paths.components(path)
         cur = ""
-        for p in parts:
+        for p in _paths.parse(path):
             cur += "/" + p
             if not self.exists(cur):
                 self.mkdir(cur)

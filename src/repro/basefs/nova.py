@@ -89,20 +89,14 @@ class NovaFS(VFSKernelFS):
 
     def _create_common(self, path: str, mode: int, itype: int) -> _VNode:
         vn = super()._create_common(path, mode, itype)
-        from repro.libfs import paths as _paths
-
-        parent_path, leaf = _paths.split(_paths.normalize(path))
-        parent = self._resolve(parent_path)
-        self._log_append(parent.ino, LOG_CREATE, itype, leaf.encode(), vn.ino, 0)
+        parent, leaf = self._resolve_parent(path)
+        self._log_append(parent.ino, LOG_CREATE, itype, leaf, vn.ino, 0)
         return vn
 
     def unlink(self, path: str) -> None:
-        from repro.libfs import paths as _paths
-
-        parent_path, leaf = _paths.split(_paths.normalize(path))
-        parent = self._resolve(parent_path)
+        parent, leaf = self._resolve_parent(path)
         super().unlink(path)
-        self._log_append(parent.ino, LOG_UNLINK, 0, leaf.encode(), 0, 0)
+        self._log_append(parent.ino, LOG_UNLINK, 0, leaf, 0, 0)
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         entry = self._fd(fd)

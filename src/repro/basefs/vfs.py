@@ -161,7 +161,8 @@ class VFSKernelFS(FileSystem):
             return vn
 
     def _resolve(self, path: str) -> _VNode:
-        path = paths.normalize(path)
+        comps = paths.parse(path)
+        path = paths.join(comps)
         with self._dcache_lock:
             ino = self._dcache.get(path)
         if ino is not None:
@@ -170,7 +171,7 @@ class VFSKernelFS(FileSystem):
         self.stats.dcache_misses += 1
         cur = self._vnode(ROOT_INO)
         walked = ""
-        for comp in paths.components(path):
+        for comp in comps:
             if cur.rec.itype != ITYPE_DIR:
                 raise NotADir(path)
             hit = cur.entries.get(comp.encode())
@@ -183,11 +184,13 @@ class VFSKernelFS(FileSystem):
         return cur
 
     def _resolve_parent(self, path: str) -> Tuple[_VNode, bytes]:
-        parent_path, leaf = paths.split(path)
-        parent = self._resolve(parent_path)
+        comps = paths.parse(path)
+        if not comps:
+            raise InvalidArgument("the root directory has no name")
+        parent = self._resolve(paths.join(comps[:-1]))
         if parent.rec.itype != ITYPE_DIR:
             raise NotADir(path)
-        return parent, leaf.encode()
+        return parent, comps[-1].encode()
 
     # -- directory storage ------------------------------------------------ #
 
@@ -412,11 +415,11 @@ class VFSKernelFS(FileSystem):
 
     def rename(self, oldpath: str, newpath: str) -> None:
         self._syscall()
-        oldpath = paths.normalize(oldpath)
-        newpath = paths.normalize(newpath)
-        if oldpath == newpath:
+        oldc, newc = paths.parse(oldpath), paths.parse(newpath)
+        oldpath, newpath = paths.join(oldc), paths.join(newc)
+        if oldc == newc:
             return
-        if paths.is_descendant(oldpath, newpath):
+        if newc[:len(oldc)] == oldc:
             raise WouldLoop(f"{newpath} inside {oldpath}")
         old_parent, oldname = self._resolve_parent(oldpath)
         new_parent, newname = self._resolve_parent(newpath)

@@ -18,12 +18,13 @@ from typing import List
 from repro.bugs.harness import BugOutcome, make_fs, race
 from repro.core.config import ArckConfig
 from repro.errors import SimulatedSegfault
+from repro.libfs import paths
 from repro.libfs.libfs import LibFS
 
 
 def colliding_names(fs: LibFS, dir_path: str, want: int = 2) -> List[str]:
     """Find ``want`` file names that land in the same hash bucket."""
-    mi = fs._resolve_dir(dir_path)
+    mi = fs._resolve_dir(paths.parse(dir_path))
     by_bucket = {}
     i = 0
     while True:

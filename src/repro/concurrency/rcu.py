@@ -38,6 +38,9 @@ class RCU:
         self._callbacks: List[Tuple[int, Callable[[], None]]] = []
         self.read_sections = 0
         self.grace_periods = 0
+        #: the section state lives in ``_readers``, so one guard serves
+        #: every reader (a lookup allocates nothing to enter a section).
+        self._guard = RCU._ReadGuard(self)
 
     # ------------------------------------------------------------------ #
     # Read side
@@ -82,7 +85,7 @@ class RCU:
             self._rcu.read_unlock()
 
     def read(self) -> "_ReadGuard":
-        return RCU._ReadGuard(self)
+        return self._guard
 
     # ------------------------------------------------------------------ #
     # Update side

@@ -33,7 +33,7 @@ from repro.pm.layout import Geometry
 def _bucket_nodes(table):
     """Walk the raw bucket chains without the read-side discipline (no
     failpoints, no poison faulting) — fsck observes, it does not crash."""
-    for bucket in table.buckets:
+    for bucket in tuple(table.buckets.values()):
         node = bucket.head
         seen = 0
         while node is not None and seen < 1 << 16:

@@ -2,8 +2,9 @@
 
 Each directory's LibFS index is a fixed-size bucket array of singly linked
 nodes; each bucket has a spinlock (paper footnote 4: the artifact uses
-spinlocks here, not readers-writer locks).  Three of the paper's bugs live
-in and around this structure:
+spinlocks here, not readers-writer locks) and is born when a name first
+hashes to it — most directories use a handful of their slots.  Three of
+the paper's bugs live in and around this structure:
 
 * §4.4 — in ArckFS the bucket lock covers only the DRAM insert, not the
   corresponding PM append, so another thread can observe an aux entry whose
@@ -17,8 +18,9 @@ in and around this structure:
   patch wraps readers in RCU read-side critical sections and defers the
   free to a grace period.
 * §4.3 — voluntary inode release must exclude concurrent operations; the
-  ArckFS+ patch takes *all* bucket locks (:meth:`DirHashTable.lock_all`)
-  and retains the table (rather than freeing it) after release.
+  ArckFS+ patch takes *all* bucket locks (:meth:`DirHashTable.lock_all`,
+  which also holds off the birth of new ones) and retains the table
+  (rather than freeing it) after release.
 
 Beyond the paper, ``seqcount_buckets`` adds a third read-side mode: every
 bucket carries a :class:`~repro.concurrency.seqlock.SeqCount` that writers
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.concurrency.failpoints import failpoints
@@ -134,8 +136,14 @@ class DirHashTable:
         self.config = config
         self.rcu = rcu
         self.freelist = freelist
+        self.tag = tag
         self.nbuckets = config.dir_buckets
-        self.buckets = [Bucket(f"{tag}.bucket{i}") for i in range(self.nbuckets)]
+        #: bucket index -> Bucket, for the indices some name has hashed to.
+        self.buckets: Dict[int, Bucket] = {}
+        #: serialises bucket births; :meth:`lock_all` holds it until
+        #: :meth:`unlock_all`, so "every bucket locked" stays true of
+        #: buckets that did not exist when it ran.
+        self._birth_lock = threading.Lock()
         #: seqcount lookups that had to retry after a torn read.
         self.lookup_retries = 0
 
@@ -148,7 +156,7 @@ class DirHashTable:
         locks, so concurrent inserts into different buckets raced and
         lost updates.
         """
-        return sum(b.count for b in self.buckets)
+        return sum(b.count for b in tuple(self.buckets.values()))
 
     # ------------------------------------------------------------------ #
 
@@ -158,7 +166,15 @@ class DirHashTable:
         return zlib.crc32(name) % self.nbuckets
 
     def bucket_of(self, name: bytes) -> Bucket:
-        return self.buckets[self.bucket_index(name)]
+        """The bucket ``name`` hashes to, born here if this is the first
+        name that does (writer paths; readers never create one)."""
+        index = self.bucket_index(name)
+        bucket = self.buckets.get(index)
+        if bucket is None:
+            with self._birth_lock:
+                bucket = self.buckets.setdefault(
+                    index, Bucket(f"{self.tag}.bucket{index}"))
+        return bucket
 
     def _deferred_free(self) -> bool:
         """Frees ride a grace period in both RCU-read modes."""
@@ -185,7 +201,9 @@ class DirHashTable:
         ``seqcount_buckets`` additionally validated against the bucket's
         sequence counter, retrying torn reads.
         """
-        bucket = self.bucket_of(name)
+        bucket = self.buckets.get(self.bucket_index(name))
+        if bucket is None:
+            return None  # no name has ever hashed here
         if self.config.seqcount_buckets:
             return self._lookup_seqcount(bucket, name)
         if self.config.rcu_buckets:
@@ -226,7 +244,7 @@ class DirHashTable:
 
     def _snapshot(self, seqcount: bool) -> List[Node]:
         out: List[Node] = []
-        for bucket in self.buckets:
+        for bucket in tuple(self.buckets.values()):
             if seqcount:
                 out.extend(self._snapshot_bucket_seq(bucket))
             else:
@@ -307,18 +325,21 @@ class DirHashTable:
     # ------------------------------------------------------------------ #
 
     def lock_all(self) -> None:
-        """Take every bucket lock in index order (§4.3 release path)."""
-        for bucket in self.buckets:
-            bucket.lock.acquire()
+        """Take every bucket lock in index order (§4.3 release path), and
+        keep new buckets from being born until :meth:`unlock_all`."""
+        self._birth_lock.acquire()
+        for index in sorted(self.buckets):
+            self.buckets[index].lock.acquire()
 
     def unlock_all(self) -> None:
-        for bucket in reversed(self.buckets):
-            bucket.lock.release()
+        for index in sorted(self.buckets, reverse=True):  # none born since
+            self.buckets[index].lock.release()
+        self._birth_lock.release()
 
     def clear_and_free(self) -> None:
         """Free every node immediately (ArckFS release path, §4.3 bug:
         auxiliary state is freed while others may still be using it)."""
-        for bucket in self.buckets:
+        for bucket in tuple(self.buckets.values()):
             with bucket.seq.write():
                 node = bucket.head
                 bucket.head = None
@@ -336,11 +357,12 @@ class DirHashTable:
         observes the empty between-states; old nodes are freed via RCU in
         the deferred-free modes.
         """
-        by_bucket: List[List[Node]] = [[] for _ in range(self.nbuckets)]
+        by_bucket: Dict[Bucket, List[Node]] = {
+            bucket: [] for bucket in tuple(self.buckets.values())}
         for name, (ino, gen, itype, seq, loc) in entries.items():
             node = self.freelist.alloc(name, ino, gen, itype, seq, loc)
-            by_bucket[self.bucket_index(name)].append(node)
-        for bucket, new_nodes in zip(self.buckets, by_bucket):
+            by_bucket.setdefault(self.bucket_of(name), []).append(node)
+        for bucket, new_nodes in by_bucket.items():
             head: Optional[Node] = None
             for node in new_nodes:
                 node.next = head

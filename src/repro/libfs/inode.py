@@ -14,7 +14,7 @@ A :class:`MemInode` combines:
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.concurrency.rcu import RCU
 from repro.concurrency.rwlock import RWLock
@@ -43,6 +43,9 @@ class MemInode:
         #: position in the owning LibFS's inode table (stamped on entry;
         #: breaks depth ties in release_all).
         self.order = 0
+        #: components under which the owning LibFS last remembered a walk
+        #: ending at this directory — the key to drop when it goes.
+        self.walk: Optional[Tuple[str, ...]] = None
         #: serialises attach/detach transitions for this inode.
         self.attach_lock = threading.RLock()
         #: the kernel's version of the inode when the auxiliary state below

@@ -138,6 +138,13 @@ class LibFS:
         self._mapped: Dict[int, MemInode] = {}
         self._inode_order = itertools.count()
         self._inodes_lock = threading.RLock()
+        #: remembered walks: a directory's components -> the chain
+        #: ``((root, version), ..., (dir, version))`` that resolved them
+        #: (``_resolve_dir``); one per directory, keyed by ``MemInode.walk``.
+        self._walks: Dict[Tuple[str, ...], Tuple[Tuple[MemInode, int], ...]] = {}
+        #: bumped (under ``_inodes_lock``) where this LibFS moves or removes
+        #: a directory's dentry: a walk that overlapped is not remembered.
+        self._walk_seq = 0
 
     @property
     def stats(self) -> LibFSStats:
@@ -290,26 +297,56 @@ class LibFS:
         self._stats.inc("lookups")
         return dir_mi.dir.lookup(name)
 
-    def _resolve_dir(self, path: str) -> MemInode:
-        """Walk ``path`` (which must name a directory), attaching as needed."""
+    def _resolve_dir(self, comps: Tuple[str, ...]) -> MemInode:
+        """Walk ``comps`` (which must name a directory), attaching as needed.
+
+        A remembered walk answers instead iff every directory on it is
+        still the MemInode known for its inode, holds the image the walk
+        read (same ``aux_version``: not rebuilt since) and that image may
+        answer by :meth:`_get_for_read`'s rule — another application's
+        rename or rmdir had to write-acquire an ancestor, which moved its
+        version; this LibFS's own drop the walks where the dentry moves
+        (DESIGN §5 "When a remembered walk may answer").
+        """
+        walk = self._walks.get(comps)
+        if walk is not None:
+            valid = self.kernel.readcache.valid
+            with self._inodes_lock:
+                for mi, version in walk:
+                    if self._inodes.get(mi.ino) is not mi \
+                            or mi.aux_version != version \
+                            or not (mi.owned or valid(mi.ino, version)):
+                        self._walks.pop(comps, None)
+                        break
+                else:
+                    return walk[-1][0]
+        seq = self._walk_seq
         cur = self._get_for_read(ROOT_INO)
-        for comp in paths.components(path):
+        walk = [(cur, cur.aux_version)]  # read before the image is consulted
+        for comp in comps:
             if not cur.is_dir:
-                raise NotADir(path)
+                raise NotADir(paths.join(comps))
             node = self._lookup_node(cur, comp.encode())
             if node is None:
-                raise NoEntry(path)
+                raise NoEntry(paths.join(comps))
             if node.itype != ITYPE_DIR:
-                raise NotADir(path)
+                raise NotADir(paths.join(comps))
             child = self._get_for_read(node.ino)
             child.parent_ino = cur.ino
             cur = child
+            walk.append((cur, cur.aux_version))
+        with self._inodes_lock:
+            if comps and seq == self._walk_seq:
+                if cur.walk is not None:
+                    self._walks.pop(cur.walk, None)  # known by another name
+                self._walks[comps] = tuple(walk)
+                cur.walk = comps
         return cur
 
-    def _resolve_parent(self, path: str) -> Tuple[MemInode, bytes]:
-        parent_path, leaf = paths.split(path)
-        parent = self._resolve_dir(parent_path)
-        return parent, leaf.encode()
+    def _resolve_parent(self, comps: Tuple[str, ...]) -> Tuple[MemInode, bytes]:
+        if not comps:
+            raise InvalidArgument("the root directory has no name")
+        return self._resolve_dir(comps[:-1]), comps[-1].encode()
 
     # ================================================================== #
     # Creation
@@ -365,8 +402,10 @@ class LibFS:
                 failpoints=failpoints,
             )
 
-    def _create_common(self, path: str, mode: int, itype: int) -> MemInode:
-        parent, name = self._resolve_parent(path)
+    def _create_common(self, comps: Tuple[str, ...], mode: int,
+                       itype: int) -> MemInode:
+        parent, name = self._resolve_parent(comps)
+        path = paths.join(comps)
         ino, gen = self.kernel.alloc_inode(self.app_id)
         bucket = None  # taking it can fail: the parent may be held elsewhere
         inserted = False
@@ -410,18 +449,22 @@ class LibFS:
             self._remember(child)
         return child
 
-    @traced_syscall("creat")
     def creat(self, path: str, mode: int = 0o664) -> int:
         """Create a regular file; returns a writable file descriptor."""
-        path = paths.normalize(path)
-        child = self._create_common(path, mode, ITYPE_FILE)
+        return self._creat(paths.parse(path), mode)
+
+    @traced_syscall("creat")
+    def _creat(self, comps: Tuple[str, ...], mode: int) -> int:
+        child = self._create_common(comps, mode, ITYPE_FILE)
         self._stats.inc("creates")
-        return self.fdtable.install(child, path).fd
+        return self.fdtable.install(child, paths.join(comps)).fd
+
+    def mkdir(self, path: str, mode: int = 0o775) -> None:
+        self._mkdir(paths.parse(path), mode)
 
     @traced_syscall("mkdir")
-    def mkdir(self, path: str, mode: int = 0o775) -> None:
-        path = paths.normalize(path)
-        self._create_common(path, mode, ITYPE_DIR)
+    def _mkdir(self, comps: Tuple[str, ...], mode: int = 0o775) -> None:
+        self._create_common(comps, mode, ITYPE_DIR)
         self._stats.inc("mkdirs")
 
     # ================================================================== #
@@ -430,19 +473,19 @@ class LibFS:
 
     @traced_syscall("open")
     def open(self, path: str, create: bool = False, mode: int = 0o664) -> int:
-        path = paths.normalize(path)
-        parent, name = self._resolve_parent(path)
+        comps = paths.parse(path)
+        parent, name = self._resolve_parent(comps)
         node = self._lookup_node(parent, name)
         if node is None:
             if create:
-                return self.creat(path, mode)
-            raise NoEntry(path)
+                return self._creat(comps, mode)
+            raise NoEntry(paths.join(comps))
         if node.itype == ITYPE_DIR:
-            raise IsADir(path)
+            raise IsADir(paths.join(comps))
         mi = self._get_for_read(node.ino)
         mi.parent_ino = parent.ino
         self._stats.inc("opens")
-        return self.fdtable.install(mi, path).fd
+        return self.fdtable.install(mi, paths.join(comps)).fd
 
     @traced_syscall("close")
     def close(self, fd: int) -> None:
@@ -450,15 +493,15 @@ class LibFS:
 
     @traced_syscall("stat")
     def stat(self, path: str) -> StatResult:
-        path = paths.normalize(path)
+        comps = paths.parse(path)
         self._stats.inc("stats_")
-        if path == "/":
+        if not comps:
             mi = self._get_for_read(ROOT_INO)
         else:
-            parent, name = self._resolve_parent(path)
+            parent, name = self._resolve_parent(comps)
             node = self._lookup_node(parent, name)
             if node is None:
-                raise NoEntry(path)
+                raise NoEntry(paths.join(comps))
             mi = self._get_for_read(node.ino)
             mi.parent_ino = parent.ino
         # §4.3 patch: served entirely from cached in-memory inode state.
@@ -469,9 +512,7 @@ class LibFS:
 
     @traced_syscall("readdir")
     def readdir(self, path: str) -> List[str]:
-        mi = self._resolve_dir(paths.normalize(path))
-        if not mi.is_dir:
-            raise NotADir(path)
+        mi = self._resolve_dir(paths.parse(path))
         self._stats.inc("readdirs")
         return sorted(node.name.decode() for node in mi.dir.items())
 
@@ -651,13 +692,13 @@ class LibFS:
     def truncate(self, path: str, size: int) -> None:
         """Set a file's length: a shrink unmaps the trailing pages, an
         extension reads as zeros."""
-        path = paths.normalize(path)
-        parent, name = self._resolve_parent(path)
+        comps = paths.parse(path)
+        parent, name = self._resolve_parent(comps)
         node = self._lookup_node(parent, name)
         if node is None:
-            raise NoEntry(path)
+            raise NoEntry(paths.join(comps))
         if node.itype == ITYPE_DIR:
-            raise IsADir(path)
+            raise IsADir(paths.join(comps))
         mi = self._attach(node.ino, write=True)
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
@@ -710,8 +751,9 @@ class LibFS:
 
     @traced_syscall("unlink")
     def unlink(self, path: str) -> None:
-        path = paths.normalize(path)
-        parent, name = self._resolve_parent(path)
+        comps = paths.parse(path)
+        parent, name = self._resolve_parent(comps)
+        path = paths.join(comps)
         bucket = self._lock_bucket_attached(parent, name)
         try:
             node = parent.dir.lookup_locked(name)
@@ -755,10 +797,11 @@ class LibFS:
 
     @traced_syscall("rmdir")
     def rmdir(self, path: str) -> None:
-        path = paths.normalize(path)
-        if path == "/":
+        comps = paths.parse(path)
+        if not comps:
             raise InvalidArgument("cannot remove the root")
-        parent, name = self._resolve_parent(path)
+        parent, name = self._resolve_parent(comps)
+        path = paths.join(comps)
         bucket = self._lock_bucket_attached(parent, name)
         child_locked = False
         child = None
@@ -779,6 +822,11 @@ class LibFS:
                 )
             self._cs(parent).tombstone(node.loc)
             parent.dir.remove_locked(name)
+            with self._inodes_lock:
+                # The name is gone: its walk goes now, not when the aux
+                # state does, and a walk that saw the name is not kept.
+                self._walk_seq += 1
+                self._walks.pop(child.walk, None)
             cs = self._cs(child)
             for page_no in cs.dir_pages(child.record):
                 self.alloc.free(page_no)
@@ -797,28 +845,26 @@ class LibFS:
 
     @traced_syscall("rename")
     def rename(self, oldpath: str, newpath: str) -> None:
-        oldpath = paths.normalize(oldpath)
-        newpath = paths.normalize(newpath)
-        if oldpath == "/" or newpath == "/":
+        oldc, newc = paths.parse(oldpath), paths.parse(newpath)
+        if not oldc or not newc:
             raise InvalidArgument("cannot rename the root")
-        if oldpath == newpath:
+        if oldc == newc:
             return
-        old_parent_path, oldname = paths.split(oldpath)
-        new_parent_path, newname = paths.split(newpath)
+        oldpath, newpath = paths.join(oldc), paths.join(newc)
 
-        if self.config.descendant_check and paths.is_descendant(oldpath, newpath):
+        if self.config.descendant_check and newc[:len(oldc)] == oldc:
             # §4.6 case (2): renaming a directory into its own subtree.
             raise WouldLoop(f"{newpath} is inside {oldpath}")
 
-        old_parent = self._resolve_dir(old_parent_path)
-        src = self._lookup_node(old_parent, oldname.encode())
+        old_parent = self._resolve_dir(oldc[:-1])
+        src = self._lookup_node(old_parent, oldc[-1].encode())
         if src is None:
             raise NoEntry(oldpath)
         is_dir = src.itype == ITYPE_DIR
 
         # Resolve the destination parent before taking the lease so lease
         # hold time stays short.
-        new_parent = self._resolve_dir(new_parent_path)
+        new_parent = self._resolve_dir(newc[:-1])
         cross = new_parent.ino != old_parent.ino
         dir_relocation = is_dir and cross
 
@@ -828,7 +874,7 @@ class LibFS:
                 # Rules (1)+(3): commit the destination chain top-down so
                 # the (possibly newly created) new parent is verifiable
                 # *before* the rename (Figure 2's resolution).
-                self._commit_path_chain(new_parent_path)
+                self._commit_path_chain(newc[:-1])
             if self.config.global_rename_lock:
                 self.kernel.rename_lock_acquire(self.app_id)
                 holding_lease = True
@@ -838,11 +884,10 @@ class LibFS:
                 # moved either path while we waited (the §4.6 case-(1)
                 # interleaving).  Unpatched ArckFS uses the pre-resolved
                 # parents — the TOCTOU window that creates cycles.
-                old_parent = self._resolve_dir(old_parent_path)
-                new_parent = self._resolve_dir(new_parent_path)
+                old_parent = self._resolve_dir(oldc[:-1])
+                new_parent = self._resolve_dir(newc[:-1])
             failpoints.hit("rename.pre_apply", (oldpath, newpath))
-            self._apply_rename(old_parent, oldname.encode(),
-                               new_parent, newname.encode())
+            self._apply_rename(old_parent, oldc, new_parent, newc)
             if dir_relocation and self.config.rename_commit_protocol:
                 # Rule (2): commit the new parent before the old parent can
                 # be committed/released; this re-targets the shadow parent
@@ -857,24 +902,26 @@ class LibFS:
                     # protects integrity, nothing left to release
         self._stats.inc("renames")
 
-    def _commit_path_chain(self, dir_path: str) -> None:
-        """Commit every directory from the root down to ``dir_path``."""
+    def _commit_path_chain(self, comps: Tuple[str, ...]) -> None:
+        """Commit every directory from the root down to ``comps``."""
         chain = [ROOT_INO]
         cur = self._get_for_read(ROOT_INO)
-        for comp in paths.components(dir_path):
+        for comp in comps:
             node = self._lookup_node(cur, comp.encode())
             if node is None:
-                raise NoEntry(dir_path)
+                raise NoEntry(paths.join(comps))
             chain.append(node.ino)
             cur = self._get_for_read(node.ino)
         for ino in chain:
             self._attach(ino, write=True)
             self.kernel.commit(self.app_id, ino)
 
-    def _apply_rename(self, old_parent: MemInode, oldname: bytes,
-                      new_parent: MemInode, newname: bytes) -> None:
-        """Move one dentry; both parents' relevant buckets locked in a
-        global order (ino, bucket index) to avoid ABBA deadlocks."""
+    def _apply_rename(self, old_parent: MemInode, oldc: Tuple[str, ...],
+                      new_parent: MemInode, newc: Tuple[str, ...]) -> None:
+        """Move the dentry ``oldc`` names to ``newc``; both parents'
+        relevant buckets locked in a global order (ino, bucket index) to
+        avoid ABBA deadlocks."""
+        oldname, newname = oldc[-1].encode(), newc[-1].encode()
         self._attach(old_parent.ino, write=True)
         self._attach(new_parent.ino, write=True)
         old_bucket = old_parent.dir.bucket_of(oldname)
@@ -890,9 +937,9 @@ class LibFS:
         try:
             src = old_parent.dir.lookup_locked(oldname)
             if src is None:
-                raise NoEntry(oldname.decode())
+                raise NoEntry(paths.join(oldc))
             if new_parent.dir.lookup_locked(newname) is not None:
-                raise Exists(newname.decode())
+                raise Exists(paths.join(newc))
             if src.loc is None:
                 raise SimulatedSegfault(
                     f"rename: aux entry {oldname!r} has no core dentry"
@@ -905,11 +952,22 @@ class LibFS:
                                        new_seq, loc)
             new_parent.dir.insert_locked(node)
             self._cs(old_parent).tombstone(src.loc)
+            ino, moved_dir = src.ino, src.itype == ITYPE_DIR
             old_parent.dir.remove_locked(oldname)
             with self._inodes_lock:
-                child_mi = self._inodes.get(src.ino)
-            if child_mi is not None:
-                child_mi.parent_ino = new_parent.ino
+                child_mi = self._inodes.get(ino)
+                if child_mi is not None:
+                    child_mi.parent_ino = new_parent.ino
+                if moved_dir:
+                    # Names under the old one stopped resolving just now:
+                    # forget the walks through the directory, remember none
+                    # that may have seen the old link.  Any earlier and a
+                    # re-resolution under the lease (§4.6 case 1) could be
+                    # answered a pre-move chain.
+                    self._walk_seq += 1
+                    for comps in [c for c, walk in self._walks.items()
+                                  if any(mi.ino == ino for mi, _v in walk)]:
+                        del self._walks[comps]
         finally:
             for _key, bucket in reversed(locks):
                 bucket.lock.release()
@@ -918,20 +976,21 @@ class LibFS:
     # Trio ownership verbs
     # ================================================================== #
 
-    def _path_ino(self, path: str) -> int:
-        path = paths.normalize(path)
-        if path == "/":
+    def path_ino(self, path: str) -> int:
+        """The inode ``path`` names now (for the by-inode ownership verbs)."""
+        comps = paths.parse(path)
+        if not comps:
             return ROOT_INO
-        parent, name = self._resolve_parent(path)
+        parent, name = self._resolve_parent(comps)
         node = self._lookup_node(parent, name)
         if node is None:
-            raise NoEntry(path)
+            raise NoEntry(paths.join(comps))
         return node.ino
 
     @traced_syscall("commit_path")
     def commit_path(self, path: str) -> None:
         """Verify the inode in place, retaining ownership ([21, §4.3])."""
-        self.commit_ino(self._path_ino(path))
+        self.commit_ino(self.path_ino(path))
 
     def commit_ino(self, ino: int) -> None:
         """:meth:`commit_path` for a caller that already resolved the path;
@@ -960,7 +1019,7 @@ class LibFS:
 
     @traced_syscall("release_path")
     def release_path(self, path: str) -> None:
-        self.release_ino(self._path_ino(path))
+        self.release_ino(self.path_ino(path))
 
     @traced_syscall("release_ino")
     def release_ino(self, ino: int) -> None:
@@ -1017,8 +1076,10 @@ class LibFS:
         the inode is gone, or a verification failure may have rolled the
         core state back and the retained aux state is garbage either way."""
         with self._inodes_lock:
-            self._inodes.pop(ino, None)
+            mi = self._inodes.pop(ino, None)
             self._mapped.pop(ino, None)
+            if mi is not None:
+                self._walks.pop(mi.walk, None)
 
     def release_all(self) -> None:
         """Release everything, parents before children (LibFS Rule (1)).
@@ -1074,16 +1135,16 @@ class LibFS:
     def read_file(self, path: str) -> bytes:
         fd = self.open(path)
         try:
-            return self.pread(fd, self.stat(path).size, 0)
+            return self.pread(fd, self.fdtable.get(fd).mi.size, 0)
         finally:
             self.close(fd)
 
     def makedirs(self, path: str) -> None:
-        cur = ""
-        for comp in paths.components(path):
-            cur += "/" + comp
-            if not self.exists(cur):
-                self.mkdir(cur)
+        comps = paths.parse(path)
+        for depth in range(1, len(comps) + 1):
+            parent, name = self._resolve_parent(comps[:depth])
+            if self._lookup_node(parent, name) is None:
+                self._mkdir(comps[:depth])
 
     def quiesce(self) -> None:
         """Run deferred RCU frees and drain the allocator's page pools

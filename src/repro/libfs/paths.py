@@ -1,57 +1,43 @@
-"""Path handling: normalisation, splitting, descendant checks.
+"""Path handling: one parse, at the API boundary.
 
 The LibFS API is path-based; paths are absolute, ``/``-separated, with no
 ``.``/``..`` components (rejected — the LibFS resolves names against its
 own auxiliary state and the paper's scenarios never need dot-relative
 resolution) and no NUL byte — together, exactly the components
-:func:`repro.pm.layout.legal_name` refuses, checked on the ``str`` because
-every metadata op normalises its path several times.  The descendant check
-backs the §4.6 case-(2) patch: a directory must not be renamed into its own
-subtree.
+:func:`repro.pm.layout.legal_name` refuses.  :func:`parse` is the only
+routine that validates: an operation calls it once per path argument and
+everything below takes the component tuple (``()`` is the root; the §4.6
+case-(2) descendant check is ``newc[:len(oldc)] == oldc``).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import InvalidArgument, NameTooLong
 from repro.pm.layout import MAX_NAME
 
 
-def normalize(path: str) -> str:
-    """Canonical form: absolute, single slashes, no trailing slash."""
+def parse(path: str) -> Tuple[str, ...]:
+    """Validate ``path`` and return its name components ('/' -> ())."""
     if not path or not path.startswith("/"):
         raise InvalidArgument(f"path must be absolute: {path!r}")
     if "\0" in path:
         raise InvalidArgument(f"NUL byte in path: {path!r}")
-    parts = [p for p in path.split("/") if p]
+    parts = tuple(p for p in path.split("/") if p)
     for p in parts:
         if p in (".", ".."):
             raise InvalidArgument(f"dot components not supported: {path!r}")
         if len(p.encode()) > MAX_NAME:
             raise NameTooLong(p)
-    return "/" + "/".join(parts)
+    return parts
 
 
-def components(path: str) -> List[str]:
-    """Name components of a normalised path ('/' -> [])."""
-    path = normalize(path)
-    return [p for p in path.split("/") if p]
+def join(comps: Sequence[str]) -> str:
+    """Canonical spelling: absolute, single slashes, no trailing slash."""
+    return "/" + "/".join(comps)
 
 
-def split(path: str) -> Tuple[str, str]:
-    """(parent path, leaf name); the root itself has no leaf."""
-    parts = components(path)
-    if not parts:
-        raise InvalidArgument("the root directory has no name")
-    parent = "/" + "/".join(parts[:-1])
-    return parent, parts[-1]
-
-
-def is_descendant(ancestor: str, path: str) -> bool:
-    """True if ``path`` lies strictly inside ``ancestor`` (or equals it)."""
-    a = normalize(ancestor)
-    p = normalize(path)
-    if a == "/":
-        return True
-    return p == a or p.startswith(a + "/")
+def normalize(path: str) -> str:
+    """Canonical spelling of ``path``, for callers that store strings."""
+    return join(parse(path))

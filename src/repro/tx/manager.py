@@ -87,6 +87,13 @@ _ABORTED = "aborted"
 _PENDING = "pending-replay"
 
 
+def _parent(path: str) -> str:
+    """The directory holding ``path`` (canonical spelling, not the root)."""
+    if path == "/":
+        raise InvalidArgument("the root directory has no name")
+    return path.rsplit("/", 1)[0] or "/"
+
+
 def _before_renames(path: str, renames: List[Tuple[str, str]]) -> str:
     """The name ``path`` had before ``renames`` (oldest first) were staged."""
     for old, new in reversed(renames):
@@ -131,7 +138,7 @@ class Tx:
         # hides everything beneath it, even entries still live on-volume.
         anc = path
         while anc != "/":
-            anc = anc.rsplit("/", 1)[0] or "/"
+            anc = _parent(anc)
             if anc in self._overlay:
                 if self._overlay[anc] != "dir":
                     return None
@@ -145,7 +152,7 @@ class Tx:
         return "dir" if st.is_dir else "file"
 
     def _require_parent_dir(self, path: str) -> None:
-        parent = path.rsplit("/", 1)[0] or "/"
+        parent = _parent(path)
         ptype = self._node_type(parent)
         if ptype is None:
             raise NoEntry(parent)
@@ -287,7 +294,7 @@ class Tx:
             """Own for write the inode ``path`` names now; None when nothing
             does (an earlier record of this transaction creates it)."""
             try:
-                ino = fs._path_ino(path)
+                ino = fs.path_ino(path)
             except NoEntry:
                 return None
             fs._attach(ino, write=True)
@@ -295,7 +302,7 @@ class Tx:
 
         for rec in self.ops:
             path = _before_renames(rec.path, renames)
-            parent = paths.split(path)[0]
+            parent = _parent(path)
             if rec.op in (TX_PWRITE, TX_TRUNCATE):
                 ino = take(path)
                 if ino is None:
@@ -305,16 +312,16 @@ class Tx:
                     rearmed.add(ino)
             elif rec.op == TX_RENAME:
                 new = rec.data.decode()
-                new_parent = paths.split(_before_renames(new, renames))[0]
+                new_parent = _parent(_before_renames(new, renames))
                 take(parent)
                 take(new_parent)
                 if (rec.path, new) in self._dir_renames \
-                        and paths.split(rec.path)[0] != paths.split(new)[0]:
+                        and _parent(rec.path) != _parent(new):
                     # A directory relocation commits the destination chain
                     # top-down from the root (LibFS Rules (1)+(3)).
-                    comps = paths.components(new_parent)
+                    comps = paths.parse(new_parent)
                     for depth in range(len(comps)):
-                        take("/" + "/".join(comps[:depth]))
+                        take(paths.join(comps[:depth]))
                 renames.append((rec.path, new))
             else:
                 take(parent)
@@ -329,8 +336,8 @@ class Tx:
         fs, pending = self._mgr.fs, self._mgr.kernel.pending
         chain = [ino]
         while chain[-1] in pending:
-            path = paths.split(path)[0]
-            chain.append(fs._path_ino(path))
+            path = _parent(path)
+            chain.append(fs.path_ino(path))
         for owned in reversed(chain):
             fs.commit_ino(owned)
 
@@ -425,7 +432,7 @@ class Tx:
                 elif rec.op in (TX_PWRITE, TX_TRUNCATE):
                     if rec.path in created or rec.path in rolled_back:
                         continue
-                    mgr.fs.rollback_ino(mgr.fs._path_ino(rec.path))
+                    mgr.fs.rollback_ino(mgr.fs.path_ino(rec.path))
                     rolled_back.add(rec.path)
             except Exception:
                 # Best-effort: anything left over is a repairable fsck

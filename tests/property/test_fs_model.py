@@ -77,9 +77,28 @@ class Model:
         return True
 
     def rename(self, old, new):
-        if old not in self.files or not self._creatable(new):
+        if not self._creatable(new):
             return False
-        self.files[new] = self.files.pop(old)
+        if old in self.files:
+            self.files[new] = self.files.pop(old)
+            return True
+        if old not in self.dirs or new.startswith(old + "/"):
+            return False
+        self.dirs = {self._moved(p, old, new) for p in self.dirs}
+        self.files = {self._moved(p, old, new): data
+                      for p, data in self.files.items()}
+        return True
+
+    @staticmethod
+    def _moved(path, old, new):
+        """``path`` after directory ``old`` became ``new``."""
+        inside = path == old or path.startswith(old + "/")
+        return new + path[len(old):] if inside else path
+
+    def rmdir(self, path):
+        if path not in self.dirs or self.listing(path):
+            return False
+        self.dirs.remove(path)
         return True
 
 

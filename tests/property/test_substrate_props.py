@@ -104,8 +104,8 @@ class TestPathProps:
     @given(parts=st.lists(comp, min_size=1, max_size=6))
     def test_split_join_roundtrip(self, parts):
         p = "/" + "/".join(parts)
-        parent, leaf = paths.split(p)
-        rejoined = parent.rstrip("/") + "/" + leaf
+        comps = paths.parse(p)
+        rejoined = paths.join(comps[:-1]).rstrip("/") + "/" + comps[-1]
         assert paths.normalize(rejoined) == paths.normalize(p)
 
     @given(a=st.lists(comp, min_size=1, max_size=4),
@@ -113,12 +113,16 @@ class TestPathProps:
     def test_descendant_by_construction(self, a, b):
         ancestor = "/" + "/".join(a)
         inside = ancestor + ("/" + "/".join(b) if b else "")
-        assert paths.is_descendant(ancestor, inside)
+        # the §4.6 case-(2) check, as LibFS.rename spells it
+        oldc = paths.parse(ancestor)
+        assert paths.parse(inside)[:len(oldc)] == oldc
 
-    @given(parts=st.lists(comp, min_size=1, max_size=5))
-    def test_components_consistent(self, parts):
-        p = "/" + "/".join(parts)
-        assert paths.components(p) == parts
+    @given(parts=st.lists(comp, min_size=1, max_size=5),
+           slashes=st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    def test_components_consistent(self, parts, slashes):
+        p = "".join("/" * n + c for n, c in zip(slashes, parts)) + "/" * slashes[-1]
+        assert paths.parse(p) == tuple(parts)
+        assert paths.normalize(p) == paths.join(parts) == "/" + "/".join(parts)
 
 
 class TestHashTableProps:

@@ -20,6 +20,10 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   ends or the inode is deleted and nowhere else; one LibFS routine that builds a
   ``MemInode`` from a mapping; one predicate in front of every read, which
   no configuration flag can switch off;
+* a path is validated once, where it enters: ``paths.parse`` is the only
+  routine that can refuse one and only LibFS's public operations call it —
+  everything below takes the component tuple; a remembered walk is stored
+  and dropped in four places and consulted in one, which no flag guards;
 * every option is a field of one of five dataclasses, so the census below
   makes the next one a visible diff;
 * the wire has one frame format and ``server/protocol.py`` is the one place
@@ -161,6 +165,41 @@ def test_no_flag_decides_whether_retained_state_is_checked():
     body = ast.Module(body=fn.body[1:], type_ignores=[])  # minus the docstring
     mentioned = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
     assert not mentioned & {"locked_release", "read_mapping_cache", "config"}
+
+
+def test_a_path_is_parsed_where_it_enters_and_nowhere_below():
+    modules = dict(_modules())
+    validators = [fn.name for fn in _functions(modules["libfs/paths.py"])
+                  if any(isinstance(n, ast.Raise) for n in ast.walk(fn))]
+    assert validators == ["parse"], validators
+
+    def is_paths_parse(func):
+        return (func.attr in ("parse", "normalize")
+                and isinstance(func.value, ast.Name) and func.value.id == "paths")
+
+    parsers = _functions_calling(modules["libfs/libfs.py"], is_paths_parse)
+    assert parsers and not [fn for fn in parsers if fn.startswith("_")], parsers
+
+
+def test_remembered_walks_change_in_four_places_and_answer_in_one():
+    tree = dict(_modules())["libfs/libfs.py"]
+
+    def mutates_walks(fn):  # self._walks[...] = / del ..., or .pop() & co
+        return _stores_to(fn, "_walks") or any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("pop", "popitem", "clear", "update", "setdefault")
+            and isinstance(n.func.value, ast.Attribute)
+            and n.func.value.attr == "_walks" for n in ast.walk(fn))
+
+    assert sorted(fn.name for fn in _functions(tree) if mutates_walks(fn)) == [
+        "__init__", "_apply_rename", "_invalidate_aux", "_resolve_dir", "rmdir"]
+    readers = [fn.name for fn in _functions(tree)
+               if any(isinstance(n, ast.Attribute) and n.attr == "_walks"
+                      for n in ast.walk(fn)) and not mutates_walks(fn)]
+    assert readers == [], readers
+    (fn,) = [fn for fn in _functions(tree) if fn.name == "_resolve_dir"]
+    assert "config" not in {n.attr for n in ast.walk(fn)
+                            if isinstance(n, ast.Attribute)}
 
 
 def test_one_class_defines_verify_of_an_inode():

@@ -86,12 +86,12 @@ class TestAttachMachinery:
         fs.mkdir("/d")
         fs.close(fs.creat("/d/f"))
         fs.commit_path("/")
-        mi = fs._resolve_dir("/d")
+        mi = fs._resolve_dir(("d",))
         table_before = mi.dir
         fs.release_path("/d")
         assert not mi.attached
         fs.close(fs.creat("/d/g"))  # transparent re-attach
-        assert fs._resolve_dir("/d").dir is table_before
+        assert fs._resolve_dir(("d",)).dir is table_before
 
     def test_arckfs_release_drops_aux(self):
         _dev, _kernel, fs = build_fs(ARCKFS)
