@@ -1,4 +1,4 @@
-"""Read-path scaling — rwlock read side vs the zero-crossing read path.
+"""Read-path scaling — rwlock read side vs how the patched system reads.
 
 Three deterministic measurements, no wall clocks:
 
@@ -12,9 +12,10 @@ Three deterministic measurements, no wall clocks:
    acquisition count — the wait-time story behind the throughput curve.
 2. **Functional DRBH lock counts** — FxMark's hottest read workload (every
    op reads the same 4K block of one shared file) through the real LibFS
-   under ``arckfs+`` and ``arckfs+zc``: the file's rwlock read-acquisition
-   counter must drop to **zero** under the seqlock read path while both
-   variants return identical bytes.
+   under ``arckfs`` (no §4.3 patch: the rwlock read side) and ``arckfs+``
+   (optimistic seqlock read): the file's rwlock read-acquisition counter
+   must be **zero** for the patched system while both return identical
+   bytes.
 3. **Mapping-cache crossings** — a writer publishes a file (verified
    release), a second app re-attaches it from the kernel's shared read-only
    table: the steady-state open/pread/close loop records
@@ -33,7 +34,7 @@ import sys
 
 from repro import obs
 from repro.api import Volume, VolumeConfig
-from repro.core.config import ARCKFS_PLUS, ARCKFS_PLUS_ZC
+from repro.core.config import ARCKFS, ARCKFS_PLUS
 from repro.perf.costmodel import COST
 from repro.perf.simulator import Experiment
 from repro.workloads.fxmark import DATA_WORKLOADS
@@ -75,7 +76,7 @@ def _rwlock_stream(exp, tid):
 
 
 def _seqlock_stream(exp, tid):
-    """Zero-crossing read: sequence check + copy + per-thread counter bump.
+    """Optimistic read: sequence check + copy + per-thread counter bump.
     Nothing shared is written, so N threads run fully in parallel."""
     cost = (COST.lookup_cpu + COST.seq_read_check
             + COST.pm_read_lat + COST.sharded_counter_add)
@@ -113,8 +114,7 @@ def functional_drbh():
     """Drive DRBH through the real LibFS; count the hot file's read locks."""
     out = {}
     w = DATA_WORKLOADS["DRBH"]
-    for variant, config in (("arckfs+", ARCKFS_PLUS),
-                            ("arckfs+zc", ARCKFS_PLUS_ZC)):
+    for config in (ARCKFS, ARCKFS_PLUS):
         vol = Volume.create(16 * 1024 * 1024,
                             VolumeConfig(config=config, inode_count=256))
         fs = vol.session("bench-read", uid=0).fs
@@ -124,7 +124,7 @@ def functional_drbh():
         reads0 = fs.stats.bytes_read
         for i in range(DRBH_OPS):
             w.functional(fs, 0, i)
-        out[variant] = {
+        out[config.name] = {
             "ops": DRBH_OPS,
             "read_lock_acquisitions": mi.rwlock.read_acquisitions - locks0,
             "bytes_read": fs.stats.bytes_read - reads0,
@@ -140,9 +140,8 @@ def functional_drbh():
 
 def readcache_counts():
     """Steady-state cross-app reads of a published file: zero crossings."""
-    config = ARCKFS_PLUS_ZC
     vol = Volume.create(16 * 1024 * 1024,
-                        VolumeConfig(config=config, inode_count=128))
+                        VolumeConfig(config=ARCKFS_PLUS, inode_count=128))
     kernel = vol.kernel
     writer = vol.session("writer", uid=0).fs
     reader = vol.session("reader", uid=0).fs
@@ -199,7 +198,7 @@ def render(results) -> str:
     fn = results["drbh"]
     rc = results["readcache"]
     lines = [
-        "== read-path scaling: rwlock read side vs zero-crossing ==",
+        "== read-path scaling: rwlock read side vs the patched read path ==",
         "",
         f"{'threads':<9}{'rwlock Mops':>13}{'seqlock Mops':>14}{'speedup':>9}",
         "-" * 45,
@@ -217,10 +216,10 @@ def render(results) -> str:
         f"({des['seqlock']['contended']} contended)",
         "",
         f"functional DRBH, {DRBH_OPS} hot-block reads:",
-        f"  arckfs+:   {fn['arckfs+']['read_lock_acquisitions']} "
+        f"  arckfs:  {fn['arckfs']['read_lock_acquisitions']} "
+        f"read-lock acquisitions, {fn['arckfs']['bytes_read']} bytes",
+        f"  arckfs+: {fn['arckfs+']['read_lock_acquisitions']} "
         f"read-lock acquisitions, {fn['arckfs+']['bytes_read']} bytes",
-        f"  arckfs+zc: {fn['arckfs+zc']['read_lock_acquisitions']} "
-        f"read-lock acquisitions, {fn['arckfs+zc']['bytes_read']} bytes",
         "",
         f"mapping cache, {rc['steady_ops']} cross-app open/pread/close:",
         f"  kernel crossings:  {rc['kernel_crossings']}",
@@ -247,12 +246,12 @@ def smoke_compare(results, baseline) -> list:
     if speedup < 3.0:
         problems.append(
             f"seqlock speedup at {top} threads below 3x: {speedup:.2f}x")
-    zc = results["drbh"]["arckfs+zc"]
-    if zc["read_lock_acquisitions"] != 0:
+    plus = results["drbh"]["arckfs+"]
+    if plus["read_lock_acquisitions"] != 0:
         problems.append(
-            f"zero-crossing DRBH took {zc['read_lock_acquisitions']} "
+            f"patched DRBH took {plus['read_lock_acquisitions']} "
             "read-lock acquisitions (want 0)")
-    if zc["bytes_read"] != results["drbh"]["arckfs+"]["bytes_read"]:
+    if plus["bytes_read"] != results["drbh"]["arckfs"]["bytes_read"]:
         problems.append("DRBH byte counts diverge between variants")
     rc = results["readcache"]
     if rc["kernel_crossings"] != 0:
@@ -318,7 +317,7 @@ def test_read_scaling(benchmark):
     results = benchmark.pedantic(collect, rounds=1, iterations=1)
     des = results["des"]
 
-    # The zero-crossing read path must beat the rwlock read side >= 3x at
+    # The optimistic read path must beat the rwlock read side >= 3x at
     # 8 threads, the rwlock variant must be visibly lock-bound (flat
     # beyond 2 threads), and the seqlock variant must actually scale.
     top = str(THREADS[-1])
@@ -334,9 +333,9 @@ def test_read_scaling(benchmark):
     # The real read path: zero rwlock read acquisitions on the hot file,
     # identical bytes returned.
     fn = results["drbh"]
-    assert fn["arckfs+"]["read_lock_acquisitions"] >= DRBH_OPS
-    assert fn["arckfs+zc"]["read_lock_acquisitions"] == 0
-    assert fn["arckfs+zc"]["bytes_read"] == fn["arckfs+"]["bytes_read"]
+    assert fn["arckfs"]["read_lock_acquisitions"] >= DRBH_OPS
+    assert fn["arckfs+"]["read_lock_acquisitions"] == 0
+    assert fn["arckfs+"]["bytes_read"] == fn["arckfs"]["bytes_read"]
 
     # The mapping cache: steady-state cross-app reads never enter the
     # kernel, and the measured window's re-attach rode the shared table.

@@ -556,7 +556,7 @@ def _add_workload_options(sub: argparse.ArgumentParser) -> None:
                      help="worker threads (default 1)")
     sub.add_argument("--ops", type=int, default=64,
                      help="operations per thread (default 64)")
-    sub.add_argument("--fs", choices=["arckfs", "arckfs+", "arckfs+zc"],
+    sub.add_argument("--fs", choices=["arckfs", "arckfs+"],
                      default="arckfs+",
                      help="configuration to run under (default arckfs+)")
 

@@ -1,20 +1,19 @@
-"""Per-thread sharded counters (the per-CPU counter analogue).
+"""Per-thread sharded stats (the per-CPU counter analogue).
 
 A shared ``self.count += 1`` is two problems at once: in C it is a
 read-modify-write on a cacheline that bounces between cores; in this
 reproduction it is also a plain data race when the writers hold
-*different* locks (``DirHashTable.count`` was mutated under per-bucket
-locks, so concurrent inserts into different buckets lost updates).
+*different* locks.  The fix is the same in both worlds: give every thread
+its own cells and fold on read.  Increments touch thread-private state
+only — no lock, no shared store, no lost updates — and reads sum the
+shards.  The folded value is exact once the writers have quiesced; mid-run
+it is a snapshot that may miss in-flight increments, exactly like
+``percpu_counter_sum``.  (``DirHashTable.count`` shards the same way, per
+bucket under the bucket's own lock; ``obs.metrics.Counter`` per thread.)
 
-The fix is the same in both worlds: give every thread its own cell and
-fold on read.  Increments touch thread-private state only — no lock, no
-shared store, no lost updates — and reads sum the cells.  The folded
-value is exact once the writers have quiesced; mid-run it is a snapshot
-that may miss in-flight increments, exactly like ``percpu_counter_sum``.
-
-Cells of exited threads are retained (their contribution must not
-vanish), so a counter's memory is bounded by the number of distinct
-threads that ever touched it.
+Shards of exited threads are retained (their contribution must not
+vanish), so the memory is bounded by the number of distinct threads that
+ever touched the stats.
 """
 
 from __future__ import annotations
@@ -24,49 +23,6 @@ import threading
 from typing import Dict, List, Type, TypeVar
 
 T = TypeVar("T")
-
-
-class _Cell:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
-class ShardedCounter:
-    """One integer counter, sharded per thread, folded on read."""
-
-    def __init__(self, name: str = "counter"):
-        self.name = name
-        self._local = threading.local()
-        self._cells: List[_Cell] = []
-        self._register = threading.Lock()
-
-    def _cell(self) -> _Cell:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = _Cell()
-            with self._register:  # once per (thread, counter)
-                self._cells.append(cell)
-            self._local.cell = cell
-        return cell
-
-    def add(self, n: int = 1) -> None:
-        # Only the owning thread ever writes this cell; no lock needed.
-        self._cell().value += n
-
-    def value(self) -> int:
-        with self._register:
-            cells = list(self._cells)
-        return sum(c.value for c in cells)
-
-    @property
-    def shards(self) -> int:
-        with self._register:
-            return len(self._cells)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ShardedCounter {self.name} value={self.value()}>"
 
 
 class ShardedStats:

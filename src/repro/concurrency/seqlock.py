@@ -1,9 +1,8 @@
 """Sequence counters (seqlock read side).
 
-The zero-crossing read path replaces "readers take the bucket spinlock /
-the file rwlock" with optimistic concurrency: writers bump a sequence
-number around every mutation (under whatever lock already serializes
-writers), and readers
+A patched LibFS reads file data with optimistic concurrency instead of the
+file rwlock's read side: writers bump a sequence number around every
+mutation (under the write lock that already serializes them), and readers
 
 1. wait for an even sequence (no writer mid-flight),
 2. do the read with no lock and no shared-cacheline store,
@@ -11,17 +10,15 @@ writers), and readers
 
 This is the Linux ``seqcount_t`` discipline.  Two properties matter here:
 
-* a reader that validates saw a state no writer overlapped — so a chain
-  walk cannot have observed a half-spliced list, and a file read cannot
-  interleave two pwrites;
+* a reader that validates saw a state no writer overlapped — so a file
+  read cannot interleave two pwrites;
 * validation is two plain loads and a compare.  Unlike a readers-writer
   lock (whose ``acquire_read`` is a read-modify-write on a shared line)
   the read side writes nothing, so it scales linearly with cores.
 
-Torn reads are *detected*, not prevented — the memory walked during a
-doomed attempt must therefore stay dereferenceable.  For the directory
-index that is RCU's job (grace-period frees); the seqcount layers on top
-of :mod:`repro.concurrency.rcu`, it does not replace it.
+Torn reads are *detected*, not prevented — what a doomed attempt touches
+must therefore stay safe to touch: a mapping pulled out from under it
+faults (``SimulatedBusError``) and the attempt is simply retried.
 """
 
 from __future__ import annotations
@@ -34,12 +31,11 @@ from typing import Iterator
 class SeqCount:
     """One sequence counter; odd while a write is in progress.
 
-    Writers must already be mutually excluded (the bucket spinlock, the
-    file write lock): :meth:`write_begin`/:meth:`write_end` only publish
-    that a write is happening, they do not provide exclusion.  The
-    counter is a plain int — single attribute loads/stores are atomic
-    under the GIL, which stands in for the aligned-word atomicity the C
-    original relies on.
+    Writers must already be mutually excluded (the file write lock):
+    :meth:`write_begin`/:meth:`write_end` only publish that a write is
+    happening, they do not provide exclusion.  The counter is a plain int
+    — single attribute loads/stores are atomic under the GIL, which stands
+    in for the aligned-word atomicity the C original relies on.
     """
 
     __slots__ = ("name", "_seq", "writes", "retries", "read_spins")

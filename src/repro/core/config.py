@@ -12,9 +12,15 @@ controller/verifier (``repro.kernel``), matching the paper: some patches are
 LibFS-side (fence, locking, RCU), some kernel-side (shadow parent pointer,
 global rename lease), some both (the directory-relocation protocol).
 
-*When* the kernel verifies is not configurable: at every commit, release
-and revoke, and on trust-group exit (§5.4).  ``verify_workers`` only sets
-how many threads share that work.
+The rule for this class: a field here is a Table-1 toggle or has two
+callers with different values.  ``verify_workers`` is the one of the second
+kind (the default, and ``bench_sharing_scaling.py``'s sweep); it only sets
+how many threads share the verification work — *when* the kernel verifies
+is not configurable: at every commit, release and revoke, and on trust-group
+exit (§5.4).  How the patched system *reads* is not configurable either: it
+follows from the §4.3 and §4.5 toggles (DESIGN §5), and the directory
+geometry is the record format's (``pm.layout.NTAILS``) and the hash table's
+own constant.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ class ArckConfig:
 
     #: §4.3 — the releasing thread acquires all relevant locks, the aux
     #: state and locks are retained after release, and read operations use
-    #: cached inode state instead of the PM mapping.
+    #: cached inode state instead of the PM mapping.  A retained image
+    #: being safe to read is also what lets file reads go optimistic and
+    #: read attaches borrow a published mapping instead of acquiring.
     locked_release: bool = False
 
     #: §4.4 — the bucket-lock critical section extends over the core-state
@@ -59,35 +67,6 @@ class ArckConfig:
     #: §4.6 case (2) — the LibFS refuses to rename a directory into one of
     #: its own descendants.
     descendant_check: bool = False
-
-    # -- zero-crossing read path (beyond the paper's six patches) ---------- #
-
-    #: Directory lookups validate a per-bucket sequence counter instead of
-    #: taking any lock: writers bump the sequence under the existing bucket
-    #: spinlock, readers retry on a torn read.  Layers on ``rcu_buckets``
-    #: (grace-period frees keep the walked nodes dereferenceable); without
-    #: it the §4.5 use-after-free is still reachable, by design.
-    seqcount_buckets: bool = False
-
-    #: File reads go optimistic: ``pread`` validates a per-file sequence
-    #: bumped by every write/truncate/release instead of taking the
-    #: readers-writer lock's read side (whose acquire is a shared-cacheline
-    #: RMW).  A torn or faulted read re-attaches and retries.
-    seqlock_files: bool = False
-
-    #: Cross-app shared read-only mapping table (KucoFS-style): a verified
-    #: release of a regular file publishes it, and any app may then attach
-    #: it for read without a kernel crossing; any write acquisition (or
-    #: deletion) invalidates the published version.
-    read_mapping_cache: bool = False
-
-    # -- structural parameters (identical across variants) ---------------- #
-
-    #: Hash buckets per directory.
-    dir_buckets: int = 64
-
-    #: Log tails per directory (the multi-tailed log of §2.2).
-    dir_tails: int = 4
 
     #: Verifier worker threads per ownership transfer: page and dentry
     #: checks are stride-sharded across this many threads
@@ -113,23 +92,4 @@ ARCKFS_PLUS = ArckConfig(
     rcu_buckets=True,
     global_rename_lock=True,
     descendant_check=True,
-)
-
-#: ArckFS+ with the zero-crossing read path on top: seqcount bucket
-#: lookups, optimistic file reads and the cross-app read-only mapping
-#: cache.  The correctness patches are identical to ARCKFS_PLUS; only the
-#: read-side synchronization strategy changes.
-ARCKFS_PLUS_ZC = ArckConfig(
-    name="arckfs+zc",
-    rename_commit_protocol=True,
-    shadow_parent_pointer=True,
-    fence_before_marker=True,
-    locked_release=True,
-    extended_bucket_lock=True,
-    rcu_buckets=True,
-    global_rename_lock=True,
-    descendant_check=True,
-    seqcount_buckets=True,
-    seqlock_files=True,
-    read_mapping_cache=True,
 )

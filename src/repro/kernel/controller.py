@@ -126,8 +126,11 @@ class KernelController:
         #: through ``readcache`` without crossing into the kernel.
         self.inode_version: List[int] = [0] * self.geom.inode_count
         #: the published side: the version table above plus shared read-only
-        #: mappings of verified files (populated when the config opts in).
-        self.readcache = ReadMappingCache(device, self.inode_version)
+        #: mappings of verified files, handed out under the same READ check
+        #: as an acquisition, against the uid registered here.
+        self.readcache = ReadMappingCache(
+            device, self.inode_version,
+            uid_of=lambda app_id: self._require_app(app_id).uid)
         self.stats = KernelStats()
         self._lock = threading.RLock()
 
@@ -519,15 +522,14 @@ class KernelController:
             finally:
                 version = self._drop(acq)
             self.stats.releases += 1
-            if self.config.read_mapping_cache:
-                # The inode is verified as of this instant: publish it so
-                # other apps can read-attach with zero kernel crossings.
-                # Directories stay unpublished (their staged dentries gate
-                # children's verification ordering).
-                sh = self.shadow.get(ino)
-                if (sh is not None and not sh.is_dir
-                        and not sh.inaccessible and not sh.deleted_pending):
-                    self.readcache.publish(ino)
+            # The inode is verified as of this instant: publish it so other
+            # apps can read-attach with zero kernel crossings.  Directories
+            # stay unpublished (their staged dentries gate children's
+            # verification ordering).
+            sh = self.shadow.get(ino)
+            if (sh is not None and not sh.is_dir
+                    and not sh.inaccessible and not sh.deleted_pending):
+                self.readcache.publish(ino, sh.mode, sh.uid)
             return version
 
     def rollback_to_snapshot(self, app_id: str, ino: int) -> bool:

@@ -14,13 +14,19 @@ state's image?" is answered by, for directories and files, retained or
 cache-attached alike.
 
 On top of that, when the kernel finishes a **verified** release of a
-regular file under ``read_mapping_cache`` it publishes the inode: any
-registered application may then map it for read straight from here.  The
-invalidation contract keeps the trust story intact:
+regular file it publishes the inode: any registered application may then
+map it for read straight from here (a LibFS with the §4.3 patch does; an
+unpatched one acquires).  The invalidation contract keeps the trust story
+intact:
 
 * only *verified* state is ever published — a trust-group release
   (unverified, §5.4) does not publish, and a commit does not either (the
   owner may keep writing through its retained mapping);
+* an entry carries the owner and mode the kernel verified, and
+  :meth:`attach` runs the permission check ``acquire`` runs for a read —
+  against the uid the application *registered* with, not one it names:
+  borrowing skips the crossing, never the check (the bits can only change
+  under a write acquisition, which retracts the entry first);
 * any write acquisition unpublishes the inode *before* the writer gets
   the mapping, and unmaps every handed-out cached mapping (the TLB-
   shootdown analogue) — a reader mid-access faults with
@@ -35,9 +41,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.kernel.permissions import READ, check_access
 from repro.pm.device import PMDevice
 from repro.pm.mapping import Mapping
 
@@ -57,32 +64,35 @@ class ReadMappingCache:
     """The kernel's published inode versions plus handed-out read maps."""
 
     def __init__(self, device: PMDevice, versions: Sequence[int],
-                 tag: str = "readcache"):
+                 uid_of: Callable[[str], int], tag: str = "readcache"):
         self.device = device
         self.tag = tag
         self._lock = threading.Lock()
         #: the controller's per-inode version table (read here, never written).
         self._versions = versions
-        #: inodes attachable for read straight from this table.
-        self._published: Set[int] = set()
+        #: the controller's answer to "which uid did this app register as?"
+        self._uid_of = uid_of
+        #: inodes attachable for read straight from this table, each with
+        #: the ``(mode, uid)`` the kernel verified it at.
+        self._published: Dict[int, Tuple[int, int]] = {}
         #: cached mappings handed out per inode (revoked on invalidate).
         self._handouts: Dict[int, List[Mapping]] = {}
         self.stats = ReadCacheStats()
 
     # -- kernel side ----------------------------------------------------- #
 
-    def publish(self, ino: int) -> None:
-        """Make ``ino`` attachable for read, at the version it has now."""
+    def publish(self, ino: int, mode: int, uid: int) -> None:
+        """Make ``ino`` attachable for read, at the version it has now, by
+        whoever ``mode`` lets read a file of ``uid``'s."""
         with self._lock:
-            self._published.add(ino)
+            self._published[ino] = (mode, uid)
             self.stats.publishes += 1
         obs.count("readcache.publishes")
 
     def invalidate(self, ino: int) -> None:
         """Retract ``ino`` and revoke every cached mapping of it."""
         with self._lock:
-            published = ino in self._published
-            self._published.discard(ino)
+            published = self._published.pop(ino, None) is not None
             handouts = self._handouts.pop(ino, [])
             if published:
                 self.stats.invalidations += 1
@@ -96,17 +106,21 @@ class ReadMappingCache:
 
     def attach(self, app_id: str, ino: int) -> Optional[Tuple[Mapping, int]]:
         """A read-only mapping of a published inode and the version it
-        shows, or None on a miss.
+        shows, or None on a miss; :class:`PermissionDenied` where
+        ``acquire`` would refuse the same application a read.
 
         Deliberately *no* ``obs.kernel_crossing``: the table is modeled as
         a shared read-only page (vDSO-like), so a hit never enters the
         kernel.
         """
+        accessor = self._uid_of(app_id)
         with self._lock:
-            if ino not in self._published:
+            entry = self._published.get(ino)
+            if entry is None:
                 self.stats.misses += 1
                 miss = True
             else:
+                check_access(*entry, accessor, READ, f"inode {ino}")
                 mapping = Mapping(self.device, ino, tag=f"{app_id}/ro")
                 version = self._versions[ino]
                 self._handouts.setdefault(ino, []).append(mapping)

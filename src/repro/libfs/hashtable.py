@@ -22,33 +22,31 @@ the paper's bugs live in and around this structure:
   which also holds off the birth of new ones) and retains the table
   (rather than freeing it) after release.
 
-Beyond the paper, ``seqcount_buckets`` adds a third read-side mode: every
-bucket carries a :class:`~repro.concurrency.seqlock.SeqCount` that writers
-bump under the bucket spinlock, and :meth:`lookup` validates it around an
-RCU-protected walk instead of ever touching the lock.  RCU keeps the nodes
-dereferenceable during a doomed attempt; the sequence check adds what RCU
-alone cannot give — walk *consistency* (a reader overlapping a rebuild
-would otherwise see a half-emptied chain and report a spurious miss).
+Readers have the paper's two modes and no third.  What an RCU reader relies
+on is that every chain mutation is **one store** — an insert publishes a
+fully built node at the head, a remove splices one ``next``/``head``
+pointer, :meth:`DirHashTable.rebuild` swaps a whole new chain in — and that
+an unlinked node is freed only after a grace period: a walk sees the chain
+from before or after each store, never a half-emptied one, and whatever it
+still holds stays dereferenceable.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
+from contextlib import nullcontext
 from typing import Dict, List, Optional
 
-from repro import obs
 from repro.concurrency.failpoints import failpoints
 from repro.concurrency.rcu import RCU
-from repro.concurrency.seqlock import SeqCount
 from repro.concurrency.spinlock import SpinLock
 from repro.core.config import ArckConfig
 from repro.core.corestate import DentryLoc
 from repro.errors import SimulatedSegfault
 
-#: torn-read retries before a seqcount lookup falls back to the bucket
-#: lock (a writer storm must not starve readers forever).
-SEQ_RETRY_LIMIT = 16
+#: Hash buckets per directory.
+NBUCKETS = 64
 
 
 class Node:
@@ -115,14 +113,13 @@ class NodeFreelist:
 
 
 class Bucket:
-    __slots__ = ("lock", "head", "seq", "count")
+    __slots__ = ("lock", "head", "count")
 
     def __init__(self, name: str):
         self.lock = SpinLock(name)
+        #: the chain; readers take no lock, so writers change it (and any
+        #: ``next`` on it) with one store of an already-built value.
         self.head: Optional[Node] = None
-        #: bumped (under ``lock``) around every chain mutation, validated
-        #: by seqcount-mode readers.
-        self.seq = SeqCount(f"{name}.seq")
         #: live entries in this chain, mutated only under ``lock`` — the
         #: per-bucket shard of the table's entry count.
         self.count = 0
@@ -137,15 +134,12 @@ class DirHashTable:
         self.rcu = rcu
         self.freelist = freelist
         self.tag = tag
-        self.nbuckets = config.dir_buckets
         #: bucket index -> Bucket, for the indices some name has hashed to.
         self.buckets: Dict[int, Bucket] = {}
         #: serialises bucket births; :meth:`lock_all` holds it until
         #: :meth:`unlock_all`, so "every bucket locked" stays true of
         #: buckets that did not exist when it ran.
         self._birth_lock = threading.Lock()
-        #: seqcount lookups that had to retry after a torn read.
-        self.lookup_retries = 0
 
     @property
     def count(self) -> int:
@@ -163,7 +157,7 @@ class DirHashTable:
     def bucket_index(self, name: bytes) -> int:
         # crc32 rather than hash(): deterministic across processes, so
         # collision-dependent tests and benchmarks are reproducible.
-        return zlib.crc32(name) % self.nbuckets
+        return zlib.crc32(name) % NBUCKETS
 
     def bucket_of(self, name: bytes) -> Bucket:
         """The bucket ``name`` hashes to, born here if this is the first
@@ -176,9 +170,13 @@ class DirHashTable:
                     index, Bucket(f"{self.tag}.bucket{index}"))
         return bucket
 
-    def _deferred_free(self) -> bool:
-        """Frees ride a grace period in both RCU-read modes."""
-        return self.config.rcu_buckets or self.config.seqcount_buckets
+    def _free(self, node: Node) -> None:
+        """Free an unlinked node: after a grace period under the §4.5
+        patch, at once (poison + reuse — the use-after-free) without it."""
+        if self.config.rcu_buckets:
+            self.rcu.call_rcu(lambda: self.freelist.free(node))
+        else:
+            self.freelist.free(node)
 
     # ------------------------------------------------------------------ #
     # Read side
@@ -195,34 +193,15 @@ class DirHashTable:
         return None
 
     def lookup(self, name: bytes) -> Optional[Node]:
-        """Find an entry.
-
-        ArckFS: lock-free (bug §4.5).  ArckFS+: RCU read section.  With
-        ``seqcount_buckets`` additionally validated against the bucket's
-        sequence counter, retrying torn reads.
-        """
+        """Find an entry.  ArckFS: lock-free (bug §4.5).  ArckFS+: RCU
+        read section."""
         bucket = self.buckets.get(self.bucket_index(name))
         if bucket is None:
             return None  # no name has ever hashed here
-        if self.config.seqcount_buckets:
-            return self._lookup_seqcount(bucket, name)
         if self.config.rcu_buckets:
             with self.rcu.read():
                 return self._walk(bucket, name)
         return self._walk(bucket, name)
-
-    def _lookup_seqcount(self, bucket: Bucket, name: bytes) -> Optional[Node]:
-        for _attempt in range(SEQ_RETRY_LIMIT):
-            with self.rcu.read():
-                start = bucket.seq.read_begin()
-                node = self._walk(bucket, name)
-                if not bucket.seq.read_retry(start):
-                    return node
-            self.lookup_retries += 1
-            obs.count("dir.lookup_retries")
-        # Writer storm: take the lock rather than spin unboundedly.
-        with bucket.lock:
-            return self._walk(bucket, name)
 
     def lookup_locked(self, name: bytes) -> Optional[Node]:
         """Find an entry; caller holds the bucket lock (writer paths)."""
@@ -236,18 +215,9 @@ class DirHashTable:
         held the RCU read lock open across consumer code, so an abandoned
         ``readdir`` iterator pinned grace periods indefinitely.)
         """
-        seqcount = self.config.seqcount_buckets
-        if self.config.rcu_buckets or seqcount:
-            with self.rcu.read():
-                return self._snapshot(seqcount)
-        return self._snapshot(False)
-
-    def _snapshot(self, seqcount: bool) -> List[Node]:
         out: List[Node] = []
-        for bucket in tuple(self.buckets.values()):
-            if seqcount:
-                out.extend(self._snapshot_bucket_seq(bucket))
-            else:
+        with self.rcu.read() if self.config.rcu_buckets else nullcontext():
+            for bucket in tuple(self.buckets.values()):
                 node = bucket.head
                 while node is not None:
                     failpoints.hit("dir.bucket_traverse", node)
@@ -255,29 +225,6 @@ class DirHashTable:
                     out.append(node)
                     node = node.next
         return out
-
-    def _snapshot_bucket_seq(self, bucket: Bucket) -> List[Node]:
-        for _attempt in range(SEQ_RETRY_LIMIT):
-            start = bucket.seq.read_begin()
-            chain: List[Node] = []
-            node = bucket.head
-            while node is not None:
-                failpoints.hit("dir.bucket_traverse", node)
-                node.check()
-                chain.append(node)
-                node = node.next
-            if not bucket.seq.read_retry(start):
-                return chain
-            self.lookup_retries += 1
-            obs.count("dir.lookup_retries")
-        with bucket.lock:
-            chain = []
-            node = bucket.head
-            while node is not None:
-                node.check()
-                chain.append(node)
-                node = node.next
-            return chain
 
     # ------------------------------------------------------------------ #
     # Write side (caller holds the bucket lock)
@@ -287,10 +234,9 @@ class DirHashTable:
         bucket = self.bucket_of(node.name)
         if not bucket.lock.held_by_me():
             raise RuntimeError("insert without bucket lock")
-        with bucket.seq.write():
-            node.next = bucket.head
-            bucket.head = node
-            bucket.count += 1
+        node.next = bucket.head
+        bucket.head = node  # the one store that publishes it
+        bucket.count += 1
 
     def remove_locked(self, name: bytes) -> Optional[Node]:
         """Unlink the entry from its chain and *free* it.
@@ -305,16 +251,12 @@ class DirHashTable:
         node = bucket.head
         while node is not None:
             if node.name == name:
-                with bucket.seq.write():
-                    if prev is None:
-                        bucket.head = node.next
-                    else:
-                        prev.next = node.next
-                    bucket.count -= 1
-                if self._deferred_free():
-                    self.rcu.call_rcu(lambda n=node: self.freelist.free(n))
+                if prev is None:
+                    bucket.head = node.next
                 else:
-                    self.freelist.free(node)
+                    prev.next = node.next
+                bucket.count -= 1
+                self._free(node)
                 return node
             prev = node
             node = node.next
@@ -340,10 +282,9 @@ class DirHashTable:
         """Free every node immediately (ArckFS release path, §4.3 bug:
         auxiliary state is freed while others may still be using it)."""
         for bucket in tuple(self.buckets.values()):
-            with bucket.seq.write():
-                node = bucket.head
-                bucket.head = None
-                bucket.count = 0
+            node = bucket.head
+            bucket.head = None
+            bucket.count = 0
             while node is not None:
                 nxt = node.next
                 self.freelist.free(node)
@@ -352,10 +293,11 @@ class DirHashTable:
     def rebuild(self, entries) -> None:
         """Replace contents from (name -> Dentry-like) after re-acquire.
 
-        Each bucket's old chain is swapped for its new one inside a single
-        sequence-write section, so a concurrent seqcount reader never
-        observes the empty between-states; old nodes are freed via RCU in
-        the deferred-free modes.
+        Each bucket's new chain is built off to the side and swapped in
+        with one store of ``head``, so a concurrent reader walks the old
+        chain or the new one and never an empty between-state (no spurious
+        miss); under the §4.5 patch the old nodes are freed only after a
+        grace period, so a reader still on the old chain finishes its walk.
         """
         by_bucket: Dict[Bucket, List[Node]] = {
             bucket: [] for bucket in tuple(self.buckets.values())}
@@ -367,14 +309,10 @@ class DirHashTable:
             for node in new_nodes:
                 node.next = head
                 head = node
-            with bucket.seq.write():
-                old = bucket.head
-                bucket.head = head
-                bucket.count = len(new_nodes)
+            old = bucket.head
+            bucket.head = head  # the one store readers rely on
+            bucket.count = len(new_nodes)
             while old is not None:
                 nxt = old.next
-                if self._deferred_free():
-                    self.rcu.call_rcu(lambda n=old: self.freelist.free(n))
-                else:
-                    self.freelist.free(old)
+                self._free(old)
                 old = nxt

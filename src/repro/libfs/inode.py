@@ -23,7 +23,7 @@ from repro.concurrency.spinlock import SpinLock
 from repro.core.config import ArckConfig
 from repro.core.corestate import TailCursor
 from repro.libfs.hashtable import DirHashTable, NodeFreelist
-from repro.pm.layout import ITYPE_DIR, InodeRecord
+from repro.pm.layout import ITYPE_DIR, NTAILS, InodeRecord
 from repro.pm.mapping import Mapping
 
 
@@ -69,7 +69,7 @@ class MemInode:
         if self.is_dir:
             self.dir = DirHashTable(config, rcu, freelist, tag=f"ino{ino}")
             self.tail_locks = [
-                SpinLock(f"ino{ino}.tail{i}") for i in range(config.dir_tails)
+                SpinLock(f"ino{ino}.tail{i}") for i in range(NTAILS)
             ]
             self.index_lock = SpinLock(f"ino{ino}.index")
             self.cursors: List[TailCursor] = [
@@ -86,7 +86,8 @@ class MemInode:
             #: DRAM page index (auxiliary); rebuilt from the PM page index.
             self.pages = []
             #: bumped (under the write lock) by every pwrite/truncate and
-            #: around release/unmap; optimistic preads validate against it.
+            #: around release/unmap; a patched LibFS's preads validate
+            #: against it instead of taking ``rwlock``'s read side.
             self.seq = SeqCount(f"ino{ino}.seq")
 
     @property
@@ -104,8 +105,9 @@ class MemInode:
         return not self.borrowed and self.attached
 
     def pick_tail(self) -> int:
-        """Spread appends across log tails by thread (multi-tailed log)."""
-        return threading.get_ident() % self.config.dir_tails
+        """Spread appends across the record's log tails by thread (the
+        multi-tailed log of §2.2)."""
+        return threading.get_ident() % NTAILS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "dir" if self.is_dir else "file"

@@ -16,7 +16,9 @@ failpoints (see :mod:`repro.concurrency.failpoints`):
   unless ``extended_bucket_lock`` keeps the bucket lock across both;
 * directory readers are lock-free (§4.5) unless ``rcu_buckets``;
 * voluntary release frees the auxiliary state and takes no locks (§4.3)
-  unless ``locked_release``;
+  unless ``locked_release`` — which, making a retained image safe to read,
+  is also what lets ``pread`` go optimistic and a read attach borrow the
+  kernel's published mapping instead of acquiring (DESIGN §5);
 * directory renames skip the global lease and the descendant check (§4.6)
   unless the corresponding flags are set, and follow the multi-inode Rules
   (2)/(3) of §3.2 only when ``rename_commit_protocol`` is set.
@@ -69,7 +71,8 @@ from repro.pm.layout import (
     legal_name,
 )
 
-#: optimistic (seqlock) pread attempts before falling back to the read lock.
+#: torn or faulted pread attempts before falling back to the read lock,
+#: and again under it before the fault surfaces.
 PREAD_RETRY_LIMIT = 8
 
 
@@ -194,10 +197,12 @@ class LibFS:
         state is the image of the core state the mapping shows.
 
         First attach, re-attach of a retained inode and read-to-write
-        upgrade alike: take a mapping — from the kernel's published table
-        when reading under ``read_mapping_cache`` (no crossing), else by
-        acquiring — and rebuild iff the version the state was built at is
-        not the one the mapping came with.
+        upgrade alike: take a mapping — a patched LibFS that only reads
+        borrows it from the kernel's published table (no crossing), anything
+        else acquires — and rebuild iff the version the state was built at
+        is not the one the mapping came with.  An unpatched LibFS (§4.3)
+        frees its auxiliary state on release and takes no lock against it,
+        so nothing there may outlive an acquisition: it never borrows.
         """
         with self._inodes_lock:
             known = self._inodes.get(ino)
@@ -208,7 +213,7 @@ class LibFS:
                 if known.attached and (known.writable or not write):
                     return known
                 write = write or known.writable
-            borrow = not write and self.config.read_mapping_cache
+            borrow = not write and self.config.locked_release
             while True:
                 cached = (self.kernel.readcache.attach(self.app_id, ino)
                           if borrow else None)
@@ -613,60 +618,41 @@ class LibFS:
     def pread(self, fd: int, n: int, offset: int) -> bytes:
         entry = self.fdtable.get(fd)
         mi = self._ensure_file(entry)
-        if self.config.seqlock_files:
-            out = self._pread_optimistic(mi, n, offset)
-            if out is not None:
-                return out
-        mi.rwlock.acquire_read()
-        try:
-            attempts = 0
-            while True:
-                try:
-                    self._attach_open(mi, write=False)
-                    out = self._cs(mi).read_file_data(mi.pages, mi.size,
-                                                      offset, n)
-                except SimulatedBusError:
-                    # Under the zero-crossing modes a mapping can be pulled
-                    # out from underneath a reader without the rwlock (cache
-                    # revocation, local cache release): revalidate and
-                    # re-attach, bounded so a genuinely dead inode still
-                    # surfaces.  Seed configs keep the fault — it IS §4.3.
-                    attempts += 1
-                    if (self.config.read_mapping_cache
-                            or self.config.seqlock_files) \
-                            and attempts <= PREAD_RETRY_LIMIT:
-                        continue
-                    raise
-                self._stats.inc("reads")
-                self._stats.inc("bytes_read", len(out))
-                return out
-        finally:
-            mi.rwlock.release_read()
-
-    def _pread_optimistic(self, mi: MemInode, n: int,
-                          offset: int) -> Optional[bytes]:
-        """Seqlock read: no read-lock RMW on the shared lock cacheline.
-
-        Validates the per-file sequence around the copy; a torn read (a
-        pwrite/truncate/release overlapped) or a revoked cached mapping
-        retries, and a writer storm falls back to the read lock (None).
-        """
-        for _attempt in range(PREAD_RETRY_LIMIT):
-            start = mi.seq.read_begin()
+        # §4.3 patch: the read is optimistic — validate ``mi.seq`` around
+        # the copy, no read-modify-write on the lock's shared line — and
+        # takes the read side only once PREAD_RETRY_LIMIT attempts were torn
+        # (a writer storm).  A mapping can go away under either kind of
+        # attempt without the rwlock (the kernel revokes a borrowed one for
+        # a writer elsewhere): revalidate and re-attach, bounded so a
+        # genuinely dead inode still surfaces.  Unpatched, the read side is
+        # taken from the start and the fault surfaces — it IS §4.3.
+        patched = self.config.locked_release
+        last = 2 * PREAD_RETRY_LIMIT
+        for attempt in range(last + 1):
+            locked = not patched or attempt >= PREAD_RETRY_LIMIT
+            if locked:
+                mi.rwlock.acquire_read()
             try:
+                start = None if locked else mi.seq.read_begin()
                 self._attach_open(mi, write=False)
                 out = self._cs(mi).read_file_data(mi.pages, mi.size, offset, n)
-            except (SimulatedBusError, IndexError):
-                # Mapping revoked underneath us, or a torn pages/size pair
-                # from a concurrent truncate — both invalidate the attempt.
+                if locked or not mi.seq.read_retry(start):
+                    self._stats.inc("reads")
+                    self._stats.inc("bytes_read", len(out))
+                    return out
+            except SimulatedBusError:
+                if not patched or attempt == last:
+                    raise
+            except IndexError:
+                # A pages/size pair torn by a concurrent truncate — which
+                # only a read without the lock can see.
+                if locked:
+                    raise
+            finally:
+                if locked:
+                    mi.rwlock.release_read()
+            if not locked:  # the counter is of optimistic attempts redone
                 obs.count("readpath.pread_retries")
-                continue
-            if not mi.seq.read_retry(start):
-                self._stats.inc("reads")
-                self._stats.inc("bytes_read", len(out))
-                return out
-            obs.count("readpath.pread_retries")
-        return None
 
     @traced_syscall("write")
     def write(self, fd: int, data: bytes) -> int:

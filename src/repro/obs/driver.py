@@ -24,14 +24,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.api import Volume, VolumeConfig
-from repro.core.config import ARCKFS, ARCKFS_PLUS, ARCKFS_PLUS_ZC, ArckConfig
+from repro.core.config import ARCKFS, ARCKFS_PLUS, ArckConfig
 from repro.errors import InvalidArgument
 from repro.libfs.libfs import LibFS
 
 CONFIGS: Dict[str, ArckConfig] = {
     "arckfs": ARCKFS,
     "arckfs+": ARCKFS_PLUS,
-    "arckfs+zc": ARCKFS_PLUS_ZC,
 }
 
 

@@ -69,8 +69,8 @@ class CostModel:
     bucket_cs_extra: float = 180.0
     #: [struct] ArckFS tails per directory (parallel log appends); the
     #: artifact sizes the multi-tailed log generously for 48 cores.
-    dir_tails: int = 32
-    dir_buckets: int = 256  # the aux hash resizes with directory size
+    log_tails: int = 32
+    hash_buckets: int = 256  # the aux hash resizes with directory size
     #: [calib] per-release cost of taking every bucket lock (§4.3 patch).
     release_lock_all: float = 900.0
     #: [calib] shared page/inode allocator critical section (one per create;
@@ -99,7 +99,7 @@ class CostModel:
     #: cache-line bouncing on its in-memory inode.  Identical for both.
     mrph_hot_extra: float = 900.0
 
-    # -- zero-crossing read path (libfs/hashtable, concurrency/percpu) ----- #
+    # -- lock-free read path (bench_read_scaling.py's DES sweep) ---------- #
     #: [hw] one atomic RMW on a shared cacheline (lock-prefixed op with the
     #: line bouncing between cores) — the unit cost of an rwlock read
     #: acquire/release and of a shared-counter increment.

@@ -86,8 +86,8 @@ def _resolve(plus: bool, depth: int, cost: CostModel) -> List[Sym]:
 def _arckfs(plus: bool, op: str, ctx: Dict, cost: CostModel,
             nthreads: int, tid: int) -> List[Sym]:
     dirid = ctx.get("dir", "d0")
-    bucket = ctx.get("bucket", 0) % cost.dir_buckets
-    tail = ctx.get("tail", tid) % cost.dir_tails
+    bucket = ctx.get("bucket", 0) % cost.hash_buckets
+    tail = ctx.get("tail", tid) % cost.log_tails
     depth = ctx.get("depth", 1)
     blk = f"{dirid}.b{bucket}"
     tlk = f"{dirid}.t{tail}"
@@ -169,7 +169,7 @@ def _arckfs(plus: bool, op: str, ctx: Dict, cost: CostModel,
     if op == "rename":
         # Append into the new parent + tombstone in the old one.
         ndir = ctx.get("dir2", dirid)
-        nbucket = ctx.get("bucket2", bucket) % cost.dir_buckets
+        nbucket = ctx.get("bucket2", bucket) % cost.hash_buckets
         out = _resolve(plus, depth, cost)
         out += [("cpu", 400.0)]
         out += [

@@ -44,7 +44,6 @@ next mount rolls the transaction forward.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -481,8 +480,7 @@ class TxManager:
         self.device = fs.kernel.device
         self.geom = fs.kernel.geom
         self.alloc = fs.kernel.alloc
-        self.commit_lock = getattr(fs.kernel, "tx_commit_lock", None) \
-            or threading.Lock()
+        self.commit_lock = fs.kernel.tx_commit_lock
 
     def begin(self) -> Tx:
         obs.count("tx.begin")

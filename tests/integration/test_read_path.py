@@ -1,29 +1,25 @@
-"""Threaded stress tests for the zero-crossing read path.
+"""Threaded stress tests for how the patched system reads.
 
-Lookups race removes/inserts/rebuilds under both read-side modes
-(``rcu_buckets`` and ``seqcount_buckets``): stable entries must always be
-found, nothing may fault, and deferred frees must drain after a barrier.
-The seqlock file-read path is stressed for read *consistency*: a validated
+Lookups race removes/inserts/rebuilds under the §4.5 patch (RCU readers,
+every chain mutation one store): stable entries must always be found,
+nothing may fault, and deferred frees must drain after a barrier.  The
+seqlock file-read path is stressed for read *consistency*: a validated
 ``pread`` must never return a mix of two overlapping writes.
 """
 
 import sys
 import threading
 
-import pytest
-
 from repro.concurrency.rcu import RCU
-from repro.core.config import ARCKFS_PLUS, ARCKFS_PLUS_ZC
+from repro.core.config import ARCKFS_PLUS
 from repro.kernel.controller import KernelController
 from repro.libfs.hashtable import DirHashTable, NodeFreelist
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
 
-CONFIGS = [ARCKFS_PLUS, ARCKFS_PLUS_ZC]
 
-
-def _table(config):
-    return DirHashTable(config, RCU("stress.rcu"), NodeFreelist(), tag="t")
+def _table():
+    return DirHashTable(ARCKFS_PLUS, RCU("stress.rcu"), NodeFreelist(), tag="t")
 
 
 def _insert(table, name, ino):
@@ -32,10 +28,9 @@ def _insert(table, name, ino):
         table.insert_locked(table.freelist.alloc(name, ino, 1, 1, 1, None))
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 class TestLookupVsChurn:
-    def test_stable_keys_survive_remove_insert_churn(self, config):
-        table = _table(config)
+    def test_stable_keys_survive_remove_insert_churn(self):
+        table = _table()
         stable = [f"stable{i}".encode() for i in range(16)]
         churn = [f"churn{i}".encode() for i in range(16)]
         for i, name in enumerate(stable):
@@ -81,15 +76,15 @@ class TestLookupVsChurn:
         finally:
             sys.setswitchinterval(old)
         assert not errors, errors[0]
-        # Deferred frees ride grace periods in both modes and fully drain.
+        # Deferred frees ride grace periods and fully drain.
         table.rcu.barrier()
         assert table.rcu.pending_callbacks() == 0
         assert table.count == len(stable)
 
-    def test_rebuild_never_causes_spurious_miss(self, config):
+    def test_rebuild_never_causes_spurious_miss(self):
         """A reader overlapping ``rebuild`` must see the old or the new
         chain, never the in-between (the per-bucket atomic swap)."""
-        table = _table(config)
+        table = _table()
         entries = {
             f"stable{i}".encode(): (100 + i, 1, 1, 1, None) for i in range(24)
         }
@@ -137,7 +132,7 @@ class TestOptimisticPread:
     def test_validated_read_is_never_torn(self):
         """Concurrent whole-file preads against alternating whole-file
         pwrites: every returned buffer is one write's image, never a mix."""
-        config = ARCKFS_PLUS_ZC
+        config = ARCKFS_PLUS
         device = PMDevice(32 * 1024 * 1024)
         kernel = KernelController.fresh(device, inode_count=64, config=config)
         fs = LibFS(kernel, "app", uid=1000, config=config)
@@ -191,7 +186,7 @@ class TestOptimisticPread:
         """Voluntary release concurrent with optimistic preads: readers
         either validate against the old mapping or fault, retry and
         re-attach — no SimulatedBusError escapes."""
-        config = ARCKFS_PLUS_ZC
+        config = ARCKFS_PLUS
         device = PMDevice(32 * 1024 * 1024)
         kernel = KernelController.fresh(device, inode_count=64, config=config)
         fs = LibFS(kernel, "app", uid=1000, config=config)

@@ -1,25 +1,27 @@
 """The cross-app read-mostly mapping cache (zero-crossing reads).
 
 A verified release of a regular file publishes it into the kernel's shared
-read-only table; other applications then read-attach with **no kernel
-crossing**.  Any write acquisition (or deletion) invalidates the entry and
-revokes every handed-out mapping before the writer proceeds.
+read-only table; other applications with the §4.3 patch then read-attach
+with **no kernel crossing**.  Any write acquisition (or deletion)
+invalidates the entry and revokes every handed-out mapping before the
+writer proceeds.
 """
 
 import pytest
 
 from repro import obs
-from repro.core.config import ARCKFS_PLUS, ARCKFS_PLUS_ZC
+from repro.core.config import ARCKFS_PLUS
+from repro.errors import InvalidArgument, PermissionDenied, SimulatedBusError
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
 
 
-def two_apps(config=ARCKFS_PLUS_ZC):
+def two_apps(config2=ARCKFS_PLUS):
     device = PMDevice(64 * 1024 * 1024)
-    kernel = KernelController.fresh(device, inode_count=256, config=config)
-    app1 = LibFS(kernel, "app1", uid=1000, config=config)
-    app2 = LibFS(kernel, "app2", uid=1000, config=config)
+    kernel = KernelController.fresh(device, inode_count=256, config=ARCKFS_PLUS)
+    app1 = LibFS(kernel, "app1", uid=1000, config=ARCKFS_PLUS)
+    app2 = LibFS(kernel, "app2", uid=1000, config=config2)
     return device, kernel, app1, app2
 
 
@@ -44,11 +46,63 @@ class TestPublish:
         app1.release_all()
         assert kernel.readcache.published(ino) is None
 
-    def test_seed_config_never_publishes(self):
-        _dev, kernel, app1, _app2 = two_apps(config=ARCKFS_PLUS)
+    def test_unpatched_libfs_never_borrows_and_still_faults(self):
+        """Without the §4.3 patch nothing retained is safe to read: the
+        published file is acquired like any other, and a release still
+        pulls the mapping out from under whoever holds it."""
+        _dev, kernel, app1, app2 = two_apps(
+            config2=ARCKFS_PLUS.with_patch(locked_release=False))
         app1.write_file("/f", b"data")
+        ino = app1.stat("/f").ino
         app1.release_all()
-        assert kernel.readcache.stats.publishes == 0
+        assert kernel.readcache.published(ino) is not None
+        fd = app2.open("/f")
+        assert app2.pread(fd, 4, 0) == b"data"
+        mi = app2.fdtable.get(fd).mi
+        assert not mi.borrowed and kernel.acquisitions[ino].app_id == "app2"
+        assert kernel.readcache.stats.hits == 0
+        stale = app2._cs(mi)  # what a thread mid-read holds
+        app2.release_ino(ino)
+        with pytest.raises(SimulatedBusError):
+            stale.read_file_data(mi.pages, mi.size, 0, 4)
+
+
+class TestBorrowingIsPermissionChecked:
+    """Borrowing skips the crossing, not the check ``acquire`` makes."""
+
+    def test_another_uid_cannot_borrow_a_private_file(self):
+        _dev, kernel, app1, app2 = two_apps()
+        other = LibFS(kernel, "other", uid=1001, config=ARCKFS_PLUS)
+        root = LibFS(kernel, "root", uid=0, config=ARCKFS_PLUS)
+        app1.close(app1.creat("/secret", mode=0o600))
+        app1.write_file("/secret", b"for uid 1000 only")
+        app1.write_file("/public", b"for everyone")
+        ino = app1.stat("/secret").ino
+        app1.release_all()
+        assert kernel.readcache.published(ino) is not None
+        with pytest.raises(PermissionDenied):
+            other.open("/secret")
+        with pytest.raises(PermissionDenied):
+            other.read_file("/secret")
+        with pytest.raises(PermissionDenied):
+            kernel.readcache.attach("other", ino)
+        assert other.read_file("/public") == b"for everyone"
+        other.release_all()
+        # Refused, not acquired instead: nothing of the file was handed out.
+        assert ino not in kernel.acquisitions
+        hits = kernel.readcache.stats.hits
+        for reader in (app2, root):  # the owner's uid, and uid 0
+            assert reader.read_file("/secret") == b"for uid 1000 only"
+            reader.release_all()
+        assert kernel.readcache.stats.hits == hits + 2
+
+    def test_the_uid_checked_is_the_registered_one(self):
+        _dev, kernel, app1, _app2 = two_apps()
+        app1.close(app1.creat("/secret", mode=0o600))
+        ino = app1.stat("/secret").ino
+        app1.release_all()
+        with pytest.raises(InvalidArgument):
+            kernel.readcache.attach("nobody-registered-this", ino)
 
 
 class TestZeroCrossingReads:

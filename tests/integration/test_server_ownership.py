@@ -135,6 +135,58 @@ def test_reused_inode_slot_over_the_wire():
     run(main())
 
 
+def test_a_session_that_only_read_is_not_recalled_by_a_write():
+    """B reads ``/f`` through an fd: it borrowed the kernel's published
+    mapping and owns nothing of the file, so A's write revokes the mapping
+    and recalls nobody — and B's next read through the same fd is A's."""
+    async def main():
+        async with serving() as (server, volumes):
+            async with await connect(server) as cli:
+                a = await cli.open_session("acme")
+                b = await cli.open_session("acme")
+                await cli.write_file(a, "/f", b"old bytes")
+                fd = (await cli.call("open", session=b, path="/f"))["fd"]
+                read = dict(session=b, fd=fd, n=64, offset=0)
+                assert (await cli.call("pread", **read))["data"] == b"old bytes"
+                kernel = volumes["acme"].kernel
+                ino = (await cli.call("stat", session=b, path="/f"))["ino"]
+                assert ino not in kernel.acquisitions   # B's open took "/" only
+                recalls = server.stats()["tenants"]["acme"]["recalls"]
+                await cli.write_file(a, "/f", b"new bytes")
+                assert server.stats()["tenants"]["acme"]["recalls"] == recalls
+                assert kernel.acquisitions[ino].app_id == "acme#1"
+                assert (await cli.call("pread", **read))["data"] == b"new bytes"
+            await server.drain()
+            assert_settled(volumes["acme"])
+    run(main())
+
+
+def test_another_uid_is_refused_a_private_file_it_could_borrow():
+    """A wire client picks its uid at ``session.open`` and a mode at
+    ``creat``; the recall B's ``open`` causes makes A release ``/secret``,
+    which publishes it — and borrowing is checked like acquiring is."""
+    async def main():
+        async with serving() as (server, volumes):
+            async with await connect(server) as cli:
+                a = await cli.open_session("acme", uid=1000)
+                b = await cli.open_session("acme", uid=1001)
+                fd = (await cli.call("creat", session=a, path="/secret",
+                                     mode=0o600))["fd"]
+                await cli.call("pwrite", session=a, fd=fd, offset=0,
+                               data=protocol.pack_bytes(b"uid 1000 only"))
+                await cli.call("close", session=a, fd=fd)
+                for _ in range(2):  # after recalling A, then straight off the table
+                    with pytest.raises(errors.PermissionDenied):
+                        await cli.call("open", session=b, path="/secret")
+                with pytest.raises(errors.PermissionDenied):
+                    await cli.read_file(b, "/secret")
+                same = await cli.open_session("acme", uid=1000)
+                assert await cli.read_file(same, "/secret") == b"uid 1000 only"
+            await server.drain()
+            assert_settled(volumes["acme"])
+    run(main())
+
+
 def test_sole_owner_is_not_released_while_it_works():
     async def main():
         async with serving() as (server, volumes):
@@ -411,14 +463,18 @@ class TestTransactions:
                     await cli.write_file(a, "/a/x", b"doomed")
                     await cli.write_file(a, "/g", b"....")
                     fd = (await cli.call("open", session=b, path="/g"))["fd"]
-                    await cli.write_file(a, "/g", b"....")  # recalls B
-                    # Through its fd B re-attaches the file alone: no
-                    # directory, so nothing on A's path walk meets it.
+                    # B only borrowed /g: A's write revokes the mapping
+                    # and recalls nobody.
+                    await cli.write_file(a, "/g", b"....")
+                    # Through its fd B takes the file alone for write; the
+                    # root its open walked it holds for read, which leaves
+                    # A's retained root current — nothing on A's path walk
+                    # meets B.
                     await cli.call("pwrite", session=b, fd=fd, offset=0,
                                    data=protocol.pack_bytes(b"B"))
                     kernel = volumes["acme"].kernel
-                    assert [acq.app_id for acq in kernel.acquisitions.values()
-                            if acq.app_id == "acme#2"] == ["acme#2"]
+                    assert [acq.writable for acq in kernel.acquisitions.values()
+                            if acq.app_id == "acme#2"] == [False, True]
                     await self.stage(cli, a, ("unlink", "/a/x", None),
                                      ("pwrite", "/g", b"A"))
                     assert (await cli.call("tx_commit", session=a))["ops"] == 2

@@ -1,9 +1,13 @@
 """Inode sharing across applications: ownership transfer, verification
 cost, trust groups (§5.4), and involuntary release."""
 
+import threading
+
 import pytest
 
+from repro import obs
 from repro.core.config import ARCKFS_PLUS
+from repro.core.corestate import CoreState
 from repro.errors import (
     BadFileDescriptor,
     CorruptionDetected,
@@ -260,6 +264,77 @@ class TestRetainedStateIsVersionChecked:
         acquires = kernel.stats.acquires
         assert app1.stat("/f").size == 4             # answered from DRAM
         assert kernel.stats.acquires == acquires
+
+
+class TestReadRacingAForeignWrite:
+    """A reader parked inside ``pread`` — mapping in hand, copy not yet
+    made — while another application takes the file for write, overwrites
+    it and releases."""
+
+    OLD, NEW = b"o" * 8192, b"n" * 8192
+
+    def race(self, config, monkeypatch):
+        _dev, _kernel, app1, app2 = two_apps(config=config, size=8 << 20)
+        app1.write_file("/f", self.OLD)
+        app1.release_all()
+        fd = app2.open("/f")
+        parked, resume = threading.Event(), threading.Event()
+        copy = CoreState.read_file_data
+
+        def park_the_first(cs, *args):
+            if not parked.is_set():
+                parked.set()
+                assert resume.wait(10)
+            return copy(cs, *args)
+
+        monkeypatch.setattr(CoreState, "read_file_data", park_the_first)
+        read = []
+
+        def reader():
+            try:
+                read.append(app2.pread(fd, len(self.OLD), 0))
+            except BaseException as exc:  # noqa: BLE001
+                read.append(exc)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        assert parked.wait(10)
+        try:
+            app1.write_file("/f", self.NEW)
+            app1.release_all()
+            wrote = None
+        except TryAgain as exc:
+            wrote = exc
+        resume.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        return read[0], wrote
+
+    def test_a_borrowed_read_returns_one_whole_image(self, monkeypatch):
+        """The reader owns nothing, so the writer is not held up: the
+        kernel revokes the borrowed mapping before the writer gets its
+        own, the parked copy faults instead of mixing two images, and the
+        retry borrows the file again — as the writer left it."""
+        obs.reset()
+        obs.enable()
+        try:
+            got, wrote = self.race(ARCKFS_PLUS, monkeypatch)
+            retries = obs.metrics.counter_total("readpath.pread_retries")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert wrote is None
+        assert got == self.NEW  # one whole image, and the writer's
+        assert retries >= 1
+
+    def test_an_unpatched_reader_holds_the_writer_up(self, monkeypatch):
+        """Without §4.3 nothing retained is safe to read, so the reader
+        acquired what it reads: the writer is told to try again and the
+        read is the old image."""
+        got, wrote = self.race(
+            ARCKFS_PLUS.with_patch(locked_release=False), monkeypatch)
+        assert isinstance(wrote, TryAgain) and wrote.owner == "app2"
+        assert got == self.OLD
 
 
 class TestTrustGroups:

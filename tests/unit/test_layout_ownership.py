@@ -25,7 +25,8 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   everything below takes the component tuple; a remembered walk is stored
   and dropped in four places and consulted in one, which no flag guards;
 * every option is a field of one of five dataclasses, so the census below
-  makes the next one a visible diff;
+  makes the next one a visible diff, and ``libfs/`` and ``kernel/`` read
+  nothing off their ``config`` but those fields;
 * the wire has one frame format and ``server/protocol.py`` is the one place
   that knows it: nothing else under ``server/`` packs a prefix, and nothing
   there reads lines or encodes payloads as text.
@@ -164,7 +165,7 @@ def test_no_flag_decides_whether_retained_state_is_checked():
     (fn,) = [fn for fn in _functions(tree) if fn.name == "_get_for_read"]
     body = ast.Module(body=fn.body[1:], type_ignores=[])  # minus the docstring
     mentioned = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    assert not mentioned & {"locked_release", "read_mapping_cache", "config"}
+    assert not mentioned & {"locked_release", "config"}
 
 
 def test_a_path_is_parsed_where_it_enters_and_nowhere_below():
@@ -269,8 +270,7 @@ def test_option_census():
             "name", "rename_commit_protocol", "shadow_parent_pointer",
             "fence_before_marker", "locked_release", "extended_bucket_lock",
             "rcu_buckets", "global_rename_lock", "descendant_check",
-            "seqcount_buckets", "seqlock_files", "read_mapping_cache",
-            "dir_buckets", "dir_tails", "verify_workers"},
+            "verify_workers"},
         VolumeConfig: {
             "config", "policy", "inode_count", "crash_tracking", "devices",
             "stripe_pages", "name"},
@@ -285,3 +285,29 @@ def test_option_census():
     }
     for cls, expected in census.items():
         assert {f.name for f in dataclasses.fields(cls)} == expected, cls
+
+
+def test_the_file_systems_read_only_table_1_from_their_config():
+    """``ArckConfig`` is ``name``, the Table-1 toggles and
+    ``verify_workers``: how the patched system reads follows from §4.3 and
+    §4.5, not from a field of its own — and directory lookups have the
+    paper's two modes, so no bucket carries a sequence counter."""
+    from repro.core.config import ArckConfig
+
+    fields = {f.name for f in dataclasses.fields(ArckConfig)}
+    modules = dict(_modules())
+
+    def is_config(expr):  # ``config`` or ``<anything>.config``
+        return (expr.id if isinstance(expr, ast.Name)
+                else getattr(expr, "attr", None)) == "config"
+
+    read = {f"{rel}:{node.lineno}: config.{node.attr}"
+            for rel, tree in modules.items()
+            if rel.startswith(("libfs/", "kernel/"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_config(node.value)
+            and node.attr not in fields}
+    assert not read, sorted(read)
+    imported = {alias.name for node in ast.walk(modules["libfs/hashtable.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "SeqCount" not in imported

@@ -128,13 +128,16 @@ class TestAttachMachinery:
         assert kernel.audit_tree() == []
 
     def test_pick_tail_in_range(self):
+        """The tails are the record's: a directory has exactly ``NTAILS``
+        locks and cursors and a thread is never sent past them."""
         from repro.concurrency.rcu import RCU
-        from repro.pm.layout import INODE_MAGIC, ITYPE_DIR, InodeRecord
+        from repro.pm.layout import INODE_MAGIC, ITYPE_DIR, NTAILS, InodeRecord
 
         rec = InodeRecord(INODE_MAGIC, ITYPE_DIR, 0o777, 0, 1, 0, 2, 0, 0,
-                          [0, 0, 0, 0])
+                          [0] * NTAILS)
         mi = MemInode(3, rec, ARCKFS_PLUS, RCU(), NodeFreelist())
-        assert 0 <= mi.pick_tail() < ARCKFS_PLUS.dir_tails
+        assert len(mi.tail_locks) == len(mi.cursors) == NTAILS
+        assert 0 <= mi.pick_tail() < NTAILS
 
 
 class TestCachedReads:

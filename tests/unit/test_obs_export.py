@@ -213,13 +213,12 @@ def test_read_path_counters_export_with_session_labels():
     ``{app_id, volume}`` labels, rendered by the Prometheus exporter."""
     from repro import obs
     from repro.api import Volume, VolumeConfig
-    from repro.core.config import ARCKFS_PLUS_ZC
 
     obs.reset()
     obs.enable()
     try:
         vol = Volume.create(16 * 1024 * 1024, VolumeConfig(
-            config=ARCKFS_PLUS_ZC, inode_count=128, name="vexp"))
+            inode_count=128, name="vexp"))
         s1 = vol.session("writer")
         s2 = vol.session("reader")
         s1.write_file("/f", b"payload" * 64)

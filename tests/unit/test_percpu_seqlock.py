@@ -1,7 +1,7 @@
-"""Unit tests for the zero-crossing read-path primitives.
+"""Unit tests for the read path's primitives.
 
 Covers the seqcount discipline (`repro.concurrency.seqlock`), per-thread
-sharded counters (`repro.concurrency.percpu`), the sharded obs Counter,
+sharded stats (`repro.concurrency.percpu`), the sharded obs Counter,
 and the two satellite bug fixes in `DirHashTable`:
 
 * the ``count`` race — the seed mutated one shared int under *different*
@@ -15,10 +15,10 @@ import threading
 
 import pytest
 
-from repro.concurrency.percpu import ShardedCounter, ShardedStats
+from repro.concurrency.percpu import ShardedStats
 from repro.concurrency.rcu import RCU
 from repro.concurrency.seqlock import SeqCount
-from repro.core.config import ARCKFS_PLUS, ARCKFS_PLUS_ZC
+from repro.core.config import ARCKFS_PLUS
 from repro.libfs.hashtable import DirHashTable, NodeFreelist
 
 
@@ -103,38 +103,6 @@ class TestSeqCount:
         assert torn_validated == []
 
 
-class TestShardedCounter:
-    def test_single_thread_exact(self):
-        c = ShardedCounter("t")
-        for _ in range(100):
-            c.add()
-        c.add(5)
-        assert c.value() == 105
-        assert c.shards == 1
-
-    def test_multithread_exact_total(self):
-        c = ShardedCounter("t")
-        per_thread = 10_000
-        nthreads = 8
-
-        def worker():
-            for _ in range(per_thread):
-                c.add()
-
-        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            sys.setswitchinterval(old)
-        assert c.value() == per_thread * nthreads
-        assert c.shards == nthreads
-
-
 class TestShardedStats:
     def test_fold_returns_dataclass(self):
         from repro.libfs.libfs import LibFSStats
@@ -200,8 +168,8 @@ class TestObsCounterSharded:
             Counter("t").inc(-1)
 
 
-def _table(config):
-    return DirHashTable(config, RCU("test.rcu"), NodeFreelist(), tag="t")
+def _table():
+    return DirHashTable(ARCKFS_PLUS, RCU("test.rcu"), NodeFreelist(), tag="t")
 
 
 class TestCountRace:
@@ -212,10 +180,8 @@ class TestCountRace:
     and lost updates; the per-bucket shards make the fold exact.
     """
 
-    @pytest.mark.parametrize("config", [ARCKFS_PLUS, ARCKFS_PLUS_ZC],
-                             ids=lambda c: c.name)
-    def test_concurrent_inserts_exact_count(self, config):
-        table = _table(config)
+    def test_concurrent_inserts_exact_count(self):
+        table = _table()
         per_thread = 400
         nthreads = 8
 
@@ -241,7 +207,7 @@ class TestCountRace:
         assert table.count == per_thread * nthreads
 
     def test_remove_decrements(self):
-        table = _table(ARCKFS_PLUS)
+        table = _table()
         names = [f"f{i}".encode() for i in range(50)]
         for i, name in enumerate(names):
             bucket = table.bucket_of(name)
@@ -258,7 +224,7 @@ class TestCountRace:
 
 class TestItemsSnapshot:
     def test_items_returns_list_and_exits_read_section(self):
-        table = _table(ARCKFS_PLUS)
+        table = _table()
         for i in range(10):
             name = f"f{i}".encode()
             bucket = table.bucket_of(name)
@@ -273,17 +239,3 @@ class TestItemsSnapshot:
         # are never pinned by an abandoned readdir iterator.
         assert not table.rcu.in_read_section()
         table.rcu.synchronize()  # completes immediately — nothing pinned
-
-    def test_seqcount_lookup_finds_entries(self):
-        table = _table(ARCKFS_PLUS_ZC)
-        for i in range(32):
-            name = f"f{i}".encode()
-            bucket = table.bucket_of(name)
-            with bucket.lock:
-                table.insert_locked(
-                    table.freelist.alloc(name, i + 2, 1, 1, 1, None))
-        for i in range(32):
-            node = table.lookup(f"f{i}".encode())
-            assert node is not None and node.ino == i + 2
-        assert table.lookup(b"missing") is None
-        assert table.lookup_retries == 0  # no writers were live
