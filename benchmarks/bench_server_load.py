@@ -12,12 +12,12 @@ Two measurements, both built so CI can gate them deterministically:
    the holder instead of answering ``TryAgain``), a graceful drain leaves
    every volume fsck-clean, and the per-tenant op counts follow
    deterministically from the seeded per-client RNG streams.
-2. **Backpressure probe** — a server with one worker and a two-deep queue:
-   the worker is parked, the queue filled to its bound, and the next
-   request must be rejected with a typed, retryable
-   :class:`~repro.errors.Overloaded` while everything already admitted
-   still completes.  Deterministic evidence that overload produces
-   backpressure, not loss.
+2. **Backpressure probe** — a tenant whose per-read bound is two, and a
+   raw connection that pipelines sixteen ops in one write: the read that
+   finds them runs two and must refuse the rest with a typed, retryable
+   :class:`~repro.errors.Overloaded`, every frame answered exactly once;
+   a refused op sent again on its own is admitted.
+   Deterministic evidence that overload produces backpressure, not loss.
 
 The metrics sidecar is filtered to the ``server.*`` / ``loadgen.*`` /
 ``client.*`` families so the obs regression gate watches exactly the
@@ -37,15 +37,14 @@ import os
 import sys
 
 from repro import obs
-from repro.errors import Overloaded
 from repro.obs import regress
 from repro.server import (
     LoadConfig,
-    ServerClient,
     ServerConfig,
     TenantPolicy,
     VolumeServer,
     make_volumes,
+    protocol,
 )
 
 TENANTS = ("t0", "t1", "t2", "t3")
@@ -66,8 +65,8 @@ SIDECAR_PATH = os.path.join(
     os.path.dirname(__file__), "results", "server_load.metrics.json")
 
 #: Metrics excluded from the obs gate on top of the defaults: reject and
-#: retry counts depend on scheduling (how often a closed-loop client ran
-#: into a momentarily full queue), and so do recalls and idle releases
+#: retry counts depend on scheduling (how many frames of a pipelined burst
+#: one socket read happened to find), and so do recalls and idle releases
 #: (which session happened to hold a shared directory when another needed
 #: it) — unlike the op/session totals, which are fixed by the seeded op
 #: streams.
@@ -140,38 +139,57 @@ def workload(cfg: LoadConfig):
 # --------------------------------------------------------------------------- #
 
 
+#: Ops the probe pipelines in one write, against a per-read bound of 2.
+PROBE_BURST = 16
+
+
 async def _run_probe():
     volumes = make_volumes(["t0"], size=16 * 1024 * 1024, inode_count=256)
-    cfg = ServerConfig(debug_ops=True)
-    policy = {"t0": TenantPolicy(max_inflight=1, queue_depth=2)}
-    out = {"queue_depth": 2, "rejected": False, "retryable": False,
-           "admitted_completed": 0}
+    policy = {"t0": TenantPolicy(max_burst=2)}
+    out = {"max_burst": 2, "sent": PROBE_BURST}
     try:
-        async with VolumeServer(volumes, cfg, policies=policy) as srv:
-            tenant = srv.admission.tenants["t0"]
-            async with await ServerClient.connect(
-                    "127.0.0.1", srv.port) as cli:
-                token = await cli.open_session("t0")
-                # Park the single worker, then fill the queue to its bound.
-                waits = [asyncio.ensure_future(cli.call(
-                    "debug.sleep", session=token, seconds=0.3))]
-                while tenant.executing == 0:
-                    await asyncio.sleep(0.005)
-                waits += [asyncio.ensure_future(cli.call(
-                    "debug.sleep", session=token, seconds=0.01))
-                    for _ in range(2)]
-                while tenant.queue.qsize() < 2:
-                    await asyncio.sleep(0.005)
-                # The bound is hit: the next op must bounce, typed.
-                try:
-                    await cli.call("stat", session=token, path="/")
-                except Overloaded as exc:
-                    out["rejected"] = True
-                    out["retryable"] = bool(exc.retryable)
-                # ...and everything already admitted still completes.
-                results = await asyncio.gather(*waits)
-                out["admitted_completed"] = sum(
-                    1 for r in results if r.get("slept"))
+        async with VolumeServer(volumes, policies=policy) as srv:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port)
+            splitter = protocol.FrameSplitter()
+
+            async def replies_up_to(last_id):
+                got = []
+                while not got or got[-1]["id"] != last_id:
+                    chunk = await reader.read(1 << 16)
+                    assert chunk, "server hung up on the probe"
+                    got += map(protocol.decode_frame, splitter.feed(chunk))
+                return got
+
+            writer.write(protocol.encode_frame(
+                {"id": 0, "method": "session.open", "tenant": "t0"}))
+            token = (await replies_up_to(0))[0]["result"]["session"]
+
+            def stat(req_id):
+                return {"id": req_id, "method": "stat", "session": token,
+                        "params": {"path": "/"}}
+
+            # A connection is answered in request order, so the ping's
+            # reply is the last: whatever came before it is the burst's.
+            end = PROBE_BURST + 1
+            writer.write(b"".join(map(protocol.encode_frame, [
+                *map(stat, range(1, end)), {"id": end, "method": "ping"}])))
+            burst = (await replies_up_to(end))[:-1]
+            refused = [r["error"] for r in burst if "error" in r]
+            out["answered"] = len({r["id"] for r in burst})
+            out["duplicated"] = len(burst) - out["answered"]
+            # The bound is hit: the rest of the read must bounce, typed.
+            out["rejected"] = bool(refused)
+            out["retryable"] = bool(refused) and all(
+                e["type"] == "Overloaded" and e["retryable"] for e in refused)
+            # ...and the bound is per read: retried alone, the op is admitted.
+            writer.write(protocol.encode_frame(stat(end + 1)))
+            out["retry_admitted"] = "result" in (
+                await replies_up_to(end + 1))[0]
+            writer.close()
+            await writer.wait_closed()
+            while srv.stats()["connections"]:  # its session goes with it
+                await asyncio.sleep(0.005)
             await srv.drain()
     finally:
         for vol in volumes.values():
@@ -228,10 +246,12 @@ def render(results) -> str:
         lines.append(f"{t:<10}{n:>15}")
     lines += [
         "",
-        f"backpressure probe (1 worker, queue depth {bp['queue_depth']}):",
-        f"  over-bound request rejected: {bp['rejected']} "
+        f"backpressure probe ({bp['sent']} ops in one write, per-read "
+        f"bound {bp['max_burst']}):",
+        f"  over-bound ops rejected: {bp['rejected']} "
         f"(retryable={bp['retryable']}); "
-        f"{bp['admitted_completed']}/3 admitted ops completed",
+        f"{bp['answered']}/{bp['sent']} answered, "
+        f"{bp['duplicated']} twice; retry admitted: {bp['retry_admitted']}",
     ]
     return "\n".join(lines)
 
@@ -283,8 +303,10 @@ def main(argv=None) -> int:
     if not inv["fsck_clean"]:
         hard_failures.append("a drained volume failed fsck")
     bp = results["backpressure"]
-    if not (bp["rejected"] and bp["retryable"]):
+    if not (bp["rejected"] and bp["retryable"] and bp["retry_admitted"]):
         hard_failures.append(f"backpressure probe did not reject: {bp}")
+    if bp["answered"] != bp["sent"] or bp["duplicated"]:
+        hard_failures.append(f"backpressure probe lost or repeated: {bp}")
     if hard_failures:
         print("\nINVARIANT FAIL:")
         for p in hard_failures:
@@ -342,7 +364,8 @@ def test_server_load(benchmark):
     # Backpressure is explicit: typed, retryable, and loss-free.
     bp = results["backpressure"]
     assert bp["rejected"] and bp["retryable"], results
-    assert bp["admitted_completed"] == 3, results
+    assert bp["retry_admitted"], results
+    assert bp["answered"] == bp["sent"] and not bp["duplicated"], results
 
     save_and_print("server_load", render(results))
 

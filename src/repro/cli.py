@@ -396,8 +396,7 @@ def cmd_serve(args) -> int:
     config = ServerConfig(
         host=args.host, port=args.port,
         policy=TenantPolicy(max_sessions=args.max_sessions,
-                            max_inflight=args.max_inflight,
-                            queue_depth=args.queue_depth),
+                            max_burst=args.max_burst),
         lease_seconds=args.lease)
 
     async def run() -> int:
@@ -408,8 +407,7 @@ def cmd_serve(args) -> int:
         print(f"serving {len(volumes)} volume(s) "
               f"[{', '.join(tenants)}] on {args.host}:{server.port}  "
               f"(max_sessions={args.max_sessions} "
-              f"max_inflight={args.max_inflight} "
-              f"queue_depth={args.queue_depth} lease={args.lease:g}s)")
+              f"max_burst={args.max_burst} lease={args.lease:g}s)")
         try:
             if args.duration is not None:
                 await asyncio.sleep(args.duration)
@@ -702,10 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inode slots per volume (default 4096)")
     serve.add_argument("--max-sessions", type=int, default=1024,
                        help="per-tenant concurrent session cap (default 1024)")
-    serve.add_argument("--max-inflight", type=int, default=4,
-                       help="per-tenant ops executing at once (default 4)")
-    serve.add_argument("--queue-depth", type=int, default=64,
-                       help="per-tenant bounded queue depth (default 64)")
+    serve.add_argument("--max-burst", type=int, default=64,
+                       help="per-tenant ops one socket read may run; the "
+                            "rest of a pipelined burst is refused, "
+                            "retryable (default 64)")
     serve.add_argument("--lease", type=float, default=30.0,
                        help="idle-session eviction lease, seconds "
                             "(default 30)")

@@ -256,10 +256,10 @@ class ServerError(ReproError):
 
 
 class Overloaded(ServerError):
-    """A tenant's bounded request queue is full (or the server is draining).
+    """A tenant is over its per-read bound (or the server is draining).
 
-    The explicit backpressure signal: the op was *not* executed and not
-    queued; retry after a backoff.
+    The explicit backpressure signal: the op was *not* executed; retry
+    after a backoff.
     """
 
     CODE = 211

@@ -3,17 +3,18 @@
 The long-running service front-end over the :mod:`repro.api`
 Volume/Session facade: one process mounts many volumes and serves
 thousands of concurrent app sessions over length-prefixed JSON-RPC frames
-(file contents raw) on asyncio, with per-tenant admission control, bounded
-request queues with explicit (typed, retryable) backpressure, per-tenant
-execution slots, lease-based idle eviction and graceful drain/quiesce.
+(file contents raw) on asyncio, with per-tenant admission control — a
+session cap and a per-read bound, refusals explicit (typed, retryable) —
+lease-based idle eviction and graceful drain/quiesce.  An op runs in the
+socket read that brought it; a connection is answered in request order.
 
 Modules:
 
 * :mod:`.protocol` — the frame format, typed error bodies;
-* :mod:`.admission` — per-tenant policies, session caps, bounded queues;
+* :mod:`.admission` — per-tenant policies: session cap, per-read bound;
 * :mod:`.sessions` — the session table: tokens, idle leases, eviction;
 * :mod:`.dispatch` — the wire method table onto the Session surface;
-* :mod:`.server` — connections, router, slots, drain (the coordinator);
+* :mod:`.server` — connections, router, drain (the coordinator);
 * :mod:`.client` — asyncio client with typed errors and retry/backoff;
 * :mod:`.loadgen` — the closed-loop mixed-workload load generator.
 

@@ -4,9 +4,9 @@ One :class:`ServerClient` owns one TCP connection and multiplexes any
 number of logical sessions over it: every request carries a fresh ``id``,
 and ``data_received`` — the client is the connection's
 :class:`asyncio.Protocol`, there is no reader task — resolves the matching
-future when the response frame arrives (responses may come back in any
-order — the server's tenants complete independently).  Each caller waits
-for its own reply, which is all the flow control a request/response client
+future when the response frame arrives (the server answers a connection
+in request order; matching by ``id`` does not rely on it).  Each caller
+waits for its own reply, which is all the flow control a request/response client
 needs: what is in flight is bounded by who is calling.
 
 Errors come back *typed*: a rejected op raises the same

@@ -231,7 +231,7 @@ def op_tx_abort(fs: Session, p: Dict):
     return {}
 
 
-#: method name → adapter.  Every entry runs in one of its tenant's slots
+#: method name → adapter.  Every entry runs in the read that brought it,
 #: against an admitted, lease-refreshed session.
 SESSION_OPS: Dict[str, Callable[[Session, Dict], Dict]] = {
     "open": op_open,

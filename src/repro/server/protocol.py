@@ -18,11 +18,13 @@ success response::
 error response::
 
     {"id": 7, "error": {"type": "Overloaded", "code": 211,
-                        "message": "queue full ...", "retryable": true}}
+                        "message": "... over its per-read bound ...",
+                        "retryable": true}}
 
 ``id`` is caller-chosen and echoed verbatim — clients multiplex many
-logical sessions over one connection and match responses by it.  Responses
-may arrive in any order (tenants complete independently).
+logical sessions over one connection and match responses by it.  One
+connection is answered in request order; across connections nothing is
+promised.
 
 File contents never pass through JSON: a ``bytes`` ``params["data"]`` or
 ``result["data"]`` is the frame's payload, byte for byte, and ``"bin"``

@@ -2,26 +2,25 @@
 
 One process, many volumes, thousands of app sessions.  The design mirrors
 the paper's trust split (and KucoFS's coordinator/data-path cut): the
-server is the *trusted coordinator* — it owns admission, session leases,
-queues and drain — while each admitted op executes against an untrusted
-per-app :class:`repro.api.Session`, exactly the LibFS state a real ArckFS
-process would mmap.
+server is the *trusted coordinator* — it owns admission, session leases
+and drain — while each admitted op executes against an untrusted per-app
+:class:`repro.api.Session`, exactly the LibFS state a real ArckFS process
+would mmap.
 
-Shape (all on one asyncio loop; nothing is parked between a request and its
-reply, a slot is a count and whoever finishes an op starts the next)::
+Shape (one asyncio loop, one op at a time; an op runs in the read that
+brought it and nothing is parked between a request and its reply)::
 
-    connection.data_received ──> frames ──> router
-                                              │  control ops inline
-                                              │  data ops: admission
-                                              ▼
-                                   per-tenant bounded queue
-                                              │  before the read returns,
-                                              ▼  while executing < max_inflight
-                               Session op + transport.write(reply)
+    connection.data_received ──> frames, in arrival order ──> router
+                                                                │
+        control ops: answered inline ◀──────────────────────────┤
+        data ops: admission (draining? per-read bound?)
+                                                                ▼
+                                    Session op + transport.write(reply)
 
-Nothing that runs an op waits on a peer: a connection that stops reading
-its replies has its own *reads* paused (``pause_writing``), so it stops
-being served and nobody else does.
+So a connection is answered in request order.  Nothing that runs an op
+waits on a peer: a connection that stops reading its replies has its own
+*reads* paused (``pause_writing``), so it stops being served and nobody
+else does.
 
 Ownership follows the paper's rule — verification on *transfer*, not on
 every request.  A wire session keeps the inodes it acquired between
@@ -32,13 +31,15 @@ another session needs one — the coordinator *recalls* the holder inside
 when the holder has been quiet for one reaper tick, or when its session
 ends.  DESIGN §10 has the contract.
 
-Backpressure is explicit: a full tenant queue rejects the op with a typed,
-retryable :class:`~repro.errors.Overloaded` *at admission time* — requests
-are never silently dropped and queues never grow past their bound.  Idle
-sessions are evicted on a lease (:mod:`.sessions`); shutdown is graceful:
-:meth:`VolumeServer.drain` stops accepting, flushes every queue, answers
-everything already admitted, closes the sessions and quiesces each volume
-so a drained server always leaves fsck-clean volumes behind.
+Backpressure is explicit: a read that has already run ``max_burst`` of a
+tenant's ops refuses the tenant's next one with a typed, retryable
+:class:`~repro.errors.Overloaded` — requests are never silently dropped,
+and however much a peer pipelines it keeps the loop for one bounded burst.
+Idle sessions are evicted on a lease (:mod:`.sessions`); shutdown is
+graceful: :meth:`VolumeServer.drain` refuses new work, stops accepting,
+closes the sessions and quiesces each volume — every op read before it has
+already been answered — so a drained server always leaves fsck-clean
+volumes behind.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro import obs
 from repro.api import Volume
@@ -55,10 +56,11 @@ from repro.errors import (
     InvalidArgument,
     ProtocolError,
     ReproError,
+    SessionGone,
     TryAgain,
 )
 from repro.server import protocol
-from repro.server.admission import AdmissionController, TenantPolicy, TenantState
+from repro.server.admission import AdmissionController, TenantPolicy
 from repro.server.dispatch import SESSION_OPS, uid_param
 from repro.server.sessions import ServerSession, SessionTable
 
@@ -81,11 +83,6 @@ class ServerConfig:
     evict_interval: float = 1.0
     #: Largest accepted wire frame.
     max_frame: int = protocol.MAX_FRAME_BYTES
-    #: How long drain() waits for admitted work to finish.
-    drain_timeout: float = 30.0
-    #: Enable test-only methods (``debug.sleep`` holds a tenant slot) —
-    #: used by the drain/backpressure tests and the load bench's probe.
-    debug_ops: bool = False
 
 
 class _Connection(asyncio.Protocol):
@@ -117,11 +114,9 @@ class _Connection(asyncio.Protocol):
             self.send(protocol.error_response(None, exc))
             self.transport.close()
         finally:
-            # What this read admitted starts before it returns.  One read
-            # admits at most a queue's worth per tenant however much a peer
-            # pipelines, so that is also how long a burst keeps the loop.
-            while server._admitted:
-                server._start_waiting(server._admitted.pop())
+            # One read runs at most ``max_burst`` ops per tenant however
+            # much a peer pipelines: that is how long a burst keeps the loop.
+            server.admission.end_read()
 
     def send(self, frame: Dict) -> None:
         if self.transport.is_closing():
@@ -162,12 +157,8 @@ class VolumeServer:
             on_release=self.admission.release_session)
         self._server: Optional[asyncio.AbstractServer] = None
         self._evictor: Optional[asyncio.Task] = None
-        self._sleepers: Set[asyncio.Task] = set()
         self._conns: Dict[int, _Connection] = {}
-        #: Tenants with work admitted by the read in progress.
-        self._admitted: Set[TenantState] = set()
         self._app_ids = itertools.count(1)
-        self._drained = False
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -197,20 +188,16 @@ class VolumeServer:
         await self.close()
 
     async def drain(self) -> None:
-        """Graceful quiesce: stop accepting, reject new work (typed,
-        retryable), finish everything already admitted, close every
-        session and settle each volume.  Idempotent."""
-        if self._drained:
+        """Graceful quiesce: reject new work (typed, retryable), stop
+        accepting, close every session and settle each volume.  An op runs
+        in the read that brought it, so none is left to wait for.
+        Idempotent."""
+        if self.draining:
             return
-        self._drained = True
         self.admission.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        joins = [t.queue.join() for t in self.admission.tenants.values()]
-        if joins:
-            await asyncio.wait_for(
-                asyncio.gather(*joins), timeout=self.config.drain_timeout)
         self.sessions.close_all()
         for vol in self.volumes.values():
             vol.quiesce()
@@ -223,10 +210,9 @@ class VolumeServer:
             return
         await self.drain()
         self._closed = True
-        tasks = [t for t in (self._evictor, *self._sleepers) if t is not None]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._evictor is not None:
+            self._evictor.cancel()
+            await asyncio.gather(self._evictor, return_exceptions=True)
         for conn in list(self._conns.values()):
             conn.transport.close()
 
@@ -247,9 +233,14 @@ class VolumeServer:
             return
         method = req["method"]
         try:
-            if method in SESSION_OPS or (
-                    self.config.debug_ops and method == "debug.sleep"):
-                self._admit_op(conn, req)
+            if method in SESSION_OPS:
+                ss = self.sessions.lookup(req["session"])
+                if req["tenant"] not in (None, ss.tenant.name):
+                    raise ProtocolError(
+                        f"session {ss.token!r} belongs to tenant "
+                        f"{ss.tenant.name!r}, not {req['tenant']!r}")
+                self.admission.admit_request(ss.tenant)
+                self._execute(conn, req, ss)
             elif method == "ping":
                 conn.send(protocol.ok_response(req_id, {"pong": True}))
             elif method == "session.open":
@@ -288,11 +279,12 @@ class VolumeServer:
         # eviction, drain and client close race freely.
         try:
             ss = self.sessions.lookup(req["session"])
-        except ReproError:
-            conn.send(protocol.ok_response(req["id"], {"closed": False}))
-            return
-        done = self.sessions.close_session(ss, reason="close")
-        conn.send(protocol.ok_response(req["id"], {"closed": done}))
+        except SessionGone:
+            closed = False
+        else:
+            self.sessions.close_session(ss)
+            closed = True
+        conn.send(protocol.ok_response(req["id"], {"closed": closed}))
 
     def stats(self) -> Dict:
         return {
@@ -302,13 +294,10 @@ class VolumeServer:
             "tenants": {
                 t.name: {
                     "sessions": t.sessions,
-                    "queued": t.queue.qsize(),
-                    "executing": t.executing,
                     "recalls": t.recalls,
                     "policy": {
                         "max_sessions": t.policy.max_sessions,
-                        "max_inflight": t.policy.max_inflight,
-                        "queue_depth": t.policy.queue_depth,
+                        "max_burst": t.policy.max_burst,
                     },
                 } for t in self.admission.tenants.values()
             },
@@ -318,59 +307,20 @@ class VolumeServer:
     # Data path
     # ------------------------------------------------------------------ #
 
-    def _admit_op(self, conn: _Connection, req: Dict) -> None:
-        """Reject (typed, retryable) or let the op wait in its tenant's
-        bounded queue, to be started when the read that brought it ends."""
-        ss = self.sessions.lookup(req["session"])
-        if req["tenant"] is not None and req["tenant"] != ss.tenant.name:
-            raise ProtocolError(
-                f"session {ss.token!r} belongs to tenant "
-                f"{ss.tenant.name!r}, not {req['tenant']!r}")
-        self.admission.admit_request(ss.tenant.name, (req, ss, conn))
-        ss.inflight += 1
-        self._admitted.add(ss.tenant)
-
-    def _start_waiting(self, tenant: TenantState) -> None:
-        """Run what ``tenant`` has waiting while it has a free slot.  Ops
-        are synchronous: each has given its slot back when it returns."""
-        queue, slots = tenant.queue, tenant.policy.max_inflight
-        while tenant.executing < slots and not queue.empty():
-            item = queue.get_nowait()
-            self.admission.start_execute(tenant)
-            if item[0]["method"] == "debug.sleep":
-                task = asyncio.ensure_future(self._sleep_op(*item))
-                self._sleepers.add(task)
-                task.add_done_callback(self._sleepers.discard)
-            else:
-                self._execute(*item)
-
-    async def _sleep_op(self, req: Dict, ss: ServerSession,
-                        conn: _Connection) -> None:
-        """``debug.sleep`` (test-only, gated at routing) is the one op that
-        waits, so the one that is a task; it holds its slot meanwhile and
-        starts the tenant's next waiting op when it is done."""
-        seconds = req["params"].get("seconds", 0.01)
-        await asyncio.sleep(seconds if isinstance(seconds, (int, float)) else 0)
-        self._execute(req, ss, conn)
-        self._start_waiting(ss.tenant)
-
-    def _execute(self, req: Dict, ss: ServerSession, conn: _Connection) -> None:
-        """Run one started op to its reply and give its slot back."""
+    def _execute(self, conn: _Connection, req: Dict, ss: ServerSession) -> None:
+        """Run one admitted op to its reply."""
         method, tenant = req["method"], ss.tenant
         t0 = time.perf_counter_ns()
         try:
             resp = protocol.ok_response(
-                req["id"], {"slept": True} if method == "debug.sleep"
-                else self._run_op(ss, method, req["params"]))
+                req["id"], self._run_op(ss, method, req["params"]))
             obs.count("server.ops_completed", tenant=tenant.name)
         except Exception as exc:  # simulated faults and FS errors alike
             obs.count("server.op_errors", tenant=tenant.name,
                       type=type(exc).__name__)
             resp = protocol.error_response(req["id"], exc)
         finally:
-            self.sessions.finish_op(ss, asyncio.get_running_loop().time())
-            self.admission.finish_execute(tenant)
-            tenant.queue.task_done()
+            ss.touch(asyncio.get_running_loop().time())
         if obs.enabled:
             obs.metrics.histogram(
                 "server.op_latency_ns",

@@ -3,7 +3,7 @@
 A *server session* pairs one :class:`repro.api.Session` (the LibFS-side
 untrusted state) with the coordinator-side bookkeeping the server needs:
 the wire token that names it, the tenant it counts against, the connection
-that opened it, an inflight-op counter and an idle lease.
+that opened it and an idle lease.
 
 Eviction is lease-based: every executed op refreshes ``last_used``; a
 session idle past ``lease_seconds`` is closed by the reaper and its slot
@@ -13,11 +13,10 @@ The same reaper tick bounds how long *unverified* state outlives traffic:
 a session keeps the inodes it acquired between requests (DESIGN §10), and
 one that has been quiet for ``idle_seconds`` hands them back — verified —
 while its token stays good.
-Sessions are never torn down mid-op — the reaper skips sessions with
-inflight work and marks them ``closing`` instead; whoever finishes
-the last op completes the close.  The underlying
-:meth:`repro.api.Session.shutdown` is idempotent, so the unavoidable
-races (evict vs drain vs connection teardown) collapse to one winner.
+A session is never torn down mid-op: ops are synchronous on the one loop,
+so whoever closes a session — the client, the reaper, a lost connection,
+drain — does so between two of them, and a torn-down session is out of the
+table before anyone can look it up again.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ class ServerSession:
     """One app session as the server tracks it."""
 
     __slots__ = ("token", "tenant", "session", "conn_id", "last_used",
-                 "inflight", "closing", "closed", "holding",
-                 "deferred_error")
+                 "holding", "deferred_error")
 
     def __init__(self, token: str, tenant: TenantState, session: Session,
                  conn_id: int, now: float):
@@ -45,9 +43,6 @@ class ServerSession:
         self.session = session
         self.conn_id = conn_id
         self.last_used = now
-        self.inflight = 0
-        self.closing = False
-        self.closed = False
         #: An op ran since the last :meth:`release_holdings`, so the
         #: session may own inodes (and the kernel their rollback snapshots).
         self.holding = False
@@ -127,7 +122,7 @@ class SessionTable:
         if not token:
             raise SessionGone("request names no session")
         ss = self._by_token.get(token)
-        if ss is None or ss.closing or ss.closed:
+        if ss is None:
             raise SessionGone(
                 f"session {token!r} is gone (evicted or closed); "
                 "open a new session and re-issue")
@@ -135,62 +130,11 @@ class SessionTable:
 
     # -- close / eviction --------------------------------------------------- #
 
-    def close_session(self, ss: ServerSession, reason: str = "close") -> bool:
-        """Close now if idle, else mark ``closing`` for whoever
-        finishes the last inflight op.  Returns True when torn down."""
-        ss.closing = True
-        if ss.inflight > 0:
-            return False
-        return self._teardown(ss, reason)
-
-    def finish_op(self, ss: ServerSession, now: float) -> None:
-        """Per-op bookkeeping: refresh the lease; complete a deferred
-        close when this was the last inflight op."""
-        ss.inflight = max(0, ss.inflight - 1)
-        ss.touch(now)
-        if ss.closing and ss.inflight == 0:
-            self._teardown(ss, "deferred")
-
-    def evict_idle(self, now: float) -> int:
-        """One reaper tick: close every session whose idle lease lapsed
-        (returns the count); a session merely quiet for ``idle_seconds``
-        keeps its token but releases what it holds."""
-        evicted = 0
-        for ss in list(self._by_token.values()):
-            if ss.inflight or ss.closing:
-                continue
-            idle = ss.idle_for(now)
-            if idle >= self.lease_seconds:
-                self._teardown(ss, "idle_lease")
-                evicted += 1
-            elif ss.holding and idle >= self.idle_seconds:
-                ss.release_holdings()
-                obs.count("server.idle_releases", tenant=ss.tenant.name)
-        return evicted
-
-    def close_connection(self, conn_id: int) -> int:
-        """Close (or mark closing) every session a dead connection owned."""
-        n = 0
-        for ss in list(self._by_token.values()):
-            if ss.conn_id == conn_id and not ss.closed:
-                self.close_session(ss, reason="disconnect")
-                n += 1
-        return n
-
-    def close_all(self) -> int:
-        n = 0
-        for ss in list(self._by_token.values()):
-            if not ss.closed:
-                self.close_session(ss, reason="shutdown")
-                n += 1
-        return n
-
-    def _teardown(self, ss: ServerSession, reason: str) -> bool:
-        if ss.closed:
-            return True
-        ss.closed = True
-        self._by_token.pop(ss.token, None)
-        self._by_app.pop(ss.app_id, None)
+    def close_session(self, ss: ServerSession, reason: str = "close") -> None:
+        """Tear ``ss`` down: out of the table, holdings released, the
+        tenant's session slot returned."""
+        del self._by_token[ss.token]
+        del self._by_app[ss.app_id]
         try:
             # Whatever the session still holds goes first, so a failed
             # verification cannot cut the shutdown below short and leave
@@ -201,6 +145,30 @@ class SessionTable:
             self._on_release(ss.tenant)
         obs.count("server.sessions_closed", tenant=ss.tenant.name,
                   reason=reason)
-        if reason in ("idle_lease",):
+        if reason == "idle_lease":
             obs.count("server.evictions", tenant=ss.tenant.name)
-        return True
+
+    def evict_idle(self, now: float) -> int:
+        """One reaper tick: close every session whose idle lease lapsed
+        (returns the count); a session merely quiet for ``idle_seconds``
+        keeps its token but releases what it holds."""
+        evicted = 0
+        for ss in self.all():
+            idle = ss.idle_for(now)
+            if idle >= self.lease_seconds:
+                self.close_session(ss, "idle_lease")
+                evicted += 1
+            elif ss.holding and idle >= self.idle_seconds:
+                ss.release_holdings()
+                obs.count("server.idle_releases", tenant=ss.tenant.name)
+        return evicted
+
+    def close_connection(self, conn_id: int) -> None:
+        """Close every session a dead connection owned."""
+        for ss in self.all():
+            if ss.conn_id == conn_id:
+                self.close_session(ss, "disconnect")
+
+    def close_all(self) -> None:
+        for ss in self.all():
+            self.close_session(ss, "shutdown")

@@ -8,11 +8,12 @@ Covered failure modes, per the serving contract:
 
 * malformed and oversized frames, at either end of the connection;
 * a peer that pipelines without reading its replies;
-* a client disconnecting with an op still inflight;
+* a connection answered in request order, control and data ops alike;
+* a client that writes and vanishes without reading the reply;
 * eviction of an idle session that still holds its inodes;
-* drain with a non-empty queue (everything admitted is answered);
-* backpressure: a full tenant queue rejects with typed, retryable
-  :class:`~repro.errors.Overloaded`.
+* drain behind a pipelined burst (everything read before it is answered);
+* backpressure: a burst past the tenant's per-read bound is refused with
+  typed, retryable :class:`~repro.errors.Overloaded`.
 """
 
 import asyncio
@@ -22,7 +23,8 @@ import struct
 
 import pytest
 
-from repro import errors
+from repro import errors, obs
+from repro.api import Volume
 from repro.server import (
     ServerClient,
     ServerConfig,
@@ -31,6 +33,7 @@ from repro.server import (
     make_volumes,
 )
 from repro.server import protocol
+from repro.server.dispatch import SESSION_OPS
 from tests.unit.test_server_protocol import framed
 
 pytestmark = pytest.mark.timeout(60)
@@ -125,6 +128,36 @@ class TestBasicServing:
                 for vol in volumes.values():
                     report = vol.fsck()
                     assert report.clean, report.summary()
+        run(main())
+
+    def test_a_connection_is_answered_in_request_order(self):
+        # Control ops used to overtake the data op queued ahead of them:
+        # ``3, 4, 5, 2``, ``stats`` counting the write as queued, and
+        # ``closed: false`` for a session then closed behind the client.
+        async def main():
+            async with serving() as (server, volumes):
+                raw = await raw_connection(server)
+                opened = await raw.ask(protocol.encode_frame(
+                    {"id": 1, "method": "session.open", "tenant": "acme"}))
+                token = opened["result"]["session"]
+                await raw.send(b"".join(map(protocol.encode_frame, (
+                    {"id": 2, "method": "write_file", "session": token,
+                     "params": {"path": "/a", "data": b"in order"}},
+                    {"id": 3, "method": "stats"},
+                    {"id": 4, "method": "session.close", "session": token},
+                    {"id": 5, "method": "ping"}))))
+                got = [await raw.recv() for _ in range(4)]
+                assert [r["id"] for r in got] == [2, 3, 4, 5]
+                assert got[0]["result"] == {"written": 8}
+                assert got[1]["result"]["tenants"]["acme"]["sessions"] == 1
+                assert got[2]["result"] == {"closed": True}
+                assert len(server.sessions) == 0
+                await raw.close()
+                await server.drain()
+                vol = volumes["acme"]
+                assert vol.fsck().clean
+                with vol.session("after") as s:
+                    assert s.read_file("/a") == b"in order"
         run(main())
 
     def test_unknown_method_and_tenant_are_typed(self):
@@ -308,11 +341,11 @@ class TestSlowReader:
 
     def test_peer_that_never_reads_stops_only_itself(self):
         # Four workers used to park in ``writer.drain()`` behind this peer
-        # (``executing: 4, queued: 33``) and starve its whole tenant.
+        # and starve its whole tenant.
         async def main():
             async with serving() as (server, _):
                 policy = server.config.policy
-                burst = policy.queue_depth + policy.max_inflight
+                burst = policy.max_burst
                 async with await ServerClient.connect(
                         "127.0.0.1", server.port) as cli:
                     tok = await cli.open_session("acme")
@@ -343,8 +376,6 @@ class TestSlowReader:
                     st = await asyncio.wait_for(
                         cli.call("stat", session=tok, path="/big"), timeout=2)
                     assert st["size"] == self.FILE
-                    tenant = (await cli.stats())["tenants"]["acme"]
-                    assert tenant["executing"] == 0 and tenant["queued"] == 0
                     # ... what is buffered for it is one admitted burst ...
                     limit = conn.transport.get_write_buffer_limits()[1]
                     assert conn.transport.get_write_buffer_size() \
@@ -357,12 +388,14 @@ class TestSlowReader:
                     await slow.close()
         run(main())
 
-    def test_one_burst_is_answered_once_per_frame(self, server_reads):
+    @pytest.mark.parametrize("max_burst", [2, TenantPolicy().max_burst])
+    def test_one_burst_is_answered_once_per_frame(self, server_reads,
+                                                  max_burst):
         reads = server_reads
 
         async def main():
-            async with serving() as (server, _):
-                policy = server.config.policy
+            pol = {"acme": TenantPolicy(max_burst=max_burst)}
+            async with serving(policies=pol) as (server, _):
                 async with await ServerClient.connect(
                         "127.0.0.1", server.port) as cli:
                     tok = await cli.open_session("acme")
@@ -379,37 +412,59 @@ class TestSlowReader:
                     assert all(r["ino"] == 0 for r in answered)
                     assert all(isinstance(r, errors.Overloaded)
                                and r.retryable for r in refused), refused[:3]
-                    # A read starts at most one admitted burst before the
+                    # A read runs at most the tenant's bound before the
                     # loop runs again; the rest of it is refused, typed.
-                    assert 0 < len(answered) <= len(reads) * (
-                        policy.queue_depth + policy.max_inflight)
+                    assert 0 < len(answered) <= len(reads) * max_burst
                     assert len(reads) < 10 and refused
-                    tenant = server.stats()["tenants"]["acme"]
-                    assert tenant["executing"] == 0 and tenant["queued"] == 0
+                    # The bound is per read: the same op, on the next one,
+                    # is admitted.
+                    st = await cli.call("stat", session=tok, path="/")
+                    assert st["ino"] == 0  # the root directory
         run(main())
 
 
 class TestDisconnectMidOp:
-    def test_client_vanishes_with_inflight_op(self):
+    def test_client_vanishes_with_inflight_op(self, monkeypatch):
         async def main():
-            cfg = ServerConfig(debug_ops=True, lease_seconds=60)
+            cfg = ServerConfig(lease_seconds=60)
             async with serving(config=cfg) as (server, volumes):
                 raw = await raw_connection(server)
                 resp = await raw.ask(protocol.encode_frame(
                     {"id": 1, "method": "session.open", "tenant": "acme"}))
                 token = resp["result"]["session"]
-                # Park the op in its slot, then vanish mid-flight.
-                await raw.send(protocol.encode_frame(
-                    {"id": 2, "method": "debug.sleep", "session": token,
-                     "params": {"seconds": 0.1}}))
-                await raw.close()
-                # The op completes server-side; the undeliverable response
-                # is dropped, the dead connection's session is reaped once
-                # its inflight op finishes, and the server stays up.
-                for _ in range(100):
-                    if len(server.sessions) == 0:
-                        break
-                    await asyncio.sleep(0.01)
+                conn = max(server._conns.values(), key=lambda c: c.id)
+                write_file = SESSION_OPS["write_file"]
+
+                def write_while_the_peer_resets(session, params):
+                    # What asyncio does when the peer's RST arrives: by
+                    # the time the op replies, the transport is closing.
+                    try:
+                        return write_file(session, params)
+                    finally:
+                        conn.transport.abort()
+
+                monkeypatch.setitem(SESSION_OPS, "write_file",
+                                    write_while_the_peer_resets)
+                obs.reset()
+                obs.enable()
+                try:
+                    # Write, and vanish without reading the reply.
+                    await raw.send(protocol.encode_frame(
+                        {"id": 2, "method": "write_file", "session": token,
+                         "params": {"path": "/kept", "data": b"durable"}}))
+                    await raw.close()
+                    # The op ran; the undeliverable response is dropped and
+                    # counted, the dead connection's session is reaped, and
+                    # the server stays up.
+                    for _ in range(100):
+                        if len(server.sessions) == 0:
+                            break
+                        await asyncio.sleep(0.01)
+                    assert obs.metrics.counter_total(
+                        "server.responses_dropped") == 1
+                finally:
+                    obs.disable()
+                    obs.reset()
                 assert len(server.sessions) == 0
                 assert server.admission.tenants["acme"].sessions == 0
                 async with await ServerClient.connect(
@@ -417,6 +472,8 @@ class TestDisconnectMidOp:
                     assert await cli.ping()
                     with pytest.raises(errors.SessionGone):
                         await cli.call("stat", session=token, path="/")
+                    fresh = await cli.open_session("acme")
+                    assert await cli.read_file(fresh, "/kept") == b"durable"
                 await server.drain()
                 report = volumes["acme"].fsck()
                 assert report.clean, report.summary()
@@ -458,76 +515,51 @@ class TestEviction:
         run(main())
 
 
-class TestBackpressure:
-    def test_queue_full_rejects_typed_retryable(self):
-        async def main():
-            cfg = ServerConfig(debug_ops=True)
-            pol = {"acme": TenantPolicy(max_inflight=1, queue_depth=2)}
-            async with serving(config=cfg, policies=pol) as (server, _):
-                async with await ServerClient.connect(
-                        "127.0.0.1", server.port) as cli:
-                    token = await cli.open_session("acme")
-                    tenant = server.admission.tenants["acme"]
-                    # Park the single worker first...
-                    waits = [asyncio.ensure_future(cli.call(
-                        "debug.sleep", session=token, seconds=0.3))]
-                    while tenant.executing == 0:
-                        await asyncio.sleep(0.005)
-                    # ...then fill the bounded queue to its depth.
-                    waits += [asyncio.ensure_future(cli.call(
-                        "debug.sleep", session=token, seconds=0.01))
-                        for _ in range(2)]
-                    while tenant.queue.qsize() < 2:
-                        await asyncio.sleep(0.005)
-                    with pytest.raises(errors.Overloaded) as ei:
-                        await cli.call("stat", session=token, path="/")
-                    assert ei.value.retryable
-                    # Closed loop: everything admitted completes.
-                    results = await asyncio.gather(*waits)
-                    assert all(r["slept"] for r in results)
-                    # And with the queue drained, the same op is admitted.
-                    st = await cli.call("stat", session=token, path="/")
-                    assert st["ino"] == 0  # the root directory
-        run(main())
-
-
 class TestDrain:
-    def test_drain_with_nonempty_queue_answers_everything(self):
+    def test_drain_behind_a_burst_answers_everything_read(self):
+        blob = b"d" * (64 << 10)
+
         async def main():
-            cfg = ServerConfig(debug_ops=True)
-            pol = {"acme": TenantPolicy(max_inflight=1, queue_depth=8)}
-            async with serving(config=cfg, policies=pol) as (server, volumes):
-                async with await ServerClient.connect(
-                        "127.0.0.1", server.port) as cli:
+            async with serving() as (server, volumes):
+                cli = await ServerClient.connect("127.0.0.1", server.port)
+                try:
                     token = await cli.open_session("acme")
-                    slow = asyncio.ensure_future(cli.call(
-                        "debug.sleep", session=token, seconds=0.1))
-                    writes = [asyncio.ensure_future(cli.call(
-                        "write_file", session=token, path=f"/d{i}.dat",
-                        data=protocol.pack_bytes(b"drain me")))
-                        for i in range(4)]
-                    await asyncio.sleep(0.02)  # queue is now non-empty
-                    assert server.admission.tenants["acme"].pending > 0
-                    drain_task = asyncio.ensure_future(server.drain())
-                    await asyncio.sleep(0)
-                    # New work during drain: typed retryable rejection.
+                    # A burst several socket reads long; drain once the
+                    # server has read some of it.
+                    writes = [asyncio.ensure_future(cli.write_file(
+                        token, f"/d{i:02}.dat", blob)) for i in range(32)]
+                    assert await writes[0] == len(blob)
+                    drain = asyncio.ensure_future(server.drain())
+                    done = await asyncio.gather(
+                        *writes, return_exceptions=True)
+                    # An op runs in the read that brought it: what was read
+                    # before the drain is answered, the rest of the burst
+                    # is refused — typed, retryable — and nothing is lost.
+                    landed = [i for i, r in enumerate(done) if r == len(blob)]
+                    refused = [r for r in done if r != len(blob)]
+                    assert landed and refused
+                    assert all(isinstance(r, (errors.Overloaded,
+                                              errors.SessionGone))
+                               and r.retryable for r in refused), refused[:3]
                     with pytest.raises(errors.Overloaded) as ei:
-                        await cli.call("stat", session=token, path="/")
+                        await cli.open_session("acme")
                     assert ei.value.retryable
-                    # Every op admitted before the drain is answered.
-                    assert (await slow)["slept"]
-                    assert [w["written"] for w in await asyncio.gather(
-                        *writes)] == [8] * 4
-                    await drain_task
-                    assert server.admission.quiesced()
-                    assert len(server.sessions) == 0
+                finally:
+                    await cli.close()
+                await drain
+                assert len(server.sessions) == 0
                 vol = volumes["acme"]
                 report = vol.fsck()
                 assert report.clean, report.summary()
-                # Drained state persisted: the queued writes all landed.
-                with vol.session("post-drain") as s:
-                    for i in range(4):
-                        assert s.read_file(f"/d{i}.dat") == b"drain me"
+                # Acknowledged means durable: after a remount the files that
+                # were answered are there, whole, and no others.
+                again = Volume.mount(vol.device.durable_image())
+                assert again.fsck().clean
+                with again.session("post-drain") as s:
+                    assert sorted(s.readdir("/")) == [
+                        f"d{i:02}.dat" for i in landed]
+                    assert all(s.read_file(f"/d{i:02}.dat") == blob
+                               for i in landed)
         run(main())
 
     def test_drain_is_idempotent(self):

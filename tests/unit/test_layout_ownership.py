@@ -29,7 +29,10 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   nothing off their ``config`` but those fields;
 * the wire has one frame format and ``server/protocol.py`` is the one place
   that knows it: nothing else under ``server/`` packs a prefix, and nothing
-  there reads lines or encodes payloads as text.
+  there reads lines or encodes payloads as text;
+* the server runs an op in the read that brought it: the coordinator keeps
+  no queue and starts one task, the reaper, and the router knows the
+  session ops and four control methods — no test-only one.
 """
 
 import ast
@@ -276,8 +279,8 @@ def test_option_census():
             "stripe_pages", "name"},
         ServerConfig: {
             "host", "port", "policy", "lease_seconds", "evict_interval",
-            "max_frame", "drain_timeout", "debug_ops"},
-        TenantPolicy: {"max_sessions", "max_inflight", "queue_depth"},
+            "max_frame"},
+        TenantPolicy: {"max_sessions", "max_burst"},
         KernelStats: {
             "acquires", "releases", "commits", "revokes", "verifications",
             "bytes_verified", "snapshots", "snapshot_bytes", "rollbacks",
@@ -285,6 +288,33 @@ def test_option_census():
     }
     for cls, expected in census.items():
         assert {f.name for f in dataclasses.fields(cls)} == expected, cls
+
+
+def test_the_server_queues_nothing_and_starts_one_task():
+    """An admitted op runs where it was read, so the coordinator has nothing
+    to park and nobody to hand it to: no ``asyncio.Queue``, one task (the
+    reaper), and a method surface of ``SESSION_OPS`` plus four control ops."""
+    modules = dict(_modules())
+    queues, tasks = [], []
+    for rel in ("server/server.py", "server/admission.py",
+                "server/sessions.py"):
+        for node in ast.walk(modules[rel]):
+            if isinstance(node, ast.Attribute) and node.attr.endswith("Queue"):
+                queues.append(f"{rel}:{node.lineno}")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("create_task", "ensure_future")):
+                tasks.append(ast.unparse(node.args[0]))
+    assert queues == []
+    assert tasks == ["self._evict_loop()"]
+
+    route = next(fn for fn in _functions(modules["server/server.py"])
+                 if fn.name == "_route")
+    routed = {ast.unparse(test.comparators[0]).strip("'")
+              for test in ast.walk(route) if isinstance(test, ast.Compare)
+              and ast.unparse(test.left) == "method"}
+    assert routed == {"SESSION_OPS", "ping", "session.open", "session.close",
+                      "stats"}
 
 
 def test_the_file_systems_read_only_table_1_from_their_config():

@@ -7,9 +7,9 @@ from repro.errors import Overloaded, TenantLimit
 from repro.server.admission import AdmissionController, TenantPolicy
 
 
-def make(policy=None, default=None, tenants=("acme",)):
+def make(policy=None, tenants=("acme",)):
     policy = policy or TenantPolicy()
-    return AdmissionController({t: policy for t in tenants}, default=default)
+    return AdmissionController({t: policy for t in tenants})
 
 
 class TestTenantLookup:
@@ -21,12 +21,6 @@ class TestTenantLookup:
     def test_no_tenant_rejected(self):
         with pytest.raises(TenantLimit):
             make().tenant(None)
-
-    def test_default_policy_enrolls_unknown_tenants(self):
-        ctl = make(default=TenantPolicy(max_sessions=1))
-        t = ctl.tenant("stranger")
-        assert t.policy.max_sessions == 1
-        assert ctl.tenant("stranger") is t
 
 
 class TestSessions:
@@ -56,51 +50,44 @@ class TestSessions:
 
 
 class TestRequests:
-    def test_bounded_queue_overflows_to_overloaded(self):
-        ctl = make(TenantPolicy(queue_depth=2))
-        ctl.admit_request("acme", "op1")
-        ctl.admit_request("acme", "op2")
+    def test_per_read_bound_overflows_to_overloaded(self):
+        ctl = make(TenantPolicy(max_burst=2), tenants=("acme", "initech"))
+        acme, initech = ctl.tenant("acme"), ctl.tenant("initech")
+        ctl.admit_request(acme)
+        ctl.admit_request(acme)
         with pytest.raises(Overloaded) as ei:
-            ctl.admit_request("acme", "op3")
+            ctl.admit_request(acme)
         assert ei.value.retryable is True
-        assert "queue full" in str(ei.value)
+        assert "per-read bound" in str(ei.value)
+        # The bound is each tenant's own, and lasts as long as the read.
+        ctl.admit_request(initech)
+        ctl.end_read()
+        ctl.admit_request(acme)
 
     def test_draining_rejects_requests(self):
         ctl = make()
         ctl.draining = True
         with pytest.raises(Overloaded):
-            ctl.admit_request("acme", "op")
-
-    def test_pending_counts_queued_plus_executing(self):
-        ctl = make(TenantPolicy(queue_depth=4))
-        t = ctl.admit_request("acme", "op1")
-        ctl.admit_request("acme", "op2")
-        t.queue.get_nowait()
-        ctl.start_execute(t)
-        assert t.pending == 2        # 1 queued + 1 executing
-        ctl.finish_execute(t)
-        assert t.pending == 1
-        assert not ctl.quiesced()
-        t.queue.get_nowait()
-        assert ctl.quiesced()
+            ctl.admit_request(ctl.tenant("acme"))
 
     def test_reject_metrics_labelled_by_reason(self):
         obs.reset()
         obs.enable()
         try:
-            ctl = make(TenantPolicy(queue_depth=1))
-            ctl.admit_request("acme", "op")
+            ctl = make(TenantPolicy(max_burst=1))
+            acme = ctl.tenant("acme")
+            ctl.admit_request(acme)
             with pytest.raises(Overloaded):
-                ctl.admit_request("acme", "op")
+                ctl.admit_request(acme)
             ctl.draining = True
             with pytest.raises(Overloaded):
-                ctl.admit_request("acme", "op")
+                ctl.admit_request(acme)
             rejects = {
                 dict(c.labels)["reason"]: c.value
                 for c in obs.metrics.counters()
                 if c.name == "server.rejects"
             }
-            assert rejects == {"queue_full": 1, "draining": 1}
+            assert rejects == {"max_burst": 1, "draining": 1}
         finally:
             obs.disable()
             obs.reset()
