@@ -1,6 +1,6 @@
 """Data striping — sequential-I/O bandwidth scaling with device count.
 
-Three deterministic measurements, no wall clocks:
+Two deterministic measurements, no wall clocks:
 
 1. **Modeled bandwidth sweep** — one 4 MiB delegated extent write/read at
    1/2/4/8 member devices from the calibrated cost model
@@ -10,13 +10,9 @@ Three deterministic measurements, no wall clocks:
    dominate.  The acceptance bar is >= 3x modeled sequential-write
    bandwidth at 4 devices vs 1.
 2. **Functional fan-out** — a real 4 MiB pwrite through the whole stack
-   (LibFS -> extent batch -> ``PMArray.ntstore_scatter``) on a 4-device
-   array; per-member ``PMStats`` prove every device stored ~1/4 of the
-   bytes and took its own persist calls.
-3. **Single-device identity** — the same operation stream against a
-   1-member array and a flat :class:`~repro.pm.device.PMDevice` must
-   produce byte-identical durable images and identical store/fence
-   counters: the array layer adds no behaviour until ``devices > 1``.
+   (LibFS -> extent batch -> ``PMDevice.ntstore_scatter``) on a 4-member
+   device; the per-member ``PMStats`` in ``device.members`` prove every
+   member stored ~1/4 of the bytes and took its own persist calls.
 
 Run as a script for the CI smoke check:
 
@@ -32,8 +28,6 @@ import sys
 from repro import obs
 from repro.api import Volume, VolumeConfig
 from repro.perf.costmodel import COST
-from repro.pm.array import PMArray
-from repro.pm.device import PMDevice
 
 DEVICES = (1, 2, 4, 8)
 EXTENT_BYTES = 4 << 20     # one 4 MiB delegated extent
@@ -74,55 +68,23 @@ def modeled_sweep():
 
 
 def functional_fanout():
-    """A real 4 MiB pwrite on a 4-device array; per-member counters."""
+    """A real 4 MiB pwrite on a 4-member device; per-member counters."""
     vc = VolumeConfig(devices=4, stripe_pages=STRIPE_PAGES, inode_count=128)
     vol = Volume.create(32 << 20, vc)
     payload = bytes(range(256)) * (WRITE_BYTES // 256)
     with vol.session("bench-striping") as sess:
         fd = sess.open("/big.dat", create=True)
-        before = [s.snapshot() for s in vol.device.device_stats]
+        before = [m.stats.snapshot() for m in vol.device.members]
         sess.pwrite(fd, payload, 0)
-        after = vol.device.device_stats
+        after = [m.stats.snapshot() for m in vol.device.members]
         assert sess.pread(fd, WRITE_BYTES, 0) == payload
     deltas = [a.diff(b) for a, b in zip(after, before)]
     vol.close()
     return {
-        "devices": vol.device.device_count,
+        "devices": vol.device.devices,
         "bytes_stored": [d.bytes_stored for d in deltas],
         "ntstores": [d.ntstores for d in deltas],
         "persist_calls": [d.fences for d in deltas],
-    }
-
-
-# --------------------------------------------------------------------------- #
-# 3. Single-device identity
-# --------------------------------------------------------------------------- #
-
-
-def _drive(device):
-    """A fixed operation stream against a fresh volume on ``device``."""
-    vol = Volume.create(device.size, VolumeConfig(inode_count=64),
-                        device=device)
-    fs = vol.session("bench-identity", uid=0).fs
-    fs.mkdir("/d")
-    fd = fs.open("/d/f.dat", create=True)
-    fs.pwrite(fd, b"\x5a" * (1 << 20), 0)
-    fs.pwrite(fd, b"\xa5" * 4096, 1 << 19)  # overwrite in the middle
-    fs.release_all()
-    vol.kernel.alloc.drain_pools()
-    return device.durable_image(), device.stats.snapshot()
-
-
-def single_device_identity():
-    """A 1-member array must be byte- and counter-identical to a device."""
-    size = 8 << 20
-    img_dev, stats_dev = _drive(PMDevice(size, crash_tracking=False))
-    img_arr, stats_arr = _drive(PMArray(size, devices=1, crash_tracking=False))
-    return {
-        "image_identical": img_dev == img_arr,
-        "counters_identical": stats_dev == stats_arr,
-        "fences": stats_arr.fences,
-        "bytes_stored": stats_arr.bytes_stored,
     }
 
 
@@ -136,14 +98,12 @@ def collect():
         "modeled_gbps": {op: {str(n): bw for n, bw in per.items()}
                          for op, per in modeled_sweep().items()},
         "fanout": functional_fanout(),
-        "identity": single_device_identity(),
     }
 
 
 def render(results) -> str:
     bw = results["modeled_gbps"]
     fo = results["fanout"]
-    ident = results["identity"]
     one_w = bw["write"]["1"]
     lines = [
         "== data striping: bandwidth vs member devices "
@@ -165,10 +125,6 @@ def render(results) -> str:
         f"  byte shares per device: {shares}",
         f"  ntstores per device:    {fo['ntstores']}",
         f"  persist calls per device: {fo['persist_calls']}",
-        "",
-        "single-device array vs flat device: "
-        f"image identical = {ident['image_identical']}, "
-        f"counters identical = {ident['counters_identical']}",
     ]
     return "\n".join(lines)
 
@@ -190,9 +146,6 @@ def smoke_compare(results, baseline) -> list:
         problems.append(
             f"per-device persist fan-out regressed: min {got} "
             f"< baseline min {want}")
-    for key in ("image_identical", "counters_identical"):
-        if not results["identity"][key]:
-            problems.append(f"single-device identity broken: {key} is False")
     return problems
 
 
@@ -262,11 +215,6 @@ def test_data_striping(benchmark):
     assert all(b > 0 for b in fo["bytes_stored"]), fo
     assert all(f > 0 for f in fo["persist_calls"]), fo
     assert max(fo["bytes_stored"]) < 2 * min(fo["bytes_stored"]), fo
-
-    # The degenerate array is the seed path, bit for bit.
-    ident = results["identity"]
-    assert ident["image_identical"], ident
-    assert ident["counters_identical"], ident
 
     save_and_print("data_striping", render(results))
 

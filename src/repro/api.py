@@ -40,7 +40,6 @@ from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.kernel.controller import KernelController, RecoveryReport
 from repro.kernel.policy import ResolutionPolicy
 from repro.libfs.libfs import LibFS
-from repro.pm.array import PMArray, reboot_device
 from repro.pm.device import PMDevice
 
 
@@ -67,7 +66,7 @@ class VolumeConfig:
     inode_count: int = 1024
     #: Enable the device's crash-state enumeration (shadows every store).
     crash_tracking: bool = False
-    #: Member devices; >1 creates a striped :class:`~repro.pm.array.PMArray`.
+    #: Member devices; >1 creates a striped volume (create only).
     devices: int = 1
     #: Pages per stripe unit on a multi-device volume (create only).
     stripe_pages: int = 1
@@ -242,22 +241,17 @@ class Volume:
         ``config.crash_tracking`` enables the device's crash-state
         enumeration (needed by the §4.2 bug demos and the transaction
         crash tests, off by default because it shadows every store).
-        ``config.devices > 1`` backs the volume with a striped
-        :class:`~repro.pm.array.PMArray` (``stripe_pages`` per unit).
-        ``device`` formats a caller-built device instead.
+        ``config.devices > 1`` stripes the volume across that many members
+        of one :class:`PMDevice` (``stripe_pages`` per unit).  ``device``
+        formats a caller-built device instead.
         """
         opts = _volume_config(config)
         if device is None:
-            if opts.devices > 1:
-                device = PMArray(
-                    size, devices=opts.devices,
-                    stripe_pages=opts.stripe_pages,
-                    crash_tracking=opts.crash_tracking)
-            else:
-                device = PMDevice(size, crash_tracking=opts.crash_tracking)
+            device = PMDevice(size, devices=opts.devices,
+                              crash_tracking=opts.crash_tracking)
         kernel = KernelController.fresh(
             device, inode_count=opts.inode_count, config=opts.config,
-            policy=opts.policy)
+            policy=opts.policy, stripe_pages=opts.stripe_pages)
         return cls(device, kernel, name=opts.name)
 
     @classmethod
@@ -277,9 +271,8 @@ class Volume:
         """
         opts = _volume_config(config)
         if isinstance(source, (bytes, bytearray)):
-            # The image's superblock names the device shape: a recorded
-            # member count > 1 reboots into a PMArray of that shape.
-            device = reboot_device(
+            # The image's superblock names the member count.
+            device = PMDevice.from_image(
                 bytes(source), crash_tracking=opts.crash_tracking)
         else:
             device = source

@@ -504,13 +504,12 @@ def cmd_loadgen(args) -> int:
 
 def cmd_fsck(args) -> int:
     from repro.fsck import INJECTORS, build_volume, run_fsck
-    from repro.pm.array import reboot_device
+    from repro.pm.device import PMDevice
 
     if args.image:
         with open(args.image, "rb") as fh:
-            # The superblock names the shape: multi-device images reboot
-            # into a striped PMArray, flat ones into a PMDevice.
-            device = reboot_device(fh.read(), crash_tracking=False)
+            # The superblock names the member count.
+            device = PMDevice.from_image(fh.read(), crash_tracking=False)
     else:
         device, _kernel, _fs = build_volume(
             files=args.files, dirs=args.dirs,

@@ -433,7 +433,7 @@ class CoreState:
         n = min(n, size - off)
         # Plan the read as (addr, nbytes) chunks, merging physically
         # contiguous pieces, then fetch the lot in one batched gather
-        # (fanned across a striped array's device queues).
+        # (counted per member on a striped device).
         plan: List[Tuple[int, int]] = []
         while n > 0:
             in_page = off % PAGE_SIZE
@@ -445,11 +445,9 @@ class CoreState:
                 plan.append((addr, chunk))
             off += chunk
             n -= chunk
-        if len(plan) > 1:
-            gather = getattr(self.mem, "load_gather", None)
-            if gather is not None:
-                return b"".join(gather(plan))
-        return b"".join(self.mem.load(addr, nb) for addr, nb in plan)
+        if len(plan) == 1:
+            return self.mem.load(*plan[0])
+        return b"".join(self.mem.load_gather(plan))
 
     def write_page_data(self, page_no: int, in_page_off: int, data: bytes) -> None:
         """Store data into one page and queue its write-back (no fence)."""
@@ -477,10 +475,9 @@ class CoreState:
         if len(runs) == 1:
             self.mem.ntstore(self.geom.page_off(start_page) + in_page_off, data)
             return
-        # On a striped array the extent crosses stripe units: one ntstore
-        # per physically-contiguous run, fanned out across the per-device
-        # delegation queues.  The caller's single sfence still covers all
-        # of it (the array fences every member it dirtied).
+        # On a striped device the extent crosses stripe units: one ntstore
+        # per physically-contiguous run, in one batch.  The caller's single
+        # sfence still covers all of it (it fences every member dirtied).
         ops = []
         pos = 0
         off = in_page_off
@@ -489,9 +486,4 @@ class CoreState:
             ops.append((self.geom.page_off(run_start) + off, data[pos:pos + nbytes]))
             pos += nbytes
             off = 0
-        scatter = getattr(self.mem, "ntstore_scatter", None)
-        if scatter is not None:
-            scatter(ops)
-        else:
-            for addr, chunk in ops:
-                self.mem.ntstore(addr, chunk)
+        self.mem.ntstore_scatter(ops)

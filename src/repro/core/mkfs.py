@@ -27,22 +27,21 @@ MIN_PAGES = 4
 
 
 def mkfs(device: PMDevice, inode_count: int = 1024, root_uid: int = 0,
-         stripe_pages: int = 0) -> Geometry:
+         stripe_pages: int = 1) -> Geometry:
     """Write a fresh file system: superblock, empty inode table, root dir.
 
-    On a :class:`~repro.pm.array.PMArray` the data region is striped across
-    the members (``stripe_pages`` defaults to the array's preference) and
-    each member past the first gets an :class:`ArrayLabel` stamped over its
-    metadata reservation, so fsck can cross-check the stripe shape.
+    On a striped device (``device.devices > 1``) the data region is striped
+    across the members in units of ``stripe_pages`` pages and each member
+    past the first gets an :class:`ArrayLabel` stamped over its metadata
+    reservation, so fsck can cross-check the stripe shape; a flat device
+    ignores ``stripe_pages``.
 
     Returns the geometry.  Everything is durably persisted before return, so
     a crash immediately after mkfs recovers to an empty file system.
     """
-    devices = getattr(device, "device_count", 1)
-    if stripe_pages <= 0:
-        stripe_pages = getattr(device, "stripe_pages", 1)
-    geom = Geometry.compute(device.size, inode_count,
-                            devices=devices, stripe_pages=stripe_pages)
+    devices = device.devices
+    geom = Geometry.compute(device.size, inode_count, devices=devices,
+                            stripe_pages=stripe_pages if devices > 1 else 1)
     if geom.page_count < MIN_PAGES:
         raise ValueError("device too small for this inode count")
 
@@ -105,7 +104,7 @@ def load_geometry(device: PMDevice) -> Geometry:
     sb = Superblock.unpack(device.load(0, Superblock.SIZE))
     if not sb.valid:
         raise SuperblockCorrupt("device has no valid superblock (run mkfs)")
-    devices, members = max(1, sb.devices), getattr(device, "device_count", 1)
+    devices, members = max(1, sb.devices), device.devices
     if sb.device_size != device.size:
         raise SuperblockCorrupt(
             f"superblock records {sb.device_size} bytes, the device has "

@@ -29,7 +29,7 @@ def build_volume(
 
     Layout is a pure function of the arguments, so every fsck test and the
     bench see identical trees.  ``devices > 1`` builds the same tree on a
-    striped :class:`~repro.pm.array.PMArray`.
+    striped volume.
     """
     vol = Volume.create(size, VolumeConfig(
         config=config, inode_count=inode_count,

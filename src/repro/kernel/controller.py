@@ -167,12 +167,12 @@ class KernelController:
         inode_count: int = 1024,
         config: ArckConfig = ARCKFS_PLUS,
         policy: Optional[ResolutionPolicy] = None,
-        stripe_pages: int = 0,
+        stripe_pages: int = 1,
     ) -> "KernelController":
         """mkfs + mount on an empty device.
 
-        ``stripe_pages`` overrides the stripe width on a multi-device
-        array; 0 keeps the device's own preference (flat devices ignore it).
+        ``stripe_pages`` is the stripe width of a striped device (flat
+        devices ignore it).
         """
         mkfs(device, inode_count, stripe_pages=stripe_pages)
         return cls.mount(device, config=config, policy=policy)

@@ -17,11 +17,12 @@ machinery involved in the paper's §4.2 crash-consistency bug:
 line has held since the last durable point, and can enumerate or sample the
 *reachable crash states* (each line independently persists any version at or
 after its durability floor).  Recovery code is run against such images to
-demonstrate the §4.2 bug and to prove the ArckFS+ fence closes it.
+demonstrate the §4.2 bug and to prove the ArckFS+ fence closes it.  A striped
+volume is one such device with ``devices`` members, each a slice of the flat
+address space that carries its own counters.
 """
 
 from repro.pm.device import CACHE_LINE, PMDevice, PMStats
-from repro.pm.array import PMArray, reboot_device
 from repro.pm.mapping import Mapping
 from repro.pm.crash import CrashSim
 from repro.pm.allocator import PageAllocator
@@ -30,11 +31,9 @@ from repro.pm import layout
 __all__ = [
     "CACHE_LINE",
     "PMDevice",
-    "PMArray",
     "PMStats",
     "Mapping",
     "CrashSim",
     "PageAllocator",
     "layout",
-    "reboot_device",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.pm.array import reboot_device
 from repro.pm.device import PMDevice
 
 
@@ -51,7 +50,7 @@ class CrashSim:
         """
         results = []
         for image in self.images(sample=sample, seed=seed):
-            rebooted = reboot_device(image)
+            rebooted = PMDevice.from_image(image)
             results.append(checker(rebooted))
         return results
 
@@ -66,7 +65,7 @@ class CrashSim:
         violation (a non-None string), or None if every crash state is clean.
         """
         for image in self.images(sample=sample, seed=seed):
-            rebooted = reboot_device(image)
+            rebooted = PMDevice.from_image(image)
             reason = checker(rebooted)
             if reason is not None:
                 return image, reason

@@ -28,6 +28,15 @@ function of ``media`` and the log.  They are split out only when a crash
 image is asked for and cached until the next store or fence, which gives
 exactly the state space a per-line history kept on every store would.
 
+A striped volume is the same device with ``devices`` members: member ``d``
+owns bytes ``[d*dev_size, (d+1)*dev_size)`` of the one flat address space,
+so data, the run log and crash-line numbering do not change at all.  Members
+are counter attribution only: an access is counted once per member it
+touches, in the total and in that member's :class:`Member` record, and a
+fence is charged to every member stored to or flushed since the last one —
+the functional evidence of the striped fan-out.  Where data lands is
+:class:`~repro.pm.layout.Geometry`'s business.
+
 Thread safety: a single coarse lock protects the log bookkeeping.  The
 *logical* races the paper studies (§4.3–§4.6) live above this layer, in the
 file-system code, so serialising the device itself hides nothing relevant.
@@ -39,10 +48,12 @@ import math
 import random
 import threading
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from repro import obs
-from repro.errors import PersistOrderError
+from repro.errors import PersistOrderError, SuperblockCorrupt
+from repro.pm.layout import PAGE_SIZE, Superblock
 
 #: Cache-line size in bytes, as on the paper's Cascade Lake machine.
 CACHE_LINE = 64
@@ -74,6 +85,15 @@ class PMStats:
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
+
+
+class Member(NamedTuple):
+    """One member of a striped device: its index and the counters of the
+    accesses that touched it.  A flat device's one member shares the
+    device's own ``stats``."""
+
+    index: int
+    stats: PMStats
 
 
 class _Run(NamedTuple):
@@ -134,31 +154,44 @@ class PMDevice:
     Parameters
     ----------
     size:
-        Device capacity in bytes (rounded up to a cache line).
+        Device capacity in bytes; each member gets ``size / devices``
+        rounded up to a cache line (so ``len(device)`` may round up).
+    devices:
+        Member count.  ``devices > 1`` stripes a volume: every access is
+        also counted on the members it touches, and a fence is charged to
+        each member stored to or flushed since the last one
+        (``pm.persist_calls`` then carries a ``device=`` label).
     crash_tracking:
         When True (default), unfenced stores are logged so that reachable
         crash states can be enumerated.  Benchmarks that never
         crash can disable it; stores then hit media directly (functional
         behaviour is identical, crash states are unavailable).
-    device_id:
-        Member index when this device is one slice of a
-        :class:`~repro.pm.array.PMArray`; persist-call counters then carry
-        a ``device=`` label so the fan-out is observable per member.
     """
 
-    def __init__(self, size: int, *, crash_tracking: bool = True,
-                 device_id: Optional[int] = None):
+    def __init__(self, size: int, *, devices: int = 1,
+                 crash_tracking: bool = True):
         if size <= 0:
             raise ValueError("device size must be positive")
-        # Round up to a whole number of lines.
-        self.size = (size + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
+        if devices < 1:
+            raise ValueError("a device needs at least one member")
+        # Round each member up to a whole number of lines.
+        dev_size = -(-size // devices)
+        self.dev_size = (dev_size + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
+        self.devices = devices
+        self.size = self.dev_size * devices
         self.media = bytearray(self.size)
         #: the CPU's view: media itself until the first tracked store forks
         #: it (a device booted to be read, or untracked, never pays the copy).
         self.volatile = self.media
         self.crash_tracking = crash_tracking
-        self.device_id = device_id
+        #: the live total of every member's counters.
         self.stats = PMStats()
+        self.members: List[Member] = (
+            [Member(0, self.stats)] if devices == 1
+            else [Member(d, PMStats()) for d in range(devices)])
+        #: members stored to or flushed since the last fence (striped
+        #: devices only).
+        self._dirty: Set[int] = set()
         #: unfenced stores, oldest first.
         self._runs: List[_Run] = []
         self._seq = 0
@@ -179,11 +212,35 @@ class PMDevice:
                 f"access [{addr}, {addr + size}) outside device of {self.size} bytes"
             )
 
+    def _pieces(self, addr: int, size: int) -> Sequence[Tuple[int, int]]:
+        """``(member, nbytes)`` for every member the in-range access
+        ``[addr, addr+size)`` touches; a zero-byte access touches one."""
+        d, local = divmod(addr, self.dev_size)
+        if local + size <= self.dev_size and d < self.devices:
+            return ((d, size),)  # the common case, kept cheap
+        d = min(d, self.devices - 1)
+        pieces, end = [], addr + size
+        while True:
+            hi = min(end, (d + 1) * self.dev_size)
+            pieces.append((d, hi - addr))
+            if hi >= end:
+                return pieces
+            addr, d = hi, d + 1
+
     def load(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes of the current *volatile* view at ``addr``."""
         self._check_range(addr, size)
-        self.stats.loads += 1
-        self.stats.bytes_loaded += size
+        if self.devices == 1:
+            self.stats.loads += 1
+            self.stats.bytes_loaded += size
+        else:
+            pieces = self._pieces(addr, size)
+            self.stats.loads += len(pieces)
+            self.stats.bytes_loaded += size
+            for d, n in pieces:
+                st = self.members[d].stats
+                st.loads += 1
+                st.bytes_loaded += n
         if not self.crash_tracking:
             return bytes(self.media[addr : addr + size])
         with self._lock:
@@ -202,8 +259,18 @@ class PMDevice:
         """
         data = bytes(data)
         self._check_range(addr, len(data))
-        self.stats.stores += 1
-        self.stats.bytes_stored += len(data)
+        if self.devices == 1:
+            self.stats.stores += 1
+            self.stats.bytes_stored += len(data)
+        else:
+            pieces = self._pieces(addr, len(data))
+            self.stats.stores += len(pieces)
+            self.stats.bytes_stored += len(data)
+            for d, n in pieces:
+                self._dirty.add(d)
+                st = self.members[d].stats
+                st.stores += 1
+                st.bytes_stored += n
         if not data:
             return
         if not self.crash_tracking:
@@ -245,6 +312,11 @@ class PMDevice:
         first = addr // CACHE_LINE
         last = (addr + max(size, 1) - 1) // CACHE_LINE
         self.stats.clwbs += last - first + 1
+        if self.devices > 1:
+            span = (last - first + 1) * CACHE_LINE
+            for d, n in self._pieces(first * CACHE_LINE, span):
+                self._dirty.add(d)
+                self.members[d].stats.clwbs += n // CACHE_LINE
         if not self.crash_tracking:
             return
         with self._lock:
@@ -255,12 +327,21 @@ class PMDevice:
     clflushopt = clwb
 
     def sfence(self) -> None:
-        """Complete all queued write-backs; they are durable from here on."""
-        self.stats.fences += 1
-        if self.device_id is None:
+        """Complete all queued write-backs; they are durable from here on.
+
+        A striped device charges one fence to every member stored to or
+        flushed since the last fence — member 0 for an idle one, as a flat
+        device charges itself.
+        """
+        if self.devices == 1:
+            self.stats.fences += 1
             obs.count("pm.persist_calls")
         else:
-            obs.count("pm.persist_calls", device=self.device_id)
+            for d in sorted(self._dirty) or [0]:
+                self.stats.fences += 1
+                self.members[d].stats.fences += 1
+                obs.count("pm.persist_calls", device=d)
+            self._dirty.clear()
         if not self.crash_tracking:
             return
         with self._lock:
@@ -306,8 +387,14 @@ class PMDevice:
         Durability still requires a following ``sfence`` (matching movnt +
         sfence on real hardware).
         """
-        self.stats.ntstores += 1
         self.store(addr, data)
+        if self.devices == 1:
+            self.stats.ntstores += 1
+        else:
+            pieces = self._pieces(addr, len(data))
+            self.stats.ntstores += len(pieces)
+            for d, _n in pieces:
+                self.members[d].stats.ntstores += 1
         if data:
             self.clwb(addr, len(data))
 
@@ -317,13 +404,45 @@ class PMDevice:
         self.sfence()
 
     def drain(self) -> None:
-        """Flush and fence every dirty line (used at unmount / test epilogue)."""
+        """Flush and fence every dirty line (used at unmount / test epilogue);
+        a striped device fences every member."""
         if not self.crash_tracking:
+            self._dirty.clear()
             return
         with self._lock:
             if self._runs:
                 self._queued = [(0, self.size // CACHE_LINE, self._seq)]
+        if self.devices > 1:
+            self._dirty.update(range(self.devices))
         self.sfence()
+
+    # ------------------------------------------------------------------ #
+    # Batched extent I/O (the extent-batched data path)
+    # ------------------------------------------------------------------ #
+
+    def ntstore_scatter(self, ops: List[Tuple[int, bytes]]) -> None:
+        """Non-temporal-store a batch of ``(addr, data)`` extents.
+
+        Semantically a loop of :meth:`ntstore` (durability still requires
+        the caller's following ``sfence``); a striped device also counts
+        each member's share as ``pm.delegated_*{device=}``.
+        """
+        for addr, data in ops:
+            self.ntstore(addr, data)
+        self._count_delegated((addr, len(data)) for addr, data in ops)
+
+    def load_gather(self, ops: List[Tuple[int, int]]) -> List[bytes]:
+        """Read a batch of ``(addr, nbytes)`` extents, in submission order."""
+        out = [self.load(addr, nbytes) for addr, nbytes in ops]
+        self._count_delegated(ops)
+        return out
+
+    def _count_delegated(self, spans: Iterable[Tuple[int, int]]) -> None:
+        if obs.enabled and self.devices > 1:
+            for addr, nbytes in spans:
+                for d, n in self._pieces(addr, nbytes):
+                    obs.count("pm.delegated_ops", device=d)
+                    obs.count("pm.delegated_bytes", n, device=d)
 
     # ------------------------------------------------------------------ #
     # Crash-state exploration
@@ -404,11 +523,26 @@ class PMDevice:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_image(cls, image: bytes, *, crash_tracking: bool = True,
-                   device_id: Optional[int] = None) -> "PMDevice":
-        """Boot a device from a crash (or durable) image — i.e. 'reboot'."""
-        dev = cls(len(image), crash_tracking=crash_tracking,
-                  device_id=device_id)
+    def from_image(cls, image: bytes, *,
+                   crash_tracking: bool = True) -> "PMDevice":
+        """Boot a device from a crash (or durable) image — i.e. 'reboot'.
+
+        The member count is the one a valid superblock records (1 without
+        one), so a striped volume's image reboots into its own shape; an
+        image that does not split into that many equal, line-aligned
+        members of at least a page is :class:`SuperblockCorrupt`.
+        """
+        devices = 1
+        if len(image) >= Superblock.SIZE:
+            sb = Superblock.unpack(image[:Superblock.SIZE])
+            if sb.valid:
+                devices = max(1, sb.devices)
+        if devices > 1 and (len(image) % (devices * CACHE_LINE)
+                            or len(image) // devices < PAGE_SIZE):
+            raise SuperblockCorrupt(
+                f"{len(image)}-byte image does not split into {devices} "
+                f"equal line-aligned members of at least one page")
+        dev = cls(len(image), devices=devices, crash_tracking=crash_tracking)
         dev.load_image(image)
         return dev
 

@@ -64,9 +64,9 @@ class Superblock:
     #: Head page of a sealed (durable, unapplied) transaction redo log;
     #: 0 means no transaction is pending.
     tx_log_head: int = 0
-    #: Member count of the striped :class:`~repro.pm.array.PMArray` this
-    #: volume lives on; 1 means one flat device (the historical layout —
-    #: every striping field degenerates so the two are byte-compatible).
+    #: Member count of the device this volume lives on; 1 means one flat
+    #: device (the historical layout — every striping field degenerates so
+    #: the two are byte-compatible).
     devices: int = 1
     #: Pages per stripe unit (the striping granularity).
     stripe_pages: int = 1
@@ -324,12 +324,11 @@ class PageHeader:
 class Geometry:
     """Derived offsets for a device of a given size and inode budget.
 
-    With ``devices > 1`` the volume lives on a striped
-    :class:`~repro.pm.array.PMArray`: the flat logical address space is the
-    concatenation of ``devices`` equal members of ``dev_size`` bytes, every
-    member reserves the first ``data_off`` bytes for metadata (device 0
-    holds the real superblock/inode table/bitmap, the rest carry an
-    :class:`ArrayLabel`), and stripe units of ``stripe_pages`` pages
+    With ``devices > 1`` the volume is striped: the device's flat address
+    space is the concatenation of ``devices`` equal members of ``dev_size``
+    bytes, every member reserves the first ``data_off`` bytes for metadata
+    (member 0 holds the real superblock/inode table/bitmap, the rest carry
+    an :class:`ArrayLabel`), and stripe units of ``stripe_pages`` pages
     round-robin across members.  All striping lives in :meth:`page_off`, so
     every consumer of page numbers — allocator, fsck, crash enumeration —
     works unchanged on either shape.

@@ -74,23 +74,12 @@ class Mapping:
         self._device.persist(addr, size)
 
     def ntstore_scatter(self, ops) -> None:
-        """Batch ntstore — split across a PMArray's members; an ntstore
-        loop on a flat device."""
         self._check()
-        scatter = getattr(self._device, "ntstore_scatter", None)
-        if scatter is not None:
-            scatter(ops)
-            return
-        for addr, data in ops:
-            self._device.ntstore(addr, data)
+        self._device.ntstore_scatter(ops)
 
     def load_gather(self, ops):
-        """Batch load — the read-side counterpart of :meth:`ntstore_scatter`."""
         self._check()
-        gather = getattr(self._device, "load_gather", None)
-        if gather is not None:
-            return gather(ops)
-        return [self._device.load(addr, n) for addr, n in ops]
+        return self._device.load_gather(ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "valid" if self._valid else "UNMAPPED"

@@ -15,7 +15,6 @@ import pytest
 from repro.core.config import ARCKFS_PLUS
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
-from repro.pm.array import PMArray
 from repro.pm.crash import CrashSim
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
@@ -114,10 +113,10 @@ class TestPersistCost:
 
 def build_striped(devices=2, stripe_pages=2, size=8 * 1024 * 1024,
                   crash_tracking=False):
-    device = PMArray(size, devices=devices, stripe_pages=stripe_pages,
-                     crash_tracking=crash_tracking)
+    device = PMDevice(size, devices=devices, crash_tracking=crash_tracking)
     kernel = KernelController.fresh(device, inode_count=128,
-                                    config=ARCKFS_PLUS)
+                                    config=ARCKFS_PLUS,
+                                    stripe_pages=stripe_pages)
     return device, LibFS(kernel, "extent-io", uid=0, config=ARCKFS_PLUS)
 
 
@@ -131,7 +130,7 @@ class TestStriped:
         assert fs.pwrite(fd, payload, 0) == MiB
         assert fs.pread(fd, MiB, 0) == payload
         # Striping is real: both members stored a comparable share.
-        stored = [s.bytes_stored for s in device.device_stats]
+        stored = [m.stats.bytes_stored for m in device.members]
         assert all(b > MiB // 4 for b in stored), stored
 
     def test_contents_agree_with_flat_volume(self):

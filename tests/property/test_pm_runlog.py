@@ -8,8 +8,9 @@ queued index per dirty line, touched line by line on every call.  Random
 ``drain``/``load`` sequences are driven against both and every observable is
 compared after every step: crash-state space (``line_choices``,
 ``dirty_lines``, every image when the space is small, seeded samples), both
-images and the counters.  The same runs on a 2-member ``PMArray`` against an
-array routing to two models.
+images and the counters.  The same runs on a 2-member striped ``PMDevice``
+against :class:`StripedModel`: the same line model, counted the way members
+are — once per member piece, one fence per member stored to.
 """
 
 import itertools
@@ -18,7 +19,6 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pm.array import PMArray
 from repro.pm.device import CACHE_LINE as CL
 from repro.pm.device import PMDevice, PMStats
 
@@ -107,12 +107,52 @@ class LineModel:
                 {ln: rng.randrange(len(self.lines[ln])) for ln in lines})
 
 
-def model_array():
-    """A 2-member array whose members are models: the array only routes, so
-    this is the oracle for the same ops under member splitting."""
-    arr = PMArray(SIZE, devices=2)
-    arr.members = [LineModel(arr.dev_size) for _ in arr.members]
-    return arr
+class StripedModel(LineModel):
+    """The 2-member oracle: contents as :class:`LineModel`, counters
+    attributed per member — a load, store or ntstore counts once per member
+    piece, and a fence once per member stored to or flushed since the last
+    fence (member 0 when none was); ``drain`` fences every member."""
+
+    DEVICES = 2
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.dev_size, self.dirty = size // self.DEVICES, set()
+
+    def members(self, addr, size):
+        """Members ``[addr, addr+size)`` touches (a zero-byte access, one)."""
+        last = self.DEVICES - 1
+        return range(min(addr // self.dev_size, last),
+                     min(max(addr, addr + size - 1) // self.dev_size, last) + 1)
+
+    def load(self, addr, size):
+        self.stats.loads += len(self.members(addr, size)) - 1
+        return super().load(addr, size)
+
+    def store(self, addr, data):
+        members = self.members(addr, len(data))
+        self.dirty.update(members)
+        self.stats.stores += len(members) - 1
+        super().store(addr, data)
+
+    atomic_store = store
+
+    def ntstore(self, addr, data):
+        self.stats.ntstores += len(self.members(addr, len(data))) - 1
+        super().ntstore(addr, data)
+
+    def clwb(self, addr, size=1):
+        self.dirty.update(self.members(addr, max(size, 1)))
+        super().clwb(addr, size)
+
+    def sfence(self):
+        self.stats.fences += max(len(self.dirty), 1) - 1
+        self.dirty = set()
+        super().sfence()
+
+    def drain(self):
+        self.dirty = set(range(self.DEVICES))
+        super().drain()
 
 
 # Addresses and lengths sit on and next to line boundaries; few distinct byte
@@ -160,7 +200,7 @@ def assert_same(dev, ref, seed):
 
 
 FLAT = (lambda: PMDevice(SIZE), lambda: LineModel(SIZE))
-ARRAY = (lambda: PMArray(SIZE, devices=2), model_array)
+ARRAY = (lambda: PMDevice(SIZE, devices=2), lambda: StripedModel(SIZE))
 
 
 @settings(max_examples=300, deadline=None)

@@ -32,11 +32,15 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   there reads lines or encodes payloads as text;
 * the server runs an op in the read that brought it: the coordinator keeps
   no queue and starts one task, the reaper, and the router knows the
-  session ops and four control methods — no test-only one.
+  session ops and four control methods — no test-only one;
+* there is one PM device class, striped or not, so nobody asks a device
+  what it can do: no ``getattr``/``hasattr`` probes for its batch I/O or
+  its members.
 """
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -266,6 +270,7 @@ def test_option_census():
     from repro.api import VolumeConfig
     from repro.core.config import ArckConfig
     from repro.kernel.controller import KernelStats
+    from repro.pm.device import PMDevice
     from repro.server import ServerConfig, TenantPolicy
 
     census = {
@@ -288,6 +293,27 @@ def test_option_census():
     }
     for cls, expected in census.items():
         assert {f.name for f in dataclasses.fields(cls)} == expected, cls
+    assert len(dataclasses.fields(VolumeConfig)) == 7
+    keywords = {p.name for p in inspect.signature(PMDevice).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+    assert keywords == {"devices", "crash_tracking"}
+
+
+def test_nobody_probes_a_device_for_what_it_can_do():
+    """A striped volume is a ``PMDevice`` with N members, so every device
+    has batch I/O and ``members``; a capability probe is a second device
+    class waiting to come back."""
+    probed = {"ntstore_scatter", "load_gather", "device_count",
+              "stripe_pages", "members"}
+    offenders = [f"{rel}:{node.lineno}" for rel, tree in _modules()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in ("getattr", "hasattr")
+                 and len(node.args) > 1
+                 and isinstance(node.args[1], ast.Constant)
+                 and node.args[1].value in probed]
+    assert not offenders, offenders
 
 
 def test_the_server_queues_nothing_and_starts_one_task():

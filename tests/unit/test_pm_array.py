@@ -1,120 +1,115 @@
-"""PMArray: address routing, stats aggregation, delegation, crash images.
+"""A striped PMDevice: member attribution, delegation, crash images, reboot.
 
-The array's contract is "a PMDevice, but striped": every test here pins one
-facet of that — flat addresses route to the right member, a 1-member array
-is indistinguishable from a device, scatter/gather match inline semantics
-with and without worker threads, and the flat crash-line numbering feeds
-the same enumeration the single-device crash story uses.
+A striped volume is one ``PMDevice`` with ``devices`` members, each a
+line-aligned slice of the flat address space that carries its own counters.
+Every test here pins one facet of that: accesses are counted on the members
+they touch, a fence is charged per member stored to, scatter/gather match
+inline semantics, the flat crash-line numbering feeds the same enumeration a
+flat device uses, and an image reboots into the member count its superblock
+records.
 """
 
 import pytest
 
 from repro import obs
 from repro.errors import PersistOrderError
-from repro.pm.array import PMArray, reboot_device
 from repro.pm.device import CACHE_LINE, PMDevice
 
-SIZE = 1 << 20  # 1 MiB arrays keep crash enumeration cheap
+SIZE = 1 << 20  # 1 MiB devices keep crash enumeration cheap
 
 
 class TestRouting:
     def test_member_sizing(self):
-        arr = PMArray(SIZE, devices=4)
-        assert arr.device_count == 4
+        arr = PMDevice(SIZE, devices=4)
+        assert arr.devices == 4 and len(arr.members) == 4
         assert arr.dev_size == SIZE // 4
         assert len(arr) == SIZE
-        assert all(m.size == arr.dev_size for m in arr.members)
+        assert [m.index for m in arr.members] == [0, 1, 2, 3]
 
     def test_roundtrip_across_member_boundary(self):
-        arr = PMArray(SIZE, devices=4, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=4, crash_tracking=False)
         addr = arr.dev_size - 100  # straddles members 0 and 1
         payload = bytes(range(200))
         arr.store(addr, payload)
         assert arr.load(addr, 200) == payload
-        # The two members each saw their share.
-        assert arr.members[0].load(arr.dev_size - 100, 100) == payload[:100]
-        assert arr.members[1].load(0, 100) == payload[100:]
+        # The two members each saw their share, and the store counts once
+        # per piece.
+        stored = [m.stats.bytes_stored for m in arr.members]
+        assert stored == [100, 100, 0, 0]
+        assert arr.stats.stores == 2
 
     def test_atomic_store_never_spans_members(self):
-        arr = PMArray(SIZE, devices=2, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         # Member boundaries are cache-line aligned, so any naturally
         # aligned 8-byte store lands in exactly one member.
         assert arr.dev_size % CACHE_LINE == 0
         arr.atomic_store(arr.dev_size, b"\x11" * 8)
-        assert arr.members[1].load(0, 8) == b"\x11" * 8
+        assert arr.load(arr.dev_size, 8) == b"\x11" * 8
+        assert [m.stats.bytes_stored for m in arr.members] == [0, 8]
 
     def test_out_of_range_raises(self):
-        arr = PMArray(SIZE, devices=2, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         with pytest.raises(PersistOrderError):
             arr.load(SIZE - 4, 8)
 
+    def test_atomic_store_out_of_range_is_refused_like_a_flat_device(self):
+        """An atomic store outside the device raises ``PersistOrderError``
+        and changes no byte; a crash choice for a line past the end is
+        ignored — on a striped device exactly as on a flat one."""
+        for arr in (PMDevice(SIZE, devices=2), PMDevice(SIZE)):
+            arr.store(0, b"a" * 64)
+            arr.store(arr.size - 8, b"z" * 8)
+            before = arr.volatile_image()
+            for addr in (-8, arr.size):
+                with pytest.raises(PersistOrderError):
+                    arr.atomic_store(addr, b"\xee" * 8)
+            assert arr.volatile_image() == before
+            far_line = arr.size // CACHE_LINE + 5
+            assert arr.crash_image({far_line: 0}) == arr.durable_image()
+
     def test_stats_aggregate_and_per_device(self):
-        arr = PMArray(SIZE, devices=2, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         arr.store(0, b"a" * 64)                  # member 0
         arr.store(arr.dev_size, b"b" * 64)       # member 1
         assert arr.stats.bytes_stored == 128
-        per = arr.device_stats
-        assert [s.bytes_stored for s in per] == [64, 64]
+        assert [m.stats.bytes_stored for m in arr.members] == [64, 64]
 
     def test_sfence_only_fences_dirty_members(self):
-        arr = PMArray(SIZE, devices=4, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=4, crash_tracking=False)
         arr.ntstore(0, b"x" * 64)  # dirties member 0 only
         arr.sfence()
-        assert [s.fences for s in arr.device_stats] == [1, 0, 0, 0]
+        assert [m.stats.fences for m in arr.members] == [1, 0, 0, 0]
         # An idle fence still charges member 0 (device parity).
         arr.sfence()
-        assert [s.fences for s in arr.device_stats] == [2, 0, 0, 0]
+        assert [m.stats.fences for m in arr.members] == [2, 0, 0, 0]
+        assert arr.stats.fences == 2
 
-
-class TestSingleMemberIdentity:
-    OPS = (
-        ("store", 0, b"hello" * 20),
-        ("ntstore", 4096, b"\xaa" * 256),
-        ("atomic", 8192, b"\x42" * 8),
-    )
-
-    def _drive(self, dev):
-        for kind, addr, data in self.OPS:
-            if kind == "store":
-                dev.store(addr, data)
-                dev.clwb(addr, len(data))
-            elif kind == "ntstore":
-                dev.ntstore(addr, data)
-            else:
-                dev.atomic_store(addr, data)
-        dev.sfence()
-        dev.store(64, b"volatile-tail")  # left unfenced deliberately
-
-    def test_images_and_counters_match_flat_device(self):
-        dev = PMDevice(SIZE)
-        arr = PMArray(SIZE, devices=1)
-        self._drive(dev)
-        self._drive(arr)
-        assert arr.durable_image() == dev.durable_image()
-        assert arr.volatile_image() == dev.volatile_image()
-        assert arr.stats == dev.stats
-        assert arr.dirty_lines() == dev.dirty_lines()
-        assert arr.line_choices() == dev.line_choices()
+    def test_tracked_drain_fences_every_member(self):
+        arr = PMDevice(SIZE, devices=4)
+        arr.store(0, b"x" * 64)
+        arr.drain()
+        assert [m.stats.fences for m in arr.members] == [1, 1, 1, 1]
+        assert arr.dirty_lines() == []
 
 
 class TestDelegation:
     def _ops(self, arr):
         return [(d * arr.dev_size + 128, bytes([d]) * 4096)
-                for d in range(arr.device_count)]
+                for d in range(arr.devices)]
 
     def test_scatter_gather_roundtrip(self):
-        arr = PMArray(SIZE, devices=4, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=4, crash_tracking=False)
         ops = self._ops(arr)
         arr.ntstore_scatter(ops)
         arr.sfence()
         got = arr.load_gather([(addr, len(data)) for addr, data in ops])
         assert got == [data for _addr, data in ops]
         # Every member did its own I/O and its own fence.
-        assert all(s.ntstores == 1 for s in arr.device_stats)
-        assert all(s.fences == 1 for s in arr.device_stats)
+        assert all(m.stats.ntstores == 1 for m in arr.members)
+        assert all(m.stats.fences == 1 for m in arr.members)
 
     def test_spanning_gather_reassembles(self):
-        arr = PMArray(SIZE, devices=2, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         addr = arr.dev_size - 64
         arr.ntstore_scatter([(addr, b"L" * 64 + b"R" * 64)])
         arr.sfence()
@@ -124,14 +119,14 @@ class TestDelegation:
 
 class TestCrashImages:
     def test_flat_line_numbering(self):
-        arr = PMArray(SIZE, devices=2)
+        arr = PMDevice(SIZE, devices=2)
         arr.drain()
         arr.store(arr.dev_size + 64, b"y" * 64)  # member 1, local line 1
         lines = arr.dirty_lines()
         assert lines == [arr.dev_size // CACHE_LINE + 1]
 
     def test_crash_image_splits_choices_per_member(self):
-        arr = PMArray(SIZE, devices=2)
+        arr = PMDevice(SIZE, devices=2)
         arr.drain()
         arr.store(0, b"a" * 64)                 # member 0
         arr.store(arr.dev_size, b"b" * 64)      # member 1
@@ -146,7 +141,7 @@ class TestCrashImages:
         assert img0[0:64] == b"\0" * 64
 
     def test_enumerate_covers_product_of_members(self):
-        arr = PMArray(SIZE, devices=2)
+        arr = PMDevice(SIZE, devices=2)
         arr.drain()
         arr.store(0, b"a" * 64)
         arr.store(arr.dev_size, b"b" * 64)
@@ -156,7 +151,7 @@ class TestCrashImages:
         assert len({bytes(i) for i in images}) == 4
 
     def test_sample_is_deterministic(self):
-        arr = PMArray(SIZE, devices=2)
+        arr = PMDevice(SIZE, devices=2)
         arr.store(0, b"a" * 64)
         a = [bytes(i) for i in arr.sample_crash_images(4, seed=7)]
         b = [bytes(i) for i in arr.sample_crash_images(4, seed=7)]
@@ -165,26 +160,27 @@ class TestCrashImages:
 
 class TestReboot:
     def test_from_image_roundtrip(self):
-        arr = PMArray(SIZE, devices=4, stripe_pages=2, crash_tracking=False)
-        arr.store(arr.dev_size * 2 + 5, b"payload")
-        arr.drain()
-        back = PMArray.from_image(arr.durable_image(), devices=4,
-                                  stripe_pages=2)
-        assert back.load(arr.dev_size * 2 + 5, 7) == b"payload"
-
-    def test_reboot_device_without_superblock_is_flat(self):
-        dev = reboot_device(b"\0" * SIZE)
-        assert isinstance(dev, PMDevice)
-
-    def test_reboot_device_reads_superblock_shape(self):
         from repro.core.mkfs import mkfs
 
-        arr = PMArray(8 << 20, devices=2, stripe_pages=4, crash_tracking=False)
-        mkfs(arr, 64)
-        back = reboot_device(arr.durable_image())
-        assert isinstance(back, PMArray)
-        assert back.device_count == 2
-        assert back.stripe_pages == 4
+        arr = PMDevice(8 << 20, devices=4, crash_tracking=False)
+        mkfs(arr, 64, stripe_pages=2)
+        arr.store(arr.dev_size * 2 + 5, b"payload")
+        arr.drain()
+        back = PMDevice.from_image(arr.durable_image())
+        assert back.load(arr.dev_size * 2 + 5, 7) == b"payload"
+
+    def test_from_image_without_superblock_is_flat(self):
+        dev = PMDevice.from_image(b"\0" * SIZE)
+        assert dev.devices == 1 and len(dev.members) == 1
+
+    def test_from_image_reads_superblock_shape(self):
+        from repro.core.mkfs import load_geometry, mkfs
+
+        arr = PMDevice(8 << 20, devices=2, crash_tracking=False)
+        mkfs(arr, 64, stripe_pages=4)
+        back = PMDevice.from_image(arr.durable_image())
+        assert back.devices == 2
+        assert load_geometry(back).stripe_pages == 4
         assert back.media == arr.media
 
 
@@ -193,7 +189,7 @@ class TestObsLabels:
         obs.reset()
         obs.enable(trace=False)
         try:
-            arr = PMArray(SIZE, devices=2, crash_tracking=False)
+            arr = PMDevice(SIZE, devices=2, crash_tracking=False)
             arr.ntstore(0, b"x" * 64)
             arr.sfence()                      # member 0
             arr.ntstore(arr.dev_size, b"y" * 64)
@@ -208,12 +204,24 @@ class TestObsLabels:
         # The base name aggregates the labeled series.
         assert counters["pm.persist_calls"] == 2
 
+    def test_flat_device_persist_calls_carry_no_label(self):
+        obs.reset()
+        obs.enable(trace=False)
+        try:
+            PMDevice(SIZE, crash_tracking=False).sfence()
+            snap = obs.metrics.snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert [k for k in snap["counters"] if k.startswith("pm.persist")] == [
+            "pm.persist_calls"]
+
     def test_publish_stats_accepts_labels(self):
         obs.reset()
-        arr = PMArray(SIZE, devices=2, crash_tracking=False)
+        arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         arr.store(0, b"z" * 64)
-        for d, stats in enumerate(arr.device_stats):
-            obs.publish_stats("pm.member", stats, device=d)
+        for m in arr.members:
+            obs.publish_stats("pm.member", m.stats.snapshot(), device=m.index)
         snap = obs.metrics.snapshot()
         counters = snap["counters"]
         assert counters["pm.member.bytes_stored{device=0}"] == 64
