@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ChainCorrupt, InvalidArgument, NameTooLong
 from repro.pm.allocator import PageAllocator
@@ -213,14 +213,20 @@ class CoreState:
     def live_dentries_with_loc(
         self, rec: InodeRecord
     ) -> Dict[bytes, Tuple[Dentry, DentryLoc]]:
-        """The directory's current contents: committed, not tombstoned,
-        duplicate (ino, gen) resolved in favour of the highest ``seq``
-        (a crashed rename can leave both the old and the new dentry).
-        Each record keeps its location (the LibFS auxiliary index needs it
-        for in-place tombstoning)."""
+        """The directory's current contents (:meth:`resolve_dentries`)."""
+        return self.resolve_dentries(self.iter_dir_records(rec))
+
+    @staticmethod
+    def resolve_dentries(records: Iterable[Tuple[DentryLoc, Dentry]]
+                         ) -> Dict[bytes, Tuple[Dentry, DentryLoc]]:
+        """A directory's contents from its records: committed, not
+        tombstoned, duplicate (ino, gen) resolved in favour of the highest
+        ``seq`` (a crashed rename can leave both the old and the new
+        dentry).  Each record keeps its location (the LibFS auxiliary index
+        needs it for in-place tombstoning)."""
         best: Dict[bytes, Tuple[Dentry, DentryLoc]] = {}
         by_child: Dict[Tuple[int, int], Dentry] = {}
-        for loc, d in self.iter_dir_records(rec):
+        for loc, d in records:
             if not d.live:
                 continue
             key = (d.ino, d.gen)
@@ -348,11 +354,6 @@ class CoreState:
         addr = self.geom.page_off(loc.page_no) + loc.offset + DENTRY_DELETED_OFF
         self.mem.atomic_store(addr, b"\x01")
         self.mem.persist(addr, 1)
-
-    def read_dentry(self, loc: DentryLoc) -> Dentry:
-        base = self.geom.page_off(loc.page_no) + loc.offset
-        raw = self.mem.load(base, min(DENTRY_HEADER + MAX_NAME, PAGE_SIZE))
-        return Dentry.unpack(raw)
 
     # ------------------------------------------------------------------ #
     # File page indexes and data

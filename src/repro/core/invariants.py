@@ -1,0 +1,193 @@
+"""The per-inode structural rules: the one place that judges an inode's
+on-media shape, for the kernel verifier, fsck and mount alike (their own
+copies drifted, and two readers of one core state disagreeing is what the
+paper's bugs are made of).
+
+A caller walks the inode into an :class:`InodeShape` (``walk_chain`` /
+``page_dentries`` / ``data_pages``, in the order its own costs want) and
+:func:`violations` yields a :class:`Violation` per broken rule, named after
+the fsck class reporting it.  The caller supplies what a dentry's target
+looks like: ``target(ino)``, anything with ``gen`` and ``itype``, or None.
+The verifier's shadow-table checks and fsck's serial merge are not here:
+pFSCK's split of per-inode checks and merge.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.core.corestate import CoreState, DentryLoc
+from repro.errors import ChainCorrupt
+from repro.pm.layout import (
+    DENTRY_HEADER,
+    ITYPE_DIR,
+    ITYPE_FILE,
+    MAX_NAME,
+    PAGE_KIND_DIRLOG,
+    PAGE_KIND_INDEX,
+    PAGE_SIZE,
+    Dentry,
+    InodeRecord,
+    legal_name,
+)
+
+NLINK_MISMATCH = "nlink-mismatch"
+CHAIN_CORRUPT = "chain-corrupt"
+BAD_PAGE_KIND = "bad-page-kind"
+PAGE_DOUBLE_USE = "page-double-use"
+SIZE_MISMATCH = "size-mismatch"
+TORN_DENTRY = "torn-dentry"
+DANGLING_DENTRY = "dangling-dentry"
+
+
+@dataclass
+class Chain:
+    """A page chain's good prefix with each page's header kind, and the
+    :class:`ChainCorrupt` that ended it (None: it reached 0)."""
+
+    pages: List[int] = field(default_factory=list)
+    kinds: List[int] = field(default_factory=list)
+    error: Optional[ChainCorrupt] = None
+
+
+def walk(core: CoreState, head: int) -> Chain:
+    chain = Chain()
+    try:
+        for page_no, hdr in core.walk_chain(head):
+            chain.pages.append(page_no)
+            chain.kinds.append(hdr.kind)
+    except ChainCorrupt as exc:
+        chain.error = exc
+    return chain
+
+
+@dataclass
+class InodeShape:
+    """One valid inode as the rules read it: a directory's ``(tail index,
+    chain)`` per non-empty tail and the records on their good prefixes; a
+    file's index chain, the data pages it maps up to the first empty slot,
+    and the slot out of range (``{"slot", "page", "last_good",
+    "slot_addr"}``), if one is."""
+
+    ino: int
+    rec: InodeRecord
+    tails: List[Tuple[int, Chain]] = field(default_factory=list)
+    records: List[Tuple[DentryLoc, Dentry]] = field(default_factory=list)
+    index: Chain = field(default_factory=Chain)
+    data: List[int] = field(default_factory=list)
+    data_error: Optional[Dict[str, int]] = None
+
+    def parsed(self) -> bool:
+        """Did every walk reach its end?"""
+        return (self.index.error is None and self.data_error is None
+                and all(chain.error is None for _idx, chain in self.tails))
+
+
+def walk_file(core: CoreState, shape: InodeShape) -> None:
+    shape.index = walk(core, shape.rec.index_root)
+    if shape.index.error is not None:
+        return
+    try:
+        for page_no in core.data_pages(shape.index.pages):
+            shape.data.append(page_no)
+    except ChainCorrupt as exc:
+        slot = len(shape.data)
+        shape.data_error = {
+            "slot": slot, "page": exc.bad, "last_good": exc.last_good,
+            "slot_addr": core.index_slot_addr(shape.index.pages, slot)}
+
+
+@dataclass
+class Violation:
+    """One broken rule; ``meta`` is what fsck's finding of class ``rule``
+    carries (a dentry's place is ``loc``)."""
+
+    rule: str
+    detail: str
+    page: Optional[int] = None
+    meta: Dict[str, int] = field(default_factory=dict)
+    loc: Optional[DentryLoc] = None
+    dentry: Optional[Dentry] = None
+
+
+def violations(shape: InodeShape,
+               target: Callable[[int], object]) -> Iterator[Violation]:
+    """Every rule ``shape`` breaks."""
+    rec = shape.rec
+    want = 2 if rec.is_dir else 1
+    if rec.nlink != want:
+        yield Violation(NLINK_MISMATCH, f"{'dir' if rec.is_dir else 'file'} "
+                        f"nlink {rec.nlink}, expected {want} for its type",
+                        meta={"expected": want})
+    if rec.is_dir:
+        chains = [(f"dir log tail {i}", c, {"kind": "tail", "tail": i})
+                  for i, c in shape.tails]
+    else:
+        chains = [("file index chain", shape.index, {"kind": "index"})]
+    kinds: Dict[int, int] = {}
+    for what, chain, meta in chains:
+        if chain.error is not None:
+            bad = chain.error.bad
+            yield Violation(CHAIN_CORRUPT, f"{what} corrupt at page {bad}", bad,
+                            {**meta, "bad": bad, "last_good": chain.error.last_good})
+        for page_no, kind in zip(chain.pages, chain.kinds):
+            if page_no in kinds:  # a page on two tails
+                yield Violation(PAGE_DOUBLE_USE, f"{what} repeats page {page_no}",
+                                page_no)
+            kinds[page_no] = kind
+    err = shape.data_error
+    if err is not None:
+        yield Violation(CHAIN_CORRUPT, f"data slot {err['slot']} points at page "
+                        f"{err['page']} (out of range)", err["page"],
+                        {"kind": "data", **err})
+    capacity = len(shape.data) * PAGE_SIZE
+    if not rec.is_dir and shape.parsed() and rec.size > capacity:
+        yield Violation(SIZE_MISMATCH, f"size {rec.size} exceeds mapped "
+                        f"capacity {capacity}", meta={"capacity": capacity})
+    want, what = ((PAGE_KIND_DIRLOG, "dir log") if rec.is_dir
+                  else (PAGE_KIND_INDEX, "file index"))
+    for page_no, kind in kinds.items():
+        if kind != want:
+            yield Violation(BAD_PAGE_KIND, f"{what} page has kind {kind}, "
+                            f"expected {want}", page_no, {"expected": want})
+    mapped = set(shape.index.pages)
+    for slot, page_no in enumerate(shape.data):
+        if page_no in mapped:
+            yield Violation(PAGE_DOUBLE_USE, f"data slot {slot} maps page "
+                            f"{page_no} a second time", page_no, {"slot": slot})
+        mapped.add(page_no)
+    for loc, d in shape.records:
+        v = dentry_violation(loc, d, target) if d.live else None
+        if v is not None:
+            yield v
+
+
+def dentry_violation(loc: DentryLoc, d: Dentry,
+                     target: Callable[[int], object]) -> Optional[Violation]:
+    """The rule the live record ``d`` breaks, if any: its body must be one
+    a committed create writes — a name that fits the record and that a
+    path can address (a NUL is what a body that never persisted reads
+    as), a file or directory type — and its target must exist with its
+    generation and type.  Judged per record, before duplicates are
+    resolved by ``seq``, so a bad record cannot hide behind a good one."""
+    if d.name_len > MAX_NAME or DENTRY_HEADER + d.name_len > d.rec_len:
+        why = (f"illegal dentry name: name_len {d.name_len} overruns its "
+               f"{d.rec_len}-byte record")
+    elif not legal_name(d.name):
+        why = f"illegal dentry name {d.name!r}"
+    elif d.itype not in (ITYPE_FILE, ITYPE_DIR):
+        why = f"dentry {d.name!r} has invalid itype {d.itype}"
+    else:
+        t = target(d.ino)
+        if t is None:
+            why = f"dentry {d.name!r} references unknown inode {d.ino}"
+        elif (t.gen, t.itype) != (d.gen, d.itype):
+            why = (f"dentry {d.name!r} (generation {d.gen}, itype {d.itype}) "
+                   f"is stale for inode {d.ino} (generation {t.gen}, "
+                   f"itype {t.itype})")
+        else:
+            return None
+        return Violation(DANGLING_DENTRY, why, loc.page_no, {"target": d.ino},
+                         loc, d)
+    return Violation(TORN_DENTRY, why, loc.page_no, loc=loc, dentry=d)

@@ -93,10 +93,13 @@ class VerifyFailure(ReproError):
 
     CODE = 200
 
-    def __init__(self, ino: int, reason: str):
+    def __init__(self, ino: int, reason: str, rule: Optional[str] = None):
         super().__init__(f"inode {ino}: {reason}")
         self.ino = ino
         self.reason = reason
+        #: the :mod:`repro.core.invariants` rule broken (its fsck finding
+        #: class); None when the core state disagrees with the shadow table.
+        self.rule = rule
 
 
 class CorruptionDetected(ReproError):

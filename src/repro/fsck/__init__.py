@@ -7,7 +7,8 @@ complement, in the shape pFSCK gave the classic fsck pipeline:
 1. **scan** — a worker pool sharded over the shadow inode table walks the
    superblock, every inode record, every directory-log tail and every
    file page index (:mod:`repro.fsck.scan`);
-2. **cross-check** — per-inode validation (again sharded) plus a serial
+2. **cross-check** — per-inode validation (again sharded, by the rules of
+   :mod:`repro.core.invariants` the verifier and mount share) plus a serial
    graph merge reconstructing reachability from the root: orphan inodes,
    dangling or torn dentries, duplicate links, directory cycles, page
    double-use and bitmap drift (:mod:`repro.fsck.check`);

@@ -2,10 +2,10 @@
 
 Two sub-phases, mirroring pFSCK's split:
 
-* :func:`check_inodes` — embarrassingly parallel per-inode validation
-  (dentry bodies and targets, page kinds, chain errors, size and link
-  counts).  It needs the *whole* scanned inode table (a dentry may target
-  any slot) but writes nothing shared, so it shards like the scan.
+* :func:`check_inodes` — embarrassingly parallel per-inode validation:
+  the rules of :mod:`repro.core.invariants`, which the kernel verifier and
+  mount apply too.  It needs the *whole* scanned inode table (a dentry may
+  target any slot) but writes nothing shared, so it shards like the scan.
 * :func:`check_graph` — the serial merge: duplicate-dentry resolution,
   reachability from the root, orphan roots, directory cycles, and the
   page-claim / bitmap reconciliation.
@@ -17,42 +17,32 @@ re-walking the volume.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.corestate import DentryLoc
+from repro.core.invariants import (
+    PAGE_DOUBLE_USE,
+    InodeShape,
+    dentry_violation,
+    violations,
+)
 from repro.fsck.findings import (
-    F_BAD_PAGE_KIND,
-    F_CHAIN_CORRUPT,
-    F_DANGLING_DENTRY,
     F_DIR_CYCLE,
     F_DUPLICATE_DENTRY,
-    F_NLINK_MISMATCH,
     F_ORPHAN_INODE,
     F_PAGE_DOUBLE_USE,
     F_PAGE_LEAK,
     F_PAGE_RESERVED,
     F_PAGE_UNALLOCATED,
-    F_SIZE_MISMATCH,
     F_STRIPE_LABEL,
     F_STRIPE_ORPHAN,
     F_SUPERBLOCK,
-    F_TORN_DENTRY,
     F_TX_TORN,
     Finding,
 )
-from repro.fsck.scan import InodeScan
 from repro.pm.allocator import RESERVATION_TAG
 from repro.pm.device import PMDevice
-from repro.pm.layout import (
-    DENTRY_HEADER,
-    MAX_NAME,
-    PAGE_KIND_DIRLOG,
-    PAGE_KIND_INDEX,
-    PAGE_SIZE,
-    ArrayLabel,
-    Geometry,
-    legal_name,
-)
+from repro.pm.layout import ArrayLabel, Geometry
 
 
 def _loc_meta(loc: DentryLoc) -> Dict[str, int]:
@@ -63,121 +53,29 @@ def _name_str(name: bytes) -> str:
     return name.decode("utf-8", "backslashreplace")
 
 
-def _torn_body_reason(loc: DentryLoc, d) -> Optional[str]:
-    """Is this live dentry's *body* garbage behind a committed marker?"""
-    if d.name_len > MAX_NAME or DENTRY_HEADER + d.name_len > d.rec_len:
-        return f"name_len {d.name_len} overruns record of {d.rec_len} bytes"
-    if b"\x00" in d.name:
-        return "name contains NUL bytes (body never persisted)"
-    if not legal_name(d.name):
-        return f"illegal name {d.name!r}"
-    if d.itype not in (1, 2):
-        return f"invalid itype {d.itype}"
-    return None
+def _target(scans: Dict[int, InodeShape]):
+    """fsck's view of a dentry's target: its scanned (valid) record."""
+    return {ino: shape.rec for ino, shape in scans.items()}.get
 
 
 def check_inodes(
-    scans: Dict[int, InodeScan],
+    scans: Dict[int, InodeShape],
     inos: Iterable[int],
-    geom: Geometry,
 ) -> List[Finding]:
-    """Per-inode validation for ``inos`` against the full scan table."""
+    """Per-inode validation for ``inos`` against the full scan table: every
+    violation of :mod:`repro.core.invariants` becomes the finding of its
+    class.  A page the inode maps twice is left to :func:`check_graph`,
+    whose page claims report it with the holder repair keeps."""
+    target = _target(scans)
     findings: List[Finding] = []
     for ino in inos:
-        scan = scans[ino]
-        rec = scan.rec
-        if rec.is_dir:
-            if rec.nlink != 2:
-                findings.append(Finding(
-                    F_NLINK_MISMATCH, f"dir nlink {rec.nlink}, expected 2",
-                    ino=ino, meta={"expected": 2},
-                ))
-            for ts in scan.tails:
-                if ts.error is not None:
-                    findings.append(Finding(
-                        F_CHAIN_CORRUPT,
-                        f"dir log tail {ts.tail_idx} corrupt at page {ts.error['bad']}",
-                        ino=ino, page=ts.error["bad"],
-                        meta={"kind": "tail", "tail": ts.tail_idx, **ts.error},
-                    ))
-                for loc, d in ts.records:
-                    if not d.live:
-                        continue
-                    reason = _torn_body_reason(loc, d)
-                    if reason is not None:
-                        findings.append(Finding(
-                            F_TORN_DENTRY, reason,
-                            ino=ino, page=loc.page_no, name=_name_str(d.name),
-                            meta=_loc_meta(loc),
-                        ))
-                        continue
-                    target = None
-                    if 0 <= d.ino < geom.inode_count:
-                        target = scans.get(d.ino)
-                    if target is None:
-                        findings.append(Finding(
-                            F_DANGLING_DENTRY,
-                            f"dentry targets ino {d.ino} whose record is "
-                            "free or invalid",
-                            ino=ino, page=loc.page_no, name=_name_str(d.name),
-                            meta={**_loc_meta(loc), "target": d.ino},
-                        ))
-                    elif target.rec.gen != d.gen or target.rec.itype != d.itype:
-                        findings.append(Finding(
-                            F_DANGLING_DENTRY,
-                            f"dentry (gen {d.gen}, itype {d.itype}) is stale "
-                            f"for ino {d.ino} (gen {target.rec.gen}, "
-                            f"itype {target.rec.itype})",
-                            ino=ino, page=loc.page_no, name=_name_str(d.name),
-                            meta={**_loc_meta(loc), "target": d.ino},
-                        ))
-            for page_no, kind in scan.kinds.items():
-                if kind != PAGE_KIND_DIRLOG:
-                    findings.append(Finding(
-                        F_BAD_PAGE_KIND,
-                        f"dir log page has kind {kind}, "
-                        f"expected {PAGE_KIND_DIRLOG}",
-                        ino=ino, page=page_no,
-                        meta={"expected": PAGE_KIND_DIRLOG},
-                    ))
-        else:
-            if rec.nlink != 1:
-                findings.append(Finding(
-                    F_NLINK_MISMATCH, f"file nlink {rec.nlink}, expected 1",
-                    ino=ino, meta={"expected": 1},
-                ))
-            if scan.index_error is not None:
-                findings.append(Finding(
-                    F_CHAIN_CORRUPT,
-                    f"file index chain corrupt at page {scan.index_error['bad']}",
-                    ino=ino, page=scan.index_error["bad"],
-                    meta={"kind": "index", **scan.index_error},
-                ))
-            if scan.data_error is not None:
-                findings.append(Finding(
-                    F_CHAIN_CORRUPT,
-                    f"data slot {scan.data_error['slot']} points at "
-                    f"page {scan.data_error['page']} (out of range)",
-                    ino=ino, page=scan.data_error["page"],
-                    meta={"kind": "data", **scan.data_error},
-                ))
-            capacity = len(scan.data_pages) * PAGE_SIZE
-            if scan.index_error is None and scan.data_error is None \
-                    and rec.size > capacity:
-                findings.append(Finding(
-                    F_SIZE_MISMATCH,
-                    f"size {rec.size} exceeds mapped capacity {capacity}",
-                    ino=ino, meta={"capacity": capacity},
-                ))
-            for page_no, kind in scan.kinds.items():
-                if kind != PAGE_KIND_INDEX:
-                    findings.append(Finding(
-                        F_BAD_PAGE_KIND,
-                        f"file index page has kind {kind}, "
-                        f"expected {PAGE_KIND_INDEX}",
-                        ino=ino, page=page_no,
-                        meta={"expected": PAGE_KIND_INDEX},
-                    ))
+        for v in violations(scans[ino], target):
+            if v.rule == PAGE_DOUBLE_USE:
+                continue
+            at = {} if v.loc is None else _loc_meta(v.loc)
+            findings.append(Finding(
+                v.rule, v.detail, ino=ino, page=v.page, meta={**at, **v.meta},
+                name=_name_str(v.dentry.name) if v.dentry else None))
     return findings
 
 
@@ -186,27 +84,10 @@ def check_inodes(
 # --------------------------------------------------------------------------- #
 
 
-def _edge_candidates(scans: Dict[int, InodeScan], geom: Geometry):
-    """Live dentries with a matching valid target: (parent, loc, dentry)."""
-    for scan in scans.values():
-        if not scan.rec.is_dir:
-            continue
-        for loc, d in scan.dentries():
-            if not d.live:
-                continue
-            if _torn_body_reason(loc, d) is not None:
-                continue  # already reported as torn
-            target = scans.get(d.ino) if 0 <= d.ino < geom.inode_count else None
-            if target is None or target.rec.gen != d.gen \
-                    or target.rec.itype != d.itype:
-                continue  # already reported as dangling
-            yield scan.ino, loc, d
-
-
 def check_graph(
     device: PMDevice,
     geom: Geometry,
-    scans: Dict[int, InodeScan],
+    scans: Dict[int, InodeShape],
     root_ino: int,
 ) -> Tuple[List[Finding], int]:
     """Reachability, duplicates, orphans, cycles, page/bitmap accounting.
@@ -216,9 +97,13 @@ def check_graph(
     findings: List[Finding] = []
 
     # -- duplicate resolution: at most one live dentry per (ino, gen) ------ #
+    # Over the live dentries no rule rejects (check_inodes reported those).
     by_child: Dict[int, List[Tuple[int, DentryLoc, object]]] = {}
-    for parent, loc, d in _edge_candidates(scans, geom):
-        by_child.setdefault(d.ino, []).append((parent, loc, d))
+    target = _target(scans)
+    for shape in scans.values():
+        for loc, d in shape.records:
+            if d.live and dentry_violation(loc, d, target) is None:
+                by_child.setdefault(d.ino, []).append((shape.ino, loc, d))
     parent_of: Dict[int, Tuple[int, DentryLoc, object]] = {}
     for child, refs in by_child.items():
         # Highest seq wins (the §4.1 resolution rule); ties broken by
@@ -311,13 +196,13 @@ def check_graph(
     # -- page claims / bitmap reconciliation ------------------------------- #
     claims: Dict[int, Tuple[int, str]] = {}
     for ino in sorted(scans):
-        scan = scans[ino]
-        for ts in scan.tails:
-            _claim_chain(claims, findings, ino, "dir", ts.pages,
-                         head_meta={"kind": "tail", "tail": ts.tail_idx})
-        _claim_chain(claims, findings, ino, "index", scan.index_pages,
+        shape = scans[ino]
+        for tail_idx, chain in shape.tails:
+            _claim_chain(claims, findings, ino, "dir", chain.pages,
+                         head_meta={"kind": "tail", "tail": tail_idx})
+        _claim_chain(claims, findings, ino, "index", shape.index.pages,
                      head_meta={"kind": "index"})
-        for slot, page_no in enumerate(scan.data_pages):
+        for slot, page_no in enumerate(shape.data):
             holder = claims.get(page_no)
             if holder is None:
                 claims[page_no] = (ino, "data")

@@ -48,20 +48,23 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core import invariants as rules
+
 F_SUPERBLOCK = "superblock"
-F_TORN_DENTRY = "torn-dentry"
-F_DANGLING_DENTRY = "dangling-dentry"
+# The per-inode classes are the names of the rules that produce them.
+F_TORN_DENTRY = rules.TORN_DENTRY
+F_DANGLING_DENTRY = rules.DANGLING_DENTRY
 F_DUPLICATE_DENTRY = "duplicate-dentry"
 F_ORPHAN_INODE = "orphan-inode"
 F_DIR_CYCLE = "dir-cycle"
-F_PAGE_DOUBLE_USE = "page-double-use"
+F_PAGE_DOUBLE_USE = rules.PAGE_DOUBLE_USE
 F_PAGE_LEAK = "page-leak"
 F_PAGE_RESERVED = "page-reserved"
 F_PAGE_UNALLOCATED = "page-unallocated"
-F_CHAIN_CORRUPT = "chain-corrupt"
-F_BAD_PAGE_KIND = "bad-page-kind"
-F_SIZE_MISMATCH = "size-mismatch"
-F_NLINK_MISMATCH = "nlink-mismatch"
+F_CHAIN_CORRUPT = rules.CHAIN_CORRUPT
+F_BAD_PAGE_KIND = rules.BAD_PAGE_KIND
+F_SIZE_MISMATCH = rules.SIZE_MISMATCH
+F_NLINK_MISMATCH = rules.NLINK_MISMATCH
 F_AUX_MISMATCH = "aux-mismatch"
 F_TX_TORN = "tx-torn"
 F_STRIPE_ORPHAN = "stripe-orphan"

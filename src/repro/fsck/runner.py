@@ -20,6 +20,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional
 from repro import obs
 from repro.concurrency.parallel import run_parallel, stride_shards
 from repro.core.corestate import CoreState
+from repro.core.invariants import InodeShape
 from repro.core.mkfs import load_geometry
 from repro.fsck import auxcheck, check, parallel, scan
 from repro.fsck.findings import F_SUPERBLOCK, Finding, FsckReport
@@ -64,7 +65,7 @@ def _check_once(
             (lambda inos=inos: scan.scan_shard(core, inos))
             for inos in shard_inos
         ])
-    scans: Dict[int, scan.InodeScan] = {}
+    scans: Dict[int, InodeShape] = {}
     for sh in shards:
         for s in sh.inodes:
             scans[s.ino] = s
@@ -89,14 +90,12 @@ def _check_once(
     with obs.span("fsck.check", category="fsck", workers=workers):
         per_shard_inos = stride_shards(sorted(scans), workers)
         finding_lists = run_parallel([
-            (lambda inos=inos: check.check_inodes(scans, inos, geom))
+            (lambda inos=inos: check.check_inodes(scans, inos))
             for inos in per_shard_inos
         ])
         check_costs = [
             parallel.check_shard_cost(
-                len(inos),
-                sum(len(list(scans[i].dentries())) for i in inos),
-            )
+                len(inos), sum(len(scans[i].records) for i in inos))
             for inos, _fl in zip(per_shard_inos, finding_lists)
         ]
         check_ns = max(check_costs) if check_costs else 0.0

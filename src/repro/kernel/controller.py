@@ -26,6 +26,7 @@ from repro import obs
 from repro.concurrency.lease import Lease
 from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.core.corestate import CoreState
+from repro.core.invariants import dentry_violation
 from repro.core.mkfs import ROOT_INO, load_geometry, mkfs
 from repro.errors import (
     ChainCorrupt,
@@ -43,7 +44,7 @@ from repro.kernel.shadow import Acquisition, PendingInode, ShadowInode, Snapshot
 from repro.kernel.verifier import Verifier, VerifyFailure
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import PMDevice
-from repro.pm.layout import ITYPE_DIR, InodeRecord, legal_name
+from repro.pm.layout import InodeRecord
 from repro.pm.mapping import Mapping
 
 
@@ -218,10 +219,20 @@ class KernelController:
             raise InvalidArgument("root inode record invalid")
 
         # Pass 1: walk from the root collecting candidate (parent, dentry)
-        # pairs per child; resolve cross-directory duplicates by seq.
+        # pairs per child; resolve cross-directory duplicates by seq.  A
+        # record the dentry rules reject is torn, dropped before resolution.
         best: Dict[int, Tuple[int, object]] = {}  # child -> (parent, dentry)
         dirs_seen: Set[int] = set()
         frontier = [ROOT_INO]
+        valid: Dict[int, InodeRecord] = {}  # the child records pass 1 read
+
+        def target(ino: int) -> Optional[InodeRecord]:
+            if ino not in valid and ino < self.geom.inode_count:
+                rec = core.read_inode(ino)
+                if rec.valid:
+                    valid[ino] = rec
+            return valid.get(ino)
+
         while frontier:
             dir_ino = frontier.pop()
             if dir_ino in dirs_seen:
@@ -231,22 +242,15 @@ class KernelController:
             if not dir_rec.valid or not dir_rec.is_dir:
                 continue
             try:
-                entries = core.live_dentries(dir_rec)
+                records = list(core.iter_dir_records(dir_rec))
             except ChainCorrupt:
                 report.torn_dentries.append((dir_ino, b"<corrupt log>"))
                 continue
-            for name, d in entries.items():
-                child_rec = (core.read_inode(d.ino)
-                             if d.ino < self.geom.inode_count else None)
-                if (
-                    child_rec is None
-                    or not legal_name(name)
-                    or not child_rec.valid
-                    or child_rec.gen != d.gen
-                    or child_rec.itype != d.itype
-                ):
-                    report.torn_dentries.append((dir_ino, name))
-                    continue
+            torn = [(loc, d) for loc, d in records
+                    if d.live and dentry_violation(loc, d, target)]
+            report.torn_dentries += [(dir_ino, d.name) for _loc, d in torn]
+            kept = [r for r in records if r not in torn]
+            for d, _loc in core.resolve_dentries(kept).values():
                 prev = best.get(d.ino)
                 if prev is not None:
                     prev_d = prev[1]
@@ -255,7 +259,7 @@ class KernelController:
                     report.duplicates_dropped += 1
                 else:
                     best[d.ino] = (dir_ino, d)
-                if d.itype == ITYPE_DIR:
+                if valid[d.ino].is_dir:
                     frontier.append(d.ino)
 
         # Pass 2: build shadow entries for the root and every resolved child.

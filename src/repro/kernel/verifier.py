@@ -27,10 +27,12 @@ faithfully: a legitimate relocation of a non-empty directory fails
 verification of the old parent, "regardless of whether the new parent inode
 has been released".
 
-``Verifier.verify`` decomposes into **enumerate → check pages → check
-dentries → check absent children → commit**.  Enumerate (chain walks over
-the core state) and commit (the controller applying the
-:class:`StagedUpdate` under its lock) are inherently serial; the per-item
+``Verifier.verify`` decomposes into **enumerate → judge → check pages →
+check dentries → check absent children → commit**.  Enumerate (chain
+walks) yields the inode's shape, judged by the rules fsck and mount share
+(:mod:`repro.core.invariants`); every later check is against the shadow
+table.  Enumerate, judge and commit (the controller applying the
+:class:`StagedUpdate` under its lock) are serial; the per-item
 checks in between are independent of each other, and that is where all the
 Table 4 bytes go — a 256 KiB shared file is 65 page checks per transfer
 against a fixed cost of one record read.  One batch scheduler
@@ -65,19 +67,9 @@ from repro import obs
 from repro.concurrency.parallel import run_parallel, stride_shards
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
+from repro.core.invariants import InodeShape, violations, walk, walk_file
 from repro.errors import ChainCorrupt, VerifyFailure  # noqa: F401  (canonical home; re-exported)
-from repro.pm.layout import (
-    ITYPE_DIR,
-    PAGE_KIND_DIRLOG,
-    PAGE_KIND_INDEX,
-    PAGE_SIZE,
-    InodeRecord,
-    legal_name,
-)
-
-
-#: One page check: ``(page_no, header kind found, kind wanted)``.
-PageJob = Tuple[int, Optional[int], Optional[int]]
+from repro.pm.layout import PAGE_SIZE, InodeRecord
 
 
 @dataclass
@@ -220,20 +212,66 @@ class Verifier:
             staged.mark_deleted_pending = True
             return staged
 
-        if not trusted:
-            self._check_record(ino, rec, sh)
+        pending_recs: Dict[int, InodeRecord] = {}  # read by ``_target``
         try:
-            if rec.itype == ITYPE_DIR:
-                self._verify_directory(ino, rec, sh, app_id, staged, trusted)
+            shape = self._enumerate(ino, rec)
+            if trusted and not shape.parsed():
+                raise VerifyFailure(ino, "unparseable core state")
+            if not trusted:  # its own shape first, then the shadow table's
+                first = next(violations(
+                    shape, self._target(pending_recs, staged)), None)
+                if first is not None:
+                    raise VerifyFailure(ino, first.detail, rule=first.rule)
+                self._check_record(ino, rec, sh)
+            if rec.is_dir:
+                self._verify_directory(shape, sh, app_id, staged, trusted,
+                                       pending_recs)
             else:
-                self._verify_file(ino, rec, sh, staged, trusted)
+                # Both chains' pages go to one batch, the unit the
+                # scheduler shards.
+                pages = shape.index.pages + shape.data
+                if not trusted:
+                    self._check_pages(ino, pages, staged)
+                    staged.bytes_verified += len(pages) * PAGE_SIZE
+                staged.pages.update(pages)
+                staged.size = rec.size
         except ChainCorrupt as exc:
-            # The chain walker refuses cyclic/out-of-range page pointers; an
-            # unparseable core state is corruption by definition.
+            # A chain that changed under the second walk.
             raise VerifyFailure(ino, f"unparseable core state: {exc}") from exc
         return staged
 
     # ------------------------------------------------------------------ #
+
+    def _enumerate(self, ino: int, rec: InodeRecord) -> InodeShape:
+        """Every chain, then — for a directory whose tails all end well —
+        every record on them (a second walk: ``iter_dir_records``)."""
+        shape = InodeShape(ino=ino, rec=rec)
+        if rec.is_dir:
+            shape.tails = [(i, walk(self.core, head))
+                           for i, head in enumerate(rec.tails) if head]
+            if shape.parsed():
+                shape.records = list(self.core.iter_dir_records(rec))
+        else:
+            walk_file(self.core, shape)
+        return shape
+
+    def _target(self, pending_recs: Dict[int, InodeRecord],
+                staged: StagedUpdate):
+        """A dentry's target as the kernel sees it: its shadow entry, or a
+        pending inode's record if valid (read once, kept in ``pending_recs``)."""
+        kc = self.kc
+
+        def target(child: int):
+            sh = kc.shadow.get(child)
+            if sh is not None or child not in kc.pending:
+                return sh
+            rec = pending_recs.get(child)
+            if rec is None:
+                rec = pending_recs[child] = self.core.read_inode(child)
+                staged.bytes_verified += InodeRecord.SIZE
+            return rec if rec.valid else None
+
+        return target
 
     def _check_record(self, ino: int, rec: InodeRecord, sh) -> None:
         if rec.gen != sh.gen:
@@ -243,49 +281,39 @@ class Verifier:
         if rec.mode != sh.mode or rec.uid != sh.uid:
             raise VerifyFailure(ino, "permission bits or owner changed")
 
-    def _check_page(self, ino: int, page_no: int, kind: Optional[int],
-                    want: Optional[int]) -> None:
-        """Check one page; ``kind`` is its header kind as the chain walk
-        read it and ``want`` the kind its role requires (both None for
-        data pages, which carry no header)."""
+    def _check_page(self, ino: int, page_no: int) -> None:
+        """Check one page against the bitmap and the page-owner map."""
         kc = self.kc
-        geom = kc.geom
-        if not 1 <= page_no <= geom.page_count:
-            raise VerifyFailure(ino, f"page {page_no} out of range")
         if not kc.alloc.is_allocated(page_no):
             raise VerifyFailure(ino, f"page {page_no} not allocated")
         owner = kc.page_owner.get(page_no)
         if owner is not None and owner != ino:
             raise VerifyFailure(ino, f"page {page_no} owned by inode {owner}")
-        if kind != want:
-            raise VerifyFailure(ino, f"page {page_no} has kind {kind}, want {want}")
 
     # ------------------------------------------------------------------ #
     # Directories
     # ------------------------------------------------------------------ #
 
-    def _verify_directory(self, ino: int, rec, sh, app_id, staged: StagedUpdate,
-                          trusted: bool = False) -> None:
-        # Enumerate: walk the log page chain and parse the live dentries.
-        chain = [(p, hdr.kind) for head in rec.tails
-                 for p, hdr in self.core.walk_chain(head)]
-        pages = [p for p, _kind in chain]
-        if len(set(pages)) != len(pages):
-            raise VerifyFailure(ino, "directory log page chain repeats a page")
+    def _verify_directory(self, shape: InodeShape, sh, app_id,
+                          staged: StagedUpdate, trusted: bool,
+                          pending_recs: Dict[int, InodeRecord]) -> None:
+        ino = shape.ino
+        pages = [p for _idx, chain in shape.tails for p in chain.pages]
         if not trusted:
-            self._check_pages(
-                ino, [(p, kind, PAGE_KIND_DIRLOG) for p, kind in chain], staged)
+            self._check_pages(ino, pages, staged)
         staged.pages.update(pages)
         staged.bytes_verified += len(pages) * PAGE_SIZE
 
-        entries = list(self.core.live_dentries(rec).items())
+        entries = [(name, d) for name, (d, _loc)
+                   in CoreState.resolve_dentries(shape.records).items()]
         # Check every present dentry, then every shadow child the log no
         # longer shows; the absent pass needs the complete new-children map
         # (an in-directory rename looks absent under its old name).
 
         def check_dentries(shard, part: StagedUpdate) -> Dict[bytes, int]:
             return {name: d.ino for name, d in shard
-                    if self._check_dentry(ino, sh, app_id, name, d, part, trusted)}
+                    if self._check_dentry(ino, sh, app_id, name, d, part,
+                                          trusted, pending_recs)}
 
         new_children: Dict[bytes, int] = {}
         for included in self._run_batch(ino, "dentries", entries, check_dentries, staged):
@@ -307,9 +335,9 @@ class Verifier:
         stage charges (None unless profiling is on)."""
         return obs.pipeline_profile(self._profile)
 
-    def _check_pages(self, ino: int, jobs: Sequence[PageJob],
+    def _check_pages(self, ino: int, jobs: Sequence[int],
                      staged: StagedUpdate) -> None:
-        """Run :meth:`_check_page` for every ``(page_no, kind, want)`` job."""
+        """Run :meth:`_check_page` for every page in ``jobs``."""
         pipe = self._pipe()
         if jobs and pipe is not None:
             from repro.perf.costmodel import COST
@@ -320,8 +348,8 @@ class Verifier:
             obs.charge(enum_ns, "enumerate")
 
         def check(shard, _part: StagedUpdate) -> None:
-            for job in shard:
-                self._check_page(ino, *job)
+            for page_no in shard:
+                self._check_page(ino, page_no)
 
         self._run_batch(ino, "pages", jobs, check, staged)
 
@@ -380,11 +408,11 @@ class Verifier:
     # -- per-item checks ------------------------------------------------- #
 
     def _check_dentry(self, ino: int, sh, app_id, name: bytes, d,
-                      staged: StagedUpdate, trusted: bool) -> bool:
-        """Check one live dentry; True iff it belongs in the children map."""
+                      staged: StagedUpdate, trusted: bool,
+                      pending_recs: Dict[int, InodeRecord]) -> bool:
+        """Check one live dentry; True iff it belongs in the children map.
+        Unless ``trusted``, the rules found its body and target sound."""
         kc = self.kc
-        if not legal_name(name):
-            raise VerifyFailure(ino, f"illegal dentry name {name!r}")
         known_child = sh.children.get(name)
         child_sh = kc.shadow.get(d.ino)
         child_pending = kc.pending.get(d.ino)
@@ -411,10 +439,6 @@ class Verifier:
         if child_sh is not None:
             # Existing inode appearing (or re-appearing) under this dir:
             # an incoming rename.
-            if child_sh.gen != d.gen:
-                raise VerifyFailure(
-                    ino, f"dentry {name!r} has stale generation for inode {d.ino}"
-                )
             if child_sh.parent == ino:
                 # Same parent, new name: an in-directory rename; the old
                 # name simply disappears (handled in the absent pass).
@@ -428,29 +452,19 @@ class Verifier:
             # ArckFS mode: accepted unconditionally (no checks — which is
             # why concurrent cross-renames can create a cycle, §4.6).
             staged.reparented.append((d.ino, ino, name))
-        elif child_pending is not None:
+        else:
             # A creation by the owning application.
             if app_id is not None and child_pending.owner != app_id:
                 raise VerifyFailure(
                     ino, f"dentry {name!r} references inode pending for another app"
                 )
             if child_pending.gen != d.gen:
-                raise VerifyFailure(ino, f"dentry {name!r} generation mismatch")
-            child_rec = self.core.read_inode(d.ino)
-            staged.bytes_verified += InodeRecord.SIZE
-            if not child_rec.valid:
                 raise VerifyFailure(
-                    ino,
-                    f"dentry {name!r} committed but inode {d.ino} record invalid "
-                    "(partially persisted creation?)",
-                )
-            if child_rec.gen != d.gen or child_rec.itype != d.itype:
-                raise VerifyFailure(ino, f"dentry {name!r} disagrees with inode record")
+                    ino, f"dentry {name!r} generation differs from the one handed out")
+            child_rec = pending_recs[d.ino]
             staged.created.append(
                 (d.ino, d.gen, child_rec.itype, child_rec.mode, child_rec.uid, ino, name)
             )
-        else:
-            raise VerifyFailure(ino, f"dentry {name!r} references unknown inode {d.ino}")
         return True
 
     def _check_absent_child(self, ino: int, name: bytes, child_ino: int,
@@ -539,37 +553,3 @@ class Verifier:
         if counted:  # the trusting pass has never counted this read
             staged.bytes_verified += InodeRecord.SIZE
         (staged.detached if child_rec.valid else staged.deleted).append(child_ino)
-
-    # ------------------------------------------------------------------ #
-    # Regular files
-    # ------------------------------------------------------------------ #
-
-    def _verify_file(self, ino: int, rec, sh, staged: StagedUpdate,
-                     trusted: bool = False) -> None:
-        if trusted:
-            staged.size = rec.size
-            staged.pages.update(self.core.owned_pages(rec))
-            return
-        # Enumerate both chains first, then hand all page checks to one
-        # batch — that is the unit the scheduler shards.
-        index = [(p, hdr.kind) for p, hdr in self.core.walk_chain(rec.index_root)]
-        index_pages = [p for p, _kind in index]
-        if len(set(index_pages)) != len(index_pages):
-            raise VerifyFailure(ino, "file index chain repeats a page")
-        data_pages = list(self.core.data_pages(index_pages))
-        if len(set(data_pages)) != len(data_pages):
-            raise VerifyFailure(ino, "file maps a data page twice")
-        self._check_pages(
-            ino,
-            [(p, kind, PAGE_KIND_INDEX) for p, kind in index]
-            + [(p, None, None) for p in data_pages],
-            staged,
-        )
-        if rec.size > len(data_pages) * PAGE_SIZE:
-            raise VerifyFailure(
-                ino, f"size {rec.size} exceeds mapped capacity {len(data_pages) * PAGE_SIZE}"
-            )
-        staged.pages.update(index_pages)
-        staged.pages.update(data_pages)
-        staged.size = rec.size
-        staged.bytes_verified += (len(index_pages) + len(data_pages)) * PAGE_SIZE

@@ -779,7 +779,7 @@ class LibFS:
             mi.seq.write_end()
             mi.rwlock.release_write()
         self.kernel.release(self.app_id, ino)
-        self._invalidate_aux(ino)
+        self._invalidate_aux(ino, mi)
 
     @traced_syscall("rmdir")
     def rmdir(self, path: str) -> None:
@@ -822,7 +822,7 @@ class LibFS:
                 child.dir.unlock_all()
             bucket.lock.release()
         self.kernel.release(self.app_id, child.ino)
-        self._invalidate_aux(child.ino)
+        self._invalidate_aux(child.ino, child)
         self._stats.inc("rmdirs")
 
     # ================================================================== #
@@ -981,11 +981,11 @@ class LibFS:
     def commit_ino(self, ino: int) -> None:
         """:meth:`commit_path` for a caller that already resolved the path;
         on success the acquisition's rollback snapshot is the state now."""
-        self._attach(ino, write=True)
+        mi = self._attach(ino, write=True)
         try:
             self.kernel.commit(self.app_id, ino)
         except Exception:
-            self._invalidate_aux(ino)
+            self._invalidate_aux(ino, mi)
             raise
 
     @traced_syscall("rollback_ino")
@@ -997,11 +997,11 @@ class LibFS:
         drops the retained auxiliary state so the next access rebuilds it
         from the restored core state.
         """
-        self._attach(ino, write=True)
+        mi = self._attach(ino, write=True)
         try:
             return self.kernel.rollback_to_snapshot(self.app_id, ino)
         finally:
-            self._invalidate_aux(ino)
+            self._invalidate_aux(ino, mi)
 
     @traced_syscall("release_path")
     def release_path(self, path: str) -> None:
@@ -1038,7 +1038,7 @@ class LibFS:
                     # Told the new version, what we retain stays current.
                     mi.aux_version = self.kernel.release(self.app_id, ino)
                 except Exception:
-                    self._invalidate_aux(ino)
+                    self._invalidate_aux(ino, mi)
                     raise
             finally:
                 if mi.is_dir:
@@ -1053,19 +1053,20 @@ class LibFS:
             try:
                 self.kernel.release(self.app_id, ino)
             finally:
-                self._invalidate_aux(ino)
+                self._invalidate_aux(ino, mi)
                 if mi.is_dir:
                     mi.dir.clear_and_free()
 
-    def _invalidate_aux(self, ino: int) -> None:
-        """Drop an inode's auxiliary state and its index entry together:
+    def _invalidate_aux(self, ino: int, mi: MemInode) -> None:
+        """Drop ``mi``, an inode's auxiliary state, and its index entries:
         the inode is gone, or a verification failure may have rolled the
-        core state back and the retained aux state is garbage either way."""
+        core state back.  Only ``mi``: the callers released the inode
+        first, so a sibling thread may have created into its slot since."""
         with self._inodes_lock:
-            mi = self._inodes.pop(ino, None)
-            self._mapped.pop(ino, None)
-            if mi is not None:
-                self._walks.pop(mi.walk, None)
+            for index in (self._inodes, self._mapped):
+                if index.get(ino) is mi:
+                    del index[ino]
+            self._walks.pop(mi.walk, None)
 
     def release_all(self) -> None:
         """Release everything, parents before children (LibFS Rule (1)).

@@ -1,0 +1,184 @@
+"""The verifier and fsck judge an inode's shape by the same rules.
+
+``repro.core.invariants`` holds every per-inode structural rule once; the
+verifier raises the first violation, fsck reports each as the finding of
+its class and mount drops the dentries they reject.  The property below
+flips one byte inside one inode an application holds for write and
+demands that the verifier's structural rejection of that inode (a
+``VerifyFailure`` carrying a rule, as opposed to a shadow-table one) and
+fsck's per-inode structural findings for it agree — both ways.  The three
+reproducers after it are shapes the verifier used to accept.
+"""
+
+import random
+
+import pytest
+
+from repro.api import Volume
+from repro.core.mkfs import ROOT_INO
+from repro.errors import CorruptionDetected
+from repro.fsck import run_fsck
+from repro.fsck.findings import (
+    F_BAD_PAGE_KIND,
+    F_CHAIN_CORRUPT,
+    F_DANGLING_DENTRY,
+    F_NLINK_MISMATCH,
+    F_PAGE_DOUBLE_USE,
+    F_SIZE_MISMATCH,
+    F_TORN_DENTRY,
+)
+from repro.pm.device import PMDevice
+from repro.pm.layout import DENTRY_DELETED_OFF, INODE_SIZE, PAGE_SIZE, PAGEHDR_SIZE
+from tests.integration.test_hostile_images import build_volume
+
+pytestmark = pytest.mark.timeout(60)
+
+PER_INODE = {F_TORN_DENTRY, F_DANGLING_DENTRY, F_CHAIN_CORRUPT,
+             F_BAD_PAGE_KIND, F_SIZE_MISMATCH, F_NLINK_MISMATCH}
+ITYPE_OFF = DENTRY_DELETED_OFF - 1  # the dentry's itype byte
+FLIPS = 300
+
+
+def inode_bytes(vol: Volume, ino: int):
+    """The inode's record, the used part of its directory-log pages and the
+    header plus mapped slots (and the next one) of its index pages."""
+    geom, core = vol.kernel.geom, vol.kernel.core
+    offsets = list(range(geom.inode_off(ino), geom.inode_off(ino) + INODE_SIZE))
+    rec = core.read_inode(ino)
+    if rec.is_dir:
+        for page_no in core.dir_pages(rec):
+            used = core.page_dentries(page_no)[1]
+            base = geom.page_off(page_no)
+            offsets.extend(range(base, base + PAGEHDR_SIZE + used + 8))
+    else:
+        index = core.index_pages(rec)
+        slots = len(list(core.data_pages(index)))
+        for page_no in index:
+            base = geom.page_off(page_no)
+            offsets.extend(range(base, base + PAGEHDR_SIZE + 8 * (slots + 1)))
+    return offsets
+
+
+def structural_findings(report, ino):
+    """fsck's per-inode structural findings for ``ino``: a rule class, or a
+    page the inode maps twice (its own claim is the one it loses to)."""
+    return {f.cls for f in report.findings if f.ino == ino and (
+        f.cls in PER_INODE or (f.cls == F_PAGE_DOUBLE_USE
+                               and f.meta["holder"] == f.meta["loser"] == ino))}
+
+
+def rule_of(kernel, app_id, ino):
+    """Commit ``ino``: None if accepted, else the rule the verifier cited
+    (None inside the failure too when it was a shadow-table rejection)."""
+    try:
+        kernel.commit(app_id, ino)
+    except CorruptionDetected as exc:
+        return exc.__cause__.rule or "shadow-table"
+    return None
+
+
+def test_verifier_rejects_by_a_rule_iff_fsck_finds_one():
+    base = build_volume()
+    image = base.device.durable_image()
+    inos = sorted(base.kernel.shadow)
+    offsets = {ino: inode_bytes(base, ino) for ino in inos}
+    rng = random.Random(26)
+    tally = {"structural": 0, "shadow-table": 0, "accepted": 0}
+    diverged = []
+    for _ in range(FLIPS):
+        ino = rng.choice(inos)
+        off = rng.choice(offsets[ino])
+        vol = Volume.mount(image)
+        kernel = vol.kernel
+        kernel.register_app("app", uid=0)
+        for each in inos:
+            kernel.acquire("app", each, write=True)
+        old = image[off]
+        new = rng.choice([0x00, 0x01, 0x02, 0xFF, rng.randrange(256),
+                          old ^ (1 << rng.randrange(8))])
+        if new == old:
+            new ^= 0x80
+        vol.device.store(off, bytes([new]))
+        found = structural_findings(
+            run_fsck(PMDevice.from_image(vol.device.durable_image())), ino)
+        rule = rule_of(kernel, "app", ino)
+        if rule in (None, "shadow-table"):
+            tally["accepted" if rule is None else "shadow-table"] += 1
+            agree = not found
+        else:
+            tally["structural"] += 1
+            agree = rule in found
+        if not agree:
+            diverged.append(f"ino {ino} byte {off}: {old:#04x} -> {new:#04x}: "
+                            f"verifier {rule}, fsck {sorted(found)}")
+    assert not diverged, "\n".join(diverged)
+    # Not vacuous: every way a verdict can go is taken, often.
+    assert min(tally.values()) >= 20, tally
+
+
+# -- shapes the verifier used to accept --------------------------------------- #
+
+def dentry_addr(vol: Volume, dir_ino: int, name: bytes) -> int:
+    core = vol.kernel.core
+    _d, loc = core.live_dentries_with_loc(core.read_inode(dir_ino))[name]
+    return vol.kernel.geom.page_off(loc.page_no) + loc.offset
+
+
+def test_a_non_empty_directory_cannot_be_retyped_into_a_file():
+    """An I3 bypass: the retyped dentry used to pass as an unchanged entry,
+    and the next mount read it as torn and wiped the subtree that ``rmdir``
+    refuses to remove."""
+    vol = Volume.create(2 << 20)
+    with vol.session("A", uid=0) as a:
+        a.makedirs("/d/sub")
+        a.write_file("/d/sub/keep", b"kept")
+    b = vol.session("B", uid=0)
+    b.close(b.creat("/d/y"))                       # B holds /d for write
+    d_ino, y_ino = b.stat("/d").ino, b.stat("/d/y").ino
+    addr = dentry_addr(vol, d_ino, b"sub") + ITYPE_OFF
+    mapping = b.fs._inodes[d_ino].mapping
+    mapping.store(addr, b"\x01")                   # dir -> file
+    mapping.persist(addr, 1)
+    with pytest.raises(CorruptionDetected) as info:
+        b.release_all()
+    assert info.value.__cause__.rule == F_DANGLING_DENTRY
+    mounted = Volume.mount(vol.device.durable_image())
+    assert mounted.recovery.torn_dentries == []
+    # /d rolled back to before B's creat: only /y's record is left over.
+    assert mounted.recovery.orphan_inodes == [y_ino]
+    assert mounted.session("r").read_file("/d/sub/keep") == b"kept"
+
+
+def test_a_file_cannot_map_its_own_index_page_as_data():
+    vol = build_volume()
+    s = vol.session("s", uid=0)
+    s.pwrite(s.open("/a/page"), b"q", 0)           # holds /a/page for write
+    mi = s.fs._inodes[s.stat("/a/page").ino]
+    cs = s.fs._cs(mi)
+    index = cs.index_pages(mi.record)
+    cs.store_index_slot(index, 1, index[0])
+    mi.mapping.sfence()
+    cs.set_file_size(mi.ino, 2 * PAGE_SIZE)        # covered by two "pages"
+    with pytest.raises(CorruptionDetected) as info:
+        s.release_all()
+    assert info.value.__cause__.rule == F_PAGE_DOUBLE_USE
+    assert vol.fsck().clean
+    assert s.read_file("/a/page") == b"p" * PAGE_SIZE  # rolled back
+
+
+def test_a_dentry_cannot_be_repointed_at_a_sibling():
+    """``/small`` re-pointed at ``/a``: the seq resolution hid the record
+    behind ``/a``'s own, and the verifier detached ``/small`` silently."""
+    vol = build_volume()
+    s = vol.session("s", uid=0)
+    s.commit_path("/")                             # holds the root for write
+    assert s.stat("/small").ino == 4 and s.stat("/a").ino == 1
+    addr = dentry_addr(vol, ROOT_INO, b"small")
+    mapping = s.fs._inodes[ROOT_INO].mapping
+    mapping.store(addr, b"\x01")                   # ino 4 -> 1
+    mapping.persist(addr, 1)
+    with pytest.raises(CorruptionDetected) as info:
+        s.release_all()
+    assert info.value.__cause__.rule == F_DANGLING_DENTRY
+    assert vol.fsck().clean
+    assert s.read_file("/small") == b"s" * 100

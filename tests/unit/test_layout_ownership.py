@@ -35,7 +35,11 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   session ops and four control methods — no test-only one;
 * there is one PM device class, striped or not, so nobody asks a device
   what it can do: no ``getattr``/``hasattr`` probes for its batch I/O or
-  its members.
+  its members;
+* an inode's on-media shape is judged by one set of rules,
+  ``core/invariants.py``: the verifier, fsck and mount call it, and none of
+  them names the dentry format or the page kinds, or compares a header
+  kind or a dentry type, itself.
 """
 
 import ast
@@ -367,3 +371,38 @@ def test_the_file_systems_read_only_table_1_from_their_config():
     imported = {alias.name for node in ast.walk(modules["libfs/hashtable.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "SeqCount" not in imported
+
+
+def test_one_module_judges_an_inodes_shape():
+    """The verifier, fsck and mount used to carry three copies of the
+    per-inode rules, and the copies drifted (a retyped dentry passed the
+    verifier as an unchanged entry; mount then wiped the subtree)."""
+    layout_names = {"legal_name", "MAX_NAME", "DENTRY_HEADER",
+                    "PAGE_KIND_DIRLOG", "PAGE_KIND_INDEX"}
+    # The two itype comparisons left are an inode's against the kernel's
+    # own verified record of it, not a dentry's.
+    inode_vs_shadow = {"kernel/shadow.py::is_dir",
+                       "kernel/verifier.py::_check_record"}
+    named, compared = [], []
+    for rel, tree in _modules():
+        if not rel.startswith(("kernel/", "fsck/")) or rel == "fsck/inject.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                used = {node.attr if isinstance(node, ast.Attribute) else node.id}
+            else:
+                continue
+            named += [f"{rel}:{node.lineno}: {n}" for n in used & layout_names]
+        for fn in _functions(tree):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare):
+                    continue
+                attrs = {n.attr for n in [node.left, *node.comparators]
+                         if isinstance(n, ast.Attribute)}
+                if "kind" in attrs or ("itype" in attrs and
+                                       f"{rel}::{fn.name}" not in inode_vs_shadow):
+                    compared.append(f"{rel}::{fn.name}:{node.lineno}")
+    assert not named, named
+    assert not compared, compared

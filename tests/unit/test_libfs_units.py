@@ -178,3 +178,47 @@ class TestCachedReads:
         # app1 must now *see* two (attach detects staleness and rebuilds).
         app1.close(app1.creat("/d/three"))
         assert app1.readdir("/d") == ["one", "three", "two"]
+
+
+class TestSlotReuse:
+    """One LibFS, two threads: A deletes a never-verified inode, whose slot
+    goes back to the kernel's free pool at A's release, and B creates into
+    that slot before A drops what it kept for the old inode.  A is parked
+    right there — after ``kernel.release``, before the drop — by wrapping
+    the kernel's ``release``."""
+
+    @pytest.mark.parametrize("kind", ["file", "dir"])
+    def test_a_reused_slot_keeps_the_new_inode(self, monkeypatch, kind):
+        import threading
+
+        _dev, kernel, fs = build_fs(ARCKFS_PLUS)
+        if kind == "file":
+            fs.close(fs.creat("/old"))
+            delete = fs.unlink
+        else:
+            fs.mkdir("/old")
+            delete = fs.rmdir
+        slot = fs.stat("/old").ino
+        released, resume = threading.Event(), threading.Event()
+        real_release = kernel.release
+
+        def parked_release(app_id, ino):
+            version = real_release(app_id, ino)
+            if threading.current_thread() is deleter:
+                released.set()
+                resume.wait(10)
+            return version
+
+        monkeypatch.setattr(kernel, "release", parked_release)
+        deleter = threading.Thread(target=delete, args=("/old",))
+        deleter.start()
+        assert released.wait(10)
+        fd = fs.creat("/new")                  # B, while A is parked
+        assert fs.stat("/new").ino == slot     # the lowest free slot again
+        resume.set()
+        deleter.join(10)
+        fs.pwrite(fd, b"still the file it opened", 0)  # was BadFileDescriptor
+        fs.close(fd)
+        assert fs.read_file("/new") == b"still the file it opened"
+        fs.release_all()
+        assert kernel.audit_tree() == []
