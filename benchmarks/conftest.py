@@ -1,4 +1,4 @@
-"""Benchmark-harness helpers: result persistence and common factories.
+"""Benchmark-harness helpers: result persistence and the metrics sidecar.
 
 Every bench test runs with the metrics registry and the call-path profiler
 enabled (tracing stays off: span collection allocates, counters do not
@@ -52,18 +52,3 @@ def metrics_sidecar(request):
     if collapsed:
         with open(os.path.join(RESULTS_DIR, f"{safe}.collapsed"), "w") as fh:
             fh.write(collapsed + "\n")
-
-
-@pytest.fixture
-def arckfs_plus_fs():
-    from repro.api import Volume, VolumeConfig
-
-    vol = Volume.create(64 * 1024 * 1024, VolumeConfig(inode_count=4096))
-    fs = vol.session("bench", uid=0).fs
-    yield fs
-    # Republish the functional-path device/kernel/libfs counters so the
-    # sidecar records them alongside whatever the bench itself counted.
-    obs.publish_stats("pm", vol.device.stats)
-    obs.publish_stats("kernel", vol.kernel.stats)
-    obs.publish_stats("libfs", fs.stats)
-    obs.publish_stats("alloc", vol.kernel.alloc.stats)

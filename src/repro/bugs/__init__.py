@@ -7,7 +7,7 @@ failure of a legitimate operation, or a reachable inconsistent crash state).
 Under :data:`~repro.core.config.ARCKFS` every bug manifests; under
 :data:`~repro.core.config.ARCKFS_PLUS` none does — that correspondence is
 asserted by ``tests/integration/test_bugs_*`` and printed as Table 1 by
-``benchmarks/bench_table1_bugs.py`` and ``examples/bughunt.py``.
+``python -m repro reproduce table1`` and ``examples/bughunt.py``.
 """
 
 from repro.bugs.harness import BugOutcome, make_fs, race, run_all

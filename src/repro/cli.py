@@ -2,18 +2,16 @@
 
 Usage::
 
-    python -m repro table1          # the six bugs, both configurations
-    python -m repro fig3            # single-thread metadata throughput
-    python -m repro table2          # ArckFS+/ArckFS @48 threads + geomean
-    python -m repro table4          # sharing cost
-    python -m repro fig4 [--threads 1,4,16,48]
-    python -m repro filebench
-    python -m repro all
+    python -m repro reproduce               # every experiment, ~1 min
+    python -m repro reproduce table4 fig3   # just these
+    python -m repro reproduce table2 --json # {name: {data, problems}}
 
-Every table command accepts ``--json`` to emit the underlying data as JSON
-instead of the formatted table.  The observability verbs run a *functional*
-workload (real LibFS + kernel controller, not the DES) with instrumentation
-enabled::
+The experiments and the paper's numbers are defined once, in
+:mod:`repro.experiments`: each renders the table
+``benchmarks/results/<name>.txt`` holds and checks the paper's claims;
+``reproduce`` exits 1 and names every unmet claim.  The observability
+verbs run a *functional* workload (real LibFS + kernel controller, not the
+DES) with instrumentation enabled::
 
     python -m repro trace fxmark:MWCL --out trace.json   # chrome://tracing
     python -m repro metrics filebench:varmail            # counters + latency
@@ -28,9 +26,8 @@ with per-metric tolerance bands, exiting 1 when any metric leaves its band::
     python -m repro obs diff benchmarks/results/*_scaling.metrics.json \
         --baselines benchmarks/baselines
 
-The pytest benches (``pytest benchmarks/ --benchmark-only``) run the same
-code with assertions against the paper's numbers; this CLI is the quick,
-assertion-free view.
+``pytest benchmarks/bench_paper.py --benchmark-only`` runs the same
+experiments, times them and rewrites ``benchmarks/results/<name>.txt``.
 """
 
 from __future__ import annotations
@@ -42,147 +39,29 @@ import sys
 from typing import Dict, List
 
 
-def _emit(args, data, render) -> None:
-    """Print ``data`` as JSON when ``--json`` was given, else via ``render``."""
-    if getattr(args, "json", False):
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        render(data)
+def cmd_reproduce(args) -> int:
+    from repro.errors import InvalidArgument
+    from repro.experiments import EXPERIMENTS
 
-
-def cmd_table1(args) -> None:
-    from repro.bugs import run_all
-    from repro.core.config import ARCKFS, ARCKFS_PLUS
-
-    data: Dict[str, List[dict]] = {}
-    for config in (ARCKFS, ARCKFS_PLUS):
-        outcomes = run_all(config)
-        data[config.name] = [
-            dataclasses.asdict(o) if dataclasses.is_dataclass(o)
-            else {"outcome": str(o)}
-            for o in outcomes
-        ]
-        data[config.name + ".rendered"] = [str(o) for o in outcomes]
-
-    def render(d):
-        for name in (ARCKFS.name, ARCKFS_PLUS.name):
-            print(f"==== {name} ====")
-            for line in d[name + ".rendered"]:
-                print(f"  {line}")
-            print()
-
-    _emit(args, data, render)
-
-
-def cmd_fig3(args) -> None:
-    from repro.perf.runner import run_workload
-    from repro.perf.stats import format_table
-    from repro.workloads.microbench import METADATA_OPS
-
-    systems = ["arckfs+", "arckfs", "ext4", "pmfs", "nova", "odinfs",
-               "winefs", "splitfs", "strata"]
-    ops = ["create", "open", "delete", "rename", "stat", "read-4k", "write-4k"]
-    table = {fs: {op: run_workload(fs, METADATA_OPS[op], 1).mops for op in ops}
-             for fs in systems}
-
-    def render(t):
-        print(format_table("Figure 3: single-thread metadata throughput",
-                           "fs", ops, t, unit="Mops/s"))
-
-    _emit(args, table, render)
-
-
-def cmd_table2(args) -> None:
-    from repro.perf.runner import table2_sweep
-    from repro.perf.stats import geomean
-
-    rows = [{"workload": name, "arckfs_mops": a,
-             "arckfs_plus_mops": p, "ratio_pct": p / a * 100.0}
-            for name, a, p in table2_sweep()]
-    data = {"rows": rows,
-            "geomean_pct": geomean(r["ratio_pct"] / 100.0 for r in rows) * 100.0,
-            "paper_geomean_pct": 97.23}
-
-    def render(d):
-        print(f"{'workload':<8}{'ArckFS':>10}{'ArckFS+':>10}{'ratio':>9}")
-        for r in d["rows"]:
-            print(f"{r['workload']:<8}{r['arckfs_mops']:>10.2f}"
-                  f"{r['arckfs_plus_mops']:>10.2f}{r['ratio_pct']:>8.2f}%")
-        print(f"{'geomean':<8}{'':>20}{d['geomean_pct']:>8.2f}%  "
-              f"(paper: {d['paper_geomean_pct']}%)")
-
-    _emit(args, data, render)
-
-
-def cmd_fig4(args) -> None:
-    from repro.perf.runner import sweep
-    from repro.perf.stats import format_table
-    from repro.workloads.fxmark import FXMARK, METADATA_WORKLOADS
-
-    threads = [int(t) for t in args.threads.split(",")]
-    systems = ["arckfs+", "arckfs", "ext4", "pmfs", "nova", "odinfs",
-               "winefs", "splitfs", "strata"]
-    data = {name: sweep(systems, FXMARK[name], threads, horizon_ns=500_000.0)
-            for name in METADATA_WORKLOADS}
-
-    def render(d):
-        for name, result in d.items():
-            print(format_table(f"{name}: {FXMARK[name].description}", "fs",
-                               threads, result, unit="Mops/s"))
-            print()
-
-    _emit(args, data, render)
-
-
-def cmd_table4(args) -> None:
-    from repro.workloads.sharing import table4, verification_scaling
-
-    cells = table4()
-    data = [dataclasses.asdict(c) if dataclasses.is_dataclass(c) else vars(c)
-            for c in cells]
-    scaling = verification_scaling()
-
-    def render(_d):
-        print(f"{'scenario':<16}{'system':<24}{'value':>10}")
-        for cell in cells:
-            print(f"{cell.scenario:<16}{cell.system:<24}"
-                  f"{cell.value:>8.2f} {cell.unit}")
-        print()
-        print("verification scaling (pipelined, 256KB transfer):")
-        print(f"{'workers':<9}{'ns/transfer':>13}{'speedup':>9}")
-        for row in scaling:
-            print(f"{row['workers']:<9}{row['ns_per_transfer']:>13.0f}"
-                  f"{row['speedup']:>8.2f}x")
-
-    if getattr(args, "json", False):
-        data = data + [{"system": f"arckfs+-pipelined@{r['workers']}w",
-                        "scenario": "verify 256KB transfer",
-                        "value": r["ns_per_transfer"], "unit": "ns"}
-                       for r in scaling]
-    _emit(args, data, render)
-
-
-def cmd_filebench(args) -> None:
-    from repro.perf.runner import run_workload
-    from repro.workloads.filebench import FILEBENCH_SIMS
-
-    rows = []
-    for name, workload in FILEBENCH_SIMS.items():
-        for threads in (1, 16):
-            a = run_workload("arckfs", workload, threads).mops
-            p = run_workload("arckfs+", workload, threads).mops
-            rows.append({"workload": name, "threads": threads,
-                         "arckfs_mops": a, "arckfs_plus_mops": p,
-                         "ratio_pct": p / a * 100.0})
-
-    def render(d):
-        for r in d:
-            print(f"{r['workload']:<20} @{r['threads']:>2} threads: "
-                  f"arckfs={r['arckfs_mops']:7.3f} "
-                  f"arckfs+={r['arckfs_plus_mops']:7.3f} Mops  "
-                  f"ratio={r['ratio_pct']:6.2f}%")
-
-    _emit(args, rows, render)
+    unknown = [n for n in args.names if n not in EXPERIMENTS]
+    if unknown:
+        raise InvalidArgument(f"unknown experiment(s) {', '.join(unknown)} "
+                              f"(known: {', '.join(EXPERIMENTS)})")
+    results = {}
+    for name in args.names or EXPERIMENTS:
+        exp = EXPERIMENTS[name]
+        data = exp.run()
+        results[name] = {"data": data, "problems": exp.check(data)}
+        if not args.json:
+            print(exp.render(data), end="\n\n")
+    unmet = [f"{name}: {p}" for name, r in results.items() for p in r["problems"]]
+    if args.json:
+        print(json.dumps(results, indent=2, sort_keys=True))
+    elif unmet:
+        print("unmet paper claims:")
+        for line in unmet:
+            print(f"  {line}")
+    return 1 if unmet else 0
 
 
 def cmd_trace(args) -> None:
@@ -532,19 +411,6 @@ def cmd_fsck(args) -> int:
     return 1
 
 
-TABLE_COMMANDS = {
-    "table1": (cmd_table1, "Table 1: the six bugs, both configurations"),
-    "fig3": (cmd_fig3, "Figure 3: single-thread metadata throughput"),
-    "table2": (cmd_table2, "Table 2: ArckFS+/ArckFS @48 threads + geomean"),
-    "fig4": (cmd_fig4, "Figure 4: scalability sweep"),
-    "table4": (cmd_table4, "Table 4: sharing cost"),
-    "filebench": (cmd_filebench, "Filebench personalities, 1 and 16 threads"),
-}
-
-#: Order ``all`` runs in (kept from the original flat CLI).
-ALL_ORDER = ("table1", "fig3", "table2", "fig4", "filebench", "table4")
-
-
 def _add_workload_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("workload",
                      help="workload spec: fxmark:<NAME> (e.g. fxmark:MWCL) "
@@ -571,19 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="what", required=True)
 
-    for name, (fn, help_text) in TABLE_COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--json", action="store_true",
-                         help="emit the table data as JSON")
-        if name == "fig4":
-            sub.add_argument("--threads", default="1,4,16,48",
-                             help="thread sweep (comma separated)")
-        sub.set_defaults(fn=fn)
+    from repro.experiments import EXPERIMENTS
 
-    sub_all = subs.add_parser("all", help="run every table command in order")
-    sub_all.add_argument("--threads", default="1,4,16,48",
-                         help="thread sweep for fig4 (comma separated)")
-    sub_all.set_defaults(fn=None, json=False)
+    reproduce = subs.add_parser(
+        "reproduce", help="regenerate the paper's tables and figures and "
+                          "check its claims (exit 1 on any unmet claim)")
+    reproduce.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="experiments to run (default: all): " + ", ".join(
+            f"{e.name} ({e.title})" for e in EXPERIMENTS.values()))
+    reproduce.add_argument("--json", action="store_true",
+                           help="emit {name: {data, problems}} as JSON")
+    reproduce.set_defaults(fn=cmd_reproduce)
 
     trace = subs.add_parser(
         "trace", help="run a workload with span tracing, write a trace file")
@@ -748,13 +613,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.what == "all":
-            for name in ALL_ORDER:
-                print(f"\n######## {name} ########")
-                TABLE_COMMANDS[name][0](args)
-        else:
-            rc = args.fn(args)
-            return rc or 0
+        return args.fn(args) or 0
     except ReproError as exc:
         detail = getattr(exc, "strerror", None) or exc
         span = getattr(exc, "span_path", None)
@@ -771,7 +630,6 @@ def main(argv=None) -> int:
             where = f" (at {span})" if span else ""
             print(f"error: {detail}{where}", file=sys.stderr)
         return exit_code_for(exc)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

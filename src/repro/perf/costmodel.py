@@ -128,12 +128,10 @@ class CostModel:
     nova_log_append: float = 700.0
     #: [calib] WineFS alignment bookkeeping.
     winefs_alloc_cpu: float = 120.0
-    #: [calib] OdinFS delegation enqueue/dequeue round trip.
-    odinfs_delegate_rtt: float = 600.0
     #: [struct] OdinFS delegation threads per socket.
     odinfs_delegates_per_socket: int = 4
 
-    # -- striped PM array / I/O delegation (pm/array.py; modeled only) -- #
+    # -- striped PM volume / I/O delegation (modeled only) -------------- #
     #: [struct] handing one extent to a member's delegation queue: the
     #: enqueue, the latch bookkeeping and the completion wake-up.
     delegate_enqueue: float = 350.0

@@ -309,21 +309,24 @@ def _kernel(fs: str, op: str, ctx: Dict, cost: CostModel,
         size = ctx.get("size", 4096)
         out = [("syscall",), ("cpu", 200.0)]
         if fs == "odinfs" and size >= 4096:
-            # Delegation, modeled over the striped-array split
-            # (pm/array.py): the extent is enqueued and fans out across
-            # per-device delegation queues — one queue per NUMA-local PM
-            # device, each with a bounded worker pool.  The
-            # service time is the per-device share at one stream's
-            # bandwidth (costmodel.delegate_service_time); queueing behind
-            # a saturated device is emergent from the DES `use` resource.
+            # Delegation over a page-striped volume (a PMDevice with one
+            # member per NUMA-local PM device): the extent is enqueued and
+            # every member it touches serves its share on its own
+            # delegation queue, each with a bounded worker pool.  A 4 KiB
+            # page lives on one member, so it occupies that member for all
+            # 4 KiB.  The service time is the share at one stream's
+            # bandwidth (costmodel.delegate_service_time); queueing behind a
+            # saturated member is emergent from the DES `use` resource.  The
+            # DES has no fork, so a multi-member extent visits its queues in
+            # turn: its latency is overstated, its media time is not.
             ndev = cost.sockets
-            out += [
-                ("cpu", cost.delegate_enqueue),
-                ("use", f"pm.dev{tid % ndev}.delegate",
-                 cost.delegate_service_time(size, devices=ndev,
-                                            read=(op == "read")),
-                 cost.odinfs_delegates_per_socket),
-            ]
+            members = min(ndev, -(-size // 4096))
+            service = cost.delegate_service_time(size, devices=members,
+                                                 read=(op == "read"))
+            out.append(("cpu", cost.delegate_enqueue))
+            out += [("use", f"pm.dev{(tid + k) % ndev}.delegate", service,
+                     cost.odinfs_delegates_per_socket)
+                    for k in range(members)]
         else:
             out += [(("pm_w" if op == "write" else "pm_r"), size)]
         if op == "write":

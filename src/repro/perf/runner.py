@@ -154,8 +154,8 @@ def table2_sweep() -> Tuple[Tuple[str, float, float], ...]:
     """Table 2's sweep: ``(workload, ArckFS Mops/s, ArckFS+ Mops/s)`` for
     every FxMark metadata workload at 48 threads under the default cost
     model.  Virtual time makes the result a constant of the code, so the ~20 s
-    of simulation is paid once per process however many consumers (the CLI
-    verb, the paper-target tests, the table bench) read it."""
+    of simulation is paid once per process however many consumers (the
+    ``table2`` experiment, the paper-target tests) read it."""
     from repro.workloads.fxmark import FXMARK, METADATA_WORKLOADS
 
     return tuple(

@@ -48,9 +48,3 @@ def format_table(
             cells.append(fmt.format(v) if v is not None else placeholder)
         out.append(f"{name:<12}" + "".join(f"{cell:>{col_width}}" for cell in cells))
     return "\n".join(out)
-
-
-def format_percent_row(title: str, values: Dict[str, float]) -> str:
-    header = f"{'':<10}" + "".join(f"{k:>9}" for k in values)
-    row = f"{title:<10}" + "".join(f"{v:>8.2f}%" for v in values.values())
-    return header + "\n" + row

@@ -8,21 +8,12 @@ breaks a paper-reported shape, these tests catch it.
 
 import pytest
 
+from repro.experiments import FIG3_PAPER, TABLE2_PAPER, TABLE2_PAPER_GEOMEAN
 from repro.perf.runner import run_workload, sweep, table2_sweep
 from repro.perf.stats import geomean
 from repro.workloads.fxmark import FXMARK
 from repro.workloads.fio import FIO_WORKLOADS
 from repro.workloads.microbench import METADATA_OPS
-
-#: Table 2 of the paper: ArckFS+ / ArckFS at 48 threads (percent).
-TABLE2 = {
-    "DWTL": 101.25, "MRPL": 84.47, "MRPM": 92.09, "MRPH": 89.18,
-    "MRDL": 75.45, "MRDM": 95.94, "MWCL": 99.71, "MWCM": 91.6,
-    "MWUL": 118.82, "MWUM": 154.70, "MWRL": 92.25, "MWRM": 90.66,
-}
-
-#: Figure 3 single-thread ratios the paper reports in §5.1 (percent).
-FIG3 = {"open": 83.3, "create": 92.8, "delete": 92.2}
 
 
 def ratio_at(workload, threads):
@@ -33,12 +24,12 @@ def ratio_at(workload, threads):
 
 def table2_ratios():
     """Percent ArckFS+/ArckFS per metadata workload at 48 threads; the sweep
-    is simulated once per process and shared with ``repro table2``."""
+    is simulated once per process and shared with ``repro reproduce``."""
     return {name: p / a * 100.0 for name, a, p in table2_sweep()}
 
 
 class TestFig3SingleThread:
-    @pytest.mark.parametrize("op,paper", sorted(FIG3.items()))
+    @pytest.mark.parametrize("op,paper", sorted(FIG3_PAPER.items()))
     def test_single_thread_ratio(self, op, paper):
         r = ratio_at(METADATA_OPS[op], 1)
         assert r == pytest.approx(paper, abs=1.5), f"{op}: {r:.2f} vs {paper}"
@@ -59,17 +50,17 @@ class TestFig3SingleThread:
 
 
 class TestTable2:
-    @pytest.mark.parametrize("name,paper", sorted(TABLE2.items()))
+    @pytest.mark.parametrize("name,paper", sorted(TABLE2_PAPER.items()))
     def test_48_thread_ratio(self, name, paper):
         r = table2_ratios()[name]
         # Tolerance: the multi-thread points are emergent, not calibrated.
         assert r == pytest.approx(paper, abs=4.0), f"{name}: {r:.2f} vs {paper}"
 
     def test_geomean_headline(self):
-        """'ArckFS+ delivers a geometric mean of 97.23 % of ArckFS's
-        throughput in metadata workloads under 48 threads.'"""
+        """'ArckFS+ delivers a geometric mean of [TABLE2_PAPER_GEOMEAN] % of
+        ArckFS's throughput in metadata workloads under 48 threads.'"""
         g = geomean(r / 100 for r in table2_ratios().values()) * 100
-        assert g == pytest.approx(97.23, abs=1.5), f"geomean {g:.2f}"
+        assert g == pytest.approx(TABLE2_PAPER_GEOMEAN, abs=1.5), f"geomean {g:.2f}"
 
     def test_worst_case_is_mrdl(self):
         """'The largest throughput drop occurs in MRDL.'"""

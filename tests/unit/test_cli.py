@@ -6,28 +6,25 @@ from repro.cli import main
 
 
 def test_table4(capsys):
-    assert main(["table4"]) == 0
+    assert main(["reproduce", "table4"]) == 0
     out = capsys.readouterr().out
     assert "4KB-write 1GB" in out
     assert "arckfs+-trust-group" in out
+    # The rows only the old CLI printed are kept.
+    assert "verification scaling" in out and "4.94x" in out
 
 
 def test_fig3(capsys):
-    assert main(["fig3"]) == 0
+    assert main(["reproduce", "fig3", "table4"]) == 0
     out = capsys.readouterr().out
     assert "arckfs+" in out and "strata" in out and "create" in out
+    assert out.index("Figure 3") < out.index("Table 4")
 
 
 def test_filebench(capsys):
-    assert main(["filebench"]) == 0
+    assert main(["reproduce", "filebench"]) == 0
     out = capsys.readouterr().out
-    assert "webproxy-shared" in out and "ratio=" in out
-
-
-def test_fig4_custom_threads(capsys):
-    assert main(["fig4", "--threads", "1,4"]) == 0
-    out = capsys.readouterr().out
-    assert "MWUM" in out
+    assert "webproxy-shared" in out and "+/arck" in out
 
 
 def test_unknown_command_rejected():
@@ -35,22 +32,41 @@ def test_unknown_command_rejected():
         main(["fig9000"])
 
 
+def test_deleted_table_verbs_are_gone():
+    for verb in ("table1", "fig3", "table2", "fig4", "table4", "filebench",
+                 "all"):
+        with pytest.raises(SystemExit):
+            main([verb])
+
+
+def test_unknown_experiment_rejected(capsys):
+    assert main(["reproduce", "table4", "fig9000"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment(s) fig9000" in err and "table4" in err
+
+
 def test_table4_json(capsys):
     import json
 
-    assert main(["table4", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert isinstance(data, list)
-    assert {"scenario", "system", "value", "unit"} <= set(data[0])
+    assert main(["reproduce", "table4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["table4"] and doc["table4"]["problems"] == []
+    cell = doc["table4"]["data"]["cells"][0]
+    assert {"scenario", "system", "value", "unit"} <= set(cell)
 
 
-def test_table2_json(capsys):
-    import json
+def test_reproduce_exits_1_and_names_the_unmet_claim(monkeypatch, capsys):
+    import dataclasses
 
-    assert main(["table2", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["paper_geomean_pct"] == 97.23
-    assert all("ratio_pct" in r for r in data["rows"])
+    from repro.experiments import EXPERIMENTS
+
+    exp = EXPERIMENTS["table4"]
+    monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
+        exp, check=lambda data: ["Create 10: trust group not below nova"]))
+    assert main(["reproduce", "table4"]) == 1
+    out = capsys.readouterr().out
+    assert "unmet paper claims:" in out
+    assert "table4: Create 10: trust group not below nova" in out
 
 
 def test_trace_requires_workload():

@@ -1,11 +1,19 @@
 """The unified error taxonomy and the CLI's exit-code mapping."""
 
+import dataclasses
 import errno
 
 import pytest
 
 from repro import errors as E
 from repro.cli import main
+from repro.experiments import EXPERIMENTS
+
+
+def _replace_run(monkeypatch, run):
+    """Make ``reproduce table4`` call ``run`` instead of the experiment."""
+    monkeypatch.setitem(EXPERIMENTS, "table4",
+                        dataclasses.replace(EXPERIMENTS["table4"], run=run))
 
 
 class TestTaxonomy:
@@ -118,14 +126,11 @@ class TestExitCodes:
         (E.NoEntry("gone"), E.EXIT_FS_ERROR),
     ])
     def test_cli_maps_repro_errors(self, monkeypatch, capsys, exc, want):
-        import repro.cli as cli
-
-        def boom(args):
+        def boom():
             raise exc
 
-        monkeypatch.setitem(cli.TABLE_COMMANDS, "table4",
-                            (boom, "boom stand-in"))
-        assert main(["table4"]) == want
+        _replace_run(monkeypatch, boom)
+        assert main(["reproduce", "table4"]) == want
         assert "error:" in capsys.readouterr().err
 
 
@@ -149,10 +154,9 @@ class TestSpanCapture:
     def test_cli_json_error_doc_reports_span(self, monkeypatch, capsys):
         import json
 
-        import repro.cli as cli
         from repro import obs
 
-        def boom(args):
+        def boom():
             obs.enable(trace=True)
             try:
                 with obs.span("doomed.op"):
@@ -160,9 +164,8 @@ class TestSpanCapture:
             finally:
                 obs.disable()
 
-        monkeypatch.setitem(cli.TABLE_COMMANDS, "table4",
-                            (boom, "boom stand-in"))
-        assert main(["table4", "--json"]) == E.EXIT_CORRUPTION
+        _replace_run(monkeypatch, boom)
+        assert main(["reproduce", "table4", "--json"]) == E.EXIT_CORRUPTION
         doc = json.loads(capsys.readouterr().out)
         assert doc["type"] == "CorruptionDetected"
         assert doc["exit"] == E.EXIT_CORRUPTION
@@ -170,10 +173,9 @@ class TestSpanCapture:
         assert "trace_id" in doc
 
     def test_cli_text_error_mentions_span(self, monkeypatch, capsys):
-        import repro.cli as cli
         from repro import obs
 
-        def boom(args):
+        def boom():
             obs.enable(trace=True)
             try:
                 with obs.span("doomed.op"):
@@ -181,9 +183,8 @@ class TestSpanCapture:
             finally:
                 obs.disable()
 
-        monkeypatch.setitem(cli.TABLE_COMMANDS, "table4",
-                            (boom, "boom stand-in"))
-        assert main(["table4"]) == E.EXIT_LEASE
+        _replace_run(monkeypatch, boom)
+        assert main(["reproduce", "table4"]) == E.EXIT_LEASE
         err = capsys.readouterr().err
         assert "error: lapsed" in err
         assert "(at doomed.op)" in err

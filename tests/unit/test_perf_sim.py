@@ -153,6 +153,20 @@ class TestRecipes:
         with pytest.raises(ValueError):
             phases("zfs", {"op": "open", "depth": 1}, COST, 1, 0)
 
+    @pytest.mark.parametrize("op", ["read", "write"])
+    @pytest.mark.parametrize("size", [4096, 8192, 1 << 20])
+    def test_odinfs_delegation_charges_every_byte(self, op, size):
+        """Every member a delegated extent touches serves its share on its
+        own queue.  The recipe used to charge one member half of a 4 KiB
+        page and the other member nothing: 2 KiB of media time."""
+        read = op == "read"
+        lat = COST.pm_read_lat if read else COST.pm_write_lat
+        bw = COST.pm_stream_read_bw if read else COST.pm_stream_write_bw
+        uses = [p for p in phases("odinfs", {"op": op, "size": size}, COST, 4, 1)
+                if p[0] == "use"]
+        assert len({p[1] for p in uses}) == len(uses) == min(COST.sockets, size // 4096)
+        assert sum((p[2] - lat) * bw for p in uses) == pytest.approx(size)
+
 
 class TestStats:
     def test_geomean(self):
