@@ -1,8 +1,9 @@
-"""The paper's experiments (``repro.experiments``), one bench each.
+"""Every experiment of ``repro.experiments``, one bench each.
 
 Times one ``run()``, rewrites ``benchmarks/results/<name>.txt`` from
-``render`` and fails on any unmet paper claim.  CI then demands that the
-checked-in results did not change::
+``render`` and fails on any unmet claim.  CI then demands that the
+checked-in results did not change, which pins every deterministic count
+the tables print::
 
     pytest benchmarks/bench_paper.py --benchmark-only
     git diff --exit-code -- benchmarks/results/

@@ -6,25 +6,18 @@ Usage::
     python -m repro reproduce table4 fig3   # just these
     python -m repro reproduce table2 --json # {name: {data, problems}}
 
-The experiments and the paper's numbers are defined once, in
-:mod:`repro.experiments`: each renders the table
-``benchmarks/results/<name>.txt`` holds and checks the paper's claims;
-``reproduce`` exits 1 and names every unmet claim.  The observability
-verbs run a *functional* workload (real LibFS + kernel controller, not the
-DES) with instrumentation enabled::
+The experiments — the paper's eight and this reproduction's six — and the
+paper's numbers are defined once, in :mod:`repro.experiments`: each
+renders the table ``benchmarks/results/<name>.txt`` holds and checks its
+claims; ``reproduce`` exits 1 and names every unmet claim.  The
+observability verbs run a *functional* workload (real LibFS + kernel
+controller, not the DES) with instrumentation enabled::
 
     python -m repro trace fxmark:MWCL --out trace.json   # chrome://tracing
     python -m repro metrics filebench:varmail            # counters + latency
     python -m repro metrics fxmark:MWCL --format prom    # Prometheus text
     python -m repro profile fxmark:MWCL --out p.collapsed  # flamegraph input
     python -m repro top filebench:varmail --threads 4    # live registry view
-
-``repro obs diff`` is the perf-regression watchdog: it compares the
-``*.metrics.json`` sidecars the benches write against checked-in baselines
-with per-metric tolerance bands, exiting 1 when any metric leaves its band::
-
-    python -m repro obs diff benchmarks/results/*_scaling.metrics.json \
-        --baselines benchmarks/baselines
 
 ``pytest benchmarks/bench_paper.py --benchmark-only`` runs the same
 experiments, times them and rewrites ``benchmarks/results/<name>.txt``.
@@ -33,7 +26,6 @@ experiments, times them and rewrites ``benchmarks/results/<name>.txt``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Dict, List
@@ -58,7 +50,7 @@ def cmd_reproduce(args) -> int:
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
     elif unmet:
-        print("unmet paper claims:")
+        print("unmet claims:")
         for line in unmet:
             print(f"  {line}")
     return 1 if unmet else 0
@@ -165,78 +157,6 @@ def cmd_top(args) -> None:
           f"{run.ops_per_sec:,.0f} ops/s")
 
 
-def cmd_obs_diff(args) -> int:
-    import os
-
-    from repro.obs import regress
-
-    rtol = regress.DEFAULT_RTOL if args.rtol is None else args.rtol
-    results: List[dict] = []
-    rc = 0
-    for sidecar in args.sidecars:
-        stem = os.path.basename(sidecar)
-        for suffix in (".metrics.json", ".json"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-                break
-        base_path = args.baseline or os.path.join(
-            args.baselines, stem + ".metrics.json")
-        try:
-            snapshot = regress.load_sidecar(sidecar)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read sidecar {sidecar}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.write_baseline:
-            doc = regress.make_baseline(snapshot, source=stem, rtol=rtol)
-            regress.write_baseline(base_path, doc)
-            results.append({"sidecar": sidecar, "baseline": base_path,
-                            "written": len(doc["metrics"]), "violations": []})
-            continue
-        if not os.path.exists(base_path):
-            print(f"error: no baseline for {sidecar} (expected {base_path}; "
-                  "use --write-baseline to create it)", file=sys.stderr)
-            return 2
-        try:
-            baseline = regress.load_baseline(base_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {base_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        violations = regress.compare(snapshot, baseline)
-        results.append({
-            "sidecar": sidecar,
-            "baseline": base_path,
-            "gated": len(baseline.get("metrics", {})),
-            "violations": [dataclasses.asdict(v) for v in violations],
-            "rendered": [str(v) for v in violations],
-            "new_metrics": regress.new_metrics(snapshot, baseline),
-        })
-        if violations:
-            rc = 1
-
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-        return rc
-    for r in results:
-        if "written" in r:
-            print(f"{r['sidecar']}: wrote baseline {r['baseline']} "
-                  f"({r['written']} gated metrics)")
-            continue
-        if r["rendered"]:
-            print(f"{r['sidecar']}: {len(r['rendered'])} violation(s) "
-                  f"vs {r['baseline']}:")
-            for line in r["rendered"]:
-                print(f"  REGRESSION {line}")
-        else:
-            print(f"{r['sidecar']}: OK ({r['gated']} metrics within band "
-                  f"vs {r['baseline']})")
-        if r["new_metrics"]:
-            print(f"  note: {len(r['new_metrics'])} new metric(s) not yet "
-                  "gated (regenerate the baseline to gate them)")
-    return rc
-
-
 def _parse_mix(spec: str) -> Dict[str, int]:
     from repro.errors import InvalidArgument
 
@@ -315,7 +235,6 @@ def cmd_loadgen(args) -> int:
     import asyncio
     import contextlib
 
-    from repro import obs
     from repro.errors import ServerError
     from repro.server import (
         LoadConfig,
@@ -333,8 +252,6 @@ def cmd_loadgen(args) -> int:
         connections_per_tenant=args.connections, seed=args.seed)
 
     async def run() -> int:
-        obs.reset()
-        obs.enable()
         volumes = {}
         server = None
         try:
@@ -353,7 +270,6 @@ def cmd_loadgen(args) -> int:
                 raise ServerError(
                     f"cannot reach {host}:{port}: {exc}") from None
         finally:
-            obs.disable()
             if server is not None:
                 with contextlib.suppress(Exception):
                     await server.close()
@@ -375,7 +291,7 @@ def cmd_loadgen(args) -> int:
         else:
             print(report.render())
         bad = (report.unmatched_responses or report.lost_responses
-               or sum(report.failures.values()))
+               or report.total_completed != cfg.total_ops)
         return 1 if bad else 0
 
     return asyncio.run(run())
@@ -440,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.experiments import EXPERIMENTS
 
     reproduce = subs.add_parser(
-        "reproduce", help="regenerate the paper's tables and figures and "
-                          "check its claims (exit 1 on any unmet claim)")
+        "reproduce", help="regenerate the paper's and this reproduction's "
+                          "tables and check their claims (exit 1 on any "
+                          "unmet claim)")
     reproduce.add_argument(
         "names", nargs="*", metavar="NAME",
         help="experiments to run (default: all): " + ", ".join(
@@ -492,30 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--interval", type=float, default=0.5,
                      help="refresh interval in seconds (default 0.5)")
     top.set_defaults(fn=cmd_top)
-
-    obs_cmd = subs.add_parser(
-        "obs", help="observability artifact tooling (regression diffs)")
-    obs_subs = obs_cmd.add_subparsers(dest="obs_what", required=True)
-    diff = obs_subs.add_parser(
-        "diff", help="compare *.metrics.json sidecars against checked-in "
-                     "baselines (exit 1 on any out-of-band metric)")
-    diff.add_argument("sidecars", nargs="+", metavar="SIDECAR",
-                      help="*.metrics.json sidecar files from a bench run")
-    diff.add_argument("--baselines", default="benchmarks/baselines",
-                      metavar="DIR",
-                      help="baseline directory, matched by sidecar stem "
-                           "(default benchmarks/baselines)")
-    diff.add_argument("--baseline", metavar="FILE",
-                      help="explicit baseline file (overrides --baselines)")
-    diff.add_argument("--write-baseline", action="store_true",
-                      help="capture the sidecar(s) as new baseline(s) "
-                           "instead of comparing")
-    diff.add_argument("--rtol", type=float, default=None,
-                      help="default relative tolerance when writing a "
-                           "baseline (default 0.05)")
-    diff.add_argument("--json", action="store_true",
-                      help="emit the comparison results as JSON")
-    diff.set_defaults(fn=cmd_obs_diff)
 
     fsck = subs.add_parser(
         "fsck", help="whole-volume check/repair (exit 0 clean, 1 findings, "

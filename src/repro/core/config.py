@@ -14,7 +14,7 @@ global rename lease), some both (the directory-relocation protocol).
 
 The rule for this class: a field here is a Table-1 toggle or has two
 callers with different values.  ``verify_workers`` is the one of the second
-kind (the default, and ``bench_sharing_scaling.py``'s sweep); it only sets
+kind (the default, and Table 4's pipelined functional twin); it only sets
 how many threads share the verification work — *when* the kernel verifies
 is not configurable: at every commit, release and revoke, and on trust-group
 exit (§5.4).  How the patched system *reads* is not configurable either: it

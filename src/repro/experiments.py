@@ -1,13 +1,18 @@
-"""The paper's experiments, one definition each, and the paper's numbers.
+"""The paper's and this reproduction's experiments, one definition each,
+and the paper's numbers.
 
 Every section of EXPERIMENTS.md is one :class:`Experiment`:
 
 * ``run()`` regenerates the data (JSON-ready: string keys, numbers, lists)
-  from the DES (:mod:`repro.perf.runner`), the workloads and the Table 1
-  bug harness;
+  from the DES (:mod:`repro.perf.runner`), the workloads, the Table 1
+  bug harness and counters read off the functional stack;
 * ``render(data)`` is the text ``benchmarks/results/<name>.txt`` holds;
-* ``check(data)`` is the list of the paper's claims the data does not meet
-  (empty means reproduced).  It is pure, so a hand-made datum exercises it.
+* ``check(data)`` is the list of claims the data does not meet (empty
+  means reproduced).  It is pure, so a hand-made datum exercises it.
+
+The paper's eight come first; ``alloc``, ``reads``, ``tx``, ``striping``,
+``ablation`` and ``fsck`` check what this reproduction adds.  Their counts
+are deterministic, so the checked-in tables pin every one exactly.
 
 ``python -m repro reproduce [NAME ...]`` and ``benchmarks/bench_paper.py``
 are the two consumers; the paper-target tests import the reference values
@@ -17,10 +22,13 @@ below.  Tolerances are this reproduction's, the values are the paper's.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from repro.perf.costmodel import COST
 from repro.perf.runner import run_workload, sweep, table2_sweep
+from repro.perf.simulator import Experiment as Simulation
 from repro.perf.stats import format_table, geomean
 from repro.workloads.fio import FIO_WORKLOADS
 from repro.workloads.fxmark import DATA_WORKLOADS, FXMARK, METADATA_WORKLOADS
@@ -63,6 +71,15 @@ TABLE4_PAPER = {
                           ("Create 100", (6.08, 10.64, 2.25)))
     for system, value in zip(("nova", "arckfs+", "arckfs+-trust-group"), row)}
 
+# -- The seed's numbers ------------------------------------------------------ #
+# Paths this reproduction replaced and deleted, measured before they went.
+
+#: The seed global-lock allocator, per ALLOC_OPS single-page allocations:
+#: one lock acquisition and one fence each.
+SEED_ALLOC = {"lock_acquires": 1024, "fences": 1024}
+#: The seed per-page write path, for one 1 MiB sequential pwrite.
+SEED_PWRITE_1MIB = {"persist_calls": 519, "write_extents": 256}
+
 # -- Sweeps ------------------------------------------------------------------ #
 
 SYSTEMS = ["arckfs+", "arckfs", "ext4", "pmfs", "nova", "odinfs", "winefs",
@@ -80,6 +97,28 @@ FILEBENCH_SYSTEMS = ["arckfs+", "arckfs", "ext4", "nova", "strata"]
 FILEBENCH_THREADS = [1, 16]
 DBBENCH_WORKLOADS = ("fillseq", "fillrandom", "readrandom")
 DBBENCH_SIM_THREADS = 8
+#: The pipelined verifier's workers in Table 4's functional twin.
+VERIFY_WORKERS = 8
+#: The critical-path contraction both the model and the twin must reach.
+VERIFY_TARGET_SPEEDUP = 2.5
+#: The alloc and reads DES sweeps: threads, and virtual time per point.
+SCALING_THREADS = [1, 2, 4, 8]
+SCALING_HORIZON_NS = 1_000_000.0
+ALLOC_OPS = 1024
+DRBH_OPS = 64
+#: Steady-state cross-app open/pread/close iterations on a published file.
+STEADY_OPS = 16
+TX_BATCHES = [1, 4, 16, 64]
+TX_PAYLOAD = b"\xa5" * 256
+STRIPE_DEVICES = [1, 2, 4, 8]
+#: One delegated extent, the functional pwrite's size too.
+STRIPE_BYTES = 4 << 20
+STRIPE_PAGES = 4
+#: Delegation workers per device (the cost model's; no thread runs them).
+STRIPE_WORKERS = 2
+FSCK_WORKERS = [1, 2, 4, 8]
+#: ~2000 files across 32 directories on a 128 MiB / 4096-slot volume.
+FSCK_VOLUME = dict(files=2000, dirs=32, size=128 * 1024 * 1024, inode_count=4096)
 
 
 @dataclass(frozen=True)
@@ -411,6 +450,9 @@ def _table4_run():
             "trust-group": run_functional_sharing(file_kib=256, trust_group=True),
         },
         "verify_scaling": verification_scaling(),
+        # The "verified" ping-pong again, its verification sharded.
+        "pipelined": run_functional_sharing(file_kib=256,
+                                            verify_workers=VERIFY_WORKERS),
     }
 
 
@@ -431,16 +473,28 @@ def _table4_render(data) -> str:
               f"{'workers':<9}{'ns/transfer':>13}{'speedup':>9}"]
     lines += [f"{row['workers']:<9}{row['ns_per_transfer']:>13.0f}"
               f"{row['speedup']:>8.2f}x" for row in data["verify_scaling"]]
+    lines += ["", "pipelined verification, functional twin (same ping-pong):"]
+    for label, s in (("w1", data["functional"]["verified"]),
+                     (f"w{VERIFY_WORKERS}", data["pipelined"])):
+        lines.append(
+            f"  {label:<4}verified/transfer={s['bytes_verified_per_transfer']:>10.0f} B"
+            f"  verifications={s['verifications']}"
+            f"  shard jobs={s['verify_shard_jobs']:<4}"
+            f"critical path {s['verify_critical_units']} of "
+            f"{s['verify_total_units']} units")
     return "\n".join(lines)
 
 
 def _table4_check(data) -> List[str]:
     """Concurrent writes to a shared inode incur a sharing cost, which the
-    trust group removes; the functional kernel shows the same structure."""
+    trust group removes; the functional kernel shows the same structure.
+    Sharding a verification changes its schedule, never what it checks."""
     v = {(c["system"], c["scenario"]): c["value"] for c in data["cells"]}
     plus, group = "arckfs+", "arckfs+-trust-group"
     verified, grouped = (data["functional"][mode]["bytes_verified_per_transfer"]
                          for mode in ("verified", "trust-group"))
+    serial, piped = data["functional"]["verified"], data["pipelined"]
+    speedups = [row["speedup"] for row in data["verify_scaling"]]
     return _unmet(
         (v[plus, "4KB-write 1GB"] >= v["nova", "4KB-write 1GB"],
          "4KB-write 1GB: arckfs+ not below nova"),
@@ -454,7 +508,607 @@ def _table4_check(data) -> List[str]:
         (verified <= 100_000, f"functional: {verified:.0f} B verified per "
          "transfer without a trust group (want > 100000)"),
         (grouped >= 10_000, f"functional: {grouped:.0f} B verified per "
-         "transfer with a trust group (want < 10000)"))
+         "transfer with a trust group (want < 10000)"),
+        (speedups[0] != 1.0 or speedups != sorted(speedups),
+         f"verification scaling: speedups {speedups} not rising from 1.0"),
+        (speedups[-1] < VERIFY_TARGET_SPEEDUP, f"verification scaling: "
+         f"{speedups[-1]:.2f}x at the last row (want >= {VERIFY_TARGET_SPEEDUP})"),
+        *[(serial[key] != piped[key], f"pipelined: {key} {piped[key]} with "
+           f"{VERIFY_WORKERS} workers vs {serial[key]} with 1")
+          for key in ("bytes_verified_per_transfer", "verifications")],
+        (serial["verify_shard_jobs"] != 0,
+         f"pipelined: {serial['verify_shard_jobs']} shard jobs with 1 worker"),
+        (piped["verify_shard_jobs"] == 0,
+         f"pipelined: no shard jobs with {VERIFY_WORKERS} workers"),
+        (piped["verify_total_units"] < VERIFY_TARGET_SPEEDUP * piped["verify_critical_units"],
+         f"pipelined: critical path {piped['verify_critical_units']} of "
+         f"{piped['verify_total_units']} units (want <= 1/{VERIFY_TARGET_SPEEDUP})"))
+
+
+# -- alloc: per-thread page pools vs the global-lock bitmap ------------------ #
+
+
+def _scaling_sweep(stream):
+    """``({"<threads>": Mops/s}, the last run, its thread stats)`` of one
+    DES op stream over SCALING_THREADS."""
+    mops = {}
+    for n in SCALING_THREADS:
+        sim = Simulation()
+        stats = sim.run_threads(n, stream, SCALING_HORIZON_NS)
+        mops[str(n)] = sim.throughput_mops(SCALING_HORIZON_NS)
+    return mops, sim, stats
+
+
+def _global_alloc(sim, tid):
+    """The seed allocator: every allocation probes and persists under the
+    one lock."""
+    lk = sim.lock("alloc")
+    while True:
+        yield [("delay", COST.op_cpu), ("lock", lk),
+               ("delay", COST.alloc_global_time()), ("unlock", lk)]
+
+
+def _pooled_alloc(sim, tid):
+    """An uncontended pool hit per allocation, the shared lock once per
+    ``alloc_pool_batch`` refill."""
+    lk = sim.lock("alloc")
+    batch = COST.alloc_pool_batch
+    refill = [("lock", lk), ("delay", COST.alloc_refill_time(batch)), ("unlock", lk)]
+    for n in itertools.count():
+        yield ([("delay", COST.op_cpu + COST.alloc_pool_hit)]
+               + (refill if n % batch == 0 else []))
+
+
+def _alloc_run():
+    from repro.api import Volume, VolumeConfig
+    from repro.core.config import ARCKFS
+    from repro.core.mkfs import mkfs
+    from repro.pm.allocator import PageAllocator
+    from repro.pm.device import PMDevice
+
+    device = PMDevice(16 << 20, crash_tracking=False)
+    alloc = PageAllocator(device, mkfs(device, inode_count=128))
+    fences0 = device.stats.fences
+    for _ in range(ALLOC_OPS):
+        alloc.alloc(zero=False)
+    pooled = {"lock_acquires": alloc.stats.lock_acquires,
+              "fences": device.stats.fences - fences0,
+              "pool_refills": alloc.stats.pool_refills}
+
+    payload = b"\xa5" * (1 << 20)
+    vol = Volume.create(8 << 20, VolumeConfig(config=ARCKFS, inode_count=64))
+    fs = vol.session("alloc", uid=0).fs
+    fd = fs.open("/big.dat", create=True)
+    fences0 = vol.device.stats.fences
+    fs.pwrite(fd, payload, 0)
+    extent = {"persist_calls": vol.device.stats.fences - fences0,
+              "write_extents": fs.stats.write_extents,
+              "read_back": fs.pread(fd, len(payload), 0) == payload}
+    return {"des_mops": {"global": _scaling_sweep(_global_alloc)[0],
+                         "pooled": _scaling_sweep(_pooled_alloc)[0]},
+            "pooled": pooled, "extent": extent}
+
+
+def _alloc_render(data) -> str:
+    des, pooled, extent = data["des_mops"], data["pooled"], data["extent"]
+    lines = ["== allocator scaling: global lock vs per-thread pools ==", "",
+             f"{'threads':<9}{'global Mops':>13}{'pooled Mops':>13}{'speedup':>9}",
+             "-" * 44]
+    for n in SCALING_THREADS:
+        g, p = des["global"][str(n)], des["pooled"][str(n)]
+        lines.append(f"{n:<9}{g:>13.2f}{p:>13.2f}{p / g:>8.1f}x")
+    return "\n".join(lines + [
+        "", f"functional, {ALLOC_OPS} allocs:",
+        f"  global (frozen): {SEED_ALLOC['lock_acquires']} lock acquires, "
+        f"{SEED_ALLOC['fences']} fences",
+        f"  pooled: {pooled['lock_acquires']} lock acquires, "
+        f"{pooled['fences']} fences ({pooled['pool_refills']} refills)",
+        "", "1 MiB sequential pwrite:",
+        f"  seed per-page (frozen): {SEED_PWRITE_1MIB['persist_calls']} "
+        "persist calls",
+        f"  extent-batched:    {extent['persist_calls']} persist calls "
+        f"({extent['write_extents']} extent(s)) — "
+        f"{SEED_PWRITE_1MIB['persist_calls'] / extent['persist_calls']:.0f}x fewer"])
+
+
+def _alloc_check(data) -> List[str]:
+    """Pools beat the lock >= 3x at 8 threads and scale while the lock
+    does not; a refill batches the lock and the fence; an extent write
+    persists >= 4x less than the seed's per-page one."""
+    g, p = data["des_mops"]["global"], data["des_mops"]["pooled"]
+    pooled, extent = data["pooled"], data["extent"]
+    top = str(SCALING_THREADS[-1])
+    return _unmet(
+        (p[top] < 3.0 * g[top], f"{top} threads: pooled {p[top]:.2f} Mops "
+         f"< 3x global {g[top]:.2f}"),
+        (g[top] >= 1.5 * g["2"], f"global allocator not lock-bound: {g[top]:.2f} "
+         f"Mops at {top} threads vs {g['2']:.2f} at 2"),
+        (p[top] <= 3.0 * p["1"], f"pooled allocator did not scale: {p[top]:.2f} "
+         f"Mops at {top} threads vs {p['1']:.2f} at 1"),
+        (pooled["lock_acquires"] > ALLOC_OPS // 8, f"pooled: "
+         f"{pooled['lock_acquires']} lock acquires per {ALLOC_OPS} allocs"),
+        (pooled["fences"] > SEED_ALLOC["fences"] // 8,
+         f"pooled: {pooled['fences']} fences per {ALLOC_OPS} allocs"),
+        (SEED_PWRITE_1MIB["persist_calls"] < 4 * extent["persist_calls"],
+         f"1 MiB pwrite: {extent['persist_calls']} persist calls, not 4x below "
+         f"the seed's {SEED_PWRITE_1MIB['persist_calls']}"),
+        (extent["write_extents"] < 1, "1 MiB pwrite wrote no extent"),
+        (not extent["read_back"], "1 MiB pwrite did not read back"))
+
+
+# -- reads: the rwlock read side vs how the patched system reads ------------- #
+
+
+def _rwlock_read(sim, tid):
+    """The read-lock acquire and release RMWs both hit the one shared lock
+    line, so they serialize across every reader."""
+    lk = sim.lock("file.rwlock")
+    rmw = [("lock", lk), ("delay", COST.cacheline_rmw), ("unlock", lk)]
+    while True:
+        yield [("delay", COST.lookup_cpu), *rmw, ("delay", COST.pm_read_lat), *rmw]
+
+
+def _seqlock_read(sim, tid):
+    """Sequence check, copy and a per-thread counter bump: nothing shared
+    is written, so readers run fully in parallel."""
+    cost = (COST.lookup_cpu + COST.seq_read_check
+            + COST.pm_read_lat + COST.sharded_counter_add)
+    while True:
+        yield [("delay", cost)]
+
+
+def _reads_des(stream):
+    mops, sim, stats = _scaling_sweep(stream)
+    return {"mops": mops,
+            "mean_op_ns": sum(t.op_time for t in stats) / sum(t.ops for t in stats),
+            "contended": sim.lock("file.rwlock").contended}
+
+
+def _reads_run():
+    from repro import obs
+    from repro.api import Volume, VolumeConfig
+    from repro.core.config import ARCKFS, ARCKFS_PLUS
+
+    # FxMark DRBH: every op reads the same 4K block of one shared file.
+    drbh = {}
+    for config in (ARCKFS, ARCKFS_PLUS):
+        vol = Volume.create(16 << 20, VolumeConfig(config=config, inode_count=256))
+        fs = vol.session("reads", uid=0).fs
+        DATA_WORKLOADS["DRBH"].prepare(fs, 1)
+        mi = fs._inodes[fs.stat("/shared/blk").ino]
+        locks0, read0 = mi.rwlock.read_acquisitions, fs.stats.bytes_read
+        for i in range(DRBH_OPS):
+            DATA_WORKLOADS["DRBH"].functional(fs, 0, i)
+        drbh[config.name] = {
+            "read_lock_acquisitions": mi.rwlock.read_acquisitions - locks0,
+            "bytes_read": fs.stats.bytes_read - read0}
+
+    # A writer publishes /hot (verified release); a second app re-attaches
+    # it from the kernel's shared read-only table on every open.
+    vol = Volume.create(16 << 20, VolumeConfig(config=ARCKFS_PLUS, inode_count=128))
+    writer, reader = (vol.session(app, uid=0).fs for app in ("writer", "reader"))
+    payload = b"published" * 400
+    writer.write_file("/hot", payload)
+    writer.release_all()
+    # Warm the reader's directory state, then hand the file back so the
+    # measured loop performs the re-attach itself.
+    reader.release_ino(reader.stat("/hot").ino)
+    was_enabled = obs.is_enabled()
+    if not was_enabled:
+        obs.enable()  # only obs counts kernel crossings
+    try:
+        before = obs.metrics.snapshot()["counters"]
+        hits0 = vol.kernel.readcache.stats.hits
+        read_back = True
+        for _ in range(STEADY_OPS):
+            fd = reader.open("/hot")
+            read_back &= reader.pread(fd, len(payload), 0) == payload
+            reader.close(fd)
+        after = obs.metrics.snapshot()["counters"]
+    finally:
+        if not was_enabled:
+            obs.disable()
+
+    def delta(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    return {"des": {"rwlock": _reads_des(_rwlock_read),
+                    "seqlock": _reads_des(_seqlock_read)},
+            "drbh": drbh,
+            "readcache": {"kernel_crossings": delta("kernel.crossings"),
+                          "crossings_avoided": delta("readpath.crossings_avoided"),
+                          "cache_hits": vol.kernel.readcache.stats.hits - hits0,
+                          "validations": vol.kernel.readcache.stats.validations,
+                          "read_back": read_back}}
+
+
+def _reads_render(data) -> str:
+    des, drbh, rc = data["des"], data["drbh"], data["readcache"]
+    lines = ["== read-path scaling: rwlock read side vs the patched read path ==",
+             "", f"{'threads':<9}{'rwlock Mops':>13}{'seqlock Mops':>14}{'speedup':>9}",
+             "-" * 45]
+    for n in SCALING_THREADS:
+        r, s = des["rwlock"]["mops"][str(n)], des["seqlock"]["mops"][str(n)]
+        lines.append(f"{n:<9}{r:>13.2f}{s:>14.2f}{s / r:>8.1f}x")
+    return "\n".join(lines + [
+        "", f"at {SCALING_THREADS[-1]} threads:",
+        f"  rwlock:  mean op {des['rwlock']['mean_op_ns']:.0f} ns "
+        f"({des['rwlock']['contended']} contended lock acquisitions)",
+        f"  seqlock: mean op {des['seqlock']['mean_op_ns']:.0f} ns "
+        f"({des['seqlock']['contended']} contended)",
+        "", f"functional DRBH, {DRBH_OPS} hot-block reads:",
+        *[f"  {name + ':':<9}{r['read_lock_acquisitions']} read-lock "
+          f"acquisitions, {r['bytes_read']} bytes" for name, r in drbh.items()],
+        "", f"mapping cache, {STEADY_OPS} cross-app open/pread/close:",
+        f"  kernel crossings:  {rc['kernel_crossings']}",
+        f"  crossings avoided: {rc['crossings_avoided']} ({rc['cache_hits']} "
+        f"cache hit(s), {rc['validations']} validations)"])
+
+
+def _reads_check(data) -> List[str]:
+    """The optimistic read beats the rwlock read side >= 3x at 8 threads
+    and scales while the rwlock waits; DRBH takes no read lock under
+    arckfs+; steady cross-app reads never enter the kernel."""
+    rw, seq = data["des"]["rwlock"], data["des"]["seqlock"]
+    r, s = rw["mops"], seq["mops"]
+    top = str(SCALING_THREADS[-1])
+    plain, plus = data["drbh"]["arckfs"], data["drbh"]["arckfs+"]
+    rc = data["readcache"]
+    return _unmet(
+        (s[top] < 3.0 * r[top], f"{top} threads: seqlock {s[top]:.2f} Mops "
+         f"< 3x rwlock {r[top]:.2f}"),
+        (r[top] >= 1.5 * r["2"], f"rwlock not lock-bound: {r[top]:.2f} Mops "
+         f"at {top} threads vs {r['2']:.2f} at 2"),
+        (s[top] <= 3.0 * s["1"], f"seqlock did not scale: {s[top]:.2f} Mops "
+         f"at {top} threads vs {s['1']:.2f} at 1"),
+        (rw["mean_op_ns"] <= 2 * seq["mean_op_ns"], f"rwlock mean op "
+         f"{rw['mean_op_ns']:.0f} ns not 2x the seqlock's {seq['mean_op_ns']:.0f}"),
+        (seq["contended"] != 0, f"seqlock: {seq['contended']} contended acquisitions"),
+        (rw["contended"] == 0, "rwlock: no contended acquisition"),
+        (plain["read_lock_acquisitions"] < DRBH_OPS, f"DRBH arckfs: "
+         f"{plain['read_lock_acquisitions']} read locks for {DRBH_OPS} reads"),
+        (plus["read_lock_acquisitions"] != 0, f"DRBH arckfs+: "
+         f"{plus['read_lock_acquisitions']} read locks (want 0)"),
+        (plus["bytes_read"] != plain["bytes_read"], f"DRBH bytes read: arckfs+ "
+         f"{plus['bytes_read']} vs arckfs {plain['bytes_read']}"),
+        (rc["kernel_crossings"] != 0,
+         f"mapping cache: {rc['kernel_crossings']} kernel crossings (want 0)"),
+        (rc["crossings_avoided"] < 1, "mapping cache: no crossing avoided"),
+        (rc["cache_hits"] < 1, "mapping cache: no hit"),
+        (not rc["read_back"], "mapping cache: a read returned other bytes"))
+
+
+# -- tx: the batched redo log vs per-op persistence -------------------------- #
+
+
+def _tx_run():
+    from repro.api import Volume, VolumeConfig
+    from repro.concurrency.failpoints import failpoints
+
+    def session():
+        vol = Volume.create(32 << 20, VolumeConfig(inode_count=256))
+        return vol, vol.session("tx")
+
+    out = {}
+    for n in TX_BATCHES:
+        vol, s = session()
+        f0 = vol.device.stats.fences
+        for i in range(n):
+            s.write_file(f"/f{i}", TX_PAYLOAD)
+        per_op = vol.device.stats.fences - f0
+        s.shutdown()
+
+        vol, s = session()
+        tx = s.transaction()
+        for i in range(n):
+            tx.write_file(f"/f{i}", TX_PAYLOAD)
+        # Durability is the seal: the fences after it (apply, checkpoint)
+        # are work the caller does not wait on to be durable.
+        at_seal = {}
+        f0 = vol.device.stats.fences
+        failpoints.install("tx.post_seal", lambda _ctx: at_seal.update(
+            fences=vol.device.stats.fences))
+        try:
+            stats = tx.commit()
+        finally:
+            failpoints.remove("tx.post_seal")
+        s.shutdown()
+        out[str(n)] = {"per_op_fences": per_op,
+                       "tx_seal_fences": at_seal["fences"] - f0,
+                       "log_pages": stats["log_pages"],
+                       "log_bytes": stats["log_bytes"]}
+    return out
+
+
+def _tx_speedup(n: int, counts) -> float:
+    """Modeled latency to durability, per-op over batched, for a batch of
+    ``n`` ops costing the measured ``counts`` fences: the fences come from
+    the functional stack, so a fence added to the seal path shows here."""
+    work = n * (COST.op_cpu + COST.pm_write_lat)
+    return ((work + counts["per_op_fences"] * COST.fence)
+            / (work + counts["tx_seal_fences"] * COST.fence))
+
+
+def _tx_render(data) -> str:
+    lines = ["== transaction commit: batched redo log vs per-op persistence ==",
+             "", f"{'batch':<7}{'per-op fences':>15}{'tx seal fences':>16}"
+             f"{'modeled speedup':>17}", "-" * 55]
+    for n in TX_BATCHES:
+        f = data[str(n)]
+        lines.append(f"{n:<7}{f['per_op_fences']:>15}{f['tx_seal_fences']:>16}"
+                     f"{_tx_speedup(n, f):>16.2f}x")
+    top = data[str(TX_BATCHES[-1])]
+    return "\n".join(lines + [
+        "", f"at batch {TX_BATCHES[-1]}: durability costs {top['tx_seal_fences']} "
+        f"fence(s) for the whole transaction ({top['log_pages']} log page(s), "
+        f"{top['log_bytes']} bytes) vs {top['per_op_fences']} per-op — the seal "
+        "is one 8-byte atomic publish."])
+
+
+def _tx_check(data) -> List[str]:
+    """Fences to durability stay constant (<= 4) in the batch while per-op
+    persistence pays per op; the batched commit models >= 2x from batch
+    4, rising with the batch to >= 2.5x."""
+    seal = {n: data[str(n)]["tx_seal_fences"] for n in TX_BATCHES}
+    per_op = {n: data[str(n)]["per_op_fences"] for n in TX_BATCHES}
+    speedups = [_tx_speedup(n, data[str(n)]) for n in TX_BATCHES]
+    at4 = speedups[TX_BATCHES.index(4)]
+    first, last = TX_BATCHES[0], TX_BATCHES[-1]
+    return _unmet(
+        (len(set(seal.values())) != 1, f"seal fences vary with the batch: {seal}"),
+        (max(seal.values()) > 4, f"seal fences {max(seal.values())} (want <= 4)"),
+        (per_op[last] < 8 * per_op[first], f"per-op fences {per_op[last]} at "
+         f"batch {last}, not 8x the {per_op[first]} at batch {first}"),
+        (at4 < 2.0, f"batch 4: modeled speedup {at4:.2f}x (want >= 2)"),
+        (speedups != sorted(speedups), "modeled speedup falls with the batch: "
+         + ", ".join(f"{x:.2f}x" for x in speedups)),
+        (speedups[-1] < 2.5,
+         f"batch {last}: modeled speedup {speedups[-1]:.2f}x (want >= 2.5)"))
+
+
+# -- striping: bandwidth vs member devices ----------------------------------- #
+
+
+def _striping_run():
+    from repro.api import Volume, VolumeConfig
+
+    modeled = {op: {str(n): STRIPE_BYTES / COST.delegate_io_time(  # B/ns = GB/s
+        STRIPE_BYTES, devices=n, workers_per_device=STRIPE_WORKERS, read=read)
+                    for n in STRIPE_DEVICES}
+               for op, read in (("write", False), ("read", True))}
+    vol = Volume.create(32 << 20, VolumeConfig(
+        devices=4, stripe_pages=STRIPE_PAGES, inode_count=128))
+    payload = bytes(range(256)) * (STRIPE_BYTES // 256)
+    with vol.session("striping") as sess:
+        fd = sess.open("/big.dat", create=True)
+        before = [m.stats.snapshot() for m in vol.device.members]
+        sess.pwrite(fd, payload, 0)
+        deltas = [m.stats.diff(b) for m, b in zip(vol.device.members, before)]
+        read_back = sess.pread(fd, STRIPE_BYTES, 0) == payload
+    vol.close()
+    return {"modeled_gbps": modeled,
+            "fanout": {"devices": vol.device.devices,
+                       "bytes_stored": [d.bytes_stored for d in deltas],
+                       "ntstores": [d.ntstores for d in deltas],
+                       "persist_calls": [d.fences for d in deltas],
+                       "read_back": read_back}}
+
+
+def _striping_render(data) -> str:
+    bw, fo = data["modeled_gbps"], data["fanout"]
+    lines = ["== data striping: bandwidth vs member devices "
+             f"({STRIPE_BYTES >> 20} MiB extents, {STRIPE_WORKERS} workers/device) ==",
+             "", f"{'devices':<9}{'write GB/s':>12}{'read GB/s':>12}{'w-speedup':>11}",
+             "-" * 44]
+    for n in STRIPE_DEVICES:
+        w, r = bw["write"][str(n)], bw["read"][str(n)]
+        lines.append(f"{n:<9}{w:>12.2f}{r:>12.2f}{w / bw['write']['1']:>10.1f}x")
+    total = sum(fo["bytes_stored"])
+    return "\n".join(lines + [
+        "", f"functional {STRIPE_BYTES >> 20} MiB pwrite on {fo['devices']} devices:",
+        "  byte shares per device: "
+        + ", ".join(f"{b / total:.0%}" for b in fo["bytes_stored"]),
+        f"  ntstores per device:    {fo['ntstores']}",
+        f"  persist calls per device: {fo['persist_calls']}"])
+
+
+def _striping_check(data) -> List[str]:
+    """>= 3x modeled sequential-write bandwidth at 4 devices, rising with
+    every device added; every member stores a near-equal share and takes
+    its own persist calls."""
+    w, fo = data["modeled_gbps"]["write"], data["fanout"]
+    rising = [w[str(n)] for n in STRIPE_DEVICES]
+    stored = fo["bytes_stored"]
+    return _unmet(
+        (w["4"] < 3.0 * w["1"],
+         f"4 devices: {w['4']:.2f} GB/s modeled write, not 3x {w['1']:.2f}"),
+        (any(a >= b for a, b in zip(rising, rising[1:])),
+         f"modeled write bandwidth not rising with devices: {rising}"),
+        (min(stored) <= 0, f"a member stored nothing: {stored}"),
+        (min(fo["persist_calls"]) <= 0,
+         f"a member took no persist call: {fo['persist_calls']}"),
+        (max(stored) >= 2 * min(stored), f"byte shares more than 2x apart: {stored}"),
+        (not fo["read_back"], "striped pwrite did not read back"))
+
+
+# -- ablation: what each ArckFS+ patch costs --------------------------------- #
+
+
+def _ablation_run():
+    from repro.api import Volume, VolumeConfig
+    from repro.core.config import ARCKFS, ARCKFS_PLUS
+    from repro.workloads.microbench import METADATA_OPS
+
+    mechanisms = {}
+
+    def each(metric, configs, measure):
+        """``measure(volume, fs)`` on a fresh volume under each config."""
+        mechanisms[metric] = {}
+        for config in configs:
+            vol = Volume.create(64 << 20, VolumeConfig(config=config, inode_count=2048))
+            mechanisms[metric][config.name] = measure(vol, vol.session("abl", uid=0).fs)
+
+    def fences_per_create(vol, fs):
+        fs.mkdir("/d")
+        f0 = vol.device.stats.fences
+        for i in range(16):
+            fs.close(fs.creat(f"/d/f{i}"))
+        return (vol.device.stats.fences - f0) / 16
+
+    def rcu_sections_per_open(vol, fs):
+        # 5 deep, but the walk is remembered: a repeated open enters one
+        # read-side section, for the leaf.
+        fs.makedirs("/a/b/c/d")
+        fs.write_file("/a/b/c/d/x", b"p")
+        r0 = fs.rcu.read_sections
+        for _ in range(16):
+            fs.close(fs.open("/a/b/c/d/x"))
+        return (fs.rcu.read_sections - r0) / 16
+
+    def bucket_locks_per_release(vol, fs):
+        fs.mkdir("/d")
+        fs.close(fs.creat("/d/f"))
+        fs.commit_path("/")
+        mi = fs._resolve_dir(("d",))
+        a0 = sum(b.lock.acquisitions for b in mi.dir.buckets.values())
+        fs.release_path("/d")
+        return sum(b.lock.acquisitions for b in mi.dir.buckets.values()) - a0
+
+    def per_dir_rename(counter):
+        def measure(vol, fs):
+            fs.mkdir("/src")
+            fs.mkdir("/src/d")
+            fs.mkdir("/dst")
+            before = counter(vol.kernel)
+            fs.rename("/src/d", "/dst/d")
+            return counter(vol.kernel) - before
+        return measure
+
+    each("fences/create",  # §4.2
+         (ARCKFS, ARCKFS.with_patch(fence_before_marker=True, name="+fence")),
+         fences_per_create)
+    each("rcu-sections/open",  # §4.5
+         (ARCKFS, ARCKFS.with_patch(rcu_buckets=True, name="+rcu")),
+         rcu_sections_per_open)
+    each("bucket-locks/release",  # §4.3
+         (ARCKFS, ARCKFS.with_patch(locked_release=True, name="+lockrel")),
+         bucket_locks_per_release)
+    each("lease-grants/dir-rename", (ARCKFS, ARCKFS_PLUS),  # §4.6
+         per_dir_rename(lambda k: k.rename_lease.grants))
+    each("verifications/dir-rename", (ARCKFS, ARCKFS_PLUS),  # §4.1
+         per_dir_rename(lambda k: k.stats.verifications))
+
+    # Zero one calibrated mechanism at a time and re-run the single-thread
+    # Figure 3 ops: the ArckFS+/ArckFS ratio that is left is the rest's.
+    variants = {"full ArckFS+": COST,
+                "without §4.5 RCU cost": dataclasses.replace(COST, rcu_read=0.0),
+                "without §4.2 fence cost": dataclasses.replace(COST, fence=0.0)}
+    attribution = {}
+    for op in ("create", "open", "delete"):
+        w = METADATA_OPS[op]
+        attribution[op] = {
+            label: _pct(run_workload("arckfs+", w, 1, cost=cost).mops,
+                        run_workload("arckfs", w, 1, cost=cost).mops)
+            for label, cost in variants.items()}
+        attribution[op]["ArckFS baseline Mops"] = run_workload("arckfs", w, 1).mops
+    return {"mechanisms": mechanisms, "attribution": attribution}
+
+
+def _ablation_render(data) -> str:
+    lines = ["== Ablation 1: functional mechanism counts per patch =="]
+    lines += [f"  {f'{config:<12} {metric}':<44} {value:8.2f}"
+              for metric, per in data["mechanisms"].items()
+              for config, value in per.items()]
+    lines += ["", "== Ablation 2: DES single-thread ratio with one mechanism zeroed =="]
+    for op, cells in data["attribution"].items():
+        lines.append(f"  {op}:")
+        lines += [f"    {label:<28} {value:8.2f}{' Mops' if 'Mops' in label else '%'}"
+                  for label, value in cells.items()]
+    return "\n".join(lines)
+
+
+def _ablation_check(data) -> List[str]:
+    """Each patch adds exactly its mechanism: §4.2 one fence per create,
+    §4.5 a read-side section per open, §4.3 bucket locks on release,
+    §4.6/§4.1 a rename lease and an extra verification; zeroing the RCU
+    (fence) cost recovers most of the open (create) drop."""
+    m, att = data["mechanisms"], data["attribution"]
+    fences, rcu = m["fences/create"], m["rcu-sections/open"]
+    locks, grants = m["bucket-locks/release"], m["lease-grants/dir-rename"]
+    verifs = m["verifications/dir-rename"]
+    return _unmet(
+        (fences["+fence"] != fences["arckfs"] + 1,
+         f"§4.2: {fences['+fence']} fences/create patched vs {fences['arckfs']}"),
+        (rcu["arckfs"] != 0, f"§4.5: {rcu['arckfs']} rcu sections/open unpatched"),
+        (rcu["+rcu"] < 1, f"§4.5: {rcu['+rcu']} rcu sections/open patched"),
+        (locks["arckfs"] != 0, f"§4.3: {locks['arckfs']} bucket locks/release unpatched"),
+        (locks["+lockrel"] < 1, f"§4.3: {locks['+lockrel']} bucket locks/release patched"),
+        (grants["arckfs"] != 0, f"§4.6: {grants['arckfs']} lease grants unpatched"),
+        (grants["arckfs+"] < 1, f"§4.6: {grants['arckfs+']} lease grants patched"),
+        (verifs["arckfs+"] <= verifs["arckfs"], f"§4.1: {verifs['arckfs+']} "
+         f"verifications/dir-rename patched vs {verifs['arckfs']}"),
+        (att["open"]["without §4.5 RCU cost"] <= 95.0, "open without the RCU cost: "
+         f"{att['open']['without §4.5 RCU cost']:.2f}% (want > 95)"),
+        (att["create"]["without §4.2 fence cost"] <= 95.0, "create without the fence "
+         f"cost: {att['create']['without §4.2 fence cost']:.2f}% (want > 95)"))
+
+
+# -- fsck: the pipelined checker's worker scaling ---------------------------- #
+
+
+def _fsck_run():
+    from repro.fsck import build_volume, run_fsck
+
+    device, _kernel, _fs = build_volume(**FSCK_VOLUME)
+    out = {}
+    for w in FSCK_WORKERS:
+        doc = run_fsck(device, workers=w).to_dict()
+        out[str(w)] = {"findings": doc["findings"], **doc["stats"],
+                       "modeled_ns": doc["timing"]["modeled_ns"],
+                       "phase_ns": doc["timing"]["phase_ns"]}
+    return out
+
+
+def _fsck_render(data) -> str:
+    base = data[str(FSCK_WORKERS[0])]
+    lines = ["== fsck worker scaling ==",
+             f"volume: {base['inodes_valid']} inodes ({base['dirs']} dirs, "
+             f"{base['files']} files), {base['dentries']} dentries, "
+             f"{base['pages_claimed']} pages, "
+             f"{base['bytes_scanned'] / (1 << 20):.1f} MiB scanned",
+             "", f"{'workers':<9}{'scan ms':>10}{'check ms':>10}{'graph ms':>10}"
+             f"{'total ms':>10}{'MiB/s':>10}{'speedup':>9}", "-" * 68]
+    for w in FSCK_WORKERS:
+        r = data[str(w)]
+        mibps = r["bytes_scanned"] / (1 << 20) / (r["modeled_ns"] / 1e9)
+        lines.append(f"{w:<9}" + "".join(f"{r['phase_ns'][p] / 1e6:>10.3f}"
+                                         for p in ("scan", "check", "graph"))
+                     + f"{r['modeled_ns'] / 1e6:>10.3f}{mibps:>10.0f}"
+                     f"{base['modeled_ns'] / r['modeled_ns']:>8.2f}x")
+    return "\n".join(lines + ["", "(modeled virtual time; the serial graph "
+                              "merge bounds the asymptote)"])
+
+
+def _fsck_check(data) -> List[str]:
+    """The same clean volume and the same counts at every worker count;
+    modeled time falls with every worker added, >= 2x end to end at 8 and
+    >= 4x on the parallel scan."""
+    base = data[str(FSCK_WORKERS[0])]
+    totals = [data[str(w)]["modeled_ns"] for w in FSCK_WORKERS]
+    scans = [data[str(w)]["phase_ns"]["scan"] for w in FSCK_WORKERS]
+    runs = [(w, data[str(w)]) for w in FSCK_WORKERS]
+    return _unmet(
+        *[(r["findings"] != [], f"{w} workers: {len(r['findings'])} finding(s)")
+          for w, r in runs],
+        *[(r[k] != base[k], f"{w} workers: {k} {r[k]} vs {base[k]} with "
+           f"{FSCK_WORKERS[0]}") for w, r in runs
+          for k in ("inodes_valid", "dentries", "pages_claimed")],
+        (any(a <= b for a, b in zip(totals, totals[1:])),
+         f"modeled time not falling with workers: {totals}"),
+        (totals[0] < 2.0 * totals[-1], f"{FSCK_WORKERS[-1]} workers: "
+         f"{totals[0] / totals[-1]:.2f}x end to end (want >= 2)"),
+        (scans[0] < 4.0 * scans[-1], f"{FSCK_WORKERS[-1]} workers: "
+         f"{scans[0] / scans[-1]:.2f}x on the scan (want >= 4)"))
 
 
 # -- The registry ------------------------------------------------------------ #
@@ -476,4 +1130,16 @@ EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
                _leveldb_run, _leveldb_render, _leveldb_check),
     Experiment("table4", "Table 4: sharing cost + verification scaling",
                _table4_run, _table4_render, _table4_check),
+    Experiment("alloc", "per-thread page pools vs the global lock, extent writes",
+               _alloc_run, _alloc_render, _alloc_check),
+    Experiment("reads", "rwlock vs seqlock reads, DRBH locks, mapping-cache crossings",
+               _reads_run, _reads_render, _reads_check),
+    Experiment("tx", "transaction seal fences and the modeled commit speedup",
+               _tx_run, _tx_render, _tx_check),
+    Experiment("striping", "modeled bandwidth vs devices, per-member fan-out",
+               _striping_run, _striping_render, _striping_check),
+    Experiment("ablation", "what each ArckFS+ patch costs, mechanism by mechanism",
+               _ablation_run, _ablation_render, _ablation_check),
+    Experiment("fsck", "whole-volume fsck at 1/2/4/8 workers",
+               _fsck_run, _fsck_render, _fsck_check),
 )}

@@ -51,7 +51,6 @@ from repro.obs.metrics import (  # noqa: F401  (re-exported API)
     Histogram,
     MetricsRegistry,
     format_snapshot,
-    write_snapshot,
 )
 from repro.obs.profile import (  # noqa: F401  (re-exported API)
     PipelineProfile,

@@ -21,7 +21,6 @@ Everything here is standard library only and thread-safe; the *cost* story
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -376,12 +375,3 @@ def format_snapshot(snap: Dict[str, Dict], title: str = "") -> str:
                 f"p95={s['p95']:.0f} p99={s['p99']:.0f} max={s['max']:.0f}"
             )
     return "\n".join(out)
-
-
-def write_snapshot(path: str, snap: Dict[str, Dict], **extra) -> None:
-    """Persist a snapshot (plus caller context) as pretty-printed JSON."""
-    doc = dict(extra)
-    doc["metrics"] = snap
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -99,7 +99,7 @@ class CostModel:
     #: cache-line bouncing on its in-memory inode.  Identical for both.
     mrph_hot_extra: float = 900.0
 
-    # -- lock-free read path (bench_read_scaling.py's DES sweep) ---------- #
+    # -- lock-free read path (the ``reads`` experiment's DES sweep) ------ #
     #: [hw] one atomic RMW on a shared cacheline (lock-prefixed op with the
     #: line bouncing between cores) — the unit cost of an rwlock read
     #: acquire/release and of a shared-counter increment.

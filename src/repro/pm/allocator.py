@@ -26,7 +26,8 @@ them as advisory ``page-reserved`` findings and ``--repair`` clears them.
 refill hands out everything it reserves and nothing tagged is left behind
 on the volume they are cleaning or corrupting.  The seed allocator (global
 lock, one bitmap persist and one durable zero *per page*) survives only as
-the frozen rows of ``benchmarks/baselines/alloc_scaling.json``.
+its measured costs, ``repro.experiments.SEED_ALLOC`` and
+``SEED_PWRITE_1MIB``.
 """
 
 from __future__ import annotations

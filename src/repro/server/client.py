@@ -41,6 +41,8 @@ class ServerClient(asyncio.Protocol):
         self.sent = 0
         self.received = 0
         self.unmatched = 0
+        #: Retryable rejections :meth:`call_retry` absorbed.
+        self.retries = 0
         #: Why no further call can be answered (closed, hung up on, or sent
         #: something that cannot be framed); None while the connection works.
         self._lost: Optional[ReproError] = None
@@ -143,6 +145,7 @@ class ServerClient(asyncio.Protocol):
                 if (not getattr(exc, "retryable", False)
                         or isinstance(exc, TxAborted) or attempt == retries):
                     raise
+                self.retries += 1
                 obs.count("client.retries", method=method,
                           type=type(exc).__name__)
                 await asyncio.sleep(delay)

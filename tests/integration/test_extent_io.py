@@ -4,23 +4,18 @@
 page run and skips the durable pre-zero of pages it fully overwrites.
 These tests pin the file contents against a ``bytearray`` model and the
 >= 4x persist-call reduction over the seed per-page path, whose cost is
-the frozen ``persist.legacy`` row of ``baselines/alloc_scaling.json``.
+``repro.experiments.SEED_PWRITE_1MIB``.
 """
-
-import json
-import pathlib
 
 import pytest
 
 from repro.core.config import ARCKFS_PLUS
+from repro.experiments import SEED_PWRITE_1MIB
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.crash import CrashSim
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
-
-BASELINE = pathlib.Path(__file__).resolve().parents[2] / \
-    "benchmarks" / "baselines" / "alloc_scaling.json"
 
 
 def build(config, size=8 * 1024 * 1024):
@@ -90,14 +85,12 @@ class TestCorrectness:
 
 class TestPersistCost:
     def test_persist_calls_drop_4x_per_mib(self):
-        # The seed per-page path's cost for the same write (519).
-        seed = json.loads(BASELINE.read_text())["persist"]["legacy"]
         device, fs = build(ARCKFS_PLUS)
         fd = fs.creat("/big")
         before = device.stats.fences
         fs.pwrite(fd, b"\x5a" * MiB, 0)
         fences = device.stats.fences - before
-        assert seed["persist_calls"] / fences >= 4.0, fences
+        assert SEED_PWRITE_1MIB["persist_calls"] / fences >= 4.0, fences
         # 256 physically contiguous fresh pages coalesce into one extent.
         assert fs.stats.write_extents == 1
 

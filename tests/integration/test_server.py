@@ -13,7 +13,9 @@ Covered failure modes, per the serving contract:
 * eviction of an idle session that still holds its inodes;
 * drain behind a pipelined burst (everything read before it is answered);
 * backpressure: a burst past the tenant's per-read bound is refused with
-  typed, retryable :class:`~repro.errors.Overloaded`.
+  typed, retryable :class:`~repro.errors.Overloaded`;
+* a closed-loop fleet: every op completes, nothing is lost or answered
+  twice, and the drained volumes are fsck-clean.
 """
 
 import asyncio
@@ -26,11 +28,13 @@ import pytest
 from repro import errors, obs
 from repro.api import Volume
 from repro.server import (
+    LoadConfig,
     ServerClient,
     ServerConfig,
     TenantPolicy,
     VolumeServer,
     make_volumes,
+    run_load,
 )
 from repro.server import protocol
 from repro.server.dispatch import SESSION_OPS
@@ -569,3 +573,50 @@ class TestDrain:
                 await server.drain()
                 assert server.draining
         run(main())
+
+
+class TestFleet:
+    """The closed-loop load generator against a served fleet of volumes
+    (``repro loadgen --self --clients 250 --ops 6`` is 1 000 sessions)."""
+
+    def test_every_op_completes_once(self):
+        cfg = LoadConfig(tenants=("t0", "t1", "t2", "t3"), clients_per_tenant=25,
+                         ops_per_client=4, payload=512, seed=1337)
+
+        async def main():
+            async with serving(cfg.tenants) as (server, volumes):
+                report = await run_load("127.0.0.1", server.port, cfg)
+                await server.drain()
+                return report, {t: vol.fsck().clean for t, vol in volumes.items()}
+
+        obs.enable()
+        try:
+            report, clean = run(main())
+            # 25 sessions share each volume's directory spine: the server
+            # recalls a holder, so no ownership conflict crosses the wire.
+            tryagain = obs.metrics.counter_total("client.retries", type="TryAgain")
+        finally:
+            obs.disable()
+        assert report.total_completed == cfg.total_ops == 400
+        assert report.completed == {t: 100 for t in cfg.tenants}
+        assert report.failures == {t: 0 for t in cfg.tenants}
+        assert (report.lost_responses, report.unmatched_responses) == (0, 0)
+        assert report.requests_sent == report.responses_received
+        assert tryagain == 0
+        assert all(clean.values()), clean
+
+    def test_a_client_stopped_before_its_ops_fails_them_all(self):
+        # No tenant "zz": each client's session.open is refused, retried 8
+        # times, and no op runs.  All six count as failed (it was 0), and
+        # the retries are this run's own, with obs off (they were read from
+        # the process-wide obs counter, so 0 here).
+        cfg = LoadConfig(tenants=("zz",), clients_per_tenant=2, ops_per_client=3)
+
+        async def main():
+            async with serving() as (server, _):
+                return await run_load("127.0.0.1", server.port, cfg)
+
+        report = run(main())
+        assert report.completed == {"zz": 0}
+        assert report.failures == {"zz": 6}
+        assert report.retries == 16

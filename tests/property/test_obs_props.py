@@ -1,9 +1,9 @@
 """Property tests for the metrics layer.
 
-The rollup invariant the snapshot code (and the regression gate built on
-top of it) depends on: merging per-label histograms into a base-name
-aggregate must be indistinguishable from having fed the combined stream
-into a single histogram — for every percentile, not just the moments.
+The rollup invariant the snapshot code depends on: merging per-label
+histograms into a base-name aggregate must be indistinguishable from
+having fed the combined stream into a single histogram — for every
+percentile, not just the moments.
 """
 
 import pytest

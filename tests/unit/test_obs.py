@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_snapshot,
     render_name,
-    write_snapshot,
 )
 from repro.obs.trace import NULL_SPAN, Tracer, read_jsonl
 
@@ -306,21 +305,15 @@ def test_render_name():
     assert render_name("x", (("a", "1"),)) == "x{a=1}"
 
 
-def test_format_and_write_snapshot(tmp_path):
+def test_format_snapshot():
     reg = MetricsRegistry()
     reg.counter("kernel.crossings", reason="mmap").inc(7)
     reg.gauge("run.threads").set(4)
     reg.histogram("lat").observe(1234)
-    snap = reg.snapshot()
-    text = format_snapshot(snap, title="unit")
+    text = format_snapshot(reg.snapshot(), title="unit")
     assert "== metrics: unit ==" in text
     assert "kernel.crossings{reason=mmap}" in text
     assert "p95=" in text
-    path = tmp_path / "m.json"
-    write_snapshot(str(path), snap, bench="unit-test")
-    doc = json.loads(path.read_text())
-    assert doc["bench"] == "unit-test"
-    assert doc["metrics"]["counters"]["kernel.crossings"] == 7
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,5 @@
-"""Unit tests for the exporters (Prometheus, top) and the regression gate."""
+"""Unit tests for the exporters (Prometheus, top)."""
 
-import pytest
-
-from repro.obs import regress
 from repro.obs.export import render_top, to_prometheus
 from repro.obs.metrics import MetricsRegistry
 
@@ -94,116 +91,6 @@ def test_render_top_first_frame_and_sections():
     out = render_top(cur, None, 0.5)
     assert "c" in out and "run.threads" in out and "lat" in out
     assert "p95" in out
-
-
-# --------------------------------------------------------------------------- #
-# Regression gate
-# --------------------------------------------------------------------------- #
-
-
-SNAP = {
-    "counters": {"kernel.crossings": 10, "pm.fences": 100},
-    "gauges": {"run.wall_ns": 12345, "des.utilization": 0.5},
-    "histograms": {"lat": {"count": 4, "sum": 40, "min": 5, "max": 20,
-                           "mean": 10.0, "p50": 9.0, "p95": 19.0,
-                           "p99": 20.0}},
-}
-
-
-def test_flatten_dotted_names():
-    flat = regress.flatten(SNAP)
-    assert flat["counters.kernel.crossings"] == 10
-    assert flat["gauges.des.utilization"] == 0.5
-    assert flat["histograms.lat.count"] == 4
-    assert flat["histograms.lat.p95"] == 19.0
-
-
-def test_make_baseline_ignores_wall_derived_series():
-    doc = regress.make_baseline(SNAP, source="unit")
-    assert doc["kind"] == "repro-metrics-baseline"
-    m = doc["metrics"]
-    assert "counters.kernel.crossings" in m
-    assert "histograms.lat.count" in m
-    # Wall-derived series are ignored by default.
-    for gone in ("histograms.lat.p50", "histograms.lat.mean",
-                 "histograms.lat.sum", "gauges.run.wall_ns"):
-        assert gone not in m
-
-
-def test_compare_within_band_passes():
-    doc = regress.make_baseline(SNAP, rtol=0.05)
-    snap = {"counters": {"kernel.crossings": 10, "pm.fences": 104},
-            "gauges": {"des.utilization": 0.51},
-            "histograms": {"lat": {"count": 4}}}
-    assert regress.compare(snap, doc) == []
-
-
-def test_compare_out_of_band_and_missing_fail():
-    doc = regress.make_baseline(SNAP, rtol=0.05)
-    snap = {"counters": {"kernel.crossings": 20},  # 2x: out of band
-            "gauges": {},                          # des.utilization missing
-            "histograms": {"lat": {"count": 4}}}
-    violations = regress.compare(snap, doc)
-    by_metric = {v.metric: v for v in violations}
-    v = by_metric["counters.kernel.crossings"]
-    assert v.current == 20 and v.lo == pytest.approx(9.5)
-    assert "outside" in str(v)
-    miss = by_metric["gauges.des.utilization"]
-    assert miss.current is None and "missing" in str(miss)
-    assert "counters.pm.fences" in by_metric
-
-
-def test_compare_new_metrics_are_not_violations():
-    doc = regress.make_baseline(SNAP)
-    snap = {"counters": {**SNAP["counters"], "brand.new": 7},
-            "gauges": dict(SNAP["gauges"]),
-            "histograms": dict(SNAP["histograms"])}
-    assert regress.compare(snap, doc) == []
-    assert regress.new_metrics(snap, doc) == ["counters.brand.new"]
-
-
-def test_compare_per_metric_overrides():
-    doc = regress.make_baseline(
-        SNAP, rtol=0.0,
-        overrides={"counters.pm.fences": {"rtol": 0.5}})
-    snap = {"counters": {"kernel.crossings": 10, "pm.fences": 140},
-            "gauges": {"des.utilization": 0.5},
-            "histograms": {"lat": {"count": 4}}}
-    # fences moved 40% — allowed by its override; everything else exact.
-    assert regress.compare(snap, doc) == []
-    snap["counters"]["kernel.crossings"] = 11
-    assert len(regress.compare(snap, doc)) == 1
-
-
-def test_compare_atol_band():
-    doc = regress.make_baseline(SNAP, rtol=0.0, atol=2.0)
-    snap = {"counters": {"kernel.crossings": 12, "pm.fences": 102},
-            "gauges": {"des.utilization": 0.5},
-            "histograms": {"lat": {"count": 4}}}
-    assert regress.compare(snap, doc) == []
-
-
-def test_baseline_file_round_trip(tmp_path):
-    doc = regress.make_baseline(SNAP, source="unit")
-    path = tmp_path / "base.metrics.json"
-    regress.write_baseline(str(path), doc)
-    back = regress.load_baseline(str(path))
-    assert back["metrics"] == doc["metrics"]
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text('{"not": "a baseline"}')
-    with pytest.raises(ValueError):
-        regress.load_baseline(str(garbage))
-
-
-def test_load_sidecar_accepts_wrapped_and_bare(tmp_path):
-    import json
-
-    wrapped = tmp_path / "w.metrics.json"
-    wrapped.write_text(json.dumps({"bench": "b", "metrics": SNAP}))
-    bare = tmp_path / "b.metrics.json"
-    bare.write_text(json.dumps(SNAP))
-    assert regress.load_sidecar(str(wrapped)) == SNAP
-    assert regress.load_sidecar(str(bare)) == SNAP
 
 
 def test_read_path_counters_export_with_session_labels():

@@ -191,6 +191,24 @@ def test_pipeline_attribution_against_worker_totals():
     assert cp["attributed_fraction"] == pytest.approx(0.9)
 
 
+def test_verify_pipeline_critical_path_is_attributed():
+    """Table 4's ping-pong with 8 verifier workers: the named stages explain
+    >= 90 % of the slowest shard, page checks among them, and the chain
+    walks and the commit stay serial."""
+    from repro.workloads.sharing import run_functional_sharing
+
+    obs.enable(profile=True)
+    try:
+        run_functional_sharing(file_kib=256, verify_workers=8)
+    finally:
+        obs.disable()
+    cp = obs.profiler.pipelines()["verify.w8"].critical_path()
+    assert cp["workers"] == 8, cp
+    assert cp["attributed_fraction"] >= 0.9, cp
+    assert "check_pages" in cp["stages"], cp
+    assert {"enumerate", "commit"} <= set(cp["serial_stages"]), cp
+
+
 def test_pipeline_empty_critical_path():
     cp = PipelineProfile("empty").critical_path()
     assert cp["worker"] is None
