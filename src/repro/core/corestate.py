@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ChainCorrupt, InvalidArgument, NameTooLong
+from repro.errors import ChainCorrupt, InvalidArgument, NameTooLong, PersistOrderError
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import CACHE_LINE
 from repro.pm.layout import (
@@ -385,12 +385,27 @@ class CoreState:
         return (self.geom.page_off(index_pages[pos // INDEX_SLOTS])
                 + PAGEHDR_SIZE + pos % INDEX_SLOTS * 8)
 
-    def store_index_slot(self, index_pages: List[int], pos: int, page_no: int) -> None:
-        """Atomically map a file's ``pos``-th page to ``page_no`` (0 unmaps
-        it) and queue the write-back; the caller fences."""
-        addr = self.index_slot_addr(index_pages, pos)
-        self.mem.atomic_store(addr, struct.pack("<Q", page_no))
-        self.mem.clwb(addr, 8)
+    def store_index_slots(self, index_pages: List[int], pos: int,
+                          page_nos: Sequence[int]) -> None:
+        """Map a file's pages ``pos, pos+1, ...`` to ``page_nos`` (0 unmaps
+        one) and queue the write-back; the caller fences.
+
+        One store and one ``clwb`` per index page touched.  A plain store is
+        enough because each slot is an aligned 8-byte word, which the CPU
+        stores atomically: a crash may tear the run between slots, but
+        leaves every slot wholly old or wholly new.  The alignment is
+        checked here, as :meth:`PMDevice.atomic_store` would check it.
+        """
+        done, n = 0, len(page_nos)
+        while done < n:
+            slot = (pos + done) % INDEX_SLOTS
+            take = min(n - done, INDEX_SLOTS - slot)
+            addr = self.index_slot_addr(index_pages, pos + done)
+            if addr % 8:
+                raise PersistOrderError(f"index slot at {addr} is not 8-byte aligned")
+            self.mem.store(addr, struct.pack(f"<{take}Q", *page_nos[done:done + take]))
+            self.mem.clwb(addr, take * 8)
+            done += take
 
     def append_file_pages(
         self,
@@ -420,8 +435,7 @@ class CoreState:
                 rec.index_root = new_idx
                 self.write_inode(ino, rec)
             chain.append(new_idx)
-        for pos, page_no in enumerate(new_pages, existing_count):
-            self.store_index_slot(chain, pos, page_no)
+        self.store_index_slots(chain, existing_count, new_pages)
         self.mem.sfence()
 
     def read_file_data(self, pages: List[int], size: int, off: int, n: int) -> bytes:
@@ -429,23 +443,37 @@ class CoreState:
         # on every ownership transfer); a forged size past the mapped pages
         # reads as a short file instead of being trusted.
         size = min(size, len(pages) * PAGE_SIZE)
-        if off >= size:
-            return b""
         n = min(n, size - off)
-        # Plan the read as (addr, nbytes) chunks, merging physically
-        # contiguous pieces, then fetch the lot in one batched gather
-        # (counted per member on a striped device).
+        if n <= 0:
+            return b""
+        first, in_page = divmod(off, PAGE_SIZE)
+        page_off = self.geom.page_off
+        if in_page + n <= PAGE_SIZE:  # one page: the common 4 KiB read
+            return self.mem.load(page_off(pages[first]) + in_page, n)
+        # Plan the read as (addr, nbytes) chunks, one per run of consecutive
+        # page numbers split where the layout breaks physical contiguity
+        # (stripe units), merging chunks that still turn out adjacent; then
+        # fetch the lot in one batched gather (counted per member on a
+        # striped device).
+        end = off + n
+        last = (end - 1) // PAGE_SIZE
         plan: List[Tuple[int, int]] = []
-        while n > 0:
-            in_page = off % PAGE_SIZE
-            chunk = min(n, PAGE_SIZE - in_page)
-            addr = self.geom.page_off(pages[off // PAGE_SIZE]) + in_page
-            if plan and plan[-1][0] + plan[-1][1] == addr:
-                plan[-1] = (plan[-1][0], plan[-1][1] + chunk)
-            else:
-                plan.append((addr, chunk))
-            off += chunk
-            n -= chunk
+        i = first
+        while i <= last:
+            start = pages[i]
+            j = i + 1
+            while j <= last and pages[j] == start + j - i:
+                j += 1
+            page_off(start + j - i - 1)  # range-check the run's tail
+            for run_start, count in self.geom.extent_runs(start, j - i):
+                lo = max(off, i * PAGE_SIZE)
+                hi = min(end, (i + count) * PAGE_SIZE)
+                addr = page_off(run_start) + lo - i * PAGE_SIZE
+                if plan and plan[-1][0] + plan[-1][1] == addr:
+                    plan[-1] = (plan[-1][0], plan[-1][1] + hi - lo)
+                else:
+                    plan.append((addr, hi - lo))
+                i += count
         if len(plan) == 1:
             return self.mem.load(*plan[0])
         return b"".join(self.mem.load_gather(plan))

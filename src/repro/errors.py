@@ -14,8 +14,9 @@ Three families live here:
 
 * Protection-domain errors: the verifier's :class:`VerifyFailure`, the
   controller's :class:`CorruptionDetected`, the core-state walker's
-  :class:`ChainCorrupt`, mount's :class:`SuperblockCorrupt` and the lease
-  layer's :class:`LeaseExpired`.
+  :class:`ChainCorrupt`, mount's :class:`SuperblockCorrupt`, the page
+  allocator's :class:`DoubleFree` and the lease layer's
+  :class:`LeaseExpired`.
 
 Everything a caller of the public API can catch derives from
 :class:`ReproError` and carries a stable ``.code`` — POSIX errno values for
@@ -144,6 +145,16 @@ class SuperblockCorrupt(ReproError, ValueError):
     ``ValueError`` too, like :class:`ChainCorrupt`."""
 
     CODE = 204
+
+
+class DoubleFree(ReproError, ValueError):
+    """A page free named a page that is not allocated, or named one page
+    twice.  Raised by :meth:`repro.pm.allocator.PageAllocator.free` before
+    any bit changes, so a forged double mapping cannot leave a page free
+    in the bitmap while an inode still maps it.  A ``ValueError`` too,
+    like :class:`ChainCorrupt`."""
+
+    CODE = 205
 
 
 class LeaseExpired(ReproError):
@@ -338,7 +349,7 @@ class TxCommitPending(TxError):
 EXIT_USAGE = 2          # bad arguments / unknown workload (InvalidArgument)
 EXIT_FS_ERROR = 3       # any other FSError (ENOENT, EEXIST, ...)
 EXIT_CORRUPTION = 4     # VerifyFailure / CorruptionDetected / ChainCorrupt
-                        # / SuperblockCorrupt
+                        # / SuperblockCorrupt / DoubleFree
 EXIT_LEASE = 5          # LeaseExpired
 EXIT_NO_SPACE = 6       # NoSpace (ENOSPC)
 EXIT_OTHER = 7          # any other ReproError (the documented fallback)
@@ -356,6 +367,7 @@ _EXIT_TABLE = (
     (CorruptionDetected, EXIT_CORRUPTION),
     (ChainCorrupt, EXIT_CORRUPTION),
     (SuperblockCorrupt, EXIT_CORRUPTION),
+    (DoubleFree, EXIT_CORRUPTION),
     (LeaseExpired, EXIT_LEASE),
     (ServerError, EXIT_SERVER),
     (TxError, EXIT_TX),
@@ -376,6 +388,7 @@ def exit_code_for(exc: BaseException) -> int:
     other ``FSError``                           3
     ``VerifyFailure`` / ``CorruptionDetected``  4
     ``ChainCorrupt`` / ``SuperblockCorrupt``    4
+    ``DoubleFree``                              4
     ``LeaseExpired``                            5
     ``ServerError`` family                      8
     ``TxError`` family                          9

@@ -183,7 +183,7 @@ def inject_page_double_use(device: PMDevice) -> None:
     rec_a = core.read_inode(a)
     rec_b = core.read_inode(b)
     page_of_a = core.file_pages(rec_a)[0]
-    core.store_index_slot([rec_b.index_root], 0, page_of_a)
+    core.store_index_slots([rec_b.index_root], 0, [page_of_a])
     device.sfence()
 
 

@@ -262,7 +262,7 @@ class Repairer:
         chain = self.core.index_pages(rec)
         if slot >= len(chain) * INDEX_SLOTS:
             return False
-        self.core.store_index_slot(chain, slot, 0)
+        self.core.store_index_slots(chain, slot, [0])
         self.device.sfence()
         if rec.size > slot * PAGE_SIZE:
             self.core.set_file_size(f.meta["loser"], slot * PAGE_SIZE)

@@ -560,9 +560,9 @@ class KernelController:
                 except ChainCorrupt:
                     current_pages = set()
             RollbackPolicy().resolve(self, ino, acq.snapshot, "transaction abort")
-            for page_no in current_pages - set(acq.snapshot.pages):
-                if self.alloc.is_allocated(page_no):
-                    self.alloc.free(page_no)
+            extra = current_pages - set(acq.snapshot.pages)
+            self.alloc.free(*filter(self.alloc.is_allocated, extra))
+            for page_no in extra:
                 self.clear_page_owner(page_no)
             self.readcache.invalidate(ino)
             # The restored state is the last verified one; re-arm the

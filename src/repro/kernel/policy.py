@@ -46,7 +46,7 @@ class RollbackPolicy(ResolutionPolicy):
             dev.clwb(off, len(content))
             # Pages the LibFS freed in the meantime must be live again.
             if not controller.alloc.is_allocated(page_no):
-                controller.alloc._set_bit(page_no, True)  # kernel-privileged
+                controller.alloc._set_bit(page_no)  # kernel-privileged
             controller.set_page_owner(page_no, ino)
         dev.sfence()
         controller.stats.rollbacks += 1

@@ -715,14 +715,14 @@ class LibFS:
             mi.rwlock.release_write()
 
     def _drop_trailing_pages(self, mi: MemInode, cs: CoreState, keep: int) -> None:
-        """Zero index slots past ``keep`` and free the data pages."""
-        chain = cs.index_pages(mi.record)
+        """Zero index slots past ``keep`` and free the data pages: the
+        unmapping is fenced before any bitmap bit clears, so a crash in
+        between leaks pages (mount reclaims them) and never frees a mapped
+        one."""
         dropped = mi.pages[keep:]
-        for pos in range(keep, len(mi.pages)):
-            cs.store_index_slot(chain, pos, 0)
+        cs.store_index_slots(cs.index_pages(mi.record), keep, [0] * len(dropped))
         mi.mapping.sfence()
-        for page_no in dropped:
-            self.alloc.free(page_no)
+        self.alloc.free(*dropped)
         mi.pages = mi.pages[:keep]
 
     @traced_syscall("fsync")
@@ -772,8 +772,7 @@ class LibFS:
         mi.seq.write_begin()
         try:
             cs = self._cs(mi)
-            for page_no in cs.index_pages(mi.record) + mi.pages:
-                self.alloc.free(page_no)
+            self.alloc.free(*cs.index_pages(mi.record), *mi.pages)
             cs.free_inode(ino)
         finally:
             mi.seq.write_end()
@@ -814,8 +813,7 @@ class LibFS:
                 self._walk_seq += 1
                 self._walks.pop(child.walk, None)
             cs = self._cs(child)
-            for page_no in cs.dir_pages(child.record):
-                self.alloc.free(page_no)
+            self.alloc.free(*cs.dir_pages(child.record))
             cs.free_inode(child.ino)
         finally:
             if child_locked:

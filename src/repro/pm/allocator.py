@@ -21,6 +21,13 @@ the seed allocator.  ``rebuild`` (mount) reclaims them; ``drain_pools``
 (quiesce/shutdown) returns them with one batched persist; fsck classifies
 them as advisory ``page-reserved`` findings and ``--repair`` clears them.
 
+Freeing is batched the same way: ``free(*pages)`` checks the whole batch,
+then clears its bits with one store and one ``clwb`` per run of dirty
+bitmap bytes and **one** fence.  The caller has already unmapped the pages
+and fenced that, so a crash that tears the batch — some bitmap lines
+persisted, some not — leaves set bits only on pages nothing links to: the
+same leak ``rebuild`` reclaims, never a mapped page marked free.
+
 ``pool_pages`` is the refill size.  The kernel controller runs with
 :data:`DEFAULT_POOL_PAGES`; the fsck repairer and injectors pass ``1``, so a
 refill hands out everything it reserves and nothing tagged is left behind
@@ -34,10 +41,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.errors import NoSpace
+from repro.errors import DoubleFree, NoSpace
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE, Geometry
 
@@ -127,40 +134,25 @@ class PageAllocator:
         idx = page_no - 1
         return bool(self._bits[idx >> 3] & (1 << (idx & 7)))
 
-    def _set_bit_locked(self, page_no: int, value: bool, persist: bool = True) -> None:
-        """Flip one shadow bit and write its bitmap byte back (shared lock held)."""
+    def _set_bit(self, page_no: int) -> None:
+        """Kernel-privileged claim of one page (corruption-resolution
+        rollback): persists its bit and keeps the cached free count, the
+        hand-out set and the pools coherent."""
         idx = page_no - 1
         byte_off = idx >> 3
-        if value:
-            self._bits[byte_off] |= 1 << (idx & 7)
-        else:
-            self._bits[byte_off] &= ~(1 << (idx & 7))
-        addr = self._geom.bitmap_off + byte_off
-        self._device.store(addr, bytes([self._bits[byte_off]]))
-        if persist:
-            self._device.persist(addr, 1)
-
-    def _set_bit(self, page_no: int, value: bool, persist: bool = True) -> None:
-        """Kernel-privileged bit flip (corruption-resolution rollback): keeps
-        the cached free count, the hand-out set and the pools coherent."""
         with self._lock:
-            was = self._test(page_no)
-            self._set_bit_locked(page_no, value, persist)
-            if value and not was:
+            if not self._test(page_no):
                 self._free_count -= 1
-            elif not value and was:
-                self._free_count += 1
-            if value:
-                # A resurrected page must not sit in any thread's pool.
-                for pool in self._all_pools():
-                    with pool.lock:
-                        if page_no in pool.pages:
-                            pool.pages.remove(page_no)
+            self._bits[byte_off] |= 1 << (idx & 7)
+            self._write_bitmap_range(byte_off, byte_off)
+            self._device.sfence()
+            # A resurrected page must not sit in any thread's pool.
+            for pool in self._all_pools():
+                with pool.lock:
+                    if page_no in pool.pages:
+                        pool.pages.remove(page_no)
         with self._acct_lock:
-            if value:
-                self._handed_out.add(page_no)
-            else:
-                self._handed_out.discard(page_no)
+            self._handed_out.add(page_no)
 
     def _write_bitmap_range(self, lo: int, hi: int) -> None:
         """Write shadow bytes [lo, hi] back to PM and queue their write-back."""
@@ -283,23 +275,39 @@ class PageAllocator:
                     return page
         return None
 
-    def _release_pages(self, pages: List[int]) -> None:
-        """Return reserved/rolled-back pages to the bitmap: clear their bits
-        with one batched write-back and one fence."""
+    def _clear_bits(self, pages: Sequence[int]) -> None:
+        """Clear the bits of ``pages``: one lock, one store and one ``clwb``
+        per run of dirty bitmap bytes, one fence for the lot.
+
+        Every page must be allocated and named once, or the batch is refused
+        with :class:`DoubleFree` before any bit changes.  A run is a span of
+        *consecutive* dirty bytes, so the clean bytes between two distant
+        runs are never written: a batch stores at most one byte per page.
+        """
         if not pages:
             return
         with self._lock:
-            lo = hi = -1
+            bits = self._bits
+            count, seen = self._geom.page_count, set()
             for page_no in pages:
                 idx = page_no - 1
-                byte_off = idx >> 3
-                self._bits[byte_off] &= ~(1 << (idx & 7))
-                if lo < 0:
-                    lo = hi = byte_off
-                else:
-                    lo = min(lo, byte_off)
-                    hi = max(hi, byte_off)
-            self._write_bitmap_range(lo, hi)
+                if page_no in seen or not (1 <= page_no <= count
+                                           and bits[idx >> 3] >> (idx & 7) & 1):
+                    raise DoubleFree(f"double free of page {page_no}")
+                seen.add(page_no)
+            dirty = set()
+            for page_no in pages:
+                idx = page_no - 1
+                bits[idx >> 3] &= ~(1 << (idx & 7))
+                dirty.add(idx >> 3)
+            order = sorted(dirty)
+            lo = prev = order[0]
+            for byte_off in order[1:]:
+                if byte_off != prev + 1:
+                    self._write_bitmap_range(lo, prev)
+                    lo = byte_off
+                prev = byte_off
+            self._write_bitmap_range(lo, prev)
             self._device.sfence()
             self._free_count += len(pages)
         with self._acct_lock:
@@ -389,7 +397,7 @@ class PageAllocator:
         while len(got) < count:
             page = self._steal(pool)
             if page is None:
-                self._release_pages(got)  # roll back the partial batch
+                self._clear_bits(got)  # roll back the partial batch
                 raise NoSpace(f"no free pages ({len(got)}/{count} rolled back)")
             got.append(page)
         with self._acct_lock:
@@ -402,17 +410,21 @@ class PageAllocator:
             self._zero_pages(got)
         return got
 
-    def free(self, page_no: int) -> None:
-        with self._lock:
-            if not self._test(page_no):
-                raise ValueError(f"double free of page {page_no}")
-            self._set_bit_locked(page_no, False)
-            self._free_count += 1
+    def free(self, *pages: int) -> None:
+        """Return handed-out pages: one lock and one fence per call.
+
+        The whole batch is checked first; a page that is not allocated, or
+        is named twice, raises :class:`~repro.errors.DoubleFree` and leaves
+        every bit as it was.  Callers unmap and fence the pages before they
+        free them, so a crash inside the batch leaves only bits set on
+        unreachable pages: a leak that ``rebuild`` reclaims at mount.
+        """
+        if not pages:
+            return
+        self._clear_bits(pages)
         with self._acct_lock:
-            self._handed_out.discard(page_no)
-            self.stats.frees += 1
-            self.stats.lock_acquires += 1
-        obs.count("alloc.lock_acquires")
+            self._handed_out.difference_update(pages)
+            self.stats.frees += len(pages)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -463,7 +475,7 @@ class PageAllocator:
             with pool.lock:
                 drained.extend(pool.pages)
                 pool.pages.clear()
-        self._release_pages(drained)
+        self._clear_bits(drained)
         with self._acct_lock:
             self.stats.drained_pages += len(drained)
         if drained:

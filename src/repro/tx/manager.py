@@ -375,8 +375,7 @@ class Tx:
             failpoints.hit("tx.pre_checkpoint", self.txid)
             with obs.span("tx.checkpoint", category="tx"):
                 clear_seal(mgr.device)
-                for page_no in pages:
-                    mgr.alloc.free(page_no)
+                mgr.alloc.free(*pages)
         self.state = _COMMITTED
         obs.count("tx.commits")
         obs.count("tx.log_pages", len(pages))
@@ -438,8 +437,7 @@ class Tx:
                 # state, never a torn transaction (the log is discarded).
                 obs.count("tx.rollback_skipped")
         clear_seal(mgr.device)
-        for page_no in pages:
-            mgr.alloc.free(page_no)
+        mgr.alloc.free(*pages)
         self.state = _ABORTED
         obs.count("tx.aborts", apply_failure=True)
         raise TxAborted(

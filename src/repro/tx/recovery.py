@@ -98,9 +98,7 @@ def recover(kernel) -> TxRecoveryOutcome:
     log, pages = parse_log(kernel.device, kernel.geom)
     if log is None:
         clear_seal(kernel.device)
-        for page_no in pages:
-            if kernel.alloc.is_allocated(page_no):
-                kernel.alloc.free(page_no)
+        kernel.alloc.free(*filter(kernel.alloc.is_allocated, pages))
         outcome.discarded = 1
         obs.count("tx.recovery_discarded")
         return outcome
@@ -121,9 +119,7 @@ def recover(kernel) -> TxRecoveryOutcome:
         finally:
             fs.shutdown()
         clear_seal(kernel.device)
-        for page_no in log.pages:
-            if kernel.alloc.is_allocated(page_no):
-                kernel.alloc.free(page_no)
+        kernel.alloc.free(*filter(kernel.alloc.is_allocated, log.pages))
     outcome.replayed = len(log.records)
     obs.count("tx.replays")
     obs.count("tx.replayed_ops", len(log.records))

@@ -8,12 +8,14 @@ rebooted, and invariants are checked on each.
 
 import pytest
 
+from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import CrashPoint
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
+from repro.pm.layout import PAGE_SIZE
 from tests.conftest import build_fs
 
 
@@ -213,3 +215,76 @@ class TestRecoveryHousekeeping:
         k2, fs2 = remount(img)
         assert sorted(k1.shadow) == sorted(k2.shadow)
         assert fs1.readdir("/a") == fs2.readdir("/a")
+
+
+class TestBatchedFreeCrash:
+    """A truncate or unlink frees its pages in one batch under one fence.
+    A crash at any fence of either op — slots unmapped or not, the bitmap
+    batch torn across lines or not — mounts fsck-clean and shows the old
+    or the new file, never a third state."""
+
+    BIG = bytes(range(256)) * (2 * 1024 * 1024 // 256)   # 2 MiB: 512 pages
+    MULTI = b"m" * (5 * PAGE_SIZE + 7)
+
+    def base_image(self):
+        vol = Volume.create(4 << 20, VolumeConfig(crash_tracking=True,
+                                                  inode_count=32))
+        with vol.session("setup", uid=0) as s:
+            s.write_file("/big", self.BIG)
+            s.write_file("/multi", self.MULTI)
+        vol.close()
+        return vol.device.durable_image()
+
+    def crash_images(self, image, op):
+        """Images of a crash at each fence ``op`` issues, in turn: the
+        durable floor, every dirty line at its newest version, and a few
+        random mixes of the two."""
+        fence = 0
+        while True:
+            fence += 1
+            vol = Volume.mount(image, VolumeConfig(crash_tracking=True))
+            device, real, calls = vol.device, vol.device.sfence, [0]
+
+            def sfence():
+                calls[0] += 1
+                if calls[0] == fence:
+                    raise CrashPoint(f"fence {fence}")
+                real()
+
+            session = vol.session("op", uid=0)
+            device.sfence = sfence
+            try:
+                op(session)
+            except CrashPoint:
+                pass
+            else:
+                assert fence > 2, "the op issued no fence to crash at"
+                return
+            newest = {line: n - 1 for line, n in device.line_choices().items()}
+            yield fence, device.durable_image()
+            yield fence, device.crash_image(newest)
+            yield from ((fence, img) for img in device.sample_crash_images(3, seed=fence))
+
+    def test_shrink_2mib_to_4kib(self):
+        seen = set()
+        for fence, img in self.crash_images(self.base_image(),
+                                            lambda s: s.truncate("/big", PAGE_SIZE)):
+            vol = Volume.mount(img)
+            assert vol.fsck().clean, fence
+            data = vol.session("r", uid=0).read_file("/big")
+            assert data in (self.BIG, self.BIG[:PAGE_SIZE]), (fence, len(data))
+            seen.add(len(data))
+        assert seen == {len(self.BIG), PAGE_SIZE}
+
+    def test_unlink_multi_page_file(self):
+        seen = set()
+        for fence, img in self.crash_images(self.base_image(),
+                                            lambda s: s.unlink("/multi")):
+            vol = Volume.mount(img)
+            assert vol.fsck().clean, fence
+            s = vol.session("r", uid=0)
+            there = s.exists("/multi")
+            if there:
+                assert s.read_file("/multi") == self.MULTI, fence
+            seen.add(there)
+        assert seen == {True, False}

@@ -18,8 +18,9 @@ import pytest
 
 from repro.api import Volume, VolumeConfig
 from repro.core.mkfs import ROOT_INO
-from repro.errors import CorruptionDetected, ReproError, SimulatedFault
-from repro.fsck.findings import F_DANGLING_DENTRY, F_SIZE_MISMATCH, F_TORN_DENTRY
+from repro.errors import CorruptionDetected, DoubleFree, ReproError, SimulatedFault
+from repro.fsck.findings import (F_DANGLING_DENTRY, F_PAGE_UNALLOCATED, F_SIZE_MISMATCH,
+                                 F_TORN_DENTRY)
 from repro.pm.layout import DENTRY_HEADER, INODE_SIZE, PAGE_SIZE, Superblock
 
 pytestmark = pytest.mark.timeout(120)
@@ -256,3 +257,24 @@ def test_verifier_refuses_an_undecodable_name():
             with pytest.raises(CorruptionDetected, match="illegal dentry name"):
                 attacker.release_all()
             assert victim.readdir("/") == ["a", "empty", "small"]
+
+
+def test_forged_double_mapping_cannot_make_unlink_free_a_mapped_page():
+    """Index slot 1 re-pointed at slot 0's page: ``unlink`` used to free
+    that page, then die on the second free with a bare ``ValueError`` —
+    leaving the file's pages free in the bitmap while its inode still mapped
+    them (two ``page-unallocated`` findings).  The batch is refused first."""
+    vol = Volume.create(8 << 20, VolumeConfig(inode_count=64))
+    with vol.session("w") as s:
+        s.write_file("/f", b"a" * PAGE_SIZE + b"b" * PAGE_SIZE)
+    core = vol.kernel.core
+    rec = core.read_inode(vol.session("r").stat("/f").ino)
+    index, pages = core.index_pages(rec), core.file_pages(rec)
+    core.store_index_slots(index, 1, [pages[0]])
+    vol.device.sfence()
+    mounted = Volume.mount(vol.device.durable_image())
+    bitmap = mounted.kernel.alloc.allocated_set()
+    with pytest.raises(DoubleFree, match=f"page {pages[0]}"):
+        mounted.session("u").unlink("/f")
+    assert mounted.kernel.alloc.allocated_set() == bitmap
+    assert not mounted.fsck().by_class(F_PAGE_UNALLOCATED)

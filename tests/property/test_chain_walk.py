@@ -102,7 +102,7 @@ def poison(core: CoreState, inos, site: str, kind: str, rng: random.Random):
         pos = rng.randrange(1, len(pages))
         value = {"cycle": rng.choice(pages[:pos]), "range": out_of_range,
                  "foreign": rng.choice(core.file_pages(donor))}[kind]
-        core.store_index_slot(index, pos, value)
+        core.store_index_slots(index, pos, [value])
         core.mem.sfence()
     return ino, value
 

@@ -156,7 +156,7 @@ def test_a_file_cannot_map_its_own_index_page_as_data():
     mi = s.fs._inodes[s.stat("/a/page").ino]
     cs = s.fs._cs(mi)
     index = cs.index_pages(mi.record)
-    cs.store_index_slot(index, 1, index[0])
+    cs.store_index_slots(index, 1, [index[0]])
     mi.mapping.sfence()
     cs.set_file_size(mi.ino, 2 * PAGE_SIZE)        # covered by two "pages"
     with pytest.raises(CorruptionDetected) as info:

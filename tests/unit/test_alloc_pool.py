@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.mkfs import mkfs
-from repro.errors import NoSpace
+from repro.errors import DoubleFree, NoSpace
 from repro.pm.allocator import DEFAULT_POOL_PAGES, RESERVATION_TAG, PageAllocator
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
@@ -67,6 +67,68 @@ class TestPoolMechanics:
         alloc.free(page)
         with pytest.raises(ValueError):
             alloc.free(page)
+
+
+class TestBatchedFree:
+    """``free(*pages)`` is the one free path: one lock, one fence, at most
+    one stored bitmap byte per page, and a refused batch changes nothing."""
+
+    def test_128_pages_cost_one_lock_and_one_fence(self):
+        device, _geom, alloc = make_world()
+        pages = alloc.alloc_many(128, zero=False)
+        stats, locks, frees = device.stats.snapshot(), alloc.stats.lock_acquires, \
+            alloc.stats.frees
+        alloc.free(*pages)
+        cost = device.stats.diff(stats)
+        assert alloc.stats.lock_acquires - locks == 1
+        assert alloc.stats.frees - frees == 128
+        assert cost.fences == 1
+        assert cost.bytes_stored <= 128
+        assert not set(pages) & alloc.allocated_set()
+        assert not any(alloc.is_allocated(p) for p in pages)
+
+    def test_distant_runs_are_stored_apart(self):
+        """The clean bitmap between two far-apart pages is never written."""
+        device, _geom, alloc = make_world()
+        pages = alloc.alloc_many(200, zero=False)
+        stats = device.stats.snapshot()
+        alloc.free(pages[0], pages[-1])
+        cost = device.stats.diff(stats)
+        assert (cost.stores, cost.bytes_stored, cost.fences) == (2, 2, 1)
+
+    @pytest.mark.parametrize("bad", ["duplicate", "already-free", "out-of-range"])
+    def test_a_bad_batch_raises_and_changes_nothing(self, bad):
+        device, geom, alloc = make_world()
+        pages = alloc.alloc_many(16, zero=False)
+        alloc.free(pages[-1])
+        batch = {"duplicate": pages[:4] + [pages[2]],
+                 "already-free": pages[:4] + [pages[-1]],
+                 "out-of-range": pages[:4] + [geom.page_count + 1]}[bad]
+        nbytes = (geom.page_count + 7) // 8
+        before = (device.load(geom.bitmap_off, nbytes), alloc.free_pages(),
+                  alloc.allocated_set(), device.stats.fences)
+        with pytest.raises(DoubleFree):
+            alloc.free(*batch)
+        assert (device.load(geom.bitmap_off, nbytes), alloc.free_pages(),
+                alloc.allocated_set(), device.stats.fences) == before
+
+    def test_drain_and_rollback_share_the_helper(self, monkeypatch):
+        _device, _geom, alloc = make_world(size=1024 * 1024)
+        calls = []
+        helper = PageAllocator._clear_bits
+
+        def spy(self, pages):
+            calls.append(len(pages))
+            return helper(self, pages)
+
+        monkeypatch.setattr(PageAllocator, "_clear_bits", spy)
+        page = alloc.alloc(zero=False)
+        alloc.drain_pools()
+        with pytest.raises(NoSpace):
+            alloc.alloc_many(alloc.free_pages() + 1, zero=False)
+        alloc.free(page)
+        assert len(calls) == 3
+        assert calls[0] == DEFAULT_POOL_PAGES - 1 and calls[2] == 1
 
 
 class TestRollback:
@@ -159,7 +221,7 @@ class TestDrainAndRebuild:
         _device, _geom, alloc = make_world()
         alloc.alloc(zero=False)
         victim = sorted(alloc.pooled_pages())[0]
-        alloc._set_bit(victim, True)  # kernel rollback re-claims the page
+        alloc._set_bit(victim)  # kernel rollback re-claims the page
         assert victim not in alloc.pooled_pages()
         assert alloc.is_allocated(victim)
         # The pool must never hand it out now.

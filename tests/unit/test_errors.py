@@ -37,6 +37,9 @@ class TestTaxonomy:
         assert (exc.code, exc.bad, exc.last_good) == (203, 2050, 114)
         # Still a ValueError: pre-existing ``except ValueError`` sites hold.
         assert isinstance(exc, E.ReproError) and isinstance(exc, ValueError)
+        exc = E.DoubleFree("double free of page 2")
+        assert exc.code == 205
+        assert isinstance(exc, E.ReproError) and isinstance(exc, ValueError)
 
     def test_server_family_codes_and_retryability(self):
         assert E.ServerError("x").code == 210
@@ -99,6 +102,7 @@ class TestExitCodes:
         (E.TxAborted("rolled back"), E.EXIT_TX),
         (E.TxCommitPending("remount"), E.EXIT_TX),
         (E.ChainCorrupt(9, 3), E.EXIT_CORRUPTION),
+        (E.DoubleFree("page 2"), E.EXIT_CORRUPTION),
     ])
     def test_mapping(self, exc, want):
         assert E.exit_code_for(exc) == want

@@ -406,3 +406,30 @@ def test_one_module_judges_an_inodes_shape():
                     compared.append(f"{rel}::{fn.name}:{node.lineno}")
     assert not named, named
     assert not compared, compared
+
+
+def test_pages_are_freed_a_batch_at_a_time():
+    """``PageAllocator.free(*pages)`` takes a whole batch under one lock and
+    one fence; a page free inside a loop pays both per page again (a 512 KiB
+    truncate used to issue 129 fences)."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+
+    def is_page_free(node):  # <...>.alloc.free(...) or alloc.free(...)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "free"):
+            return False
+        owner = node.func.value
+        return (isinstance(owner, ast.Attribute) and owner.attr == "alloc"
+                or isinstance(owner, ast.Name) and owner.id == "alloc")
+
+    in_loops, frees = [], 0
+    for rel, tree in _modules():
+        if not rel.startswith(("libfs/", "tx/", "kernel/", "core/")):
+            continue
+        for loop in ast.walk(tree):
+            if isinstance(loop, loops):
+                in_loops += [f"{rel}:{n.lineno}" for n in ast.walk(loop)
+                             if is_page_free(n)]
+        frees += sum(map(is_page_free, ast.walk(tree)))
+    assert frees >= 7, frees  # the scan is not vacuous
+    assert not in_loops, sorted(set(in_loops))
