@@ -448,13 +448,15 @@ class CoreState:
             return b""
         first, in_page = divmod(off, PAGE_SIZE)
         page_off = self.geom.page_off
-        if in_page + n <= PAGE_SIZE:  # one page: the common 4 KiB read
+        # One page, the common 4 KiB read: planning it would add about a
+        # quarter to its latency.
+        if in_page + n <= PAGE_SIZE:
             return self.mem.load(page_off(pages[first]) + in_page, n)
         # Plan the read as (addr, nbytes) chunks, one per run of consecutive
         # page numbers split where the layout breaks physical contiguity
         # (stripe units), merging chunks that still turn out adjacent; then
         # fetch the lot in one batched gather (counted per member on a
-        # striped device).
+        # striped device) that returns the joined bytes.
         end = off + n
         last = (end - 1) // PAGE_SIZE
         plan: List[Tuple[int, int]] = []
@@ -476,7 +478,7 @@ class CoreState:
                 i += count
         if len(plan) == 1:
             return self.mem.load(*plan[0])
-        return b"".join(self.mem.load_gather(plan))
+        return self.mem.load_gather(plan)
 
     def write_page_data(self, page_no: int, in_page_off: int, data: bytes) -> None:
         """Store data into one page and queue its write-back (no fence)."""
@@ -507,12 +509,14 @@ class CoreState:
         # On a striped device the extent crosses stripe units: one ntstore
         # per physically-contiguous run, in one batch.  The caller's single
         # sfence still covers all of it (it fences every member dirtied).
+        # Each run is a view of ``data``: the store is its only copy.
+        view = memoryview(data)
         ops = []
         pos = 0
         off = in_page_off
         for run_start, run_count in runs:
             nbytes = min(len(data) - pos, run_count * PAGE_SIZE - off)
-            ops.append((self.geom.page_off(run_start) + off, data[pos:pos + nbytes]))
+            ops.append((self.geom.page_off(run_start) + off, view[pos:pos + nbytes]))
             pos += nbytes
             off = 0
         self.mem.ntstore_scatter(ops)

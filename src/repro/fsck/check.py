@@ -282,11 +282,12 @@ def check_graph(
                 meta={"device": d},
             ))
     for page_no in sorted(allocated - set(claims)):
-        # A per-thread pool reservation stamps the page with the allocator's
-        # tag under the same fence that persists the bitmap bit; the tag is
-        # overwritten the moment the page is handed out.  Tag present →
-        # benign warm-pool reservation (advisory, but reclaimable); tag
-        # absent → a genuine leak.
+        # A refill stamps every page it pools with the allocator's tag under
+        # the same fence that persists the bitmap bit; a page it hands
+        # straight out gets no tag, and every caller overwrites a page before
+        # linking it.  Tag present → benign warm-pool reservation (advisory,
+        # but reclaimable); tag absent → a leak: a page handed out but never
+        # linked (the crash window before its caller's fence), or lost.
         head = device.load(geom.page_off(page_no), len(RESERVATION_TAG))
         if head == RESERVATION_TAG:
             findings.append(Finding(

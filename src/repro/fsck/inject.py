@@ -155,11 +155,10 @@ def inject_page_leak(device: PMDevice) -> None:
 
 def inject_page_reserved(device: PMDevice) -> None:
     """A tagged pool reservation never handed out — a crashed (or merely
-    warm) per-thread pool.  ``pool_pages=1`` makes the refill reserve
-    exactly one page; not zeroing on alloc would scrub the tag, so the
-    reservation is left parked in the pool."""
+    warm) per-thread pool: a refill of exactly one page that its caller
+    takes none of, so the page is pooled and tagged."""
     core, geom = _env(device)
-    PageAllocator(device, geom, pool_pages=1)._refill(1)
+    PageAllocator(device, geom, pool_pages=1)._refill(1, 0)
 
 
 def inject_page_unallocated(device: PMDevice) -> None:

@@ -580,6 +580,7 @@ class LibFS:
             di = 0
             extents = 0
             last_idx = (end - 1) // PAGE_SIZE if data else 0
+            view = memoryview(data)  # extents are views: the store copies once
             while di < len(data):
                 page_idx = pos // PAGE_SIZE
                 in_page = pos % PAGE_SIZE
@@ -592,7 +593,7 @@ class LibFS:
                 run_bytes = (run_end + 1 - page_idx) * PAGE_SIZE - in_page
                 chunk = min(len(data) - di, run_bytes)
                 cs.write_extent_data(all_pages[page_idx], in_page,
-                                     data[di : di + chunk])
+                                     view[di : di + chunk])
                 extents += 1
                 pos += chunk
                 di += chunk
@@ -618,6 +619,10 @@ class LibFS:
     def pread(self, fd: int, n: int, offset: int) -> bytes:
         entry = self.fdtable.get(fd)
         mi = self._ensure_file(entry)
+        if offset < 0:
+            raise InvalidArgument("negative offset")
+        if n < 0:
+            raise InvalidArgument("negative count")
         # §4.3 patch: the read is optimistic — validate ``mi.seq`` around
         # the copy, no read-modify-write on the lock's shared line — and
         # takes the read side only once PREAD_RETRY_LIMIT attempts were torn
@@ -685,6 +690,8 @@ class LibFS:
             raise NoEntry(paths.join(comps))
         if node.itype == ITYPE_DIR:
             raise IsADir(paths.join(comps))
+        if size < 0:
+            raise InvalidArgument("negative size")
         mi = self._attach(node.ino, write=True)
         mi.rwlock.acquire_write()
         mi.seq.write_begin()

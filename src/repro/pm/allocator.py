@@ -11,15 +11,22 @@ global lock per page, each thread owns a small *pool* of pre-reserved
 pages.  A pool refill takes the shared bitmap lock **once**, scans the DRAM
 shadow at byte granularity (whole-0xFF bytes are skipped), sets all the
 bits, and issues **one** batched bitmap write-back plus one fence for the
-whole batch.  Every reserved page is stamped with :data:`RESERVATION_TAG`
-in its first 8 bytes under that same fence, so fsck can tell a warm-pool
-reservation apart from a genuinely leaked page.
+whole batch.  Every page the refill *pools* is stamped with
+:data:`RESERVATION_TAG` in its first 8 bytes under that same fence, so fsck
+can tell a warm-pool reservation apart from a genuinely leaked page.  The
+pages the refill hands straight to its caller (one for ``alloc``, the
+shortfall for ``alloc_many``) are not stamped: the caller overwrites them
+before it links them, so a tag there would only cost a store, a ``clwb``
+and, on a striped device, a fence on one more member.
 
 The crash story stays leak-only: pooled pages have their bits durably set
 but are linked to no inode, exactly like a page allocated-but-unlinked by
 the seed allocator.  ``rebuild`` (mount) reclaims them; ``drain_pools``
 (quiesce/shutdown) returns them with one batched persist; fsck classifies
 them as advisory ``page-reserved`` findings and ``--repair`` clears them.
+A page handed out but not yet linked when the machine crashes is in the
+same state minus the tag: fsck reports it as ``page-leak`` and mount
+reclaims it, as it would any allocated-but-unlinked page.
 
 Freeing is batched the same way: ``free(*pages)`` checks the whole batch,
 then clears its bits with one store and one ``clwb`` per run of dirty
@@ -30,11 +37,11 @@ same leak ``rebuild`` reclaims, never a mapped page marked free.
 
 ``pool_pages`` is the refill size.  The kernel controller runs with
 :data:`DEFAULT_POOL_PAGES`; the fsck repairer and injectors pass ``1``, so a
-refill hands out everything it reserves and nothing tagged is left behind
-on the volume they are cleaning or corrupting.  The seed allocator (global
-lock, one bitmap persist and one durable zero *per page*) survives only as
-its measured costs, ``repro.experiments.SEED_ALLOC`` and
-``SEED_PWRITE_1MIB``.
+refill hands out everything it reserves, tags nothing and leaves nothing
+reserved on the volume they are cleaning or corrupting.  The seed
+allocator (global lock, one bitmap persist and one durable zero *per
+page*) survives only as its measured costs,
+``repro.experiments.SEED_ALLOC`` and ``SEED_PWRITE_1MIB``.
 """
 
 from __future__ import annotations
@@ -51,10 +58,11 @@ from repro.pm.layout import PAGE_SIZE, Geometry
 #: Pages reserved per pool refill when the caller does not choose.
 DEFAULT_POOL_PAGES = 64
 
-#: Stamp written into the first 8 bytes of every pool-reserved page, under
-#: the refill's fence.  Hand-out always overwrites it (durable zeroing, page
-#: header init, or a full data overwrite), so a page carrying the tag is by
-#: construction reserved-but-unlinked — fsck's ``page-reserved`` class.
+#: Stamp written into the first 8 bytes of every page a refill pools, under
+#: the refill's fence.  Every caller overwrites a page before it links it
+#: (durable zeroing, page header init, or a full data overwrite), so a page
+#: carrying the tag is by construction reserved-but-unlinked — fsck's
+#: ``page-reserved`` class.
 RESERVATION_TAG = b"ARKPOOL\0"
 
 _ZERO_PAGE = b"\0" * PAGE_SIZE
@@ -223,18 +231,22 @@ class PageAllocator:
         self._free_count -= len(pages)
         return pages, lo, hi
 
-    def _refill(self, want: int) -> List[int]:
-        """Reserve up to ``want`` pages from the shared bitmap.
+    def _refill(self, want: int, take: int) -> List[int]:
+        """Reserve up to ``want`` pages from the shared bitmap; the caller
+        hands the first ``take`` of them out and pools the rest.
 
         One lock acquisition and one fence for the whole batch: the batched
-        bitmap write-back and every page's reservation tag are queued, then
-        a single ``sfence`` makes bits and tags durable together.
+        bitmap write-back and the reservation tag of every page that will be
+        *pooled* are queued, then a single ``sfence`` makes them durable
+        together.  The pages handed straight out get no tag: their caller
+        writes them before it links them, and until then they are a plain
+        allocated-but-unlinked page, which ``rebuild`` reclaims.
         """
         with self._lock:
             pages, lo, hi = self._take_free_locked(want)
             if pages:
                 self._write_bitmap_range(lo, hi)
-                for page_no in pages:
+                for page_no in pages[take:]:
                     off = self._geom.page_off(page_no)
                     self._device.store(off, RESERVATION_TAG)
                     self._device.clwb(off, len(RESERVATION_TAG))
@@ -349,7 +361,7 @@ class PageAllocator:
             page = pool.pages.pop(0) if pool.pages else None
         hit = page is not None
         if page is None:
-            batch = self._refill(self._pool_pages)
+            batch = self._refill(self._pool_pages, 1)
             if batch:
                 page = batch[0]
                 if len(batch) > 1:
@@ -389,7 +401,7 @@ class PageAllocator:
         hits = len(got)
         if len(got) < count:
             need = count - len(got)
-            batch = self._refill(max(need, self._pool_pages))
+            batch = self._refill(max(need, self._pool_pages), need)
             got.extend(batch[:need])
             if len(batch) > need:
                 with pool.lock:

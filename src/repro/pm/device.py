@@ -8,6 +8,10 @@ The device keeps two flat byte views of itself:
   fence (or, nondeterministically, by simulated cache eviction when a crash
   image is built).
 
+Loads and stores slice a ``memoryview`` of ``volatile``, so a load copies
+its bytes once, and so does a store on an untracked device (a tracked one
+also keeps a ``bytes`` copy in its run log).
+
 Between them sits an ordered log of the store *runs* not yet fenced — one
 entry per ``store`` call: sequence number, address, payload and the
 cache-line intervals of it still pending — plus the ``clwb`` ranges queued
@@ -183,6 +187,9 @@ class PMDevice:
         #: the CPU's view: media itself until the first tracked store forks
         #: it (a device booted to be read, or untracked, never pays the copy).
         self.volatile = self.media
+        #: a view of ``volatile`` that loads and stores slice: the one copy
+        #: of an access is the one into or out of it.
+        self._view = memoryview(self.volatile)
         self.crash_tracking = crash_tracking
         #: the live total of every member's counters.
         self.stats = PMStats()
@@ -227,9 +234,10 @@ class PMDevice:
                 return pieces
             addr, d = hi, d + 1
 
-    def load(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes of the current *volatile* view at ``addr``."""
-        self._check_range(addr, size)
+    def _count_load(self, addr: int, size: int) -> None:
+        """Range-check one load and count it, once per member it touches."""
+        if addr < 0 or size < 0 or addr + size > self.size:
+            self._check_range(addr, size)  # raises; inline, loads are hot
         if self.devices == 1:
             self.stats.loads += 1
             self.stats.bytes_loaded += size
@@ -241,10 +249,18 @@ class PMDevice:
                 st = self.members[d].stats
                 st.loads += 1
                 st.bytes_loaded += n
+
+    def load(self, addr: int, size: int) -> bytes:
+        """Read ``size`` bytes of the current *volatile* view at ``addr``.
+
+        The bytes are copied once, out of a view of the device's buffer, and
+        belong to the caller: no later store changes them.
+        """
+        self._count_load(addr, size)
         if not self.crash_tracking:
-            return bytes(self.media[addr : addr + size])
+            return bytes(self._view[addr : addr + size])
         with self._lock:
-            return bytes(self.volatile[addr : addr + size])
+            return bytes(self._view[addr : addr + size])
 
     def store(self, addr: int, data: bytes) -> None:
         """CPU store: updates the volatile view only.
@@ -256,31 +272,39 @@ class PMDevice:
         slightly stronger than the hardware's 8/16-byte guarantee; code that
         relies on hardware atomicity uses :meth:`atomic_store`, which enforces
         the real constraint.
+
+        ``data`` may be any bytes-like object (a ``memoryview`` slice of the
+        caller's buffer, say), and the caller may reuse it as soon as this
+        returns: an untracked device copies it straight into ``media``, a
+        tracked one takes a ``bytes`` copy for its run log (none if ``data``
+        already is ``bytes``) and copies that into ``volatile``.
         """
-        data = bytes(data)
-        self._check_range(addr, len(data))
+        size = len(data)
+        self._check_range(addr, size)
         if self.devices == 1:
             self.stats.stores += 1
-            self.stats.bytes_stored += len(data)
+            self.stats.bytes_stored += size
         else:
-            pieces = self._pieces(addr, len(data))
+            pieces = self._pieces(addr, size)
             self.stats.stores += len(pieces)
-            self.stats.bytes_stored += len(data)
+            self.stats.bytes_stored += size
             for d, n in pieces:
                 self._dirty.add(d)
                 st = self.members[d].stats
                 st.stores += 1
                 st.bytes_stored += n
-        if not data:
+        if not size:
             return
         if not self.crash_tracking:
-            self.media[addr : addr + len(data)] = data
+            self._view[addr : addr + size] = data
             return
+        data = bytes(data)
         with self._lock:
             if self.volatile is self.media:
                 self.volatile = bytearray(self.media)
-            self.volatile[addr : addr + len(data)] = data
-            lines = (addr // CACHE_LINE, (addr + len(data) - 1) // CACHE_LINE + 1)
+                self._view = memoryview(self.volatile)
+            self._view[addr : addr + size] = data
+            lines = (addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1)
             self._runs.append(_Run(self._seq, addr, data, [lines]))
             self._seq += 1
             self._versions = None
@@ -357,7 +381,7 @@ class PMDevice:
         media, oldest first, and take them off the run (lock held).
         Everything written can no longer be undone by a crash; a run with
         nothing left pending is dropped, which bounds memory use."""
-        runs, kept = self._runs, []
+        runs, kept, media = self._runs, [], memoryview(self.media)
         for i, run in enumerate(runs):
             if run.seq >= seq:  # stored after the clwb, as is every later run
                 kept += runs[i:]
@@ -371,7 +395,7 @@ class PMDevice:
                     continue
                 start = max(base, s * CACHE_LINE)
                 end = min(base + len(data), e * CACHE_LINE)
-                self.media[start:end] = data[start - base : end - base]
+                media[start:end] = data[start - base : end - base]
                 if a < s:
                     rest.append((a, s))
                 if e < b:
@@ -424,18 +448,30 @@ class PMDevice:
         """Non-temporal-store a batch of ``(addr, data)`` extents.
 
         Semantically a loop of :meth:`ntstore` (durability still requires
-        the caller's following ``sfence``); a striped device also counts
-        each member's share as ``pm.delegated_*{device=}``.
+        the caller's following ``sfence``), so each ``data`` may be a view
+        of the caller's buffer; a striped device also counts each member's
+        share as ``pm.delegated_*{device=}``.
         """
         for addr, data in ops:
             self.ntstore(addr, data)
         self._count_delegated((addr, len(data)) for addr, data in ops)
 
-    def load_gather(self, ops: List[Tuple[int, int]]) -> List[bytes]:
-        """Read a batch of ``(addr, nbytes)`` extents, in submission order."""
-        out = [self.load(addr, nbytes) for addr, nbytes in ops]
+    def load_gather(self, ops: List[Tuple[int, int]]) -> bytes:
+        """Read a batch of ``(addr, nbytes)`` extents as one ``bytes``, in
+        submission order.
+
+        Counted exactly as a loop of :meth:`load`; the extents are joined
+        straight out of views of the device's buffer, so each byte is copied
+        once (under one lock acquisition on a tracked device), and the
+        result belongs to the caller.
+        """
+        for addr, nbytes in ops:
+            self._count_load(addr, nbytes)
         self._count_delegated(ops)
-        return out
+        if not self.crash_tracking:
+            return b"".join([self._view[a : a + n] for a, n in ops])
+        with self._lock:
+            return b"".join([self._view[a : a + n] for a, n in ops])
 
     def _count_delegated(self, spans: Iterable[Tuple[int, int]]) -> None:
         if obs.enabled and self.devices > 1:
@@ -456,6 +492,7 @@ class PMDevice:
         the next store or fence."""
         if self._versions is None:
             versions: Dict[int, List[bytes]] = {}
+            media = memoryview(self.media)
             for run in self._runs:
                 addr, data = run.addr, run.data
                 for a, b in run.pending:
@@ -464,7 +501,7 @@ class PMDevice:
                         line = versions.get(lineno)
                         if line is None:
                             line = versions[lineno] = [
-                                bytes(self.media[base : base + CACHE_LINE])]
+                                bytes(media[base : base + CACHE_LINE])]
                         cur = bytearray(line[-1])
                         lo = max(addr, base)
                         hi = min(addr + len(data), base + CACHE_LINE)
@@ -554,6 +591,7 @@ class PMDevice:
             self.media[: len(image)] = image
             self.media[len(image) :] = bytes(self.size - len(image))
             self.volatile = self.media
+            self._view = memoryview(self.volatile)
             self._runs, self._queued, self._versions = [], [], None
 
     def __len__(self) -> int:

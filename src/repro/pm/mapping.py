@@ -77,7 +77,7 @@ class Mapping:
         self._check()
         self._device.ntstore_scatter(ops)
 
-    def load_gather(self, ops):
+    def load_gather(self, ops) -> bytes:
         self._check()
         return self._device.load_gather(ops)
 

@@ -1,8 +1,9 @@
 """Pool reservations through the crash / fsck / recovery lens.
 
 The leak-only story of the pooled allocator: a refill persists the bitmap
-bits and the per-page reservation tags under one fence, so the *worst* a
-crash can do is strand reserved pages.  fsck classifies intact
+bits and the reservation tags of the pages it pools under one fence, so the
+*worst* a crash can do is strand reserved pages (tagged) or pages handed out
+but not yet linked (untagged leaks).  fsck classifies intact
 reservations as advisory ``page-reserved`` (a live volume with warm pools
 is legal), ``--repair`` reclaims them, mount-time recovery reclaims them,
 and no enumerated crash state can ever double-allocate.

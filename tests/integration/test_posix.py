@@ -141,6 +141,39 @@ class TestFiles:
             assert s2.gen > g1
 
 
+class TestNegativeArguments:
+    """A negative offset, count or size is ``InvalidArgument``, as the wire
+    already answers.  In-process, ``pread`` at ``-4096`` used to return the
+    last page, at ``-1`` its last byte, and at ``-9000`` a bare
+    ``IndexError``; ``truncate`` to ``-1`` a bare ``struct.error``."""
+
+    @pytest.fixture
+    def two_pages(self, fs):
+        fd = fs.creat("/f")
+        fs.pwrite(fd, b"A" * 4096 + b"B" * 4096, 0)
+        return fs, fd
+
+    @pytest.mark.parametrize("offset", [-1, -4096, -9000])
+    def test_pread_at_a_negative_offset(self, two_pages, offset):
+        fs, fd = two_pages
+        with pytest.raises(InvalidArgument):
+            fs.pread(fd, 16, offset)
+
+    def test_pread_of_a_negative_count(self, two_pages):
+        fs, fd = two_pages
+        with pytest.raises(InvalidArgument):
+            fs.pread(fd, -1, 0)
+        with pytest.raises(InvalidArgument):
+            fs.read(fd, -1)
+
+    def test_truncate_to_a_negative_size(self, two_pages):
+        fs, fd = two_pages
+        with pytest.raises(InvalidArgument):
+            fs.truncate("/f", -1)
+        assert fs.stat("/f").size == 8192
+        assert fs.pread(fd, 16, 4096) == b"B" * 16
+
+
 class TestDirs:
     def test_mkdir_and_nested(self, fs):
         fs.mkdir("/a")

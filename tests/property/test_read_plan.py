@@ -52,7 +52,7 @@ def per_page_read(mem, geom, pages, size, off, n):
         n -= chunk
     if len(plan) == 1:
         return mem.load(*plan[0])
-    return b"".join(mem.load_gather(plan))
+    return mem.load_gather(plan)
 
 
 def counters(dev):

@@ -27,7 +27,7 @@ class TestPoolMechanics:
         fences0 = device.stats.fences
         alloc.alloc(zero=False)
         # One refill: one shared-lock acquisition, one fence for the whole
-        # batch (bitmap range + every reservation tag).
+        # batch (bitmap range + every pooled page's reservation tag).
         assert alloc.stats.lock_acquires == 1
         assert alloc.stats.pool_refills == 1
         assert device.stats.fences - fences0 == 1
@@ -67,6 +67,74 @@ class TestPoolMechanics:
         alloc.free(page)
         with pytest.raises(ValueError):
             alloc.free(page)
+
+
+def tagged(device, geom, pages):
+    return {p for p in pages
+            if device.load(geom.page_off(p), len(RESERVATION_TAG)) == RESERVATION_TAG}
+
+
+class TestRefillTags:
+    """A refill stamps ``RESERVATION_TAG`` on the pages it pools and on no
+    page it hands straight out: those are written by their caller before
+    they are linked, and until then they are a plain allocated-but-unlinked
+    page, which mount reclaims."""
+
+    def test_a_big_alloc_many_stores_no_tag(self):
+        device, geom, alloc = make_world()
+        stats = device.stats.snapshot()
+        pages = alloc.alloc_many(128, zero=False)
+        cost = device.stats.diff(stats)
+        assert alloc.pooled_pages() == set()
+        assert (cost.stores, cost.fences) == (1, 1)  # one bitmap run, one fence
+        assert cost.bytes_stored == 128 // 8
+        assert not tagged(device, geom, pages)
+
+    def test_alloc_tags_exactly_what_it_pools(self):
+        device, geom, alloc = make_world()
+        stats = device.stats.snapshot()
+        page = alloc.alloc(zero=False)
+        cost = device.stats.diff(stats)
+        pooled = alloc.pooled_pages()
+        assert len(pooled) == alloc.pool_pages - 1
+        assert cost.stores == 1 + alloc.pool_pages - 1
+        assert tagged(device, geom, pooled | {page}) == pooled
+
+    def test_alloc_many_tags_only_the_pooled_remainder(self):
+        device, geom, alloc = make_world()
+        pages = alloc.alloc_many(10, zero=False)
+        pooled = alloc.pooled_pages()
+        assert len(pooled) == alloc.pool_pages - 10
+        assert tagged(device, geom, pooled | set(pages)) == pooled
+
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_a_crash_before_the_link_leaks_only(self, devices):
+        """Crash after the refill's fence, with the caller's data write in
+        flight and nothing linked: fsck on the raw image finds the handed-out
+        pages as leaks and the pooled ones as reservations, nothing else;
+        mount reclaims both and leaves the volume fsck-clean."""
+        from repro.api import Volume, VolumeConfig
+        from repro.fsck import F_PAGE_LEAK, F_PAGE_RESERVED, run_fsck
+
+        vol = Volume.create(8 << 20, VolumeConfig(inode_count=64, devices=devices,
+                                                  crash_tracking=True))
+        alloc, geom, device = vol.kernel.alloc, vol.kernel.geom, vol.device
+        handed = alloc.alloc_many(3, zero=False)
+        pooled = alloc.pooled_pages()
+        assert len(pooled) == alloc.pool_pages - 3
+        assert tagged(device, geom, pooled | set(handed)) == pooled
+        for page_no in handed:  # the caller's data write, not yet fenced
+            device.ntstore(geom.page_off(page_no), b"d" * PAGE_SIZE)
+        assert device.dirty_lines()
+        for image in [device.durable_image(), *device.sample_crash_images(4, seed=3)]:
+            report = run_fsck(PMDevice.from_image(image))
+            assert {f.page for f in report.by_class(F_PAGE_LEAK)} == set(handed)
+            assert {f.page for f in report.by_class(F_PAGE_RESERVED)} == pooled
+            assert set(report.classes()) == {F_PAGE_LEAK, F_PAGE_RESERVED}
+            back = Volume.mount(image)
+            assert back.recovery.pages_reclaimed == len(handed) + len(pooled)
+            assert back.fsck().findings == []
+            assert back.session("r").readdir("/") == []
 
 
 class TestBatchedFree:

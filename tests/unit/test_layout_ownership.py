@@ -35,7 +35,8 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   session ops and four control methods — no test-only one;
 * there is one PM device class, striped or not, so nobody asks a device
   what it can do: no ``getattr``/``hasattr`` probes for its batch I/O or
-  its members;
+  its members; and a gather already returns one ``bytes``, so nobody joins
+  it again;
 * an inode's on-media shape is judged by one set of rules,
   ``core/invariants.py``: the verifier, fsck and mount call it, and none of
   them names the dentry format or the page kinds, or compares a header
@@ -318,6 +319,27 @@ def test_nobody_probes_a_device_for_what_it_can_do():
                  and isinstance(node.args[1], ast.Constant)
                  and node.args[1].value in probed]
     assert not offenders, offenders
+
+
+def test_nobody_joins_a_gather():
+    """``load_gather`` joins its extents out of the device's buffer, one
+    copy per byte; a ``b"".join`` around it is a second copy of every byte
+    (a 1 MiB read used to pay three)."""
+    gathers, joined = 0, []
+    for rel, tree in _modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "load_gather":
+                gathers += 1
+            elif (node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+                  and node.func.value.value == b""
+                  and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                          and n.func.attr == "load_gather"
+                          for arg in node.args for n in ast.walk(arg))):
+                joined.append(f"{rel}:{node.lineno}")
+    assert gathers >= 2, gathers  # the scan is not vacuous
+    assert not joined, joined
 
 
 def test_the_server_queues_nothing_and_starts_one_task():

@@ -103,7 +103,7 @@ class TestDelegation:
         arr.ntstore_scatter(ops)
         arr.sfence()
         got = arr.load_gather([(addr, len(data)) for addr, data in ops])
-        assert got == [data for _addr, data in ops]
+        assert got == b"".join(data for _addr, data in ops)
         # Every member did its own I/O and its own fence.
         assert all(m.stats.ntstores == 1 for m in arr.members)
         assert all(m.stats.fences == 1 for m in arr.members)
@@ -113,7 +113,7 @@ class TestDelegation:
         addr = arr.dev_size - 64
         arr.ntstore_scatter([(addr, b"L" * 64 + b"R" * 64)])
         arr.sfence()
-        (got,) = arr.load_gather([(addr, 128)])
+        got = arr.load_gather([(addr, 128)])
         assert got == b"L" * 64 + b"R" * 64
 
 
