@@ -69,7 +69,9 @@ def cmd_trace(args) -> None:
     n = len(obs.tracer.events())
     print(f"{args.workload}: {run.ops} ops on {args.threads} thread(s), "
           f"{run.ops_per_sec:,.0f} ops/s")
-    print(f"wrote {n} trace events to {args.out} ({args.format})")
+    print(f"wrote {n} trace events to {args.out} ({args.format}); "
+          f"{obs.tracer.dropped} dropped past the "
+          f"{obs.tracer.max_events:,}-event buffer")
     if args.format == "chrome":
         print("open chrome://tracing (or https://ui.perfetto.dev) and load it")
 

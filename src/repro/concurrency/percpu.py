@@ -31,9 +31,9 @@ class ShardedStats:
     Wraps a dataclass of int counters (``LibFSStats`` and friends):
     :meth:`inc` bumps a field in the calling thread's private shard,
     :meth:`fold` sums the shards into a real instance of the dataclass —
-    so everything downstream that expects the dataclass
-    (``obs.publish_stats``, ``obs.stats_diff``, ``dataclasses.replace``)
-    keeps working on the folded view.
+    the one record of those counts: ``dataclasses.replace`` copies it,
+    ``obs.stats_diff`` takes the delta of two, and an observed run
+    publishes that delta (``libfs.*``) with ``obs.publish_stats``.
     """
 
     def __init__(self, cls: Type[T]):

@@ -78,7 +78,7 @@ TABLE4_PAPER = {
 #: one lock acquisition and one fence each.
 SEED_ALLOC = {"lock_acquires": 1024, "fences": 1024}
 #: The seed per-page write path, for one 1 MiB sequential pwrite.
-SEED_PWRITE_1MIB = {"persist_calls": 519, "write_extents": 256}
+SEED_PWRITE_1MIB = {"fences": 519, "write_extents": 256}
 
 # -- Sweeps ------------------------------------------------------------------ #
 
@@ -581,7 +581,7 @@ def _alloc_run():
     fd = fs.open("/big.dat", create=True)
     fences0 = vol.device.stats.fences
     fs.pwrite(fd, payload, 0)
-    extent = {"persist_calls": vol.device.stats.fences - fences0,
+    extent = {"fences": vol.device.stats.fences - fences0,
               "write_extents": fs.stats.write_extents,
               "read_back": fs.pread(fd, len(payload), 0) == payload}
     return {"des_mops": {"global": _scaling_sweep(_global_alloc)[0],
@@ -604,11 +604,11 @@ def _alloc_render(data) -> str:
         f"  pooled: {pooled['lock_acquires']} lock acquires, "
         f"{pooled['fences']} fences ({pooled['pool_refills']} refills)",
         "", "1 MiB sequential pwrite:",
-        f"  seed per-page (frozen): {SEED_PWRITE_1MIB['persist_calls']} "
+        f"  seed per-page (frozen): {SEED_PWRITE_1MIB['fences']} "
         "persist calls",
-        f"  extent-batched:    {extent['persist_calls']} persist calls "
+        f"  extent-batched:    {extent['fences']} persist calls "
         f"({extent['write_extents']} extent(s)) — "
-        f"{SEED_PWRITE_1MIB['persist_calls'] / extent['persist_calls']:.0f}x fewer"])
+        f"{SEED_PWRITE_1MIB['fences'] / extent['fences']:.0f}x fewer"])
 
 
 def _alloc_check(data) -> List[str]:
@@ -629,9 +629,9 @@ def _alloc_check(data) -> List[str]:
          f"{pooled['lock_acquires']} lock acquires per {ALLOC_OPS} allocs"),
         (pooled["fences"] > SEED_ALLOC["fences"] // 8,
          f"pooled: {pooled['fences']} fences per {ALLOC_OPS} allocs"),
-        (SEED_PWRITE_1MIB["persist_calls"] < 4 * extent["persist_calls"],
-         f"1 MiB pwrite: {extent['persist_calls']} persist calls, not 4x below "
-         f"the seed's {SEED_PWRITE_1MIB['persist_calls']}"),
+        (SEED_PWRITE_1MIB["fences"] < 4 * extent["fences"],
+         f"1 MiB pwrite: {extent['fences']} persist calls, not 4x below "
+         f"the seed's {SEED_PWRITE_1MIB['fences']}"),
         (extent["write_extents"] < 1, "1 MiB pwrite wrote no extent"),
         (not extent["read_back"], "1 MiB pwrite did not read back"))
 
@@ -870,6 +870,7 @@ def _tx_check(data) -> List[str]:
 
 
 def _striping_run():
+    from repro import obs
     from repro.api import Volume, VolumeConfig
 
     modeled = {op: {str(n): STRIPE_BYTES / COST.delegate_io_time(  # B/ns = GB/s
@@ -881,16 +882,17 @@ def _striping_run():
     payload = bytes(range(256)) * (STRIPE_BYTES // 256)
     with vol.session("striping") as sess:
         fd = sess.open("/big.dat", create=True)
-        before = [m.stats.snapshot() for m in vol.device.members]
+        before = [dataclasses.replace(m.stats) for m in vol.device.members]
         sess.pwrite(fd, payload, 0)
-        deltas = [m.stats.diff(b) for m, b in zip(vol.device.members, before)]
+        deltas = [obs.stats_diff(m.stats, b)
+                  for m, b in zip(vol.device.members, before)]
         read_back = sess.pread(fd, STRIPE_BYTES, 0) == payload
     vol.close()
     return {"modeled_gbps": modeled,
             "fanout": {"devices": vol.device.devices,
                        "bytes_stored": [d.bytes_stored for d in deltas],
                        "ntstores": [d.ntstores for d in deltas],
-                       "persist_calls": [d.fences for d in deltas],
+                       "fences": [d.fences for d in deltas],
                        "read_back": read_back}}
 
 
@@ -909,7 +911,7 @@ def _striping_render(data) -> str:
         "  byte shares per device: "
         + ", ".join(f"{b / total:.0%}" for b in fo["bytes_stored"]),
         f"  ntstores per device:    {fo['ntstores']}",
-        f"  persist calls per device: {fo['persist_calls']}"])
+        f"  persist calls per device: {fo['fences']}"])
 
 
 def _striping_check(data) -> List[str]:
@@ -925,8 +927,8 @@ def _striping_check(data) -> List[str]:
         (any(a >= b for a, b in zip(rising, rising[1:])),
          f"modeled write bandwidth not rising with devices: {rising}"),
         (min(stored) <= 0, f"a member stored nothing: {stored}"),
-        (min(fo["persist_calls"]) <= 0,
-         f"a member took no persist call: {fo['persist_calls']}"),
+        (min(fo["fences"]) <= 0,
+         f"a member took no persist call: {fo['fences']}"),
         (max(stored) >= 2 * min(stored), f"byte shares more than 2x apart: {stored}"),
         (not fo["read_back"], "striped pwrite did not read back"))
 

@@ -43,7 +43,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.kernel.permissions import READ, check_access
 from repro.pm.device import PMDevice
 from repro.pm.mapping import Mapping
@@ -87,7 +86,6 @@ class ReadMappingCache:
         with self._lock:
             self._published[ino] = (mode, uid)
             self.stats.publishes += 1
-        obs.count("readcache.publishes")
 
     def invalidate(self, ino: int) -> None:
         """Retract ``ino`` and revoke every cached mapping of it."""
@@ -99,8 +97,6 @@ class ReadMappingCache:
         for mapping in handouts:
             if mapping.valid:
                 mapping.unmap()
-        if published:
-            obs.count("readcache.invalidations")
 
     # -- application side ------------------------------------------------- #
 
@@ -118,19 +114,12 @@ class ReadMappingCache:
             entry = self._published.get(ino)
             if entry is None:
                 self.stats.misses += 1
-                miss = True
-            else:
-                check_access(*entry, accessor, READ, f"inode {ino}")
-                mapping = Mapping(self.device, ino, tag=f"{app_id}/ro")
-                version = self._versions[ino]
-                self._handouts.setdefault(ino, []).append(mapping)
-                self.stats.hits += 1
-                miss = False
-        if miss:
-            obs.count("readcache.misses")
-            return None
-        obs.count("readcache.hits")
-        return mapping, version
+                return None
+            check_access(*entry, accessor, READ, f"inode {ino}")
+            mapping = Mapping(self.device, ino, tag=f"{app_id}/ro")
+            self._handouts.setdefault(ino, []).append(mapping)
+            self.stats.hits += 1
+            return mapping, self._versions[ino]
 
     def valid(self, ino: int, version: Optional[int]) -> bool:
         """Is ``version`` still the kernel's version of ``ino``?  One load

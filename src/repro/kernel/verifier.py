@@ -117,12 +117,12 @@ class PipelineStats:
     critical_units: int = 0
 
 
-#: batch stage -> (its PipelineStats field, whether ``verify.<stage>`` is an
-#: obs counter, the CostModel attribute holding one item's check cost).
+#: batch stage -> (its PipelineStats field, the CostModel attribute holding
+#: one item's check cost).
 _STAGES = {
-    "pages": ("page_checks", True, "verify_page_check"),
-    "dentries": ("dentry_checks", True, "verify_dentry_check"),
-    "absent": ("absent_checks", False, "verify_dentry_check"),
+    "pages": ("page_checks", "verify_page_check"),
+    "dentries": ("dentry_checks", "verify_dentry_check"),
+    "absent": ("absent_checks", "verify_dentry_check"),
 }
 
 
@@ -368,10 +368,8 @@ class Verifier:
         n = len(items)
         if not n:
             return []
-        stat, counted, unit_cost = _STAGES[stage]
+        stat, unit_cost = _STAGES[stage]
         setattr(self.pstats, stat, getattr(self.pstats, stat) + n)
-        if counted:
-            obs.count(f"verify.{stage}", n)
         shards = stride_shards(items, self.workers)
         self.pstats.total_units += n
         self.pstats.critical_units += len(shards[0])  # stride-dealt: none is larger
@@ -391,7 +389,6 @@ class Verifier:
         if len(shards) == 1:
             return [check(items, staged)]
         self.pstats.shard_jobs += len(shards)
-        obs.count("verify.shards", len(shards))
         partials = [StagedUpdate(ino=ino) for _ in shards]
         with obs.span(f"verify.{stage}", category="kernel", ino=ino, n=n):
             results = run_parallel(

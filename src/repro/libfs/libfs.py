@@ -608,8 +608,6 @@ class LibFS:
             self._stats.inc("writes")
             self._stats.inc("write_extents", extents)
             self._stats.inc("bytes_written", len(data))
-            if extents:
-                obs.count("pwrite.extents", extents)
             return len(data)
         finally:
             mi.seq.write_end()

@@ -9,12 +9,21 @@ reproduction that lens as a first-class subsystem:
   JSON-lines and Chrome ``chrome://tracing`` exporters;
 * :data:`metrics` — a registry of counters / gauges / fixed-bucket latency
   histograms (``repro.obs.metrics``);
+* :data:`profiler` — call-path self time of the spans the tracer's one
+  per-thread stack closes, plus simulated-time charges
+  (``repro.obs.profile``);
 * instrumentation woven through the stack: LibFS syscalls open spans and
   record latency, every :class:`~repro.kernel.controller.KernelController`
   entry bumps ``kernel.crossings{reason=...}``, spin/rw locks record
-  acquisitions and wait time, failpoint hits surface as
-  ``failpoints.hit{name=...}``, and PM device counters republish as
-  ``pm.*``.
+  acquisitions and wait time, and failpoint hits surface as
+  ``failpoints.hit{name=...}``.
+
+A layer event is counted once, in its layer's stats record (``PMStats``,
+``AllocStats``, ``KernelStats``, ``ReadCacheStats``, ``PipelineStats``,
+``LibFSStats``); the registry holds only what no record counts.  An
+observed run (``repro.obs.driver``) publishes each record's delta as
+``pm.*``, ``alloc.*``, ``kernel.*``, ``readcache.*``, ``verify.*`` and
+``libfs.*`` through :func:`publish_stats` when it ends.
 
 **Cost when disabled (the default): one module-attribute check** at every
 instrumented site — the same pattern as
@@ -55,7 +64,6 @@ from repro.obs.metrics import (  # noqa: F401  (re-exported API)
 from repro.obs.profile import (  # noqa: F401  (re-exported API)
     PipelineProfile,
     Profiler,
-    SpanFrame,
     read_collapsed,
 )
 from repro.obs.trace import NULL_SPAN, Tracer, read_jsonl  # noqa: F401
@@ -64,10 +72,10 @@ from repro.obs.trace import NULL_SPAN, Tracer, read_jsonl  # noqa: F401
 #: so a hit costs one dict lookup).  Toggle via :func:`enable`/:func:`disable`.
 enabled = False
 
-#: Process-wide singletons.
-tracer = Tracer()
-metrics = MetricsRegistry()
+#: Process-wide singletons; the profiler reads the tracer's closed spans.
 profiler = Profiler()
+tracer = Tracer(profiler=profiler)
+metrics = MetricsRegistry()
 
 
 def enable(trace: bool = False, profile: bool = False) -> None:
@@ -185,30 +193,23 @@ def lock_wait(kind: str, wait_ns: int) -> None:
 
 
 def span(name: str, category: str = "op", **args: object):
-    """A tracer span and/or profiler frame, or the shared no-op.
+    """A span on the calling thread's stack, or the shared no-op.
 
-    One call site serves every collector: with tracing on it records a
-    timed span, with profiling on it charges a call-path frame, with both
-    on a :class:`SpanFrame` drives the pair in lockstep.
+    Tracing records it as an event when it closes; profiling charges its
+    self time to its call path.  Either switch opens it.
     """
     if not enabled:
         return NULL_SPAN
-    sp = tracer.span(name, category, **args) if tracer.enabled else None
-    fr = profiler.frame(name) if profiler.enabled else None
-    if sp is not None and fr is not None:
-        return SpanFrame(sp, fr)
-    if sp is not None:
-        return sp
-    if fr is not None:
-        return fr
-    return NULL_SPAN
+    return tracer.span(name, category, **args)
 
 
 def charge(sim_ns: float, *suffix: str) -> None:
     """Charge simulated (cost-model / DES) nanoseconds to the calling
-    thread's current profiler path; no-op unless profiling is on."""
+    thread's open spans (``(root)`` outside any), extended by ``suffix``;
+    no-op unless profiling is on."""
     if enabled and profiler.enabled:
-        profiler.charge(sim_ns, *suffix)
+        path = tracer.stack_names() or ("(root)",)
+        profiler.charge_path(path + suffix, sim_ns)
 
 
 def charge_path(path, sim_ns: float, calls: int = 0) -> None:
@@ -225,16 +226,8 @@ def pipeline_profile(name: str) -> Optional[PipelineProfile]:
 
 
 def current_span_path() -> Optional[str]:
-    """The calling thread's open span/frame path as ``a;b;c`` (or None)."""
-    if tracer.enabled:
-        names = tracer.stack_names()
-        if names:
-            return ";".join(names)
-    if profiler.enabled:
-        path = profiler.current_path()
-        if path:
-            return ";".join(path)
-    return None
+    """The calling thread's open spans as ``a;b;c`` (or None)."""
+    return ";".join(tracer.stack_names()) or None
 
 
 def trace_id() -> Optional[str]:
@@ -246,8 +239,8 @@ def publish_stats(prefix: str, stats: object, **labels) -> None:
     """Republish a stats dataclass (PMStats, KernelStats, LibFSStats, ...)
     into the registry: every int/float field becomes ``<prefix>.<field>``.
     Keyword labels dimension every published series (e.g. ``device=0`` for
-    one member of a PM array; the snapshot rolls labeled series into their
-    base name, so per-device publishes aggregate automatically).
+    one member of a striped device; the snapshot rolls labeled series into
+    their base name, so per-device publishes aggregate automatically).
 
     Unconditional (not gated on :data:`enabled`): it is a snapshot-time
     operation, called once per run, never on a hot path.

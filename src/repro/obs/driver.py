@@ -4,7 +4,7 @@ This is the engine behind ``python -m repro trace`` and ``python -m repro
 metrics``: build a fresh ArckFS(+) stack, prepare the workload fileset
 *outside* the measured window, then run the per-thread op loop with
 observability enabled and publish every layer's stats delta into the
-metrics registry.
+metrics registry (:func:`layer_snapshot`, :func:`publish_layer_deltas`).
 
 Workload specs:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.api import Volume, VolumeConfig
@@ -131,14 +131,11 @@ def run_observed(
         VolumeConfig(config=config, name="obs",
                      inode_count=max(4096, 2 * total_ops + 512)),
     )
-    device, kernel = vol.device, vol.kernel
     libfs = vol.session("obs", uid=0).fs
 
     driver.prepare(libfs, threads)
 
-    pm_before = device.stats.snapshot()
-    kernel_before = replace(kernel.stats)
-    libfs_before = replace(libfs.stats)
+    before = layer_snapshot(vol, libfs)
 
     was_enabled = obs.enabled
     obs.reset()
@@ -152,15 +149,12 @@ def run_observed(
         if not was_enabled:
             obs.disable()
 
-    obs.publish_stats("pm", device.stats.diff(pm_before))
-    obs.publish_stats("kernel", obs.stats_diff(kernel.stats, kernel_before))
-    obs.publish_stats("libfs", obs.stats_diff(libfs.stats, libfs_before))
+    publish_layer_deltas(vol, libfs, before)
     # Make sure the headline counters exist even when a run never touched
     # them (e.g. a pure-LibFS workload has zero kernel crossings — that
     # zero IS the paper's architectural claim, so print it).
     obs.metrics.counter("kernel.crossings")
     obs.metrics.counter("lock.wait_ns")
-    obs.metrics.counter("pm.fences")
     obs.metrics.gauge("run.threads").set(threads)
     obs.metrics.gauge("run.ops").set(total_ops)
     obs.metrics.gauge("run.wall_ns").set(wall_ns)
@@ -175,6 +169,40 @@ def run_observed(
         wall_ns=wall_ns,
         metrics=obs.metrics.snapshot(),
     )
+
+
+def _layer_records(vol: Volume, libfs: LibFS) -> List[Tuple[str, object, Dict]]:
+    """``(prefix, stats record, labels)`` for every layer of ``vol``: the
+    one place a layer's counters reach the registry from.  A striped
+    device's members are published one by one, labelled ``device=`` (the
+    registry's rollup is the device total); a flat one's shares the
+    device's record."""
+    kernel, device = vol.kernel, vol.device
+    labels = {"volume": vol.name}
+    if device.devices > 1:
+        pm = [("pm", m.stats, {**labels, "device": m.index})
+              for m in device.members]
+    else:
+        pm = [("pm", device.stats, labels)]
+    return pm + [
+        ("alloc", kernel.alloc.stats, labels),
+        ("kernel", kernel.stats, labels),
+        ("readcache", kernel.readcache.stats, labels),
+        ("verify", kernel.verifier.pstats, labels),
+        ("libfs", libfs.stats, labels),
+    ]
+
+
+def layer_snapshot(vol: Volume, libfs: LibFS) -> List[object]:
+    """A copy of every layer record of ``vol`` and ``libfs``, now."""
+    return [replace(rec) for _prefix, rec, _labels in _layer_records(vol, libfs)]
+
+
+def publish_layer_deltas(vol: Volume, libfs: LibFS, before: List[object]) -> None:
+    """Publish every layer record's change since :func:`layer_snapshot`
+    gave ``before``, as ``<prefix>.<field>``."""
+    for (prefix, rec, labels), then in zip(_layer_records(vol, libfs), before):
+        obs.publish_stats(prefix, obs.stats_diff(rec, then), **labels)
 
 
 def _run_threads(driver: WorkloadDriver, libfs: LibFS, threads: int,

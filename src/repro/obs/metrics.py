@@ -285,8 +285,8 @@ class MetricsRegistry:
         """Sum of a counter over all of its label sets — those carrying
         every one of ``labels``, when given (0 if never created)."""
         want = set(_labels_key(labels))
-        return sum(c.value for (n, key), c in self._counters.items()
-                   if n == name and want.issubset(key))
+        return sum(c.value for c in self.counters()
+                   if c.name == name and want.issubset(c.labels))
 
     def counters(self) -> List[Counter]:
         """A consistent list of every live counter (for exporters)."""

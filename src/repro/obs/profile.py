@@ -1,18 +1,19 @@
-"""Span-stack attribution profiler: wall *and* simulated time per call path.
+"""Call-path attribution profiler: wall *and* simulated time per call path.
 
 The tracer (``repro.obs.trace``) answers "what happened, when"; this module
-answers "where does the time go".  Every :func:`repro.obs.span` doubles as a
-profiler frame when profiling is enabled, so the existing instrumentation —
-LibFS syscall wrappers, the pipelined verifier, fsck phases — feeds call
-*paths* (root→leaf name tuples) with three accumulators each:
+answers "where does the time go".  It keeps no stack of its own: it reads
+the spans :func:`repro.obs.span` opens on the tracer's one per-thread stack.
+While profiling is on, each span that closes is charged to its call *path*
+(root→leaf name tuple) — LibFS syscall wrappers, the pipelined verifier,
+fsck phases — and every path has three accumulators:
 
-* ``calls`` — how many times the leaf frame closed on that path;
+* ``calls`` — how many spans closed on that path;
 * ``wall_ns`` — **self** wall time (children's time is subtracted, so the
   per-path numbers sum to total wall time without double counting);
-* ``sim_ns`` — simulated time charged via :meth:`Profiler.charge` /
-  :meth:`Profiler.charge_path`.  This is the calibrated cost-model / DES
-  clock — deterministic, host-independent — and the number the repository's
-  performance claims are argued in.
+* ``sim_ns`` — simulated time charged via :func:`repro.obs.charge` (to the
+  calling thread's open spans) or :meth:`Profiler.charge_path`.  This is the
+  calibrated cost-model / DES clock — deterministic, host-independent — and
+  the number the repository's performance claims are argued in.
 
 Export is Brendan Gregg's **collapsed-stack** format — one line per path,
 ``root;child;leaf <value>`` with integer ns values — which flamegraph.pl,
@@ -31,16 +32,13 @@ the named stages explain.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.obs.trace import NULL_SPAN
+from typing import Dict, Sequence, Tuple
 
 Path = Tuple[str, ...]
 
 
 def _clean(name: str) -> str:
-    """Make a frame name safe for the collapsed format (no ';', no spaces)."""
+    """Make a span name safe for the collapsed format (no ';', no spaces)."""
     return name.replace(";", ":").replace(" ", "_")
 
 
@@ -57,72 +55,6 @@ class PathStat:
     def as_dict(self) -> Dict[str, float]:
         return {"calls": self.calls, "wall_ns": self.wall_ns,
                 "sim_ns": self.sim_ns}
-
-
-class _Frame:
-    """One in-flight profiler frame on one thread (context manager)."""
-
-    __slots__ = ("profiler", "name", "start_ns", "child_ns")
-
-    def __init__(self, profiler: "Profiler", name: str):
-        self.profiler = profiler
-        self.name = name
-        self.start_ns = 0
-        self.child_ns = 0
-
-    def event(self, name: str, **args: object) -> None:
-        """Span-interface compatibility (instants are the tracer's job)."""
-
-    def __enter__(self) -> "_Frame":
-        self.profiler._stack().append(self)
-        self.start_ns = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        end = time.perf_counter_ns()
-        stack = self.profiler._stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        else:  # pragma: no cover - misnested exit; drop from wherever it is
-            try:
-                stack.remove(self)
-            except ValueError:
-                pass
-        total = end - self.start_ns
-        path = tuple(f.name for f in stack) + (self.name,)
-        self.profiler._add(path, calls=1,
-                           wall_ns=max(0, total - self.child_ns))
-        if stack:
-            stack[-1].child_ns += total
-        return False
-
-
-class SpanFrame:
-    """A tracer span and a profiler frame entered/exited together.
-
-    Returned by :func:`repro.obs.span` when both tracing and profiling are
-    on; forwards ``event`` to the span so call sites need not care which
-    collectors are active.
-    """
-
-    __slots__ = ("span", "frame")
-
-    def __init__(self, span, frame):
-        self.span = span
-        self.frame = frame
-
-    def event(self, name: str, **args: object) -> None:
-        self.span.event(name, **args)
-
-    def __enter__(self) -> "SpanFrame":
-        self.span.__enter__()
-        self.frame.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.frame.__exit__(*exc)
-        self.span.__exit__(*exc)
-        return False
 
 
 class PipelineProfile:
@@ -235,7 +167,6 @@ class Profiler:
         self._lock = threading.Lock()
         self._paths: Dict[Path, PathStat] = {}
         self._pipelines: Dict[str, PipelineProfile] = {}
-        self._local = threading.local()
 
     # -- lifecycle ---------------------------------------------------------- #
 
@@ -245,22 +176,6 @@ class Profiler:
             self._pipelines = {}
 
     # -- recording ----------------------------------------------------------- #
-
-    def _stack(self) -> List[_Frame]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def frame(self, name: str):
-        """Open a frame on the calling thread (context manager)."""
-        if not self.enabled:
-            return NULL_SPAN
-        return _Frame(self, name)
-
-    def current_path(self) -> Path:
-        """The calling thread's open frame names, root first."""
-        return tuple(f.name for f in self._stack())
 
     def _add(self, path: Path, *, calls: int = 0, wall_ns: int = 0,
              sim_ns: float = 0.0) -> None:
@@ -272,20 +187,16 @@ class Profiler:
             st.wall_ns += wall_ns
             st.sim_ns += sim_ns
 
-    def charge(self, sim_ns: float, *suffix: str) -> None:
-        """Charge simulated ns to the calling thread's current path
-        (optionally extended by ``suffix`` frames)."""
-        if not self.enabled:
-            return
-        path = self.current_path() or ("(root)",)
-        if suffix:
-            path = path + suffix
-        self._add(path, sim_ns=sim_ns)
+    def span_closed(self, path: Path, self_ns: int) -> None:
+        """Count one closed span on ``path`` (root first) and its self wall
+        time: the tracer calls this as each span exits."""
+        self._add(path, calls=1, wall_ns=self_ns)
 
     def charge_path(self, path: Sequence[str], sim_ns: float,
                     calls: int = 0) -> None:
-        """Charge simulated ns to an explicit path (DES runs have no live
-        frame stack — their threads are virtual)."""
+        """Charge simulated ns to an explicit path: ``obs.charge`` passes
+        the calling thread's open spans, DES runs a path of their own
+        (their threads are virtual)."""
         if not self.enabled:
             return
         self._add(tuple(path), sim_ns=sim_ns, calls=calls)

@@ -11,6 +11,11 @@ buffered in memory and exported either as
   ``chrome://tracing`` / Perfetto load directly (complete ``"X"`` events
   with microsecond timestamps, plus ``"i"`` instant events).
 
+The per-thread stack of open spans is the only one in the package.  A
+closed span is appended to the buffer when tracing is on and handed to the
+tracer's :class:`~repro.obs.profile.Profiler`, as its path and self time,
+when profiling is on; either switch opens spans.
+
 The tracer is off by default.  When off, :meth:`Tracer.span` returns a
 shared no-op context manager — the cost is one attribute check, the same
 pattern :mod:`repro.concurrency.failpoints` uses for production no-ops.
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 class NullSpan:
@@ -46,7 +51,7 @@ class Span:
     """One in-flight timed operation on one thread."""
 
     __slots__ = ("tracer", "name", "category", "args", "tid", "depth",
-                 "parent", "start_ns", "end_ns")
+                 "parent", "start_ns", "end_ns", "child_ns")
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
                  args: Dict[str, object], tid: int, depth: int,
@@ -60,10 +65,13 @@ class Span:
         self.parent = parent
         self.start_ns = 0
         self.end_ns = 0
+        #: wall time of the closed spans nested directly inside this one.
+        self.child_ns = 0
 
     def event(self, name: str, **args: object) -> None:
-        """Record an instant event inside this span."""
-        self.tracer._record_instant(name, self.category, self.tid, args)
+        """Record an instant event inside this span (tracing only)."""
+        if self.tracer.enabled:
+            self.tracer._record_instant(name, self.category, self.tid, args)
 
     def __enter__(self) -> "Span":
         self.start_ns = time.perf_counter_ns()
@@ -86,8 +94,11 @@ class Tracer:
     (``max_events``); overflow is counted, never raised.
     """
 
-    def __init__(self, max_events: int = 1_000_000):
+    def __init__(self, max_events: int = 1_000_000, profiler=None):
         self.enabled = False
+        #: the :class:`~repro.obs.profile.Profiler` closed spans are
+        #: charged to while it is enabled (None: spans are only traced).
+        self.profiler = profiler
         self.max_events = max_events
         self.dropped = 0
         self._events: List[Dict] = []
@@ -123,13 +134,15 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def stack_names(self) -> List[str]:
+    def stack_names(self) -> Tuple[str, ...]:
         """The calling thread's open span names, root first."""
-        return [sp.name for sp in self._stack()]
+        return tuple(sp.name for sp in self._stack())
 
     def span(self, name: str, category: str = "op", **args: object):
-        """Open a nested span on the calling thread (context manager)."""
-        if not self.enabled:
+        """Open a nested span on the calling thread (context manager), if
+        tracing or profiling is on."""
+        if not (self.enabled or (self.profiler is not None
+                                 and self.profiler.enabled)):
             return NULL_SPAN
         stack = self._stack()
         parent = stack[-1].name if stack else None
@@ -166,17 +179,25 @@ class Tracer:
                 stack.remove(sp)
             except ValueError:
                 pass
-        self._append({
-            "ph": "X",
-            "name": sp.name,
-            "cat": sp.category,
-            "ts_ns": sp.start_ns - self._epoch_ns,
-            "dur_ns": sp.end_ns - sp.start_ns,
-            "tid": sp.tid,
-            "depth": sp.depth,
-            "parent": sp.parent,
-            "args": sp.args,
-        })
+        total = sp.end_ns - sp.start_ns
+        if stack:
+            stack[-1].child_ns += total
+        if self.enabled:
+            self._append({
+                "ph": "X",
+                "name": sp.name,
+                "cat": sp.category,
+                "ts_ns": sp.start_ns - self._epoch_ns,
+                "dur_ns": total,
+                "tid": sp.tid,
+                "depth": sp.depth,
+                "parent": sp.parent,
+                "args": sp.args,
+            })
+        prof = self.profiler
+        if prof is not None and prof.enabled:
+            prof.span_closed(tuple(s.name for s in stack) + (sp.name,),
+                             max(0, total - sp.child_ns))
 
     def _append(self, event: Dict) -> None:
         with self._lock:

@@ -70,7 +70,8 @@ _ZERO_PAGE = b"\0" * PAGE_SIZE
 
 @dataclass
 class AllocStats:
-    """Operation counters (also published as ``alloc.*`` obs metrics)."""
+    """Operation counters (an observed run publishes their delta as
+    ``alloc.*``)."""
 
     allocs: int = 0
     frees: int = 0
@@ -256,22 +257,18 @@ class PageAllocator:
             if pages:
                 self.stats.pool_refills += 1
                 self.stats.refill_pages += len(pages)
-        obs.count("alloc.lock_acquires")
-        if pages:
-            obs.count("alloc.pool_refills")
-            obs.count("alloc.refill_pages", len(pages))
-            pipe = obs.pipeline_profile("alloc")
-            if pipe is not None:
-                from repro.perf.costmodel import COST
+        pipe = obs.pipeline_profile("alloc") if pages else None
+        if pipe is not None:
+            from repro.perf.costmodel import COST
 
-                # Per-thread pools are the "workers" of this pipeline: each
-                # refill charges its modeled in-lock time to the refilling
-                # thread, so the critical path is the busiest pool.
-                ns = COST.alloc_refill_time(len(pages))
-                worker = threading.current_thread().name
-                pipe.charge(worker, "refill", ns)
-                pipe.add_worker_total(worker, ns)
-                obs.charge(ns, "alloc.refill")
+            # Per-thread pools are the "workers" of this pipeline: each
+            # refill charges its modeled in-lock time to the refilling
+            # thread, so the critical path is the busiest pool.
+            ns = COST.alloc_refill_time(len(pages))
+            worker = threading.current_thread().name
+            pipe.charge(worker, "refill", ns)
+            pipe.add_worker_total(worker, ns)
+            obs.charge(ns, "alloc.refill")
         return pages
 
     def _steal(self, own: _ThreadPool) -> Optional[int]:
@@ -324,7 +321,6 @@ class PageAllocator:
             self._free_count += len(pages)
         with self._acct_lock:
             self.stats.lock_acquires += 1
-        obs.count("alloc.lock_acquires")
 
     def _zero_pages(self, pages: List[int]) -> None:
         """Durably zero pages: one store + write-back per contiguous run,
@@ -376,8 +372,6 @@ class PageAllocator:
             self.stats.allocs += 1
             if hit:
                 self.stats.pool_hits += 1
-        if hit:
-            obs.count("alloc.pool_hits")
         if zero:
             # Zero durably (store + fence): freshly allocated pages must not
             # contribute stale crash states (this also erases the tag).
@@ -416,8 +410,6 @@ class PageAllocator:
             self._handed_out.update(got)
             self.stats.allocs += count
             self.stats.pool_hits += hits
-        if hits:
-            obs.count("alloc.pool_hits", hits)
         if zero:
             self._zero_pages(got)
         return got
@@ -490,8 +482,6 @@ class PageAllocator:
         self._clear_bits(drained)
         with self._acct_lock:
             self.stats.drained_pages += len(drained)
-        if drained:
-            obs.count("alloc.drained_pages", len(drained))
         return len(drained)
 
     def rebuild(self, reachable: Iterable[int]) -> int:

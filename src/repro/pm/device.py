@@ -51,11 +51,10 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import asdict, dataclass, fields, replace
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from dataclasses import dataclass
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
-from repro import obs
 from repro.errors import PersistOrderError, SuperblockCorrupt
 from repro.pm.layout import PAGE_SIZE, Superblock
 
@@ -65,7 +64,12 @@ CACHE_LINE = 64
 
 @dataclass
 class PMStats:
-    """Operation counters, used by tests and by the cost model calibration."""
+    """Operation counters, used by tests and by the cost model calibration.
+
+    ``dataclasses.replace(stats)`` is a copy and ``obs.stats_diff(stats,
+    copy)`` the delta since; an observed run publishes the device's delta
+    and each member's as ``pm.*``.
+    """
 
     loads: int = 0
     stores: int = 0
@@ -74,21 +78,6 @@ class PMStats:
     clwbs: int = 0
     fences: int = 0
     ntstores: int = 0
-
-    def snapshot(self) -> "PMStats":
-        """An independent copy of the current counter values."""
-        return replace(self)
-
-    def diff(self, earlier: "PMStats") -> "PMStats":
-        """Field-wise ``self - earlier`` — the per-workload delta that
-        metrics snapshots are built from."""
-        return PMStats(**{
-            f.name: getattr(self, f.name) - getattr(earlier, f.name)
-            for f in fields(self)
-        })
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
 
 class Member(NamedTuple):
@@ -163,8 +152,8 @@ class PMDevice:
     devices:
         Member count.  ``devices > 1`` stripes a volume: every access is
         also counted on the members it touches, and a fence is charged to
-        each member stored to or flushed since the last one
-        (``pm.persist_calls`` then carries a ``device=`` label).
+        each member stored to or flushed since the last one (counted in
+        that member's :class:`Member` record).
     crash_tracking:
         When True (default), unfenced stores are logged so that reachable
         crash states can be enumerated.  Benchmarks that never
@@ -359,12 +348,10 @@ class PMDevice:
         """
         if self.devices == 1:
             self.stats.fences += 1
-            obs.count("pm.persist_calls")
         else:
             for d in sorted(self._dirty) or [0]:
                 self.stats.fences += 1
                 self.members[d].stats.fences += 1
-                obs.count("pm.persist_calls", device=d)
             self._dirty.clear()
         if not self.crash_tracking:
             return
@@ -447,14 +434,13 @@ class PMDevice:
     def ntstore_scatter(self, ops: List[Tuple[int, bytes]]) -> None:
         """Non-temporal-store a batch of ``(addr, data)`` extents.
 
-        Semantically a loop of :meth:`ntstore` (durability still requires
-        the caller's following ``sfence``), so each ``data`` may be a view
-        of the caller's buffer; a striped device also counts each member's
-        share as ``pm.delegated_*{device=}``.
+        Semantically a loop of :meth:`ntstore`, counted as one (each
+        member's share lands in its :class:`Member` record), and durability
+        still requires the caller's following ``sfence``; each ``data`` may
+        be a view of the caller's buffer.
         """
         for addr, data in ops:
             self.ntstore(addr, data)
-        self._count_delegated((addr, len(data)) for addr, data in ops)
 
     def load_gather(self, ops: List[Tuple[int, int]]) -> bytes:
         """Read a batch of ``(addr, nbytes)`` extents as one ``bytes``, in
@@ -467,18 +453,10 @@ class PMDevice:
         """
         for addr, nbytes in ops:
             self._count_load(addr, nbytes)
-        self._count_delegated(ops)
         if not self.crash_tracking:
             return b"".join([self._view[a : a + n] for a, n in ops])
         with self._lock:
             return b"".join([self._view[a : a + n] for a, n in ops])
-
-    def _count_delegated(self, spans: Iterable[Tuple[int, int]]) -> None:
-        if obs.enabled and self.devices > 1:
-            for addr, nbytes in spans:
-                for d, n in self._pieces(addr, nbytes):
-                    obs.count("pm.delegated_ops", device=d)
-                    obs.count("pm.delegated_bytes", n, device=d)
 
     # ------------------------------------------------------------------ #
     # Crash-state exploration

@@ -84,13 +84,13 @@ class TestCorrectness:
 
 
 class TestPersistCost:
-    def test_persist_calls_drop_4x_per_mib(self):
+    def test_fences_drop_4x_per_mib(self):
         device, fs = build(ARCKFS_PLUS)
         fd = fs.creat("/big")
         before = device.stats.fences
         fs.pwrite(fd, b"\x5a" * MiB, 0)
         fences = device.stats.fences - before
-        assert SEED_PWRITE_1MIB["persist_calls"] / fences >= 4.0, fences
+        assert SEED_PWRITE_1MIB["fences"] / fences >= 4.0, fences
         # 256 physically contiguous fresh pages coalesce into one extent.
         assert fs.stats.write_extents == 1
 

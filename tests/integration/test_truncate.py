@@ -9,9 +9,11 @@ past EOF exposed them.  Each entry point is checked: the LibFS call,
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.api import Volume, VolumeConfig
 from repro.server import ServerClient, ServerConfig, VolumeServer
 
@@ -115,11 +117,12 @@ def test_page_aligned_shrink_zeroes_nothing():
     vol = make_volume()
     with vol.session("app") as s:
         s.write_file("/g", b"A" * (3 * 4096))
-        before = vol.device.stats.snapshot()
+        before = replace(vol.device.stats)
         s.truncate("/g", 2 * 4096)
-        aligned = vol.device.stats.diff(before)
+        after_aligned = replace(vol.device.stats)
+        aligned = obs.stats_diff(after_aligned, before)
         s.truncate("/g", 4096 + 100)
-        cut = vol.device.stats.diff(before).diff(aligned)
+        cut = obs.stats_diff(vol.device.stats, after_aligned)
         assert aligned.ntstores == 0
         assert cut.ntstores == 1  # the tail of the kept page, zeroed
         assert s.read_file("/g") == b"A" * (4096 + 100)

@@ -1,7 +1,10 @@
 """Unit tests for the pooled PM page allocator (per-thread page pools)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import obs
 from repro.core.mkfs import mkfs
 from repro.errors import DoubleFree, NoSpace
 from repro.pm.allocator import DEFAULT_POOL_PAGES, RESERVATION_TAG, PageAllocator
@@ -82,9 +85,9 @@ class TestRefillTags:
 
     def test_a_big_alloc_many_stores_no_tag(self):
         device, geom, alloc = make_world()
-        stats = device.stats.snapshot()
+        stats = replace(device.stats)
         pages = alloc.alloc_many(128, zero=False)
-        cost = device.stats.diff(stats)
+        cost = obs.stats_diff(device.stats, stats)
         assert alloc.pooled_pages() == set()
         assert (cost.stores, cost.fences) == (1, 1)  # one bitmap run, one fence
         assert cost.bytes_stored == 128 // 8
@@ -92,9 +95,9 @@ class TestRefillTags:
 
     def test_alloc_tags_exactly_what_it_pools(self):
         device, geom, alloc = make_world()
-        stats = device.stats.snapshot()
+        stats = replace(device.stats)
         page = alloc.alloc(zero=False)
-        cost = device.stats.diff(stats)
+        cost = obs.stats_diff(device.stats, stats)
         pooled = alloc.pooled_pages()
         assert len(pooled) == alloc.pool_pages - 1
         assert cost.stores == 1 + alloc.pool_pages - 1
@@ -144,10 +147,10 @@ class TestBatchedFree:
     def test_128_pages_cost_one_lock_and_one_fence(self):
         device, _geom, alloc = make_world()
         pages = alloc.alloc_many(128, zero=False)
-        stats, locks, frees = device.stats.snapshot(), alloc.stats.lock_acquires, \
+        stats, locks, frees = replace(device.stats), alloc.stats.lock_acquires, \
             alloc.stats.frees
         alloc.free(*pages)
-        cost = device.stats.diff(stats)
+        cost = obs.stats_diff(device.stats, stats)
         assert alloc.stats.lock_acquires - locks == 1
         assert alloc.stats.frees - frees == 128
         assert cost.fences == 1
@@ -159,9 +162,9 @@ class TestBatchedFree:
         """The clean bitmap between two far-apart pages is never written."""
         device, _geom, alloc = make_world()
         pages = alloc.alloc_many(200, zero=False)
-        stats = device.stats.snapshot()
+        stats = replace(device.stats)
         alloc.free(pages[0], pages[-1])
-        cost = device.stats.diff(stats)
+        cost = obs.stats_diff(device.stats, stats)
         assert (cost.stores, cost.bytes_stored, cost.fences) == (2, 2, 1)
 
     @pytest.mark.parametrize("bad", ["duplicate", "already-free", "out-of-range"])

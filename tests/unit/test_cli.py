@@ -125,3 +125,55 @@ def test_loadgen_exits_1_when_no_op_ran(capsys):
                  "--ops", "3", "--payload", str(2 << 20), "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["completed"] == {"t0": 0} and doc["failures"] == {"t0": 6}
+
+
+def test_trace_reports_dropped_events(tmp_path, monkeypatch, capsys):
+    """A run that overflows the tracer's buffer says how many events it
+    lost; it used to report only what it kept."""
+    import json
+
+    from repro import obs
+
+    monkeypatch.setattr(obs.tracer, "max_events", 5)
+    out = tmp_path / "t.json"
+    assert main(["trace", "fxmark:MWCL", "--ops", "8", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert len(json.loads(out.read_text())["traceEvents"]) == 1 + 5  # + metadata
+    assert obs.tracer.dropped > 0
+    assert f"wrote 5 trace events to {out}" in text
+    assert f"{obs.tracer.dropped} dropped past the 5-event buffer" in text
+
+
+def test_metrics_json_reports_every_layer_record_delta(monkeypatch, capsys):
+    """Each layer counts an event once, in its stats record, and ``metrics``
+    reports the record's delta over the measured run under the layer's
+    prefix, whatever the registry held before."""
+    import dataclasses
+    import json
+
+    from repro.obs import driver
+
+    def records(fs):
+        k = fs.kernel
+        return {"pm": k.device.stats, "alloc": k.alloc.stats,
+                "kernel": k.stats, "readcache": k.readcache.stats,
+                "verify": k.verifier.pstats, "libfs": fs.stats}
+
+    snaps = []
+    run_threads = driver._run_threads
+
+    def spy(drv, fs, *rest):
+        snaps.append({p: dataclasses.replace(r) for p, r in records(fs).items()})
+        run_threads(drv, fs, *rest)
+        snaps.append({p: dataclasses.replace(r) for p, r in records(fs).items()})
+
+    monkeypatch.setattr(driver, "_run_threads", spy)
+    assert main(["metrics", "fxmark:DWOL", "--ops", "16", "--json"]) == 0
+    counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+    before, after = snaps
+    for prefix, now in after.items():
+        for f in dataclasses.fields(now):
+            name = f"{prefix}.{f.name.rstrip('_')}"
+            want = getattr(now, f.name) - getattr(before[prefix], f.name)
+            assert counters[name] == want, name
+    assert counters["pm.fences"] > 0 and counters["libfs.writes"] == 16

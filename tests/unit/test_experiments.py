@@ -102,10 +102,10 @@ CASES = {
     "alloc": ({"des_mops": {"global": _sweep(1.49, 2.38, 2.38, 2.38),
                             "pooled": _sweep(3.59, 7.18, 14.36, 28.69)},
                "pooled": {"lock_acquires": 16, "fences": 16, "pool_refills": 16},
-               "extent": {"persist_calls": 8, "write_extents": 1, "read_back": True}},
-              ("extent", "persist_calls"), 200,
+               "extent": {"fences": 8, "write_extents": 1, "read_back": True}},
+              ("extent", "fences"), 200,
               "1 MiB pwrite: 200 persist calls, not 4x below the seed's "
-              f"{SEED_PWRITE_1MIB['persist_calls']}"),
+              f"{SEED_PWRITE_1MIB['fences']}"),
     "reads": ({"des": {"rwlock": {"mops": _sweep(2.44, 4.54, 5.55, 5.55),
                                   "mean_op_ns": 1440.0, "contended": 11119},
                        "seqlock": {"mops": _sweep(4.12, 8.23, 16.46, 32.92),
@@ -125,8 +125,8 @@ CASES = {
                                    "read": _sweep(9.99, 19.95, 39.80, 79.21)},
                   "fanout": {"devices": 4, "bytes_stored": [1049000, 1048576] * 2,
                              "ntstores": [65, 64, 64, 64],
-                             "persist_calls": [14, 3, 3, 3], "read_back": True}},
-                 ("fanout", "persist_calls"), [14, 3, 0, 3],
+                             "fences": [14, 3, 3, 3], "read_back": True}},
+                 ("fanout", "fences"), [14, 3, 0, 3],
                  "a member took no persist call: [14, 3, 0, 3]"),
     "ablation": ({"mechanisms": {
                       "fences/create": {"arckfs": 1.1875, "+fence": 2.1875},

@@ -40,7 +40,10 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
 * an inode's on-media shape is judged by one set of rules,
   ``core/invariants.py``: the verifier, fsck and mount call it, and none of
   them names the dentry format or the page kinds, or compares a header
-  kind or a dentry type, itself.
+  kind or a dentry type, itself;
+* a layer event is counted once, in its layer's stats record, and a timed
+  region is one span: no registry counter repeats a record's field, and
+  the profiler keeps no frame or span of its own.
 """
 
 import ast
@@ -302,6 +305,52 @@ def test_option_census():
     keywords = {p.name for p in inspect.signature(PMDevice).parameters.values()
                 if p.kind is p.KEYWORD_ONLY}
     assert keywords == {"devices", "crash_tracking"}
+
+
+def test_a_layer_event_is_counted_once_and_timed_by_one_span():
+    """An observed run publishes each layer record's delta as
+    ``<prefix>.<field>`` (``obs.driver``); a registry counter of the same
+    name counts the event a second time.  And ``obs.span`` is the tracer's
+    span: a profiler frame beside it was a second stack."""
+    from repro.kernel.controller import KernelStats
+    from repro.kernel.readcache import ReadCacheStats
+    from repro.kernel.verifier import PipelineStats
+    from repro.libfs.libfs import LibFSStats
+    from repro.pm.allocator import AllocStats
+    from repro.pm.device import PMStats
+
+    records = {"pm": PMStats, "alloc": AllocStats, "kernel": KernelStats,
+               "readcache": ReadCacheStats, "verify": PipelineStats,
+               "libfs": LibFSStats}
+    published = {f"{prefix}.{f.name.rstrip('_')}"
+                 for prefix, cls in records.items()
+                 for f in dataclasses.fields(cls)}
+    counters = {("count", "obs"), ("counter", "metrics"),
+                ("counter", "obs.metrics")}
+    sites, copies = 0, []
+    for rel, tree in _modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and (node.func.attr, ast.unparse(node.func.value)) in counters):
+                continue
+            sites += 1
+            name = node.args[0]
+            if isinstance(name, ast.JoinedStr):  # f"verify.{stage}"
+                head = name.values[0] if name.values else None
+                literal = head.value if isinstance(head, ast.Constant) else ""
+                if literal.split(".")[0] in records and "." in literal:
+                    copies.append(f"{rel}:{node.lineno}: {ast.unparse(name)}")
+            elif isinstance(name, ast.Constant) and name.value in published:
+                copies.append(f"{rel}:{node.lineno}: {name.value}")
+    assert sites >= 40, sites  # the scan is not vacuous
+    assert not copies, copies
+
+    profile = dict(_modules())["obs/profile.py"]
+    classes = [c.name for c in ast.walk(profile) if isinstance(c, ast.ClassDef)]
+    assert not [c for c in classes if "frame" in c.lower() or "span" in c.lower()], classes
+    assert "local" not in {n.attr for n in ast.walk(profile)
+                           if isinstance(n, ast.Attribute)}  # no per-thread stack
 
 
 def test_nobody_probes_a_device_for_what_it_can_do():

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -460,6 +461,29 @@ def test_registry_thread_safety_under_concurrent_label_creation():
     assert sum(per_label) == total
 
 
+def test_counter_total_while_another_thread_adds_label_sets():
+    """``counter_total`` reads a consistent list of counters: it used to
+    iterate the live dict and raise ``dictionary changed size during
+    iteration`` as soon as another thread created a label set."""
+    reg = MetricsRegistry()
+    n = 4000
+
+    def create() -> None:
+        for i in range(n):
+            reg.counter("x", k=i).inc()
+
+    th = threading.Thread(target=create)
+    th.start()
+    try:
+        while th.is_alive():
+            reg.counter_total("x")
+            time.sleep(0)  # let the creator run between two reads
+    finally:
+        th.join(10.0)
+    assert not th.is_alive()
+    assert reg.counter_total("x") == n
+
+
 # --------------------------------------------------------------------------- #
 # Ambient dimensional context
 # --------------------------------------------------------------------------- #
@@ -514,12 +538,16 @@ def test_context_is_thread_local():
 
 
 def test_pmstats_snapshot_and_diff():
+    """A stats record's copy is ``dataclasses.replace`` and its delta is
+    ``obs.stats_diff``: no record carries its own."""
+    import dataclasses
+
     from repro.pm.device import PMStats
 
     s = PMStats(stores=5, fences=2)
-    snap = s.snapshot()
+    snap = dataclasses.replace(s)
     assert snap == s and snap is not s
     s.stores += 3
-    delta = s.diff(snap)
+    delta = obs.stats_diff(s, snap)
     assert delta.stores == 3 and delta.fences == 0
-    assert s.as_dict()["stores"] == 8
+    assert not hasattr(s, "snapshot") and not hasattr(s, "diff")

@@ -185,45 +185,47 @@ class TestReboot:
 
 
 class TestObsLabels:
-    def test_persist_calls_labelled_per_device_and_rolled_up(self):
-        obs.reset()
-        obs.enable(trace=False)
-        try:
-            arr = PMDevice(SIZE, devices=2, crash_tracking=False)
+    """A member's counts reach the registry the way every layer record's
+    do: an observed run publishes its delta, labelled ``device=``."""
+
+    @staticmethod
+    def _published(devices, access):
+        from repro.api import Volume, VolumeConfig
+        from repro.obs.driver import layer_snapshot, publish_layer_deltas
+
+        vol = Volume.create(8 << 20, VolumeConfig(
+            devices=devices, crash_tracking=False, inode_count=64, name="v"))
+        fs = vol.session("s").fs
+        before = layer_snapshot(vol, fs)
+        access(vol.device)
+        publish_layer_deltas(vol, fs, before)
+        return obs.metrics.snapshot()["counters"]
+
+    def test_fences_labelled_per_device_and_rolled_up(self):
+        def access(arr):
             arr.ntstore(0, b"x" * 64)
             arr.sfence()                      # member 0
             arr.ntstore(arr.dev_size, b"y" * 64)
             arr.sfence()                      # member 1
-            snap = obs.metrics.snapshot()
-        finally:
-            obs.disable()
-            obs.reset()
-        counters = snap["counters"]
-        assert counters["pm.persist_calls{device=0}"] == 1
-        assert counters["pm.persist_calls{device=1}"] == 1
-        # The base name aggregates the labeled series.
-        assert counters["pm.persist_calls"] == 2
 
-    def test_flat_device_persist_calls_carry_no_label(self):
-        obs.reset()
-        obs.enable(trace=False)
-        try:
-            PMDevice(SIZE, crash_tracking=False).sfence()
-            snap = obs.metrics.snapshot()
-        finally:
-            obs.disable()
-            obs.reset()
-        assert [k for k in snap["counters"] if k.startswith("pm.persist")] == [
-            "pm.persist_calls"]
+        counters = self._published(2, access)
+        assert counters["pm.fences{device=0,volume=v}"] == 1
+        assert counters["pm.fences{device=1,volume=v}"] == 1
+        # The base name aggregates the labeled series: the device's total.
+        assert counters["pm.fences"] == 2
+        assert counters["pm.ntstores"] == 2
+
+    def test_flat_device_fences_carry_no_device_label(self):
+        counters = self._published(1, lambda dev: dev.sfence())
+        assert [k for k in counters if k.startswith("pm.fences")] == [
+            "pm.fences{volume=v}", "pm.fences"]
+        assert counters["pm.fences"] == 1
 
     def test_publish_stats_accepts_labels(self):
-        obs.reset()
         arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         arr.store(0, b"z" * 64)
         for m in arr.members:
-            obs.publish_stats("pm.member", m.stats.snapshot(), device=m.index)
-        snap = obs.metrics.snapshot()
-        counters = snap["counters"]
+            obs.publish_stats("pm.member", m.stats, device=m.index)
+        counters = obs.metrics.snapshot()["counters"]
         assert counters["pm.member.bytes_stored{device=0}"] == 64
         assert counters["pm.member.bytes_stored"] == 64
-        obs.reset()

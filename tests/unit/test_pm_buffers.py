@@ -10,9 +10,11 @@ loop of loads.  Every shape: tracked and untracked, flat and four members.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.core.corestate import CoreState
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE, Geometry
@@ -133,9 +135,9 @@ def test_a_striped_extent_store_owns_its_bytes():
     core = CoreState(dev, geom)
     payload = random.Random(1).randbytes(6 * PAGE_SIZE - 300)
     src = bytearray(payload)
-    stats = dev.stats.snapshot()
+    stats = replace(dev.stats)
     core.write_extent_data(1, 100, src)
-    cost = dev.stats.diff(stats)
+    cost = obs.stats_diff(dev.stats, stats)
     scribble(src)
     assert core.read_file_data(list(range(1, 7)), 6 * PAGE_SIZE, 100,
                                len(payload)) == payload

@@ -10,64 +10,68 @@ from repro.obs.profile import (
     Profiler,
     read_collapsed,
 )
-from repro.obs.trace import NULL_SPAN
+from repro.obs.trace import NULL_SPAN, Span, Tracer
 
 
 # --------------------------------------------------------------------------- #
-# Frames and paths
+# Spans and paths: the profiler reads the tracer's one stack
 # --------------------------------------------------------------------------- #
 
 
 def test_disabled_profiler_is_a_noop():
     p = Profiler()
-    assert p.frame("x") is NULL_SPAN
-    p.charge(100.0, "y")
+    assert Tracer(profiler=p).span("x") is NULL_SPAN
     p.charge_path(("a", "b"), 50.0)
-    assert p.paths() == {}
+    obs.enable()            # metrics only: no span is opened, nothing charged
+    assert obs.span("x") is NULL_SPAN
+    obs.charge(100.0, "y")
+    obs.disable()
+    assert p.paths() == {} and obs.profiler.paths() == {}
     assert p.collapsed() == ""
 
 
 def test_frames_nest_into_paths_and_self_time():
-    p = Profiler()
-    p.enabled = True
-    with p.frame("outer"):
-        with p.frame("inner"):
+    obs.enable(profile=True)
+    with obs.span("outer"):
+        with obs.span("inner"):
             pass
-    paths = p.paths()
+    obs.disable()
+    paths = obs.profiler.paths()
     assert set(paths) == {("outer",), ("outer", "inner")}
     assert paths[("outer", "inner")]["calls"] == 1
     assert paths[("outer",)]["calls"] == 1
     # Self time: the child's wall time is subtracted from the parent's.
-    total = p.total("wall")
+    total = obs.profiler.total("wall")
     assert total == (paths[("outer",)]["wall_ns"]
                      + paths[("outer", "inner")]["wall_ns"])
 
 
 def test_frame_event_is_accepted_for_span_compat():
-    p = Profiler()
-    p.enabled = True
-    with p.frame("op") as fr:
-        fr.event("marker", detail=1)  # must not raise
-    assert ("op",) in p.paths()
+    obs.enable(profile=True)
+    with obs.span("op") as sp:
+        sp.event("marker", detail=1)  # must not raise, and traces nothing
+    obs.disable()
+    assert ("op",) in obs.profiler.paths()
+    assert obs.tracer.events() == []
 
 
 def test_charge_rides_the_current_frame_stack():
-    p = Profiler()
-    p.enabled = True
-    with p.frame("creat"):
-        p.charge(500.0)
-        p.charge(100.0, "alloc.refill")
-    paths = p.paths()
+    obs.enable(profile=True)
+    with obs.span("creat"):
+        obs.charge(500.0)
+        obs.charge(100.0, "alloc.refill")
+    obs.disable()
+    paths = obs.profiler.paths()
     assert paths[("creat",)]["sim_ns"] == pytest.approx(500.0)
     assert paths[("creat", "alloc.refill")]["sim_ns"] == pytest.approx(100.0)
 
 
 def test_charge_outside_any_frame_goes_to_root():
-    p = Profiler()
-    p.enabled = True
-    p.charge(42.0)
-    p.charge(8.0, "suffix")
-    paths = p.paths()
+    obs.enable(profile=True)
+    obs.charge(42.0)
+    obs.charge(8.0, "suffix")
+    obs.disable()
+    paths = obs.profiler.paths()
     assert paths[("(root)",)]["sim_ns"] == pytest.approx(42.0)
     assert paths[("(root)", "suffix")]["sim_ns"] == pytest.approx(8.0)
 
@@ -82,25 +86,25 @@ def test_charge_path_records_calls():
 
 
 def test_threads_have_independent_stacks():
-    p = Profiler()
-    p.enabled = True
+    obs.enable(profile=True)
     inside = threading.Event()
     release = threading.Event()
 
     def work():
-        with p.frame("worker"):
+        with obs.span("worker"):
             inside.set()
             release.wait(2.0)
 
     th = threading.Thread(target=work)
     th.start()
     assert inside.wait(2.0)
-    with p.frame("main"):
-        p.charge(10.0)
+    with obs.span("main"):
+        obs.charge(10.0)
     release.set()
     th.join()
-    paths = p.paths()
-    # The main frame never nested under the worker's open frame.
+    obs.disable()
+    paths = obs.profiler.paths()
+    # The main span never nested under the worker's open span.
     assert ("main",) in paths and ("worker",) in paths
     assert ("worker", "main") not in paths
 
@@ -243,27 +247,38 @@ def test_profiler_pipeline_get_or_create():
 
 
 # --------------------------------------------------------------------------- #
-# Facade integration (obs.span / obs.charge / SpanFrame)
+# Facade integration (obs.span / obs.charge)
 # --------------------------------------------------------------------------- #
 
 
 def test_obs_span_is_frame_when_profiling_only():
     obs.enable(trace=False, profile=True)
-    with obs.span("op"):
+    with obs.span("op") as sp:
         obs.charge(77.0)
     obs.disable()
+    assert type(sp) is Span
     assert obs.profiler.paths()[("op",)]["sim_ns"] == pytest.approx(77.0)
     assert obs.tracer.events() == []
 
 
 def test_obs_span_drives_tracer_and_profiler_in_lockstep():
+    """One span serves both collectors: it closes once, as one trace event
+    and one call on its path, with the self time its event's duration
+    leaves after its child's."""
     obs.enable(trace=True, profile=True)
     with obs.span("op", category="syscall") as sp:
         sp.event("marker")
+        with obs.span("child"):
+            pass
     obs.disable()
-    assert ("op",) in obs.profiler.paths()
-    names = [e["name"] for e in obs.tracer.events()]
-    assert "op" in names and "marker" in names
+    assert type(sp) is Span
+    paths = obs.profiler.paths()
+    assert paths[("op",)]["calls"] == paths[("op", "child")]["calls"] == 1
+    events = {e["name"]: e for e in obs.tracer.events()}
+    assert set(events) == {"op", "marker", "child"}
+    assert events["child"]["parent"] == "op" and events["child"]["depth"] == 1
+    assert paths[("op",)]["wall_ns"] == (events["op"]["dur_ns"]
+                                         - events["child"]["dur_ns"])
 
 
 def test_obs_pipeline_profile_none_when_disabled():
