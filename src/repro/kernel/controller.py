@@ -665,7 +665,12 @@ class KernelController:
             self._free_slot(staged.ino)
             return
         if staged.mark_deleted_pending:
-            if sh is not None:
+            if sh is not None and sh.parent is None and staged.ino != ROOT_INO:
+                # Its parent's verification already saw the dentry go and,
+                # the record still valid then, detached it: no parent is
+                # left to confirm the deletion, so this verification does.
+                self._drop_shadow(staged.ino)
+            elif sh is not None:
                 sh.deleted_pending = True
             return
         for child_ino in staged.deleted:

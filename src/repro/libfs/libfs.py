@@ -549,8 +549,31 @@ class LibFS:
 
     @traced_syscall("pwrite")
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        entry = self.fdtable.get(fd)
-        mi = self._ensure_file(entry)
+        return self._pwrite(self._ensure_file(self.fdtable.get(fd)), data, offset)
+
+    @traced_syscall("pwrite_path")
+    def pwrite_path(self, path: str, data: bytes, offset: int) -> int:
+        """``pwrite`` by path with no descriptor, creating a missing file —
+        a transaction's apply and replay.  A write that only overwrites
+        mapped bytes is left unfenced: the caller fences once for its
+        whole batch.  One that maps pages or raises the size still fences
+        its data before that metadata, as ``pwrite`` does."""
+        comps = paths.parse(path)
+        parent, name = self._resolve_parent(comps)
+        node = self._lookup_node(parent, name)
+        if node is None:
+            mi = self._create_common(comps, 0o664, ITYPE_FILE)
+            self._stats.inc("creates")
+        elif node.itype == ITYPE_DIR:
+            raise IsADir(paths.join(comps))
+        else:
+            mi = self._attach(node.ino, write=True)
+            mi.parent_ino = parent.ino
+        return self._pwrite(mi, data, offset, sync=False)
+
+    def _pwrite(self, mi: MemInode, data: bytes, offset: int,
+                sync: bool = True) -> int:
+        """The one write path: ``pwrite`` and ``pwrite_path``'s body."""
         if offset < 0:
             raise InvalidArgument("negative offset")
         data = bytes(data)
@@ -597,7 +620,8 @@ class LibFS:
                 extents += 1
                 pos += chunk
                 di += chunk
-            mi.mapping.sfence()  # data durable before metadata commits it
+            if sync or new_pages or end > mi.size:
+                mi.mapping.sfence()  # data durable before metadata commits it
             if new_pages:
                 cs.append_file_pages(mi.ino, mi.record, existing, new_pages, self.alloc)
                 mi.pages = all_pages

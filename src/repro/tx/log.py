@@ -13,17 +13,18 @@ page number into the superblock's ``tx_log_head`` field:
 
 1. allocate pages (bitmap bits persist first — a crash here leaks pages,
    which mount-time ``rebuild`` reclaims);
-2. stream header + records into the chain, ``clwb`` everything, one
-   ``sfence`` — the payload is durable but unreferenced;
+2. stream header + records into the chain — one store and one ``clwb``
+   per physically contiguous run of pages — and one ``sfence``: the
+   payload is durable but unreferenced;
 3. *seal*: ``atomic_store`` the head into ``tx_log_head``, ``clwb``,
    ``sfence``.  Before this fence the volume shows none of the
    transaction; after it, recovery replays all of it.
 
-Checkpoint (after apply) clears the head the same way and frees the
-pages.  This module is dependency-light on purpose — device + layout +
-the core-state chain walker + the WAL framing only — so ``repro.fsck`` and
-the kernel's recovery can parse logs without importing the transaction
-manager above them.
+Checkpoint (after apply) clears the head and frees the pages under the
+free's one fence (:func:`retire`).  This module is dependency-light on
+purpose — device + layout + the core-state chain walker + the WAL framing
+only — so ``repro.fsck`` and the kernel's recovery can parse logs without
+importing the transaction manager above them.
 """
 
 from __future__ import annotations
@@ -113,25 +114,34 @@ def write_log(
 ) -> List[int]:
     """Stream ``payload`` into a fresh TXLOG page chain; returns the pages.
 
-    Everything is written + ``clwb``-ed under a *single* trailing fence; the
-    chain stays unreferenced (and therefore invisible to recovery) until
-    :func:`seal` publishes its head.
+    Each page's image is its header followed by its chunk, so a physically
+    contiguous run of log pages (``geom.extent_runs`` of consecutive page
+    numbers) is one store and one ``clwb``; the whole chain is durable
+    under a *single* trailing fence.  It stays unreferenced (and therefore
+    invisible to recovery) until :func:`seal` publishes its head.
     """
     npages = max(1, (len(payload) + PAGE_PAYLOAD - 1) // PAGE_PAYLOAD)
     pages = alloc.alloc_many(npages, zero=False)
-    for i, page_no in enumerate(pages):
+    images = []
+    for i in range(npages):
         chunk = payload[i * PAGE_PAYLOAD : (i + 1) * PAGE_PAYLOAD]
         hdr = PageHeader(
             next_page=pages[i + 1] if i + 1 < npages else 0,
             used=len(chunk),
             kind=PAGE_KIND_TXLOG,
         )
-        off = geom.page_off(page_no)
-        device.store(off, hdr.pack())
-        device.clwb(off, PAGEHDR_SIZE)
-        if chunk:
-            device.store(off + PAGEHDR_SIZE, chunk)
-            device.clwb(off + PAGEHDR_SIZE, len(chunk))
+        images.append(hdr.pack() + chunk)
+    # Only the last page's image is short, and it ends the last run.
+    first = 0
+    for end in range(1, npages + 1):
+        if end < npages and pages[end] == pages[end - 1] + 1:
+            continue
+        for run_start, count in geom.extent_runs(pages[first], end - first):
+            blob = b"".join(images[first : first + count])
+            off = geom.page_off(run_start)
+            device.store(off, blob)
+            device.clwb(off, len(blob))
+            first += count
     device.sfence()
     return pages
 
@@ -149,22 +159,44 @@ def seal(device: PMDevice, head_page: int) -> None:
 
 
 def clear_seal(device: PMDevice) -> None:
-    """Retire the pending log (checkpoint complete or log discarded)."""
+    """Retire the pending log on its own fence (fsck's discard)."""
     seal(device, 0)
 
 
+def retire(device: PMDevice, alloc: PageAllocator, pages: List[int]) -> None:
+    """Clear the seal and free ``pages`` under one fence: the clear is a
+    store + ``clwb`` that rides ``free``'s fence.
+
+    Either order of the two on media is safe, because mount rebuilds the
+    allocator from reachability: a cleared seal with the bits still set
+    leaks the pages, and freed bits under a still-published seal make the
+    chain reachable again, so mount re-claims it and replays (or discards)
+    the log as if the checkpoint had not begun.  Nothing can reuse a page
+    before ``free`` returns, and by then both are durable.
+    """
+    device.atomic_store(SB_TX_HEAD_OFF, bytes(8))
+    device.clwb(SB_TX_HEAD_OFF, 8)
+    if pages:
+        alloc.free(*pages)
+    else:
+        device.sfence()
+
+
 def chain_pages(device: PMDevice, geom: Geometry, head: int) -> List[int]:
-    """Walk a TXLOG chain defensively; stops at any bad link or cycle.
+    """Walk a TXLOG chain defensively; stops before any page that is not
+    a log page, and at any bad link or cycle.
 
     Never raises — fsck and recovery both need the reachable prefix of a
-    possibly-corrupt chain (to claim its pages / bound the damage).
+    possibly-corrupt chain (to claim its pages / bound the damage).  A
+    page of another kind is never the log's: a stale or forged head may
+    reach a live file's page, which must not be claimed or freed as log.
     """
     pages: List[int] = []
     try:
         for page_no, hdr in CoreState(device, geom).walk_chain(head, limit=MAX_LOG_PAGES):
-            pages.append(page_no)
             if hdr.kind != PAGE_KIND_TXLOG:
                 break
+            pages.append(page_no)
     except ChainCorrupt:
         pass
     return pages
@@ -187,7 +219,7 @@ def parse_log(device: PMDevice, geom: Geometry) -> Tuple[Optional[TxLog], List[i
     blob = bytearray()
     for page_no in pages:
         hdr = PageHeader.unpack(device.load(geom.page_off(page_no), PAGEHDR_SIZE))
-        if hdr.kind != PAGE_KIND_TXLOG or hdr.used > PAGE_PAYLOAD:
+        if hdr.used > PAGE_PAYLOAD:
             return None, pages
         blob += device.load(geom.page_off(page_no) + PAGEHDR_SIZE, hdr.used)
     if len(blob) < _LOGHDR.size:

@@ -12,15 +12,19 @@ filesystem), so conflicts surface at ``tx.create(...)`` time, not at
 commit.  Nothing touches PM until :meth:`Tx.commit`:
 
 1. **log** — serialize the ops into a redo log (KV-WAL record framing)
-   and stream it into a fresh ``PAGE_KIND_TXLOG`` chain, one fence;
+   and stream it into a fresh ``PAGE_KIND_TXLOG`` chain, one store per
+   contiguous run of pages, one fence;
 2. **seal** — publish the chain head into the superblock's
    ``tx_log_head`` with a single 8-byte atomic store + fence.  This is
    the commit point: a crash before it shows *none* of the transaction
    (the chain's pages merely leak, and mount reclaims them), a crash
    after it replays *all* of it;
-3. **apply** — run the ops through the owning LibFS (each individually
-   crash-consistent; replay converges over any partial prefix);
-4. **checkpoint** — clear ``tx_log_head`` and free the log pages.
+3. **apply** — run the ops through the owning LibFS's no-descriptor
+   entry points (each individually crash-consistent; replay converges
+   over any partial prefix).  An overwrite of mapped bytes does not
+   fence; the apply ends with one fence;
+4. **checkpoint** — clear ``tx_log_head`` and free the log pages, under
+   the free's one fence.
 
 Commits are serialized volume-wide (one ``tx_log_head``), so exactly one
 transaction is ever pending on a device.
@@ -70,11 +74,11 @@ from repro.tx.log import (
     TX_UNLINK,
     TxRecord,
     build_payload,
-    clear_seal,
+    retire,
     seal,
     write_log,
 )
-from repro.tx.recovery import apply_record
+from repro.tx.recovery import apply_records
 
 #: Process-wide transaction ids (diagnostic; uniqueness per volume is
 #: guaranteed by the single-pending-log invariant, not by this counter).
@@ -364,18 +368,14 @@ class Tx:
             applied: List[TxRecord] = []
             try:
                 with obs.span("tx.apply", category="tx"):
-                    for i, rec in enumerate(self.ops):
-                        failpoints.hit("tx.apply_op", (self.txid, i))
-                        apply_record(mgr.fs, rec)
-                        applied.append(rec)
+                    apply_records(mgr.fs, self.ops, self.txid, applied)
             except (CrashPoint, SimulatedFault):
                 raise  # a simulated machine crash: recovery finishes the tx
             except Exception as exc:
                 self._apply_failed(applied, pages, exc)
             failpoints.hit("tx.pre_checkpoint", self.txid)
             with obs.span("tx.checkpoint", category="tx"):
-                clear_seal(mgr.device)
-                mgr.alloc.free(*pages)
+                retire(mgr.device, mgr.alloc, pages)
         self.state = _COMMITTED
         obs.count("tx.commits")
         obs.count("tx.log_pages", len(pages))
@@ -436,8 +436,7 @@ class Tx:
                 # Best-effort: anything left over is a repairable fsck
                 # state, never a torn transaction (the log is discarded).
                 obs.count("tx.rollback_skipped")
-        clear_seal(mgr.device)
-        mgr.alloc.free(*pages)
+        retire(mgr.device, mgr.alloc, pages)
         self.state = _ABORTED
         obs.count("tx.aborts", apply_failure=True)
         raise TxAborted(

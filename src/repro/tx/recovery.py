@@ -1,6 +1,6 @@
 """Replay and recovery for sealed transaction logs.
 
-One idempotent apply routine serves three callers:
+One idempotent apply routine, :func:`apply_records`, serves three callers:
 
 * ``Tx.commit`` — the normal apply after sealing;
 * mount-time recovery (``KernelController.mount``) — a crash after the
@@ -13,14 +13,20 @@ One idempotent apply routine serves three callers:
 Idempotence is why every redo op tolerates "already done": a crash can
 land between any two applied ops (or inside one — each LibFS op is
 individually crash-consistent under ArckFS+), so replay meets states
-where a prefix of the log is already visible.
+where a prefix of the log is already visible.  It is also why the apply
+needs only one fence: the sealed log, not the apply, is what a crash
+recovers from, so a record that merely overwrites mapped bytes leaves
+its data unfenced until the apply's closing fence, which precedes the
+checkpoint's seal clear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro import obs
+from repro.concurrency.failpoints import failpoints
 from repro.errors import FSError, NoEntry
 from repro.tx.log import (
     TX_CREATE,
@@ -30,9 +36,9 @@ from repro.tx.log import (
     TX_TRUNCATE,
     TX_UNLINK,
     TxRecord,
-    clear_seal,
     parse_log,
     read_head,
+    retire,
 )
 
 #: App id the mount-time replay registers; never visible to applications.
@@ -49,7 +55,34 @@ class TxRecoveryOutcome:
     discarded: int = 0
 
 
-def apply_record(fs, rec: TxRecord) -> None:
+def apply_records(fs, records: Sequence[TxRecord], txid: Optional[int] = None,
+                  applied: Optional[List[TxRecord]] = None) -> None:
+    """Apply ``records`` in order through ``fs``, then one fence.
+
+    A commit passes its ``txid``: each record hits the ``tx.apply_op``
+    failpoint before it takes effect, the first error propagates (no
+    closing fence: the caller rolls back or leaves the log pending), and
+    ``applied`` collects the records that took effect before it.  Mount's
+    replay passes none: a record outside the crash model (a hand-edited
+    image, say) is counted and skipped, because recovery must still mount;
+    the skipped op is visible in the counters and to fsck.
+    """
+    for i, rec in enumerate(records):
+        if txid is not None:
+            failpoints.hit("tx.apply_op", (txid, i))
+        try:
+            _apply_record(fs, rec)
+        except FSError:
+            if txid is not None:
+                raise
+            obs.count("tx.replay_skipped")
+            continue
+        if applied is not None:
+            applied.append(rec)
+    fs.kernel.device.sfence()
+
+
+def _apply_record(fs, rec: TxRecord) -> None:
     """Apply one redo record through the LibFS surface, idempotently."""
     if rec.op == TX_CREATE:
         if not fs.exists(rec.path):
@@ -58,12 +91,7 @@ def apply_record(fs, rec: TxRecord) -> None:
         if not fs.exists(rec.path):
             fs.mkdir(rec.path, mode=rec.arg or 0o775)
     elif rec.op == TX_PWRITE:
-        fd = fs.open(rec.path, create=True)
-        try:
-            fs.pwrite(fd, rec.data, rec.arg)
-            fs.fsync(fd)
-        finally:
-            fs.close(fd)
+        fs.pwrite_path(rec.path, rec.data, rec.arg)
     elif rec.op == TX_RENAME:
         dst = rec.data.decode("utf-8", "replace")
         if fs.exists(rec.path):
@@ -90,15 +118,21 @@ def recover(kernel) -> TxRecoveryOutcome:
     reclaim so the log is still intact here.  A valid log is replayed
     through a root-privileged internal LibFS and checkpointed; a sealed
     but corrupt log (torn chain, bad CRC) is discarded — its seal is
-    cleared and its pages are freed.
+    cleared and its pages are freed.  Either way only pages the structural
+    walk gave no owner are freed: a stale or forged head can reach a live
+    file's data page, whose bytes may look like a log page.
     """
     outcome = TxRecoveryOutcome()
     if read_head(kernel.device) == 0:
         return outcome
     log, pages = parse_log(kernel.device, kernel.geom)
+
+    def unowned(chain: List[int]) -> List[int]:
+        return [p for p in chain if kernel.alloc.is_allocated(p)
+                and p not in kernel.page_owner]
+
     if log is None:
-        clear_seal(kernel.device)
-        kernel.alloc.free(*filter(kernel.alloc.is_allocated, pages))
+        retire(kernel.device, kernel.alloc, unowned(pages))
         outcome.discarded = 1
         obs.count("tx.recovery_discarded")
         return outcome
@@ -108,18 +142,10 @@ def recover(kernel) -> TxRecoveryOutcome:
     with obs.span("tx.replay", category="tx", records=len(log.records)):
         fs = LibFS(kernel, RECOVERY_APP, uid=0)
         try:
-            for rec in log.records:
-                try:
-                    apply_record(fs, rec)
-                except FSError:
-                    # A state outside the crash model (e.g. a hand-edited
-                    # image).  Recovery must still mount; the skipped op is
-                    # visible in the counters and to fsck.
-                    obs.count("tx.replay_skipped")
+            apply_records(fs, log.records)
         finally:
             fs.shutdown()
-        clear_seal(kernel.device)
-        kernel.alloc.free(*filter(kernel.alloc.is_allocated, log.pages))
+        retire(kernel.device, kernel.alloc, unowned(log.pages))
     outcome.replayed = len(log.records)
     obs.count("tx.replays")
     obs.count("tx.replayed_ops", len(log.records))

@@ -12,6 +12,8 @@ the delegation-lease regression — a transaction aborting after dirtying
 a lease-delegated file must restore the parked pre-dirty snapshot.
 """
 
+import math
+
 import pytest
 
 from repro.api import Volume, VolumeConfig
@@ -19,6 +21,7 @@ from repro.concurrency.failpoints import failpoints
 from repro.errors import CrashPoint, TryAgain, TxAborted, TxCommitPending
 from repro.fsck import F_TX_TORN, TX_CLASSES, fsck_checker, run_fsck
 from repro.pm.device import PMDevice
+from repro.pm.layout import PAGE_KIND_TXLOG, PAGE_SIZE, PageHeader
 from repro.tx.log import read_head, seal
 
 SIZE = 4 * 1024 * 1024
@@ -161,6 +164,94 @@ class TestCrashAtomicity:
         assert run_fsck(final.device).clean
 
 
+OLD_PAGE, NEW_PAGE = b"o" * PAGE_SIZE, b"N" * PAGE_SIZE
+#: Crash images judged per fence: all of them up to this many, else the
+#: floor, the newest and a seeded sample filling up to it.
+IMAGES_PER_FENCE = 16
+
+
+class TestCrashAtEveryFence:
+    """The commit phases fence once each, and an overwrite of mapped bytes
+    rides the apply's closing fence: crash in front of every fence of a
+    commit that overwrites pages of two files, extends a third past EOF and
+    creates a fourth, and every image recovers to all or nothing."""
+
+    ALL = (OLD_PAGE + NEW_PAGE, NEW_PAGE + OLD_PAGE,
+           b"c" * 100 + bytes(2900) + b"C" * 5000, b"d" * 300)
+    NONE = (OLD_PAGE * 2, OLD_PAGE * 2, b"c" * 100, None)
+
+    def volume(self, devices):
+        vol = Volume.create(SIZE, config=VolumeConfig(
+            inode_count=64, crash_tracking=True, devices=devices))
+        with vol.session("setup") as s:
+            s.write_file("/a", OLD_PAGE * 2)
+            s.write_file("/b", OLD_PAGE * 2)
+            s.write_file("/c", b"c" * 100)
+        return vol
+
+    def commit(self, vol, crash_at=None):
+        """Commit the transaction, raising ``CrashPoint`` in place of its
+        ``crash_at``-th fence; returns how many fences it issued."""
+        tx = vol.session("app").transaction()
+        tx.pwrite("/a", NEW_PAGE, PAGE_SIZE)
+        tx.pwrite("/b", NEW_PAGE, 0)
+        tx.pwrite("/c", b"C" * 5000, 3000)
+        tx.create("/d")
+        tx.pwrite("/d", b"d" * 300, 0)
+        device, fence, count = vol.device, vol.device.sfence, 0
+
+        def crashing_fence():
+            nonlocal count
+            count += 1
+            if count == crash_at:
+                raise CrashPoint(f"fence {count}")
+            fence()
+
+        device.sfence = crashing_fence
+        try:
+            tx.commit()
+        finally:
+            del device.sfence
+        return count
+
+    @staticmethod
+    def images(device):
+        choices = device.line_choices()
+        if math.prod(choices.values()) <= IMAGES_PER_FENCE:
+            return list(device.enumerate_crash_images(limit=IMAGES_PER_FENCE))
+        newest = {line: n - 1 for line, n in choices.items()}
+        return [device.durable_image(), device.crash_image(newest),
+                *device.sample_crash_images(IMAGES_PER_FENCE - 2, seed=1)]
+
+    def state(self, image):
+        mounted = Volume.mount(image)
+        assert run_fsck(mounted.device).clean
+        with mounted.session("check") as c:
+            got = tuple(c.read_file(p) for p in ("/a", "/b", "/c")) + (
+                c.read_file("/d") if c.exists("/d") else None,)
+        assert got in (self.ALL, self.NONE), got
+        return "all" if got == self.ALL else "none"
+
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_every_fence_recovers_all_or_nothing(self, devices):
+        vol = self.volume(devices)
+        fences = self.commit(vol)
+        assert self.state(vol.device.durable_image()) == "all"
+        seen = []
+        for k in range(1, fences + 1):
+            vol = self.volume(devices)
+            with pytest.raises(CrashPoint):
+                self.commit(vol, crash_at=k)
+            seen.append({self.state(image) for image in self.images(vol.device)})
+        # Until the seal's fence nothing is sealed; only in front of it may
+        # an image go either way; once it is durable (the apply's fences
+        # on), every image replays it all.
+        sealed = next(i for i, states in enumerate(seen) if "all" in states)
+        assert all(states == {"none"} for states in seen[:sealed]), seen
+        assert all(states == {"all"} for states in seen[sealed + 1:]), seen
+        assert 0 < sealed < len(seen) - 1, seen
+
+
 class TestRecovery:
     def test_replay_is_idempotent_over_repeated_mounts(self):
         vol = make_volume()
@@ -196,6 +287,33 @@ class TestRecovery:
         with mounted.session("check") as c:
             assert c.read_file("/keep") == b"kept"
         assert run_fsck(dev, repair=True).clean
+
+    @pytest.mark.parametrize("shape", ["directory-log", "log-like-data"])
+    def test_sealed_head_on_a_live_page_frees_nothing(self, shape):
+        """A head that reaches a live page is discarded without freeing
+        it: a directory's log page is not a log page, and a file's data
+        page that merely looks like one has an owner."""
+        vol = make_volume()
+        fake = PageHeader(next_page=0, used=64, kind=PAGE_KIND_TXLOG).pack()
+        with vol.session("app") as s:
+            s.mkdir("/d")
+            s.write_file("/d/keep", fake + b"k" * 100)
+            d_ino, f_ino = s.stat("/d").ino, s.stat("/d/keep").ino
+        core = vol.kernel.core
+        if shape == "directory-log":
+            page = next(p for p in core.read_inode(d_ino).tails if p)
+        else:
+            page = core.file_pages(core.read_inode(f_ino))[0]
+        dev = PMDevice.from_image(vol.device.durable_image())
+        seal(dev, page)
+        mounted = Volume.mount(dev)
+        assert mounted.recovery.tx_discarded == 1
+        assert read_head(dev) == 0
+        assert mounted.kernel.alloc.is_allocated(page)
+        assert run_fsck(dev).clean
+        with mounted.session("check") as c:
+            assert c.readdir("/d") == ["keep"]
+            assert c.read_file("/d/keep") == fake + b"k" * 100
 
     def test_fsck_repair_replays_without_a_mount(self):
         vol = make_volume()

@@ -117,10 +117,12 @@ CASES = {
               ("drbh", "arckfs+", "read_lock_acquisitions"), 64,
               "DRBH arckfs+: 64 read locks (want 0)"),
     "tx": ({str(n): {"per_op_fences": per_op, "tx_seal_fences": 3,
+                     "overwrite_commit_fences": 4,
                      "log_pages": 5, "log_bytes": 19588}
             for n, per_op in ((1, 12), (4, 36), (16, 132), (64, 518))},
-           ("64", "tx_seal_fences"), 2,
-           "seal fences vary with the batch: {1: 3, 4: 3, 16: 3, 64: 2}"),
+           ("64", "overwrite_commit_fences"), 5,
+           "overwrite commit fences grow with the batch: "
+           "{1: 4, 4: 4, 16: 4, 64: 5}"),
     "striping": ({"modeled_gbps": {"write": _sweep(7.99, 15.97, 31.89, 63.57),
                                    "read": _sweep(9.99, 19.95, 39.80, 79.21)},
                   "fanout": {"devices": 4, "bytes_stored": [1049000, 1048576] * 2,

@@ -502,5 +502,7 @@ def test_pages_are_freed_a_batch_at_a_time():
                 in_loops += [f"{rel}:{n.lineno}" for n in ast.walk(loop)
                              if is_page_free(n)]
         frees += sum(map(is_page_free, ast.walk(tree)))
-    assert frees >= 7, frees  # the scan is not vacuous
+    # The scan is not vacuous: truncate, unlink, rmdir, rollback and the tx
+    # log's retire (commit, abort and mount's replay share it).
+    assert frees >= 5, frees
     assert not in_loops, sorted(set(in_loops))

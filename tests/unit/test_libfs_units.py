@@ -180,6 +180,32 @@ class TestCachedReads:
         assert app1.readdir("/d") == ["one", "three", "two"]
 
 
+class TestUnlinkAcrossParentRelease:
+    def test_the_file_is_forgotten_and_its_slot_freed(self, monkeypatch):
+        """The parent's release lands between unlink's tombstone and the
+        freeing of the file's record (``test_stress.py``'s releaser thread
+        hits this window): the verifier detaches the still-valid file, and
+        the file's own release then finds its record freed.  No parent is
+        left to confirm that deletion, so the release must: the shadow
+        table kept the file as an orphan, its slot leaked."""
+        _dev, kernel, fs = build_fs(ARCKFS_PLUS)
+        fs.mkdir("/d")
+        fs.close(fs.creat("/d/f"))
+        fs.release_all()
+        ino = fs.stat("/d/f").ino
+        free_file_inode = fs._free_file_inode
+
+        def parent_released_first(victim):
+            fs.release_path("/d")
+            free_file_inode(victim)
+
+        monkeypatch.setattr(fs, "_free_file_inode", parent_released_first)
+        fs.unlink("/d/f")
+        fs.release_all()
+        assert kernel.audit_tree() == []
+        assert ino not in kernel.shadow and ino in kernel.free_inodes
+
+
 class TestSlotReuse:
     """One LibFS, two threads: A deletes a never-verified inode, whose slot
     goes back to the kernel's free pool at A's release, and B creates into
