@@ -111,11 +111,13 @@ class CoreState:
         self.mem.persist(addr, 8)
 
     def free_inode(self, ino: int) -> None:
-        """Mark an inode record free (after its dentry was tombstoned)."""
+        """Mark an inode record free (after its dentry was tombstoned):
+        store + clwb, no fence — the caller fences.  Only a leak waits on
+        it: mount wipes a valid record that no live dentry names."""
         rec = self.read_inode(ino)
         rec.magic = 0
         rec.itype = 0
-        self.write_inode(ino, rec)
+        self.write_inode_noflush(ino, rec)
 
     # ------------------------------------------------------------------ #
     # Page helpers
@@ -350,10 +352,11 @@ class CoreState:
         return DentryLoc(tail_idx, cursor.last_page, offset)
 
     def tombstone(self, loc: DentryLoc) -> None:
-        """Mark a dentry deleted, in place, synchronously persisted."""
+        """Mark a dentry deleted, in place: an atomic store + clwb, no
+        fence — the caller fences what must be durable on return."""
         addr = self.geom.page_off(loc.page_no) + loc.offset + DENTRY_DELETED_OFF
         self.mem.atomic_store(addr, b"\x01")
-        self.mem.persist(addr, 1)
+        self.mem.clwb(addr, 1)
 
     # ------------------------------------------------------------------ #
     # File page indexes and data

@@ -23,9 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import linecache
+import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.fsck.findings import TORN_CLASSES
 from repro.perf.costmodel import COST
 from repro.perf.runner import run_workload, sweep, table2_sweep
 from repro.perf.simulator import Experiment as Simulation
@@ -1137,6 +1141,216 @@ def _fsck_check(data) -> List[str]:
          f"{scans[0] / scans[-1]:.2f}x on the scan (want >= 4)"))
 
 
+# -- fences: which metadata fences a crash needs ----------------------------- #
+
+#: Names long enough that a dentry spans two cache lines, as in Table 1's
+#: §4.2 demonstration: a torn record is then reachable.
+_AUDIT_NAME = "an-entry-name-long-enough-to-span-two-lines"
+#: Every crash image is mounted up to this many per crash point; above it a
+#: seeded sample of ``FENCE_AUDIT_SAMPLE`` is.
+FENCE_AUDIT_LIMIT = 64
+FENCE_AUDIT_SAMPLE = 32
+FENCE_AUDIT_SEED = 7
+
+
+_D_OLD, _D_NEW, _E_NEW = (f"{p}-{_AUDIT_NAME}" for p in ("/d/a", "/d/b", "/e/a"))
+
+#: The audited FxMark metadata ops: ``name -> (setup, op)``.  ``setup``
+#: runs on the base volume (directories ``/d`` and ``/e``, each with a
+#: log page), ``op`` is what the audit fences.
+FENCE_AUDIT_OPS = {
+    "creat": (lambda s: None, lambda s: s.close(s.creat(_D_NEW))),
+    "unlink": (lambda s: s.close(s.creat(_D_OLD)), lambda s: s.unlink(_D_OLD)),
+    "mkdir": (lambda s: None, lambda s: s.mkdir(_D_NEW)),
+    "rmdir": (lambda s: s.mkdir(_D_OLD), lambda s: s.rmdir(_D_OLD)),
+    "rename": (lambda s: s.close(s.creat(_D_OLD)),
+               lambda s: s.rename(_D_OLD, _D_NEW)),
+    "rename-file-x": (lambda s: s.close(s.creat(_D_OLD)),
+                      lambda s: s.rename(_D_OLD, _E_NEW)),
+    "rename-dir-x": (lambda s: s.makedirs(_D_OLD + "/sub"),
+                     lambda s: s.rename(_D_OLD, _E_NEW)),
+}
+#: Fences per op the merges leave: every one of them a crash needs.
+FENCES_PER_OP = {"creat": 2, "unlink": 1, "mkdir": 2, "rmdir": 1,
+                 "rename": 2, "rename-file-x": 2, "rename-dir-x": 2}
+
+
+def _namespace(session) -> List[Tuple[str, bool]]:
+    """Every path below the root, with whether it is a directory."""
+    out, stack = [], ["/"]
+    while stack:
+        parent = stack.pop()
+        for name in session.readdir(parent):
+            path = parent.rstrip("/") + "/" + name
+            is_dir = session.stat(path).is_dir
+            out.append((path, is_dir))
+            if is_dir:
+                stack.append(path)
+    return sorted(out)
+
+
+def _judge_image(image: bytes, allowed) -> Optional[str]:
+    """Why a crash image violates — fsck on the mounted volume not clean,
+    or a namespace not in ``allowed`` — or None."""
+    from repro.api import Volume
+    from repro.errors import ReproError
+
+    try:
+        vol = Volume.mount(image)
+        report = vol.fsck()
+        if not report.clean:
+            return "fsck " + ",".join(sorted({f.cls for f in report.findings}))
+        names = _namespace(vol.session("judge", uid=0))
+    except ReproError as exc:
+        return f"mount {type(exc).__name__}"
+    if names not in allowed:
+        post = set(allowed[-1])
+        return "namespace " + " ".join(
+            [f"-{p}" for p, _d in sorted(post - set(names))]
+            + [f"+{p}" for p, _d in sorted(set(names) - post)]
+        ).replace(f"-{_AUDIT_NAME}", "*")
+    return None
+
+
+def _first_violation(device, allowed, seed: int) -> Optional[str]:
+    """The first crash image reachable now that violates, or None."""
+    choices = device.line_choices()
+    if math.prod(choices.values()) <= FENCE_AUDIT_LIMIT:
+        images = device.enumerate_crash_images(limit=FENCE_AUDIT_LIMIT)
+    else:
+        images = device.sample_crash_images(FENCE_AUDIT_SAMPLE, seed=seed)
+    for image in images:
+        reason = _judge_image(image, allowed)
+        if reason is not None:
+            return reason
+    return None
+
+
+def _fence_site() -> Tuple[str, str]:
+    """The method that issued the fence being taken (``Class.method``),
+    and its line: the innermost frame outside the device, its mappings
+    and this module."""
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__") in (
+            __name__, "repro.pm.device", "repro.pm.mapping"):
+        frame = frame.f_back
+    code, owner = frame.f_code, frame.f_locals.get("self")
+    site = code.co_name if owner is None else f"{type(owner).__name__}.{code.co_name}"
+    return site, linecache.getline(code.co_filename, frame.f_lineno).strip()
+
+
+def _audit_run(image: bytes, op, skip: int, pre, post):
+    """Run ``op`` on a mount of ``image`` with fence ``skip`` (1-based; 0
+    for none) not taken, judging the crash images just before every later
+    fence (pre- or post-op namespace allowed) and at the op's return
+    (post-op only).  Returns ``(sites, lines, first violation)``."""
+    from repro.api import Volume, VolumeConfig
+
+    vol = Volume.mount(image, VolumeConfig(crash_tracking=True))
+    session = vol.session("audit", uid=0)
+    _namespace(session)  # warm: every directory's auxiliary state built
+    device = vol.device
+    device.drain()
+    real, sites, lines, found = device.sfence, [], [], []
+
+    def sfence():
+        site, line = _fence_site()
+        sites.append(site)
+        lines.append(line)
+        k = len(sites)
+        if k == skip:
+            return
+        if k > skip and not found:
+            reason = _first_violation(device, [pre, post], FENCE_AUDIT_SEED + k)
+            if reason is not None:
+                found.append(f"before fence {k}: {reason}")
+        real()
+
+    device.sfence = sfence
+    try:
+        op(session)
+    finally:
+        device.sfence = real
+    if not found:
+        reason = _first_violation(device, [post], FENCE_AUDIT_SEED)
+        if reason is not None:
+            found.append(f"at return: {reason}")
+    return sites, lines, (found or [None])[0]
+
+
+def _fences_run():
+    from repro.api import Volume, VolumeConfig
+
+    out = {}
+    for name, (setup, op) in FENCE_AUDIT_OPS.items():
+        vol = Volume.create(2 << 20, VolumeConfig(crash_tracking=True,
+                                                  inode_count=32))
+        with vol.session("setup", uid=0) as s:
+            for d in ("/d", "/e"):
+                s.mkdir(d)
+                s.close(s.creat(f"{d}/warm"))
+                s.unlink(f"{d}/warm")
+            setup(s)
+        vol.close()
+        vol.device.drain()
+        image = vol.device.durable_image()
+        # The reference run: the namespaces the op goes between.
+        ref = Volume.mount(image).session("ref", uid=0)
+        pre = _namespace(ref)
+        op(ref)
+        post = _namespace(ref)
+        sites, lines, baseline = _audit_run(image, op, 0, pre, post)
+        out[name] = {"sites": sites, "lines": lines, "baseline": baseline,
+                     "skipped": [_audit_run(image, op, k, pre, post)[2]
+                                 for k in range(1, len(sites) + 1)]}
+    return out
+
+
+def _fences_render(data) -> str:
+    lines = ["== fence audit: each metadata fence skipped in turn, crash images "
+             "mounted ==", "",
+             f"{'op':<15}{'fence':>6}  {'site':<26}violating image (first)",
+             "-" * 91]
+    for name, row in data.items():
+        for k, (site, reason) in enumerate(zip(row["sites"], row["skipped"]), 1):
+            lines.append(f"{name:<15}{k:>6}  {site:<26}{reason or 'none'}")
+        lines.append(f"{name:<15}{'none':>6}  {'(every fence taken)':<26}"
+                     f"{row['baseline'] or 'none'}")
+    sites = dict.fromkeys((site, line) for row in data.values()
+                          for site, line in zip(row["sites"], row["lines"]))
+    lines += ["", "fence lines:"]
+    lines += [f"  {site:<26}{line}" for site, line in sites]
+    counts = "/".join(str(len(data[op]["sites"])) for op in
+                      ("creat", "unlink", "mkdir", "rmdir", "rename"))
+    return "\n".join(lines + [
+        "", f"(* = -{_AUDIT_NAME})",
+        f"fences per creat/unlink/mkdir/rmdir/rename: {counts}"])
+
+
+def _fences_check(data) -> List[str]:
+    """Skipping the §4.2 fence before the marker leaves a torn dentry, as
+    Table 1 says; each op issues ``FENCES_PER_OP`` fences; skipping any one
+    of them yields a violating image; taking them all yields none."""
+    creat = data["creat"]
+    control = [reason or "" for line, reason in zip(creat["lines"], creat["skipped"])
+               if "§4.2" in line]
+    return _unmet(
+        (not control or not any(cls in control[0] for cls in TORN_CLASSES),
+         "§4.2 control: skipping the fence before the marker found "
+         f"{control[0] if control else 'no such fence'!r}, not a torn or "
+         "dangling dentry"),
+        *[(len(row["sites"]) != FENCES_PER_OP[name],
+           f"{name}: {len(row['sites'])} fences (want {FENCES_PER_OP[name]})")
+          for name, row in data.items()],
+        *[(reason is None, f"{name}: skipping fence {k} ({row['sites'][k - 1]}) "
+           "found no violating image")
+          for name, row in data.items()
+          for k, reason in enumerate(row["skipped"], 1)],
+        *[(row["baseline"] is not None,
+           f"{name}: violating image with every fence taken: {row['baseline']}")
+          for name, row in data.items()])
+
+
 # -- The registry ------------------------------------------------------------ #
 
 EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
@@ -1168,4 +1382,6 @@ EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
                _ablation_run, _ablation_render, _ablation_check),
     Experiment("fsck", "whole-volume fsck at 1/2/4/8 workers",
                _fsck_run, _fsck_render, _fsck_check),
+    Experiment("fences", "which metadata fences a crash needs, fence by fence",
+               _fences_run, _fences_render, _fences_check),
 )}

@@ -105,17 +105,21 @@ class Repairer:
             (f for f in findings if f.repairable),
             key=lambda f: _REPAIR_ORDER.index(f.cls),
         )
+        tombstoned = False
         for f in ordered:
             handler = self._HANDLERS.get(f.cls)
             if handler is None:
                 continue
             if handler(self, f):
                 applied[f.cls] = applied.get(f.cls, 0) + 1
+                tombstoned |= handler is Repairer._tombstone
                 if f.cls == F_TX_TORN:
                     # Replaying the pending transaction rewrote volume
                     # state wholesale; every other finding from this pass
                     # is stale.  Stop here — the runner re-checks.
                     break
+        if tombstoned:
+            self.device.sfence()  # one fence for the pass's tombstones
         return applied
 
     # ------------------------------------------------------------------ #

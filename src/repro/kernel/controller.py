@@ -9,9 +9,9 @@ trust groups (§5.4).
 
 Recovery after a crash (``KernelController.mount``) rebuilds everything from
 the durable core state alone: a breadth-first walk from the root directory
-reconstructs the shadow table, resolves duplicate dentries left by crashed
-renames, detects partially-persisted creations (the §4.2 observable), and
-reclaims leaked pages and inode slots.
+reconstructs the shadow table, tombstones the stale duplicate dentries left
+by crashed renames, detects partially-persisted creations (the §4.2
+observable), and reclaims leaked pages and inode slots.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.concurrency.lease import Lease
 from repro.core.config import ARCKFS_PLUS, ArckConfig
-from repro.core.corestate import CoreState
+from repro.core.corestate import CoreState, DentryLoc
 from repro.core.invariants import dentry_violation
 from repro.core.mkfs import ROOT_INO, load_geometry, mkfs
 from repro.errors import (
@@ -79,7 +79,7 @@ class RecoveryReport:
     #: (dir_ino, name) of committed dentries whose target inode record was
     #: invalid or stale — the §4.2 "partially persisted dentry and inode".
     torn_dentries: List[Tuple[int, bytes]] = field(default_factory=list)
-    #: stale duplicate dentries dropped (crashed renames).
+    #: stale duplicate dentries (crashed renames) tombstoned on media.
     duplicates_dropped: int = 0
     #: allocated-but-unreachable pages reclaimed.
     pages_reclaimed: int = 0
@@ -219,9 +219,15 @@ class KernelController:
             raise InvalidArgument("root inode record invalid")
 
         # Pass 1: walk from the root collecting candidate (parent, dentry)
-        # pairs per child; resolve cross-directory duplicates by seq.  A
-        # record the dentry rules reject is torn, dropped before resolution.
-        best: Dict[int, Tuple[int, object]] = {}  # child -> (parent, dentry)
+        # pairs per child; resolve duplicates by seq, within a directory
+        # and across directories.  A record the dentry rules reject is
+        # torn, dropped before resolution.  Every live record resolution
+        # drops is tombstoned on media: otherwise a crashed rename's old
+        # name stays live for LibFS and fsck after mount, and unlinking it
+        # would free the inode the new name still points to.
+        # child -> (parent, dentry, where the dentry lives)
+        best: Dict[int, Tuple[int, object, DentryLoc]] = {}
+        stale: List[DentryLoc] = []
         dirs_seen: Set[int] = set()
         frontier = [ROOT_INO]
         valid: Dict[int, InodeRecord] = {}  # the child records pass 1 read
@@ -250,17 +256,24 @@ class KernelController:
                     if d.live and dentry_violation(loc, d, target)]
             report.torn_dentries += [(dir_ino, d.name) for _loc, d in torn]
             kept = [r for r in records if r not in torn]
-            for d, _loc in core.resolve_dentries(kept).values():
+            resolved = core.resolve_dentries(kept)
+            winners = {loc for _d, loc in resolved.values()}
+            stale += [loc for loc, d in kept if d.live and loc not in winners]
+            for d, loc in resolved.values():
                 prev = best.get(d.ino)
-                if prev is not None:
-                    prev_d = prev[1]
-                    if d.seq > prev_d.seq:
-                        best[d.ino] = (dir_ino, d)
-                    report.duplicates_dropped += 1
+                if prev is None or d.seq > prev[1].seq:
+                    best[d.ino] = (dir_ino, d, loc)
+                    if prev is not None:
+                        stale.append(prev[2])
                 else:
-                    best[d.ino] = (dir_ino, d)
+                    stale.append(loc)
                 if valid[d.ino].is_dir:
                     frontier.append(d.ino)
+        for loc in stale:
+            core.tombstone(loc)
+        if stale:
+            self.device.sfence()
+        report.duplicates_dropped = len(stale)
 
         # Pass 2: build shadow entries for the root and every resolved child.
         self.shadow = {
@@ -274,7 +287,7 @@ class KernelController:
                 name=b"/",
             )
         }
-        for child_ino, (parent_ino, d) in best.items():
+        for child_ino, (parent_ino, d, _loc) in best.items():
             child_rec = core.read_inode(child_ino)
             self.shadow[child_ino] = ShadowInode(
                 ino=child_ino,
@@ -287,7 +300,7 @@ class KernelController:
                 size=child_rec.size,
             )
         # Children maps include only children whose resolved parent is us.
-        for child_ino, (parent_ino, d) in best.items():
+        for child_ino, (parent_ino, d, _loc) in best.items():
             parent_sh = self.shadow.get(parent_ino)
             if parent_sh is not None:
                 parent_sh.children[d.name] = child_ino
@@ -315,16 +328,18 @@ class KernelController:
             reachable.update(chain_pages(self.device, self.geom, tx_head))
         report.pages_reclaimed = self.alloc.rebuild(reachable)
 
-        # Pass 4: slot generations and the free-inode pool.
+        # Pass 4: slot generations and the free-inode pool.  An orphan's
+        # record is wiped so the slot is reusable, one fence for them all.
         for ino in range(self.geom.inode_count):
             rec = core.read_inode(ino)
             self.slot_gen[ino] = rec.gen
             if ino not in self.shadow:
                 if rec.valid:
                     report.orphan_inodes.append(ino)
-                    # Wipe it so the slot is reusable.
                     core.free_inode(ino)
                 self._free_slot(ino)
+        if report.orphan_inodes:
+            self.device.sfence()
         report.inodes = len(self.shadow)
         return report
 

@@ -34,6 +34,7 @@ class RollbackPolicy(ResolutionPolicy):
             # A pending inode has no prior verified state: "before it was
             # acquired" it did not exist, so rollback wipes its record.
             controller.core.free_inode(ino)
+            controller.device.sfence()
             controller.stats.rollbacks += 1
             return
         dev = controller.device

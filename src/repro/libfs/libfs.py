@@ -786,23 +786,30 @@ class LibFS:
                 raise SimulatedSegfault(
                     f"unlink({path}): aux entry present but core dentry missing"
                 )
-            self._cs(parent).tombstone(loc)
+            cs = self._cs(parent)
+            cs.tombstone(loc)
+            cs.mem.sfence()  # the unlink is durable on return
         finally:
             bucket.lock.release()
         self._free_file_inode(ino)
         self._stats.inc("unlinks")
 
     def _free_file_inode(self, ino: int) -> None:
-        """Free a just-unlinked file's pages and record, then hand the inode
+        """Free a just-unlinked file's record and pages, then hand the inode
         back to the kernel (whose verification confirms the deletion when
-        the parent is next verified)."""
+        the parent is next verified).
+
+        The record free rides the page free's fence, or the next op's when
+        there are no pages: with the tombstone durable, a crash in either
+        order leaves at worst a valid record no dentry names, or set bits
+        on unreachable pages — leaks mount reclaims."""
         mi = self._attach(ino, write=True)
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
         try:
             cs = self._cs(mi)
-            self.alloc.free(*cs.index_pages(mi.record), *mi.pages)
             cs.free_inode(ino)
+            self.alloc.free(*cs.index_pages(mi.record), *mi.pages)
         finally:
             mi.seq.write_end()
             mi.rwlock.release_write()
@@ -834,16 +841,19 @@ class LibFS:
                 raise SimulatedSegfault(
                     f"rmdir({path}): aux entry present but core dentry missing"
                 )
-            self._cs(parent).tombstone(node.loc)
+            parent_cs = self._cs(parent)
+            parent_cs.tombstone(node.loc)
+            parent_cs.mem.sfence()  # the rmdir is durable on return
             parent.dir.remove_locked(name)
             with self._inodes_lock:
                 # The name is gone: its walk goes now, not when the aux
                 # state does, and a walk that saw the name is not kept.
                 self._walk_seq += 1
                 self._walks.pop(child.walk, None)
+            # Leak-only from here, as in ``_free_file_inode``.
             cs = self._cs(child)
-            self.alloc.free(*cs.dir_pages(child.record))
             cs.free_inode(child.ino)
+            self.alloc.free(*cs.dir_pages(child.record))
         finally:
             if child_locked:
                 child.dir.unlock_all()
@@ -964,6 +974,10 @@ class LibFS:
             node = self.freelist.alloc(newname, src.ino, src.gen, src.itype,
                                        new_seq, loc)
             new_parent.dir.insert_locked(node)
+            # Unfenced: the append's fence made the new name durable, and
+            # the higher seq wins it the child at mount, which tombstones
+            # the old name if this store did not persist.  The next fence
+            # takes it.
             self._cs(old_parent).tombstone(src.loc)
             ino, moved_dir = src.ino, src.itype == ITYPE_DIR
             old_parent.dir.remove_locked(oldname)

@@ -12,7 +12,6 @@ the release/commit/ownership internals the coordinator manages.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, Optional
 
 from repro.api import Session
@@ -118,7 +117,11 @@ def op_rename(fs: Session, p: Dict):
 
 
 def op_stat(fs: Session, p: Dict):
-    return dataclasses.asdict(fs.stat(_path(p)))
+    # Field by field: ``dataclasses.asdict`` deep-copies, and took about as
+    # long as the stat itself.
+    st = fs.stat(_path(p))
+    return {"ino": st.ino, "itype": st.itype, "size": st.size,
+            "mode": st.mode, "uid": st.uid, "gen": st.gen}
 
 
 def op_readdir(fs: Session, p: Dict):

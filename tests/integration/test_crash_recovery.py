@@ -73,6 +73,80 @@ class TestDurabilityOfCompletedOps:
             assert rfs.exists("/d/new")
             assert not rfs.exists("/old")
 
+    # An unlink or rmdir leaves its inode-record free, and a rename its old
+    # name's tombstone, to the next fence.  Every image reachable at return
+    # (no drain) must still mount to the post-op namespace, fsck-clean.
+
+    @staticmethod
+    def mounted_images(device):
+        for image in device.enumerate_crash_images(limit=8192):
+            vol = Volume.mount(image)
+            assert vol.fsck().clean
+            yield vol.session("r", uid=0)
+
+    def test_unlink_leaves_only_leaks_to_the_next_fence(self):
+        device, _kc, fs = build_fs()
+        fs.mkdir("/d")
+        fs.close(fs.creat("/d/f"))
+        fs.close(fs.creat("/d/g"))
+        fs.unlink("/d/f")
+        assert len(device.dirty_lines()) > 0
+        for s in self.mounted_images(device):
+            assert s.readdir("/d") == ["g"]
+
+    def test_rmdir_durable_after_return(self):
+        device, _kc, fs = build_fs()
+        fs.mkdir("/d")
+        fs.mkdir("/d/sub")
+        fs.rmdir("/d/sub")
+        assert len(device.dirty_lines()) > 0
+        for s in self.mounted_images(device):
+            assert s.readdir("/d") == []
+
+    def test_same_directory_rename_durable_after_return(self):
+        device, _kc, fs = build_fs()
+        fs.mkdir("/d")
+        fs.close(fs.creat("/d/a"))
+        fs.rename("/d/a", "/d/b")
+        assert len(device.dirty_lines()) > 0
+        for s in self.mounted_images(device):
+            assert s.readdir("/d") == ["b"]
+
+    def test_cross_directory_rename_durable_after_return(self):
+        device, _kc, fs = build_fs()
+        fs.mkdir("/d")
+        fs.mkdir("/e")
+        fs.close(fs.creat("/d/f"))
+        fs.rename("/d/f", "/e/f")
+        assert len(device.dirty_lines()) > 0
+        for s in self.mounted_images(device):
+            assert (s.readdir("/d"), s.readdir("/e")) == ([], ["f"])
+
+    def test_directory_rename_durable_after_return(self):
+        device, _kc, fs = build_fs()
+        fs.makedirs("/d/sub")
+        fs.mkdir("/e")
+        fs.close(fs.creat("/d/sub/f"))
+        fs.rename("/d/sub", "/e/sub")
+        assert len(device.dirty_lines()) > 0
+        for s in self.mounted_images(device):
+            assert (s.readdir("/d"), s.readdir("/e")) == ([], ["sub"])
+            assert s.readdir("/e/sub") == ["f"]
+
+    def test_creat_reusing_an_unlinked_slot_before_any_fence(self):
+        """The unlink's record free is still unfenced when the creat takes
+        the same slot and writes the new record over it."""
+        device, _kc, fs = build_fs()
+        fs.mkdir("/d")
+        fs.close(fs.creat("/d/old"))
+        ino = fs.stat("/d/old").ino
+        fs.unlink("/d/old")
+        fs.close(fs.creat("/d/new"))
+        assert fs.stat("/d/new").ino == ino
+        for s in self.mounted_images(device):
+            assert s.readdir("/d") == ["new"]
+            assert s.stat("/d/new").ino == ino
+
 
 class TestCrashMidOperation:
     def _crash_at(self, point, op, config=ARCKFS_PLUS, setup=None):
@@ -188,21 +262,65 @@ class TestRecoveryHousekeeping:
         finally:
             failpoints.remove("create.post_marker")
         # The marker of the new dentry was flushed; there exists a crash
-        # image where both dentries are live.
-        both_seen = False
+        # image where both dentries are live.  Mount keeps the higher seq
+        # and tombstones the other on media: exactly one name, fsck clean.
         for kernel, rfs in all_recoveries(device):
-            old_there = rfs.exists("/old")
-            new_there = rfs.exists("/d/new")
-            assert old_there or new_there
-            if old_there and new_there:
-                both_seen = True
+            assert rfs.exists("/old") != rfs.exists("/d/new")
             assert kernel.audit_tree() == []
-        # With duplicate resolution, even a both-live image mounts with the
-        # child under exactly one parent in the shadow table.
-        if both_seen:
-            image = device.volatile_image()
-            kernel, rfs = remount(image)
-            assert kernel.last_recovery.duplicates_dropped >= 0
+        vol = Volume.mount(device.volatile_image())
+        s = vol.session("r", uid=0)
+        assert (s.exists("/old"), s.exists("/d/new")) == (False, True)
+        assert vol.kernel.last_recovery.duplicates_dropped == 1
+        assert vol.fsck().clean
+
+    @staticmethod
+    def newest_image_of_crashed_rename(setup, old, new):
+        """The image of a rename crashed after its new dentry's marker,
+        every dirty line at its newest version: both dentries live."""
+        device, _kc, fs = build_fs()
+        setup(fs)
+
+        def crash(_ctx):
+            raise CrashPoint("post-marker")
+
+        failpoints.install("create.post_marker", crash)
+        try:
+            with pytest.raises(CrashPoint):
+                fs.rename(old, new)
+        finally:
+            failpoints.remove("create.post_marker")
+        newest = {line: n - 1 for line, n in device.line_choices().items()}
+        return device.crash_image(newest)
+
+    def test_mount_tombstones_cross_directory_duplicate(self):
+        """Both names live under two parents: mount used to pick a winner
+        in its shadow table only, so LibFS listed both, fsck reported
+        ``duplicate-dentry``, and unlinking the old name freed the inode
+        the new one still named (``dangling-dentry``)."""
+        def setup(fs):
+            fs.mkdir("/d")
+            fs.close(fs.creat("/old"))
+
+        vol = Volume.mount(self.newest_image_of_crashed_rename(setup, "/old", "/d/new"))
+        s = vol.session("r", uid=0)
+        assert (s.readdir("/"), s.readdir("/d")) == (["d"], ["new"])
+        assert vol.fsck().clean
+        s.unlink("/d/new")
+        s.release_all()
+        assert vol.fsck().clean
+
+    def test_mount_tombstones_same_directory_duplicate(self):
+        """Both names live in one directory: LibFS already hid the loser,
+        but it stayed live on media and fsck reported it."""
+        def setup(fs):
+            fs.mkdir("/d")
+            fs.close(fs.creat("/d/a"))
+
+        image = self.newest_image_of_crashed_rename(setup, "/d/a", "/d/b")
+        vol = Volume.mount(image)
+        assert vol.session("r", uid=0).readdir("/d") == ["b"]
+        assert vol.kernel.last_recovery.duplicates_dropped == 1
+        assert vol.fsck().clean
 
     def test_remount_idempotent(self):
         device, _kc, fs = build_fs()

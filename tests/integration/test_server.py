@@ -620,3 +620,21 @@ class TestFleet:
         assert report.completed == {"zz": 0}
         assert report.failures == {"zz": 6}
         assert report.retries == 16
+
+
+def test_stat_reply_is_the_stat_result_field_by_field():
+    """``stat`` builds its reply from the six fields by hand: the keys are
+    the result's fields, in order, and each value is the session's."""
+    import dataclasses
+
+    from repro.libfs.libfs import StatResult
+
+    vol = Volume.create(8 << 20)
+    with vol.session("s", uid=1000) as s:
+        s.write_file("/f", b"x" * 10)
+        st = s.stat("/f")
+        reply = SESSION_OPS["stat"](s, {"path": "/f"})
+    assert list(reply) == [f.name for f in dataclasses.fields(StatResult)]
+    assert reply == {"ino": st.ino, "itype": 1, "size": 10, "mode": 0o664,
+                     "uid": 1000, "gen": st.gen}
+    assert reply == dataclasses.asdict(st)

@@ -15,6 +15,7 @@ from repro.experiments import (
     EXPERIMENTS,
     FIG3_META_OPS,
     FIG3_PAPER,
+    FENCES_PER_OP,
     FIG4_RIVALS,
     FSCK_WORKERS,
     SEED_PWRITE_1MIB,
@@ -54,6 +55,20 @@ def _fsck(total_ms, scan_ms):
     return {"findings": [], "inodes_valid": 2033, "dentries": 2032,
             "pages_claimed": 4033, "modeled_ns": total_ms * 1e6,
             "phase_ns": {"scan": scan_ms * 1e6}}
+
+
+def _fences():
+    """The audit after the merges: every fence flagged, none left over."""
+    append = ["CoreState.append_dentry"] * 2
+    lines = ["self.mem.sfence()  # the ArckFS+ one-line patch (§4.2)",
+             "self.mem.sfence()"]
+    two = {"sites": append, "lines": lines, "baseline": None,
+           "skipped": ["before fence 2: fsck dangling-dentry",
+                       "at return: namespace -/d/b*"]}
+    one = {"sites": ["LibFS.unlink"], "lines": ["cs.mem.sfence()"],
+           "baseline": None, "skipped": ["at return: namespace +/d/a*"]}
+    return {name: copy.deepcopy(one if FENCES_PER_OP[name] == 1 else two)
+            for name in FENCES_PER_OP}
 
 
 #: name -> (a datum meeting every claim, path to one value, the bad value,
@@ -144,6 +159,8 @@ CASES = {
                 FSCK_WORKERS, (5.821, 3.102, 1.742, 1.063),
                 (4.704, 2.356, 1.182, 0.594))},
              ("8", "dentries"), 2031, "8 workers: dentries 2031 vs 2032 with 1"),
+    "fences": (_fences(), ("unlink", "skipped", 0), None,
+               "unlink: skipping fence 1 (LibFS.unlink) found no violating image"),
 }
 
 
