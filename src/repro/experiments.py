@@ -34,6 +34,7 @@ from repro.perf.costmodel import COST
 from repro.perf.runner import run_workload, sweep, table2_sweep
 from repro.perf.simulator import Experiment as Simulation
 from repro.perf.stats import format_table, geomean
+from repro.pm.layout import PAGE_SIZE
 from repro.workloads.fio import FIO_WORKLOADS
 from repro.workloads.fxmark import DATA_WORKLOADS, FXMARK, METADATA_WORKLOADS
 
@@ -109,6 +110,9 @@ VERIFY_TARGET_SPEEDUP = 2.5
 SCALING_THREADS = [1, 2, 4, 8]
 SCALING_HORIZON_NS = 1_000_000.0
 ALLOC_OPS = 1024
+#: A 512 KiB append's extent, and a transaction log's allocation after it.
+EXTENT_PAGES = 128
+SMALL_PAGES = 4
 DRBH_OPS = 64
 #: Steady-state cross-app open/pread/close iterations on a published file.
 STEADY_OPS = 16
@@ -579,6 +583,13 @@ def _alloc_run():
     pooled = {"lock_acquires": alloc.stats.lock_acquires,
               "fences": device.stats.fences - fences0,
               "pool_refills": alloc.stats.pool_refills}
+    # An extent comes from the bitmap and leaves the warm pool as it was.
+    alloc.alloc(zero=False)
+    alloc.alloc_many(EXTENT_PAGES, zero=False)
+    fences0, refills0 = device.stats.fences, alloc.stats.pool_refills
+    alloc.alloc_many(SMALL_PAGES, zero=False)
+    after_extent = {"pool_refills": alloc.stats.pool_refills - refills0,
+                    "fences": device.stats.fences - fences0}
 
     payload = b"\xa5" * (1 << 20)
     vol = Volume.create(8 << 20, VolumeConfig(config=ARCKFS, inode_count=64))
@@ -591,11 +602,12 @@ def _alloc_run():
               "read_back": fs.pread(fd, len(payload), 0) == payload}
     return {"des_mops": {"global": _scaling_sweep(_global_alloc)[0],
                          "pooled": _scaling_sweep(_pooled_alloc)[0]},
-            "pooled": pooled, "extent": extent}
+            "pooled": pooled, "after_extent": after_extent, "extent": extent}
 
 
 def _alloc_render(data) -> str:
     des, pooled, extent = data["des_mops"], data["pooled"], data["extent"]
+    after = data["after_extent"]
     lines = ["== allocator scaling: global lock vs per-thread pools ==", "",
              f"{'threads':<9}{'global Mops':>13}{'pooled Mops':>13}{'speedup':>9}",
              "-" * 44]
@@ -608,6 +620,8 @@ def _alloc_render(data) -> str:
         f"{SEED_ALLOC['fences']} fences",
         f"  pooled: {pooled['lock_acquires']} lock acquires, "
         f"{pooled['fences']} fences ({pooled['pool_refills']} refills)",
+        f"  after a {EXTENT_PAGES}-page extent, a {SMALL_PAGES}-page alloc: "
+        f"{after['pool_refills']} refills, {after['fences']} fences",
         "", "1 MiB sequential pwrite:",
         f"  seed per-page (frozen): {SEED_PWRITE_1MIB['fences']} "
         "persist calls",
@@ -618,10 +632,11 @@ def _alloc_render(data) -> str:
 
 def _alloc_check(data) -> List[str]:
     """Pools beat the lock >= 3x at 8 threads and scale while the lock
-    does not; a refill batches the lock and the fence; an extent write
-    persists >= 4x less than the seed's per-page one."""
+    does not; a refill batches the lock and the fence; an extent leaves the
+    pool warm, so the next small allocation costs no refill and no fence;
+    an extent write persists >= 4x less than the seed's per-page one."""
     g, p = data["des_mops"]["global"], data["des_mops"]["pooled"]
-    pooled, extent = data["pooled"], data["extent"]
+    pooled, extent, after = data["pooled"], data["extent"], data["after_extent"]
     top = str(SCALING_THREADS[-1])
     return _unmet(
         (p[top] < 3.0 * g[top], f"{top} threads: pooled {p[top]:.2f} Mops "
@@ -634,6 +649,9 @@ def _alloc_check(data) -> List[str]:
          f"{pooled['lock_acquires']} lock acquires per {ALLOC_OPS} allocs"),
         (pooled["fences"] > SEED_ALLOC["fences"] // 8,
          f"pooled: {pooled['fences']} fences per {ALLOC_OPS} allocs"),
+        (after["pool_refills"] or after["fences"],
+         f"after a {EXTENT_PAGES}-page extent, a {SMALL_PAGES}-page alloc: "
+         f"{after['pool_refills']} refills, {after['fences']} fences (want 0, 0)"),
         (SEED_PWRITE_1MIB["fences"] < 4 * extent["fences"],
          f"1 MiB pwrite: {extent['fences']} persist calls, not 4x below "
          f"the seed's {SEED_PWRITE_1MIB['fences']}"),
@@ -1154,10 +1172,20 @@ FENCE_AUDIT_SEED = 7
 
 
 _D_OLD, _D_NEW, _E_NEW = (f"{p}-{_AUDIT_NAME}" for p in ("/d/a", "/d/b", "/e/a"))
+_DATA = "/d/data"
 
-#: The audited FxMark metadata ops: ``name -> (setup, op)``.  ``setup``
-#: runs on the base volume (directories ``/d`` and ``/e``, each with a
-#: log page), ``op`` is what the audit fences.
+
+def _write_page(session, byte: bytes, page: int) -> None:
+    """One page of ``byte`` written at page ``page`` of ``_DATA``."""
+    fd = session.open(_DATA)
+    session.pwrite(fd, byte * PAGE_SIZE, page * PAGE_SIZE)
+    session.close(fd)
+
+
+#: The audited ops: ``name -> (setup, op)``.  ``setup`` runs on the base
+#: volume (directories ``/d`` and ``/e``, each with a log page), ``op`` is
+#: what the audit fences: the FxMark metadata ops, then the data path's
+#: one-page overwrite, one-page append and one-page truncate.
 FENCE_AUDIT_OPS = {
     "creat": (lambda s: None, lambda s: s.close(s.creat(_D_NEW))),
     "unlink": (lambda s: s.close(s.creat(_D_OLD)), lambda s: s.unlink(_D_OLD)),
@@ -1169,29 +1197,59 @@ FENCE_AUDIT_OPS = {
                       lambda s: s.rename(_D_OLD, _E_NEW)),
     "rename-dir-x": (lambda s: s.makedirs(_D_OLD + "/sub"),
                      lambda s: s.rename(_D_OLD, _E_NEW)),
+    "pwrite": (lambda s: s.write_file(_DATA, b"a" * 2 * PAGE_SIZE),
+               lambda s: _write_page(s, b"b", 1)),
+    "append": (lambda s: s.write_file(_DATA, b"a" * PAGE_SIZE),
+               lambda s: _write_page(s, b"b", 1)),
+    "truncate": (lambda s: s.write_file(_DATA, b"a" * 2 * PAGE_SIZE),
+                 lambda s: s.truncate(_DATA, PAGE_SIZE)),
 }
-#: Fences per op the merges leave: every one of them a crash needs.
+#: Fences per op the merges leave.
 FENCES_PER_OP = {"creat": 2, "unlink": 1, "mkdir": 2, "rmdir": 1,
-                 "rename": 2, "rename-file-x": 2, "rename-dir-x": 2}
+                 "rename": 2, "rename-file-x": 2, "rename-dir-x": 2,
+                 "pwrite": 1, "append": 3, "truncate": 3}
+#: The fences (1-based, per op) no crash image is found to need, left for a
+#: later merge; a crash needs every other one.
+FENCES_UNNEEDED = {"append": (1,), "truncate": (2, 3)}
+
+#: A namespace: ``(path, is a directory, a regular file's bytes or None)``
+#: for every path below the root, sorted.
+Namespace = List[Tuple[str, bool, Optional[bytes]]]
 
 
-def _namespace(session) -> List[Tuple[str, bool]]:
-    """Every path below the root, with whether it is a directory."""
+def _namespace(session) -> Namespace:
+    """Every path below the root, with whether it is a directory and, for a
+    regular file, its bytes."""
     out, stack = [], ["/"]
     while stack:
         parent = stack.pop()
         for name in session.readdir(parent):
             path = parent.rstrip("/") + "/" + name
             is_dir = session.stat(path).is_dir
-            out.append((path, is_dir))
+            out.append((path, is_dir, None if is_dir else session.read_file(path)))
             if is_dir:
                 stack.append(path)
     return sorted(out)
 
 
-def _judge_image(image: bytes, allowed) -> Optional[str]:
+def _file_violation(path: str, data: bytes, versions: List[bytes]) -> Optional[str]:
+    """Why ``data`` is none of ``versions`` of a file, or None.  A data
+    write is not atomic, so a byte may come from any version; the size must
+    be one of theirs, and no byte may be in none of them."""
+    if data in versions:
+        return None
+    if len(data) not in {len(v) for v in versions}:
+        return f"file {path} size {len(data)}"
+    for i, byte in enumerate(data):
+        if all(i >= len(v) or v[i] != byte for v in versions):
+            return f"file {path} byte {i}"
+    return None
+
+
+def _judge_image(image: bytes, allowed: List[Namespace]) -> Optional[str]:
     """Why a crash image violates — fsck on the mounted volume not clean,
-    or a namespace not in ``allowed`` — or None."""
+    names not those of one namespace in ``allowed``, or a regular file's
+    size or bytes not those of its ``allowed`` versions — or None."""
     from repro.api import Volume
     from repro.errors import ReproError
 
@@ -1200,15 +1258,22 @@ def _judge_image(image: bytes, allowed) -> Optional[str]:
         report = vol.fsck()
         if not report.clean:
             return "fsck " + ",".join(sorted({f.cls for f in report.findings}))
-        names = _namespace(vol.session("judge", uid=0))
+        found = _namespace(vol.session("judge", uid=0))
     except ReproError as exc:
         return f"mount {type(exc).__name__}"
-    if names not in allowed:
-        post = set(allowed[-1])
+    names = {(p, d) for p, d, _data in found}
+    if all(names != {(p, d) for p, d, _data in ns} for ns in allowed):
+        post = {(p, d) for p, d, _data in allowed[-1]}
         return "namespace " + " ".join(
-            [f"-{p}" for p, _d in sorted(post - set(names))]
-            + [f"+{p}" for p, _d in sorted(set(names) - post)]
+            [f"-{p}" for p, _d in sorted(post - names)]
+            + [f"+{p}" for p, _d in sorted(names - post)]
         ).replace(f"-{_AUDIT_NAME}", "*")
+    for path, _d, data in found:
+        if data is not None:
+            reason = _file_violation(path, data, [
+                v for ns in allowed for p, _d, v in ns if p == path])
+            if reason is not None:
+                return reason
     return None
 
 
@@ -1249,6 +1314,8 @@ def _audit_run(image: bytes, op, skip: int, pre, post):
     vol = Volume.mount(image, VolumeConfig(crash_tracking=True))
     session = vol.session("audit", uid=0)
     _namespace(session)  # warm: every directory's auxiliary state built
+    alloc = vol.kernel.alloc
+    alloc.free(alloc.alloc(zero=False))  # warm: this thread's page pool full
     device = vol.device
     device.drain()
     real, sites, lines, found = device.sfence, [], [], []
@@ -1307,30 +1374,33 @@ def _fences_run():
 
 
 def _fences_render(data) -> str:
-    lines = ["== fence audit: each metadata fence skipped in turn, crash images "
+    lines = ["== fence audit: each fence skipped in turn, crash images "
              "mounted ==", "",
-             f"{'op':<15}{'fence':>6}  {'site':<26}violating image (first)",
-             "-" * 91]
+             f"{'op':<15}{'fence':>6}  {'site':<29}violating image (first)",
+             "-" * 94]
     for name, row in data.items():
         for k, (site, reason) in enumerate(zip(row["sites"], row["skipped"]), 1):
-            lines.append(f"{name:<15}{k:>6}  {site:<26}{reason or 'none'}")
-        lines.append(f"{name:<15}{'none':>6}  {'(every fence taken)':<26}"
+            lines.append(f"{name:<15}{k:>6}  {site:<29}{reason or 'none'}")
+        lines.append(f"{name:<15}{'none':>6}  {'(every fence taken)':<29}"
                      f"{row['baseline'] or 'none'}")
     sites = dict.fromkeys((site, line) for row in data.values()
                           for site, line in zip(row["sites"], row["lines"]))
     lines += ["", "fence lines:"]
-    lines += [f"  {site:<26}{line}" for site, line in sites]
-    counts = "/".join(str(len(data[op]["sites"])) for op in
-                      ("creat", "unlink", "mkdir", "rmdir", "rename"))
+    lines += [f"  {site:<29}{line}" for site, line in sites]
+
+    def counts(ops):
+        return f"{'/'.join(ops)}: " + "/".join(str(len(data[op]["sites"])) for op in ops)
     return "\n".join(lines + [
         "", f"(* = -{_AUDIT_NAME})",
-        f"fences per creat/unlink/mkdir/rmdir/rename: {counts}"])
+        "fences per " + counts(("creat", "unlink", "mkdir", "rmdir", "rename")),
+        "fences per " + counts(("pwrite", "append", "truncate"))])
 
 
 def _fences_check(data) -> List[str]:
     """Skipping the §4.2 fence before the marker leaves a torn dentry, as
     Table 1 says; each op issues ``FENCES_PER_OP`` fences; skipping any one
-    of them yields a violating image; taking them all yields none."""
+    of them yields a violating image, except the ``FENCES_UNNEEDED`` ones,
+    which yield none; taking them all yields none."""
     creat = data["creat"]
     control = [reason or "" for line, reason in zip(creat["lines"], creat["skipped"])
                if "§4.2" in line]
@@ -1345,7 +1415,12 @@ def _fences_check(data) -> List[str]:
         *[(reason is None, f"{name}: skipping fence {k} ({row['sites'][k - 1]}) "
            "found no violating image")
           for name, row in data.items()
-          for k, reason in enumerate(row["skipped"], 1)],
+          for k, reason in enumerate(row["skipped"], 1)
+          if k not in FENCES_UNNEEDED.get(name, ())],
+        *[(row["skipped"][k - 1] is not None, f"{name}: skipping fence {k} "
+           f"({row['sites'][k - 1]}) found {row['skipped'][k - 1]}, listed unneeded")
+          for name, row in data.items() for k in FENCES_UNNEEDED.get(name, ())
+          if k <= len(row["skipped"])],
         *[(row["baseline"] is not None,
            f"{name}: violating image with every fence taken: {row['baseline']}")
           for name, row in data.items()])

@@ -14,10 +14,15 @@ bits, and issues **one** batched bitmap write-back plus one fence for the
 whole batch.  Every page the refill *pools* is stamped with
 :data:`RESERVATION_TAG` in its first 8 bytes under that same fence, so fsck
 can tell a warm-pool reservation apart from a genuinely leaked page.  The
-pages the refill hands straight to its caller (one for ``alloc``, the
-shortfall for ``alloc_many``) are not stamped: the caller overwrites them
-before it links them, so a tag there would only cost a store, a ``clwb``
-and, on a striped device, a fence on one more member.
+pages the refill hands straight to its caller are not stamped: the caller
+overwrites them before it links them, so a tag there would only cost a
+store, a ``clwb`` and, on a striped device, a fence on one more member.
+
+The pool serves *small* allocations: ``alloc`` and an ``alloc_many`` of
+fewer than ``pool_pages`` pages.  An extent — ``alloc_many`` of
+``pool_pages`` or more — comes straight from the bitmap in one refill of
+exactly its size, which pools and tags nothing and leaves the caller's pool
+as it was, so the next small allocation is still a pool hit.
 
 The crash story stays leak-only: pooled pages have their bits durably set
 but are linked to no inode, exactly like a page allocated-but-unlinked by
@@ -121,9 +126,7 @@ class PageAllocator:
         #: full bitmap scan.  Seeded from the bitmap: at construction time
         #: every set bit is a page some prior incarnation handed out.
         self._acct_lock = threading.Lock()
-        self._handed_out: Set[int] = {
-            p for p in range(1, geom.page_count + 1) if self._test(p)
-        }
+        self._handed_out: Set[int] = self._set_pages()
         self.stats = AllocStats()
         self._pools: List[_ThreadPool] = []
         self._pools_lock = threading.Lock()
@@ -138,6 +141,17 @@ class PageAllocator:
 
     def _popcount(self) -> int:
         return bin(int.from_bytes(self._bits, "little")).count("1")
+
+    def _set_pages(self) -> Set[int]:
+        """Every page whose bit is set, visiting only non-zero bitmap bytes
+        (the tail bits past ``page_count`` are ignored)."""
+        count, pages = self._geom.page_count, set()
+        for byte_off, b in enumerate(self._bits):
+            if b:
+                base = (byte_off << 3) + 1
+                pages.update(p for p in range(base, min(base + 8, count + 1))
+                             if b >> (p - base) & 1)
+        return pages
 
     def _test(self, page_no: int) -> bool:
         idx = page_no - 1
@@ -271,6 +285,14 @@ class PageAllocator:
             obs.charge(ns, "alloc.refill")
         return pages
 
+    @staticmethod
+    def _take_pooled(pool: _ThreadPool, count: int) -> List[int]:
+        """Pop up to ``count`` pages off the front of ``pool``."""
+        with pool.lock:
+            pages = pool.pages[:count]
+            del pool.pages[:len(pages)]
+        return pages
+
     def _steal(self, own: _ThreadPool) -> Optional[int]:
         """Under space pressure, take a reserved page from a foreign pool."""
         for pool in self._all_pools():
@@ -381,31 +403,44 @@ class PageAllocator:
     def alloc_many(self, count: int, zero: bool = True) -> List[int]:
         """Allocate ``count`` pages, contiguous when the bitmap allows.
 
-        The pool is drained first (its pages are sorted, so a batch refill's
-        run survives), then one refill covers the remainder.  On mid-batch
-        exhaustion the partial batch is rolled back (freed) before
-        :class:`~repro.errors.NoSpace` propagates — no pages leak.
+        A small request (fewer than ``pool_pages``) is served from the pool
+        first (its pages are sorted, so a batch refill's run survives), then
+        one refill covers the remainder and pools the rest of its batch.  An
+        extent (``pool_pages`` or more) comes from the bitmap in one refill
+        of exactly ``count`` pages, which pools and tags nothing and leaves
+        the pool as it was.  A shortfall the bitmap cannot cover is taken
+        from the caller's own pool, then from foreign pools.  If even that
+        is short, the batch is rolled back — freshly set bits cleared,
+        reserved pages returned to the caller's pool — before
+        :class:`~repro.errors.NoSpace` propagates: no page leaks and
+        ``free_pages()`` is unchanged.
         """
         if count <= 0:
             return []
         pool = self._pool()
-        with pool.lock:
-            got = pool.pages[:count]
-            del pool.pages[:count]
-        hits = len(got)
-        if len(got) < count:
-            need = count - len(got)
+        small = count < self._pool_pages
+        reserved = self._take_pooled(pool, count) if small else []
+        need = count - len(reserved)
+        fresh: List[int] = []
+        if need:
+            # An extent's refill is exactly its size: nothing left to pool.
             batch = self._refill(max(need, self._pool_pages), need)
-            got.extend(batch[:need])
+            fresh = batch[:need]
             if len(batch) > need:
                 with pool.lock:
                     pool.pages.extend(batch[need:])
-        while len(got) < count:
+        reserved += self._take_pooled(pool, count - len(reserved) - len(fresh))
+        hits = len(reserved)
+        while len(reserved) + len(fresh) < count:
             page = self._steal(pool)
             if page is None:
-                self._clear_bits(got)  # roll back the partial batch
-                raise NoSpace(f"no free pages ({len(got)}/{count} rolled back)")
-            got.append(page)
+                self._clear_bits(fresh)  # roll back the partial batch
+                with pool.lock:
+                    pool.pages[:0] = reserved
+                raise NoSpace(f"no free pages ({len(reserved) + len(fresh)}/"
+                              f"{count} rolled back)")
+            reserved.append(page)
+        got = reserved + fresh if small else fresh + reserved
         with self._acct_lock:
             self._handed_out.update(got)
             self.stats.allocs += count

@@ -1,9 +1,10 @@
 """Concurrency properties of the pooled PM page allocator.
 
-Satellite 3: under real threads hammering ``alloc``/``alloc_many``/``free``,
-no page is ever handed out twice; pools drain on orderly shutdown; after a
-simulated crash with warm pools, ``rebuild`` reclaims every reservation and
-nothing is double-allocated on the next mount.
+Under real threads hammering ``alloc``/``alloc_many``/``free`` — one of
+them drawing extents that bypass the pools — no page is ever handed out
+twice; pools drain on orderly shutdown; after a simulated crash with warm
+pools, ``rebuild`` reclaims every reservation and nothing is
+double-allocated on the next mount.
 """
 
 import random
@@ -16,6 +17,8 @@ from repro.pm.device import PMDevice
 
 THREADS = 8
 OPS_PER_THREAD = 300
+#: The batch sizes thread 0 draws: around ``DEFAULT_POOL_PAGES`` and above.
+EXTENT_PAGES = (64, 130)
 
 
 def make_world(*, size=8 * 1024 * 1024, pool_pages=DEFAULT_POOL_PAGES):
@@ -36,11 +39,20 @@ def hammer(alloc, seed, errors, held_per_thread, tid):
                 except NoSpace:
                     pass
             elif r < 0.75:
+                # Thread 0 draws extents (pool_pages or more, straight from
+                # the bitmap) while the others draw small batches.
+                lo, hi = EXTENT_PAGES if tid == 0 else (2, 9)
                 try:
-                    held.extend(alloc.alloc_many(rng.randint(2, 9),
+                    held.extend(alloc.alloc_many(rng.randint(lo, hi),
                                                  zero=False))
                 except NoSpace:
                     pass
+            elif tid == 0:
+                # ...and frees them as a batch, so it does not hoard the volume.
+                start = rng.randrange(len(held))
+                batch = held[start:start + EXTENT_PAGES[1]]
+                del held[start:start + EXTENT_PAGES[1]]
+                alloc.free(*batch)
             else:
                 alloc.free(held.pop(rng.randrange(len(held))))
     except Exception as exc:  # noqa: BLE001 - surfaced by the main thread

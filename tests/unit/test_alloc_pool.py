@@ -140,6 +140,80 @@ class TestRefillTags:
             assert back.session("r").readdir("/") == []
 
 
+class TestExtentsBypassThePool:
+    """The pool serves allocations below ``pool_pages``; an extent
+    (``alloc_many`` of ``pool_pages`` or more) refills for itself, so the
+    next small allocation still finds the pool warm."""
+
+    def warm(self, **kw):
+        device, geom, alloc = make_world(**kw)
+        alloc.alloc(zero=False)
+        assert len(alloc.pooled_pages()) == alloc.pool_pages - 1
+        return device, geom, alloc
+
+    def test_an_extent_leaves_the_pool_as_it_was(self):
+        _device, _geom, alloc = self.warm()
+        pooled = alloc.pooled_pages()
+        pages = alloc.alloc_many(alloc.pool_pages, zero=False)
+        assert alloc.pooled_pages() == pooled
+        assert not set(pages) & pooled
+
+    def test_a_small_alloc_after_an_extent_is_a_pool_hit(self):
+        device, _geom, alloc = self.warm()
+        alloc.alloc_many(128, zero=False)
+        stats, refills, hits = (replace(device.stats), alloc.stats.pool_refills,
+                                alloc.stats.pool_hits)
+        alloc.alloc_many(4, zero=False)
+        cost = obs.stats_diff(device.stats, stats)
+        assert alloc.stats.pool_refills == refills
+        assert alloc.stats.pool_hits - hits == 4
+        assert (cost.stores, cost.fences) == (0, 0)
+
+    def test_whole_volume_extent_draws_its_own_pool_not_only_steals(self):
+        """The bitmap is short by the warm pool; ``_steal`` skips the own
+        pool, so the shortfall has to come from it first."""
+        _device, geom, alloc = self.warm(size=1024 * 1024)
+        held = alloc.allocated_set()
+        pages = alloc.alloc_many(alloc.free_pages(), zero=False)
+        assert len(pages) == len(set(pages)) == geom.page_count - len(held)
+        assert alloc.free_pages() == 0 and alloc.pooled_pages() == set()
+        assert alloc.allocated_set() == held | set(pages)
+
+    def test_an_extent_past_free_pages_changes_nothing(self):
+        device, geom, alloc = self.warm(size=1024 * 1024)
+        nbytes = (geom.page_count + 7) // 8
+        before = (alloc.free_pages(), device.load(geom.bitmap_off, nbytes),
+                  alloc.pooled_pages(), alloc.allocated_set())
+        with pytest.raises(NoSpace):
+            alloc.alloc_many(alloc.free_pages() + 1, zero=False)
+        assert (alloc.free_pages(), device.load(geom.bitmap_off, nbytes),
+                alloc.pooled_pages(), alloc.allocated_set()) == before
+
+
+class TestConstruction:
+    def test_allocated_set_is_the_set_bits_of_a_used_image(self):
+        """A used image whose last bitmap byte is partial: construction
+        seeds the hand-out set from exactly the set bits."""
+        from repro.api import Volume, VolumeConfig
+        from repro.core.mkfs import load_geometry
+
+        vol = Volume.create(1 << 20, VolumeConfig(inode_count=32))
+        with vol.session("w") as s:
+            s.write_file("/f", b"f" * 5 * PAGE_SIZE)
+        geom, alloc = vol.kernel.geom, vol.kernel.alloc
+        assert geom.page_count % 8  # the last bitmap byte is partial
+        pages = alloc.alloc_many(alloc.free_pages(), zero=False)
+        alloc.free(*pages[::3])
+        image = vol.device.durable_image()
+        device = PMDevice.from_image(image, crash_tracking=False)
+        geom = load_geometry(device)
+        raw = device.load(geom.bitmap_off, (geom.page_count + 7) // 8)
+        bits = {p for p in range(1, geom.page_count + 1)
+                if raw[(p - 1) >> 3] >> ((p - 1) & 7) & 1}
+        assert geom.page_count in bits
+        assert PageAllocator(device, geom).allocated_set() == bits
+
+
 class TestBatchedFree:
     """``free(*pages)`` is the one free path: one lock, one fence, at most
     one stored bitmap byte per page, and a refused batch changes nothing."""
