@@ -317,7 +317,7 @@ def cmd_fsck(args) -> int:
     report = run_fsck(device, workers=args.workers, repair=args.repair)
     if args.dump_image:
         with open(args.dump_image, "wb") as fh:
-            fh.write(bytes(device.media))
+            fh.write(device.durable_image())
     if args.json:
         print(report.to_json())
     else:

@@ -1,36 +1,34 @@
 """The simulated persistent-memory device.
 
-The device keeps two flat byte views of itself:
+The device keeps one flat byte buffer, ``volatile``: what a running CPU
+observes, updated in place by every ``store`` and sliced through a
+``memoryview`` by every ``load``, so a load copies its bytes once and an
+untracked store copies the caller's bytes once.
 
-* ``volatile`` — what a running CPU observes (``load``), updated in place
-  by every ``store``;
-* ``media`` — what survives a crash for sure, advanced only by flush +
-  fence (or, nondeterministically, by simulated cache eviction when a crash
-  image is built).
-
-Loads and stores slice a ``memoryview`` of ``volatile``, so a load copies
-its bytes once, and so does a store on an untracked device (a tracked one
-also keeps a ``bytes`` copy in its run log).
-
-Between them sits an ordered log of the store *runs* not yet fenced — one
-entry per ``store`` call: sequence number, address, payload and the
-cache-line intervals of it still pending — plus the ``clwb`` ranges queued
-since the last fence, each stamped with the sequence number it was issued
-at.  ``sfence`` takes the queued ranges in order and copies the overlapping
-part of every *earlier* pending run to ``media``, trimming or dropping the
-run; a store issued after the ``clwb`` is newer than the stamp and stays
-pending.  This is BilbyFs's "ordered list of pending updates applied at
-``sync()``" with ``sfence`` as the sync: a tracked store, load, flush or
+What survives a crash for sure is not kept as a second image.  A tracked
+device logs the store *runs* not yet fenced — one entry per ``store`` call:
+sequence number, address, the bytes the store overwrote (its one extra
+copy) and the cache-line intervals of it still pending — plus the ``clwb``
+ranges queued since the last fence, each stamped with the sequence number it
+was issued at.  ``sfence`` trims each queued range off the pending lines of
+every run *older* than its stamp and drops the runs left empty; it copies
+nothing, since the new bytes are already in the buffer.  A store issued
+after the ``clwb`` is newer than the stamp and stays pending.  This is
+BilbyFs's "ordered list of pending updates applied at ``sync()``" with
+``sfence`` as the sync, kept as an undo log: a tracked store, load, flush or
 fence costs a few slice operations, not a Python loop over 64-byte lines.
 
 Crash states are still per cache line: a crash may persist, for each line
 independently, any content it has held since its durability floor (hardware
-may have evicted it at any point).  A line's floor is its ``media`` content
-and each pending run covering it adds one version — the previous one patched
-with that run's bytes, equal or not — so the version lists are a pure
-function of ``media`` and the log.  They are split out only when a crash
-image is asked for and cached until the next store or fence, which gives
-exactly the state space a per-line history kept on every store would.
+may have evicted it at any point).  The pending runs covering a line are the
+newest that ever covered it (a fence writes back every run older than a
+stamp), so undoing them newest first walks the line back through each
+content it held, down to its floor: the version lists — floor first, one
+version per pending run, equal or not — are a pure function of the buffer
+and the log.  They are split out only when a crash or durable image is asked
+for and cached until the next store or fence, which gives exactly the state
+space a per-line history kept on every store would; an image is one join of
+the buffer's clean stretches and each dirty line's chosen version.
 
 A striped volume is the same device with ``devices`` members: member ``d``
 owns bytes ``[d*dev_size, (d+1)*dev_size)`` of the one flat address space,
@@ -41,9 +39,11 @@ fence is charged to every member stored to or flushed since the last one —
 the functional evidence of the striped fan-out.  Where data lands is
 :class:`~repro.pm.layout.Geometry`'s business.
 
-Thread safety: a single coarse lock protects the log bookkeeping.  The
-*logical* races the paper studies (§4.3–§4.6) live above this layer, in the
-file-system code, so serialising the device itself hides nothing relevant.
+Thread safety: a single coarse lock protects the log bookkeeping; a load
+takes none, since the buffer is never replaced and a slice copy is atomic
+with respect to a store's.  The *logical* races the paper studies
+(§4.3–§4.6) live above this layer, in the file-system code, so serialising
+the device itself hides nothing relevant.
 """
 
 from __future__ import annotations
@@ -90,12 +90,13 @@ class Member(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """One unfenced ``store`` call: ``data`` landed at ``addr`` as the
-    ``seq``-th store.  The run leaves the log when ``pending`` empties."""
+    """One unfenced ``store`` call, the ``seq``-th: ``old`` is what the
+    bytes at ``addr`` held before it.  The run leaves the log when
+    ``pending`` empties."""
 
     seq: int
     addr: int
-    data: bytes
+    old: bytearray
     #: half-open cache-line intervals no fence has written back yet.
     pending: List[Tuple[int, int]]
 
@@ -155,14 +156,21 @@ class PMDevice:
         each member stored to or flushed since the last one (counted in
         that member's :class:`Member` record).
     crash_tracking:
-        When True (default), unfenced stores are logged so that reachable
-        crash states can be enumerated.  Benchmarks that never
-        crash can disable it; stores then hit media directly (functional
-        behaviour is identical, crash states are unavailable).
+        When True (default), each unfenced store logs the bytes it
+        overwrote, so that the durable image and every reachable crash
+        state can be worked out of the one buffer.  Benchmarks that never
+        crash can disable it; a store is then durable as soon as it lands
+        (functional behaviour is identical, crash states are unavailable).
     """
 
     def __init__(self, size: int, *, devices: int = 1,
                  crash_tracking: bool = True):
+        self._setup(size, devices, crash_tracking, b"")
+
+    def _setup(self, size: int, devices: int, crash_tracking: bool,
+               image: bytes) -> None:
+        """Construct a device whose buffer starts as ``image`` zero-padded
+        to the device size (one copy of the image, no zero fill under it)."""
         if size <= 0:
             raise ValueError("device size must be positive")
         if devices < 1:
@@ -172,10 +180,13 @@ class PMDevice:
         self.dev_size = (dev_size + CACHE_LINE - 1) // CACHE_LINE * CACHE_LINE
         self.devices = devices
         self.size = self.dev_size * devices
-        self.media = bytearray(self.size)
-        #: the CPU's view: media itself until the first tracked store forks
-        #: it (a device booted to be read, or untracked, never pays the copy).
-        self.volatile = self.media
+        #: the device's one buffer — what a running CPU observes; never
+        #: replaced, so a view of it stays valid for the device's life.
+        if len(image) == self.size:
+            self.volatile = bytearray(image)
+        else:
+            self.volatile = bytearray(self.size)
+            self.volatile[: len(image)] = image
         #: a view of ``volatile`` that loads and stores slice: the one copy
         #: of an access is the one into or out of it.
         self._view = memoryview(self.volatile)
@@ -188,7 +199,7 @@ class PMDevice:
         #: members stored to or flushed since the last fence (striped
         #: devices only).
         self._dirty: Set[int] = set()
-        #: unfenced stores, oldest first.
+        #: unfenced stores, oldest first, each with the bytes it overwrote.
         self._runs: List[_Run] = []
         self._seq = 0
         #: ``(first_line, end_line, seq at issue)`` per ``clwb`` since the
@@ -243,13 +254,11 @@ class PMDevice:
         """Read ``size`` bytes of the current *volatile* view at ``addr``.
 
         The bytes are copied once, out of a view of the device's buffer, and
-        belong to the caller: no later store changes them.
+        belong to the caller: no later store changes them.  Tracked or not,
+        a load takes no lock: the buffer is never replaced.
         """
         self._count_load(addr, size)
-        if not self.crash_tracking:
-            return bytes(self._view[addr : addr + size])
-        with self._lock:
-            return bytes(self._view[addr : addr + size])
+        return bytes(self._view[addr : addr + size])
 
     def store(self, addr: int, data: bytes) -> None:
         """CPU store: updates the volatile view only.
@@ -264,12 +273,12 @@ class PMDevice:
 
         ``data`` may be any bytes-like object (a ``memoryview`` slice of the
         caller's buffer, say), and the caller may reuse it as soon as this
-        returns: an untracked device copies it straight into ``media``, a
-        tracked one takes a ``bytes`` copy for its run log (none if ``data``
-        already is ``bytes``) and copies that into ``volatile``.
+        returns: it is copied straight into the buffer.  A tracked device
+        first copies out the bytes it overwrites, for its run log.
         """
         size = len(data)
-        self._check_range(addr, size)
+        if addr < 0 or addr + size > self.size:
+            self._check_range(addr, size)  # raises; inline, stores are hot
         if self.devices == 1:
             self.stats.stores += 1
             self.stats.bytes_stored += size
@@ -284,19 +293,21 @@ class PMDevice:
                 st.bytes_stored += n
         if not size:
             return
+        view = self._view
         if not self.crash_tracking:
-            self._view[addr : addr + size] = data
+            view[addr : addr + size] = data
             return
-        data = bytes(data)
-        with self._lock:
-            if self.volatile is self.media:
-                self.volatile = bytearray(self.media)
-                self._view = memoryview(self.volatile)
-            self._view[addr : addr + size] = data
-            lines = (addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1)
-            self._runs.append(_Run(self._seq, addr, data, [lines]))
+        lines = (addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1)
+        lock = self._lock
+        lock.acquire()  # not ``with``: its exit call is dear on this hot path
+        try:
+            self._runs.append(  # a bytearray slice: the one copy out
+                _Run(self._seq, addr, self.volatile[addr : addr + size], [lines]))
+            view[addr : addr + size] = data
             self._seq += 1
             self._versions = None
+        finally:
+            lock.release()
 
     def atomic_store(self, addr: int, data: bytes) -> None:
         """A hardware-atomic store: 1/2/4/8/16 bytes, naturally aligned.
@@ -321,9 +332,11 @@ class PMDevice:
         The *current* content of each line is what the next ``sfence``
         guarantees durable; later stores to the same line are NOT covered.
         """
-        self._check_range(addr, max(size, 1))
+        end = addr + (size if size > 0 else 1)
+        if addr < 0 or end > self.size:
+            self._check_range(addr, end - addr)  # raises
         first = addr // CACHE_LINE
-        last = (addr + max(size, 1) - 1) // CACHE_LINE
+        last = (end - 1) // CACHE_LINE
         self.stats.clwbs += last - first + 1
         if self.devices > 1:
             span = (last - first + 1) * CACHE_LINE
@@ -332,15 +345,23 @@ class PMDevice:
                 self.members[d].stats.clwbs += n // CACHE_LINE
         if not self.crash_tracking:
             return
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._runs:
                 self._queued.append((first, last + 1, self._seq))
+        finally:
+            lock.release()
 
     # ``clflushopt`` has identical persistency semantics for our purposes.
     clflushopt = clwb
 
     def sfence(self) -> None:
         """Complete all queued write-backs; they are durable from here on.
+
+        Nothing is copied: the queued lines come off the pending lines of
+        every run older than the ``clwb`` that queued them, and a run with
+        nothing left pending is dropped, which bounds memory use.
 
         A striped device charges one fence to every member stored to or
         flushed since the last fence — member 0 for an idle one, as a flat
@@ -353,44 +374,61 @@ class PMDevice:
                 self.stats.fences += 1
                 self.members[d].stats.fences += 1
             self._dirty.clear()
-        if not self.crash_tracking:
+        # An empty queue needs no lock: a clwb racing this fence is after it.
+        if not self.crash_tracking or not self._queued:
             return
-        with self._lock:
-            if not self._queued:
-                return
-            for lo, hi, seq in self._queued:
-                self._write_back(lo, hi, seq)
-            self._queued = []
-            self._versions = None
+        lock = self._lock
+        lock.acquire()
+        try:
+            queued, runs = self._queued, self._runs
+            self._queued, self._versions = [], None
+            if len(runs) == 1 and len(queued) == 1:
+                # The run is older than the range: a clwb is queued only
+                # while a run is pending, and what drops a run empties the
+                # queue too.
+                (lo, hi, _seq), pending = queued[0], runs[0].pending
+                if lo <= pending[0][0] and pending[-1][1] <= hi:
+                    self._runs = []  # the one range covers the one run
+                    return
+            if queued:
+                self._runs = self._write_back(runs, queued)
+        finally:
+            lock.release()
 
-    def _write_back(self, lo: int, hi: int, seq: int) -> None:
-        """Copy lines ``[lo, hi)`` of every pending run older than ``seq`` to
-        media, oldest first, and take them off the run (lock held).
-        Everything written can no longer be undone by a crash; a run with
-        nothing left pending is dropped, which bounds memory use."""
-        runs, kept, media = self._runs, [], memoryview(self.media)
-        for i, run in enumerate(runs):
-            if run.seq >= seq:  # stored after the clwb, as is every later run
-                kept += runs[i:]
-                break
-            base, data = run.addr, memoryview(run.data)
-            rest = []
-            for a, b in run.pending:
-                s, e = max(a, lo), min(b, hi)
-                if s >= e:
-                    rest.append((a, b))
-                    continue
-                start = max(base, s * CACHE_LINE)
-                end = min(base + len(data), e * CACHE_LINE)
-                media[start:end] = data[start - base : end - base]
-                if a < s:
-                    rest.append((a, s))
-                if e < b:
-                    rest.append((e, b))
-            if rest:
-                run.pending[:] = rest
+    @staticmethod
+    def _write_back(runs: List[_Run],
+                    queued: List[Tuple[int, int, int]]) -> List[_Run]:
+        """The runs still pending once every queued ``(lo, hi, seq)`` range
+        is written back.  A range covers the runs older than its ``seq``, so
+        a run starts at the first range stamped after it — one index walks
+        the stamps alongside the runs, since neither ever decreases — and
+        stops once nothing of it is pending."""
+        kept: List[_Run] = []
+        n, first = len(queued), 0
+        for k, run in enumerate(runs):
+            while queued[first][2] <= run.seq:
+                first += 1
+                if first == n:  # stored after every clwb, as is every later run
+                    kept += runs[k:]
+                    return kept
+            pending = run.pending
+            for lo, hi, _seq in queued[first:]:
+                rest = []
+                for a, b in pending:
+                    if b <= lo or hi <= a:
+                        rest.append((a, b))
+                        continue
+                    if a < lo:
+                        rest.append((a, lo))
+                    if hi < b:
+                        rest.append((hi, b))
+                pending = rest
+                if not pending:
+                    break
+            else:
+                run.pending[:] = pending
                 kept.append(run)
-        self._runs = kept
+        return kept
 
     def ntstore(self, addr: int, data: bytes) -> None:
         """Non-temporal store: a store whose write-back is already queued.
@@ -421,8 +459,8 @@ class PMDevice:
             self._dirty.clear()
             return
         with self._lock:
-            if self._runs:
-                self._queued = [(0, self.size // CACHE_LINE, self._seq)]
+            if self._runs:  # every line written back
+                self._runs, self._queued, self._versions = [], [], None
         if self.devices > 1:
             self._dirty.update(range(self.devices))
         self.sfence()
@@ -448,15 +486,12 @@ class PMDevice:
 
         Counted exactly as a loop of :meth:`load`; the extents are joined
         straight out of views of the device's buffer, so each byte is copied
-        once (under one lock acquisition on a tracked device), and the
-        result belongs to the caller.
+        once, and the result belongs to the caller.
         """
         for addr, nbytes in ops:
             self._count_load(addr, nbytes)
-        if not self.crash_tracking:
-            return b"".join([self._view[a : a + n] for a, n in ops])
-        with self._lock:
-            return b"".join([self._view[a : a + n] for a, n in ops])
+        view = self._view
+        return b"".join([view[a : a + n] for a, n in ops])
 
     # ------------------------------------------------------------------ #
     # Crash-state exploration
@@ -464,27 +499,30 @@ class PMDevice:
 
     def _line_versions(self) -> Dict[int, List[bytes]]:
         """The successive contents of every dirty line since its durability
-        floor (lock held): ``[0]`` is the floor — the media copy — and each
-        pending run covering the line appends the previous version patched
-        with its bytes.  Split out of the run log on demand and kept until
-        the next store or fence."""
+        floor (lock held): ``[0]`` is the floor, ``[-1]`` the buffer's line,
+        and each pending run covering the line adds the version it stored.
+        Worked out by undoing the pending runs newest first — each restores
+        the bytes it overwrote — and kept until the next store or fence."""
         if self._versions is None:
             versions: Dict[int, List[bytes]] = {}
-            media = memoryview(self.media)
-            for run in self._runs:
-                addr, data = run.addr, run.data
+            buf = self.volatile
+            for run in reversed(self._runs):
+                addr, old = run.addr, run.old
+                end = addr + len(old)
                 for a, b in run.pending:
                     for lineno in range(a, b):
                         base = lineno * CACHE_LINE
                         line = versions.get(lineno)
                         if line is None:
-                            line = versions[lineno] = [
-                                bytes(media[base : base + CACHE_LINE])]
-                        cur = bytearray(line[-1])
-                        lo = max(addr, base)
-                        hi = min(addr + len(data), base + CACHE_LINE)
-                        cur[lo - base : hi - base] = data[lo - addr : hi - addr]
+                            cur = buf[base : base + CACHE_LINE]
+                            line = versions[lineno] = [bytes(cur)]
+                        else:
+                            cur = bytearray(line[-1])
+                        lo, hi = max(addr, base), min(end, base + CACHE_LINE)
+                        cur[lo - base : hi - base] = old[lo - addr : hi - addr]
                         line.append(bytes(cur))
+            for line in versions.values():
+                line.reverse()
             self._versions = versions
         return self._versions
 
@@ -500,9 +538,10 @@ class PMDevice:
                     for lineno, line in self._line_versions().items()}
 
     def durable_image(self) -> bytes:
-        """The guaranteed-durable image (only fenced content; media copy)."""
+        """The guaranteed-durable image: only fenced content, every dirty
+        line at its floor."""
         with self._lock:
-            return bytes(self.media)
+            return self._image({})
 
     def volatile_image(self) -> bytes:
         """The full volatile view (what a non-crashing remount would see)."""
@@ -512,23 +551,29 @@ class PMDevice:
         """Build one crash image.
 
         ``choices`` maps line number -> version index to persist for that
-        line; lines not mentioned persist their media (floor) content.
-        Version index 0 is the floor; the largest index is the newest store.
+        line; dirty lines not mentioned persist their floor content, and
+        clean lines have only one.  Version index 0 is the floor; the
+        largest index is the newest store.
         """
         with self._lock:
-            img = bytearray(self.media)
-            versions = self._line_versions()
-            for lineno, idx in choices.items():
-                line = versions.get(lineno)
-                if line is None:
-                    continue
-                if not 0 <= idx < len(line):
-                    raise PersistOrderError(
-                        f"line {lineno} has {len(line)} versions; {idx} invalid"
-                    )
-                base = lineno * CACHE_LINE
-                img[base : base + CACHE_LINE] = line[idx]
-            return bytes(img)
+            return self._image(choices)
+
+    def _image(self, choices: Dict[int, int]) -> bytes:
+        """One join of the buffer's clean stretches and each dirty line's
+        chosen version (lock held): every byte of the image is copied once."""
+        view, pieces, pos = self._view, [], 0
+        versions = self._line_versions()
+        for lineno in sorted(versions):
+            line, idx = versions[lineno], choices.get(lineno, 0)
+            if not 0 <= idx < len(line):
+                raise PersistOrderError(
+                    f"line {lineno} has {len(line)} versions; {idx} invalid"
+                )
+            base = lineno * CACHE_LINE
+            pieces += (view[pos:base], line[idx])
+            pos = base + CACHE_LINE
+        pieces.append(view[pos:])
+        return b"".join(pieces)
 
     enumerate_crash_images = iter_crash_images
     sample_crash_images = draw_crash_images
@@ -557,19 +602,17 @@ class PMDevice:
             raise SuperblockCorrupt(
                 f"{len(image)}-byte image does not split into {devices} "
                 f"equal line-aligned members of at least one page")
-        dev = cls(len(image), devices=devices, crash_tracking=crash_tracking)
-        dev.load_image(image)
+        dev = cls.__new__(cls)
+        dev._setup(len(image), devices, crash_tracking, image)
         return dev
 
     def load_image(self, image: bytes) -> None:
-        """Reboot in place: both views hold ``image`` (zero-padded to the
+        """Reboot in place: the buffer holds ``image`` (zero-padded to the
         device size) and nothing is pending."""
         self._check_range(0, len(image))
         with self._lock:
-            self.media[: len(image)] = image
-            self.media[len(image) :] = bytes(self.size - len(image))
-            self.volatile = self.media
-            self._view = memoryview(self.volatile)
+            self._view[: len(image)] = image
+            self._view[len(image) :] = bytes(self.size - len(image))
             self._runs, self._queued, self._versions = [], [], None
 
     def __len__(self) -> int:

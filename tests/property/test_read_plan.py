@@ -27,7 +27,7 @@ def device_for(devices, stripe_pages):
     if key not in _DEVICES:
         dev = PMDevice(2 << 20, devices=devices, crash_tracking=False)
         geom = Geometry.compute(dev.size, 16, devices, stripe_pages)
-        dev.media[:] = random.Random(str(key)).randbytes(dev.size)
+        dev.load_image(random.Random(str(key)).randbytes(dev.size))
         _DEVICES[key] = dev, geom
     return _DEVICES[key]
 

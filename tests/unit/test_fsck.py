@@ -157,10 +157,10 @@ def test_report_json_shape():
 
 def test_repair_is_noop_on_clean_volume():
     device, _kernel, _fs = build_volume(files=8, dirs=2)
-    before = bytes(device.media)
+    before = device.durable_image()
     report = run_fsck(device, repair=True)
     assert report.clean and not report.repairs
-    assert bytes(device.media) == before
+    assert device.durable_image() == before
 
 
 def test_kernel_controller_fsck_convenience():

@@ -181,7 +181,7 @@ class TestReboot:
         back = PMDevice.from_image(arr.durable_image())
         assert back.devices == 2
         assert load_geometry(back).stripe_pages == 4
-        assert back.media == arr.media
+        assert back.durable_image() == arr.durable_image()
 
 
 class TestObsLabels:
