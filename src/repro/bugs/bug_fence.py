@@ -23,7 +23,7 @@ from repro.concurrency.failpoints import failpoints
 from repro.core.config import ArckConfig
 from repro.errors import CrashPoint
 from repro.fsck import TORN_CLASSES, fsck_checker
-from repro.pm.crash import CrashSim
+from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 
 #: Long enough that the dentry record spans two cache lines.
@@ -50,12 +50,12 @@ def _crash_at_marker(config: ArckConfig) -> PMDevice:
 
 def demonstrate(config: ArckConfig) -> BugOutcome:
     device = _crash_at_marker(config)
-    sim = CrashSim(device, limit=16384)
-    hit = sim.find_violation(fsck_checker(classes=TORN_CLASSES))
-    manifested = hit is not None
+    [point] = explore(device, None, fsck_checker(classes=TORN_CLASSES),
+                      budget=16384, first=True)
+    manifested = bool(point.verdicts)
     detail = (
-        f"{sim.state_count()} reachable crash states; "
-        + (f"fsck violation: {hit[1]}" if manifested
+        f"{point.states} reachable crash states; "
+        + (f"fsck violation: {point.verdicts[0]}" if manifested
            else "every crash state is fsck-clean (no torn/dangling dentry)")
     )
     return BugOutcome(

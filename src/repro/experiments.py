@@ -23,9 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import linecache
-import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -34,6 +31,7 @@ from repro.perf.costmodel import COST
 from repro.perf.runner import run_workload, sweep, table2_sweep
 from repro.perf.simulator import Experiment as Simulation
 from repro.perf.stats import format_table, geomean
+from repro.pm.crash import explore
 from repro.pm.layout import PAGE_SIZE
 from repro.workloads.fio import FIO_WORKLOADS
 from repro.workloads.fxmark import DATA_WORKLOADS, FXMARK, METADATA_WORKLOADS
@@ -1164,11 +1162,6 @@ def _fsck_check(data) -> List[str]:
 #: Names long enough that a dentry spans two cache lines, as in Table 1's
 #: §4.2 demonstration: a torn record is then reachable.
 _AUDIT_NAME = "an-entry-name-long-enough-to-span-two-lines"
-#: Every crash image is mounted up to this many per crash point; above it a
-#: seeded sample of ``FENCE_AUDIT_SAMPLE`` is.
-FENCE_AUDIT_LIMIT = 64
-FENCE_AUDIT_SAMPLE = 32
-FENCE_AUDIT_SEED = 7
 
 
 _D_OLD, _D_NEW, _E_NEW = (f"{p}-{_AUDIT_NAME}" for p in ("/d/a", "/d/b", "/e/a"))
@@ -1246,7 +1239,7 @@ def _file_violation(path: str, data: bytes, versions: List[bytes]) -> Optional[s
     return None
 
 
-def _judge_image(image: bytes, allowed: List[Namespace]) -> Optional[str]:
+def _judge_image(device, allowed: List[Namespace]) -> Optional[str]:
     """Why a crash image violates — fsck on the mounted volume not clean,
     names not those of one namespace in ``allowed``, or a regular file's
     size or bytes not those of its ``allowed`` versions — or None."""
@@ -1254,7 +1247,7 @@ def _judge_image(image: bytes, allowed: List[Namespace]) -> Optional[str]:
     from repro.errors import ReproError
 
     try:
-        vol = Volume.mount(image)
+        vol = Volume.mount(device)
         report = vol.fsck()
         if not report.clean:
             return "fsck " + ",".join(sorted({f.cls for f in report.findings}))
@@ -1277,33 +1270,6 @@ def _judge_image(image: bytes, allowed: List[Namespace]) -> Optional[str]:
     return None
 
 
-def _first_violation(device, allowed, seed: int) -> Optional[str]:
-    """The first crash image reachable now that violates, or None."""
-    choices = device.line_choices()
-    if math.prod(choices.values()) <= FENCE_AUDIT_LIMIT:
-        images = device.enumerate_crash_images(limit=FENCE_AUDIT_LIMIT)
-    else:
-        images = device.sample_crash_images(FENCE_AUDIT_SAMPLE, seed=seed)
-    for image in images:
-        reason = _judge_image(image, allowed)
-        if reason is not None:
-            return reason
-    return None
-
-
-def _fence_site() -> Tuple[str, str]:
-    """The method that issued the fence being taken (``Class.method``),
-    and its line: the innermost frame outside the device, its mappings
-    and this module."""
-    frame = sys._getframe(1)
-    while frame.f_globals.get("__name__") in (
-            __name__, "repro.pm.device", "repro.pm.mapping"):
-        frame = frame.f_back
-    code, owner = frame.f_code, frame.f_locals.get("self")
-    site = code.co_name if owner is None else f"{type(owner).__name__}.{code.co_name}"
-    return site, linecache.getline(code.co_filename, frame.f_lineno).strip()
-
-
 def _audit_run(image: bytes, op, skip: int, pre, post):
     """Run ``op`` on a mount of ``image`` with fence ``skip`` (1-based; 0
     for none) not taken, judging the crash images just before every later
@@ -1316,33 +1282,16 @@ def _audit_run(image: bytes, op, skip: int, pre, post):
     _namespace(session)  # warm: every directory's auxiliary state built
     alloc = vol.kernel.alloc
     alloc.free(alloc.alloc(zero=False))  # warm: this thread's page pool full
-    device = vol.device
-    device.drain()
-    real, sites, lines, found = device.sfence, [], [], []
-
-    def sfence():
-        site, line = _fence_site()
-        sites.append(site)
-        lines.append(line)
-        k = len(sites)
-        if k == skip:
-            return
-        if k > skip and not found:
-            reason = _first_violation(device, [pre, post], FENCE_AUDIT_SEED + k)
-            if reason is not None:
-                found.append(f"before fence {k}: {reason}")
-        real()
-
-    device.sfence = sfence
-    try:
-        op(session)
-    finally:
-        device.sfence = real
-    if not found:
-        reason = _first_violation(device, [post], FENCE_AUDIT_SEED)
-        if reason is not None:
-            found.append(f"at return: {reason}")
-    return sites, lines, (found or [None])[0]
+    vol.device.drain()
+    # 34 images a point: every one, or 32 seeded, the floor and the newest.
+    *fences, end = explore(
+        vol.device, lambda: op(session),
+        lambda device, point: _judge_image(
+            device, [post] if point.fence is None else [pre, post]),
+        budget=34, seed=7, skip=skip, first=True)
+    found = [f"before fence {p.fence}: {v}" for p in fences for v in p.verdicts]
+    found += [f"at return: {v}" for v in end.verdicts]
+    return [p.site for p in fences], [p.line for p in fences], (found or [None])[0]
 
 
 def _fences_run():

@@ -20,8 +20,8 @@ complement, in the shape pFSCK gave the classic fsck pipeline:
 Entry points:
 
 * :func:`run_fsck` — check (and optionally repair) a device;
-* :func:`fsck_checker` — a :class:`~repro.pm.crash.CrashSim`-compatible
-  adapter: "every reachable crash state is fsck-clean";
+* :func:`fsck_checker` — fsck as a :func:`~repro.pm.crash.explore` judge:
+  "every reachable crash state is fsck-clean";
 * ``python -m repro fsck`` — the CLI verb (exit code 0 = clean).
 """
 

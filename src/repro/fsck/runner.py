@@ -188,13 +188,12 @@ def fsck_checker(
     classes: Optional[FrozenSet[str]] = None,
     *,
     repair: bool = False,
-    workers: int = 1,
-) -> Callable[[PMDevice], Optional[str]]:
-    """A :meth:`CrashSim.find_violation`-compatible adapter around fsck.
+) -> Callable[[PMDevice, object], Optional[str]]:
+    """Whole-volume fsck as a :func:`~repro.pm.crash.explore` judge.
 
-    The returned callable reboots nothing itself — ``CrashSim`` hands it a
-    fresh device per crash image — and reports the first finding as the
-    violation reason, or ``None`` when the image is clean.  ``classes``
+    The returned judge reboots nothing itself — the explorer hands it a
+    fresh device per crash image — and returns the first finding as the
+    verdict, or ``None`` when the image is clean.  ``classes``
     restricts which finding classes count as violations (e.g.
     :data:`~repro.fsck.findings.TORN_CLASSES` for the §4.2 fence bug:
     orphan inodes and leaked pages are legal, repairable crash states even
@@ -202,8 +201,8 @@ def fsck_checker(
     image only counts as a violation if repair fails to converge to clean.
     """
 
-    def checker(device: PMDevice) -> Optional[str]:
-        report = run_fsck(device, workers=workers, repair=repair)
+    def checker(device: PMDevice, _point: object) -> Optional[str]:
+        report = run_fsck(device, repair=repair)
         findings = report.findings
         if classes is not None:
             findings = [f for f in findings if f.cls in classes]

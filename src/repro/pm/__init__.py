@@ -24,7 +24,7 @@ address space that carries its own counters.
 
 from repro.pm.device import CACHE_LINE, PMDevice, PMStats
 from repro.pm.mapping import Mapping
-from repro.pm.crash import CrashSim
+from repro.pm.crash import explore
 from repro.pm.allocator import PageAllocator
 from repro.pm import layout
 
@@ -33,7 +33,7 @@ __all__ = [
     "PMDevice",
     "PMStats",
     "Mapping",
-    "CrashSim",
+    "explore",
     "PageAllocator",
     "layout",
 ]

@@ -1,98 +1,119 @@
-"""Crash-state exploration harness.
+"""The crash explorer: every crash claim in this repo comes from
+:func:`explore`, which judges the crash images reachable just before each
+fence a program issues and at its return.
 
-``CrashSim`` wraps the pattern every crash-consistency test in this repo
-follows:
-
-1. run some file-system operation(s) against a :class:`PMDevice`;
-2. enumerate (or sample) every crash image reachable at that moment —
-   each un-fenced dirty cache line independently persists any of the
-   versions it has held since its durability floor;
-3. "reboot" each image into a fresh device and hand it to a recovery /
-   checker callback.
-
-The §4.2 bug is demonstrated by finding at least one crash image in which a
-dentry's commit marker persisted while the dentry body or inode record did
-not; the ArckFS+ fence patch is validated by proving no such image exists.
+A judge gets each image as a raw device, not a mount: the §4.2 judge is
+raw-image fsck, and mount's recovery would tombstone the torn dentry it
+looks for.  A namespace judge mounts the device itself.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+import sys
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.pm.device import PMDevice
 
+#: The modules whose frames a fence's site skips: the device, its mappings
+#: and this one.  The allocator issues its own fences and stays a site.
+_DEVICE_MODULES = (__name__, "repro.pm.device", "repro.pm.mapping")
 
-class CrashSim:
-    """Enumerate reachable crash states of a device and check each one."""
 
-    def __init__(self, device: PMDevice, *, limit: int = 4096):
-        self.device = device
-        self.limit = limit
+@dataclass
+class Point:
+    """Just before fence ``fence`` (1-based; None: at return), issued at
+    method ``site``, source ``line``; ``states`` crash states reachable
+    there, and the judge's non-None ``verdicts``."""
 
-    def images(self, sample: Optional[int] = None, seed: int = 0) -> Iterator[bytes]:
-        """All reachable crash images (or ``sample`` random ones)."""
-        if sample is not None:
-            return self.device.sample_crash_images(sample, seed=seed)
-        return self.device.enumerate_crash_images(limit=self.limit)
+    fence: Optional[int]
+    site: str
+    line: str
+    states: int
+    verdicts: List[object] = field(default_factory=list)
 
-    def check_all(
-        self,
-        checker: Callable[[PMDevice], object],
-        *,
-        sample: Optional[int] = None,
-        seed: int = 0,
-    ) -> List[object]:
-        """Reboot every crash image and run ``checker`` on it.
 
-        ``checker`` receives a fresh :class:`PMDevice` booted from the image
-        and may raise to fail, or return a value that is collected.
-        """
-        results = []
-        for image in self.images(sample=sample, seed=seed):
-            rebooted = PMDevice.from_image(image)
-            results.append(checker(rebooted))
-        return results
+def crash_images(device: PMDevice, budget: int, seed: int = 0) -> Iterator[bytes]:
+    """The crash images of ``device`` judged at one point: every one, in
+    enumeration order, when there are at most ``budget``; else ``budget - 2``
+    drawn with ``seed``, then the durable floor, then every dirty line at
+    its newest version."""
+    choices = device.line_choices()
+    if math.prod(choices.values()) <= budget:
+        yield from device.enumerate_crash_images(limit=budget)
+        return
+    yield from device.sample_crash_images(budget - 2, seed=seed)
+    yield device.durable_image()
+    yield device.crash_image({line: n - 1 for line, n in choices.items()})
 
-    def find_violation(
-        self,
-        checker: Callable[[PMDevice], Optional[str]],
-        *,
-        sample: Optional[int] = None,
-        seed: int = 0,
-    ) -> Optional[Tuple[bytes, str]]:
-        """Return the first (image, reason) for which ``checker`` reports a
-        violation (a non-None string), or None if every crash state is clean.
-        """
-        for image in self.images(sample=sample, seed=seed):
-            rebooted = PMDevice.from_image(image)
-            reason = checker(rebooted)
-            if reason is not None:
-                return image, reason
-        return None
 
-    def find_fsck_violation(
-        self,
-        classes: Optional[Iterable[str]] = None,
-        *,
-        repair: bool = False,
-        sample: Optional[int] = None,
-        seed: int = 0,
-    ) -> Optional[Tuple[bytes, str]]:
-        """Convenience: :meth:`find_violation` with the whole-volume fsck as
-        the checker — "every reachable crash state is fsck-clean".
+def _fence_site() -> Tuple[str, str]:
+    """The method that issued the fence being taken (``Class.method``) and
+    its source line: the innermost frame outside ``_DEVICE_MODULES``."""
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__") in _DEVICE_MODULES:
+        frame = frame.f_back
+    code, owner = frame.f_code, frame.f_locals.get("self")
+    site = code.co_name if owner is None else f"{type(owner).__name__}.{code.co_name}"
+    return site, linecache.getline(code.co_filename, frame.f_lineno).strip()
 
-        ``classes`` restricts which finding classes count (e.g.
-        ``repro.fsck.TORN_CLASSES``); ``repair=True`` instead asserts every
-        state is *repairable*.  Imported lazily to keep ``repro.pm`` free of
-        upward dependencies.
-        """
-        from repro.fsck import fsck_checker
 
-        cls = frozenset(classes) if classes is not None else None
-        checker = fsck_checker(classes=cls, repair=repair)
-        return self.find_violation(checker, sample=sample, seed=seed)
+def explore(
+    device: PMDevice,
+    program: Optional[Callable[[], object]],
+    judge: Callable[[PMDevice, Point], Optional[object]],
+    *,
+    budget: int,
+    seed: int = 0,
+    skip: int = 0,
+    first: bool = False,
+) -> List[Point]:
+    """Run ``program`` on ``device`` and judge every crash image reachable
+    just before each fence it issues and at its return; ``program=None``
+    judges the device as it stands (one point).
 
-    def state_count(self) -> int:
-        """Number of reachable crash states right now."""
-        return math.prod(self.device.line_choices().values())
+    Fence ``k`` draws its sample with ``seed + k``, the return point with
+    ``seed``.  ``skip=k`` does not take fence ``k`` and judges only the
+    fences after it.  ``first=True`` stops judging at the first verdict
+    (the program still runs to its end, so every fence is recorded).
+    ``judge(device, point)`` gets each image booted untracked and returns
+    None or a verdict.  Returns one :class:`Point` per point, in order.
+    """
+    points: List[Point] = []
+
+    def visit(point: Point, point_seed: int) -> None:
+        if first and any(p.verdicts for p in points):
+            return
+        for image in crash_images(device, budget, point_seed):
+            verdict = judge(PMDevice.from_image(image, crash_tracking=False), point)
+            if verdict is not None:
+                point.verdicts.append(verdict)
+                if first:
+                    return
+
+    def states() -> int:
+        return math.prod(device.line_choices().values())
+
+    if program is not None:
+        real = device.sfence
+
+        def sfence() -> None:
+            point = Point(len(points) + 1, *_fence_site(), states())
+            points.append(point)
+            if point.fence == skip:
+                return
+            if point.fence > skip:
+                visit(point, seed + point.fence)
+            real()
+
+        device.sfence = sfence
+        try:
+            program()
+        finally:
+            del device.sfence
+    point = Point(None, "", "", states())
+    points.append(point)
+    visit(point, seed)
+    return points

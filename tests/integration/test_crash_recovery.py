@@ -14,20 +14,24 @@ from repro.core.config import ARCKFS_PLUS
 from repro.errors import CrashPoint
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
+from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
 from tests.conftest import build_fs
 
 
-def remount(image):
-    kernel = KernelController.mount(PMDevice.from_image(image))
+def remount(device):
+    kernel = KernelController.mount(device)
     fs = LibFS(kernel, "recovered", uid=1000)
     return kernel, fs
 
 
-def all_recoveries(device, limit=8192):
-    for image in device.enumerate_crash_images(limit=limit):
-        yield remount(image)
+def all_recoveries(device, check):
+    """``check(kernel, fs)`` on a mount of every crash image reachable
+    now; returns what it returned that was not None."""
+    [point] = explore(device, None, lambda rebooted, _p: check(*remount(rebooted)),
+                      budget=8192)
+    return point.verdicts
 
 
 class TestDurabilityOfCompletedOps:
@@ -36,53 +40,66 @@ class TestDurabilityOfCompletedOps:
     def test_create_durable_after_return(self):
         device, _kc, fs = build_fs()
         fs.close(fs.creat("/f"))
+
         # No drain: the operation itself must have persisted everything.
-        for kernel, rfs in all_recoveries(device):
+        def check(kernel, rfs):
             assert rfs.exists("/f")
             assert kernel.last_recovery.clean
+        all_recoveries(device, check)
 
     def test_write_durable_after_return(self):
         device, _kc, fs = build_fs()
         fd = fs.creat("/f")
         fs.pwrite(fd, b"committed-data", 0)
-        for _kernel, rfs in all_recoveries(device):
+
+        def check(_kernel, rfs):
             rfd = rfs.open("/f")
             assert rfs.pread(rfd, 100, 0) == b"committed-data"
+        all_recoveries(device, check)
 
     def test_unlink_durable_after_return(self):
         device, _kc, fs = build_fs()
         fs.close(fs.creat("/f"))
         fs.unlink("/f")
-        for _kernel, rfs in all_recoveries(device):
+
+        def check(_kernel, rfs):
             assert not rfs.exists("/f")
+        all_recoveries(device, check)
 
     def test_mkdir_chain_durable(self):
         device, _kc, fs = build_fs()
         fs.mkdir("/a")
         fs.mkdir("/a/b")
         fs.close(fs.creat("/a/b/f"))
-        for _kernel, rfs in all_recoveries(device):
+
+        def check(_kernel, rfs):
             assert rfs.readdir("/a/b") == ["f"]
+        all_recoveries(device, check)
 
     def test_rename_durable_after_return(self):
         device, _kc, fs = build_fs()
         fs.mkdir("/d")
         fs.close(fs.creat("/old"))
         fs.rename("/old", "/d/new")
-        for _kernel, rfs in all_recoveries(device):
+
+        def check(_kernel, rfs):
             assert rfs.exists("/d/new")
             assert not rfs.exists("/old")
+        all_recoveries(device, check)
 
     # An unlink or rmdir leaves its inode-record free, and a rename its old
     # name's tombstone, to the next fence.  Every image reachable at return
     # (no drain) must still mount to the post-op namespace, fsck-clean.
 
     @staticmethod
-    def mounted_images(device):
-        for image in device.enumerate_crash_images(limit=8192):
-            vol = Volume.mount(image)
+    def assert_every_image(device, probe, want):
+        """Every crash image reachable now mounts fsck-clean and shows
+        ``probe(session) == want``."""
+        def judge(rebooted, _point):
+            vol = Volume.mount(rebooted)
             assert vol.fsck().clean
-            yield vol.session("r", uid=0)
+            assert probe(vol.session("r", uid=0)) == want
+        explore(device, None, judge, budget=8192)
 
     def test_unlink_leaves_only_leaks_to_the_next_fence(self):
         device, _kc, fs = build_fs()
@@ -91,8 +108,7 @@ class TestDurabilityOfCompletedOps:
         fs.close(fs.creat("/d/g"))
         fs.unlink("/d/f")
         assert len(device.dirty_lines()) > 0
-        for s in self.mounted_images(device):
-            assert s.readdir("/d") == ["g"]
+        self.assert_every_image(device, lambda s: s.readdir("/d"), ["g"])
 
     def test_rmdir_durable_after_return(self):
         device, _kc, fs = build_fs()
@@ -100,8 +116,7 @@ class TestDurabilityOfCompletedOps:
         fs.mkdir("/d/sub")
         fs.rmdir("/d/sub")
         assert len(device.dirty_lines()) > 0
-        for s in self.mounted_images(device):
-            assert s.readdir("/d") == []
+        self.assert_every_image(device, lambda s: s.readdir("/d"), [])
 
     def test_same_directory_rename_durable_after_return(self):
         device, _kc, fs = build_fs()
@@ -109,8 +124,7 @@ class TestDurabilityOfCompletedOps:
         fs.close(fs.creat("/d/a"))
         fs.rename("/d/a", "/d/b")
         assert len(device.dirty_lines()) > 0
-        for s in self.mounted_images(device):
-            assert s.readdir("/d") == ["b"]
+        self.assert_every_image(device, lambda s: s.readdir("/d"), ["b"])
 
     def test_cross_directory_rename_durable_after_return(self):
         device, _kc, fs = build_fs()
@@ -119,8 +133,8 @@ class TestDurabilityOfCompletedOps:
         fs.close(fs.creat("/d/f"))
         fs.rename("/d/f", "/e/f")
         assert len(device.dirty_lines()) > 0
-        for s in self.mounted_images(device):
-            assert (s.readdir("/d"), s.readdir("/e")) == ([], ["f"])
+        self.assert_every_image(
+            device, lambda s: (s.readdir("/d"), s.readdir("/e")), ([], ["f"]))
 
     def test_directory_rename_durable_after_return(self):
         device, _kc, fs = build_fs()
@@ -129,9 +143,9 @@ class TestDurabilityOfCompletedOps:
         fs.close(fs.creat("/d/sub/f"))
         fs.rename("/d/sub", "/e/sub")
         assert len(device.dirty_lines()) > 0
-        for s in self.mounted_images(device):
-            assert (s.readdir("/d"), s.readdir("/e")) == ([], ["sub"])
-            assert s.readdir("/e/sub") == ["f"]
+        self.assert_every_image(
+            device, lambda s: (s.readdir("/d"), s.readdir("/e"), s.readdir("/e/sub")),
+            ([], ["sub"], ["f"]))
 
     def test_creat_reusing_an_unlinked_slot_before_any_fence(self):
         """The unlink's record free is still unfenced when the creat takes
@@ -143,9 +157,8 @@ class TestDurabilityOfCompletedOps:
         fs.unlink("/d/old")
         fs.close(fs.creat("/d/new"))
         assert fs.stat("/d/new").ino == ino
-        for s in self.mounted_images(device):
-            assert s.readdir("/d") == ["new"]
-            assert s.stat("/d/new").ino == ino
+        self.assert_every_image(
+            device, lambda s: (s.readdir("/d"), s.stat("/d/new").ino), (["new"], ino))
 
 
 class TestCrashMidOperation:
@@ -171,12 +184,13 @@ class TestCrashMidOperation:
         device = self._crash_at(
             "create.post_marker", lambda fs: fs.creat("/the-new-file-with-long-name")
         )
-        outcomes = set()
-        for kernel, rfs in all_recoveries(device):
+
+        def check(kernel, rfs):
             assert kernel.last_recovery.torn_dentries == []
             names = rfs.readdir("/")
             assert names in ([], ["the-new-file-with-long-name"])
-            outcomes.add(tuple(names))
+            return tuple(names)
+        outcomes = set(all_recoveries(device, check))
         assert len(outcomes) == 2  # both outcomes genuinely reachable
 
     def test_crash_mid_rename_old_or_new(self):
@@ -194,11 +208,12 @@ class TestCrashMidOperation:
         device = self._crash_at("dir.write_mid", op, setup=setup)
         # dir.write_mid fires inside the new-parent append (first dentry
         # write of the rename), i.e. before the new entry is committed.
-        for _kernel, rfs in all_recoveries(device):
+        def check(_kernel, rfs):
             old_there = rfs.exists("/old")
             new_there = rfs.exists("/d/new")
             assert old_there or new_there  # never lost
             # (both-visible is impossible this early; tolerate it anyway)
+        all_recoveries(device, check)
 
     def test_crash_mid_unlink(self):
         def setup(fs):
@@ -206,10 +221,12 @@ class TestCrashMidOperation:
 
         device = self._crash_at("dir.write_mid", lambda fs: fs.unlink("/f"),
                                 setup=setup)
-        for kernel, rfs in all_recoveries(device):
+
+        def check(kernel, rfs):
             # Crash before the tombstone: the file must still exist.
             assert rfs.exists("/f")
             assert kernel.last_recovery.clean
+        all_recoveries(device, check)
 
 
 class TestRecoveryHousekeeping:
@@ -223,7 +240,7 @@ class TestRecoveryHousekeeping:
         # bitmap bit directly.
         leaked = kernel.alloc.alloc()
         device.drain()
-        kernel2, _fs2 = remount(device.durable_image())
+        kernel2, _fs2 = remount(PMDevice.from_image(device.durable_image()))
         assert kernel2.last_recovery.pages_reclaimed >= 1
         assert not kernel2.alloc.is_allocated(leaked)
 
@@ -239,7 +256,7 @@ class TestRecoveryHousekeeping:
         rec = InodeRecord(INODE_MAGIC, ITYPE_FILE, 0o644, 0, 7, 0, 1, 0, 0, [0] * NTAILS)
         cs.write_inode(42, rec)
         device.drain()
-        kernel2, _fs2 = remount(device.durable_image())
+        kernel2, _fs2 = remount(PMDevice.from_image(device.durable_image()))
         assert 42 in kernel2.last_recovery.orphan_inodes
         assert not kernel2.core.read_inode(42).valid
 
@@ -264,9 +281,10 @@ class TestRecoveryHousekeeping:
         # The marker of the new dentry was flushed; there exists a crash
         # image where both dentries are live.  Mount keeps the higher seq
         # and tombstones the other on media: exactly one name, fsck clean.
-        for kernel, rfs in all_recoveries(device):
+        def check(kernel, rfs):
             assert rfs.exists("/old") != rfs.exists("/d/new")
             assert kernel.audit_tree() == []
+        all_recoveries(device, check)
         vol = Volume.mount(device.volatile_image())
         s = vol.session("r", uid=0)
         assert (s.exists("/old"), s.exists("/d/new")) == (False, True)
@@ -329,8 +347,8 @@ class TestRecoveryHousekeeping:
             fs.close(fs.creat(f"/a/f{i}"))
         device.drain()
         img = device.durable_image()
-        k1, fs1 = remount(img)
-        k2, fs2 = remount(img)
+        k1, fs1 = remount(PMDevice.from_image(img))
+        k2, fs2 = remount(PMDevice.from_image(img))
         assert sorted(k1.shadow) == sorted(k2.shadow)
         assert fs1.readdir("/a") == fs2.readdir("/a")
 
@@ -353,56 +371,35 @@ class TestBatchedFreeCrash:
         vol.close()
         return vol.device.durable_image()
 
-    def crash_images(self, image, op):
-        """Images of a crash at each fence ``op`` issues, in turn: the
-        durable floor, every dirty line at its newest version, and a few
-        random mixes of the two."""
-        fence = 0
-        while True:
-            fence += 1
-            vol = Volume.mount(image, VolumeConfig(crash_tracking=True))
-            device, real, calls = vol.device, vol.device.sfence, [0]
-
-            def sfence():
-                calls[0] += 1
-                if calls[0] == fence:
-                    raise CrashPoint(f"fence {fence}")
-                real()
-
-            session = vol.session("op", uid=0)
-            device.sfence = sfence
-            try:
-                op(session)
-            except CrashPoint:
-                pass
-            else:
-                assert fence > 2, "the op issued no fence to crash at"
-                return
-            newest = {line: n - 1 for line, n in device.line_choices().items()}
-            yield fence, device.durable_image()
-            yield fence, device.crash_image(newest)
-            yield from ((fence, img) for img in device.sample_crash_images(3, seed=fence))
+    def explore(self, op, judge):
+        """Run ``op`` once on a tracked mount of the base image and judge
+        the images of a crash at each fence it issues and at its return:
+        the durable floor, every dirty line at its newest version, and a
+        few random mixes of the two."""
+        vol = Volume.mount(self.base_image(), VolumeConfig(crash_tracking=True))
+        session = vol.session("op", uid=0)
+        points = explore(vol.device, lambda: op(session), judge, budget=5)
+        assert len(points) > 2, "the op issued no fence to crash at"
+        return {v for p in points for v in p.verdicts}
 
     def test_shrink_2mib_to_4kib(self):
-        seen = set()
-        for fence, img in self.crash_images(self.base_image(),
-                                            lambda s: s.truncate("/big", PAGE_SIZE)):
-            vol = Volume.mount(img)
-            assert vol.fsck().clean, fence
+        def judge(dev, point):
+            vol = Volume.mount(dev)
+            assert vol.fsck().clean, point.fence
             data = vol.session("r", uid=0).read_file("/big")
-            assert data in (self.BIG, self.BIG[:PAGE_SIZE]), (fence, len(data))
-            seen.add(len(data))
+            assert data in (self.BIG, self.BIG[:PAGE_SIZE]), (point.fence, len(data))
+            return len(data)
+        seen = self.explore(lambda s: s.truncate("/big", PAGE_SIZE), judge)
         assert seen == {len(self.BIG), PAGE_SIZE}
 
     def test_unlink_multi_page_file(self):
-        seen = set()
-        for fence, img in self.crash_images(self.base_image(),
-                                            lambda s: s.unlink("/multi")):
-            vol = Volume.mount(img)
-            assert vol.fsck().clean, fence
+        def judge(dev, point):
+            vol = Volume.mount(dev)
+            assert vol.fsck().clean, point.fence
             s = vol.session("r", uid=0)
             there = s.exists("/multi")
             if there:
-                assert s.read_file("/multi") == self.MULTI, fence
-            seen.add(there)
+                assert s.read_file("/multi") == self.MULTI, point.fence
+            return there
+        seen = self.explore(lambda s: s.unlink("/multi"), judge)
         assert seen == {True, False}

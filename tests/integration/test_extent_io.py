@@ -11,9 +11,10 @@ import pytest
 
 from repro.core.config import ARCKFS_PLUS
 from repro.experiments import SEED_PWRITE_1MIB
+from repro.fsck import fsck_checker
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
-from repro.pm.crash import CrashSim
+from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
 
@@ -177,13 +178,13 @@ class TestStripedCrash:
             F_STRIPE_ORPHAN,
         )
 
-        device = self._torn_write()
-        sim = CrashSim(device)
         bad = TORN_CLASSES | {F_PAGE_UNALLOCATED, F_PAGE_DOUBLE_USE,
                               F_STRIPE_ORPHAN, F_STRIPE_LABEL}
-        assert sim.find_fsck_violation(bad, sample=64) is None
+        [point] = explore(self._torn_write(), None, fsck_checker(bad),
+                          budget=64, first=True)
+        assert point.verdicts == []
 
     def test_torn_extent_write_is_repairable(self):
-        device = self._torn_write()
-        sim = CrashSim(device)
-        assert sim.find_fsck_violation(repair=True, sample=16) is None
+        [point] = explore(self._torn_write(), None, fsck_checker(repair=True),
+                          budget=16, first=True)
+        assert point.verdicts == []

@@ -11,7 +11,7 @@ fsck to find.
 import pytest
 
 from repro.bugs.bug_bucket import colliding_names
-from repro.bugs.bug_fence import _crash_at_marker
+from repro.bugs.bug_fence import VICTIM, _crash_at_marker
 from repro.bugs.harness import make_fs, race
 from repro.core.config import ARCKFS, ARCKFS_PLUS
 from repro.errors import CorruptionDetected, SimulatedBusError, SimulatedSegfault
@@ -21,11 +21,12 @@ from repro.fsck import (
     F_DIR_CYCLE,
     F_DUPLICATE_DENTRY,
     F_ORPHAN_INODE,
+    F_TORN_DENTRY,
     check_node_ref,
     fsck_checker,
     run_fsck,
 )
-from repro.pm.crash import CrashSim
+from repro.pm.crash import explore
 
 
 # --------------------------------------------------------------------------- #
@@ -71,18 +72,16 @@ def test_41_clean_under_arckfs_plus():
 
 
 def test_42_crash_enumeration_finds_torn_state_arckfs():
-    device = _crash_at_marker(ARCKFS)
-    sim = CrashSim(device, limit=16384)
-    hit = sim.find_violation(fsck_checker(classes=TORN_CLASSES))
-    assert hit is not None
-    _image, reason = hit
-    assert any(cls in reason for cls in TORN_CLASSES)
+    [point] = explore(_crash_at_marker(ARCKFS), None,
+                      fsck_checker(classes=TORN_CLASSES), budget=16384, first=True)
+    assert point.verdicts
+    assert any(cls in point.verdicts[0] for cls in TORN_CLASSES)
 
 
 def test_42_no_torn_state_under_arckfs_plus():
-    device = _crash_at_marker(ARCKFS_PLUS)
-    sim = CrashSim(device, limit=16384)
-    assert sim.find_fsck_violation(TORN_CLASSES) is None
+    [point] = explore(_crash_at_marker(ARCKFS_PLUS), None,
+                      fsck_checker(TORN_CLASSES), budget=16384, first=True)
+    assert point.verdicts == []
 
 
 @pytest.mark.parametrize("config", [ARCKFS, ARCKFS_PLUS], ids=lambda c: c.name)
@@ -90,9 +89,25 @@ def test_42_every_crash_state_is_repairable(config):
     # Even the torn states of the unpatched protocol are *repairable*:
     # fsck truncates the torn suffix and quarantines the half-created
     # inode, so no reachable crash state is beyond recovery.
-    device = _crash_at_marker(config)
-    sim = CrashSim(device, limit=16384)
-    assert sim.find_fsck_violation(repair=True) is None
+    [point] = explore(_crash_at_marker(config), None,
+                      fsck_checker(repair=True), budget=16384, first=True)
+    assert point.verdicts == []
+
+
+@pytest.mark.parametrize("config", [ARCKFS, ARCKFS_PLUS], ids=lambda c: c.name)
+def test_42_explorer_alone_finds_the_missing_fence(config):
+    """No failpoint: a plain creat explored at every fence.  ArckFS tears
+    the dentry just before its final fence and nowhere else; ArckFS+'s
+    extra fence leaves no torn state at any point."""
+    device, _kernel, fs = make_fs(config)
+    points = explore(device, lambda: fs.creat(VICTIM),
+                     fsck_checker(classes=TORN_CLASSES), budget=16)
+    torn = [p.fence for p in points if p.verdicts]
+    if config is ARCKFS:
+        assert len(points) == 6 and torn == [5], torn
+        assert any(F_TORN_DENTRY in v for v in points[4].verdicts)
+    else:
+        assert len(points) == 7 and torn == [], torn
 
 
 # --------------------------------------------------------------------------- #

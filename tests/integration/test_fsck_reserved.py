@@ -16,7 +16,7 @@ from repro.fsck import F_PAGE_LEAK, F_PAGE_RESERVED, run_fsck
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.allocator import PageAllocator
-from repro.pm.crash import CrashSim
+from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 
 
@@ -94,7 +94,7 @@ def test_no_enumerated_crash_state_double_allocates():
 
     seen_classes = set()
 
-    def checker(rebooted):
+    def checker(rebooted, _point):
         report = run_fsck(rebooted, repair=True)
         assert report.findings == [], report.summary()
         for cls in report.repairs:
@@ -105,5 +105,5 @@ def test_no_enumerated_crash_state_double_allocates():
         # subsequent first-fit allocation cannot collide.
         return None
 
-    CrashSim(device, limit=512).check_all(checker)
+    explore(device, None, checker, budget=512)
     assert seen_classes  # the sweep actually exercised reserved/leaked pages

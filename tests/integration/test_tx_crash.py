@@ -12,20 +12,18 @@ the delegation-lease regression — a transaction aborting after dirtying
 a lease-delegated file must restore the parked pre-dirty snapshot.
 """
 
-import math
-
 import pytest
 
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 from repro.errors import CrashPoint, TryAgain, TxAborted, TxCommitPending
-from repro.fsck import F_TX_TORN, TX_CLASSES, fsck_checker, run_fsck
+from repro.fsck import F_TX_TORN, TX_CLASSES, run_fsck
+from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_KIND_TXLOG, PAGE_SIZE, PageHeader
 from repro.tx.log import read_head, seal
 
 SIZE = 4 * 1024 * 1024
-ENUM_LIMIT = 2048
 
 
 def make_volume():
@@ -86,21 +84,20 @@ class TestCrashAtomicity:
         return vol
 
     def assert_all_or_none(self, vol, expect=("all", "none")):
-        checker = fsck_checker(classes=TX_CLASSES)
-        seen = set()
-        images = vol.device.enumerate_crash_images(limit=ENUM_LIMIT)
-        assert images, "crash tracking produced no images"
-        for image in images:
-            mounted = Volume.mount(image)
+        def judge(device, _point):
+            mounted = Volume.mount(device)
+            report = run_fsck(device)
             # No tx-torn finding may survive recovery...
-            assert checker(mounted.device) is None
-            assert run_fsck(mounted.device).clean
+            assert not TX_CLASSES & set(report.classes()), report.summary()
+            assert report.clean, report.summary()
             # ...and the namespace is all-or-none.
             with mounted.session("check") as c:
                 state = observed_state(c)
             assert state in expect, state
-            seen.add(state)
-        return seen
+            return state
+        [point] = explore(vol.device, None, judge, budget=2048)
+        assert point.verdicts, "crash tracking produced no images"
+        return set(point.verdicts)
 
     def test_crash_before_seal_shows_none(self):
         vol = self.run_crashed_commit(lambda: crash_at("tx.pre_seal"))
@@ -165,9 +162,6 @@ class TestCrashAtomicity:
 
 
 OLD_PAGE, NEW_PAGE = b"o" * PAGE_SIZE, b"N" * PAGE_SIZE
-#: Crash images judged per fence: all of them up to this many, else the
-#: floor, the newest and a seeded sample filling up to it.
-IMAGES_PER_FENCE = 16
 
 
 class TestCrashAtEveryFence:
@@ -189,42 +183,22 @@ class TestCrashAtEveryFence:
             s.write_file("/c", b"c" * 100)
         return vol
 
-    def commit(self, vol, crash_at=None):
-        """Commit the transaction, raising ``CrashPoint`` in place of its
-        ``crash_at``-th fence; returns how many fences it issued."""
+    def commit(self, vol):
+        """Commit the transaction once, judging the images of a crash in
+        front of each fence it issues; returns each fence's states."""
         tx = vol.session("app").transaction()
         tx.pwrite("/a", NEW_PAGE, PAGE_SIZE)
         tx.pwrite("/b", NEW_PAGE, 0)
         tx.pwrite("/c", b"C" * 5000, 3000)
         tx.create("/d")
         tx.pwrite("/d", b"d" * 300, 0)
-        device, fence, count = vol.device, vol.device.sfence, 0
+        *fences, _end = explore(vol.device, tx.commit,
+                                lambda device, _point: self.state(device),
+                                budget=16)
+        return [set(p.verdicts) for p in fences]
 
-        def crashing_fence():
-            nonlocal count
-            count += 1
-            if count == crash_at:
-                raise CrashPoint(f"fence {count}")
-            fence()
-
-        device.sfence = crashing_fence
-        try:
-            tx.commit()
-        finally:
-            del device.sfence
-        return count
-
-    @staticmethod
-    def images(device):
-        choices = device.line_choices()
-        if math.prod(choices.values()) <= IMAGES_PER_FENCE:
-            return list(device.enumerate_crash_images(limit=IMAGES_PER_FENCE))
-        newest = {line: n - 1 for line, n in choices.items()}
-        return [device.durable_image(), device.crash_image(newest),
-                *device.sample_crash_images(IMAGES_PER_FENCE - 2, seed=1)]
-
-    def state(self, image):
-        mounted = Volume.mount(image)
+    def state(self, source):
+        mounted = Volume.mount(source)
         assert run_fsck(mounted.device).clean
         with mounted.session("check") as c:
             got = tuple(c.read_file(p) for p in ("/a", "/b", "/c")) + (
@@ -235,14 +209,8 @@ class TestCrashAtEveryFence:
     @pytest.mark.parametrize("devices", [1, 4])
     def test_every_fence_recovers_all_or_nothing(self, devices):
         vol = self.volume(devices)
-        fences = self.commit(vol)
+        seen = self.commit(vol)
         assert self.state(vol.device.durable_image()) == "all"
-        seen = []
-        for k in range(1, fences + 1):
-            vol = self.volume(devices)
-            with pytest.raises(CrashPoint):
-                self.commit(vol, crash_at=k)
-            seen.append({self.state(image) for image in self.images(vol.device)})
         # Until the seal's fence nothing is sealed; only in front of it may
         # an image go either way; once it is durable (the apply's fences
         # on), every image replays it all.

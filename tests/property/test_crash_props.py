@@ -16,7 +16,7 @@ from repro.core.config import ARCKFS, ARCKFS_PLUS
 from repro.errors import CrashPoint
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
-from repro.pm.device import PMDevice
+from repro.pm.crash import explore
 from tests.conftest import build_fs
 
 names_st = st.lists(
@@ -55,18 +55,15 @@ def test_arckfs_plus_creates_are_atomic_under_crash(names, data):
     crash_index = data.draw(st.integers(0, len(names) - 1))
     device, created, pending = crash_during_create(ARCKFS_PLUS, names, crash_index)
     allowed = {tuple(sorted(created)), tuple(sorted(created + [pending]))}
-    for image in device.enumerate_crash_images(limit=8192):
-        kernel = KernelController.mount(PMDevice.from_image(image))
-        assert kernel.last_recovery.torn_dentries == []
-        fs = LibFS(kernel, "r", uid=0)
-        assert tuple(fs.readdir("/")) in allowed
 
-    # completed ops are in EVERY image (durability of returned ops)
-    for image in device.enumerate_crash_images(limit=8192):
-        kernel = KernelController.mount(PMDevice.from_image(image))
-        fs = LibFS(kernel, "r", uid=0)
-        listing = set(fs.readdir("/"))
-        assert set(created) <= listing
+    def judge(rebooted, _point):
+        kernel = KernelController.mount(rebooted)
+        assert kernel.last_recovery.torn_dentries == []
+        listing = LibFS(kernel, "r", uid=0).readdir("/")
+        assert tuple(listing) in allowed
+        # completed ops are in EVERY image (durability of returned ops)
+        assert set(created) <= set(listing)
+    explore(device, None, judge, budget=8192)
 
 
 @settings(max_examples=20, deadline=None,
@@ -77,8 +74,8 @@ def test_arckfs_never_loses_completed_ops_even_when_torn(names, data):
     completed operations are always durable (they ended with a fence)."""
     crash_index = data.draw(st.integers(0, len(names) - 1))
     device, created, _pending = crash_during_create(ARCKFS, names, crash_index)
-    for image in device.enumerate_crash_images(limit=8192):
-        kernel = KernelController.mount(PMDevice.from_image(image))
-        fs = LibFS(kernel, "r", uid=0)
-        listing = set(fs.readdir("/"))
-        assert set(created) <= listing
+
+    def judge(rebooted, _point):
+        kernel = KernelController.mount(rebooted)
+        assert set(created) <= set(LibFS(kernel, "r", uid=0).readdir("/"))
+    explore(device, None, judge, budget=8192)

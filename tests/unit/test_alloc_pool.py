@@ -8,6 +8,7 @@ from repro import obs
 from repro.core.mkfs import mkfs
 from repro.errors import DoubleFree, NoSpace
 from repro.pm.allocator import DEFAULT_POOL_PAGES, RESERVATION_TAG, PageAllocator
+from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
 
@@ -129,15 +130,17 @@ class TestRefillTags:
         for page_no in handed:  # the caller's data write, not yet fenced
             device.ntstore(geom.page_off(page_no), b"d" * PAGE_SIZE)
         assert device.dirty_lines()
-        for image in [device.durable_image(), *device.sample_crash_images(4, seed=3)]:
-            report = run_fsck(PMDevice.from_image(image))
+
+        def judge(rebooted, _point):
+            report = run_fsck(rebooted)
             assert {f.page for f in report.by_class(F_PAGE_LEAK)} == set(handed)
             assert {f.page for f in report.by_class(F_PAGE_RESERVED)} == pooled
             assert set(report.classes()) == {F_PAGE_LEAK, F_PAGE_RESERVED}
-            back = Volume.mount(image)
+            back = Volume.mount(rebooted)
             assert back.recovery.pages_reclaimed == len(handed) + len(pooled)
             assert back.fsck().findings == []
             assert back.session("r").readdir("/") == []
+        explore(device, None, judge, budget=6, seed=3)
 
 
 class TestExtentsBypassThePool:
