@@ -6,8 +6,9 @@ Four acts:
 1. two well-behaved applications ping-pong a file through verified
    ownership transfers — and pay the verification/snapshot cost;
 2. the same with a trust group — the cost vanishes;
-3. the same with the pipelined verifier (4 workers) — the cost is still
-   paid, but the per-transfer critical path shrinks by the shard factor;
+3. the same with the pipelined verifier modeled on 4 workers — the cost
+   is still paid, but the per-transfer critical path shrinks by the shard
+   factor (the checks themselves still run on the calling thread);
 4. the paper's §3.1 attack: a malicious app tries to use directory
    relocation to delete files it cannot write; Trio's verifier detects the
    corruption and rolls back.
@@ -18,13 +19,13 @@ Run:  python examples/sharing_demo.py
 from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import CorruptionDetected
+from repro.kernel.verifier import Verifier
 
 
-def ping_pong(group, verify_workers: int = 1):
-    config = ARCKFS_PLUS.with_patch(verify_workers=verify_workers)
-    with Volume.create(64 * 1024 * 1024,
-                       VolumeConfig(config=config, inode_count=256)) as vol:
+def ping_pong(group, workers: int = 1):
+    with Volume.create(64 * 1024 * 1024, VolumeConfig(inode_count=256)) as vol:
         kernel = vol.kernel
+        kernel.verifier = Verifier(kernel, workers=workers)
         a = vol.session("writer-a", uid=1000, group=group)
         b = vol.session("writer-b", uid=1000, group=group)
         a.write_file("/shared.bin", b"\0" * (512 * 1024))
@@ -36,15 +37,15 @@ def ping_pong(group, verify_workers: int = 1):
             app.pwrite(fd, f"round {round_no}".encode(), round_no * 4096)
             app.close(fd)
             app.release_all()
-        if verify_workers > 1:
-            label = f"pipelined x{verify_workers}"
+        if workers > 1:
+            label = f"pipelined x{workers}"
         elif group:
             label = f"trust group {group!r}"
         else:
             label = "no trust group"
         pstats = kernel.verifier.pstats
         extra = ""
-        if verify_workers > 1 and pstats.critical_units:
+        if workers > 1 and pstats.critical_units:
             extra = (f", critical path {pstats.total_units / pstats.critical_units:.1f}x"
                      f" shorter than serial")
         print(f"  [{label}] per-transfer: "
@@ -87,8 +88,8 @@ def main() -> None:
     ping_pong(group=None)
     print("2) inside a trust group:")
     ping_pong(group="analytics-team")
-    print("3) pipelined verification (4 workers):")
-    ping_pong(group=None, verify_workers=4)
+    print("3) pipelined verification (4 modeled workers):")
+    ping_pong(group=None, workers=4)
     print("4) the §3.1 directory-relocation attack:")
     attack()
 

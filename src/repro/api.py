@@ -53,12 +53,12 @@ class VolumeConfig:
         vc = VolumeConfig(crash_tracking=True, inode_count=256)
         vol = Volume.create(8 << 20, vc)
 
-    Verification tuning lives on the :class:`ArckConfig` the kernel and
-    verifier read:
-    ``VolumeConfig(config=ARCKFS_PLUS.with_patch(verify_workers=4))``.
+    The Table-1 toggles live on the :class:`ArckConfig` the LibFS, kernel
+    and verifier read:
+    ``VolumeConfig(config=ARCKFS_PLUS.with_patch(rcu_buckets=False))``.
     """
 
-    #: The kernel/LibFS feature configuration (bug toggles, verification).
+    #: The kernel/LibFS feature configuration (the Table-1 toggles).
     config: ArckConfig = ARCKFS_PLUS
     #: Corruption-resolution policy; None = the controller's default.
     policy: Optional[ResolutionPolicy] = None
@@ -333,9 +333,9 @@ class Volume:
         """What mount-time recovery found (None on a fresh volume)."""
         return self.kernel.last_recovery
 
-    def fsck(self, *, repair: bool = False, workers: int = 1):
+    def fsck(self, *, repair: bool = False):
         """Whole-volume check of the underlying device (``repro.fsck``)."""
-        return self.kernel.fsck(repair=repair, workers=workers)
+        return self.kernel.fsck(repair=repair)
 
     def quiesce(self) -> None:
         """Drain the allocator's page pools (nothing else is deferred)."""

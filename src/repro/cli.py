@@ -434,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "checking (repeatable); classes: "
                            + ", ".join(sorted(_injector_names())))
     fsck.add_argument("--workers", type=int, default=1,
-                      help="scan/check worker threads (default 1)")
+                      help="modeled scan/check workers for the timing report "
+                           "(default 1)")
     fsck.add_argument("--repair", action="store_true",
                       help="repair findings and re-check until clean")
     fsck.add_argument("--dump-image", metavar="PATH",

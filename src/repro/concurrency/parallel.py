@@ -1,22 +1,21 @@
-"""Generic shard-and-join helpers shared by the parallel subsystems.
+"""Stride sharding: the worker arithmetic shared by the parallel models.
 
 Both the whole-volume checker (``repro.fsck``) and the ownership-transfer
 verifier's batch scheduler (``repro.kernel.verifier``) split their work
-into shared-nothing shards, run every shard on its own thread, and join.
-The helpers live here — below both users in the layer diagram — so neither
-has to import the other.
+into shared-nothing shards, one per *modeled* worker.  The helper lives
+here — below both users in the layer diagram — so neither has to import
+the other.
 
-Shards run on *real* threads (any ordering bug in the functionally parallel
-code would surface), while throughput is reported in deterministic virtual
-nanoseconds from the calibrated cost model: a parallel phase costs what its
-slowest shard costs.  Python threads share the GIL, so wall-clock scaling
-would measure the interpreter, not the algorithm.
+No thread runs a shard: every shard is checked in order on the calling
+thread, and throughput is reported in deterministic virtual nanoseconds
+from the calibrated cost model — a parallel phase costs what its slowest
+shard costs.  Python threads share the GIL, so wall-clock scaling would
+measure the interpreter, not the algorithm.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -30,29 +29,3 @@ def stride_shards(items: Sequence[T], workers: int) -> List[Sequence[T]]:
     """
     workers = max(1, min(workers, len(items))) if items else 1
     return [items[i::workers] for i in range(workers)]
-
-
-def run_parallel(jobs: Sequence[Callable[[], T]], name: str = "shard") -> List[T]:
-    """Run every job on its own thread; propagate the first exception."""
-    if len(jobs) == 1:
-        return [jobs[0]()]
-    results: List[T] = [None] * len(jobs)  # type: ignore[list-item]
-    errors: List[BaseException] = []
-
-    def runner(i: int, job: Callable[[], T]) -> None:
-        try:
-            results[i] = job()
-        except BaseException as exc:  # noqa: BLE001 — re-raised below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=runner, args=(i, job), name=f"{name}-w{i}")
-        for i, job in enumerate(jobs)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results

@@ -13,11 +13,12 @@ LibFS-side (fence, locking, RCU), some kernel-side (shadow parent pointer,
 global rename lease), some both (the directory-relocation protocol).
 
 The rule for this class: a field here is a Table-1 toggle or has two
-callers with different values.  ``verify_workers`` is the one of the second
-kind (the default, and Table 4's pipelined functional twin); it only sets
-how many threads share the verification work — *when* the kernel verifies
-is not configurable: at every commit, release and revoke, and on trust-group
-exit (§5.4).  How the patched system *reads* is not configurable either: it
+callers with different values.  Every field is a toggle.  *When* the kernel
+verifies is not configurable: at every commit, release and revoke, and on
+trust-group exit (§5.4); how many workers the verification cost model
+shards a batch over is the verifier's own argument
+(``Verifier(controller, workers=)``), set only by Table 4's pipelined
+functional twin.  How the patched system *reads* is not configurable either: it
 follows from the §4.3 and §4.5 toggles (DESIGN §5), and the directory
 geometry is the record format's (``pm.layout.NTAILS``) and the hash table's
 own constant.
@@ -67,11 +68,6 @@ class ArckConfig:
     #: §4.6 case (2) — the LibFS refuses to rename a directory into one of
     #: its own descendants.
     descendant_check: bool = False
-
-    #: Verifier worker threads per ownership transfer: page and dentry
-    #: checks are stride-sharded across this many threads
-    #: (``repro.kernel.verifier``).  ``1`` checks on the calling thread.
-    verify_workers: int = 1
 
     def with_patch(self, **flags: bool) -> "ArckConfig":
         """A copy with some patches toggled (for single-bug tests)."""

@@ -1,12 +1,13 @@
-"""``repro.fsck`` — a parallel whole-volume checker and repairer.
+"""``repro.fsck`` — a sharded whole-volume checker and repairer.
 
 The kernel verifier (:mod:`repro.kernel.verifier`) checks one inode at the
 moment its ownership is transferred; this package is its whole-volume
 complement, in the shape pFSCK gave the classic fsck pipeline:
 
-1. **scan** — a worker pool sharded over the shadow inode table walks the
-   superblock, every inode record, every directory-log tail and every
-   file page index (:mod:`repro.fsck.scan`);
+1. **scan** — stride shards of the shadow inode table, one per modeled
+   worker and run in turn on the calling thread, walk the superblock,
+   every inode record, every directory-log tail and every file page index
+   (:mod:`repro.fsck.scan`);
 2. **cross-check** — per-inode validation (again sharded, by the rules of
    :mod:`repro.core.invariants` the verifier and mount share) plus a serial
    graph merge reconstructing reachability from the root: orphan inodes,

@@ -1,6 +1,7 @@
 """Modeled cost (virtual ns) of the three fsck phases.
 
-Shards run on real threads via :mod:`repro.concurrency.parallel`, but
+The scan and check phases are stride-sharded over ``workers`` *modeled*
+workers; every shard runs in order on the calling thread, and
 *throughput* is reported in deterministic virtual nanoseconds from the
 calibrated cost model — the same convention every performance figure in
 this repository uses (see ``repro.perf``).  A parallel phase costs what its

@@ -18,7 +18,7 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro import obs
-from repro.concurrency.parallel import run_parallel, stride_shards
+from repro.concurrency.parallel import stride_shards
 from repro.core.corestate import CoreState
 from repro.core.invariants import InodeShape
 from repro.core.mkfs import load_geometry
@@ -60,11 +60,8 @@ def _check_once(
 
     # -- phase 1: sharded scan ------------------------------------------- #
     with obs.span("fsck.scan", category="fsck", workers=workers):
-        shard_inos = stride_shards(range(geom.inode_count), workers)
-        shards = run_parallel([
-            (lambda inos=inos: scan.scan_shard(core, inos))
-            for inos in shard_inos
-        ])
+        shards = [scan.scan_shard(core, inos)
+                  for inos in stride_shards(range(geom.inode_count), workers)]
     scans: Dict[int, InodeShape] = {}
     for sh in shards:
         for s in sh.inodes:
@@ -89,14 +86,12 @@ def _check_once(
     # -- phase 2a: sharded per-inode cross-check -------------------------- #
     with obs.span("fsck.check", category="fsck", workers=workers):
         per_shard_inos = stride_shards(sorted(scans), workers)
-        finding_lists = run_parallel([
-            (lambda inos=inos: check.check_inodes(scans, inos))
-            for inos in per_shard_inos
-        ])
+        finding_lists = [check.check_inodes(scans, inos)
+                         for inos in per_shard_inos]
         check_costs = [
             parallel.check_shard_cost(
                 len(inos), sum(len(scans[i].records) for i in inos))
-            for inos, _fl in zip(per_shard_inos, finding_lists)
+            for inos in per_shard_inos
         ]
         check_ns = max(check_costs) if check_costs else 0.0
         if pipe is not None:

@@ -1,7 +1,7 @@
 """Phase 1 — the sharded inode-table scan.
 
-Each worker walks a contiguous shard of the shadow inode table and, for
-every valid record, every on-PM structure hanging off it into an
+Each modeled worker's stride shard of the shadow inode table is walked in
+turn and, for every valid record, every on-PM structure hanging off it into an
 :class:`~repro.core.invariants.InodeShape`: directory-log tail chains (with
 every parseable dentry record), the page-index chain and the data slots,
 all read through

@@ -116,7 +116,7 @@ class KernelController:
         self.geom = load_geometry(device)
         self.core = CoreState(device, self.geom)
         self.alloc = PageAllocator(device, self.geom)
-        self.verifier = Verifier(self, workers=config.verify_workers)
+        self.verifier = Verifier(self)
         self.rename_lease = Lease("global-rename", duration=1.0)
         #: one monotonic version per inode slot — the only thing retained
         #: auxiliary state is validated against.  It moves when a writable
@@ -785,7 +785,7 @@ class KernelController:
     # Audit (test/diagnostic helper)
     # ------------------------------------------------------------------ #
 
-    def fsck(self, *, repair: bool = False, workers: int = 1):
+    def fsck(self, *, repair: bool = False):
         """Whole-volume check of this kernel's device (``repro.fsck``).
 
         Complements :meth:`audit_tree` (which checks the DRAM shadow table)
@@ -795,7 +795,7 @@ class KernelController:
         """
         from repro.fsck import run_fsck
 
-        return run_fsck(self.device, repair=repair, workers=workers)
+        return run_fsck(self.device, repair=repair)
 
     def audit_tree(self) -> List[AuditIssue]:
         """Check the shadow table itself forms a connected tree."""

@@ -36,35 +36,28 @@ table.  Enumerate, judge and commit (the controller applying the
 checks in between are independent of each other, and that is where all the
 Table 4 bytes go — a 256 KiB shared file is 65 page checks per transfer
 against a fixed cost of one record read.  One batch scheduler
-(:meth:`Verifier._run_batch`) stride-shards each of those batches over
-``workers`` shards (round-robin, mirroring ``repro.fsck``).  A one-shard
-batch is a plain loop on the calling thread; more shards run one thread
-each and join before commit.  That needs no extra locking because the
-controller's re-entrant lock is held by the *orchestrating* thread for the
-whole verification: no mutator can run, so the workers' reads of the shadow
-table, pending set, page-owner map and allocator bitmap see a frozen kernel
-state, and each shard stages into its own partial :class:`StagedUpdate`,
-merged after the join.  Accept/reject behaviour does not depend on the
-shard count (``tests/property/test_verify_pipeline.py``); the one visible
-difference is that when several shards find *different* corruptions, which
-shard's ``VerifyFailure`` propagates is scheduling-dependent.
+(:meth:`Verifier._run_batch`) does the accounting for each of those
+batches: it deals the batch into ``workers`` stride shards (round-robin,
+mirroring ``repro.fsck``) as *modeled* workers, counts them in
+:class:`PipelineStats` and charges each shard's modeled cost to its worker
+slot, then runs the whole batch once, in order, on the calling thread.  So
+the first failing item in batch order is the one every worker count names.
 
-As everywhere in this repository, wall-clock speedup on GIL-bound Python
-threads is meaningless; the speedup claim is carried by (a) the calibrated
-cost model (``CostModel.verify_pipeline_time``) and (b) the functional
-critical-path counters in :class:`PipelineStats` — ``total_units`` checked
-versus ``critical_units``, the largest shard per batch, which is what the
-slowest worker executes.
+The speedup claim is carried by (a) the calibrated cost model
+(``CostModel.verify_pipeline_time``) and (b) the functional critical-path
+counters in :class:`PipelineStats` — ``total_units`` checked versus
+``critical_units``, the largest shard per batch, which is what the slowest
+worker would execute.  Python threads share the GIL, so running the shards
+on threads would measure the interpreter, not the algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.concurrency.parallel import run_parallel, stride_shards
+from repro.concurrency.parallel import stride_shards
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
 from repro.core.invariants import InodeShape, violations, walk, walk_file
@@ -108,8 +101,6 @@ class PipelineStats:
     page_checks: int = 0
     dentry_checks: int = 0
     absent_checks: int = 0
-    #: shard jobs actually dispatched to worker threads.
-    shard_jobs: int = 0
     #: total checkable units vs the per-batch maximum shard size summed —
     #: ``total_units / critical_units`` is the functional speedup (the
     #: slowest shard bounds each batch, exactly the fsck convention).
@@ -130,9 +121,9 @@ class Verifier:
     """Checks one inode's core state against the shadow table.
 
     The three per-item check batches (pages, dentries, absent children)
-    all go through :meth:`_run_batch`, which runs them on ``workers``
-    shards — ``ArckConfig.verify_workers``; 1 spawns no thread — and
-    records :class:`PipelineStats` either way.
+    all go through :meth:`_run_batch`, which accounts them as ``workers``
+    modeled shards in :class:`PipelineStats` and checks them on the
+    calling thread.
     """
 
     def __init__(self, controller, workers: int = 1):
@@ -310,22 +301,20 @@ class Verifier:
         # longer shows; the absent pass needs the complete new-children map
         # (an in-directory rename looks absent under its old name).
 
-        def check_dentries(shard, part: StagedUpdate) -> Dict[bytes, int]:
-            return {name: d.ino for name, d in shard
-                    if self._check_dentry(ino, sh, app_id, name, d, part,
+        def check_dentries(items, staged: StagedUpdate) -> Dict[bytes, int]:
+            return {name: d.ino for name, d in items
+                    if self._check_dentry(ino, sh, app_id, name, d, staged,
                                           trusted, pending_recs)}
 
-        new_children: Dict[bytes, int] = {}
-        for included in self._run_batch(ino, "dentries", entries, check_dentries, staged):
-            new_children.update(included)
+        new_children = self._run_batch("dentries", entries, check_dentries, staged)
         linked = set(new_children.values())
 
-        def check_absent(shard, part: StagedUpdate) -> None:
-            for name, child_ino in shard:
+        def check_absent(items, staged: StagedUpdate) -> None:
+            for name, child_ino in items:
                 self._check_absent_child(
-                    ino, name, child_ino, new_children, linked, part, trusted)
+                    ino, name, child_ino, new_children, linked, staged, trusted)
 
-        self._run_batch(ino, "absent", list(sh.children.items()), check_absent, staged)
+        self._run_batch("absent", list(sh.children.items()), check_absent, staged)
         staged.new_children = new_children
 
     # -- the batch scheduler ---------------------------------------------- #
@@ -347,60 +336,40 @@ class Verifier:
             pipe.charge_serial("enumerate", enum_ns)
             obs.charge(enum_ns, "enumerate")
 
-        def check(shard, _part: StagedUpdate) -> None:
-            for page_no in shard:
+        def check(items, _staged: StagedUpdate) -> None:
+            for page_no in items:
                 self._check_page(ino, page_no)
 
-        self._run_batch(ino, "pages", jobs, check, staged)
+        self._run_batch("pages", jobs, check, staged)
 
-    def _run_batch(self, ino: int, stage: str, items: Sequence,
+    def _run_batch(self, stage: str, items: Sequence,
                    check: Callable[[Sequence, StagedUpdate], object],
-                   staged: StagedUpdate) -> List:
-        """Run ``check(shard, staging)`` over stride shards of ``items``.
-
-        Returns each shard's result, in shard order.  One shard is a plain
-        call on this thread staging straight into ``staged``; several run
-        one thread each, every shard staging into its own partial
-        :class:`StagedUpdate` that is merged into ``staged`` after the join
-        (every child appears in exactly one shard, so concatenation cannot
-        duplicate; only the semantically irrelevant list order differs).
-        """
+                   staged: StagedUpdate):
+        """Account ``items`` as stride shards over ``workers`` modeled
+        workers, then return ``check(items, staged)``, run once on this
+        thread."""
         n = len(items)
         if not n:
-            return []
+            return check(items, staged)
         stat, unit_cost = _STAGES[stage]
         setattr(self.pstats, stat, getattr(self.pstats, stat) + n)
-        shards = stride_shards(items, self.workers)
+        critical = -(-n // self.workers)  # stride-dealt: no shard is larger
         self.pstats.total_units += n
-        self.pstats.critical_units += len(shards[0])  # stride-dealt: none is larger
+        self.pstats.critical_units += critical
         pipe = self._pipe()
         if pipe is not None:
             # Charge each shard's modeled cost to its worker slot.  Worker
             # totals additionally carry ``op_cpu`` dispatch overhead per
-            # shard job, so critical-path attribution is measured against an
+            # shard, so critical-path attribution is measured against an
             # honest busy time rather than trivially summing to 100 %.
             from repro.perf.costmodel import COST
 
             per_unit = getattr(COST, unit_cost)
-            for i, shard in enumerate(shards):
+            for i, shard in enumerate(stride_shards(items, self.workers)):
                 pipe.charge(i, f"check_{stage}", len(shard) * per_unit)
                 pipe.add_worker_total(i, len(shard) * per_unit + COST.op_cpu)
-            obs.charge(len(shards[0]) * per_unit, f"check_{stage}")
-        if len(shards) == 1:
-            return [check(items, staged)]
-        self.pstats.shard_jobs += len(shards)
-        partials = [StagedUpdate(ino=ino) for _ in shards]
-        with obs.span(f"verify.{stage}", category="kernel", ino=ino, n=n):
-            results = run_parallel(
-                [partial(check, shard, part) for shard, part in zip(shards, partials)],
-                name="verify")
-        for part in partials:
-            staged.bytes_verified += part.bytes_verified
-            staged.created.extend(part.created)
-            staged.reparented.extend(part.reparented)
-            staged.deleted.extend(part.deleted)
-            staged.detached.extend(part.detached)
-        return results
+            obs.charge(critical * per_unit, f"check_{stage}")
+        return check(items, staged)
 
     # -- per-item checks ------------------------------------------------- #
 

@@ -126,7 +126,7 @@ def table4() -> List[SharingResult]:
 
 def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
                            trust_group: bool = False,
-                           verify_workers: int = 1) -> Dict[str, float]:
+                           workers: int = 1) -> Dict[str, float]:
     """Two real LibFS apps ping-pong writes to one shared file.
 
     Returns the kernel counters that embody the sharing cost: bytes
@@ -134,20 +134,20 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
     both collapse to (near) zero — the §5.4 claim, demonstrated on the
     functional stack rather than the analytic model.
 
-    ``verify_workers`` shards each transfer's verification across that many
-    threads (``Verifier(workers=N)``); the returned ``verify_*_units``
-    counters carry the scheduler's critical-path accounting.
+    ``workers`` is how many modeled workers each transfer's verification
+    batches are stride-sharded over (``Verifier(workers=N)``);
+    the returned ``verify_*_units`` counters carry the scheduler's
+    critical-path accounting.
     """
     from repro.api import Volume, VolumeConfig
-    from repro.core.config import ARCKFS_PLUS
+    from repro.kernel.verifier import Verifier
 
     vol = Volume.create(
         max(64, 4 * file_kib // 1024 + 16) * 1024 * 1024,
-        VolumeConfig(
-            config=ARCKFS_PLUS.with_patch(verify_workers=verify_workers),
-            inode_count=256, name="sharing"),
+        VolumeConfig(inode_count=256, name="sharing"),
     )
     kernel = vol.kernel
+    kernel.verifier = Verifier(kernel, workers=workers)
     group = "g" if trust_group else None
     with vol:
         apps = [vol.session("app1", group=group), vol.session("app2", group=group)]
@@ -170,7 +170,6 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
             "verifications": kernel.stats.verifications,
             "verify_total_units": pstats.total_units,
             "verify_critical_units": pstats.critical_units,
-            "verify_shard_jobs": pstats.shard_jobs,
         }
     return out
 

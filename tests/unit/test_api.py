@@ -50,15 +50,15 @@ class TestVolume:
             Volume.mount(b"\0" * 4096)
 
     def test_config_and_tuning_overrides(self):
-        tuned = ARCKFS.with_patch(verify_workers=4)
+        tuned = ARCKFS.with_patch(rcu_buckets=True)
         with Volume.create(16 * 1024 * 1024,
                            VolumeConfig(config=tuned)) as vol:
             cfg = vol.config
-            assert cfg.verify_workers == 4
-            assert vol.kernel.verifier.workers == 4
+            assert cfg.rcu_buckets and not cfg.global_rename_lock
+            assert vol.kernel.verifier.config is tuned
 
     def test_fsck_through_facade(self):
-        tuned = ARCKFS_PLUS.with_patch(verify_workers=4)
+        tuned = ARCKFS_PLUS.with_patch(rcu_buckets=False)
         with Volume.create(16 * 1024 * 1024,
                            VolumeConfig(config=tuned)) as vol:
             with vol.session("app1") as fs:

@@ -45,10 +45,10 @@ def _sweep(*values):
     return dict(zip(("1", "2", "4", "8"), values))
 
 
-def _sharing(shard_jobs, critical):
+def _sharing(critical):
     """One functional ping-pong's verification counters (330 units)."""
     return {"bytes_verified_per_transfer": 267424.0, "verifications": 7,
-            "verify_shard_jobs": shard_jobs, "verify_total_units": 330,
+            "verify_total_units": 330,
             "verify_critical_units": critical}
 
 
@@ -117,10 +117,10 @@ CASES = {
                 "arckfs+ fillseq: data ops 50.0% <= 85%"),
     "table4": ({"cells": [{"system": system, "scenario": scenario, "value": value}
                           for (system, scenario), value in TABLE4_PAPER.items()],
-                "functional": {"verified": _sharing(0, 330),
+                "functional": {"verified": _sharing(330),
                                "trust-group": {"bytes_verified_per_transfer": 1184.0}},
                 "verify_scaling": [{"speedup": x} for x in (1.0, 1.84, 3.16, 4.94)],
-                "pipelined": _sharing(40, 50)},
+                "pipelined": _sharing(50)},
                ("functional", "trust-group", "bytes_verified_per_transfer"), 20000.0,
                "functional: 20000 B verified per transfer with a trust group "
                "(want < 10000)"),

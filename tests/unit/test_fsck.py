@@ -165,8 +165,8 @@ def test_repair_is_noop_on_clean_volume():
 
 def test_kernel_controller_fsck_convenience():
     _device, kernel, _fs = build_volume(files=8, dirs=2)
-    report = kernel.fsck(workers=2)
-    assert report.clean and report.workers == 2
+    report = kernel.fsck()
+    assert report.clean and report.workers == 1
 
 
 # --------------------------------------------------------------------------- #

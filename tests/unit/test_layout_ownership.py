@@ -285,8 +285,7 @@ def test_option_census():
         ArckConfig: {
             "name", "rename_commit_protocol", "shadow_parent_pointer",
             "fence_before_marker", "locked_release", "extended_bucket_lock",
-            "rcu_buckets", "global_rename_lock", "descendant_check",
-            "verify_workers"},
+            "rcu_buckets", "global_rename_lock", "descendant_check"},
         VolumeConfig: {
             "config", "policy", "inode_count", "crash_tracking", "devices",
             "stripe_pages", "name"},
@@ -419,10 +418,10 @@ def test_the_server_queues_nothing_and_starts_one_task():
 
 
 def test_the_file_systems_read_only_table_1_from_their_config():
-    """``ArckConfig`` is ``name``, the Table-1 toggles and
-    ``verify_workers``: how the patched system reads follows from §4.3 and
-    §4.5, not from a field of its own — and directory lookups have the
-    paper's two modes, so no bucket carries a sequence counter."""
+    """``ArckConfig`` is ``name`` and the Table-1 toggles: how the
+    patched system reads follows from §4.3 and §4.5, not from a field of
+    its own — and directory lookups have the paper's two modes, so no
+    bucket carries a sequence counter."""
     from repro.core.config import ArckConfig
 
     fields = {f.name for f in dataclasses.fields(ArckConfig)}

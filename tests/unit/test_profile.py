@@ -203,7 +203,7 @@ def test_verify_pipeline_critical_path_is_attributed():
 
     obs.enable(profile=True)
     try:
-        run_functional_sharing(file_kib=256, verify_workers=8)
+        run_functional_sharing(file_kib=256, workers=8)
     finally:
         obs.disable()
     cp = obs.profiler.pipelines()["verify.w8"].critical_path()

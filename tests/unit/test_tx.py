@@ -324,7 +324,7 @@ class TestVolumeConfig:
         with pytest.raises(TypeError):
             Volume.mount(image, config=ARCKFS_PLUS)
         with pytest.raises(TypeError):
-            Volume.mount(image, verify_workers=2)
+            Volume.mount(image, inode_count=64)
 
     def test_mount_accepts_volumeconfig(self):
         src = Volume.create(8 * 1024 * 1024)
