@@ -410,6 +410,43 @@ class CoreState:
             self.mem.clwb(addr, take * 8)
             done += take
 
+    def trim_to_size(self, rec: InodeRecord) -> Tuple[List[int], bool]:
+        """A regular file's owned pages (as :meth:`owned_pages`) with nothing
+        kept past its committed ``size``, and whether anything was stored.
+
+        Mount's repair of a crash inside an append or a shrink: slots
+        mapped past ``ceil(size / PAGE_SIZE)`` are cleared — those after the
+        first clear slot too, which a torn shrink can leave and a later
+        append would expose — and the last page's bytes past ``size`` are
+        zeroed when any is not, so an extension reads zeros.  Stores and
+        ``clwb`` only; the caller fences when the flag is set.  A file whose
+        size exceeds its pages is left to fsck.
+        """
+        index = self.index_pages(rec)
+        data = list(self.data_pages(index))
+        keep = -(-rec.size // PAGE_SIZE)
+        # ``end``: one past the last mapped slot, the first clear one or not.
+        end = len(data)
+        first, skip = divmod(end, INDEX_SLOTS)
+        for n in range(first, len(index)):
+            raw = self.mem.load(self.geom.page_off(index[n]) + PAGEHDR_SIZE + skip * 8,
+                                (INDEX_SLOTS - skip) * 8)
+            if raw != bytes(len(raw)):
+                end = n * INDEX_SLOTS + skip + -(-len(raw.rstrip(b"\0")) // 8)
+            skip = 0
+        stored = False
+        if end > keep:
+            self.store_index_slots(index, keep, [0] * (end - keep))
+            data = data[:keep]
+            stored = True
+        tail = rec.size % PAGE_SIZE
+        if tail and len(data) == keep:
+            addr = self.geom.page_off(data[-1]) + tail
+            if self.mem.load(addr, PAGE_SIZE - tail) != bytes(PAGE_SIZE - tail):
+                self.mem.ntstore(addr, bytes(PAGE_SIZE - tail))
+                stored = True
+        return index + data, stored
+
     def append_file_pages(
         self,
         ino: int,
@@ -418,11 +455,15 @@ class CoreState:
         new_pages: List[int],
         alloc: PageAllocator,
     ) -> None:
-        """Link freshly written data pages into the file's index, durably.
+        """Link freshly written data pages into the file's index, durably:
+        the one fence here also makes the caller's data writes durable,
+        before the caller commits the size.
 
         Index slots are filled in order; the file's committed length is
-        still governed by the inode ``size`` field, so a crash mid-append
-        leaves only unreachable-but-harmless slots past the old size.
+        still governed by the inode ``size`` field.  A crash mid-append
+        leaves slots past the old size mapping pages whose bytes were never
+        committed (or never written at all), which a later extension would
+        expose: mount unmaps them (:meth:`trim_to_size`).
         """
         if not new_pages:
             return

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.fsck.findings import TORN_CLASSES
+from repro.fsck.findings import F_PAGE_DOUBLE_USE, F_PAGE_UNALLOCATED, TORN_CLASSES
 from repro.perf.costmodel import COST
 from repro.perf.runner import run_workload, sweep, table2_sweep
 from repro.perf.simulator import Experiment as Simulation
@@ -878,14 +878,17 @@ def _tx_render(data) -> str:
         "is one 8-byte atomic publish.",
         f"overwrite commit: {TX_BATCHES[-1]} pwrites into existing files cost "
         f"{top['overwrite_commit_fences']} fence(s) from log to checkpoint — "
-        "one per phase, the apply's one fence covering every overwrite."])
+        "the log rides the seal's fence, the apply's one fence covers every "
+        "overwrite, and the checkpoint fences its seal clear."])
 
 
 def _tx_check(data) -> List[str]:
-    """Fences to durability stay constant (<= 4) in the batch while per-op
-    persistence pays per op; the batched commit models >= 2x from batch
-    4, rising with the batch to >= 2.5x; a whole commit of overwrites
-    costs no more fences at any batch than at the first."""
+    """Fences to durability stay constant (<= 2: a refill for the log's
+    pages, and the seal's fence, which the log rides) in the batch while
+    per-op persistence pays per op; the batched commit models >= 2x from
+    batch 4, rising with the batch to >= 2.5x; a whole commit of overwrites
+    costs 3 fences at the first batch (seal, apply, checkpoint) and no
+    more at any other."""
     seal = {n: data[str(n)]["tx_seal_fences"] for n in TX_BATCHES}
     per_op = {n: data[str(n)]["per_op_fences"] for n in TX_BATCHES}
     overwrite = {n: data[str(n)]["overwrite_commit_fences"] for n in TX_BATCHES}
@@ -894,7 +897,9 @@ def _tx_check(data) -> List[str]:
     first, last = TX_BATCHES[0], TX_BATCHES[-1]
     return _unmet(
         (len(set(seal.values())) != 1, f"seal fences vary with the batch: {seal}"),
-        (max(seal.values()) > 4, f"seal fences {max(seal.values())} (want <= 4)"),
+        (max(seal.values()) > 2, f"seal fences {max(seal.values())} (want <= 2)"),
+        (overwrite[first] > 3, f"overwrite commit fences {overwrite[first]} at "
+         f"batch {first} (want <= 3)"),
         (max(overwrite.values()) > overwrite[first],
          f"overwrite commit fences grow with the batch: {overwrite}"),
         (per_op[last] < 8 * per_op[first], f"per-op fences {per_op[last]} at "
@@ -1153,7 +1158,7 @@ def _fsck_check(data) -> List[str]:
          f"{scans[0] / scans[-1]:.2f}x on the scan (want >= 4)"))
 
 
-# -- fences: which metadata fences a crash needs ----------------------------- #
+# -- fences: which fences a crash needs -------------------------------------- #
 
 #: Names long enough that a dentry spans two cache lines, as in Table 1's
 #: §4.2 demonstration: a torn record is then reachable.
@@ -1162,6 +1167,8 @@ _AUDIT_NAME = "an-entry-name-long-enough-to-span-two-lines"
 
 _D_OLD, _D_NEW, _E_NEW = (f"{p}-{_AUDIT_NAME}" for p in ("/d/a", "/d/b", "/e/a"))
 _DATA = "/d/data"
+#: The files a transaction overwrites: page 1 of each, 3 x 4 KiB.
+_TX_FILES = ("/d/a", "/d/b", "/d/c")
 
 
 def _write_page(session, byte: bytes, page: int) -> None:
@@ -1171,10 +1178,24 @@ def _write_page(session, byte: bytes, page: int) -> None:
     session.close(fd)
 
 
-#: The audited ops: ``name -> (setup, op)``.  ``setup`` runs on the base
-#: volume (directories ``/d`` and ``/e``, each with a log page), ``op`` is
-#: what the audit fences: the FxMark metadata ops, then the data path's
-#: one-page overwrite, one-page append and one-page truncate.
+def _tx_files(session) -> None:
+    for path in _TX_FILES:
+        session.write_file(path, b"a" * 2 * PAGE_SIZE)
+
+
+def _tx3(session) -> None:
+    """Commit one transaction overwriting page 1 of every ``_TX_FILES``."""
+    with session.transaction() as tx:
+        for path in _TX_FILES:
+            tx.pwrite(path, b"b" * PAGE_SIZE, PAGE_SIZE)
+
+
+#: The audited ops: ``name -> (setup, *steps)``.  ``setup`` runs on the base
+#: volume (directories ``/d`` and ``/e``, each with a log page), the steps
+#: are what the audit fences: the FxMark metadata ops; the data path's
+#: one-page overwrite, one-page append and one-page truncate; a 3 x 4 KiB
+#: overwrite commit; and that commit followed by an unlink of a file it
+#: wrote, whose crash images a single-op program cannot reach.
 FENCE_AUDIT_OPS = {
     "creat": (lambda s: None, lambda s: s.close(s.creat(_D_NEW))),
     "unlink": (lambda s: s.close(s.creat(_D_OLD)), lambda s: s.unlink(_D_OLD)),
@@ -1192,14 +1213,23 @@ FENCE_AUDIT_OPS = {
                lambda s: _write_page(s, b"b", 1)),
     "truncate": (lambda s: s.write_file(_DATA, b"a" * 2 * PAGE_SIZE),
                  lambda s: s.truncate(_DATA, PAGE_SIZE)),
+    "tx3": (_tx_files, _tx3),
+    "tx3+unlink": (_tx_files, _tx3, lambda s: s.unlink(_TX_FILES[0])),
 }
-#: Fences per op the merges leave.
+#: Fences per op, every one of them needed.
 FENCES_PER_OP = {"creat": 2, "unlink": 1, "mkdir": 2, "rmdir": 1,
                  "rename": 2, "rename-file-x": 2, "rename-dir-x": 2,
-                 "pwrite": 1, "append": 3, "truncate": 3}
-#: The fences (1-based, per op) no crash image is found to need, left for a
-#: later merge; a crash needs every other one.
-FENCES_UNNEEDED = {"append": (1,), "truncate": (2, 3)}
+                 "pwrite": 1, "append": 2, "truncate": 2,
+                 "tx3": 3, "tx3+unlink": 4}
+#: The ops whose images are also judged raw, before mount rebuilds the
+#: bitmap: no page in use with its bit clear, none claimed twice.  Not an
+#: unlink of a file with pages: its record free and bit clears share one
+#: fence window, so a raw image may show an orphan record over clear bits,
+#: which mount wipes and reclaims.
+_RAW_FSCK_OPS = frozenset({"pwrite", "append", "truncate", "tx3"})
+_RAW_FSCK_CLASSES = frozenset({F_PAGE_UNALLOCATED, F_PAGE_DOUBLE_USE})
+#: The ops judged all-or-nothing: every file of one state, not a byte mix.
+_ATOMIC_OPS = frozenset({"tx3", "tx3+unlink"})
 
 #: A namespace: ``(path, is a directory, a regular file's bytes or None)``
 #: for every path below the root, sorted.
@@ -1235,13 +1265,21 @@ def _file_violation(path: str, data: bytes, versions: List[bytes]) -> Optional[s
     return None
 
 
-def _judge_image(device, allowed: List[Namespace]) -> Optional[str]:
-    """Why a crash image violates — fsck on the mounted volume not clean,
-    names not those of one namespace in ``allowed``, or a regular file's
-    size or bytes not those of its ``allowed`` versions — or None."""
+def _judge_image(device, allowed: List[Namespace], *, raw: bool,
+                 atomic: bool) -> Optional[str]:
+    """Why a crash image violates — with ``raw``, fsck on the raw image
+    finding a ``_RAW_FSCK_CLASSES`` class; fsck on the mounted volume not
+    clean; names not those of one namespace in ``allowed``; a regular
+    file's size or bytes not those of its ``allowed`` versions; or, with
+    ``atomic``, the files not all of one namespace — or None."""
     from repro.api import Volume
     from repro.errors import ReproError
+    from repro.fsck import run_fsck
 
+    if raw:
+        found = sorted({f.cls for f in run_fsck(device).findings} & _RAW_FSCK_CLASSES)
+        if found:
+            return "raw fsck " + ",".join(found)
     try:
         vol = Volume.mount(device)
         report = vol.fsck()
@@ -1251,11 +1289,12 @@ def _judge_image(device, allowed: List[Namespace]) -> Optional[str]:
     except ReproError as exc:
         return f"mount {type(exc).__name__}"
     names = {(p, d) for p, d, _data in found}
+    post = allowed[-1]
     if all(names != {(p, d) for p, d, _data in ns} for ns in allowed):
-        post = {(p, d) for p, d, _data in allowed[-1]}
+        post_names = {(p, d) for p, d, _data in post}
         return "namespace " + " ".join(
-            [f"-{p}" for p, _d in sorted(post - names)]
-            + [f"+{p}" for p, _d in sorted(names - post)]
+            [f"-{p}" for p, _d in sorted(post_names - names)]
+            + [f"+{p}" for p, _d in sorted(names - post_names)]
         ).replace(f"-{_AUDIT_NAME}", "*")
     for path, _d, data in found:
         if data is not None:
@@ -1263,27 +1302,32 @@ def _judge_image(device, allowed: List[Namespace]) -> Optional[str]:
                 v for ns in allowed for p, _d, v in ns if p == path])
             if reason is not None:
                 return reason
+    if atomic and found not in allowed:
+        return "torn tx: " + " ".join(p for p, d, v in found if (p, d, v) not in post)
     return None
 
 
-def _audit_run(image: bytes, op, skip: int, pre, post):
-    """Run ``op`` on a mount of ``image`` with fence ``skip`` (1-based; 0
-    for none) not taken, judging the crash images just before every later
-    fence (pre- or post-op namespace allowed) and at the op's return
-    (post-op only).  Returns ``(sites, lines, first violation)``."""
+def _audit_run(image: bytes, name: str, skip: int, states: List[Namespace]):
+    """Run op ``name``'s steps on a mount of ``image`` with fence ``skip``
+    (1-based; 0 for none) not taken, judging the crash images just before
+    every later fence (any namespace of ``states``, which runs from before
+    the first step to after the last) and at the return (the last only).
+    Returns ``(sites, lines, first violation)``."""
     from repro.api import Volume, VolumeConfig
 
+    _setup, *steps = FENCE_AUDIT_OPS[name]
     vol = Volume.mount(image, VolumeConfig(crash_tracking=True))
     session = vol.session("audit", uid=0)
     _namespace(session)  # warm: every directory's auxiliary state built
     alloc = vol.kernel.alloc
     alloc.free(alloc.alloc(zero=False))  # warm: this thread's page pool full
     vol.device.drain()
+    raw, atomic = name in _RAW_FSCK_OPS, name in _ATOMIC_OPS
     # 34 images a point: every one, or 32 seeded, the floor and the newest.
     *fences, end = explore(
-        vol.device, lambda: op(session),
+        vol.device, lambda: [step(session) for step in steps],
         lambda device, point: _judge_image(
-            device, [post] if point.fence is None else [pre, post]),
+            device, states if point.fence else states[-1:], raw=raw, atomic=atomic),
         budget=34, seed=7, skip=skip, first=True)
     found = [f"before fence {p.fence}: {v}" for p in fences for v in p.verdicts]
     found += [f"at return: {v}" for v in end.verdicts]
@@ -1294,7 +1338,7 @@ def _fences_run():
     from repro.api import Volume, VolumeConfig
 
     out = {}
-    for name, (setup, op) in FENCE_AUDIT_OPS.items():
+    for name, (setup, *steps) in FENCE_AUDIT_OPS.items():
         vol = Volume.create(2 << 20, VolumeConfig(crash_tracking=True,
                                                   inode_count=32))
         with vol.session("setup", uid=0) as s:
@@ -1306,14 +1350,15 @@ def _fences_run():
         vol.close()
         vol.device.drain()
         image = vol.device.durable_image()
-        # The reference run: the namespaces the op goes between.
+        # The reference run: the namespaces the steps go through.
         ref = Volume.mount(image).session("ref", uid=0)
-        pre = _namespace(ref)
-        op(ref)
-        post = _namespace(ref)
-        sites, lines, baseline = _audit_run(image, op, 0, pre, post)
+        states = [_namespace(ref)]
+        for step in steps:
+            step(ref)
+            states.append(_namespace(ref))
+        sites, lines, baseline = _audit_run(image, name, 0, states)
         out[name] = {"sites": sites, "lines": lines, "baseline": baseline,
-                     "skipped": [_audit_run(image, op, k, pre, post)[2]
+                     "skipped": [_audit_run(image, name, k, states)[2]
                                  for k in range(1, len(sites) + 1)]}
     return out
 
@@ -1338,14 +1383,14 @@ def _fences_render(data) -> str:
     return "\n".join(lines + [
         "", f"(* = -{_AUDIT_NAME})",
         "fences per " + counts(("creat", "unlink", "mkdir", "rmdir", "rename")),
-        "fences per " + counts(("pwrite", "append", "truncate"))])
+        "fences per " + counts(("pwrite", "append", "truncate")),
+        "fences per " + counts(("tx3", "tx3+unlink"))])
 
 
 def _fences_check(data) -> List[str]:
     """Skipping the §4.2 fence before the marker leaves a torn dentry, as
     Table 1 says; each op issues ``FENCES_PER_OP`` fences; skipping any one
-    of them yields a violating image, except the ``FENCES_UNNEEDED`` ones,
-    which yield none; taking them all yields none."""
+    of them yields a violating image; taking them all yields none."""
     creat = data["creat"]
     control = [reason or "" for line, reason in zip(creat["lines"], creat["skipped"])
                if "§4.2" in line]
@@ -1360,12 +1405,7 @@ def _fences_check(data) -> List[str]:
         *[(reason is None, f"{name}: skipping fence {k} ({row['sites'][k - 1]}) "
            "found no violating image")
           for name, row in data.items()
-          for k, reason in enumerate(row["skipped"], 1)
-          if k not in FENCES_UNNEEDED.get(name, ())],
-        *[(row["skipped"][k - 1] is not None, f"{name}: skipping fence {k} "
-           f"({row['sites'][k - 1]}) found {row['skipped'][k - 1]}, listed unneeded")
-          for name, row in data.items() for k in FENCES_UNNEEDED.get(name, ())
-          if k <= len(row["skipped"])],
+          for k, reason in enumerate(row["skipped"], 1)],
         *[(row["baseline"] is not None,
            f"{name}: violating image with every fence taken: {row['baseline']}")
           for name, row in data.items()])
@@ -1402,6 +1442,6 @@ EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
                _ablation_run, _ablation_render, _ablation_check),
     Experiment("fsck", "whole-volume fsck at 1/2/4/8 workers",
                _fsck_run, _fsck_render, _fsck_check),
-    Experiment("fences", "which metadata fences a crash needs, fence by fence",
+    Experiment("fences", "which fences a crash needs, fence by fence",
                _fences_run, _fences_render, _fences_check),
 )}

@@ -305,18 +305,27 @@ class KernelController:
             if parent_sh is not None:
                 parent_sh.children[d.name] = child_ino
 
-        # Pass 3: page ownership + reachable page set.
+        # Pass 3: page ownership + reachable page set.  A file keeps
+        # nothing past its committed size (a crash inside an append can
+        # leave mapped pages or bytes there): one fence if any was trimmed.
         reachable: Set[int] = set()
+        trimmed = False
         for ino, sh in self.shadow.items():
             rec = core.read_inode(ino)
             try:
-                pages = core.owned_pages(rec)
+                if rec.is_dir:
+                    pages = core.owned_pages(rec)
+                else:
+                    pages, stored = core.trim_to_size(rec)
+                    trimmed |= stored
             except ChainCorrupt:
                 report.torn_dentries.append((ino, b"<corrupt page chain>"))
                 continue
             for page_no in pages:
                 self.set_page_owner(page_no, ino)
                 reachable.add(page_no)
+        if trimmed:
+            self.device.sfence()
         # A sealed transaction log's chain is reachable state: its pages
         # must survive the rebuild so mount-time replay can read them.  An
         # unsealed chain (crash before the seal) stays invisible here and

@@ -593,7 +593,7 @@ class LibFS:
             if new_pages:
                 # Fresh pages the write fully overwrites skip the durable
                 # pre-zero; hole pages and partial head/tail pages are
-                # zeroed here with ntstores riding the data fence below.
+                # zeroed here with ntstores riding the slot fence below.
                 for idx in range(existing, needed):
                     page_start = idx * PAGE_SIZE
                     if offset <= page_start and end >= page_start + PAGE_SIZE:
@@ -620,11 +620,14 @@ class LibFS:
                 extents += 1
                 pos += chunk
                 di += chunk
-            if sync or new_pages or end > mi.size:
-                mi.mapping.sfence()  # data durable before metadata commits it
             if new_pages:
+                # One fence for data and slots, before the size commits: a
+                # crash ahead of it leaves bytes mapped past the committed
+                # size, which mount unmaps (``CoreState.trim_to_size``).
                 cs.append_file_pages(mi.ino, mi.record, existing, new_pages, self.alloc)
                 mi.pages = all_pages
+            elif sync or end > mi.size:
+                mi.mapping.sfence()  # data durable before metadata commits it
             if end > mi.size:
                 cs.set_file_size(mi.ino, end)
                 mi.record.size = end
@@ -745,9 +748,10 @@ class LibFS:
 
     def _drop_trailing_pages(self, mi: MemInode, cs: CoreState, keep: int) -> None:
         """Zero index slots past ``keep`` and free the data pages: the
-        unmapping is fenced before any bitmap bit clears, so a crash in
-        between leaks pages (mount reclaims them) and never frees a mapped
-        one."""
+        unmapping is fenced before any bitmap bit clears, so no crash
+        image maps a page whose bit is clear.  The clears ride the next
+        fence; until then a crash leaks the pages, and mount reclaims
+        them."""
         dropped = mi.pages[keep:]
         cs.store_index_slots(cs.index_pages(mi.record), keep, [0] * len(dropped))
         mi.mapping.sfence()
@@ -799,10 +803,10 @@ class LibFS:
         back to the kernel (whose verification confirms the deletion when
         the parent is next verified).
 
-        The record free rides the page free's fence, or the next op's when
-        there are no pages: with the tombstone durable, a crash in either
-        order leaves at worst a valid record no dentry names, or set bits
-        on unreachable pages — leaks mount reclaims."""
+        The record free and the bit clears of the page free ride the next
+        fence: with the tombstone durable, a crash before it leaves at worst
+        a valid record no dentry names, or set bits on unreachable pages —
+        leaks mount reclaims."""
         mi = self._attach(ino, write=True)
         mi.rwlock.acquire_write()
         mi.seq.write_begin()

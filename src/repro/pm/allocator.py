@@ -35,10 +35,12 @@ reclaims it, as it would any allocated-but-unlinked page.
 
 Freeing is batched the same way: ``free(*pages)`` checks the whole batch,
 then clears its bits with one store and one ``clwb`` per run of dirty
-bitmap bytes and **one** fence.  The caller has already unmapped the pages
-and fenced that, so a crash that tears the batch — some bitmap lines
-persisted, some not — leaves set bits only on pages nothing links to: the
-same leak ``rebuild`` reclaims, never a mapped page marked free.
+bitmap bytes, and **no** fence: the clears ride the caller's next fence.
+The caller has already unmapped the pages and fenced that, so a crash
+before the clears are durable — all, some or none of the bitmap lines
+persisted — leaves set bits only on pages nothing links to: the same leak
+``rebuild`` reclaims, never a mapped page marked free.  A page is reused
+only through a refill, whose own fence makes the clear durable first.
 
 ``pool_pages`` is the refill size.  The kernel controller runs with
 :data:`DEFAULT_POOL_PAGES`; the fsck repairer and injectors pass ``1``, so a
@@ -308,7 +310,7 @@ class PageAllocator:
 
     def _clear_bits(self, pages: Sequence[int]) -> None:
         """Clear the bits of ``pages``: one lock, one store and one ``clwb``
-        per run of dirty bitmap bytes, one fence for the lot.
+        per run of dirty bitmap bytes, no fence (the caller's rides them).
 
         Every page must be allocated and named once, or the batch is refused
         with :class:`DoubleFree` before any bit changes.  A run is a span of
@@ -339,7 +341,6 @@ class PageAllocator:
                     lo = byte_off
                 prev = byte_off
             self._write_bitmap_range(lo, prev)
-            self._device.sfence()
             self._free_count += len(pages)
         with self._acct_lock:
             self.stats.lock_acquires += 1
@@ -450,13 +451,14 @@ class PageAllocator:
         return got
 
     def free(self, *pages: int) -> None:
-        """Return handed-out pages: one lock and one fence per call.
+        """Return handed-out pages: one lock per call, and no fence.
 
         The whole batch is checked first; a page that is not allocated, or
         is named twice, raises :class:`~repro.errors.DoubleFree` and leaves
         every bit as it was.  Callers unmap and fence the pages before they
-        free them, so a crash inside the batch leaves only bits set on
-        unreachable pages: a leak that ``rebuild`` reclaims at mount.
+        free them, so until the caller's next fence makes the clears
+        durable a crash leaves only bits set on unreachable pages: a leak
+        that ``rebuild`` reclaims at mount.
         """
         if not pages:
             return
@@ -507,14 +509,17 @@ class PageAllocator:
         """Return every pool's reserve to the bitmap (one batched persist).
 
         Called on quiesce/release so an orderly shutdown leaves no reserved
-        bits behind; returns the number of pages drained.
+        bits behind, durably: this fences the clears itself.  Returns the
+        number of pages drained.
         """
         drained: List[int] = []
         for pool in self._all_pools():
             with pool.lock:
                 drained.extend(pool.pages)
                 pool.pages.clear()
-        self._clear_bits(drained)
+        if drained:
+            self._clear_bits(drained)
+            self._device.sfence()
         with self._acct_lock:
             self.stats.drained_pages += len(drained)
         return len(drained)

@@ -412,6 +412,9 @@ class PMDevice:
                     kept += runs[k:]
                     return kept
             pending = run.pending
+            lo, hi, _seq = queued[first]
+            if lo <= pending[0][0] and pending[-1][1] <= hi:
+                continue  # the first range after it covers it: the usual case
             for lo, hi, _seq in queued[first:]:
                 rest = []
                 for a, b in pending:

@@ -47,8 +47,24 @@ _SB = struct.Struct("<QQIIQQQQQII")
 
 #: Offset of the ``tx_log_head`` field — 8-byte aligned and inside the
 #: superblock's first cache line, so a single ``atomic_store`` publishes a
-#: sealed transaction log (the one-pointer commit point of ``repro.tx``).
+#: sealed transaction log (the one-word commit point of ``repro.tx``).
 SB_TX_HEAD_OFF = struct.calcsize("<QQIIQQQQ")
+
+#: The seal word in ``tx_log_head``: the log's head page in the low 32 bits
+#: and its *tag*, the payload's body CRC, in the high 32.  The tag lets a
+#: seal share the log's fence: a seal that reaches media ahead of a torn
+#: log, or over a stale log on reused pages, fails it and is discarded.
+_SEAL = struct.Struct("<II")
+
+
+def pack_seal(head_page: int, tag: int) -> bytes:
+    """The 8 bytes of a seal word: ``head_page`` low, ``tag`` high."""
+    return _SEAL.pack(head_page, tag)
+
+
+def unpack_seal(raw: bytes) -> Tuple[int, int]:
+    """``(head_page, tag)`` of a seal word; ``(0, 0)`` is "no log"."""
+    return _SEAL.unpack(raw)
 
 
 @dataclass
@@ -61,8 +77,8 @@ class Superblock:
     bitmap_off: int
     data_off: int
     root_ino: int
-    #: Head page of a sealed (durable, unapplied) transaction redo log;
-    #: 0 means no transaction is pending.
+    #: Seal word of a sealed (durable, unapplied) transaction redo log
+    #: (:func:`pack_seal`: head page and tag); 0 means none is pending.
     tx_log_head: int = 0
     #: Member count of the device this volume lives on; 1 means one flat
     #: device (the historical layout — every striping field degenerates so

@@ -8,23 +8,27 @@ logs share one parse/CRC discipline; the header adds a whole-payload CRC
 and the record count, making "sealed but torn" distinguishable from
 "sealed and intact".
 
-The commit point is a single 8-byte ``atomic_store`` of the chain's head
-page number into the superblock's ``tx_log_head`` field:
+The commit point is a single 8-byte ``atomic_store`` of the *seal word*
+into the superblock's ``tx_log_head`` field: the chain's head page and a
+tag, the payload's body CRC (``pm.layout.pack_seal``):
 
 1. allocate pages (bitmap bits persist first — a crash here leaks pages,
    which mount-time ``rebuild`` reclaims);
 2. stream header + records into the chain — one store and one ``clwb``
-   per physically contiguous run of pages — and one ``sfence``: the
-   payload is durable but unreferenced;
-3. *seal*: ``atomic_store`` the head into ``tx_log_head``, ``clwb``,
-   ``sfence``.  Before this fence the volume shows none of the
-   transaction; after it, recovery replays all of it.
+   per physically contiguous run of pages — and no fence;
+3. *seal*: ``atomic_store`` the seal word, ``clwb``, ``sfence``: one fence
+   for the log and the seal.  Before it, a crash may find the seal on
+   media ahead of a torn log, or over a stale log left on reused pages;
+   neither carries the seal's tag, so :func:`parse_log` rejects it, and
+   mount and fsck discard it: the volume shows none of the transaction.
+   After it, recovery replays all of it.
 
-Checkpoint (after apply) clears the head and frees the pages under the
-free's one fence (:func:`retire`).  This module is dependency-light on
-purpose — device + layout + the core-state chain walker + the WAL framing
-only — so ``repro.fsck`` and the kernel's recovery can parse logs without
-importing the transaction manager above them.
+Checkpoint (after apply) clears the seal under a fence of its own and
+then frees the pages, whose bit clears ride the next fence
+(:func:`retire`).  This module is dependency-light on purpose — device +
+layout + the core-state chain walker + the WAL framing only — so
+``repro.fsck`` and the kernel's recovery can parse logs without importing
+the transaction manager above them.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from repro.pm.layout import (
     SB_TX_HEAD_OFF,
     Geometry,
     PageHeader,
+    pack_seal,
+    unpack_seal,
 )
 
 #: Magic stamped at the start of every log payload ("REPROTXL").
@@ -106,6 +112,11 @@ def build_payload(txid: int, records: List[TxRecord]) -> bytes:
     return hdr + body
 
 
+def payload_tag(payload: bytes) -> int:
+    """The tag :func:`seal` publishes with ``payload``: its body CRC."""
+    return _LOGHDR.unpack_from(payload)[3]
+
+
 def write_log(
     device: PMDevice,
     geom: Geometry,
@@ -116,9 +127,9 @@ def write_log(
 
     Each page's image is its header followed by its chunk, so a physically
     contiguous run of log pages (``geom.extent_runs`` of consecutive page
-    numbers) is one store and one ``clwb``; the whole chain is durable
-    under a *single* trailing fence.  It stays unreferenced (and therefore
-    invisible to recovery) until :func:`seal` publishes its head.
+    numbers) is one store and one ``clwb``.  Nothing is fenced here: the
+    chain becomes durable under :func:`seal`'s fence, and the seal's tag
+    keeps a chain torn before that fence from ever being replayed.
     """
     npages = max(1, (len(payload) + PAGE_PAYLOAD - 1) // PAGE_PAYLOAD)
     pages = alloc.alloc_many(npages, zero=False)
@@ -142,44 +153,51 @@ def write_log(
             device.store(off, blob)
             device.clwb(off, len(blob))
             first += count
-    device.sfence()
     return pages
+
+
+def read_seal(device: PMDevice) -> Tuple[int, int]:
+    """The seal word: ``(head page, tag)``; ``(0, 0)`` = nothing pending."""
+    return unpack_seal(device.load(SB_TX_HEAD_OFF, 8))
 
 
 def read_head(device: PMDevice) -> int:
     """The pending log's head page number (0 = no transaction pending)."""
-    return struct.unpack("<Q", device.load(SB_TX_HEAD_OFF, 8))[0]
+    return read_seal(device)[0]
 
 
-def seal(device: PMDevice, head_page: int) -> None:
-    """Publish the chain: the transaction's single atomic commit point."""
-    device.atomic_store(SB_TX_HEAD_OFF, struct.pack("<Q", head_page))
+def seal(device: PMDevice, head_page: int, tag: int) -> None:
+    """Publish the chain under ``tag`` (:func:`payload_tag`): the
+    transaction's single atomic commit point, and the one fence that makes
+    the chain :func:`write_log` stored durable with it."""
+    device.atomic_store(SB_TX_HEAD_OFF, pack_seal(head_page, tag))
     device.clwb(SB_TX_HEAD_OFF, 8)
     device.sfence()
 
 
 def clear_seal(device: PMDevice) -> None:
     """Retire the pending log on its own fence (fsck's discard)."""
-    seal(device, 0)
+    seal(device, 0, 0)
 
 
 def retire(device: PMDevice, alloc: PageAllocator, pages: List[int]) -> None:
-    """Clear the seal and free ``pages`` under one fence: the clear is a
-    store + ``clwb`` that rides ``free``'s fence.
+    """Clear the seal under its own fence, then free ``pages``: their bit
+    clears are stores + ``clwb`` that ride the next fence (``free`` fences
+    nothing).
 
-    Either order of the two on media is safe, because mount rebuilds the
-    allocator from reachability: a cleared seal with the bits still set
-    leaks the pages, and freed bits under a still-published seal make the
-    chain reachable again, so mount re-claims it and replays (or discards)
-    the log as if the checkpoint had not begun.  Nothing can reuse a page
-    before ``free`` returns, and by then both are durable.
+    A crash therefore finds either the seal with every chain page still
+    allocated — mount re-claims the chain and replays (or discards) the log
+    as if the checkpoint had not begun — or no seal, and bits set or clear
+    on pages nothing links to: leaks that mount reclaims.  The fence is one
+    a crash needs: without it the seal could outlive the next op — a crash
+    inside an ``unlink`` of a file the transaction wrote would replay the
+    log and re-create the file — and a raw image could show the seal over
+    pages whose bits are already clear.
     """
     device.atomic_store(SB_TX_HEAD_OFF, bytes(8))
     device.clwb(SB_TX_HEAD_OFF, 8)
-    if pages:
-        alloc.free(*pages)
-    else:
-        device.sfence()
+    device.sfence()
+    alloc.free(*pages)
 
 
 def chain_pages(device: PMDevice, geom: Geometry, head: int) -> List[int]:
@@ -206,11 +224,12 @@ def parse_log(device: PMDevice, geom: Geometry) -> Tuple[Optional[TxLog], List[i
     """Parse the pending log, if any.
 
     Returns ``(log, pages)``: ``log`` is None when no log is pending *or*
-    the pending log fails validation (bad chain, magic, CRC, or record
-    count); ``pages`` is the reachable chain either way so the caller can
-    reclaim a corrupt log's pages.
+    the pending log fails validation (bad chain, magic, CRC, record count,
+    or a header or body CRC other than the seal's tag); ``pages`` is the
+    reachable chain either way so the caller can reclaim a corrupt log's
+    pages.
     """
-    head = read_head(device)
+    head, tag = read_seal(device)
     if head == 0:
         return None, []
     pages = chain_pages(device, geom, head)
@@ -226,7 +245,7 @@ def parse_log(device: PMDevice, geom: Geometry) -> Tuple[Optional[TxLog], List[i
         return None, pages
     magic, txid, nrecords, crc = _LOGHDR.unpack_from(bytes(blob[: _LOGHDR.size]))
     body = bytes(blob[_LOGHDR.size :])
-    if magic != TX_MAGIC or zlib.crc32(body) != crc:
+    if magic != TX_MAGIC or crc != tag or zlib.crc32(body) != crc:
         return None, pages
     records: List[TxRecord] = []
     off = 0

@@ -13,18 +13,22 @@ commit.  Nothing touches PM until :meth:`Tx.commit`:
 
 1. **log** — serialize the ops into a redo log (KV-WAL record framing)
    and stream it into a fresh ``PAGE_KIND_TXLOG`` chain, one store per
-   contiguous run of pages, one fence;
-2. **seal** — publish the chain head into the superblock's
-   ``tx_log_head`` with a single 8-byte atomic store + fence.  This is
-   the commit point: a crash before it shows *none* of the transaction
-   (the chain's pages merely leak, and mount reclaims them), a crash
-   after it replays *all* of it;
+   contiguous run of pages, no fence;
+2. **seal** — publish the chain head and its tag (the payload's body
+   CRC) into the superblock's ``tx_log_head`` with a single 8-byte atomic
+   store + fence, the one fence of log and seal.  This is the commit
+   point: a crash before it shows *none* of the transaction (a seal that
+   got to media ahead of its log fails the tag and is discarded; the
+   chain's pages merely leak, and mount reclaims them), a crash after it
+   replays *all* of it;
 3. **apply** — run the ops through the owning LibFS's no-descriptor
    entry points (each individually crash-consistent; replay converges
    over any partial prefix).  An overwrite of mapped bytes does not
    fence; the apply ends with one fence;
-4. **checkpoint** — clear ``tx_log_head`` and free the log pages, under
-   the free's one fence.
+4. **checkpoint** — clear ``tx_log_head`` under one fence, then free the
+   log pages (their bit clears ride the next fence).
+
+A commit of overwrites therefore costs three fences.
 
 Commits are serialized volume-wide (one ``tx_log_head``), so exactly one
 transaction is ever pending on a device.
@@ -74,6 +78,7 @@ from repro.tx.log import (
     TX_UNLINK,
     TxRecord,
     build_payload,
+    payload_tag,
     retire,
     seal,
     write_log,
@@ -363,7 +368,7 @@ class Tx:
                 pages = write_log(mgr.device, mgr.geom, mgr.alloc, payload)
             failpoints.hit("tx.pre_seal", self.txid)
             with obs.span("tx.seal", category="tx"):
-                seal(mgr.device, pages[0])
+                seal(mgr.device, pages[0], payload_tag(payload))
             failpoints.hit("tx.post_seal", self.txid)
             applied: List[TxRecord] = []
             try:

@@ -18,6 +18,12 @@ needs only one fence: the sealed log, not the apply, is what a crash
 recovers from, so a record that merely overwrites mapped bytes leaves
 its data unfenced until the apply's closing fence, which precedes the
 checkpoint's seal clear.
+
+A seal is only as good as its tag: the log and the seal share the seal's
+fence, so a crash before it can leave a seal on media over a torn log, or
+over a stale log on reused pages.  :func:`~repro.tx.log.parse_log` rejects
+both (no CRC equals the tag), and :func:`recover` discards them like any
+corrupt sealed log: the transaction shows none of its effects.
 """
 
 from __future__ import annotations
@@ -117,10 +123,11 @@ def recover(kernel) -> TxRecoveryOutcome:
     walk; the sealed chain's pages were kept out of the allocator rebuild's
     reclaim so the log is still intact here.  A valid log is replayed
     through a root-privileged internal LibFS and checkpointed; a sealed
-    but corrupt log (torn chain, bad CRC) is discarded — its seal is
-    cleared and its pages are freed.  Either way only pages the structural
-    walk gave no owner are freed: a stale or forged head can reach a live
-    file's data page, whose bytes may look like a log page.
+    but corrupt log (torn chain, bad CRC, a CRC that is not the seal's
+    tag) is discarded — its seal is cleared and its pages are freed.
+    Either way only pages the structural walk gave no owner are freed: a
+    stale or forged head can reach a live file's data page, whose bytes
+    may look like a log page.
     """
     outcome = TxRecoveryOutcome()
     if read_head(kernel.device) == 0:

@@ -354,10 +354,11 @@ class TestRecoveryHousekeeping:
 
 
 class TestBatchedFreeCrash:
-    """A truncate or unlink frees its pages in one batch under one fence.
-    A crash at any fence of either op — slots unmapped or not, the bitmap
-    batch torn across lines or not — mounts fsck-clean and shows the old
-    or the new file, never a third state."""
+    """A truncate or unlink frees its pages in one batch whose bit clears
+    ride the next fence, so they are judged at the op's return.  A crash
+    at any fence of either op or at its return — slots unmapped or not,
+    the bitmap batch torn across lines or not — mounts fsck-clean and
+    shows the old or the new file, never a third state."""
 
     BIG = bytes(range(256)) * (2 * 1024 * 1024 // 256)   # 2 MiB: 512 pages
     MULTI = b"m" * (5 * PAGE_SIZE + 7)
@@ -371,15 +372,16 @@ class TestBatchedFreeCrash:
         vol.close()
         return vol.device.durable_image()
 
-    def explore(self, op, judge):
+    def explore(self, op, judge, fences):
         """Run ``op`` once on a tracked mount of the base image and judge
-        the images of a crash at each fence it issues and at its return:
-        the durable floor, every dirty line at its newest version, and a
-        few random mixes of the two."""
+        the images of a crash at each of its ``fences`` fences and at its
+        return: the durable floor, every dirty line at its newest version,
+        and a few random mixes of the two."""
         vol = Volume.mount(self.base_image(), VolumeConfig(crash_tracking=True))
         session = vol.session("op", uid=0)
         points = explore(vol.device, lambda: op(session), judge, budget=5)
-        assert len(points) > 2, "the op issued no fence to crash at"
+        assert [p.fence for p in points] == [*range(1, fences + 1), None]
+        assert points[-1].states > 1, "no bit clear left to judge at return"
         return {v for p in points for v in p.verdicts}
 
     def test_shrink_2mib_to_4kib(self):
@@ -389,7 +391,7 @@ class TestBatchedFreeCrash:
             data = vol.session("r", uid=0).read_file("/big")
             assert data in (self.BIG, self.BIG[:PAGE_SIZE]), (point.fence, len(data))
             return len(data)
-        seen = self.explore(lambda s: s.truncate("/big", PAGE_SIZE), judge)
+        seen = self.explore(lambda s: s.truncate("/big", PAGE_SIZE), judge, 2)
         assert seen == {len(self.BIG), PAGE_SIZE}
 
     def test_unlink_multi_page_file(self):
@@ -401,5 +403,73 @@ class TestBatchedFreeCrash:
             if there:
                 assert s.read_file("/multi") == self.MULTI, point.fence
             return there
-        seen = self.explore(lambda s: s.unlink("/multi"), judge)
+        seen = self.explore(lambda s: s.unlink("/multi"), judge, 1)
         assert seen == {True, False}
+
+
+class TestCrashPastEOF:
+    """A crash before an append's size commits can leave its bytes durable
+    past the committed size: in the last page's tail, or on pages mapped
+    past it; a crash inside a shrink can leave pages mapped past it too.
+    Mount unmaps those pages and zeroes that tail, so a later extension
+    reads zeros, never the uncommitted bytes, and maps no page twice."""
+
+    @pytest.mark.parametrize("size,append", [(PAGE_SIZE, PAGE_SIZE), (100, 200),
+                                             (100, 2 * PAGE_SIZE)])
+    def test_extension_after_a_crash_mid_append_reads_zeros(self, size, append):
+        vol = Volume.create(4 << 20, VolumeConfig(crash_tracking=True, inode_count=32))
+        with vol.session("setup", uid=0) as s:
+            s.write_file("/f", b"a" * size)
+        vol.close()
+        vol = Volume.mount(vol.device.durable_image(), VolumeConfig(crash_tracking=True))
+        session = vol.session("op", uid=0)
+        grown = 4 * PAGE_SIZE
+        old = b"a" * size + bytes(grown - size)
+        new = b"a" * size + b"b" * append + bytes(grown - size - append)
+
+        def append_then_judge(dev, point):
+            mounted = Volume.mount(dev)
+            assert mounted.fsck().clean, point.fence
+            s = mounted.session("r", uid=0)
+            want = new if len(s.read_file("/f")) == size + append else old
+            s.truncate("/f", grown)
+            data = s.read_file("/f")
+            return None if data == want else (point.fence, data.count(b"b"))
+
+        def op():
+            fd = session.open("/f")
+            session.pwrite(fd, b"b" * append, size)
+            session.close(fd)
+
+        points = explore(vol.device, op, append_then_judge, budget=16)
+        assert len(points) > 1
+        assert [v for p in points for v in p.verdicts] == []
+
+    def test_a_torn_unmap_never_maps_a_page_twice(self):
+        """A shrink's slot clears span cache lines that persist in any
+        order: a crash can leave a cleared slot ahead of stale mapped ones.
+        A later append that fills up to them must not find them mapped."""
+        vol = Volume.create(4 << 20, VolumeConfig(crash_tracking=True, inode_count=32))
+        with vol.session("setup", uid=0) as s:
+            s.write_file("/f", b"x" * 20 * PAGE_SIZE)
+        vol.close()
+        vol = Volume.mount(vol.device.durable_image(), VolumeConfig(crash_tracking=True))
+        session = vol.session("op", uid=0)
+
+        def regrow_then_judge(dev, point):
+            mounted = Volume.mount(dev)
+            s = mounted.session("r", uid=0)
+            size = len(s.read_file("/f"))
+            fd = s.open("/f")
+            s.pwrite(fd, b"y" * 13 * PAGE_SIZE, size)
+            s.close(fd)
+            s.write_file("/g", b"g" * 8 * PAGE_SIZE)
+            report = mounted.fsck()
+            data = s.read_file("/f")
+            if report.clean and data == b"x" * size + b"y" * 13 * PAGE_SIZE:
+                return None
+            return (point.fence, size, sorted({f.cls for f in report.findings}))
+
+        points = explore(vol.device, lambda: session.truncate("/f", PAGE_SIZE),
+                         regrow_then_judge, budget=64)
+        assert [v for p in points for v in p.verdicts] == []

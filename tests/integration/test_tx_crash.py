@@ -21,7 +21,7 @@ from repro.fsck import F_TX_TORN, TX_CLASSES, run_fsck
 from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_KIND_TXLOG, PAGE_SIZE, PageHeader
-from repro.tx.log import read_head, seal
+from repro.tx.log import read_head, read_seal, seal
 
 SIZE = 4 * 1024 * 1024
 
@@ -247,7 +247,7 @@ class TestRecovery:
         with vol.session("app") as s:
             s.write_file("/keep", b"kept")
         dev = PMDevice.from_image(vol.device.durable_image())
-        seal(dev, 9_999_999)  # head pointing nowhere
+        seal(dev, 9_999_999, 0)  # head pointing nowhere
         mounted = Volume.mount(dev)
         assert mounted.recovery.tx_discarded == 1
         assert mounted.recovery.tx_replayed == 0
@@ -255,6 +255,33 @@ class TestRecovery:
         with mounted.session("check") as c:
             assert c.read_file("/keep") == b"kept"
         assert run_fsck(dev, repair=True).clean
+
+    def test_a_seal_whose_tag_is_not_the_log_crc_is_discarded(self):
+        """The log rides the seal's fence, so a crash before it can find
+        the seal on media over a torn log, or over a stale one on reused
+        pages: no CRC there equals the seal's tag, and mount discards it."""
+        vol = make_volume()
+        s = vol.session("app")
+        populate(s)
+        tx = stage_tx(s)
+        crash_at("tx.post_seal")
+        with pytest.raises(CrashPoint):
+            tx.commit()
+        failpoints.clear()
+        image = vol.device.durable_image()
+        replayed = Volume.mount(image)
+        with replayed.session("check") as c:
+            assert observed_state(c) == "all"
+        dev = PMDevice.from_image(image)
+        head, tag = read_seal(dev)
+        seal(dev, head, tag ^ 1)
+        mounted = Volume.mount(dev)
+        assert mounted.recovery.tx_discarded == 1
+        assert mounted.recovery.tx_replayed == 0
+        assert read_head(dev) == 0
+        with mounted.session("check") as c:
+            assert observed_state(c) == "none"
+        assert run_fsck(dev).clean
 
     @pytest.mark.parametrize("shape", ["directory-log", "log-like-data"])
     def test_sealed_head_on_a_live_page_frees_nothing(self, shape):
@@ -273,7 +300,7 @@ class TestRecovery:
         else:
             page = core.file_pages(core.read_inode(f_ino))[0]
         dev = PMDevice.from_image(vol.device.durable_image())
-        seal(dev, page)
+        seal(dev, page, 0)
         mounted = Volume.mount(dev)
         assert mounted.recovery.tx_discarded == 1
         assert read_head(dev) == 0

@@ -16,7 +16,6 @@ from repro.experiments import (
     FIG3_META_OPS,
     FIG3_PAPER,
     FENCES_PER_OP,
-    FENCES_UNNEEDED,
     FIG4_RIVALS,
     FSCK_WORKERS,
     SEED_PWRITE_1MIB,
@@ -59,8 +58,7 @@ def _fsck(total_ms, scan_ms):
 
 
 def _fences():
-    """The audit after the merges: every needed fence flagged, none left
-    over, the unneeded ones harmless."""
+    """The audit after the merges: every fence flagged as needed."""
     append = ["CoreState.append_dentry"] * 2
     lines = ["self.mem.sfence()  # the ArckFS+ one-line patch (§4.2)",
              "self.mem.sfence()"]
@@ -76,8 +74,6 @@ def _fences():
             out[name] = {"sites": [f"CoreState.{name}"] * count,
                          "lines": ["self.mem.sfence()"] * count, "baseline": None,
                          "skipped": ["at return: file /d/data size 4096"] * count}
-        for k in FENCES_UNNEEDED.get(name, ()):
-            out[name]["skipped"][k - 1] = None
     return out
 
 
@@ -142,13 +138,13 @@ CASES = {
                              "cache_hits": 1, "validations": 16, "read_back": True}},
               ("drbh", "arckfs+", "read_lock_acquisitions"), 64,
               "DRBH arckfs+: 64 read locks (want 0)"),
-    "tx": ({str(n): {"per_op_fences": per_op, "tx_seal_fences": 3,
-                     "overwrite_commit_fences": 4,
+    "tx": ({str(n): {"per_op_fences": per_op, "tx_seal_fences": 2,
+                     "overwrite_commit_fences": 3,
                      "log_pages": 5, "log_bytes": 19588}
-            for n, per_op in ((1, 12), (4, 36), (16, 132), (64, 518))},
-           ("64", "overwrite_commit_fences"), 5,
+            for n, per_op in ((1, 11), (4, 32), (16, 116), (64, 454))},
+           ("64", "overwrite_commit_fences"), 4,
            "overwrite commit fences grow with the batch: "
-           "{1: 4, 4: 4, 16: 4, 64: 5}"),
+           "{1: 3, 4: 3, 16: 3, 64: 4}"),
     "striping": ({"modeled_gbps": {"write": _sweep(7.99, 15.97, 31.89, 63.57),
                                    "read": _sweep(9.99, 19.95, 39.80, 79.21)},
                   "fanout": {"devices": 4, "bytes_stored": [1049000, 1048576] * 2,
@@ -178,9 +174,13 @@ CASES = {
 MORE_CASES = [
     ("alloc", ("after_extent", "pool_refills"), 1,
      "after a 128-page extent, a 4-page alloc: 1 refills, 0 fences (want 0, 0)"),
-    ("fences", ("truncate", "skipped", 2), "at return: x",
-     "truncate: skipping fence 3 (CoreState.truncate) found at return: x, "
-     "listed unneeded"),
+    ("fences", ("tx3", "skipped", 2), None,
+     "tx3: skipping fence 3 (CoreState.tx3) found no violating image"),
+    ("fences", ("truncate", "baseline"), "at return: raw fsck page-unallocated",
+     "truncate: violating image with every fence taken: "
+     "at return: raw fsck page-unallocated"),
+    ("tx", ("1", "overwrite_commit_fences"), 4,
+     "overwrite commit fences 4 at batch 1 (want <= 3)"),
 ]
 
 

@@ -480,8 +480,8 @@ def test_one_module_judges_an_inodes_shape():
 
 def test_pages_are_freed_a_batch_at_a_time():
     """``PageAllocator.free(*pages)`` takes a whole batch under one lock and
-    one fence; a page free inside a loop pays both per page again (a 512 KiB
-    truncate used to issue 129 fences)."""
+    one store per bitmap run; a page free inside a loop pays both per page
+    again (a 512 KiB truncate used to issue 129 fences)."""
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
 
     def is_page_free(node):  # <...>.alloc.free(...) or alloc.free(...)
