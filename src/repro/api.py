@@ -176,12 +176,14 @@ class Session:
         :class:`~repro.tx.manager.TxManager` anywhere else is banned by
         ruff TID251 — this facade is the wiring layer.
         """
-        from repro.tx.manager import TxManager
-
         if self._txm is None:
+            from repro.tx.manager import TxManager
+
             self._txm = TxManager(self.fs)
-        with obs.scoped_context(**self.labels):
-            return self._txm.begin()
+        if obs.enabled:
+            with obs.scoped_context(**self.labels):
+                return self._txm.begin()
+        return self._txm.begin()
 
     def shutdown(self) -> None:
         """Tear the application down; idempotent and race-safe.

@@ -1003,13 +1003,14 @@ def _ablation_run():
         return (vol.device.stats.fences - f0) / 16
 
     def rcu_sections_per_open(vol, fs):
-        # 5 deep, but the walk is remembered: a repeated open enters one
-        # read-side section, for the leaf.
+        # 5 deep, but the parent's walk is remembered: a first open enters
+        # one read-side section, for the leaf, and a repeat enters none.
         fs.makedirs("/a/b/c/d")
-        fs.write_file("/a/b/c/d/x", b"p")
+        for i in range(16):
+            fs.write_file(f"/a/b/c/d/x{i}", b"p")
         r0 = fs.rcu.read_sections
-        for _ in range(16):
-            fs.close(fs.open("/a/b/c/d/x"))
+        for i in range(16):
+            fs.close(fs.open(f"/a/b/c/d/x{i}"))
         return (fs.rcu.read_sections - r0) / 16
 
     def bucket_locks_per_release(vol, fs):

@@ -141,12 +141,13 @@ class LibFS:
         self._mapped: Dict[int, MemInode] = {}
         self._inode_order = itertools.count()
         self._inodes_lock = threading.RLock()
-        #: remembered walks: a directory's components -> the chain
-        #: ``((root, version), ..., (dir, version))`` that resolved them
-        #: (``_resolve_dir``); one per directory, keyed by ``MemInode.walk``.
+        #: remembered walks: a name's components -> the chain
+        #: ``((root, version), ..., (inode, version))`` that resolved them
+        #: (``_resolve``); one per member of ``_inodes``, keyed by
+        #: ``MemInode.walk``.
         self._walks: Dict[Tuple[str, ...], Tuple[Tuple[MemInode, int], ...]] = {}
         #: bumped (under ``_inodes_lock``) where this LibFS moves or removes
-        #: a directory's dentry: a walk that overlapped is not remembered.
+        #: a dentry: a walk that overlapped is not remembered.
         self._walk_seq = 0
 
     @property
@@ -165,6 +166,8 @@ class LibFS:
         """Enter a just-mapped MemInode into ``_inodes`` (lock held); for
         one already there this only indexes it as mapped again."""
         old = self._inodes.get(mi.ino)
+        if old is not None and old is not mi:
+            self._walks.pop(old.walk, None)  # the slot is another inode's now
         # ``order`` is the position in ``_inodes``: overwriting a key keeps
         # the dict slot, so it keeps the stamp too.
         mi.order = old.order if old is not None else next(self._inode_order)
@@ -302,51 +305,93 @@ class LibFS:
         self._stats.inc("lookups")
         return dir_mi.dir.lookup(name)
 
-    def _resolve_dir(self, comps: Tuple[str, ...]) -> MemInode:
-        """Walk ``comps`` (which must name a directory), attaching as needed.
+    def _resolve(self, comps: Tuple[str, ...], write: bool = False) -> MemInode:
+        """The inode ``comps`` names, attached as needed: a file for write
+        at once with ``write`` (one acquisition, not a read one first)."""
+        seq = self._walk_seq  # read before anything the walk relies on
+        walk, node = self._walk(comps, seq)
+        if node is None:  # remembered
+            mi = walk[-1][0]
+            return self._attach(mi.ino, write=True) if write and not mi.is_dir else mi
+        if write and node.itype != ITYPE_DIR:
+            mi = self._attach(node.ino, write=True)
+        else:
+            mi = self._get_for_read(node.ino)
+        self._extend(seq, comps, walk, mi)
+        return mi
 
-        A remembered walk answers instead iff every directory on it is
-        still the MemInode known for its inode, holds the image the walk
-        read (same ``aux_version``: not rebuilt since) and that image may
-        answer by :meth:`_get_for_read`'s rule — another application's
-        rename or rmdir had to write-acquire an ancestor, which moved its
-        version; this LibFS's own drop the walks where the dentry moves
-        (DESIGN §5 "When a remembered walk may answer").
+    def _walk(self, comps: Tuple[str, ...], seq: int):
+        """``(walk, None)`` when ``comps``' own remembered walk answers (the
+        root always does), else ``(the walk to its parent, its dentry)``.
+
+        A remembered walk answers iff every member on it — the named inode
+        included — is still the MemInode known for its inode, holds the
+        image the walk read (same ``aux_version``: not rebuilt since) and
+        that image may answer by :meth:`_get_for_read`'s rule: another
+        application's write, rename or removal had to write-acquire the
+        inode or the directory holding its dentry, which moved that
+        version; this LibFS's own moves drop the walks where the dentry
+        leaves (DESIGN §5 "When a remembered walk may answer").  A miss
+        extends the longest prefix whose walk still answers, one lookup per
+        name, remembering each directory's walk it makes; the leaf is left
+        to the caller, who attaches it as it needs.
         """
-        walk = self._walks.get(comps)
-        if walk is not None:
-            valid = self.kernel.readcache.valid
-            with self._inodes_lock:
-                for mi, version in walk:
-                    if self._inodes.get(mi.ino) is not mi \
-                            or mi.aux_version != version \
-                            or not (mi.owned or valid(mi.ino, version)):
-                        self._walks.pop(comps, None)
-                        break
-                else:
-                    return walk[-1][0]
-        seq = self._walk_seq
-        cur = self._get_for_read(ROOT_INO)
-        walk = [(cur, cur.aux_version)]  # read before the image is consulted
-        for comp in comps:
-            if not cur.is_dir:
-                raise NotADir(paths.join(comps))
-            node = self._lookup_node(cur, comp.encode())
-            if node is None:
-                raise NoEntry(paths.join(comps))
-            if node.itype != ITYPE_DIR:
-                raise NotADir(paths.join(comps))
-            child = self._get_for_read(node.ino)
-            child.parent_ino = cur.ino
-            cur = child
-            walk.append((cur, cur.aux_version))
+        valid = self.kernel.readcache.valid
+        depth, walk = len(comps), None
         with self._inodes_lock:
-            if comps and seq == self._walk_seq:
-                if cur.walk is not None:
-                    self._walks.pop(cur.walk, None)  # known by another name
-                self._walks[comps] = tuple(walk)
-                cur.walk = comps
-        return cur
+            while depth:
+                walk = self._walks.get(comps[:depth])
+                if walk is not None:
+                    for mi, version in walk:
+                        if self._inodes.get(mi.ino) is not mi \
+                                or mi.aux_version != version \
+                                or not (mi.owned or valid(mi.ino, version)):
+                            self._walks.pop(comps[:depth], None)
+                            break
+                    else:
+                        break
+                depth -= 1
+        if depth == len(comps) and walk is not None:
+            return walk, None
+        if not depth:
+            root = self._get_for_read(ROOT_INO)
+            walk = ((root, root.aux_version),)  # read before the image is consulted
+            if not comps:
+                return walk, None
+        while True:
+            depth += 1
+            cur = walk[-1][0]
+            if not cur.is_dir:
+                raise NotADir(paths.join(comps[:depth - 1]))
+            node = self._lookup_node(cur, comps[depth - 1].encode())
+            if node is None:
+                raise NoEntry(paths.join(comps[:depth]))
+            if depth == len(comps):
+                return walk, node
+            if node.itype != ITYPE_DIR:
+                raise NotADir(paths.join(comps[:depth]))
+            walk = self._extend(seq, comps[:depth], walk,
+                                self._get_for_read(node.ino))
+
+    def _extend(self, seq: int, comps: Tuple[str, ...], walk, mi: MemInode):
+        """``walk`` extended by ``mi``, which ``comps`` named; remembered
+        unless ``_walk_seq`` moved since ``seq`` or ``mi`` was replaced."""
+        mi.parent_ino = walk[-1][0].ino
+        walk += ((mi, mi.aux_version),)
+        with self._inodes_lock:
+            if seq == self._walk_seq and self._inodes.get(mi.ino) is mi:
+                if mi.walk is not None:
+                    self._walks.pop(mi.walk, None)  # known by another name
+                self._walks[comps] = walk
+                mi.walk = comps
+        return walk
+
+    def _resolve_dir(self, comps: Tuple[str, ...]) -> MemInode:
+        """:meth:`_resolve`, for a name that must be a directory."""
+        mi = self._resolve(comps)
+        if not mi.is_dir:
+            raise NotADir(paths.join(comps))
+        return mi
 
     def _resolve_parent(self, comps: Tuple[str, ...]) -> Tuple[MemInode, bytes]:
         if not comps:
@@ -479,16 +524,14 @@ class LibFS:
     @traced_syscall("open")
     def open(self, path: str, create: bool = False, mode: int = 0o664) -> int:
         comps = paths.parse(path)
-        parent, name = self._resolve_parent(comps)
-        node = self._lookup_node(parent, name)
-        if node is None:
+        try:
+            mi = self._resolve(comps)
+        except NoEntry:
             if create:
                 return self._creat(comps, mode)
-            raise NoEntry(paths.join(comps))
-        if node.itype == ITYPE_DIR:
+            raise
+        if mi.is_dir:
             raise IsADir(paths.join(comps))
-        mi = self._get_for_read(node.ino)
-        mi.parent_ino = parent.ino
         self._stats.inc("opens")
         return self.fdtable.install(mi, paths.join(comps)).fd
 
@@ -500,15 +543,7 @@ class LibFS:
     def stat(self, path: str) -> StatResult:
         comps = paths.parse(path)
         self._stats.inc("stats_")
-        if not comps:
-            mi = self._get_for_read(ROOT_INO)
-        else:
-            parent, name = self._resolve_parent(comps)
-            node = self._lookup_node(parent, name)
-            if node is None:
-                raise NoEntry(paths.join(comps))
-            mi = self._get_for_read(node.ino)
-            mi.parent_ino = parent.ino
+        mi = self._resolve(comps)
         # §4.3 patch: served entirely from cached in-memory inode state.
         return StatResult(
             ino=mi.ino, itype=mi.itype, size=mi.size, mode=mi.mode,
@@ -559,16 +594,14 @@ class LibFS:
         whole batch.  One that maps pages or raises the size still fences
         its data before that metadata, as ``pwrite`` does."""
         comps = paths.parse(path)
-        parent, name = self._resolve_parent(comps)
-        node = self._lookup_node(parent, name)
-        if node is None:
+        try:
+            mi = self._resolve(comps, write=True)
+        except NoEntry:
             mi = self._create_common(comps, 0o664, ITYPE_FILE)
             self._stats.inc("creates")
-        elif node.itype == ITYPE_DIR:
-            raise IsADir(paths.join(comps))
         else:
-            mi = self._attach(node.ino, write=True)
-            mi.parent_ino = parent.ino
+            if mi.is_dir:
+                raise IsADir(paths.join(comps))
         return self._pwrite(mi, data, offset, sync=False)
 
     def _pwrite(self, mi: MemInode, data: bytes, offset: int,
@@ -709,15 +742,11 @@ class LibFS:
         """Set a file's length: a shrink unmaps the trailing pages, an
         extension reads as zeros."""
         comps = paths.parse(path)
-        parent, name = self._resolve_parent(comps)
-        node = self._lookup_node(parent, name)
-        if node is None:
-            raise NoEntry(paths.join(comps))
-        if node.itype == ITYPE_DIR:
-            raise IsADir(paths.join(comps))
         if size < 0:
             raise InvalidArgument("negative size")
-        mi = self._attach(node.ino, write=True)
+        mi = self._resolve(comps, write=True)
+        if mi.is_dir:
+            raise IsADir(paths.join(comps))
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
         try:
@@ -782,6 +811,11 @@ class LibFS:
                 raise IsADir(path)
             ino, loc = node.ino, node.loc
             parent.dir.remove_locked(name)
+            with self._inodes_lock:
+                self._walk_seq += 1  # as in rmdir: the walk goes now
+                mi = self._inodes.get(ino)
+                if mi is not None:
+                    self._walks.pop(mi.walk, None)
             failpoints.hit("dir.write_mid", path)
             if loc is None:
                 # §4.4: the auxiliary state says the entry exists, the core
@@ -931,14 +965,7 @@ class LibFS:
 
     def _commit_path_chain(self, comps: Tuple[str, ...]) -> None:
         """Commit every directory from the root down to ``comps``."""
-        chain = [ROOT_INO]
-        cur = self._get_for_read(ROOT_INO)
-        for comp in comps:
-            node = self._lookup_node(cur, comp.encode())
-            if node is None:
-                raise NoEntry(paths.join(comps))
-            chain.append(node.ino)
-            cur = self._get_for_read(node.ino)
+        chain = [self._resolve(comps[:depth]).ino for depth in range(len(comps) + 1)]
         for ino in chain:
             self._attach(ino, write=True)
             self.kernel.commit(self.app_id, ino)
@@ -986,19 +1013,21 @@ class LibFS:
             ino, moved_dir = src.ino, src.itype == ITYPE_DIR
             old_parent.dir.remove_locked(oldname)
             with self._inodes_lock:
+                # The old name (and, for a directory, every name under it)
+                # stopped resolving just now: forget the walks that end at
+                # or pass through the child, remember none that may have
+                # seen the old link.  Any earlier and a re-resolution under
+                # the lease (§4.6 case 1) could be answered a pre-move chain.
+                self._walk_seq += 1
                 child_mi = self._inodes.get(ino)
                 if child_mi is not None:
                     child_mi.parent_ino = new_parent.ino
                 if moved_dir:
-                    # Names under the old one stopped resolving just now:
-                    # forget the walks through the directory, remember none
-                    # that may have seen the old link.  Any earlier and a
-                    # re-resolution under the lease (§4.6 case 1) could be
-                    # answered a pre-move chain.
-                    self._walk_seq += 1
                     for comps in [c for c, walk in self._walks.items()
                                   if any(mi.ino == ino for mi, _v in walk)]:
                         del self._walks[comps]
+                elif child_mi is not None:
+                    self._walks.pop(child_mi.walk, None)
         finally:
             for _key, bucket in reversed(locks):
                 bucket.lock.release()
@@ -1008,15 +1037,10 @@ class LibFS:
     # ================================================================== #
 
     def path_ino(self, path: str) -> int:
-        """The inode ``path`` names now (for the by-inode ownership verbs)."""
-        comps = paths.parse(path)
-        if not comps:
-            return ROOT_INO
-        parent, name = self._resolve_parent(comps)
-        node = self._lookup_node(parent, name)
-        if node is None:
-            raise NoEntry(paths.join(comps))
-        return node.ino
+        """The inode ``path`` names now (for the by-inode ownership verbs),
+        unattached: each verb attaches it as it needs."""
+        walk, node = self._walk(paths.parse(path), self._walk_seq)
+        return (walk[-1][0] if node is None else node).ino
 
     @traced_syscall("commit_path")
     def commit_path(self, path: str) -> None:
@@ -1174,8 +1198,9 @@ class LibFS:
     def makedirs(self, path: str) -> None:
         comps = paths.parse(path)
         for depth in range(1, len(comps) + 1):
-            parent, name = self._resolve_parent(comps[:depth])
-            if self._lookup_node(parent, name) is None:
+            try:
+                self._resolve(comps[:depth])
+            except NoEntry:
                 self._mkdir(comps[:depth])
 
     def quiesce(self) -> None:

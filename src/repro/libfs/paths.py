@@ -12,14 +12,19 @@ case-(2) descendant check is ``newc[:len(oldc)] == oldc``).
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Tuple
 
 from repro.errors import InvalidArgument, NameTooLong
 from repro.pm.layout import MAX_NAME
 
 
+@functools.lru_cache(maxsize=4096)
 def parse(path: str) -> Tuple[str, ...]:
-    """Validate ``path`` and return its name components ('/' -> ())."""
+    """Validate ``path`` and return its name components ('/' -> ()).
+
+    Memoized: a pure function of its argument that returns a tuple, and a
+    call that raises is not cached, so every bad spelling still raises."""
     if not path or not path.startswith("/"):
         raise InvalidArgument(f"path must be absolute: {path!r}")
     if "\0" in path:

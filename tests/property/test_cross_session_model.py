@@ -9,10 +9,11 @@ answer.  An inode the other session still holds surfaces as
 (``VolumeServer._run_op``): the named holder releases, the op runs again.
 
 Paths are up to three components deep and whole directories move and go,
-so a walk one session remembers (``LibFS._resolve_dir``) meets the other
-session's rename or removal of a directory *above* the one it ends at: the
-old name must then be ``NoEntry`` — never the bytes still reachable through
-the remembered chain — and the new name must answer.
+so a walk one session remembers (``LibFS._resolve``, which reaches the
+file itself) meets the other session's rename or removal of a directory
+*above* the one it ends at, or of the file it names: the old name must
+then be ``NoEntry`` — never the bytes still reachable through the
+remembered chain — and the new name must answer.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -120,6 +121,11 @@ def apply(sessions, who, model, op):
     (0, ("unlink", "/d0/sub/a")), (0, ("rmdir", "/d0/sub")),
     (1, ("read", "/d0/sub/a")), (0, ("mkdir", "/d0/sub")),
     (0, ("create", "/d0/sub/a", b"new")), (1, ("read", "/d0/sub/a"))])
+@example(steps=[  # B remembers the file itself; A unlinks and re-creates it
+    (0, ("create", "/d0/a", b"first")), (0, ("release_all",)),
+    (1, ("read", "/d0/a")), (1, ("release_all",)),
+    (0, ("unlink", "/d0/a")), (0, ("create", "/d0/a", b"second")),
+    (0, ("release_all",)), (1, ("read", "/d0/a"))])
 def test_two_sessions_agree_with_one_model(steps):
     vol = Volume.create(16 << 20, VolumeConfig(inode_count=128))
     sessions = [vol.session("a", uid=0), vol.session("b", uid=0)]

@@ -23,7 +23,7 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
 * a path is validated once, where it enters: ``paths.parse`` is the only
   routine that can refuse one and only LibFS's public operations call it —
   everything below takes the component tuple; a remembered walk is stored
-  and dropped in four places and consulted in one, which no flag guards;
+  and dropped in seven places and consulted in one, which no flag guards;
 * every option is a field of one of five dataclasses, so the census below
   makes the next one a visible diff, and ``libfs/`` and ``kernel/`` read
   nothing off their ``config`` but those fields;
@@ -197,7 +197,7 @@ def test_a_path_is_parsed_where_it_enters_and_nowhere_below():
     assert parsers and not [fn for fn in parsers if fn.startswith("_")], parsers
 
 
-def test_remembered_walks_change_in_four_places_and_answer_in_one():
+def test_remembered_walks_change_in_seven_places_and_answer_in_walk():
     tree = dict(_modules())["libfs/libfs.py"]
 
     def mutates_walks(fn):  # self._walks[...] = / del ..., or .pop() & co
@@ -208,12 +208,13 @@ def test_remembered_walks_change_in_four_places_and_answer_in_one():
             and n.func.value.attr == "_walks" for n in ast.walk(fn))
 
     assert sorted(fn.name for fn in _functions(tree) if mutates_walks(fn)) == [
-        "__init__", "_apply_rename", "_invalidate_aux", "_resolve_dir", "rmdir"]
+        "__init__", "_apply_rename", "_extend", "_invalidate_aux", "_remember",
+        "_walk", "rmdir", "unlink"]
     readers = [fn.name for fn in _functions(tree)
                if any(isinstance(n, ast.Attribute) and n.attr == "_walks"
                       for n in ast.walk(fn)) and not mutates_walks(fn)]
     assert readers == [], readers
-    (fn,) = [fn for fn in _functions(tree) if fn.name == "_resolve_dir"]
+    (fn,) = [fn for fn in _functions(tree) if fn.name == "_walk"]
     assert "config" not in {n.attr for n in ast.walk(fn)
                             if isinstance(n, ast.Attribute)}
 

@@ -1,11 +1,14 @@
-"""A path is resolved once: one parse per op, a remembered walk that answers
-only while every directory on it provably may, buckets born on first insert.
+"""A path is resolved once: one parse per op, a remembered walk — to a
+file or a directory — that answers only while every inode on it provably
+may, buckets born on first insert.
 
-The two ways a remembered walk goes stale each get a reproducer — another
-session moving an ancestor (the kernel's per-inode version says so), and
-this LibFS's own rename overlapping a walk in another thread (the walk
-sequence says so) — and the costs the cache is there to cut are counted,
-not timed.
+The ways a remembered walk goes stale each get a reproducer — another
+session moving, removing or writing an ancestor or the named file itself
+(the kernel's per-inode version says so), this LibFS's own unlink or
+rename (dropped where the dentry leaves), and its own rename overlapping a
+walk in another thread (the walk sequence says so).  Each must resolve to
+the current inode or to ``NoEntry``, never to a stale one.  The costs the
+cache is there to cut are counted, not timed.
 """
 
 import threading
@@ -24,6 +27,14 @@ from tests.conftest import build_fs
 
 def second_app(kernel, app_id="app2"):
     return LibFS(kernel, app_id, uid=1000, config=kernel.config)
+
+
+def current(fs, path):
+    """The MemInode ``path`` resolves to, checked to be the one ``fs``
+    holds for that inode now."""
+    mi = fs._resolve(paths.parse(path))
+    assert fs._inodes[mi.ino] is mi
+    return mi
 
 
 class TestStaleness:
@@ -90,6 +101,172 @@ class TestStaleness:
             fs.stat("/a/b/f")
         assert fs.stat("/c/b/f").size == 1
 
+    def test_walk_overlapping_an_own_file_rename_is_not_remembered(self):
+        """As above, for a walk to the file itself: the resolver has read
+        ``f`` out of /a when the rename moves it."""
+        _dev, kernel, setup = build_fs()
+        setup.mkdir("/a")
+        setup.write_file("/a/f", b"x")
+        setup.release_all()
+        fs = second_app(kernel)
+        fs.stat("/a")  # remembers /a, not /a/f
+        exc_stat, exc_rename = race(
+            first=lambda: fs.stat("/a/f"),
+            second=lambda: fs.rename("/a/f", "/a/g"),
+            parkpoint="dir.bucket_traverse",
+            predicate=lambda node: node.name == b"f",
+        )
+        assert exc_stat is None and exc_rename is None
+        assert ("a", "f") not in fs._walks
+        with pytest.raises(NoEntry):
+            fs.stat("/a/f")
+        assert current(fs, "/a/g").size == 1
+
+    def test_walk_overlapping_an_own_unlink_is_not_remembered(self):
+        """The resolver has read ``f`` out of /a when the unlink removes it
+        and frees the inode: what it attaches next must not be remembered
+        under the name."""
+        _dev, kernel, setup = build_fs()
+        setup.mkdir("/a")
+        setup.write_file("/a/f", b"x")
+        setup.release_all()
+        fs = second_app(kernel)
+        fs.stat("/a")
+        _exc_stat, exc_unlink = race(
+            first=lambda: fs.stat("/a/f"),
+            second=lambda: fs.unlink("/a/f"),
+            parkpoint="dir.bucket_traverse",
+            predicate=lambda node: node.name == b"f",
+        )
+        assert exc_unlink is None
+        assert ("a", "f") not in fs._walks
+        with pytest.raises(NoEntry):
+            fs.stat("/a/f")
+
+    def test_a_remembered_walk_stops_answering_when_an_own_unlink_removes_the_name(self):
+        """The unlink has taken ``f`` out of /a and not yet freed the inode
+        when another thread of the same LibFS resolves the name: the walk
+        it remembered must not hand it the inode being freed."""
+        _dev, kernel, setup = build_fs()
+        setup.mkdir("/a")
+        setup.write_file("/a/f", b"x")
+        setup.release_all()
+        fs = second_app(kernel)
+        fs.stat("/a/f")
+        assert ("a", "f") in fs._walks
+        exc_unlink, exc_stat = race(
+            first=lambda: fs.unlink("/a/f"),
+            second=lambda: fs.stat("/a/f"),
+            parkpoint="dir.write_mid",
+            predicate=lambda path: path == "/a/f",
+        )
+        assert exc_unlink is None and isinstance(exc_stat, NoEntry)
+
+    def test_a_write_by_path_racing_an_own_unlink_lands_in_a_new_file(self):
+        """As above, for ``pwrite_path``: a walk that still answered would
+        put the bytes in the file being freed, and they would be lost."""
+        _dev, kernel, setup = build_fs()
+        setup.mkdir("/a")
+        setup.write_file("/a/f", b"x")
+        setup.release_all()
+        fs = second_app(kernel)
+        fs.stat("/a/f")
+        exc_unlink, exc_write = race(
+            first=lambda: fs.unlink("/a/f"),
+            second=lambda: fs.pwrite_path("/a/f", b"kept", 0),
+            parkpoint="dir.write_mid",
+            predicate=lambda path: path == "/a/f",
+        )
+        assert exc_unlink is None and exc_write is None
+        assert fs.read_file("/a/f") == b"kept"
+        assert current(fs, "/a/f").size == 4
+
+    def test_own_unlink_and_recreate(self, fs):
+        fs.mkdir("/d")
+        fs.write_file("/d/f", b"first")
+        old = current(fs, "/d/f")
+        assert fs._walks[("d", "f")][-1][0] is old
+        fs.unlink("/d/f")
+        assert ("d", "f") not in fs._walks
+        with pytest.raises(NoEntry):
+            fs.stat("/d/f")
+        fs.write_file("/d/f", b"second!")
+        assert current(fs, "/d/f") is not old
+        assert fs.stat("/d/f").size == 7 and fs.read_file("/d/f") == b"second!"
+
+    def test_own_file_rename_away_and_back(self, fs):
+        """Every member of the old name's walk stays owned and current
+        across a file rename: only the rename itself can drop it."""
+        fs.mkdir("/d")
+        fs.write_file("/d/f", b"x")
+        ino = current(fs, "/d/f").ino
+        fs.rename("/d/f", "/d/g")
+        assert ("d", "f") not in fs._walks
+        with pytest.raises(NoEntry):
+            fs.stat("/d/f")
+        assert current(fs, "/d/g").ino == ino
+        fs.rename("/d/g", "/d/f")
+        with pytest.raises(NoEntry):
+            fs.stat("/d/g")
+        assert current(fs, "/d/f").ino == ino
+        assert fs.read_file("/d/f") == b"x"
+
+    def test_file_unlinked_recreated_and_renamed_by_another_session(self):
+        _dev, kernel, a = build_fs()
+        b = second_app(kernel)
+        a.mkdir("/d")
+        a.write_file("/d/f", b"one")
+        a.release_all()
+        first = current(b, "/d/f")
+        assert ("d", "f") in b._walks
+        b.release_all()
+        a.unlink("/d/f")
+        a.release_all()
+        with pytest.raises(NoEntry):
+            b.stat("/d/f")
+        b.release_all()
+        a.write_file("/d/f", b"two!")
+        a.release_all()
+        assert b.read_file("/d/f") == b"two!"
+        second = current(b, "/d/f")
+        assert second.ino != first.ino or second.gen != first.gen
+        b.release_all()
+        a.rename("/d/f", "/d/g")
+        a.release_all()
+        with pytest.raises(NoEntry):
+            b.stat("/d/f")
+        assert b.read_file("/d/g") == b"two!"
+
+    def test_file_written_by_another_session(self):
+        """The directories on B's walk are untouched; the file's own
+        version moved."""
+        _dev, kernel, a = build_fs()
+        b = second_app(kernel)
+        a.mkdir("/d")
+        a.write_file("/d/f", b"short")
+        a.release_all()
+        assert b.stat("/d/f").size == 5
+        a.write_file("/d/f", b"a good deal longer")
+        a.release_all()
+        assert b.stat("/d/f").size == 18
+        assert b.read_file("/d/f") == b"a good deal longer"
+
+    def test_walks_stay_bounded_by_the_inodes_kept(self):
+        """Another session reuses an inode slot under a new name each
+        round: the walk to the old name goes with the MemInode it ends at."""
+        _dev, kernel, a = build_fs()
+        b = second_app(kernel)
+        a.mkdir("/d")
+        a.release_all()
+        for i in range(40):
+            a.write_file(f"/d/f{i}", b"x")
+            a.release_all()
+            assert b.stat(f"/d/f{i}").size == 1
+            b.release_all()
+            a.unlink(f"/d/f{i}")
+            a.release_all()
+        assert len(b._walks) <= len(b._inodes)
+
     def test_own_rename_and_rmdir_forget_the_walks_through_the_directory(self, fs):
         fs.makedirs("/a/b/c")
         fs.mkdir("/z")
@@ -141,14 +318,25 @@ class TestCounts:
             op(fs)
             assert len(calls) == expected, (name, calls)
 
-    def test_a_repeated_parent_costs_one_lookup(self, fs):
+    def test_a_repeated_name_costs_its_first_walk_once(self, fs):
+        """A first resolution extends the parent's walk by one lookup; a
+        repeat costs no lookup and no RCU read-side section."""
         fs.mkdir("/d")
         fs.write_file("/d/f", b"x")
+        fs.write_file("/d/g", b"x")
         fs._walks.clear()
         before = fs.stats.lookups
         for _ in range(50):
             fs.stat("/d/f")
-        assert fs.stats.lookups - before == 50 + 1
+        assert fs.stats.lookups - before == 2  # d, then f
+        sections, before = fs.rcu.read_sections, fs.stats.lookups
+        fs.stat("/d/g")
+        assert fs.stats.lookups - before == 1
+        for _ in range(50):
+            fs.stat("/d/g")
+            fs.stat("/d/f")
+        assert fs.stats.lookups - before == 1
+        assert fs.rcu.read_sections - sections == 1
 
     def test_a_hit_validates_what_the_walk_validated(self, fsx):
         """Not owned, every directory of the chain is asked the kernel's
