@@ -11,9 +11,11 @@ This is an epoch-based userspace RCU:
 * each reader records the epoch at ``read_lock`` in a per-thread slot;
 * ``synchronize`` bumps the epoch and waits until no reader registered under
   an older epoch remains;
-* ``call_rcu(fn)`` enqueues a callback to run after the current readers are
-  gone; callbacks run inside the next ``synchronize`` (or explicitly via
-  ``barrier``).
+* ``call_rcu(fn)`` runs ``fn`` at once if no reader is inside, else queues
+  it for the next ``synchronize``, ``barrier`` or reader-free ``call_rcu``.
+
+One plain lock guards the state; only a waiting ``synchronize`` builds a
+Condition over it, and only then does ``read_unlock`` notify.
 
 Tests assert the central safety property directly: a node freed via
 ``call_rcu`` is never reclaimed while any reader that started before the
@@ -31,7 +33,11 @@ class RCU:
 
     def __init__(self, name: str = "rcu"):
         self.name = name
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: built over ``_lock`` by the first ``synchronize`` that has to wait
+        self._cond: Optional[threading.Condition] = None
+        #: ``synchronize`` calls blocked on ``_cond``; read_unlock notifies if > 0
+        self._waiters = 0
         self._epoch = 1
         #: thread ident -> (epoch at read_lock, nesting depth)
         self._readers: Dict[int, Tuple[int, int]] = {}
@@ -48,7 +54,7 @@ class RCU:
 
     def read_lock(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._lock:
             entry = self._readers.get(me)
             if entry is None:
                 self._readers[me] = (self._epoch, 1)
@@ -59,7 +65,7 @@ class RCU:
 
     def read_unlock(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._lock:
             entry = self._readers.get(me)
             if entry is None:
                 raise RuntimeError(f"{self.name}: read_unlock outside critical section")
@@ -68,7 +74,8 @@ class RCU:
                 self._readers[me] = (epoch, depth - 1)
             else:
                 del self._readers[me]
-                self._cond.notify_all()
+                if self._waiters:
+                    self._cond.notify_all()
 
     def in_read_section(self) -> bool:
         return threading.get_ident() in self._readers
@@ -92,9 +99,16 @@ class RCU:
     # ------------------------------------------------------------------ #
 
     def call_rcu(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after a grace period (deferred free)."""
-        with self._cond:
-            self._callbacks.append((self._epoch, callback))
+        """Run ``callback`` after a grace period (deferred free): at once,
+        with every callback already queued, when no reader is inside."""
+        with self._lock:
+            if self._readers:
+                self._callbacks.append((self._epoch, callback))
+                return
+            ripe, self._callbacks = self._callbacks, []
+        for _e, cb in ripe:
+            cb()
+        callback()
 
     def synchronize(self, timeout: Optional[float] = 10.0) -> None:
         """Wait for a full grace period, then run ripe callbacks.
@@ -104,17 +118,25 @@ class RCU:
         not be inside a read-side critical section (checked).
         """
         me = threading.get_ident()
-        with self._cond:
+        with self._lock:
             if me in self._readers:
                 raise RuntimeError(f"{self.name}: synchronize inside read section")
             start_epoch = self._epoch
             self._epoch += 1
-            ok = self._cond.wait_for(
-                lambda: all(e > start_epoch for e, _d in self._readers.values()),
-                timeout=timeout,
-            )
-            if not ok:
-                raise RuntimeError(f"{self.name}: grace period timed out")
+            if self._readers:
+                if self._cond is None:
+                    self._cond = threading.Condition(self._lock)
+                self._waiters += 1
+                try:
+                    ok = self._cond.wait_for(
+                        lambda: all(e > start_epoch
+                                    for e, _d in self._readers.values()),
+                        timeout=timeout,
+                    )
+                finally:
+                    self._waiters -= 1
+                if not ok:
+                    raise RuntimeError(f"{self.name}: grace period timed out")
             self.grace_periods += 1
             ripe = [cb for e, cb in self._callbacks if e <= start_epoch]
             self._callbacks = [(e, cb) for e, cb in self._callbacks if e > start_epoch]
@@ -124,11 +146,11 @@ class RCU:
     def barrier(self) -> None:
         """Wait until every queued callback has run."""
         while True:
-            with self._cond:
+            with self._lock:
                 if not self._callbacks:
                     return
             self.synchronize()
 
     def pending_callbacks(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._callbacks)

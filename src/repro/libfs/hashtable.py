@@ -28,7 +28,9 @@ fully built node at the head, a remove splices one ``next``/``head``
 pointer, :meth:`DirHashTable.rebuild` swaps a whole new chain in — and that
 an unlinked node is freed only after a grace period: a walk sees the chain
 from before or after each store, never a half-emptied one, and whatever it
-still holds stays dereferenceable.
+still holds stays dereferenceable.  With no reader inside that period is
+over at once, so a node is read only inside a section: :meth:`entry` copies
+out there, and a caller of :meth:`items` holds a section of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import nullcontext
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.concurrency.failpoints import failpoints
 from repro.concurrency.rcu import RCU
@@ -202,6 +204,17 @@ class DirHashTable:
             with self.rcu.read():
                 return self._walk(bucket, name)
         return self._walk(bucket, name)
+
+    def entry(self, name: bytes) -> Optional[Tuple[int, int]]:
+        """``(ino, itype)`` of an entry, read inside the read section that
+        found it (ArckFS+): once no reader is inside, an unlinked node is
+        freed, and may be reused, at once."""
+        bucket = self.buckets.get(self.bucket_index(name))
+        if bucket is None:
+            return None
+        with self.rcu.read() if self.config.rcu_buckets else nullcontext():
+            node = self._walk(bucket, name)
+            return None if node is None else (node.ino, node.itype)
 
     def lookup_locked(self, name: bytes) -> Optional[Node]:
         """Find an entry; caller holds the bucket lock (writer paths)."""

@@ -301,28 +301,30 @@ class LibFS:
     # Path resolution
     # ================================================================== #
 
-    def _lookup_node(self, dir_mi: MemInode, name: bytes):
+    def _lookup(self, dir_mi: MemInode, name: bytes) -> Optional[Tuple[int, int]]:
         self._stats.inc("lookups")
-        return dir_mi.dir.lookup(name)
+        return dir_mi.dir.entry(name)
 
     def _resolve(self, comps: Tuple[str, ...], write: bool = False) -> MemInode:
         """The inode ``comps`` names, attached as needed: a file for write
         at once with ``write`` (one acquisition, not a read one first)."""
         seq = self._walk_seq  # read before anything the walk relies on
-        walk, node = self._walk(comps, seq)
-        if node is None:  # remembered
+        walk, entry = self._walk(comps, seq)
+        if entry is None:  # remembered
             mi = walk[-1][0]
             return self._attach(mi.ino, write=True) if write and not mi.is_dir else mi
-        if write and node.itype != ITYPE_DIR:
-            mi = self._attach(node.ino, write=True)
+        ino, itype = entry
+        if write and itype != ITYPE_DIR:
+            mi = self._attach(ino, write=True)
         else:
-            mi = self._get_for_read(node.ino)
+            mi = self._get_for_read(ino)
         self._extend(seq, comps, walk, mi)
         return mi
 
     def _walk(self, comps: Tuple[str, ...], seq: int):
         """``(walk, None)`` when ``comps``' own remembered walk answers (the
-        root always does), else ``(the walk to its parent, its dentry)``.
+        root always does), else ``(the walk to its parent, its dentry's
+        (ino, itype))``.
 
         A remembered walk answers iff every member on it — the named inode
         included — is still the MemInode known for its inode, holds the
@@ -363,15 +365,15 @@ class LibFS:
             cur = walk[-1][0]
             if not cur.is_dir:
                 raise NotADir(paths.join(comps[:depth - 1]))
-            node = self._lookup_node(cur, comps[depth - 1].encode())
-            if node is None:
+            entry = self._lookup(cur, comps[depth - 1].encode())
+            if entry is None:
                 raise NoEntry(paths.join(comps[:depth]))
             if depth == len(comps):
-                return walk, node
-            if node.itype != ITYPE_DIR:
+                return walk, entry
+            if entry[1] != ITYPE_DIR:
                 raise NotADir(paths.join(comps[:depth]))
             walk = self._extend(seq, comps[:depth], walk,
-                                self._get_for_read(node.ino))
+                                self._get_for_read(entry[0]))
 
     def _extend(self, seq: int, comps: Tuple[str, ...], walk, mi: MemInode):
         """``walk`` extended by ``mi``, which ``comps`` named; remembered
@@ -554,7 +556,9 @@ class LibFS:
     def readdir(self, path: str) -> List[str]:
         mi = self._resolve_dir(paths.parse(path))
         self._stats.inc("readdirs")
-        return sorted(node.name.decode() for node in mi.dir.items())
+        # a node unlinked outside a section may be freed and reused at once
+        with self.rcu.read() if self.config.rcu_buckets else nullcontext():
+            return sorted(node.name.decode() for node in mi.dir.items())
 
     def exists(self, path: str) -> bool:
         try:
@@ -918,10 +922,10 @@ class LibFS:
             raise WouldLoop(f"{newpath} is inside {oldpath}")
 
         old_parent = self._resolve_dir(oldc[:-1])
-        src = self._lookup_node(old_parent, oldc[-1].encode())
+        src = self._lookup(old_parent, oldc[-1].encode())
         if src is None:
             raise NoEntry(oldpath)
-        is_dir = src.itype == ITYPE_DIR
+        is_dir = src[1] == ITYPE_DIR
 
         # Resolve the destination parent before taking the lease so lease
         # hold time stays short.
@@ -1039,8 +1043,8 @@ class LibFS:
     def path_ino(self, path: str) -> int:
         """The inode ``path`` names now (for the by-inode ownership verbs),
         unattached: each verb attaches it as it needs."""
-        walk, node = self._walk(paths.parse(path), self._walk_seq)
-        return (walk[-1][0] if node is None else node).ino
+        walk, entry = self._walk(paths.parse(path), self._walk_seq)
+        return walk[-1][0].ino if entry is None else entry[0]
 
     @traced_syscall("commit_path")
     def commit_path(self, path: str) -> None:

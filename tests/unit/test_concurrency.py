@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.concurrency import RCU, FailpointRegistry, Lease, RWLock, SpinLock
 from repro.concurrency.lease import LeaseExpired
 
@@ -245,6 +246,158 @@ class TestRCU:
             rcu.call_rcu(lambda i=i: freed.append(i))
         rcu.barrier()
         assert sorted(freed) == [0, 1, 2, 3, 4]
+
+    def test_call_rcu_runs_at_once_with_no_reader_inside(self):
+        """Queued callbacks run with the first ``call_rcu`` that finds no
+        reader (they used to wait for a ``synchronize`` that only shutdown
+        called), and the grace-period count does not move."""
+        rcu = RCU()
+        freed = []
+        entered = threading.Event()
+        leave = threading.Event()
+
+        def reader():
+            with rcu.read():
+                entered.set()
+                leave.wait(2)
+
+        t = threading.Thread(target=reader)
+        t.start()
+        entered.wait(2)
+        rcu.call_rcu(lambda: freed.append("old"))
+        leave.set()
+        t.join(2)
+        assert freed == [] and rcu.pending_callbacks() == 1
+        rcu.call_rcu(lambda: freed.append("new"))
+        assert freed == ["old", "new"] and rcu.pending_callbacks() == 0
+        assert rcu.grace_periods == 0
+
+
+def _counter(name, **labels):
+    return obs.metrics.counter_total(name, **labels)
+
+
+class TestFastPaths:
+    """An acquire the state admits takes one plain lock: no Condition is
+    built or notified until some thread has to wait."""
+
+    def test_uncontended_use_builds_no_condition(self):
+        lock, rcu = RWLock(), RCU()
+        for _ in range(3):
+            with lock.read():
+                pass
+            lock.acquire_write()
+            lock.release_write()
+            with rcu.read(), rcu.read():
+                pass
+        rcu.call_rcu(lambda: None)
+        rcu.synchronize()
+        assert lock._cond is None and rcu._cond is None
+        assert (lock.read_acquisitions, lock.write_acquisitions) == (3, 3)
+        assert (rcu.read_sections, rcu.grace_periods) == (3, 1)
+
+    @pytest.mark.parametrize("side", ["read", "write"])
+    def test_timed_out_waiter_leaves_no_waiter_behind(self, side):
+        obs.enable()
+        lock = RWLock()
+        lock.acquire_write()
+        got = []
+
+        def waiter():
+            if side == "read":
+                got.append(lock.acquire_read(timeout=0.05))
+            else:
+                got.append(lock.acquire_write(timeout=0.05))
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        t.join(2)
+        assert got == [False]
+        assert lock._waiters == 0 and lock._writers_waiting == 0
+        assert _counter("lock.contended", kind=f"rw_{side}") == 1
+        lock.release_write()
+        lock.acquire_read()
+        lock.release_read()
+        lock.acquire_write()
+        lock.release_write()
+        assert _counter("lock.contended") == 1  # both took the fast path
+
+    def test_writer_timeout_wakes_the_readers_it_held_back(self):
+        lock = RWLock()
+        lock.acquire_read()
+        writer_waiting = threading.Event()
+        got = []
+
+        def writer():
+            writer_waiting.set()
+            got.append(lock.acquire_write(timeout=0.1))
+
+        def reader():
+            start = time.monotonic()
+            got.append(lock.acquire_read(timeout=5))
+            got.append(time.monotonic() - start)
+            lock.release_read()
+
+        tw = threading.Thread(target=writer)
+        tw.start()
+        writer_waiting.wait(2)
+        time.sleep(0.03)  # the writer is waiting: the reader queues behind it
+        tr = threading.Thread(target=reader)
+        tr.start()
+        tw.join(2)
+        tr.join(5)
+        lock.release_read()
+        assert got[:2] == [False, True]
+        assert got[2] < 1.0  # woken when the writer gave up, not at its own timeout
+
+    def test_acquisitions_counted_whether_or_not_the_acquire_waited(self):
+        obs.enable()
+        lock = RWLock()
+        lock.acquire_write()
+        lock.release_write()
+        lock.acquire_read()
+
+        def writer():
+            lock.acquire_write()
+            lock.release_write()
+
+        t = threading.Thread(target=writer)
+        t.start()
+        time.sleep(0.05)  # the writer waits behind the reader
+        lock.release_read()
+        t.join(2)
+        assert lock.write_acquisitions == 2
+        assert _counter("lock.acquisitions", kind="rw_write") == 2
+        assert _counter("lock.acquisitions", kind="rw_read") == 1
+        assert _counter("lock.contended", kind="rw_write") == 1
+        assert lock._cond is not None and lock._waiters == 0
+
+    def test_synchronize_wakes_when_the_last_old_reader_leaves(self):
+        rcu = RCU()
+        inside = threading.Barrier(3, timeout=2)
+        leave = [threading.Event(), threading.Event()]
+        done = []
+
+        def reader(i):
+            with rcu.read():
+                inside.wait()
+                leave[i].wait(2)
+
+        readers = [threading.Thread(target=reader, args=(i,)) for i in (0, 1)]
+        for t in readers:
+            t.start()
+        inside.wait()
+        tu = threading.Thread(target=lambda: done.append(rcu.synchronize(timeout=2)))
+        tu.start()
+        time.sleep(0.03)
+        leave[0].set()
+        readers[0].join(2)
+        time.sleep(0.03)
+        assert not done  # one old reader is still inside
+        leave[1].set()
+        tu.join(2)
+        readers[1].join(2)
+        assert done == [None] and rcu.grace_periods == 1 and rcu._waiters == 0
 
 
 class TestLease:

@@ -78,6 +78,35 @@ class TestFreelist:
         assert node2.name == b"new" and node2.ino == 2
         assert fl.reuses == 1
 
+    def test_unlinked_nodes_are_freed_while_the_session_runs(self, fsx):
+        """With no lookup inside a read section, an unlinked node is freed
+        at once and reused by the next create; it used to wait for a grace
+        period that only ``quiesce``/``shutdown`` ran, so every unlink
+        grew the session's memory."""
+        _device, _kernel, fs = fsx
+        for i in range(200):
+            fs.close(fs.creat(f"/f{i}"))
+            fs.unlink(f"/f{i}")
+        assert fs.rcu.pending_callbacks() == 0
+        assert fs.freelist.reuses > 0
+
+    def test_an_entry_outlives_the_reuse_of_its_node(self):
+        """A node freed with no reader inside is reused by the next create,
+        so a lookup copies ``(ino, itype)`` out inside its read section."""
+        from repro.concurrency.rcu import RCU
+        from repro.libfs.hashtable import DirHashTable
+
+        table = DirHashTable(ARCKFS_PLUS, RCU(), NodeFreelist(), tag="t")
+        bucket = table.bucket_of(b"a")
+        with bucket.lock:
+            table.insert_locked(table.freelist.alloc(b"a", 5, 1, 1, 1, None))
+        node, entry = table.lookup(b"a"), table.entry(b"a")
+        with bucket.lock:
+            table.remove_locked(b"a")
+        assert table.freelist.alloc(b"b", 9, 1, 2, 1, None) is node
+        assert node.ino == 9  # what a reader holding the node would see
+        assert entry == (5, 1)
+
 
 class TestAttachMachinery:
     def test_reattach_after_own_release_reuses_aux(self):
