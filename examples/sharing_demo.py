@@ -6,9 +6,10 @@ Four acts:
 1. two well-behaved applications ping-pong a file through verified
    ownership transfers — and pay the verification/snapshot cost;
 2. the same with a trust group — the cost vanishes;
-3. the same with the pipelined verifier modeled on 4 workers — the cost
-   is still paid, but the per-transfer critical path shrinks by the shard
-   factor (the checks themselves still run on the calling thread);
+3. act 1's verification priced for 4 workers — the cost is still paid,
+   but the cost model's critical path over the check batches act 1
+   counted shrinks by about the worker count (the checks themselves ran
+   once, on the calling thread);
 4. the paper's §3.1 attack: a malicious app tries to use directory
    relocation to delete files it cannot write; Trio's verifier detects the
    corruption and rolls back.
@@ -19,13 +20,14 @@ Run:  python examples/sharing_demo.py
 from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import CorruptionDetected
-from repro.kernel.verifier import Verifier
+from repro.perf.costmodel import COST
 
 
-def ping_pong(group, workers: int = 1):
+def ping_pong(group):
+    """Six ownership transfers of one file; returns the verifier's check
+    batch histogram (batch size -> how many)."""
     with Volume.create(64 * 1024 * 1024, VolumeConfig(inode_count=256)) as vol:
         kernel = vol.kernel
-        kernel.verifier = Verifier(kernel, workers=workers)
         a = vol.session("writer-a", uid=1000, group=group)
         b = vol.session("writer-b", uid=1000, group=group)
         a.write_file("/shared.bin", b"\0" * (512 * 1024))
@@ -37,21 +39,19 @@ def ping_pong(group, workers: int = 1):
             app.pwrite(fd, f"round {round_no}".encode(), round_no * 4096)
             app.close(fd)
             app.release_all()
-        if workers > 1:
-            label = f"pipelined x{workers}"
-        elif group:
-            label = f"trust group {group!r}"
-        else:
-            label = "no trust group"
-        pstats = kernel.verifier.pstats
-        extra = ""
-        if workers > 1 and pstats.critical_units:
-            extra = (f", critical path {pstats.total_units / pstats.critical_units:.1f}x"
-                     f" shorter than serial")
+        label = f"trust group {group!r}" if group else "no trust group"
         print(f"  [{label}] per-transfer: "
               f"{(kernel.stats.bytes_verified - v0) / 6:,.0f} B verified, "
               f"{(kernel.stats.snapshot_bytes - s0) / 6:,.0f} B snapshotted, "
-              f"{kernel.stats.group_skips} skipped verifications{extra}")
+              f"{kernel.stats.group_skips} skipped verifications")
+        return dict(kernel.verifier.pstats.batch_sizes)
+
+
+def priced(batch_sizes, workers: int) -> None:
+    serial = COST.verify_critical_units(batch_sizes)
+    critical = COST.verify_critical_units(batch_sizes, workers)
+    print(f"  [pipelined x{workers}] critical path {critical} of {serial} "
+          f"check units, {serial / critical:.1f}x shorter than serial")
 
 
 def attack():
@@ -85,11 +85,11 @@ def attack():
 
 def main() -> None:
     print("1) verified ownership transfers:")
-    ping_pong(group=None)
+    batch_sizes = ping_pong(group=None)
     print("2) inside a trust group:")
     ping_pong(group="analytics-team")
-    print("3) pipelined verification (4 modeled workers):")
-    ping_pong(group=None, workers=4)
+    print("3) pipelined verification (act 1 priced for 4 workers):")
+    priced(batch_sizes, workers=4)
     print("4) the §3.1 directory-relocation attack:")
     attack()
 

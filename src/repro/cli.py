@@ -314,7 +314,7 @@ def cmd_fsck(args) -> int:
         for name in args.inject or ():
             inject, _cls = INJECTORS[name]
             inject(device)
-    report = run_fsck(device, workers=args.workers, repair=args.repair)
+    report = run_fsck(device, repair=args.repair)
     if args.dump_image:
         with open(args.dump_image, "wb") as fh:
             fh.write(device.durable_image())
@@ -433,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="plant one corruption of this class before "
                            "checking (repeatable); classes: "
                            + ", ".join(sorted(_injector_names())))
-    fsck.add_argument("--workers", type=int, default=1,
-                      help="modeled scan/check workers for the timing report "
-                           "(default 1)")
     fsck.add_argument("--repair", action="store_true",
                       help="repair findings and re-check until clean")
     fsck.add_argument("--dump-image", metavar="PATH",

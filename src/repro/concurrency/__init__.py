@@ -11,8 +11,6 @@ The synchronisation primitives mirror the ones ArckFS/ArckFS+ use: per-bucket
 spinlocks (§4.4/§4.5), readers-writer locks for regular files (§4.3), RCU for
 the directory hash buckets (the §4.5 patch), and a lease with timeout for the
 kernel's global cross-directory rename lock (the §4.6 patch).
-:func:`~repro.concurrency.parallel.stride_shards` is the worker arithmetic
-the verifier and fsck cost models share; no thread runs its shards.
 """
 
 from repro.concurrency.failpoints import FailpointRegistry, failpoints
@@ -20,7 +18,6 @@ from repro.concurrency.spinlock import SpinLock
 from repro.concurrency.rwlock import RWLock
 from repro.concurrency.rcu import RCU
 from repro.concurrency.lease import Lease
-from repro.concurrency.parallel import stride_shards
 
 __all__ = [
     "FailpointRegistry",
@@ -29,5 +26,4 @@ __all__ = [
     "RWLock",
     "RCU",
     "Lease",
-    "stride_shards",
 ]

@@ -15,11 +15,10 @@ global rename lease), some both (the directory-relocation protocol).
 The rule for this class: a field here is a Table-1 toggle or has two
 callers with different values.  Every field is a toggle.  *When* the kernel
 verifies is not configurable: at every commit, release and revoke, and on
-trust-group exit (§5.4); how many workers the verification cost model
-shards a batch over is the verifier's own argument
-(``Verifier(controller, workers=)``), set only by Table 4's pipelined
-functional twin.  How the patched system *reads* is not configurable either: it
-follows from the §4.3 and §4.5 toggles (DESIGN §5), and the directory
+trust-group exit (§5.4); and it verifies on the calling thread —
+parallel verification is priced by the cost model
+(``CostModel.verify_critical_units``), never configured.  How the patched
+system *reads* is not configurable either: it follows from the §4.3 and §4.5 toggles (DESIGN §5), and the directory
 geometry is the record format's (``pm.layout.NTAILS``) and the hash table's
 own constant.
 """

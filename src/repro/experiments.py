@@ -100,7 +100,7 @@ FILEBENCH_SYSTEMS = ["arckfs+", "arckfs", "ext4", "nova", "strata"]
 FILEBENCH_THREADS = [1, 16]
 DBBENCH_WORKLOADS = ("fillseq", "fillrandom", "readrandom")
 DBBENCH_SIM_THREADS = 8
-#: The pipelined verifier's workers in Table 4's functional twin.
+#: The modeled verifier workers Table 4 prices its functional twin at.
 VERIFY_WORKERS = 8
 #: The critical-path contraction both the model and the twin must reach.
 VERIFY_TARGET_SPEEDUP = 2.5
@@ -449,18 +449,21 @@ def _table4_run():
         verification_scaling,
     )
 
+    # Two real LibFS apps ping-pong a file through the real kernel.
+    verified = run_functional_sharing(file_kib=256, trust_group=False)
+    sizes = {int(n): k for n, k in verified["verify_batch_sizes"].items()}
     return {
         "cells": [dataclasses.asdict(c) for c in table4()],
-        # Two real LibFS apps ping-pong a file through the real kernel.
         "functional": {
-            "verified": run_functional_sharing(file_kib=256, trust_group=False),
+            "verified": verified,
             "trust-group": run_functional_sharing(file_kib=256, trust_group=True),
         },
         "verify_scaling": verification_scaling(),
-        # The "verified" ping-pong again, its verification sharded over
-        # modeled workers.
-        "pipelined": run_functional_sharing(file_kib=256,
-                                            workers=VERIFY_WORKERS),
+        # The verified ping-pong's check batches, on the slowest of 1 and of
+        # VERIFY_WORKERS modeled workers.
+        "critical_units": {
+            str(w): COST.verify_critical_units(sizes, w)
+            for w in (1, VERIFY_WORKERS)},
     }
 
 
@@ -482,25 +485,26 @@ def _table4_render(data) -> str:
     lines += [f"{row['workers']:<9}{row['ns_per_transfer']:>13.0f}"
               f"{row['speedup']:>8.2f}x" for row in data["verify_scaling"]]
     lines += ["", "pipelined verification, functional twin (same ping-pong):"]
-    for label, s in (("w1", data["functional"]["verified"]),
-                     (f"w{VERIFY_WORKERS}", data["pipelined"])):
+    s, critical = data["functional"]["verified"], data["critical_units"]
+    for w, units in critical.items():
         lines.append(
-            f"  {label:<4}verified/transfer={s['bytes_verified_per_transfer']:>10.0f} B"
+            f"  {'w' + w:<4}verified/transfer={s['bytes_verified_per_transfer']:>10.0f} B"
             f"  verifications={s['verifications']}"
-            f"  critical path {s['verify_critical_units']} of "
-            f"{s['verify_total_units']} units")
+            f"  critical path {units} of {critical['1']} units")
     return "\n".join(lines)
 
 
 def _table4_check(data) -> List[str]:
     """Concurrent writes to a shared inode incur a sharing cost, which the
-    trust group removes; the functional kernel shows the same structure.
-    Sharding a verification changes its schedule, never what it checks."""
+    trust group removes; the functional kernel shows the same structure,
+    and the model prices the page batch the twin counted."""
     v = {(c["system"], c["scenario"]): c["value"] for c in data["cells"]}
     plus, group = "arckfs+", "arckfs+-trust-group"
     verified, grouped = (data["functional"][mode]["bytes_verified_per_transfer"]
                          for mode in ("verified", "trust-group"))
-    serial, piped = data["functional"]["verified"], data["pipelined"]
+    critical = data["critical_units"]
+    counted = max(map(int, data["functional"]["verified"]["verify_batch_sizes"]))
+    modeled = data["verify_scaling"][0]["pages"]
     speedups = [row["speedup"] for row in data["verify_scaling"]]
     return _unmet(
         (v[plus, "4KB-write 1GB"] >= v["nova", "4KB-write 1GB"],
@@ -520,12 +524,11 @@ def _table4_check(data) -> List[str]:
          f"verification scaling: speedups {speedups} not rising from 1.0"),
         (speedups[-1] < VERIFY_TARGET_SPEEDUP, f"verification scaling: "
          f"{speedups[-1]:.2f}x at the last row (want >= {VERIFY_TARGET_SPEEDUP})"),
-        *[(serial[key] != piped[key], f"pipelined: {key} {piped[key]} with "
-           f"{VERIFY_WORKERS} workers vs {serial[key]} with 1")
-          for key in ("bytes_verified_per_transfer", "verifications")],
-        (piped["verify_total_units"] < VERIFY_TARGET_SPEEDUP * piped["verify_critical_units"],
-         f"pipelined: critical path {piped['verify_critical_units']} of "
-         f"{piped['verify_total_units']} units (want <= 1/{VERIFY_TARGET_SPEEDUP})"))
+        (counted != modeled, f"verification scaling: priced at {modeled} "
+         f"pages per transfer, the twin's largest batch is {counted}"),
+        (critical["1"] < VERIFY_TARGET_SPEEDUP * critical[str(VERIFY_WORKERS)],
+         f"pipelined: critical path {critical[str(VERIFY_WORKERS)]} of "
+         f"{critical['1']} units (want <= 1/{VERIFY_TARGET_SPEEDUP})"))
 
 
 # -- alloc: per-thread page pools vs the global-lock bitmap ------------------ #
@@ -1108,49 +1111,46 @@ def _fsck_run():
     from repro.fsck import build_volume, run_fsck
 
     device, _kernel, _fs = build_volume(**FSCK_VOLUME)
-    out = {}
+    report = run_fsck(device)
+    doc = report.to_dict()
+    # One check, priced at every worker count.
+    priced = {}
     for w in FSCK_WORKERS:
-        doc = run_fsck(device, workers=w).to_dict()
-        out[str(w)] = {"findings": doc["findings"], **doc["stats"],
-                       "modeled_ns": doc["timing"]["modeled_ns"],
-                       "phase_ns": doc["timing"]["phase_ns"]}
-    return out
+        phases = report.phases_at(w)
+        priced[str(w)] = {"modeled_ns": sum(phases.values()), "phase_ns": phases}
+    return {"findings": doc["findings"], **doc["stats"], "workers": priced}
 
 
 def _fsck_render(data) -> str:
-    base = data[str(FSCK_WORKERS[0])]
+    priced = data["workers"]
+    first = priced[str(FSCK_WORKERS[0])]["modeled_ns"]
     lines = ["== fsck worker scaling ==",
-             f"volume: {base['inodes_valid']} inodes ({base['dirs']} dirs, "
-             f"{base['files']} files), {base['dentries']} dentries, "
-             f"{base['pages_claimed']} pages, "
-             f"{base['bytes_scanned'] / (1 << 20):.1f} MiB scanned",
+             f"volume: {data['inodes_valid']} inodes ({data['dirs']} dirs, "
+             f"{data['files']} files), {data['dentries']} dentries, "
+             f"{data['pages_claimed']} pages, "
+             f"{data['bytes_scanned'] / (1 << 20):.1f} MiB scanned",
              "", f"{'workers':<9}{'scan ms':>10}{'check ms':>10}{'graph ms':>10}"
              f"{'total ms':>10}{'MiB/s':>10}{'speedup':>9}", "-" * 68]
     for w in FSCK_WORKERS:
-        r = data[str(w)]
-        mibps = r["bytes_scanned"] / (1 << 20) / (r["modeled_ns"] / 1e9)
+        r = priced[str(w)]
+        mibps = data["bytes_scanned"] / (1 << 20) / (r["modeled_ns"] / 1e9)
         lines.append(f"{w:<9}" + "".join(f"{r['phase_ns'][p] / 1e6:>10.3f}"
                                          for p in ("scan", "check", "graph"))
                      + f"{r['modeled_ns'] / 1e6:>10.3f}{mibps:>10.0f}"
-                     f"{base['modeled_ns'] / r['modeled_ns']:>8.2f}x")
+                     f"{first / r['modeled_ns']:>8.2f}x")
     return "\n".join(lines + ["", "(modeled virtual time; the serial graph "
                               "merge bounds the asymptote)"])
 
 
 def _fsck_check(data) -> List[str]:
-    """The same clean volume and the same counts at every worker count;
-    modeled time falls with every worker added, >= 2x end to end at 8 and
-    >= 4x on the parallel scan."""
-    base = data[str(FSCK_WORKERS[0])]
-    totals = [data[str(w)]["modeled_ns"] for w in FSCK_WORKERS]
-    scans = [data[str(w)]["phase_ns"]["scan"] for w in FSCK_WORKERS]
-    runs = [(w, data[str(w)]) for w in FSCK_WORKERS]
+    """A clean volume whose modeled check time falls with every worker
+    added, >= 2x end to end at 8 and >= 4x on the parallel scan."""
+    priced = [data["workers"][str(w)] for w in FSCK_WORKERS]
+    totals = [r["modeled_ns"] for r in priced]
+    scans = [r["phase_ns"]["scan"] for r in priced]
     return _unmet(
-        *[(r["findings"] != [], f"{w} workers: {len(r['findings'])} finding(s)")
-          for w, r in runs],
-        *[(r[k] != base[k], f"{w} workers: {k} {r[k]} vs {base[k]} with "
-           f"{FSCK_WORKERS[0]}") for w, r in runs
-          for k in ("inodes_valid", "dentries", "pages_claimed")],
+        (data["findings"] != [], f"{len(data['findings'])} finding(s) on "
+         "the clean volume"),
         (any(a <= b for a, b in zip(totals, totals[1:])),
          f"modeled time not falling with workers: {totals}"),
         (totals[0] < 2.0 * totals[-1], f"{FSCK_WORKERS[-1]} workers: "

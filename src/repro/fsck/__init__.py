@@ -1,15 +1,13 @@
-"""``repro.fsck`` — a sharded whole-volume checker and repairer.
+"""``repro.fsck`` — a whole-volume checker and repairer.
 
 The kernel verifier (:mod:`repro.kernel.verifier`) checks one inode at the
 moment its ownership is transferred; this package is its whole-volume
 complement, in the shape pFSCK gave the classic fsck pipeline:
 
-1. **scan** — stride shards of the shadow inode table, one per modeled
-   worker and run in turn on the calling thread, walk the superblock,
-   every inode record, every directory-log tail and every file page index
-   (:mod:`repro.fsck.scan`);
-2. **cross-check** — per-inode validation (again sharded, by the rules of
-   :mod:`repro.core.invariants` the verifier and mount share) plus a serial
+1. **scan** — walk the superblock, every inode record, every
+   directory-log tail and every file page index (:mod:`repro.fsck.scan`);
+2. **cross-check** — per-inode validation (by the rules of
+   :mod:`repro.core.invariants` the verifier and mount share) plus a
    graph merge reconstructing reachability from the root: orphan inodes,
    dangling or torn dentries, duplicate links, directory cycles, page
    double-use and bitmap drift (:mod:`repro.fsck.check`);
@@ -17,6 +15,11 @@ complement, in the shape pFSCK gave the classic fsck pipeline:
    logs and chains and quarantines unreachable inodes under
    ``/lost+found``, then re-checks until the volume proves clean
    (:mod:`repro.fsck.repair`).
+
+Each phase runs once, on the calling thread.  pFSCK's parallel phases are
+a claim of the cost model: ``CostModel.fsck_phase_time`` prices the scan
+and cross-check at any worker count from the per-inode work one run
+records (:meth:`FsckReport.phases_at`).
 
 Entry points:
 

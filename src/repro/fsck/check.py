@@ -5,7 +5,8 @@ Two sub-phases, mirroring pFSCK's split:
 * :func:`check_inodes` — embarrassingly parallel per-inode validation:
   the rules of :mod:`repro.core.invariants`, which the kernel verifier and
   mount apply too.  It needs the *whole* scanned inode table (a dentry may
-  target any slot) but writes nothing shared, so it shards like the scan.
+  target any slot) but writes nothing shared, so any split of its inodes
+  could run in parallel, as the cost model prices it.
 * :func:`check_graph` — the serial merge: duplicate-dentry resolution,
   reachability from the root, orphan roots, directory cycles, and the
   page-claim / bitmap reconciliation.
@@ -17,7 +18,7 @@ re-walking the volume.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.corestate import DentryLoc
 from repro.core.invariants import (
@@ -58,17 +59,15 @@ def _target(scans: Dict[int, InodeShape]):
     return {ino: shape.rec for ino, shape in scans.items()}.get
 
 
-def check_inodes(
-    scans: Dict[int, InodeShape],
-    inos: Iterable[int],
-) -> List[Finding]:
-    """Per-inode validation for ``inos`` against the full scan table: every
-    violation of :mod:`repro.core.invariants` becomes the finding of its
-    class.  A page the inode maps twice is left to :func:`check_graph`,
-    whose page claims report it with the holder repair keeps."""
+def check_inodes(scans: Dict[int, InodeShape]) -> List[Finding]:
+    """Per-inode validation of every scanned inode, in ino order, against
+    the full scan table: every violation of :mod:`repro.core.invariants`
+    becomes the finding of its class.  A page the inode maps twice is left
+    to :func:`check_graph`, whose page claims report it with the holder
+    repair keeps."""
     target = _target(scans)
     findings: List[Finding] = []
-    for ino in inos:
+    for ino in sorted(scans):
         for v in violations(scans[ino], target):
             if v.rule == PAGE_DOUBLE_USE:
                 continue

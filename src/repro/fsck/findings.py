@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import invariants as rules
+from repro.perf.costmodel import COST
 
 F_SUPERBLOCK = "superblock"
 # The per-inode classes are the names of the rules that produce them.
@@ -157,13 +158,13 @@ class FsckReport:
 
     ``modeled_ns`` is deterministic virtual time from the calibrated cost
     model (`repro.perf.costmodel`): each phase is charged per record / page
-    / dentry it touched, parallel phases at the *slowest shard's* cost.  It
-    is what the scaling benchmark asserts on; ``wall_ns`` is real host time
-    and is reported but never asserted (CI machines differ).
+    / dentry it touched, by one worker.  :meth:`phases_at` prices the same
+    counts — ``work``, each valid inode's (pages read, dentries parsed) —
+    for any worker count.  ``wall_ns`` is real host time and is reported
+    but never asserted (CI machines differ).
     """
 
     findings: List[Finding] = field(default_factory=list)
-    workers: int = 1
     passes: int = 1
     repairs: Dict[str, int] = field(default_factory=dict)
 
@@ -174,6 +175,7 @@ class FsckReport:
     dentries: int = 0
     pages_claimed: int = 0
     bytes_scanned: int = 0
+    work: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     wall_ns: int = 0
     modeled_ns: float = 0.0
@@ -192,12 +194,17 @@ class FsckReport:
     def by_class(self, cls: str) -> List[Finding]:
         return [f for f in self.findings if f.cls == cls]
 
+    def phases_at(self, workers: int) -> Dict[str, float]:
+        """Modeled ns per phase had ``workers`` workers split this run's
+        scan and cross-check (``CostModel.fsck_phase_time``)."""
+        return COST.fsck_phase_time(self.inodes_total, self.work,
+                                    self.pages_claimed, workers)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "clean": self.clean,
             "findings": [f.as_dict() for f in self.findings],
             "classes": self.classes(),
-            "workers": self.workers,
             "passes": self.passes,
             "repairs": dict(self.repairs),
             "stats": {
@@ -224,7 +231,7 @@ class FsckReport:
             f"fsck: {self.inodes_valid}/{self.inodes_total} inodes "
             f"({self.dirs} dirs, {self.files} files), "
             f"{self.dentries} dentries, {self.pages_claimed} pages, "
-            f"{self.workers} worker(s), {self.passes} pass(es)"
+            f"{self.passes} pass(es)"
         ]
         if self.repairs:
             fixed = ", ".join(f"{c}={n}" for c, n in sorted(self.repairs.items()))

@@ -18,15 +18,13 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro import obs
-from repro.concurrency.parallel import stride_shards
 from repro.core.corestate import CoreState
-from repro.core.invariants import InodeShape
 from repro.core.mkfs import load_geometry
-from repro.fsck import auxcheck, check, parallel, scan
+from repro.fsck import auxcheck, check, scan
 from repro.fsck.findings import F_SUPERBLOCK, Finding, FsckReport
 from repro.fsck.repair import Repairer
 from repro.pm.device import PMDevice
-from repro.pm.layout import Geometry, Superblock
+from repro.pm.layout import PAGE_SIZE, Geometry, InodeRecord, Superblock
 
 #: Safety bound on check/repair passes; every repair strictly shrinks the
 #: damage, so real volumes converge far below this.
@@ -51,81 +49,46 @@ def _check_once(
     device: PMDevice,
     geom: Geometry,
     root_ino: int,
-    workers: int,
     libfs=None,
 ) -> FsckReport:
-    report = FsckReport(workers=workers)
+    report = FsckReport()
     core = CoreState(device, geom)
-    pipe = obs.pipeline_profile(f"fsck.w{workers}")
 
-    # -- phase 1: sharded scan ------------------------------------------- #
-    with obs.span("fsck.scan", category="fsck", workers=workers):
-        shards = [scan.scan_shard(core, inos)
-                  for inos in stride_shards(range(geom.inode_count), workers)]
-    scans: Dict[int, InodeShape] = {}
-    for sh in shards:
-        for s in sh.inodes:
-            scans[s.ino] = s
-    scan_costs = [
-        parallel.scan_shard_cost(sh.records_read, sh.pages_read, sh.dentries_parsed)
-        for sh in shards
-    ]
-    scan_ns = max(scan_costs)
-    if pipe is not None:
-        for i, ns in enumerate(scan_costs):
-            pipe.charge(i, "scan", ns)
-            pipe.add_worker_total(i, ns)
-        obs.charge(scan_ns, "fsck.scan")
+    # -- phase 1: scan every slot ------------------------------------------ #
+    with obs.span("fsck.scan", category="fsck"):
+        scans = scan.scan(core, geom.inode_count)
+    report.work = {ino: (scan.pages_read(s), len(s.records))
+                   for ino, s in scans.items()}
     report.inodes_total = geom.inode_count
     report.inodes_valid = len(scans)
     report.dirs = sum(1 for s in scans.values() if s.rec.is_dir)
     report.files = report.inodes_valid - report.dirs
-    report.dentries = sum(sh.dentries_parsed for sh in shards)
-    report.bytes_scanned = sum(sh.bytes_scanned for sh in shards)
+    report.dentries = sum(d for _p, d in report.work.values())
+    report.bytes_scanned = (geom.inode_count * InodeRecord.SIZE
+                            + sum(p for p, _d in report.work.values()) * PAGE_SIZE)
 
-    # -- phase 2a: sharded per-inode cross-check -------------------------- #
-    with obs.span("fsck.check", category="fsck", workers=workers):
-        per_shard_inos = stride_shards(sorted(scans), workers)
-        finding_lists = [check.check_inodes(scans, inos)
-                         for inos in per_shard_inos]
-        check_costs = [
-            parallel.check_shard_cost(
-                len(inos), sum(len(scans[i].records) for i in inos))
-            for inos in per_shard_inos
-        ]
-        check_ns = max(check_costs) if check_costs else 0.0
-        if pipe is not None:
-            for i, ns in enumerate(check_costs):
-                pipe.charge(i, "check", ns)
-                pipe.add_worker_total(i, ns)
-            obs.charge(check_ns, "fsck.check")
-        for fl in finding_lists:
-            report.findings.extend(fl)
-
-        # -- phase 2b: serial graph merge ---------------------------------- #
+    # -- phase 2: per-inode cross-check, then the graph merge -------------- #
+    with obs.span("fsck.check", category="fsck"):
+        report.findings.extend(check.check_inodes(scans))
         report.findings.extend(_check_superblock(device, geom))
-        graph_findings, pages_claimed = check.check_graph(
+        graph_findings, report.pages_claimed = check.check_graph(
             device, geom, scans, root_ino)
         report.findings.extend(graph_findings)
-    report.pages_claimed = pages_claimed
-    graph_ns = parallel.graph_cost(report.dentries, pages_claimed)
-    if pipe is not None:
-        pipe.charge_serial("graph", graph_ns)
-        obs.charge(graph_ns, "fsck.graph")
 
     # -- optional aux cross-check (DRAM vs PM, §4.4/§4.5) ------------------ #
     if libfs is not None:
         report.findings.extend(auxcheck.check_libfs_aux(device, geom, libfs))
 
-    report.phase_ns = {"scan": scan_ns, "check": check_ns, "graph": graph_ns}
-    report.modeled_ns = scan_ns + check_ns + graph_ns
+    report.phase_ns = report.phases_at(1)
+    report.modeled_ns = sum(report.phase_ns.values())
+    for phase, ns in report.phase_ns.items():
+        obs.charge(ns, f"fsck.{phase}")
     return report
 
 
 def run_fsck(
     device: PMDevice,
     *,
-    workers: int = 1,
     repair: bool = False,
     libfs=None,
     max_passes: int = MAX_PASSES,
@@ -138,19 +101,19 @@ def run_fsck(
     """
     t0 = time.perf_counter_ns()
     obs.count("fsck.runs")
-    with obs.span("fsck.run", category="fsck", workers=workers, repair=repair):
+    with obs.span("fsck.run", category="fsck", repair=repair):
         try:
             geom = load_geometry(device)
             sb = Superblock.unpack(device.load(0, Superblock.SIZE))
         except ValueError as exc:
-            report = FsckReport(workers=workers, findings=[Finding(
+            report = FsckReport(findings=[Finding(
                 F_SUPERBLOCK, str(exc), repairable=False,
                 meta={"kind": "magic"},
             )])
             report.wall_ns = time.perf_counter_ns() - t0
             return report
 
-        report = _check_once(device, geom, sb.root_ino, workers, libfs)
+        report = _check_once(device, geom, sb.root_ino, libfs)
         passes = 1
         repairs: Dict[str, int] = {}
         # Keyed on *findings*, not cleanliness: advisory findings (warm pool
@@ -164,7 +127,7 @@ def run_fsck(
             for cls, n in applied.items():
                 repairs[cls] = repairs.get(cls, 0) + n
                 obs.count("fsck.repairs", n, cls=cls)
-            report = _check_once(device, geom, sb.root_ino, workers, libfs)
+            report = _check_once(device, geom, sb.root_ino, libfs)
             passes += 1
 
     report.passes = passes

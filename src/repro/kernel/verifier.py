@@ -32,23 +32,20 @@ check dentries → check absent children → commit**.  Enumerate (chain
 walks) yields the inode's shape, judged by the rules fsck and mount share
 (:mod:`repro.core.invariants`); every later check is against the shadow
 table.  Enumerate, judge and commit (the controller applying the
-:class:`StagedUpdate` under its lock) are serial; the per-item
-checks in between are independent of each other, and that is where all the
-Table 4 bytes go — a 256 KiB shared file is 65 page checks per transfer
-against a fixed cost of one record read.  One batch scheduler
-(:meth:`Verifier._run_batch`) does the accounting for each of those
-batches: it deals the batch into ``workers`` stride shards (round-robin,
-mirroring ``repro.fsck``) as *modeled* workers, counts them in
-:class:`PipelineStats` and charges each shard's modeled cost to its worker
-slot, then runs the whole batch once, in order, on the calling thread.  So
-the first failing item in batch order is the one every worker count names.
+:class:`StagedUpdate` under its lock) are serial; the per-item checks in
+between are independent of each other, and that is where all the Table 4
+bytes go — a 256 KiB shared file is 65 page checks per transfer against a
+fixed cost of one record read.  Each of those check batches goes through
+:meth:`Verifier._run_batch`, which counts it in :class:`PipelineStats` and
+checks it once, in order, on the calling thread.
 
-The speedup claim is carried by (a) the calibrated cost model
-(``CostModel.verify_pipeline_time``) and (b) the functional critical-path
-counters in :class:`PipelineStats` — ``total_units`` checked versus
-``critical_units``, the largest shard per batch, which is what the slowest
-worker would execute.  Python threads share the GIL, so running the shards
-on threads would measure the interpreter, not the algorithm.
+Parallel verification is a claim of the calibrated cost model, not of a
+thread pool: ``CostModel.verify_pipeline_time`` prices one transfer at any
+worker count, and ``CostModel.verify_critical_units`` prices a run's
+recorded ``PipelineStats.batch_sizes`` — each batch dealt round-robin over
+the workers, the slowest shard bounding it.  Python threads share the GIL,
+so running shards on threads would measure the interpreter, not the
+algorithm.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.concurrency.parallel import stride_shards
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
 from repro.core.invariants import InodeShape, violations, walk, walk_file
@@ -94,18 +90,17 @@ class StagedUpdate:
 
 @dataclass
 class PipelineStats:
-    """Deterministic work accounting for the verifier's batch scheduler."""
+    """Deterministic work accounting for the verifier's check batches."""
 
     verifications: int = 0
     #: individual page checks / dentry checks / absent-child checks issued.
     page_checks: int = 0
     dentry_checks: int = 0
     absent_checks: int = 0
-    #: total checkable units vs the per-batch maximum shard size summed —
-    #: ``total_units / critical_units`` is the functional speedup (the
-    #: slowest shard bounds each batch, exactly the fsck convention).
-    total_units: int = 0
-    critical_units: int = 0
+    #: batch size -> how many non-empty check batches had it, over all three
+    #: stages: what ``CostModel.verify_critical_units`` prices at any
+    #: worker count.
+    batch_sizes: Dict[int, int] = field(default_factory=dict)
 
 
 #: batch stage -> (its PipelineStats field, the CostModel attribute holding
@@ -117,22 +112,24 @@ _STAGES = {
 }
 
 
+def _profiling() -> bool:
+    """Simulated-time stage charges are priced only while profiling is on."""
+    return obs.enabled and obs.profiler.enabled
+
+
 class Verifier:
     """Checks one inode's core state against the shadow table.
 
     The three per-item check batches (pages, dentries, absent children)
-    all go through :meth:`_run_batch`, which accounts them as ``workers``
-    modeled shards in :class:`PipelineStats` and checks them on the
-    calling thread.
+    all go through :meth:`_run_batch`, which counts them in
+    :class:`PipelineStats` and checks them on the calling thread.
     """
 
-    def __init__(self, controller, workers: int = 1):
+    def __init__(self, controller):
         # The controller owns shadow/pending/acquisitions/page_owner; we
         # only read them here and return staged updates.
         self.kc = controller
-        self.workers = max(1, int(workers))
         self.pstats = PipelineStats()
-        self._profile = f"verify.w{self.workers}"  # looked up per batch
 
     # ------------------------------------------------------------------ #
 
@@ -160,19 +157,15 @@ class Verifier:
         group.
         """
         self.pstats.verifications += 1
-        with obs.span("verify.pipeline", category="kernel", ino=ino,
-                      workers=self.workers):
+        with obs.span("verify.pipeline", category="kernel", ino=ino):
             staged = self._verify(ino, app_id, trusted)
-            pipe = self._pipe()
-            if pipe is not None:
+            if _profiling():
                 from repro.perf.costmodel import COST
 
                 entries = (len(staged.created) + len(staged.reparented)
                            + len(staged.deleted) + len(staged.detached))
-                commit_ns = (COST.verify_commit_fixed
-                             + entries * COST.verify_commit_per_entry)
-                pipe.charge_serial("commit", commit_ns)
-                obs.charge(commit_ns, "commit")
+                obs.charge(COST.verify_commit_fixed
+                           + entries * COST.verify_commit_per_entry, "commit")
             return staged
 
     def _verify(self, ino: int, app_id: Optional[str], trusted: bool) -> StagedUpdate:
@@ -218,8 +211,7 @@ class Verifier:
                 self._verify_directory(shape, sh, app_id, staged, trusted,
                                        pending_recs)
             else:
-                # Both chains' pages go to one batch, the unit the
-                # scheduler shards.
+                # Both chains' pages go to one batch.
                 pages = shape.index.pages + shape.data
                 if not trusted:
                     self._check_pages(ino, pages, staged)
@@ -317,24 +309,16 @@ class Verifier:
         self._run_batch("absent", list(sh.children.items()), check_absent, staged)
         staged.new_children = new_children
 
-    # -- the batch scheduler ---------------------------------------------- #
-
-    def _pipe(self):
-        """The pipeline profile collecting this verifier's simulated-time
-        stage charges (None unless profiling is on)."""
-        return obs.pipeline_profile(self._profile)
+    # -- the check batches ----------------------------------------------- #
 
     def _check_pages(self, ino: int, jobs: Sequence[int],
                      staged: StagedUpdate) -> None:
         """Run :meth:`_check_page` for every page in ``jobs``."""
-        pipe = self._pipe()
-        if jobs and pipe is not None:
+        if jobs and _profiling():
             from repro.perf.costmodel import COST
 
-            enum_ns = (COST.verify_enumerate_fixed
-                       + len(jobs) * COST.verify_enumerate_per_page)
-            pipe.charge_serial("enumerate", enum_ns)
-            obs.charge(enum_ns, "enumerate")
+            obs.charge(COST.verify_enumerate_fixed
+                       + len(jobs) * COST.verify_enumerate_per_page, "enumerate")
 
         def check(items, _staged: StagedUpdate) -> None:
             for page_no in items:
@@ -345,30 +329,18 @@ class Verifier:
     def _run_batch(self, stage: str, items: Sequence,
                    check: Callable[[Sequence, StagedUpdate], object],
                    staged: StagedUpdate):
-        """Account ``items`` as stride shards over ``workers`` modeled
-        workers, then return ``check(items, staged)``, run once on this
-        thread."""
+        """Count ``items`` as one batch of ``stage``, then return
+        ``check(items, staged)``, run once on this thread."""
         n = len(items)
-        if not n:
-            return check(items, staged)
-        stat, unit_cost = _STAGES[stage]
-        setattr(self.pstats, stat, getattr(self.pstats, stat) + n)
-        critical = -(-n // self.workers)  # stride-dealt: no shard is larger
-        self.pstats.total_units += n
-        self.pstats.critical_units += critical
-        pipe = self._pipe()
-        if pipe is not None:
-            # Charge each shard's modeled cost to its worker slot.  Worker
-            # totals additionally carry ``op_cpu`` dispatch overhead per
-            # shard, so critical-path attribution is measured against an
-            # honest busy time rather than trivially summing to 100 %.
-            from repro.perf.costmodel import COST
+        if n:
+            stat, unit_cost = _STAGES[stage]
+            pstats = self.pstats
+            setattr(pstats, stat, getattr(pstats, stat) + n)
+            pstats.batch_sizes[n] = pstats.batch_sizes.get(n, 0) + 1
+            if _profiling():
+                from repro.perf.costmodel import COST
 
-            per_unit = getattr(COST, unit_cost)
-            for i, shard in enumerate(stride_shards(items, self.workers)):
-                pipe.charge(i, f"check_{stage}", len(shard) * per_unit)
-                pipe.add_worker_total(i, len(shard) * per_unit + COST.op_cpu)
-            obs.charge(critical * per_unit, f"check_{stage}")
+                obs.charge(n * getattr(COST, unit_cost), f"check_{stage}")
         return check(items, staged)
 
     # -- per-item checks ------------------------------------------------- #

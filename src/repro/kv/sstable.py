@@ -174,10 +174,6 @@ class SSTable:
         finally:
             fs.close(fd)
 
-    @property
-    def smallest(self) -> Optional[bytes]:
-        return self.index[0][0] if self.index else None
-
     def _read_block(self, i: int) -> bytes:
         _fkey, boff, bsize = self.index[i]
         fd = self.fs.open(self.path)

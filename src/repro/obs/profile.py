@@ -20,13 +20,12 @@ Export is Brendan Gregg's **collapsed-stack** format — one line per path,
 speedscope and inferno load directly.  :func:`read_collapsed` is the
 loss-free round-trip loader.
 
-For the parallel pipelines (verifier shards, fsck shards, per-thread alloc
-pools), flat paths are not enough: the question is "what is the *slowest
-worker* doing".  :meth:`Profiler.pipeline` returns a
-:class:`PipelineProfile` that accumulates per-worker, per-stage simulated
-charges plus serial (Amdahl) stages; :meth:`PipelineProfile.critical_path`
-reports the slowest worker's stage breakdown and what fraction of its time
-the named stages explain.
+For a pipeline of real threads (the allocator's per-thread page pools),
+flat paths are not enough: the question is "what is the *slowest worker*
+doing".  :meth:`Profiler.pipeline` returns a :class:`PipelineProfile` that
+accumulates per-worker, per-stage simulated charges;
+:meth:`PipelineProfile.critical_path` reports the slowest worker's stage
+breakdown and what fraction of its time the named stages explain.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class PipelineProfile:
         self._lock = threading.Lock()
         self._stages: Dict[str, Dict[str, float]] = {}
         self._totals: Dict[str, float] = {}
-        self._serial: Dict[str, float] = {}
 
     def charge(self, worker: object, stage: str, sim_ns: float) -> None:
         """Charge ``sim_ns`` of stage work to one worker."""
@@ -86,11 +84,6 @@ class PipelineProfile:
         w = str(worker)
         with self._lock:
             self._totals[w] = self._totals.get(w, 0.0) + sim_ns
-
-    def charge_serial(self, stage: str, sim_ns: float) -> None:
-        """Charge a serial (single-threaded, Amdahl) stage."""
-        with self._lock:
-            self._serial[stage] = self._serial.get(stage, 0.0) + sim_ns
 
     def worker_total(self, worker: object) -> float:
         w = str(worker)
@@ -109,7 +102,6 @@ class PipelineProfile:
             workers = set(self._stages) | set(self._totals)
             stages = {w: dict(self._stages.get(w, {})) for w in workers}
             totals = dict(self._totals)
-            serial = dict(self._serial)
         per_worker = {
             w: max(totals.get(w, 0.0), sum(stages[w].values()))
             for w in workers
@@ -128,8 +120,6 @@ class PipelineProfile:
             "worker": worst,
             "total_ns": total,
             "stages": worst_stages,
-            "serial_stages": serial,
-            "serial_ns": sum(serial.values()),
             "attributed_fraction": attributed,
         }
 
@@ -137,25 +127,16 @@ class PipelineProfile:
         """Human-readable critical-path rendering."""
         cp = self.critical_path()
         lines = [f"pipeline {self.name}: {cp['workers']} worker(s)"]
-        if cp["worker"] is None and not cp["serial_stages"]:
+        if cp["worker"] is None:
             lines.append("  (no charges recorded)")
             return "\n".join(lines)
-        if cp["worker"] is not None:
-            lines.append(
-                f"  critical worker {cp['worker']}: {cp['total_ns']:,.0f} ns "
-                f"simulated, "
-                f"{cp['attributed_fraction'] * 100.0:.1f}% attributed"
-            )
-            for stage in sorted(cp["stages"], key=cp["stages"].get,
-                                reverse=True):
-                lines.append(
-                    f"    {stage:<18} {cp['stages'][stage]:>14,.0f} ns")
-        if cp["serial_stages"]:
-            lines.append(f"  serial stages: {cp['serial_ns']:,.0f} ns")
-            for stage in sorted(cp["serial_stages"],
-                                key=cp["serial_stages"].get, reverse=True):
-                lines.append(
-                    f"    {stage:<18} {cp['serial_stages'][stage]:>14,.0f} ns")
+        lines.append(
+            f"  critical worker {cp['worker']}: {cp['total_ns']:,.0f} ns "
+            f"simulated, "
+            f"{cp['attributed_fraction'] * 100.0:.1f}% attributed"
+        )
+        for stage in sorted(cp["stages"], key=cp["stages"].get, reverse=True):
+            lines.append(f"    {stage:<18} {cp['stages'][stage]:>14,.0f} ns")
         return "\n".join(lines)
 
 

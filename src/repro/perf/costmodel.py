@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
+
+from repro.pm.layout import PAGE_SIZE, InodeRecord
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ class CostModel:
     #: [calib] aux-state rebuild per dentry on re-acquire.
     rebuild_per_entry: float = 55.0
 
-    # -- sharded verification (kernel/verifier.py's batch scheduler) ------- #
+    # -- verification stages (kernel/verifier.py), priced per worker ------ #
     #: [struct] serial enumerate stage: record read + staging setup.
     verify_enumerate_fixed: float = 1200.0
     #: [struct] per-page cost of the serial chain walk (index-slot reads).
@@ -206,9 +209,6 @@ class CostModel:
     def verify_time(self, nbytes: int) -> float:
         return self.transfer_fixed + nbytes / self.verify_bw
 
-    def snapshot_time(self, nbytes: int) -> float:
-        return nbytes / self.snapshot_bw
-
     def alloc_refill_time(self, batch: int) -> float:
         """Time inside the shared lock for one pool refill of ``batch``."""
         return self.alloc_refill_base + batch * self.alloc_refill_per_page
@@ -216,11 +216,6 @@ class CostModel:
     def alloc_global_time(self) -> float:
         """Time inside the shared lock for one legacy per-page alloc."""
         return self.alloc_global_cs
-
-    def alloc_pooled_per_op(self, batch: int) -> float:
-        """Amortized per-alloc cost of the pooled path: every alloc pays the
-        pool hit; one in ``batch`` additionally pays the refill."""
-        return self.alloc_pool_hit + self.alloc_refill_time(batch) / batch
 
     def verify_pipeline_time(self, pages: int, dentries: int = 0,
                              workers: int = 1) -> float:
@@ -259,11 +254,56 @@ class CostModel:
                        + dentries * self.verify_commit_per_entry),
         }
 
-    def verify_speedup(self, pages: int, dentries: int = 0,
-                       workers: int = 8) -> float:
-        """Modeled verification-throughput speedup of ``workers`` over 1."""
-        return (self.verify_pipeline_time(pages, dentries, 1)
-                / self.verify_pipeline_time(pages, dentries, workers))
+    @staticmethod
+    def verify_critical_units(batch_sizes: Mapping[int, int],
+                              workers: int = 1) -> int:
+        """Check units on the slowest of ``workers`` check shards, summed
+        over one run's batches (``PipelineStats.batch_sizes``: batch size
+        -> how many): a batch of ``n`` dealt round-robin puts at most
+        ``ceil(n / workers)`` on any shard.  ``workers=1`` is every unit."""
+        w = max(1, workers)
+        return sum(count * -(-size // w) for size, count in batch_sizes.items())
+
+    # -- whole-volume fsck (repro.fsck) --------------------------------- #
+
+    def fsck_phase_time(self, slots: int, work: Mapping[int, Tuple[int, int]],
+                        pages_claimed: int, workers: int = 1) -> Dict[str, float]:
+        """Modeled ns of fsck's scan, cross-check and graph phases, priced
+        from one serial run's counts as if ``workers`` workers ran them.
+
+        ``slots`` is the inode table's size, ``work`` maps each valid inode
+        to (pages read, dentries parsed), ``pages_claimed`` is what the
+        graph merge reconciled.  The scan deals every slot, the cross-check
+        every valid inode, round-robin over the workers (striping balances
+        the shards even when the live slots cluster low); each of those
+        phases costs what its slowest shard costs.  The graph merge is
+        serial: Amdahl's fraction, the same at every worker count.
+        """
+        record = self.pm_read_lat + self.pm_bw_time(InodeRecord.SIZE, read=True)
+        page = self.pm_read_lat + self.pm_bw_time(PAGE_SIZE, read=True)
+        w = max(1, min(workers, slots))
+        # Scan shard i reads the records of slots i, i + w, ... and the
+        # chains hanging off the valid ones: a PM read per record and per
+        # page (latency + bandwidth), CPU per dentry parsed.
+        pages, dentries = [0] * w, [0] * w
+        for ino, (npages, ndentries) in work.items():
+            pages[ino % w] += npages
+            dentries[ino % w] += ndentries
+        scan = max(len(range(i, slots, w)) * record + pages[i] * page
+                   + dentries[i] * self.lookup_cpu for i in range(w))
+        # Cross-check shard i takes the i-th, (i + w)-th, ... valid inode:
+        # bookkeeping per inode, two table lookups per dentry target.
+        inos = sorted(work)
+        w = max(1, min(workers, len(inos)))
+        check = max(len(inos[i::w]) * self.op_cpu
+                    + sum(work[ino][1] for ino in inos[i::w]) * 2 * self.lookup_cpu
+                    for i in range(w))
+        # The merge: reachability over the edge set and the page-claim /
+        # bitmap reconciliation.
+        edges = sum(ndentries for _npages, ndentries in work.values())
+        graph = (edges * self.lookup_cpu + pages_claimed * self.lookup_cpu
+                 + self.op_cpu)
+        return {"scan": scan, "check": check, "graph": graph}
 
     # -- striped array / delegation ------------------------------------- #
 

@@ -64,9 +64,6 @@ class FilebenchPersonality:
     name: str
     loop: List[Tuple[str, int]]
 
-    def ops_per_loop(self) -> int:
-        return len(self.loop)
-
 
 WEBPROXY = FilebenchPersonality("webproxy", WEBPROXY_LOOP)
 VARMAIL = FilebenchPersonality("varmail", VARMAIL_LOOP)

@@ -125,8 +125,7 @@ def table4() -> List[SharingResult]:
 
 
 def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
-                           trust_group: bool = False,
-                           workers: int = 1) -> Dict[str, float]:
+                           trust_group: bool = False) -> Dict[str, object]:
     """Two real LibFS apps ping-pong writes to one shared file.
 
     Returns the kernel counters that embody the sharing cost: bytes
@@ -134,20 +133,18 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
     both collapse to (near) zero — the §5.4 claim, demonstrated on the
     functional stack rather than the analytic model.
 
-    ``workers`` is how many modeled workers each transfer's verification
-    batches are stride-sharded over (``Verifier(workers=N)``);
-    the returned ``verify_*_units`` counters carry the scheduler's
-    critical-path accounting.
+    ``verify_batch_sizes`` is the verifier's check-batch histogram (batch
+    size -> how many, keyed by the size as a string so the result is
+    JSON), which ``CostModel.verify_critical_units`` prices at any worker
+    count.
     """
     from repro.api import Volume, VolumeConfig
-    from repro.kernel.verifier import Verifier
 
     vol = Volume.create(
         max(64, 4 * file_kib // 1024 + 16) * 1024 * 1024,
         VolumeConfig(inode_count=256, name="sharing"),
     )
     kernel = vol.kernel
-    kernel.verifier = Verifier(kernel, workers=workers)
     group = "g" if trust_group else None
     with vol:
         apps = [vol.session("app1", group=group), vol.session("app2", group=group)]
@@ -162,14 +159,13 @@ def run_functional_sharing(file_kib: int = 256, rounds: int = 4,
             app.close(fd)
             app.release_all()
         transfers = rounds
-        pstats = kernel.verifier.pstats
         out = {
             "bytes_verified_per_transfer": (kernel.stats.bytes_verified - v0) / transfers,
             "snapshot_bytes_per_transfer": (kernel.stats.snapshot_bytes - s0) / transfers,
             "group_skips": kernel.stats.group_skips,
             "verifications": kernel.stats.verifications,
-            "verify_total_units": pstats.total_units,
-            "verify_critical_units": pstats.critical_units,
+            "verify_batch_sizes": {str(n): k for n, k in sorted(
+                kernel.verifier.pstats.batch_sizes.items())},
         }
     return out
 
@@ -184,8 +180,9 @@ def verification_scaling(file_kib: int = 256,
     """Modeled per-transfer verification time/speedup vs worker count.
 
     The scenario is the 256 KiB shared-file round-trip: every ownership
-    bounce re-verifies the file's index page plus its data pages.  Times
-    come from the calibrated cost model's pipeline helper (serial
+    bounce re-verifies the file's index page plus its data pages (the
+    functional twin's page batch; Table 4's check compares the two).
+    Times come from the calibrated cost model's pipeline helper (serial
     enumerate/commit + slowest check shard); speedups are relative to one
     worker — the serial seed path.
     """

@@ -244,7 +244,7 @@ def test_46_concurrent_renames_create_cycle_arckfs():
     assert F_DIR_CYCLE in report.classes(), report.summary()
     # Repair cuts the cycle, which exposes the detached subtree as an
     # orphan root to quarantine — multi-pass convergence.
-    repaired = run_fsck(device, workers=2, repair=True)
+    repaired = run_fsck(device, repair=True)
     assert repaired.clean, repaired.summary()
     assert F_DIR_CYCLE in repaired.repairs
 

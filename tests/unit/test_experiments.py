@@ -44,17 +44,9 @@ def _sweep(*values):
     return dict(zip(("1", "2", "4", "8"), values))
 
 
-def _sharing(critical):
-    """One functional ping-pong's verification counters (330 units)."""
-    return {"bytes_verified_per_transfer": 267424.0, "verifications": 7,
-            "verify_total_units": 330,
-            "verify_critical_units": critical}
-
-
 def _fsck(total_ms, scan_ms):
-    return {"findings": [], "inodes_valid": 2033, "dentries": 2032,
-            "pages_claimed": 4033, "modeled_ns": total_ms * 1e6,
-            "phase_ns": {"scan": scan_ms * 1e6}}
+    """One worker count's price of the one fsck run."""
+    return {"modeled_ns": total_ms * 1e6, "phase_ns": {"scan": scan_ms * 1e6}}
 
 
 def _fences():
@@ -113,10 +105,12 @@ CASES = {
                 "arckfs+ fillseq: data ops 50.0% <= 85%"),
     "table4": ({"cells": [{"system": system, "scenario": scenario, "value": value}
                           for (system, scenario), value in TABLE4_PAPER.items()],
-                "functional": {"verified": _sharing(330),
+                "functional": {"verified": {"bytes_verified_per_transfer": 267424.0,
+                                            "verify_batch_sizes": {"1": 5, "65": 5}},
                                "trust-group": {"bytes_verified_per_transfer": 1184.0}},
-                "verify_scaling": [{"speedup": x} for x in (1.0, 1.84, 3.16, 4.94)],
-                "pipelined": _sharing(50)},
+                "verify_scaling": [{"speedup": x, "pages": 65}
+                                   for x in (1.0, 1.84, 3.16, 4.94)],
+                "critical_units": {"1": 330, "8": 50}},
                ("functional", "trust-group", "bytes_verified_per_transfer"), 20000.0,
                "functional: 20000 B verified per transfer with a trust group "
                "(want < 10000)"),
@@ -162,16 +156,25 @@ CASES = {
                                   "open": {"without §4.5 RCU cost": 100.0}}},
                  ("mechanisms", "lease-grants/dir-rename", "arckfs"), 1,
                  "§4.6: 1 lease grants unpatched"),
-    "fsck": ({str(w): _fsck(total, scan) for w, total, scan in zip(
-                FSCK_WORKERS, (5.821, 3.102, 1.742, 1.063),
-                (4.704, 2.356, 1.182, 0.594))},
-             ("8", "dentries"), 2031, "8 workers: dentries 2031 vs 2032 with 1"),
+    "fsck": ({"findings": [], "workers": {
+                 str(w): _fsck(total, scan) for w, total, scan in zip(
+                     FSCK_WORKERS, (5.821, 3.102, 1.742, 1.063),
+                     (4.704, 2.356, 1.182, 0.594))}},
+             ("findings",), [{"class": "orphan-inode"}],
+             "1 finding(s) on the clean volume"),
     "fences": (_fences(), ("unlink", "skipped", 0), None,
                "unlink: skipping fence 1 (LibFS.unlink) found no violating image"),
 }
 
 #: Further claims of an experiment: (name, path, the bad value, the claim).
 MORE_CASES = [
+    ("table4", ("critical_units", "8"), 200,
+     "pipelined: critical path 200 of 330 units (want <= 1/2.5)"),
+    ("table4", ("verify_scaling", 0, "pages"), 64,
+     "verification scaling: priced at 64 pages per transfer, the twin's "
+     "largest batch is 65"),
+    ("fsck", ("workers", "8", "phase_ns", "scan"), 1.5e6,
+     "8 workers: 3.14x on the scan (want >= 4)"),
     ("alloc", ("after_extent", "pool_refills"), 1,
      "after a 128-page extent, a 4-page alloc: 1 refills, 0 fences (want 0, 0)"),
     ("fences", ("tx3", "skipped", 2), None,

@@ -2,8 +2,9 @@
 
 Parametrized over the corruption injectors: every finding class the
 taxonomy names must be detected on a planted volume and must repair back
-to a provably clean volume.  Worker-count sweeps check that the sharded
-pipeline is deterministic and that the modeled scan time actually scales.
+to a provably clean volume.  The cost model prices one check at any worker
+count: one worker is the report's own timing, and more workers cut the
+modeled time.
 """
 
 import json
@@ -11,7 +12,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.concurrency.parallel import stride_shards
 from repro.fsck import (
     ALL_CLASSES,
     INJECTORS,
@@ -22,6 +22,7 @@ from repro.fsck import (
     inject_stripe_label,
     run_fsck,
 )
+from repro.perf.costmodel import COST
 from repro.pm.device import PMDevice
 
 
@@ -61,7 +62,7 @@ def test_injected_corruption_repairs_clean(name):
     device, _kernel, _fs = build_volume()
     inject, expected_cls = INJECTORS[name]
     inject(device)
-    report = run_fsck(device, workers=2, repair=True)
+    report = run_fsck(device, repair=True)
     assert report.clean, report.summary()
     assert expected_cls in report.repairs
     # A quarantine into /lost+found allocates a dentry page; the repairer
@@ -110,43 +111,55 @@ class TestStripedVolume:
         assert repaired.clean, repaired.summary()
 
 
-def test_findings_deterministic_across_workers():
-    reports = []
-    for workers in (1, 2, 4):
-        device, _kernel, _fs = build_volume()
-        INJECTORS["dir-cycle"][0](device)
-        INJECTORS["size-mismatch"][0](device)
-        reports.append(run_fsck(device, workers=workers))
-    dicts = [[f.as_dict() for f in r.findings] for r in reports]
-    assert dicts[0] == dicts[1] == dicts[2]
-    assert dicts[0]  # and there was something to find
+def test_modeled_one_worker_is_the_report():
+    device, _kernel, _fs = build_volume()
+    INJECTORS["dir-cycle"][0](device)
+    report = run_fsck(device)
+    assert report.findings  # a damaged volume is priced too
+    assert report.phases_at(1) == report.phase_ns
+    assert sum(report.phase_ns.values()) == report.modeled_ns
+    assert len(report.work) == report.inodes_valid
 
 
 def test_modeled_time_scales_with_workers():
     device, _kernel, _fs = build_volume()
-    one = run_fsck(device, workers=1)
-    four = run_fsck(device, workers=4)
-    assert four.phase_ns["scan"] < one.phase_ns["scan"]
-    assert four.modeled_ns < one.modeled_ns
-    # The serial graph merge is worker-independent (Amdahl's fraction).
-    assert four.phase_ns["graph"] == one.phase_ns["graph"]
+    report = run_fsck(device)
+    phases = [report.phases_at(w) for w in (1, 2, 4, 8)]
+    for fewer, more in zip(phases, phases[1:]):
+        assert more["scan"] < fewer["scan"]
+        assert more["check"] < fewer["check"]
+        assert sum(more.values()) < sum(fewer.values())
+        # The serial graph merge is worker-independent (Amdahl's fraction).
+        assert more["graph"] == fewer["graph"]
 
 
-def test_stride_shards_balance_and_cover():
-    shards = stride_shards(list(range(10)), 4)
-    assert len(shards) == 4
-    assert sorted(x for s in shards for x in s) == list(range(10))
-    sizes = [len(s) for s in shards]
-    assert max(sizes) - min(sizes) <= 1
-    assert stride_shards([], 4) == [[]]
-    assert stride_shards([1, 2], 8) == [[1], [2]]
+def test_modeled_shards_cover_every_slot_once():
+    """Priced at w workers, the scan shards deal every slot to exactly
+    one worker: pricing one inode's work alone charges its shard, and the
+    slowest shard at one worker per slot is the costliest slot."""
+    work = {0: (1, 3), 5: (40, 0), 6: (2, 0), 9: (0, 0)}
+    one = COST.fsck_phase_time(10, work, pages_claimed=43)
+    record = COST.fsck_phase_time(10, {}, pages_claimed=0)["scan"] / 10
+    per_slot = {ino: COST.fsck_phase_time(1, {0: w}, 0)["scan"]
+                for ino, w in work.items()}
+    assert one["scan"] == pytest.approx(
+        sum(per_slot.values()) + (10 - len(work)) * record)
+    assert COST.fsck_phase_time(10, work, 43, workers=10)["scan"] == max(
+        per_slot.values())
+    # Striped: slots 5 and 9 share a shard of two workers, 0 and 6 the other.
+    two = COST.fsck_phase_time(10, work, 43, workers=2)["scan"]
+    assert two == pytest.approx(max(per_slot[0] + per_slot[6],
+                                    per_slot[5] + per_slot[9]) + 3 * record)
+    # More workers than valid inodes: the cross-check has one per inode.
+    check = COST.fsck_phase_time(10, work, 43, workers=64)["check"]
+    assert check == COST.fsck_phase_time(1, {0: (0, 3)}, 0)["check"]
 
 
 def test_report_json_shape():
     device, _kernel, _fs = build_volume()
     INJECTORS["nlink-mismatch"][0](device)
     data = json.loads(run_fsck(device).to_json())
-    assert set(data) == {"clean", "findings", "classes", "workers", "passes",
+    assert set(data) == {"clean", "findings", "classes", "passes",
                          "repairs", "stats", "timing"}
     assert data["clean"] is False
     (finding,) = data["findings"]
@@ -166,7 +179,7 @@ def test_repair_is_noop_on_clean_volume():
 def test_kernel_controller_fsck_convenience():
     _device, kernel, _fs = build_volume(files=8, dirs=2)
     report = kernel.fsck()
-    assert report.clean and report.workers == 1
+    assert report.clean and report.passes == 1
 
 
 # --------------------------------------------------------------------------- #

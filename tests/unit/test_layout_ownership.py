@@ -278,7 +278,9 @@ def test_option_census():
     diff, which two callers need different values (ROADMAP aim 2)."""
     from repro.api import VolumeConfig
     from repro.core.config import ArckConfig
+    from repro.fsck import run_fsck
     from repro.kernel.controller import KernelStats
+    from repro.kernel.verifier import Verifier
     from repro.pm.device import PMDevice
     from repro.server import ServerConfig, TenantPolicy
 
@@ -305,6 +307,11 @@ def test_option_census():
     keywords = {p.name for p in inspect.signature(PMDevice).parameters.values()
                 if p.kind is p.KEYWORD_ONLY}
     assert keywords == {"devices", "crash_tracking"}
+    # Modeled workers are the cost model's: the checkers take no count.
+    assert list(inspect.signature(Verifier).parameters) == ["controller"]
+    keywords = {p.name for p in inspect.signature(run_fsck).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+    assert keywords == {"repair", "libfs", "max_passes"}
 
 
 def test_a_layer_event_is_counted_once_and_timed_by_one_span():
