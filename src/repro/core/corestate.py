@@ -92,6 +92,14 @@ class CoreState:
         raw = self.mem.load(self.geom.inode_off(ino), InodeRecord.SIZE)
         return InodeRecord.unpack(raw)
 
+    def read_inodes(self) -> List[InodeRecord]:
+        """The whole inode table, by ino, in one load."""
+        size = InodeRecord.SIZE
+        raw = memoryview(self.mem.load(self.geom.itable_off,
+                                       self.geom.inode_count * size))
+        return [InodeRecord.unpack(raw[off:off + size])
+                for off in range(0, len(raw), size)]
+
     def write_inode(self, ino: int, rec: InodeRecord, *, persist: bool = True) -> None:
         off = self.geom.inode_off(ino)
         self.mem.store(off, rec.pack())
@@ -136,6 +144,20 @@ class CoreState:
         off = self.geom.page_off(prev_page)  # next_page is the first field
         self.mem.atomic_store(off, struct.pack("<Q", new_page))
         self.mem.persist(off, 8)
+
+    def cut_chain(self, ino: int, last_good: int, tail: Optional[int] = None) -> None:
+        """Keep a broken chain's consistent prefix: cut directory tail
+        ``tail`` (None: the file's index chain) of ``ino`` after page
+        ``last_good``; 0 empties it (a file's size with it).  Persisted."""
+        if last_good:
+            self.link_page(last_good, 0)
+            return
+        rec = self.read_inode(ino)
+        if tail is None:
+            rec.index_root = rec.size = 0
+        else:
+            rec.tails[tail] = 0
+        self.write_inode(ino, rec)
 
     # ------------------------------------------------------------------ #
     # Directory logs (multi-tailed)
@@ -410,9 +432,11 @@ class CoreState:
             self.mem.clwb(addr, take * 8)
             done += take
 
-    def trim_to_size(self, rec: InodeRecord) -> Tuple[List[int], bool]:
-        """A regular file's owned pages (as :meth:`owned_pages`) with nothing
-        kept past its committed ``size``, and whether anything was stored.
+    def trim_to_size(self, size: int, index: List[int],
+                     data: List[int]) -> Tuple[List[int], bool]:
+        """A regular file's owned pages — its ``index`` chain and the
+        ``data`` pages it maps, as walked — with nothing kept past its
+        committed ``size``, and whether anything was stored.
 
         Mount's repair of a crash inside an append or a shrink: slots
         mapped past ``ceil(size / PAGE_SIZE)`` are cleared — those after the
@@ -422,9 +446,7 @@ class CoreState:
         ``clwb`` only; the caller fences when the flag is set.  A file whose
         size exceeds its pages is left to fsck.
         """
-        index = self.index_pages(rec)
-        data = list(self.data_pages(index))
-        keep = -(-rec.size // PAGE_SIZE)
+        keep = -(-size // PAGE_SIZE)
         # ``end``: one past the last mapped slot, the first clear one or not.
         end = len(data)
         first, skip = divmod(end, INDEX_SLOTS)
@@ -439,7 +461,7 @@ class CoreState:
             self.store_index_slots(index, keep, [0] * (end - keep))
             data = data[:keep]
             stored = True
-        tail = rec.size % PAGE_SIZE
+        tail = size % PAGE_SIZE
         if tail and len(data) == keep:
             addr = self.geom.page_off(data[-1]) + tail
             if self.mem.load(addr, PAGE_SIZE - tail) != bytes(PAGE_SIZE - tail):

@@ -8,14 +8,19 @@ A caller walks the inode into an :class:`InodeShape` (``walk_chain`` /
 :func:`violations` yields a :class:`Violation` per broken rule, named after
 the fsck class reporting it.  The caller supplies what a dentry's target
 looks like: ``target(ino)``, anything with ``gen`` and ``itype``, or None.
-The verifier's shadow-table checks and fsck's serial merge are not here:
-pFSCK's split of per-inode checks and merge.
+The verifier's shadow-table checks are not here.
+
+The volume-wide half is here too, for mount and fsck alike: :func:`scan`
+walks every slot of the inode table into shapes, and :func:`resolve`
+applies the one namespace rule to them — which live record links each
+inode, which lose, and what the root reaches.  pFSCK's split of scan and
+merge: mount acts on the verdict, fsck reports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.corestate import CoreState, DentryLoc
 from repro.errors import ChainCorrupt
@@ -66,8 +71,8 @@ def walk(core: CoreState, head: int) -> Chain:
 class InodeShape:
     """One valid inode as the rules read it: a directory's ``(tail index,
     chain)`` per non-empty tail and the records on their good prefixes; a
-    file's index chain, the data pages it maps up to the first empty slot,
-    and the slot out of range (``{"slot", "page", "last_good",
+    file's index chain, the data pages its good prefix maps up to the first
+    empty slot, and the slot out of range (``{"slot", "page", "last_good",
     "slot_addr"}``), if one is."""
 
     ino: int
@@ -83,11 +88,15 @@ class InodeShape:
         return (self.index.error is None and self.data_error is None
                 and all(chain.error is None for _idx, chain in self.tails))
 
+    def pages(self) -> List[int]:
+        """Every page the walks reached: the good prefix of each chain and
+        the data pages mapped on it."""
+        return ([p for _idx, chain in self.tails for p in chain.pages]
+                + self.index.pages + self.data)
+
 
 def walk_file(core: CoreState, shape: InodeShape) -> None:
     shape.index = walk(core, shape.rec.index_root)
-    if shape.index.error is not None:
-        return
     try:
         for page_no in core.data_pages(shape.index.pages):
             shape.data.append(page_no)
@@ -96,6 +105,40 @@ def walk_file(core: CoreState, shape: InodeShape) -> None:
         shape.data_error = {
             "slot": slot, "page": exc.bad, "last_good": exc.last_good,
             "slot_addr": core.index_slot_addr(shape.index.pages, slot)}
+
+
+def pages_read(shape: InodeShape) -> int:
+    """The chain pages :func:`scan` read for ``shape``: its directory-log
+    tails, or its file's page index."""
+    return (sum(len(chain.pages) for _idx, chain in shape.tails)
+            + len(shape.index.pages))
+
+
+def scan(core: CoreState, records: List[InodeRecord]) -> Dict[int, InodeShape]:
+    """Walk the valid ones of ``records`` (the inode table, by ino, as
+    :meth:`CoreState.read_inodes` reads it); their shapes, by ino.
+
+    Read-only and self-contained per inode (any split of the table could
+    run in parallel; ``CostModel.fsck_phase_time`` prices that split from
+    :func:`pages_read`).  Never raises on corrupt structures: a chain's
+    :class:`ChainCorrupt` is kept with its last good page."""
+    shapes: Dict[int, InodeShape] = {}
+    for ino, rec in enumerate(records):
+        if not rec.valid:
+            continue
+        shape = InodeShape(ino=ino, rec=rec)
+        if rec.is_dir:
+            for tail_idx, head in enumerate(rec.tails):
+                if not head:
+                    continue
+                chain = walk(core, head)
+                shape.tails.append((tail_idx, chain))
+                for page_no in chain.pages:
+                    shape.records += core.page_dentries(page_no, tail_idx)[0]
+        else:
+            walk_file(core, shape)
+        shapes[ino] = shape
+    return shapes
 
 
 @dataclass
@@ -191,3 +234,80 @@ def dentry_violation(loc: DentryLoc, d: Dentry,
         return Violation(DANGLING_DENTRY, why, loc.page_no, {"target": d.ino},
                          loc, d)
     return Violation(TORN_DENTRY, why, loc.page_no, loc=loc, dentry=d)
+
+
+class Edge(NamedTuple):
+    """A live dentry record read as a namespace edge: ``parent`` holds
+    ``dentry`` at ``loc``."""
+
+    parent: int
+    loc: DentryLoc
+    dentry: Dentry
+
+
+def _rank(edge: Edge) -> Tuple[int, int, int, int]:
+    return (edge.dentry.seq, edge.parent, edge.loc.page_no, edge.loc.offset)
+
+
+@dataclass
+class Namespace:
+    """:func:`resolve`'s verdict on a scanned volume."""
+
+    #: child ino -> the one edge that links it.
+    winners: Dict[int, Edge] = field(default_factory=dict)
+    #: every other live record the rules accept (a crashed rename's residue).
+    losers: List[Edge] = field(default_factory=list)
+    #: (directory ino, violation) of each live record the rules reject.
+    rejected: List[Tuple[int, Violation]] = field(default_factory=list)
+    #: parent ino -> the children its winning edges link.
+    children: Dict[int, List[int]] = field(default_factory=dict)
+    #: what the root reaches over the winning edges, the root included.
+    reachable: Set[int] = field(default_factory=set)
+
+
+def resolve(shapes: Dict[int, InodeShape], root: int) -> Namespace:
+    """The one namespace rule, over :func:`scan`'s shapes.
+
+    A live record :func:`dentry_violation` rejects is set aside.  Within a
+    directory :meth:`CoreState.resolve_dentries` decides (highest ``seq``
+    per inode, then per name); across directories the highest ``seq``
+    wins, ties broken by ``(parent, page, offset)``, so the verdict is a
+    function of the image alone.  Reachability follows the winners from
+    ``root`` (nothing, when ``root`` has no valid record)."""
+    ns = Namespace()
+    target = {ino: shape.rec for ino, shape in shapes.items()}.get
+    for ino, shape in shapes.items():
+        kept = []
+        for loc, d in shape.records:
+            if not d.live:
+                continue
+            v = dentry_violation(loc, d, target)
+            if v is None:
+                kept.append((loc, d))
+            else:
+                ns.rejected.append((ino, v))
+        won = {loc for _d, loc in CoreState.resolve_dentries(kept).values()}
+        for loc, d in kept:
+            edge, prev = Edge(ino, loc, d), ns.winners.get(d.ino)
+            if loc in won and (prev is None or _rank(edge) > _rank(prev)):
+                ns.winners[d.ino] = edge
+                edge = prev
+            if edge is not None:
+                ns.losers.append(edge)
+    for child, edge in ns.winners.items():
+        ns.children.setdefault(edge.parent, []).append(child)
+    if root in shapes:
+        ns.reachable = reach(ns.children, root)
+    return ns
+
+
+def reach(children: Dict[int, List[int]], root: int) -> Set[int]:
+    """``root`` and every inode its ``children`` edges lead to."""
+    out: Set[int] = set()
+    stack = [root]
+    while stack:
+        ino = stack.pop()
+        if ino not in out:
+            out.add(ino)
+            stack.extend(children.get(ino, ()))
+    return out

@@ -5,10 +5,12 @@ moment its ownership is transferred; this package is its whole-volume
 complement, in the shape pFSCK gave the classic fsck pipeline:
 
 1. **scan** — walk the superblock, every inode record, every
-   directory-log tail and every file page index (:mod:`repro.fsck.scan`);
+   directory-log tail and every file page index
+   (:func:`repro.core.invariants.scan`, the walk mount recovers from);
 2. **cross-check** — per-inode validation (by the rules of
    :mod:`repro.core.invariants` the verifier and mount share) plus a
-   graph merge reconstructing reachability from the root: orphan inodes,
+   graph merge reconstructing reachability from the root by the namespace
+   rule mount applies (:func:`~repro.core.invariants.resolve`): orphan inodes,
    dangling or torn dentries, duplicate links, directory cycles, page
    double-use and bitmap drift (:mod:`repro.fsck.check`);
 3. **repair** — ``--repair`` applies truncate-to-consistent-prefix to

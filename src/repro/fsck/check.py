@@ -7,9 +7,10 @@ Two sub-phases, mirroring pFSCK's split:
   mount apply too.  It needs the *whole* scanned inode table (a dentry may
   target any slot) but writes nothing shared, so any split of its inodes
   could run in parallel, as the cost model prices it.
-* :func:`check_graph` — the serial merge: duplicate-dentry resolution,
-  reachability from the root, orphan roots, directory cycles, and the
-  page-claim / bitmap reconciliation.
+* :func:`check_graph` — the serial merge: duplicate dentries and
+  reachability from the root as :func:`~repro.core.invariants.resolve`
+  decides them (mount acts on the same verdict), then orphan roots,
+  directory cycles, and the page-claim / bitmap reconciliation.
 
 Every check produces a typed :class:`~repro.fsck.findings.Finding` whose
 ``meta`` is sufficient for :mod:`repro.fsck.repair` to act without
@@ -21,12 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.core.corestate import DentryLoc
-from repro.core.invariants import (
-    PAGE_DOUBLE_USE,
-    InodeShape,
-    dentry_violation,
-    violations,
-)
+from repro.core.invariants import PAGE_DOUBLE_USE, InodeShape, reach, resolve, violations
 from repro.fsck.findings import (
     F_DIR_CYCLE,
     F_DUPLICATE_DENTRY,
@@ -95,45 +91,22 @@ def check_graph(
     """
     findings: List[Finding] = []
 
-    # -- duplicate resolution: at most one live dentry per (ino, gen) ------ #
+    # -- the namespace rule mount applies too: duplicates, reachability ---- #
     # Over the live dentries no rule rejects (check_inodes reported those).
-    by_child: Dict[int, List[Tuple[int, DentryLoc, object]]] = {}
-    target = _target(scans)
-    for shape in scans.values():
-        for loc, d in shape.records:
-            if d.live and dentry_violation(loc, d, target) is None:
-                by_child.setdefault(d.ino, []).append((shape.ino, loc, d))
-    parent_of: Dict[int, Tuple[int, DentryLoc, object]] = {}
-    for child, refs in by_child.items():
-        # Highest seq wins (the §4.1 resolution rule); ties broken by
-        # location so the outcome is deterministic across worker counts.
-        refs.sort(key=lambda r: (r[2].seq, r[0], r[1].page_no, r[1].offset))
-        winner = refs[-1]
-        parent_of[child] = winner
-        for parent, loc, d in refs[:-1]:
-            findings.append(Finding(
-                F_DUPLICATE_DENTRY,
-                f"ino {child} is also linked as {d.name!r} in dir {parent} "
-                f"(seq {d.seq} loses to seq {winner[2].seq} "
-                f"in dir {winner[0]})",
-                ino=parent, page=loc.page_no, name=_name_str(d.name),
-                meta=_loc_meta(loc),
-            ))
-
-    # -- reachability over the winning edges ------------------------------- #
-    children: Dict[int, List[int]] = {}
-    for child, (parent, _loc, _d) in parent_of.items():
-        children.setdefault(parent, []).append(child)
-    reachable: Set[int] = set()
-    if root_ino in scans:
-        stack = [root_ino]
-        while stack:
-            ino = stack.pop()
-            if ino in reachable:
-                continue
-            reachable.add(ino)
-            stack.extend(children.get(ino, ()))
-    else:
+    ns = resolve(scans, root_ino)
+    parent_of, children, reachable = ns.winners, ns.children, ns.reachable
+    for parent, loc, d in ns.losers:
+        winner = parent_of.get(d.ino)
+        to = (f"seq {winner.dentry.seq} in dir {winner.parent}" if winner
+              else f"a later {d.name!r} in dir {parent}")
+        findings.append(Finding(
+            F_DUPLICATE_DENTRY,
+            f"ino {d.ino} is also linked as {d.name!r} in dir {parent} "
+            f"(seq {d.seq} loses to {to})",
+            ino=parent, page=loc.page_no, name=_name_str(d.name),
+            meta=_loc_meta(loc),
+        ))
+    if root_ino not in scans:
         findings.append(Finding(
             F_SUPERBLOCK,
             f"root inode {root_ino} is not a valid directory record",
@@ -148,7 +121,7 @@ def check_graph(
             continue
         # No incoming edge at all: an orphan root.  Its subtree rides along
         # when repair reconnects it, so only the root is reported.
-        sub = _subtree(children, ino)
+        sub = reach(children, ino)
         covered.update(sub)
         rec = scans[ino].rec
         findings.append(Finding(
@@ -328,18 +301,6 @@ def _claim_chain(claims, findings, ino: int, role: str, pages: List[int],
         ))
         # The rest of this chain hangs off a foreign page; stop claiming.
         break
-
-
-def _subtree(children: Dict[int, List[int]], root: int) -> Set[int]:
-    out: Set[int] = set()
-    stack = [root]
-    while stack:
-        ino = stack.pop()
-        if ino in out:
-            continue
-        out.add(ino)
-        stack.extend(children.get(ino, ()))
-    return out
 
 
 def _find_cycle(parent_of, start: int) -> Set[int]:

@@ -153,16 +153,8 @@ class Repairer:
             self.device.store(f.meta["slot_addr"], b"\0" * 8)
             self.device.persist(f.meta["slot_addr"], 8)
             return True
-        if last_good:
-            self.core.link_page(last_good, 0)
-            return True
-        rec = self.core.read_inode(f.ino)
-        if kind == "tail":
-            rec.tails[f.meta["tail"]] = 0
-        else:  # index
-            rec.index_root = 0
-            rec.size = 0
-        self.core.write_inode(f.ino, rec)
+        self.core.cut_chain(f.ino, last_good,
+                            f.meta["tail"] if kind == "tail" else None)
         return True
 
     # ------------------------------------------------------------------ #

@@ -19,8 +19,9 @@ from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro import obs
 from repro.core.corestate import CoreState
+from repro.core.invariants import pages_read, scan
 from repro.core.mkfs import load_geometry
-from repro.fsck import auxcheck, check, scan
+from repro.fsck import auxcheck, check
 from repro.fsck.findings import F_SUPERBLOCK, Finding, FsckReport
 from repro.fsck.repair import Repairer
 from repro.pm.device import PMDevice
@@ -56,8 +57,8 @@ def _check_once(
 
     # -- phase 1: scan every slot ------------------------------------------ #
     with obs.span("fsck.scan", category="fsck"):
-        scans = scan.scan(core, geom.inode_count)
-    report.work = {ino: (scan.pages_read(s), len(s.records))
+        scans = scan(core, core.read_inodes())
+    report.work = {ino: (pages_read(s), len(s.records))
                    for ino, s in scans.items()}
     report.inodes_total = geom.inode_count
     report.inodes_valid = len(scans)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.api import Volume, VolumeConfig
-from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
@@ -18,25 +17,21 @@ def build_volume(
     payload: bytes = b"fsck-payload\n",
     size: int = 16 * 1024 * 1024,
     inode_count: int = 256,
-    config: ArckConfig = ARCKFS_PLUS,
-    crash_tracking: bool = False,
-    uid: int = 1000,
     devices: int = 1,
     stripe_pages: int = 1,
 ) -> Tuple[PMDevice, KernelController, LibFS]:
-    """A freshly formatted volume populated with ``dirs`` directories and
-    ``files`` small files spread round-robin across them (plus the root).
+    """A freshly formatted ArckFS+ volume (crash tracking off) populated
+    by uid 1000 with ``dirs`` directories and ``files`` small files spread
+    round-robin across them (plus the root).
 
     Layout is a pure function of the arguments, so every fsck test and the
     bench see identical trees.  ``devices > 1`` builds the same tree on a
     striped volume.
     """
     vol = Volume.create(size, VolumeConfig(
-        config=config, inode_count=inode_count,
-        crash_tracking=crash_tracking, devices=devices,
-        stripe_pages=stripe_pages))
+        inode_count=inode_count, devices=devices, stripe_pages=stripe_pages))
     device, kernel = vol.device, vol.kernel
-    fs = vol.session("fsck-vol", uid=uid).fs
+    fs = vol.session("fsck-vol").fs
     dirnames = [f"/d{i}" for i in range(dirs)]
     for name in dirnames:
         fs.mkdir(name)

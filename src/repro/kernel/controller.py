@@ -8,10 +8,11 @@ numbers, arbitrates the global rename lease (§4.6 patch), and implements
 trust groups (§5.4).
 
 Recovery after a crash (``KernelController.mount``) rebuilds everything from
-the durable core state alone: a breadth-first walk from the root directory
-reconstructs the shadow table, tombstones the stale duplicate dentries left
-by crashed renames, detects partially-persisted creations (the §4.2
-observable), and reclaims leaked pages and inode slots.
+the durable core state alone, read as fsck reads it (the scan and namespace
+rule of ``core/invariants.py``): it reconstructs the shadow table from what
+the root reaches, tombstones the stale duplicate dentries left by crashed
+renames, reports partially-persisted creations (the §4.2 observable), and
+reclaims leaked pages and inode slots.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.concurrency.lease import Lease
 from repro.core.config import ARCKFS_PLUS, ArckConfig
-from repro.core.corestate import CoreState, DentryLoc
-from repro.core.invariants import dentry_violation
+from repro.core.corestate import CoreState
+from repro.core.invariants import resolve, scan
 from repro.core.mkfs import ROOT_INO, load_geometry, mkfs
 from repro.errors import (
     ChainCorrupt,
@@ -211,116 +212,65 @@ class KernelController:
         report.tx_discarded = outcome.discarded
 
     def _recover(self) -> RecoveryReport:
-        """Rebuild shadow table, page ownership, allocator and slot gens."""
+        """Rebuild shadow table, page ownership, allocator and slot gens.
+
+        From fsck's own reading of the volume: :func:`scan` walks every
+        slot and :func:`resolve` applies the one namespace rule, so what
+        mount keeps is what fsck calls reachable.  Then mount acts on the
+        verdict."""
         report = RecoveryReport()
         core = self.core
-        root_rec = core.read_inode(ROOT_INO)
-        if not root_rec.valid or not root_rec.is_dir:
+        records = core.read_inodes()
+        shapes = scan(core, records)
+        root = shapes.get(ROOT_INO)
+        if root is None or not root.rec.is_dir:
             raise InvalidArgument("root inode record invalid")
+        ns = resolve(shapes, ROOT_INO)
 
-        # Pass 1: walk from the root collecting candidate (parent, dentry)
-        # pairs per child; resolve duplicates by seq, within a directory
-        # and across directories.  A record the dentry rules reject is
-        # torn, dropped before resolution.  Every live record resolution
-        # drops is tombstoned on media: otherwise a crashed rename's old
-        # name stays live for LibFS and fsck after mount, and unlinking it
-        # would free the inode the new name still points to.
-        # child -> (parent, dentry, where the dentry lives)
-        best: Dict[int, Tuple[int, object, DentryLoc]] = {}
-        stale: List[DentryLoc] = []
-        dirs_seen: Set[int] = set()
-        frontier = [ROOT_INO]
-        valid: Dict[int, InodeRecord] = {}  # the child records pass 1 read
-
-        def target(ino: int) -> Optional[InodeRecord]:
-            if ino not in valid and ino < self.geom.inode_count:
-                rec = core.read_inode(ino)
-                if rec.valid:
-                    valid[ino] = rec
-            return valid.get(ino)
-
-        while frontier:
-            dir_ino = frontier.pop()
-            if dir_ino in dirs_seen:
-                continue
-            dirs_seen.add(dir_ino)
-            dir_rec = core.read_inode(dir_ino)
-            if not dir_rec.valid or not dir_rec.is_dir:
-                continue
-            try:
-                records = list(core.iter_dir_records(dir_rec))
-            except ChainCorrupt:
-                report.torn_dentries.append((dir_ino, b"<corrupt log>"))
-                continue
-            torn = [(loc, d) for loc, d in records
-                    if d.live and dentry_violation(loc, d, target)]
-            report.torn_dentries += [(dir_ino, d.name) for _loc, d in torn]
-            kept = [r for r in records if r not in torn]
-            resolved = core.resolve_dentries(kept)
-            winners = {loc for _d, loc in resolved.values()}
-            stale += [loc for loc, d in kept if d.live and loc not in winners]
-            for d, loc in resolved.values():
-                prev = best.get(d.ino)
-                if prev is None or d.seq > prev[1].seq:
-                    best[d.ino] = (dir_ino, d, loc)
-                    if prev is not None:
-                        stale.append(prev[2])
-                else:
-                    stale.append(loc)
-                if valid[d.ino].is_dir:
-                    frontier.append(d.ino)
-        for loc in stale:
-            core.tombstone(loc)
-        if stale:
+        # Every live record resolution drops is tombstoned on media:
+        # otherwise a crashed rename's old name stays live for LibFS and
+        # fsck after mount, and unlinking it would free the inode the new
+        # name still points to.
+        for edge in ns.losers:
+            core.tombstone(edge.loc)
+        if ns.losers:
             self.device.sfence()
-        report.duplicates_dropped = len(stale)
+        report.duplicates_dropped = len(ns.losers)
+        report.torn_dentries = [(ino, v.dentry.name) for ino, v in ns.rejected
+                                if ino in ns.reachable]
 
-        # Pass 2: build shadow entries for the root and every resolved child.
-        self.shadow = {
-            ROOT_INO: ShadowInode(
-                ino=ROOT_INO,
-                gen=root_rec.gen,
-                itype=root_rec.itype,
-                mode=root_rec.mode,
-                uid=root_rec.uid,
-                parent=None,
-                name=b"/",
-            )
-        }
-        for child_ino, (parent_ino, d, _loc) in best.items():
-            child_rec = core.read_inode(child_ino)
-            self.shadow[child_ino] = ShadowInode(
-                ino=child_ino,
-                gen=child_rec.gen,
-                itype=child_rec.itype,
-                mode=child_rec.mode,
-                uid=child_rec.uid,
-                parent=parent_ino,
-                name=d.name,
-                size=child_rec.size,
-            )
-        # Children maps include only children whose resolved parent is us.
-        for child_ino, (parent_ino, d, _loc) in best.items():
-            parent_sh = self.shadow.get(parent_ino)
-            if parent_sh is not None:
-                parent_sh.children[d.name] = child_ino
+        # The shadow table: the root and every inode it reaches.
+        for ino in sorted(ns.reachable):
+            rec = shapes[ino].rec
+            parent, name = None, b"/"
+            if ino != ROOT_INO:
+                parent, name = ns.winners[ino].parent, ns.winners[ino].dentry.name
+            self.shadow[ino] = ShadowInode(
+                ino=ino, gen=rec.gen, itype=rec.itype, mode=rec.mode,
+                uid=rec.uid, parent=parent, name=name, size=rec.size,
+                children={ns.winners[c].dentry.name: c
+                          for c in ns.children.get(ino, ())})
 
-        # Pass 3: page ownership + reachable page set.  A file keeps
+        # Page ownership: each kept inode's good prefix.  A file keeps
         # nothing past its committed size (a crash inside an append can
-        # leave mapped pages or bytes there): one fence if any was trimmed.
+        # leave mapped pages or bytes there); a directory's broken tail is
+        # cut at its last good page, so LibFS reads the records resolved
+        # here; a file's broken chain is left to fsck.
         reachable: Set[int] = set()
         trimmed = False
-        for ino, sh in self.shadow.items():
-            rec = core.read_inode(ino)
-            try:
-                if rec.is_dir:
-                    pages = core.owned_pages(rec)
-                else:
-                    pages, stored = core.trim_to_size(rec)
-                    trimmed |= stored
-            except ChainCorrupt:
-                report.torn_dentries.append((ino, b"<corrupt page chain>"))
-                continue
+        for ino in self.shadow:
+            shape = shapes[ino]
+            pages = shape.pages()
+            if not shape.parsed():
+                report.torn_dentries.append((ino, b"<corrupt log>" if shape.rec.is_dir
+                                             else b"<corrupt page chain>"))
+                for tail_idx, chain in shape.tails:  # a file has none
+                    if chain.error is not None:
+                        core.cut_chain(ino, chain.error.last_good, tail_idx)
+            elif not shape.rec.is_dir:
+                pages, stored = core.trim_to_size(shape.rec.size,
+                                                  shape.index.pages, shape.data)
+                trimmed |= stored
             for page_no in pages:
                 self.set_page_owner(page_no, ino)
                 reachable.add(page_no)
@@ -337,10 +287,10 @@ class KernelController:
             reachable.update(chain_pages(self.device, self.geom, tx_head))
         report.pages_reclaimed = self.alloc.rebuild(reachable)
 
-        # Pass 4: slot generations and the free-inode pool.  An orphan's
-        # record is wiped so the slot is reusable, one fence for them all.
-        for ino in range(self.geom.inode_count):
-            rec = core.read_inode(ino)
+        # Slot generations and the free-inode pool.  A valid record the
+        # root does not reach is wiped so the slot is reusable, one fence
+        # for them all.
+        for ino, rec in enumerate(records):
             self.slot_gen[ino] = rec.gen
             if ino not in self.shadow:
                 if rec.valid:

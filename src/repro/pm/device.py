@@ -101,47 +101,6 @@ class _Run(NamedTuple):
     pending: List[Tuple[int, int]]
 
 
-def iter_crash_images(device, limit: int = 4096) -> Iterator[bytes]:
-    """Yield every reachable crash image (product over dirty lines, lowest
-    line outermost) of ``device`` — a :class:`PMDevice` or anything else with
-    ``line_choices()``/``crash_image()`` over one line numbering.
-
-    Raises :class:`PersistOrderError` if the state space exceeds
-    ``limit`` — a nudge to place the crash point more precisely.
-    """
-    choices = device.line_choices()
-    total = math.prod(choices.values())
-    if total > limit:
-        raise PersistOrderError(
-            f"{total} crash states exceed limit {limit}; "
-            f"dirty lines: {list(choices)[:16]}"
-        )
-    lines = sorted(choices)
-    counts = [choices[ln] for ln in lines]
-
-    def rec(i: int, picked: Dict[int, int]) -> Iterator[bytes]:
-        if i == len(lines):
-            yield device.crash_image(picked)
-            return
-        for v in range(counts[i]):
-            picked[lines[i]] = v
-            yield from rec(i + 1, picked)
-        del picked[lines[i]]
-
-    yield from rec(0, {})
-
-
-def draw_crash_images(device, n: int, seed: int = 0) -> Iterator[bytes]:
-    """Yield ``n`` pseudo-random crash images (for large dirty sets): every
-    dirty line's version drawn from ``random.Random(seed)``, lines ascending."""
-    rng = random.Random(seed)
-    choices = device.line_choices()
-    lines = sorted(choices)
-    for _ in range(n):
-        picked = {ln: rng.randrange(choices[ln]) for ln in lines}
-        yield device.crash_image(picked)
-
-
 class PMDevice:
     """Byte-addressable persistent memory with x86-like persistency semantics.
 
@@ -352,9 +311,6 @@ class PMDevice:
                 self._queued.append((first, last + 1, self._seq))
         finally:
             lock.release()
-
-    # ``clflushopt`` has identical persistency semantics for our purposes.
-    clflushopt = clwb
 
     def sfence(self) -> None:
         """Complete all queued write-backs; they are durable from here on.
@@ -578,8 +534,44 @@ class PMDevice:
         pieces.append(view[pos:])
         return b"".join(pieces)
 
-    enumerate_crash_images = iter_crash_images
-    sample_crash_images = draw_crash_images
+    def enumerate_crash_images(self, limit: int = 4096) -> Iterator[bytes]:
+        """Yield every reachable crash image (product over dirty lines,
+        lowest line outermost).
+
+        Raises :class:`PersistOrderError` if the state space exceeds
+        ``limit`` — a nudge to place the crash point more precisely.
+        """
+        choices = self.line_choices()
+        total = math.prod(choices.values())
+        if total > limit:
+            raise PersistOrderError(
+                f"{total} crash states exceed limit {limit}; "
+                f"dirty lines: {list(choices)[:16]}"
+            )
+        lines = sorted(choices)
+        counts = [choices[ln] for ln in lines]
+
+        def rec(i: int, picked: Dict[int, int]) -> Iterator[bytes]:
+            if i == len(lines):
+                yield self.crash_image(picked)
+                return
+            for v in range(counts[i]):
+                picked[lines[i]] = v
+                yield from rec(i + 1, picked)
+            del picked[lines[i]]
+
+        yield from rec(0, {})
+
+    def sample_crash_images(self, n: int, seed: int = 0) -> Iterator[bytes]:
+        """Yield ``n`` pseudo-random crash images (for large dirty sets):
+        every dirty line's version drawn from ``random.Random(seed)``,
+        lines ascending."""
+        rng = random.Random(seed)
+        choices = self.line_choices()
+        lines = sorted(choices)
+        for _ in range(n):
+            picked = {ln: rng.randrange(choices[ln]) for ln in lines}
+            yield self.crash_image(picked)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -15,8 +15,11 @@ import pytest
 from repro import errors
 from repro.api import Volume, VolumeConfig
 from repro.cli import main
+from repro.core.invariants import walk
+from repro.core.mkfs import ROOT_INO
 from repro.fsck.findings import F_CHAIN_CORRUPT
 from repro.fsck.inject import inject_chain_corrupt
+from repro.pm.layout import PAGE_SIZE
 from repro.server import ServerClient, ServerConfig, VolumeServer
 
 pytestmark = pytest.mark.timeout(60)
@@ -68,6 +71,43 @@ def test_mount_survives_and_reports_the_torn_chain():
     assert remounted.recovery.torn_dentries  # the root's log was unreadable
     chain = [f for f in vol.fsck().findings if f.cls == F_CHAIN_CORRUPT]
     assert [f.page for f in chain] == [vol.kernel.geom.page_count + 5]
+
+
+def test_mount_keeps_what_a_corrupt_root_log_still_links():
+    """Mount used to skip a directory whose log it could not walk to the
+    end: all 16 files were wiped as orphans, and the root's good log page
+    was left free for the next ``alloc`` to hand out again."""
+    vol = corrupt_volume()
+    core = vol.kernel.core
+    prefix = [p for head in core.read_inode(ROOT_INO).tails if head
+              for p in walk(core, head).pages]
+    mounted = Volume.mount(vol.device.durable_image())
+    assert mounted.recovery.orphan_inodes == []
+    with mounted.session("reader") as s:
+        for i in range(16):
+            assert s.read_file(f"/f{i}") == b"payload"
+    assert mounted.fsck().clean  # the bad link was cut at the good prefix
+    alloc = mounted.kernel.alloc
+    assert prefix and all(alloc.is_allocated(p) for p in prefix)
+    assert not {alloc.alloc() for _ in range(8)} & set(prefix)
+
+
+def test_mount_keeps_the_good_pages_of_a_file_with_a_corrupt_slot():
+    """Mount used to claim nothing for a file whose data slot 2 points out
+    of range, yet kept the file: its index page and its two good data
+    pages were left free while it still mapped them."""
+    vol = Volume.create(8 << 20, VolumeConfig(inode_count=64))
+    with vol.session("writer") as s:
+        s.write_file("/f", b"x" * (3 * PAGE_SIZE))
+        ino = s.stat("/f").ino
+    core = vol.kernel.core
+    index = core.index_pages(core.read_inode(ino))
+    data = core.file_pages(core.read_inode(ino))
+    core.store_index_slots(index, 2, [vol.kernel.geom.page_count + 7])
+    vol.device.sfence()
+    mounted = Volume.mount(vol.device.durable_image())
+    assert (ino, b"<corrupt page chain>") in mounted.recovery.torn_dentries
+    assert all(mounted.kernel.alloc.is_allocated(p) for p in index + data[:2])
 
 
 def test_cli_fsck_repair_ends_clean():

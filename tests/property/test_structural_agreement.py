@@ -1,13 +1,18 @@
-"""The verifier and fsck judge an inode's shape by the same rules.
+"""The verifier, fsck and mount judge a volume by the same rules.
 
 ``repro.core.invariants`` holds every per-inode structural rule once; the
 verifier raises the first violation, fsck reports each as the finding of
-its class and mount drops the dentries they reject.  The property below
+its class and mount drops the dentries they reject.  The first property
 flips one byte inside one inode an application holds for write and
 demands that the verifier's structural rejection of that inode (a
 ``VerifyFailure`` carrying a rule, as opposed to a shadow-table one) and
 fsck's per-inode structural findings for it agree — both ways.  The three
 reproducers after it are shapes the verifier used to accept.
+
+The volume-wide rule is there once too: ``scan`` and ``resolve`` decide
+which inodes the root reaches, under which edge.  The last properties
+demand that mount keeps exactly that on every injected corruption and on
+seeded metadata byte flips, and leaves no page a kept inode links free.
 """
 
 import random
@@ -15,21 +20,25 @@ import random
 import pytest
 
 from repro.api import Volume
-from repro.core.mkfs import ROOT_INO
+from repro.core.corestate import CoreState
+from repro.core.invariants import resolve, scan
+from repro.core.mkfs import ROOT_INO, load_geometry
 from repro.errors import CorruptionDetected
-from repro.fsck import run_fsck
+from repro.fsck import INJECTORS, run_fsck
 from repro.fsck.findings import (
     F_BAD_PAGE_KIND,
     F_CHAIN_CORRUPT,
     F_DANGLING_DENTRY,
+    F_DUPLICATE_DENTRY,
     F_NLINK_MISMATCH,
     F_PAGE_DOUBLE_USE,
     F_SIZE_MISMATCH,
     F_TORN_DENTRY,
 )
+from repro.fsck.inject import _append
 from repro.pm.device import PMDevice
 from repro.pm.layout import DENTRY_DELETED_OFF, INODE_SIZE, PAGE_SIZE, PAGEHDR_SIZE
-from tests.integration.test_hostile_images import build_volume
+from tests.integration.test_hostile_images import TYPED, build_volume, metadata_offsets
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -37,6 +46,7 @@ PER_INODE = {F_TORN_DENTRY, F_DANGLING_DENTRY, F_CHAIN_CORRUPT,
              F_BAD_PAGE_KIND, F_SIZE_MISMATCH, F_NLINK_MISMATCH}
 ITYPE_OFF = DENTRY_DELETED_OFF - 1  # the dentry's itype byte
 FLIPS = 300
+AGREEMENT_FLIPS = 600
 
 
 def inode_bytes(vol: Volume, ino: int):
@@ -182,3 +192,91 @@ def test_a_dentry_cannot_be_repointed_at_a_sibling():
     assert info.value.__cause__.rule == F_DANGLING_DENTRY
     assert vol.fsck().clean
     assert s.read_file("/small") == b"s" * 100
+
+
+# -- mount keeps what fsck reaches -------------------------------------------- #
+
+def disagreement(image: bytes):
+    """Mount ``image``; returns its recovery report (None: refused) and how
+    mount's rebuild departs from fsck's namespace on the raw image (None:
+    it does not).  Mount must keep exactly the inodes fsck's graph merge
+    reaches, each under the edge it picks, and leave no page a kept inode
+    links (after mount's own trims and cuts) free."""
+    try:
+        vol = Volume.mount(image)
+    except TYPED:
+        return None, None  # refused outright: nothing kept to compare
+    raw = PMDevice.from_image(image)
+    geom = load_geometry(raw)
+    core = CoreState(raw, geom)
+    ns = resolve(scan(core, core.read_inodes()), ROOT_INO)
+    kernel, report = vol.kernel, vol.recovery
+    if set(kernel.shadow) != ns.reachable:
+        return report, (f"mount keeps {sorted(kernel.shadow)}, "
+                        f"fsck reaches {sorted(ns.reachable)}")
+    for ino, sh in kernel.shadow.items():
+        edge = ns.winners.get(ino)
+        if ino != ROOT_INO and (sh.parent, sh.name) != (edge.parent, edge.dentry.name):
+            return report, f"ino {ino} kept as {sh.parent}/{sh.name!r}, fsck's edge is {edge}"
+    kept = scan(kernel.core, kernel.core.read_inodes())
+    free = sorted((ino, p) for ino in kernel.shadow for p in kept[ino].pages()
+                  if not kernel.alloc.is_allocated(p))
+    return report, (f"(ino, page) linked but free after mount: {free}"
+                    if free else None)
+
+
+def test_mount_keeps_what_fsck_reaches_on_every_injection():
+    base = build_volume().device.durable_image()
+    diverged = {}
+    for name, (inject, _cls) in sorted(INJECTORS.items()):
+        device = PMDevice.from_image(base)
+        inject(device)
+        _report, why = disagreement(device.durable_image())
+        if why:
+            diverged[name] = why
+    assert not diverged, diverged
+
+
+def test_mount_keeps_what_fsck_reaches_under_metadata_byte_flips():
+    vol = build_volume()
+    image = vol.device.durable_image()
+    offsets = metadata_offsets(vol)
+    rng = random.Random(42)
+    diverged, found = [], 0
+    for _ in range(AGREEMENT_FLIPS):
+        off = rng.choice(offsets)
+        value = rng.choice([0x00, 0x01, 0xFF, rng.randrange(256),
+                            image[off] ^ (1 << rng.randrange(8))])
+        if value == image[off]:
+            value ^= 0x80
+        forged = bytearray(image)
+        forged[off] = value
+        report, why = disagreement(bytes(forged))
+        found += report is not None and not report.clean
+        if why:
+            diverged.append(f"byte {off} <- {value:#04x}: {why}")
+    assert not diverged, "\n".join(diverged)
+    assert found >= AGREEMENT_FLIPS // 5, found  # not vacuous
+
+
+def test_an_equal_seq_duplicate_resolves_as_fsck_resolves_it():
+    """``/x`` live in ``/`` and in ``/d`` under one ``seq``: fsck's
+    tie-break keeps the larger parent, ``/d``.  Mount used to keep the
+    root's record, the first its walk from the root met, and tombstone the
+    one fsck keeps."""
+    vol = build_volume()
+    core, geom = vol.kernel.core, vol.kernel.geom
+    x, _loc = core.live_dentries_with_loc(core.read_inode(ROOT_INO))[b"small"]
+    d_ino = vol.kernel.shadow[ROOT_INO].children[b"empty"]
+    _append(core, geom, d_ino, b"small", x.ino, x.gen, x.itype, seq=x.seq)
+    image = vol.device.durable_image()
+    (dup,) = run_fsck(PMDevice.from_image(image)).by_class(F_DUPLICATE_DENTRY)
+    assert dup.ino == ROOT_INO  # the root's record loses the tie
+    mounted = Volume.mount(image)
+    assert mounted.kernel.shadow[x.ino].parent == d_ino
+    assert mounted.recovery.duplicates_dropped == 1
+    s = mounted.session("reader")
+    assert s.read_file("/empty/small") == b"s" * 100
+    assert s.readdir("/") == ["a", "empty"]
+    assert mounted.fsck().clean
+    assert disagreement(image)[1] is None
