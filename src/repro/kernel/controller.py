@@ -510,40 +510,6 @@ class KernelController:
                 self.readcache.publish(ino, sh.mode, sh.uid)
             return version
 
-    def rollback_to_snapshot(self, app_id: str, ino: int) -> bool:
-        """Restore an owned inode to its acquisition snapshot (tx abort).
-
-        The snapshot is the one the acquisition carries — the inode's last
-        verified state.  Pages the dirtying writes allocated beyond
-        the snapshot are freed (they would otherwise leak until the next
-        mount).  Returns False when no snapshot exists (a pending inode —
-        rollback of creations happens by unlinking them instead).
-        """
-        obs.kernel_crossing("corruption_resolution")
-        with self._lock:
-            acq = self._require_acquisition(app_id, ino)
-            if acq.snapshot is None:
-                return False
-            # Pages referenced by the dirty state but not the snapshot
-            # were allocated after it: free them once restored.
-            rec = self.core.read_inode(ino)
-            current_pages: Set[int] = set()
-            if rec.valid:
-                try:
-                    current_pages = set(self.core.owned_pages(rec))
-                except ChainCorrupt:
-                    current_pages = set()
-            RollbackPolicy().resolve(self, ino, acq.snapshot, "transaction abort")
-            extra = current_pages - set(acq.snapshot.pages)
-            self.alloc.free(*filter(self.alloc.is_allocated, extra))
-            for page_no in extra:
-                self.clear_page_owner(page_no)
-            self.readcache.invalidate(ino)
-            # The restored state is the last verified one; re-arm the
-            # acquisition's rollback point at it.
-            acq.snapshot = self._snapshot(ino)
-            return True
-
     def revoke(self, ino: int) -> None:
         """Involuntary release: the kernel forcefully takes the inode back.
 

@@ -590,27 +590,30 @@ class LibFS:
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         return self._pwrite(self._ensure_file(self.fdtable.get(fd)), data, offset)
 
-    @traced_syscall("pwrite_path")
-    def pwrite_path(self, path: str, data: bytes, offset: int) -> int:
-        """``pwrite`` by path with no descriptor, creating a missing file —
-        a transaction's apply and replay.  A write that only overwrites
-        mapped bytes is left unfenced: the caller fences once for its
-        whole batch.  One that maps pages or raises the size still fences
-        its data before that metadata, as ``pwrite`` does."""
-        comps = paths.parse(path)
+    def _writable_file(self, comps: Tuple[str, ...],
+                       create: bool = False) -> MemInode:
+        """The regular file ``comps`` names, attached for write; with
+        ``create`` a missing one is created first (a transaction's apply
+        and replay)."""
         try:
             mi = self._resolve(comps, write=True)
         except NoEntry:
+            if not create:
+                raise
             mi = self._create_common(comps, 0o664, ITYPE_FILE)
             self._stats.inc("creates")
-        else:
-            if mi.is_dir:
-                raise IsADir(paths.join(comps))
-        return self._pwrite(mi, data, offset, sync=False)
+            return mi
+        if mi.is_dir:
+            raise IsADir(paths.join(comps))
+        return mi
 
     def _pwrite(self, mi: MemInode, data: bytes, offset: int,
                 sync: bool = True) -> int:
-        """The one write path: ``pwrite`` and ``pwrite_path``'s body."""
+        """The one write path: ``pwrite``'s body, and a transaction's apply
+        and undo, which pass ``sync=False``: a write that only overwrites
+        mapped bytes is then left unfenced, for the caller to fence once
+        for its whole batch.  One that maps pages or raises the size still
+        fences its data before that metadata."""
         if offset < 0:
             raise InvalidArgument("negative offset")
         data = bytes(data)
@@ -745,15 +748,17 @@ class LibFS:
     def truncate(self, path: str, size: int) -> None:
         """Set a file's length: a shrink unmaps the trailing pages, an
         extension reads as zeros."""
-        comps = paths.parse(path)
         if size < 0:
             raise InvalidArgument("negative size")
-        mi = self._resolve(comps, write=True)
-        if mi.is_dir:
-            raise IsADir(paths.join(comps))
+        self._truncate(self._writable_file(paths.parse(path)), size)
+
+    def _truncate(self, mi: MemInode, size: int) -> None:
+        """The one truncate path: ``truncate``'s body, and a transaction's
+        apply and undo."""
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
         try:
+            self._attach_open(mi, write=True)
             cs = self._cs(mi)
             keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
             if keep > len(mi.pages):
@@ -1049,32 +1054,13 @@ class LibFS:
     @traced_syscall("commit_path")
     def commit_path(self, path: str) -> None:
         """Verify the inode in place, retaining ownership ([21, §4.3])."""
-        self.commit_ino(self.path_ino(path))
-
-    def commit_ino(self, ino: int) -> None:
-        """:meth:`commit_path` for a caller that already resolved the path;
-        on success the acquisition's rollback snapshot is the state now."""
+        ino = self.path_ino(path)
         mi = self._attach(ino, write=True)
         try:
             self.kernel.commit(self.app_id, ino)
         except Exception:
             self._invalidate_aux(ino, mi)
             raise
-
-    @traced_syscall("rollback_ino")
-    def rollback_ino(self, ino: int) -> bool:
-        """Restore an owned inode to its acquisition snapshot (tx abort).
-
-        Attaches for write if needed, asks the kernel to restore the
-        acquisition snapshot (the inode's last verified state), and
-        drops the retained auxiliary state so the next access rebuilds it
-        from the restored core state.
-        """
-        mi = self._attach(ino, write=True)
-        try:
-            return self.kernel.rollback_to_snapshot(self.app_id, ino)
-        finally:
-            self._invalidate_aux(ino, mi)
 
     @traced_syscall("release_path")
     def release_path(self, path: str) -> None:

@@ -217,8 +217,7 @@ def op_tx_commit(fs: Session, p: Dict):
     # requests, so conflicts are met first, while the op can still be
     # re-run: a TryAgain out of prepare() leaves the transaction open
     # (nothing has touched PM), the server recalls the holder and calls
-    # this again (DESIGN §10).  It is also what makes an abort restore the
-    # state *this commit* found, not the one the session first acquired.
+    # this again (DESIGN §10).
     tx.prepare()
     # From here the handle is single-shot: whatever commit does (success,
     # rollback, roll-forward-pending) it leaves the open state, so drop it

@@ -36,7 +36,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.corestate import CoreState
 from repro.errors import ChainCorrupt
@@ -83,8 +83,7 @@ OP_NAMES = {
 MAX_LOG_PAGES = 4096
 
 
-@dataclass(frozen=True)
-class TxRecord:
+class TxRecord(NamedTuple):
     """One redo record: ``op`` applied to ``path`` with ``arg``/``data``."""
 
     op: int
@@ -107,9 +106,11 @@ class TxLog:
 
 def build_payload(txid: int, records: List[TxRecord]) -> bytes:
     """Header + framed records, ready to stream into the page chain."""
-    body = b"".join(r.frame() for r in records)
-    hdr = _LOGHDR.pack(TX_MAGIC, txid, len(records), zlib.crc32(body))
-    return hdr + body
+    frames = [r.frame() for r in records]
+    crc = 0
+    for frame in frames:
+        crc = zlib.crc32(frame, crc)
+    return b"".join([_LOGHDR.pack(TX_MAGIC, txid, len(records), crc), *frames])
 
 
 def payload_tag(payload: bytes) -> int:
@@ -125,30 +126,29 @@ def write_log(
 ) -> List[int]:
     """Stream ``payload`` into a fresh TXLOG page chain; returns the pages.
 
-    Each page's image is its header followed by its chunk, so a physically
-    contiguous run of log pages (``geom.extent_runs`` of consecutive page
-    numbers) is one store and one ``clwb``.  Nothing is fenced here: the
-    chain becomes durable under :func:`seal`'s fence, and the seal's tag
-    keeps a chain torn before that fence from ever being replayed.
+    Each page's image is its packed header followed by a view of its chunk
+    of ``payload``, so a physically contiguous run of log pages
+    (``geom.extent_runs`` of consecutive page numbers) is one store and one
+    ``clwb`` of a blob joining those: the payload is copied once, into the
+    blob.  Nothing is fenced here: the chain becomes durable under
+    :func:`seal`'s fence, and the seal's tag keeps a chain torn before that
+    fence from ever being replayed.
     """
     npages = max(1, (len(payload) + PAGE_PAYLOAD - 1) // PAGE_PAYLOAD)
     pages = alloc.alloc_many(npages, zero=False)
-    images = []
+    parts = []  # header, chunk, header, chunk, ...
+    src = memoryview(payload)
     for i in range(npages):
-        chunk = payload[i * PAGE_PAYLOAD : (i + 1) * PAGE_PAYLOAD]
-        hdr = PageHeader(
-            next_page=pages[i + 1] if i + 1 < npages else 0,
-            used=len(chunk),
-            kind=PAGE_KIND_TXLOG,
-        )
-        images.append(hdr.pack() + chunk)
-    # Only the last page's image is short, and it ends the last run.
+        chunk = src[i * PAGE_PAYLOAD:(i + 1) * PAGE_PAYLOAD]
+        parts.append(PageHeader(pages[i + 1] if i + 1 < npages else 0,
+                                len(chunk), PAGE_KIND_TXLOG).pack())
+        parts.append(chunk)
     first = 0
     for end in range(1, npages + 1):
         if end < npages and pages[end] == pages[end - 1] + 1:
             continue
         for run_start, count in geom.extent_runs(pages[first], end - first):
-            blob = b"".join(images[first : first + count])
+            blob = b"".join(parts[2 * first:2 * (first + count)])
             off = geom.page_off(run_start)
             device.store(off, blob)
             device.clwb(off, len(blob))

@@ -35,18 +35,19 @@ transaction is ever pending on a device.
 
 :meth:`Tx.prepare` is the optional step 0 for a session that shares its
 volume and keeps ownership between operations (the server's wire sessions):
-it takes every inode the apply will need and re-arms the rollback point of
-every file it will dirty *before* the seal, where a conflict still costs
-nothing.
+it takes every inode the apply will need *before* the seal, where a
+conflict still costs nothing.
 
 Abort before commit discards the buffer — nothing reached PM.  A hard
-failure *during* apply rolls the transaction back: namespace ops are
-undone in reverse (created entries unlinked, renames reversed) and
-dirtied pre-existing files are restored from their kernel acquisition
-snapshots, each file's last verified state.  If an
-applied ``unlink`` makes logical rollback impossible, the sealed log is
-left pending instead (:class:`~repro.errors.TxCommitPending`) and the
-next mount rolls the transaction forward.
+failure *during* apply rolls the transaction back from its own
+before-images: while the apply writes or truncates a file that predates
+the commit, it keeps the file's old size and the bytes the record
+overwrites or cuts in DRAM, and the rollback puts them back in reverse
+order, unlinks created entries and reverses renames — the volume is left
+as the commit found it.  If an applied ``unlink`` makes logical rollback
+impossible, the sealed log is left pending instead
+(:class:`~repro.errors.TxCommitPending`) and the next mount rolls the
+transaction forward.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from repro.tx.log import (
     seal,
     write_log,
 )
-from repro.tx.recovery import apply_records
+from repro.tx.recovery import Applied, apply_records, undo
 
 #: Process-wide transaction ids (diagnostic; uniqueness per volume is
 #: guaranteed by the single-pending-log invariant, not by this counter).
@@ -145,19 +146,17 @@ class Tx:
         # A staged-away ancestor (deleted or renamed from under this path)
         # hides everything beneath it, even entries still live on-volume.
         anc = path
-        while anc != "/":
+        while self._overlay and anc != "/":
             anc = _parent(anc)
             if anc in self._overlay:
                 if self._overlay[anc] != "dir":
                     return None
                 break
-        fs = self._mgr.fs
-        live = self._live_path(path)
         try:
-            st = fs.stat(live)
+            mi = self._mgr.fs._resolve(paths.parse(self._live_path(path)))
         except NoEntry:
             return None
-        return "dir" if st.is_dir else "file"
+        return "dir" if mi.is_dir else "file"
 
     def _require_parent_dir(self, path: str) -> None:
         parent = _parent(path)
@@ -286,17 +285,10 @@ class Tx:
         the destination chain a directory relocation commits.  A conflict
         therefore surfaces here, with nothing on PM and the transaction
         still open: clear it and call again.
-
-        It also verifies in place every existing file the transaction
-        dirties, which moves that file's rollback snapshot from "when this
-        session acquired it" up to now — a failed apply then restores the
-        state just before the commit, not one that predates writes the
-        session made (and had acknowledged) since.
         """
         self._require_open()
         fs = self._mgr.fs
         renames: List[Tuple[str, str]] = []  # staged before this record
-        rearmed = set()
 
         def take(path: str) -> Optional[int]:
             """Own for write the inode ``path`` names now; None when nothing
@@ -312,12 +304,8 @@ class Tx:
             path = _before_renames(rec.path, renames)
             parent = _parent(path)
             if rec.op in (TX_PWRITE, TX_TRUNCATE):
-                ino = take(path)
-                if ino is None:
+                if take(path) is None:
                     take(parent)  # the apply creates what is missing
-                elif ino not in rearmed:
-                    self._rearm(ino, path)
-                    rearmed.add(ino)
             elif rec.op == TX_RENAME:
                 new = rec.data.decode()
                 new_parent = _parent(_before_renames(new, renames))
@@ -335,19 +323,6 @@ class Tx:
                 take(parent)
                 if rec.op == TX_UNLINK:
                     take(path)
-
-    def _rearm(self, ino: int, path: str) -> None:
-        """Verify file ``ino`` (at ``path``) in place: ownership kept, fresh
-        snapshot.  A file never verified yet has no snapshot to restore
-        and cannot be verified before the directory that registers it
-        (Rule (1)), so its unverified lineage goes first."""
-        fs, pending = self._mgr.fs, self._mgr.kernel.pending
-        chain = [ino]
-        while chain[-1] in pending:
-            path = _parent(path)
-            chain.append(fs.path_ino(path))
-        for owned in reversed(chain):
-            fs.commit_ino(owned)
 
     def commit(self) -> Dict[str, int]:
         """Make every staged op durable as one crash-atomic unit.
@@ -370,7 +345,7 @@ class Tx:
             with obs.span("tx.seal", category="tx"):
                 seal(mgr.device, pages[0], payload_tag(payload))
             failpoints.hit("tx.post_seal", self.txid)
-            applied: List[TxRecord] = []
+            applied: List[Applied] = []
             try:
                 with obs.span("tx.apply", category="tx"):
                     apply_records(mgr.fs, self.ops, self.txid, applied)
@@ -397,7 +372,7 @@ class Tx:
         self._dir_renames.clear()
         obs.count("tx.aborts")
 
-    def _apply_failed(self, applied: List[TxRecord], pages: List[int],
+    def _apply_failed(self, applied: List[Applied], pages: List[int],
                       exc: Exception) -> None:
         """Undo a partially-applied commit, or hand it to recovery.
 
@@ -405,42 +380,24 @@ class Tx:
         its pages are gone), so a failure after one leaves the sealed log
         pending: the volume temporarily shows a prefix of the tx and the
         next mount replays the log to completion (roll-forward).  Every
-        other partial prefix is rolled back: namespace ops are inverted in
-        reverse order and dirtied pre-existing files are restored from
-        their kernel acquisition snapshots.
+        other partial prefix is undone from the transaction's own
+        before-images (:func:`~repro.tx.recovery.undo`): the volume is left
+        as this commit found it.  The undo is fenced before the log is
+        retired, so a crash inside it still finds the seal and replays the
+        whole transaction.
         """
         mgr = self._mgr
-        if any(rec.op == TX_UNLINK for rec in applied):
+        if any(rec.op == TX_UNLINK for rec, _before in applied):
             self.state = _PENDING
             obs.count("tx.roll_forward_pending")
             raise TxCommitPending(
                 f"transaction {self.txid} failed mid-apply after an unlink; "
                 f"sealed log will be replayed at next mount"
             ) from exc
-        created = {rec.path for rec in applied
-                   if rec.op in (TX_CREATE, TX_MKDIR)}
-        rolled_back = set()
-        for rec in reversed(applied):
-            try:
-                if rec.op == TX_CREATE:
-                    if mgr.fs.exists(rec.path):
-                        mgr.fs.unlink(rec.path)
-                elif rec.op == TX_MKDIR:
-                    if mgr.fs.exists(rec.path):
-                        mgr.fs.rmdir(rec.path)
-                elif rec.op == TX_RENAME:
-                    dst = rec.data.decode("utf-8", "replace")
-                    if mgr.fs.exists(dst):
-                        mgr.fs.rename(dst, rec.path)
-                elif rec.op in (TX_PWRITE, TX_TRUNCATE):
-                    if rec.path in created or rec.path in rolled_back:
-                        continue
-                    mgr.fs.rollback_ino(mgr.fs.path_ino(rec.path))
-                    rolled_back.add(rec.path)
-            except Exception:
-                # Best-effort: anything left over is a repairable fsck
-                # state, never a torn transaction (the log is discarded).
-                obs.count("tx.rollback_skipped")
+        skipped = undo(mgr.fs, applied)
+        if skipped:
+            obs.count("tx.rollback_skipped", skipped)
+        mgr.device.sfence()
         retire(mgr.device, mgr.alloc, pages)
         self.state = _ABORTED
         obs.count("tx.aborts", apply_failure=True)

@@ -2,7 +2,8 @@
 
 One idempotent apply routine, :func:`apply_records`, serves three callers:
 
-* ``Tx.commit`` — the normal apply after sealing;
+* ``Tx.commit`` — the normal apply after sealing, which also keeps the
+  before-images :func:`undo` rolls a failed apply back from;
 * mount-time recovery (``KernelController.mount``) — a crash after the
   seal but before the checkpoint leaves ``tx_log_head`` published, and
   replaying the sealed log over the partially-applied state must converge
@@ -29,11 +30,13 @@ corrupt sealed log: the transaction shows none of its effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.concurrency.failpoints import failpoints
-from repro.errors import FSError, NoEntry
+from repro.errors import CrashPoint, FSError, NoEntry, SimulatedFault
+from repro.libfs import paths
+from repro.libfs.inode import MemInode
 from repro.tx.log import (
     TX_CREATE,
     TX_MKDIR,
@@ -61,43 +64,81 @@ class TxRecoveryOutcome:
     discarded: int = 0
 
 
+class Before(NamedTuple):
+    """What one applied data record changed of a file that predates the
+    commit: its size before the record, and the bytes at ``offset`` the
+    record overwrote (a ``pwrite``) or cut (a shrinking ``truncate``)."""
+
+    mi: MemInode
+    size: int
+    offset: int
+    data: bytes
+
+
+#: An applied record and, for a data record, its before-image.
+Applied = Tuple[TxRecord, Optional[Before]]
+
+
 def apply_records(fs, records: Sequence[TxRecord], txid: Optional[int] = None,
-                  applied: Optional[List[TxRecord]] = None) -> None:
+                  applied: Optional[List[Applied]] = None) -> None:
     """Apply ``records`` in order through ``fs``, then one fence.
 
     A commit passes its ``txid``: each record hits the ``tx.apply_op``
     failpoint before it takes effect, the first error propagates (no
     closing fence: the caller rolls back or leaves the log pending), and
-    ``applied`` collects the records that took effect before it.  Mount's
-    replay passes none: a record outside the crash model (a hand-edited
-    image, say) is counted and skipped, because recovery must still mount;
-    the skipped op is visible in the counters and to fsck.
+    ``applied`` collects the records that took effect before it, each data
+    record on a file that predates the commit with its :class:`Before`
+    image — read through the MemInode the write goes through, so the
+    record resolves its path once.  Mount's replay passes none and keeps
+    no images: a record outside the crash model (a hand-edited image, say)
+    is counted and skipped, because recovery must still mount; the
+    skipped op is visible in the counters and to fsck.
     """
+    created: Set[int] = set()  # inodes this commit's records created
     for i, rec in enumerate(records):
         if txid is not None:
             failpoints.hit("tx.apply_op", (txid, i))
         try:
-            _apply_record(fs, rec)
+            before = _apply_record(fs, rec, created if applied is not None else None)
         except FSError:
             if txid is not None:
                 raise
             obs.count("tx.replay_skipped")
             continue
         if applied is not None:
-            applied.append(rec)
+            applied.append((rec, before))
     fs.kernel.device.sfence()
 
 
-def _apply_record(fs, rec: TxRecord) -> None:
-    """Apply one redo record through the LibFS surface, idempotently."""
+def _apply_record(fs, rec: TxRecord,
+                  created: Optional[Set[int]]) -> Optional[Before]:
+    """Apply one redo record through the LibFS surface, idempotently.
+
+    With ``created`` (a commit's apply), a data record on a file no earlier
+    record created returns its :class:`Before` image."""
+    if rec.op in (TX_PWRITE, TX_TRUNCATE):
+        mi = fs._writable_file(paths.parse(rec.path), create=True)
+        before = None
+        if created is not None and mi.ino not in created:
+            # A pwrite's old bytes under it; a truncate's cut tail (an
+            # extension reads none).
+            n = len(rec.data) if rec.op == TX_PWRITE else mi.size - rec.arg
+            before = Before(mi, mi.size, rec.arg, fs._cs(mi).read_file_data(
+                mi.pages, mi.size, rec.arg, n))
+        if rec.op == TX_PWRITE:
+            fs._pwrite(mi, rec.data, rec.arg, sync=False)
+        else:
+            fs._truncate(mi, rec.arg)
+        return before
     if rec.op == TX_CREATE:
         if not fs.exists(rec.path):
-            fs.close(fs.creat(rec.path, mode=rec.arg or 0o664))
+            fd = fs.creat(rec.path, mode=rec.arg or 0o664)
+            if created is not None:
+                created.add(fs.fdtable.get(fd).mi.ino)
+            fs.close(fd)
     elif rec.op == TX_MKDIR:
         if not fs.exists(rec.path):
             fs.mkdir(rec.path, mode=rec.arg or 0o775)
-    elif rec.op == TX_PWRITE:
-        fs.pwrite_path(rec.path, rec.data, rec.arg)
     elif rec.op == TX_RENAME:
         dst = rec.data.decode("utf-8", "replace")
         if fs.exists(rec.path):
@@ -108,12 +149,45 @@ def _apply_record(fs, rec: TxRecord) -> None:
     elif rec.op == TX_UNLINK:
         if fs.exists(rec.path):
             fs.unlink(rec.path)
-    elif rec.op == TX_TRUNCATE:
-        if not fs.exists(rec.path):
-            fs.close(fs.creat(rec.path))
-        fs.truncate(rec.path, rec.arg)
     else:
         raise ValueError(f"unknown tx opcode {rec.op}")
+    return None
+
+
+def undo(fs, applied: Sequence[Applied]) -> int:
+    """Undo ``applied`` in reverse order; returns how many undos failed.
+
+    A data record's file is put back through the LibFS write path by
+    inode — truncated to its old size, then its old bytes written back —
+    a created name is unlinked, a rename reversed.  An undo that fails is
+    counted and passed over: what it leaves is a state fsck can repair,
+    never a torn transaction.  The caller fences before it retires the
+    log: until then a crash — a simulated one propagates from here —
+    still finds the seal and replays the whole transaction.
+    """
+    failed = 0
+    for rec, before in reversed(applied):
+        try:
+            if before is not None:
+                if before.mi.size != before.size:
+                    fs._truncate(before.mi, before.size)
+                if before.data:
+                    fs._pwrite(before.mi, before.data, before.offset, sync=False)
+            elif rec.op == TX_CREATE:
+                if fs.exists(rec.path):
+                    fs.unlink(rec.path)
+            elif rec.op == TX_MKDIR:
+                if fs.exists(rec.path):
+                    fs.rmdir(rec.path)
+            elif rec.op == TX_RENAME:
+                dst = rec.data.decode("utf-8", "replace")
+                if fs.exists(dst):
+                    fs.rename(dst, rec.path)
+        except (CrashPoint, SimulatedFault):
+            raise  # a simulated machine crash: the seal replays the tx
+        except Exception:
+            failed += 1
+    return failed
 
 
 def recover(kernel) -> TxRecoveryOutcome:

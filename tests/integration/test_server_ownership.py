@@ -317,12 +317,12 @@ class TestSharedSpine:
                     assert cli.unmatched == 0 and not cli._pending
                     assert server.stats()["tenants"]["acme"]["recalls"] > 0
                 await server.drain()
-                # Every acquisition is verified once, when it is given up;
-                # on top of that only a transaction verifies, in place, the
-                # files it is about to dirty.
+                # Every acquisition is verified once, when it is given up,
+                # and nothing verifies in place: a transaction undoes a
+                # failed apply from its own before-images.
                 stats = vol.kernel.stats
-                assert stats.commits > 0
-                assert stats.verifications - stats.commits <= stats.acquires
+                assert stats.commits == 0
+                assert stats.verifications <= stats.acquires
                 assert_settled(vol)
                 with vol.session("reader") as fs:
                     tree = {}

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
-from repro.errors import CrashPoint, TryAgain, TxAborted, TxCommitPending
+from repro.errors import CrashPoint, NoSpace, TryAgain, TxAborted, TxCommitPending
 from repro.fsck import F_TX_TORN, TX_CLASSES, run_fsck
 from repro.pm.crash import explore
 from repro.pm.device import PMDevice
@@ -111,6 +111,23 @@ class TestCrashAtomicity:
         seen = self.assert_all_or_none(vol)
         # The final durable image carries the seal: replay must reach
         # "all" for it (earlier images may still predate the seal fence).
+        final = Volume.mount(vol.device.durable_image())
+        with final.session("check") as c:
+            assert observed_state(c) == "all"
+        assert "all" in seen
+
+    def test_crash_mid_undo_replays_all(self):
+        """A failed apply is undone before the seal is cleared: a crash
+        inside the undo (here as it unlinks the created ``/t1``) finds the
+        seal and replays the whole transaction."""
+        def fail_on_unlink(ctx):
+            if ctx[1] == 3:
+                raise TryAgain("injected apply failure")
+
+        vol = self.run_crashed_commit(lambda: (
+            failpoints.install("tx.apply_op", fail_on_unlink),
+            crash_at("dir.write_mid", match=lambda path: path == "/t1")))
+        seen = self.assert_all_or_none(vol)
         final = Volume.mount(vol.device.durable_image())
         with final.session("check") as c:
             assert observed_state(c) == "all"
@@ -218,6 +235,41 @@ class TestCrashAtEveryFence:
         assert all(states == {"none"} for states in seen[:sealed]), seen
         assert all(states == {"all"} for states in seen[sealed + 1:]), seen
         assert 0 < sealed < len(seen) - 1, seen
+
+
+class TestCrashAtEveryFenceOfAnUndo:
+    """:class:`TestCrashAtEveryFence`'s commit failing as it creates
+    ``/d``, after the three files took their writes: the undo is fenced
+    before the seal clears, so an image in front of any fence shows the
+    seal over the applied writes (replayed: all) or the undone files with
+    or without the seal (none) — never the seal gone over a half-undone
+    file."""
+
+    @pytest.mark.parametrize("devices", [1, 4])
+    def test_every_fence_recovers_all_or_nothing(self, devices):
+        base = TestCrashAtEveryFence()
+        vol = base.volume(devices)
+        tx = vol.session("app").transaction()
+        tx.pwrite("/a", NEW_PAGE, PAGE_SIZE)
+        tx.pwrite("/b", NEW_PAGE, 0)
+        tx.pwrite("/c", b"C" * 5000, 3000)
+        tx.create("/d")
+        tx.pwrite("/d", b"d" * 300, 0)
+
+        def fail_on_create(ctx):
+            if ctx[1] == 3:
+                raise NoSpace("injected apply failure")
+
+        def commit():
+            with pytest.raises(TxAborted):
+                tx.commit()
+
+        failpoints.install("tx.apply_op", fail_on_create)
+        *fences, _end = explore(vol.device, commit,
+                                lambda device, _point: base.state(device),
+                                budget=16)
+        assert base.state(vol.device.durable_image()) == "none"
+        assert {"all", "none"} <= set().union(*(p.verdicts for p in fences))
 
 
 class TestRecovery:
@@ -378,11 +430,11 @@ class TestApplyFailure:
             assert c.exists("/t1")
         assert run_fsck(mounted.device).clean
 
-    def test_abort_restores_acquisition_snapshot_after_read_release(self):
+    def test_abort_restores_content_from_before_images_after_read_release(self):
         """A tx aborting after dirtying a file that was released after a
-        read and re-acquired must restore the acquisition's snapshot (the
-        last verified state), not the post-dirty state the failing apply
-        left behind."""
+        read and re-acquired restores the content the commit found, not
+        the post-dirty state the failing apply left behind — from the
+        transaction's own before-images, with no kernel rollback."""
         vol = Volume.create(SIZE, config=VolumeConfig(inode_count=64))
         s = vol.session("app")
         s.write_file("/hot", b"clean" * 1024)
@@ -402,7 +454,7 @@ class TestApplyFailure:
             tx.commit()
         failpoints.clear()
 
-        assert kernel.stats.rollbacks > rollbacks0
+        assert kernel.stats.rollbacks == rollbacks0
         assert s.read_file("/hot") == b"clean" * 1024
         assert not s.exists("/marker")
         s.shutdown()

@@ -11,7 +11,8 @@ import random
 import pytest
 
 from repro.api import Volume, VolumeConfig
-from repro.errors import CorruptionDetected, FSError
+from repro.concurrency.failpoints import failpoints
+from repro.errors import CorruptionDetected, FSError, NoSpace, TxAborted
 from tests.integration.test_attack_scenario import corrupt_dir
 
 DIRS = ["/d0", "/d1", "/d0/sub", "/d1/sub"]
@@ -79,8 +80,14 @@ def forge_dir_page(fs, path):
         fs.release_ino(ino)
 
 
-def step(rng, vol, fs):
+def fail_second_record(ctx):
+    if ctx[1] == 1:
+        raise NoSpace("injected at apply")
+
+
+def step(rng, vol, s):
     """One random operation; returns the (possibly remounted) pair."""
+    fs = s.fs
     kind = rng.choice([
         "creat", "creat", "write", "write", "truncate", "unlink", "rename",
         "rename_dir", "mkdir", "rmdir", "tx_abort", "forge", "revoke",
@@ -111,11 +118,17 @@ def step(rng, vol, fs):
         elif kind == "rmdir":
             fs.rmdir(f"{d}/x")
         elif kind == "tx_abort":
-            ino = fs.stat(path).ino
-            fd = fs.open(path)
-            fs.pwrite(fd, b"doomed" * 3000, 0)
-            fs.close(fd)
-            fs.rollback_ino(ino)  # -> kernel.rollback_to_snapshot
+            # The apply maps pages for the write, then fails: the undo
+            # truncates them away and writes the old bytes back.
+            tx = s.transaction()
+            tx.pwrite(path, b"doomed" * 3000, 0)
+            tx.truncate(path, 1)
+            failpoints.install("tx.apply_op", fail_second_record)
+            try:
+                with pytest.raises(TxAborted):
+                    tx.commit()
+            finally:
+                failpoints.remove("tx.apply_op")
         elif kind == "forge":
             forge_dir_page(fs, d)
         elif kind == "revoke":
@@ -132,10 +145,10 @@ def step(rng, vol, fs):
             checked_release_all(fs)
             fs.shutdown()
             vol = Volume.mount(vol.device.durable_image())  # through _recover
-            fs = vol.session("walker", uid=0).fs
+            s = vol.session("walker", uid=0)
     except FSError:
         pass
-    return vol, fs
+    return vol, s
 
 
 @pytest.mark.parametrize("devices", [1, 4], ids=["flat", "striped4"])
@@ -143,15 +156,15 @@ def step(rng, vol, fs):
 def test_indices_match_scans_after_every_step(seed, devices):
     rng = random.Random(seed)
     vol = Volume.create(16 << 20, VolumeConfig(inode_count=128, devices=devices))
-    fs = vol.session("walker", uid=0).fs
+    s = vol.session("walker", uid=0)
     for path in DIRS:
-        fs.makedirs(path)
-    checked_release_all(fs)
+        s.fs.makedirs(path)
+    checked_release_all(s.fs)
     check_kernel(vol.kernel, "walker")
     for _ in range(STEPS):
-        vol, fs = step(rng, vol, fs)
+        vol, s = step(rng, vol, s)
         check_kernel(vol.kernel, "walker")
-    checked_release_all(fs)
+    checked_release_all(s.fs)
     check_kernel(vol.kernel, "walker")
     assert vol.fsck().clean
 

@@ -7,6 +7,7 @@ runs at op time, the handle's state machine, the ``VolumeConfig``
 unification on the facade, and the server dispatch adapters.
 """
 
+import hashlib
 import inspect
 from dataclasses import fields
 
@@ -18,11 +19,34 @@ from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS_PLUS, ArckConfig
 from repro.server import dispatch
 from repro.server.protocol import error_body, pack_bytes
-from repro.tx.log import read_head
+from repro.pm.layout import PAGE_SIZE, PAGEHDR_SIZE, PageHeader
+from repro.tx.log import (
+    TX_CREATE,
+    TX_PWRITE,
+    TX_RENAME,
+    TxRecord,
+    build_payload,
+    read_head,
+    write_log,
+)
 
 
 def make_volume():
     return Volume.create(16 * 1024 * 1024, VolumeConfig(inode_count=128))
+
+
+def fail_at(tx, index):
+    """Commit ``tx`` with its apply failing before record ``index``."""
+    def fail(ctx):
+        if ctx[1] == index:
+            raise E.NoSpace("injected at apply")
+
+    failpoints.install("tx.apply_op", fail)
+    try:
+        with pytest.raises(E.TxAborted):
+            tx.commit()
+    finally:
+        failpoints.remove("tx.apply_op")
 
 
 class TestStagedValidation:
@@ -171,8 +195,8 @@ class TestHandleLifecycle:
 class TestPrepare:
     """The optional step before commit for a session that shares its
     volume and keeps what it owns (the server calls it for every wire
-    commit): conflicts surface before the seal, and every file the
-    transaction dirties gets a rollback point of *now*."""
+    commit): conflicts surface before the seal.  Prepared or not, a failed
+    apply restores the state the commit found."""
 
     def test_conflict_surfaces_before_anything_is_sealed(self):
         with make_volume() as vol, vol.session("a") as a, \
@@ -258,13 +282,11 @@ class TestPrepare:
         assert vol.fsck().clean
 
     @pytest.mark.parametrize("prepared, survives", [(True, b"v1v0"),
-                                                    (False, b"v0v0")])
+                                                    (False, b"v1v0")])
     def test_failed_apply_rolls_back_to_the_prepared_state(self, prepared,
                                                            survives):
-        def fail_second_record(ctx):
-            if ctx[1] == 1:
-                raise E.NoSpace("injected at apply")
-
+        """Unprepared, the abort used to restore the acquisition's
+        snapshot, which lost the acknowledged ``v1``."""
         with make_volume() as vol, vol.session("a") as s:
             s.write_file("/f", b"v0v0")
             s.release_all()
@@ -274,15 +296,76 @@ class TestPrepare:
             tx.create("/new")
             if prepared:
                 tx.prepare()
-            failpoints.install("tx.apply_op", fail_second_record)
-            try:
-                with pytest.raises(E.TxAborted):
-                    tx.commit()
-            finally:
-                failpoints.remove("tx.apply_op")
+            fail_at(tx, 1)
             assert s.read_file("/f") == survives
             assert not s.exists("/new")
         assert vol.fsck().clean
+
+    @pytest.mark.parametrize("stage", [
+        lambda tx: tx.truncate("/f", 5000),
+        lambda tx: tx.pwrite("/f", b"z" * 9000, 12000),
+    ], ids=["shrinking-truncate", "pwrite-past-eof"])
+    def test_failed_apply_restores_bytes_and_size(self, stage):
+        """A shrinking truncate cuts bytes (and pages) the undo writes back;
+        a write past EOF maps pages and raises the size, which the undo
+        takes back down — to what the acknowledged write left, not to the
+        acquisition's state."""
+        old = bytes(range(256)) * 40 + b"tail"   # 10 244 bytes, three pages
+        with make_volume() as vol, vol.session("a") as s:
+            s.write_file("/f", b"x" * len(old))
+            s.release_all()
+            s.write_file("/f", old)             # dirty since the acquisition
+            tx = s.transaction()
+            stage(tx)
+            tx.create("/new")
+            fail_at(tx, 1)
+            assert s.stat("/f").size == len(old)
+            assert s.read_file("/f") == old
+            assert not s.exists("/new")
+            s.release_all()
+            assert s.read_file("/f") == old
+        assert vol.fsck().clean
+
+
+class TestLogBytes:
+    """The redo log's bytes on media, pinned: how ``write_log`` lays out
+    its page images may change, the images may not."""
+
+    RECORDS = [TxRecord(TX_CREATE, "/a", 0o664), TxRecord(TX_PWRITE, "/a", 3, b"hi"),
+               TxRecord(TX_RENAME, "/a", data=b"/b")]
+    PAYLOAD = (
+        "4c58544f525045520700000000000000030000003d1414f87c81379eb401000000"
+        "0000000102000000000000002f616894c00103000000000000000302000000020000"
+        "002f6168699910472f00000000000000000402000000020000002f612f62")
+    #: next_page 0, used 97, kind TXLOG: the one page's header.
+    HEADER = "00000000000000006100030000000000"
+
+    def images(self, kernel, pages):
+        out = []
+        for page_no in pages:
+            off = kernel.geom.page_off(page_no)
+            hdr = PageHeader.unpack(kernel.device.load(off, PAGEHDR_SIZE))
+            out.append(kernel.device.load(off, PAGEHDR_SIZE + hdr.used))
+        return out
+
+    def test_small_transaction_payload_and_page_image(self):
+        kernel = make_volume().kernel
+        payload = build_payload(7, self.RECORDS)
+        assert payload.hex() == self.PAYLOAD
+        pages = write_log(kernel.device, kernel.geom, kernel.alloc, payload)
+        assert [img.hex() for img in self.images(kernel, pages)] == [
+            self.HEADER + self.PAYLOAD]
+
+    def test_multi_page_log_images(self):
+        """Three chained pages, the last one short."""
+        kernel = make_volume().kernel
+        payload = build_payload(8, [TxRecord(TX_PWRITE, "/big", 5,
+                                             bytes(range(256)) * 40)])
+        pages = write_log(kernel.device, kernel.geom, kernel.alloc, payload)
+        images = self.images(kernel, pages)
+        assert [len(img) for img in images] == [PAGE_SIZE, PAGE_SIZE, 2145]
+        assert hashlib.sha256(b"".join(images)).hexdigest() == (
+            "3d3621ba2a3dbc49aa7271bb175a1bfec42f6b2e95dc85b559efa19d4487f2c0")
 
 
 class TestExitCodes:

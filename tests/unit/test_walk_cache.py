@@ -22,6 +22,8 @@ from repro.errors import Exists, IsADir, NoEntry, NotADir, NotEmpty
 from repro.libfs import paths
 from repro.libfs.hashtable import DirHashTable, NodeFreelist
 from repro.libfs.libfs import LibFS
+from repro.tx.log import TX_PWRITE, TxRecord
+from repro.tx.recovery import apply_records
 from tests.conftest import build_fs
 
 
@@ -163,8 +165,9 @@ class TestStaleness:
         assert exc_unlink is None and isinstance(exc_stat, NoEntry)
 
     def test_a_write_by_path_racing_an_own_unlink_lands_in_a_new_file(self):
-        """As above, for ``pwrite_path``: a walk that still answered would
-        put the bytes in the file being freed, and they would be lost."""
+        """As above, for a transaction record's write by path (its replay
+        here): a walk that still answered would put the bytes in the file
+        being freed, and they would be lost."""
         _dev, kernel, setup = build_fs()
         setup.mkdir("/a")
         setup.write_file("/a/f", b"x")
@@ -173,7 +176,8 @@ class TestStaleness:
         fs.stat("/a/f")
         exc_unlink, exc_write = race(
             first=lambda: fs.unlink("/a/f"),
-            second=lambda: fs.pwrite_path("/a/f", b"kept", 0),
+            second=lambda: apply_records(fs, [TxRecord(TX_PWRITE, "/a/f", 0,
+                                                       b"kept")]),
             parkpoint="dir.write_mid",
             predicate=lambda path: path == "/a/f",
         )
