@@ -104,17 +104,14 @@ def cmd_profile(args) -> None:
 
     run = run_observed(args.workload, threads=args.threads,
                        ops_per_thread=args.ops, fs=args.fs, profile=True)
-    obs.profiler.write_collapsed(args.out, weight=args.weight)
-    stacks = len(obs.profiler.collapsed(args.weight).splitlines())
+    obs.profiler.write_collapsed(args.out)
+    stacks = len(obs.profiler.collapsed().splitlines())
     print(f"{args.workload}: {run.ops} ops on {args.threads} thread(s), "
           f"{run.ops_per_sec:,.0f} ops/s")
     print(f"wrote {stacks} collapsed stacks to {args.out} "
-          f"(weight={args.weight}; feed to flamegraph.pl or speedscope)")
+          "(self wall ns; feed to flamegraph.pl or speedscope)")
     print()
-    print(obs.profiler.report(top=args.top, weight=args.weight))
-    for _name, pipe in sorted(obs.profiler.pipelines().items()):
-        print()
-        print(pipe.report())
+    print(obs.profiler.report(top=args.top))
 
 
 def cmd_top(args) -> None:
@@ -398,9 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", default="profile.collapsed",
                          help="collapsed-stack output path "
                               "(default profile.collapsed)")
-    profile.add_argument("--weight", choices=["wall", "sim"], default="wall",
-                         help="stack weights: wall-clock ns (default) or "
-                              "simulated cost-model ns")
     profile.add_argument("--top", type=int, default=12,
                          help="paths to show in the report (default 12)")
     profile.set_defaults(fn=cmd_profile)

@@ -1116,7 +1116,8 @@ def _fsck_run():
     # One check, priced at every worker count.
     priced = {}
     for w in FSCK_WORKERS:
-        phases = report.phases_at(w)
+        phases = COST.fsck_phase_time(report.inodes_total, report.work,
+                                      report.pages_claimed, w)
         priced[str(w)] = {"modeled_ns": sum(phases.values()), "phase_ns": phases}
     return {"findings": doc["findings"], **doc["stats"], "workers": priced}
 

@@ -18,10 +18,10 @@ complement, in the shape pFSCK gave the classic fsck pipeline:
    ``/lost+found``, then re-checks until the volume proves clean
    (:mod:`repro.fsck.repair`).
 
-Each phase runs once, on the calling thread.  pFSCK's parallel phases are
-a claim of the cost model: ``CostModel.fsck_phase_time`` prices the scan
-and cross-check at any worker count from the per-inode work one run
-records (:meth:`FsckReport.phases_at`).
+Each phase runs once, on the calling thread, and the report only counts.
+pFSCK's parallel phases are a claim of the cost model:
+``CostModel.fsck_phase_time`` prices the scan and cross-check at any
+worker count from the per-inode work one run records (``FsckReport.work``).
 
 Entry points:
 

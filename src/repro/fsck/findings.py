@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import invariants as rules
-from repro.perf.costmodel import COST
 
 F_SUPERBLOCK = "superblock"
 # The per-inode classes are the names of the rules that produce them.
@@ -156,12 +155,11 @@ class Finding:
 class FsckReport:
     """The result of one :func:`repro.fsck.run_fsck` invocation.
 
-    ``modeled_ns`` is deterministic virtual time from the calibrated cost
-    model (`repro.perf.costmodel`): each phase is charged per record / page
-    / dentry it touched, by one worker.  :meth:`phases_at` prices the same
-    counts — ``work``, each valid inode's (pages read, dentries parsed) —
-    for any worker count.  ``wall_ns`` is real host time and is reported
-    but never asserted (CI machines differ).
+    The report counts; it does not price.  ``work`` holds each valid
+    inode's (pages read, dentries parsed), which with ``inodes_total`` and
+    ``pages_claimed`` is what ``CostModel.fsck_phase_time`` prices into
+    modeled time at any worker count.  ``wall_ns`` is real host time and
+    is reported but never asserted (CI machines differ).
     """
 
     findings: List[Finding] = field(default_factory=list)
@@ -178,8 +176,6 @@ class FsckReport:
     work: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     wall_ns: int = 0
-    modeled_ns: float = 0.0
-    phase_ns: Dict[str, float] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -193,12 +189,6 @@ class FsckReport:
 
     def by_class(self, cls: str) -> List[Finding]:
         return [f for f in self.findings if f.cls == cls]
-
-    def phases_at(self, workers: int) -> Dict[str, float]:
-        """Modeled ns per phase had ``workers`` workers split this run's
-        scan and cross-check (``CostModel.fsck_phase_time``)."""
-        return COST.fsck_phase_time(self.inodes_total, self.work,
-                                    self.pages_claimed, workers)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -216,11 +206,7 @@ class FsckReport:
                 "pages_claimed": self.pages_claimed,
                 "bytes_scanned": self.bytes_scanned,
             },
-            "timing": {
-                "wall_ns": self.wall_ns,
-                "modeled_ns": self.modeled_ns,
-                "phase_ns": dict(self.phase_ns),
-            },
+            "timing": {"wall_ns": self.wall_ns},
         }
 
     def to_json(self) -> str:

@@ -80,10 +80,6 @@ def _check_once(
     if libfs is not None:
         report.findings.extend(auxcheck.check_libfs_aux(device, geom, libfs))
 
-    report.phase_ns = report.phases_at(1)
-    report.modeled_ns = sum(report.phase_ns.values())
-    for phase, ns in report.phase_ns.items():
-        obs.charge(ns, f"fsck.{phase}")
     return report
 
 

@@ -103,18 +103,12 @@ class PipelineStats:
     batch_sizes: Dict[int, int] = field(default_factory=dict)
 
 
-#: batch stage -> (its PipelineStats field, the CostModel attribute holding
-#: one item's check cost).
+#: batch stage -> its PipelineStats field.
 _STAGES = {
-    "pages": ("page_checks", "verify_page_check"),
-    "dentries": ("dentry_checks", "verify_dentry_check"),
-    "absent": ("absent_checks", "verify_dentry_check"),
+    "pages": "page_checks",
+    "dentries": "dentry_checks",
+    "absent": "absent_checks",
 }
-
-
-def _profiling() -> bool:
-    """Simulated-time stage charges are priced only while profiling is on."""
-    return obs.enabled and obs.profiler.enabled
 
 
 class Verifier:
@@ -158,15 +152,7 @@ class Verifier:
         """
         self.pstats.verifications += 1
         with obs.span("verify.pipeline", category="kernel", ino=ino):
-            staged = self._verify(ino, app_id, trusted)
-            if _profiling():
-                from repro.perf.costmodel import COST
-
-                entries = (len(staged.created) + len(staged.reparented)
-                           + len(staged.deleted) + len(staged.detached))
-                obs.charge(COST.verify_commit_fixed
-                           + entries * COST.verify_commit_per_entry, "commit")
-            return staged
+            return self._verify(ino, app_id, trusted)
 
     def _verify(self, ino: int, app_id: Optional[str], trusted: bool) -> StagedUpdate:
         kc = self.kc
@@ -314,11 +300,6 @@ class Verifier:
     def _check_pages(self, ino: int, jobs: Sequence[int],
                      staged: StagedUpdate) -> None:
         """Run :meth:`_check_page` for every page in ``jobs``."""
-        if jobs and _profiling():
-            from repro.perf.costmodel import COST
-
-            obs.charge(COST.verify_enumerate_fixed
-                       + len(jobs) * COST.verify_enumerate_per_page, "enumerate")
 
         def check(items, _staged: StagedUpdate) -> None:
             for page_no in items:
@@ -333,14 +314,10 @@ class Verifier:
         ``check(items, staged)``, run once on this thread."""
         n = len(items)
         if n:
-            stat, unit_cost = _STAGES[stage]
+            stat = _STAGES[stage]
             pstats = self.pstats
             setattr(pstats, stat, getattr(pstats, stat) + n)
             pstats.batch_sizes[n] = pstats.batch_sizes.get(n, 0) + 1
-            if _profiling():
-                from repro.perf.costmodel import COST
-
-                obs.charge(n * getattr(COST, unit_cost), f"check_{stage}")
         return check(items, staged)
 
     # -- per-item checks ------------------------------------------------- #

@@ -9,9 +9,8 @@ reproduction that lens as a first-class subsystem:
   JSON-lines and Chrome ``chrome://tracing`` exporters;
 * :data:`metrics` — a registry of counters / gauges / fixed-bucket latency
   histograms (``repro.obs.metrics``);
-* :data:`profiler` — call-path self time of the spans the tracer's one
-  per-thread stack closes, plus simulated-time charges
-  (``repro.obs.profile``);
+* :data:`profiler` — calls and self wall time per call path, from the
+  spans the tracer's one per-thread stack closes (``repro.obs.profile``);
 * instrumentation woven through the stack: LibFS syscalls open spans and
   record latency, every :class:`~repro.kernel.controller.KernelController`
   entry bumps ``kernel.crossings{reason=...}``, spin/rw locks record
@@ -61,11 +60,7 @@ from repro.obs.metrics import (  # noqa: F401  (re-exported API)
     MetricsRegistry,
     format_snapshot,
 )
-from repro.obs.profile import (  # noqa: F401  (re-exported API)
-    PipelineProfile,
-    Profiler,
-    read_collapsed,
-)
+from repro.obs.profile import Profiler, read_collapsed  # noqa: F401
 from repro.obs.trace import NULL_SPAN, Tracer, read_jsonl  # noqa: F401
 
 #: Master switch checked by every instrumented call site (module attribute,
@@ -201,28 +196,6 @@ def span(name: str, category: str = "op", **args: object):
     if not enabled:
         return NULL_SPAN
     return tracer.span(name, category, **args)
-
-
-def charge(sim_ns: float, *suffix: str) -> None:
-    """Charge simulated (cost-model / DES) nanoseconds to the calling
-    thread's open spans (``(root)`` outside any), extended by ``suffix``;
-    no-op unless profiling is on."""
-    if enabled and profiler.enabled:
-        path = tracer.stack_names() or ("(root)",)
-        profiler.charge_path(path + suffix, sim_ns)
-
-
-def charge_path(path, sim_ns: float, calls: int = 0) -> None:
-    """Charge simulated nanoseconds to an explicit call path."""
-    if enabled and profiler.enabled:
-        profiler.charge_path(path, sim_ns, calls)
-
-
-def pipeline_profile(name: str) -> Optional[PipelineProfile]:
-    """The named pipeline profile, or ``None`` when profiling is off."""
-    if enabled and profiler.enabled:
-        return profiler.pipeline(name)
-    return None
 
 
 def current_span_path() -> Optional[str]:

@@ -117,7 +117,8 @@ def run_observed(
     config: Optional[ArckConfig] = None,
 ) -> ObservedRun:
     """Build a stack, run ``spec`` observed, return metrics (and fill the
-    global tracer when ``trace`` / the global profiler when ``profile``)."""
+    global tracer when ``trace`` / the global profiler when ``profile``).
+    The observability switches are left as the run found them."""
     if config is None:
         config = CONFIGS.get(fs)
         if config is None:
@@ -137,7 +138,7 @@ def run_observed(
 
     before = layer_snapshot(vol, libfs)
 
-    was_enabled = obs.enabled
+    found = obs.enabled, obs.tracer.enabled, obs.profiler.enabled
     obs.reset()
     obs.enable(trace=trace, profile=profile)
     labels = {"app_id": libfs.app_id, "volume": vol.name}
@@ -146,8 +147,7 @@ def run_observed(
         _run_threads(driver, libfs, threads, ops_per_thread, labels)
     finally:
         wall_ns = time.perf_counter_ns() - start
-        if not was_enabled:
-            obs.disable()
+        obs.enabled, obs.tracer.enabled, obs.profiler.enabled = found
 
     publish_layer_deltas(vol, libfs, before)
     # Make sure the headline counters exist even when a run never touched

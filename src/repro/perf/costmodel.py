@@ -235,25 +235,6 @@ class CostModel:
                     + math.ceil(dentries / w) * self.verify_dentry_check)
         return serial + parallel
 
-    def verify_pipeline_stages(self, pages: int, dentries: int = 0,
-                               workers: int = 1) -> dict:
-        """Named-stage decomposition of :meth:`verify_pipeline_time`.
-
-        The per-stage values sum exactly to the pipeline total for the same
-        arguments — the contract the profiler's critical-path reports rely
-        on.  ``enumerate``/``commit`` are the serial stages; the check
-        stages cost their slowest stride shard.
-        """
-        w = max(1, workers)
-        return {
-            "enumerate": (self.verify_enumerate_fixed
-                          + pages * self.verify_enumerate_per_page),
-            "check_pages": math.ceil(pages / w) * self.verify_page_check,
-            "check_dentries": math.ceil(dentries / w) * self.verify_dentry_check,
-            "commit": (self.verify_commit_fixed
-                       + dentries * self.verify_commit_per_entry),
-        }
-
     @staticmethod
     def verify_critical_units(batch_sizes: Mapping[int, int],
                               workers: int = 1) -> int:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro import obs
 from repro.perf.costmodel import COST, CostModel
 from repro.perf.recipes import phases
 from repro.perf.simulator import Experiment
@@ -32,37 +31,10 @@ class RunResult:
     threads: int
     mops: float
     per_thread_ops: List[int]
-    #: per-run DES resource stats (lock contention, server occupancy),
-    #: populated only while observability is enabled.
-    metrics: Optional[Dict[str, Dict]] = field(default=None, repr=False)
 
     @property
     def ops_per_sec(self) -> float:
         return self.mops * 1e6
-
-
-def _publish_des_run(exp: Experiment, result: "RunResult",
-                     horizon_ns: float) -> Dict[str, Dict]:
-    """Republish one DES run's resource stats into the metrics registry and
-    return the per-run view (virtual time, so counts — not wall latencies)."""
-    lock_acqs = sum(lk.acquisitions for lk in exp._locks.values())
-    lock_contended = sum(lk.contended for lk in exp._locks.values())
-    per_run = {
-        "lock.acquisitions": lock_acqs,
-        "lock.contended": lock_contended,
-        "servers": {
-            name: {"requests": sv.requests, "busy_time_ns": sv.busy_time,
-                   "utilization": sv.busy_time / (sv.capacity * horizon_ns)}
-            for name, sv in exp._servers.items()
-        },
-    }
-    reg = obs.metrics
-    reg.counter("des.runs").inc()
-    reg.counter("des.lock.acquisitions").inc(lock_acqs)
-    reg.counter("des.lock.contended").inc(lock_contended)
-    reg.gauge("des.mops", fs=result.fs, workload=result.workload,
-              threads=result.threads).set(result.mops)
-    return per_run
 
 
 def _resolve_phase(exp: Experiment, cost: CostModel, tid: int, phase):
@@ -112,22 +84,13 @@ def run_workload(
             yield resolved
 
     stats = exp.run_threads(threads, op_stream, horizon_ns)
-    result = RunResult(
+    return RunResult(
         fs=fs,
         workload=getattr(workload, "name", str(workload)),
         threads=threads,
         mops=exp.throughput_mops(horizon_ns),
         per_thread_ops=[t.ops for t in stats],
     )
-    if obs.enabled:
-        result.metrics = _publish_des_run(exp, result, horizon_ns)
-        # Simulated thread time charges to explicit paths: DES threads are
-        # virtual, so there is no live frame stack to ride on.
-        for t in stats:
-            obs.charge_path(
-                ("des", f"{fs}:{result.workload}@{threads}t", f"thread{t.tid}"),
-                t.op_time, calls=t.ops)
-    return result
 
 
 def sweep(

@@ -46,17 +46,15 @@ class Simulator:
 class Lock:
     """FIFO mutual-exclusion lock inside the simulation."""
 
-    __slots__ = ("name", "held", "waiters", "acquisitions", "contended")
+    __slots__ = ("name", "held", "waiters", "contended")
 
     def __init__(self, name: str):
         self.name = name
         self.held = False
         self.waiters: List[Callable[[], None]] = []
-        self.acquisitions = 0
         self.contended = 0
 
     def acquire(self, sim: Simulator, resume: Callable[[], None]) -> None:
-        self.acquisitions += 1
         if not self.held:
             self.held = True
             sim.schedule(0, resume)
@@ -75,18 +73,15 @@ class Lock:
 class Server:
     """Finite-capacity FIFO server (k identical slots)."""
 
-    __slots__ = ("name", "capacity", "busy", "queue", "requests", "busy_time")
+    __slots__ = ("name", "capacity", "busy", "queue")
 
     def __init__(self, name: str, capacity: int = 1):
         self.name = name
         self.capacity = capacity
         self.busy = 0
         self.queue: List[Tuple[float, Callable[[], None]]] = []
-        self.requests = 0
-        self.busy_time = 0.0
 
     def use(self, sim: Simulator, service: float, resume: Callable[[], None]) -> None:
-        self.requests += 1
         if self.busy < self.capacity:
             self._start(sim, service, resume)
         else:
@@ -94,7 +89,6 @@ class Server:
 
     def _start(self, sim: Simulator, service: float, resume: Callable[[], None]) -> None:
         self.busy += 1
-        self.busy_time += service
 
         def done() -> None:
             self.busy -= 1

@@ -57,7 +57,6 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import obs
 from repro.errors import DoubleFree, NoSpace
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE, Geometry
@@ -273,18 +272,6 @@ class PageAllocator:
             if pages:
                 self.stats.pool_refills += 1
                 self.stats.refill_pages += len(pages)
-        pipe = obs.pipeline_profile("alloc") if pages else None
-        if pipe is not None:
-            from repro.perf.costmodel import COST
-
-            # Per-thread pools are the "workers" of this pipeline: each
-            # refill charges its modeled in-lock time to the refilling
-            # thread, so the critical path is the busiest pool.
-            ns = COST.alloc_refill_time(len(pages))
-            worker = threading.current_thread().name
-            pipe.charge(worker, "refill", ns)
-            pipe.add_worker_total(worker, ns)
-            obs.charge(ns, "alloc.refill")
         return pages
 
     @staticmethod

@@ -138,6 +138,14 @@ def test_run_observed_fxmark_metadata():
     assert not obs.enabled                    # driver restores the flag
 
 
+def test_run_observed_leaves_the_callers_switches_as_it_found_them():
+    obs.enable(trace=True)
+    run_observed("fxmark:MWCL", ops_per_thread=2, profile=True)
+    assert obs.enabled and obs.tracer.enabled
+    assert not obs.profiler.enabled
+    assert obs.profiler.paths()               # the run itself was profiled
+
+
 def test_run_observed_data_workload_zero_crossing_tail():
     """After preparation, an fxmark data workload is pure LibFS."""
     run = run_observed("fxmark:DRBL", threads=1, ops_per_thread=16)

@@ -43,7 +43,10 @@ Rules ruff cannot express (TID251 is waived wholesale for ``kernel/``,
   kind or a dentry type, itself;
 * a layer event is counted once, in its layer's stats record, and a timed
   region is one span: no registry counter repeats a record's field, and
-  the profiler keeps no frame or span of its own.
+  the profiler keeps no frame or span of its own;
+* modeled time lives in the cost model only: the functional stack counts
+  and never imports ``repro.perf``, and ``repro.perf`` publishes nothing
+  through ``repro.obs``.
 """
 
 import ast
@@ -270,6 +273,42 @@ def test_the_wire_format_lives_in_protocol_only():
     coders = [fn.name for fn in ast.walk(dict(_modules())["server/protocol.py"])
               if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_frame")]
     assert sorted(coders) == ["decode_frame", "encode_frame"]
+
+
+#: Packages of the functional stack: they count, ``repro.perf`` prices.
+FUNCTIONAL = ("pm/", "core/", "kernel/", "libfs/", "tx/", "fsck/", "server/",
+              "concurrency/", "obs/", "kv/", "basefs/", "api.py")
+
+
+def _imported(tree):
+    """``(lineno, module)`` for every import in ``tree``, function-local
+    ones included; ``from a import b`` yields ``a.b`` too, since ``b`` may
+    be a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+            yield from ((node.lineno, f"{node.module}.{a.name}")
+                        for a in node.names)
+
+
+def test_modeled_time_stays_in_the_cost_model():
+    def under(module, package):
+        return module == package or module.startswith(package + ".")
+
+    offenders = []
+    for rel, tree in _modules():
+        if rel.startswith(FUNCTIONAL):
+            banned = "repro.perf"
+        elif rel.startswith("perf/"):
+            banned = "repro.obs"
+        else:
+            continue
+        offenders += sorted({f"{rel}:{line} imports {banned}"
+                             for line, mod in _imported(tree)
+                             if under(mod, banned)})
+    assert not offenders, offenders
 
 
 def test_option_census():
