@@ -20,6 +20,7 @@ Run:  python examples/sharing_demo.py
 from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import CorruptionDetected
+from repro.libfs.libfs import LibFS
 from repro.perf.costmodel import COST
 
 
@@ -66,8 +67,9 @@ def attack():
     owner.mkdir("/dir2", mode=0o777)
     owner.release_all()
 
-    mallory = vol.session(
-        "mallory", uid=1000,
+    # A LibFS built by hand runs whatever flags its application chose.
+    mallory = LibFS(
+        kernel, "mallory", uid=1000,
         config=ARCKFS_PLUS.with_patch(rename_commit_protocol=False,
                                       global_rename_lock=False,
                                       name="malicious"))

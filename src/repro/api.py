@@ -104,7 +104,7 @@ class Session:
         self._txm = None
         #: Dimensional identity threaded into every forwarded call while
         #: observability is on: metrics recorded under a session slice per
-        #: tenant (``libfs.syscall.count{app_id=...,op=...,volume=...}``).
+        #: tenant (``libfs.syscall.<op>.ns{app_id=...,volume=...}``).
         self.labels = {"app_id": fs.app_id, "volume": volume.name}
 
     def __getattr__(self, name: str):
@@ -292,15 +292,14 @@ class Volume:
         *,
         uid: int = 1000,
         group: Optional[str] = None,
-        config: Optional[ArckConfig] = None,
     ) -> Session:
         """Register application ``app_id`` and return its :class:`Session`.
 
-        ``group`` joins the app to a §5.4 trust group; ``config`` lets one
-        app run under different LibFS-side flags than the volume default.
+        ``group`` joins the app to a §5.4 trust group.  The LibFS runs
+        under the volume's flags; one built directly (``LibFS(kernel, ...,
+        config=...)``) may run under others.
         """
-        fs = LibFS(self.kernel, app_id, uid=uid,
-                   config=config or self.kernel.config, group=group)
+        fs = LibFS(self.kernel, app_id, uid=uid, group=group)
         sess = Session(self, fs)
         with self._sessions_lock:
             self._sessions.append(sess)

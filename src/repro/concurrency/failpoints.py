@@ -10,7 +10,10 @@ Tests install a callback to:
   paper's ``sleep()``;
 * crash the machine at that instant (raise CrashPoint) to place a
   crash-consistency test's crash point precisely;
-* count hits, or run arbitrary code.
+* run arbitrary code.
+
+Every hit, hooked or not, is counted as ``failpoints.hit{name=...}`` while
+observability is on.
 
 Failpoint sites compiled into the LibFS/kernel (one per paper section):
 
@@ -41,8 +44,6 @@ class FailpointRegistry:
 
     def __init__(self) -> None:
         self._hooks: Dict[str, Callable[[Any], None]] = {}
-        self._counts: Dict[str, int] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Production-side API
@@ -53,11 +54,8 @@ class FailpointRegistry:
         if obs.enabled:
             obs.metrics.counter("failpoints.hit", name=name).inc()
         hook = self._hooks.get(name)
-        if hook is None:
-            return
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + 1
-        hook(ctx)
+        if hook is not None:
+            hook(ctx)
 
     # ------------------------------------------------------------------ #
     # Test-side API
@@ -71,10 +69,6 @@ class FailpointRegistry:
 
     def clear(self) -> None:
         self._hooks.clear()
-        self._counts.clear()
-
-    def count(self, name: str) -> int:
-        return self._counts.get(name, 0)
 
     def once(self, name: str, hook: Callable[[Any], None]) -> None:
         """Install a hook that disarms itself after its first hit."""

@@ -19,6 +19,10 @@ This is the Linux ``seqcount_t`` discipline.  Two properties matter here:
 Torn reads are *detected*, not prevented — what a doomed attempt touches
 must therefore stay safe to touch: a mapping pulled out from under it
 faults (``SimulatedBusError``) and the attempt is simply retried.
+
+The counter counts nothing else: the sequence is its only state, so the
+read side stores nothing at all.  ``LibFS.pread`` counts the attempts it
+redoes as ``readpath.pread_retries``.
 """
 
 from __future__ import annotations
@@ -38,17 +42,11 @@ class SeqCount:
     in for the aligned-word atomicity the C original relies on.
     """
 
-    __slots__ = ("name", "_seq", "writes", "retries", "read_spins")
+    __slots__ = ("name", "_seq")
 
     def __init__(self, name: str = "seq"):
         self.name = name
         self._seq = 0
-        #: completed write sections.
-        self.writes = 0
-        #: reader validations that failed (a writer overlapped the read).
-        self.retries = 0
-        #: times a reader found the counter odd and had to wait it out.
-        self.read_spins = 0
 
     @property
     def sequence(self) -> int:
@@ -61,7 +59,6 @@ class SeqCount:
 
     def write_end(self) -> None:
         self._seq += 1
-        self.writes += 1
 
     @contextmanager
     def write(self) -> Iterator[None]:
@@ -79,12 +76,8 @@ class SeqCount:
             seq = self._seq
             if seq & 1 == 0:
                 return seq
-            self.read_spins += 1
             time.sleep(0)  # yield the GIL to the writer
 
     def read_retry(self, start: int) -> bool:
         """True when the optimistic read overlapped a write — retry it."""
-        if self._seq != start:
-            self.retries += 1
-            return True
-        return False
+        return self._seq != start

@@ -28,7 +28,6 @@ class SpinLock:
         self._lock = threading.Lock()
         self._owner: Optional[int] = None
         self.acquisitions = 0
-        self.contended = 0
 
     def acquire(self, timeout: Optional[float] = None) -> bool:
         me = threading.get_ident()
@@ -36,7 +35,6 @@ class SpinLock:
             raise RuntimeError(f"{self.name}: non-reentrant lock re-acquired by owner")
         start = time.perf_counter_ns() if obs.enabled else 0
         if not self._lock.acquire(blocking=False):
-            self.contended += 1
             obs.count("lock.contended", kind="spin")
             if timeout is None:
                 self._lock.acquire()

@@ -97,7 +97,6 @@ def run_fsck(
     counts are in ``report.repairs``.
     """
     t0 = time.perf_counter_ns()
-    obs.count("fsck.runs")
     with obs.span("fsck.run", category="fsck", repair=repair):
         try:
             geom = load_geometry(device)
@@ -123,19 +122,12 @@ def run_fsck(
                 break
             for cls, n in applied.items():
                 repairs[cls] = repairs.get(cls, 0) + n
-                obs.count("fsck.repairs", n, cls=cls)
             report = _check_once(device, geom, sb.root_ino, libfs)
             passes += 1
 
     report.passes = passes
     report.repairs = repairs
     report.wall_ns = time.perf_counter_ns() - t0
-    obs.count("fsck.passes", passes)
-    obs.count("fsck.inodes", report.inodes_valid)
-    obs.count("fsck.pages", report.pages_claimed)
-    obs.count("fsck.dentries", report.dentries)
-    for f in report.findings:
-        obs.count("fsck.findings", cls=f.cls)
     return report
 
 

@@ -35,9 +35,9 @@ table.  Enumerate, judge and commit (the controller applying the
 :class:`StagedUpdate` under its lock) are serial; the per-item checks in
 between are independent of each other, and that is where all the Table 4
 bytes go — a 256 KiB shared file is 65 page checks per transfer against a
-fixed cost of one record read.  Each of those check batches goes through
-:meth:`Verifier._run_batch`, which counts it in :class:`PipelineStats` and
-checks it once, in order, on the calling thread.
+fixed cost of one record read.  Each of those check batches is counted
+once in :class:`PipelineStats` (:meth:`Verifier._count`) and checked in
+order, in a plain loop on the calling thread.
 
 Parallel verification is a claim of the calibrated cost model, not of a
 thread pool: ``CostModel.verify_pipeline_time`` prices one transfer at any
@@ -51,7 +51,7 @@ algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.core.config import ArckConfig
@@ -90,9 +90,11 @@ class StagedUpdate:
 
 @dataclass
 class PipelineStats:
-    """Deterministic work accounting for the verifier's check batches."""
+    """Deterministic work accounting for the verifier's check batches.
 
-    verifications: int = 0
+    How many verifications ran is ``KernelStats.verifications +
+    group_skips``: every call of :meth:`Verifier.verify` is one of those."""
+
     #: individual page checks / dentry checks / absent-child checks issued.
     page_checks: int = 0
     dentry_checks: int = 0
@@ -103,20 +105,12 @@ class PipelineStats:
     batch_sizes: Dict[int, int] = field(default_factory=dict)
 
 
-#: batch stage -> its PipelineStats field.
-_STAGES = {
-    "pages": "page_checks",
-    "dentries": "dentry_checks",
-    "absent": "absent_checks",
-}
-
-
 class Verifier:
     """Checks one inode's core state against the shadow table.
 
     The three per-item check batches (pages, dentries, absent children)
-    all go through :meth:`_run_batch`, which counts them in
-    :class:`PipelineStats` and checks them on the calling thread.
+    are each counted by one :meth:`_count` call, then checked in a loop on
+    the calling thread.
     """
 
     def __init__(self, controller):
@@ -150,7 +144,6 @@ class Verifier:
         waived.  Full verification is deferred until the inode leaves the
         group.
         """
-        self.pstats.verifications += 1
         with obs.span("verify.pipeline", category="kernel", ino=ino):
             return self._verify(ino, app_id, trusted)
 
@@ -200,7 +193,7 @@ class Verifier:
                 # Both chains' pages go to one batch.
                 pages = shape.index.pages + shape.data
                 if not trusted:
-                    self._check_pages(ino, pages, staged)
+                    self._check_pages(ino, pages)
                     staged.bytes_verified += len(pages) * PAGE_SIZE
                 staged.pages.update(pages)
                 staged.size = rec.size
@@ -269,7 +262,7 @@ class Verifier:
         ino = shape.ino
         pages = [p for _idx, chain in shape.tails for p in chain.pages]
         if not trusted:
-            self._check_pages(ino, pages, staged)
+            self._check_pages(ino, pages)
         staged.pages.update(pages)
         staged.bytes_verified += len(pages) * PAGE_SIZE
 
@@ -278,47 +271,32 @@ class Verifier:
         # Check every present dentry, then every shadow child the log no
         # longer shows; the absent pass needs the complete new-children map
         # (an in-directory rename looks absent under its old name).
-
-        def check_dentries(items, staged: StagedUpdate) -> Dict[bytes, int]:
-            return {name: d.ino for name, d in items
-                    if self._check_dentry(ino, sh, app_id, name, d, staged,
-                                          trusted, pending_recs)}
-
-        new_children = self._run_batch("dentries", entries, check_dentries, staged)
+        self._count("dentry_checks", len(entries))
+        new_children = {name: d.ino for name, d in entries
+                        if self._check_dentry(ino, sh, app_id, name, d, staged,
+                                              trusted, pending_recs)}
         linked = set(new_children.values())
-
-        def check_absent(items, staged: StagedUpdate) -> None:
-            for name, child_ino in items:
-                self._check_absent_child(
-                    ino, name, child_ino, new_children, linked, staged, trusted)
-
-        self._run_batch("absent", list(sh.children.items()), check_absent, staged)
+        self._count("absent_checks", len(sh.children))
+        for name, child_ino in sh.children.items():
+            self._check_absent_child(
+                ino, name, child_ino, new_children, linked, staged, trusted)
         staged.new_children = new_children
 
     # -- the check batches ----------------------------------------------- #
 
-    def _check_pages(self, ino: int, jobs: Sequence[int],
-                     staged: StagedUpdate) -> None:
-        """Run :meth:`_check_page` for every page in ``jobs``."""
+    def _check_pages(self, ino: int, pages: Sequence[int]) -> None:
+        """Run :meth:`_check_page` for every page, as one batch."""
+        self._count("page_checks", len(pages))
+        for page_no in pages:
+            self._check_page(ino, page_no)
 
-        def check(items, _staged: StagedUpdate) -> None:
-            for page_no in items:
-                self._check_page(ino, page_no)
-
-        self._run_batch("pages", jobs, check, staged)
-
-    def _run_batch(self, stage: str, items: Sequence,
-                   check: Callable[[Sequence, StagedUpdate], object],
-                   staged: StagedUpdate):
-        """Count ``items`` as one batch of ``stage``, then return
-        ``check(items, staged)``, run once on this thread."""
-        n = len(items)
+    def _count(self, stat: str, n: int) -> None:
+        """Count a batch of ``n`` checks in ``PipelineStats.<stat>`` and in
+        the batch-size histogram (an empty batch is no batch)."""
         if n:
-            stat = _STAGES[stage]
             pstats = self.pstats
             setattr(pstats, stat, getattr(pstats, stat) + n)
             pstats.batch_sizes[n] = pstats.batch_sizes.get(n, 0) + 1
-        return check(items, staged)
 
     # -- per-item checks ------------------------------------------------- #
 

@@ -19,10 +19,13 @@ reproduction that lens as a first-class subsystem:
 
 A layer event is counted once, in its layer's stats record (``PMStats``,
 ``AllocStats``, ``KernelStats``, ``ReadCacheStats``, ``PipelineStats``,
-``LibFSStats``); the registry holds only what no record counts.  An
-observed run (``repro.obs.driver``) publishes each record's delta as
-``pm.*``, ``alloc.*``, ``kernel.*``, ``readcache.*``, ``verify.*`` and
-``libfs.*`` through :func:`publish_stats` when it ends.
+``LibFSStats``) or report (``FsckReport``, ``RecoveryReport``, a server
+tenant's ``TenantState``); the registry holds only what no record counts,
+or counts at a finer grain (per reason, per tenant, per op: an op's call
+count is its ``libfs.syscall.<op>.ns`` histogram's).  An observed run
+(``repro.obs.driver``) publishes each record's delta as ``pm.*``,
+``alloc.*``, ``kernel.*``, ``readcache.*``, ``verify.*`` and ``libfs.*``
+through :func:`publish_stats` when it ends.
 
 **Cost when disabled (the default): one module-attribute check** at every
 instrumented site — the same pattern as

@@ -9,7 +9,7 @@ allocation.  When on, it
   nested operations (``open(create=True)`` → ``creat`` → kernel events)
   show up as a proper flame in ``chrome://tracing``;
 * records the op latency into the per-op histogram
-  ``libfs.syscall.<op>.ns`` and bumps ``libfs.syscall.count{op=...}``;
+  ``libfs.syscall.<op>.ns``, whose count is the op's call count;
 * records the latency into the *aggregate* ``libfs.syscall.ns`` histogram
   only for outermost calls (per-thread depth tracking), so convenience
   wrappers like ``write_file`` → ``pwrite`` don't double-count.
@@ -51,8 +51,6 @@ def traced_syscall(opname: str) -> Callable[[F], F]:
                 # facade) dimension every syscall metric per tenant.
                 ambient = obs.context_labels()
                 reg.histogram(hist_name, **ambient).observe(elapsed)
-                reg.counter("libfs.syscall.count",
-                            **{**ambient, "op": opname}).inc()
                 if depth == 0:
                     reg.histogram("libfs.syscall.ns", **ambient).observe(elapsed)
 

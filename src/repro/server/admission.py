@@ -90,12 +90,10 @@ class AdmissionController:
                 f"({t.policy.max_sessions}); retry after closing one")
         t.sessions += 1
         obs.count("server.sessions_opened", tenant=t.name)
-        self._gauge(t)
         return t
 
     def release_session(self, t: TenantState) -> None:
         t.sessions = max(0, t.sessions - 1)
-        self._gauge(t)
 
     # -- requests ---------------------------------------------------------- #
 
@@ -128,7 +126,3 @@ class AdmissionController:
 
     def _reject(self, t: TenantState, reason: str) -> None:
         obs.count("server.rejects", tenant=t.name, reason=reason)
-
-    def _gauge(self, t: TenantState) -> None:
-        if obs.enabled:
-            obs.metrics.gauge("server.sessions", tenant=t.name).set(t.sessions)

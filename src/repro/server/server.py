@@ -361,7 +361,6 @@ class VolumeServer:
                 tenant = ss.tenant
                 holder.release_holdings()
                 tenant.recalls += 1
-                obs.count("server.recalls", tenant=tenant.name)
                 acq = self.volumes[tenant.name].kernel.acquisitions.get(
                     busy.ino)
                 if acq is not None and acq.app_id == busy.owner:

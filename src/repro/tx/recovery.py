@@ -215,7 +215,6 @@ def recover(kernel) -> TxRecoveryOutcome:
     if log is None:
         retire(kernel.device, kernel.alloc, unowned(pages))
         outcome.discarded = 1
-        obs.count("tx.recovery_discarded")
         return outcome
 
     from repro.libfs.libfs import LibFS  # above the kernel layer; lazy
@@ -228,6 +227,4 @@ def recover(kernel) -> TxRecoveryOutcome:
             fs.shutdown()
         retire(kernel.device, kernel.alloc, unowned(log.pages))
     outcome.replayed = len(log.records)
-    obs.count("tx.replays")
-    obs.count("tx.replayed_ops", len(log.records))
     return outcome

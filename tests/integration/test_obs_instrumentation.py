@@ -7,6 +7,7 @@ and must rise as soon as ownership moves (release / re-acquire).
 """
 
 import json
+import re
 
 import pytest
 
@@ -40,10 +41,10 @@ def test_pure_data_path_has_zero_kernel_crossings(fs):
         "data-path ops on an owned file must not enter the kernel"
     )
     # ...but the LibFS itself saw and timed every syscall.
-    snap = obs.metrics.snapshot()
-    assert snap["counters"]["libfs.syscall.count{op=pwrite}"] == 32
-    assert snap["counters"]["libfs.syscall.count{op=pread}"] == 32
-    assert snap["histograms"]["libfs.syscall.ns"]["count"] == 64
+    hists = obs.metrics.snapshot()["histograms"]
+    assert hists["libfs.syscall.pwrite.ns"]["count"] == 32
+    assert hists["libfs.syscall.pread.ns"]["count"] == 32
+    assert hists["libfs.syscall.ns"]["count"] == 64
 
 
 def test_ownership_transfer_crosses_the_kernel(fs):
@@ -122,6 +123,109 @@ def test_tracing_nests_kernel_instants_inside_syscall_spans(fs):
 
 
 # --------------------------------------------------------------------------- #
+# One count per event
+# --------------------------------------------------------------------------- #
+
+#: Registry series that counted, a second time, an event a record counts.
+_SECOND_COUNTS = re.compile(
+    r"^(fsck\.|tx\.(replays|replayed_ops|recovery_discarded)\b"
+    r"|server\.(recalls|sessions)\b|libfs\.syscall\.count\b)")
+
+#: traced op -> the LibFSStats field counting the same calls.
+_OP_FIELDS = {"creat": "creates", "mkdir": "mkdirs", "open": "opens",
+              "stat": "stats_", "readdir": "readdirs", "pwrite": "writes",
+              "pread": "reads", "rename": "renames", "unlink": "unlinks",
+              "rmdir": "rmdirs", "fsync": "fsyncs"}
+
+
+def test_each_event_has_one_counter():
+    """An event is counted once: in the record that counts it — fsck in
+    ``FsckReport``, mount's replay in ``RecoveryReport``, verifications in
+    ``KernelStats``, a tenant's recalls and sessions on ``TenantState`` —
+    and in the registry only at a grain no record keeps, such as the
+    per-op syscall histograms.  No second counter shadows any of them."""
+    import dataclasses
+
+    from repro.api import Volume
+    from repro.concurrency.failpoints import failpoints
+    from repro.errors import CrashPoint
+    from tests.integration.test_server import run, serving
+    from tests.integration.test_server_ownership import connect
+    from tests.integration.test_tx_crash import (crash_at, make_volume,
+                                                 populate, stage_tx)
+
+    obs.reset()
+    obs.enable(trace=True)
+    try:
+        vol = make_volume()
+        s = vol.session("app")
+        before = dataclasses.replace(s.fs.stats)
+        s.mkdir("/d")
+        fd = s.creat("/d/f")
+        s.pwrite(fd, b"x" * 5000, 0)
+        assert s.pread(fd, 100, 4000) == b"x" * 100
+        s.fsync(fd)
+        s.close(fd)
+        s.stat("/d/f")
+        s.readdir("/d")
+        s.rename("/d/f", "/g")
+        s.close(s.open("/g"))
+        s.unlink("/g")
+        s.rmdir("/d")
+        hists = obs.metrics.snapshot()["histograms"]
+        after = s.fs.stats
+        for op, name in _OP_FIELDS.items():
+            calls = hists[f"libfs.syscall.{op}.ns"]["count"]
+            assert calls == getattr(after, name) - getattr(before, name) > 0, op
+
+        s.release_all()
+        a, b = vol.session("a", group="g"), vol.session("b", group="g")
+        a.write_file("/shared", b"one")
+        a.release_all()
+        b.write_file("/shared", b"two")
+        b.release_all()
+        k = vol.kernel.stats
+        verifies = [e for e in obs.tracer.events()
+                    if e["name"] == "verify.pipeline"]
+        assert k.group_skips > 0 and k.verifications > 0
+        assert len(verifies) == k.verifications + k.group_skips
+
+        report = vol.fsck()
+        assert report.clean and report.passes == 1 and not report.repairs
+        assert report.inodes_valid == 2 and report.files == 1
+        assert report.dentries >= 1 and report.pages_claimed > 0
+
+        populate(s)
+        tx = stage_tx(s)
+        crash_at("tx.post_seal")
+        with pytest.raises(CrashPoint):
+            tx.commit()
+        failpoints.clear()
+        mounted = Volume.mount(vol.device.durable_image())
+        assert mounted.recovery.tx_replayed == 4   # create, pwrite, rename, unlink
+        assert mounted.recovery.tx_discarded == 0
+
+        async def serve():
+            async with serving() as (server, _volumes):
+                async with await connect(server) as cli:
+                    x = await cli.open_session("acme")
+                    y = await cli.open_session("acme")
+                    await cli.call("creat", session=x, path="/once")
+                    await cli.call("stat", session=y, path="/")
+                    return server.stats()["tenants"]["acme"]
+        tenant = run(serve())
+        assert tenant["sessions"] == 2 and tenant["recalls"] == 1
+        snap = obs.metrics.snapshot()
+    finally:
+        obs.disable()
+        obs.reset()
+    names = [n for kind in ("counters", "gauges", "histograms")
+             for n in snap[kind]]
+    assert [n for n in names if _SECOND_COUNTS.match(n)] == []
+    assert any(n.startswith("server.") for n in names)
+
+
+# --------------------------------------------------------------------------- #
 # The observed-run driver
 # --------------------------------------------------------------------------- #
 
@@ -155,21 +259,21 @@ def test_run_observed_data_workload_zero_crossing_tail():
     assert c["kernel.crossings"] == 0
     # The driver runs the op loop under ambient {app_id, volume} labels,
     # and the base name still aggregates across every op and label set.
-    assert c["libfs.syscall.count{app_id=obs,op=pread,volume=obs}"] == 16
-    assert c["libfs.syscall.count"] >= 16
+    h = run.metrics["histograms"]
+    assert h["libfs.syscall.pread.ns{app_id=obs,volume=obs}"]["count"] == 16
+    assert h["libfs.syscall.ns"]["count"] >= 16
 
 
 def test_run_observed_multithreaded():
     run = run_observed("fxmark:MWCM", threads=4, ops_per_thread=4)
     assert run.ops == 16
     assert run.metrics["gauges"]["run.threads"] == 4
-    assert run.metrics["counters"]["libfs.syscall.count"] >= 16
+    assert run.metrics["histograms"]["libfs.syscall.ns"]["count"] >= 16
 
 
 def test_run_observed_filebench():
     run = run_observed("filebench:varmail", threads=1, ops_per_thread=4)
-    c = run.metrics["counters"]
-    assert c["libfs.syscall.count"] > 0
+    assert run.metrics["histograms"]["libfs.syscall.ns"]["count"] > 0
     assert run.spec == "filebench:varmail-shared"
 
 

@@ -396,7 +396,7 @@ class TestAttribution:
                                            path="/shared/kept"))["size"] == 8
                     snap = obs.metrics.snapshot()["counters"]
                     assert snap["server.deferred_errors{tenant=acme}"] == 1
-                    assert snap["server.recalls{tenant=acme}"] >= 1
+                    assert server.stats()["tenants"]["acme"]["recalls"] >= 1
                     assert "server.recall_failures" not in snap
                 await server.drain()
                 assert_settled(volumes["acme"])

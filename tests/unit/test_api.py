@@ -232,11 +232,11 @@ class TestDimensionalIdentity:
                 fs.pwrite(fd, b"x" * 64, 0)
                 fs.close(fd)
                 obs.disable()
-        c = obs.metrics.snapshot()["counters"]
-        key = "libfs.syscall.count{app_id=worker,op=creat,volume=metricsvol}"
-        assert c[key] == 1
+        h = obs.metrics.snapshot()["histograms"]
+        key = "libfs.syscall.creat.ns{app_id=worker,volume=metricsvol}"
+        assert h[key]["count"] == 1
         # The base name still aggregates across the labelled series.
-        assert c["libfs.syscall.count"] >= 3
+        assert h["libfs.syscall.ns"]["count"] >= 3
 
     def test_labels_do_not_leak_after_the_call(self):
         from repro import obs

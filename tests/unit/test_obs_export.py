@@ -94,11 +94,13 @@ def test_render_top_first_frame_and_sections():
 
 
 def test_read_path_counters_export_with_session_labels():
-    """The zero-crossing read path is counted end to end: the kernel's
-    publish table in its own record (``kernel.readcache.stats``), and
-    ``readpath.crossings_avoided``, which no record counts, in the
-    registry, tagged with the Session facade's ambient ``{app_id, volume}``
-    labels and rendered by the Prometheus exporter."""
+    """The zero-crossing read path is counted end to end, each event once
+    at its grain: the kernel's publish table in its own record
+    (``kernel.readcache.stats``, per volume), and the hits a session kept,
+    per tenant, in the registry as ``readpath.crossings_avoided`` — tagged
+    with the Session facade's ambient ``{app_id, volume}`` labels and
+    rendered by the Prometheus exporter.  The registry holds no
+    ``readcache.*`` copy of the record."""
     from repro import obs
     from repro.api import Volume, VolumeConfig
 

@@ -30,13 +30,11 @@ class TestSeqCount:
         assert s.sequence & 1 == 1
         s.write_end()
         assert s.sequence == 2
-        assert s.writes == 1
 
     def test_read_validates_quiescent(self):
         s = SeqCount("t")
         start = s.read_begin()
         assert not s.read_retry(start)
-        assert s.retries == 0
 
     def test_read_detects_overlapping_write(self):
         s = SeqCount("t")
@@ -44,7 +42,6 @@ class TestSeqCount:
         with s.write():
             pass  # a write completed inside the reader's window
         assert s.read_retry(start)
-        assert s.retries == 1
 
     def test_read_begin_waits_out_writer(self):
         s = SeqCount("t")
@@ -62,7 +59,6 @@ class TestSeqCount:
         t.join(timeout=5)
         assert not t.is_alive()
         assert got == [2]
-        assert s.read_spins >= 1
 
     def test_torn_read_detected_under_thread_churn(self):
         """A reader never validates a window that a writer overlapped."""
