@@ -300,7 +300,8 @@ class PageAllocator:
         per run of dirty bitmap bytes, no fence (the caller's rides them).
 
         Every page must be allocated and named once, or the batch is refused
-        with :class:`DoubleFree` before any bit changes.  A run is a span of
+        with :class:`DoubleFree` before any bit changes.  The pages leave
+        the handed-out set under the same lock.  A run is a span of
         *consecutive* dirty bytes, so the clean bytes between two distant
         runs are never written: a batch stores at most one byte per page.
         """
@@ -329,8 +330,11 @@ class PageAllocator:
                 prev = byte_off
             self._write_bitmap_range(lo, prev)
             self._free_count += len(pages)
-        with self._acct_lock:
-            self.stats.lock_acquires += 1
+            # Before ``_lock`` goes: once it does, another thread may be
+            # handed one of these pages, and its accounting must stand.
+            with self._acct_lock:
+                self._handed_out.difference_update(pages)
+                self.stats.lock_acquires += 1
 
     def _zero_pages(self, pages: List[int]) -> None:
         """Durably zero pages: one store + write-back per contiguous run,
@@ -451,7 +455,6 @@ class PageAllocator:
             return
         self._clear_bits(pages)
         with self._acct_lock:
-            self._handed_out.difference_update(pages)
             self.stats.frees += len(pages)
 
     # ------------------------------------------------------------------ #

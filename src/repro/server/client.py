@@ -34,6 +34,7 @@ class ServerClient(asyncio.Protocol):
 
     def __init__(self) -> None:
         self._transport: Optional[asyncio.Transport] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._frames = protocol.FrameSplitter()
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
@@ -69,6 +70,7 @@ class ServerClient(asyncio.Protocol):
 
     def connection_made(self, transport) -> None:
         self._transport = transport
+        self._loop = asyncio.get_running_loop()
 
     def data_received(self, data: bytes) -> None:
         try:
@@ -120,11 +122,16 @@ class ServerClient(asyncio.Protocol):
             raise ProtocolError(
                 f"{method} frame of {len(wire)} bytes exceeds the "
                 f"{protocol.MAX_FRAME_BYTES}-byte limit")
-        fut = asyncio.get_running_loop().create_future()
+        fut = self._loop.create_future()
         self._pending[req_id] = fut
         self.sent += 1
         self._transport.write(wire)
-        return await fut
+        try:
+            return await fut
+        finally:
+            # Answered, failed or cancelled: the id is done either way, and
+            # a reply that comes after all counts as ``unmatched``.
+            self._pending.pop(req_id, None)
 
     async def call_retry(self, method: str, *, retries: int = 8,
                          backoff: float = 0.005, max_backoff: float = 0.25,

@@ -51,21 +51,31 @@ from __future__ import annotations
 
 import json
 import struct
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, Iterator, Optional
 
 from repro import errors
 
-#: Hard ceiling on one frame's encoded size, prefix included.  A prefix
-#: announcing more is refused with :class:`~repro.errors.ProtocolError`
-#: *before* the frame is buffered, so it also bounds each end's
-#: per-connection read buffer; a client refuses to send one.
-MAX_FRAME_BYTES = 1 << 20  # 1 MiB
+#: Hard ceiling on one frame's encoded size, prefix included: a 1 MiB
+#: payload plus up to 64 KiB of prefix and header.  A prefix announcing
+#: more is refused with :class:`~repro.errors.ProtocolError` *before* the
+#: frame is buffered, so it also bounds each end's per-connection read
+#: buffer; a client refuses to send one and the server to reply one.
+MAX_FRAME_BYTES = (1 << 20) + (64 << 10)
 
 #: The frame prefix: header length, payload length.
 _PREFIX = struct.Struct("<II")
 #: The two objects a frame's payload can be the ``data`` of.
 _PAYLOAD_OWNERS = ("params", "result")
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+#: JSON's C encoder, set up once: what ``JSONEncoder(separators=(",",
+#: ":")).encode`` builds again on every call (ASCII escapes, ``NaN``
+#: allowed), minus the cycle check — a frame is a tree this package built,
+#: and a cycle ends in ``RecursionError`` instead of ``ValueError``.
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default,
+                         encode_basestring_ascii, None, ":", ",",
+                         False, False, True)
+#: JSON's C scanner: ``JSONDecoder().raw_decode`` without its Python frame.
+_SCAN = json.JSONDecoder().scan_once
 
 #: Wire error types the client can reconstruct, by class name: every
 #: :class:`~repro.errors.ReproError` the package defines.  A name this side
@@ -85,7 +95,7 @@ def encode_frame(obj: Dict) -> bytes:
             payload = body["data"]
             obj = {**obj, owner: {**body, "data": None}, "bin": owner}
             break
-    header = _ENCODE(obj).encode("ascii")
+    header = "".join(_ENCODE(obj, 0)).encode("ascii")
     return b"".join((_PREFIX.pack(len(header), len(payload)), header, payload))
 
 
@@ -108,7 +118,16 @@ def decode_frame(frame: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> Dict:
             f"frame of {len(frame)} bytes, prefix announces "
             f"{payload_at + payload_len}")
     try:
-        obj = json.loads(str(frame[_PREFIX.size:payload_at], "utf-8"))
+        text = str(frame[_PREFIX.size:payload_at], "utf-8")
+        # One C scan when the header is one JSON value edge to edge, as
+        # every header this package encodes is; ``json.loads`` itself —
+        # whitespace, a BOM, trailing bytes, the errors — otherwise.
+        try:
+            obj, end = _SCAN(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(text):
+            obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise errors.ProtocolError(f"malformed JSON header: {exc}") from None
     if not isinstance(obj, dict):
@@ -136,30 +155,48 @@ class FrameSplitter:
         self.buffer = bytearray()
 
     def feed(self, data: bytes) -> Iterator[bytes]:
-        """Yield each frame ``data`` completes, in order.  A prefix over the
-        limit raises :class:`~repro.errors.ProtocolError` once the frames
-        before it are out, and drops what is buffered: the stream is over."""
+        """Yield each frame ``data`` completes, in order: slices of
+        ``data`` itself — the whole of it when it is one frame — unless a
+        frame straddles reads; only such a frame's pieces are copied.  A
+        prefix over the limit raises :class:`~repro.errors.ProtocolError`
+        once the frames before it are out, and drops what is buffered: the
+        stream is over."""
         buf = self.buffer
-        buf += data
-        pos = 0
+        if buf:
+            buf += data
+            if len(buf) < _PREFIX.size:
+                return
+            size = _PREFIX.size + sum(_PREFIX.unpack_from(buf))
+            if size > self.max_bytes:
+                buf.clear()
+                raise self._too_big(size)
+            if len(buf) < size:
+                return
+            data = bytes(buf)
+            buf.clear()
+        pos, end = 0, len(data)
         try:
-            while len(buf) - pos >= _PREFIX.size:
-                size = _PREFIX.size + sum(_PREFIX.unpack_from(buf, pos))
+            while end - pos >= _PREFIX.size:
+                size = _PREFIX.size + sum(_PREFIX.unpack_from(data, pos))
                 if size > self.max_bytes:
-                    pos = len(buf)
-                    raise errors.ProtocolError(
-                        f"frame of {size} bytes exceeds the "
-                        f"{self.max_bytes}-byte limit")
-                if len(buf) - pos < size:
+                    pos = end
+                    raise self._too_big(size)
+                if end - pos < size:
                     break
                 pos += size
-                yield bytes(buf[pos - size:pos])
+                yield data[pos - size:pos]
         finally:
-            del buf[:pos]
+            if pos < end:
+                buf += memoryview(data)[pos:]
+
+    def _too_big(self, size: int) -> errors.ProtocolError:
+        return errors.ProtocolError(
+            f"frame of {size} bytes exceeds the {self.max_bytes}-byte limit")
 
 
 def parse_request(frame: Dict) -> Dict:
-    """Validate a request frame's envelope; returns it with defaults filled.
+    """Validate a request frame's envelope in place and fill its defaults;
+    returns it.
 
     ``id`` may be any JSON scalar (echoed back); ``method`` is required;
     ``params`` defaults to ``{}``; ``tenant``/``session`` default to None
@@ -168,22 +205,17 @@ def parse_request(frame: Dict) -> Dict:
     method = frame.get("method")
     if not isinstance(method, str) or not method:
         raise errors.ProtocolError("request has no method")
-    params = frame.get("params", {})
+    params = frame.get("params")
     if params is None:
-        params = {}
-    if not isinstance(params, dict):
+        frame["params"] = {}
+    elif not isinstance(params, dict):
         raise errors.ProtocolError("params must be an object")
     for key in ("tenant", "session"):
-        val = frame.get(key)
+        val = frame.setdefault(key, None)
         if val is not None and not isinstance(val, str):
             raise errors.ProtocolError(f"{key} must be a string")
-    return {
-        "id": frame.get("id"),
-        "method": method,
-        "params": params,
-        "tenant": frame.get("tenant"),
-        "session": frame.get("session"),
-    }
+    frame.setdefault("id", None)
+    return frame
 
 
 # --------------------------------------------------------------------------- #

@@ -123,8 +123,16 @@ class _Connection(asyncio.Protocol):
             # The client went away mid-op; the op itself completed (or
             # failed) against the volume — only the response is undeliverable.
             obs.count("server.responses_dropped")
-        else:
-            self.transport.write(protocol.encode_frame(frame))
+            return
+        wire = protocol.encode_frame(frame)
+        if len(wire) > protocol.MAX_FRAME_BYTES:
+            # The client would refuse it from its prefix and hang up on
+            # every session this connection carries: refuse this one call.
+            wire = protocol.encode_frame(protocol.error_response(
+                frame.get("id"), ProtocolError(
+                    f"reply of {len(wire)} bytes exceeds the "
+                    f"{protocol.MAX_FRAME_BYTES}-byte limit")))
+        self.transport.write(wire)
 
     def pause_writing(self) -> None:
         self.transport.pause_reading()
@@ -155,6 +163,7 @@ class VolumeServer:
             lease_seconds=self.config.lease_seconds,
             idle_seconds=self.config.evict_interval,
             on_release=self.admission.release_session)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._evictor: Optional[asyncio.Task] = None
         self._conns: Dict[int, _Connection] = {}
@@ -175,7 +184,7 @@ class VolumeServer:
         return self.admission.draining
 
     async def start(self) -> "VolumeServer":
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._server = await loop.create_server(
             lambda: _Connection(self), self.config.host, self.config.port)
         self._evictor = loop.create_task(self._evict_loop())
@@ -310,7 +319,7 @@ class VolumeServer:
     def _execute(self, conn: _Connection, req: Dict, ss: ServerSession) -> None:
         """Run one admitted op to its reply."""
         method, tenant = req["method"], ss.tenant
-        t0 = time.perf_counter_ns()
+        t0 = time.perf_counter_ns() if obs.enabled else None
         try:
             resp = protocol.ok_response(
                 req["id"], self._run_op(ss, method, req["params"]))
@@ -320,8 +329,8 @@ class VolumeServer:
                       type=type(exc).__name__)
             resp = protocol.error_response(req["id"], exc)
         finally:
-            ss.touch(asyncio.get_running_loop().time())
-        if obs.enabled:
+            ss.touch(self._loop.time())
+        if t0 is not None:
             obs.metrics.histogram(
                 "server.op_latency_ns",
                 tenant=tenant.name).observe(time.perf_counter_ns() - t0)

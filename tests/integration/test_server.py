@@ -270,6 +270,56 @@ class TestClientFrameBound:
                     assert st["size"] == len(blob)
         run(main())
 
+    def test_a_mebibyte_payload_roundtrips(self):
+        # The bound used to be 1 MiB for the whole frame, header included:
+        # a 1 MiB write was refused locally and a 1 MiB read reply hung up
+        # the connection.
+        async def main():
+            blob = bytes(range(256)) * 4096
+            async with serving() as (server, _):
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    tok = await cli.open_session("acme")
+                    assert await cli.write_file(tok, "/mib", blob) == len(blob)
+                    assert await cli.read_file(tok, "/mib") == blob
+                    fd = (await cli.call("open", session=tok,
+                                         path="/mib"))["fd"]
+                    got = await cli.call("pread", session=tok, fd=fd,
+                                         n=len(blob), offset=0)
+                    assert got["data"] == blob and got["n"] == len(blob)
+        run(main())
+
+    def test_reply_over_the_bound_is_typed_and_spares_the_connection(self):
+        # The server used to write it: the client refused the frame from
+        # its prefix and hung up, failing every session on the connection.
+        async def main():
+            blob = b"\xa5" * (512 << 10)
+            async with serving() as (server, _):
+                async with await ServerClient.connect(
+                        "127.0.0.1", server.port) as cli:
+                    big, sibling = [await cli.open_session("acme")
+                                    for _ in range(2)]
+                    fd = (await cli.call("open", session=big, path="/huge",
+                                         create=True))["fd"]
+                    for at in range(3):  # 1.5 MiB, in pieces that fit
+                        await cli.call("pwrite", session=big, fd=fd,
+                                       data=blob, offset=at * len(blob))
+                    read = asyncio.ensure_future(
+                        cli.call("read_file", session=big, path="/huge"))
+                    stat = asyncio.ensure_future(
+                        cli.call("stat", session=sibling, path="/"))
+                    with pytest.raises(errors.ProtocolError,
+                                       match="exceeds") as refused:
+                        await asyncio.wait_for(read, 10)
+                    assert not getattr(refused.value, "retryable", False)
+                    assert (await asyncio.wait_for(stat, 5))["ino"] == 0
+                    assert len(server._conns) == 1 and not cli._pending
+                    # What fits the bound still crosses on this session.
+                    got = await cli.call("pread", session=big, fd=fd,
+                                         n=len(blob), offset=len(blob))
+                    assert got["data"] == blob
+        run(main())
+
     def test_reply_over_the_bound_fails_every_caller_typed(self):
         async def forge(reader, writer):
             await reader.read(64)  # a request arrived; answer with a lie
@@ -319,6 +369,39 @@ class TestClientFrameBound:
                     assert await cli.write_file(big, "/fits", b"x" * 4096) \
                         == 4096
                     assert len(server._conns) == 1
+        run(main())
+
+    def test_a_cancelled_call_leaves_nothing_pending(self):
+        # A timed-out call used to leave its future in ``_pending`` until
+        # the connection died.
+        async def main():
+            requests, answer = [], asyncio.Event()
+
+            async def silent(reader, writer):
+                splitter = protocol.FrameSplitter()
+                while len(requests) < 5:
+                    requests.extend(splitter.feed(await reader.read(1 << 16)))
+                await answer.wait()  # then one reply, far too late
+                writer.write(protocol.encode_frame(
+                    protocol.ok_response(1, {"pong": True})))
+                await reader.read()
+                writer.close()
+
+            peer = await asyncio.start_server(silent, "127.0.0.1", 0)
+            async with peer:
+                cli = await ServerClient.connect(
+                    "127.0.0.1", peer.sockets[0].getsockname()[1])
+                for _ in range(5):
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(cli.call("ping"), 0.01)
+                assert cli.sent == 5 and cli._pending == {}
+                answer.set()
+                for _ in range(200):
+                    if cli.received:
+                        break
+                    await asyncio.sleep(0.005)
+                assert (cli.received, cli.unmatched) == (1, 1)
+                await cli.close()
         run(main())
 
     def test_call_on_a_lost_connection_is_typed(self):

@@ -1,5 +1,6 @@
 """Wire framing and typed error bodies (`repro.server.protocol`)."""
 
+import json
 import struct
 
 import pytest
@@ -120,6 +121,73 @@ def wire_frames(draw):
     return frame
 
 
+def reference_encode(frame) -> bytes:
+    """``encode_frame`` as the stdlib encoder writes it: the payload moved
+    out, then ``JSONEncoder(separators=(",", ":")).encode`` of the rest."""
+    header, payload = frame, b""
+    for owner in ("params", "result"):
+        body = frame.get(owner)
+        if isinstance(body, dict) and isinstance(body.get("data"), bytes):
+            header = {**frame, owner: {**body, "data": None}, "bin": owner}
+            payload = body["data"]
+            break
+    text = json.JSONEncoder(separators=(",", ":")).encode(header)
+    return framed(text.encode("ascii"), payload)
+
+
+def reference_decode(frame: bytes):
+    """``decode_frame`` with ``json.loads`` reading the header: the dict,
+    or the ``ProtocolError`` class itself when the frame is refused."""
+    if not 8 <= len(frame) <= protocol.MAX_FRAME_BYTES:
+        return errors.ProtocolError
+    header_len, payload_len = struct.unpack_from("<II", frame)
+    if 8 + header_len + payload_len != len(frame):
+        return errors.ProtocolError
+    try:
+        obj = json.loads(str(frame[8:8 + header_len], "utf-8"))
+    except (ValueError, RecursionError):
+        return errors.ProtocolError
+    if not isinstance(obj, dict):
+        return errors.ProtocolError
+    owner = obj.pop("bin", None)
+    if owner is None:
+        return errors.ProtocolError if payload_len else obj
+    body = obj.get(owner) if owner in ("params", "result") else None
+    if not isinstance(body, dict):
+        return errors.ProtocolError
+    body["data"] = frame[8 + header_len:]
+    return obj
+
+
+def assert_decodes_like_json_loads(frame: bytes):
+    try:
+        got = protocol.decode_frame(frame)
+    except errors.ProtocolError:
+        got = errors.ProtocolError
+    # repr, not ==: NaN is not equal to itself, and 1 == 1.0 == True.
+    assert repr(got) == repr(reference_decode(frame)), frame
+
+
+json_docs = st.recursive(
+    json_scalars | st.floats(),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+#: Headers that are JSON, or JSON with something around it that
+#: ``json.loads`` skips (whitespace) or refuses (a BOM, trailing junk).
+json_headers = st.builds(
+    lambda pre, doc, ascii, post: (
+        pre + json.dumps(doc, ensure_ascii=ascii) + post).encode(
+            "utf-8", "surrogatepass"),
+    st.sampled_from(["", " ", "\t\n ", "\ufeff", "x"]), json_docs,
+    st.booleans(), st.sampled_from(["", " ", "\r\n", "x", "}", "{}"]))
+#: The hostile blobs, and whole frames around nearly-JSON headers.
+hostile_frames = st.binary(max_size=200) | st.builds(
+    lambda hl, pl, rest: struct.pack("<II", hl, pl) + rest,
+    st.integers(0, 64), st.integers(0, 64), st.binary(max_size=140)) \
+    | st.builds(framed, json_headers, st.sampled_from([b"", b"p"]))
+
+
 class TestFrameFuzz:
     @settings(max_examples=300, deadline=None)
     @given(blob=st.binary(max_size=200) | st.builds(
@@ -137,6 +205,52 @@ class TestFrameFuzz:
         wire = protocol.encode_frame(frame)
         assert protocol.decode_frame(wire) == frame
         assert list(protocol.FrameSplitter().feed(wire + wire)) == [wire] * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=wire_frames())
+    def test_encode_is_the_stdlib_encoder_byte_for_byte(self, frame):
+        assert protocol.encode_frame(frame) == reference_encode(frame)
+
+    @settings(max_examples=500, deadline=None)
+    @given(blob=hostile_frames)
+    def test_decode_agrees_with_json_loads(self, blob):
+        assert_decodes_like_json_loads(blob)
+
+    @pytest.mark.parametrize("header", [
+        b' {"id":1} ', b'\n\t{"id":1}', b'{"id":1}\r\n', b"{}",
+        b'{"x":NaN,"y":-Infinity,"z":[Infinity]}',
+        '{"p":"/caf\u00e9/\u2713/\U0001f600"}'.encode("utf-8"),
+        b'{"p":"/caf\\u00e9/\\ud83d\\ude00","q":"\\ud800"}',
+        b'{"n":%d,"m":%d}' % (2**63, -2**70),
+        b'{"a":1,"a":{"b":2},"a":3}',
+        b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"a":' + b'{"a":' * 50_000 + b"1" + b"}" * 50_001,
+        b'\xef\xbb\xbf{"id":1}', b'{"id":1} x', b'{"id":1}{}', b" ",
+        b'{"id":1,"bin":"params","params":{}}'])
+    def test_decode_agrees_with_json_loads_on_named_headers(self, header):
+        assert_decodes_like_json_loads(framed(header))
+        assert_decodes_like_json_loads(framed(header, b"payload"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames=st.lists(wire_frames(), max_size=5),
+           cut=st.integers(0, 1 << 16))
+    def test_a_read_of_k_whole_frames_yields_k_and_buffers_nothing(
+            self, frames, cut):
+        wires = [protocol.encode_frame(f) for f in frames]
+        splitter = protocol.FrameSplitter()
+        got = list(splitter.feed(b"".join(wires)))
+        assert got == wires and len(splitter.buffer) == 0
+        # The same frames behind a partial one the previous read left.
+        head = protocol.encode_frame({"id": 0, "result": {"data": b"x" * 9}})
+        cut %= len(head)
+        assert list(splitter.feed(head[:cut])) == []
+        got = list(splitter.feed(head[cut:] + b"".join(wires)))
+        assert got == [head] + wires and len(splitter.buffer) == 0
+
+    def test_a_whole_frame_read_is_yielded_without_a_copy(self):
+        wire = protocol.encode_frame({"id": 1, "result": {"data": b"x" * 64}})
+        (frame,) = protocol.FrameSplitter().feed(wire)
+        assert frame is wire
 
     def test_a_4k_write_read_pair_costs_a_tenth_in_framing(self):
         """A count, not a clock: the four frames of a 4 KiB ``write_file``
