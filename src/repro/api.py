@@ -37,6 +37,7 @@ from typing import List, Optional, Union
 
 from repro import obs
 from repro.core.config import ARCKFS_PLUS, ArckConfig
+from repro.errors import InvalidArgument
 from repro.kernel.controller import KernelController, RecoveryReport
 from repro.kernel.policy import ResolutionPolicy
 from repro.libfs.libfs import LibFS
@@ -259,10 +260,12 @@ class Volume:
     @classmethod
     def mount(
         cls,
-        source: Union[PMDevice, bytes, bytearray],
+        source: Union[PMDevice, bytes, bytearray, memoryview],
         config: Optional[VolumeConfig] = None,
     ) -> "Volume":
-        """Mount an existing device, or a raw image (``bytes``) of one.
+        """Mount an existing device, or a raw image of one: any bytes-like
+        object, copied once into the booted device.  Anything else is
+        :class:`~repro.errors.InvalidArgument`.
 
         The create-only ``config`` fields (``inode_count``, ``devices``,
         ``stripe_pages``) have no mount-side meaning — the superblock is
@@ -272,12 +275,18 @@ class Volume:
         :attr:`recovery`.
         """
         opts = _volume_config(config)
-        if isinstance(source, (bytes, bytearray)):
+        if isinstance(source, PMDevice):
+            device = source
+        else:
+            try:
+                image = memoryview(source).cast("B")
+            except TypeError:  # not a buffer, or not a contiguous one
+                raise InvalidArgument(
+                    f"cannot mount a {type(source).__name__}: not a "
+                    f"PMDevice or a bytes-like image") from None
             # The image's superblock names the member count.
             device = PMDevice.from_image(
-                bytes(source), crash_tracking=opts.crash_tracking)
-        else:
-            device = source
+                image, crash_tracking=opts.crash_tracking)
         kernel = KernelController.mount(
             device, config=opts.config, policy=opts.policy)
         return cls(device, kernel, name=opts.name)

@@ -5,6 +5,14 @@ observes, updated in place by every ``store`` and sliced through a
 ``memoryview`` by every ``load``, so a load copies its bytes once and an
 untracked store copies the caller's bytes once.
 
+A *created* device's buffer is an anonymous private mapping, so its memory
+is committed by use: the OS zero-fills a page the first time it is touched,
+and capacity the volume never reaches costs nothing — as PM mapped into a
+LibFS is never initialised whole.  A device *booted* from an image keeps a
+``bytearray`` copy of it instead: that is the image's one copy, and the
+crash explorer boots thousands of small images, which the heap serves from
+recycled pages with no fault at all.
+
 What survives a crash for sure is not kept as a second image.  A tracked
 device logs the store *runs* not yet fenced — one entry per ``store`` call:
 sequence number, address, the bytes the store overwrote (its one extra
@@ -49,6 +57,7 @@ the device itself hides nothing relevant.
 from __future__ import annotations
 
 import math
+import mmap
 import random
 import threading
 from dataclasses import dataclass
@@ -96,13 +105,19 @@ class _Run(NamedTuple):
 
     seq: int
     addr: int
-    old: bytearray
+    #: a slice of the buffer: ``bytes`` on a created device, a
+    #: ``bytearray`` on a booted one.
+    old: bytes
     #: half-open cache-line intervals no fence has written back yet.
     pending: List[Tuple[int, int]]
 
 
 class PMDevice:
     """Byte-addressable persistent memory with x86-like persistency semantics.
+
+    A device built here starts all zero and maps its buffer: memory is
+    committed a page at a time as the device is used.  One booted by
+    :meth:`from_image` holds its image's one copy.
 
     Parameters
     ----------
@@ -124,12 +139,22 @@ class PMDevice:
 
     def __init__(self, size: int, *, devices: int = 1,
                  crash_tracking: bool = True):
-        self._setup(size, devices, crash_tracking, b"")
+        self._setup(size, devices, crash_tracking, None)
 
     def _setup(self, size: int, devices: int, crash_tracking: bool,
-               image: bytes) -> None:
+               image: Optional[bytes]) -> None:
         """Construct a device whose buffer starts as ``image`` zero-padded
-        to the device size (one copy of the image, no zero fill under it)."""
+        to the device size, or all zero without one.
+
+        Without an image the buffer is an anonymous ``MAP_PRIVATE``
+        mapping: nothing is zero-filled up front, each page is on its
+        first touch, and pages never touched are never committed.  Private,
+        not shared: shared anonymous memory is shmem-backed, and even
+        reading an untouched page of it allocates one.  An image is copied
+        once into a ``bytearray`` (padded by under a line per member): the
+        crash explorer boots thousands of small images, and the heap serves
+        their copies from recycled pages where a fresh mapping would fault
+        every page in again."""
         if size <= 0:
             raise ValueError("device size must be positive")
         if devices < 1:
@@ -141,11 +166,12 @@ class PMDevice:
         self.size = self.dev_size * devices
         #: the device's one buffer — what a running CPU observes; never
         #: replaced, so a view of it stays valid for the device's life.
-        if len(image) == self.size:
-            self.volatile = bytearray(image)
+        if image is None:
+            self.volatile = mmap.mmap(-1, self.size, flags=mmap.MAP_PRIVATE)
         else:
-            self.volatile = bytearray(self.size)
-            self.volatile[: len(image)] = image
+            self.volatile = bytearray(image)
+            if len(image) < self.size:
+                self.volatile += bytes(self.size - len(image))
         #: a view of ``volatile`` that loads and stores slice: the one copy
         #: of an access is the one into or out of it.
         self._view = memoryview(self.volatile)
@@ -260,7 +286,7 @@ class PMDevice:
         lock = self._lock
         lock.acquire()  # not ``with``: its exit call is dear on this hot path
         try:
-            self._runs.append(  # a bytearray slice: the one copy out
+            self._runs.append(  # a slice of the buffer: the one copy out
                 _Run(self._seq, addr, self.volatile[addr : addr + size], [lines]))
             view[addr : addr + size] = data
             self._seq += 1
@@ -472,8 +498,8 @@ class PMDevice:
                     for lineno in range(a, b):
                         base = lineno * CACHE_LINE
                         line = versions.get(lineno)
-                        if line is None:
-                            cur = buf[base : base + CACHE_LINE]
+                        if line is None:  # a mapping's slice is bytes
+                            cur = bytearray(buf[base : base + CACHE_LINE])
                             line = versions[lineno] = [bytes(cur)]
                         else:
                             cur = bytearray(line[-1])
@@ -581,6 +607,9 @@ class PMDevice:
     def from_image(cls, image: bytes, *,
                    crash_tracking: bool = True) -> "PMDevice":
         """Boot a device from a crash (or durable) image — i.e. 'reboot'.
+
+        ``image`` may be any bytes-like object of single bytes; the device
+        holds one copy of it, and the caller may reuse it at once.
 
         The member count is the one a valid superblock records (1 without
         one), so a striped volume's image reboots into its own shape; an

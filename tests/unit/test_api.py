@@ -1,5 +1,7 @@
 """The `repro.api` Volume/Session facade."""
 
+import tracemalloc
+
 import pytest
 
 from repro.api import Session, Volume, VolumeConfig
@@ -44,6 +46,42 @@ class TestVolume:
             assert vol2.recovery is not None
             with vol2.session("reader") as fs2:
                 assert fs2.read_file("/persisted") == b"survives"
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview,
+                                      lambda b: memoryview(b).cast("Q")],
+                             ids=["bytes", "bytearray", "memoryview",
+                                  "memoryview-of-words"])
+    def test_mount_takes_any_bytes_like_image(self, wrap):
+        vol = Volume.create(1 << 20, VolumeConfig(inode_count=16))
+        with vol.session("writer") as fs:
+            fs.write_file("/kept", b"bytes-like")
+        source = wrap(vol.device.durable_image())
+        vol.close()
+        with Volume.mount(source) as vol2:
+            with vol2.session("reader") as fs2:
+                assert fs2.read_file("/kept") == b"bytes-like"
+
+    def test_mount_copies_a_bytearray_image_once(self):
+        vol = Volume.create(8 << 20, VolumeConfig(inode_count=16))
+        image = bytearray(vol.device.durable_image())
+        vol.close()
+        tracemalloc.start()
+        try:
+            with Volume.mount(image) as vol2:
+                _, peak = tracemalloc.get_traced_memory()
+                image[:] = bytes(len(image))  # the device holds its own copy
+                assert vol2.device.load(0, 8) != bytes(8)
+        finally:
+            tracemalloc.stop()
+        assert len(image) <= peak < 1.5 * len(image)
+
+    @pytest.mark.parametrize("source", ["x", 42, None, [0] * 4096,
+                                        memoryview(bytes(8192))[::2]],
+                             ids=["str", "int", "None", "list",
+                                  "strided-view"])
+    def test_mount_refuses_what_is_neither_device_nor_buffer(self, source):
+        with pytest.raises(InvalidArgument):
+            Volume.mount(source)
 
     def test_mount_rejects_garbage(self):
         with pytest.raises(Exception):

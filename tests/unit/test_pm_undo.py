@@ -4,6 +4,7 @@ trims the log.  Crash semantics are pinned by tests/property/test_pm_runlog.py;
 this pins the shape — one buffer, one fence trimming many runs, and
 lock-free loads that never see another thread's bytes."""
 
+import mmap
 import sys
 import threading
 
@@ -13,9 +14,11 @@ PAIRS = 64
 
 
 def buffers(dev):
-    """The distinct device-size buffers ``dev`` holds."""
+    """The distinct device-size buffers ``dev`` holds: byte strings or a
+    mapping."""
     return {id(v) for v in vars(dev).values()
-            if isinstance(v, (bytes, bytearray)) and len(v) == dev.size}
+            if isinstance(v, (bytes, bytearray, mmap.mmap))
+            and len(v) == dev.size}
 
 
 def test_interleaved_store_clwb_pairs_leave_nothing_after_one_fence():
