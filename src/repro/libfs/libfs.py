@@ -57,7 +57,7 @@ from repro.errors import (
 )
 from repro.kernel.controller import KernelController
 from repro.libfs import paths
-from repro.libfs.fdtable import FDTable, FileDescriptor
+from repro.libfs.fdtable import FDTable
 from repro.libfs.hashtable import NodeFreelist
 from repro.libfs.inode import MemInode
 from repro.pm.layout import (
@@ -437,22 +437,15 @@ class LibFS:
                 cursor.head_page == 0
                 or cursor.used + rec_len > PAGE_SIZE - 16  # may extend the chain
             )
-            if needs_alloc:
-                # The index-tail lock protects inode-record tail-head updates
-                # and chain extension (§2.2's third lock type).
-                with parent.index_lock:
-                    return cs.append_dentry(
-                        parent.ino, parent.record, tail, cursor, name, ino, gen,
-                        itype, seq, self.alloc,
-                        fence_before_marker=self.config.fence_before_marker,
-                        failpoints=failpoints,
-                    )
-            return cs.append_dentry(
-                parent.ino, parent.record, tail, cursor, name, ino, gen,
-                itype, seq, self.alloc,
-                fence_before_marker=self.config.fence_before_marker,
-                failpoints=failpoints,
-            )
+            # The index-tail lock protects inode-record tail-head updates
+            # and chain extension (§2.2's third lock type).
+            with parent.index_lock if needs_alloc else nullcontext():
+                return cs.append_dentry(
+                    parent.ino, parent.record, tail, cursor, name, ino, gen,
+                    itype, seq, self.alloc,
+                    fence_before_marker=self.config.fence_before_marker,
+                    failpoints=failpoints,
+                )
 
     def _create_common(self, comps: Tuple[str, ...], mode: int,
                        itype: int) -> MemInode:
@@ -573,28 +566,22 @@ class LibFS:
     # Data path
     # ================================================================== #
 
-    def _ensure_file(self, entry: FileDescriptor) -> MemInode:
-        mi = entry.mi
-        if mi.is_dir:
-            raise IsADir(entry.path)
-        return mi
-
     def _attach_open(self, mi: MemInode, write: bool) -> None:
-        """Attach the inode a descriptor was opened on.  Another MemInode
-        coming back means the slot is another inode's by now (unlinked
-        and reused by another session): the descriptor names nothing."""
+        """Attach the inode a descriptor (or a walk) found.  Another MemInode
+        coming back means the slot is another inode's by now (unlinked and
+        reused by another session): a descriptor names nothing; a walk is redone."""
         if self._attach(mi.ino, write=write) is not mi:
             raise BadFileDescriptor(f"inode {mi.ino} is not the file opened any more")
 
     @traced_syscall("pwrite")
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        return self._pwrite(self._ensure_file(self.fdtable.get(fd)), data, offset)
+        return self._pwrite(self.fdtable.get(fd).mi, data, offset)
 
     def _writable_file(self, comps: Tuple[str, ...],
                        create: bool = False) -> MemInode:
         """The regular file ``comps`` names, attached for write; with
-        ``create`` a missing one is created first (a transaction's apply
-        and replay)."""
+        ``create`` a missing one is created first (``write_file``, and a
+        transaction's apply and replay)."""
         try:
             mi = self._resolve(comps, write=True)
         except NoEntry:
@@ -682,8 +669,10 @@ class LibFS:
 
     @traced_syscall("pread")
     def pread(self, fd: int, n: int, offset: int) -> bytes:
-        entry = self.fdtable.get(fd)
-        mi = self._ensure_file(entry)
+        return self._pread(self.fdtable.get(fd).mi, n, offset)
+
+    def _pread(self, mi: MemInode, n: int, offset: int) -> bytes:
+        """The one read path: ``pread``'s body, and ``read``'s and ``read_file``'s."""
         if offset < 0:
             raise InvalidArgument("negative offset")
         if n < 0:
@@ -728,14 +717,12 @@ class LibFS:
     def write(self, fd: int, data: bytes) -> int:
         """Write at the file offset (sequential write)."""
         entry = self.fdtable.get(fd)
-        off = entry.advance(len(data))
-        return self.pwrite(fd, data, off)
+        return self._pwrite(entry.mi, data, entry.advance(len(data)))
 
     @traced_syscall("read")
     def read(self, fd: int, n: int) -> bytes:
         entry = self.fdtable.get(fd)
-        off = entry.advance(0)
-        out = self.pread(fd, n, off)
+        out = self._pread(entry.mi, n, entry.advance(0))
         entry.advance(len(out))
         return out
 
@@ -1170,20 +1157,32 @@ class LibFS:
     # Conveniences (shared contract with repro.basefs.base.FileSystem)
     # ================================================================== #
 
+    @traced_syscall("write_file")
     def write_file(self, path: str, data: bytes) -> None:
-        fd = self.open(path, create=True)
-        try:
-            self.pwrite(fd, data, 0)
-            self.fsync(fd)
-        finally:
-            self.close(fd)
+        """Write ``data`` at offset 0 of ``path``, created if missing.  It
+        never truncates: ``Tx.write_file`` stages a truncate, this does not.
+        No descriptor: one write attach, then ``pwrite``'s body."""
+        comps = paths.parse(path)
+        while True:
+            try:
+                self._pwrite(self._writable_file(comps, create=True), data, 0)
+                return
+            except BadFileDescriptor:
+                pass  # unlinked, its slot reused, since the walk: walk again
 
+    @traced_syscall("read_file")
     def read_file(self, path: str) -> bytes:
-        fd = self.open(path)
-        try:
-            return self.pread(fd, self.fdtable.get(fd).mi.size, 0)
-        finally:
-            self.close(fd)
+        """The whole of ``path``, as ``write_file`` leaves it (never
+        truncated).  No descriptor: one resolution, then ``pread``'s body."""
+        comps = paths.parse(path)
+        while True:
+            mi = self._resolve(comps)
+            if mi.is_dir:
+                raise IsADir(paths.join(comps))
+            try:
+                return self._pread(mi, mi.size, 0)
+            except BadFileDescriptor:
+                pass  # as in write_file
 
     def makedirs(self, path: str) -> None:
         comps = paths.parse(path)

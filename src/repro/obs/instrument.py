@@ -11,8 +11,8 @@ allocation.  When on, it
 * records the op latency into the per-op histogram
   ``libfs.syscall.<op>.ns``, whose count is the op's call count;
 * records the latency into the *aggregate* ``libfs.syscall.ns`` histogram
-  only for outermost calls (per-thread depth tracking), so convenience
-  wrappers like ``write_file`` → ``pwrite`` don't double-count.
+  only for outermost calls (per-thread depth tracking), so an op that
+  calls another, like ``open(create=True)`` → ``creat``, counts once.
 """
 
 from __future__ import annotations

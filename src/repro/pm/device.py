@@ -632,11 +632,21 @@ class PMDevice:
 
     def load_image(self, image: bytes) -> None:
         """Reboot in place: the buffer holds ``image`` (zero-padded to the
-        device size) and nothing is pending."""
-        self._check_range(0, len(image))
+        device size) and nothing is pending.
+
+        On a mapped buffer the padding past the image's last page is not
+        written but given back: the OS zero-fills those pages on their next
+        touch, so a small image commits no more than itself."""
+        n = len(image)
+        self._check_range(0, n)
+        tail = -(-n // mmap.PAGESIZE) * mmap.PAGESIZE
+        if not isinstance(self.volatile, mmap.mmap):
+            tail = self.size  # a bytearray keeps the write
         with self._lock:
-            self._view[: len(image)] = image
-            self._view[len(image) :] = bytes(self.size - len(image))
+            self._view[:n] = image
+            self._view[n:tail] = bytes(min(tail, self.size) - n)
+            if tail < self.size:
+                self.volatile.madvise(mmap.MADV_DONTNEED, tail, self.size - tail)
             self._runs, self._queued, self._versions = [], [], None
 
     def __len__(self) -> int:

@@ -178,6 +178,32 @@ def test_each_event_has_one_counter():
             calls = hists[f"libfs.syscall.{op}.ns"]["count"]
             assert calls == getattr(after, name) - getattr(before, name) > 0, op
 
+        # A whole-file or sequential verb is one sample of its own, with no
+        # descriptor verb's nested inside it: its data moves through the
+        # bodies of pread/pwrite, not through the traced verbs.
+        def samples():
+            h = obs.metrics.snapshot()["histograms"]
+            return {op: h.get(f"libfs.syscall.{op}.ns", {}).get("count", 0)
+                    for op in ("write_file", "read_file", "write", "read", "open",
+                               "close", "creat", "pread", "pwrite", "fsync")}
+        before, counts = dataclasses.replace(s.fs.stats), samples()
+        s.write_file("/w", b"abc")
+        s.write_file("/w", b"d")
+        assert s.read_file("/w") == b"dbc"
+        fd = s.open("/w")
+        s.write(fd, b"e")
+        assert s.read(fd, 2) == b"bc"
+        s.close(fd)
+        grown = {op: n - counts[op] for op, n in samples().items()}
+        assert grown == {"write_file": 2, "read_file": 1, "write": 1, "read": 1,
+                         "open": 1, "close": 1, "creat": 0, "pread": 0,
+                         "pwrite": 0, "fsync": 0}
+        after = s.fs.stats
+        assert (after.writes - before.writes, after.reads - before.reads,
+                after.creates - before.creates, after.opens - before.opens,
+                after.fsyncs - before.fsyncs) == (3, 2, 1, 1, 0)
+        s.unlink("/w")
+
         s.release_all()
         a, b = vol.session("a", group="g"), vol.session("b", group="g")
         a.write_file("/shared", b"one")

@@ -76,3 +76,33 @@ def test_untouched_ranges_load_as_zeros(devices, tracked):
         assert dev.crash_image(newest) == dev.volatile_image()
     else:
         assert dev.durable_image() == dev.volatile_image()
+
+
+@needs_statm
+def test_loading_a_small_image_commits_about_the_image():
+    dev = PMDevice(256 * MiB, devices=4)
+    dev.store(dev.size - 4096, b"\xff" * 4096)  # stale bytes the load must clear
+    gc.collect()
+    before = resident()
+    dev.load_image(b"\xab" * 4096)
+    assert resident() - before < 16 * MiB
+    assert dev.load(dev.size - 4096, 4096) == bytes(4096)
+
+
+@pytest.mark.parametrize("shape", SHAPES + [None], ids=IDS + ["booted"])
+def test_a_loaded_image_is_zero_past_its_end(shape):
+    if shape is None:  # a bytearray buffer
+        dev = PMDevice.from_image(bytes(4 * MiB))
+    else:
+        devices, tracked = shape
+        dev = PMDevice(4 * MiB, devices=devices, crash_tracking=tracked)
+    dev.store(0, b"\xff" * dev.size)  # every byte stale, none of it fenced
+    image = bytes(range(256)) * 20 + b"\x01" * 3  # ends inside a page
+    dev.load_image(image)
+    padded = image + bytes(dev.size - len(image))
+    assert dev.load(0, dev.size) == padded
+    assert dev.dirty_lines() == []
+    assert dev.durable_image() == padded
+    assert dev.crash_image({}) == padded
+    dev.store(dev.size - 64, b"\x02" * 64)  # the released tail takes stores again
+    assert dev.load(dev.size - 128, 128) == bytes(64) + b"\x02" * 64
