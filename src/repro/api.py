@@ -111,17 +111,24 @@ class Session:
     def __getattr__(self, name: str):
         # Only consulted for names not found on the Session itself: the
         # whole LibFS surface forwards (open, pwrite, mkdir, stats, ...).
+        # A public verb is bound once, into the instance dict, so later
+        # calls skip this lookup; whether a call carries the labels is
+        # decided when it is made.  ``stats`` (folded afresh on each read)
+        # and private names are looked up on every access.
         attr = getattr(self.__dict__["fs"], name)
-        if obs.enabled and callable(attr):
-            labels = self.__dict__["labels"]
+        if name.startswith("_") or not callable(attr):
+            return attr
+        labels = self.__dict__["labels"]
 
-            @functools.wraps(attr)
-            def labelled(*args, **kwargs):
+        @functools.wraps(attr)
+        def forward(*args, **kwargs):
+            if obs.enabled:
                 with obs.scoped_context(**labels):
                     return attr(*args, **kwargs)
+            return attr(*args, **kwargs)
 
-            return labelled
-        return attr
+        self.__dict__[name] = forward
+        return forward
 
     def __enter__(self) -> "Session":
         return self

@@ -29,7 +29,8 @@ class ShardedStats:
     """A stats dataclass sharded per thread.
 
     Wraps a dataclass of int counters (``LibFSStats`` and friends):
-    :meth:`inc` bumps a field in the calling thread's private shard,
+    :meth:`inc` bumps a field in the calling thread's private shard (a
+    path that bumps several fields takes the shard once, by :meth:`cells`),
     :meth:`fold` sums the shards into a real instance of the dataclass —
     the one record of those counts: ``dataclasses.replace`` copies it,
     ``obs.stats_diff`` takes the delta of two, and an observed run
@@ -43,7 +44,9 @@ class ShardedStats:
         self._shards: List[Dict[str, int]] = []
         self._register = threading.Lock()
 
-    def _shard(self) -> Dict[str, int]:
+    def cells(self) -> Dict[str, int]:
+        """The calling thread's shard: field name -> its count, bumped in
+        place (``cells["reads"] += 1``); a typo'd name is a ``KeyError``."""
         shard = getattr(self._local, "shard", None)
         if shard is None:
             shard = dict.fromkeys(self._fields, 0)
@@ -53,7 +56,7 @@ class ShardedStats:
         return shard
 
     def inc(self, field: str, n: int = 1) -> None:
-        self._shard()[field] += n  # KeyError on a typo'd field name
+        self.cells()[field] += n
 
     def fold(self) -> T:
         totals = dict.fromkeys(self._fields, 0)

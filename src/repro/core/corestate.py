@@ -564,6 +564,12 @@ class CoreState:
         """
         if not data:
             return
+        # One page, the common 4 KiB write: as in ``read_file_data``, no
+        # plan — a page never crosses a stripe unit, and ``page_off``
+        # range-checks it.
+        if in_page_off + len(data) <= PAGE_SIZE:
+            self.mem.ntstore(self.geom.page_off(start_page) + in_page_off, data)
+            return
         if in_page_off >= PAGE_SIZE:
             raise InvalidArgument("extent offset beyond the first page")
         npages = (in_page_off + len(data) + PAGE_SIZE - 1) // PAGE_SIZE

@@ -60,6 +60,14 @@ class FDTable:
         entry.closed = True
         return entry
 
+    def rebind(self, old: MemInode, new: MemInode) -> None:
+        """Point every descriptor on ``old`` at ``new``: the same file, its
+        MemInode rebuilt."""
+        with self._lock:
+            for entry in self._fds.values():
+                if entry.mi is old:
+                    entry.mi = new
+
     def open_count(self, ino: Optional[int] = None) -> int:
         with self._lock:
             if ino is None:

@@ -500,9 +500,16 @@ class LibFS:
 
     @traced_syscall("creat")
     def _creat(self, comps: Tuple[str, ...], mode: int) -> int:
-        child = self._create_common(comps, mode, ITYPE_FILE)
+        return self.fdtable.install(self._create_file(comps, mode),
+                                    paths.join(comps)).fd
+
+    def _create_file(self, comps: Tuple[str, ...], mode: int) -> MemInode:
+        """The regular file ``comps`` names, created (and counted) and left
+        attached for write: ``creat``'s body, and ``write_file``'s and a
+        transaction's create, which install no descriptor."""
+        mi = self._create_common(comps, mode, ITYPE_FILE)
         self._stats.inc("creates")
-        return self.fdtable.install(child, paths.join(comps)).fd
+        return mi
 
     def mkdir(self, path: str, mode: int = 0o775) -> None:
         self._mkdir(paths.parse(path), mode)
@@ -566,12 +573,21 @@ class LibFS:
     # Data path
     # ================================================================== #
 
-    def _attach_open(self, mi: MemInode, write: bool) -> None:
-        """Attach the inode a descriptor (or a walk) found.  Another MemInode
-        coming back means the slot is another inode's by now (unlinked and
-        reused by another session): a descriptor names nothing; a walk is redone."""
-        if self._attach(mi.ino, write=write) is not mi:
-            raise BadFileDescriptor(f"inode {mi.ino} is not the file opened any more")
+    def _attach_open(self, mi: MemInode, write: bool) -> MemInode:
+        """Attach the file a descriptor (or a walk) found and return the
+        MemInode that holds it now.  That is ``mi`` — or, when ``mi`` was
+        dropped (an unpatched release frees the auxiliary state) and the
+        attach rebuilt the same file, the same slot, generation and type,
+        the rebuilt one, to which every descriptor on ``mi`` is rebound.
+        Another file in the slot (``mi``'s unlinked and the slot reused by
+        another session): a descriptor names nothing; a walk is redone."""
+        cur = self._attach(mi.ino, write=write)
+        if cur is not mi:
+            if (cur.gen, cur.itype) != (mi.gen, mi.itype):
+                raise BadFileDescriptor(
+                    f"inode {mi.ino} is not the file opened any more")
+            self.fdtable.rebind(mi, cur)
+        return cur
 
     @traced_syscall("pwrite")
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
@@ -587,9 +603,7 @@ class LibFS:
         except NoEntry:
             if not create:
                 raise
-            mi = self._create_common(comps, 0o664, ITYPE_FILE)
-            self._stats.inc("creates")
-            return mi
+            return self._create_file(comps, 0o664)
         if mi.is_dir:
             raise IsADir(paths.join(comps))
         return mi
@@ -607,7 +621,9 @@ class LibFS:
         mi.rwlock.acquire_write()
         mi.seq.write_begin()  # readers see the write in flight and retry
         try:
-            self._attach_open(mi, write=True)
+            cur = self._attach_open(mi, write=True)
+            if cur is not mi:  # the same file, rebuilt: write it under its locks
+                return self._pwrite(cur, data, offset, sync)
             cs = self._cs(mi)
             end = offset + len(data)
             existing = len(mi.pages)
@@ -616,7 +632,7 @@ class LibFS:
                 self.alloc.alloc_many(needed - existing, zero=False)
                 if needed > existing else []
             )
-            all_pages = mi.pages + new_pages
+            all_pages = mi.pages + new_pages if new_pages else mi.pages
             if new_pages:
                 # Fresh pages the write fully overwrites skip the durable
                 # pre-zero; hole pages and partial head/tail pages are
@@ -626,27 +642,31 @@ class LibFS:
                     if offset <= page_start and end >= page_start + PAGE_SIZE:
                         continue
                     cs.write_page_data(all_pages[idx], 0, b"\0" * PAGE_SIZE)
-            pos = offset
-            di = 0
-            extents = 0
-            last_idx = (end - 1) // PAGE_SIZE if data else 0
-            view = memoryview(data)  # extents are views: the store copies once
-            while di < len(data):
-                page_idx = pos // PAGE_SIZE
-                in_page = pos % PAGE_SIZE
-                # Coalesce consecutive page numbers into one extent:
+            page_idx, in_page = divmod(offset, PAGE_SIZE)
+            if not data:
+                extents = 0
+            elif in_page + len(data) <= PAGE_SIZE:
+                # One page, the common 4 KiB write: no run to coalesce.
+                cs.write_extent_data(all_pages[page_idx], in_page, data)
+                extents = 1
+            else:
+                # Coalesce consecutive page numbers into one extent each:
                 # one non-temporal stream, one queued write-back.
-                run_end = page_idx
-                while run_end < last_idx and \
-                        all_pages[run_end + 1] == all_pages[run_end] + 1:
-                    run_end += 1
-                run_bytes = (run_end + 1 - page_idx) * PAGE_SIZE - in_page
-                chunk = min(len(data) - di, run_bytes)
-                cs.write_extent_data(all_pages[page_idx], in_page,
-                                     view[di : di + chunk])
-                extents += 1
-                pos += chunk
-                di += chunk
+                view = memoryview(data)  # extents are views: the store copies once
+                last_idx = (end - 1) // PAGE_SIZE
+                pos = extents = 0
+                while pos < len(data):
+                    run_end = page_idx
+                    while run_end < last_idx and \
+                            all_pages[run_end + 1] == all_pages[run_end] + 1:
+                        run_end += 1
+                    chunk = min(len(data) - pos,
+                                (run_end + 1 - page_idx) * PAGE_SIZE - in_page)
+                    cs.write_extent_data(all_pages[page_idx], in_page,
+                                         view[pos:pos + chunk])
+                    extents += 1
+                    pos += chunk
+                    page_idx, in_page = run_end + 1, 0
             if new_pages:
                 # One fence for data and slots, before the size commits: a
                 # crash ahead of it leaves bytes mapped past the committed
@@ -659,9 +679,10 @@ class LibFS:
                 cs.set_file_size(mi.ino, end)
                 mi.record.size = end
                 mi.size = end
-            self._stats.inc("writes")
-            self._stats.inc("write_extents", extents)
-            self._stats.inc("bytes_written", len(data))
+            cells = self._stats.cells()
+            cells["writes"] += 1
+            cells["write_extents"] += extents
+            cells["bytes_written"] += len(data)
             return len(data)
         finally:
             mi.seq.write_end()
@@ -693,11 +714,14 @@ class LibFS:
                 mi.rwlock.acquire_read()
             try:
                 start = None if locked else mi.seq.read_begin()
-                self._attach_open(mi, write=False)
+                cur = self._attach_open(mi, write=False)
+                if cur is not mi:  # the same file, rebuilt: read it there
+                    break
                 out = self._cs(mi).read_file_data(mi.pages, mi.size, offset, n)
                 if locked or not mi.seq.read_retry(start):
-                    self._stats.inc("reads")
-                    self._stats.inc("bytes_read", len(out))
+                    cells = self._stats.cells()
+                    cells["reads"] += 1
+                    cells["bytes_read"] += len(out)
                     return out
             except SimulatedBusError:
                 if not patched or attempt == last:
@@ -712,6 +736,7 @@ class LibFS:
                     mi.rwlock.release_read()
             if not locked:  # the counter is of optimistic attempts redone
                 obs.count("readpath.pread_retries")
+        return self._pread(cur, n, offset)  # only the break gets here
 
     @traced_syscall("write")
     def write(self, fd: int, data: bytes) -> int:
@@ -745,7 +770,9 @@ class LibFS:
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
         try:
-            self._attach_open(mi, write=True)
+            cur = self._attach_open(mi, write=True)
+            if cur is not mi:  # as in ``_pwrite``
+                return self._truncate(cur, size)
             cs = self._cs(mi)
             keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
             if keep > len(mi.pages):

@@ -38,47 +38,57 @@ class Mapping:
         self._valid = False
 
     def _check(self) -> None:
-        if not self._valid:
-            raise SimulatedBusError(
-                f"access through unmapped inode {self.ino} mapping {self.tag!r}"
-            )
+        """Raise the fault an access through a revoked mapping takes."""
+        raise SimulatedBusError(
+            f"access through unmapped inode {self.ino} mapping {self.tag!r}"
+        )
 
-    # Pass-through accessors (all fault once unmapped). ------------------- #
+    # Pass-through accessors (all fault once unmapped).  Each tests the flag
+    # inline, so a valid access makes no call for it. --------------------- #
 
     def load(self, addr: int, size: int) -> bytes:
-        self._check()
+        if not self._valid:
+            self._check()
         return self._device.load(addr, size)
 
     def store(self, addr: int, data: bytes) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.store(addr, data)
 
     def atomic_store(self, addr: int, data: bytes) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.atomic_store(addr, data)
 
     def ntstore(self, addr: int, data: bytes) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.ntstore(addr, data)
 
     def clwb(self, addr: int, size: int = 1) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.clwb(addr, size)
 
     def sfence(self) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.sfence()
 
     def persist(self, addr: int, size: int) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.persist(addr, size)
 
     def ntstore_scatter(self, ops) -> None:
-        self._check()
+        if not self._valid:
+            self._check()
         self._device.ntstore_scatter(ops)
 
     def load_gather(self, ops) -> bytes:
-        self._check()
+        if not self._valid:
+            self._check()
         return self._device.load_gather(ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -132,10 +132,9 @@ def _apply_record(fs, rec: TxRecord,
         return before
     if rec.op == TX_CREATE:
         if not fs.exists(rec.path):
-            fd = fs.creat(rec.path, mode=rec.arg or 0o664)
+            mi = fs._create_file(paths.parse(rec.path), rec.arg or 0o664)
             if created is not None:
-                created.add(fs.fdtable.get(fd).mi.ino)
-            fs.close(fd)
+                created.add(mi.ino)
     elif rec.op == TX_MKDIR:
         if not fs.exists(rec.path):
             fs.mkdir(rec.path, mode=rec.arg or 0o775)

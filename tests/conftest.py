@@ -1,5 +1,7 @@
 """Shared fixtures: failpoint/observability hygiene and common FS factories."""
 
+import dataclasses
+
 import pytest
 
 from repro import obs
@@ -26,6 +28,14 @@ def clean_obs():
     yield
     obs.disable()
     obs.reset()
+
+
+#: Every configuration as a ``pytest.param``: the artifact, the enhanced
+#: system and the artifact with each single patch applied.
+EVERY_CONFIG = [pytest.param(ARCKFS, id="arckfs"), pytest.param(ARCKFS_PLUS, id="arckfs+")]
+EVERY_CONFIG += [pytest.param(ARCKFS.with_patch(**{f.name: True}, name=f"arckfs+{f.name}"),
+                              id=f.name)
+                 for f in dataclasses.fields(ARCKFS) if f.name != "name"]
 
 
 def build_fs(config=ARCKFS_PLUS, size=16 * 1024 * 1024, inode_count=256, uid=1000):

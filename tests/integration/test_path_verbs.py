@@ -8,22 +8,14 @@ configuration is covered: the artifact, the enhanced system and each
 single patch.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.core.config import ARCKFS, ARCKFS_PLUS
 from repro.errors import IsADir, NoEntry, NotADir
 from repro.libfs.libfs import LibFS
-from tests.conftest import build_fs
-
-PATCHES = [f.name for f in dataclasses.fields(ARCKFS) if f.name != "name"]
-CONFIGS = [pytest.param(ARCKFS, id="arckfs"), pytest.param(ARCKFS_PLUS, id="arckfs+")]
-CONFIGS += [pytest.param(ARCKFS.with_patch(**{p: True}, name=f"arckfs+{p}"), id=p)
-            for p in PATCHES]
+from tests.conftest import EVERY_CONFIG, build_fs
 
 
-@pytest.fixture(params=CONFIGS)
+@pytest.fixture(params=EVERY_CONFIG)
 def fsx(request):
     """conftest's ``fs`` is this triple's LibFS."""
     return build_fs(request.param)

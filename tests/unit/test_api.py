@@ -283,3 +283,55 @@ class TestDimensionalIdentity:
             with vol.session("leaky") as fs:
                 fs.write_file("/f", b"data")
                 assert obs.context_labels() == {}
+
+
+class TestForwarder:
+    """A public LibFS verb is bound on the session at first use; whether a
+    call carries the session's labels is decided when it is made."""
+
+    def test_a_verb_bound_while_off_is_labelled_once_on(self):
+        from repro import obs
+
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(name="fwd")) as vol:
+            with vol.session("binder") as s:
+                s.write_file("/f", b"x")            # bound with obs off
+                assert "write_file" in vars(s)
+                bound = s.write_file
+                obs.enable()
+                s.write_file("/f", b"y")
+                obs.disable()
+                assert s.write_file is bound        # bound once
+        h = obs.metrics.snapshot()["histograms"]
+        assert h["libfs.syscall.write_file.ns{app_id=binder,volume=fwd}"]["count"] == 1
+
+    def test_stats_are_read_fresh_and_private_names_never_bound(self):
+        with Volume.create(16 * 1024 * 1024) as vol:
+            with vol.session("app1") as s:
+                before = s.stats
+                s.write_file("/f", b"x")
+                assert s.stats.writes == before.writes + 1
+                assert s.stats is not s.stats       # folded on every read
+                assert "stats" not in vars(s)
+                own = set(vars(s))
+                assert s._stats is s.fs._stats      # forwarded...
+                assert s._resolve(paths.parse("/f")).ino == s.stat("/f").ino
+                assert set(vars(s)) == own | {"stat"}   # ...never bound
+
+    def test_close_and_transaction_are_the_sessions_own(self):
+        from repro import obs
+
+        with Volume.create(16 * 1024 * 1024, VolumeConfig(name="own")) as vol:
+            with vol.session("app1") as s:
+                obs.enable()
+                fd = s.creat("/f")
+                s.close(fd)                         # the descriptor only
+                assert not s.closed
+                with s.transaction() as tx:
+                    tx.pwrite("/f", b"tx", 0)
+                obs.disable()
+                assert "close" not in vars(s) and "transaction" not in vars(s)
+                assert s.read_file("/f") == b"tx"
+                s.close()                           # the session
+                assert s.closed
+        h = obs.metrics.snapshot()["histograms"]
+        assert h["libfs.syscall.close.ns{app_id=app1,volume=own}"]["count"] == 1

@@ -1,6 +1,7 @@
 """Unit tests for the kernel components: mapping, permissions, policies,
 shadow bookkeeping, verifier rejection cases, controller syscalls."""
 
+import dataclasses
 import random
 
 import pytest
@@ -27,19 +28,33 @@ from tests.integration.test_hostile_images import walk
 
 
 class TestMapping:
+    #: Every accessor, with arguments that are valid while mapped.
+    ACCESSES = {
+        "load": (0, 1), "store": (0, b"x"), "atomic_store": (0, b"12345678"),
+        "ntstore": (0, b"x"), "clwb": (0, 1), "sfence": (), "persist": (0, 1),
+        "ntstore_scatter": ([(0, b"x"), (64, b"y")],),
+        "load_gather": ([(0, 1), (64, 1)],),
+    }
+
+    def test_every_accessor_is_listed(self):
+        public = {name for name, attr in vars(Mapping).items()
+                  if callable(attr) and not name.startswith("_")}
+        assert public - {"unmap"} == set(self.ACCESSES)
+
     def test_passthrough_then_fault(self):
         dev = PMDevice(4096)
         m = Mapping(dev, ino=7, tag="app")
         m.store(0, b"abc")
         assert m.load(0, 3) == b"abc"
+        for name, args in self.ACCESSES.items():
+            getattr(m, name)(*args)
         m.unmap()
         assert not m.valid
-        for access in (lambda: m.load(0, 1), lambda: m.store(0, b"x"),
-                       lambda: m.clwb(0, 1), lambda: m.sfence(),
-                       lambda: m.persist(0, 1), lambda: m.ntstore(0, b"x"),
-                       lambda: m.atomic_store(0, b"x")):
-            with pytest.raises(SimulatedBusError):
-                access()
+        before = dataclasses.replace(dev.stats)
+        for name, args in self.ACCESSES.items():
+            with pytest.raises(SimulatedBusError, match="unmapped inode 7"):
+                getattr(m, name)(*args)
+        assert dev.stats == before  # no faulted access reached the device
 
 
 class TestPermissions:

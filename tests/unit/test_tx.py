@@ -14,6 +14,7 @@ from dataclasses import fields
 import pytest
 
 from repro import errors as E
+from repro import obs
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS_PLUS, ArckConfig
@@ -190,6 +191,62 @@ class TestHandleLifecycle:
                 tx.write_file("/g", b"fresh")    # missing: create+pwrite
             assert s.read_file("/f") == b"new"
             assert s.read_file("/g") == b"fresh"
+
+
+class TestCreateWithoutDescriptor:
+    """A redo record that creates a file creates it through LibFS's
+    create path: no ``creat`` and ``close`` round trip, no descriptor slot,
+    the record's mode kept, a name that exists already skipped."""
+
+    @staticmethod
+    def syscalls():
+        return {k.split("{")[0] for k in obs.metrics.snapshot()["histograms"]}
+
+    def test_commit_installs_no_descriptor(self):
+        with make_volume() as vol, vol.session("app") as s:
+            first = s.creat("/probe")
+            s.close(first)
+            creates = s.stats.creates
+            obs.enable()
+            with s.transaction() as tx:
+                tx.create("/f", mode=0o640)
+                tx.pwrite("/f", b"data", 0)
+            obs.disable()
+            assert not {"libfs.syscall.creat.ns",
+                        "libfs.syscall.close.ns"} & self.syscalls()
+            assert s.stats.creates == creates + 1
+            assert s.stat("/f").mode == 0o640
+            assert s.read_file("/f") == b"data"
+            assert s.fdtable.open_count() == 0
+            assert s.creat("/next") == first + 1  # no slot was taken
+        assert vol.fsck().clean
+
+    def test_replay_creates_once_and_undo_unlinks(self):
+        from repro.libfs.libfs import LibFS
+        from repro.tx.recovery import apply_records
+
+        with make_volume() as vol:
+            replay = LibFS(vol.kernel, "replay", uid=0)
+            records = [TxRecord(TX_CREATE, "/r", 0o600)]
+            obs.enable()
+            apply_records(replay, records)
+            ino = replay.stat("/r").ino
+            apply_records(replay, records)  # already there: skipped
+            obs.disable()
+            assert not {"libfs.syscall.creat.ns",
+                        "libfs.syscall.close.ns"} & self.syscalls()
+            assert replay.stats.creates == 1
+            assert (replay.stat("/r").ino, replay.stat("/r").mode) == (ino, 0o600)
+            assert replay.fdtable.open_count() == 0
+            replay.shutdown()
+            with vol.session("app") as s:
+                tx = s.transaction()
+                tx.create("/new")
+                tx.pwrite("/new", b"x", 0)
+                fail_at(tx, 1)
+                assert not s.exists("/new")
+                assert s.fdtable.open_count() == 0
+        assert vol.fsck().clean
 
 
 class TestPrepare:
