@@ -169,11 +169,11 @@ class Repairer:
             self._alloc = PageAllocator(self.device, self.geom, pool_pages=1)
         return self._alloc
 
-    def _free_inode_slot(self) -> int:
+    def _free_inode_slot(self) -> Optional[int]:
         for ino in range(self.geom.inode_count):
             if not self.core.read_inode(ino).valid:
                 return ino
-        raise RuntimeError("no free inode slot for lost+found")
+        return None
 
     def _append_entry(self, dir_ino: int, name: bytes, child_ino: int,
                       child_gen: int, itype: int, seq: int) -> None:
@@ -184,7 +184,9 @@ class Repairer:
             self._allocator(), fence_before_marker=True,
         )
 
-    def _ensure_lost_found(self) -> int:
+    def _ensure_lost_found(self) -> Optional[int]:
+        """``/lost+found``'s inode, made if missing; None when it is missing
+        and no inode slot is free to make it in."""
         if self._lost_found is not None:
             return self._lost_found
         root = self.core.read_inode(self.root_ino)
@@ -195,6 +197,8 @@ class Repairer:
             self._lost_found = existing.ino
             return existing.ino
         ino = self._free_inode_slot()
+        if ino is None:
+            return None
         old = self.core.read_inode(ino)
         rec = InodeRecord(
             magic=INODE_MAGIC, itype=ITYPE_DIR, mode=0o700, uid=0,
@@ -306,6 +310,8 @@ class Repairer:
         if not rec.valid:
             return False
         lf = self._ensure_lost_found()
+        if lf is None:
+            return False  # a full inode table: reported, not repaired
         name = b"ino%d.g%d" % (f.ino, rec.gen)
         self._append_entry(lf, name, f.ino, rec.gen, rec.itype, seq=1)
         return True

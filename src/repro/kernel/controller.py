@@ -207,9 +207,7 @@ class KernelController:
             return
         from repro.tx.recovery import recover
 
-        outcome = recover(self)
-        report.tx_replayed = outcome.replayed
-        report.tx_discarded = outcome.discarded
+        recover(self, report)
 
     def _recover(self) -> RecoveryReport:
         """Rebuild shadow table, page ownership, allocator and slot gens.

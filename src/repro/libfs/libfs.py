@@ -516,8 +516,14 @@ class LibFS:
 
     @traced_syscall("mkdir")
     def _mkdir(self, comps: Tuple[str, ...], mode: int = 0o775) -> None:
-        self._create_common(comps, mode, ITYPE_DIR)
+        self._create_dir(comps, mode)
+
+    def _create_dir(self, comps: Tuple[str, ...], mode: int) -> MemInode:
+        """The directory ``comps`` names, created (and counted): ``mkdir``'s
+        body, and a transaction's."""
+        mi = self._create_common(comps, mode, ITYPE_DIR)
         self._stats.inc("mkdirs")
+        return mi
 
     # ================================================================== #
     # Open / close / stat / readdir
@@ -822,7 +828,10 @@ class LibFS:
 
     @traced_syscall("unlink")
     def unlink(self, path: str) -> None:
-        comps = paths.parse(path)
+        self._unlink(paths.parse(path))
+
+    def _unlink(self, comps: Tuple[str, ...]) -> None:
+        """``unlink``'s body, and a transaction's apply and undo."""
         parent, name = self._resolve_parent(comps)
         path = paths.join(comps)
         bucket = self._lock_bucket_attached(parent, name)
@@ -879,7 +888,10 @@ class LibFS:
 
     @traced_syscall("rmdir")
     def rmdir(self, path: str) -> None:
-        comps = paths.parse(path)
+        self._rmdir(paths.parse(path))
+
+    def _rmdir(self, comps: Tuple[str, ...]) -> None:
+        """``rmdir``'s body, and a transaction's undo."""
         if not comps:
             raise InvalidArgument("cannot remove the root")
         parent, name = self._resolve_parent(comps)
@@ -929,7 +941,10 @@ class LibFS:
 
     @traced_syscall("rename")
     def rename(self, oldpath: str, newpath: str) -> None:
-        oldc, newc = paths.parse(oldpath), paths.parse(newpath)
+        self._rename(paths.parse(oldpath), paths.parse(newpath))
+
+    def _rename(self, oldc: Tuple[str, ...], newc: Tuple[str, ...]) -> None:
+        """``rename``'s body, and a transaction's apply and undo."""
         if not oldc or not newc:
             raise InvalidArgument("cannot rename the root")
         if oldc == newc:

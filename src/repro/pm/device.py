@@ -419,18 +419,43 @@ class PMDevice:
         """Non-temporal store: a store whose write-back is already queued.
 
         Durability still requires a following ``sfence`` (matching movnt +
-        sfence on real hardware).
+        sfence on real hardware).  An untracked striped device routes the
+        range once and charges each member its store, ntstore and
+        write-backs from that one split: what ``store`` + ``clwb`` would.
         """
-        self.store(addr, data)
-        if self.devices == 1:
-            self.stats.ntstores += 1
-        else:
-            pieces = self._pieces(addr, len(data))
-            self.stats.ntstores += len(pieces)
-            for d, _n in pieces:
-                self.members[d].stats.ntstores += 1
-        if data:
-            self.clwb(addr, len(data))
+        if self.devices == 1 or self.crash_tracking:
+            self.store(addr, data)
+            if self.devices == 1:
+                self.stats.ntstores += 1
+            else:
+                pieces = self._pieces(addr, len(data))
+                self.stats.ntstores += len(pieces)
+                for d, _n in pieces:
+                    self.members[d].stats.ntstores += 1
+            if data:
+                self.clwb(addr, len(data))
+            return
+        size = len(data)
+        if addr < 0 or addr + size > self.size:
+            self._check_range(addr, size)  # raises
+        pieces = self._pieces(addr, size)
+        st = self.stats
+        st.stores += len(pieces)
+        st.ntstores += len(pieces)
+        st.bytes_stored += size
+        start = addr
+        for d, n in pieces:
+            self._dirty.add(d)
+            m = self.members[d].stats
+            m.stores += 1
+            m.ntstores += 1
+            m.bytes_stored += n
+            if n:  # member bounds are line-aligned: no line is split
+                lines = (start + n - 1) // CACHE_LINE - start // CACHE_LINE + 1
+                m.clwbs += lines
+                st.clwbs += lines
+            start += n
+        self._view[addr : addr + size] = data
 
     def persist(self, addr: int, size: int) -> None:
         """Convenience: ``clwb`` the range, then ``sfence``."""

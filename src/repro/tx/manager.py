@@ -39,13 +39,15 @@ it takes every inode the apply will need *before* the seal, where a
 conflict still costs nothing.
 
 Abort before commit discards the buffer — nothing reached PM.  A hard
-failure *during* apply rolls the transaction back from its own
-before-images: while the apply writes or truncates a file that predates
-the commit, it keeps the file's old size and the bytes the record
-overwrites or cuts in DRAM, and the rollback puts them back in reverse
-order, unlinks created entries and reverses renames — the volume is left
-as the commit found it.  If an applied ``unlink`` makes logical rollback
-impossible, the sealed log is left pending instead
+failure *during* apply rolls the transaction back from the inverses its
+apply kept of what each record did: while the apply writes or truncates a
+file that predates the commit, it keeps the file's old size and the bytes
+the record overwrites or cuts in DRAM; it notes each name a record created
+and each rename a record made, by the inode's identity.  The rollback
+reverses them in reverse order — a name only while it still names the
+inode the apply made or moved — so the volume is left as the commit found
+it, names other calls made or moved included.  If an applied ``unlink``
+makes logical rollback impossible, the sealed log is left pending instead
 (:class:`~repro.errors.TxCommitPending`) and the next mount rolls the
 transaction forward.
 """
@@ -84,7 +86,7 @@ from repro.tx.log import (
     seal,
     write_log,
 )
-from repro.tx.recovery import Applied, apply_records, undo
+from repro.tx.recovery import Inverse, apply_records, undo
 
 #: Process-wide transaction ids (diagnostic; uniqueness per volume is
 #: guaranteed by the single-pending-log invariant, not by this counter).
@@ -345,7 +347,7 @@ class Tx:
             with obs.span("tx.seal", category="tx"):
                 seal(mgr.device, pages[0], payload_tag(payload))
             failpoints.hit("tx.post_seal", self.txid)
-            applied: List[Applied] = []
+            applied: List[Optional[Inverse]] = []
             try:
                 with obs.span("tx.apply", category="tx"):
                     apply_records(mgr.fs, self.ops, self.txid, applied)
@@ -372,7 +374,7 @@ class Tx:
         self._dir_renames.clear()
         obs.count("tx.aborts")
 
-    def _apply_failed(self, applied: List[Applied], pages: List[int],
+    def _apply_failed(self, applied: List[Optional[Inverse]], pages: List[int],
                       exc: Exception) -> None:
         """Undo a partially-applied commit, or hand it to recovery.
 
@@ -380,14 +382,14 @@ class Tx:
         its pages are gone), so a failure after one leaves the sealed log
         pending: the volume temporarily shows a prefix of the tx and the
         next mount replays the log to completion (roll-forward).  Every
-        other partial prefix is undone from the transaction's own
-        before-images (:func:`~repro.tx.recovery.undo`): the volume is left
-        as this commit found it.  The undo is fenced before the log is
+        other partial prefix is undone from the inverses its apply kept
+        (:func:`~repro.tx.recovery.undo`): the volume is left as this
+        commit found it.  The undo is fenced before the log is
         retired, so a crash inside it still finds the seal and replays the
         whole transaction.
         """
         mgr = self._mgr
-        if any(rec.op == TX_UNLINK for rec, _before in applied):
+        if any(rec.op == TX_UNLINK for rec in self.ops[:len(applied)]):
             self.state = _PENDING
             obs.count("tx.roll_forward_pending")
             raise TxCommitPending(

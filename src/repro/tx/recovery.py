@@ -3,7 +3,7 @@
 One idempotent apply routine, :func:`apply_records`, serves three callers:
 
 * ``Tx.commit`` — the normal apply after sealing, which also keeps the
-  before-images :func:`undo` rolls a failed apply back from;
+  inverses :func:`undo` rolls a failed apply back by;
 * mount-time recovery (``KernelController.mount``) — a crash after the
   seal but before the checkpoint leaves ``tx_log_head`` published, and
   replaying the sealed log over the partially-applied state must converge
@@ -29,12 +29,11 @@ corrupt sealed log: the transaction shows none of its effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.concurrency.failpoints import failpoints
-from repro.errors import CrashPoint, FSError, NoEntry, SimulatedFault
+from repro.errors import CrashPoint, FSError, NoEntry, NotADir, SimulatedFault
 from repro.libfs import paths
 from repro.libfs.inode import MemInode
 from repro.tx.log import (
@@ -46,7 +45,6 @@ from repro.tx.log import (
     TX_UNLINK,
     TxRecord,
     parse_log,
-    read_head,
     retire,
 )
 
@@ -54,134 +52,161 @@ from repro.tx.log import (
 RECOVERY_APP = "@tx-recovery"
 
 
-@dataclass
-class TxRecoveryOutcome:
-    """What mount-time transaction recovery did."""
-
-    #: redo records replayed from a sealed, CRC-intact log.
-    replayed: int = 0
-    #: sealed-but-corrupt logs discarded (pages reclaimed).
-    discarded: int = 0
+def _identity(fs, comps: Tuple[str, ...]) -> Optional[Tuple[int, int]]:
+    """``(ino, gen)`` of what ``comps`` names now; None when nothing."""
+    try:
+        mi = fs._resolve(comps)
+    except (NoEntry, NotADir):
+        return None
+    return mi.ino, mi.gen
 
 
 class Before(NamedTuple):
-    """What one applied data record changed of a file that predates the
-    commit: its size before the record, and the bytes at ``offset`` the
-    record overwrote (a ``pwrite``) or cut (a shrinking ``truncate``)."""
+    """A data record on file ``mi``, which predates the commit: its size
+    before the record, and the bytes at ``offset`` the record overwrote (a
+    ``pwrite``) or cut (a shrinking ``truncate``), put back by inode."""
 
     mi: MemInode
     size: int
     offset: int
     data: bytes
 
+    def undo(self, fs) -> None:
+        if self.mi.size != self.size:
+            fs._truncate(self.mi, self.size)
+        if self.data:
+            fs._pwrite(self.mi, self.data, self.offset, sync=False)
 
-#: An applied record and, for a data record, its before-image.
-Applied = Tuple[TxRecord, Optional[Before]]
+
+class Created(NamedTuple):
+    """A record created the file (:class:`Made`: the directory) ``comps``
+    names, inode ``ino`` of generation ``gen``: removed while so named."""
+
+    comps: Tuple[str, ...]
+    ino: int
+    gen: int
+
+    def undo(self, fs) -> None:
+        if _identity(fs, self.comps) == (self.ino, self.gen):
+            fs._unlink(self.comps)
+
+
+class Made(Created):
+    __slots__ = ()
+
+    def undo(self, fs) -> None:
+        if _identity(fs, self.comps) == (self.ino, self.gen):
+            fs._rmdir(self.comps)
+
+
+class Renamed(NamedTuple):
+    """A record moved inode ``ino`` of generation ``gen`` from ``src`` to
+    ``dst``: moved back while ``dst`` names it."""
+
+    src: Tuple[str, ...]
+    dst: Tuple[str, ...]
+    ino: int
+    gen: int
+
+    def undo(self, fs) -> None:
+        if _identity(fs, self.dst) == (self.ino, self.gen):
+            fs._rename(self.dst, self.src)
+
+
+Inverse = Union[Before, Created, Made, Renamed]
 
 
 def apply_records(fs, records: Sequence[TxRecord], txid: Optional[int] = None,
-                  applied: Optional[List[Applied]] = None) -> None:
+                  applied: Optional[List[Optional[Inverse]]] = None) -> None:
     """Apply ``records`` in order through ``fs``, then one fence.
 
     A commit passes its ``txid``: each record hits the ``tx.apply_op``
     failpoint before it takes effect, the first error propagates (no
     closing fence: the caller rolls back or leaves the log pending), and
-    ``applied`` collects the records that took effect before it, each data
-    record on a file that predates the commit with its :class:`Before`
-    image — read through the MemInode the write goes through, so the
-    record resolves its path once.  Mount's replay passes none and keeps
-    no images: a record outside the crash model (a hand-edited image, say)
-    is counted and skipped, because recovery must still mount; the
-    skipped op is visible in the counters and to fsck.
+    ``applied`` gets one entry per record applied before it: the inverse
+    of what it did, None when it did nothing an undo can reverse.  Mount's
+    replay passes none and keeps no inverses: a record outside the crash
+    model (a hand-edited image, say) is counted and skipped, because
+    recovery must still mount; the skipped op is visible in the counters
+    and to fsck.
     """
-    created: Set[int] = set()  # inodes this commit's records created
     for i, rec in enumerate(records):
         if txid is not None:
             failpoints.hit("tx.apply_op", (txid, i))
         try:
-            before = _apply_record(fs, rec, created if applied is not None else None)
+            inverse = _apply_record(fs, rec, applied)
         except FSError:
             if txid is not None:
                 raise
             obs.count("tx.replay_skipped")
             continue
         if applied is not None:
-            applied.append((rec, before))
+            applied.append(inverse)
     fs.kernel.device.sfence()
 
 
 def _apply_record(fs, rec: TxRecord,
-                  created: Optional[Set[int]]) -> Optional[Before]:
-    """Apply one redo record through the LibFS surface, idempotently.
-
-    With ``created`` (a commit's apply), a data record on a file no earlier
-    record created returns its :class:`Before` image."""
+                  applied: Optional[List[Optional[Inverse]]]) -> Optional[Inverse]:
+    """Apply one redo record, idempotently, and return its inverse; with
+    ``applied``, a data record on a file no earlier record created returns
+    its :class:`Before` image, read through the inode the write takes."""
+    comps = paths.parse(rec.path)
     if rec.op in (TX_PWRITE, TX_TRUNCATE):
-        mi = fs._writable_file(paths.parse(rec.path), create=True)
-        before = None
-        if created is not None and mi.ino not in created:
+        try:
+            mi, inverse = fs._writable_file(comps), None
+        except NoEntry:
+            mi = fs._create_file(comps, 0o664)
+            inverse = Created(comps, mi.ino, mi.gen)
+        if inverse is None and applied is not None and not any(
+                type(c) is Created and (c.ino, c.gen) == (mi.ino, mi.gen)
+                for c in applied):
             # A pwrite's old bytes under it; a truncate's cut tail (an
             # extension reads none).
             n = len(rec.data) if rec.op == TX_PWRITE else mi.size - rec.arg
-            before = Before(mi, mi.size, rec.arg, fs._cs(mi).read_file_data(
+            inverse = Before(mi, mi.size, rec.arg, fs._cs(mi).read_file_data(
                 mi.pages, mi.size, rec.arg, n))
         if rec.op == TX_PWRITE:
             fs._pwrite(mi, rec.data, rec.arg, sync=False)
         else:
             fs._truncate(mi, rec.arg)
-        return before
-    if rec.op == TX_CREATE:
-        if not fs.exists(rec.path):
-            mi = fs._create_file(paths.parse(rec.path), rec.arg or 0o664)
-            if created is not None:
-                created.add(mi.ino)
-    elif rec.op == TX_MKDIR:
-        if not fs.exists(rec.path):
-            fs.mkdir(rec.path, mode=rec.arg or 0o775)
-    elif rec.op == TX_RENAME:
-        dst = rec.data.decode("utf-8", "replace")
-        if fs.exists(rec.path):
-            fs.rename(rec.path, dst)
-        elif not fs.exists(dst):
+        return inverse
+    if rec.op == TX_RENAME:
+        dst = paths.parse(rec.data.decode("utf-8", "replace"))
+        moved = _identity(fs, comps)
+        if moved is not None:
+            fs._rename(comps, dst)
+            return Renamed(comps, dst, *moved)
+        if _identity(fs, dst) is None:
             raise NoEntry(rec.path)
-        # else: the rename already applied — nothing to redo.
-    elif rec.op == TX_UNLINK:
-        if fs.exists(rec.path):
-            fs.unlink(rec.path)
-    else:
+        return None  # the rename already applied: nothing to redo
+    if rec.op == TX_UNLINK:
+        if _identity(fs, comps) is not None:
+            fs._unlink(comps)
+        return None
+    if rec.op not in (TX_CREATE, TX_MKDIR):
         raise ValueError(f"unknown tx opcode {rec.op}")
-    return None
+    if _identity(fs, comps) is not None:
+        return None  # made already, by this record or by another call
+    if rec.op == TX_CREATE:
+        mi = fs._create_file(comps, rec.arg or 0o664)
+        return Created(comps, mi.ino, mi.gen)
+    mi = fs._create_dir(comps, rec.arg or 0o775)
+    return Made(comps, mi.ino, mi.gen)
 
 
-def undo(fs, applied: Sequence[Applied]) -> int:
+def undo(fs, applied: Sequence[Optional[Inverse]]) -> int:
     """Undo ``applied`` in reverse order; returns how many undos failed.
 
-    A data record's file is put back through the LibFS write path by
-    inode — truncated to its old size, then its old bytes written back —
-    a created name is unlinked, a rename reversed.  An undo that fails is
-    counted and passed over: what it leaves is a state fsck can repair,
-    never a torn transaction.  The caller fences before it retires the
-    log: until then a crash — a simulated one propagates from here —
+    A failed undo is counted and passed over: it leaves a state fsck can
+    repair, never a torn transaction.  The caller fences before it retires
+    the log: until then a crash (a simulated one propagates from here)
     still finds the seal and replays the whole transaction.
     """
     failed = 0
-    for rec, before in reversed(applied):
+    for inverse in reversed(applied):
         try:
-            if before is not None:
-                if before.mi.size != before.size:
-                    fs._truncate(before.mi, before.size)
-                if before.data:
-                    fs._pwrite(before.mi, before.data, before.offset, sync=False)
-            elif rec.op == TX_CREATE:
-                if fs.exists(rec.path):
-                    fs.unlink(rec.path)
-            elif rec.op == TX_MKDIR:
-                if fs.exists(rec.path):
-                    fs.rmdir(rec.path)
-            elif rec.op == TX_RENAME:
-                dst = rec.data.decode("utf-8", "replace")
-                if fs.exists(dst):
-                    fs.rename(dst, rec.path)
+            if inverse is not None:
+                inverse.undo(fs)
         except (CrashPoint, SimulatedFault):
             raise  # a simulated machine crash: the seal replays the tx
         except Exception:
@@ -189,8 +214,9 @@ def undo(fs, applied: Sequence[Applied]) -> int:
     return failed
 
 
-def recover(kernel) -> TxRecoveryOutcome:
-    """Replay (or discard) the pending transaction log at mount time.
+def recover(kernel, report) -> None:
+    """Replay (or discard) the pending transaction log at mount time, into
+    ``report``'s ``tx_replayed`` (or ``tx_discarded``).
 
     Called by ``KernelController.mount`` after the structural recovery
     walk; the sealed chain's pages were kept out of the allocator rebuild's
@@ -202,9 +228,6 @@ def recover(kernel) -> TxRecoveryOutcome:
     stale or forged head can reach a live file's data page, whose bytes
     may look like a log page.
     """
-    outcome = TxRecoveryOutcome()
-    if read_head(kernel.device) == 0:
-        return outcome
     log, pages = parse_log(kernel.device, kernel.geom)
 
     def unowned(chain: List[int]) -> List[int]:
@@ -213,8 +236,8 @@ def recover(kernel) -> TxRecoveryOutcome:
 
     if log is None:
         retire(kernel.device, kernel.alloc, unowned(pages))
-        outcome.discarded = 1
-        return outcome
+        report.tx_discarded = 1
+        return
 
     from repro.libfs.libfs import LibFS  # above the kernel layer; lazy
 
@@ -225,5 +248,4 @@ def recover(kernel) -> TxRecoveryOutcome:
         finally:
             fs.shutdown()
         retire(kernel.device, kernel.alloc, unowned(log.pages))
-    outcome.replayed = len(log.records)
-    return outcome
+    report.tx_replayed = len(log.records)

@@ -12,9 +12,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.corestate import CoreState
+from repro.core.mkfs import ROOT_INO, load_geometry
 from repro.fsck import (
     ALL_CLASSES,
     INJECTORS,
+    F_ORPHAN_INODE,
     F_PAGE_RESERVED,
     F_STRIPE_LABEL,
     F_SUPERBLOCK,
@@ -72,6 +75,24 @@ def test_injected_corruption_repairs_clean(name):
     # The final report *is* a fresh re-check proving the repaired volume clean.
     recheck = run_fsck(device)
     assert recheck.clean, recheck.summary()
+
+
+def test_orphan_with_a_full_inode_table_is_reported_not_repaired():
+    """Quarantine needs a slot for ``/lost+found``.  With none free, repair
+    leaves the orphan listed and the volume unclean; it used to raise a
+    bare ``RuntimeError``."""
+    device, _kernel, fs = build_volume(files=7, dirs=0, inode_count=8)
+    fs.release_all()
+    core = CoreState(device, load_geometry(device))
+    root = core.read_inode(ROOT_INO)
+    loc = core.live_dentries_with_loc(root)[b"f3.dat"][1]
+    core.tombstone(loc)
+    device.sfence()
+    assert all(core.read_inode(ino).valid for ino in range(8))
+    report = run_fsck(device, repair=True)
+    assert F_ORPHAN_INODE in report.classes(), report.summary()
+    assert F_ORPHAN_INODE not in report.repairs
+    assert not report.clean
 
 
 class TestStripedVolume:

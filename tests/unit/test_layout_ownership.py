@@ -212,7 +212,7 @@ def test_remembered_walks_change_in_seven_places_and_answer_in_walk():
 
     assert sorted(fn.name for fn in _functions(tree) if mutates_walks(fn)) == [
         "__init__", "_apply_rename", "_extend", "_invalidate_aux", "_remember",
-        "_walk", "rmdir", "unlink"]
+        "_rmdir", "_unlink", "_walk"]
     readers = [fn.name for fn in _functions(tree)
                if any(isinstance(n, ast.Attribute) and n.attr == "_walks"
                       for n in ast.walk(fn)) and not mutates_walks(fn)]

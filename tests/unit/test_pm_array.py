@@ -108,6 +108,40 @@ class TestDelegation:
         assert all(m.stats.ntstores == 1 for m in arr.members)
         assert all(m.stats.fences == 1 for m in arr.members)
 
+    @pytest.mark.parametrize("where, size", [
+        (128, 4096),        # inside member 0
+        (-100, 200),        # across members 0 and 1, unaligned both ends
+        (-64, 64),          # the last line of member 0
+        (-3000, 3 * (SIZE // 4) + 100),  # across all four members
+        (77, 1),            # one byte, unaligned
+        (-32, 0),           # zero bytes
+        (SIZE // 4, 0),     # zero bytes at a member boundary
+    ])
+    def test_ntstore_charges_what_store_and_clwb_charge(self, where, size):
+        """An untracked striped ``ntstore`` splits its range once; every
+        counter, the device's and each member's, and the fence it owes
+        must equal ``store`` + ``clwb`` plus one ntstore per member piece."""
+        nt = PMDevice(SIZE, devices=4, crash_tracking=False)
+        ref = PMDevice(SIZE, devices=4, crash_tracking=False)
+        addr = nt.dev_size + where if where < 0 else where
+        data = bytes(range(256)) * (size // 256 + 1)
+        data = data[:size]
+        nt.ntstore(addr, data)
+        ref.store(addr, data)
+        if size:
+            ref.clwb(addr, size)
+        pieces = ref._pieces(addr, size)
+        ref.stats.ntstores += len(pieces)
+        for d, _n in pieces:
+            ref.members[d].stats.ntstores += 1
+        assert nt.stats == ref.stats
+        assert [m.stats for m in nt.members] == [m.stats for m in ref.members]
+        assert nt.load(addr, size) == data
+        nt.sfence()
+        ref.sfence()
+        assert [m.stats.fences for m in nt.members] == \
+            [m.stats.fences for m in ref.members]
+
     def test_spanning_gather_reassembles(self):
         arr = PMDevice(SIZE, devices=2, crash_tracking=False)
         addr = arr.dev_size - 64

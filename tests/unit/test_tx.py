@@ -221,6 +221,33 @@ class TestCreateWithoutDescriptor:
             assert s.creat("/next") == first + 1  # no slot was taken
         assert vol.fsck().clean
 
+    def test_commit_records_no_syscall_and_counts_each_record_once(self):
+        """A commit is not the user's syscalls: the apply calls LibFS's
+        bodies, never a traced verb, and asks no ``stat`` of its own."""
+        with make_volume() as vol, vol.session("app") as s:
+            s.write_file("/g", b"moved")
+            s.write_file("/h", b"doomed")
+            before = s.stats
+            obs.enable()
+            with s.transaction() as tx:
+                tx.mkdir("/d")
+                tx.create("/d/f")
+                tx.pwrite("/d/f", b"data", 0)
+                tx.rename("/g", "/d/g")
+                tx.unlink("/h")
+            obs.disable()
+            assert not {n for n in self.syscalls()
+                        if n.startswith("libfs.syscall.")}
+            after = s.stats
+            assert {k: getattr(after, k) - getattr(before, k)
+                    for k in ("mkdirs", "creates", "writes", "renames",
+                              "unlinks", "rmdirs", "opens", "stats_")} == {
+                "mkdirs": 1, "creates": 1, "writes": 1, "renames": 1,
+                "unlinks": 1, "rmdirs": 0, "opens": 0, "stats_": 0}
+            assert s.readdir("/") == ["d"]
+            assert s.readdir("/d") == ["f", "g"]
+        assert vol.fsck().clean
+
     def test_replay_creates_once_and_undo_unlinks(self):
         from repro.libfs.libfs import LibFS
         from repro.tx.recovery import apply_records
@@ -246,6 +273,78 @@ class TestCreateWithoutDescriptor:
                 fail_at(tx, 1)
                 assert not s.exists("/new")
                 assert s.fdtable.open_count() == 0
+        assert vol.fsck().clean
+
+
+class TestUndoReversesOnlyItsOwn:
+    """A failed apply's undo reverses what the apply did, and a name only
+    while it still names the inode the apply made or moved.  A name
+    another call made, moved or replaced is left as that call left it.
+    Each case failed before the undo worked from the apply's inverses:
+    it reversed every applied record by name."""
+
+    def test_create_skipped_over_a_live_file_keeps_it(self):
+        with make_volume() as vol, vol.session("app") as s:
+            tx = s.transaction()
+            tx.create("/f")
+            tx.pwrite("/f", b"tx", 0)
+            tx.create("/other")
+            s.write_file("/f", b"live")      # between stage and commit
+            ino = s.stat("/f").ino
+            fail_at(tx, 2)
+            assert s.read_file("/f") == b"live" and s.stat("/f").ino == ino
+            assert not s.exists("/other")
+        assert vol.fsck().clean
+
+    def test_mkdir_skipped_over_a_live_directory_keeps_it(self):
+        with make_volume() as vol, vol.session("app") as s:
+            tx = s.transaction()
+            tx.mkdir("/d")
+            tx.create("/other")
+            s.mkdir("/d")
+            ino = s.stat("/d").ino
+            fail_at(tx, 1)
+            assert s.stat("/d").ino == ino and s.stat("/d").is_dir
+            assert not s.exists("/other")
+        assert vol.fsck().clean
+
+    def test_rename_made_outside_is_not_reversed(self):
+        with make_volume() as vol, vol.session("app") as s:
+            s.write_file("/a", b"a")
+            tx = s.transaction()
+            tx.rename("/a", "/b")
+            tx.create("/other")
+            s.rename("/a", "/b")
+            fail_at(tx, 1)
+            assert not s.exists("/a") and s.read_file("/b") == b"a"
+            assert not s.exists("/other")
+        assert vol.fsck().clean
+
+    def test_a_name_replaced_mid_apply_is_not_removed(self):
+        """The name the apply created names another file by the time the
+        undo runs: same slot, perhaps, but not the same generation."""
+        with make_volume() as vol, vol.session("app") as s:
+            tx = s.transaction()
+            tx.create("/n")
+            tx.create("/m")
+
+            def replace_then_fail(ctx):
+                if ctx[1] == 1:
+                    made = s.stat("/n")
+                    s.unlink("/n")
+                    s.write_file("/n", b"theirs")
+                    assert (s.stat("/n").ino, s.stat("/n").gen) != (
+                        made.ino, made.gen)
+                    raise E.NoSpace("injected at apply")
+
+            failpoints.install("tx.apply_op", replace_then_fail)
+            try:
+                with pytest.raises(E.TxAborted):
+                    tx.commit()
+            finally:
+                failpoints.remove("tx.apply_op")
+            assert s.read_file("/n") == b"theirs"
+            assert not s.exists("/m")
         assert vol.fsck().clean
 
 
