@@ -43,7 +43,11 @@ class FailpointRegistry:
     """A process-wide registry of named hooks."""
 
     def __init__(self) -> None:
-        self._hooks: Dict[str, Callable[[Any], None]] = {}
+        #: name -> hook; empty when nothing is armed.  Read-only outside
+        #: this class, and never rebound: a hot site that must cost nothing
+        #: disarmed tests it (and ``obs.enabled``, which counts every hit)
+        #: before it calls :meth:`hit`.
+        self.hooks: Dict[str, Callable[[Any], None]] = {}
 
     # ------------------------------------------------------------------ #
     # Production-side API
@@ -53,7 +57,7 @@ class FailpointRegistry:
         """Invoke the hook for ``name`` if one is installed."""
         if obs.enabled:
             obs.metrics.counter("failpoints.hit", name=name).inc()
-        hook = self._hooks.get(name)
+        hook = self.hooks.get(name)
         if hook is not None:
             hook(ctx)
 
@@ -62,13 +66,13 @@ class FailpointRegistry:
     # ------------------------------------------------------------------ #
 
     def install(self, name: str, hook: Callable[[Any], None]) -> None:
-        self._hooks[name] = hook
+        self.hooks[name] = hook
 
     def remove(self, name: str) -> None:
-        self._hooks.pop(name, None)
+        self.hooks.pop(name, None)
 
     def clear(self) -> None:
-        self._hooks.clear()
+        self.hooks.clear()
 
     def once(self, name: str, hook: Callable[[Any], None]) -> None:
         """Install a hook that disarms itself after its first hit."""

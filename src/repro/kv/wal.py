@@ -28,10 +28,23 @@ OP_PUT = 1
 OP_DELETE = 2
 
 
+_CRC = struct.Struct("<I")
+#: The header after its CRC field.
+_REST = struct.Struct("<QBII")
+
+
 def frame_record(seq: int, op: int, key: bytes, value: bytes) -> bytes:
     """Serialize one record; the leading CRC covers everything after it."""
-    body = _HDR.pack(0, seq, op, len(key), len(value))[4:] + key + value
-    return struct.pack("<I", zlib.crc32(body)) + body
+    return b"".join((*frame_parts(seq, op, key, value), key, value))
+
+
+def frame_parts(seq: int, op: int, key: bytes, value: bytes) -> Tuple[bytes, bytes]:
+    """The record's CRC field and the rest of its header: the record is
+    ``crc + rest + key + value``.  The CRC is chained over the pieces, so
+    a caller joining many records copies each key and value once, in its
+    own join."""
+    rest = _REST.pack(seq, op, len(key), len(value))
+    return _CRC.pack(zlib.crc32(value, zlib.crc32(key, zlib.crc32(rest)))), rest
 
 
 def parse_record(buf: bytes, off: int):

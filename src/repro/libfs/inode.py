@@ -21,7 +21,7 @@ from repro.concurrency.rwlock import RWLock
 from repro.concurrency.seqlock import SeqCount
 from repro.concurrency.spinlock import SpinLock
 from repro.core.config import ArckConfig
-from repro.core.corestate import TailCursor
+from repro.core.corestate import CoreState, TailCursor
 from repro.libfs.hashtable import DirHashTable, NodeFreelist
 from repro.pm.layout import ITYPE_DIR, NTAILS, InodeRecord
 from repro.pm.mapping import Mapping
@@ -36,6 +36,9 @@ class MemInode:
         self.config = config
         self.record = record  # DRAM copy of the core inode record
         self.mapping: Optional[Mapping] = None
+        #: the core-state helpers bound to ``mapping``, set with it: an
+        #: operation reaches the core state through it, building nothing.
+        self.cs: Optional[CoreState] = None
         self.writable = False
         #: parent inode as last observed by path resolution (aux knowledge,
         #: used to order release_all parents-before-children, Rule (1)).
@@ -65,6 +68,10 @@ class MemInode:
         self.uid = record.uid
         self.size = record.size
         self.nlink = record.nlink
+        #: a plain attribute, so asking costs no call: the type is fixed for
+        #: the MemInode's life (a slot that holds another type or
+        #: generation gets a new MemInode, never a rebuilt one).
+        self.is_dir = record.itype == ITYPE_DIR
 
         if self.is_dir:
             self.dir = DirHashTable(config, rcu, freelist, tag=f"ino{ino}")
@@ -91,18 +98,8 @@ class MemInode:
             self.seq = SeqCount(f"ino{ino}.seq")
 
     @property
-    def is_dir(self) -> bool:
-        return self.itype == ITYPE_DIR
-
-    @property
     def attached(self) -> bool:
         return self.mapping is not None and self.mapping.valid
-
-    @property
-    def owned(self) -> bool:
-        """Attached through a kernel acquisition: nobody else can have
-        changed the inode, so nothing needs checking."""
-        return not self.borrowed and self.attached
 
     def pick_tail(self) -> int:
         """Spread appends across the record's log tails by thread (the

@@ -159,9 +159,6 @@ class LibFS:
     # Attach / detach machinery
     # ================================================================== #
 
-    def _cs(self, mi: MemInode) -> CoreState:
-        return CoreState(mi.mapping, self.geom)
-
     def _remember(self, mi: MemInode) -> None:
         """Enter a just-mapped MemInode into ``_inodes`` (lock held); for
         one already there this only indexes it as mapped again."""
@@ -209,11 +206,14 @@ class LibFS:
         """
         with self._inodes_lock:
             known = self._inodes.get(ino)
-        if known is not None and known.attached and (known.writable or not write):
+        # A remembered MemInode has its mapping (set before it is
+        # remembered), whose flag says whether it is still attached.
+        if known is not None and known.mapping.valid \
+                and (known.writable or not write):
             return known
         with known.attach_lock if known is not None else nullcontext():
             if known is not None:
-                if known.attached and (known.writable or not write):
+                if known.mapping.valid and (known.writable or not write):
                     return known
                 write = write or known.writable
             borrow = not write and self.config.locked_release
@@ -222,12 +222,11 @@ class LibFS:
                           if borrow else None)
                 mapping, version = cached or self.kernel.acquire(
                     self.app_id, ino, write=write)
-                mi = known
+                mi, cs = known, CoreState(mapping, self.geom)
                 try:
                     if mi is None or mi.aux_version != version:
                         # Somebody else wrote it since (or we never saw it):
                         # what we kept is no longer the core state's image.
-                        cs = CoreState(mapping, self.geom)
                         rec = cs.read_inode(ino)
                         if mi is None or (mi.gen, mi.itype) != (rec.gen, rec.itype):
                             # First sight — or the slot holds another inode
@@ -245,6 +244,9 @@ class LibFS:
                     # has it — fall back to a real (crossing) acquisition.
                     self.kernel.readcache.detach(ino, mapping)
                     borrow = False
+            # The helpers first: whoever sees the new mapping live finds
+            # them bound to it.
+            mi.cs = cs
             mi.mapping, mi.borrowed, mi.writable = mapping, cached is not None, write
             with self._inodes_lock:
                 rival = self._inodes.get(ino)
@@ -276,7 +278,10 @@ class LibFS:
         with self._inodes_lock:
             mi = self._inodes.get(ino)
         if mi is not None and (
-                mi.owned or self.kernel.readcache.valid(ino, mi.aux_version)):
+                # owned (attached through an acquisition; the mapping's
+                # flag is an attribute), or still the published version
+                mi.mapping.valid and not mi.borrowed
+                or self.kernel.readcache.valid(ino, mi.aux_version)):
             return mi
         return self._attach(ino, write=False)
 
@@ -347,7 +352,8 @@ class LibFS:
                     for mi, version in walk:
                         if self._inodes.get(mi.ino) is not mi \
                                 or mi.aux_version != version \
-                                or not (mi.owned or valid(mi.ino, version)):
+                                or not (mi.mapping.valid and not mi.borrowed  # owned
+                                        or valid(mi.ino, version)):
                             self._walks.pop(comps[:depth], None)
                             break
                     else:
@@ -431,7 +437,7 @@ class LibFS:
         lock = parent.tail_locks[tail]
         with lock:
             failpoints.hit("dir.write_mid", name)
-            cs = self._cs(parent)
+            cs = parent.cs
             rec_len = Dentry.record_len(name)
             needs_alloc = (
                 cursor.head_page == 0
@@ -486,6 +492,7 @@ class LibFS:
                 bucket.lock.release()
 
         child = MemInode(ino, rec, self.config, self.rcu, self.freelist)
+        child.cs = CoreState(child_mapping, self.geom)
         child.mapping = child_mapping
         child.aux_version = version  # the empty image just constructed
         child.writable = True
@@ -630,7 +637,7 @@ class LibFS:
             cur = self._attach_open(mi, write=True)
             if cur is not mi:  # the same file, rebuilt: write it under its locks
                 return self._pwrite(cur, data, offset, sync)
-            cs = self._cs(mi)
+            cs = mi.cs
             end = offset + len(data)
             existing = len(mi.pages)
             needed = (end + PAGE_SIZE - 1) // PAGE_SIZE
@@ -723,7 +730,7 @@ class LibFS:
                 cur = self._attach_open(mi, write=False)
                 if cur is not mi:  # the same file, rebuilt: read it there
                     break
-                out = self._cs(mi).read_file_data(mi.pages, mi.size, offset, n)
+                out = mi.cs.read_file_data(mi.pages, mi.size, offset, n)
                 if locked or not mi.seq.read_retry(start):
                     cells = self._stats.cells()
                     cells["reads"] += 1
@@ -779,7 +786,7 @@ class LibFS:
             cur = self._attach_open(mi, write=True)
             if cur is not mi:  # as in ``_pwrite``
                 return self._truncate(cur, size)
-            cs = self._cs(mi)
+            cs = mi.cs
             keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
             if keep > len(mi.pages):
                 # Back the new length with zeroed pages *before* the size
@@ -842,6 +849,11 @@ class LibFS:
             if node.itype == ITYPE_DIR:
                 raise IsADir(path)
             ino, loc = node.ino, node.loc
+            if loc is not None:
+                # Take the file before its name goes, as rmdir takes its
+                # child: held elsewhere, this raises with nothing removed.
+                # (A dentry not yet committed is §4.4's fault below.)
+                self._attach(ino, write=True)
             parent.dir.remove_locked(name)
             with self._inodes_lock:
                 self._walk_seq += 1  # as in rmdir: the walk goes now
@@ -856,7 +868,7 @@ class LibFS:
                 raise SimulatedSegfault(
                     f"unlink({path}): aux entry present but core dentry missing"
                 )
-            cs = self._cs(parent)
+            cs = parent.cs
             cs.tombstone(loc)
             cs.mem.sfence()  # the unlink is durable on return
         finally:
@@ -877,7 +889,7 @@ class LibFS:
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
         try:
-            cs = self._cs(mi)
+            cs = mi.cs
             cs.free_inode(ino)
             self.alloc.free(*cs.index_pages(mi.record), *mi.pages)
         finally:
@@ -914,7 +926,7 @@ class LibFS:
                 raise SimulatedSegfault(
                     f"rmdir({path}): aux entry present but core dentry missing"
                 )
-            parent_cs = self._cs(parent)
+            parent_cs = parent.cs
             parent_cs.tombstone(node.loc)
             parent_cs.mem.sfence()  # the rmdir is durable on return
             parent.dir.remove_locked(name)
@@ -924,7 +936,7 @@ class LibFS:
                 self._walk_seq += 1
                 self._walks.pop(child.walk, None)
             # Leak-only from here, as in ``_free_file_inode``.
-            cs = self._cs(child)
+            cs = child.cs
             cs.free_inode(child.ino)
             self.alloc.free(*cs.dir_pages(child.record))
         finally:
@@ -1047,7 +1059,7 @@ class LibFS:
             # the higher seq wins it the child at mount, which tombstones
             # the old name if this store did not persist.  The next fence
             # takes it.
-            self._cs(old_parent).tombstone(src.loc)
+            old_parent.cs.tombstone(src.loc)
             ino, moved_dir = src.ino, src.itype == ITYPE_DIR
             old_parent.dir.remove_locked(oldname)
             with self._inodes_lock:

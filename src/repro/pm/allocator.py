@@ -421,7 +421,9 @@ class PageAllocator:
             if len(batch) > need:
                 with pool.lock:
                     pool.pages.extend(batch[need:])
-        reserved += self._take_pooled(pool, count - len(reserved) - len(fresh))
+        short = count - len(reserved) - len(fresh)
+        if short:  # the refill came up short: what the pool still holds
+            reserved += self._take_pooled(pool, short)
         hits = len(reserved)
         while len(reserved) + len(fresh) < count:
             page = self._steal(pool)

@@ -305,7 +305,9 @@ def legal_name(name: bytes) -> bool:
 # Page headers (directory-log pages and file page-index pages)
 # --------------------------------------------------------------------------- #
 
-_PAGEHDR = struct.Struct("<QHHI")  # next_page u64, used u16, kind u16, pad u32
+#: next_page u64, used u16, kind u16, pad u32 (:class:`PageHeader`'s bytes;
+#: a hot packer uses it directly, with pad 0).
+PAGEHDR = struct.Struct("<QHHI")
 PAGEHDR_SIZE = 16
 PAGE_PAYLOAD = PAGE_SIZE - PAGEHDR_SIZE
 PAGE_KIND_DIRLOG = 1
@@ -323,11 +325,11 @@ class PageHeader:
     kind: int
 
     def pack(self) -> bytes:
-        return _PAGEHDR.pack(self.next_page, self.used, self.kind, 0)
+        return PAGEHDR.pack(self.next_page, self.used, self.kind, 0)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "PageHeader":
-        next_page, used, kind, _pad = _PAGEHDR.unpack_from(raw)
+        next_page, used, kind, _pad = PAGEHDR.unpack_from(raw)
         return cls(next_page, used, kind)
 
 

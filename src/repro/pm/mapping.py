@@ -27,15 +27,13 @@ class Mapping:
         self._device = device
         self.ino = ino
         self.tag = tag
-        self._valid = True
-
-    @property
-    def valid(self) -> bool:
-        return self._valid
+        #: False once unmapped; a plain attribute, so a caller asking
+        #: whether the mapping is live makes no call.
+        self.valid = True
 
     def unmap(self) -> None:
         """Revoke the mapping; any later access raises SimulatedBusError."""
-        self._valid = False
+        self.valid = False
 
     def _check(self) -> None:
         """Raise the fault an access through a revoked mapping takes."""
@@ -47,50 +45,50 @@ class Mapping:
     # inline, so a valid access makes no call for it. --------------------- #
 
     def load(self, addr: int, size: int) -> bytes:
-        if not self._valid:
+        if not self.valid:
             self._check()
         return self._device.load(addr, size)
 
     def store(self, addr: int, data: bytes) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.store(addr, data)
 
     def atomic_store(self, addr: int, data: bytes) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.atomic_store(addr, data)
 
     def ntstore(self, addr: int, data: bytes) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.ntstore(addr, data)
 
     def clwb(self, addr: int, size: int = 1) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.clwb(addr, size)
 
     def sfence(self) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.sfence()
 
     def persist(self, addr: int, size: int) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.persist(addr, size)
 
     def ntstore_scatter(self, ops) -> None:
-        if not self._valid:
+        if not self.valid:
             self._check()
         self._device.ntstore_scatter(ops)
 
     def load_gather(self, ops) -> bytes:
-        if not self._valid:
+        if not self.valid:
             self._check()
         return self._device.load_gather(ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "valid" if self._valid else "UNMAPPED"
+        state = "valid" if self.valid else "UNMAPPED"
         return f"<Mapping ino={self.ino} {state}>"

@@ -40,12 +40,13 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.corestate import CoreState
 from repro.errors import ChainCorrupt
-from repro.kv.wal import frame_record, parse_record
+from repro.kv.wal import frame_parts, parse_record
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import PMDevice
 from repro.pm.layout import (
     PAGE_KIND_TXLOG,
     PAGE_PAYLOAD,
+    PAGEHDR,
     PAGEHDR_SIZE,
     SB_TX_HEAD_OFF,
     Geometry,
@@ -91,9 +92,6 @@ class TxRecord(NamedTuple):
     arg: int = 0
     data: bytes = b""
 
-    def frame(self) -> bytes:
-        return frame_record(self.arg, self.op, self.path.encode(), self.data)
-
 
 @dataclass
 class TxLog:
@@ -105,12 +103,19 @@ class TxLog:
 
 
 def build_payload(txid: int, records: List[TxRecord]) -> bytes:
-    """Header + framed records, ready to stream into the page chain."""
-    frames = [r.frame() for r in records]
+    """Header + framed records, ready to stream into the page chain: each
+    record is framed once, as pieces that one join copies into the
+    payload, and the body CRC is chained over the same pieces."""
+    parts = [b""]  # the header, once the body's CRC is known
     crc = 0
-    for frame in frames:
-        crc = zlib.crc32(frame, crc)
-    return b"".join([_LOGHDR.pack(TX_MAGIC, txid, len(records), crc), *frames])
+    for r in records:
+        key = r.path.encode()
+        framed = (*frame_parts(r.arg, r.op, key, r.data), key, r.data)
+        for piece in framed:
+            crc = zlib.crc32(piece, crc)
+        parts += framed
+    parts[0] = _LOGHDR.pack(TX_MAGIC, txid, len(records), crc)
+    return b"".join(parts)
 
 
 def payload_tag(payload: bytes) -> int:
@@ -140,8 +145,8 @@ def write_log(
     src = memoryview(payload)
     for i in range(npages):
         chunk = src[i * PAGE_PAYLOAD:(i + 1) * PAGE_PAYLOAD]
-        parts.append(PageHeader(pages[i + 1] if i + 1 < npages else 0,
-                                len(chunk), PAGE_KIND_TXLOG).pack())
+        parts.append(PAGEHDR.pack(pages[i + 1] if i + 1 < npages else 0,
+                                  len(chunk), PAGE_KIND_TXLOG, 0))
         parts.append(chunk)
     first = 0
     for end in range(1, npages + 1):

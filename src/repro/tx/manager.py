@@ -113,6 +113,37 @@ def _before_renames(path: str, renames: List[Tuple[str, str]]) -> str:
     return path
 
 
+class _CommitSpans:
+    """A commit's spans, made only while observing: ``tx.commit``, and one
+    phase span at a time inside it.  Each closes as its ``with`` block
+    would have, told the error that escapes it."""
+
+    def __init__(self, tx: "Tx"):
+        self.phase = None
+        self.top = obs.span("tx.commit", category="tx", txid=tx.txid,
+                            ops=len(tx.ops))
+        self.top.__enter__()
+
+    def enter(self, name: str) -> None:
+        self.phase = obs.span(name, category="tx")
+        self.phase.__enter__()
+
+    def exit(self, exc: Optional[BaseException] = None) -> None:
+        """Close the open phase, if one is."""
+        phase, self.phase = self.phase, None
+        if phase is not None:
+            phase.__exit__(*_exc_info(exc))
+
+    def close(self, exc: Optional[BaseException] = None) -> None:
+        """Close the open phase, then ``tx.commit``."""
+        self.exit(exc)
+        self.top.__exit__(*_exc_info(exc))
+
+
+def _exc_info(exc: Optional[BaseException]):
+    return (None, None, None) if exc is None else (type(exc), exc, exc.__traceback__)
+
+
 class Tx:
     """One crash-atomic unit of work across many files.
 
@@ -136,29 +167,36 @@ class Tx:
     # Staged namespace resolution
     # ------------------------------------------------------------------ #
 
-    def _live_path(self, path: str) -> str:
-        """Translate a staged path back to its current on-volume name."""
-        return _before_renames(path, self._dir_renames)
-
     def _node_type(self, path: str) -> Optional[str]:
         if path == "/":
             return "dir"
-        if path in self._overlay:
-            return self._overlay[path]
+        overlay = self._overlay
+        if path in overlay:
+            return overlay[path]
         # A staged-away ancestor (deleted or renamed from under this path)
         # hides everything beneath it, even entries still live on-volume.
         anc = path
-        while self._overlay and anc != "/":
+        while overlay and anc != "/":
             anc = _parent(anc)
-            if anc in self._overlay:
-                if self._overlay[anc] != "dir":
+            if anc in overlay:
+                if overlay[anc] != "dir":
                     return None
                 break
         try:
-            mi = self._mgr.fs._resolve(paths.parse(self._live_path(path)))
+            # Under its current on-volume name.
+            mi = self._mgr.fs._resolve(paths.parse(
+                _before_renames(path, self._dir_renames)))
         except NoEntry:
             return None
         return "dir" if mi.is_dir else "file"
+
+    def _require_file(self, path: str) -> None:
+        """Raise unless ``path`` names a regular file, staged or live."""
+        ntype = self._node_type(path)
+        if ntype is None:
+            raise NoEntry(path)
+        if ntype == "dir":
+            raise IsADir(path)
 
     def _require_parent_dir(self, path: str) -> None:
         parent = _parent(path)
@@ -174,7 +212,8 @@ class Tx:
 
     def _record(self, rec: TxRecord) -> None:
         self.ops.append(rec)
-        obs.count("tx.ops", op=rec.op)
+        if obs.enabled:
+            obs.count("tx.ops", op=rec.op)
 
     # ------------------------------------------------------------------ #
     # Buffered operations
@@ -202,13 +241,21 @@ class Tx:
 
     def pwrite(self, path: str, data: bytes, offset: int = 0) -> None:
         """Stage a write into an existing (or tx-created) regular file."""
-        self._require_open()
-        path = paths.normalize(path)
-        ntype = self._node_type(path)
-        if ntype is None:
-            raise NoEntry(path)
-        if ntype == "dir":
-            raise IsADir(path)
+        if self.state != _OPEN:
+            self._require_open()  # raises
+        comps = paths.parse(path)
+        path = paths.join(comps)
+        if self._overlay:
+            self._require_file(path)
+        else:
+            # Nothing staged over the namespace: the live name answers, in
+            # one resolution of the one parse.
+            try:
+                mi = self._mgr.fs._resolve(comps)
+            except NoEntry:
+                raise NoEntry(path) from None
+            if mi.is_dir:
+                raise IsADir(path)
         if offset < 0:
             raise InvalidArgument("negative offset")
         self._record(TxRecord(TX_PWRITE, path, arg=offset, data=bytes(data)))
@@ -226,11 +273,7 @@ class Tx:
         """Stage a size change of a regular file."""
         self._require_open()
         path = paths.normalize(path)
-        ntype = self._node_type(path)
-        if ntype is None:
-            raise NoEntry(path)
-        if ntype == "dir":
-            raise IsADir(path)
+        self._require_file(path)
         if size < 0:
             raise InvalidArgument("negative size")
         self._record(TxRecord(TX_TRUNCATE, path, arg=size))
@@ -263,11 +306,7 @@ class Tx:
         """Stage removal of a regular file."""
         self._require_open()
         path = paths.normalize(path)
-        ntype = self._node_type(path)
-        if ntype is None:
-            raise NoEntry(path)
-        if ntype == "dir":
-            raise IsADir(path)
+        self._require_file(path)
         self._record(TxRecord(TX_UNLINK, path))
         self._overlay[path] = None
 
@@ -332,37 +371,64 @@ class Tx:
         Returns ``{"ops": ..., "log_pages": ..., "log_bytes": ...}``.
         """
         self._require_open()
-        if not self.ops:
+        ops = self.ops
+        if not ops:
             self.state = _COMMITTED
             obs.count("tx.commits", empty=True)
             return {"ops": 0, "log_pages": 0, "log_bytes": 0}
-        mgr = self._mgr
-        with mgr.commit_lock, obs.span(
-            "tx.commit", category="tx", txid=self.txid, ops=len(self.ops)
-        ):
-            payload = build_payload(self.txid, self.ops)
-            with obs.span("tx.log", category="tx"):
-                pages = write_log(mgr.device, mgr.geom, mgr.alloc, payload)
-            failpoints.hit("tx.pre_seal", self.txid)
-            with obs.span("tx.seal", category="tx"):
-                seal(mgr.device, pages[0], payload_tag(payload))
-            failpoints.hit("tx.post_seal", self.txid)
-            applied: List[Optional[Inverse]] = []
+        mgr, txid = self._mgr, self.txid
+        # Off, observability and failpoints cost one test each: the spans
+        # open only while observing, and a failpoint is hit only while
+        # observing (every hit is counted) or while a hook is armed.
+        observe, hooks = obs.enabled, failpoints.hooks
+        with mgr.commit_lock:
+            spans = _CommitSpans(self) if observe else None
             try:
-                with obs.span("tx.apply", category="tx"):
-                    apply_records(mgr.fs, self.ops, self.txid, applied)
-            except (CrashPoint, SimulatedFault):
-                raise  # a simulated machine crash: recovery finishes the tx
-            except Exception as exc:
-                self._apply_failed(applied, pages, exc)
-            failpoints.hit("tx.pre_checkpoint", self.txid)
-            with obs.span("tx.checkpoint", category="tx"):
+                payload = build_payload(txid, ops)
+                if observe:
+                    spans.enter("tx.log")
+                pages = write_log(mgr.device, mgr.geom, mgr.alloc, payload)
+                if observe:
+                    spans.exit()
+                if observe or hooks:
+                    failpoints.hit("tx.pre_seal", txid)
+                if observe:
+                    spans.enter("tx.seal")
+                seal(mgr.device, pages[0], payload_tag(payload))
+                if observe:
+                    spans.exit()
+                if observe or hooks:
+                    failpoints.hit("tx.post_seal", txid)
+                applied: List[Optional[Inverse]] = []
+                if observe:
+                    spans.enter("tx.apply")
+                try:
+                    apply_records(mgr.fs, ops, txid, applied)
+                except (CrashPoint, SimulatedFault):
+                    raise  # a simulated machine crash: recovery finishes the tx
+                except Exception as exc:
+                    if observe:
+                        spans.exit(exc)
+                    self._apply_failed(applied, pages, exc)
+                if observe:
+                    spans.exit()
+                if observe or hooks:
+                    failpoints.hit("tx.pre_checkpoint", txid)
+                if observe:
+                    spans.enter("tx.checkpoint")
                 retire(mgr.device, mgr.alloc, pages)
+            except BaseException as exc:
+                if observe:
+                    spans.close(exc)
+                raise
+            if observe:
+                spans.close()
         self.state = _COMMITTED
-        obs.count("tx.commits")
-        obs.count("tx.log_pages", len(pages))
-        obs.count("tx.log_bytes", len(payload))
-        return {"ops": len(self.ops), "log_pages": len(pages),
+        if observe:
+            obs.count("tx.commits")
+            obs.count("tx.log_pages", len(pages))
+            obs.count("tx.log_bytes", len(payload))
+        return {"ops": len(ops), "log_pages": len(pages),
                 "log_bytes": len(payload)}
 
     def abort(self) -> None:
@@ -444,5 +510,6 @@ class TxManager:
         self.commit_lock = fs.kernel.tx_commit_lock
 
     def begin(self) -> Tx:
-        obs.count("tx.begin")
+        if obs.enabled:
+            obs.count("tx.begin")
         return Tx(self)

@@ -29,7 +29,7 @@ corrupt sealed log: the transaction shows none of its effects.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.concurrency.failpoints import failpoints
@@ -130,11 +130,15 @@ def apply_records(fs, records: Sequence[TxRecord], txid: Optional[int] = None,
     recovery must still mount; the skipped op is visible in the counters
     and to fsck.
     """
+    # The files earlier records created, by (ino, gen): their data records
+    # keep no Before image (the file's removal undoes them).
+    created = set() if applied is not None else None
+    hooks = failpoints.hooks  # a hit only while armed, or counted
     for i, rec in enumerate(records):
-        if txid is not None:
+        if txid is not None and (hooks or obs.enabled):
             failpoints.hit("tx.apply_op", (txid, i))
         try:
-            inverse = _apply_record(fs, rec, applied)
+            inverse = _apply_record(fs, rec, created)
         except FSError:
             if txid is not None:
                 raise
@@ -142,14 +146,18 @@ def apply_records(fs, records: Sequence[TxRecord], txid: Optional[int] = None,
             continue
         if applied is not None:
             applied.append(inverse)
+            if type(inverse) is Created:
+                created.add((inverse.ino, inverse.gen))
     fs.kernel.device.sfence()
 
 
 def _apply_record(fs, rec: TxRecord,
-                  applied: Optional[List[Optional[Inverse]]]) -> Optional[Inverse]:
+                  created: Optional[Set[Tuple[int, int]]]) -> Optional[Inverse]:
     """Apply one redo record, idempotently, and return its inverse; with
-    ``applied``, a data record on a file no earlier record created returns
-    its :class:`Before` image, read through the inode the write takes."""
+    ``created`` (the ``(ino, gen)`` earlier records created), a data record
+    on any other file returns its :class:`Before` image, read through the
+    inode the write takes.  The record's path parses to the tuple its
+    staging parsed (``paths.parse`` is memoized)."""
     comps = paths.parse(rec.path)
     if rec.op in (TX_PWRITE, TX_TRUNCATE):
         try:
@@ -157,13 +165,12 @@ def _apply_record(fs, rec: TxRecord,
         except NoEntry:
             mi = fs._create_file(comps, 0o664)
             inverse = Created(comps, mi.ino, mi.gen)
-        if inverse is None and applied is not None and not any(
-                type(c) is Created and (c.ino, c.gen) == (mi.ino, mi.gen)
-                for c in applied):
+        if inverse is None and created is not None \
+                and (mi.ino, mi.gen) not in created:
             # A pwrite's old bytes under it; a truncate's cut tail (an
             # extension reads none).
             n = len(rec.data) if rec.op == TX_PWRITE else mi.size - rec.arg
-            inverse = Before(mi, mi.size, rec.arg, fs._cs(mi).read_file_data(
+            inverse = Before(mi, mi.size, rec.arg, mi.cs.read_file_data(
                 mi.pages, mi.size, rec.arg, n))
         if rec.op == TX_PWRITE:
             fs._pwrite(mi, rec.data, rec.arg, sync=False)

@@ -41,7 +41,7 @@ def setup_world(config):
 def corrupt_dir(attacker: LibFS, path: str) -> None:
     """Scribble over the directory's log pages through the mapping."""
     mi = attacker._attach(attacker.stat(path).ino, write=True)
-    cs = attacker._cs(mi)
+    cs = mi.cs
     for page_no in cs.dir_pages(mi.record):
         off = attacker.geom.page_off(page_no)
         mi.mapping.store(off, b"\xde\xad\xbe\xef" * 1024)

@@ -61,7 +61,7 @@ class TestPublish:
         mi = app2.fdtable.get(fd).mi
         assert not mi.borrowed and kernel.acquisitions[ino].app_id == "app2"
         assert kernel.readcache.stats.hits == 0
-        stale = app2._cs(mi)  # what a thread mid-read holds
+        stale = mi.cs  # what a thread mid-read holds
         app2.release_ino(ino)
         with pytest.raises(SimulatedBusError):
             stale.read_file_data(mi.pages, mi.size, 0, 4)

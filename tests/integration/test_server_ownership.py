@@ -98,6 +98,34 @@ def test_held_by_another_session_is_not_absent():
     run(main())
 
 
+def test_unlink_of_a_file_held_elsewhere_is_recalled_and_done():
+    """B holds the file but not its directory (a descriptor re-attaches
+    only the file).  A's unlink meets B at the file; the server recalls B
+    and re-runs it.  The re-run used to answer ``NoEntry`` — the first run
+    had already removed the name — and the drained volume kept the file as
+    an orphan."""
+    async def main():
+        async with serving() as (server, volumes):
+            async with await connect(server) as cli:
+                a = await cli.open_session("acme")
+                b = await cli.open_session("acme")
+                await cli.call("mkdir", session=a, path="/d")
+                await cli.write_file(a, "/d/f", b"x")
+                await cli.call("release", session=a)
+                fd = (await cli.call("open", session=b, path="/d/f"))["fd"]
+                await cli.call("release", session=b)
+                await cli.call("pwrite", session=b, fd=fd, data=b"held by B",
+                               offset=0)
+                assert len(volumes["acme"].kernel.acquisitions) == 1  # B's file
+                assert await cli.call("unlink", session=a, path="/d/f") == {}
+                assert (await cli.stats())["tenants"]["acme"]["recalls"] == 1
+                assert (await cli.call("readdir", session=a,
+                                       path="/d"))["names"] == []
+            await server.drain()
+            assert_settled(volumes["acme"])
+    run(main())
+
+
 def test_reused_inode_slot_over_the_wire():
     """The in-process reproducer (``test_sharing.py``), two sessions of one
     tenant: what B kept of ``/d`` and of the file may not answer once A

@@ -15,6 +15,7 @@ from repro.errors import (
     SimulatedBusError,
     TryAgain,
 )
+from repro.fsck import run_fsck
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
@@ -84,6 +85,31 @@ class TestOwnershipTransfer:
             assert set(kernel.pending) == pending
         app1.release_all()
         getattr(app2, create)("/d/y0")          # and nothing is in its way
+
+    def test_unlink_of_a_file_held_elsewhere_removes_nothing(self):
+        """``unlink`` takes the file before its name goes: it used to
+        tombstone the dentry first, so the ``TryAgain`` came with the name
+        already gone, a retry answered ``NoEntry`` and the file was left an
+        orphan (fsck: ``orphan-inode``)."""
+        device, kernel, app1, app2 = two_apps()
+        app1.mkdir("/d", mode=0o777)
+        fd = app1.creat("/d/f", mode=0o666)
+        app1.pwrite(fd, b"app2 will hold this", 0)
+        app1.release_all()
+        fd2 = app2.open("/d/f")
+        app2.release_all()
+        app2.pwrite(fd2, b"held", 0)            # app2 holds the file, not /d
+        ino = app2.fdtable.get(fd2).mi.ino
+        assert kernel.acquisitions[ino].app_id == "app2"
+        with pytest.raises(TryAgain):
+            app1.unlink("/d/f")
+        assert app1.readdir("/d") == ["f"]
+        app2.release_all()
+        app1.unlink("/d/f")                     # the retry finds the name
+        assert app1.readdir("/d") == []
+        app1.release_all()
+        assert kernel.audit_tree() == []
+        assert run_fsck(device).clean
 
     def test_each_transfer_verifies(self):
         _dev, kernel, app1, app2 = two_apps()
@@ -218,9 +244,9 @@ class TestRetainedStateIsVersionChecked:
         app1.pwrite(fd, b"unverified tail, rolled back", 0)
         assert app1.stat("/f").size == 28
         mi = app1.fdtable.get(fd).mi
-        rec = app1._cs(mi).read_inode(ino)
+        rec = mi.cs.read_inode(ino)
         rec.size = 1 << 40
-        app1._cs(mi).write_inode(ino, rec)
+        mi.cs.write_inode(ino, rec)
         kernel.revoke(ino)
         assert kernel.stats.rollbacks == 1
         assert app1.stat("/f").size == 6
@@ -237,9 +263,9 @@ class TestRetainedStateIsVersionChecked:
         fd = app1.open("/shared")
         app1.pwrite(fd, b"unverified tail, rolled back", 0)
         mi = app1.fdtable.get(fd).mi
-        rec = app1._cs(mi).read_inode(mi.ino)
+        rec = mi.cs.read_inode(mi.ino)
         rec.size = 1 << 40
-        app1._cs(mi).write_inode(mi.ino, rec)
+        mi.cs.write_inode(mi.ino, rec)
         app1.release_all()                      # into the group: unverified
         assert app1.stat("/shared").size == 28  # its own image, still current
         with pytest.raises(CorruptionDetected):
@@ -372,9 +398,9 @@ class TestTrustGroups:
         fd = app1.open("/shared")
         mi = app1.fdtable.get(fd).mi
         app1._attach(mi.ino, write=True)
-        rec = app1._cs(mi).read_inode(mi.ino)
+        rec = mi.cs.read_inode(mi.ino)
         rec.size = 1 << 40  # size beyond any mapped page
-        app1._cs(mi).write_inode(mi.ino, rec)
+        mi.cs.write_inode(mi.ino, rec)
         app1.release_all()
         # Group exit: verification fires and the corruption is caught.
         with pytest.raises(CorruptionDetected):
@@ -429,9 +455,9 @@ class TestInvoluntaryRelease:
         ino = app1.stat("/f").ino
         # Corrupt the record, then get revoked before "finishing".
         mi = app1.fdtable.get(fd).mi
-        rec = app1._cs(mi).read_inode(ino)
+        rec = mi.cs.read_inode(ino)
         rec.size = 1 << 40
-        app1._cs(mi).write_inode(ino, rec)
+        mi.cs.write_inode(ino, rec)
         kernel.revoke(ino)
         assert kernel.stats.rollbacks >= 1
         app1.release_all()  # hand the path back

@@ -73,7 +73,7 @@ def forge_dir_page(fs, path):
     checked_release_all(fs)  # snapshot == current state: rollback is a no-op
     ino = fs.stat(path).ino
     mi = fs._attach(ino, write=True)
-    if not fs._cs(mi).dir_pages(mi.record):
+    if not mi.cs.dir_pages(mi.record):
         return  # never held an entry: no log page to forge
     corrupt_dir(fs, path)
     with pytest.raises(CorruptionDetected):

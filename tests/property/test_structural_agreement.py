@@ -164,7 +164,7 @@ def test_a_file_cannot_map_its_own_index_page_as_data():
     s = vol.session("s", uid=0)
     s.pwrite(s.open("/a/page"), b"q", 0)           # holds /a/page for write
     mi = s.fs._inodes[s.stat("/a/page").ino]
-    cs = s.fs._cs(mi)
+    cs = mi.cs
     index = cs.index_pages(mi.record)
     cs.store_index_slots(index, 1, [index[0]])
     mi.mapping.sfence()

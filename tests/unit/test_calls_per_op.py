@@ -1,0 +1,96 @@
+"""Calls per op: the interpreter's work on the hot paths, as a count.
+
+A wall-clock gain here needs ten alternating pairs of runs to show, but
+what those gains removed is mostly Python frames, and a frame count is
+exact from run to run.  ``sys.setprofile`` sees one ``call`` event per
+Python frame an op enters (a generator resumed counts again); C functions
+are ``c_call`` events and are not counted.  The volume is warm: every
+inode the ops touch is attached and every walk remembered, as in a
+session's steady state.
+
+Each ceiling is the count this file last measured (a mean over the
+repetitions, rounded up: a directory's log extends every so many
+appends), except ``tx3``'s, which is the target the commit path was cut
+to (291 calls before).  A change that adds a step fails here; one that
+removes steps lowers the ceiling in the same change and says so in
+CHANGES.md (ROADMAP item 21).
+"""
+
+import sys
+
+import pytest
+
+from repro import obs
+from repro.api import Volume
+from repro.concurrency.failpoints import failpoints
+
+#: timed repetitions per op, after as many untimed ones to warm up.
+REPS = 50
+
+#: Python calls per op, the probe's own lambda included.
+CEILINGS = {
+    "pwrite_4k": 21,
+    "pread_4k": 16,
+    "stat": 9,
+    "creat_close_unlink": 189,
+    "tx3": 150,
+}
+
+
+def python_calls(op) -> float:
+    """Mean Python frames entered per call of ``op``, warm."""
+    for _ in range(REPS):
+        op()
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for _ in range(REPS):
+            op()
+    finally:
+        sys.setprofile(previous)
+    return calls / REPS
+
+
+@pytest.fixture(scope="module")
+def session():
+    """Three 16 KiB files one directory down, as the e2e workloads lay
+    them out, on a 64 MiB volume with the default configuration."""
+    with Volume.create(64 << 20) as vol, vol.session("calls", uid=0) as s:
+        for i in range(3):
+            s.mkdir(f"/d{i}")
+            s.write_file(f"/d{i}/f", b"a" * 16384)
+        yield s
+
+
+def ops(s):
+    fd = s.open("/d0/f")
+    page = b"x" * 4096
+
+    def tx3():
+        tx = s.transaction()
+        for i in range(3):
+            tx.pwrite(f"/d{i}/f", page, 4096)
+        tx.commit()
+
+    return {
+        "pwrite_4k": lambda: s.pwrite(fd, page, 4096),
+        "pread_4k": lambda: s.pread(fd, 4096, 4096),
+        "stat": lambda: s.stat("/d1/f"),
+        "creat_close_unlink": lambda: (s.close(s.creat("/d1/t")),
+                                       s.unlink("/d1/t")),
+        "tx3": tx3,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CEILINGS))
+def test_calls_per_op_stay_under_their_ceiling(session, name):
+    assert not obs.enabled and not failpoints.hooks  # the production path
+    calls = python_calls(ops(session)[name])
+    assert calls <= CEILINGS[name], f"{name}: {calls} Python calls per op"

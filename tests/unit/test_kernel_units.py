@@ -179,9 +179,9 @@ class TestVerifierRejections:
         _dev, kernel, fs = self.make()
         ino = self._registered_file(fs)
         mi = fs._attach(ino, write=True)
-        rec = fs._cs(mi).read_inode(ino)
+        rec = mi.cs.read_inode(ino)
         rec.gen += 5
-        fs._cs(mi).write_inode(ino, rec)
+        mi.cs.write_inode(ino, rec)
         with pytest.raises(CorruptionDetected, match="generation"):
             kernel.release("app1", ino)
 
@@ -189,9 +189,9 @@ class TestVerifierRejections:
         _dev, kernel, fs = self.make()
         ino = self._registered_file(fs)
         mi = fs._attach(ino, write=True)
-        rec = fs._cs(mi).read_inode(ino)
+        rec = mi.cs.read_inode(ino)
         rec.itype = 2  # file -> dir
-        fs._cs(mi).write_inode(ino, rec)
+        mi.cs.write_inode(ino, rec)
         with pytest.raises(CorruptionDetected, match="type"):
             kernel.release("app1", ino)
 
@@ -199,9 +199,9 @@ class TestVerifierRejections:
         _dev, kernel, fs = self.make()
         ino = self._registered_file(fs)
         mi = fs._attach(ino, write=True)
-        rec = fs._cs(mi).read_inode(ino)
+        rec = mi.cs.read_inode(ino)
         rec.mode = 0o777
-        fs._cs(mi).write_inode(ino, rec)
+        mi.cs.write_inode(ino, rec)
         with pytest.raises(CorruptionDetected, match="permission"):
             kernel.release("app1", ino)
 
@@ -209,7 +209,7 @@ class TestVerifierRejections:
         _dev, kernel, fs = self.make()
         ino = self._registered_file(fs)
         mi = fs._attach(ino, write=True)
-        fs._cs(mi).set_file_size(ino, 1 << 40)
+        mi.cs.set_file_size(ino, 1 << 40)
         with pytest.raises(CorruptionDetected, match="size"):
             kernel.release("app1", ino)
 
@@ -227,7 +227,7 @@ class TestVerifierRejections:
         other_pages = kernel.core.file_pages(kernel.core.read_inode(fs.stat("/other").ino))
         # Point /f's first index slot at /other's page.
         mi = fs._attach(ino, write=True)
-        rec = fs._cs(mi).read_inode(ino)
+        rec = mi.cs.read_inode(ino)
         idx_page = kernel.core.index_pages(rec)[0]
         addr = kernel.geom.page_off(idx_page) + 16
         mi.mapping.store(addr, struct.pack("<Q", other_pages[0]))
@@ -242,7 +242,7 @@ class TestVerifierRejections:
         mi = fs._attach(fs.stat("/d").ino, write=True)
 
         cursor = mi.cursors[0]
-        fs._cs(mi).append_dentry(
+        mi.cs.append_dentry(
             mi.ino, mi.record, 0, cursor, b"phantom", 99, 1, 1, 1, fs.alloc,
             fence_before_marker=True)
         with pytest.raises(CorruptionDetected, match="unknown inode"):
@@ -382,7 +382,7 @@ class TestMarkInaccessiblePolicy:
         fs.commit_path("/f")
         ino = fs.stat("/f").ino
         mi = fs._attach(ino, write=True)
-        fs._cs(mi).set_file_size(ino, 1 << 40)
+        mi.cs.set_file_size(ino, 1 << 40)
         with pytest.raises(CorruptionDetected):
             kernel.release("app1", ino)
         assert kernel.stats.marked_inaccessible == 1

@@ -67,9 +67,12 @@ class TestStagedValidation:
 
     def test_pwrite_requires_file_parent_requires_dir(self):
         with make_volume() as vol, vol.session("app") as s:
+            s.mkdir("/live")
             tx = s.transaction()
             with pytest.raises(E.NoEntry):
                 tx.pwrite("/missing", b"x", 0)
+            with pytest.raises(E.IsADir):     # nothing staged yet: the live
+                tx.pwrite("/live", b"x", 0)   # name answers
             with pytest.raises(E.NoEntry):
                 tx.create("/nodir/f")
             tx.mkdir("/d")
@@ -481,6 +484,71 @@ class TestPrepare:
             s.release_all()
             assert s.read_file("/f") == old
         assert vol.fsck().clean
+
+
+class TestObservedCommit:
+    """Off, spans and failpoints cost the commit one test each; on, a
+    commit records and hits exactly what it always did."""
+
+    def staged(self, s):
+        for i in range(3):
+            s.write_file(f"/f{i}", b"a" * 8192)
+        tx = s.transaction()
+        for i in range(3):
+            tx.pwrite(f"/f{i}", b"b" * 4096, 4096)
+        return tx
+
+    def tx_spans(self):
+        return [(e["name"], e["parent"], e["args"])
+                for e in obs.tracer.events() if e["cat"] == "tx"]
+
+    def test_spans_and_counters(self):
+        with make_volume() as vol, vol.session("app") as s:
+            obs.enable(trace=True)
+            tx = self.staged(s)
+            result = tx.commit()
+            phase = {}
+            assert self.tx_spans() == [
+                ("tx.log", "tx.commit", phase), ("tx.seal", "tx.commit", phase),
+                ("tx.apply", "tx.commit", phase),
+                ("tx.checkpoint", "tx.commit", phase),
+                ("tx.commit", None, {"txid": tx.txid, "ops": 3})]
+            total = obs.metrics.counter_total
+            assert (total("tx.begin"), total("tx.ops", op=TX_PWRITE),
+                    total("tx.commits")) == (1, 3, 1)
+            assert total("tx.log_pages") == result["log_pages"] > 0
+            assert total("tx.log_bytes") == result["log_bytes"] > 0
+            hits = {name: total("failpoints.hit", name=name) for name in (
+                "tx.pre_seal", "tx.post_seal", "tx.apply_op",
+                "tx.pre_checkpoint")}
+            assert hits == {"tx.pre_seal": 1, "tx.post_seal": 1,
+                            "tx.apply_op": 3, "tx.pre_checkpoint": 1}
+
+    def test_a_failed_apply_closes_its_spans_with_the_errors(self):
+        with make_volume() as vol, vol.session("app") as s:
+            obs.enable(trace=True)
+            tx = self.staged(s)
+            fail_at(tx, 1)
+            spans = self.tx_spans()
+            assert [name for name, _parent, _args in spans] == [
+                "tx.log", "tx.seal", "tx.apply", "tx.commit"]
+            assert spans[2][2] == {"error": "NoSpace"}
+            assert spans[3][2]["error"] == "TxAborted"
+            assert obs.metrics.counter_total("tx.aborts") == 1
+
+    def test_armed_hooks_see_every_site_in_order(self):
+        with make_volume() as vol, vol.session("app") as s:
+            tx = self.staged(s)
+            seen = []
+            for name in ("tx.pre_seal", "tx.post_seal", "tx.apply_op",
+                         "tx.pre_checkpoint"):
+                failpoints.install(
+                    name, lambda ctx, name=name: seen.append((name, ctx)))
+            tx.commit()
+            t = tx.txid
+            assert seen == [("tx.pre_seal", t), ("tx.post_seal", t),
+                            ("tx.apply_op", (t, 0)), ("tx.apply_op", (t, 1)),
+                            ("tx.apply_op", (t, 2)), ("tx.pre_checkpoint", t)]
 
 
 class TestLogBytes:
