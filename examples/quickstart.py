@@ -38,9 +38,13 @@ def main() -> None:
         # Pull the plug: keep only the durable image.
         image = vol.device.durable_image()
 
-    # Reboot from the image alone.
+    # Reboot from the image alone.  Mount reads the volume with fsck's own
+    # check and repairs, through fsck's engine, what it may before anyone
+    # attaches; its report speaks fsck's classes.
     with Volume.mount(image) as vol2:
-        print("recovery report:", vol2.recovery)
+        report = vol2.recovery
+        print("recovery report:", report.summary().replace("\n", "; "))
+        print("mount repaired:", report.repairs or "nothing")
         with vol2.session("app-after-reboot", uid=1000) as fs2:
             fd = fs2.open("/archive/notes.txt")
             print("recovered content:", fs2.pread(fd, 100, 0).decode().strip())

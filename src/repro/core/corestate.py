@@ -120,8 +120,9 @@ class CoreState:
 
     def free_inode(self, ino: int) -> None:
         """Mark an inode record free (after its dentry was tombstoned):
-        store + clwb, no fence — the caller fences.  Only a leak waits on
-        it: mount wipes a valid record that no live dentry names."""
+        store + clwb, no fence — the caller fences.  Only an orphan waits
+        on it: a valid record no live dentry names, which mount reclaims
+        (the orphan rule, beside ``MOUNT_CLASSES`` in ``fsck/repair.py``)."""
         rec = self.read_inode(ino)
         rec.magic = 0
         rec.itype = 0
@@ -144,20 +145,6 @@ class CoreState:
         off = self.geom.page_off(prev_page)  # next_page is the first field
         self.mem.atomic_store(off, struct.pack("<Q", new_page))
         self.mem.persist(off, 8)
-
-    def cut_chain(self, ino: int, last_good: int, tail: Optional[int] = None) -> None:
-        """Keep a broken chain's consistent prefix: cut directory tail
-        ``tail`` (None: the file's index chain) of ``ino`` after page
-        ``last_good``; 0 empties it (a file's size with it).  Persisted."""
-        if last_good:
-            self.link_page(last_good, 0)
-            return
-        rec = self.read_inode(ino)
-        if tail is None:
-            rec.index_root = rec.size = 0
-        else:
-            rec.tails[tail] = 0
-        self.write_inode(ino, rec)
 
     # ------------------------------------------------------------------ #
     # Directory logs (multi-tailed)
@@ -434,9 +421,9 @@ class CoreState:
 
     def trim_to_size(self, size: int, index: List[int],
                      data: List[int]) -> Tuple[List[int], bool]:
-        """A regular file's owned pages — its ``index`` chain and the
-        ``data`` pages it maps, as walked — with nothing kept past its
-        committed ``size``, and whether anything was stored.
+        """The ``data`` pages a regular file with page index ``index``
+        maps, as walked, with nothing kept past its committed ``size``, and
+        whether anything was stored.
 
         Mount's repair of a crash inside an append or a shrink: slots
         mapped past ``ceil(size / PAGE_SIZE)`` are cleared — those after the
@@ -467,7 +454,7 @@ class CoreState:
             if self.mem.load(addr, PAGE_SIZE - tail) != bytes(PAGE_SIZE - tail):
                 self.mem.ntstore(addr, bytes(PAGE_SIZE - tail))
                 stored = True
-        return index + data, stored
+        return data, stored
 
     def append_file_pages(
         self,

@@ -257,8 +257,6 @@ class Namespace:
     winners: Dict[int, Edge] = field(default_factory=dict)
     #: every other live record the rules accept (a crashed rename's residue).
     losers: List[Edge] = field(default_factory=list)
-    #: (directory ino, violation) of each live record the rules reject.
-    rejected: List[Tuple[int, Violation]] = field(default_factory=list)
     #: parent ino -> the children its winning edges link.
     children: Dict[int, List[int]] = field(default_factory=dict)
     #: what the root reaches over the winning edges, the root included.
@@ -277,15 +275,8 @@ def resolve(shapes: Dict[int, InodeShape], root: int) -> Namespace:
     ns = Namespace()
     target = {ino: shape.rec for ino, shape in shapes.items()}.get
     for ino, shape in shapes.items():
-        kept = []
-        for loc, d in shape.records:
-            if not d.live:
-                continue
-            v = dentry_violation(loc, d, target)
-            if v is None:
-                kept.append((loc, d))
-            else:
-                ns.rejected.append((ino, v))
+        kept = [(loc, d) for loc, d in shape.records
+                if d.live and dentry_violation(loc, d, target) is None]
         won = {loc for _d, loc in CoreState.resolve_dentries(kept).values()}
         for loc, d in kept:
             edge, prev = Edge(ino, loc, d), ns.winners.get(d.ino)

@@ -6,7 +6,7 @@ complement, in the shape pFSCK gave the classic fsck pipeline:
 
 1. **scan** — walk the superblock, every inode record, every
    directory-log tail and every file page index
-   (:func:`repro.core.invariants.scan`, the walk mount recovers from);
+   (:func:`repro.core.invariants.scan`);
 2. **cross-check** — per-inode validation (by the rules of
    :mod:`repro.core.invariants` the verifier and mount share) plus a
    graph merge reconstructing reachability from the root by the namespace
@@ -17,6 +17,9 @@ complement, in the shape pFSCK gave the classic fsck pipeline:
    logs and chains and quarantines unreachable inodes under
    ``/lost+found``, then re-checks until the volume proves clean
    (:mod:`repro.fsck.repair`).
+
+Mount checks once too (:func:`~repro.fsck.runner.check_volume`) and
+repairs :data:`~repro.fsck.repair.MOUNT_CLASSES` with the same engine.
 
 Each phase runs once, on the calling thread, and the report only counts.
 pFSCK's parallel phases are a claim of the cost model:

@@ -19,10 +19,16 @@ re-walking the volume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.corestate import DentryLoc
-from repro.core.invariants import PAGE_DOUBLE_USE, InodeShape, reach, resolve, violations
+from repro.core.invariants import (
+    PAGE_DOUBLE_USE,
+    InodeShape,
+    Namespace,
+    reach,
+    violations,
+)
 from repro.fsck.findings import (
     F_DIR_CYCLE,
     F_DUPLICATE_DENTRY,
@@ -37,7 +43,7 @@ from repro.fsck.findings import (
     F_TX_TORN,
     Finding,
 )
-from repro.pm.allocator import RESERVATION_TAG
+from repro.pm.allocator import RESERVATION_TAG, set_pages
 from repro.pm.device import PMDevice
 from repro.pm.layout import ArrayLabel, Geometry
 
@@ -83,9 +89,12 @@ def check_graph(
     device: PMDevice,
     geom: Geometry,
     scans: Dict[int, InodeShape],
+    ns: Namespace,
     root_ino: int,
 ) -> Tuple[List[Finding], int]:
-    """Reachability, duplicates, orphans, cycles, page/bitmap accounting.
+    """Reachability, duplicates, orphans, cycles, page/bitmap accounting,
+    from :func:`~repro.core.invariants.resolve`'s verdict ``ns`` on
+    ``scans`` (mount builds its shadow table from the same one).
 
     Returns ``(findings, pages_claimed)``.
     """
@@ -93,7 +102,6 @@ def check_graph(
 
     # -- the namespace rule mount applies too: duplicates, reachability ---- #
     # Over the live dentries no rule rejects (check_inodes reported those).
-    ns = resolve(scans, root_ino)
     parent_of, children, reachable = ns.winners, ns.children, ns.reachable
     for parent, loc, d in ns.losers:
         winner = parent_of.get(d.ino)
@@ -165,10 +173,60 @@ def check_graph(
             meta=_loc_meta(loc),
         ))
 
-    # -- page claims / bitmap reconciliation ------------------------------- #
+    # -- page claims ------------------------------------------------------- #
+    claims, doubles = page_claims(scans.values())
+    findings.extend(doubles)
+
+    # -- pending transaction log ------------------------------------------- #
+    # A sealed-but-uncheckpointed repro.tx redo log.  Its chain pages are
+    # legitimately allocated (claim them so they don't read as leaks), but
+    # until replay runs the volume may expose a prefix of the transaction —
+    # a non-advisory, repairable finding.  A head that fails validation is
+    # the discard case: repair clears the seal and the pages surface as
+    # ordinary leaks for the existing leak pass.
+    from repro.tx.log import parse_log, read_head
+
+    tx_head = read_head(device)
+    if tx_head:
+        txlog, tx_pages = parse_log(device, geom)
+        for page_no in tx_pages:
+            claims.setdefault(page_no, (-1, "txlog"))
+        meta = {"pages": list(tx_pages), "valid": txlog is not None}
+        detail = "transaction log head set but the chain fails validation"
+        if txlog is not None:
+            meta.update(txid=txlog.txid, ops=len(txlog.records))
+            detail = (f"sealed transaction log (txid {txlog.txid}, "
+                      f"{len(txlog.records)} op(s)) pending replay")
+        findings.append(Finding(F_TX_TORN, detail, page=tx_head, meta=meta))
+
+    # Every member past the first carries an ArrayLabel over its metadata
+    # reservation; a mismatch means the stripe shape the data was written
+    # under disagrees with what the superblock now claims.
+    for d in range(1, geom.devices):
+        label = ArrayLabel.unpack(device.load(d * geom.dev_size,
+                                              ArrayLabel.SIZE))
+        if (not label.valid or label.device_index != d
+                or label.device_count != geom.devices
+                or label.stripe_pages != geom.stripe_pages
+                or label.dev_size != geom.dev_size):
+            findings.append(Finding(
+                F_STRIPE_LABEL,
+                f"member {d} label disagrees with the superblock shape "
+                f"({geom.devices} devices, stripe {geom.stripe_pages})",
+                meta={"device": d},
+            ))
+    findings.extend(check_bitmap(device, geom, claims))
+    return findings, len(claims)
+
+
+def page_claims(shapes: Iterable[InodeShape]
+                ) -> Tuple[Dict[int, Tuple[int, str]], List[Finding]]:
+    """``page -> (ino, role)`` of each page's first claimant among
+    ``shapes``, in ino order, and a ``page-double-use`` for every later one."""
     claims: Dict[int, Tuple[int, str]] = {}
-    for ino in sorted(scans):
-        shape = scans[ino]
+    findings: List[Finding] = []
+    for shape in sorted(shapes, key=lambda s: s.ino):
+        ino = shape.ino
         for tail_idx, chain in shape.tails:
             _claim_chain(claims, findings, ino, "dir", chain.pages,
                          head_meta={"kind": "tail", "tail": tail_idx})
@@ -187,73 +245,33 @@ def check_graph(
                     meta={"kind": "data", "loser": ino, "slot": slot,
                           "holder": holder[0]},
                 ))
+    return claims, findings
 
-    # -- pending transaction log ------------------------------------------- #
-    # A sealed-but-uncheckpointed repro.tx redo log.  Its chain pages are
-    # legitimately allocated (claim them so they don't read as leaks), but
-    # until replay runs the volume may expose a prefix of the transaction —
-    # a non-advisory, repairable finding.  A head that fails validation is
-    # the discard case: repair clears the seal and the pages surface as
-    # ordinary leaks for the existing leak pass.
-    from repro.tx.log import parse_log, read_head
 
-    tx_head = read_head(device)
-    if tx_head:
-        txlog, tx_pages = parse_log(device, geom)
-        for page_no in tx_pages:
-            claims.setdefault(page_no, (-1, "txlog"))
-        if txlog is not None:
-            findings.append(Finding(
-                F_TX_TORN,
-                f"sealed transaction log (txid {txlog.txid}, "
-                f"{len(txlog.records)} op(s)) pending replay",
-                page=tx_head,
-                meta={"txid": txlog.txid, "ops": len(txlog.records),
-                      "pages": list(tx_pages), "valid": True},
-            ))
-        else:
-            findings.append(Finding(
-                F_TX_TORN,
-                "transaction log head set but the chain fails validation",
-                page=tx_head,
-                meta={"pages": list(tx_pages), "valid": False},
-            ))
-
+def check_bitmap(device: PMDevice, geom: Geometry,
+                 claims: Dict[int, Tuple[int, str]]) -> List[Finding]:
+    """The bitmap against ``claims``: a bit past the last stripe slot, an
+    allocated page nobody claims (tagged: a pool reservation, else a leak),
+    a claimed page whose bit is clear."""
+    findings: List[Finding] = []
     # Read the bitmap at its full *capacity*, not just page_count bytes:
     # on a striped array the last stripe slot sits below the raw capacity,
     # and a set bit past it would be a fragment mapping to no (device,
     # offset) at all — the stripe-map consistency cross-check.
     bitmap = device.load(geom.bitmap_off, geom.bitmap_capacity_bytes)
-    allocated = {
-        p for p in range(1, geom.page_count + 1)
-        if bitmap[(p - 1) >> 3] & (1 << ((p - 1) & 7))
-    }
-    for bit in range(geom.page_count, 8 * geom.bitmap_capacity_bytes):
-        if bitmap[bit >> 3] & (1 << (bit & 7)):
-            findings.append(Finding(
-                F_STRIPE_ORPHAN,
-                f"bitmap bit {bit} set past the last stripe slot "
-                f"({geom.page_count} pages): fragment maps to no device",
-                page=bit + 1, meta={"bit": bit},
-            ))
-
-    # Every member past the first carries an ArrayLabel over its metadata
-    # reservation; a mismatch means the stripe shape the data was written
-    # under disagrees with what the superblock now claims.
-    for d in range(1, geom.devices):
-        label = ArrayLabel.unpack(device.load(d * geom.dev_size,
-                                              ArrayLabel.SIZE))
-        if (not label.valid or label.device_index != d
-                or label.device_count != geom.devices
-                or label.stripe_pages != geom.stripe_pages
-                or label.dev_size != geom.dev_size):
-            findings.append(Finding(
-                F_STRIPE_LABEL,
-                f"member {d} label disagrees with the superblock shape "
-                f"({geom.devices} devices, stripe {geom.stripe_pages})",
-                meta={"device": d},
-            ))
-    for page_no in sorted(allocated - set(claims)):
+    for page_no in set_pages(bitmap, geom.page_count + 1,
+                             8 * geom.bitmap_capacity_bytes):
+        bit = page_no - 1
+        findings.append(Finding(
+            F_STRIPE_ORPHAN,
+            f"bitmap bit {bit} set past the last stripe slot "
+            f"({geom.page_count} pages): fragment maps to no device",
+            page=page_no, meta={"bit": bit},
+        ))
+    allocated = set_pages(bitmap, 1, geom.page_count)
+    for page_no in allocated:
+        if page_no in claims:
+            continue
         # A refill stamps every page it pools with the allocator's tag under
         # the same fence that persists the bitmap bit; a page it hands
         # straight out gets no tag, and every caller overwrites a page before
@@ -273,15 +291,14 @@ def check_graph(
                 "allocated page reachable from no inode",
                 page=page_no, meta={},
             ))
-    for page_no in sorted(set(claims) - allocated):
+    for page_no in sorted(set(claims).difference(allocated)):
         ino, role = claims[page_no]
         findings.append(Finding(
             F_PAGE_UNALLOCATED,
             f"page in use by ino {ino} ({role}) but its bitmap bit is clear",
             ino=ino, page=page_no, meta={},
         ))
-
-    return findings, len(claims)
+    return findings
 
 
 def _claim_chain(claims, findings, ino: int, role: str, pages: List[int],

@@ -16,14 +16,13 @@ This is the trusted computing base of the architecture (paper Figure 1):
   inode back to its last verified state, or mark it inaccessible (§2.1 ⑧).
 """
 
-from repro.kernel.controller import KernelController, RecoveryReport
+from repro.kernel.controller import KernelController
 from repro.kernel.shadow import Acquisition, PendingInode, ShadowInode, Snapshot
 from repro.kernel.verifier import Verifier, VerifyFailure
 from repro.kernel.policy import MarkInaccessiblePolicy, ResolutionPolicy, RollbackPolicy
 
 __all__ = [
     "KernelController",
-    "RecoveryReport",
     "ShadowInode",
     "PendingInode",
     "Acquisition",

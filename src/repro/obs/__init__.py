@@ -19,7 +19,7 @@ reproduction that lens as a first-class subsystem:
 
 A layer event is counted once, in its layer's stats record (``PMStats``,
 ``AllocStats``, ``KernelStats``, ``ReadCacheStats``, ``PipelineStats``,
-``LibFSStats``) or report (``FsckReport``, ``RecoveryReport``, a server
+``LibFSStats``) or report (``FsckReport``, mount's included, a server
 tenant's ``TenantState``); the registry holds only what no record counts,
 or counts at a finer grain (per reason, per tenant, per op: an op's call
 count is its ``libfs.syscall.<op>.ns`` histogram's).  An observed run

@@ -53,6 +53,7 @@ page*) survives only as its measured costs,
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
@@ -72,6 +73,20 @@ DEFAULT_POOL_PAGES = 64
 RESERVATION_TAG = b"ARKPOOL\0"
 
 _ZERO_PAGE = b"\0" * PAGE_SIZE
+_NONZERO = re.compile(rb"[^\0]+")
+
+
+def set_pages(bits, first: int, last: int) -> List[int]:
+    """The pages in ``[first, last]`` whose bit (``page - 1``) is set in
+    the bitmap ``bits``, in order: a scan that visits only the runs of
+    non-zero bytes, so a sparse bitmap costs about its set bits."""
+    pages: List[int] = []
+    for run in _NONZERO.finditer(bits, (first - 1) >> 3, (last + 7) >> 3):
+        for byte_off in range(run.start(), run.end()):
+            b, base = bits[byte_off], (byte_off << 3) + 1
+            pages.extend(p for p in range(max(base, first), min(base + 8, last + 1))
+                         if b >> (p - base) & 1)
+    return pages
 
 
 @dataclass
@@ -127,7 +142,8 @@ class PageAllocator:
         #: full bitmap scan.  Seeded from the bitmap: at construction time
         #: every set bit is a page some prior incarnation handed out.
         self._acct_lock = threading.Lock()
-        self._handed_out: Set[int] = self._set_pages()
+        self._handed_out: Set[int] = set(
+            set_pages(self._bits, 1, geom.page_count))
         self.stats = AllocStats()
         self._pools: List[_ThreadPool] = []
         self._pools_lock = threading.Lock()
@@ -142,17 +158,6 @@ class PageAllocator:
 
     def _popcount(self) -> int:
         return bin(int.from_bytes(self._bits, "little")).count("1")
-
-    def _set_pages(self) -> Set[int]:
-        """Every page whose bit is set, visiting only non-zero bitmap bytes
-        (the tail bits past ``page_count`` are ignored)."""
-        count, pages = self._geom.page_count, set()
-        for byte_off, b in enumerate(self._bits):
-            if b:
-                base = (byte_off << 3) + 1
-                pages.update(p for p in range(base, min(base + 8, count + 1))
-                             if b >> (p - base) & 1)
-        return pages
 
     def _test(self, page_no: int) -> bool:
         idx = page_no - 1
@@ -519,10 +524,13 @@ class PageAllocator:
     def rebuild(self, reachable: Iterable[int]) -> int:
         """Reset the bitmap to exactly ``reachable``; returns pages reclaimed.
 
-        Run during recovery: pages that were allocated (bit persisted) but
-        never linked into any inode before the crash — including warm pool
-        reservations — are reclaimed here.  Every pool is emptied: its
-        reservations are no longer backed by bitmap bits.
+        The bitmap repair of fsck and mount alike (``Repairer._settle``):
+        pages that were allocated (bit persisted) but never linked into any
+        inode before the crash — including warm pool reservations — are
+        reclaimed here.  Every pool is emptied: its reservations are no
+        longer backed by bitmap bits.  The last byte's bits past the last
+        page are no page's: they stay as they are, for fsck's
+        ``stripe-orphan``.
         """
         keep = set(reachable)
         with self._lock:
@@ -530,7 +538,9 @@ class PageAllocator:
                 with pool.lock:
                     pool.pages.clear()
             before = self._popcount()
+            past = self._bits[-1] & ~((1 << (self._geom.page_count & 7 or 8)) - 1)
             self._bits = bytearray(self._bitmap_bytes())
+            self._bits[-1] = past
             for page_no in keep:
                 idx = page_no - 1
                 self._bits[idx >> 3] |= 1 << (idx & 7)
@@ -541,4 +551,4 @@ class PageAllocator:
             self._hint_byte = 0
         with self._acct_lock:
             self._handed_out = set(keep)
-        return before - after
+        return before - after - bin(past).count("1")

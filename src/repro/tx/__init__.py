@@ -18,4 +18,3 @@ logs without the manager.
 
 from repro.tx.log import TxLog, TxRecord  # noqa: F401
 from repro.tx.manager import Tx, TxManager  # noqa: F401
-from repro.tx.recovery import recover  # noqa: F401

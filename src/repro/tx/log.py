@@ -180,11 +180,6 @@ def seal(device: PMDevice, head_page: int, tag: int) -> None:
     device.sfence()
 
 
-def clear_seal(device: PMDevice) -> None:
-    """Retire the pending log on its own fence (fsck's discard)."""
-    seal(device, 0, 0)
-
-
 def retire(device: PMDevice, alloc: PageAllocator, pages: List[int]) -> None:
     """Clear the seal under its own fence, then free ``pages``: their bit
     clears are stores + ``clwb`` that ride the next fence (``free`` fences

@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS, ARCKFS_PLUS
+from repro.fsck.findings import F_CHAIN_CORRUPT, F_DIR_CYCLE, F_ORPHAN_INODE, TORN_CLASSES
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
@@ -36,6 +37,17 @@ EVERY_CONFIG = [pytest.param(ARCKFS, id="arckfs"), pytest.param(ARCKFS_PLUS, id=
 EVERY_CONFIG += [pytest.param(ARCKFS.with_patch(**{f.name: True}, name=f"arckfs+{f.name}"),
                               id=f.name)
                  for f in dataclasses.fields(ARCKFS) if f.name != "name"]
+
+
+#: What a mount's check says it lost, in fsck's classes: a live dentry it
+#: cannot follow (torn or dangling), a chain it cannot walk to its end, a
+#: valid record the root does not reach (an orphan root, a cycle).
+LOST_CLASSES = TORN_CLASSES | {F_CHAIN_CORRUPT, F_ORPHAN_INODE, F_DIR_CYCLE}
+
+
+def lost(report):
+    """The classes of :data:`LOST_CLASSES` among ``report``'s findings."""
+    return LOST_CLASSES.intersection(report.classes())
 
 
 def build_fs(config=ARCKFS_PLUS, size=16 * 1024 * 1024, inode_count=256, uid=1000):

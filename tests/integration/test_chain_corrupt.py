@@ -17,7 +17,7 @@ from repro.api import Volume, VolumeConfig
 from repro.cli import main
 from repro.core.invariants import walk
 from repro.core.mkfs import ROOT_INO
-from repro.fsck.findings import F_CHAIN_CORRUPT
+from repro.fsck.findings import F_CHAIN_CORRUPT, F_DIR_CYCLE, F_ORPHAN_INODE
 from repro.fsck.inject import inject_chain_corrupt
 from repro.pm.layout import PAGE_SIZE
 from repro.server import ServerClient, ServerConfig, VolumeServer
@@ -68,7 +68,9 @@ def test_readdir_raises_typed_error_over_the_wire():
 def test_mount_survives_and_reports_the_torn_chain():
     vol = corrupt_volume()
     remounted = Volume.mount(vol.device.durable_image())
-    assert remounted.recovery.torn_dentries  # the root's log was unreadable
+    # the root's log was unreadable
+    assert [(f.ino, f.meta["kind"]) for f in remounted.recovery.by_class(F_CHAIN_CORRUPT)] \
+        == [(ROOT_INO, "tail")]
     chain = [f for f in vol.fsck().findings if f.cls == F_CHAIN_CORRUPT]
     assert [f.page for f in chain] == [vol.kernel.geom.page_count + 5]
 
@@ -82,7 +84,7 @@ def test_mount_keeps_what_a_corrupt_root_log_still_links():
     prefix = [p for head in core.read_inode(ROOT_INO).tails if head
               for p in walk(core, head).pages]
     mounted = Volume.mount(vol.device.durable_image())
-    assert mounted.recovery.orphan_inodes == []
+    assert not {F_ORPHAN_INODE, F_DIR_CYCLE} & set(mounted.recovery.classes())
     with mounted.session("reader") as s:
         for i in range(16):
             assert s.read_file(f"/f{i}") == b"payload"
@@ -106,7 +108,8 @@ def test_mount_keeps_the_good_pages_of_a_file_with_a_corrupt_slot():
     core.store_index_slots(index, 2, [vol.kernel.geom.page_count + 7])
     vol.device.sfence()
     mounted = Volume.mount(vol.device.durable_image())
-    assert (ino, b"<corrupt page chain>") in mounted.recovery.torn_dentries
+    assert (ino, "data") in {(f.ino, f.meta["kind"])
+                             for f in mounted.recovery.by_class(F_CHAIN_CORRUPT)}
     assert all(mounted.kernel.alloc.is_allocated(p) for p in index + data[:2])
 
 

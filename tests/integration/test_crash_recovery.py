@@ -12,12 +12,19 @@ from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS_PLUS
 from repro.errors import CrashPoint
+from repro.fsck.findings import (
+    F_CHAIN_CORRUPT,
+    F_DUPLICATE_DENTRY,
+    F_ORPHAN_INODE,
+    F_PAGE_LEAK,
+    TORN_CLASSES,
+)
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 from repro.pm.layout import PAGE_SIZE
-from tests.conftest import build_fs
+from tests.conftest import build_fs, lost
 
 
 def remount(device):
@@ -44,7 +51,7 @@ class TestDurabilityOfCompletedOps:
         # No drain: the operation itself must have persisted everything.
         def check(kernel, rfs):
             assert rfs.exists("/f")
-            assert kernel.last_recovery.clean
+            assert not lost(kernel.last_recovery)
         all_recoveries(device, check)
 
     def test_write_durable_after_return(self):
@@ -186,7 +193,7 @@ class TestCrashMidOperation:
         )
 
         def check(kernel, rfs):
-            assert kernel.last_recovery.torn_dentries == []
+            assert not (TORN_CLASSES | {F_CHAIN_CORRUPT}) & set(kernel.last_recovery.classes())
             names = rfs.readdir("/")
             assert names in ([], ["the-new-file-with-long-name"])
             return tuple(names)
@@ -225,7 +232,7 @@ class TestCrashMidOperation:
         def check(kernel, rfs):
             # Crash before the tombstone: the file must still exist.
             assert rfs.exists("/f")
-            assert kernel.last_recovery.clean
+            assert not lost(kernel.last_recovery)
         all_recoveries(device, check)
 
 
@@ -241,7 +248,7 @@ class TestRecoveryHousekeeping:
         leaked = kernel.alloc.alloc()
         device.drain()
         kernel2, _fs2 = remount(PMDevice.from_image(device.durable_image()))
-        assert kernel2.last_recovery.pages_reclaimed >= 1
+        assert kernel2.last_recovery.repairs[F_PAGE_LEAK] >= 1
         assert not kernel2.alloc.is_allocated(leaked)
 
     def test_orphan_inodes_reclaimed(self):
@@ -257,7 +264,7 @@ class TestRecoveryHousekeeping:
         cs.write_inode(42, rec)
         device.drain()
         kernel2, _fs2 = remount(PMDevice.from_image(device.durable_image()))
-        assert 42 in kernel2.last_recovery.orphan_inodes
+        assert 42 in {f.ino for f in kernel2.last_recovery.by_class(F_ORPHAN_INODE)}
         assert not kernel2.core.read_inode(42).valid
 
     def test_duplicate_dentries_resolved_by_seq(self):
@@ -288,7 +295,7 @@ class TestRecoveryHousekeeping:
         vol = Volume.mount(device.volatile_image())
         s = vol.session("r", uid=0)
         assert (s.exists("/old"), s.exists("/d/new")) == (False, True)
-        assert vol.kernel.last_recovery.duplicates_dropped == 1
+        assert vol.kernel.last_recovery.repairs[F_DUPLICATE_DENTRY] == 1
         assert vol.fsck().clean
 
     @staticmethod
@@ -337,7 +344,7 @@ class TestRecoveryHousekeeping:
         image = self.newest_image_of_crashed_rename(setup, "/d/a", "/d/b")
         vol = Volume.mount(image)
         assert vol.session("r", uid=0).readdir("/d") == ["b"]
-        assert vol.kernel.last_recovery.duplicates_dropped == 1
+        assert vol.kernel.last_recovery.repairs[F_DUPLICATE_DENTRY] == 1
         assert vol.fsck().clean
 
     def test_remount_idempotent(self):

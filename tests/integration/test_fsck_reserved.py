@@ -11,11 +11,12 @@ and no enumerated crash state can ever double-allocate.
 
 from repro.bugs.harness import make_fs
 from repro.core.config import ARCKFS_PLUS
-from repro.core.mkfs import mkfs
+from repro.core.mkfs import ROOT_INO, mkfs
 from repro.fsck import F_PAGE_LEAK, F_PAGE_RESERVED, run_fsck
+from repro.fsck.repair import Repairer
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
-from repro.pm.allocator import PageAllocator
+from repro.pm.allocator import DEFAULT_POOL_PAGES, RESERVATION_TAG, PageAllocator
 from repro.pm.crash import explore
 from repro.pm.device import PMDevice
 
@@ -63,7 +64,7 @@ def test_mount_recovery_reclaims_reserved_pages():
     dev2 = PMDevice.from_image(device.durable_image())
 
     kernel2 = KernelController.mount(dev2, config=ARCKFS_PLUS)
-    assert kernel2.last_recovery.pages_reclaimed >= len(reserved)
+    assert kernel2.last_recovery.repairs[F_PAGE_RESERVED] >= len(reserved)
     for page_no in reserved:
         assert not kernel2.alloc.is_allocated(page_no)
     # The volume is fully clean after recovery — no advisory residue.
@@ -107,3 +108,32 @@ def test_no_enumerated_crash_state_double_allocates():
 
     explore(device, None, checker, budget=512)
     assert seen_classes  # the sweep actually exercised reserved/leaked pages
+
+
+def test_a_crashed_pool_repairs_in_two_fences_and_any_crash_leaks_only():
+    """Reclaiming a crashed 64-page pool scrubs every tag, fences, then
+    clears every bit under one more fence (it persisted both per page: 128
+    fences).  A crash anywhere in it leaves the pool as it was, some pages
+    plain leaks (scrubbed, bit set) or free: never a tag on a free page."""
+    device = PMDevice(2 * 1024 * 1024, crash_tracking=True)
+    geom = mkfs(device, inode_count=64)
+    PageAllocator(device, geom)._refill(DEFAULT_POOL_PAGES, 0)
+    device.drain()
+    report = run_fsck(device)
+    assert len(report.by_class(F_PAGE_RESERVED)) == DEFAULT_POOL_PAGES
+
+    def judge(rebooted, _point):
+        worse = set(run_fsck(rebooted).classes()) - {F_PAGE_RESERVED, F_PAGE_LEAK}
+        alloc = PageAllocator(rebooted, geom)
+        tagged_free = [p for p in range(1, geom.page_count + 1)
+                       if not alloc.is_allocated(p) and rebooted.load(
+                           geom.page_off(p), len(RESERVATION_TAG)) == RESERVATION_TAG]
+        return (worse, tagged_free) if worse or tagged_free else None
+
+    fences = device.stats.fences
+    points = explore(device, lambda: Repairer(device, geom, ROOT_INO).apply(
+        report.findings), judge, budget=16)
+    assert device.stats.fences - fences == 2
+    assert [p.site for p in points] == ["Repairer._settle", "PageAllocator.rebuild", ""]
+    assert [v for p in points for v in p.verdicts] == []
+    assert run_fsck(device).findings == []

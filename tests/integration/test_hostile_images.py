@@ -20,8 +20,9 @@ from repro.api import Volume, VolumeConfig
 from repro.core.mkfs import ROOT_INO
 from repro.errors import CorruptionDetected, DoubleFree, ReproError, SimulatedFault
 from repro.fsck.findings import (F_DANGLING_DENTRY, F_PAGE_UNALLOCATED, F_SIZE_MISMATCH,
-                                 F_TORN_DENTRY)
+                                 F_TORN_DENTRY, TORN_CLASSES)
 from repro.pm.layout import DENTRY_HEADER, INODE_SIZE, PAGE_SIZE, Superblock
+from tests.conftest import lost
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -111,7 +112,7 @@ def drive(image: bytes) -> str:
             vol = Volume.mount(image)
         except TYPED as exc:
             return f"mount: {type(exc).__name__}"
-    ending = "ok" if vol.recovery.clean else "mount finding"
+    ending = "mount finding" if lost(vol.recovery) else "ok"
     with deadline("walk"):
         try:
             with vol.session("walker", uid=0) as s:
@@ -208,7 +209,8 @@ def test_dentry_ino_beyond_the_inode_table_is_torn_at_mount():
     vol.device.store(dentry_addr(vol, b"small"),
                      struct.pack("<Q", vol.kernel.geom.inode_count))
     mounted = Volume.mount(vol.device.durable_image())  # was a bare ValueError
-    assert (ROOT_INO, b"small") in mounted.recovery.torn_dentries
+    assert (ROOT_INO, "small") in {(f.ino, f.name) for f in mounted.recovery.findings
+                                   if f.cls in TORN_CLASSES}
     assert mounted.fsck().by_class(F_DANGLING_DENTRY)
     s = mounted.session("reader")
     assert s.read_file("/a/page") == b"p" * PAGE_SIZE
@@ -237,7 +239,9 @@ def test_undecodable_dentry_name_is_torn_at_mount_and_hidden():
         vol = build_volume()
         vol.device.store(dentry_addr(vol, b"small") + DENTRY_HEADER, byte)
         mounted = Volume.mount(vol.device.durable_image())
-        assert (ROOT_INO, byte + b"mall") in mounted.recovery.torn_dentries
+        name = (byte + b"mall").decode("utf-8", "backslashreplace")
+        assert (ROOT_INO, name) in {(f.ino, f.name) for f in mounted.recovery.findings
+                                    if f.cls in TORN_CLASSES}
         assert mounted.fsck().by_class(F_TORN_DENTRY)
         s = mounted.session("reader")
         assert s.readdir("/") == ["a", "empty"]  # was a bare UnicodeDecodeError

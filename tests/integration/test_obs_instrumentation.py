@@ -140,7 +140,7 @@ _OP_FIELDS = {"creat": "creates", "mkdir": "mkdirs", "open": "opens",
 
 def test_each_event_has_one_counter():
     """An event is counted once: in the record that counts it — fsck in
-    ``FsckReport``, mount's replay in ``RecoveryReport``, verifications in
+    ``FsckReport`` (mount's check and repairs too), verifications in
     ``KernelStats``, a tenant's recalls and sessions on ``TenantState`` —
     and in the registry only at a grain no record keeps, such as the
     per-op syscall histograms.  No second counter shadows any of them."""
@@ -149,6 +149,7 @@ def test_each_event_has_one_counter():
     from repro.api import Volume
     from repro.concurrency.failpoints import failpoints
     from repro.errors import CrashPoint
+    from repro.fsck.findings import F_TX_TORN
     from tests.integration.test_server import run, serving
     from tests.integration.test_server_ownership import connect
     from tests.integration.test_tx_crash import (crash_at, make_volume,
@@ -228,8 +229,10 @@ def test_each_event_has_one_counter():
             tx.commit()
         failpoints.clear()
         mounted = Volume.mount(vol.device.durable_image())
-        assert mounted.recovery.tx_replayed == 4   # create, pwrite, rename, unlink
-        assert mounted.recovery.tx_discarded == 0
+        # a valid log, replayed: create, pwrite, rename, unlink
+        assert [(f.meta["valid"], f.meta["ops"])
+                for f in mounted.recovery.by_class(F_TX_TORN)] == [(True, 4)]
+        assert mounted.recovery.repairs[F_TX_TORN] == 1
 
         async def serve():
             async with serving() as (server, _volumes):

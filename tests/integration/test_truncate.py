@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.api import Volume, VolumeConfig
 from repro.server import ServerClient, ServerConfig, VolumeServer
+from tests.conftest import lost
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -36,7 +37,7 @@ def assert_extended_everywhere(vol: Volume, path: str = "/f") -> None:
     report = vol.fsck()
     assert report.clean, report.summary()
     remounted = Volume.mount(vol.device.durable_image())
-    assert remounted.recovery.clean
+    assert not lost(remounted.recovery)
     assert remounted.fsck().clean
     with remounted.session("reader") as reader:
         assert reader.read_file(path) == EXTENDED

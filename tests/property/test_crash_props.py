@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS, ARCKFS_PLUS
 from repro.errors import CrashPoint
+from repro.fsck.findings import F_CHAIN_CORRUPT, TORN_CLASSES
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.crash import explore
@@ -58,7 +59,7 @@ def test_arckfs_plus_creates_are_atomic_under_crash(names, data):
 
     def judge(rebooted, _point):
         kernel = KernelController.mount(rebooted)
-        assert kernel.last_recovery.torn_dentries == []
+        assert not (TORN_CLASSES | {F_CHAIN_CORRUPT}) & set(kernel.last_recovery.classes())
         listing = LibFS(kernel, "r", uid=0).readdir("/")
         assert tuple(listing) in allowed
         # completed ops are in EVERY image (durability of returned ops)

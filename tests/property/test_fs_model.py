@@ -10,6 +10,7 @@ from repro.errors import FSError
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
 from repro.pm.device import PMDevice
+from tests.conftest import lost
 
 DIRS = ["/d0", "/d1", "/d0/sub"]
 NAMES = ["a", "b", "c"]
@@ -167,7 +168,7 @@ def test_random_ops_match_reference_model(ops):
     # ...and after a remount from the durable image.
     device.drain()
     kernel2 = KernelController.mount(PMDevice.from_image(device.durable_image()))
-    assert kernel2.last_recovery.clean
+    assert not lost(kernel2.last_recovery)
     fs2 = LibFS(kernel2, "model2", uid=0)
     for path, data in model.files.items():
         assert fs2.read_file(path) == data, path

@@ -137,7 +137,8 @@ class TestRefillTags:
             assert {f.page for f in report.by_class(F_PAGE_RESERVED)} == pooled
             assert set(report.classes()) == {F_PAGE_LEAK, F_PAGE_RESERVED}
             back = Volume.mount(rebooted)
-            assert back.recovery.pages_reclaimed == len(handed) + len(pooled)
+            assert back.recovery.repairs == {F_PAGE_LEAK: len(handed),
+                                             F_PAGE_RESERVED: len(pooled)}
             assert back.fsck().findings == []
             assert back.session("r").readdir("/") == []
         explore(device, None, judge, budget=6, seed=3)
