@@ -11,16 +11,18 @@ looks like: ``target(ino)``, anything with ``gen`` and ``itype``, or None.
 The verifier's shadow-table checks are not here.
 
 The volume-wide half is here too, for mount and fsck alike: :func:`scan`
-walks every slot of the inode table into shapes, and :func:`resolve`
-applies the one namespace rule to them — which live record links each
-inode, which lose, and what the root reaches.  pFSCK's split of scan and
+walks every slot of the inode table into shapes, :func:`claim_pages`
+credits each page to one inode, and :func:`resolve` applies the one
+namespace rule to them — which live record links each inode, which lose,
+and what the root reaches.  pFSCK's split of scan and
 merge: mount acts on the verdict, fsck reports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from repro.core.corestate import CoreState, DentryLoc
 from repro.errors import ChainCorrupt
@@ -261,22 +263,72 @@ class Namespace:
     children: Dict[int, List[int]] = field(default_factory=dict)
     #: what the root reaches over the winning edges, the root included.
     reachable: Set[int] = field(default_factory=set)
+    #: page -> ``(ino, role)`` of the claim that stands (:func:`claim_pages`).
+    claims: Dict[int, Tuple[int, str]] = field(default_factory=dict)
+    #: a ``page-double-use`` violation per claim that does not.
+    doubles: List[Violation] = field(default_factory=list)
+
+
+def claim_pages(shapes: Iterable[InodeShape]
+                ) -> Tuple[Dict[int, Tuple[int, str]], List[Violation]]:
+    """``page -> (ino, role)`` of each page's first claimant among
+    ``shapes``, in ino order — a directory's tails, then a file's index
+    chain, then its data pages — and a ``page-double-use`` violation for
+    every later claim.  A chain stops claiming at its first page claimed
+    before it: the rest of it hangs off a foreign page.  A violation's
+    ``meta`` names the ``loser`` and the ``holder``."""
+    claims: Dict[int, Tuple[int, str]] = {}
+    doubles: List[Violation] = []
+    for shape in sorted(shapes, key=lambda s: s.ino):
+        ino = shape.ino
+        chains = [("dir", chain, {"kind": "tail", "tail": tail_idx})
+                  for tail_idx, chain in shape.tails]
+        chains.append(("index", shape.index, {"kind": "index"}))
+        for role, chain, head_meta in chains:
+            pages = chain.pages
+            for pos, page_no in enumerate(pages):
+                holder = claims.get(page_no)
+                if holder is None:
+                    claims[page_no] = (ino, role)
+                    continue
+                doubles.append(Violation(
+                    PAGE_DOUBLE_USE, f"{role} chain page of ino {ino} already "
+                    f"claimed by ino {holder[0]} ({holder[1]})", page_no,
+                    {**head_meta, "loser": ino, "holder": holder[0],
+                     "last_good": pages[pos - 1] if pos else 0, "bad": page_no}))
+                break
+        for slot, page_no in enumerate(shape.data):
+            holder = claims.get(page_no)
+            if holder is None:
+                claims[page_no] = (ino, "data")
+                continue
+            doubles.append(Violation(
+                PAGE_DOUBLE_USE, f"data page of ino {ino} (slot {slot}) already "
+                f"claimed by ino {holder[0]} ({holder[1]})", page_no,
+                {"kind": "data", "loser": ino, "slot": slot, "holder": holder[0]}))
+    return claims, doubles
 
 
 def resolve(shapes: Dict[int, InodeShape], root: int) -> Namespace:
     """The one namespace rule, over :func:`scan`'s shapes.
 
-    A live record :func:`dentry_violation` rejects is set aside.  Within a
-    directory :meth:`CoreState.resolve_dentries` decides (highest ``seq``
-    per inode, then per name); across directories the highest ``seq``
-    wins, ties broken by ``(parent, page, offset)``, so the verdict is a
-    function of the image alone.  Reachability follows the winners from
-    ``root`` (nothing, when ``root`` has no valid record)."""
+    A directory reads a log page's records only if :func:`claim_pages`
+    credits the page to it: where two directories' chains reach one page,
+    its records are one directory's, never an edge of both.  A live record
+    :func:`dentry_violation` rejects is set aside.  Within a directory
+    :meth:`CoreState.resolve_dentries` decides (highest ``seq`` per inode,
+    then per name); across directories the highest ``seq`` wins, ties
+    broken by ``(parent, page, offset)``, so the verdict is a function of
+    the image alone.  Reachability follows the winners from ``root``
+    (nothing, when ``root`` has no valid record)."""
     ns = Namespace()
+    ns.claims, ns.doubles = claim_pages(shapes.values())
+    owner = ns.claims.get
     target = {ino: shape.rec for ino, shape in shapes.items()}.get
     for ino, shape in shapes.items():
         kept = [(loc, d) for loc, d in shape.records
-                if d.live and dentry_violation(loc, d, target) is None]
+                if d.live and owner(loc.page_no, (None,))[0] == ino
+                and dentry_violation(loc, d, target) is None]
         won = {loc for _d, loc in CoreState.resolve_dentries(kept).values()}
         for loc, d in kept:
             edge, prev = Edge(ino, loc, d), ns.winners.get(d.ino)

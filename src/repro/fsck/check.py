@@ -19,7 +19,7 @@ re-walking the volume.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.corestate import DentryLoc
 from repro.core.invariants import (
@@ -174,8 +174,9 @@ def check_graph(
         ))
 
     # -- page claims ------------------------------------------------------- #
-    claims, doubles = page_claims(scans.values())
-    findings.extend(doubles)
+    claims = dict(ns.claims)
+    findings.extend(Finding(F_PAGE_DOUBLE_USE, v.detail, ino=v.meta["loser"],
+                            page=v.page, meta=v.meta) for v in ns.doubles)
 
     # -- pending transaction log ------------------------------------------- #
     # A sealed-but-uncheckpointed repro.tx redo log.  Its chain pages are
@@ -217,35 +218,6 @@ def check_graph(
             ))
     findings.extend(check_bitmap(device, geom, claims))
     return findings, len(claims)
-
-
-def page_claims(shapes: Iterable[InodeShape]
-                ) -> Tuple[Dict[int, Tuple[int, str]], List[Finding]]:
-    """``page -> (ino, role)`` of each page's first claimant among
-    ``shapes``, in ino order, and a ``page-double-use`` for every later one."""
-    claims: Dict[int, Tuple[int, str]] = {}
-    findings: List[Finding] = []
-    for shape in sorted(shapes, key=lambda s: s.ino):
-        ino = shape.ino
-        for tail_idx, chain in shape.tails:
-            _claim_chain(claims, findings, ino, "dir", chain.pages,
-                         head_meta={"kind": "tail", "tail": tail_idx})
-        _claim_chain(claims, findings, ino, "index", shape.index.pages,
-                     head_meta={"kind": "index"})
-        for slot, page_no in enumerate(shape.data):
-            holder = claims.get(page_no)
-            if holder is None:
-                claims[page_no] = (ino, "data")
-            else:
-                findings.append(Finding(
-                    F_PAGE_DOUBLE_USE,
-                    f"data page of ino {ino} (slot {slot}) already claimed "
-                    f"by ino {holder[0]} ({holder[1]})",
-                    ino=ino, page=page_no,
-                    meta={"kind": "data", "loser": ino, "slot": slot,
-                          "holder": holder[0]},
-                ))
-    return claims, findings
 
 
 def check_bitmap(device: PMDevice, geom: Geometry,
@@ -299,25 +271,6 @@ def check_bitmap(device: PMDevice, geom: Geometry,
             ino=ino, page=page_no, meta={},
         ))
     return findings
-
-
-def _claim_chain(claims, findings, ino: int, role: str, pages: List[int],
-                 head_meta: Dict[str, object]) -> None:
-    for pos, page_no in enumerate(pages):
-        holder = claims.get(page_no)
-        if holder is None:
-            claims[page_no] = (ino, role)
-            continue
-        findings.append(Finding(
-            F_PAGE_DOUBLE_USE,
-            f"{role} chain page of ino {ino} already claimed by "
-            f"ino {holder[0]} ({holder[1]})",
-            ino=ino, page=page_no,
-            meta={**head_meta, "loser": ino, "holder": holder[0],
-                  "last_good": pages[pos - 1] if pos else 0, "bad": page_no},
-        ))
-        # The rest of this chain hangs off a foreign page; stop claiming.
-        break
 
 
 def _find_cycle(parent_of, start: int) -> Set[int]:

@@ -26,9 +26,9 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro import obs
 from repro.core.corestate import CoreState, DentryLoc
-from repro.core.invariants import InodeShape, Namespace, reach
+from repro.core.invariants import InodeShape, Namespace, claim_pages, reach
 from repro.core.mkfs import ROOT_INO
-from repro.fsck.check import check_bitmap, page_claims
+from repro.fsck.check import check_bitmap
 from repro.fsck.findings import (
     F_BAD_PAGE_KIND,
     F_CHAIN_CORRUPT,
@@ -413,7 +413,7 @@ class MountRepairer(Repairer):
                 self.reclaimed[f.ino] = reach(ns.children, f.ino)
             picked.append(f)
         gone = set().union(*self.reclaimed.values())
-        claims, _doubles = page_claims(
+        claims, _doubles = claim_pages(
             s for ino, s in shapes.items() if ino not in gone)
         for f in report.by_class(F_TX_TORN):
             for page_no in f.meta["pages"]:
@@ -430,7 +430,8 @@ class MountRepairer(Repairer):
     def _replay_tx(self, f: Finding) -> bool:
         """Replay a valid log through a root-privileged internal LibFS, or
         discard a corrupt one (torn chain, bad CRC, a CRC that is not the
-        seal's tag), then retire it.  Only pages the rebuilt tables gave
+        seal's tag), then retire it, recycling none of its pages: a
+        repaired volume keeps no reservation.  Only pages the rebuilt tables gave
         no owner are freed: a stale or forged head can reach a live
         file's page, whose bytes may look like a log page."""
         from repro.libfs.libfs import LibFS
@@ -448,7 +449,7 @@ class MountRepairer(Repairer):
                     fs.shutdown()
         retire(self.device, kernel.alloc, [
             p for p in pages if kernel.alloc.is_allocated(p)
-            and p not in kernel.page_owner])
+            and p not in kernel.page_owner], recycle=False)
         return True
 
     _HANDLERS = {**Repairer._HANDLERS,

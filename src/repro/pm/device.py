@@ -26,6 +26,19 @@ BilbyFs's "ordered list of pending updates applied at ``sync()``" with
 ``sfence`` as the sync, kept as an undo log: a tracked store, load, flush or
 fence costs a few slice operations, not a Python loop over 64-byte lines.
 
+A tracked ``ntstore`` is one step: it checks its range, splits a striped
+range once, charges every counter ``store`` + ``clwb`` would, and under one
+lock appends its run together with the write-back range that covers it.  A
+run is a plain tuple built without a constructor frame.  The log also keeps
+one counter, ``_tail``: how many of its newest runs no later ``clwb`` is
+known to cover whole.  ``store`` adds its run to that tail; a ``clwb`` whose
+range holds every run of the tail empties it; an ``ntstore`` covers its own
+run, so it joins only a tail already open.  When the tail is empty at a
+fence, every pending run is covered by a range stamped after it, so the
+fence drops the whole log without walking it — the walk would drop every
+run too.  Otherwise it walks as it always has, and the runs it keeps are
+the new tail.
+
 Crash states are still per cache line: a crash may persist, for each line
 independently, any content it has held since its durability floor (hardware
 may have evicted it at any point).  The pending runs covering a line are the
@@ -112,6 +125,11 @@ class _Run(NamedTuple):
     pending: List[Tuple[int, int]]
 
 
+#: builds a :class:`_Run` from a tuple of its fields with no Python frame
+#: (a NamedTuple's own ``__new__`` is Python code).
+_new_run = tuple.__new__
+
+
 class PMDevice:
     """Byte-addressable persistent memory with x86-like persistency semantics.
 
@@ -187,6 +205,9 @@ class PMDevice:
         #: unfenced stores, oldest first, each with the bytes it overwrote.
         self._runs: List[_Run] = []
         self._seq = 0
+        #: how many of the newest runs no ``clwb`` since is known to cover
+        #: whole; 0 lets a fence drop the log without walking it.
+        self._tail = 0
         #: ``(first_line, end_line, seq at issue)`` per ``clwb`` since the
         #: last fence.
         self._queued: List[Tuple[int, int, int]] = []
@@ -286,10 +307,11 @@ class PMDevice:
         lock = self._lock
         lock.acquire()  # not ``with``: its exit call is dear on this hot path
         try:
-            self._runs.append(  # a slice of the buffer: the one copy out
-                _Run(self._seq, addr, self.volatile[addr : addr + size], [lines]))
+            self._runs.append(_new_run(_Run, (  # a slice: the one copy out
+                self._seq, addr, self.volatile[addr : addr + size], [lines])))
             view[addr : addr + size] = data
             self._seq += 1
+            self._tail += 1
             self._versions = None
         finally:
             lock.release()
@@ -333,8 +355,18 @@ class PMDevice:
         lock = self._lock
         lock.acquire()
         try:
-            if self._runs:
+            runs = self._runs
+            if runs:
                 self._queued.append((first, last + 1, self._seq))
+                tail = self._tail
+                if tail == 1:  # the usual case: a store, then its clwb
+                    pending = runs[-1].pending
+                    if first <= pending[0][0] and pending[-1][1] <= last + 1:
+                        self._tail = 0
+                elif tail and all(first <= run.pending[0][0]
+                                  and run.pending[-1][1] <= last + 1
+                                  for run in runs[-tail:]):
+                    self._tail = 0
         finally:
             lock.release()
 
@@ -343,7 +375,9 @@ class PMDevice:
 
         Nothing is copied: the queued lines come off the pending lines of
         every run older than the ``clwb`` that queued them, and a run with
-        nothing left pending is dropped, which bounds memory use.
+        nothing left pending is dropped, which bounds memory use.  With no
+        run left in the tail of runs no ``clwb`` covers, every run goes at
+        once, unwalked.
 
         A striped device charges one fence to every member stored to or
         flushed since the last fence — member 0 for an idle one, as a flat
@@ -362,18 +396,13 @@ class PMDevice:
         lock = self._lock
         lock.acquire()
         try:
-            queued, runs = self._queued, self._runs
+            queued = self._queued
             self._queued, self._versions = [], None
-            if len(runs) == 1 and len(queued) == 1:
-                # The run is older than the range: a clwb is queued only
-                # while a run is pending, and what drops a run empties the
-                # queue too.
-                (lo, hi, _seq), pending = queued[0], runs[0].pending
-                if lo <= pending[0][0] and pending[-1][1] <= hi:
-                    self._runs = []  # the one range covers the one run
-                    return
-            if queued:
-                self._runs = self._write_back(runs, queued)
+            if not self._tail:
+                self._runs = []  # each run is covered by a later range
+            elif queued:
+                self._runs = self._write_back(self._runs, queued)
+                self._tail = len(self._runs)
         finally:
             lock.release()
 
@@ -419,43 +448,60 @@ class PMDevice:
         """Non-temporal store: a store whose write-back is already queued.
 
         Durability still requires a following ``sfence`` (matching movnt +
-        sfence on real hardware).  An untracked striped device routes the
-        range once and charges each member its store, ntstore and
-        write-backs from that one split: what ``store`` + ``clwb`` would.
+        sfence on real hardware).  One step, tracked or not: the range is
+        checked and a striped one split once, each member is charged its
+        store, ntstore and write-backs from that split — what ``store`` +
+        ``clwb`` would charge — and a tracked device appends the run and
+        the range covering it under one lock.
         """
-        if self.devices == 1 or self.crash_tracking:
-            self.store(addr, data)
-            if self.devices == 1:
-                self.stats.ntstores += 1
-            else:
-                pieces = self._pieces(addr, len(data))
-                self.stats.ntstores += len(pieces)
-                for d, _n in pieces:
-                    self.members[d].stats.ntstores += 1
-            if data:
-                self.clwb(addr, len(data))
-            return
         size = len(data)
         if addr < 0 or addr + size > self.size:
             self._check_range(addr, size)  # raises
-        pieces = self._pieces(addr, size)
         st = self.stats
-        st.stores += len(pieces)
-        st.ntstores += len(pieces)
-        st.bytes_stored += size
-        start = addr
-        for d, n in pieces:
-            self._dirty.add(d)
-            m = self.members[d].stats
-            m.stores += 1
-            m.ntstores += 1
-            m.bytes_stored += n
-            if n:  # member bounds are line-aligned: no line is split
-                lines = (start + n - 1) // CACHE_LINE - start // CACHE_LINE + 1
-                m.clwbs += lines
-                st.clwbs += lines
-            start += n
-        self._view[addr : addr + size] = data
+        # Member bounds are line-aligned, so no line is split between two.
+        lo, hi = addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1
+        if self.devices == 1:
+            st.stores += 1
+            st.ntstores += 1
+            st.bytes_stored += size
+            if size:
+                st.clwbs += hi - lo
+        else:
+            pieces = self._pieces(addr, size)
+            st.stores += len(pieces)
+            st.ntstores += len(pieces)
+            st.bytes_stored += size
+            start = addr
+            for d, n in pieces:
+                self._dirty.add(d)
+                m = self.members[d].stats
+                m.stores += 1
+                m.ntstores += 1
+                m.bytes_stored += n
+                if n:
+                    lines = (start + n - 1) // CACHE_LINE - start // CACHE_LINE + 1
+                    m.clwbs += lines
+                    st.clwbs += lines
+                start += n
+        if not size:
+            return
+        if not self.crash_tracking:
+            self._view[addr : addr + size] = data
+            return
+        lock = self._lock
+        lock.acquire()
+        try:
+            seq = self._seq
+            self._runs.append(_new_run(_Run, (
+                seq, addr, self.volatile[addr : addr + size], [(lo, hi)])))
+            self._view[addr : addr + size] = data
+            self._queued.append((lo, hi, seq + 1))
+            self._seq = seq + 1
+            if self._tail:  # its own range covers it: it joins an open tail
+                self._tail += 1
+            self._versions = None
+        finally:
+            lock.release()
 
     def persist(self, addr: int, size: int) -> None:
         """Convenience: ``clwb`` the range, then ``sfence``."""
@@ -471,6 +517,7 @@ class PMDevice:
         with self._lock:
             if self._runs:  # every line written back
                 self._runs, self._queued, self._versions = [], [], None
+                self._tail = 0
         if self.devices > 1:
             self._dirty.update(range(self.devices))
         self.sfence()
@@ -673,6 +720,7 @@ class PMDevice:
             if tail < self.size:
                 self.volatile.madvise(mmap.MADV_DONTNEED, tail, self.size - tail)
             self._runs, self._queued, self._versions = [], [], None
+            self._tail = 0
 
     def __len__(self) -> int:
         return self.size

@@ -276,6 +276,58 @@ class TestCrashAtEveryFenceOfAnUndo:
         assert {"all", "none"} <= set().union(*(p.verdicts for p in fences))
 
 
+class TestBackToBackCommits:
+    """Two commits on one thread: the second's log lands on the pages the
+    first's checkpoint recycled, so until its seal's fence an image may
+    show a stale log under a fresh seal, or tags over a sealed chain —
+    and every image still mounts to a prefix of the two commits."""
+
+    FILES = ("/a", "/b", "/c")
+
+    def tx3(self, s, byte):
+        with s.transaction() as tx:
+            for path in self.FILES:
+                tx.pwrite(path, byte * PAGE_SIZE, PAGE_SIZE)
+
+    def state(self, source):
+        """The one letter every file's page 1 holds (fsck clean)."""
+        mounted = Volume.mount(source)
+        assert run_fsck(mounted.device).clean
+        with mounted.session("check") as c:
+            got = {c.read_file(p) for p in self.FILES}
+        assert len(got) == 1, got                    # all-or-nothing
+        (data,) = got
+        assert data[:PAGE_SIZE] == OLD_PAGE and len(data) == 2 * PAGE_SIZE
+        assert len(set(data[PAGE_SIZE:])) == 1, data[PAGE_SIZE:PAGE_SIZE + 8]
+        return data[PAGE_SIZE:PAGE_SIZE + 1]
+
+    def test_every_image_mounts_to_a_prefix(self, monkeypatch):
+        from repro.tx import manager
+        vol = make_volume()
+        s = vol.session("app")
+        for path in self.FILES:
+            s.write_file(path, OLD_PAGE * 2)
+        self.tx3(s, b"w")                            # warm: log pages pooled
+        real, logs = manager.write_log, []
+
+        def spy(*args):
+            logs.append(real(*args))
+            return logs[-1]
+
+        monkeypatch.setattr(manager, "write_log", spy)
+        points = explore(vol.device, lambda: (self.tx3(s, b"x"), self.tx3(s, b"y")),
+                         lambda device, _point: self.state(device), budget=24)
+        assert len(logs) == 2 and logs[0] == logs[1]  # the same pages
+        seen = [set(p.verdicts) for p in points]
+        assert seen[-1] == {b"y"} and self.state(vol.device.durable_image()) == b"y"
+        # Each point shows one commit's before or after, and never an older
+        # commit than a point before it did.
+        spans = [sorted(map(b"wxy".index, states)) for states in seen]
+        assert all(span[-1] - span[0] <= 1 for span in spans), seen
+        assert [span[0] for span in spans] == sorted(span[0] for span in spans), seen
+        assert set().union(*seen) == {b"w", b"x", b"y"}
+
+
 class TestRecovery:
     def test_replay_is_idempotent_over_repeated_mounts(self):
         vol = make_volume()
@@ -391,6 +443,28 @@ class TestRecovery:
         with mounted.session("check") as c:
             assert observed_state(c) == "all"
 
+
+    def test_a_replay_leaves_nothing_reserved(self):
+        """A crash before the checkpoint, warm: mount's replay and
+        ``fsck --repair``'s retire the log without recycling its pages."""
+        vol = make_volume()
+        s = vol.session("app")
+        populate(s)
+        for i in range(3):
+            with s.transaction() as tx:
+                tx.pwrite("/pre", b"w%d" % i, 0)
+        tx = stage_tx(s)
+        crash_at("tx.pre_checkpoint")
+        with pytest.raises(CrashPoint):
+            tx.commit()
+        failpoints.clear()
+        image = vol.device.durable_image()
+        mounted = Volume.mount(image)
+        assert mounted.recovery.repairs[F_TX_TORN] == 1
+        assert mounted.kernel.alloc.pooled_pages() == set()
+        assert not run_fsck(mounted.device).findings
+        repaired = run_fsck(PMDevice.from_image(image), repair=True)
+        assert repaired.repairs[F_TX_TORN] == 1 and not repaired.findings
 
     def test_fsck_repair_quarantines_an_orphan_before_it_replays(self):
         """An orphan beside a sealed pending log: repair used to replay

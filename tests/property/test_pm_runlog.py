@@ -11,11 +11,19 @@ compared after every step: crash-state space (``line_choices``,
 images and the counters.  The same runs on a 2-member striped ``PMDevice``
 against :class:`StripedModel`: the same line model, counted the way members
 are — once per member piece, one fence per member stored to.
+
+The last tests hold the one-step paths to the two-step ones: seeded
+``store``/``ntstore``/``clwb``/``sfence`` programs, flat and on four
+members, against :class:`WalkedDevice` — an ``ntstore`` as ``store`` +
+``clwb``, every fence walked — and a device whose coverage counter is
+mutated must fail that comparison.
 """
 
 import itertools
+import math
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -211,3 +219,106 @@ def test_run_log_matches_per_line_model(ops, build):
     for step, args in enumerate(ops):
         assert apply(dev, *args) == apply(ref, *args)
         assert_same(dev, ref, seed=step)
+
+
+# -- the one-step ntstore and the unwalked fence ----------------------------- #
+
+class WalkedDevice(PMDevice):
+    """The oracle for the one-step paths: an ``ntstore`` is ``store`` +
+    ``clwb`` with each member piece counted as an ntstore, and every fence
+    with a queued range walks the run log."""
+
+    def ntstore(self, addr, data):
+        self.store(addr, data)
+        pieces = self._pieces(addr, len(data))
+        self.stats.ntstores += len(pieces)
+        if self.devices > 1:
+            for d, _n in pieces:
+                self.members[d].stats.ntstores += 1
+        if data:
+            self.clwb(addr, len(data))
+
+    def sfence(self):
+        self._tail = len(self._runs)  # never known covered: always walk
+        super().sfence()
+
+
+class MiscountedDevice(PMDevice):
+    """A coverage counter mutated to call every run covered by any clwb."""
+
+    def clwb(self, addr, size=1):
+        super().clwb(addr, size)
+        self._tail = 0
+
+
+WIDE = 16 * CL  # four lines per member on four members
+
+
+def random_program(rng, n):
+    """``n`` seeded ops on ``WIDE`` bytes: stores and ntstores of up to
+    five lines' worth at line and sub-line offsets, flushes of the last
+    store's range or of everything (so that fences often find every run
+    covered) or of any range, and fences."""
+    ops, last = [], (0, 1)
+    for _ in range(n):
+        kind = rng.choice(["store", "store", "ntstore", "flush-last",
+                           "flush-last", "flush-all", "clwb", "sfence",
+                           "sfence"])
+        a = rng.randrange(WIDE // CL) * CL + rng.choice([0, 0, 1, 8, CL - 1])
+        a = min(a, WIDE - 1)
+        if kind == "sfence":
+            ops.append(("sfence",))
+        elif kind == "flush-last":
+            ops.append(("clwb", *last))
+        elif kind == "flush-all":
+            ops.append(("clwb", 0, WIDE))
+        elif kind == "clwb":
+            ops.append(("clwb", a, rng.randint(1, min(3 * CL, WIDE - a))))
+        else:
+            n = rng.randint(0, min(5 * CL, WIDE - a))
+            ops.append((kind, a, bytes([rng.randrange(1, 4)]) * n))
+            if kind == "store" and n:
+                last = (a, n)
+    return ops
+
+
+def differ(dev, ref):
+    """Raise AssertionError on the first observable ``dev`` and ``ref``
+    disagree on: counters (every member's too), crash-state space, both
+    images and every crash image (a seeded sample past 64)."""
+    assert dev.stats == ref.stats
+    assert [m.stats for m in dev.members] == [m.stats for m in ref.members]
+    choices = ref.line_choices()
+    assert dev.line_choices() == choices
+    assert dev.durable_image() == ref.durable_image()
+    assert dev.volatile_image() == ref.volatile_image()
+    if math.prod(choices.values()) <= 64:
+        assert list(dev.enumerate_crash_images()) == list(ref.enumerate_crash_images())
+    else:
+        assert (list(dev.sample_crash_images(8, 1))
+                == list(ref.sample_crash_images(8, 1)))
+
+
+def run_against(build, oracle, seed, n=40):
+    rng = random.Random(seed)
+    devices = rng.choice([1, 4])
+    dev, ref = build(WIDE, devices=devices), oracle(WIDE, devices=devices)
+    for kind, *args in random_program(rng, n):
+        getattr(dev, kind)(*args)
+        getattr(ref, kind)(*args)
+        differ(dev, ref)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_step_ntstore_and_unwalked_fence_match_the_walked_oracle(seed):
+    run_against(PMDevice, WalkedDevice, seed)
+
+
+def test_a_miscounted_coverage_counter_fails_the_comparison():
+    caught = 0
+    for seed in range(40):
+        try:
+            run_against(MiscountedDevice, WalkedDevice, seed)
+        except AssertionError:
+            caught += 1
+    assert caught >= 10, caught

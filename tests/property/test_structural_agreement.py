@@ -211,11 +211,6 @@ def test_a_dentry_cannot_be_repointed_at_a_sibling():
 
 # -- mount keeps what fsck reaches -------------------------------------------- #
 
-def at(f):
-    """Where a dentry finding's record is (None for any other)."""
-    return (f.meta["loc_page"], f.meta["loc_off"]) if "loc_page" in f.meta else None
-
-
 def key(f):
     """A finding without its prose (a stale target's reads differently
     once mount has wiped the record it named)."""
@@ -265,17 +260,14 @@ def disagreement(image: bytes):
         return report, f"(ino, page) linked but free after mount: {free}"
     gone = set().union(*(reach(ns.children, f.ino)
                          for f in checked.by_class(F_ORPHAN_INODE)))
-    tombstoned = {at(f) for f in checked.by_class(F_DUPLICATE_DENTRY)}
     trimmed = {(ino, slot) for ino in ns.reachable
                if not shapes[ino].rec.is_dir and shapes[ino].parsed()
                for slot in range(-(-shapes[ino].rec.size // PAGE_SIZE),
                                  len(shapes[ino].data))}
 
     def touched(f):
-        """On an inode mount reclaims, at a dentry it tombstones (a page
-        two directories share shows it to both), or a page claim it
-        trims off."""
-        if f.ino in gone or at(f) in tombstoned:
+        """On an inode mount reclaims, or a page claim it trims off."""
+        if f.ino in gone:
             return True
         if f.cls != F_PAGE_DOUBLE_USE:
             return False
@@ -367,3 +359,24 @@ def test_an_equal_seq_duplicate_resolves_as_fsck_resolves_it():
     assert s.readdir("/") == ["a", "empty"]
     assert mounted.fsck().clean
     assert disagreement(image)[1] is None
+
+
+def test_a_log_page_two_directories_reach_is_read_for_one():
+    """``/a/b``'s tail pointed into ``/a``'s log page 2 (image byte 448):
+    the page's records used to be edges of both directories, so ``/a``'s
+    own ``b``, ``page`` and ``zero`` lost as duplicates, mount tombstoned
+    them and the next mount reclaimed ``/a/b`` and both files."""
+    image = bytearray(build_volume().device.durable_image())
+    image[448] = 0x02
+    raw = run_fsck(PMDevice.from_image(bytes(image)))
+    assert raw.classes() == [F_PAGE_DOUBLE_USE]
+    (double,) = raw.findings
+    assert (double.ino, double.meta["holder"], double.page) == (2, 1, 2)
+    mounted = Volume.mount(bytes(image))
+    assert not mounted.recovery.repairs
+    s = mounted.session("reader", uid=0)
+    assert s.read_file("/a/page") == b"p" * PAGE_SIZE
+    assert s.read_file("/a/zero") == b""
+    assert s.stat("/a/b").is_dir
+    assert not Volume.mount(mounted.device.durable_image()).recovery.repairs
+    assert disagreement(bytes(image))[1] is None

@@ -10,10 +10,11 @@ session's steady state.
 
 Each ceiling is the count this file last measured (a mean over the
 repetitions, rounded up: a directory's log extends every so many
-appends), except ``tx3``'s, which is the target the commit path was cut
-to (291 calls before).  A change that adds a step fails here; one that
-removes steps lowers the ceiling in the same change and says so in
-CHANGES.md (ROADMAP item 21).
+appends).  A change that adds a step fails here; one that removes steps
+lowers the ceiling in the same change and says so in CHANGES.md (ROADMAP
+item 21).  The same ops on a crash-tracked volume — the crash tester's
+configuration — have ceilings of their own: there every store logs what
+it overwrites.
 """
 
 import sys
@@ -21,7 +22,7 @@ import sys
 import pytest
 
 from repro import obs
-from repro.api import Volume
+from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 
 #: timed repetitions per op, after as many untimed ones to warm up.
@@ -29,11 +30,16 @@ REPS = 50
 
 #: Python calls per op, the probe's own lambda included.
 CEILINGS = {
-    "pwrite_4k": 21,
+    "pwrite_4k": 19,
     "pread_4k": 16,
     "stat": 9,
     "creat_close_unlink": 189,
-    "tx3": 150,
+    "tx3": 137,
+}
+#: The same, crash-tracked.
+TRACKED_CEILINGS = {
+    "pwrite_4k": 19,
+    "tx3": 137,
 }
 
 
@@ -58,15 +64,25 @@ def python_calls(op) -> float:
     return calls / REPS
 
 
-@pytest.fixture(scope="module")
-def session():
+def populated(config):
     """Three 16 KiB files one directory down, as the e2e workloads lay
-    them out, on a 64 MiB volume with the default configuration."""
-    with Volume.create(64 << 20) as vol, vol.session("calls", uid=0) as s:
+    them out, on a 64 MiB volume."""
+    with Volume.create(64 << 20, config) as vol, vol.session("calls", uid=0) as s:
         for i in range(3):
             s.mkdir(f"/d{i}")
             s.write_file(f"/d{i}/f", b"a" * 16384)
         yield s
+
+
+@pytest.fixture(scope="module")
+def session():
+    """With the default configuration."""
+    yield from populated(VolumeConfig())
+
+
+@pytest.fixture(scope="module")
+def tracked_session():
+    yield from populated(VolumeConfig(crash_tracking=True))
 
 
 def ops(s):
@@ -94,3 +110,10 @@ def test_calls_per_op_stay_under_their_ceiling(session, name):
     assert not obs.enabled and not failpoints.hooks  # the production path
     calls = python_calls(ops(session)[name])
     assert calls <= CEILINGS[name], f"{name}: {calls} Python calls per op"
+
+
+@pytest.mark.parametrize("name", sorted(TRACKED_CEILINGS))
+def test_tracked_calls_per_op_stay_under_their_ceiling(tracked_session, name):
+    assert not obs.enabled and not failpoints.hooks
+    calls = python_calls(ops(tracked_session)[name])
+    assert calls <= TRACKED_CEILINGS[name], f"{name}: {calls} Python calls per op"
