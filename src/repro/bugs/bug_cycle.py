@@ -21,6 +21,7 @@ from typing import Set
 from repro.bugs.harness import BugOutcome, make_fs, race
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
+from repro.core.invariants import read_shape, resolve_dentries
 from repro.errors import FSError, WouldLoop
 from repro.pm.layout import ITYPE_DIR
 
@@ -35,7 +36,7 @@ def has_cycle(core: CoreState, start_ino: int) -> bool:
         if not rec.valid or not rec.is_dir:
             return False
         path = path | {ino}
-        for d in core.live_dentries(rec).values():
+        for d, _loc in resolve_dentries(read_shape(core, ino, rec).records).values():
             if d.itype == ITYPE_DIR and walk(d.ino, path):
                 return True
         return False

@@ -9,8 +9,8 @@ the code that reads and writes that state:
   directory logs (multi-tailed), file page indexes, and the **atomic
   commit-marker protocol** for dentry creation whose missing fence is the
   paper's §4.2 bug (the fence is a parameter here; the config decides).
-* :mod:`repro.core.invariants` — the per-inode structural rules the
-  verifier, fsck and mount all judge an inode's on-media shape by.
+* :mod:`repro.core.invariants` — the one reader of an inode's records and
+  the structural rules the verifier, fsck and mount judge them by.
 * :mod:`repro.core.mkfs` — format a fresh device.
 * :mod:`repro.core.config` — the six bug/patch toggles and the ARCKFS /
   ARCKFS_PLUS presets.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ChainCorrupt, InvalidArgument, NameTooLong, PersistOrderError
 from repro.pm.allocator import PageAllocator
@@ -75,7 +75,9 @@ class TailCursor:
 
 
 class CoreState:
-    """Stateless helpers bound to a (memory, geometry) pair."""
+    """Stateless helpers bound to a (memory, geometry) pair: the chain and
+    page primitives, the mutators, and the page lists snapshots and frees
+    use.  An inode's records are read in :mod:`repro.core.invariants`."""
 
     def __init__(self, mem, geom: Geometry):
         self.mem = mem
@@ -181,8 +183,7 @@ class CoreState:
         Parsing stops at the first record whose header is unparseable
         (zero or bogus ``rec_len``) — that is the uncommitted tail left by
         a crash.  Records with a zero marker or a set tombstone are still
-        returned (the verifier wants to see them); callers filter with
-        :attr:`Dentry.live`.
+        returned (the rules judge them).  One caller: ``invariants.read_tail``.
         """
         records: List[Tuple[DentryLoc, Dentry]] = []
         base = self.geom.page_off(page_no)
@@ -201,58 +202,12 @@ class CoreState:
     def scan_tail(
         self, head_page: int, tail: int = -1
     ) -> Tuple[TailCursor, List[Tuple[DentryLoc, Dentry]]]:
-        """Walk one tail chain; return its cursor and every parseable
-        record (see :meth:`page_dentries`), located under tail ``tail``."""
-        records: List[Tuple[DentryLoc, Dentry]] = []
-        cursor = TailCursor(head_page=head_page)
-        for page_no, _hdr in self.walk_chain(head_page):
-            found, cursor.used = self.page_dentries(page_no, tail)
-            records += found
-            cursor.last_page = page_no
-        return cursor, records
+        """One tail's cursor and records through the one reader: kept only
+        for the wall-clock benchmark's probe; nothing in the package calls it."""
+        from repro.core.invariants import read_tail
 
-    def iter_dir_records(self, rec: InodeRecord) -> Iterator[Tuple[DentryLoc, Dentry]]:
-        """Every parseable dentry record of a directory, across all tails."""
-        for tail_idx, head in enumerate(rec.tails):
-            yield from self.scan_tail(head, tail_idx)[1]
-
-    def live_dentries(self, rec: InodeRecord) -> Dict[bytes, Dentry]:
-        """The directory's current contents, by name (see
-        :meth:`live_dentries_with_loc`)."""
-        return {name: d for name, (d, _loc) in self.live_dentries_with_loc(rec).items()}
-
-    def live_dentries_with_loc(
-        self, rec: InodeRecord
-    ) -> Dict[bytes, Tuple[Dentry, DentryLoc]]:
-        """The directory's current contents (:meth:`resolve_dentries`)."""
-        return self.resolve_dentries(self.iter_dir_records(rec))
-
-    @staticmethod
-    def resolve_dentries(records: Iterable[Tuple[DentryLoc, Dentry]]
-                         ) -> Dict[bytes, Tuple[Dentry, DentryLoc]]:
-        """A directory's contents from its records: committed, not
-        tombstoned, duplicate (ino, gen) resolved in favour of the highest
-        ``seq`` (a crashed rename can leave both the old and the new
-        dentry).  Each record keeps its location (the LibFS auxiliary index
-        needs it for in-place tombstoning)."""
-        best: Dict[bytes, Tuple[Dentry, DentryLoc]] = {}
-        by_child: Dict[Tuple[int, int], Dentry] = {}
-        for loc, d in records:
-            if not d.live:
-                continue
-            key = (d.ino, d.gen)
-            prev = by_child.get(key)
-            if prev is not None and d.seq <= prev.seq:
-                continue  # stale duplicate from a crashed rename
-            if prev is not None and prev.name in best and best[prev.name][0] is prev:
-                del best[prev.name]
-            by_child[key] = d
-            holder = best.get(d.name)
-            if holder is None or d.seq >= holder[0].seq:
-                # Same-name conflict (crashed overwriting rename): the
-                # higher-seq record wins, deterministically.
-                best[d.name] = (d, loc)
-        return best
+        chain, records = read_tail(self, head_page, tail)
+        return chain.cursor(), records
 
     def dir_pages(self, rec: InodeRecord) -> List[int]:
         """All log pages owned by a directory inode, tail by tail."""
@@ -387,10 +342,6 @@ class CoreState:
                 if not 1 <= page_no <= self.geom.page_count:
                     raise ChainCorrupt(page_no, idx_page)
                 yield page_no
-
-    def file_pages(self, rec: InodeRecord) -> List[int]:
-        """All data page numbers of a regular file, in order."""
-        return list(self.data_pages(self.index_pages(rec)))
 
     def index_slot_addr(self, index_pages: List[int], pos: int) -> int:
         """Device address of the slot mapping a file's ``pos``-th page."""

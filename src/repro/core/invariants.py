@@ -3,8 +3,9 @@ on-media shape, for the kernel verifier, fsck and mount alike (their own
 copies drifted, and two readers of one core state disagreeing is what the
 paper's bugs are made of).
 
-A caller walks the inode into an :class:`InodeShape` (``walk_chain`` /
-``page_dentries`` / ``data_pages``, in the order its own costs want) and
+:func:`read_shape` is the one reader of an inode's records (one pass, for
+the verifier, the LibFS rebuild, mount and fsck alike), and
+:func:`resolve_dentries` says what a directory contains.
 :func:`violations` yields a :class:`Violation` per broken rule, named after
 the fsck class reporting it.  The caller supplies what a dentry's target
 looks like: ``target(ino)``, anything with ``gen`` and ``itype``, or None.
@@ -24,12 +25,13 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from repro.core.corestate import CoreState, DentryLoc
+from repro.core.corestate import CoreState, DentryLoc, TailCursor
 from repro.errors import ChainCorrupt
 from repro.pm.layout import (
     DENTRY_HEADER,
     ITYPE_DIR,
     ITYPE_FILE,
+    INDEX_SLOTS,
     MAX_NAME,
     PAGE_KIND_DIRLOG,
     PAGE_KIND_INDEX,
@@ -50,12 +52,20 @@ DANGLING_DENTRY = "dangling-dentry"
 
 @dataclass
 class Chain:
-    """A page chain's good prefix with each page's header kind, and the
-    :class:`ChainCorrupt` that ended it (None: it reached 0)."""
+    """A page chain's good prefix with each page's header kind, the
+    :class:`ChainCorrupt` that ended it (None: it reached 0) and, for a
+    directory-log tail, the payload bytes used on its last page."""
 
     pages: List[int] = field(default_factory=list)
     kinds: List[int] = field(default_factory=list)
     error: Optional[ChainCorrupt] = None
+    used: int = 0
+
+    def cursor(self) -> TailCursor:
+        """The append cursor of the tail this chain is (raising its error)."""
+        if self.error is not None:
+            raise self.error
+        return TailCursor(self.pages[0], self.pages[-1], self.used) if self.pages else TailCursor()
 
 
 def walk(core: CoreState, head: int) -> Chain:
@@ -85,10 +95,20 @@ class InodeShape:
     data: List[int] = field(default_factory=list)
     data_error: Optional[Dict[str, int]] = None
 
+    def error(self) -> Optional[ChainCorrupt]:
+        """The first :class:`ChainCorrupt` the walker raised: tails in
+        order, then the index chain, then its data slots."""
+        err = self.data_error
+        return next((c.error for _i, c in self.tails + [(0, self.index)] if c.error),
+                    err and ChainCorrupt(err["page"], err["last_good"]))
+
     def parsed(self) -> bool:
         """Did every walk reach its end?"""
-        return (self.index.error is None and self.data_error is None
-                and all(chain.error is None for _idx, chain in self.tails))
+        return self.error() is None
+
+    def cursor(self, tail: int) -> TailCursor:
+        """Tail ``tail``'s append cursor (:meth:`Chain.cursor`)."""
+        return dict(self.tails).get(tail, Chain()).cursor()
 
     def pages(self) -> List[int]:
         """Every page the walks reached: the good prefix of each chain and
@@ -97,8 +117,29 @@ class InodeShape:
                 + self.index.pages + self.data)
 
 
-def walk_file(core: CoreState, shape: InodeShape) -> None:
-    shape.index = walk(core, shape.rec.index_root)
+def read_tail(core: CoreState, head: int, tail: int
+              ) -> Tuple[Chain, List[Tuple[DentryLoc, Dentry]]]:
+    """One directory-log tail: each page's header read and its records
+    parsed once (the one caller of :meth:`CoreState.page_dentries`)."""
+    chain, records = walk(core, head), []
+    for page_no in chain.pages:
+        found, chain.used = core.page_dentries(page_no, tail)
+        records += found
+    return chain, records
+
+
+def read_shape(core: CoreState, ino: int, rec: InodeRecord) -> InodeShape:
+    """A directory's tails and their records, or a file's index chain and
+    the data pages it maps; a walk's :class:`ChainCorrupt` is kept."""
+    shape = InodeShape(ino=ino, rec=rec)
+    if rec.is_dir:
+        for tail_idx, head in enumerate(rec.tails):
+            if head:
+                chain, records = read_tail(core, head, tail_idx)
+                shape.tails.append((tail_idx, chain))
+                shape.records += records
+        return shape
+    shape.index = walk(core, rec.index_root)
     try:
         for page_no in core.data_pages(shape.index.pages):
             shape.data.append(page_no)
@@ -107,40 +148,22 @@ def walk_file(core: CoreState, shape: InodeShape) -> None:
         shape.data_error = {
             "slot": slot, "page": exc.bad, "last_good": exc.last_good,
             "slot_addr": core.index_slot_addr(shape.index.pages, slot)}
+    return shape
 
 
 def pages_read(shape: InodeShape) -> int:
-    """The chain pages :func:`scan` read for ``shape``: its directory-log
-    tails, or its file's page index."""
+    """The chain pages :func:`read_shape` read for ``shape``: its
+    directory-log tails, or its file's page index."""
     return (sum(len(chain.pages) for _idx, chain in shape.tails)
             + len(shape.index.pages))
 
 
 def scan(core: CoreState, records: List[InodeRecord]) -> Dict[int, InodeShape]:
-    """Walk the valid ones of ``records`` (the inode table, by ino, as
-    :meth:`CoreState.read_inodes` reads it); their shapes, by ino.
-
-    Read-only and self-contained per inode (any split of the table could
-    run in parallel; ``CostModel.fsck_phase_time`` prices that split from
-    :func:`pages_read`).  Never raises on corrupt structures: a chain's
-    :class:`ChainCorrupt` is kept with its last good page."""
-    shapes: Dict[int, InodeShape] = {}
-    for ino, rec in enumerate(records):
-        if not rec.valid:
-            continue
-        shape = InodeShape(ino=ino, rec=rec)
-        if rec.is_dir:
-            for tail_idx, head in enumerate(rec.tails):
-                if not head:
-                    continue
-                chain = walk(core, head)
-                shape.tails.append((tail_idx, chain))
-                for page_no in chain.pages:
-                    shape.records += core.page_dentries(page_no, tail_idx)[0]
-        else:
-            walk_file(core, shape)
-        shapes[ino] = shape
-    return shapes
+    """The shapes of the valid ones of ``records`` (the inode table, by
+    ino), by ino: self-contained per inode, so any split of the table could
+    run in parallel (``CostModel.fsck_phase_time`` prices it)."""
+    return {ino: read_shape(core, ino, rec)
+            for ino, rec in enumerate(records) if rec.valid}
 
 
 @dataclass
@@ -275,8 +298,10 @@ def claim_pages(shapes: Iterable[InodeShape]
     ``shapes``, in ino order — a directory's tails, then a file's index
     chain, then its data pages — and a ``page-double-use`` violation for
     every later claim.  A chain stops claiming at its first page claimed
-    before it: the rest of it hangs off a foreign page.  A violation's
-    ``meta`` names the ``loser`` and the ``holder``."""
+    before it: the rest of it hangs off a foreign page.  A file's data
+    stops where the repair cuts it (past its own index pages, or at its
+    first claimed page).  A violation's ``meta`` names the ``loser`` and
+    the ``holder``."""
     claims: Dict[int, Tuple[int, str]] = {}
     doubles: List[Violation] = []
     for shape in sorted(shapes, key=lambda s: s.ino):
@@ -284,6 +309,7 @@ def claim_pages(shapes: Iterable[InodeShape]
         chains = [("dir", chain, {"kind": "tail", "tail": tail_idx})
                   for tail_idx, chain in shape.tails]
         chains.append(("index", shape.index, {"kind": "index"}))
+        data = shape.data
         for role, chain, head_meta in chains:
             pages = chain.pages
             for pos, page_no in enumerate(pages):
@@ -296,8 +322,10 @@ def claim_pages(shapes: Iterable[InodeShape]
                     f"claimed by ino {holder[0]} ({holder[1]})", page_no,
                     {**head_meta, "loser": ino, "holder": holder[0],
                      "last_good": pages[pos - 1] if pos else 0, "bad": page_no}))
+                if role == "index":
+                    data = data[:pos * INDEX_SLOTS]
                 break
-        for slot, page_no in enumerate(shape.data):
+        for slot, page_no in enumerate(data):
             holder = claims.get(page_no)
             if holder is None:
                 claims[page_no] = (ino, "data")
@@ -306,7 +334,31 @@ def claim_pages(shapes: Iterable[InodeShape]
                 PAGE_DOUBLE_USE, f"data page of ino {ino} (slot {slot}) already "
                 f"claimed by ino {holder[0]} ({holder[1]})", page_no,
                 {"kind": "data", "loser": ino, "slot": slot, "holder": holder[0]}))
+            break
     return claims, doubles
+
+
+def resolve_dentries(records: Iterable[Tuple[DentryLoc, Dentry]]
+                     ) -> Dict[bytes, Tuple[Dentry, DentryLoc]]:
+    """A directory's contents, ``name -> (dentry, loc)``: live records,
+    duplicate (ino, gen) resolved in favour of the highest ``seq`` (a
+    crashed rename can leave both the old and the new dentry)."""
+    best: Dict[bytes, Tuple[Dentry, DentryLoc]] = {}
+    by_child: Dict[Tuple[int, int], Dentry] = {}
+    for loc, d in records:
+        if not d.live:
+            continue
+        key = (d.ino, d.gen)
+        prev = by_child.get(key)
+        if prev is not None and d.seq <= prev.seq:
+            continue  # stale duplicate from a crashed rename
+        if prev is not None and prev.name in best and best[prev.name][0] is prev:
+            del best[prev.name]
+        by_child[key] = d
+        holder = best.get(d.name)
+        if holder is None or d.seq >= holder[0].seq:
+            best[d.name] = (d, loc)  # a same-name conflict: the higher seq wins
+    return best
 
 
 def resolve(shapes: Dict[int, InodeShape], root: int) -> Namespace:
@@ -316,7 +368,7 @@ def resolve(shapes: Dict[int, InodeShape], root: int) -> Namespace:
     credits the page to it: where two directories' chains reach one page,
     its records are one directory's, never an edge of both.  A live record
     :func:`dentry_violation` rejects is set aside.  Within a directory
-    :meth:`CoreState.resolve_dentries` decides (highest ``seq`` per inode,
+    :func:`resolve_dentries` decides (highest ``seq`` per inode,
     then per name); across directories the highest ``seq`` wins, ties
     broken by ``(parent, page, offset)``, so the verdict is a function of
     the image alone.  Reachability follows the winners from ``root``
@@ -329,7 +381,7 @@ def resolve(shapes: Dict[int, InodeShape], root: int) -> Namespace:
         kept = [(loc, d) for loc, d in shape.records
                 if d.live and owner(loc.page_no, (None,))[0] == ino
                 and dentry_violation(loc, d, target) is None]
-        won = {loc for _d, loc in CoreState.resolve_dentries(kept).values()}
+        won = {loc for _d, loc in resolve_dentries(kept).values()}
         for loc, d in kept:
             edge, prev = Edge(ino, loc, d), ns.winners.get(d.ino)
             if loc in won and (prev is None or _rank(edge) > _rank(prev)):

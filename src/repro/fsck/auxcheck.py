@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.corestate import CoreState
-from repro.errors import ChainCorrupt
+from repro.core.invariants import read_shape, resolve_dentries
 from repro.fsck.findings import F_AUX_MISMATCH, Finding
 from repro.pm.layout import Geometry
 
@@ -53,10 +53,10 @@ def check_libfs_aux(device, geom: Geometry, fs) -> List[Finding]:
         rec = core.read_inode(ino)
         if not rec.valid or not rec.is_dir:
             continue
-        try:
-            committed = core.live_dentries(rec)
-        except ChainCorrupt:
+        shape = read_shape(core, ino, rec)
+        if not shape.parsed():
             continue  # chain corruption is the structural passes' job
+        committed = resolve_dentries(shape.records)
         aux = {}
         for node in _bucket_nodes(mi.dir):
             if node.poisoned:
@@ -69,7 +69,7 @@ def check_libfs_aux(device, geom: Geometry, fs) -> List[Finding]:
                 ))
                 continue
             aux[node.name] = node
-        for name, d in committed.items():
+        for name, (d, _loc) in committed.items():
             node = aux.get(name)
             if node is None:
                 findings.append(Finding(

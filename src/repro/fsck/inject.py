@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.corestate import CoreState
+from repro.core.invariants import read_shape, resolve_dentries
 from repro.core.mkfs import ROOT_INO, load_geometry
 from repro.fsck import findings as F
 from repro.pm.allocator import PageAllocator
@@ -63,9 +64,12 @@ def _find_dir(core: CoreState, geom, *, skip: int = 0) -> int:
     raise RuntimeError("populated volume has no subdirectory")
 
 
+def _root_entries(core: CoreState):
+    return resolve_dentries(read_shape(core, ROOT_INO, core.read_inode(ROOT_INO)).records)
+
+
 def _root_dentry_loc(core: CoreState, name: Optional[bytes] = None):
-    root = core.read_inode(ROOT_INO)
-    entries = core.live_dentries_with_loc(root)
+    entries = _root_entries(core)
     if name is not None:
         return entries[name], name
     pick = sorted(entries)[0]
@@ -75,7 +79,7 @@ def _root_dentry_loc(core: CoreState, name: Optional[bytes] = None):
 def _append(core: CoreState, geom, dir_ino: int, name: bytes, child_ino: int,
             child_gen: int, itype: int, seq: int) -> None:
     rec = core.read_inode(dir_ino)
-    cursor, _ = core.scan_tail(rec.tails[0])
+    cursor = read_shape(core, dir_ino, rec).cursor(0)
     core.append_dentry(dir_ino, rec, 0, cursor, name, child_ino, child_gen,
                        itype, seq, PageAllocator(core.mem, geom, pool_pages=1),
                        fence_before_marker=True)
@@ -137,8 +141,7 @@ def inject_dir_cycle(device: PMDevice) -> None:
     core, geom = _env(device)
     a = _find_dir(core, geom, skip=0)
     b = _find_dir(core, geom, skip=1)
-    root = core.read_inode(ROOT_INO)
-    for name, (d, loc) in core.live_dentries_with_loc(root).items():
+    for d, loc in _root_entries(core).values():
         if d.ino in (a, b):
             core.tombstone(loc)
     rec_a = core.read_inode(a)
@@ -179,9 +182,8 @@ def inject_page_double_use(device: PMDevice) -> None:
     core, geom = _env(device)
     a = _find_file(core, geom, with_data=True, skip=0)
     b = _find_file(core, geom, with_data=True, skip=1)
-    rec_a = core.read_inode(a)
+    page_of_a = read_shape(core, a, core.read_inode(a)).data[0]
     rec_b = core.read_inode(b)
-    page_of_a = core.file_pages(rec_a)[0]
     core.store_index_slots([rec_b.index_root], 0, [page_of_a])
     device.sfence()
 

@@ -26,7 +26,8 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro import obs
 from repro.core.corestate import CoreState, DentryLoc
-from repro.core.invariants import InodeShape, Namespace, claim_pages, reach
+from repro.core.invariants import (InodeShape, Namespace, claim_pages, reach,
+                                   read_shape, resolve_dentries)
 from repro.core.mkfs import ROOT_INO
 from repro.fsck.check import check_bitmap
 from repro.fsck.findings import (
@@ -95,6 +96,9 @@ _REPAIR_ORDER = (
 #: the rest are fsck's, and the fence audit's §4.2 rows exist only because
 #: mount leaves them.  Mount also trims each file it keeps to its size.
 #:
+#: Mount cuts a ``page-double-use`` loser: its namespace credits a shared
+#: page to one claimant, the LibFS and the verifier read whole chains.
+#:
 #: The orphan rule.  **Mount reclaims an orphan** (its subtree's records
 #: and pages): a crash leaves one only inside a create's window or an
 #: unlink's unfenced record free (``LibFS._free_file_inode``), and a
@@ -103,8 +107,8 @@ _REPAIR_ORDER = (
 #: quarantines an orphan** under ``/lost+found``: offline, a crash's
 #: orphan and a file a bug detached (§4.3) look alike.
 MOUNT_CLASSES = frozenset({
-    F_DUPLICATE_DENTRY, F_CHAIN_CORRUPT, F_PAGE_LEAK, F_PAGE_RESERVED,
-    F_PAGE_UNALLOCATED, F_ORPHAN_INODE, F_TX_TORN})
+    F_DUPLICATE_DENTRY, F_CHAIN_CORRUPT, F_PAGE_DOUBLE_USE, F_PAGE_LEAK,
+    F_PAGE_RESERVED, F_PAGE_UNALLOCATED, F_ORPHAN_INODE, F_TX_TORN})
 
 
 def mount_takes(f: Finding, ns: Namespace) -> bool:
@@ -227,7 +231,7 @@ class Repairer:
     def _append_entry(self, dir_ino: int, name: bytes, child_ino: int,
                       child_gen: int, itype: int, seq: int) -> None:
         rec = self.core.read_inode(dir_ino)
-        cursor, _records = self.core.scan_tail(rec.tails[0])
+        cursor = read_shape(self.core, dir_ino, rec).cursor(0)
         self.core.append_dentry(
             dir_ino, rec, 0, cursor, name, child_ino, child_gen, itype, seq,
             self._allocator(), fence_before_marker=True,
@@ -239,11 +243,12 @@ class Repairer:
         if self._lost_found is not None:
             return self._lost_found
         root = self.core.read_inode(self.root_ino)
-        existing = self.core.live_dentries(root).get(LOST_FOUND)
-        rec = existing and self.core.read_inode(existing.ino)
+        existing = resolve_dentries(
+            read_shape(self.core, self.root_ino, root).records).get(LOST_FOUND)
+        rec = existing and self.core.read_inode(existing[0].ino)
         if rec and rec.valid and rec.is_dir:
-            self._lost_found = existing.ino
-            return existing.ino
+            self._lost_found = existing[0].ino
+            return self._lost_found
         ino = self._free_inode_slot()
         if ino is None:
             return None
@@ -290,12 +295,13 @@ class Repairer:
             self._zero_data_slot(f)
 
     def _zero_data_slot(self, f: Finding) -> bool:
+        # Cut the file there: no slot past a clear one may map a page.
         rec = self.core.read_inode(f.meta["loser"])
         slot = f.meta["slot"]
         chain = self.core.index_pages(rec)
         if slot >= len(chain) * INDEX_SLOTS:
             return False
-        self.core.store_index_slots(chain, slot, [0])
+        self.core.store_index_slots(chain, slot, [0] * (len(chain) * INDEX_SLOTS - slot))
         self.device.sfence()
         if rec.size > slot * PAGE_SIZE:
             self.core.set_file_size(f.meta["loser"], slot * PAGE_SIZE)
@@ -412,9 +418,10 @@ class MountRepairer(Repairer):
             if f.cls == F_ORPHAN_INODE:
                 self.reclaimed[f.ino] = reach(ns.children, f.ino)
             picked.append(f)
+        # Claimed beside the orphans, as the cuts were judged; then theirs go.
         gone = set().union(*self.reclaimed.values())
-        claims, _doubles = claim_pages(
-            s for ino, s in shapes.items() if ino not in gone)
+        claims = {page_no: claim for page_no, claim in claim_pages(shapes.values())[0].items()
+                  if claim[0] not in gone}
         for f in report.by_class(F_TX_TORN):
             for page_no in f.meta["pages"]:
                 claims.setdefault(page_no, (-1, "txlog"))

@@ -185,10 +185,10 @@ class KernelController:
         if root is None or not root.rec.is_dir:
             raise InvalidArgument("root inode record invalid")
 
-        # The shadow table: the root and every inode it reaches, owning its
-        # good prefix.  A file keeps nothing past its size (a crash inside
-        # an append can leave mapped pages or bytes there); the repairs
-        # judge the bitmap by the pages that stay.
+        # The shadow table: the root and every inode it reaches, owning the
+        # good-prefix pages its claims hold.  A file keeps nothing past its
+        # size (a crash inside an append can leave mapped pages or bytes
+        # there); the repairs judge the bitmap by the pages that stay.
         trimmed = False
         for ino in sorted(ns.reachable):
             shape = shapes[ino]
@@ -206,7 +206,8 @@ class KernelController:
                     rec.size, shape.index.pages, shape.data)
                 trimmed |= stored
             for page_no in shape.pages():
-                self.set_page_owner(page_no, ino)
+                if ns.claims.get(page_no, (None,))[0] == ino:
+                    self.set_page_owner(page_no, ino)
         if trimmed:
             self.device.sfence()
 

@@ -27,11 +27,12 @@ faithfully: a legitimate relocation of a non-empty directory fails
 verification of the old parent, "regardless of whether the new parent inode
 has been released".
 
-``Verifier.verify`` decomposes into **enumerate → judge → check pages →
-check dentries → check absent children → commit**.  Enumerate (chain
-walks) yields the inode's shape, judged by the rules fsck and mount share
+``Verifier.verify`` decomposes into **read → judge → check pages →
+check dentries → check absent children → commit**.  Read (one pass of
+``read_shape``, the reader fsck, mount and the LibFS use) yields the
+inode's shape, judged by the rules fsck and mount share
 (:mod:`repro.core.invariants`); every later check is against the shadow
-table.  Enumerate, judge and commit (the controller applying the
+table.  Read, judge and commit (the controller applying the
 :class:`StagedUpdate` under its lock) are serial; the per-item checks in
 between are independent of each other, and that is where all the Table 4
 bytes go — a 256 KiB shared file is 65 page checks per transfer against a
@@ -56,8 +57,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState
-from repro.core.invariants import InodeShape, violations, walk, walk_file
-from repro.errors import ChainCorrupt, VerifyFailure  # noqa: F401  (canonical home; re-exported)
+from repro.core.invariants import InodeShape, read_shape, resolve_dentries, violations
+from repro.errors import VerifyFailure  # noqa: F401  (canonical home; re-exported)
 from repro.pm.layout import PAGE_SIZE, InodeRecord
 
 
@@ -176,46 +177,29 @@ class Verifier:
             return staged
 
         pending_recs: Dict[int, InodeRecord] = {}  # read by ``_target``
-        try:
-            shape = self._enumerate(ino, rec)
-            if trusted and not shape.parsed():
-                raise VerifyFailure(ino, "unparseable core state")
-            if not trusted:  # its own shape first, then the shadow table's
-                first = next(violations(
-                    shape, self._target(pending_recs, staged)), None)
-                if first is not None:
-                    raise VerifyFailure(ino, first.detail, rule=first.rule)
-                self._check_record(ino, rec, sh)
-            if rec.is_dir:
-                self._verify_directory(shape, sh, app_id, staged, trusted,
-                                       pending_recs)
-            else:
-                # Both chains' pages go to one batch.
-                pages = shape.index.pages + shape.data
-                if not trusted:
-                    self._check_pages(ino, pages)
-                    staged.bytes_verified += len(pages) * PAGE_SIZE
-                staged.pages.update(pages)
-                staged.size = rec.size
-        except ChainCorrupt as exc:
-            # A chain that changed under the second walk.
-            raise VerifyFailure(ino, f"unparseable core state: {exc}") from exc
+        shape = read_shape(self.core, ino, rec)
+        if trusted and not shape.parsed():
+            raise VerifyFailure(ino, "unparseable core state")
+        if not trusted:  # its own shape first, then the shadow table's
+            first = next(violations(
+                shape, self._target(pending_recs, staged)), None)
+            if first is not None:
+                raise VerifyFailure(ino, first.detail, rule=first.rule)
+            self._check_record(ino, rec, sh)
+        if rec.is_dir:
+            self._verify_directory(shape, sh, app_id, staged, trusted,
+                                   pending_recs)
+        else:
+            # Both chains' pages go to one batch.
+            pages = shape.index.pages + shape.data
+            if not trusted:
+                self._check_pages(ino, pages)
+                staged.bytes_verified += len(pages) * PAGE_SIZE
+            staged.pages.update(pages)
+            staged.size = rec.size
         return staged
 
     # ------------------------------------------------------------------ #
-
-    def _enumerate(self, ino: int, rec: InodeRecord) -> InodeShape:
-        """Every chain, then — for a directory whose tails all end well —
-        every record on them (a second walk: ``iter_dir_records``)."""
-        shape = InodeShape(ino=ino, rec=rec)
-        if rec.is_dir:
-            shape.tails = [(i, walk(self.core, head))
-                           for i, head in enumerate(rec.tails) if head]
-            if shape.parsed():
-                shape.records = list(self.core.iter_dir_records(rec))
-        else:
-            walk_file(self.core, shape)
-        return shape
 
     def _target(self, pending_recs: Dict[int, InodeRecord],
                 staged: StagedUpdate):
@@ -267,7 +251,7 @@ class Verifier:
         staged.bytes_verified += len(pages) * PAGE_SIZE
 
         entries = [(name, d) for name, (d, _loc)
-                   in CoreState.resolve_dentries(shape.records).items()]
+                   in resolve_dentries(shape.records).items()]
         # Check every present dentry, then every shadow child the log no
         # longer shows; the absent pass needs the complete new-children map
         # (an in-directory rename looks absent under its old name).

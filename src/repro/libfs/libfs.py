@@ -40,6 +40,7 @@ from repro.concurrency.percpu import ShardedStats
 from repro.concurrency.rcu import RCU
 from repro.core.config import ArckConfig
 from repro.core.corestate import CoreState, DentryLoc
+from repro.core.invariants import read_shape, resolve_dentries
 from repro.core.mkfs import ROOT_INO
 from repro.errors import (
     BadFileDescriptor,
@@ -172,7 +173,10 @@ class LibFS:
         self._mapped[mi.ino] = mi
 
     def _rebuild_aux(self, mi: MemInode, cs: CoreState, rec: InodeRecord) -> None:
-        """(Re)build the DRAM auxiliary state from the mapped core state."""
+        """(Re)build the DRAM auxiliary state from the core state, read once."""
+        shape = read_shape(cs, mi.ino, rec)
+        if not shape.parsed():
+            raise shape.error()
         mi.record = rec
         mi.gen = rec.gen
         mi.itype = rec.itype
@@ -181,15 +185,12 @@ class LibFS:
         mi.size = rec.size
         mi.nlink = rec.nlink
         if mi.is_dir:
-            for tail_idx, head in enumerate(rec.tails):
-                mi.cursors[tail_idx], _records = cs.scan_tail(head)
-            entries = {}
-            for name, (d, loc) in cs.live_dentries_with_loc(rec).items():
-                if legal_name(name):  # no path can address any other name
-                    entries[name] = (d.ino, d.gen, d.itype, d.seq, loc)
-            mi.dir.rebuild(entries)
+            mi.cursors = [shape.cursor(tail) for tail in range(NTAILS)]
+            # No path can address an illegal name.
+            mi.dir.rebuild({name: (d.ino, d.gen, d.itype, d.seq, loc) for name, (d, loc)
+                            in resolve_dentries(shape.records).items() if legal_name(name)})
         else:
-            mi.pages = cs.file_pages(rec)
+            mi.pages = shape.data
 
     def _attach(self, ino: int, write: bool = False,
                 parent_ino: Optional[int] = None) -> MemInode:

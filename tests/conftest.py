@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.concurrency.failpoints import failpoints
 from repro.core.config import ARCKFS, ARCKFS_PLUS
+from repro.core.invariants import read_shape, resolve_dentries
 from repro.fsck.findings import F_CHAIN_CORRUPT, F_DIR_CYCLE, F_ORPHAN_INODE, TORN_CLASSES
 from repro.kernel.controller import KernelController
 from repro.libfs.libfs import LibFS
@@ -43,6 +44,12 @@ EVERY_CONFIG += [pytest.param(ARCKFS.with_patch(**{f.name: True}, name=f"arckfs+
 #: cannot follow (torn or dangling), a chain it cannot walk to its end, a
 #: valid record the root does not reach (an orphan root, a cycle).
 LOST_CLASSES = TORN_CLASSES | {F_CHAIN_CORRUPT, F_ORPHAN_INODE, F_DIR_CYCLE}
+
+
+def dir_entries(core, ino):
+    """Directory ``ino``'s contents by name, each ``(dentry, loc)``, as the
+    one reader of an inode's records reads them."""
+    return resolve_dentries(read_shape(core, ino, core.read_inode(ino)).records)
 
 
 def lost(report):

@@ -15,7 +15,7 @@ import pytest
 from repro import errors
 from repro.api import Volume, VolumeConfig
 from repro.cli import main
-from repro.core.invariants import walk
+from repro.core.invariants import read_shape, walk
 from repro.core.mkfs import ROOT_INO
 from repro.fsck.findings import F_CHAIN_CORRUPT, F_DIR_CYCLE, F_ORPHAN_INODE
 from repro.fsck.inject import inject_chain_corrupt
@@ -104,7 +104,7 @@ def test_mount_keeps_the_good_pages_of_a_file_with_a_corrupt_slot():
         ino = s.stat("/f").ino
     core = vol.kernel.core
     index = core.index_pages(core.read_inode(ino))
-    data = core.file_pages(core.read_inode(ino))
+    data = read_shape(core, ino, core.read_inode(ino)).data
     core.store_index_slots(index, 2, [vol.kernel.geom.page_count + 7])
     vol.device.sfence()
     mounted = Volume.mount(vol.device.durable_image())

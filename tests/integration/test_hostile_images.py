@@ -22,7 +22,7 @@ from repro.errors import CorruptionDetected, DoubleFree, ReproError, SimulatedFa
 from repro.fsck.findings import (F_DANGLING_DENTRY, F_PAGE_UNALLOCATED, F_SIZE_MISMATCH,
                                  F_TORN_DENTRY, TORN_CLASSES)
 from repro.pm.layout import DENTRY_HEADER, INODE_SIZE, PAGE_SIZE, Superblock
-from tests.conftest import lost
+from tests.conftest import dir_entries, lost
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -200,7 +200,7 @@ def test_every_superblock_byte_flip_ends_typed_found_or_fine(devices):
 def dentry_addr(vol: Volume, name: bytes) -> int:
     """Device address of the root directory's dentry record for ``name``."""
     core = vol.kernel.core
-    _d, loc = core.live_dentries_with_loc(core.read_inode(ROOT_INO))[name]
+    _d, loc = dir_entries(core, ROOT_INO)[name]
     return vol.kernel.geom.page_off(loc.page_no) + loc.offset
 
 
@@ -267,16 +267,19 @@ def test_forged_double_mapping_cannot_make_unlink_free_a_mapped_page():
     """Index slot 1 re-pointed at slot 0's page: ``unlink`` used to free
     that page, then die on the second free with a bare ``ValueError`` —
     leaving the file's pages free in the bitmap while its inode still mapped
-    them (two ``page-unallocated`` findings).  The batch is refused first."""
+    them (two ``page-unallocated`` findings).  The batch is refused first.
+    Mount cuts such a mapping (``page-double-use``), so the forgery lands
+    on the mounted volume, before a session attaches ``/f``."""
     vol = Volume.create(8 << 20, VolumeConfig(inode_count=64))
     with vol.session("w") as s:
         s.write_file("/f", b"a" * PAGE_SIZE + b"b" * PAGE_SIZE)
-    core = vol.kernel.core
-    rec = core.read_inode(vol.session("r").stat("/f").ino)
-    index, pages = core.index_pages(rec), core.file_pages(rec)
-    core.store_index_slots(index, 1, [pages[0]])
-    vol.device.sfence()
     mounted = Volume.mount(vol.device.durable_image())
+    core = mounted.kernel.core
+    rec = core.read_inode(mounted.kernel.shadow[ROOT_INO].children[b"f"])
+    index = core.index_pages(rec)
+    pages = list(core.data_pages(index))
+    core.store_index_slots(index, 1, [pages[0]])
+    mounted.device.sfence()
     bitmap = mounted.kernel.alloc.allocated_set()
     with pytest.raises(DoubleFree, match=f"page {pages[0]}"):
         mounted.session("u").unlink("/f")

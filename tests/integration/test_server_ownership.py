@@ -29,6 +29,7 @@ import pytest
 from repro import errors, obs
 from repro.concurrency.failpoints import failpoints
 from repro.server import ServerClient, ServerConfig, protocol
+from tests.conftest import dir_entries
 from tests.integration.test_attack_scenario import corrupt_dir
 from tests.integration.test_server import run, serving
 
@@ -543,8 +544,7 @@ class TestTransactions:
                     kernel = volumes["acme"].kernel
                     owner = {ino: acq.app_id
                              for ino, acq in kernel.acquisitions.items()}
-                    dst = kernel.core.live_dentries(
-                        kernel.core.read_inode(0))[b"dst"].ino
+                    dst = dir_entries(kernel.core, 0)[b"dst"][0].ino
                     assert (owner[0], owner[dst]) == ("acme#2", "acme#3")
                     assert set(owner.values()) == {"acme#2", "acme#3"}
                     recalls = (await cli.stats())["tenants"]["acme"]["recalls"]

@@ -17,6 +17,7 @@ import pytest
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
 from repro.core.corestate import CoreState
+from repro.core.invariants import read_shape
 from repro.core.mkfs import load_geometry
 from repro.errors import CrashPoint, NoSpace, TryAgain, TxAborted, TxCommitPending
 from repro.fsck import F_DIR_CYCLE, F_ORPHAN_INODE, F_TX_TORN, INJECTORS, TX_CLASSES, run_fsck
@@ -408,7 +409,7 @@ class TestRecovery:
         if shape == "directory-log":
             page = next(p for p in core.read_inode(d_ino).tails if p)
         else:
-            page = core.file_pages(core.read_inode(f_ino))[0]
+            page = read_shape(core, f_ino, core.read_inode(f_ino)).data[0]
         dev = PMDevice.from_image(vol.device.durable_image())
         seal(dev, page, 0)
         mounted = Volume.mount(dev)

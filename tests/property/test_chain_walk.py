@@ -98,10 +98,10 @@ def poison(core: CoreState, inos, site: str, kind: str, rng: random.Random):
                  "range": out_of_range, "foreign": donor.index_root}[kind]
         core.link_page(index[at], value)
     else:
-        pages = core.file_pages(rec)
+        pages = list(core.data_pages(index))
         pos = rng.randrange(1, len(pages))
         value = {"cycle": rng.choice(pages[:pos]), "range": out_of_range,
-                 "foreign": rng.choice(core.file_pages(donor))}[kind]
+                 "foreign": rng.choice(list(core.data_pages(core.index_pages(donor))))}[kind]
         core.store_index_slots(index, pos, [value])
         core.mem.sfence()
     return ino, value

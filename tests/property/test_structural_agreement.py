@@ -28,7 +28,7 @@ from repro.api import Volume
 from repro.core.corestate import CoreState
 from repro.core.invariants import reach, resolve, scan
 from repro.core.mkfs import ROOT_INO, load_geometry
-from repro.errors import CorruptionDetected
+from repro.errors import CorruptionDetected, NoEntry
 from repro.fsck import INJECTORS, run_fsck
 from repro.fsck.findings import (
     F_BAD_PAGE_KIND,
@@ -50,7 +50,7 @@ from repro.fsck.inject import _append
 from repro.fsck.repair import mount_takes
 from repro.pm.device import PMDevice
 from repro.pm.layout import DENTRY_DELETED_OFF, INODE_SIZE, PAGE_SIZE, PAGEHDR_SIZE
-from tests.conftest import lost
+from tests.conftest import dir_entries, lost
 from tests.integration.test_hostile_images import TYPED, build_volume, metadata_offsets
 
 pytestmark = pytest.mark.timeout(60)
@@ -144,7 +144,7 @@ def test_verifier_rejects_by_a_rule_iff_fsck_finds_one():
 
 def dentry_addr(vol: Volume, dir_ino: int, name: bytes) -> int:
     core = vol.kernel.core
-    _d, loc = core.live_dentries_with_loc(core.read_inode(dir_ino))[name]
+    _d, loc = dir_entries(core, dir_ino)[name]
     return vol.kernel.geom.page_off(loc.page_no) + loc.offset
 
 
@@ -260,22 +260,11 @@ def disagreement(image: bytes):
         return report, f"(ino, page) linked but free after mount: {free}"
     gone = set().union(*(reach(ns.children, f.ino)
                          for f in checked.by_class(F_ORPHAN_INODE)))
-    trimmed = {(ino, slot) for ino in ns.reachable
-               if not shapes[ino].rec.is_dir and shapes[ino].parsed()
-               for slot in range(-(-shapes[ino].rec.size // PAGE_SIZE),
-                                 len(shapes[ino].data))}
+    cut = {f.meta["loser"] for f in checked.by_class(F_PAGE_DOUBLE_USE)}
 
     def touched(f):
-        """On an inode mount reclaims, or a page claim it trims off."""
-        if f.ino in gone:
-            return True
-        if f.cls != F_PAGE_DOUBLE_USE:
-            return False
-        holder = shapes[f.meta["holder"]]
-        return holder.ino in gone or (f.meta["kind"] == "data" and (
-            f.ino, f.meta["slot"]) in trimmed) or any(
-            (holder.ino, slot) in trimmed
-            for slot, page_no in enumerate(holder.data) if page_no == f.page)
+        """On an inode mount reclaims, or one it cuts before a shared page."""
+        return f.ino in gone or f.ino in cut
 
     want = {key(f) for f in checked.findings
             if not mount_takes(f, ns) and not touched(f)}
@@ -290,7 +279,7 @@ def test_a_reclaimed_orphans_pages_count_as_leak_repairs():
     report, the check before the reclaim, does not list."""
     vol = build_volume()
     core = vol.kernel.core
-    d, loc = core.live_dentries_with_loc(core.read_inode(ROOT_INO))[b"small"]
+    d, loc = dir_entries(core, ROOT_INO)[b"small"]
     pages = vol.kernel.inode_pages[d.ino]
     core.tombstone(loc)
     vol.device.sfence()
@@ -345,7 +334,7 @@ def test_an_equal_seq_duplicate_resolves_as_fsck_resolves_it():
     one fsck keeps."""
     vol = build_volume()
     core, geom = vol.kernel.core, vol.kernel.geom
-    x, _loc = core.live_dentries_with_loc(core.read_inode(ROOT_INO))[b"small"]
+    x, _loc = dir_entries(core, ROOT_INO)[b"small"]
     d_ino = vol.kernel.shadow[ROOT_INO].children[b"empty"]
     _append(core, geom, d_ino, b"small", x.ino, x.gen, x.itype, seq=x.seq)
     image = vol.device.durable_image()
@@ -373,10 +362,78 @@ def test_a_log_page_two_directories_reach_is_read_for_one():
     (double,) = raw.findings
     assert (double.ino, double.meta["holder"], double.page) == (2, 1, 2)
     mounted = Volume.mount(bytes(image))
-    assert not mounted.recovery.repairs
+    assert mounted.recovery.repairs == {F_PAGE_DOUBLE_USE: 1}  # /a/b's tail cut
     s = mounted.session("reader", uid=0)
     assert s.read_file("/a/page") == b"p" * PAGE_SIZE
     assert s.read_file("/a/zero") == b""
     assert s.stat("/a/b").is_dir
     assert not Volume.mount(mounted.device.durable_image()).recovery.repairs
     assert disagreement(bytes(image))[1] is None
+
+
+def test_a_directory_lists_only_its_own_log_pages_after_mount():
+    """The same image, read by a LibFS: ``/a/b``'s raw chain reached
+    ``/a``'s page, so the LibFS listed ``/a``'s ``b``, ``page`` and
+    ``zero`` under ``/a/b`` (``/a/b/b`` a walkable cycle) while the
+    kernel's shadow table held ``/a/b``'s own seven names.  Mount cuts
+    the tail, so every reader sees the page once."""
+    image = bytearray(build_volume().device.durable_image())
+    image[448] = 0x02
+    mounted = Volume.mount(bytes(image))
+    s = mounted.session("reader", uid=0)
+    own = ["big"] + [f"f{i}" for i in range(6)]
+    assert s.readdir("/a/b") == own
+    assert sorted(mounted.kernel.shadow[s.stat("/a/b").ino].children) == [
+        name.encode() for name in own]
+    with pytest.raises(NoEntry):
+        s.stat("/a/b/b")
+    assert s.readdir("/a") == ["b", "page", "zero"]
+    assert s.read_file("/a/page") == b"p" * PAGE_SIZE
+    assert s.read_file("/a/b/big") == b"B" * (3 * PAGE_SIZE + 17)
+    s.release_all()
+    assert mounted.fsck().clean
+
+
+def cross_linked_files() -> PMDevice:
+    """``/y``'s first index slot mapping ``/x``'s first data page."""
+    vol = Volume.create(2 << 20)
+    with vol.session("builder", uid=0) as s:
+        s.write_file("/x", b"x" * 5000)
+        s.write_file("/y", b"y" * 5000)
+    vol.close()
+    device = PMDevice.from_image(vol.device.durable_image())
+    INJECTORS["page-double-use"][0](device)
+    return device
+
+
+def test_cross_linked_files_are_cut_at_mount():
+    """``/y``'s first index slot maps ``/x``'s first data page.  Mount
+    used to repair only the bitmap: ``/y`` read ``/x``'s bytes, the page
+    owner map credited the page to ``/y``, and releasing ``/x`` failed
+    (``page 2 owned by inode 2``).  Mount now cuts ``/y`` at that slot."""
+    mounted = Volume.mount(cross_linked_files().durable_image())
+    s = mounted.session("reader", uid=0)
+    assert s.read_file("/x") == b"x" * 5000
+    assert b"x" not in s.read_file("/y")
+    # The cut clears every slot past the shared one: an append maps no
+    # page the mount freed.
+    s.pwrite(s.open("/y"), b"z" * 10, s.stat("/y").size)
+    s.release_all()
+    assert mounted.fsck().clean
+    assert mounted.recovery.repairs[F_PAGE_DOUBLE_USE] == 1
+    assert not Volume.mount(mounted.device.durable_image()).recovery.repairs
+
+
+def test_a_loser_beside_a_reclaimed_holder_is_cut_in_one_mount():
+    """``/x``, the shared page's holder, is an orphan mount reclaims: the
+    bitmap is re-checked by the claims the cut was judged by, so ``/y``'s
+    pages past its cut are freed by this mount, not left to the next."""
+    device = cross_linked_files()
+    core = CoreState(device, load_geometry(device))
+    core.tombstone(dir_entries(core, ROOT_INO)[b"x"][1])
+    device.sfence()
+    mounted = Volume.mount(device.durable_image())
+    assert {F_ORPHAN_INODE, F_PAGE_DOUBLE_USE} <= set(mounted.recovery.repairs)
+    assert mounted.session("reader", uid=0).readdir("/") == ["y"]
+    assert mounted.fsck().clean
+    assert not Volume.mount(mounted.device.durable_image()).recovery.repairs

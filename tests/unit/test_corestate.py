@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.corestate import CoreState, TailCursor
+from repro.core.invariants import read_shape
 from repro.core.mkfs import ROOT_INO, load_geometry, mkfs
 from repro.errors import NameTooLong
 from repro.pm.allocator import PageAllocator
@@ -15,6 +16,7 @@ from repro.pm.layout import (
     PAGE_SIZE,
     InodeRecord,
 )
+from tests.conftest import dir_entries
 
 
 @pytest.fixture
@@ -28,6 +30,11 @@ def world():
 
 def new_dir_record():
     return InodeRecord(INODE_MAGIC, ITYPE_DIR, 0o777, 0, 1, 0, 2, 0, 0, [0] * NTAILS)
+
+
+def root_contents(cs):
+    """The root's contents, by name."""
+    return {name: d for name, (d, _loc) in dir_entries(cs, ROOT_INO).items()}
 
 
 def append(cs, alloc, rec, cursor, name, ino=5, gen=1, seq=1, tail=0, fence=True):
@@ -65,7 +72,7 @@ class TestDentryLog:
         cursor = TailCursor()
         loc = append(cs, alloc, rec, cursor, b"hello")
         assert loc.page_no == cursor.last_page
-        live = cs.live_dentries(rec)
+        live = root_contents(cs)
         assert list(live) == [b"hello"]
         assert live[b"hello"].ino == 5
 
@@ -75,9 +82,9 @@ class TestDentryLog:
         cursor = TailCursor()
         loc = append(cs, alloc, rec, cursor, b"gone")
         cs.tombstone(loc)
-        assert cs.live_dentries(rec) == {}
-        # Still visible to the raw record iterator (the verifier's view).
-        assert len(list(cs.iter_dir_records(rec))) == 1
+        assert root_contents(cs) == {}
+        # Still among the records the reader returns (the rules judge it).
+        assert len(read_shape(cs, ROOT_INO, rec).records) == 1
 
     def test_same_identity_dedups_to_one(self, world):
         """Appending many dentries for the same (ino, gen) — as repeated
@@ -87,7 +94,7 @@ class TestDentryLog:
         cursor = TailCursor()
         for i in range(50):
             append(cs, alloc, rec, cursor, b"name%04d" % i, ino=5, gen=1, seq=i + 1)
-        live = cs.live_dentries(rec)
+        live = root_contents(cs)
         assert list(live) == [b"name0049"]
 
     def test_many_distinct_entries_across_pages(self, world):
@@ -97,9 +104,9 @@ class TestDentryLog:
         for i in range(150):
             append(cs, alloc, rec, cursor, b"f%04d" % i, ino=5 + i, gen=1, seq=1)
         assert len(cs.dir_pages(rec)) >= 2
-        assert len(cs.live_dentries(rec)) == 150
-        # A fresh scan reproduces the cursor position.
-        rescan, records = cs.scan_tail(rec.tails[0])
+        assert len(root_contents(cs)) == 150
+        # A fresh read reproduces the cursor position.
+        rescan = read_shape(cs, ROOT_INO, rec).cursor(0)
         assert rescan.last_page == cursor.last_page
         assert rescan.used == cursor.used
 
@@ -110,7 +117,7 @@ class TestDentryLog:
         for t in range(NTAILS):
             append(cs, alloc, rec, cursors[t], b"t%d" % t, ino=10 + t, tail=t)
         assert len([h for h in rec.tails if h]) == NTAILS
-        assert len(cs.live_dentries(rec)) == NTAILS
+        assert len(root_contents(cs)) == NTAILS
 
     def test_seq_resolution_newest_wins(self, world):
         """A crashed rename leaves two dentries for one child; the higher
@@ -120,7 +127,7 @@ class TestDentryLog:
         cursor = TailCursor()
         append(cs, alloc, rec, cursor, b"old-name", ino=7, gen=1, seq=1)
         append(cs, alloc, rec, cursor, b"new-name", ino=7, gen=1, seq=2)
-        live = cs.live_dentries(rec)
+        live = root_contents(cs)
         assert list(live) == [b"new-name"]
 
     def test_name_too_long_rejected(self, world):
@@ -154,7 +161,7 @@ class TestFileIndex:
         for i, page in enumerate(pages):
             cs.write_page_data(page, 0, bytes([65 + i]) * 100)
         cs.append_file_pages(ino, rec, 0, pages, alloc)
-        assert cs.file_pages(rec) == pages
+        assert read_shape(cs, ino, rec).data == pages
         cs.set_file_size(ino, 2 * PAGE_SIZE + 100)
         rec2 = cs.read_inode(ino)
         assert rec2.size == 2 * PAGE_SIZE + 100
@@ -174,7 +181,7 @@ class TestFileIndex:
         fake_pages = list(range(100, 100 + count))
         # Mark them allocated so the verifier-side walkers accept them.
         cs.append_file_pages(ino, rec, 0, fake_pages, alloc)
-        assert cs.file_pages(rec) == fake_pages
+        assert read_shape(cs, ino, rec).data == fake_pages
         assert len(cs.index_pages(rec)) == 2
 
     def test_read_bounded_by_mapped_pages(self, world):

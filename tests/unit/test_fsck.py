@@ -27,6 +27,7 @@ from repro.fsck import (
 )
 from repro.perf.costmodel import COST
 from repro.pm.device import PMDevice
+from tests.conftest import dir_entries
 
 
 def test_fresh_volume_is_clean():
@@ -84,8 +85,7 @@ def test_orphan_with_a_full_inode_table_is_reported_not_repaired():
     device, _kernel, fs = build_volume(files=7, dirs=0, inode_count=8)
     fs.release_all()
     core = CoreState(device, load_geometry(device))
-    root = core.read_inode(ROOT_INO)
-    loc = core.live_dentries_with_loc(root)[b"f3.dat"][1]
+    loc = dir_entries(core, ROOT_INO)[b"f3.dat"][1]
     core.tombstone(loc)
     device.sfence()
     assert all(core.read_inode(ino).valid for ino in range(8))

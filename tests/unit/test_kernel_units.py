@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import Volume, VolumeConfig
 from repro.core.config import ARCKFS_PLUS
+from repro.core.invariants import read_shape
 from repro.errors import (
     CorruptionDetected,
     Exists,
@@ -224,7 +225,8 @@ class TestVerifierRejections:
         fs.close(fd2)
         fs.commit_path("/")
         fs.commit_path("/other")
-        other_pages = kernel.core.file_pages(kernel.core.read_inode(fs.stat("/other").ino))
+        other = fs.stat("/other").ino
+        other_pages = read_shape(kernel.core, other, kernel.core.read_inode(other)).data
         # Point /f's first index slot at /other's page.
         mi = fs._attach(ino, write=True)
         rec = mi.cs.read_inode(ino)

@@ -106,6 +106,15 @@ def test_next_page_is_read_in_exactly_one_function():
     assert readers == ["core/corestate.py::walk_chain"], readers
 
 
+def test_page_dentries_is_called_in_exactly_one_function():
+    """A directory's records are read by one reader: every consumer takes
+    them from ``core/invariants.py``'s shape."""
+    callers = [f"{rel}::{name}" for rel, tree in _modules()
+               for name in _functions_calling(
+                   tree, lambda func: func.attr == "page_dentries")]
+    assert callers == ["core/invariants.py::read_tail"], callers
+
+
 def _functions_calling(tree, matches):
     """Names of the functions in ``tree`` containing a call ``matches``."""
     return [fn.name for fn in ast.walk(tree)

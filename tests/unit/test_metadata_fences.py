@@ -11,6 +11,7 @@ per metadata op").
 from repro.api import Volume, VolumeConfig
 from repro.experiments import EXPERIMENTS
 from repro.pm.layout import PAGE_SIZE
+from tests.conftest import dir_entries
 
 
 def warm_session():
@@ -81,7 +82,7 @@ def test_tombstone_and_record_free_take_no_fence():
     s.close(s.creat("/d/f"))
     core = vol.kernel.core
     ino = s.stat("/d/f").ino
-    _d, loc = core.live_dentries_with_loc(core.read_inode(s.stat("/d").ino))[b"f"]
+    _d, loc = dir_entries(core, s.stat("/d").ino)[b"f"]
     assert fences(vol, lambda: core.tombstone(loc)) == 0
     assert fences(vol, lambda: core.free_inode(ino)) == 0
 
