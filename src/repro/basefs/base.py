@@ -84,11 +84,12 @@ class FileSystem(ABC):
         except OSError:
             return False
 
-    def write_file(self, path: str, data: bytes) -> None:
+    def write_file(self, path: str, data: bytes) -> int:
         fd = self.open(path, create=True)
         try:
-            self.pwrite(fd, data, 0)
+            written = self.pwrite(fd, data, 0)
             self.fsync(fd)
+            return written
         finally:
             self.close(fd)
 

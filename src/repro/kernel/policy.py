@@ -45,8 +45,8 @@ class RollbackPolicy(ResolutionPolicy):
             off = geom.page_off(page_no)
             dev.store(off, content)
             dev.clwb(off, len(content))
-            # Pages the LibFS freed in the meantime must be live again.
-            if not controller.alloc.is_allocated(page_no):
+            # Freed pages must be live again, and out of any pool since.
+            if not controller.alloc.is_handed_out(page_no):
                 controller.alloc._set_bit(page_no)  # kernel-privileged
             controller.set_page_owner(page_no, ino)
         dev.sfence()

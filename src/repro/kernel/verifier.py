@@ -227,15 +227,6 @@ class Verifier:
         if rec.mode != sh.mode or rec.uid != sh.uid:
             raise VerifyFailure(ino, "permission bits or owner changed")
 
-    def _check_page(self, ino: int, page_no: int) -> None:
-        """Check one page against the bitmap and the page-owner map."""
-        kc = self.kc
-        if not kc.alloc.is_allocated(page_no):
-            raise VerifyFailure(ino, f"page {page_no} not allocated")
-        owner = kc.page_owner.get(page_no)
-        if owner is not None and owner != ino:
-            raise VerifyFailure(ino, f"page {page_no} owned by inode {owner}")
-
     # ------------------------------------------------------------------ #
     # Directories
     # ------------------------------------------------------------------ #
@@ -269,10 +260,16 @@ class Verifier:
     # -- the check batches ----------------------------------------------- #
 
     def _check_pages(self, ino: int, pages: Sequence[int]) -> None:
-        """Run :meth:`_check_page` for every page, as one batch."""
+        """Check every page against the allocator and the page-owner map: a
+        page a pool only reserved is not the inode's, whatever its bit says."""
         self._count("page_checks", len(pages))
+        handed_out, owners = self.kc.alloc.is_handed_out, self.kc.page_owner
         for page_no in pages:
-            self._check_page(ino, page_no)
+            if not handed_out(page_no):
+                raise VerifyFailure(ino, f"page {page_no} not allocated")
+            owner = owners.get(page_no)
+            if owner is not None and owner != ino:
+                raise VerifyFailure(ino, f"page {page_no} owned by inode {owner}")
 
     def _count(self, stat: str, n: int) -> None:
         """Count a batch of ``n`` checks in ``PipelineStats.<stat>`` and in

@@ -1213,15 +1213,15 @@ class LibFS:
     # ================================================================== #
 
     @traced_syscall("write_file")
-    def write_file(self, path: str, data: bytes) -> None:
-        """Write ``data`` at offset 0 of ``path``, created if missing.  It
-        never truncates: ``Tx.write_file`` stages a truncate, this does not.
-        No descriptor: one write attach, then ``pwrite``'s body."""
+    def write_file(self, path: str, data: bytes) -> int:
+        """Write ``data`` at offset 0 of ``path``, created if missing; as
+        ``pwrite``, return the bytes written.  It never truncates (``Tx.
+        write_file`` does).  No descriptor: a write attach, ``pwrite``'s body."""
         comps = paths.parse(path)
         while True:
             try:
-                self._pwrite(self._writable_file(comps, create=True), data, 0)
-                return
+                return self._pwrite(self._writable_file(comps, create=True),
+                                    data, 0)
             except BadFileDescriptor:
                 pass  # unlinked, its slot reused, since the walk: walk again
 

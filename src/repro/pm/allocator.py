@@ -532,6 +532,11 @@ class PageAllocator:
         with self._lock:
             return self._test(page_no)
 
+    def is_handed_out(self, page_no: int) -> bool:
+        """Handed out to a caller: allocated, and not a pool reservation."""
+        with self._acct_lock:
+            return page_no in self._handed_out
+
     def free_pages(self) -> int:
         """Pages available for allocation, O(1): the cached bitmap-free
         count plus every pool's reserve (reserved-but-unlinked pages are

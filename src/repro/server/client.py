@@ -178,7 +178,7 @@ class ServerClient(asyncio.Protocol):
         return await self.call("stats")
 
     # Typed helpers for the common data ops (the full method table is in
-    # repro.server.dispatch; anything there works through call()).
+    # repro.ops; anything there works through call()).
 
     async def write_file(self, session: str, path: str, data: bytes,
                          **kw) -> int:

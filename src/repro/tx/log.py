@@ -67,24 +67,15 @@ TX_MAGIC = 0x5245_5052_4F54_584C
 #: magic u64 | txid u64 | nrecords u32 | payload_crc u32
 _LOGHDR = struct.Struct("<QQII")
 
-#: Redo-record opcodes.  ``seq`` in the WAL framing carries the numeric
-#: argument (mode / offset / size); ``key`` the target path; ``value`` the
-#: data payload (pwrite) or the destination path (rename).
+#: Redo-record opcodes, each one sub-op's of :mod:`repro.ops`.  ``seq`` in
+#: the WAL framing carries the numeric argument (mode / offset / size);
+#: ``key`` the path; ``value`` the data (pwrite) or new path (rename).
 TX_CREATE = 1
 TX_MKDIR = 2
 TX_PWRITE = 3
 TX_RENAME = 4
 TX_UNLINK = 5
 TX_TRUNCATE = 6
-
-OP_NAMES = {
-    TX_CREATE: "create",
-    TX_MKDIR: "mkdir",
-    TX_PWRITE: "pwrite",
-    TX_RENAME: "rename",
-    TX_UNLINK: "unlink",
-    TX_TRUNCATE: "truncate",
-}
 
 #: Safety bound when walking a (possibly corrupt) log chain.
 MAX_LOG_PAGES = 4096
@@ -240,10 +231,12 @@ def parse_log(device: PMDevice, geom: Geometry) -> Tuple[Optional[TxLog], List[i
 
     Returns ``(log, pages)``: ``log`` is None when no log is pending *or*
     the pending log fails validation (bad chain, magic, CRC, record count,
-    or a header or body CRC other than the seal's tag); ``pages`` is the
+    a record kind no row of :mod:`repro.ops` records, or a header or body
+    CRC other than the seal's tag); ``pages`` is the
     reachable chain either way so the caller can reclaim a corrupt log's
     pages.
     """
+    from repro.ops import TX_KINDS  # the op table imports the kinds above
     head, tag = read_seal(device)
     if head == 0:
         return None, []
@@ -269,7 +262,7 @@ def parse_log(device: PMDevice, geom: Geometry) -> Tuple[Optional[TxLog], List[i
         if parsed is None:
             return None, pages
         arg, op, key, value, off = parsed
-        if op not in OP_NAMES:
+        if op not in TX_KINDS:  # a kind no op row records
             return None, pages
         records.append(TxRecord(op=op, path=key.decode("utf-8", "replace"),
                                 arg=arg, data=value))

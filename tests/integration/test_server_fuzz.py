@@ -1,13 +1,14 @@
 """Hostile wire parameters and hostile bytes end typed, never in the
 ``internal error`` fallback, a bare exception or a hang.
 
-A table-driven fuzz over the whole wire surface: every ``SESSION_OPS``
-entry and ``session.open``, every parameter each one reads, a fixed list of
-values no honest client sends.  One parameter is bad per request and the
-rest are valid, so the request gets as far as that parameter can carry it.
-The only acceptable outcomes are success or a typed error; afterwards the
-connection still answers, a second session's ``stat /`` succeeds without a
-retry, and the drained volume is fsck-clean with nothing left owned.
+A fuzz over the whole wire surface, derived from the op table
+(:mod:`repro.ops`): every method and ``session.open``, every parameter each
+one reads, a fixed list of values no honest client sends.  One parameter is
+bad per request and the rest are valid, so the request gets as far as that
+parameter can carry it.  The only acceptable outcomes are success or a typed
+error the op's row declares; afterwards the connection still answers, a
+second session's ``stat /`` succeeds without a retry, and the drained
+volume is fsck-clean with nothing left owned.
 
 Before the boundary validated them, ``mode`` reached ``struct.pack``
 mid-create (after the inode slot was taken), a bad ``uid`` surfaced on the
@@ -26,9 +27,8 @@ import struct
 
 import pytest
 
-from repro import errors, obs
-from repro.server import (ServerClient, ServerConfig, VolumeServer,
-                          make_volumes, protocol)
+from repro import errors, obs, ops
+from repro.server import ServerClient, ServerConfig, VolumeServer, make_volumes, protocol
 from repro.server.dispatch import SESSION_OPS
 from tests.integration.test_server import raw_connection
 from tests.unit.test_server_protocol import framed
@@ -40,42 +40,48 @@ HOSTILE = ["abc", None, [1], {"a": 1}, -5, 1.5, True, 1 << 70, "", "/x\x00y",
 
 DATA = protocol.pack_bytes(b"payload")
 
-#: method → a valid value for every parameter it reads (``fd`` is replaced
-#: by a live descriptor per request).
-PARAMS = {
-    "open": {"path": "/f", "create": True, "mode": 0o664},
-    "creat": {"path": "/new", "mode": 0o664},
-    "close": {"fd": None},
-    "mkdir": {"path": "/newdir", "mode": 0o775},
-    "makedirs": {"path": "/a/b"},
-    "pread": {"fd": None, "n": 8, "offset": 0},
-    "pwrite": {"fd": None, "data": DATA, "offset": 0},
-    "read_file": {"path": "/f"},
-    "write_file": {"path": "/f", "data": DATA},
-    "rename": {"old": "/f", "new": "/g"},
-    "stat": {"path": "/f"},
-    "readdir": {"path": "/"},
-    "exists": {"path": "/f"},
-    "unlink": {"path": "/f"},
-    "rmdir": {"path": "/d"},
-    "truncate": {"path": "/f", "size": 10},
-    "fsync": {"fd": None},
-    "release": {},
-    "tx_begin": {},
-    "tx_op": {"op": "create", "path": "/t", "mode": 0o664, "data": DATA,
-              "offset": 0, "size": 4, "old": "/f", "new": "/g"},
-    "tx_commit": {},
-    "tx_abort": {},
-}
+#: A valid value of each parameter type: ``fd`` is replaced by a live
+#: descriptor per request, a mode is its row's default, a path is ``/f``
+#: (a file with content) unless the op needs another (``new``: rename's).
+VALID = {ops.FD: None, ops.OFF_T: 4, ops.BYTES: DATA, ops.FLAG: True}
+PATHS = {"creat": "/new", "create": "/new", "mkdir": "/newdir",
+         "makedirs": "/a/b", "readdir": "/", "rmdir": "/d", "new": "/g"}
 
-#: ``tx_op``'s sub-ops and a path each accepts, so every parameter of every
-#: sub-op is reached with the rest of the request valid.
-TX_OPS = {"create": "/t", "mkdir": "/t", "pwrite": "/f", "write_file": "/f",
-          "truncate": "/f", "rename": "/f", "unlink": "/f"}
+#: The cases the hand-written parameter lists covered.
+CASES_BEFORE_THE_TABLE = 936
+
+
+def request_params(method, subop=None):
+    """A valid request; a ``tx_op`` carries every sub-op's params, so each
+    one is reached with the rest of the request valid."""
+    rows = [ops.METHODS[method]] if method != "tx_op" \
+        else [*ops.TX_OPS.values(), ops.TX_OPS[subop]]
+    params = {p.name: PATHS.get(p.name if p.name != "path" else row.name, "/f")
+              if p.type == ops.PATH else VALID.get(p.type, p.default)
+              for row in rows for p in row.params}
+    return params if subop is None else {**params, "op": subop}
+
+
+def cases(method):
+    """``(subop, bad param, hostile value)``: every parameter ``method``
+    reads × every hostile value, for each sub-op of ``tx_op``."""
+    subops = list(ops.TX_OPS) if method == "tx_op" else [None]
+    return [(subop, bad, value) for bad in request_params(method, subops[0])
+            for value in HOSTILE
+            for subop in (subops[:1] if bad == "op" else subops)]
+
+
+def declared(method, params):
+    """The typed errors a request may end in, by the op table: its
+    method's, and a ``tx_op``'s sub-op's."""
+    subop = params.get("op") if method == "tx_op" else None
+    row = ops.TX_OPS.get(subop) if isinstance(subop, str) else None
+    return ops.METHODS[method].errors | (row.errors if row else set())
 
 
 def test_table_covers_the_whole_wire_surface():
-    assert set(PARAMS) == set(SESSION_OPS)
+    assert set(ops.METHODS) == set(SESSION_OPS)
+    assert sum(map(len, map(cases, ops.METHODS))) >= CASES_BEFORE_THE_TABLE
 
 
 def is_fallback(outcome) -> bool:
@@ -89,22 +95,27 @@ class Victim:
 
     def __init__(self, cli, token):
         self.cli, self.token = cli, token
-        self.fallbacks = []
+        self.fallbacks, self.undeclared = [], []
 
     async def call(self, method, **params):
-        """The typed outcome of one request: its result, or the error."""
+        """The typed outcome of one request: its result, or the error,
+        which must be one the op table declares."""
         try:
             return await self.cli.call(method, session=self.token, **params)
         except errors.ReproError as exc:
+            if is_fallback(exc):
+                self.fallbacks.append((method, params, str(exc)))
+            elif type(exc) not in declared(method, params):
+                self.undeclared.append((method, params, repr(exc)))
             return exc
 
     async def reset(self):
         """``/f`` (a file with content) and ``/d`` (an empty directory)
         exist, nothing else the table names does, no transaction is open."""
         await self.call("tx_abort")
-        for path in ("/new", "/g", "/t"):
+        for path in ("/new", "/g"):
             await self.call("unlink", path=path)
-        for path in ("/newdir", "/t", "/a/b", "/a"):
+        for path in ("/newdir", "/a/b", "/a"):
             await self.call("rmdir", path=path)
         await self.call("mkdir", path="/d")
         done = await self.call("write_file", path="/f", data=DATA)
@@ -112,39 +123,29 @@ class Victim:
 
     async def request(self, method, bad=None, value=None, subop=None):
         await self.reset()
-        params = dict(PARAMS[method])
+        params = request_params(method, subop)
         if "fd" in params:
             params["fd"] = fd = (await self.call("open", path="/f"))["fd"]
         if method in ("tx_op", "tx_commit", "tx_abort"):
             await self.call("tx_begin")
-        if subop is not None:
-            params.update(op=subop, path=TX_OPS[subop])
         if bad is not None:
             params[bad] = value
         outcome = await self.call(method, **params)
-        outcomes = [outcome]
         if method == "tx_op" and not isinstance(outcome, errors.ReproError):
             # Staging only buffers: what it let through meets LibFS here.
-            outcomes.append(await self.call("tx_commit"))
-        for got in outcomes:
-            if is_fallback(got):
-                self.fallbacks.append((method, subop, bad, value, str(got)))
+            await self.call("tx_commit")
         if "fd" in params and method != "close":
             await self.call("close", fd=fd)
         return outcome
 
     async def fuzz(self, method):
-        """Every parameter of ``method`` × every hostile value."""
-        subops = TX_OPS if method == "tx_op" else (None,)
-        for subop in subops:
+        """Every case of ``method``, after its valid rows."""
+        for subop in (ops.TX_OPS if method == "tx_op" else (None,)):
             good = await self.request(method, subop=subop)
             # The valid row works, so a rejection is about the one bad value.
-            assert not isinstance(good, errors.ReproError), (method, subop,
-                                                             good)
-        for bad in PARAMS[method]:
-            for value in HOSTILE:
-                for subop in (subops if bad != "op" else (None,)):
-                    await self.request(method, bad, value, subop)
+            assert not isinstance(good, errors.ReproError), (method, subop, good)
+        for subop, bad, value in cases(method):
+            await self.request(method, bad, value, subop)
 
 
 async def fuzz_session_open(server, cli, victim):
@@ -169,22 +170,21 @@ async def fuzz_session_open(server, cli, victim):
     assert server.admission.tenants["acme"].sessions == before
 
 
-@pytest.mark.parametrize("method", sorted(PARAMS) + ["session.open"])
+@pytest.mark.parametrize("method", sorted(ops.METHODS) + ["session.open"])
 def test_hostile_params_end_typed(method):
     async def main():
         volumes = make_volumes(["acme"], size=16 << 20, inode_count=512)
         obs.enable()
         try:
             async with VolumeServer(volumes) as server:
-                async with await ServerClient.connect(
-                        "127.0.0.1", server.port) as cli:
+                async with await ServerClient.connect("127.0.0.1", server.port) as cli:
                     victim = Victim(cli, await cli.open_session("acme"))
                     bystander = await cli.open_session("acme")
                     if method == "session.open":
                         await fuzz_session_open(server, cli, victim)
                     else:
                         await victim.fuzz(method)
-                    assert victim.fallbacks == []
+                    assert victim.fallbacks == victim.undeclared == []
                     # The connection survived, and nothing the victim was
                     # refused half-way through is in anybody's way.
                     assert await cli.ping()
@@ -192,8 +192,7 @@ def test_hostile_params_end_typed(method):
                     assert st["ino"] == 0
                     assert obs.metrics.counter_total("client.retries") == 0
                 await server.drain()
-            kernel = volumes["acme"].kernel
-            assert not kernel.acquisitions
+            assert not volumes["acme"].kernel.acquisitions
             report = volumes["acme"].fsck()
             assert report.clean, report.summary()
         finally:

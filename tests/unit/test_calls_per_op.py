@@ -8,6 +8,9 @@ are ``c_call`` events and are not counted.  The volume is warm: every
 inode the ops touch is attached and every walk remembered, as in a
 session's steady state.
 
+The same requests also run through the server's op table, as a frame's
+params, so the wire handlers' own frames are counted too.
+
 Each ceiling is the count this file last measured (a mean over the
 repetitions, rounded up: a directory's log extends every so many
 appends).  A change that adds a step fails here; one that removes steps
@@ -24,6 +27,7 @@ import pytest
 from repro import obs
 from repro.api import Volume, VolumeConfig
 from repro.concurrency.failpoints import failpoints
+from repro.server.dispatch import SESSION_OPS
 
 #: timed repetitions per op, after as many untimed ones to warm up.
 REPS = 50
@@ -35,6 +39,16 @@ CEILINGS = {
     "stat": 9,
     "creat_close_unlink": 189,
     "tx3": 137,
+    # The same requests through the server's op table, params as a frame
+    # carries them (``SESSION_OPS[method](session, params)``).  Before the
+    # table, with a hand-written adapter per method: 28, 26, 12, 24, 200
+    # and 193.
+    "dispatch_pwrite_4k": 25,
+    "dispatch_pread_4k": 21,
+    "dispatch_stat": 11,
+    "dispatch_read_file_16k": 23,
+    "dispatch_creat_close_unlink": 197,
+    "dispatch_tx3": 184,
 }
 #: The same, crash-tracked.
 TRACKED_CEILINGS = {
@@ -95,6 +109,19 @@ def ops(s):
             tx.pwrite(f"/d{i}/f", page, 4096)
         tx.commit()
 
+    def dispatch_creat_close_unlink():
+        fd = call["creat"](s, {"path": "/d1/t"})["fd"]
+        call["close"](s, {"fd": fd})
+        call["unlink"](s, {"path": "/d1/t"})
+
+    def dispatch_tx3():
+        call["tx_begin"](s, {})
+        for i in range(3):
+            call["tx_op"](s, {"op": "pwrite", "path": f"/d{i}/f",
+                              "data": page, "offset": 4096})
+        call["tx_commit"](s, {})
+
+    call = SESSION_OPS
     return {
         "pwrite_4k": lambda: s.pwrite(fd, page, 4096),
         "pread_4k": lambda: s.pread(fd, 4096, 4096),
@@ -102,6 +129,15 @@ def ops(s):
         "creat_close_unlink": lambda: (s.close(s.creat("/d1/t")),
                                        s.unlink("/d1/t")),
         "tx3": tx3,
+        "dispatch_pwrite_4k": lambda: call["pwrite"](
+            s, {"fd": fd, "data": page, "offset": 4096}),
+        "dispatch_pread_4k": lambda: call["pread"](
+            s, {"fd": fd, "n": 4096, "offset": 4096}),
+        "dispatch_stat": lambda: call["stat"](s, {"path": "/d1/f"}),
+        "dispatch_read_file_16k": lambda: call["read_file"](
+            s, {"path": "/d2/f"}),
+        "dispatch_creat_close_unlink": dispatch_creat_close_unlink,
+        "dispatch_tx3": dispatch_tx3,
     }
 
 

@@ -251,6 +251,56 @@ class TestVerifierRejections:
             kernel.release("app1", mi.ino)
 
 
+class TestPoolReservedPages:
+    """A page a thread's pool only reserved has its bitmap bit set, but it
+    is nobody's: the verifier must not accept it into a file, and a
+    rollback that takes back a page a refill pooled must take it out of
+    the pool.  Both passed before and left ``page-unallocated`` once the
+    pools drained."""
+
+    def test_verifier_rejects_a_pool_reserved_page(self):
+        vol = Volume.create(8 << 20, VolumeConfig(inode_count=64))
+        s, alloc = vol.session("a", uid=0), vol.kernel.alloc
+        s.write_file("/y", b"y" * 5000)
+        s.release_all()
+        s.write_file("/y", b"z")         # owned for write again
+        s.write_file("/x", b"x" * 100)   # a refill: the pool holds pages
+        ino = s.stat("/y").ino
+        cs = s.fs._inodes[ino].cs
+        cs.store_index_slots(cs.index_pages(cs.read_inode(ino)), 1,
+                             [min(alloc.pooled_pages())])
+        vol.device.sfence()
+        with pytest.raises(CorruptionDetected, match="not allocated"):
+            s.release_all()
+        assert vol.kernel.stats.rollbacks == 1
+        s.close()
+        assert vol.fsck().clean
+        assert vol.session("b").read_file("/y") == b"y" * 5000
+
+    def test_rollback_takes_its_pages_back_from_a_pool(self):
+        vol = Volume.create(8 << 20, VolumeConfig(inode_count=64))
+        s, alloc = vol.session("a", uid=0), vol.kernel.alloc
+        s.write_file("/y", b"y" * 9000)
+        s.release_all()
+        ino = s.stat("/y").ino
+        s.truncate("/y", 0)              # frees /y's data pages
+        alloc.drain_pools()
+        alloc._hint_byte = 0             # the next refill finds them
+        alloc.free(alloc.alloc())        # and pools them
+        freed = alloc.pooled_pages()
+        s.fs._inodes[ino].cs.set_file_size(ino, 1 << 40)
+        with pytest.raises(CorruptionDetected, match="capacity"):
+            s.release_all()
+        shape = read_shape(vol.kernel.core, ino, vol.kernel.core.read_inode(ino))
+        taken_back = set(shape.data) & freed
+        assert taken_back
+        assert taken_back <= alloc.allocated_set()
+        assert not taken_back & alloc.pooled_pages()
+        s.close()
+        assert vol.fsck().clean
+        assert vol.session("b").read_file("/y") == b"y" * 9000
+
+
 class TestVerifyOnTransfer:
     """The one rule for *when* the kernel verifies: every transfer out of an
     application runs the verdict path, so a released inode is a verified
