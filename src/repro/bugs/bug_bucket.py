@@ -24,7 +24,7 @@ from repro.libfs.libfs import LibFS
 
 def colliding_names(fs: LibFS, dir_path: str, want: int = 2) -> List[str]:
     """Find ``want`` file names that land in the same hash bucket."""
-    mi = fs._resolve_dir(paths.parse(dir_path))
+    mi = fs._resolve(paths.parse(dir_path), need_dir=True)
     by_bucket = {}
     i = 0
     while True:

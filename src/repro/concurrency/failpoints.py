@@ -1,9 +1,12 @@
 """Named failpoints for deterministic race reproduction.
 
 The ArckFS/ArckFS+ code calls ``failpoints.hit("name", ctx)`` at the code
-sites where the paper inserted a ``sleep()`` to widen race windows.  In
-production (no hook installed) a hit is a no-op costing one dict lookup.
-Tests install a callback to:
+sites where the paper inserted a ``sleep()`` to widen race windows.  A call
+to :meth:`~FailpointRegistry.hit` costs a Python frame even with nothing
+armed, so every site in ``libfs/``, ``core/``, ``kernel/`` and ``tx/``
+first tests ``failpoints.hooks or obs.enabled`` inline (a test pins this):
+disarmed, with observability off, a site costs that one test and builds
+none of its context.  Tests install a callback to:
 
 * park the thread on an event until the racing operation has run
   (:meth:`FailpointRegistry.park`), the deterministic analogue of the
@@ -26,7 +29,9 @@ Failpoint sites compiled into the LibFS/kernel (one per paper section):
 ``rename.pre_apply``        §4.6 — after the cycle/descendant checks, before
                             the rename is applied.
 ``create.post_marker``      §4.2 — right after the commit-marker store+flush
-                            (the paper adds a flush + sleep here).
+                            (the paper adds a flush + sleep here); LibFS
+                            hands ``CoreState.append_dentry`` a callback
+                            that hits it.
 ``release.pre_unmap``       §4.3 — before the releasing thread unmaps.
 ========================== ==================================================
 """
@@ -44,8 +49,8 @@ class FailpointRegistry:
 
     def __init__(self) -> None:
         #: name -> hook; empty when nothing is armed.  Read-only outside
-        #: this class, and never rebound: a hot site that must cost nothing
-        #: disarmed tests it (and ``obs.enabled``, which counts every hit)
+        #: this class, and never rebound (a site may bind it to a local): a
+        #: site tests it (and ``obs.enabled``, which counts every hit)
         #: before it calls :meth:`hit`.
         self.hooks: Dict[str, Callable[[Any], None]] = {}
 

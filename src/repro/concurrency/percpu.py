@@ -28,9 +28,9 @@ T = TypeVar("T")
 class ShardedStats:
     """A stats dataclass sharded per thread.
 
-    Wraps a dataclass of int counters (``LibFSStats`` and friends):
-    :meth:`inc` bumps a field in the calling thread's private shard (a
-    path that bumps several fields takes the shard once, by :meth:`cells`),
+    Wraps a dataclass of int counters (``LibFSStats`` and friends): a
+    path takes the calling thread's private shard once, by :meth:`cells`,
+    and bumps its fields there (``cells["reads"] += 1``);
     :meth:`fold` sums the shards into a real instance of the dataclass —
     the one record of those counts: ``dataclasses.replace`` copies it,
     ``obs.stats_diff`` takes the delta of two, and an observed run
@@ -54,9 +54,6 @@ class ShardedStats:
                 self._shards.append(shard)
             self._local.shard = shard
         return shard
-
-    def inc(self, field: str, n: int = 1) -> None:
-        self.cells()[field] += n
 
     def fold(self) -> T:
         totals = dict.fromkeys(self._fields, 0)

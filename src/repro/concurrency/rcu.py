@@ -44,15 +44,12 @@ class RCU:
         self._callbacks: List[Tuple[int, Callable[[], None]]] = []
         self.read_sections = 0
         self.grace_periods = 0
-        #: the section state lives in ``_readers``, so one guard serves
-        #: every reader (a lookup allocates nothing to enter a section).
-        self._guard = RCU._ReadGuard(self)
 
     # ------------------------------------------------------------------ #
     # Read side
     # ------------------------------------------------------------------ #
 
-    def read_lock(self) -> None:
+    def read_lock(self) -> "RCU":
         me = threading.get_ident()
         with self._lock:
             entry = self._readers.get(me)
@@ -62,8 +59,9 @@ class RCU:
             else:
                 epoch, depth = entry
                 self._readers[me] = (epoch, depth + 1)
+        return self
 
-    def read_unlock(self) -> None:
+    def read_unlock(self, *exc) -> None:
         me = threading.get_ident()
         with self._lock:
             entry = self._readers.get(me)
@@ -80,19 +78,15 @@ class RCU:
     def in_read_section(self) -> bool:
         return threading.get_ident() in self._readers
 
-    class _ReadGuard:
-        def __init__(self, rcu: "RCU"):
-            self._rcu = rcu
+    # The section state lives in ``_readers``, so the domain is its own
+    # guard: ``with rcu.read():`` enters and exits one frame each and
+    # allocates nothing.
+    __enter__ = read_lock
+    __exit__ = read_unlock
 
-        def __enter__(self):
-            self._rcu.read_lock()
-            return self._rcu
-
-        def __exit__(self, *exc):
-            self._rcu.read_unlock()
-
-    def read(self) -> "_ReadGuard":
-        return self._guard
+    def read(self) -> "RCU":
+        """A read-side critical section, as a context manager."""
+        return self
 
     # ------------------------------------------------------------------ #
     # Update side

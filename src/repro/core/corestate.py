@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ChainCorrupt, InvalidArgument, NameTooLong, PersistOrderError
 from repro.pm.allocator import PageAllocator
@@ -210,8 +210,10 @@ class CoreState:
         return chain.cursor(), records
 
     def dir_pages(self, rec: InodeRecord) -> List[int]:
-        """All log pages owned by a directory inode, tail by tail."""
-        return [p for head in rec.tails for p, _hdr in self.walk_chain(head)]
+        """All log pages owned by a directory inode, tail by tail (a tail
+        with no head page has none to walk)."""
+        return [p for head in rec.tails if head
+                for p, _hdr in self.walk_chain(head)]
 
     def owned_pages(self, rec: InodeRecord) -> List[int]:
         """Every page hanging off an inode: a directory's log pages, or a
@@ -247,7 +249,7 @@ class CoreState:
         alloc: PageAllocator,
         *,
         fence_before_marker: bool,
-        failpoints=None,
+        post_marker: Optional[Callable[[], None]] = None,
     ) -> DentryLoc:
         """Append and commit one dentry using the commit-marker protocol.
 
@@ -257,7 +259,9 @@ class CoreState:
         inode record change via us).
 
         The caller must hold the tail lock for ``tail_idx`` (and, under the
-        ArckFS+ §4.4 patch, the relevant bucket lock).
+        ArckFS+ §4.4 patch, the relevant bucket lock).  ``post_marker``, if
+        given, runs between the marker's flush and the final fence: LibFS
+        passes its ``create.post_marker`` failpoint there while one may fire.
         """
         if not name or len(name) > MAX_NAME:
             raise NameTooLong(f"name of {len(name)} bytes")
@@ -305,11 +309,11 @@ class CoreState:
         # Step 2: atomically set the commit marker, flush its line, fence.
         self.mem.atomic_store(marker_addr, struct.pack("<H", len(name)))
         self.mem.clwb(marker_addr, 2)
-        if failpoints is not None:
+        if post_marker is not None:
             # §4.2 reproduction point: marker flushed, final fence not yet
             # issued — the window in which the marker line may persist ahead
             # of the body/inode lines.
-            failpoints.hit("create.post_marker")
+            post_marker()
         self.mem.sfence()
 
         cursor.used += rec_len

@@ -1020,7 +1020,7 @@ def _ablation_run():
         fs.mkdir("/d")
         fs.close(fs.creat("/d/f"))
         fs.commit_path("/")
-        mi = fs._resolve_dir(("d",))
+        mi = fs._resolve(("d",), need_dir=True)
         a0 = sum(b.lock.acquisitions for b in mi.dir.buckets.values())
         fs.release_path("/d")
         return sum(b.lock.acquisitions for b in mi.dir.buckets.values()) - a0

@@ -251,7 +251,8 @@ class KernelController:
 
     def alloc_inode(self, app_id: str) -> Tuple[int, int]:
         """Hand a free inode slot (and its next generation) to an app."""
-        obs.kernel_crossing("inode_alloc")
+        if obs.enabled:
+            obs.kernel_crossing("inode_alloc")
         with self._lock:
             self._require_app(app_id)
             if not self.free_inodes:
@@ -265,7 +266,8 @@ class KernelController:
 
     def abort_inode(self, app_id: str, ino: int) -> None:
         """Return a pending (never linked) inode slot, unmapping if needed."""
-        obs.kernel_crossing("inode_alloc")
+        if obs.enabled:
+            obs.kernel_crossing("inode_alloc")
         with self._lock:
             pend = self.pending.get(ino)
             if pend is None or pend.owner != app_id:
@@ -297,7 +299,8 @@ class KernelController:
         precisely so the common own-release/re-acquire path is cheap *and*
         safe).
         """
-        obs.kernel_crossing("mmap")
+        if obs.enabled:
+            obs.kernel_crossing("mmap")
         with self._lock:
             app = self._require_app(app_id)
             sh = self.shadow.get(ino)
@@ -382,7 +385,8 @@ class KernelController:
         raised; the mapping stays valid but the LibFS must rebuild its
         auxiliary state from the (possibly rolled back) core state.
         """
-        obs.kernel_crossing("verification")
+        if obs.enabled:
+            obs.kernel_crossing("verification")
         with self._lock:
             acq = self._require_acquisition(app_id, ino)
             self._verify_or_resolve(ino, app_id, acq.snapshot)
@@ -393,7 +397,8 @@ class KernelController:
         """Voluntary release: verify, update shadow, unmap.  Returns the
         inode's version after it, so the releaser's retained auxiliary
         state stays current (a failed release raises: nothing stays)."""
-        obs.kernel_crossing("ownership_transfer")
+        if obs.enabled:
+            obs.kernel_crossing("ownership_transfer")
         with self._lock:
             acq = self._require_acquisition(app_id, ino)
             app = self.apps[app_id]
@@ -437,7 +442,8 @@ class KernelController:
         mapping raises SimulatedBusError (it "may crash", §4.3) and the
         core state is verified/rolled back like any other release.
         """
-        obs.kernel_crossing("ownership_transfer")
+        if obs.enabled:
+            obs.kernel_crossing("ownership_transfer")
         with self._lock:
             acq = self.acquisitions.get(ino)
             if acq is None:
@@ -462,13 +468,15 @@ class KernelController:
         return f"{app_id}/{threading.get_ident()}"
 
     def rename_lock_acquire(self, app_id: str, timeout: float = 2.0) -> None:
-        obs.kernel_crossing("rename_lease")
+        if obs.enabled:
+            obs.kernel_crossing("rename_lease")
         self._require_app(app_id)
         if not self.rename_lease.acquire(self._lease_holder(app_id), timeout=timeout):
             raise TryAgain("global rename lease unavailable")
 
     def rename_lock_release(self, app_id: str) -> None:
-        obs.kernel_crossing("rename_lease")
+        if obs.enabled:
+            obs.kernel_crossing("rename_lease")
         self.rename_lease.release(self._lease_holder(app_id))
 
     def rename_lock_held(self, app_id: str) -> bool:
@@ -508,7 +516,8 @@ class KernelController:
             # protect and no other app can reference it, so the app can
             # retry in the right order (cf. Figure 2).
             if not (ino in self.pending and ino not in self.shadow):
-                obs.kernel_crossing("corruption_resolution")
+                if obs.enabled:
+                    obs.kernel_crossing("corruption_resolution")
                 self.policy.resolve(self, ino, snapshot, vf.reason)
                 # The kernel rewrote the core state: no image of it built
                 # before — the owner's, a trust-group member's — is current.

@@ -145,6 +145,8 @@ class Verifier:
         waived.  Full verification is deferred until the inode leaves the
         group.
         """
+        if not obs.enabled:
+            return self._verify(ino, app_id, trusted)
         with obs.span("verify.pipeline", category="kernel", ino=ino):
             return self._verify(ino, app_id, trusted)
 
@@ -156,7 +158,7 @@ class Verifier:
             raise VerifyFailure(ino, "unknown inode")
 
         staged = StagedUpdate(ino=ino)
-        rec = self.core.read_inode(ino)
+        rec = kc.core.read_inode(ino)
         staged.bytes_verified += InodeRecord.SIZE
 
         if sh is None:
@@ -177,7 +179,7 @@ class Verifier:
             return staged
 
         pending_recs: Dict[int, InodeRecord] = {}  # read by ``_target``
-        shape = read_shape(self.core, ino, rec)
+        shape = read_shape(kc.core, ino, rec)
         if trusted and not shape.parsed():
             raise VerifyFailure(ino, "unparseable core state")
         if not trusted:  # its own shape first, then the shadow table's

@@ -14,7 +14,6 @@ from repro.libfs.inode import MemInode
 class FileDescriptor:
     fd: int
     mi: MemInode
-    path: str
     readable: bool = True
     writable: bool = True
     offset: int = 0
@@ -35,13 +34,13 @@ class FDTable:
         self._fds: Dict[int, FileDescriptor] = {}
         self._next = 3  # 0-2 reserved, as tradition demands
 
-    def install(self, mi: MemInode, path: str, readable: bool = True,
+    def install(self, mi: MemInode, readable: bool = True,
                 writable: bool = True) -> FileDescriptor:
         with self._lock:
             fd = self._next
             self._next += 1
-            entry = FileDescriptor(fd=fd, mi=mi, path=path,
-                                   readable=readable, writable=writable)
+            entry = FileDescriptor(fd=fd, mi=mi, readable=readable,
+                                   writable=writable)
             self._fds[fd] = entry
             return entry
 

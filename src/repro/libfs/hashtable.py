@@ -31,6 +31,12 @@ from before or after each store, never a half-emptied one, and whatever it
 still holds stays dereferenceable.  With no reader inside that period is
 over at once, so a node is read only inside a section: :meth:`entry` copies
 out there, and a caller of :meth:`items` holds a section of its own.
+
+A name is hashed once per operation: a writer takes :meth:`bucket_of`'s
+``Bucket``, locks it, and hands that same bucket to :meth:`lookup_locked`,
+:meth:`insert_locked` and :meth:`remove_locked`; its ``index`` orders two
+buckets' locks.  With nothing armed and observability off, a failpoint site
+costs one inline test.
 """
 
 from __future__ import annotations
@@ -38,8 +44,11 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import nullcontext
+from functools import partial
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.concurrency.failpoints import failpoints
 from repro.concurrency.rcu import RCU
 from repro.concurrency.spinlock import SpinLock
@@ -49,6 +58,8 @@ from repro.errors import SimulatedSegfault
 
 #: Hash buckets per directory.
 NBUCKETS = 64
+
+_COUNT = attrgetter("count")
 
 
 class Node:
@@ -70,7 +81,8 @@ class Node:
         self.poisoned = False
 
     def check(self) -> None:
-        """Fault on dereference of freed memory (the §4.5 segfault)."""
+        """Fault on dereference of freed memory (the §4.5 segfault); a
+        walker calls it only once its inline ``poisoned`` test says so."""
         if self.poisoned:
             raise SimulatedSegfault(
                 f"dereference of freed directory entry (was {self.name!r})"
@@ -115,9 +127,12 @@ class NodeFreelist:
 
 
 class Bucket:
-    __slots__ = ("lock", "head", "count")
+    __slots__ = ("index", "lock", "head", "count")
 
-    def __init__(self, name: str):
+    def __init__(self, index: int, name: str):
+        #: the slot names hash to (:meth:`DirHashTable.bucket_index`); with
+        #: the directory's inode, the order two buckets are locked in.
+        self.index = index
         self.lock = SpinLock(name)
         #: the chain; readers take no lock, so writers change it (and any
         #: ``next`` on it) with one store of an already-built value.
@@ -152,31 +167,36 @@ class DirHashTable:
         locks, so concurrent inserts into different buckets raced and
         lost updates.
         """
-        return sum(b.count for b in tuple(self.buckets.values()))
+        return sum(map(_COUNT, tuple(self.buckets.values())))
 
     # ------------------------------------------------------------------ #
 
     def bucket_index(self, name: bytes) -> int:
-        # crc32 rather than hash(): deterministic across processes, so
-        # collision-dependent tests and benchmarks are reproducible.
+        """The slot ``name`` hashes to; the three lookups below compute it
+        inline, with no frame of their own.
+
+        crc32 rather than hash(): deterministic across processes, so
+        collision-dependent tests and benchmarks are reproducible."""
         return zlib.crc32(name) % NBUCKETS
 
     def bucket_of(self, name: bytes) -> Bucket:
         """The bucket ``name`` hashes to, born here if this is the first
-        name that does (writer paths; readers never create one)."""
-        index = self.bucket_index(name)
+        name that does (writer paths; readers never create one).  The one
+        hash of a writer's operation: what it does to the name under the
+        lock takes this bucket."""
+        index = zlib.crc32(name) % NBUCKETS  # bucket_index
         bucket = self.buckets.get(index)
         if bucket is None:
             with self._birth_lock:
                 bucket = self.buckets.setdefault(
-                    index, Bucket(f"{self.tag}.bucket{index}"))
+                    index, Bucket(index, f"{self.tag}.bucket{index}"))
         return bucket
 
     def _free(self, node: Node) -> None:
         """Free an unlinked node: after a grace period under the §4.5
         patch, at once (poison + reuse — the use-after-free) without it."""
         if self.config.rcu_buckets:
-            self.rcu.call_rcu(lambda: self.freelist.free(node))
+            self.rcu.call_rcu(partial(self.freelist.free, node))
         else:
             self.freelist.free(node)
 
@@ -185,19 +205,26 @@ class DirHashTable:
     # ------------------------------------------------------------------ #
 
     def _walk(self, bucket: Bucket, name: bytes) -> Optional[Node]:
+        hooks = failpoints.hooks
         node = bucket.head
         while node is not None:
-            failpoints.hit("dir.bucket_traverse", node)
-            node.check()
+            if hooks or obs.enabled:
+                failpoints.hit("dir.bucket_traverse", node)
+            if node.poisoned:
+                node.check()
             if node.name == name:
                 return node
             node = node.next
         return None
 
+    #: ``lookup_locked(bucket, name)``: find an entry in ``bucket``, the one
+    #: ``name`` hashes to, whose lock the caller holds (writer paths).
+    lookup_locked = _walk
+
     def lookup(self, name: bytes) -> Optional[Node]:
         """Find an entry.  ArckFS: lock-free (bug §4.5).  ArckFS+: RCU
         read section."""
-        bucket = self.buckets.get(self.bucket_index(name))
+        bucket = self.buckets.get(zlib.crc32(name) % NBUCKETS)  # bucket_index
         if bucket is None:
             return None  # no name has ever hashed here
         if self.config.rcu_buckets:
@@ -209,16 +236,15 @@ class DirHashTable:
         """``(ino, itype)`` of an entry, read inside the read section that
         found it (ArckFS+): once no reader is inside, an unlinked node is
         freed, and may be reused, at once."""
-        bucket = self.buckets.get(self.bucket_index(name))
+        bucket = self.buckets.get(zlib.crc32(name) % NBUCKETS)  # bucket_index
         if bucket is None:
             return None
-        with self.rcu.read() if self.config.rcu_buckets else nullcontext():
-            node = self._walk(bucket, name)
-            return None if node is None else (node.ino, node.itype)
-
-    def lookup_locked(self, name: bytes) -> Optional[Node]:
-        """Find an entry; caller holds the bucket lock (writer paths)."""
-        return self._walk(self.bucket_of(name), name)
+        if self.config.rcu_buckets:
+            with self.rcu.read():
+                node = self._walk(bucket, name)
+                return None if node is None else (node.ino, node.itype)
+        node = self._walk(bucket, name)
+        return None if node is None else (node.ino, node.itype)
 
     def items(self) -> List[Node]:
         """Snapshot every entry (readdir) as a list.
@@ -229,36 +255,38 @@ class DirHashTable:
         ``readdir`` iterator pinned grace periods indefinitely.)
         """
         out: List[Node] = []
+        hooks = failpoints.hooks
         with self.rcu.read() if self.config.rcu_buckets else nullcontext():
             for bucket in tuple(self.buckets.values()):
                 node = bucket.head
                 while node is not None:
-                    failpoints.hit("dir.bucket_traverse", node)
-                    node.check()
+                    if hooks or obs.enabled:
+                        failpoints.hit("dir.bucket_traverse", node)
+                    if node.poisoned:
+                        node.check()
                     out.append(node)
                     node = node.next
         return out
 
     # ------------------------------------------------------------------ #
-    # Write side (caller holds the bucket lock)
+    # Write side (caller holds the lock of the bucket the name hashes to,
+    # and passes that bucket)
     # ------------------------------------------------------------------ #
 
-    def insert_locked(self, node: Node) -> None:
-        bucket = self.bucket_of(node.name)
-        if not bucket.lock.held_by_me():
+    def insert_locked(self, bucket: Bucket, node: Node) -> None:
+        if bucket.lock.owner != threading.get_ident():
             raise RuntimeError("insert without bucket lock")
         node.next = bucket.head
         bucket.head = node  # the one store that publishes it
         bucket.count += 1
 
-    def remove_locked(self, name: bytes) -> Optional[Node]:
+    def remove_locked(self, bucket: Bucket, name: bytes) -> Optional[Node]:
         """Unlink the entry from its chain and *free* it.
 
         Under ArckFS the free is immediate (poison + freelist) — the §4.5
         use-after-free.  Under ArckFS+ the free is deferred via RCU.
         """
-        bucket = self.bucket_of(name)
-        if not bucket.lock.held_by_me():
+        if bucket.lock.owner != threading.get_ident():
             raise RuntimeError("remove without bucket lock")
         prev: Optional[Node] = None
         node = bucket.head

@@ -212,7 +212,11 @@ class LibFS:
         if known is not None and known.mapping.valid \
                 and (known.writable or not write):
             return known
-        with known.attach_lock if known is not None else nullcontext():
+        # A first sight has no MemInode, hence no lock, to serialise on.
+        attach_lock = known.attach_lock if known is not None else None
+        if attach_lock is not None:
+            attach_lock.acquire()
+        try:
             if known is not None:
                 if known.mapping.valid and (known.writable or not write):
                     return known
@@ -263,6 +267,9 @@ class LibFS:
                 return rival
             if cached is not None:
                 obs.count("readpath.crossings_avoided")
+        finally:
+            if attach_lock is not None:
+                attach_lock.release()
         return mi
 
     def _get_for_read(self, ino: int) -> MemInode:
@@ -299,7 +306,7 @@ class LibFS:
         while True:
             self._attach(mi.ino, write=True)
             bucket.lock.acquire()
-            if mi.attached and mi.writable:
+            if mi.mapping.valid and mi.writable:  # ``attached``, inline
                 return bucket
             bucket.lock.release()
 
@@ -308,23 +315,32 @@ class LibFS:
     # ================================================================== #
 
     def _lookup(self, dir_mi: MemInode, name: bytes) -> Optional[Tuple[int, int]]:
-        self._stats.inc("lookups")
+        self._stats.cells()["lookups"] += 1
         return dir_mi.dir.entry(name)
 
-    def _resolve(self, comps: Tuple[str, ...], write: bool = False) -> MemInode:
+    def _resolve(self, comps: Tuple[str, ...], write: bool = False,
+                 need_dir: bool = False) -> MemInode:
         """The inode ``comps`` names, attached as needed: a file for write
-        at once with ``write`` (one acquisition, not a read one first)."""
+        at once with ``write`` (one acquisition, not a read one first).
+        With ``need_dir`` a name that is not a directory is ``NotADir`` (a
+        parent, or what ``readdir`` lists)."""
         seq = self._walk_seq  # read before anything the walk relies on
         walk, entry = self._walk(comps, seq)
         if entry is None:  # remembered
             mi = walk[-1][0]
-            return self._attach(mi.ino, write=True) if write and not mi.is_dir else mi
+            if mi.is_dir:
+                return mi
+            if need_dir:
+                raise NotADir(paths.join(comps))
+            return self._attach(mi.ino, write=True) if write else mi
         ino, itype = entry
         if write and itype != ITYPE_DIR:
             mi = self._attach(ino, write=True)
         else:
             mi = self._get_for_read(ino)
         self._extend(seq, comps, walk, mi)
+        if need_dir and not mi.is_dir:
+            raise NotADir(paths.join(comps))
         return mi
 
     def _walk(self, comps: Tuple[str, ...], seq: int):
@@ -395,24 +411,12 @@ class LibFS:
                 mi.walk = comps
         return walk
 
-    def _resolve_dir(self, comps: Tuple[str, ...]) -> MemInode:
-        """:meth:`_resolve`, for a name that must be a directory."""
-        mi = self._resolve(comps)
-        if not mi.is_dir:
-            raise NotADir(paths.join(comps))
-        return mi
-
-    def _resolve_parent(self, comps: Tuple[str, ...]) -> Tuple[MemInode, bytes]:
-        if not comps:
-            raise InvalidArgument("the root directory has no name")
-        return self._resolve_dir(comps[:-1]), comps[-1].encode()
-
     # ================================================================== #
     # Creation
     # ================================================================== #
 
-    def _write_new_inode_record(self, mapping, ino: int, gen: int, itype: int,
-                                mode: int) -> InodeRecord:
+    def _write_new_inode_record(self, cs: CoreState, ino: int, gen: int,
+                                itype: int, mode: int) -> InodeRecord:
         rec = InodeRecord(
             magic=INODE_MAGIC,
             itype=itype,
@@ -427,7 +431,7 @@ class LibFS:
         )
         # Step 1 of the commit protocol: store + clwb, NO fence — the fence
         # (or its §4.2 absence) is handled by append_dentry.
-        CoreState(mapping, self.geom).write_inode_noflush(ino, rec)
+        cs.write_inode_noflush(ino, rec)
         return rec
 
     def _append_dentry(self, parent: MemInode, name: bytes, ino: int, gen: int,
@@ -435,53 +439,63 @@ class LibFS:
         """Append a committed dentry to the parent's multi-tailed log."""
         tail = parent.pick_tail()
         cursor = parent.cursors[tail]
-        lock = parent.tail_locks[tail]
-        with lock:
-            failpoints.hit("dir.write_mid", name)
-            cs = parent.cs
+        hooks = failpoints.hooks
+        with parent.tail_locks[tail]:
+            if hooks or obs.enabled:
+                failpoints.hit("dir.write_mid", name)
             rec_len = Dentry.record_len(name)
-            needs_alloc = (
-                cursor.head_page == 0
-                or cursor.used + rec_len > PAGE_SIZE - 16  # may extend the chain
-            )
             # The index-tail lock protects inode-record tail-head updates
             # and chain extension (§2.2's third lock type).
-            with parent.index_lock if needs_alloc else nullcontext():
-                return cs.append_dentry(
+            index_lock = parent.index_lock if (
+                cursor.head_page == 0
+                or cursor.used + rec_len > PAGE_SIZE - 16  # may extend the chain
+            ) else None
+            if index_lock is not None:
+                index_lock.acquire()
+            try:
+                return parent.cs.append_dentry(
                     parent.ino, parent.record, tail, cursor, name, ino, gen,
                     itype, seq, self.alloc,
                     fence_before_marker=self.config.fence_before_marker,
-                    failpoints=failpoints,
+                    post_marker=(lambda: failpoints.hit("create.post_marker"))
+                    if hooks or obs.enabled else None,
                 )
+            finally:
+                if index_lock is not None:
+                    index_lock.release()
 
     def _create_common(self, comps: Tuple[str, ...], mode: int,
                        itype: int) -> MemInode:
-        parent, name = self._resolve_parent(comps)
-        path = paths.join(comps)
+        if not comps:
+            raise InvalidArgument("the root directory has no name")
+        parent = self._resolve(comps[:-1], need_dir=True)
+        name = comps[-1].encode()
         ino, gen = self.kernel.alloc_inode(self.app_id)
         bucket = None  # taking it can fail: the parent may be held elsewhere
         inserted = False
         extended = self.config.extended_bucket_lock
         try:
             child_mapping, version = self.kernel.acquire(self.app_id, ino, write=True)
+            child_cs = CoreState(child_mapping, self.geom)
             bucket = self._lock_bucket_attached(parent, name)
-            if parent.dir.lookup_locked(name) is not None:
-                raise Exists(path)
+            if parent.dir.lookup_locked(bucket, name) is not None:
+                raise Exists(paths.join(comps))
             node = self.freelist.alloc(name, ino, gen, itype, seq=1, loc=None)
-            parent.dir.insert_locked(node)
+            parent.dir.insert_locked(bucket, node)
             inserted = True
             if not extended:
                 # §4.4 bug: the bucket lock does not cover the core append.
                 bucket.lock.release()
-            failpoints.hit("creat.pre_core_append", path)
-            rec = self._write_new_inode_record(child_mapping, ino, gen, itype, mode)
+            if failpoints.hooks or obs.enabled:
+                failpoints.hit("creat.pre_core_append", paths.join(comps))
+            rec = self._write_new_inode_record(child_cs, ino, gen, itype, mode)
             node.loc = self._append_dentry(parent, name, ino, gen, itype, seq=1)
         except BaseException:
             if inserted:
                 if not extended:
                     bucket.lock.acquire()
                 try:
-                    parent.dir.remove_locked(name)
+                    parent.dir.remove_locked(bucket, name)
                 finally:
                     bucket.lock.release()
             elif bucket is not None:
@@ -493,7 +507,7 @@ class LibFS:
                 bucket.lock.release()
 
         child = MemInode(ino, rec, self.config, self.rcu, self.freelist)
-        child.cs = CoreState(child_mapping, self.geom)
+        child.cs = child_cs
         child.mapping = child_mapping
         child.aux_version = version  # the empty image just constructed
         child.writable = True
@@ -508,15 +522,14 @@ class LibFS:
 
     @traced_syscall("creat")
     def _creat(self, comps: Tuple[str, ...], mode: int) -> int:
-        return self.fdtable.install(self._create_file(comps, mode),
-                                    paths.join(comps)).fd
+        return self.fdtable.install(self._create_file(comps, mode)).fd
 
     def _create_file(self, comps: Tuple[str, ...], mode: int) -> MemInode:
         """The regular file ``comps`` names, created (and counted) and left
         attached for write: ``creat``'s body, and ``write_file``'s and a
         transaction's create, which install no descriptor."""
         mi = self._create_common(comps, mode, ITYPE_FILE)
-        self._stats.inc("creates")
+        self._stats.cells()["creates"] += 1
         return mi
 
     def mkdir(self, path: str, mode: int = 0o775) -> None:
@@ -530,7 +543,7 @@ class LibFS:
         """The directory ``comps`` names, created (and counted): ``mkdir``'s
         body, and a transaction's."""
         mi = self._create_common(comps, mode, ITYPE_DIR)
-        self._stats.inc("mkdirs")
+        self._stats.cells()["mkdirs"] += 1
         return mi
 
     # ================================================================== #
@@ -548,8 +561,8 @@ class LibFS:
             raise
         if mi.is_dir:
             raise IsADir(paths.join(comps))
-        self._stats.inc("opens")
-        return self.fdtable.install(mi, paths.join(comps)).fd
+        self._stats.cells()["opens"] += 1
+        return self.fdtable.install(mi).fd
 
     @traced_syscall("close")
     def close(self, fd: int) -> None:
@@ -558,7 +571,7 @@ class LibFS:
     @traced_syscall("stat")
     def stat(self, path: str) -> StatResult:
         comps = paths.parse(path)
-        self._stats.inc("stats_")
+        self._stats.cells()["stats_"] += 1
         mi = self._resolve(comps)
         # §4.3 patch: served entirely from cached in-memory inode state.
         return StatResult(
@@ -568,8 +581,8 @@ class LibFS:
 
     @traced_syscall("readdir")
     def readdir(self, path: str) -> List[str]:
-        mi = self._resolve_dir(paths.parse(path))
-        self._stats.inc("readdirs")
+        mi = self._resolve(paths.parse(path), need_dir=True)
+        self._stats.cells()["readdirs"] += 1
         # a node unlinked outside a section may be freed and reused at once
         with self.rcu.read() if self.config.rcu_buckets else nullcontext():
             return sorted(node.name.decode() for node in mi.dir.items())
@@ -828,7 +841,7 @@ class LibFS:
     def fsync(self, fd: int) -> None:
         """Returns immediately: every operation already persisted (§2.2)."""
         self.fdtable.get(fd)
-        self._stats.inc("fsyncs")
+        self._stats.cells()["fsyncs"] += 1
 
     # ================================================================== #
     # Unlink / rmdir
@@ -840,53 +853,62 @@ class LibFS:
 
     def _unlink(self, comps: Tuple[str, ...]) -> None:
         """``unlink``'s body, and a transaction's apply and undo."""
-        parent, name = self._resolve_parent(comps)
-        path = paths.join(comps)
+        if not comps:
+            raise InvalidArgument("the root directory has no name")
+        parent = self._resolve(comps[:-1], need_dir=True)
+        name = comps[-1].encode()
         bucket = self._lock_bucket_attached(parent, name)
         try:
-            node = parent.dir.lookup_locked(name)
+            node = parent.dir.lookup_locked(bucket, name)
             if node is None:
-                raise NoEntry(path)
+                raise NoEntry(paths.join(comps))
             if node.itype == ITYPE_DIR:
-                raise IsADir(path)
+                raise IsADir(paths.join(comps))
             ino, loc = node.ino, node.loc
             if loc is not None:
                 # Take the file before its name goes, as rmdir takes its
                 # child: held elsewhere, this raises with nothing removed.
                 # (A dentry not yet committed is §4.4's fault below.)
-                self._attach(ino, write=True)
-            parent.dir.remove_locked(name)
+                mi = self._attach(ino, write=True)
+            parent.dir.remove_locked(bucket, name)
             with self._inodes_lock:
                 self._walk_seq += 1  # as in rmdir: the walk goes now
-                mi = self._inodes.get(ino)
-                if mi is not None:
-                    self._walks.pop(mi.walk, None)
-            failpoints.hit("dir.write_mid", path)
+                known = self._inodes.get(ino)
+                if known is not None:
+                    self._walks.pop(known.walk, None)
+            if failpoints.hooks or obs.enabled:
+                failpoints.hit("dir.write_mid", paths.join(comps))
             if loc is None:
                 # §4.4: the auxiliary state says the entry exists, the core
                 # state has no dentry yet — dereferencing "core data" that
                 # does not exist is the artifact's segmentation fault.
                 raise SimulatedSegfault(
-                    f"unlink({path}): aux entry present but core dentry missing"
+                    f"unlink({paths.join(comps)}): aux entry present but core "
+                    "dentry missing"
                 )
             cs = parent.cs
             cs.tombstone(loc)
             cs.mem.sfence()  # the unlink is durable on return
         finally:
             bucket.lock.release()
-        self._free_file_inode(ino)
-        self._stats.inc("unlinks")
+        self._free_file_inode(mi)
+        self._stats.cells()["unlinks"] += 1
 
-    def _free_file_inode(self, ino: int) -> None:
+    def _free_file_inode(self, mi: MemInode) -> None:
         """Free a just-unlinked file's record and pages, then hand the inode
         back to the kernel (whose verification confirms the deletion when
-        the parent is next verified).
+        the parent is next verified).  ``mi`` is the file as the unlink
+        attached it for write.
 
         The record free and the bit clears of the page free ride the next
         fence: with the tombstone durable, a crash before it leaves at worst
         a valid record no dentry names, or set bits on unreachable pages —
         leaks mount reclaims."""
-        mi = self._attach(ino, write=True)
+        if not (mi.mapping.valid and mi.writable):
+            # Released since the unlink took it (a release_all elsewhere):
+            # take it back, as the unlink did.
+            mi = self._attach(mi.ino, write=True)
+        ino = mi.ino
         mi.rwlock.acquire_write()
         mi.seq.write_begin()
         try:
@@ -907,30 +929,31 @@ class LibFS:
         """``rmdir``'s body, and a transaction's undo."""
         if not comps:
             raise InvalidArgument("cannot remove the root")
-        parent, name = self._resolve_parent(comps)
-        path = paths.join(comps)
+        parent = self._resolve(comps[:-1], need_dir=True)
+        name = comps[-1].encode()
         bucket = self._lock_bucket_attached(parent, name)
         child_locked = False
         child = None
         try:
-            node = parent.dir.lookup_locked(name)
+            node = parent.dir.lookup_locked(bucket, name)
             if node is None:
-                raise NoEntry(path)
+                raise NoEntry(paths.join(comps))
             if node.itype != ITYPE_DIR:
-                raise NotADir(path)
+                raise NotADir(paths.join(comps))
             child = self._attach(node.ino, write=True)
             child.dir.lock_all()
             child_locked = True
             if child.dir.count != 0:
-                raise NotEmpty(path)
+                raise NotEmpty(paths.join(comps))
             if node.loc is None:
                 raise SimulatedSegfault(
-                    f"rmdir({path}): aux entry present but core dentry missing"
+                    f"rmdir({paths.join(comps)}): aux entry present but core "
+                    "dentry missing"
                 )
             parent_cs = parent.cs
             parent_cs.tombstone(node.loc)
             parent_cs.mem.sfence()  # the rmdir is durable on return
-            parent.dir.remove_locked(name)
+            parent.dir.remove_locked(bucket, name)
             with self._inodes_lock:
                 # The name is gone: its walk goes now, not when the aux
                 # state does, and a walk that saw the name is not kept.
@@ -946,7 +969,7 @@ class LibFS:
             bucket.lock.release()
         self.kernel.release(self.app_id, child.ino)
         self._invalidate_aux(child.ino, child)
-        self._stats.inc("rmdirs")
+        self._stats.cells()["rmdirs"] += 1
 
     # ================================================================== #
     # Rename (§3.2 rules, §4.1/§4.6 patches)
@@ -962,21 +985,20 @@ class LibFS:
             raise InvalidArgument("cannot rename the root")
         if oldc == newc:
             return
-        oldpath, newpath = paths.join(oldc), paths.join(newc)
 
         if self.config.descendant_check and newc[:len(oldc)] == oldc:
             # §4.6 case (2): renaming a directory into its own subtree.
-            raise WouldLoop(f"{newpath} is inside {oldpath}")
+            raise WouldLoop(f"{paths.join(newc)} is inside {paths.join(oldc)}")
 
-        old_parent = self._resolve_dir(oldc[:-1])
+        old_parent = self._resolve(oldc[:-1], need_dir=True)
         src = self._lookup(old_parent, oldc[-1].encode())
         if src is None:
-            raise NoEntry(oldpath)
+            raise NoEntry(paths.join(oldc))
         is_dir = src[1] == ITYPE_DIR
 
         # Resolve the destination parent before taking the lease so lease
         # hold time stays short.
-        new_parent = self._resolve_dir(newc[:-1])
+        new_parent = self._resolve(newc[:-1], need_dir=True)
         cross = new_parent.ino != old_parent.ino
         dir_relocation = is_dir and cross
 
@@ -996,9 +1018,11 @@ class LibFS:
                 # moved either path while we waited (the §4.6 case-(1)
                 # interleaving).  Unpatched ArckFS uses the pre-resolved
                 # parents — the TOCTOU window that creates cycles.
-                old_parent = self._resolve_dir(oldc[:-1])
-                new_parent = self._resolve_dir(newc[:-1])
-            failpoints.hit("rename.pre_apply", (oldpath, newpath))
+                old_parent = self._resolve(oldc[:-1], need_dir=True)
+                new_parent = self._resolve(newc[:-1], need_dir=True)
+            if failpoints.hooks or obs.enabled:
+                failpoints.hit("rename.pre_apply",
+                               (paths.join(oldc), paths.join(newc)))
             self._apply_rename(old_parent, oldc, new_parent, newc)
             if dir_relocation and self.config.rename_commit_protocol:
                 # Rule (2): commit the new parent before the old parent can
@@ -1012,7 +1036,7 @@ class LibFS:
                 except LeaseExpired:
                     pass  # lapsed mid-operation; the verifier's check (3)
                     # protects integrity, nothing left to release
-        self._stats.inc("renames")
+        self._stats.cells()["renames"] += 1
 
     def _commit_path_chain(self, comps: Tuple[str, ...]) -> None:
         """Commit every directory from the root down to ``comps``."""
@@ -1031,19 +1055,15 @@ class LibFS:
         self._attach(new_parent.ino, write=True)
         old_bucket = old_parent.dir.bucket_of(oldname)
         new_bucket = new_parent.dir.bucket_of(newname)
-        locks = sorted(
-            {
-                (old_parent.ino, old_parent.dir.bucket_index(oldname)): old_bucket,
-                (new_parent.ino, new_parent.dir.bucket_index(newname)): new_bucket,
-            }.items()
-        )
+        locks = sorted({(old_parent.ino, old_bucket.index): old_bucket,
+                        (new_parent.ino, new_bucket.index): new_bucket}.items())
         for _key, bucket in locks:
             bucket.lock.acquire()
         try:
-            src = old_parent.dir.lookup_locked(oldname)
+            src = old_parent.dir.lookup_locked(old_bucket, oldname)
             if src is None:
                 raise NoEntry(paths.join(oldc))
-            if new_parent.dir.lookup_locked(newname) is not None:
+            if new_parent.dir.lookup_locked(new_bucket, newname) is not None:
                 raise Exists(paths.join(newc))
             if src.loc is None:
                 raise SimulatedSegfault(
@@ -1055,14 +1075,14 @@ class LibFS:
             )
             node = self.freelist.alloc(newname, src.ino, src.gen, src.itype,
                                        new_seq, loc)
-            new_parent.dir.insert_locked(node)
+            new_parent.dir.insert_locked(new_bucket, node)
             # Unfenced: the append's fence made the new name durable, and
             # the higher seq wins it the child at mount, which tombstones
             # the old name if this store did not persist.  The next fence
             # takes it.
             old_parent.cs.tombstone(src.loc)
             ino, moved_dir = src.ino, src.itype == ITYPE_DIR
-            old_parent.dir.remove_locked(oldname)
+            old_parent.dir.remove_locked(old_bucket, oldname)
             with self._inodes_lock:
                 # The old name (and, for a directory, every name under it)
                 # stopped resolving just now: forget the walks that end at
@@ -1134,7 +1154,8 @@ class LibFS:
                 mi.rwlock.acquire_write()
                 mi.seq.write_begin()  # optimistic readers retry, then re-attach
             try:
-                failpoints.hit("release.pre_unmap", ino)
+                if failpoints.hooks or obs.enabled:
+                    failpoints.hit("release.pre_unmap", ino)
                 try:
                     # Told the new version, what we retain stays current.
                     mi.aux_version = self.kernel.release(self.app_id, ino)
@@ -1150,7 +1171,8 @@ class LibFS:
         else:
             # ArckFS: no exclusion, and the auxiliary state is freed while
             # other threads may still be traversing it (§4.3 bug).
-            failpoints.hit("release.pre_unmap", ino)
+            if failpoints.hooks or obs.enabled:
+                failpoints.hit("release.pre_unmap", ino)
             try:
                 self.kernel.release(self.app_id, ino)
             finally:

@@ -29,7 +29,7 @@ def parse(path: str) -> Tuple[str, ...]:
         raise InvalidArgument(f"path must be absolute: {path!r}")
     if "\0" in path:
         raise InvalidArgument(f"NUL byte in path: {path!r}")
-    parts = tuple(p for p in path.split("/") if p)
+    parts = tuple(filter(None, path.split("/")))
     for p in parts:
         if p in (".", ".."):
             raise InvalidArgument(f"dot components not supported: {path!r}")

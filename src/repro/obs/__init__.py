@@ -158,8 +158,9 @@ def _merged(labels: Dict[str, object]) -> Dict[str, object]:
 
 # --------------------------------------------------------------------------- #
 # Call-site helpers.  Every helper early-returns when disabled so call sites
-# can stay one line; the hottest sites (locks, syscall wrappers) check
-# ``obs.enabled`` themselves first and never pay the call.
+# can stay one line; the hottest sites (locks, syscall wrappers, kernel
+# crossings, the verifier's span, failpoint sites) check ``obs.enabled``
+# themselves first and never pay the call.
 # --------------------------------------------------------------------------- #
 
 

@@ -191,7 +191,7 @@ def _reader_uaf(config):
     target, victim = colliding_names(fs, "/dir")
     fs.close(fs.creat(f"/dir/{target}"))
     fs.close(fs.creat(f"/dir/{victim}"))
-    node = fs._resolve_dir(("dir",)).dir.lookup(victim.encode())
+    node = fs._resolve(("dir",), need_dir=True).dir.lookup(victim.encode())
     exc1, _exc2 = race(
         first=lambda: fs.stat(f"/dir/{target}"),
         second=lambda: fs.unlink(f"/dir/{victim}"),

@@ -25,7 +25,7 @@ def _table():
 def _insert(table, name, ino):
     bucket = table.bucket_of(name)
     with bucket.lock:
-        table.insert_locked(table.freelist.alloc(name, ino, 1, 1, 1, None))
+        table.insert_locked(bucket, table.freelist.alloc(name, ino, 1, 1, 1, None))
 
 
 class TestLookupVsChurn:
@@ -46,7 +46,7 @@ class TestLookupVsChurn:
                     for name in churn:
                         bucket = table.bucket_of(name)
                         with bucket.lock:
-                            table.remove_locked(name)
+                            table.remove_locked(bucket, name)
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 

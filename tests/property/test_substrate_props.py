@@ -141,11 +141,11 @@ class TestHashTableProps:
                 if name not in model:
                     with bucket.lock:
                         node = table.freelist.alloc(name, len(model) + 1, 1, 1, 1, None)
-                        table.insert_locked(node)
+                        table.insert_locked(bucket, node)
                     model[name] = node.ino
             elif kind == "remove":
                 with bucket.lock:
-                    removed = table.remove_locked(name)
+                    removed = table.remove_locked(bucket, name)
                 if name in model:
                     assert removed is not None and removed.ino == model.pop(name)
                 else:

@@ -32,27 +32,38 @@ from repro.server.dispatch import SESSION_OPS
 #: timed repetitions per op, after as many untimed ones to warm up.
 REPS = 50
 
-#: Python calls per op, the probe's own lambda included.
+#: Python calls per op, the probe's own lambda included.  ``rename_pair``
+#: moves ``/d1/f`` to ``/d2/r`` and back; ``mkdir_rmdir`` makes and removes
+#: ``/d1/m``.  Before the directory operations hashed each name once and
+#: tested a disarmed failpoint inline: 189 for ``creat_close_unlink``, 205
+#: for ``rename_pair``, 191.54 for ``mkdir_rmdir``, 9 for ``stat``, and
+#: (tracked) 193, 213 and 195.52.
 CEILINGS = {
     "pwrite_4k": 19,
     "pread_4k": 16,
-    "stat": 9,
-    "creat_close_unlink": 189,
+    "stat": 8,
+    "creat_close_unlink": 143,
+    "rename_pair": 130,
+    "mkdir_rmdir": 144,
     "tx3": 137,
     # The same requests through the server's op table, params as a frame
     # carries them (``SESSION_OPS[method](session, params)``).  Before the
     # table, with a hand-written adapter per method: 28, 26, 12, 24, 200
-    # and 193.
+    # and 193; before the one hash per name, stat 11 and creat + close +
+    # unlink 197.
     "dispatch_pwrite_4k": 25,
     "dispatch_pread_4k": 21,
-    "dispatch_stat": 11,
+    "dispatch_stat": 10,
     "dispatch_read_file_16k": 23,
-    "dispatch_creat_close_unlink": 197,
+    "dispatch_creat_close_unlink": 150,
     "dispatch_tx3": 184,
 }
 #: The same, crash-tracked.
 TRACKED_CEILINGS = {
     "pwrite_4k": 19,
+    "creat_close_unlink": 147,
+    "rename_pair": 138,
+    "mkdir_rmdir": 148,
     "tx3": 137,
 }
 
@@ -109,6 +120,14 @@ def ops(s):
             tx.pwrite(f"/d{i}/f", page, 4096)
         tx.commit()
 
+    def rename_pair():
+        s.rename("/d1/f", "/d2/r")
+        s.rename("/d2/r", "/d1/f")
+
+    def mkdir_rmdir():
+        s.mkdir("/d1/m")
+        s.rmdir("/d1/m")
+
     def dispatch_creat_close_unlink():
         fd = call["creat"](s, {"path": "/d1/t"})["fd"]
         call["close"](s, {"fd": fd})
@@ -128,6 +147,8 @@ def ops(s):
         "stat": lambda: s.stat("/d1/f"),
         "creat_close_unlink": lambda: (s.close(s.creat("/d1/t")),
                                        s.unlink("/d1/t")),
+        "rename_pair": rename_pair,
+        "mkdir_rmdir": mkdir_rmdir,
         "tx3": tx3,
         "dispatch_pwrite_4k": lambda: call["pwrite"](
             s, {"fd": fd, "data": page, "offset": 4096}),

@@ -301,6 +301,40 @@ class TestPoolReservedPages:
         assert vol.session("b").read_file("/y") == b"y" * 9000
 
 
+class TestRollbackOverAnotherFile:
+    """A page a rolled-back file freed since its snapshot and another file
+    took since is that file's: the rollback used to store the snapshot
+    into it and re-own it, so the other file read the rolled-back file's
+    bytes (or its release failed on its overwritten index page)."""
+
+    def test_a_rollback_that_would_write_over_another_file_marks_instead(self):
+        vol = Volume.create(8 << 20, VolumeConfig(inode_count=64))
+        s, alloc = vol.session("a", uid=0), vol.kernel.alloc
+        s.write_file("/y", b"y" * 9000)
+        s.release_all()
+        ino = s.stat("/y").ino
+        snapshot_pages = set(vol.kernel.inode_pages[ino])
+        s.truncate("/y", 0)              # frees /y's data pages
+        alloc.drain_pools()
+        alloc._hint_byte = 0             # the next refill finds them
+        s.write_file("/x", b"x" * 9000)  # and /x takes them
+        x = s.fs._inodes[s.stat("/x").ino]
+        assert snapshot_pages & set(x.pages)
+        s.fs._inodes[ino].cs.set_file_size(ino, 1 << 40)
+        with pytest.raises(CorruptionDetected, match="capacity"):
+            s.release_all()
+        assert s.read_file("/x") == b"x" * 9000
+        stats = vol.kernel.stats
+        assert (stats.rollbacks, stats.marked_inaccessible) == (0, 1)
+        s.close()                        # /x's release verifies it
+        # What is left is /y's own corruption, fenced off.
+        assert {f.ino for f in vol.fsck().findings} == {ino}
+        b = vol.session("b")
+        assert b.read_file("/x") == b"x" * 9000
+        with pytest.raises(PermissionDenied, match="inaccessible"):
+            b.read_file("/y")
+
+
 class TestVerifyOnTransfer:
     """The one rule for *when* the kernel verifies: every transfer out of an
     application runs the verdict path, so a released inode is a verified

@@ -561,3 +561,83 @@ def test_pages_are_freed_a_batch_at_a_time():
     # retire (commit, abort and mount's replay share it).
     assert frees >= 4, frees
     assert not in_loops, sorted(set(in_loops))
+
+
+def _unguarded_hits(tree):
+    """Lines of the ``failpoints.hit(...)`` calls in ``tree`` that no
+    enclosing ``if`` (or conditional expression) arms: one whose test reads
+    ``failpoints.hooks`` or ``obs.enabled``, or a name its function bound
+    from one of them (``hooks = failpoints.hooks``), with the call in its
+    body, not its ``else``."""
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+
+    def arming(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in (("failpoints", "hooks"),
+                                                   ("obs", "enabled")))
+
+    def bound_from_arming(fn):  # x = failpoints.hooks; a, b = obs.enabled, ...
+        names = set()
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = ([(target, node.value)] if isinstance(target, ast.Name)
+                         else zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple) else [])
+                names |= {t.id for t, v in pairs
+                          if isinstance(t, ast.Name) and arming(v)}
+        return names
+
+    def guarded(call):
+        child, node, tests = call, parent.get(call), []
+        while node is not None:
+            if isinstance(node, (ast.If, ast.IfExp)) and child is not node.test \
+                    and (child is node.body or child in node.body):
+                tests.append(node.test)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local = bound_from_arming(node)
+                return any(arming(n) or isinstance(n, ast.Name) and n.id in local
+                           for test in tests for n in ast.walk(test))
+            child, node = node, parent.get(node)
+        return any(arming(n) for test in tests for n in ast.walk(test))
+
+    return sorted(call.lineno for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "hit" and isinstance(call.func.value, ast.Name)
+                  and call.func.value.id == "failpoints" and not guarded(call))
+
+
+def test_a_disarmed_failpoint_costs_an_inline_test():
+    """With nothing armed and observability off, a failpoint site in the
+    file system's layers costs one inline test, not a call: every
+    ``failpoints.hit`` there sits under a test of ``failpoints.hooks`` or
+    ``obs.enabled`` (ROADMAP items 4 and 21)."""
+    offenders, sites = [], 0
+    for rel, tree in _modules():
+        if rel.startswith(("libfs/", "core/", "kernel/", "tx/")):
+            offenders += [f"{rel}:{line}" for line in _unguarded_hits(tree)]
+            sites += sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                         and n.func.attr == "hit" for n in ast.walk(tree))
+    assert sites >= 10, sites  # the scan is not vacuous
+    assert not offenders, offenders
+
+
+def test_the_failpoint_guard_finds_a_planted_offender():
+    planted = ast.parse('''
+def guarded(name):
+    hooks = failpoints.hooks
+    if hooks or obs.enabled:
+        failpoints.hit("a", name)
+    f(post=(lambda: failpoints.hit("b")) if hooks else None)
+    if failpoints.hooks:
+        pass
+    else:
+        failpoints.hit("in the else")
+    failpoints.hit("bare")
+    if name:
+        failpoints.hit("a test of something else")
+''')
+    assert _unguarded_hits(planted) == [10, 11, 13]

@@ -23,7 +23,7 @@ class TestFDTable:
     def test_install_get_close(self):
         table = FDTable()
         mi = self.make_mi()
-        entry = table.install(mi, "/x")
+        entry = table.install(mi)
         assert table.get(entry.fd) is entry
         table.close(entry.fd)
         with pytest.raises(BadFileDescriptor):
@@ -32,12 +32,12 @@ class TestFDTable:
     def test_fds_are_distinct_and_start_at_3(self):
         table = FDTable()
         mi = self.make_mi()
-        fds = [table.install(mi, "/x").fd for _ in range(5)]
+        fds = [table.install(mi).fd for _ in range(5)]
         assert fds == [3, 4, 5, 6, 7]
 
     def test_offset_advance_is_atomic_fetch_add(self):
         table = FDTable()
-        entry = table.install(self.make_mi(), "/x")
+        entry = table.install(self.make_mi())
         assert entry.advance(10) == 0
         assert entry.advance(5) == 10
         assert entry.offset == 15
@@ -45,15 +45,15 @@ class TestFDTable:
     def test_open_count(self):
         table = FDTable()
         mi = self.make_mi()
-        table.install(mi, "/x")
-        table.install(mi, "/x")
+        table.install(mi)
+        table.install(mi)
         assert table.open_count() == 2
         assert table.open_count(mi.ino) == 2
         assert table.open_count(999) == 0
 
     def test_close_all(self):
         table = FDTable()
-        fd = table.install(self.make_mi(), "/x").fd
+        fd = table.install(self.make_mi()).fd
         table.close_all()
         with pytest.raises(BadFileDescriptor):
             table.get(fd)
@@ -99,10 +99,10 @@ class TestFreelist:
         table = DirHashTable(ARCKFS_PLUS, RCU(), NodeFreelist(), tag="t")
         bucket = table.bucket_of(b"a")
         with bucket.lock:
-            table.insert_locked(table.freelist.alloc(b"a", 5, 1, 1, 1, None))
+            table.insert_locked(bucket, table.freelist.alloc(b"a", 5, 1, 1, 1, None))
         node, entry = table.lookup(b"a"), table.entry(b"a")
         with bucket.lock:
-            table.remove_locked(b"a")
+            table.remove_locked(bucket, b"a")
         assert table.freelist.alloc(b"b", 9, 1, 2, 1, None) is node
         assert node.ino == 9  # what a reader holding the node would see
         assert entry == (5, 1)
@@ -115,12 +115,12 @@ class TestAttachMachinery:
         fs.mkdir("/d")
         fs.close(fs.creat("/d/f"))
         fs.commit_path("/")
-        mi = fs._resolve_dir(("d",))
+        mi = fs._resolve(("d",), need_dir=True)
         table_before = mi.dir
         fs.release_path("/d")
         assert not mi.attached
         fs.close(fs.creat("/d/g"))  # transparent re-attach
-        assert fs._resolve_dir(("d",)).dir is table_before
+        assert fs._resolve(("d",), need_dir=True).dir is table_before
 
     def test_arckfs_release_drops_aux(self):
         _dev, _kernel, fs = build_fs(ARCKFS)

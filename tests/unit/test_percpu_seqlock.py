@@ -104,8 +104,8 @@ class TestShardedStats:
         from repro.libfs.libfs import LibFSStats
 
         s = ShardedStats(LibFSStats)
-        s.inc("reads")
-        s.inc("bytes_read", 4096)
+        s.cells()["reads"] += 1
+        s.cells()["bytes_read"] += 4096
         folded = s.fold()
         assert isinstance(folded, LibFSStats)
         assert folded.reads == 1 and folded.bytes_read == 4096
@@ -116,7 +116,7 @@ class TestShardedStats:
 
         s = ShardedStats(LibFSStats)
         with pytest.raises(KeyError):
-            s.inc("raeds")
+            s.cells()["raeds"] += 1
 
     def test_multithread_exact(self):
         from repro.libfs.libfs import LibFSStats
@@ -125,7 +125,7 @@ class TestShardedStats:
 
         def worker():
             for _ in range(5000):
-                s.inc("lookups")
+                s.cells()["lookups"] += 1
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -187,7 +187,7 @@ class TestCountRace:
                 bucket = table.bucket_of(name)
                 with bucket.lock:
                     node = table.freelist.alloc(name, 1000 + i, 1, 1, 1, None)
-                    table.insert_locked(node)
+                    table.insert_locked(bucket, node)
 
         threads = [threading.Thread(target=worker, args=(t,))
                    for t in range(nthreads)]
@@ -209,12 +209,12 @@ class TestCountRace:
             bucket = table.bucket_of(name)
             with bucket.lock:
                 table.insert_locked(
-                    table.freelist.alloc(name, i + 2, 1, 1, 1, None))
+                    bucket, table.freelist.alloc(name, i + 2, 1, 1, 1, None))
         assert table.count == 50
         for name in names[:20]:
             bucket = table.bucket_of(name)
             with bucket.lock:
-                assert table.remove_locked(name) is not None
+                assert table.remove_locked(bucket, name) is not None
         assert table.count == 30
 
 
@@ -226,7 +226,7 @@ class TestItemsSnapshot:
             bucket = table.bucket_of(name)
             with bucket.lock:
                 table.insert_locked(
-                    table.freelist.alloc(name, i + 2, 1, 1, 1, None))
+                    bucket, table.freelist.alloc(name, i + 2, 1, 1, 1, None))
         snapshot = table.items()
         assert isinstance(snapshot, list)
         assert len(snapshot) == 10

@@ -414,7 +414,7 @@ class TestSpelling:
 class TestLazyBuckets:
     def test_a_fresh_directory_owns_no_bucket(self, fs):
         fs.mkdir("/d")
-        table = fs._resolve_dir(("d",)).dir
+        table = fs._resolve(("d",), need_dir=True).dir
         assert len(table.buckets) == 0
         assert fs.readdir("/d") == [] and not fs.exists("/d/x")
         assert len(table.buckets) == 0  # readers never create one
